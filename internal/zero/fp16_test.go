@@ -196,3 +196,37 @@ func TestFP16ComputeResidencyUnder60Percent(t *testing.T) {
 			fp16Bytes, f32Bytes, 100*float64(fp16Bytes)/float64(f32Bytes))
 	}
 }
+
+// Absolute golden for the fp16 trajectory, recorded before the model's fp16
+// forward/backward twin was folded into the fp32 path and not to be edited
+// by a refactor: the test above only pins the variants against each other
+// and the f32 reference within 5%. Stage 3 with overlap and prefetch is the
+// variant pinned here (the others are bitwise equal to it by the test
+// above). Bit for bit modulo FMA contraction, hence the 1e-9 relative
+// tolerance shared with the stage-equivalence goldens.
+func TestFP16ComputeTrajectoryGolden(t *testing.T) {
+	golden := []float64{
+		2.9445831174423516,
+		2.894122094006343,
+		2.8542399583793534,
+		2.8248818660086483,
+		2.8020093487673816,
+		2.7825724091374635,
+		2.7649241246731346,
+		2.7481486836628028,
+		2.7318227570729019,
+		2.715571411148781,
+	}
+	cfg := testConfig()
+	const n, batch = 4, 4
+	ids, targets := model.SyntheticBatch(31, batch, cfg.Seq, cfg.Vocab)
+	got := lossTrajectory(cfg, n, len(golden), batch, Options{
+		Stage: StageFull, LR: testLR, Seed: testSeed,
+		Overlap: true, Prefetch: true, FP16Compute: true,
+	}, ids, targets)
+	for i, want := range golden {
+		if math.Abs(got[i]-want) > 1e-9*math.Abs(want) {
+			t.Errorf("step %d: fp16 loss %.17g, want %.17g", i+1, got[i], want)
+		}
+	}
+}
