@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build build-arm64 test race configcheck fuzz-smoke serve-smoke elastic-smoke bench bench-prefetch bench-hier bench-accum bench-kernels bench-data bench-serve bench-elastic bench-fp16 bench-compare bench-smoke pprof sweep all
+.PHONY: check fmt vet bench-vet build build-arm64 test race configcheck fuzz-smoke serve-smoke elastic-smoke bench-kernels bench-data bench-serve bench-elastic bench-fp16 bench-compare bench-smoke pprof sweep all
 
-check: fmt vet build build-arm64 test race configcheck fuzz-smoke serve-smoke elastic-smoke
+check: fmt vet bench-vet build build-arm64 test race configcheck fuzz-smoke serve-smoke elastic-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -12,6 +12,12 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# bench/ is a module of its own that `./...` cannot see, so an API move in
+# the packages it calls would break the benchmark unnoticed. Same module
+# flags as bench/run.sh.
+bench-vet:
+	GOFLAGS=-mod=mod GOPROXY=off $(GO) vet -C bench ./...
 
 build:
 	$(GO) build ./...
@@ -30,7 +36,7 @@ test:
 # engine lifecycle, the async snapshotter + fault-injection paths, and the
 # parallel kernels.
 race:
-	$(GO) test -race ./internal/comm ./internal/zero ./internal/engine ./internal/tensor ./internal/ddp ./internal/serve ./internal/elastic
+	$(GO) test -race ./internal/comm ./internal/zero ./internal/engine ./internal/tensor ./internal/serve ./internal/elastic
 
 # Config-roundtrip gate: every committed example config must parse strictly
 # and pass engine.Config.Validate.
@@ -54,22 +60,6 @@ serve-smoke:
 # (part of `make check`).
 elastic-smoke:
 	$(GO) test -race ./internal/serve -run TestElasticKillResume -count=1
-
-# Regenerate the stage-API benchmark baseline (BENCH_STAGE_API.json).
-bench:
-	./scripts/bench.sh
-
-# Regenerate the stage-3 prefetch baseline (BENCH_PREFETCH.json).
-bench-prefetch:
-	./scripts/bench_prefetch.sh
-
-# Regenerate the hierarchical-topology baseline (BENCH_HIER.json).
-bench-hier:
-	./scripts/bench_hier.sh
-
-# Regenerate the gradient-accumulation baseline (BENCH_ACCUM.json).
-bench-accum:
-	./scripts/bench_accum.sh
 
 # Regenerate the dense-kernel baseline (BENCH_KERNELS.json).
 bench-kernels:
@@ -95,10 +85,6 @@ bench-fp16:
 # allocs/op growth (hard gate; allocation counts are deterministic) —
 # against the committed JSONs.
 bench-compare:
-	./scripts/bench_compare.sh BENCH_STAGE_API.json
-	./scripts/bench_compare.sh BENCH_PREFETCH.json
-	./scripts/bench_compare.sh BENCH_HIER.json
-	./scripts/bench_compare.sh BENCH_ACCUM.json
 	./scripts/bench_compare.sh BENCH_KERNELS.json
 	./scripts/bench_compare.sh BENCH_DATA.json
 	./scripts/bench_compare.sh BENCH_SERVE.json

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/data"
-	"repro/internal/ddp"
 	"repro/internal/elastic"
 	"repro/internal/engine"
 	"repro/internal/experiments"
@@ -81,15 +80,6 @@ func benchWorld(b *testing.B, run func(c *comm.Comm, ids, targets []int)) {
 	})
 }
 
-func BenchmarkDDPStep(b *testing.B) {
-	benchWorld(b, func(c *comm.Comm, ids, targets []int) {
-		tr := ddp.New(c, benchConfig(), 1, 1e-3)
-		for i := 0; i < b.N; i++ {
-			tr.Step(ids, targets, 4)
-		}
-	})
-}
-
 func benchZeROStage(b *testing.B, stage zero.Stage) {
 	benchWorld(b, func(c *comm.Comm, ids, targets []int) {
 		tr := zero.MustNew(c, benchConfig(), zero.Options{Stage: stage, LR: 1e-3, Seed: 1})
@@ -99,6 +89,7 @@ func benchZeROStage(b *testing.B, stage zero.Stage) {
 	})
 }
 
+func BenchmarkDDPStep(b *testing.B)        { benchZeROStage(b, zero.StageDDP) }
 func BenchmarkZeROStage1Step(b *testing.B) { benchZeROStage(b, zero.StageOS) }
 func BenchmarkZeROStage2Step(b *testing.B) { benchZeROStage(b, zero.StageOSG) }
 func BenchmarkZeROStage3Step(b *testing.B) { benchZeROStage(b, zero.StageOSGP) }
@@ -275,8 +266,7 @@ func benchStageConfig() model.Config {
 // BenchmarkKernels measures the three dense-kernel orientations of one
 // linear layer at the bench-shape FC1 dimensions (per-rank rows × hidden ×
 // 4·hidden): forward X·W, grad-input dY·Wᵀ, grad-weight Xᵀ·dY. This is the
-// BENCH_KERNELS.json baseline, gating raw kernel throughput the same way
-// BENCH_STAGE_API.json gates whole steps.
+// BENCH_KERNELS.json baseline, gating raw kernel throughput.
 func BenchmarkKernels(b *testing.B) {
 	const m, k, n = 64, 128, 512
 	x := make([]float32, m*k)
@@ -401,7 +391,7 @@ func BenchmarkFP16Step(b *testing.B) {
 
 // BenchmarkPrefetchStep: stage 3 with the synchronous parameter gathers,
 // the pipelined prefetch schedule, and prefetch + gradient overlap (all
-// three streams armed). The BENCH_PREFETCH.json baseline.
+// three streams armed).
 func BenchmarkPrefetchStep(b *testing.B) {
 	const ranks, batch = 4, 8
 	cfg := benchStageConfig()
@@ -437,11 +427,11 @@ func BenchmarkPrefetchStep(b *testing.B) {
 }
 
 // BenchmarkHierarchicalStep sweeps the topology knob on an 8-rank stage-2
-// world: flat routing versus hierarchical routing at node widths 2 and 4
-// (the BENCH_HIER.json baseline). Total volume is identical across rows —
-// the hierarchy only re-splits it between the intra- and inter-node legs —
-// so on this in-process simulator the interesting metric is the measured
-// inter-node share, reported per rank per step.
+// world: flat routing versus hierarchical routing at node widths 2 and 4.
+// Total volume is identical across rows — the hierarchy only re-splits it
+// between the intra- and inter-node legs — so on this in-process simulator
+// the interesting metric is the measured inter-node share, reported per
+// rank per step.
 func BenchmarkHierarchicalStep(b *testing.B) {
 	const ranks, batch = 8, 8
 	cfg := benchStageConfig()
@@ -478,7 +468,7 @@ func BenchmarkHierarchicalStep(b *testing.B) {
 // fixed global batch: ns per optimizer step for k ∈ {1,2,4} micro-batches
 // (stage 2, fp16, overlapped buckets), reporting measured wire bytes per
 // boundary. Larger k trades step latency for the (k+1)/2k wire discount
-// and a fixed Ψ/N accumulator — the BENCH_ACCUM.json baseline.
+// and a fixed Ψ/N accumulator.
 func BenchmarkAccumStep(b *testing.B) {
 	const globalBatch = 16
 	base := engine.DefaultConfig()

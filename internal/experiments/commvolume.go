@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/comm"
-	"repro/internal/ddp"
 	"repro/internal/model"
 	"repro/internal/mp"
 	"repro/internal/zero"
@@ -35,20 +34,13 @@ func CommVolume() Table {
 		})
 	}
 
-	// Baseline DDP.
-	{
-		w := comm.NewWorld(n)
-		w.Run(func(c *comm.Comm) {
-			tr := ddp.New(c, cfg, 1, 1e-3)
-			tr.BucketElems = 0
-			tr.Step(ids, targets, batch)
-		})
-		addRow("DP all-reduce", w.TotalElemsSent(), 2)
-	}
-	// ZeRO stages.
-	for _, st := range []zero.Stage{zero.StageOS, zero.StageOSG, zero.StageOSGP} {
-		mult := 2.0
-		if st == zero.StageOSGP {
+	// Baseline DP (stage 0), then the ZeRO stages.
+	for _, st := range zero.AllStages {
+		name, mult := "ZeRO "+st.String(), 2.0
+		switch st {
+		case zero.StageDDP:
+			name = "DP all-reduce"
+		case zero.StageOSGP:
 			mult = 3.0
 		}
 		w := comm.NewWorld(n)
@@ -56,7 +48,7 @@ func CommVolume() Table {
 			tr := zero.MustNew(c, cfg, zero.Options{Stage: st, LR: 1e-3, Seed: 1})
 			tr.Step(ids, targets, batch)
 		})
-		addRow("ZeRO "+st.String(), w.TotalElemsSent(), mult)
+		addRow(name, w.TotalElemsSent(), mult)
 	}
 
 	// Pa overhead vs Megatron MP traffic (analytic §8 identity).

@@ -1,113 +1,91 @@
 package model
 
-import (
-	"math"
+import "repro/internal/tensor"
 
-	"repro/internal/tensor"
-)
+// linear computes y[rows×n] = x[rows×k]·W + b for the weight matrix and
+// bias at parameter offsets w and b.
+func (m *Model) linear(y []float32, x tens, w, b, rows, k, n int) {
+	m.matMul(y, x, w, rows, k, n)
+	tensor.AddBiasRows(y, m.vec(b, n), rows, n)
+}
 
-// causalMask is added to attention scores above the diagonal; large enough
-// that exp underflows to zero after the softmax max-shift.
-const causalMask = -1e9
+// linearBackward is linear's backward: dx = dy·Wᵀ (overwritten), and the
+// weight and bias gradients accumulated into Grads.
+func (m *Model) linearBackward(dx []float32, dy, x tens, w, b, rows, k, n int) {
+	m.matMulBT(dx, dy, w, rows, n, k)
+	m.matMulATAdd(w, x, dy, rows, k, n)
+	tensor.BiasGradRows(m.Grads[b:b+n], dy.f, rows, n)
+}
+
+// lnParams returns the fp32 images of the layernorm gain and shift at
+// parameter offset off (adjacent in the layout, gain first).
+func (m *Model) lnParams(off int) (gamma, beta []float32) {
+	h := m.Cfg.Hidden
+	p := m.vec(off, 2*h)
+	return p[:h], p[h:]
+}
 
 // blockForward computes one transformer block given acts.x (the block
-// input, [M,h]), fills the remaining activation fields and writes the block
-// output into out (a workspace buffer owned by the caller), returning it.
-// All activation buffers are drawn from the persistent workspace and fully
-// overwritten — the forward kernels (matmul, layernorm, softmax, GELU)
-// write their destinations, so stale values from the previous step never
-// leak into the math.
-func (m *Model) blockForward(i int, acts *blockActs, out []float32, batch, seqLen int) []float32 {
+// input, [M,h]), fills the remaining activation slots and writes the block
+// output into out (a workspace buffer owned by the caller; in fp16 mode it
+// is acts.x itself, which the block is done reading by then). Every buffer
+// comes from the persistent workspace and is fully overwritten — the forward
+// kernels (matmul, layernorm, softmax, GELU) write their destinations, so
+// stale values from the previous step never leak into the math. In fp16
+// mode each value crossing a kernel boundary rounds through binary16 first
+// (save, round).
+func (m *Model) blockForward(i int, acts *blockActs, out []float32, batch, seqLen int) {
 	h := m.Cfg.Hidden
 	heads := m.Cfg.Heads
 	dh := h / heads
 	ffn := 4 * h
 	mRows := batch * seqLen
+	n := mRows * h
 	off := m.Layout.blocks[i]
-	p := m.Params
 	ws := &m.ws
+	x := acts.x
 
 	// LN1.
-	acts.a = grow(acts.a, mRows*h)
-	acts.xhat1 = grow(acts.xhat1, mRows*h)
+	a, xhat1 := m.buf(acts, aA, n), m.buf(acts, aXhat1, n)
 	acts.invStd1 = grow(acts.invStd1, mRows)
-	tensor.LayerNorm(acts.a, acts.xhat1, acts.invStd1, acts.x,
-		p[off.ln1Gamma:off.ln1Gamma+h], p[off.ln1Beta:off.ln1Beta+h], mRows, h, lnEps)
+	gamma, beta := m.lnParams(off.ln1Gamma)
+	tensor.LayerNorm(a, xhat1, acts.invStd1, x, gamma, beta, mRows, h, lnEps)
+	m.save(acts, aXhat1)
 
 	// QKV projection.
-	acts.qkv = grow(acts.qkv, mRows*3*h)
-	tensor.MatMul(acts.qkv, acts.a, p[off.wQKV:off.wQKV+h*3*h], mRows, h, 3*h)
-	tensor.AddBiasRows(acts.qkv, p[off.bQKV:off.bQKV+3*h], mRows, 3*h)
+	qkv := m.buf(acts, aQKV, 3*n)
+	m.linear(qkv, m.save(acts, aA), off.wQKV, off.bQKV, mRows, h, 3*h)
+	m.save(acts, aQKV)
 
-	// Multi-head causal self-attention.
-	acts.probs = grow(acts.probs, batch*heads*seqLen*seqLen)
-	acts.ctx = grow(acts.ctx, mRows*h)
-	scale := float32(1 / math.Sqrt(float64(dh)))
-	ws.qh = grow(ws.qh, seqLen*dh)
-	ws.kh = grow(ws.kh, seqLen*dh)
-	ws.vh = grow(ws.vh, seqLen*dh)
-	ws.ctxh = grow(ws.ctxh, seqLen*dh)
-	qh, kh, vh, ctxh := ws.qh, ws.kh, ws.vh, ws.ctxh
-	for b := 0; b < batch; b++ {
-		for hd := 0; hd < heads; hd++ {
-			m.gatherHead(acts.qkv, qh, kh, vh, b, hd, batch, seqLen)
-			probs := acts.probs[(b*heads+hd)*seqLen*seqLen : (b*heads+hd+1)*seqLen*seqLen]
-			tensor.MatMulBT(probs, qh, kh, seqLen, dh, seqLen)
-			for t := 0; t < seqLen; t++ {
-				row := probs[t*seqLen : (t+1)*seqLen]
-				for u := range row {
-					if u > t {
-						row[u] = causalMask
-					} else {
-						row[u] *= scale
-					}
-				}
-			}
-			tensor.SoftmaxRows(probs, probs, seqLen, seqLen)
-			tensor.MatMul(ctxh, probs, vh, seqLen, seqLen, dh)
-			// Scatter the head's context back into [M,h].
-			for t := 0; t < seqLen; t++ {
-				copy(acts.ctx[(b*seqLen+t)*h+hd*dh:(b*seqLen+t)*h+(hd+1)*dh], ctxh[t*dh:(t+1)*dh])
-			}
-		}
-	}
+	// Multi-head causal self-attention. In fp16 mode the kernel rounds each
+	// head's softmax into its store before the context matmul.
+	probs, ctx := m.buf(acts, aProbs, batch*heads*seqLen*seqLen), m.buf(acts, aCtx, n)
+	ws.attn = grow(ws.attn, tensor.AttentionScratchLen(seqLen, dh))
+	ws.overflow = tensor.CausalAttention(ctx, probs, qkv, m.half(acts, aProbs, len(probs)),
+		batch, seqLen, heads, dh, ws.attn) || ws.overflow
 
 	// Output projection + residual.
-	acts.attnOut = grow(acts.attnOut, mRows*h)
-	tensor.MatMul(acts.attnOut, acts.ctx, p[off.wProj:off.wProj+h*h], mRows, h, h)
-	tensor.AddBiasRows(acts.attnOut, p[off.bProj:off.bProj+h], mRows, h)
-	acts.x2 = grow(acts.x2, mRows*h)
-	copy(acts.x2, acts.x)
-	tensor.Add(acts.x2, acts.attnOut)
+	attnOut := m.buf(acts, aAttnOut, n)
+	m.linear(attnOut, m.save(acts, aCtx), off.wProj, off.bProj, mRows, h, h)
+	x2 := m.buf(acts, aX2, n)
+	copy(x2, x)
+	tensor.Add(x2, attnOut)
+	m.round(x2)
 
-	// LN2 + MLP + residual.
-	acts.mlin = grow(acts.mlin, mRows*h)
-	acts.xhat2 = grow(acts.xhat2, mRows*h)
+	// LN2 + MLP + residual. h1 is saved before GELU reads it.
+	mlin, xhat2 := m.buf(acts, aMlin, n), m.buf(acts, aXhat2, n)
 	acts.invStd2 = grow(acts.invStd2, mRows)
-	tensor.LayerNorm(acts.mlin, acts.xhat2, acts.invStd2, acts.x2,
-		p[off.ln2Gamma:off.ln2Gamma+h], p[off.ln2Beta:off.ln2Beta+h], mRows, h, lnEps)
-	acts.h1 = grow(acts.h1, mRows*ffn)
-	tensor.MatMul(acts.h1, acts.mlin, p[off.wFC1:off.wFC1+h*ffn], mRows, h, ffn)
-	tensor.AddBiasRows(acts.h1, p[off.bFC1:off.bFC1+ffn], mRows, ffn)
-	acts.g = grow(acts.g, mRows*ffn)
-	tensor.GELU(acts.g, acts.h1)
-	tensor.MatMul(out, acts.g, p[off.wFC2:off.wFC2+ffn*h], mRows, ffn, h)
-	tensor.AddBiasRows(out, p[off.bFC2:off.bFC2+h], mRows, h)
-	tensor.Add(out, acts.x2)
-	return out
-}
-
-// gatherHead copies one (sample, head) slice of the packed QKV activations
-// into contiguous [T,dh] scratch matrices.
-func (m *Model) gatherHead(qkv, qh, kh, vh []float32, b, hd, batch, seqLen int) {
-	h := m.Cfg.Hidden
-	dh := h / m.Cfg.Heads
-	for t := 0; t < seqLen; t++ {
-		base := (b*seqLen + t) * 3 * h
-		copy(qh[t*dh:(t+1)*dh], qkv[base+hd*dh:base+(hd+1)*dh])
-		copy(kh[t*dh:(t+1)*dh], qkv[base+h+hd*dh:base+h+(hd+1)*dh])
-		copy(vh[t*dh:(t+1)*dh], qkv[base+2*h+hd*dh:base+2*h+(hd+1)*dh])
-	}
+	gamma, beta = m.lnParams(off.ln2Gamma)
+	tensor.LayerNorm(mlin, xhat2, acts.invStd2, x2, gamma, beta, mRows, h, lnEps)
+	m.save(acts, aXhat2)
+	h1 := m.buf(acts, aH1, mRows*ffn)
+	m.linear(h1, m.save(acts, aMlin), off.wFC1, off.bFC1, mRows, h, ffn)
+	m.save(acts, aH1)
+	g := m.buf(acts, aG, mRows*ffn)
+	tensor.GELU(g, h1)
+	m.linear(out, m.save(acts, aG), off.wFC2, off.bFC2, mRows, ffn, h)
+	tensor.Add(out, x2)
+	m.round(out)
 }
 
 // blockBackward consumes dOut (gradient of the block output) and the
@@ -117,100 +95,53 @@ func (m *Model) gatherHead(qkv, qh, kh, vh []float32, b, hd, batch, seqLen int) 
 // across steps is either fully overwritten by the overwrite-kernels
 // (MatMul/MatMulBT, copies) or explicitly zeroed before an accumulating
 // kernel (GELUBackward, MatMulATAdd, SoftmaxRowsBackward) — matching the
-// zero state fresh allocations used to provide.
+// zero state fresh allocations used to provide. In fp16 mode each d-tensor
+// is rounded (operand) before the matmuls, bias gradient and copies that
+// read it.
 func (m *Model) blockBackward(i int, acts *blockActs, dOut, dst []float32, batch, seqLen int) {
 	h := m.Cfg.Hidden
 	heads := m.Cfg.Heads
 	dh := h / heads
 	ffn := 4 * h
 	mRows := batch * seqLen
+	n := mRows * h
 	off := m.Layout.blocks[i]
-	p, g := m.Params, m.Grads
+	g := m.Grads
 	ws := &m.ws
 
 	// Residual: out = x2 + MLP(LN2(x2)) ⇒ dx2 starts as dOut.
-	ws.dX2 = grow(ws.dX2, mRows*h)
-	dX2 := ws.dX2
+	hdOut := m.operand(dOut)
+	dX2 := m.scratch(aX2, n)
 	copy(dX2, dOut)
 
 	// MLP backward.
-	ws.dG = grow(ws.dG, mRows*ffn)
-	dG := ws.dG
-	tensor.MatMulBT(dG, dOut, p[off.wFC2:off.wFC2+ffn*h], mRows, h, ffn)
-	tensor.MatMulATAdd(g[off.wFC2:off.wFC2+ffn*h], acts.g, dOut, mRows, ffn, h)
-	tensor.BiasGradRows(g[off.bFC2:off.bFC2+h], dOut, mRows, h)
-	ws.dH1 = grow(ws.dH1, mRows*ffn)
-	dH1 := ws.dH1
+	dG := m.scratch(aG, mRows*ffn)
+	m.linearBackward(dG, hdOut, acts.t[aG], off.wFC2, off.bFC2, mRows, ffn, h)
+	dH1 := m.scratch(sDH1, mRows*ffn)
 	tensor.Zero(dH1) // GELUBackward accumulates
-	tensor.GELUBackward(dH1, dG, acts.h1)
-	ws.dMlin = grow(ws.dMlin, mRows*h)
-	dMlin := ws.dMlin
-	tensor.MatMulBT(dMlin, dH1, p[off.wFC1:off.wFC1+h*ffn], mRows, ffn, h)
-	tensor.MatMulATAdd(g[off.wFC1:off.wFC1+h*ffn], acts.mlin, dH1, mRows, h, ffn)
-	tensor.BiasGradRows(g[off.bFC1:off.bFC1+ffn], dH1, mRows, ffn)
+	tensor.GELUBackward(dH1, dG, m.load(acts, aH1))
+	dMlin := m.scratch(aMlin, n)
+	m.linearBackward(dMlin, m.operand(dH1), acts.t[aMlin], off.wFC1, off.bFC1, mRows, h, ffn)
 	tensor.LayerNormBackward(dX2, g[off.ln2Gamma:off.ln2Gamma+h], g[off.ln2Beta:off.ln2Beta+h],
-		dMlin, acts.xhat2, acts.invStd2, p[off.ln2Gamma:off.ln2Gamma+h], mRows, h)
+		dMlin, m.load(acts, aXhat2), acts.invStd2, m.vec(off.ln2Gamma, h), mRows, h)
 
 	// Attention output projection backward (dAttnOut == dX2: x2 = x + attnOut).
-	ws.dCtx = grow(ws.dCtx, mRows*h)
-	dCtx := ws.dCtx
-	tensor.MatMulBT(dCtx, dX2, p[off.wProj:off.wProj+h*h], mRows, h, h)
-	tensor.MatMulATAdd(g[off.wProj:off.wProj+h*h], acts.ctx, dX2, mRows, h, h)
-	tensor.BiasGradRows(g[off.bProj:off.bProj+h], dX2, mRows, h)
+	dCtx := m.scratch(aCtx, n)
+	m.linearBackward(dCtx, m.operand(dX2), acts.t[aCtx], off.wProj, off.bProj, mRows, h, h)
 
-	// Attention core backward, per (sample, head).
-	ws.dQKV = grow(ws.dQKV, mRows*3*h)
-	dQKV := ws.dQKV
-	scale := float32(1 / math.Sqrt(float64(dh)))
-	ws.qh = grow(ws.qh, seqLen*dh)
-	ws.kh = grow(ws.kh, seqLen*dh)
-	ws.vh = grow(ws.vh, seqLen*dh)
-	ws.dctxh = grow(ws.dctxh, seqLen*dh)
-	ws.dP = grow(ws.dP, seqLen*seqLen)
-	ws.dS = grow(ws.dS, seqLen*seqLen)
-	ws.dqh = grow(ws.dqh, seqLen*dh)
-	ws.dkh = grow(ws.dkh, seqLen*dh)
-	ws.dvh = grow(ws.dvh, seqLen*dh)
-	qh, kh, vh := ws.qh, ws.kh, ws.vh
-	dctxh, dP, dS := ws.dctxh, ws.dP, ws.dS
-	dqh, dkh, dvh := ws.dqh, ws.dkh, ws.dvh
-	for b := 0; b < batch; b++ {
-		for hd := 0; hd < heads; hd++ {
-			m.gatherHead(acts.qkv, qh, kh, vh, b, hd, batch, seqLen)
-			probs := acts.probs[(b*heads+hd)*seqLen*seqLen : (b*heads+hd+1)*seqLen*seqLen]
-			for t := 0; t < seqLen; t++ {
-				copy(dctxh[t*dh:(t+1)*dh], dCtx[(b*seqLen+t)*h+hd*dh:(b*seqLen+t)*h+(hd+1)*dh])
-			}
-			// ctx = P·V.
-			tensor.MatMulBT(dP, dctxh, vh, seqLen, dh, seqLen)
-			tensor.MatMulAT(dvh, probs, dctxh, seqLen, seqLen, dh)
-			// Softmax.
-			tensor.Zero(dS)
-			tensor.SoftmaxRowsBackward(dS, dP, probs, seqLen, seqLen)
-			// Scale (applied to scores before softmax).
-			tensor.Scale(dS, scale)
-			// scores = scale·Q·Kᵀ.
-			tensor.MatMul(dqh, dS, kh, seqLen, seqLen, dh)
-			tensor.MatMulAT(dkh, dS, qh, seqLen, seqLen, dh)
-			// Scatter head gradients into packed dQKV.
-			for t := 0; t < seqLen; t++ {
-				base := (b*seqLen + t) * 3 * h
-				copy(dQKV[base+hd*dh:base+(hd+1)*dh], dqh[t*dh:(t+1)*dh])
-				copy(dQKV[base+h+hd*dh:base+h+(hd+1)*dh], dkh[t*dh:(t+1)*dh])
-				copy(dQKV[base+2*h+hd*dh:base+2*h+(hd+1)*dh], dvh[t*dh:(t+1)*dh])
-			}
-		}
-	}
+	// Attention core backward.
+	dQKV := m.scratch(sDQKV, 3*n)
+	ws.attn = grow(ws.attn, tensor.AttentionScratchLen(seqLen, dh))
+	tensor.CausalAttentionBackward(dQKV, dCtx, m.load(acts, aQKV), m.load(acts, aProbs),
+		batch, seqLen, heads, dh, ws.attn)
 
 	// QKV projection backward.
-	ws.dA = grow(ws.dA, mRows*h)
-	dA := ws.dA
-	tensor.MatMulBT(dA, dQKV, p[off.wQKV:off.wQKV+h*3*h], mRows, 3*h, h)
-	tensor.MatMulATAdd(g[off.wQKV:off.wQKV+h*3*h], acts.a, dQKV, mRows, h, 3*h)
-	tensor.BiasGradRows(g[off.bQKV:off.bQKV+3*h], dQKV, mRows, 3*h)
+	dA := m.scratch(aA, n)
+	m.linearBackward(dA, m.operand(dQKV), acts.t[aA], off.wQKV, off.bQKV, mRows, h, 3*h)
 
 	// LN1 + residual: dx = dx2 (residual) + LN1-backward(dA).
 	copy(dst, dX2)
 	tensor.LayerNormBackward(dst, g[off.ln1Gamma:off.ln1Gamma+h], g[off.ln1Beta:off.ln1Beta+h],
-		dA, acts.xhat1, acts.invStd1, p[off.ln1Gamma:off.ln1Gamma+h], mRows, h)
+		dA, m.load(acts, aXhat1), acts.invStd1, m.vec(off.ln1Gamma, h), mRows, h)
+	m.round(dst)
 }

@@ -1,53 +1,63 @@
 package model
 
-import (
-	"math"
+import "repro/internal/tensor"
 
-	"repro/internal/tensor"
+// Precision is a storage decision, not a second model (§3.1's fp16
+// parameters, gradients and activations beside an fp32 master). Loss,
+// Backward and the transformer block are written once, against the small
+// store below; SetFP16Compute fixes which of two layouts it has.
+//
+//   - fp32 mode: every saved activation is its own per-layer []float32.
+//     Forward computes straight into it, "save" is a no-op, "load" returns
+//     the slice, weights are Params[lo:hi] and matmuls are tensor.MatMul*.
+//   - fp16 mode: every tensor that persists across the step — saved
+//     activations and the parameter copy the compute reads — is 2-byte
+//     binary16, while all arithmetic accumulates in fp32. Forward computes
+//     into fp32 staging shared by all layers (ws.shared: one layer's working
+//     set, O(1) in depth); "save" rounds the staging in place through
+//     binary16 into the layer's HalfBuffer, so fp32 consumers always see
+//     exactly the values the store decodes to, and raises the overflow flag
+//     TakeOverflow surfaces; "load" decodes back into the staging. Matmuls
+//     run the fused half-domain kernels (tensor.MatMul*H: fp16 operands,
+//     fp32 accumulation) on ParamsH, the rounded image of the fp32 master
+//     Params; layernorm gains and biases decode into scratch (vec).
+//     Backward's gradient scratch reuses the staging of tensors that are
+//     dead by then, each d-tensor rounds into one shared half staging buffer
+//     before it feeds a matmul (operand), dLogits is scaled by LossScale
+//     first, and weight gradients accumulate in fp32 Grads.
+//
+// Elementwise kernels (layernorm, softmax, GELU) and the per-head attention
+// core always run on fp32 images; in fp16 mode those are the rounded ones.
+
+// Activation slots of one transformer block: the index of a tensor in
+// blockActs.t and of its shared buffer in workspace.shared.
+const (
+	aXhat1   = iota // [M,h] ln1 normalized input
+	aA              // [M,h] ln1 output
+	aQKV            // [M,3h]
+	aProbs          // attention softmax [B*heads, T, T]
+	aCtx            // [M,h] attention context before proj
+	aAttnOut        // [M,h] attention projection output
+	aX2             // [M,h] x + attnOut
+	aXhat2          // [M,h] ln2 normalized input
+	aMlin           // [M,h] ln2 output
+	aH1             // [M,ffn] MLP pre-GELU
+	aG              // [M,ffn] GELU output
+	numActs
+
+	// Shared-only slots: gradients whose activation is still being read
+	// (GELU backward reads h1 and writes dH1, attention backward qkv and
+	// dQKV), so they cannot take the activation's own slot.
+	sDH1      = numActs
+	sDQKV     = numActs + 1
+	numShared = numActs + 2
 )
 
-// The fp16 compute path: the GPU mixed-precision contract (§B of the ZeRO
-// paper) realized in storage. When FP16Compute is on, every tensor that
-// persists across the step — saved forward activations, the double-buffered
-// input gradient, and the parameter copy the compute reads — lives in
-// 2-byte binary16 form, while all arithmetic accumulates in fp32:
-//
-//   - Weights: Params stays the fp32 master (the optimizer's domain);
-//     ParamsH is its rounded fp16 image and is what every kernel reads.
-//     RefreshHalfParams re-encodes a range after the master changes.
-//   - Activations: each block's saved-for-backward tensors are HalfBuffers
-//     (blockActsH). Forward computes through one set of fp32 staging
-//     buffers shared by all layers — O(1) in depth, the activation memory
-//     is the 2-byte stores — and every value crossing a kernel boundary is
-//     rounded through binary16 (FromFloatsRound), so the fp32 staging
-//     always holds exactly the values the fp16 stores decode to.
-//   - Matmuls run the fused half-domain kernels (MatMulH/MatMulBTH/
-//     MatMulATH-family): fp16 operands, fp32 accumulation, one rounding at
-//     the store. Elementwise kernels (layernorm, softmax, GELU) and the
-//     per-head attention core run on the rounded fp32 images.
-//   - Gradients: dLogits is scaled by LossScale before the backward sweep
-//     (dynamic loss scaling), weight gradients accumulate in fp32 Grads,
-//     and each overflow detected while encoding an fp16 store raises the
-//     workspace overflow flag that TakeOverflow surfaces to the trainer.
-//
-// The fp32 path is untouched: fp16 mode dispatches to lossH/backwardH at
-// the top of Loss/Backward and shares only the small per-head scratch.
-
-// blockActsH is blockActs in 2-byte form: exactly the tensors the backward
-// pass reads, stored as binary16. The inverse standard deviations stay
-// fp32 — they are O(M) and precision-critical.
-type blockActsH struct {
-	xhat1   tensor.HalfBuffer // [M,h]
-	a       tensor.HalfBuffer // [M,h] ln1 output
-	qkv     tensor.HalfBuffer // [M,3h]
-	probs   tensor.HalfBuffer // attention softmax [B*heads, T, T]
-	ctx     tensor.HalfBuffer // [M,h]
-	xhat2   tensor.HalfBuffer // [M,h]
-	mlin    tensor.HalfBuffer // [M,h] ln2 output
-	h1      tensor.HalfBuffer // [M,ffn] MLP pre-GELU
-	g       tensor.HalfBuffer // [M,ffn] GELU output
-	invStd1 []float32
-	invStd2 []float32
+// tens is a tensor as the matmul helpers take it: the fp32 image and, in
+// fp16 mode, the binary16 copy the half kernels read instead.
+type tens struct {
+	f []float32
+	h tensor.HalfBuffer
 }
 
 // growH is grow for fp16 buffers.
@@ -58,25 +68,29 @@ func growH(buf tensor.HalfBuffer, n int) tensor.HalfBuffer {
 	return tensor.NewHalfBuffer(n)
 }
 
-// SetFP16Compute switches the model onto the fp16 storage path (and back).
+// SetFP16Compute switches the model between the fp32 and fp16 layouts.
 // Enabling allocates the ParamsH compute copy and encodes the current
 // master into it; callers that mutate Params afterwards must
-// RefreshHalfParams the touched range.
+// RefreshHalfParams the touched range. A switch in either direction drops
+// the step workspace (the layouts share no buffer list), and switching off
+// drops ParamsH too.
 func (m *Model) SetFP16Compute(on bool) {
+	if on != m.fp16 {
+		m.ReleaseWorkspace()
+	}
 	m.fp16 = on
-	if on {
-		if cap(m.ParamsH) < len(m.Params) {
-			m.ParamsH = tensor.NewHalfBuffer(len(m.Params))
-		}
-		m.ParamsH = m.ParamsH[:len(m.Params)]
-		m.RefreshHalfParams(0, len(m.Params))
-		if m.LossScale == 0 {
-			m.LossScale = 1
-		}
+	if !on {
+		m.ParamsH = nil
+		return
+	}
+	m.ParamsH = growH(m.ParamsH, len(m.Params))
+	m.RefreshHalfParams(0, len(m.Params))
+	if m.LossScale == 0 {
+		m.LossScale = 1
 	}
 }
 
-// FP16Compute reports whether the fp16 storage path is active.
+// FP16Compute reports whether the fp16 layout is active.
 func (m *Model) FP16Compute() bool { return m.fp16 }
 
 // RefreshHalfParams re-encodes Params[lo:hi] into the fp16 compute copy —
@@ -95,405 +109,125 @@ func (m *Model) TakeOverflow() bool {
 	return o
 }
 
-// gammaH decodes an h-length layernorm gain from the fp16 compute copy
-// into shared scratch.
-func (m *Model) gammaH(off, h int) []float32 {
+// pick returns a length-n fp32 buffer: *own in fp32 mode, where the tensor
+// keeps a buffer of its own, or *shared in fp16 mode, where it lives in a
+// buffer some other tensor is done with (or, for the head's softmax and
+// dLogits, is computed in place over its input).
+func (m *Model) pick(own, shared *[]float32, n int) []float32 {
+	p := own
+	if m.fp16 {
+		p = shared
+	}
+	*p = grow(*p, n)
+	return *p
+}
+
+// scratch returns shared slot k at length n: backward's gradient scratch in
+// both modes, and the forward staging in fp16 mode.
+func (m *Model) scratch(k, n int) []float32 {
 	ws := &m.ws
-	ws.pGamma = grow(ws.pGamma, h)
-	m.ParamsH[off : off+h].ToFloats(ws.pGamma)
-	return ws.pGamma
+	ws.shared[k] = grow(ws.shared[k], n)
+	return ws.shared[k]
 }
 
-// lnParamsH decodes a layernorm gain/shift pair from the fp16 compute copy.
-func (m *Model) lnParamsH(gOff, bOff, h int) (gamma, beta []float32) {
+// buf returns the fp32 buffer forward computes activation k of acts into.
+func (m *Model) buf(acts *blockActs, k, n int) []float32 {
+	return m.pick(&acts.t[k].f, &m.ws.shared[k], n)
+}
+
+// half returns activation k's 2-byte store at length n; nil in fp32 mode.
+func (m *Model) half(acts *blockActs, k, n int) tensor.HalfBuffer {
+	if !m.fp16 {
+		return nil
+	}
+	t := &acts.t[k]
+	t.h = growH(t.h, n)
+	return t.h
+}
+
+// save commits activation k once forward has filled its buf, and returns it
+// as a matmul operand.
+func (m *Model) save(acts *blockActs, k int) tens {
+	if !m.fp16 {
+		return acts.t[k]
+	}
+	f := m.ws.shared[k]
+	h := m.half(acts, k, len(f))
+	m.ws.overflow = h.FromFloatsRound(f) || m.ws.overflow
+	return tens{f, h}
+}
+
+// load returns the fp32 image of saved activation k for backward.
+func (m *Model) load(acts *blockActs, k int) []float32 {
+	t := acts.t[k]
+	if !m.fp16 {
+		return t.f
+	}
+	f := m.scratch(k, len(t.h))
+	t.h.ToFloats(f)
+	return f
+}
+
+// operand returns the gradient tensor d as a matmul operand. fp16 mode
+// rounds d in place and into the one half staging buffer every d-tensor
+// shares, so the result is valid until the next operand call.
+func (m *Model) operand(d []float32) tens {
+	if !m.fp16 {
+		return tens{f: d}
+	}
 	ws := &m.ws
-	ws.pBeta = grow(ws.pBeta, h)
-	m.ParamsH[bOff : bOff+h].ToFloats(ws.pBeta)
-	return m.gammaH(gOff, h), ws.pBeta
+	ws.hstage = growH(ws.hstage, len(d))
+	ws.overflow = ws.hstage.FromFloatsRound(d) || ws.overflow
+	return tens{d, ws.hstage}
 }
 
-// biasH decodes an n-length bias from the fp16 compute copy into shared
-// scratch (grown to the ffn high-water mark).
-func (m *Model) biasH(off, n int) []float32 {
+// round is save for a tensor fp16 mode keeps only as an fp32 image (the
+// residual stream): rounded through binary16 in place, no store.
+func (m *Model) round(x []float32) {
+	if m.fp16 {
+		m.ws.overflow = tensor.RoundHalfCheck(x) || m.ws.overflow
+	}
+}
+
+// vec returns the fp32 image of the parameter vector [off, off+n) —
+// layernorm gains and shifts, biases, embedding rows — valid until the next
+// vec call: Params itself, or ParamsH decoded into scratch.
+func (m *Model) vec(off, n int) []float32 {
+	if !m.fp16 {
+		return m.Params[off : off+n]
+	}
 	ws := &m.ws
-	ws.pBias = grow(ws.pBias, n)
-	m.ParamsH[off : off+n].ToFloats(ws.pBias[:n])
-	return ws.pBias[:n]
+	ws.pvec = grow(ws.pvec, n)
+	m.ParamsH[off : off+n].ToFloats(ws.pvec)
+	return ws.pvec
 }
 
-// lossH is Loss on the fp16 path: same hook schedule, same math, with
-// activations flowing through binary16 at every kernel boundary.
-func (m *Model) lossH(ids, targets []int, batch int) float64 {
-	seqLen := len(ids) / batch
-	h := m.Cfg.Hidden
-	v := m.Cfg.Vocab
-	mRows := batch * seqLen
-	fs := &m.ws
-	fs.batch, fs.seqLen = batch, seqLen
-	fs.ids = append(fs.ids[:0], ids...)
-	fs.targets = append(fs.targets[:0], targets...)
-
-	// Embedding: token + position rows decode straight from the fp16
-	// parameter copy; the sum re-rounds through binary16 so block 0 sees an
-	// fp16-valued input.
-	if m.ForwardHook != nil {
-		m.ForwardHook(-1)
+// matMul computes c[rows×n] = a[rows×k] · W, W the [k×n] parameter matrix
+// at offset w.
+func (m *Model) matMul(c []float32, a tens, w, rows, k, n int) {
+	if m.fp16 {
+		tensor.MatMulH(c, a.h, m.ParamsH[w:w+k*n], rows, k, n)
+		return
 	}
-	tokH := m.ParamsH[m.Layout.tokEmb : m.Layout.tokEmb+v*h]
-	posH := m.ParamsH[m.Layout.posEmb : m.Layout.posEmb+m.Cfg.Seq*h]
-	fs.sX = grow(fs.sX, mRows*h)
-	fs.pBias = grow(fs.pBias, h)
-	posRow := fs.pBias[:h]
-	for b := 0; b < batch; b++ {
-		for t := 0; t < seqLen; t++ {
-			id := ids[b*seqLen+t]
-			if id < 0 || id >= v {
-				panic("model: token id out of range")
-			}
-			row := fs.sX[(b*seqLen+t)*h : (b*seqLen+t+1)*h]
-			tokH[id*h : (id+1)*h].ToFloats(row)
-			posH[t*h : (t+1)*h].ToFloats(posRow)
-			tensor.Add(row, posRow)
-		}
-	}
-	fs.overflow = tensor.RoundHalfCheck(fs.sX) || fs.overflow
-
-	// Blocks: input and output ride the shared sX staging buffer.
-	if len(fs.hblocks) != m.Cfg.Layers {
-		fs.hblocks = make([]blockActsH, m.Cfg.Layers)
-	}
-	for i := 0; i < m.Cfg.Layers; i++ {
-		if m.ForwardHook != nil {
-			m.ForwardHook(i)
-		}
-		m.blockForwardH(i, &fs.hblocks[i], batch, seqLen)
-	}
-
-	// Final layernorm + tied-embedding head.
-	if m.ForwardHook != nil {
-		m.ForwardHook(m.Cfg.Layers)
-	}
-	fs.sA = grow(fs.sA, mRows*h)
-	fs.sXhat = grow(fs.sXhat, mRows*h)
-	fs.invStdF = grow(fs.invStdF, mRows)
-	gammaF, betaF := m.lnParamsH(m.Layout.lnF, m.Layout.lnF+h, h)
-	tensor.LayerNorm(fs.sA, fs.sXhat, fs.invStdF, fs.sX, gammaF, betaF, mRows, h, lnEps)
-	fs.hxf = growH(fs.hxf, mRows*h)
-	fs.overflow = fs.hxf.FromFloatsRound(fs.sA) || fs.overflow
-	fs.hxhatF = growH(fs.hxhatF, mRows*h)
-	fs.overflow = fs.hxhatF.FromFloatsRound(fs.sXhat) || fs.overflow
-
-	// Logits from fp16 xf against the fp16 tied embedding; the softmax
-	// writes probs over the logits in place (SoftmaxRows allows aliasing),
-	// so one fp32 [M,v] buffer carries the head state into backward.
-	fs.sLogits = grow(fs.sLogits, mRows*v)
-	tensor.MatMulBTH(fs.sLogits, fs.hxf, tokH, mRows, h, v)
-	loss := tensor.CrossEntropy(fs.sLogits, fs.sLogits, fs.targets, mRows, v)
-
-	m.fwd = fs
-	return loss
+	tensor.MatMul(c, a.f, m.Params[w:w+k*n], rows, k, n)
 }
 
-// blockForwardH runs one transformer block on the fp16 path: fp32 staging
-// in, fp16 stores out, half-domain matmuls against the fp16 weight views.
-// The block input arrives in ws.sX and the output replaces it.
-func (m *Model) blockForwardH(i int, acts *blockActsH, batch, seqLen int) {
-	h := m.Cfg.Hidden
-	heads := m.Cfg.Heads
-	dh := h / heads
-	ffn := 4 * h
-	mRows := batch * seqLen
-	off := m.Layout.blocks[i]
-	ws := &m.ws
-	x := ws.sX
-
-	// LN1.
-	ws.sA = grow(ws.sA, mRows*h)
-	ws.sXhat = grow(ws.sXhat, mRows*h)
-	acts.invStd1 = grow(acts.invStd1, mRows)
-	gamma, beta := m.lnParamsH(off.ln1Gamma, off.ln1Beta, h)
-	tensor.LayerNorm(ws.sA, ws.sXhat, acts.invStd1, x, gamma, beta, mRows, h, lnEps)
-	acts.xhat1 = growH(acts.xhat1, mRows*h)
-	ws.overflow = acts.xhat1.FromFloatsRound(ws.sXhat) || ws.overflow
-	acts.a = growH(acts.a, mRows*h)
-	ws.overflow = acts.a.FromFloatsRound(ws.sA) || ws.overflow
-
-	// QKV projection: fp16 activations × fp16 weights, fp32 accumulation.
-	ws.sQKV = grow(ws.sQKV, mRows*3*h)
-	tensor.MatMulH(ws.sQKV, acts.a, m.ParamsH[off.wQKV:off.wQKV+h*3*h], mRows, h, 3*h)
-	tensor.AddBiasRows(ws.sQKV, m.biasH(off.bQKV, 3*h), mRows, 3*h)
-	acts.qkv = growH(acts.qkv, mRows*3*h)
-	ws.overflow = acts.qkv.FromFloatsRound(ws.sQKV) || ws.overflow
-
-	// Multi-head causal self-attention on the rounded fp32 images; each
-	// head's softmax rounds through its fp16 store before the context
-	// matmul so backward replays the same probabilities.
-	ws.sProbs = grow(ws.sProbs, batch*heads*seqLen*seqLen)
-	ws.sCtx = grow(ws.sCtx, mRows*h)
-	acts.probs = growH(acts.probs, batch*heads*seqLen*seqLen)
-	scale := float32(1 / math.Sqrt(float64(dh)))
-	ws.qh = grow(ws.qh, seqLen*dh)
-	ws.kh = grow(ws.kh, seqLen*dh)
-	ws.vh = grow(ws.vh, seqLen*dh)
-	ws.ctxh = grow(ws.ctxh, seqLen*dh)
-	qh, kh, vh, ctxh := ws.qh, ws.kh, ws.vh, ws.ctxh
-	for b := 0; b < batch; b++ {
-		for hd := 0; hd < heads; hd++ {
-			m.gatherHead(ws.sQKV, qh, kh, vh, b, hd, batch, seqLen)
-			probs := ws.sProbs[(b*heads+hd)*seqLen*seqLen : (b*heads+hd+1)*seqLen*seqLen]
-			tensor.MatMulBT(probs, qh, kh, seqLen, dh, seqLen)
-			for t := 0; t < seqLen; t++ {
-				row := probs[t*seqLen : (t+1)*seqLen]
-				for u := range row {
-					if u > t {
-						row[u] = causalMask
-					} else {
-						row[u] *= scale
-					}
-				}
-			}
-			tensor.SoftmaxRows(probs, probs, seqLen, seqLen)
-			hp := acts.probs[(b*heads+hd)*seqLen*seqLen : (b*heads+hd+1)*seqLen*seqLen]
-			ws.overflow = hp.FromFloatsRound(probs) || ws.overflow
-			tensor.MatMul(ctxh, probs, vh, seqLen, seqLen, dh)
-			for t := 0; t < seqLen; t++ {
-				copy(ws.sCtx[(b*seqLen+t)*h+hd*dh:(b*seqLen+t)*h+(hd+1)*dh], ctxh[t*dh:(t+1)*dh])
-			}
-		}
+// matMulBT computes c[rows×k] = a[rows×n] · Wᵀ, W the [k×n] parameter
+// matrix at offset w.
+func (m *Model) matMulBT(c []float32, a tens, w, rows, n, k int) {
+	if m.fp16 {
+		tensor.MatMulBTH(c, a.h, m.ParamsH[w:w+k*n], rows, n, k)
+		return
 	}
-	acts.ctx = growH(acts.ctx, mRows*h)
-	ws.overflow = acts.ctx.FromFloatsRound(ws.sCtx) || ws.overflow
-
-	// Output projection + residual.
-	ws.sAttn = grow(ws.sAttn, mRows*h)
-	tensor.MatMulH(ws.sAttn, acts.ctx, m.ParamsH[off.wProj:off.wProj+h*h], mRows, h, h)
-	tensor.AddBiasRows(ws.sAttn, m.biasH(off.bProj, h), mRows, h)
-	ws.sX2 = grow(ws.sX2, mRows*h)
-	copy(ws.sX2, x)
-	tensor.Add(ws.sX2, ws.sAttn)
-	ws.overflow = tensor.RoundHalfCheck(ws.sX2) || ws.overflow
-
-	// LN2 + MLP + residual.
-	ws.sMlin = grow(ws.sMlin, mRows*h)
-	acts.invStd2 = grow(acts.invStd2, mRows)
-	gamma, beta = m.lnParamsH(off.ln2Gamma, off.ln2Beta, h)
-	tensor.LayerNorm(ws.sMlin, ws.sXhat, acts.invStd2, ws.sX2, gamma, beta, mRows, h, lnEps)
-	acts.xhat2 = growH(acts.xhat2, mRows*h)
-	ws.overflow = acts.xhat2.FromFloatsRound(ws.sXhat) || ws.overflow
-	acts.mlin = growH(acts.mlin, mRows*h)
-	ws.overflow = acts.mlin.FromFloatsRound(ws.sMlin) || ws.overflow
-
-	ws.sH1 = grow(ws.sH1, mRows*ffn)
-	tensor.MatMulH(ws.sH1, acts.mlin, m.ParamsH[off.wFC1:off.wFC1+h*ffn], mRows, h, ffn)
-	tensor.AddBiasRows(ws.sH1, m.biasH(off.bFC1, ffn), mRows, ffn)
-	acts.h1 = growH(acts.h1, mRows*ffn)
-	ws.overflow = acts.h1.FromFloatsRound(ws.sH1) || ws.overflow
-	ws.sG = grow(ws.sG, mRows*ffn)
-	tensor.GELU(ws.sG, ws.sH1)
-	acts.g = growH(acts.g, mRows*ffn)
-	ws.overflow = acts.g.FromFloatsRound(ws.sG) || ws.overflow
-
-	tensor.MatMulH(ws.sX, acts.g, m.ParamsH[off.wFC2:off.wFC2+ffn*h], mRows, ffn, h)
-	tensor.AddBiasRows(ws.sX, m.biasH(off.bFC2, h), mRows, h)
-	tensor.Add(ws.sX, ws.sX2)
-	ws.overflow = tensor.RoundHalfCheck(ws.sX) || ws.overflow
+	tensor.MatMulBT(c, a.f, m.Params[w:w+k*n], rows, n, k)
 }
 
-// backwardH is Backward on the fp16 path. The gradient stream mirrors the
-// fp32 sequence exactly; input gradients double-buffer through the 2-byte
-// hdXa/hdXb pair, and each d-tensor that feeds a matmul is rounded into an
-// fp16 staging buffer first so both matmul operands are half-domain.
-func (m *Model) backwardH() {
-	fs := m.fwd
-	if fs == nil {
-		panic("model: Backward without a preceding Loss")
+// matMulATAdd accumulates aᵀ[k×rows] · b[rows×n] into the fp32 gradient of
+// the [k×n] parameter matrix at offset w.
+func (m *Model) matMulATAdd(w int, a, b tens, rows, k, n int) {
+	if m.fp16 {
+		tensor.MatMulATAddH(m.Grads[w:w+k*n], a.h, b.h, rows, k, n)
+		return
 	}
-	m.fwd = nil
-	h := m.Cfg.Hidden
-	mRows := fs.batch * fs.seqLen
-	v := m.Cfg.Vocab
-
-	if m.BackwardPreHook != nil {
-		m.BackwardPreHook(m.Cfg.Layers)
-	}
-	tokH := m.ParamsH[m.Layout.tokEmb : m.Layout.tokEmb+v*h]
-	dTok := m.Grads[m.Layout.tokEmb : m.Layout.tokEmb+v*h]
-	dPos := m.Grads[m.Layout.posEmb : m.Layout.posEmb+m.Cfg.Seq*h]
-
-	// Head: dLogits (loss-scaled), then through the tied embedding with
-	// both operands fp16. dLogits overwrites the probs buffer in place —
-	// CrossEntropyBackward is element-wise in probs, and backward has no
-	// further use for the probabilities.
-	dLogits := fs.sLogits
-	tensor.CrossEntropyBackward(dLogits, fs.sLogits, fs.targets, mRows, v)
-	if m.LossScale != 1 {
-		tensor.Scale(dLogits, m.LossScale)
-	}
-	fs.hdLogits = growH(fs.hdLogits, mRows*v)
-	fs.overflow = fs.hdLogits.FromFloatsRound(dLogits) || fs.overflow
-	fs.sA = grow(fs.sA, mRows*h)
-	dXf := fs.sA
-	tensor.MatMulH(dXf, fs.hdLogits, tokH, mRows, v, h)
-	tensor.MatMulATAddH(dTok, fs.hdLogits, fs.hxf, mRows, v, h)
-
-	// Final layernorm backward into the shared dst staging buffer.
-	fs.sAttn = grow(fs.sAttn, mRows*h)
-	dst := fs.sAttn
-	tensor.Zero(dst)
-	fs.sXhat = grow(fs.sXhat, mRows*h)
-	fs.hxhatF.ToFloats(fs.sXhat)
-	gammaF := m.gammaH(m.Layout.lnF, h)
-	dGammaF := m.Grads[m.Layout.lnF : m.Layout.lnF+h]
-	dBetaF := m.Grads[m.Layout.lnF+h : m.Layout.lnF+2*h]
-	tensor.LayerNormBackward(dst, dGammaF, dBetaF, dXf, fs.sXhat, fs.invStdF, gammaF, mRows, h)
-
-	// Blocks in reverse, double-buffering the input gradient in 2-byte
-	// form: each block decodes hdX, writes its input gradient to the fp32
-	// dst staging, and re-encodes into the other half buffer.
-	fs.hdXa = growH(fs.hdXa, mRows*h)
-	fs.overflow = fs.hdXa.FromFloatsRound(dst) || fs.overflow
-	fs.hdXb = growH(fs.hdXb, mRows*h)
-	hdX, hdNext := fs.hdXa, fs.hdXb
-	for i := m.Cfg.Layers - 1; i >= 0; i-- {
-		if m.BackwardPreHook != nil {
-			m.BackwardPreHook(i)
-		}
-		m.blockBackwardH(i, &fs.hblocks[i], hdX, hdNext, fs.batch, fs.seqLen)
-		hdX, hdNext = hdNext, hdX
-		if m.BackwardHook != nil {
-			m.BackwardHook(i)
-		}
-	}
-
-	// Embedding gradients: blockBackwardH left block 0's input gradient
-	// (the rounded image of hdX) in the dst staging buffer.
-	dX := fs.sAttn
-	for b := 0; b < fs.batch; b++ {
-		for t := 0; t < fs.seqLen; t++ {
-			id := fs.ids[b*fs.seqLen+t]
-			row := dX[(b*fs.seqLen+t)*h : (b*fs.seqLen+t+1)*h]
-			tensor.Add(dTok[id*h:(id+1)*h], row)
-			tensor.Add(dPos[t*h:(t+1)*h], row)
-		}
-	}
-}
-
-// blockBackwardH is blockBackward on the fp16 path: saved activations
-// decode from their 2-byte stores on use, matmuls whose operands exist in
-// fp16 run the fused half kernels, and the block's input gradient is
-// re-encoded into hdst (its fp32 image stays in ws.sAttn for the caller).
-func (m *Model) blockBackwardH(i int, acts *blockActsH, hdOut, hdst tensor.HalfBuffer, batch, seqLen int) {
-	h := m.Cfg.Hidden
-	heads := m.Cfg.Heads
-	dh := h / heads
-	ffn := 4 * h
-	mRows := batch * seqLen
-	off := m.Layout.blocks[i]
-	g := m.Grads
-	ws := &m.ws
-
-	// Residual: dx2 starts as dOut (decoded once; the fp16 copy feeds the
-	// fused matmuls directly).
-	ws.sX = grow(ws.sX, mRows*h)
-	dOut := ws.sX
-	hdOut.ToFloats(dOut)
-	ws.sX2 = grow(ws.sX2, mRows*h)
-	dX2 := ws.sX2
-	copy(dX2, dOut)
-
-	// MLP backward.
-	ws.sG = grow(ws.sG, mRows*ffn)
-	dG := ws.sG
-	tensor.MatMulBTH(dG, hdOut, m.ParamsH[off.wFC2:off.wFC2+ffn*h], mRows, h, ffn)
-	tensor.MatMulATAddH(g[off.wFC2:off.wFC2+ffn*h], acts.g, hdOut, mRows, ffn, h)
-	tensor.BiasGradRows(g[off.bFC2:off.bFC2+h], dOut, mRows, h)
-	ws.sH1 = grow(ws.sH1, mRows*ffn)
-	acts.h1.ToFloats(ws.sH1)
-	ws.sDH1 = grow(ws.sDH1, mRows*ffn)
-	dH1 := ws.sDH1
-	tensor.Zero(dH1) // GELUBackward accumulates
-	tensor.GELUBackward(dH1, dG, ws.sH1)
-	ws.hdStage = growH(ws.hdStage, mRows*ffn)
-	hdH1 := ws.hdStage[:mRows*ffn]
-	ws.overflow = hdH1.FromFloatsRound(dH1) || ws.overflow
-	ws.sMlin = grow(ws.sMlin, mRows*h)
-	dMlin := ws.sMlin
-	tensor.MatMulBTH(dMlin, hdH1, m.ParamsH[off.wFC1:off.wFC1+h*ffn], mRows, ffn, h)
-	tensor.MatMulATAddH(g[off.wFC1:off.wFC1+h*ffn], acts.mlin, hdH1, mRows, h, ffn)
-	tensor.BiasGradRows(g[off.bFC1:off.bFC1+ffn], dH1, mRows, ffn)
-	ws.sXhat = grow(ws.sXhat, mRows*h)
-	acts.xhat2.ToFloats(ws.sXhat)
-	tensor.LayerNormBackward(dX2, g[off.ln2Gamma:off.ln2Gamma+h], g[off.ln2Beta:off.ln2Beta+h],
-		dMlin, ws.sXhat, acts.invStd2, m.gammaH(off.ln2Gamma, h), mRows, h)
-
-	// Attention output projection backward (dAttnOut == dX2), fp16 dX2
-	// against the fp16 projection weights and context.
-	hdX2 := ws.hdStage[:mRows*h]
-	ws.overflow = hdX2.FromFloatsRound(dX2) || ws.overflow
-	ws.sCtx = grow(ws.sCtx, mRows*h)
-	dCtx := ws.sCtx
-	tensor.MatMulBTH(dCtx, hdX2, m.ParamsH[off.wProj:off.wProj+h*h], mRows, h, h)
-	tensor.MatMulATAddH(g[off.wProj:off.wProj+h*h], acts.ctx, hdX2, mRows, h, h)
-	tensor.BiasGradRows(g[off.bProj:off.bProj+h], dX2, mRows, h)
-
-	// Attention core backward on decoded fp32 images, per (sample, head).
-	ws.sQKV = grow(ws.sQKV, mRows*3*h)
-	acts.qkv.ToFloats(ws.sQKV)
-	ws.sProbs = grow(ws.sProbs, batch*heads*seqLen*seqLen)
-	acts.probs.ToFloats(ws.sProbs)
-	ws.sDQKV = grow(ws.sDQKV, mRows*3*h)
-	dQKV := ws.sDQKV
-	scale := float32(1 / math.Sqrt(float64(dh)))
-	ws.qh = grow(ws.qh, seqLen*dh)
-	ws.kh = grow(ws.kh, seqLen*dh)
-	ws.vh = grow(ws.vh, seqLen*dh)
-	ws.dctxh = grow(ws.dctxh, seqLen*dh)
-	ws.dP = grow(ws.dP, seqLen*seqLen)
-	ws.dS = grow(ws.dS, seqLen*seqLen)
-	ws.dqh = grow(ws.dqh, seqLen*dh)
-	ws.dkh = grow(ws.dkh, seqLen*dh)
-	ws.dvh = grow(ws.dvh, seqLen*dh)
-	qh, kh, vh := ws.qh, ws.kh, ws.vh
-	dctxh, dP, dS := ws.dctxh, ws.dP, ws.dS
-	dqh, dkh, dvh := ws.dqh, ws.dkh, ws.dvh
-	for b := 0; b < batch; b++ {
-		for hd := 0; hd < heads; hd++ {
-			m.gatherHead(ws.sQKV, qh, kh, vh, b, hd, batch, seqLen)
-			probs := ws.sProbs[(b*heads+hd)*seqLen*seqLen : (b*heads+hd+1)*seqLen*seqLen]
-			for t := 0; t < seqLen; t++ {
-				copy(dctxh[t*dh:(t+1)*dh], dCtx[(b*seqLen+t)*h+hd*dh:(b*seqLen+t)*h+(hd+1)*dh])
-			}
-			tensor.MatMulBT(dP, dctxh, vh, seqLen, dh, seqLen)
-			tensor.MatMulAT(dvh, probs, dctxh, seqLen, seqLen, dh)
-			tensor.Zero(dS)
-			tensor.SoftmaxRowsBackward(dS, dP, probs, seqLen, seqLen)
-			tensor.Scale(dS, scale)
-			tensor.MatMul(dqh, dS, kh, seqLen, seqLen, dh)
-			tensor.MatMulAT(dkh, dS, qh, seqLen, seqLen, dh)
-			for t := 0; t < seqLen; t++ {
-				base := (b*seqLen + t) * 3 * h
-				copy(dQKV[base+hd*dh:base+(hd+1)*dh], dqh[t*dh:(t+1)*dh])
-				copy(dQKV[base+h+hd*dh:base+h+(hd+1)*dh], dkh[t*dh:(t+1)*dh])
-				copy(dQKV[base+2*h+hd*dh:base+2*h+(hd+1)*dh], dvh[t*dh:(t+1)*dh])
-			}
-		}
-	}
-
-	// QKV projection backward.
-	hdQKV := ws.hdStage[:mRows*3*h]
-	ws.overflow = hdQKV.FromFloatsRound(dQKV) || ws.overflow
-	ws.sA = grow(ws.sA, mRows*h)
-	dA := ws.sA
-	tensor.MatMulBTH(dA, hdQKV, m.ParamsH[off.wQKV:off.wQKV+h*3*h], mRows, 3*h, h)
-	tensor.MatMulATAddH(g[off.wQKV:off.wQKV+h*3*h], acts.a, hdQKV, mRows, h, 3*h)
-	tensor.BiasGradRows(g[off.bQKV:off.bQKV+3*h], dQKV, mRows, 3*h)
-
-	// LN1 + residual: dx = dx2 + LN1-backward(dA), re-encoded 2-byte.
-	ws.sAttn = grow(ws.sAttn, mRows*h)
-	dst := ws.sAttn
-	copy(dst, dX2)
-	acts.xhat1.ToFloats(ws.sXhat)
-	tensor.LayerNormBackward(dst, g[off.ln1Gamma:off.ln1Gamma+h], g[off.ln1Beta:off.ln1Beta+h],
-		dA, ws.sXhat, acts.invStd1, m.gammaH(off.ln1Gamma, h), mRows, h)
-	ws.overflow = hdst.FromFloatsRound(dst) || ws.overflow
+	tensor.MatMulATAdd(m.Grads[w:w+k*n], a.f, b.f, rows, k, n)
 }

@@ -244,3 +244,56 @@ func TestFP16LossAndGradsGolden(t *testing.T) {
 		}
 	}
 }
+
+// Switching fp16 compute off must hand back everything the fp16 layout
+// held — ParamsH, the 2-byte stores, the shared staging — and leave a model
+// indistinguishable from one that never left fp32 mode.
+func TestFP16SwitchOffReleasesHalfBuffers(t *testing.T) {
+	cfg := tinyConfig()
+	ids, targets := SyntheticBatch(3, 2, cfg.Seq, cfg.Vocab)
+	step := func(m *Model) float64 {
+		m.ZeroGrads()
+		l := m.Loss(ids, targets, 2)
+		m.Backward()
+		return l
+	}
+	ref := New(cfg, 7)
+	wantLoss := step(ref)
+
+	m := New(cfg, 7)
+	m.SetFP16Compute(true)
+	step(m)
+	m.SetFP16Compute(false)
+	if m.FP16Compute() || m.ParamsH != nil {
+		t.Errorf("fp16 compute off, but FP16Compute=%v and ParamsH holds %d B", m.FP16Compute(), m.ParamsH.Bytes())
+	}
+	if got := m.WorkspaceBytes(); got != 0 {
+		t.Errorf("workspace still holds %d B of the fp16 layout after switching off", got)
+	}
+	if l := step(m); l != wantLoss {
+		t.Errorf("fp32 loss after switching back %.17g, want %.17g", l, wantLoss)
+	}
+	if got, want := m.WorkspaceBytes(), ref.WorkspaceBytes(); got != want {
+		t.Errorf("workspace %d B after switching back, want the fp32 value %d B", got, want)
+	}
+	if d := tensor.MaxDiff(m.Grads, ref.Grads); d != 0 {
+		t.Errorf("fp32 gradients after switching back differ by %g", d)
+	}
+}
+
+// A bare Model must refuse fp16 compute together with activation
+// checkpointing instead of silently skipping the checkpoints (zero.New and
+// the engine reject the pair before it gets here).
+func TestFP16WithCheckpointPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("Loss accepted fp16 compute together with Checkpoint")
+		}
+	}()
+	cfg := tinyConfig()
+	ids, targets := SyntheticBatch(3, 2, cfg.Seq, cfg.Vocab)
+	m := New(cfg, 1)
+	m.SetFP16Compute(true)
+	m.Checkpoint = true
+	m.Loss(ids, targets, 2)
+}

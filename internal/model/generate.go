@@ -13,10 +13,9 @@ func (m *Model) NextToken(ids []int) int {
 	}
 	dummy := make([]int, len(ids))
 	m.Loss(ids, dummy, 1)
-	fs := m.fwd
 	m.fwd = nil // inference does not retain backward state
 	last := (len(ids) - 1) * m.Cfg.Vocab
-	row := fs.probs[last : last+m.Cfg.Vocab]
+	row := m.headProbs()[last : last+m.Cfg.Vocab]
 	best := 0
 	for i, p := range row {
 		if p > row[best] {

@@ -66,17 +66,17 @@ type Model struct {
 	// slot for simplicity — they are 2h elements.)
 	BackwardHook func(layer int)
 
-	// ParamsH is the binary16 compute copy of Params the fp16 path's
-	// kernels read; Params stays the fp32 master. Valid only while
+	// ParamsH is the binary16 compute copy of Params the fp16 mode's
+	// kernels read; Params stays the fp32 master. Non-nil only while
 	// FP16Compute is on, refreshed via RefreshHalfParams (see fp16.go).
 	ParamsH tensor.HalfBuffer
 
-	// LossScale multiplies dLogits on the fp16 path (dynamic loss scaling;
-	// the trainer folds the inverse into its gradient averaging). Zero
-	// means 1. Ignored on the fp32 path.
+	// LossScale multiplies dLogits in fp16 mode (dynamic loss scaling; the
+	// trainer folds the inverse into its gradient averaging). Zero means 1.
+	// Ignored in fp32 mode.
 	LossScale float32
 
-	// fp16 routes Loss/Backward through the half-precision storage path.
+	// fp16 selects the half-precision storage layout (SetFP16Compute).
 	fp16 bool
 
 	// ws is the persistent step workspace (activations, gradients,
@@ -86,25 +86,17 @@ type Model struct {
 	fwd *workspace
 }
 
-// blockActs holds one block's intermediate activations, drawn from the
-// model workspace and reused across steps. x (the block input / activation
-// checkpoint) aliases the previous block's output; under a checkpoint
-// Store it is nil between the forward Put and the backward Get.
+// blockActs holds one block's saved-for-backward state, drawn from the
+// model workspace and reused across steps: the activation slots of fp16.go
+// (fp32 buffers in fp32 mode, 2-byte stores in fp16 mode) plus the inverse
+// standard deviations, which stay fp32 in both — they are O(M) and
+// precision-critical. x (the block input / activation checkpoint) aliases
+// the previous block's output; under a checkpoint Store it is nil between
+// the forward Put and the backward Get.
 type blockActs struct {
-	x       []float32 // block input [M,h] — the activation checkpoint
-	xhat1   []float32
-	invStd1 []float32
-	a       []float32 // ln1 output
-	qkv     []float32 // [M,3h]
-	probs   []float32 // attention softmax [B*heads, T, T]
-	ctx     []float32 // attention context before proj [M,h]
-	attnOut []float32 // attention projection output [M,h]
-	x2      []float32 // x + attnOut
-	xhat2   []float32
-	invStd2 []float32
-	mlin    []float32 // ln2 output
-	h1      []float32 // MLP pre-GELU [M,ffn]
-	g       []float32 // GELU output [M,ffn]
+	x                []float32
+	t                [numActs]tens
+	invStd1, invStd2 []float32
 }
 
 // New creates a model with Gaussian-initialized weights (std 0.02, GPT-2
@@ -160,10 +152,10 @@ func (m *Model) Loss(ids, targets []int, batch int) float64 {
 	if seqLen > m.Cfg.Seq {
 		panic("model: sequence longer than configured maximum")
 	}
-	if m.fp16 {
-		return m.lossH(ids, targets, batch)
+	if m.fp16 && m.Checkpoint {
+		panic("model: fp16 compute keeps no fp32 block inputs to checkpoint; turn Checkpoint off")
 	}
-	h := m.Cfg.Hidden
+	h, v := m.Cfg.Hidden, m.Cfg.Vocab
 	mRows := batch * seqLen
 	fs := &m.ws
 	fs.batch, fs.seqLen = batch, seqLen
@@ -175,21 +167,21 @@ func (m *Model) Loss(ids, targets []int, batch int) float64 {
 	if m.ForwardHook != nil {
 		m.ForwardHook(-1)
 	}
-	tok := m.Params[m.Layout.tokEmb : m.Layout.tokEmb+m.Cfg.Vocab*h]
-	pos := m.Params[m.Layout.posEmb : m.Layout.posEmb+m.Cfg.Seq*h]
 	for b := 0; b < batch; b++ {
 		for t := 0; t < seqLen; t++ {
 			id := ids[b*seqLen+t]
-			if id < 0 || id >= m.Cfg.Vocab {
+			if id < 0 || id >= v {
 				panic("model: token id out of range")
 			}
 			row := fs.x0[(b*seqLen+t)*h : (b*seqLen+t+1)*h]
-			copy(row, tok[id*h:(id+1)*h])
-			tensor.Add(row, pos[t*h:(t+1)*h])
+			copy(row, m.vec(m.Layout.tokEmb+id*h, h))
+			tensor.Add(row, m.vec(m.Layout.posEmb+t*h, h))
 		}
 	}
+	m.round(fs.x0)
 
-	// Blocks.
+	// Blocks. fp32 mode keeps every block's output (the next block's saved
+	// input); fp16 mode saves no block input, so each block overwrites x0.
 	if len(fs.blocks) != m.Cfg.Layers {
 		fs.blocks = make([]blockActs, m.Cfg.Layers)
 		fs.outs = make([][]float32, m.Cfg.Layers)
@@ -201,84 +193,86 @@ func (m *Model) Loss(ids, targets []int, batch int) float64 {
 		}
 		acts := &fs.blocks[i]
 		acts.x = x
-		fs.outs[i] = grow(fs.outs[i], mRows*h)
-		x = m.blockForward(i, acts, fs.outs[i], batch, seqLen)
+		x = m.pick(&fs.outs[i], &fs.x0, mRows*h)
+		m.blockForward(i, acts, x, batch, seqLen)
 		if m.Checkpoint && m.Store != nil {
 			m.Store.Put(i, acts.x)
 			acts.x = nil
 		}
 	}
-	fs.xL = x
 
-	// Final layernorm + tied-embedding head.
+	// Final layernorm + tied-embedding head. The layernorm saves what a
+	// block's ln1 does, in the same slots of fs.head.
 	if m.ForwardHook != nil {
 		m.ForwardHook(m.Cfg.Layers)
 	}
-	fs.xhatF = grow(fs.xhatF, mRows*h)
-	fs.invStdF = grow(fs.invStdF, mRows)
-	fs.xf = grow(fs.xf, mRows*h)
-	gammaF := m.Params[m.Layout.lnF : m.Layout.lnF+h]
-	betaF := m.Params[m.Layout.lnF+h : m.Layout.lnF+2*h]
-	tensor.LayerNorm(fs.xf, fs.xhatF, fs.invStdF, x, gammaF, betaF, mRows, h, lnEps)
-
-	fs.logits = grow(fs.logits, mRows*m.Cfg.Vocab)
-	tensor.MatMulBT(fs.logits, fs.xf, tok, mRows, h, m.Cfg.Vocab)
-	fs.probs = grow(fs.probs, mRows*m.Cfg.Vocab)
-	loss := tensor.CrossEntropy(fs.probs, fs.logits, fs.targets, mRows, m.Cfg.Vocab)
+	xf, xhatF := m.buf(&fs.head, aA, mRows*h), m.buf(&fs.head, aXhat1, mRows*h)
+	fs.head.invStd1 = grow(fs.head.invStd1, mRows)
+	gammaF, betaF := m.lnParams(m.Layout.lnF)
+	tensor.LayerNorm(xf, xhatF, fs.head.invStd1, x, gammaF, betaF, mRows, h, lnEps)
+	m.save(&fs.head, aXhat1)
+	fs.logits = grow(fs.logits, mRows*v)
+	m.matMulBT(fs.logits, m.save(&fs.head, aA), m.Layout.tokEmb, mRows, h, v)
+	loss := tensor.CrossEntropy(m.headProbs(), fs.logits, fs.targets, mRows, v)
 
 	m.fwd = fs
 	return loss
 }
 
+// headProbs returns the softmax-over-vocab buffer of the last Loss: its own
+// in fp32 mode; in fp16 mode the softmax overwrites the logits (SoftmaxRows
+// allows aliasing), and dLogits the probabilities in turn, so one fp32
+// [M,v] buffer carries the head state into backward.
+func (m *Model) headProbs() []float32 {
+	return m.pick(&m.ws.probs, &m.ws.logits, len(m.ws.logits))
+}
+
 // Backward accumulates gradients of the last Loss call into Grads. Call
 // after Loss; panics otherwise.
 func (m *Model) Backward() {
-	if m.fp16 {
-		m.backwardH()
-		return
-	}
 	fs := m.fwd
 	if fs == nil {
 		panic("model: Backward without a preceding Loss")
 	}
 	m.fwd = nil
-	h := m.Cfg.Hidden
+	h, v := m.Cfg.Hidden, m.Cfg.Vocab
 	mRows := fs.batch * fs.seqLen
-	v := m.Cfg.Vocab
+	g := m.Grads
 
 	// The head reads the tied token embedding and the final layernorm's
 	// parameters next.
 	if m.BackwardPreHook != nil {
 		m.BackwardPreHook(m.Cfg.Layers)
 	}
-	tok := m.Params[m.Layout.tokEmb : m.Layout.tokEmb+v*h]
-	dTok := m.Grads[m.Layout.tokEmb : m.Layout.tokEmb+v*h]
-	dPos := m.Grads[m.Layout.posEmb : m.Layout.posEmb+m.Cfg.Seq*h]
+	tokEmb, lnF := m.Layout.tokEmb, m.Layout.lnF
+	dTok := g[tokEmb : tokEmb+v*h]
+	dPos := g[m.Layout.posEmb : m.Layout.posEmb+m.Cfg.Seq*h]
 
-	// Head: dLogits, then through the tied embedding.
-	fs.dLogits = grow(fs.dLogits, mRows*v)
-	dLogits := fs.dLogits
-	tensor.CrossEntropyBackward(dLogits, fs.probs, fs.targets, mRows, v)
-	fs.dXf = grow(fs.dXf, mRows*h)
-	dXf := fs.dXf
-	tensor.MatMul(dXf, dLogits, tok, mRows, v, h)
-	tensor.MatMulATAdd(dTok, dLogits, fs.xf, mRows, v, h)
+	// Head: dLogits (loss-scaled in fp16 mode), then through the tied
+	// embedding.
+	dLogits := m.pick(&fs.dLogits, &fs.logits, mRows*v)
+	tensor.CrossEntropyBackward(dLogits, m.headProbs(), fs.targets, mRows, v)
+	if m.fp16 && m.LossScale != 1 {
+		tensor.Scale(dLogits, m.LossScale)
+	}
+	hdLogits := m.operand(dLogits)
+	dXf := m.pick(&fs.dXf, &fs.shared[aA], mRows*h)
+	m.matMul(dXf, hdLogits, tokEmb, mRows, v, h)
+	m.matMulATAdd(tokEmb, hdLogits, fs.head.t[aA], mRows, v, h)
 
 	// Final layernorm. LayerNormBackward accumulates into dX, so the reused
 	// buffer is zeroed first (fresh allocations used to guarantee this).
-	fs.dXa = grow(fs.dXa, mRows*h)
-	fs.dXb = grow(fs.dXb, mRows*h)
-	dX := fs.dXa
+	// The input gradient is double-buffered (block i reads dX while writing
+	// next); fp16 mode takes the pair from buffers forward is done with.
+	dX := m.pick(&fs.dXa, &fs.x0, mRows*h)
+	next := m.pick(&fs.dXb, &fs.shared[aAttnOut], mRows*h)
 	tensor.Zero(dX)
-	gammaF := m.Params[m.Layout.lnF : m.Layout.lnF+h]
-	dGammaF := m.Grads[m.Layout.lnF : m.Layout.lnF+h]
-	dBetaF := m.Grads[m.Layout.lnF+h : m.Layout.lnF+2*h]
-	tensor.LayerNormBackward(dX, dGammaF, dBetaF, dXf, fs.xhatF, fs.invStdF, gammaF, mRows, h)
+	tensor.LayerNormBackward(dX, g[lnF:lnF+h], g[lnF+h:lnF+2*h], dXf,
+		m.load(&fs.head, aXhat1), fs.head.invStd1, m.vec(lnF, h), mRows, h)
+	m.round(dX)
 
-	// Blocks in reverse, double-buffering the input gradient (block i reads
-	// dX while writing the other buffer). Under checkpointing, recompute
-	// each block's internals from its saved input first.
-	next := fs.dXb
+	// Blocks in reverse. Under checkpointing, recompute each block's
+	// internals from its saved input first.
 	for i := m.Cfg.Layers - 1; i >= 0; i-- {
 		if m.BackwardPreHook != nil {
 			m.BackwardPreHook(i)
@@ -288,8 +282,7 @@ func (m *Model) Backward() {
 			if m.Store != nil {
 				acts.x = m.Store.Get(i)
 			}
-			out := fs.outs[i]
-			m.blockForward(i, acts, out, fs.batch, fs.seqLen) // rebuild internals
+			m.blockForward(i, acts, fs.outs[i], fs.batch, fs.seqLen) // rebuild internals
 		}
 		m.blockBackward(i, acts, dX, next, fs.batch, fs.seqLen)
 		dX, next = next, dX

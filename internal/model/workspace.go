@@ -22,48 +22,26 @@ type workspace struct {
 	batch, seqLen int
 	ids           []int
 	targets       []int
-	x0            []float32 // embedding output
+	x0            []float32 // embedding output; fp16 mode: every block's input and output too
 	blocks        []blockActs
-	outs          [][]float32 // per-block outputs (block i's out = block i+1's input)
-	xL            []float32   // last block output (alias into outs)
-	xhatF         []float32
-	invStdF       []float32
-	xf            []float32 // final layernorm output
+	head          blockActs   // final layernorm: output in slot aA, plus aXhat1 and invStd1
+	outs          [][]float32 // fp32 mode: per-block outputs (block i's out = block i+1's input)
 	logits        []float32
-	probs         []float32 // softmax over vocab
+	probs         []float32 // fp32 mode: softmax over vocab (fp16 mode: in place over logits)
 
-	// backward scratch
-	dLogits []float32
-	dXf     []float32
-	dXa     []float32 // input-gradient double buffer (blocks alternate)
-	dXb     []float32
-	dX2     []float32
-	dG      []float32
-	dH1     []float32
-	dMlin   []float32
-	dCtx    []float32
-	dQKV    []float32
-	dA      []float32
+	// fp32 mode's own head and input-gradient buffers; fp16 mode reuses
+	// dead ones instead (see the pick calls in Backward).
+	dLogits, dXf, dXa, dXb []float32
 
-	// per-(sample, head) attention scratch, shared by forward and backward
-	qh, kh, vh, ctxh []float32
-	dctxh, dP, dS    []float32
-	dqh, dkh, dvh    []float32
+	// shared is backward's gradient scratch, indexed by the slot of the
+	// activation whose gradient it holds, and in fp16 mode also the fp32
+	// staging forward computes through and backward decodes into.
+	shared [numShared][]float32
+	hstage tensor.HalfBuffer // fp16 mode: binary16 image of the d-tensor feeding the next matmul
+	attn   []float32         // per-(sample, head) attention scratch
+	pvec   []float32         // fp16 mode: parameter-vector decode scratch
 
-	// fp16 compute path (fp16.go). Saved activations live in the 2-byte
-	// hblocks/hxf/hxhatF stores; the s* fp32 staging buffers are shared by
-	// every layer (one layer's working set, not one per layer) and reused
-	// again by backward. hdXa/hdXb double-buffer the input gradient in
-	// 2-byte form; hdStage holds the transient fp16 image of whichever
-	// d-tensor feeds the next fused matmul.
-	hblocks                                []blockActsH
-	hxf, hxhatF                            tensor.HalfBuffer
-	hdLogits, hdXa, hdXb, hdStage          tensor.HalfBuffer
-	sX, sXhat, sA, sCtx, sAttn, sX2, sMlin []float32
-	sQKV, sProbs, sH1, sG, sDH1, sDQKV     []float32
-	sLogits                                []float32 // logits, then probs, then dLogits
-	pGamma, pBeta, pBias                   []float32 // fp16 param decode scratch
-	overflow                               bool      // any fp16 store overflowed since TakeOverflow
+	overflow bool // any fp16 store overflowed since TakeOverflow
 }
 
 // grow returns a slice of length n backed by buf when its capacity
@@ -89,52 +67,26 @@ func (m *Model) ReleaseWorkspace() {
 // workspace — the measurable form of the pool-hygiene contract.
 func (m *Model) WorkspaceBytes() int64 {
 	ws := &m.ws
-	var n int
-	for _, b := range [][]float32{
-		ws.x0, ws.xhatF, ws.invStdF, ws.xf, ws.logits, ws.probs,
-		ws.dLogits, ws.dXf, ws.dXa, ws.dXb, ws.dX2, ws.dG, ws.dH1,
-		ws.dMlin, ws.dCtx, ws.dQKV, ws.dA,
-		ws.qh, ws.kh, ws.vh, ws.ctxh, ws.dctxh, ws.dP, ws.dS,
-		ws.dqh, ws.dkh, ws.dvh, ws.xL,
-	} {
-		n += cap(b)
-	}
-	// xL aliases the last outs entry; subtract the double count.
-	n -= cap(ws.xL)
-	for _, b := range ws.outs {
-		n += cap(b)
-	}
-	for i := range ws.blocks {
-		a := &ws.blocks[i]
-		for _, b := range [][]float32{
-			a.xhat1, a.invStd1, a.a, a.qkv, a.probs, a.ctx, a.attnOut,
-			a.x2, a.xhat2, a.invStd2, a.mlin, a.h1, a.g,
-		} {
+	var n, nh int // fp32 and fp16 elements
+	add := func(bufs ...[]float32) {
+		for _, b := range bufs {
 			n += cap(b)
 		}
 	}
-	// fp16-path buffers: fp32 staging at 4 bytes, fp16 stores at 2.
-	for _, b := range [][]float32{
-		ws.sX, ws.sXhat, ws.sA, ws.sCtx, ws.sAttn, ws.sX2, ws.sMlin,
-		ws.sQKV, ws.sProbs, ws.sH1, ws.sG, ws.sDH1, ws.sDQKV,
-		ws.sLogits, ws.pGamma, ws.pBeta, ws.pBias,
-	} {
-		n += cap(b)
-	}
-	var nh int
-	for _, b := range []tensor.HalfBuffer{
-		ws.hxf, ws.hxhatF, ws.hdLogits, ws.hdXa, ws.hdXb, ws.hdStage,
-	} {
-		nh += cap(b)
-	}
-	for i := range ws.hblocks {
-		a := &ws.hblocks[i]
-		for _, b := range []tensor.HalfBuffer{
-			a.xhat1, a.a, a.qkv, a.probs, a.ctx, a.xhat2, a.mlin, a.h1, a.g,
-		} {
-			nh += cap(b)
+	add(ws.x0, ws.logits, ws.probs, ws.dLogits, ws.dXf, ws.dXa, ws.dXb, ws.attn, ws.pvec)
+	add(ws.outs...)
+	add(ws.shared[:]...)
+	addActs := func(a *blockActs) {
+		for _, t := range a.t {
+			add(t.f)
+			nh += cap(t.h)
 		}
-		n += cap(a.invStd1) + cap(a.invStd2)
+		add(a.invStd1, a.invStd2)
 	}
+	addActs(&ws.head)
+	for i := range ws.blocks {
+		addActs(&ws.blocks[i])
+	}
+	nh += cap(ws.hstage)
 	return int64(n)*4 + int64(nh)*2 + int64(cap(ws.ids)+cap(ws.targets))*8
 }

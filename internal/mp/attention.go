@@ -1,8 +1,6 @@
 package mp
 
 import (
-	"math"
-
 	"repro/internal/comm"
 	"repro/internal/tensor"
 )
@@ -92,36 +90,13 @@ func (a *ParallelAttention) Forward(x []float32, batch, seq int) []float32 {
 	tensor.MatMul(a.qkv, x, a.WQKV, m, a.hidden, 3*ow)
 	tensor.AddBiasRows(a.qkv, a.BQKV, m, 3*ow)
 
+	// The owned heads attend entirely locally: the shared core, over rows
+	// of width 3·ow.
 	nOwn := a.heads.Len()
 	a.probs = make([]float32, batch*nOwn*seq*seq)
 	a.ctx = make([]float32, m*ow)
-	scale := float32(1 / math.Sqrt(float64(a.dh)))
-	qh := make([]float32, seq*a.dh)
-	kh := make([]float32, seq*a.dh)
-	vh := make([]float32, seq*a.dh)
-	ctxh := make([]float32, seq*a.dh)
-	for b := 0; b < batch; b++ {
-		for hd := 0; hd < nOwn; hd++ {
-			a.gatherHead(a.qkv, qh, kh, vh, b, hd, seq)
-			probs := a.probs[(b*nOwn+hd)*seq*seq : (b*nOwn+hd+1)*seq*seq]
-			tensor.MatMulBT(probs, qh, kh, seq, a.dh, seq)
-			for t := 0; t < seq; t++ {
-				row := probs[t*seq : (t+1)*seq]
-				for u := range row {
-					if u > t {
-						row[u] = -1e9
-					} else {
-						row[u] *= scale
-					}
-				}
-			}
-			tensor.SoftmaxRows(probs, probs, seq, seq)
-			tensor.MatMul(ctxh, probs, vh, seq, seq, a.dh)
-			for t := 0; t < seq; t++ {
-				copy(a.ctx[(b*seq+t)*ow+hd*a.dh:(b*seq+t)*ow+(hd+1)*a.dh], ctxh[t*a.dh:(t+1)*a.dh])
-			}
-		}
-	}
+	scratch := make([]float32, tensor.AttentionScratchLen(seq, a.dh))
+	tensor.CausalAttention(a.ctx, a.probs, a.qkv, nil, batch, seq, nOwn, a.dh, scratch)
 
 	y := make([]float32, m*a.hidden)
 	tensor.MatMul(y, a.ctx, a.WProj, m, ow, a.hidden)
@@ -130,64 +105,20 @@ func (a *ParallelAttention) Forward(x []float32, batch, seq int) []float32 {
 	return y
 }
 
-// gatherHead copies one (sample, local head) of the packed local QKV into
-// contiguous [seq × dh] scratch.
-func (a *ParallelAttention) gatherHead(qkv, qh, kh, vh []float32, b, hd, seq int) {
-	ow := a.ownWidth()
-	for t := 0; t < seq; t++ {
-		base := (b*seq + t) * 3 * ow
-		copy(qh[t*a.dh:(t+1)*a.dh], qkv[base+hd*a.dh:base+(hd+1)*a.dh])
-		copy(kh[t*a.dh:(t+1)*a.dh], qkv[base+ow+hd*a.dh:base+ow+(hd+1)*a.dh])
-		copy(vh[t*a.dh:(t+1)*a.dh], qkv[base+2*ow+hd*a.dh:base+2*ow+(hd+1)*a.dh])
-	}
-}
-
 // Backward consumes the replicated dy and returns the replicated dx (the
 // "f" all-reduce), accumulating the shard's weight gradients.
 func (a *ParallelAttention) Backward(dy []float32) []float32 {
 	m := a.batch * a.seq
 	ow := a.ownWidth()
-	seq := a.seq
 
 	tensor.BiasGradRows(a.DBProj, dy, m, a.hidden)
 	dCtx := make([]float32, m*ow)
 	tensor.MatMulBT(dCtx, dy, a.WProj, m, a.hidden, ow)
 	tensor.MatMulATAdd(a.DWProj, a.ctx, dy, m, ow, a.hidden)
 
-	nOwn := a.heads.Len()
 	dQKV := make([]float32, m*3*ow)
-	scale := float32(1 / math.Sqrt(float64(a.dh)))
-	qh := make([]float32, seq*a.dh)
-	kh := make([]float32, seq*a.dh)
-	vh := make([]float32, seq*a.dh)
-	dctxh := make([]float32, seq*a.dh)
-	dP := make([]float32, seq*seq)
-	dS := make([]float32, seq*seq)
-	dqh := make([]float32, seq*a.dh)
-	dkh := make([]float32, seq*a.dh)
-	dvh := make([]float32, seq*a.dh)
-	for b := 0; b < a.batch; b++ {
-		for hd := 0; hd < nOwn; hd++ {
-			a.gatherHead(a.qkv, qh, kh, vh, b, hd, seq)
-			probs := a.probs[(b*nOwn+hd)*seq*seq : (b*nOwn+hd+1)*seq*seq]
-			for t := 0; t < seq; t++ {
-				copy(dctxh[t*a.dh:(t+1)*a.dh], dCtx[(b*seq+t)*ow+hd*a.dh:(b*seq+t)*ow+(hd+1)*a.dh])
-			}
-			tensor.MatMulBT(dP, dctxh, vh, seq, a.dh, seq)
-			tensor.MatMulAT(dvh, probs, dctxh, seq, seq, a.dh)
-			tensor.Zero(dS)
-			tensor.SoftmaxRowsBackward(dS, dP, probs, seq, seq)
-			tensor.Scale(dS, scale)
-			tensor.MatMul(dqh, dS, kh, seq, seq, a.dh)
-			tensor.MatMulAT(dkh, dS, qh, seq, seq, a.dh)
-			for t := 0; t < seq; t++ {
-				base := (b*seq + t) * 3 * ow
-				copy(dQKV[base+hd*a.dh:base+(hd+1)*a.dh], dqh[t*a.dh:(t+1)*a.dh])
-				copy(dQKV[base+ow+hd*a.dh:base+ow+(hd+1)*a.dh], dkh[t*a.dh:(t+1)*a.dh])
-				copy(dQKV[base+2*ow+hd*a.dh:base+2*ow+(hd+1)*a.dh], dvh[t*a.dh:(t+1)*a.dh])
-			}
-		}
-	}
+	scratch := make([]float32, tensor.AttentionScratchLen(a.seq, a.dh))
+	tensor.CausalAttentionBackward(dQKV, dCtx, a.qkv, a.probs, a.batch, a.seq, a.heads.Len(), a.dh, scratch)
 
 	tensor.MatMulATAdd(a.DWQKV, a.x, dQKV, m, a.hidden, 3*ow)
 	tensor.BiasGradRows(a.DBQKV, dQKV, m, 3*ow)

@@ -229,3 +229,114 @@ func TestOpsBasics(t *testing.T) {
 		t.Error("Scale by 0 failed")
 	}
 }
+
+// attnRun runs CausalAttention on fresh buffers and returns ctx and probs.
+func attnRun(qkv []float32, probsH HalfBuffer, batch, seq, heads, dh int) (ctx, probs []float32, overflow bool) {
+	ctx = make([]float32, batch*seq*heads*dh)
+	probs = make([]float32, batch*heads*seq*seq)
+	overflow = CausalAttention(ctx, probs, qkv, probsH, batch, seq, heads, dh,
+		make([]float32, AttentionScratchLen(seq, dh)))
+	return ctx, probs, overflow
+}
+
+// The attention core against the definition: per (sample, head), row t of
+// the probabilities is the softmax of scale·q_t·k_u over u ≤ t and zero
+// beyond it, and the context row is their mix of the value rows.
+func TestCausalAttentionMatchesDefinition(t *testing.T) {
+	r := rand.New(rand.NewSource(15))
+	const batch, seq, heads, dh = 2, 5, 3, 4
+	w := heads * dh
+	qkv := randSlice(r, batch*seq*3*w)
+	ctx, probs, _ := attnRun(qkv, nil, batch, seq, heads, dh)
+	at := func(b, t, sec, hd, j int) float64 { return float64(qkv[(b*seq+t)*3*w+sec*w+hd*dh+j]) }
+	for b := 0; b < batch; b++ {
+		for hd := 0; hd < heads; hd++ {
+			for tq := 0; tq < seq; tq++ {
+				p := make([]float64, seq)
+				var sum float64
+				for u := 0; u <= tq; u++ {
+					var s float64
+					for j := 0; j < dh; j++ {
+						s += at(b, tq, 0, hd, j) * at(b, u, 1, hd, j)
+					}
+					p[u] = math.Exp(s / math.Sqrt(dh))
+					sum += p[u]
+				}
+				for u := 0; u < seq; u++ {
+					got := float64(probs[((b*heads+hd)*seq+tq)*seq+u])
+					if math.Abs(got-p[u]/sum) > 1e-5 {
+						t.Fatalf("probs[b%d h%d t%d u%d] = %g, want %g", b, hd, tq, u, got, p[u]/sum)
+					}
+				}
+				for j := 0; j < dh; j++ {
+					var want float64
+					for u := 0; u <= tq; u++ {
+						want += p[u] / sum * at(b, u, 2, hd, j)
+					}
+					if got := float64(ctx[(b*seq+tq)*w+hd*dh+j]); math.Abs(got-want) > 1e-5 {
+						t.Fatalf("ctx[b%d t%d h%d j%d] = %g, want %g", b, tq, hd, j, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestCausalAttentionGradient(t *testing.T) {
+	r := rand.New(rand.NewSource(16))
+	const batch, seq, heads, dh = 2, 4, 2, 3
+	w := heads * dh
+	qkv := randSlice(r, batch*seq*3*w)
+	wgt := randSlice(r, batch*seq*w) // random linear functional to form a scalar loss
+	loss := func() float64 {
+		ctx, _, _ := attnRun(qkv, nil, batch, seq, heads, dh)
+		return Dot(ctx, wgt)
+	}
+	_, probs, _ := attnRun(qkv, nil, batch, seq, heads, dh)
+	dQKV := randSlice(r, len(qkv)) // stale contents must be overwritten
+	CausalAttentionBackward(dQKV, wgt, qkv, probs, batch, seq, heads, dh,
+		make([]float32, AttentionScratchLen(seq, dh)))
+	for i := range qkv {
+		want := numericalGrad(qkv, i, loss)
+		if diff := math.Abs(float64(dQKV[i]) - want); diff > 1e-2 {
+			t.Errorf("attention grad[%d]: analytic %v numeric %v", i, dQKV[i], want)
+		}
+	}
+}
+
+// With a half store the saved probabilities are exactly what the store
+// decodes to, and the context is computed from those rounded values.
+func TestCausalAttentionHalfStore(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	const batch, seq, heads, dh = 2, 6, 2, 4
+	qkv := randSlice(r, batch*seq*3*heads*dh)
+	probsH := NewHalfBuffer(batch * heads * seq * seq)
+	ctx, probs, overflow := attnRun(qkv, probsH, batch, seq, heads, dh)
+	if overflow {
+		t.Error("probabilities in [0,1] reported an fp16 overflow")
+	}
+	if d := MaxDiff(probs, probsH.Floats()); d != 0 {
+		t.Errorf("saved fp32 probabilities differ from the half store by %g", d)
+	}
+	_, exact, _ := attnRun(qkv, nil, batch, seq, heads, dh)
+	if MaxDiff(probs, exact) == 0 {
+		t.Fatal("rounding through binary16 changed no probability; test is vacuous")
+	}
+	// Recompute the context from the rounded probabilities alone.
+	w := heads * dh
+	for b := 0; b < batch; b++ {
+		for hd := 0; hd < heads; hd++ {
+			for tq := 0; tq < seq; tq++ {
+				for j := 0; j < dh; j++ {
+					var want float64
+					for u := 0; u <= tq; u++ {
+						want += float64(probs[((b*heads+hd)*seq+tq)*seq+u]) * float64(qkv[(b*seq+u)*3*w+2*w+hd*dh+j])
+					}
+					if got := float64(ctx[(b*seq+tq)*w+hd*dh+j]); math.Abs(got-want) > 1e-6 {
+						t.Fatalf("ctx[b%d t%d h%d j%d] = %g, want %g from rounded probabilities", b, tq, hd, j, got, want)
+					}
+				}
+			}
+		}
+	}
+}

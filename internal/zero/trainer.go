@@ -171,8 +171,7 @@ type Trainer struct {
 	Model *model.Model
 
 	// BucketElems, ClipNorm, Overlap, Prefetch and PrefetchDepth mirror
-	// the Options fields and may be mutated between steps (internal/ddp
-	// tunes them after New).
+	// the Options fields and may be mutated between steps.
 	BucketElems   int
 	ClipNorm      float64
 	Overlap       bool
@@ -239,8 +238,7 @@ type Trainer struct {
 // bucketPlan is the cached gradient communication schedule: the bucket
 // windows in reduction order, each with its ownership partition clipped to
 // the window, plus the submission indices per layer group for the
-// overlapped path. Rebuilt only when BucketElems changes (internal/ddp
-// tunes it between steps).
+// overlapped path. Rebuilt only when BucketElems changes.
 type bucketPlan struct {
 	built       bool
 	bucketElems int

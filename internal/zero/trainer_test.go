@@ -273,10 +273,13 @@ func TestTrainerModelStateAccounting(t *testing.T) {
 	cfg := testConfig()
 	w := comm.NewWorld(4)
 	w.Run(func(c *comm.Comm) {
-		tr := MustNew(c, cfg, Options{Stage: StageOSG, LR: testLR, Seed: 1})
-		want := int64(ModelStateBytes(int64(cfg.ParamCount()), StageOSG, 4))
-		if got := tr.ModelStateBytes(); got != want {
-			t.Errorf("ModelStateBytes = %d, want %d", got, want)
+		for _, stage := range AllStages {
+			tr := MustNew(c, cfg, Options{Stage: stage, LR: testLR, Seed: 1})
+			want := int64(ModelStateBytes(int64(cfg.ParamCount()), stage, 4))
+			if got := tr.ModelStateBytes(); got != want {
+				t.Errorf("%v: ModelStateBytes = %d, want %d", stage, got, want)
+			}
+			tr.Close()
 		}
 	})
 }

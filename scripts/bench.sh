@@ -1,8 +1,8 @@
 #!/bin/sh
 # Regenerate a benchmark baseline JSON.
 #
-# Usage: scripts/bench.sh [benchtime] [pattern] [out]
-#   default: 10x, the stage-API suite, BENCH_STAGE_API.json
+# Usage: scripts/bench.sh benchtime pattern out
+#   (the per-suite wrappers scripts/bench_*.sh supply all three)
 #
 # BENCH_COUNT (default 3) repeats the suite and keeps the per-benchmark
 # minimum ns/op — min-of-N is the standard defense against scheduler noise
@@ -11,9 +11,10 @@
 # diff ns/op.
 set -eu
 cd "$(dirname "$0")/.."
-BENCHTIME="${1:-10x}"
-PATTERN="${2:-StageStep|StreamReduceScatter1M|^BenchmarkReduceScatter1M\$}"
-OUT="${3:-BENCH_STAGE_API.json}"
+[ $# -eq 3 ] || { echo "usage: scripts/bench.sh benchtime pattern out" >&2; exit 2; }
+BENCHTIME="$1"
+PATTERN="$2"
+OUT="$3"
 COUNT="${BENCH_COUNT:-3}"
 SUITE="$(basename "$OUT" .json | tr 'A-Z_' 'a-z-')"
 

@@ -2,8 +2,8 @@
 # Compare a fresh benchmark run against a committed baseline JSON and fail
 # on regression.
 #
-# Usage: scripts/bench_compare.sh [baseline.json] [threshold-pct]
-#   default: BENCH_STAGE_API.json, 10 (% ns/op slowdown allowed)
+# Usage: scripts/bench_compare.sh baseline.json [threshold-pct]
+#   default threshold: 10 (% ns/op slowdown allowed)
 #
 # The baseline records its own bench pattern and benchtime (see
 # scripts/bench.sh); this script re-runs the identical suite into a temp
@@ -20,7 +20,7 @@
 #     Baselines without the field (pre-allocs era) skip this gate.
 set -eu
 cd "$(dirname "$0")/.."
-BASE="${1:-BENCH_STAGE_API.json}"
+BASE="${1:?usage: scripts/bench_compare.sh baseline.json [threshold-pct]}"
 THRESHOLD="${2:-10}"
 
 [ -f "$BASE" ] || { echo "bench_compare: no baseline $BASE" >&2; exit 2; }
