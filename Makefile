@@ -43,12 +43,16 @@ race:
 configcheck:
 	$(GO) test ./internal/engine -run TestCommittedConfigsValidate
 
-# Short native-fuzzer smokes: the BPE encode/decode round-trip and the
-# fp32↔fp16 conversion surface (batch encoders vs the scalar reference) —
+# Short native-fuzzer smokes: the BPE encode/decode round-trip, the
+# fp32↔fp16 conversion surface (batch encoders vs the scalar reference) and
+# the ZELC snapshot decoder (reject, or re-encode to the identical bytes) —
 # a few seconds of coverage-guided input generation on every `make check`.
+# (The snapshot seeds are ~20 KB files: unbounded minimisation of each new
+# input would eat the 3 s, so it is capped at 100 executions.)
 fuzz-smoke:
 	$(GO) test ./internal/data -run=NONE -fuzz=FuzzBPERoundTrip -fuzztime=3s
 	$(GO) test ./internal/tensor -run=NONE -fuzz=FuzzHalfRoundTrip -fuzztime=3s
+	$(GO) test ./internal/zero -run=NONE -fuzz=FuzzDecodeSnapshot -fuzztime=3s -fuzzminimizetime=100x
 
 # Control-plane smoke: the full submit → stream → checkpoint HTTP round
 # trip against an in-process zeroserve (part of `make check`).

@@ -214,21 +214,22 @@ func BenchmarkSnapshotSaveLoad(b *testing.B) {
 	cfg := benchConfig()
 	ids, targets := model.SyntheticBatch(1, 4, cfg.Seq, cfg.Vocab)
 	w := comm.NewWorld(4)
+	var shared *zero.Snapshot
 	b.ReportAllocs()
 	b.ResetTimer()
 	w.Run(func(c *comm.Comm) {
 		tr := zero.MustNew(c, cfg, zero.Options{Stage: zero.StageOSG, LR: 1e-3, Seed: 1})
 		tr.Step(ids, targets, 4)
 		for i := 0; i < b.N; i++ {
-			snap := tr.Save()
-			if c.Rank() == 0 {
-				snap = zero.BroadcastSnapshot(c, snap)
-			} else {
-				snap = zero.BroadcastSnapshot(c, nil)
+			// Load only copies out, so the ranks share rank 0's snapshot.
+			if snap := tr.Save(); snap != nil {
+				shared = snap
 			}
-			if err := tr.Load(snap); err != nil {
+			c.Barrier()
+			if err := tr.Load(shared); err != nil {
 				b.Error(err)
 			}
+			c.Barrier() // nobody saves the next one while a rank still reads this one
 		}
 	})
 }
@@ -569,41 +570,36 @@ func BenchmarkDataPipeline(b *testing.B) {
 	}
 }
 
-// benchElasticCheckpoint builds a synthetic n-way checkpoint with optK
-// optimizer tensors per shard, position-dependent values.
-func benchElasticCheckpoint(n, numParams, optK int) *elastic.Checkpoint {
-	ck := &elastic.Checkpoint{
+// benchSnapshot builds a synthetic snapshot captured at n ranks with optK
+// optimizer tensors, position-dependent values.
+func benchSnapshot(n, numParams, optK int) *zero.Snapshot {
+	s := &zero.Snapshot{
 		Stage:     zero.StageOSG,
 		WorldSize: n,
 		NumParams: numParams,
 		OptSteps:  3,
-		Shards:    make([]elastic.Shard, n),
+		Params:    make([]float32, numParams),
+		Opt:       make([][]float32, optK),
 	}
-	for r, p := range comm.Partition(numParams, n) {
-		sh := &ck.Shards[r]
-		sh.Lo, sh.Hi = p.Lo, p.Hi
-		sh.Params = make([]float32, p.Len())
-		sh.Opt = make([][]float32, optK)
-		for i := p.Lo; i < p.Hi; i++ {
-			sh.Params[i-p.Lo] = float32(i) * 0.5
-		}
-		for k := range sh.Opt {
-			sh.Opt[k] = make([]float32, p.Len())
-			for i := p.Lo; i < p.Hi; i++ {
-				sh.Opt[k][i-p.Lo] = float32(k*numParams + i)
-			}
+	for i := range s.Params {
+		s.Params[i] = float32(i) * 0.5
+	}
+	for k := range s.Opt {
+		s.Opt[k] = make([]float32, numParams)
+		for i := range s.Opt[k] {
+			s.Opt[k][i] = float32(k*numParams + i)
 		}
 	}
-	return ck
+	return s
 }
 
 // BenchmarkElastic measures the elastic-checkpointing path against the
 // BENCH_ELASTIC.json baseline: the asynchronous boundary snapshot as the
-// training loop sees it (capture + flatten + submit; the gather rides the
-// checkpoint stream), with the double buffer's exposed stall reported
-// separately in stall-ns/op — the number that must stay near zero for
-// "snapshots don't stall training" to hold — plus the offline reshard and
-// the encode/decode round trip at the same state size.
+// training loop sees it (capture + submit; the gather rides the checkpoint
+// stream), with the double buffer's exposed stall reported separately in
+// stall-ns/op — the number that must stay near zero for "snapshots don't
+// stall training" to hold — plus the ZELC encode/decode round trip of a
+// snapshot.
 func BenchmarkElastic(b *testing.B) {
 	b.Run("snap", func(b *testing.B) {
 		const ranks, batch = 4, 8
@@ -616,7 +612,7 @@ func BenchmarkElastic(b *testing.B) {
 		w := comm.NewWorld(ranks)
 		// No ReportAllocs: the gather path rides sync.Pool-backed wire
 		// buffers whose counts move with GC timing; the deterministic
-		// alloc gates live on reshard and encode/decode below.
+		// alloc gate lives on encode/decode below.
 		b.ResetTimer()
 		w.Run(func(c *comm.Comm) {
 			tr := zero.MustNew(c, cfg, zero.Options{Stage: zero.StageOSG, LR: 1e-3, Seed: 1})
@@ -633,26 +629,16 @@ func BenchmarkElastic(b *testing.B) {
 		}
 		b.ReportMetric(float64(snapper.StallNs())/float64(b.N), "stall-ns/op")
 	})
-	b.Run("reshard", func(b *testing.B) {
-		ck := benchElasticCheckpoint(8, 1<<16, 2)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := ck.Reshard(4); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("encode-decode", func(b *testing.B) {
-		ck := benchElasticCheckpoint(8, 1<<16, 2)
+		snap := benchSnapshot(8, 1<<16, 2)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			blob, err := ck.Encode()
+			blob, err := snap.Encode()
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := elastic.Decode(blob); err != nil {
+			if _, err := zero.DecodeSnapshot(blob); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -12,8 +12,8 @@
 //
 // Jobs may opt into elastic fault tolerance: "snapshot_every" takes async
 // boundary snapshots, "max_restarts" lets the supervisor restart a job that
-// lost a rank from its last snapshot, "restart_ranks" reshards the state to
-// a smaller world for the retry, and "fault" injects a deterministic rank
+// lost a rank from its last snapshot, "restart_ranks" retries in a smaller
+// world (the flat snapshot loads at any size), and "fault" injects a deterministic rank
 // kill for drills (see README "Elastic checkpointing & recovery").
 //
 //	POST   /v1/jobs                   submit {"steps": N, "config": {...}}
@@ -21,7 +21,7 @@
 //	GET    /v1/jobs/{id}              job status
 //	GET    /v1/jobs/{id}/metrics      per-step NDJSON (SSE via Accept)
 //	DELETE /v1/jobs/{id}              cancel
-//	GET    /v1/jobs/{id}/checkpoint   final snapshot (gob)
+//	GET    /v1/jobs/{id}/checkpoint   final snapshot (ZELC; zerotrain -load reads it)
 //	GET    /healthz                   liveness, no auth
 //
 // SIGINT/SIGTERM drains gracefully: the listener stops, queued jobs are

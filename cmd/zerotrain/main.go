@@ -12,8 +12,8 @@
 //	zerotrain -ranks 4 -stage 2 -steps 50              (no config file: flag defaults)
 //	zerotrain -batch 32 -accum 4                       (8-row micro-batches, Step fires every 4th)
 //	zerotrain -ranks 8 -stage 3 -fp16 -checkpoint -clip 1.0
-//	zerotrain -ranks 4 -stage 2 -save ckpt.bin -steps 20
-//	zerotrain -ranks 4 -stage 2 -load ckpt.bin -steps 20
+//	zerotrain -ranks 4 -stage 2 -save ckpt.zelc -steps 20
+//	zerotrain -ranks 2 -stage 3 -load ckpt.zelc -steps 20  (any ranks/stage: the snapshot is flat)
 package main
 
 import (
@@ -59,8 +59,8 @@ func main() {
 		nodeSize   = flag.Int("nodesize", def.NodeSize, "ranks per simulated node: route collectives hierarchically (0 = flat)")
 		seed       = flag.Int64("seed", def.Seed, "init and data seed")
 		dataPath   = flag.String("data", "", "corpus text file: stream real data (overrides the config's data.path)")
-		savePath   = flag.String("save", "", "write a consolidated checkpoint here after training")
-		loadPath   = flag.String("load", "", "resume from a checkpoint written by -save")
+		savePath   = flag.String("save", "", "write the final snapshot here after training (ZELC, the format zeroserve serves and persists)")
+		loadPath   = flag.String("load", "", "resume from a ZELC snapshot: a -save file, a zeroserve /checkpoint body or a ckpt-*.zelc from its -snapshot-dir")
 	)
 	flag.Parse()
 

@@ -2,19 +2,21 @@
 // training state is not tied to the world size that produced it, and a
 // world that loses a rank is not lost.
 //
-//  1. ZELC reshard round trip: an 8-rank checkpoint reshards to 4 ranks
-//     and back bitwise — pure range arithmetic on the Ψ/N partitions, no
-//     retraining, no float ever rewritten.
-//  2. Elastic resume: a run snapshotted at step 4 on 8 ranks finishes on
-//     4 ranks with a matching loss trajectory (tolerance-level: the
-//     reduction tree changed) and finishes on 8 ranks bitwise-identically
-//     to the uninterrupted run.
+//  1. One flat snapshot: the slabs captured on 8 ranks assemble into flat
+//     Ψ-long buffers, and the ZELC file regroups for 4 ranks and back
+//     byte for byte — the world size only orders the payload, no float is
+//     ever rewritten.
+//  2. Elastic resume: the one snapshot taken at step 4 on 8 ranks loads
+//     on 4 ranks (each slices its own partition; matching loss
+//     trajectory, tolerance-level because the reduction tree changed) and
+//     on 8 ranks (bitwise-identical to the uninterrupted run).
 //  3. Kill & recover: a deterministic rank kill mid-run fails the world
 //     cleanly, and the zeroserve supervisor restarts the job from its
 //     last boundary snapshot — the run still reaches its step budget.
 package main
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"log"
@@ -22,7 +24,6 @@ import (
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/elastic"
 	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/serve"
@@ -42,7 +43,7 @@ func opts(seed int64) zero.Options {
 }
 
 func main() {
-	demoReshard()
+	demoFlatSnapshot()
 	demoElasticResume()
 	demoKillRecover()
 }
@@ -50,15 +51,16 @@ func main() {
 // trainAndCapture runs `steps` optimizer steps on n ranks and returns the
 // per-step per-rank local losses (steps × n; rank r's loss covers its
 // batch/n rows, so only the mean across ranks is comparable between world
-// sizes) plus a consolidated elastic checkpoint captured at capAt
-// (0 = none).
-func trainAndCapture(n, steps, capAt int) ([][]float64, *elastic.Checkpoint) {
+// sizes) plus the snapshot assembled from the ranks' shard captures at
+// capAt (0 = none).
+func trainAndCapture(n, steps, capAt int) ([][]float64, *zero.Snapshot) {
 	ids, targets := model.SyntheticBatch(42, batch, mcfg.Seq, mcfg.Vocab)
 	losses := make([][]float64, steps)
 	for s := range losses {
 		losses[s] = make([]float64, n)
 	}
-	shards := make([]zero.ShardState, n)
+	slabs := make([][]float32, n)
+	var hdr zero.Snapshot
 	w := comm.NewWorld(n)
 	w.Run(func(c *comm.Comm) {
 		tr := zero.MustNew(c, mcfg, opts(9))
@@ -66,18 +68,22 @@ func trainAndCapture(n, steps, capAt int) ([][]float64, *elastic.Checkpoint) {
 		for s := 1; s <= steps; s++ {
 			losses[s-1][c.Rank()] = tr.Step(ids, targets, batch)
 			if s == capAt {
-				tr.CaptureShard(&shards[c.Rank()])
+				slab, h := tr.CaptureShard(nil)
+				slabs[c.Rank()] = slab
+				if c.Rank() == 0 {
+					hdr = h
+				}
 			}
 		}
 	})
 	if capAt == 0 {
 		return losses, nil
 	}
-	ck, err := elastic.FromShards(shards)
+	snap, err := zero.AssembleSnapshot(hdr, slabs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	return losses, ck
+	return losses, snap
 }
 
 // resume loads a consolidated snapshot into a fresh m-rank world (a
@@ -115,56 +121,49 @@ func globalLoss(local []float64) float64 {
 	return sum / float64(len(local))
 }
 
-func demoReshard() {
-	fmt.Println("== 1. ZELC reshard round trip ==")
-	_, ck := trainAndCapture(8, 3, 3)
-	blob, err := ck.Encode()
+func demoFlatSnapshot() {
+	fmt.Println("== 1. one flat snapshot, ZELC on disk ==")
+	_, snap := trainAndCapture(8, 3, 3)
+	blob, err := snap.Encode()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("8-rank stage-%d checkpoint: Ψ = %d params, %d opt steps → %d bytes encoded (ZELC v%d)\n",
-		int(ck.Stage), ck.NumParams, ck.OptSteps, len(blob), elastic.Version)
-	if _, err := elastic.Decode(blob); err != nil {
-		log.Fatal(err)
-	}
+	fmt.Printf("8-rank stage-%d snapshot: Ψ = %d params, %d opt steps → %d bytes of ZELC\n",
+		int(snap.Stage), snap.NumParams, snap.OptSteps, len(blob))
 
-	half, err := ck.Reshard(4)
+	half, err := zero.DecodeSnapshot(blob)
 	if err != nil {
 		log.Fatal(err)
 	}
-	back, err := half.Reshard(8)
+	half.WorldSize = 4
+	blob4, err := half.Encode()
 	if err != nil {
 		log.Fatal(err)
 	}
-	a, b := ck.Snapshot(), back.Snapshot()
-	for i := range a.Params {
-		if a.Params[i] != b.Params[i] {
-			log.Fatalf("param %d changed across 8→4→8 reshard", i)
-		}
+	back, err := zero.DecodeSnapshot(blob4)
+	if err != nil {
+		log.Fatal(err)
 	}
-	for k := range a.Opt {
-		for i := range a.Opt[k] {
-			if a.Opt[k][i] != b.Opt[k][i] {
-				log.Fatalf("opt tensor %d elem %d changed across 8→4→8 reshard", k, i)
-			}
-		}
+	back.WorldSize = 8
+	blob8, err := back.Encode()
+	if err != nil {
+		log.Fatal(err)
 	}
-	fmt.Printf("8 → 4 → 8 reshard: every shard range re-split, all %d params + %d opt tensors bitwise intact\n\n",
-		ck.NumParams, len(a.Opt))
+	if bytes.Equal(blob4, blob) || !bytes.Equal(blob8, blob) {
+		log.Fatal("8 → 4 → 8 regrouping did not reproduce the file")
+	}
+	fmt.Printf("8 → 4 → 8: payload regrouped by each world's partition, all %d params + %d opt tensors byte-identical\n\n",
+		snap.NumParams, len(snap.Opt))
 }
 
 func demoElasticResume() {
 	fmt.Println("== 2. elastic resume: N=8 → M=4 and N=8 → N=8 ==")
-	ref, ck := trainAndCapture(8, endStep, snapStep)
+	ref, snap := trainAndCapture(8, endStep, snapStep)
 	fmt.Printf("reference on 8 ranks, snapshot at step %d: global loss %.4f → %.4f\n",
 		snapStep, globalLoss(ref[0]), globalLoss(ref[endStep-1]))
 
-	ck4, err := ck.Reshard(4)
-	if err != nil {
-		log.Fatal(err)
-	}
-	shrunk := resume(4, ck4.Snapshot())
-	fmt.Printf("resumed on 4 ranks from the resharded snapshot:\n")
+	shrunk := resume(4, snap)
+	fmt.Printf("resumed on 4 ranks, each slicing its partition of the snapshot:\n")
 	for i, local := range shrunk {
 		step := snapStep + 1 + i
 		l, want := globalLoss(local), globalLoss(ref[step-1])
@@ -175,7 +174,7 @@ func demoElasticResume() {
 		}
 	}
 
-	same := resume(8, ck.Snapshot())
+	same := resume(8, snap)
 	for i, local := range same {
 		for r, l := range local {
 			if l != ref[snapStep+i][r] {

@@ -1,9 +1,9 @@
 package elastic
 
 import (
-	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -22,43 +22,6 @@ const (
 	testSeed = 7
 	testLR   = 1e-3
 )
-
-// syntheticCheckpoint builds a valid checkpoint with deterministic,
-// position-dependent values so misplaced floats are detectable.
-func syntheticCheckpoint(t *testing.T, n, numParams, optK, accumMicros int) *Checkpoint {
-	t.Helper()
-	ck := &Checkpoint{
-		Stage:       zero.StageOSG,
-		WorldSize:   n,
-		NumParams:   numParams,
-		OptSteps:    13,
-		AccumMicros: accumMicros,
-		Shards:      make([]Shard, n),
-	}
-	fill := func(lo, hi, tensorID int) []float32 {
-		xs := make([]float32, hi-lo)
-		for i := range xs {
-			xs[i] = float32(tensorID*1000000 + lo + i)
-		}
-		return xs
-	}
-	for r, p := range comm.Partition(numParams, n) {
-		sh := &ck.Shards[r]
-		sh.Lo, sh.Hi = p.Lo, p.Hi
-		sh.Params = fill(p.Lo, p.Hi, 1)
-		sh.Opt = make([][]float32, optK)
-		for i := range sh.Opt {
-			sh.Opt[i] = fill(p.Lo, p.Hi, 2+i)
-		}
-		if accumMicros > 0 {
-			sh.Accum = fill(p.Lo, p.Hi, 2+optK)
-		}
-	}
-	if err := ck.Validate(); err != nil {
-		t.Fatalf("synthetic checkpoint invalid: %v", err)
-	}
-	return ck
-}
 
 func snapshotsEqual(t *testing.T, a, b *zero.Snapshot, label string) {
 	t.Helper()
@@ -81,157 +44,15 @@ func snapshotsEqual(t *testing.T, a, b *zero.Snapshot, label string) {
 	}
 }
 
-// Resharding N→M preserves every float at its flat offset: the reassembled
-// consolidated snapshot is bitwise identical for any M, including M > N,
-// M = 1, and M larger than the parameter count (empty shards).
-func TestReshardPreservesStateBitwise(t *testing.T) {
-	for _, accum := range []int{0, 2} {
-		src := syntheticCheckpoint(t, 4, 103, 2, accum)
-		want := src.Snapshot()
-		for _, m := range []int{1, 2, 3, 4, 5, 8, 64, 200} {
-			got, err := src.Reshard(m)
-			if err != nil {
-				t.Fatalf("reshard to %d: %v", m, err)
-			}
-			if got.WorldSize != m || len(got.Shards) != m {
-				t.Fatalf("reshard to %d produced %d shards", m, len(got.Shards))
-			}
-			if err := got.Validate(); err != nil {
-				t.Fatalf("resharded checkpoint invalid at m=%d: %v", m, err)
-			}
-			s := got.Snapshot()
-			s.WorldSize = want.WorldSize // world size is the only field allowed to differ
-			snapshotsEqual(t, want, s, "m="+itoa(m))
-		}
-	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b []byte
-	for n > 0 {
-		b = append([]byte{byte('0' + n%10)}, b...)
-		n /= 10
-	}
-	return string(b)
-}
-
-// Reshard round trip N→M→N reproduces the original checkpoint exactly, and
-// resharding at M == N is a deep copy (mutating it leaves the source alone).
-func TestReshardRoundTripAndDeepCopy(t *testing.T) {
-	src := syntheticCheckpoint(t, 4, 97, 2, 1)
-	mid, err := src.Reshard(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := mid.Reshard(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapshotsEqual(t, src.Snapshot(), back.Snapshot(), "4→3→4")
-
-	cp, err := src.Reshard(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp.Shards[0].Params[0] += 1
-	cp.Shards[0].Opt[1][0] += 1
-	cp.Shards[0].Accum[0] += 1
-	if src.Shards[0].Params[0] == cp.Shards[0].Params[0] ||
-		src.Shards[0].Opt[1][0] == cp.Shards[0].Opt[1][0] ||
-		src.Shards[0].Accum[0] == cp.Shards[0].Accum[0] {
-		t.Error("reshard at same world size aliased the source")
-	}
-}
-
-func TestReshardRejectsBadInput(t *testing.T) {
-	src := syntheticCheckpoint(t, 4, 50, 1, 0)
-	if _, err := src.Reshard(0); err == nil {
-		t.Error("reshard to 0 ranks accepted")
-	}
-	broken := syntheticCheckpoint(t, 4, 50, 1, 0)
-	broken.Shards[2].Lo++ // ranges no longer tile
-	if _, err := broken.Reshard(2); err == nil {
-		t.Error("non-tiling shard ranges accepted")
-	}
-	short := syntheticCheckpoint(t, 4, 50, 1, 0)
-	short.Shards[1].Params = short.Shards[1].Params[:1]
-	if _, err := short.Reshard(2); err == nil {
-		t.Error("short params tensor accepted")
-	}
-}
-
-// The binary format round-trips, and every corruption class is loud:
-// truncation, bit flips, trailing bytes, wrong magic, wrong version.
-func TestEncodeDecodeAndCorruption(t *testing.T) {
-	src := syntheticCheckpoint(t, 3, 41, 2, 2)
-	blob, err := src.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Stage != src.Stage || got.OptSteps != src.OptSteps || got.AccumMicros != src.AccumMicros {
-		t.Fatalf("header mangled: %+v", got)
-	}
-	snapshotsEqual(t, src.Snapshot(), got.Snapshot(), "encode/decode")
-
-	t.Run("truncated", func(t *testing.T) {
-		for _, cut := range []int{0, 3, len(blob) / 3, len(blob) - 1} {
-			if _, err := Decode(blob[:cut]); err == nil {
-				t.Errorf("truncation to %d bytes decoded", cut)
-			}
-		}
-	})
-	t.Run("trailing bytes", func(t *testing.T) {
-		if _, err := Decode(append(append([]byte(nil), blob...), 0x00)); err == nil {
-			t.Error("padded blob decoded")
-		}
-	})
-	t.Run("payload bit flip", func(t *testing.T) {
-		bad := append([]byte(nil), blob...)
-		bad[len(bad)/2] ^= 0x10
-		if _, err := Decode(bad); err == nil {
-			t.Error("corrupt payload decoded")
-		}
-	})
-	t.Run("wrong magic", func(t *testing.T) {
-		// Re-seal so only the magic is wrong, not the checksum.
-		payload, err := zero.OpenFrame(blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bad := append([]byte(nil), payload...)
-		bad[0] = 'X'
-		if _, err := Decode(zero.SealFrame(bad)); err == nil || !strings.Contains(err.Error(), "magic") {
-			t.Errorf("wrong magic decoded (err=%v)", err)
-		}
-	})
-	t.Run("future version", func(t *testing.T) {
-		payload, err := zero.OpenFrame(blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bad := append([]byte(nil), payload...)
-		bad[4] = 0xff
-		if _, err := Decode(zero.SealFrame(bad)); err == nil || !strings.Contains(err.Error(), "version") {
-			t.Errorf("future version decoded (err=%v)", err)
-		}
-	})
-}
-
-// captureWorld trains a schedule and returns the per-rank shard captures
-// plus each rank's final full parameter view. The schedule is fullSteps
-// whole optimizer steps followed by extraMicros forward/backward
-// micro-batches left pending in the accumulator.
+// captureWorld trains a schedule and returns the snapshot assembled from
+// the per-rank shard captures. The schedule is fullSteps whole optimizer
+// steps followed by extraMicros forward/backward micro-batches left pending
+// in the accumulator.
 func captureWorld(t *testing.T, n int, opts zero.Options, fullSteps, microsPer, extraMicros int,
-	ids, targets []int, batch int) []zero.ShardState {
+	ids, targets []int, batch int) *zero.Snapshot {
 	t.Helper()
-	shards := make([]zero.ShardState, n)
+	slabs := make([][]float32, n)
+	hdrs := make([]zero.Snapshot, n)
 	w := comm.NewWorld(n)
 	w.Run(func(c *comm.Comm) {
 		tr := zero.MustNew(c, testConfig(), opts)
@@ -247,9 +68,26 @@ func captureWorld(t *testing.T, n int, opts zero.Options, fullSteps, microsPer, 
 			tr.Forward(ids, targets, batch)
 			tr.Backward()
 		}
-		tr.CaptureShard(&shards[c.Rank()])
+		slabs[c.Rank()], hdrs[c.Rank()] = tr.CaptureShard(nil)
 	})
-	return shards
+	return assemble(t, hdrs, slabs)
+}
+
+// assemble builds the snapshot from one capture per rank, checking first
+// that every rank stamped the same header (any of them may be handed to
+// AssembleSnapshot).
+func assemble(t *testing.T, hdrs []zero.Snapshot, slabs [][]float32) *zero.Snapshot {
+	t.Helper()
+	for r := range hdrs {
+		if !reflect.DeepEqual(hdrs[r], hdrs[0]) {
+			t.Fatalf("rank %d captured header %+v, rank 0 %+v", r, hdrs[r], hdrs[0])
+		}
+	}
+	snap, err := zero.AssembleSnapshot(hdrs[0], slabs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
 }
 
 // resumeWorld loads a consolidated snapshot into a fresh n-rank world (a
@@ -309,7 +147,7 @@ func referenceWorld(t *testing.T, n int, opts zero.Options, fullSteps, microsPer
 	return out
 }
 
-// The snapshot round-trip matrix (capture → FromShards → Snapshot → Load →
+// The snapshot round-trip matrix (capture → AssembleSnapshot → Load →
 // resume) is bitwise across stage × optimizer × accumulation depth,
 // including captures taken mid-accumulation. This is the elastic capture
 // path's core correctness claim: CaptureShard + reassembly is
@@ -352,12 +190,8 @@ func TestCaptureRoundTripMatrix(t *testing.T) {
 			ref := referenceWorld(t, n, opts, preSteps+interrupted+postSteps, tc.micros,
 				ids, targets, batch)
 
-			shards := captureWorld(t, n, opts, preSteps, tc.micros, tc.midCut,
+			ck := captureWorld(t, n, opts, preSteps, tc.micros, tc.midCut,
 				ids, targets, batch)
-			ck, err := FromShards(shards)
-			if err != nil {
-				t.Fatal(err)
-			}
 			if (ck.AccumMicros > 0) != (tc.midCut > 0) {
 				t.Fatalf("capture AccumMicros=%d, midCut=%d", ck.AccumMicros, tc.midCut)
 			}
@@ -365,7 +199,7 @@ func TestCaptureRoundTripMatrix(t *testing.T) {
 			if tc.midCut > 0 {
 				finish = tc.micros - tc.midCut
 			}
-			got := resumeWorld(t, n, opts, ck.Snapshot(), finish, postSteps, tc.micros,
+			got := resumeWorld(t, n, opts, ck, finish, postSteps, tc.micros,
 				ids, targets, batch)
 			for r := 0; r < n; r++ {
 				if d := tensor.MaxDiff(got[r], ref[r]); d != 0 {
@@ -376,29 +210,23 @@ func TestCaptureRoundTripMatrix(t *testing.T) {
 	}
 }
 
-// Elastic resume across world sizes through the reshard path: capture at
-// N=4, reshard to M=2, resume at M=2 — the trajectory matches a from-scratch
-// M=2 run of the full schedule within reduction-tree tolerance.
+// Elastic resume across world sizes: capture at N=4, Load at M=2 — each
+// rank slices its partition of the flat snapshot, nothing is converted — and
+// the trajectory matches a from-scratch M=2 run of the full schedule within
+// reduction-tree tolerance (the N=4 prefix grouped its reductions
+// differently, so bitwise is not on offer).
 func TestReshardedResumeMatchesSmallWorld(t *testing.T) {
 	cfg := testConfig()
 	const batch, pre, post = 4, 3, 3
 	ids, targets := model.SyntheticBatch(5, batch, cfg.Seq, cfg.Vocab)
 	opts := zero.Options{Stage: zero.StageOSG, LR: testLR, Seed: testSeed}
 
-	shards := captureWorld(t, 4, opts, pre, 1, 0, ids, targets, batch)
-	ck, err := FromShards(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	down, err := ck.Reshard(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ck := captureWorld(t, 4, opts, pre, 1, 0, ids, targets, batch)
 	ref := referenceWorld(t, 2, opts, pre+post, 1, ids, targets, batch)
-	got := resumeWorld(t, 2, opts, down.Snapshot(), 0, post, 1, ids, targets, batch)
+	got := resumeWorld(t, 2, opts, ck, 0, post, 1, ids, targets, batch)
 	for r := 0; r < 2; r++ {
 		if d := tensor.MaxDiff(got[r], ref[r]); d > 1e-3 {
-			t.Errorf("rank %d: resharded resume diverged by %g", r, d)
+			t.Errorf("rank %d: resume at M=2 diverged by %g", r, d)
 		}
 	}
 }
@@ -417,7 +245,8 @@ func TestSnapshotterAsyncMatchesSyncCapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	finals := make([]zero.ShardState, n)
+	slabs := make([][]float32, n)
+	hdrs := make([]zero.Snapshot, n)
 	w := comm.NewWorld(n)
 	w.Run(func(c *comm.Comm) {
 		tr := zero.MustNew(c, testConfig(), opts)
@@ -427,7 +256,7 @@ func TestSnapshotterAsyncMatchesSyncCapture(t *testing.T) {
 			snap.Tick(s, tr)
 		}
 		// Synchronous ground truth for the same moment as the last Tick.
-		tr.CaptureShard(&finals[c.Rank()])
+		slabs[c.Rank()], hdrs[c.Rank()] = tr.CaptureShard(nil)
 		snap.Flush(c.Rank())
 	})
 	if err := snap.Close(); err != nil {
@@ -441,14 +270,11 @@ func TestSnapshotterAsyncMatchesSyncCapture(t *testing.T) {
 	if latest == nil {
 		t.Fatal("no snapshot published")
 	}
-	sync, err := FromShards(finals)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sync := assemble(t, hdrs, slabs)
 	if latest.OptSteps != sync.OptSteps {
 		t.Fatalf("latest snapshot at step %d, sync capture at %d", latest.OptSteps, sync.OptSteps)
 	}
-	snapshotsEqual(t, sync.Snapshot(), latest.Snapshot(), "async vs sync")
+	snapshotsEqual(t, sync, latest, "async vs sync")
 
 	// Retention kept exactly Keep files; the newest is the last Tick; no
 	// temp files leaked; the file decodes back to the published checkpoint.
@@ -476,7 +302,7 @@ func TestSnapshotterAsyncMatchesSyncCapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapshotsEqual(t, latest.Snapshot(), fromDisk.Snapshot(), "disk vs memory")
+	snapshotsEqual(t, latest, fromDisk, "disk vs memory")
 }
 
 // A snapshotter with no Dir keeps checkpoints in memory only; Snap works
@@ -513,34 +339,5 @@ func TestSnapshotterMidAccumInMemory(t *testing.T) {
 	}
 	if ck.OptSteps != 1 {
 		t.Errorf("OptSteps = %d, want 1", ck.OptSteps)
-	}
-}
-
-// FromSnapshot shards a consolidated snapshot and Snapshot() reassembles it
-// bitwise — the bridge between the classic gob format and the elastic one.
-func TestFromSnapshotRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	const p = 37
-	s := &zero.Snapshot{
-		Stage: zero.StageOSG, WorldSize: 4, NumParams: p, OptSteps: 9,
-		AccumMicros: 3,
-		Params:      make([]float32, p),
-		Opt:         [][]float32{make([]float32, p), make([]float32, p)},
-		Accum:       make([]float32, p),
-	}
-	for i := 0; i < p; i++ {
-		s.Params[i] = rng.Float32()
-		s.Opt[0][i] = rng.Float32()
-		s.Opt[1][i] = rng.Float32()
-		s.Accum[i] = rng.Float32()
-	}
-	for _, n := range []int{1, 3, 4, 7} {
-		ck, err := FromSnapshot(s, n)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		back := ck.Snapshot()
-		back.WorldSize = s.WorldSize
-		snapshotsEqual(t, s, back, "n="+itoa(n))
 	}
 }

@@ -1,3 +1,17 @@
+// Package elastic is the asynchronous boundary snapshotter: periodic
+// zero.Snapshots of a running world taken over the "checkpoint" stream,
+// kept in memory (Latest) and optionally persisted as ckpt-<step>.zelc
+// files, plus the helpers that list and read that directory.
+//
+// The snapshots are elastic as they are. ZeRO's state layout makes
+// elasticity mechanical (the paper's partitioning argument run
+// backwards): optimizer state, master parameters and the gradient
+// accumulator are exact Ψ/N partitions of flat buffers, so the flat
+// zero.Snapshot assembled at world size N restores at any world size M —
+// Trainer.Load slices its own partition out. The restored state is bitwise
+// at any M; at M == N the resumed trajectory is bitwise too, and across
+// N↔M it differs only within reduction-tree tolerance (the same caveat as
+// cross-topology runs).
 package elastic
 
 import (
@@ -18,7 +32,7 @@ type Policy struct {
 	// Every takes a snapshot when Tick's step is a multiple of Every.
 	// Every <= 0 disables Tick (Snap still works).
 	Every int
-	// Dir, when non-empty, is where rank 0 persists encoded checkpoints
+	// Dir, when non-empty, is where rank 0 persists encoded snapshots
 	// (ckpt-<step>.zelc, written via a temp file + atomic rename). Empty
 	// keeps snapshots in memory only (Latest).
 	Dir string
@@ -39,11 +53,10 @@ type Policy struct {
 // or the checkpoint stream's gathers desynchronize.
 type Snapshotter struct {
 	pol   Policy
-	world int
 	slots []rankSlot
 	out   [][]float32 // rank 0 gather destination, stream-worker-only
 
-	latest  atomic.Pointer[Checkpoint]
+	latest  atomic.Pointer[zero.Snapshot]
 	count   atomic.Int64
 	stallNs atomic.Int64
 
@@ -58,15 +71,14 @@ type Snapshotter struct {
 // rankSlot is one rank's double buffer. All fields are touched only by that
 // rank's goroutine.
 type rankSlot struct {
-	state   [2]zero.ShardState
-	flat    [2][]float32
+	flat    [2][]float32 // CaptureShard slabs
 	pending [2]comm.Handle
 	cur     int
 }
 
 type writeReq struct {
 	step int
-	ck   *Checkpoint
+	snap *zero.Snapshot
 }
 
 // NewSnapshotter builds a snapshotter for an n-rank world. When pol.Dir is
@@ -77,7 +89,6 @@ func NewSnapshotter(pol Policy, n int) (*Snapshotter, error) {
 	}
 	s := &Snapshotter{
 		pol:   pol,
-		world: n,
 		slots: make([]rankSlot, n),
 		out:   make([][]float32, n),
 	}
@@ -115,27 +126,21 @@ func (s *Snapshotter) Snap(step int, tr *zero.Trainer) {
 		h.Wait()
 		s.stallNs.Add(time.Since(t0).Nanoseconds())
 	}
-	tr.CaptureShard(&sl.state[i])
-	sl.flat[i] = flattenShard(&sl.state[i], sl.flat[i][:0])
-	flat := sl.flat[i]
+	flat, hdr := tr.CaptureShard(sl.flat[i][:0])
+	sl.flat[i] = flat
 	st := tr.Scheduler().Stream(zero.StreamCheckpoint)
 	if r == 0 {
-		stage := sl.state[i].Stage
-		numParams := sl.state[i].NumParams
-		optSteps := sl.state[i].OptSteps
-		accumMicros := sl.state[i].AccumMicros
-		optK := len(sl.state[i].Opt)
 		sl.pending[i] = st.Submit(func(c *comm.Comm) {
 			c.Gather(flat, 0, s.out)
-			ck, err := s.assemble(stage, numParams, optSteps, accumMicros, optK)
+			snap, err := zero.AssembleSnapshot(hdr, s.out)
 			if err != nil {
 				s.setErr(err)
 				return
 			}
-			s.latest.Store(ck)
+			s.latest.Store(snap)
 			s.count.Add(1)
 			if s.writeCh != nil {
-				s.writeCh <- writeReq{step: step, ck: ck}
+				s.writeCh <- writeReq{step: step, snap: snap}
 			}
 		})
 	} else {
@@ -144,60 +149,6 @@ func (s *Snapshotter) Snap(step int, tr *zero.Trainer) {
 		})
 	}
 	sl.cur++
-}
-
-// flattenShard packs a shard capture as [params | opt... | accum?] into dst.
-func flattenShard(sh *zero.ShardState, dst []float32) []float32 {
-	dst = append(dst, sh.Params...)
-	for _, st := range sh.Opt {
-		dst = append(dst, st...)
-	}
-	if sh.AccumMicros > 0 {
-		dst = append(dst, sh.Accum...)
-	}
-	return dst
-}
-
-// assemble builds a Checkpoint from the gathered flats in s.out. Runs on
-// rank 0's checkpoint-stream worker; the gather allocates fresh slices per
-// call, so the checkpoint aliases them without copying.
-func (s *Snapshotter) assemble(stage zero.Stage, numParams, optSteps, accumMicros, optK int) (*Checkpoint, error) {
-	ck := &Checkpoint{
-		Stage:       stage,
-		WorldSize:   s.world,
-		NumParams:   numParams,
-		OptSteps:    optSteps,
-		AccumMicros: accumMicros,
-		Shards:      make([]Shard, s.world),
-	}
-	parts := comm.Partition(numParams, s.world)
-	for r, p := range parts {
-		n := p.Len()
-		want := n * (1 + optK)
-		if accumMicros > 0 {
-			want += n
-		}
-		flat := s.out[r]
-		if len(flat) != want {
-			return nil, fmt.Errorf("elastic: rank %d gathered %d floats, geometry needs %d", r, len(flat), want)
-		}
-		sh := &ck.Shards[r]
-		sh.Lo, sh.Hi = p.Lo, p.Hi
-		sh.Params = flat[:n:n]
-		sh.Opt = make([][]float32, optK)
-		for i := range sh.Opt {
-			off := (1 + i) * n
-			sh.Opt[i] = flat[off : off+n : off+n]
-		}
-		if accumMicros > 0 {
-			off := (1 + optK) * n
-			sh.Accum = flat[off : off+n : off+n]
-		}
-	}
-	if err := ck.Validate(); err != nil {
-		return nil, err
-	}
-	return ck, nil
 }
 
 // Flush blocks the calling rank until its in-flight snapshots are off the
@@ -225,9 +176,10 @@ func (s *Snapshotter) Close() error {
 	return s.Err()
 }
 
-// Latest returns the most recently assembled checkpoint (nil before the
-// first snapshot completes). The checkpoint is immutable once published.
-func (s *Snapshotter) Latest() *Checkpoint { return s.latest.Load() }
+// Latest returns the most recently assembled snapshot (nil before the first
+// completes). It is immutable once published; Trainer.Load only copies out
+// of it, so every rank of a restarted world can load the one pointer.
+func (s *Snapshotter) Latest() *zero.Snapshot { return s.latest.Load() }
 
 // Count returns how many snapshots have completed assembly.
 func (s *Snapshotter) Count() int64 { return s.count.Load() }
@@ -251,7 +203,7 @@ func (s *Snapshotter) setErr(err error) {
 	s.mu.Unlock()
 }
 
-// writer persists checkpoints: encode, write a temp file, rename into place
+// writer persists snapshots: encode, write a temp file, rename into place
 // (readers never observe a torn file), prune to the retention bound.
 func (s *Snapshotter) writer() {
 	defer s.writerWG.Done()
@@ -263,7 +215,7 @@ func (s *Snapshotter) writer() {
 }
 
 func (s *Snapshotter) writeOne(req writeReq) error {
-	blob, err := req.ck.Encode()
+	blob, err := req.snap.Encode()
 	if err != nil {
 		return err
 	}
@@ -320,14 +272,14 @@ func LatestFile(dir string) (string, error) {
 }
 
 // LoadFile reads and decodes a checkpoint file.
-func LoadFile(path string) (*Checkpoint, error) {
+func LoadFile(path string) (*zero.Snapshot, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	ck, err := Decode(blob)
+	snap, err := zero.DecodeSnapshot(blob)
 	if err != nil {
 		return nil, fmt.Errorf("elastic: %s: %w", filepath.Base(path), err)
 	}
-	return ck, nil
+	return snap, nil
 }

@@ -50,9 +50,9 @@ type Spec struct {
 	// before it is declared failed (0 = a rank death fails the job).
 	MaxRestarts int `json:"max_restarts,omitempty"`
 	// RestartRanks, when non-zero, is the world size restarted attempts run
-	// at — the elastic shrink/grow path: the snapshot is resharded N→M
-	// before the new world loads it. Must satisfy the same batch-geometry
-	// divisibility as Config.Ranks.
+	// at — the elastic shrink/grow path: each rank of the new world slices
+	// its own partition out of the flat snapshot. Must satisfy the same
+	// batch-geometry divisibility as Config.Ranks.
 	RestartRanks int `json:"restart_ranks,omitempty"`
 	// Fault, when set, deterministically kills one rank of the FIRST
 	// attempt at a given optimizer step — the built-in failure-injection

@@ -205,18 +205,19 @@ func (s *Scheduler) worker() {
 // world with rank-death containment; when a rank dies, the survivors error
 // out collectively (no deadlock), the attempt returns, and — restart budget
 // permitting — the next attempt resumes from the last completed boundary
-// snapshot, optionally resharded down to Spec.RestartRanks. Clean attempts
-// consolidate a final checkpoint exactly as before.
+// snapshot, in a world of Spec.RestartRanks ranks if that is set (the flat
+// snapshot loads at any world size). Clean attempts consolidate a final
+// checkpoint exactly as before.
 func (s *Scheduler) runJob(j *Job) {
 	if !j.transition(StateQueued, StateRunning) {
 		return // cancelled while queued
 	}
 	cfg := j.spec.Config // normalized at Submit
-	var lastCk *elastic.Checkpoint
+	var last *zero.Snapshot
 	for attempt := 0; ; attempt++ {
-		res := s.runAttempt(j, cfg, lastCk, attempt)
+		res := s.runAttempt(j, cfg, last, attempt)
 		if res.latest != nil {
-			lastCk = res.latest // newest completed boundary snapshot
+			last = res.latest // newest completed boundary snapshot
 		}
 		if res.fatal != nil {
 			j.finish(StateFailed, res.fatal)
@@ -235,20 +236,10 @@ func (s *Scheduler) runJob(j *Job) {
 			j.finish(StateFailed, fmt.Errorf("restart budget %d exhausted: %w", j.spec.MaxRestarts, res.death))
 			return
 		}
-		next := cfg.Ranks
 		if j.spec.RestartRanks > 0 {
-			next = j.spec.RestartRanks // elastic shrink/grow on restart
+			cfg.Ranks = j.spec.RestartRanks // elastic shrink/grow on restart; geometry validated at Submit
 		}
-		if lastCk != nil && lastCk.WorldSize != next {
-			rck, err := lastCk.Reshard(next)
-			if err != nil {
-				j.finish(StateFailed, err)
-				return
-			}
-			lastCk = rck
-		}
-		cfg.Ranks = next // geometry validated at Submit
-		j.noteRestart(next)
+		j.noteRestart(cfg.Ranks)
 	}
 }
 
@@ -260,13 +251,14 @@ type attemptResult struct {
 	death     error
 	cancelled bool
 	snapBlob  []byte
-	latest    *elastic.Checkpoint
+	latest    *zero.Snapshot
 }
 
 // runAttempt trains one attempt of the job in its own world and classifies
 // how it ended. resume, when non-nil, is the boundary snapshot the attempt
-// starts from (already resharded to cfg.Ranks).
-func (s *Scheduler) runAttempt(j *Job, cfg engine.Config, resume *elastic.Checkpoint, attempt int) attemptResult {
+// starts from, whatever world size captured it; the ranks share it
+// read-only (Load copies out).
+func (s *Scheduler) runAttempt(j *Job, cfg engine.Config, resume *zero.Snapshot, attempt int) attemptResult {
 	var res attemptResult
 	pol := elastic.Policy{Every: j.spec.SnapshotEvery}
 	if s.cfg.SnapshotDir != "" && pol.Every > 0 {
@@ -279,10 +271,8 @@ func (s *Scheduler) runAttempt(j *Job, cfg engine.Config, resume *elastic.Checkp
 		return res
 	}
 
-	var resumeSnap *zero.Snapshot
 	startSteps := 0
 	if resume != nil {
-		resumeSnap = resume.Snapshot() // shared read-only; Load copies out
 		startSteps = resume.OptSteps
 	}
 	remaining := max(j.spec.Steps-startSteps, 0)
@@ -315,8 +305,8 @@ func (s *Scheduler) runAttempt(j *Job, cfg engine.Config, resume *elastic.Checkp
 		} else {
 			b = model.NewSyntheticStream(cfg.Seed, cfg.GlobalBatch, cfg.MicroBatch, cfg.Model.Seq, cfg.Model.Vocab)
 		}
-		if resumeSnap != nil {
-			if err := e.Load(resumeSnap); err != nil {
+		if resume != nil {
+			if err := e.Load(resume); err != nil {
 				fail(err)
 				return
 			}

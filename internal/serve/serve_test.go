@@ -8,12 +8,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/engine"
 	"repro/internal/model"
+	"repro/internal/tensor"
 	"repro/internal/zero"
 )
 
@@ -652,20 +655,7 @@ func TestElasticKillResume(t *testing.T) {
 	}
 
 	// The consolidated checkpoint is the full-budget state.
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/checkpoint")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	blob, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := zero.DecodeSnapshot(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.OptSteps != steps {
+	if snap := fetchCheckpoint(t, ts, st.ID); snap.OptSteps != steps {
 		t.Errorf("checkpoint at step %d, want %d", snap.OptSteps, steps)
 	}
 
@@ -679,8 +669,116 @@ func TestElasticKillResume(t *testing.T) {
 	}
 }
 
+// fetchCheckpoint GETs and decodes a terminal job's final snapshot.
+func fetchCheckpoint(t *testing.T, ts *httptest.Server, id string) *zero.Snapshot {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/checkpoint")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	blob, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := zero.DecodeSnapshot(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// A ckpt-*.zelc the daemon's snapshotter persisted is an ordinary snapshot
+// file: read back the way `zerotrain -load` reads it (os.ReadFile +
+// zero.DecodeSnapshot + engine.Load), it (a) continues bitwise with the
+// uninterrupted run at the same N — the job itself, whose final state the
+// checkpoint route serves — and (b) loads at M = N/2 with no conversion and
+// tracks a from-scratch M-rank run within reduction-tree tolerance (the
+// N-rank prefix grouped its sums differently, so ≤ 1e-3, not bitwise).
+func TestPersistedSnapshotResumes(t *testing.T) {
+	const steps, every, from = 6, 2, 4
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{MaxWorlds: 1, SnapshotDir: dir})
+	body := strings.Replace(elasticSpecJSON(steps, every, 0, 0, 0, 0), `"ranks": 2`, `"ranks": 4`, 1)
+	st := submit(t, ts, body)
+	if final := waitState(t, ts, st.ID, func(s Status) bool { return s.State.Terminal() }); final.State != StateSucceeded {
+		t.Fatalf("job ended %s (err %q), want succeeded", final.State, final.Error)
+	}
+	want := fetchCheckpoint(t, ts, st.ID)
+
+	blob, err := os.ReadFile(filepath.Join(dir, st.ID, fmt.Sprintf("ckpt-%09d.zelc", from)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := zero.DecodeSnapshot(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.OptSteps != from || snap.WorldSize != 4 {
+		t.Fatalf("persisted snapshot at step %d from %d ranks, want %d from 4", snap.OptSteps, snap.WorldSize, from)
+	}
+
+	spec, err := ParseSpec([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// run trains an m-rank world to the step budget, from resume when given
+	// (replaying the deterministic stream's consumed prefix, as the
+	// supervisor does), and returns the final consolidated state.
+	run := func(m int, resume *zero.Snapshot) *zero.Snapshot {
+		cfg := spec.Config
+		cfg.Ranks = m
+		cfg, err := cfg.Normalized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out *zero.Snapshot
+		if _, err := engine.Run(cfg, func(e *engine.Engine) {
+			b := model.NewSyntheticStream(cfg.Seed, cfg.GlobalBatch, cfg.MicroBatch, cfg.Model.Seq, cfg.Model.Vocab)
+			if resume != nil {
+				if err := e.Load(resume); err != nil {
+					t.Error(err)
+					return
+				}
+				for i := 0; i < resume.OptSteps*cfg.GradAccumSteps; i++ {
+					b.NextBatch()
+				}
+			}
+			for e.Steps() < steps {
+				e.TrainStream(b)
+			}
+			if s := e.Save(); s != nil {
+				out = s
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+
+	same := run(4, snap)
+	if same.OptSteps != want.OptSteps || len(same.Opt) != len(want.Opt) {
+		t.Fatalf("resumed run ended at step %d with %d opt tensors, job at %d with %d",
+			same.OptSteps, len(same.Opt), want.OptSteps, len(want.Opt))
+	}
+	if d := tensor.MaxDiff(same.Params, want.Params); d != 0 {
+		t.Errorf("same-N resume from the persisted file: params differ from the uninterrupted job by %g", d)
+	}
+	for i := range want.Opt {
+		if d := tensor.MaxDiff(same.Opt[i], want.Opt[i]); d != 0 {
+			t.Errorf("same-N resume from the persisted file: opt tensor %d differs by %g", i, d)
+		}
+	}
+
+	half, scratch := run(2, snap), run(2, nil)
+	if d := tensor.MaxDiff(half.Params, scratch.Params); d > 1e-3 {
+		t.Errorf("resume at N/2 drifted %g from a from-scratch 2-rank run", d)
+	}
+}
+
 // Elastic shrink on restart: the replacement world runs at restart_ranks=1,
-// loading the 2-rank snapshot resharded down — and the job still finishes.
+// its one rank loading the whole of the 2-rank snapshot — and the job still
+// finishes.
 func TestElasticKillResumeShrunkWorld(t *testing.T) {
 	const steps = 5
 	_, ts := newTestServer(t, Config{MaxWorlds: 1})

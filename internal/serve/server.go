@@ -28,7 +28,7 @@ const maxSpecBytes = 1 << 20
 //	GET    /v1/jobs/{id}              one job's Status
 //	GET    /v1/jobs/{id}/metrics      stream per-step Records (NDJSON/SSE)
 //	DELETE /v1/jobs/{id}              cancel (checkpoint-and-stop if running)
-//	GET    /v1/jobs/{id}/checkpoint   the final zero.Snapshot, gob-encoded
+//	GET    /v1/jobs/{id}/checkpoint   the final zero.Snapshot as ZELC (what zerotrain -load reads)
 type Server struct {
 	cfg     Config
 	sched   *Scheduler

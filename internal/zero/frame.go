@@ -10,10 +10,10 @@ import (
 //
 //	[payload][length uint64 LE][crc32(payload) uint32 LE][magic "ZCK1"]
 //
-// gob silently tolerates trailing bytes and cannot detect truncation that
-// happens to end on a value boundary; the trailer makes both loud. The
-// framing is payload-agnostic — zero.Snapshot (gob) and elastic.Checkpoint
-// (binary) both seal with it.
+// The length makes truncation and padding loud before anything is parsed,
+// and the checksum catches bit rot inside the float payload, which no
+// structural check on the ZELC header (zelc.go) could see. The framing is
+// payload-agnostic.
 
 // frameMagic terminates every sealed blob.
 var frameMagic = [4]byte{'Z', 'C', 'K', '1'}

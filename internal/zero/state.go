@@ -1,22 +1,24 @@
 package zero
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"repro/internal/comm"
 	"repro/internal/tensor"
 )
 
-// Snapshot is a full training checkpoint: parameters plus the optimizer
-// state that ZeRO keeps partitioned across ranks. Save gathers the shards
-// to rank 0 (the "consolidated checkpoint" operation of ZeRO systems —
-// under partitioning no single rank holds the whole optimizer state, so
-// checkpointing is itself a collective).
+// Snapshot is a full training checkpoint, and the only one: parameters plus
+// the optimizer state that ZeRO keeps partitioned across ranks, as flat
+// NumParams-long buffers. Because every piece of state is an exact Ψ/N
+// partition of a flat buffer, the consolidated form is world-size-agnostic
+// by construction: Load at any world size slices its own partition out.
+// Save gathers the shards to rank 0 (the "consolidated checkpoint"
+// operation of ZeRO systems — under partitioning no single rank holds the
+// whole optimizer state, so checkpointing is itself a collective); Encode
+// and DecodeSnapshot (zelc.go) are its one serialized form.
 type Snapshot struct {
 	Stage     Stage
-	WorldSize int
+	WorldSize int // the capturing world; Load accepts any
 	NumParams int
 	OptSteps  int
 
@@ -29,96 +31,46 @@ type Snapshot struct {
 	// Accum carries the gradient accumulator when the snapshot was captured
 	// mid-accumulation (AccumMicros > 0): the sum of AccumMicros
 	// micro-batch gradients, full width. Boundary snapshots (Save) leave it
-	// nil. Only the elastic shard-capture path produces mid-accumulation
-	// snapshots; Load restores the accumulator so training resumes inside
-	// the same accumulation window.
+	// nil. Only the CaptureShard path produces mid-accumulation snapshots;
+	// Load restores the accumulator so training resumes inside the same
+	// accumulation window.
 	Accum       []float32
 	AccumMicros int
-
-	// AdamM/AdamV are the legacy field names of the Adam-only snapshot
-	// format; DecodeSnapshot folds them into Opt so checkpoints written
-	// before the optimizer interface still load.
-	AdamM, AdamV []float32
 }
 
 // Save gathers this world's partitioned training state to rank 0 and
 // returns the snapshot there; other ranks return nil. Every rank must
-// call Save collectively. At stage 0 every rank already holds the full
-// state, so rank 0 snapshots locally and no communication happens.
-// Save must be called on an accumulation boundary (right after Update);
-// it panics if micro-gradients are pending in the accumulator, because a
-// checkpoint cannot represent a half-accumulated batch.
+// call Save collectively: it is CaptureShard, one Gather of the slabs and
+// AssembleSnapshot on the root. Save must be called on an accumulation
+// boundary (right after Update); it panics if micro-gradients are pending
+// in the accumulator.
 func (t *Trainer) Save() *Snapshot {
 	if t.accumMicros != 0 {
 		panic("zero: Save mid-accumulation (call on an Update boundary)")
 	}
-	n := t.Model.NumParams()
-	dom := t.optimizerDomain()
-
-	// This rank's authoritative parameter state over its optimizer
-	// domain: the fp32 master under FP16 mode, the live slice otherwise.
-	paramShard := t.Model.Params[dom.Lo:dom.Hi]
-	if t.opts.FP16 {
-		paramShard = t.master
+	const root = 0
+	slab, hdr := t.CaptureShard(nil)
+	if t.c.Rank() != root {
+		t.c.Gather(slab, root, nil)
+		return nil
 	}
-	state := t.opt.State()
-
-	if t.stage == StageDDP {
-		if t.c.Rank() != 0 {
-			return nil
-		}
-		snap := &Snapshot{
-			Stage:     t.stage,
-			WorldSize: t.c.Size(),
-			NumParams: n,
-			OptSteps:  t.opt.Steps(),
-			Params:    append([]float32(nil), paramShard...),
-		}
-		for _, s := range state {
-			snap.Opt = append(snap.Opt, append([]float32(nil), s...))
-		}
-		return snap
+	slabs := make([][]float32, t.c.Size())
+	t.c.Gather(slab, root, slabs)
+	snap, err := AssembleSnapshot(hdr, slabs)
+	if err != nil {
+		panic(err) // the slabs are this world's own captures
 	}
-
-	root := 0
-	locals := append([][]float32{paramShard}, state...)
-	if t.c.Rank() == root {
-		snap := &Snapshot{
-			Stage:     t.opts.Stage,
-			WorldSize: t.c.Size(),
-			NumParams: n,
-			OptSteps:  t.opt.Steps(),
-			Params:    make([]float32, n),
-			Opt:       make([][]float32, len(state)),
-		}
-		for i := range snap.Opt {
-			snap.Opt[i] = make([]float32, n)
-		}
-		full := append([][]float32{snap.Params}, snap.Opt...)
-		for i, local := range locals {
-			out := make([][]float32, t.c.Size())
-			t.c.Gather(local, root, out)
-			for r, shard := range out {
-				p := t.parts[r]
-				copy(full[i][p.Lo:p.Hi], shard)
-			}
-		}
-		return snap
-	}
-	for _, local := range locals {
-		t.c.Gather(local, root, nil)
-	}
-	return nil
+	return snap
 }
 
 // Load restores a snapshot into this rank: the owned shard of the master
 // parameters and optimizer state, plus the replicated (or
 // gathered-on-demand) parameter copy. Every rank must receive the same
-// snapshot — use BroadcastSnapshot after reading it on one rank. The
-// snapshot's world size need not match: repartitioning happens naturally
-// because the state is stored unpartitioned (ZeRO elasticity). The
-// optimizer kind must match the one that wrote the snapshot (the state
-// tensor count is checked).
+// snapshot; Load only copies out of it, so the ranks of one process can
+// share a single read-only *Snapshot. The snapshot's world size need not
+// match: repartitioning happens naturally because the state is stored
+// unpartitioned (ZeRO elasticity). The optimizer kind must match the one
+// that wrote the snapshot (the state tensor count is checked).
 func (t *Trainer) Load(s *Snapshot) error {
 	if s == nil {
 		return fmt.Errorf("zero: Load of nil snapshot")
@@ -169,142 +121,96 @@ func (t *Trainer) Load(s *Snapshot) error {
 	return nil
 }
 
-// ShardState is one rank's partition-local slice of the training state: the
-// elastic-checkpoint capture unit. Unlike Save it is a pure local copy — no
-// collectives — so capturing is legal at any point, including
-// mid-accumulation, and never perturbs the stream schedule. The ranges of
-// all ranks tile [0, NumParams), so a full world of captures reassembles
-// into a Snapshot (see internal/elastic).
-type ShardState struct {
-	Rank      int
-	WorldSize int
-	Stage     Stage
-	NumParams int
-	OptSteps  int
-
-	Lo, Hi int // the owned parameter range this shard covers
-
-	Params []float32   // fp32 master parameters over [Lo, Hi)
-	Opt    [][]float32 // optimizer state tensors over [Lo, Hi), State() order
-
-	// Accum/AccumMicros carry the pending gradient accumulator over
-	// [Lo, Hi) when captured mid-accumulation; AccumMicros == 0 means a
-	// boundary capture and Accum is left empty.
-	Accum       []float32
-	AccumMicros int
-}
-
-// CaptureShard copies this rank's owned training state into dst, reusing
-// dst's buffers (a warmed capture allocates nothing). It is local and
-// synchronous: safe to call from a boundary hook, between micro-batches, or
-// mid-accumulation. At stage 0 the state is replicated, but each rank still
-// captures only its partition slice — the replicas are bitwise identical, so
-// the tiling reassembles the exact full state.
-func (t *Trainer) CaptureShard(dst *ShardState) {
+// CaptureShard appends this rank's slab — its owned partition of the
+// training state, laid out [params | optimizer tensors… | accumulator?] — to
+// dst (reusing its capacity: a warmed capture allocates nothing) and returns
+// it with the capture's header, a Snapshot carrying the clock and geometry
+// but no buffers. Unlike Save it is a pure local copy — no collectives — so
+// capturing is legal at any point, including mid-accumulation (the
+// accumulator rides along when AccumMicros > 0), and never perturbs the
+// stream schedule. The slabs of all ranks tile [0, NumParams):
+// AssembleSnapshot turns a world of them into the full Snapshot. At stage 0
+// the state is replicated, but each rank still captures only its partition
+// slice — the replicas are bitwise identical, so the tiling reassembles the
+// exact full state.
+func (t *Trainer) CaptureShard(dst []float32) ([]float32, Snapshot) {
 	own := t.Owned()
 	dom := t.optimizerDomain()
 	lo, hi := own.Lo-dom.Lo, own.Hi-dom.Lo
 
-	dst.Rank = t.c.Rank()
-	dst.WorldSize = t.c.Size()
-	dst.Stage = t.stage
-	dst.NumParams = t.Model.NumParams()
-	dst.OptSteps = t.opt.Steps()
-	dst.Lo, dst.Hi = own.Lo, own.Hi
-
-	params := t.Model.Params[own.Lo:own.Hi]
+	// The authoritative parameters: the fp32 master under FP16 mode, the
+	// live slice otherwise.
 	if t.opts.FP16 {
-		params = t.master[lo:hi]
-	}
-	dst.Params = append(dst.Params[:0], params...)
-
-	state := t.opt.State()
-	if cap(dst.Opt) < len(state) {
-		dst.Opt = make([][]float32, len(state))
-	}
-	dst.Opt = dst.Opt[:len(state)]
-	for i, s := range state {
-		dst.Opt[i] = append(dst.Opt[i][:0], s[lo:hi]...)
-	}
-
-	dst.AccumMicros = t.accumMicros
-	if t.accumMicros > 0 {
-		dst.Accum = append(dst.Accum[:0], t.accum[lo:hi]...)
+		dst = append(dst, t.master[lo:hi]...)
 	} else {
-		dst.Accum = dst.Accum[:0]
+		dst = append(dst, t.Model.Params[own.Lo:own.Hi]...)
+	}
+	for _, s := range t.opt.State() {
+		dst = append(dst, s[lo:hi]...)
+	}
+	if t.accumMicros > 0 {
+		dst = append(dst, t.accum[lo:hi]...)
+	}
+	return dst, Snapshot{
+		Stage:       t.stage,
+		WorldSize:   t.c.Size(),
+		NumParams:   t.Model.NumParams(),
+		OptSteps:    t.opt.Steps(),
+		AccumMicros: t.accumMicros,
 	}
 }
 
-// BroadcastSnapshot distributes rank 0's snapshot to every rank (ranks
-// other than 0 pass nil and receive a fresh copy). Must be called
-// collectively.
-func BroadcastSnapshot(c *comm.Comm, s *Snapshot) *Snapshot {
-	header := make([]float32, 6)
-	if c.Rank() == 0 {
-		header[0] = float32(s.Stage)
-		header[1] = float32(s.WorldSize)
-		header[2] = float32(s.NumParams)
-		header[3] = float32(s.OptSteps)
-		header[4] = float32(len(s.Opt))
-		header[5] = float32(s.AccumMicros)
-	}
-	c.Broadcast(header, 0)
-	if c.Rank() != 0 {
-		n := int(header[2])
-		s = &Snapshot{
-			Stage:       Stage(header[0]),
-			WorldSize:   int(header[1]),
-			NumParams:   n,
-			OptSteps:    int(header[3]),
-			AccumMicros: int(header[5]),
-			Params:      make([]float32, n),
-			Opt:         make([][]float32, int(header[4])),
-		}
-		for i := range s.Opt {
-			s.Opt[i] = make([]float32, n)
-		}
-		if s.AccumMicros > 0 {
-			s.Accum = make([]float32, n)
-		}
-	}
-	c.Broadcast(s.Params, 0)
-	for _, st := range s.Opt {
-		c.Broadcast(st, 0)
+// alloc gives s — so far a header — its zeroed flat buffers: Params, k
+// optimizer tensors and, mid-accumulation, Accum. It returns them in slab
+// (and ZELC payload) order.
+func (s *Snapshot) alloc(k int) [][]float32 {
+	s.Params = make([]float32, s.NumParams)
+	s.Opt = make([][]float32, k)
+	for i := range s.Opt {
+		s.Opt[i] = make([]float32, s.NumParams)
 	}
 	if s.AccumMicros > 0 {
-		c.Broadcast(s.Accum, 0)
+		s.Accum = make([]float32, s.NumParams)
 	}
-	return s
+	return s.tensors()
 }
 
-// Encode serializes the snapshot (gob) for file persistence, sealed with the
-// integrity trailer (see frame.go): truncated or padded blobs fail to decode
-// instead of being silently tolerated by gob.
-func (s *Snapshot) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
-		return nil, fmt.Errorf("zero: encoding snapshot: %w", err)
+// tensors returns the snapshot's flat buffers in slab (and ZELC payload)
+// order.
+func (s *Snapshot) tensors() [][]float32 {
+	ts := append([][]float32{s.Params}, s.Opt...)
+	if s.AccumMicros > 0 {
+		ts = append(ts, s.Accum)
 	}
-	return SealFrame(buf.Bytes()), nil
+	return ts
 }
 
-// DecodeSnapshot deserializes a snapshot produced by Encode, verifying the
-// integrity trailer first — gob alone accepts blobs with trailing garbage
-// and truncations that land on a value boundary; the trailer rejects both.
-// Legacy blobs from the Adam-only format (AdamM/AdamV fields) are migrated
-// into Opt.
-func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	payload, err := OpenFrame(data)
-	if err != nil {
-		return nil, err
+// AssembleSnapshot scatters one CaptureShard slab per rank (rank order) into
+// the flat buffers of a full Snapshot; hdr is any rank's capture header from
+// the same moment. The optimizer tensor count is read off the slab sizes.
+func AssembleSnapshot(hdr Snapshot, slabs [][]float32) (*Snapshot, error) {
+	total := 0
+	for _, slab := range slabs {
+		total += len(slab)
 	}
-	var s Snapshot
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&s); err != nil {
-		return nil, fmt.Errorf("zero: decoding snapshot: %w", err)
+	fixed := 1 // tensors every slab carries besides the optimizer's: params
+	if hdr.AccumMicros > 0 {
+		fixed = 2 // and the accumulator
 	}
-	if len(s.Opt) == 0 && s.AdamM != nil && s.AdamV != nil {
-		s.Opt = [][]float32{s.AdamM, s.AdamV}
+	if hdr.WorldSize != len(slabs) || hdr.NumParams <= 0 || total%hdr.NumParams != 0 || total/hdr.NumParams < fixed {
+		return nil, fmt.Errorf("zero: %d slabs of %d floats do not assemble into a %d-rank snapshot of %d params",
+			len(slabs), total, hdr.WorldSize, hdr.NumParams)
 	}
-	s.AdamM, s.AdamV = nil, nil
+	s := hdr
+	ts := s.alloc(total/s.NumParams - fixed)
+	for r, p := range comm.Partition(s.NumParams, len(slabs)) {
+		slab := slabs[r]
+		if len(slab) != len(ts)*p.Len() {
+			return nil, fmt.Errorf("zero: rank %d slab has %d floats, its partition needs %d", r, len(slab), len(ts)*p.Len())
+		}
+		for _, t := range ts {
+			slab = slab[copy(t[p.Lo:p.Hi], slab):]
+		}
+	}
 	return &s, nil
 }

@@ -1,0 +1,317 @@
+package zero
+
+import (
+	"bytes"
+	"encoding/binary"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"testing"
+
+	"repro/internal/comm"
+	"repro/internal/model"
+)
+
+// The ZELC v1 format goldens under testdata/ were written by the commit
+// before the codec moved into this package (elastic.Checkpoint.Encode, the
+// sharded type this package's flat Snapshot replaced): a seeded 4-rank
+// stage-2 Adam run captured after 3 optimizer steps, once on the boundary
+// and once with one of two micro-batches pending in the accumulator. They
+// are never regenerated from this code — that is the point.
+var zelcFixtures = []struct {
+	file     string
+	midAccum bool
+}{
+	{"ckpt-v1-n4.zelc", false},
+	{"ckpt-v1-n4-midaccum.zelc", true},
+}
+
+func readFixture(t testing.TB, file string) []byte {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join("testdata", file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+func mustEncode(t *testing.T, s *Snapshot) []byte {
+	t.Helper()
+	blob, err := s.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// fixtureRun replays the run the fixtures were captured from and returns
+// its snapshot through today's capture path.
+func fixtureRun(t *testing.T, midAccum bool) *Snapshot {
+	t.Helper()
+	// Its parameter count (1450) divides by neither 4 nor 3, so the shard
+	// tables the test walks through are uneven.
+	cfg := model.Config{Layers: 1, Hidden: 10, Heads: 2, Vocab: 7, Seq: 3}
+	const n, batch = 4, 4
+	ids, targets := model.SyntheticBatch(21, batch, cfg.Seq, cfg.Vocab)
+	opts := Options{Stage: StageOSG, LR: testLR, Seed: testSeed}
+	micros, extra := 1, 0
+	if midAccum {
+		micros, extra = 2, 1
+	}
+	slabs := make([][]float32, n)
+	var hdr Snapshot
+	comm.NewWorld(n).Run(func(c *comm.Comm) {
+		tr := MustNew(c, cfg, opts)
+		defer tr.Close()
+		for m := 0; m < 3*micros+extra; m++ {
+			tr.Forward(ids, targets, batch)
+			tr.Backward()
+			if m < 3*micros && (m+1)%micros == 0 {
+				tr.Update()
+			}
+		}
+		slab, h := tr.CaptureShard(nil)
+		slabs[c.Rank()] = slab
+		if c.Rank() == 0 {
+			hdr = h
+		}
+	})
+	snap, err := AssembleSnapshot(hdr, slabs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// ZELC v1 is byte-compatible across the codec's move: the committed files
+// decode and re-encode unchanged, the seeded run still captures to exactly
+// those bytes, and regrouping the payload for another world size and back
+// (N→M→N) is lossless — the flat snapshot is the same at every M, only the
+// serialized grouping follows WorldSize.
+func TestZELCFormatGolden(t *testing.T) {
+	for _, fx := range zelcFixtures {
+		want := readFixture(t, fx.file)
+		snap, err := DecodeSnapshot(want)
+		if err != nil {
+			t.Fatalf("%s: %v", fx.file, err)
+		}
+		if snap.WorldSize != 4 || snap.OptSteps != 3 || len(snap.Opt) != 2 || (snap.AccumMicros > 0) != fx.midAccum {
+			t.Fatalf("%s: header mangled: world %d, steps %d, %d opt tensors, micros %d",
+				fx.file, snap.WorldSize, snap.OptSteps, len(snap.Opt), snap.AccumMicros)
+		}
+		if !bytes.Equal(mustEncode(t, snap), want) {
+			t.Errorf("%s: decode → encode changed the bytes", fx.file)
+		}
+		if !bytes.Equal(mustEncode(t, fixtureRun(t, fx.midAccum)), want) {
+			t.Errorf("%s: the seeded run no longer captures to the committed bytes", fx.file)
+		}
+
+		// 2000 ranks is more than there are parameters: empty shards.
+		for _, m := range []int{1, 2, 3, 5, 8, 64, 2000} {
+			snap.WorldSize = m
+			atM := mustEncode(t, snap)
+			if bytes.Equal(atM, want) {
+				t.Fatalf("%s: regrouping for %d ranks left the bytes alone", fx.file, m)
+			}
+			back, err := DecodeSnapshot(atM)
+			if err != nil {
+				t.Fatalf("%s at %d ranks: %v", fx.file, m, err)
+			}
+			back.WorldSize = 4
+			if !bytes.Equal(mustEncode(t, back), want) {
+				t.Errorf("%s: 4→%d→4 did not reproduce the bytes", fx.file, m)
+			}
+		}
+	}
+}
+
+// resealHeader returns blob with its JSON header replaced (header length
+// and integrity trailer recomputed), so only the header is wrong.
+func resealHeader(t testing.TB, blob []byte, edit func(hdr string) string) []byte {
+	t.Helper()
+	payload, err := OpenFrame(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hlen := int(binary.LittleEndian.Uint32(payload[8:12]))
+	hdr := edit(string(payload[12 : 12+hlen]))
+	out := append([]byte(nil), payload[:8]...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(hdr)))
+	out = append(out, hdr...)
+	out = append(out, payload[12+hlen:]...)
+	return SealFrame(out)
+}
+
+// craftedHeaders are CRC-valid blobs whose headers lie about the geometry.
+// The first two are the ones the old decoder trusted: a shard range that
+// indexes past the payload, and a tensor count that passes the size check
+// on an empty payload and then sizes an allocation.
+func craftedHeaders(t testing.TB) map[string][]byte {
+	base := Snapshot{WorldSize: 1, NumParams: 4, Params: []float32{1, 2, 3, 4}}
+	blob, err := base.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := SealFrame(append([]byte(nil), blob[:len(blob)-frameTrailerLen-16]...)) // header only, no floats
+	swap := func(from, to string) func(string) string {
+		return func(hdr string) string {
+			if !strings.Contains(hdr, from) {
+				t.Fatalf("header %s has no %s", hdr, from)
+			}
+			return strings.Replace(hdr, from, to, 1)
+		}
+	}
+	return map[string][]byte{
+		"shard range past payload": resealHeader(t, blob, swap(`"hi":4`, `"hi":1000`)),
+		"huge tensor count":        resealHeader(t, empty, swap(`"num_params":4,"opt_tensors":0`, `"num_params":0,"opt_tensors":1099511627776`)),
+		"tensor count overflow":    resealHeader(t, blob, swap(`"opt_tensors":0`, `"opt_tensors":9223372036854775807`)),
+		"params times four wraps":  resealHeader(t, blob, swap(`"num_params":4`, `"num_params":4611686018427387908`)),
+		"shard table off by one":   resealHeader(t, blob, swap(`"lo":0`, `"lo":1`)),
+		"missing shard table":      resealHeader(t, blob, swap(`"shards":[{"rank":0,"lo":0,"hi":4}]`, `"shards":[]`)),
+		"world without shards":     resealHeader(t, blob, swap(`"world_size":1`, `"world_size":1000000000000`)),
+		"negative steps":           resealHeader(t, blob, swap(`"opt_steps":0`, `"opt_steps":-1`)),
+		"header version disagrees": resealHeader(t, blob, swap(`"version":1`, `"version":2`)),
+		"non-canonical spelling":   resealHeader(t, blob, swap(`{"version"`, `{ "version"`)),
+		"unknown field":            resealHeader(t, blob, swap(`{"version"`, `{"extra":1,"version"`)),
+		"header length past blob":  SealFrame(append(append([]byte(nil), blob[:8]...), 0xff, 0xff, 0xff, 0x7f)),
+	}
+}
+
+// Corrupt, truncated and lying blobs must surface a decode error, never a
+// panic, an outsized allocation or a silently wrong snapshot — the serve
+// checkpoint route hands these bytes to arbitrary clients that will feed
+// them back to zerotrain -load.
+func TestDecodeSnapshotCorruptInput(t *testing.T) {
+	blob := readFixture(t, "ckpt-v1-n4-midaccum.zelc")
+	if _, err := DecodeSnapshot(blob); err != nil {
+		t.Fatalf("control: pristine blob failed to decode: %v", err)
+	}
+	payload, err := OpenFrame(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("truncated", func(t *testing.T) {
+		// Every proper prefix must fail, sealed or not: cutting the sealed
+		// blob trips the trailer, and re-sealing a cut payload (a writer that
+		// died mid-payload but "finished" the file) trips the geometry check.
+		for cut := 0; cut < len(blob); cut++ {
+			if _, err := DecodeSnapshot(blob[:cut]); err == nil {
+				t.Fatalf("truncation to %d/%d bytes decoded", cut, len(blob))
+			}
+		}
+		for cut := 0; cut < len(payload); cut += 7 {
+			if _, err := DecodeSnapshot(SealFrame(append([]byte(nil), payload[:cut]...))); err == nil {
+				t.Fatalf("re-sealed %d/%d-byte payload decoded", cut, len(payload))
+			}
+		}
+	})
+	t.Run("trailing bytes", func(t *testing.T) {
+		if _, err := DecodeSnapshot(append(append([]byte(nil), blob...), 0x00)); err == nil {
+			t.Error("padded blob decoded")
+		}
+		if _, err := DecodeSnapshot(SealFrame(append(append([]byte(nil), payload...), 0, 0, 0, 0))); err == nil {
+			t.Error("payload with one float too many decoded")
+		}
+	})
+	t.Run("mid-payload bit flip", func(t *testing.T) {
+		bad := append([]byte(nil), blob...)
+		bad[len(bad)/2] ^= 0x10
+		if _, err := DecodeSnapshot(bad); err == nil || !strings.Contains(err.Error(), "checksum") {
+			t.Errorf("corrupt payload decoded (err=%v)", err)
+		}
+	})
+	t.Run("bad magic", func(t *testing.T) {
+		// Re-seal so only the magic is wrong, not the checksum.
+		bad := append([]byte(nil), payload...)
+		bad[0] = 'X'
+		if _, err := DecodeSnapshot(SealFrame(bad)); err == nil || !strings.Contains(err.Error(), "magic") {
+			t.Errorf("wrong magic decoded (err=%v)", err)
+		}
+	})
+	t.Run("bad version", func(t *testing.T) {
+		bad := append([]byte(nil), payload...)
+		bad[4] = 0xff
+		if _, err := DecodeSnapshot(SealFrame(bad)); err == nil || !strings.Contains(err.Error(), "version") {
+			t.Errorf("future version decoded (err=%v)", err)
+		}
+	})
+	t.Run("unsealed", func(t *testing.T) {
+		if _, err := DecodeSnapshot(payload); err == nil {
+			t.Error("payload without integrity trailer decoded")
+		}
+	})
+	for name, bad := range craftedHeaders(t) {
+		t.Run(name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			s, err := DecodeSnapshot(bad)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Errorf("decoded to %d params, %d opt tensors", s.NumParams, len(s.Opt))
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+				t.Errorf("rejecting a %d-byte blob allocated %d bytes", len(bad), grew)
+			}
+		})
+	}
+}
+
+// Encode refuses snapshots whose buffers do not match their own geometry
+// rather than writing a file DecodeSnapshot would reject.
+func TestEncodeRejectsInconsistentSnapshot(t *testing.T) {
+	ok := func() *Snapshot {
+		return &Snapshot{WorldSize: 2, NumParams: 3, Params: make([]float32, 3), Opt: [][]float32{make([]float32, 3)}}
+	}
+	for name, mutate := range map[string]func(*Snapshot){
+		"no world":             func(s *Snapshot) { s.WorldSize = 0 },
+		"no params":            func(s *Snapshot) { s.NumParams, s.Params, s.Opt = 0, nil, nil },
+		"short params":         func(s *Snapshot) { s.Params = s.Params[:2] },
+		"long opt tensor":      func(s *Snapshot) { s.Opt[0] = make([]float32, 4) },
+		"micros without accum": func(s *Snapshot) { s.AccumMicros = 1 },
+		"accum without micros": func(s *Snapshot) { s.Accum = make([]float32, 3) },
+	} {
+		s := ok()
+		mutate(s)
+		if _, err := s.Encode(); err == nil {
+			t.Errorf("%s: encoded", name)
+		}
+	}
+	if _, err := ok().Encode(); err != nil {
+		t.Errorf("control: %v", err)
+	}
+}
+
+// FuzzDecodeSnapshot: any input is rejected or is exactly what Encode
+// writes for the snapshot it decodes to; never a panic, and the floats it
+// holds never outweigh the input. Each input is tried as it is and sealed —
+// a mutated blob almost never keeps a valid checksum, so the sealed try is
+// the one that gets mutations of the header and geometry past OpenFrame.
+func FuzzDecodeSnapshot(f *testing.F) {
+	unsealed := func(blob []byte) []byte { return blob[:len(blob)-frameTrailerLen] }
+	for _, fx := range zelcFixtures {
+		f.Add(unsealed(readFixture(f, fx.file)))
+	}
+	for _, bad := range craftedHeaders(f) {
+		f.Add(unsealed(bad))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, blob := range [][]byte{data, SealFrame(append([]byte(nil), data...))} {
+			s, err := DecodeSnapshot(blob)
+			if err != nil {
+				continue
+			}
+			if held := 4 * len(s.tensors()) * s.NumParams; held > len(blob) {
+				t.Fatalf("decoded %d bytes of floats from a %d-byte blob", held, len(blob))
+			}
+			again, err := s.Encode()
+			if err != nil {
+				t.Fatalf("decoded snapshot does not re-encode: %v", err)
+			}
+			if !bytes.Equal(again, blob) {
+				t.Fatalf("accepted a blob Encode would not write:\n in  %q\n out %q", blob, again)
+			}
+		}
+	})
+}
