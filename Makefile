@@ -31,12 +31,10 @@ build-arm64:
 test:
 	$(GO) test ./...
 
-# Race-detector gate for the concurrent packages: the collectives, the
-# stream scheduler, the trainer overlap/prefetch/accumulation paths, the
-# engine lifecycle, the async snapshotter + fault-injection paths, and the
-# parallel kernels.
+# Race-detector gate over the whole module — the one definition, and the
+# one CI's last step runs.
 race:
-	$(GO) test -race ./internal/comm ./internal/zero ./internal/engine ./internal/tensor ./internal/serve ./internal/elastic
+	$(GO) test -race ./...
 
 # Config-roundtrip gate: every committed example config must parse strictly
 # and pass engine.Config.Validate.

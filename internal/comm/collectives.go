@@ -25,7 +25,7 @@ func (c *Comm) AllReduce(x []float32) {
 	}
 	parts := Partition(len(x), n)
 	c.ringReduceScatter("allreduce", x, parts)
-	c.ringAllGather("allreduce", x, parts, c.pos)
+	ringAllGather(c, "allreduce", x, parts, c.pos)
 }
 
 // AllReduceAvg sums x across the group and divides by the group size — the
@@ -58,14 +58,24 @@ func (c *Comm) ReduceScatter(x []float32, parts []Range) []float32 {
 // AllGather collects each member's shard (shard = x[parts[rank]] already in
 // place) into every listed range of x on every member. parts has one Range
 // per member (see ReduceScatter for the shape contract).
-func (c *Comm) AllGather(x []float32, parts []Range) {
+func (c *Comm) AllGather(x []float32, parts []Range) { c.allGather(Buffer{Data: x}, parts) }
+
+// allGather runs the ring over whichever payload b holds — a half buffer's
+// 2-byte elements move as they are and land bitwise where the float gather
+// of their decoded images would — accounted at the communicator's own dtype
+// (callers pick the view: Stream ops and AllGatherHierarchical take b's).
+func (c *Comm) allGather(b Buffer, parts []Range) {
 	if len(parts) != c.Size() {
 		panic("comm: AllGather partition count != group size")
 	}
 	if c.Size() == 1 {
 		return
 	}
-	c.ringAllGather("allgather", x, parts, c.pos)
+	if b.Half != nil {
+		ringAllGather(c, "allgather", b.Half, parts, c.pos)
+		return
+	}
+	ringAllGather(c, "allgather", b.Data, parts, c.pos)
 }
 
 // Broadcast distributes the root member's x to every member, in place, over
@@ -191,8 +201,9 @@ func (c *Comm) ringReduceScatter(op string, x []float32, parts []Range) {
 }
 
 // ringAllGather runs the N-1 step ring so that, on return, every member
-// holds every chunk. ownIdx names the chunk this member contributes.
-func (c *Comm) ringAllGather(op string, x []float32, parts []Range, ownIdx int) {
+// holds every chunk. ownIdx names the chunk this member contributes. A gather
+// only moves elements, so the one ring serves float32 and half payloads.
+func ringAllGather[T elem](c *Comm, op string, x []T, parts []Range, ownIdx int) {
 	n := c.Size()
 	right := (c.pos + 1) % n
 	left := (c.pos - 1 + n) % n
@@ -200,14 +211,14 @@ func (c *Comm) ringAllGather(op string, x []float32, parts []Range, ownIdx int) 
 		sendIdx := ((ownIdx-s)%n + n) % n
 		recvIdx := ((ownIdx-s-1)%n + n) % n
 		sp := parts[sendIdx]
-		c.send(op, right, x[sp.Lo:sp.Hi])
-		data := c.recv(op, left)
+		sendElems(c, op, right, x[sp.Lo:sp.Hi])
+		msg := c.recvMsg(op, left)
 		rp := parts[recvIdx]
 		dst := x[rp.Lo:rp.Hi]
-		if len(data) != len(dst) {
+		if msg.elems != len(dst) {
 			panic("comm: ring chunk length mismatch (buffers must be equal-length on all ranks)")
 		}
-		copy(dst, data)
-		c.release(data)
+		copy(dst, wireView[T](msg.words, msg.elems))
+		c.release(msg.words)
 	}
 }

@@ -45,11 +45,11 @@ const linkDepth = 8
 // simulated job, hand each worker goroutine its Comm via Run or Comm.
 type World struct {
 	n     int
-	links [][]chan []float32 // default-domain links[src][dst], buffered
+	links [][]chan wireMsg // default-domain links[src][dst], buffered
 
-	mu          sync.Mutex                    // guards the two maps below
-	streamLinks map[streamLink]chan []float32 // named-domain links, lazily created
-	streamNames map[streamClaim]bool          // (rank, stream) pairs claimed by live Schedulers
+	mu          sync.Mutex                  // guards the two maps below
+	streamLinks map[streamLink]chan wireMsg // named-domain links, lazily created
+	streamNames map[streamClaim]bool        // (rank, stream) pairs claimed by live Schedulers
 
 	stats []rankStats // per-rank counters, locked per rank
 
@@ -155,19 +155,19 @@ func NewWorld(n int) *World {
 	if n <= 0 {
 		panic("comm: world size must be positive")
 	}
-	links := make([][]chan []float32, n)
+	links := make([][]chan wireMsg, n)
 	for i := range links {
-		links[i] = make([]chan []float32, n)
+		links[i] = make([]chan wireMsg, n)
 		for j := range links[i] {
 			if i != j {
-				links[i][j] = make(chan []float32, linkDepth)
+				links[i][j] = make(chan wireMsg, linkDepth)
 			}
 		}
 	}
 	return &World{
 		n:           n,
 		links:       links,
-		streamLinks: make(map[streamLink]chan []float32),
+		streamLinks: make(map[streamLink]chan wireMsg),
 		streamNames: make(map[streamClaim]bool),
 		stats:       make([]rankStats, n),
 		wire:        arena.New(),
@@ -188,7 +188,9 @@ func (w *World) Comm(rank int) *Comm {
 	if rank < 0 || rank >= w.n {
 		panic(fmt.Sprintf("comm: rank %d out of range [0,%d)", rank, w.n))
 	}
-	return &Comm{w: w, rank: rank, pos: rank, topos: &topoCache{}}
+	c := &Comm{w: w, rank: rank, pos: rank, topos: &topoCache{}}
+	c.bindWires()
+	return c
 }
 
 // Run spawns one goroutine per rank, invokes fn with that rank's Comm, and
@@ -208,8 +210,10 @@ func (w *World) Run(fn func(c *Comm)) {
 
 // channel resolves the directed wire between src and dst on one ordering
 // domain. Default-domain channels are preallocated; named-domain channels
-// are created on first use (sender or receiver, whichever arrives first).
-func (w *World) channel(src, dst int, stream string) chan []float32 {
+// are created on first use (sender or receiver, whichever binds first). The
+// lookup takes the world-wide lock, so it runs once per communicator view
+// (bindWires), never per message.
+func (w *World) channel(src, dst int, stream string) chan wireMsg {
 	if stream == "" {
 		return w.links[src][dst]
 	}
@@ -217,7 +221,7 @@ func (w *World) channel(src, dst int, stream string) chan []float32 {
 	w.mu.Lock()
 	ch := w.streamLinks[k]
 	if ch == nil {
-		ch = make(chan []float32, linkDepth)
+		ch = make(chan wireMsg, linkDepth)
 		w.streamLinks[k] = ch
 	}
 	w.mu.Unlock()
@@ -332,6 +336,13 @@ type Comm struct {
 	dtype   DType  // wire width recorded by Stats; F32 unless derived
 	label   string // PerGroup accounting label ("" = unattributed)
 
+	// out[i] and in[i] are the directed links to and from group member i on
+	// this communicator's ordering domain (nil at i == pos), resolved once by
+	// bindWires when the member set or the stream is fixed — World.Comm,
+	// Subgroup, Scheduler.Stream — and shared by the Named/WithDType views,
+	// so the per-message path is a slice index.
+	out, in []chan wireMsg
+
 	// opCache maps collective names to their ":<label>"-suffixed form so
 	// labeled sends don't concatenate strings per message. Built once by
 	// Named and shared (read-only) by every derived view.
@@ -382,6 +393,20 @@ func (c *Comm) global(member int) int {
 		return member
 	}
 	return c.members[member]
+}
+
+// bindWires resolves this communicator's links to every group member on its
+// ordering domain.
+func (c *Comm) bindWires() {
+	n := c.Size()
+	c.out = make([]chan wireMsg, n)
+	c.in = make([]chan wireMsg, n)
+	for i := 0; i < n; i++ {
+		if g := c.global(i); g != c.rank {
+			c.out[i] = c.w.channel(c.rank, g, c.stream)
+			c.in[i] = c.w.channel(g, c.rank, c.stream)
+		}
+	}
 }
 
 // World returns the underlying world (for stats inspection).
@@ -458,47 +483,53 @@ func (c *Comm) opName(op string) string {
 	return op + ":" + c.label
 }
 
-// send transmits a copy of data to the group-local rank dst and accounts
-// for it under op. The copy draws from the world's wire pool; the receiver
-// recycles it after its last read (every internal path — Gather clones
-// before recycling) or lets it escape to the GC (the public Recv).
-func (c *Comm) send(op string, dst int, data []float32) {
-	gdst := c.global(dst)
-	if gdst == c.rank {
+// sendElems transmits a copy of data to the group-local rank dst and
+// accounts for it under op. The copy draws from the world's wire pool; the
+// receiver recycles it after its last read (every internal path — Gather
+// clones before recycling) or lets it escape to the GC (the public Recv).
+func sendElems[T elem](c *Comm, op string, dst int, data []T) {
+	if dst == c.pos {
 		panic("comm: send to self")
 	}
-	cp := c.w.wire.Get(len(data))
-	copy(cp, data)
+	msg := wireMsg{words: c.w.wire.Get(wireWords[T](len(data))), elems: len(data)}
+	copy(wireView[T](msg.words, msg.elems), data)
 	if c.w.faultsOn() {
 		c.w.preOp(c.rank)
-		c.sendWire(gdst, cp)
+		c.sendWire(dst, msg)
 	} else {
-		c.w.channel(c.rank, gdst, c.stream) <- cp
+		c.out[dst] <- msg
 	}
 	c.w.stats[c.rank].record(c.opName(op), c.stream, c.label, c.dtype.Bytes(), int64(len(data)), 0)
 }
+
+// send is sendElems for the float32 payloads every collective but the half
+// all-gather moves.
+func (c *Comm) send(op string, dst int, data []float32) { sendElems(c, op, dst, data) }
 
 // release returns a received wire buffer to the pool. Call only after the
 // last read of the buffer.
 func (c *Comm) release(data []float32) { c.w.wire.Put(data) }
 
-// recv blocks for a message from the group-local rank src and accounts for
-// it.
-func (c *Comm) recv(op string, src int) []float32 {
-	gsrc := c.global(src)
-	if gsrc == c.rank {
+// recvMsg blocks for a message from the group-local rank src and accounts
+// for it.
+func (c *Comm) recvMsg(op string, src int) wireMsg {
+	if src == c.pos {
 		panic("comm: recv from self")
 	}
-	var data []float32
+	var msg wireMsg
 	if c.w.faultsOn() {
 		c.w.preOp(c.rank)
-		data = c.recvWire(gsrc)
+		msg = c.recvWire(src)
 	} else {
-		data = <-c.w.channel(gsrc, c.rank, c.stream)
+		msg = <-c.in[src]
 	}
-	c.w.stats[c.rank].record(c.opName(op), c.stream, c.label, c.dtype.Bytes(), 0, int64(len(data)))
-	return data
+	c.w.stats[c.rank].record(c.opName(op), c.stream, c.label, c.dtype.Bytes(), 0, int64(msg.elems))
+	return msg
 }
+
+// recv is recvMsg for float32 payloads, where the pool words are the
+// elements.
+func (c *Comm) recv(op string, src int) []float32 { return c.recvMsg(op, src).words }
 
 // Send transmits data to the group-local rank dst (point-to-point).
 func (c *Comm) Send(dst int, data []float32) { c.send("p2p", dst, data) }

@@ -32,13 +32,18 @@ func (d DType) String() string {
 	return "f32"
 }
 
-// Buffer is a typed view of a flat float32 slice: the data plus the dtype it
-// occupies on the wire. Collectives on a Stream take Buffers so traffic is
-// byte-accounted natively; the values themselves stay float32 (fp16 storage
-// of an fp32-computed value is modeled by rounding through binary16, see
-// Quantize).
+// Buffer is a typed collective payload: the data plus the dtype it occupies
+// on the wire. Collectives on a Stream take Buffers so traffic is
+// byte-accounted natively. There are two kinds. A float buffer (Data) is what
+// every reduction takes: the values stay float32 and the dtype is accounting
+// only — fp16 storage of an fp32-computed value is modeled by rounding
+// through binary16, see Quantize. A half buffer (Half, built by HalfBuf) holds
+// already-encoded binary16 elements and is moved as such, 2 bytes per element
+// through the wire pool; only all-gathers accept it, since halves are never
+// summed.
 type Buffer struct {
 	Data  []float32
+	Half  tensor.HalfBuffer // when non-nil, the payload; DType is then F16
 	DType DType
 }
 
@@ -48,18 +53,31 @@ func F32Buf(x []float32) Buffer { return Buffer{Data: x, DType: F32} }
 // F16Buf wraps x as an fp16-wire buffer.
 func F16Buf(x []float32) Buffer { return Buffer{Data: x, DType: F16} }
 
+// HalfBuf wraps encoded fp16 elements as a half payload.
+func HalfBuf(h tensor.HalfBuffer) Buffer { return Buffer{Half: h, DType: F16} }
+
 // Len returns the element count.
-func (b Buffer) Len() int { return len(b.Data) }
+func (b Buffer) Len() int { return len(b.Data) + len(b.Half) }
 
 // Bytes returns the wire size of the whole buffer.
-func (b Buffer) Bytes() int64 { return int64(len(b.Data)) * int64(b.DType.Bytes()) }
+func (b Buffer) Bytes() int64 { return int64(b.Len()) * int64(b.DType.Bytes()) }
+
+// floats returns the float32 payload for a reduction, which a half buffer
+// does not have.
+func (b Buffer) floats() []float32 {
+	if b.Half != nil {
+		panic("comm: a half buffer can only be all-gathered (sums accumulate in float32)")
+	}
+	return b.Data
+}
 
 // Quantize rounds every value through the buffer's storage format in place:
-// a no-op for F32, round-to-nearest-even binary16 for F16 — the operation
-// that makes "this buffer is stored in fp16" true for the float32 values the
-// simulator computes with.
+// a no-op for F32 (and for a half buffer, which is stored in the format
+// already), round-to-nearest-even binary16 for F16 — the operation that makes
+// "this buffer is stored in fp16" true for the float32 values the simulator
+// computes with.
 func (b Buffer) Quantize() {
-	if b.DType != F16 {
+	if b.DType != F16 || b.Half != nil {
 		return
 	}
 	tensor.RoundHalf(b.Data)

@@ -151,21 +151,21 @@ func (w *World) preOp(rank int) {
 	}
 }
 
-// sendWire is the fault-aware send path: deliver cp to gdst, or observe a
-// death. A send that fits the wire buffer always succeeds (real networks
+// sendWire is the fault-aware send path: deliver msg to group member dst, or
+// observe a death. A send that fits the wire buffer always succeeds (real networks
 // accept writes into the void too — the message is simply never consumed);
 // only a *blocked* sender consults the death signals, so the fault machinery
 // never changes healthy-world pairing.
-func (c *Comm) sendWire(gdst int, cp []float32) {
-	ch := c.w.channel(c.rank, gdst, c.stream)
+func (c *Comm) sendWire(dst int, msg wireMsg) {
+	ch, gdst := c.out[dst], c.global(dst)
 	select {
-	case ch <- cp:
+	case ch <- msg:
 		return
 	default:
 	}
 	fs := c.w.faults
 	select {
-	case ch <- cp:
+	case ch <- msg:
 	case <-fs.death[gdst]:
 		// Fail-stop: a collective interrupted by a peer death cannot
 		// complete, so this rank dies too before unwinding — the signal
@@ -183,23 +183,23 @@ func (c *Comm) sendWire(gdst int, cp []float32) {
 // recvWire is the fault-aware receive path. Messages already on the wire are
 // always drained before a death is reported — including one racing the death
 // signal — so a rank's last completed sends are never lost.
-func (c *Comm) recvWire(gsrc int) []float32 {
-	ch := c.w.channel(gsrc, c.rank, c.stream)
+func (c *Comm) recvWire(src int) wireMsg {
+	ch, gsrc := c.in[src], c.global(src)
 	select {
-	case data := <-ch:
-		return data
+	case msg := <-ch:
+		return msg
 	default:
 	}
 	fs := c.w.faults
 	select {
-	case data := <-ch:
-		return data
+	case msg := <-ch:
+		return msg
 	case <-fs.death[gsrc]:
 		// The send of any message enqueued before the death signal
 		// happens-before the close, so one final poll is decisive.
 		select {
-		case data := <-ch:
-			return data
+		case msg := <-ch:
+			return msg
 		default:
 		}
 		c.w.FailRank(c.rank)

@@ -65,7 +65,7 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 	buf[2*c.pos] = math.Float32frombits(uint32(wireColor))
 	buf[2*c.pos+1] = math.Float32frombits(uint32(wireKey))
 	if n > 1 {
-		c.ringAllGather("split", buf, Partition(len(buf), n), c.pos)
+		ringAllGather(c, "split", buf, Partition(len(buf), n), c.pos)
 	}
 	if overflow {
 		return nil, fmt.Errorf("%w: color %d / key %d do not fit the int32 exchange", ErrColor, color, key)
@@ -135,6 +135,7 @@ func (c *Comm) Subgroup(members []int) (*Comm, error) {
 	// A subgroup's member set differs from its parent's, so it gets a fresh
 	// topology cache (the parent's cached node layouts do not apply).
 	cp.topos = &topoCache{}
+	cp.bindWires()
 	return &cp, nil
 }
 

@@ -160,8 +160,9 @@ func (c *Comm) ReduceScatterHierarchical(b Buffer, parts []Range, nodeSize int) 
 	}
 	v := c.WithDType(b.DType)
 	n := c.Size()
+	x := b.floats()
 	if n == 1 || nodeSize == 1 || nodeSize == n {
-		v.ReduceScatter(b.Data, parts)
+		v.ReduceScatter(x, parts)
 		return nil
 	}
 	topo, err := v.NodeTopology(nodeSize)
@@ -171,11 +172,11 @@ func (c *Comm) ReduceScatterHierarchical(b Buffer, parts []Range, nodeSize int) 
 	// Intra-node: concentrate each node's partial sums on the member that
 	// will own them, one node block of the partition at a time.
 	for m := 0; m < topo.Nodes; m++ {
-		topo.Intra.ReduceScatter(b.Data, parts[m*nodeSize:(m+1)*nodeSize])
+		topo.Intra.ReduceScatter(x, parts[m*nodeSize:(m+1)*nodeSize])
 	}
 	// Inter-node: finish the reduction of the owned slices across the
 	// same-slot ranks of every node.
-	topo.Inter.ReduceScatter(b.Data, topo.interParts(parts))
+	topo.Inter.ReduceScatter(x, topo.interParts(parts))
 	return nil
 }
 
@@ -183,7 +184,9 @@ func (c *Comm) ReduceScatterHierarchical(b Buffer, parts []Range, nodeSize int) 
 // i contributes parts[i] (already in place) and every member ends up with
 // every range, with only (|b|/nodeSize)·(M-1)/M elements per rank crossing
 // nodes. Inter-node groups exchange the owned slices first; each node then
-// redistributes internally, block by block.
+// redistributes internally, block by block. It moves whichever payload b
+// holds (see Buffer), and like the reduce-scatter falls back to the flat ring
+// on degenerate layouts — nodeSize 1 is the typed flat all-gather.
 func (c *Comm) AllGatherHierarchical(b Buffer, parts []Range, nodeSize int) error {
 	if err := c.checkHierParts(parts, nodeSize); err != nil {
 		return err
@@ -191,16 +194,16 @@ func (c *Comm) AllGatherHierarchical(b Buffer, parts []Range, nodeSize int) erro
 	v := c.WithDType(b.DType)
 	n := c.Size()
 	if n == 1 || nodeSize == 1 || nodeSize == n {
-		v.AllGather(b.Data, parts)
+		v.allGather(b, parts)
 		return nil
 	}
 	topo, err := v.NodeTopology(nodeSize)
 	if err != nil {
 		return err
 	}
-	topo.Inter.AllGather(b.Data, topo.interParts(parts))
+	topo.Inter.allGather(b, topo.interParts(parts))
 	for m := 0; m < topo.Nodes; m++ {
-		topo.Intra.AllGather(b.Data, parts[m*nodeSize:(m+1)*nodeSize])
+		topo.Intra.allGather(b, parts[m*nodeSize:(m+1)*nodeSize])
 	}
 	return nil
 }
@@ -210,7 +213,7 @@ func (c *Comm) AllGatherHierarchical(b Buffer, parts []Range, nodeSize int) erro
 // reduce-scatter over the canonical partition followed by the matching
 // hierarchical all-gather. The group size must be a multiple of nodeSize.
 func (c *Comm) AllReduceHierarchical(b Buffer, nodeSize int) error {
-	parts := Partition(len(b.Data), c.Size())
+	parts := Partition(len(b.floats()), c.Size())
 	if err := c.ReduceScatterHierarchical(b, parts, nodeSize); err != nil {
 		return err
 	}

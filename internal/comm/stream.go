@@ -96,6 +96,7 @@ func (s *Scheduler) StreamWithDepth(name string, depth int) *Stream {
 	view.stream = name
 	view.dtype = F32
 	view.topos = &topoCache{}
+	view.bindWires() // the stream's private links, shared by both dtype views
 	view16 := view
 	view16.dtype = F16
 	st := &Stream{
@@ -284,13 +285,13 @@ func (st *Stream) exec(op streamOp) {
 			op.fn(st.c32)
 		}
 	case opReduceScatter:
-		c.ReduceScatter(op.b.Data, op.parts)
+		c.ReduceScatter(op.b.floats(), op.parts)
 	case opAllGather:
-		c.AllGather(op.b.Data, op.parts)
+		c.allGather(op.b, op.parts)
 	case opAllReduce:
-		c.AllReduce(op.b.Data)
+		c.AllReduce(op.b.floats())
 	case opAllReduceAvg:
-		c.AllReduceAvg(op.b.Data)
+		c.AllReduceAvg(op.b.floats())
 	case opReduceScatterHier:
 		if err := c.ReduceScatterHierarchical(op.b, op.parts, op.nodeSize); err != nil {
 			panic(err)
@@ -363,7 +364,8 @@ func (st *Stream) ReduceScatter(b Buffer, parts []Range) Handle {
 	return st.enqueue(streamOp{kind: opReduceScatter, b: b, parts: parts})
 }
 
-// AllGather enqueues an all-gather of b under parts.
+// AllGather enqueues an all-gather of b under parts — of its halves when b
+// is a HalfBuf.
 func (st *Stream) AllGather(b Buffer, parts []Range) Handle {
 	return st.enqueue(streamOp{kind: opAllGather, b: b, parts: parts})
 }

@@ -20,7 +20,8 @@ import "repro/internal/tensor"
 //     TakeOverflow surfaces; "load" decodes back into the staging. Matmuls
 //     run the fused half-domain kernels (tensor.MatMul*H: fp16 operands,
 //     fp32 accumulation) on ParamsH, the rounded image of the fp32 master
-//     Params; layernorm gains and biases decode into scratch (vec).
+//     (Params, or an engine's own shard of it after ReleaseParams);
+//     layernorm gains and biases decode into scratch (vec).
 //     Backward's gradient scratch reuses the staging of tensors that are
 //     dead by then, each d-tensor rounds into one shared half staging buffer
 //     before it feeds a matmul (operand), dLogits is scaled by LossScale
@@ -75,6 +76,9 @@ func growH(buf tensor.HalfBuffer, n int) tensor.HalfBuffer {
 // the step workspace (the layouts share no buffer list), and switching off
 // drops ParamsH too.
 func (m *Model) SetFP16Compute(on bool) {
+	if m.Params == nil {
+		panic("model: SetFP16Compute after ReleaseParams")
+	}
 	if on != m.fp16 {
 		m.ReleaseWorkspace()
 	}
@@ -88,6 +92,18 @@ func (m *Model) SetFP16Compute(on bool) {
 	if m.LossScale == 0 {
 		m.LossScale = 1
 	}
+}
+
+// ReleaseParams drops the fp32 parameter buffer. Legal only in fp16 mode,
+// where every parameter read goes through ParamsH (vec, matMul, matMulBT):
+// an engine that keeps its own fp32 master shard and writes ParamsH itself —
+// the ZeRO trainer under FP16Compute — has no use for a second, Ψ-long fp32
+// copy. Switching the layout again needs Params and is no longer possible.
+func (m *Model) ReleaseParams() {
+	if !m.fp16 {
+		panic("model: ReleaseParams outside fp16 compute mode (the fp32 kernels read Params)")
+	}
+	m.Params = nil
 }
 
 // FP16Compute reports whether the fp16 layout is active.

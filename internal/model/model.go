@@ -15,7 +15,7 @@ type Model struct {
 	Layout Layout
 
 	// Params is the flat fp32 parameter buffer (the "fp32 master" copy of
-	// mixed-precision training).
+	// mixed-precision training). Nil after ReleaseParams.
 	Params []float32
 	// Grads is the flat gradient buffer, same layout as Params.
 	Grads []float32
@@ -66,9 +66,11 @@ type Model struct {
 	// slot for simplicity — they are 2h elements.)
 	BackwardHook func(layer int)
 
-	// ParamsH is the binary16 compute copy of Params the fp16 mode's
-	// kernels read; Params stays the fp32 master. Non-nil only while
-	// FP16Compute is on, refreshed via RefreshHalfParams (see fp16.go).
+	// ParamsH holds the binary16 parameters the fp16 mode's kernels read.
+	// Non-nil only while FP16Compute is on. A standalone model keeps Params
+	// as the fp32 master and re-encodes via RefreshHalfParams; an engine
+	// that holds the master elsewhere writes ParamsH itself and may
+	// ReleaseParams (see fp16.go).
 	ParamsH tensor.HalfBuffer
 
 	// LossScale multiplies dLogits in fp16 mode (dynamic loss scaling; the

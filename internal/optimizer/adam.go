@@ -62,17 +62,23 @@ func (a *Adam) Step(params, grads []float32) {
 	a.t++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	b1 := float32(a.Beta1)
-	b2 := float32(a.Beta2)
+	adamStep(params, a.m, a.v, grads, float32(a.Beta1), float32(a.Beta2), float32(a.WeightDecay),
+		bc1, bc2, a.LR, a.Eps)
+}
+
+// adamScalar is the Adam update loop: the whole implementation on the
+// generic build, and on amd64 the reference the packed kernel is pinned to,
+// its tail, and the weight-decay path. wd == 0 disables weight decay.
+func adamScalar(params, m, v, grads []float32, b1, b2, wd float32, bc1, bc2, lr, eps float64) {
 	for i, g := range grads {
-		if a.WeightDecay != 0 {
-			g += float32(a.WeightDecay) * params[i]
+		if wd != 0 {
+			g += wd * params[i]
 		}
-		a.m[i] = b1*a.m[i] + (1-b1)*g
-		a.v[i] = b2*a.v[i] + (1-b2)*g*g
-		mhat := float64(a.m[i]) / bc1
-		vhat := float64(a.v[i]) / bc2
-		params[i] -= float32(a.LR * mhat / (math.Sqrt(vhat) + a.Eps))
+		m[i] = b1*m[i] + (1-b1)*g
+		v[i] = b2*v[i] + (1-b2)*g*g
+		mhat := float64(m[i]) / bc1
+		vhat := float64(v[i]) / bc2
+		params[i] -= float32(lr * mhat / (math.Sqrt(vhat) + eps))
 	}
 }
 

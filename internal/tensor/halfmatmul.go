@@ -195,19 +195,36 @@ func MatMulATAddH(c []float32, a, b HalfBuffer, m, k, n int) {
 // transposeHalfInto writes the decoded src[rows×cols]ᵀ into dst[cols×rows]
 // in one fused pass. Row segments decode through the vector decoder into a
 // stack tile before scattering, so the per-element cost is the SSE lane
-// decode, not a scalar halfVal; 16 consecutive r land on one dst cache
-// line per output column, keeping both sides resident like transposeInto.
+// decode, not a scalar halfVal. Four source rows decode per pass and each
+// destination column takes its four values as one contiguous group — one
+// bounds check and one strided step per four elements — and 16 consecutive r
+// land on one dst cache line per output column, keeping both sides resident
+// like transposeInto.
 func transposeHalfInto(dst []float32, src HalfBuffer, rows, cols int) {
 	const tr, tc = 16, 64
-	var buf [tc]float32
+	var buf [4 * tc]float32
 	for r0 := 0; r0 < rows; r0 += tr {
 		rMax := min(r0+tr, rows)
 		for c0 := 0; c0 < cols; c0 += tc {
-			cMax := min(c0+tc, cols)
-			row := buf[:cMax-c0]
-			for r := r0; r < rMax; r++ {
-				halfDecode(row, src[r*cols+c0:r*cols+cMax])
-				for ci, v := range row {
+			w := min(tc, cols-c0)
+			b0, b1, b2, b3 := buf[:w], buf[tc:tc+w], buf[2*tc:2*tc+w], buf[3*tc:3*tc+w]
+			r := r0
+			for ; r+4 <= rMax; r += 4 {
+				s := r*cols + c0
+				halfDecode(b0, src[s:s+w])
+				halfDecode(b1, src[s+cols:s+cols+w])
+				halfDecode(b2, src[s+2*cols:s+2*cols+w])
+				halfDecode(b3, src[s+3*cols:s+3*cols+w])
+				o := c0*rows + r
+				for ci, v := range b0 {
+					d := dst[o : o+4 : o+4]
+					d[0], d[1], d[2], d[3] = v, b1[ci], b2[ci], b3[ci]
+					o += rows
+				}
+			}
+			for ; r < rMax; r++ {
+				halfDecode(b0, src[r*cols+c0:r*cols+c0+w])
+				for ci, v := range b0 {
 					dst[(c0+ci)*rows+r] = v
 				}
 			}

@@ -176,3 +176,37 @@ func TestHalfMatMulParallelMatchesSerial(t *testing.T) {
 		t.Fatalf("parallel and serial MatMulH differ by %g", d)
 	}
 }
+
+// Both transposes must equal the definition dst[c·rows+r] = src[r·cols+c]
+// (decoded, for the half one) at every shape around their tile widths — the
+// four-row groups, the 16-row tile and the 64-column decode tile all leave
+// tails when rows and cols are not multiples of 4, 16 and 64. The source
+// covers every fp16 bit pattern, so "moves values, cannot change bits"
+// includes NaN payloads and subnormals.
+func TestTransposesMatchDefinition(t *testing.T) {
+	dims := []int{1, 2, 3, 4, 5, 15, 16, 17, 63, 64, 65, 130}
+	for _, rows := range dims {
+		for _, cols := range dims {
+			src := make(HalfBuffer, rows*cols)
+			for i := range src {
+				src[i] = Half(i*2659 + rows*31 + cols)
+			}
+			srcF := src.Floats()
+			gotH := make([]float32, rows*cols)
+			transposeHalfInto(gotH, src, rows, cols)
+			gotF := make([]float32, rows*cols)
+			transposeInto(gotF, srcF, rows, cols)
+			for r := 0; r < rows; r++ {
+				for c := 0; c < cols; c++ {
+					want := math.Float32bits(src[r*cols+c].Float32())
+					if got := math.Float32bits(gotH[c*rows+r]); got != want {
+						t.Fatalf("transposeHalfInto %dx%d: dst[%d,%d] = %#08x, want %#08x", rows, cols, c, r, got, want)
+					}
+					if got := math.Float32bits(gotF[c*rows+r]); got != want {
+						t.Fatalf("transposeInto %dx%d: dst[%d,%d] = %#08x, want %#08x", rows, cols, c, r, got, want)
+					}
+				}
+			}
+		}
+	}
+}

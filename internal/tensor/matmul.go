@@ -317,15 +317,29 @@ func matMulATAddColsRange(c, a, b []float32, m, n, lo, hi int) {
 }
 
 // transposeInto writes src[rows×cols]ᵀ into dst[cols×rows], tiled so both
-// sides stay within a few cache lines per pass.
+// sides stay within a few cache lines per pass. Four source rows move per
+// pass, so each destination column takes its four values as one contiguous
+// group: one bounds check and one strided step per four elements.
 func transposeInto(dst, src []float32, rows, cols int) {
 	const tile = 16
 	for r0 := 0; r0 < rows; r0 += tile {
 		rMax := min(r0+tile, rows)
 		for c0 := 0; c0 < cols; c0 += tile {
-			cMax := min(c0+tile, cols)
-			for r := r0; r < rMax; r++ {
-				row := src[r*cols+c0 : r*cols+cMax]
+			w := min(tile, cols-c0)
+			r := r0
+			for ; r+4 <= rMax; r += 4 {
+				s := r*cols + c0
+				b0, b1 := src[s:s+w], src[s+cols:s+cols+w]
+				b2, b3 := src[s+2*cols:s+2*cols+w], src[s+3*cols:s+3*cols+w]
+				o := c0*rows + r
+				for ci, v := range b0 {
+					d := dst[o : o+4 : o+4]
+					d[0], d[1], d[2], d[3] = v, b1[ci], b2[ci], b3[ci]
+					o += rows
+				}
+			}
+			for ; r < rMax; r++ {
+				row := src[r*cols+c0 : r*cols+c0+w]
 				for ci, v := range row {
 					dst[(c0+ci)*rows+r] = v
 				}

@@ -94,8 +94,9 @@ func TestSteadyStateStepAllocations(t *testing.T) {
 	}
 }
 
-// FP16, clipping (priority lane), hierarchy and accumulation compose into
-// the same zero-allocation steady state.
+// FP16, clipping (priority lane), hierarchy, accumulation and the fp16
+// compute path (half gathers through the wire pool) compose into the same
+// zero-allocation steady state.
 func TestSteadyStateStepAllocationsComposed(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -107,6 +108,12 @@ func TestSteadyStateStepAllocationsComposed(t *testing.T) {
 			BucketElems: 512, Overlap: true, Topology: Topology{NodeSize: 2}}},
 		{"lamb", Options{Stage: StageOS, LR: 1e-3, Seed: 1,
 			Optimizer: optimizer.Spec{Kind: optimizer.KindLAMB, LR: 1e-3}}},
+		{"fp16compute+s3+overlap+prefetch", Options{Stage: StageFull, LR: 1e-3, Seed: 1,
+			BucketElems: 512, Overlap: true, Prefetch: true, FP16Compute: true}},
+		{"fp16compute+s2+overlap", Options{Stage: StageOSGrad, LR: 1e-3, Seed: 1,
+			BucketElems: 512, Overlap: true, FP16Compute: true}},
+		{"fp16compute+s3+hier", Options{Stage: StageFull, LR: 1e-3, Seed: 1,
+			BucketElems: 512, FP16Compute: true, Topology: Topology{NodeSize: 2}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got := measureStepAllocs(t, 4, tc.opts)

@@ -93,17 +93,17 @@ func (t *Trainer) Load(s *Snapshot) error {
 	t.opt.Restore(shards, s.OptSteps)
 	if t.opts.FP16 {
 		copy(t.master, s.Params[dom.Lo:dom.Hi])
+	}
+	switch {
+	case t.opts.FP16Compute:
+		// Every rank holds the whole snapshot, so each encodes the full
+		// parameter set itself (what the owners would encode and gather).
+		t.Model.ParamsH.FromFloats(s.Params)
+	case t.opts.FP16:
 		tensor.Copy(t.Model.Params, s.Params)
 		quantizeFP16(t.Model.Params)
-	} else {
+	default:
 		tensor.Copy(t.Model.Params, s.Params)
-	}
-	if t.opts.FP16Compute {
-		// Re-encode the 2-byte kernel copy from the restored (and already
-		// fp16-rounded) parameters. Stage 3's unowned groups go stale when
-		// dropUnowned runs below, but the next gather re-halves them.
-		t.Model.RefreshHalfParams(0, len(t.Model.Params))
-		t.halfStale = true
 	}
 	if t.stage == StageFull {
 		t.dropUnowned()

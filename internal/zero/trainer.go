@@ -128,13 +128,17 @@ type Options struct {
 	// element natively.
 	FP16 bool
 	// FP16Compute enables the true fp16 compute path: activations and the
-	// parameter copy the kernels read are *stored* in 2-byte binary16
+	// parameters the kernels read are *stored* in 2-byte binary16
 	// (model.SetFP16Compute) with fp32 accumulation inside the fused half
 	// kernels, and dynamic loss scaling guards the gradient stream —
 	// overflowing steps are skipped by a group-wide vote so every rank
-	// backs the scale off together. Implies FP16 (the master-copy and
-	// fp16-wire machinery). Incompatible with Checkpoint: the recompute
-	// path has no half-domain equivalent yet (zero.New reports the error).
+	// backs the scale off together. Parameters exist as halves only: each
+	// rank keeps the fp32 master of its optimizer domain, encodes it into
+	// Model.ParamsH once per step, and every parameter all-gather moves
+	// those halves; the Ψ-long fp32 Model.Params is released at
+	// construction. Implies FP16 (the master-copy machinery and fp16-wire
+	// gradients). Incompatible with Checkpoint: the recompute path has no
+	// half-domain equivalent yet (zero.New reports the error).
 	FP16Compute bool
 	// InitialLossScale overrides the dynamic loss scaler's starting scale
 	// under FP16Compute (0 = the conventional 2^16).
@@ -222,7 +226,6 @@ type Trainer struct {
 	groupsParts    [][]comm.Range  // per t.groups entry: partition clipped to the group
 	fwdPf          paramPrefetcher // stage-3 forward gather pipeline
 	bwdPf          paramPrefetcher // stage-3 backward gather pipeline
-	halfStale      bool            // stage-3 ParamsH lags the master values (set by Update)
 	fwdHook        func(int)       // persistent Model.ForwardHook body
 	bwdPreHook     func(int)       // persistent Model.BackwardPreHook body
 	bwdHook        func(int)       // persistent Model.BackwardHook body (overlap)
@@ -321,10 +324,13 @@ func New(c *comm.Comm, cfg model.Config, opts Options) (*Trainer, error) {
 	}
 	if opts.FP16 {
 		t.master = append([]float32(nil), m.Params[optDomain.Lo:optDomain.Hi]...)
-		quantizeFP16(m.Params) // forward always sees fp16-valued weights
 	}
-	if opts.FP16Compute {
-		m.SetFP16Compute(true) // ParamsH encodes the already-rounded Params exactly
+	switch {
+	case opts.FP16Compute:
+		// The round-to-nearest-even encode is the fp16 rounding; from here on
+		// the fp32 values live only in the master shards.
+		m.SetFP16Compute(true)
+		m.ReleaseParams()
 		t.scaler = optimizer.NewLossScaler()
 		if opts.InitialLossScale > 0 {
 			t.scaler.Scale = opts.InitialLossScale
@@ -333,6 +339,8 @@ func New(c *comm.Comm, cfg model.Config, opts Options) (*Trainer, error) {
 			t.scaler.GrowthInterval = opts.LossScaleWindow
 		}
 		m.LossScale = float32(t.scaler.Scale)
+	case opts.FP16:
+		quantizeFP16(m.Params) // forward always sees fp16-valued weights
 	}
 	if opts.Stage == StageFull {
 		t.dropUnowned()
@@ -501,11 +509,27 @@ func (t *Trainer) allGather(st *comm.Stream, b comm.Buffer, parts []comm.Range) 
 	return st.AllGather(b, parts)
 }
 
+// paramBuf is the buffer the parameter all-gathers move: the encoded halves
+// under FP16Compute (2 bytes per element on the wire, landing where the
+// kernels read them), the flat fp32 buffer at the trainer's wire dtype
+// otherwise.
+func (t *Trainer) paramBuf() comm.Buffer {
+	if t.opts.FP16Compute {
+		return comm.HalfBuf(t.Model.ParamsH)
+	}
+	return t.wireBuf(t.Model.Params)
+}
+
 // dropUnowned zeroes every parameter outside the owned partition — the
 // stage-3 resident state is Ψ/Nd (§5.3). The full-size buffer remains as
 // gather workspace; accounting distinguishes resident from transient.
 func (t *Trainer) dropUnowned() {
 	own := t.Owned()
+	if t.opts.FP16Compute {
+		clear(t.Model.ParamsH[:own.Lo])
+		clear(t.Model.ParamsH[own.Hi:])
+		return
+	}
 	tensor.Zero(t.Model.Params[:own.Lo])
 	tensor.Zero(t.Model.Params[own.Hi:])
 }
@@ -517,25 +541,21 @@ func (t *Trainer) dropUnowned() {
 // identical either way, which is why the two are bitwise equal.
 func (t *Trainer) gatherParams() {
 	for i := range t.groups {
-		t.allGather(t.prefetchStream(), t.wireBuf(t.Model.Params), t.groupsParts[i]).Wait()
-		if t.opts.FP16Compute && t.halfStale {
-			// The fp16 compute copy must track every freshly gathered group.
-			t.Model.RefreshHalfParams(t.groups[i].Lo, t.groups[i].Hi)
-		}
+		t.allGather(t.prefetchStream(), t.paramBuf(), t.groupsParts[i]).Wait()
 	}
-	// Every group is now encoded; until the next optimizer step delivers
-	// new values, re-gathers (the backward pass, accumulation micro-batches)
-	// reproduce these bytes exactly and need no re-encode.
-	t.halfStale = false
 }
 
-// GatheredParams returns a copy of the full parameter buffer, re-gathering
-// the partitioned shards first at stage 3 (a collective there — every rank
-// must call it together). Harness code (examples, elastic tests) uses it to
-// compare trajectories across stages without reaching into Model.Params.
+// GatheredParams returns a copy of the full parameter buffer the compute
+// reads — under FP16Compute the fp32 image of the halves — re-gathering the
+// partitioned shards first at stage 3 (a collective there — every rank must
+// call it together). Harness code (examples, elastic tests) uses it to
+// compare trajectories across stages without reaching into the model.
 func (t *Trainer) GatheredParams() []float32 {
 	if t.stage == StageOSGP {
 		t.gatherParams()
+	}
+	if t.opts.FP16Compute {
+		return t.Model.ParamsH.Floats()
 	}
 	return append([]float32(nil), t.Model.Params...)
 }
@@ -596,7 +616,7 @@ func (p *paramPrefetcher) submit(k int) {
 	if k < 0 || k >= len(p.order) || p.handles[k].Valid() {
 		return
 	}
-	p.handles[k] = p.t.allGather(p.t.prefetchStream(), p.t.wireBuf(p.t.Model.Params), p.orderParts[k])
+	p.handles[k] = p.t.allGather(p.t.prefetchStream(), p.t.paramBuf(), p.orderParts[k])
 }
 
 // arrive blocks until order[k]'s parameters are resident and tops the
@@ -604,12 +624,6 @@ func (p *paramPrefetcher) submit(k int) {
 func (p *paramPrefetcher) arrive(k int) {
 	p.submit(k) // defensive; a no-op on the normal path
 	p.handles[k].Wait()
-	if p.t.opts.FP16Compute && p.t.halfStale {
-		// The fp16 compute copy must track the group that just landed. A
-		// re-gather of unchanged values (the backward pass) skips this: the
-		// gather is deterministic, so ParamsH already holds these bytes.
-		p.t.Model.RefreshHalfParams(p.order[k].Lo, p.order[k].Hi)
-	}
 	for d := 1; d <= p.depth; d++ {
 		p.submit(k + d)
 	}
@@ -634,8 +648,6 @@ func (t *Trainer) forwardPrefetched(ids, targets []int, per int) float64 {
 	t.Model.ForwardHook = t.fwdHook
 	loss := t.Model.Loss(ids, targets, per)
 	t.Model.ForwardHook = nil
-	// The hooks arrived (and, when stale, re-encoded) every group.
-	t.halfStale = false
 	return loss
 }
 
@@ -823,12 +835,19 @@ func (t *Trainer) Update() {
 	// or the full buffer at stage 0. LAMB steps with per-tensor trust
 	// ratio blocks clipped to the domain.
 	dom := t.optimizerDomain()
-	if t.opts.FP16 {
+	switch {
+	case t.opts.FP16Compute:
+		// The owner encodes its stepped master once; the round-to-nearest-
+		// even encode is the fp16 rounding, and from here to the kernels the
+		// parameter exists only as this half.
+		t.stepOptimizer(t.master, t.accum)
+		t.Model.ParamsH[dom.Lo:dom.Hi].FromFloats(t.master)
+	case t.opts.FP16:
 		t.stepOptimizer(t.master, t.accum)
 		p := t.Model.Params[dom.Lo:dom.Hi]
 		copy(p, t.master)
 		tensor.RoundHalf(p)
-	} else {
+	default:
 		t.stepOptimizer(t.Model.Params[dom.Lo:dom.Hi], t.accum)
 	}
 
@@ -842,21 +861,13 @@ func (t *Trainer) Update() {
 	case StageFull:
 		t.dropUnowned()
 	default:
-		t.allGather(t.gradStream(), t.wireBuf(t.Model.Params), t.parts).Wait()
+		t.allGather(t.gradStream(), t.paramBuf(), t.parts).Wait()
 	}
 
-	// Successful step: grow the loss scale on schedule and refresh the
-	// 2-byte parameter copy the fused kernels read. Stage 3 skips the
-	// refresh — its parameters are gathered (and re-halved) lazily group
-	// by group at the next forward pass.
+	// Successful step: grow the loss scale on schedule.
 	if t.opts.FP16Compute {
 		t.scaler.Update(false)
 		t.Model.LossScale = float32(t.scaler.Scale)
-		if t.stage != StageFull {
-			t.Model.RefreshHalfParams(0, len(t.Model.Params))
-		} else {
-			t.halfStale = true
-		}
 	}
 
 	tensor.Zero(t.accum)
@@ -922,9 +933,9 @@ func (t *Trainer) OverflowSteps() int {
 }
 
 // ComputeResidencyBytes reports the bytes the step computation keeps
-// resident: the retained workspace plus the parameter copy the kernels
-// read — the 2-byte ParamsH under FP16Compute (the fp32 master then
-// counts as optimizer state, §3.1), the fp32 Params otherwise.
+// resident: the retained workspace plus the parameters the kernels read —
+// the 2-byte ParamsH under FP16Compute (the fp32 master shard then counts
+// as optimizer state, §3.1), the fp32 Params otherwise.
 func (t *Trainer) ComputeResidencyBytes() int64 {
 	if t.opts.FP16Compute {
 		return t.Model.WorkspaceBytes() + t.Model.ParamsH.Bytes()
