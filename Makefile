@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet bench-vet build build-arm64 test race configcheck fuzz-smoke serve-smoke elastic-smoke bench-kernels bench-data bench-serve bench-elastic bench-fp16 bench-compare bench-smoke pprof sweep all
+.PHONY: check fmt vet bench-vet bench-test build build-arm64 test race configcheck fuzz-smoke serve-smoke elastic-smoke bench-kernels bench-data bench-serve bench-elastic bench-fp16 bench-compare bench-smoke pprof sweep all
 
-check: fmt vet bench-vet build build-arm64 test race configcheck fuzz-smoke serve-smoke elastic-smoke
+check: fmt vet bench-vet bench-test build build-arm64 test race configcheck fuzz-smoke serve-smoke elastic-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -18,6 +18,11 @@ vet:
 # flags as bench/run.sh.
 bench-vet:
 	GOFLAGS=-mod=mod GOPROXY=off $(GO) vet -C bench ./...
+
+# bench/'s own tests (~15 s), which `./...` cannot see either: they compile
+# and run the benchmark's harness against model, zero and engine.
+bench-test:
+	GOFLAGS=-mod=mod GOPROXY=off $(GO) test -C bench ./...
 
 build:
 	$(GO) build ./...
@@ -42,15 +47,17 @@ configcheck:
 	$(GO) test ./internal/engine -run TestCommittedConfigsValidate
 
 # Short native-fuzzer smokes: the BPE encode/decode round-trip, the
-# fp32↔fp16 conversion surface (batch encoders vs the scalar reference) and
-# the ZELC snapshot decoder (reject, or re-encode to the identical bytes) —
-# a few seconds of coverage-guided input generation on every `make check`.
-# (The snapshot seeds are ~20 KB files: unbounded minimisation of each new
+# fp32↔fp16 conversion surface (batch encoders vs the scalar reference), the
+# ZELC snapshot decoder (reject, or re-encode to the identical bytes) and the
+# engine config parser (reject, or normalize → marshal → parse to the
+# identical config) — a few seconds of coverage-guided input generation on
+# every `make check`. (Unbounded minimisation of each new snapshot or config
 # input would eat the 3 s, so it is capped at 100 executions.)
 fuzz-smoke:
 	$(GO) test ./internal/data -run=NONE -fuzz=FuzzBPERoundTrip -fuzztime=3s
 	$(GO) test ./internal/tensor -run=NONE -fuzz=FuzzHalfRoundTrip -fuzztime=3s
 	$(GO) test ./internal/zero -run=NONE -fuzz=FuzzDecodeSnapshot -fuzztime=3s -fuzzminimizetime=100x
+	$(GO) test ./internal/engine -run=NONE -fuzz=FuzzParseConfig -fuzztime=3s -fuzzminimizetime=100x
 
 # Control-plane smoke: the full submit → stream → checkpoint HTTP round
 # trip against an in-process zeroserve (part of `make check`).

@@ -19,7 +19,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/model"
-	"repro/internal/mp"
 	"repro/internal/serve"
 	"repro/internal/tensor"
 	"repro/internal/zero"
@@ -179,22 +178,6 @@ func BenchmarkHierarchicalAllReduce1M(b *testing.B) {
 			if err := c.AllReduceHierarchical(comm.F32Buf(x), nodeSize); err != nil {
 				b.Error(err)
 			}
-		}
-	})
-}
-
-func BenchmarkParallelBlock(b *testing.B) {
-	const n, hidden, heads, batch, seq = 4, 64, 4, 2, 16
-	x := make([]float32, batch*seq*hidden)
-	dy := make([]float32, batch*seq*hidden)
-	w := comm.NewWorld(n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	w.Run(func(c *comm.Comm) {
-		blk := mp.NewParallelBlock(c, hidden, heads, 1)
-		for i := 0; i < b.N; i++ {
-			blk.Forward(x, batch, seq)
-			blk.Backward(dy)
 		}
 	})
 }
@@ -502,25 +485,6 @@ func BenchmarkAccumStep(b *testing.B) {
 			b.ReportMetric(float64(w.Stats(0).BytesSent)/float64(b.N), "wire-B/rank/step")
 		})
 	}
-}
-
-// BenchmarkMegatronGPTStep measures one training step of the full
-// Megatron-parallel GPT at MP=4 (the executable baseline of Figure 2).
-func BenchmarkMegatronGPTStep(b *testing.B) {
-	const layers, hidden, heads, vocab, seq, batch = 2, 64, 4, 64, 16, 2
-	ids, targets := model.SyntheticBatch(1, batch, seq, vocab)
-	w := comm.NewWorld(4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	w.Run(func(c *comm.Comm) {
-		m := mp.NewGPT(c, layers, hidden, heads, vocab, seq, 1)
-		for i := 0; i < b.N; i++ {
-			m.ZeroGrads()
-			m.Loss(ids, targets, batch)
-			m.Backward()
-			m.SGDStep(0.01)
-		}
-	})
 }
 
 // BenchmarkDataPipeline measures the streaming corpus path end to end —

@@ -1,16 +1,16 @@
 // mp2d: the paper's deployment topology (§10.1) at laptop scale — Megatron
 // tensor model parallelism inside each "node", data parallelism across
 // them. An 8-rank world becomes a 4-way-MP × 2-way-DP grid; each replica
-// runs a full Megatron transformer block (head-parallel attention +
-// tensor-parallel MLP) over its half of the batch, and weight gradients
-// synchronize across the DP groups.
+// trains a 1-layer transformer sharded over its MP group
+// (model.NewSharded: head-parallel attention + tensor-parallel MLP) on its
+// half of the batch, and the DP groups average the gradients.
 package main
 
 import (
 	"fmt"
 
 	"repro/internal/comm"
-	"repro/internal/mp"
+	"repro/internal/model"
 )
 
 func main() {
@@ -18,24 +18,16 @@ func main() {
 		mpSize = 4
 		dpSize = 2
 		world  = mpSize * dpSize
-		hidden = 64
-		heads  = 8
-		seq    = 16
-		perDP  = 4
+		perDP  = 4 // batch rows per replica
 	)
+	cfg := model.Config{Layers: 1, Hidden: 64, Heads: 8, Vocab: 32, Seq: 16}
 	batch := perDP * dpSize
-	m := batch * seq
-	x := make([]float32, m*hidden)
-	dy := make([]float32, m*hidden)
-	for i := range x {
-		x[i] = float32(i%13)*0.01 - 0.06
-		dy[i] = float32(i%7)*0.01 - 0.03
-	}
+	ids, targets := model.SyntheticBatch(1, batch, cfg.Seq, cfg.Vocab)
 
 	fmt.Printf("topology: %d ranks = %d-way MP (in-node) x %d-way DP (across nodes)\n",
 		world, mpSize, dpSize)
 	fmt.Printf("block: hidden %d, %d attention heads (%d heads per MP rank)\n\n",
-		hidden, heads, heads/mpSize)
+		cfg.Hidden, cfg.Heads, cfg.Heads/mpSize)
 
 	w := comm.NewWorld(world)
 	w.Run(func(c *comm.Comm) {
@@ -50,29 +42,27 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		replica := c.Rank() / mpSize
 
-		blk := mp.NewParallelBlock(mpGroup, hidden, heads, 42)
+		m := model.NewSharded(cfg, 42, mpGroup)
+		sIDs, sTargets, per := model.ShardBatch(ids, targets, batch, dpSize, dpGroup.Rank())
+		loss := m.Loss(sIDs, sTargets, per)
+		m.Backward()
 
-		lo := replica * perDP * seq * hidden
-		hi := (replica + 1) * perDP * seq * hidden
-		blk.Forward(x[lo:hi], perDP, seq)
-		blk.Backward(dy[lo:hi])
-
-		// DP sync of the MP-shard gradients (each DP group shares the same
-		// logical shard).
-		for _, g := range [][]float32{
-			blk.Attn.DWQKV, blk.Attn.DWProj, blk.MLP.FC1.DW, blk.MLP.FC2.DW,
-			blk.DGamma1, blk.DBeta1, blk.DGamma2, blk.DBeta2,
-		} {
-			dpGroup.AllReduceAvg(g)
-		}
+		// DP sync: every rank of a DP group holds the same shard, so the
+		// whole gradient buffer averages in one all-reduce.
+		dpGroup.AllReduceAvg(m.Grads)
 
 		if c.Rank() == 0 {
-			fmt.Printf("rank 0: MP group rank %d/%d, DP group rank %d/%d\n",
-				mpGroup.Rank(), mpGroup.Size(), dpGroup.Rank(), dpGroup.Size())
+			fmt.Printf("rank 0: MP group rank %d/%d, DP group rank %d/%d, replica loss %.4f\n",
+				mpGroup.Rank(), mpGroup.Size(), dpGroup.Rank(), dpGroup.Size(), loss)
+			seg := map[string]model.Segment{}
+			for _, s := range m.Layout.Segments {
+				seg[s.Name] = s
+			}
+			h := cfg.Hidden
 			fmt.Printf("rank 0 attention shard: WQKV %d elems (1/%d of %d), WProj %d elems\n",
-				len(blk.Attn.WQKV), mpSize, hidden*3*hidden, len(blk.Attn.WProj))
+				seg["block0.attn.wqkv"].Len(), mpSize, h*3*h, seg["block0.attn.wproj"].Len())
+			fmt.Printf("rank 0 holds %d of the model's %d parameters\n", m.NumParams(), cfg.ParamCount())
 		}
 	})
 

@@ -23,9 +23,9 @@ func (c *Comm) AllReduce(x []float32) {
 	if n == 1 {
 		return
 	}
-	parts := Partition(len(x), n)
-	c.ringReduceScatter("allreduce", x, parts)
-	ringAllGather(c, "allreduce", x, parts, c.pos)
+	// nil parts: the ring splits x evenly without a per-call range list.
+	c.ringReduceScatter("allreduce", x, nil)
+	ringAllGather(c, "allreduce", x, nil, c.pos)
 }
 
 // AllReduceAvg sums x across the group and divides by the group size — the
@@ -177,7 +177,8 @@ func (c *Comm) checkRoot(root int) {
 }
 
 // ringReduceScatter runs the N-1 step ring so that, on return, member r
-// holds the fully reduced chunk parts[r] inside x.
+// holds the fully reduced chunk parts[r] inside x (nil parts: the even split,
+// see chunk).
 func (c *Comm) ringReduceScatter(op string, x []float32, parts []Range) {
 	n := c.Size()
 	right := (c.pos + 1) % n
@@ -185,10 +186,10 @@ func (c *Comm) ringReduceScatter(op string, x []float32, parts []Range) {
 	for s := 0; s < n-1; s++ {
 		sendIdx := ((c.pos-s-1)%n + n) % n
 		recvIdx := ((c.pos-s-2)%n + n) % n
-		sp := parts[sendIdx]
+		sp := chunk(parts, len(x), n, sendIdx)
 		c.send(op, right, x[sp.Lo:sp.Hi])
 		data := c.recv(op, left)
-		rp := parts[recvIdx]
+		rp := chunk(parts, len(x), n, recvIdx)
 		dst := x[rp.Lo:rp.Hi]
 		if len(data) != len(dst) {
 			panic("comm: ring chunk length mismatch (buffers must be equal-length on all ranks)")
@@ -201,8 +202,9 @@ func (c *Comm) ringReduceScatter(op string, x []float32, parts []Range) {
 }
 
 // ringAllGather runs the N-1 step ring so that, on return, every member
-// holds every chunk. ownIdx names the chunk this member contributes. A gather
-// only moves elements, so the one ring serves float32 and half payloads.
+// holds every chunk (nil parts as in ringReduceScatter). ownIdx names the
+// chunk this member contributes. A gather only moves elements, so the one
+// ring serves float32 and half payloads.
 func ringAllGather[T elem](c *Comm, op string, x []T, parts []Range, ownIdx int) {
 	n := c.Size()
 	right := (c.pos + 1) % n
@@ -210,10 +212,10 @@ func ringAllGather[T elem](c *Comm, op string, x []T, parts []Range, ownIdx int)
 	for s := 0; s < n-1; s++ {
 		sendIdx := ((ownIdx-s)%n + n) % n
 		recvIdx := ((ownIdx-s-1)%n + n) % n
-		sp := parts[sendIdx]
+		sp := chunk(parts, len(x), n, sendIdx)
 		sendElems(c, op, right, x[sp.Lo:sp.Hi])
 		msg := c.recvMsg(op, left)
-		rp := parts[recvIdx]
+		rp := chunk(parts, len(x), n, recvIdx)
 		dst := x[rp.Lo:rp.Hi]
 		if msg.elems != len(dst) {
 			panic("comm: ring chunk length mismatch (buffers must be equal-length on all ranks)")

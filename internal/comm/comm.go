@@ -373,19 +373,6 @@ func (c *Comm) Size() int {
 // this communicator was derived.
 func (c *Comm) GlobalRank() int { return c.rank }
 
-// Members returns the group's member list as global ranks, in group-rank
-// order (index i is the global rank of group rank i).
-func (c *Comm) Members() []int {
-	if c.members == nil {
-		out := make([]int, c.w.n)
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	return append([]int(nil), c.members...)
-}
-
 // global translates a group-local rank to the global rank addressed on the
 // wire.
 func (c *Comm) global(member int) int {
@@ -447,14 +434,6 @@ func buildOpCache(label string) map[string]string {
 
 // Label returns the traffic-accounting label set by Named ("" if none).
 func (c *Comm) Label() string { return c.label }
-
-// StreamName returns the ordering domain this communicator runs on.
-func (c *Comm) StreamName() string {
-	if c.stream == "" {
-		return DefaultStream
-	}
-	return c.stream
-}
 
 // DType returns the wire dtype this communicator accounts traffic at.
 func (c *Comm) DType() DType { return c.dtype }

@@ -3,6 +3,7 @@ package comm
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -81,6 +82,43 @@ func TestAllReduceAvg(t *testing.T) {
 		if got[0] != 1.5 || got[1] != 8 {
 			t.Errorf("rank %d: avg = %v, want [1.5 8]", rk, got)
 		}
+	}
+}
+
+// A steady-state AllReduce allocates nothing on any rank: the ring computes
+// its even chunk ranges per step and every wire copy rides the pooled
+// buffers. Counted like internal/zero/alloc_test.go — rank 0 reads the
+// allocator while the other ranks are parked in a barrier — with the same
+// kind of slack: a wire-pool Get can race a Put and allocate once as the
+// pool's high-water mark settles, which is drift, not a per-call cost (the
+// per-call range list this pins out cost one object per rank per call).
+func TestAllReduceSteadyStateAllocsZero(t *testing.T) {
+	const n, elems, warm, calls, slack = 4, 1000, 100, 100, 2
+	w := NewWorld(n)
+	var allocs uint64
+	w.Run(func(c *Comm) {
+		x := make([]float32, elems)
+		for i := 0; i < warm; i++ {
+			c.AllReduce(x)
+		}
+		c.Barrier()
+		var m0, m1 runtime.MemStats
+		if c.Rank() == 0 {
+			runtime.ReadMemStats(&m0)
+		}
+		c.Barrier()
+		for i := 0; i < calls; i++ {
+			c.AllReduce(x)
+		}
+		c.Barrier()
+		if c.Rank() == 0 {
+			runtime.ReadMemStats(&m1)
+			allocs = m1.Mallocs - m0.Mallocs
+		}
+		c.Barrier()
+	})
+	if allocs > slack {
+		t.Errorf("%d steady-state %d-rank AllReduces allocated %d objects, want 0 (slack %d)", calls, n, allocs, slack)
 	}
 }
 

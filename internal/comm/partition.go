@@ -21,16 +21,28 @@ func Partition(n, parts int) []Range {
 		panic("comm: Partition of negative length")
 	}
 	out := make([]Range, parts)
-	base := n / parts
-	extra := n % parts
-	lo := 0
 	for i := range out {
-		size := base
-		if i < extra {
-			size++
-		}
-		out[i] = Range{Lo: lo, Hi: lo + size}
-		lo += size
+		out[i] = evenRange(n, parts, i)
 	}
 	return out
+}
+
+// evenRange returns Partition(n, parts)[i] without building the list — the
+// per-call form the ring collectives use when no explicit partition is given.
+func evenRange(n, parts, i int) Range {
+	base, extra := n/parts, n%parts
+	lo := i*base + min(i, extra)
+	if i < extra {
+		return Range{Lo: lo, Hi: lo + base + 1}
+	}
+	return Range{Lo: lo, Hi: lo + base}
+}
+
+// chunk returns ring chunk i of an n-element buffer split over size members:
+// parts[i], or the even split when parts is nil.
+func chunk(parts []Range, n, size, i int) Range {
+	if parts == nil {
+		return evenRange(n, size, i)
+	}
+	return parts[i]
 }

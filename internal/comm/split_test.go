@@ -204,6 +204,46 @@ func TestSubgroupValidation(t *testing.T) {
 	})
 }
 
+// The 2D layout helpers: MP groups are consecutive, DP groups strided, and a
+// group all-reduce only touches its members.
+func TestGroupTopology(t *testing.T) {
+	const world, mpSize = 6, 3
+	w := NewWorld(world)
+	sums := make([]float32, world)
+	w.Run(func(c *Comm) {
+		mpGroup, err := c.MPGroup(mpSize)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		dpGroup, err := c.DPGroup(mpSize)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if mpGroup.Size() != mpSize || dpGroup.Size() != world/mpSize {
+			t.Errorf("rank %d: group sizes %d/%d", c.Rank(), mpGroup.Size(), dpGroup.Size())
+		}
+		if mpGroup.Rank() != c.Rank()%mpSize || dpGroup.Rank() != c.Rank()/mpSize {
+			t.Errorf("rank %d: MP/DP ranks %d/%d", c.Rank(), mpGroup.Rank(), dpGroup.Rank())
+		}
+		// Sum rank ids across the MP group: consecutive blocks.
+		x := []float32{float32(c.Rank())}
+		mpGroup.AllReduce(x)
+		sums[c.Rank()] = x[0]
+	})
+	// Ranks 0,1,2 sum to 3; ranks 3,4,5 sum to 12.
+	for r := 0; r < world; r++ {
+		want := float32(3)
+		if r >= mpSize {
+			want = 12
+		}
+		if sums[r] != want {
+			t.Errorf("rank %d: MP-group sum %v, want %v", r, sums[r], want)
+		}
+	}
+}
+
 // Nested splits: splitting a subgroup works in the subgroup's coordinates
 // — a 2×2 grid derived in two steps matches the direct MP/DP groups.
 func TestSplitNested(t *testing.T) {

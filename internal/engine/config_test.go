@@ -3,7 +3,10 @@ package engine
 import (
 	"encoding/json"
 	"errors"
+	"io/fs"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -278,4 +281,51 @@ func TestCommittedConfigsValidate(t *testing.T) {
 	if !foundQuickstart {
 		t.Error("examples/quickstart/config.json missing")
 	}
+}
+
+// FuzzParseConfig: any input either is rejected — by ParseConfig or by
+// Normalized — or its normalized config survives json.Marshal → ParseConfig
+// unchanged; nothing panics. Seeded with every committed example config.
+// BaseDir is not a JSON field, so the fuzz sets an absolute one (letting
+// relative data paths normalize) and carries it across the round trip.
+func FuzzParseConfig(f *testing.F) {
+	err := filepath.WalkDir("../../examples", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		if ok, _ := filepath.Match("config*.json", d.Name()); ok {
+			blob, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			f.Add(blob)
+		}
+		return nil
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		c, err := ParseConfig(blob)
+		if err != nil {
+			return
+		}
+		c.BaseDir = "/fuzz"
+		norm, err := c.Normalized()
+		if err != nil {
+			return
+		}
+		out, err := json.Marshal(norm)
+		if err != nil {
+			t.Fatalf("marshal normalized config: %v", err)
+		}
+		back, err := ParseConfig(out)
+		if err != nil {
+			t.Fatalf("re-parse of %s: %v", out, err)
+		}
+		back.BaseDir = norm.BaseDir
+		if !reflect.DeepEqual(back, norm) {
+			t.Fatalf("round trip changed the config:\n got %+v\nwant %+v", back, norm)
+		}
+	})
 }

@@ -219,7 +219,6 @@ func TestCommVolumeTable(t *testing.T) {
 			if v := parseF(t, strings.TrimSuffix(r[3], "%")); v > 10 {
 				t.Errorf("Pa overhead %v%%, want ≤10%%", v)
 			}
-			continue
 		}
 		meas := parseF(t, r[1])
 		theory := parseF(t, r[2])

@@ -3,9 +3,20 @@ package model
 import "repro/internal/tensor"
 
 // linear computes y[rows×n] = x[rows×k]·W + b for the weight matrix and
-// bias at parameter offsets w and b.
+// bias at parameter offsets w and b. On a Megatron shard this is a
+// column-parallel layer (QKV, FC1): W and b hold this rank's output columns.
 func (m *Model) linear(y []float32, x tens, w, b, rows, k, n int) {
 	m.matMul(y, x, w, rows, k, n)
+	tensor.AddBiasRows(y, m.vec(b, n), rows, n)
+}
+
+// rowLinear is linear for a row-parallel layer (attention output projection,
+// FC2): on a Megatron shard W holds this rank's rows and x the matching
+// columns, so the partial products are summed over the MP group — the "g"
+// all-reduce — before the replicated bias is added once.
+func (m *Model) rowLinear(y []float32, x tens, w, b, rows, k, n int) {
+	m.matMul(y, x, w, rows, k, n)
+	m.allReduce(y)
 	tensor.AddBiasRows(y, m.vec(b, n), rows, n)
 }
 
@@ -33,12 +44,13 @@ func (m *Model) lnParams(off int) (gamma, beta []float32) {
 // kernels (matmul, layernorm, softmax, GELU) write their destinations, so
 // stale values from the previous step never leak into the math. In fp16
 // mode each value crossing a kernel boundary rounds through binary16 first
-// (save, round).
+// (save, round). Widths are this rank's (Layout): on a Megatron shard the
+// attention runs its own heads and the MLP its own FFN slice, and the two
+// row-parallel layers all-reduce their outputs.
 func (m *Model) blockForward(i int, acts *blockActs, out []float32, batch, seqLen int) {
 	h := m.Cfg.Hidden
-	heads := m.Cfg.Heads
-	dh := h / heads
-	ffn := 4 * h
+	heads, dh, ffn := m.Layout.heads, m.Layout.dh, m.Layout.ffn
+	k := heads * dh // attention width: h, or the owned heads' columns
 	mRows := batch * seqLen
 	n := mRows * h
 	off := m.Layout.blocks[i]
@@ -53,20 +65,20 @@ func (m *Model) blockForward(i int, acts *blockActs, out []float32, batch, seqLe
 	m.save(acts, aXhat1)
 
 	// QKV projection.
-	qkv := m.buf(acts, aQKV, 3*n)
-	m.linear(qkv, m.save(acts, aA), off.wQKV, off.bQKV, mRows, h, 3*h)
+	qkv := m.buf(acts, aQKV, 3*mRows*k)
+	m.linear(qkv, m.save(acts, aA), off.wQKV, off.bQKV, mRows, h, 3*k)
 	m.save(acts, aQKV)
 
 	// Multi-head causal self-attention. In fp16 mode the kernel rounds each
 	// head's softmax into its store before the context matmul.
-	probs, ctx := m.buf(acts, aProbs, batch*heads*seqLen*seqLen), m.buf(acts, aCtx, n)
+	probs, ctx := m.buf(acts, aProbs, batch*heads*seqLen*seqLen), m.buf(acts, aCtx, mRows*k)
 	ws.attn = grow(ws.attn, tensor.AttentionScratchLen(seqLen, dh))
 	ws.overflow = tensor.CausalAttention(ctx, probs, qkv, m.half(acts, aProbs, len(probs)),
 		batch, seqLen, heads, dh, ws.attn) || ws.overflow
 
 	// Output projection + residual.
 	attnOut := m.buf(acts, aAttnOut, n)
-	m.linear(attnOut, m.save(acts, aCtx), off.wProj, off.bProj, mRows, h, h)
+	m.rowLinear(attnOut, m.save(acts, aCtx), off.wProj, off.bProj, mRows, k, h)
 	x2 := m.buf(acts, aX2, n)
 	copy(x2, x)
 	tensor.Add(x2, attnOut)
@@ -83,7 +95,7 @@ func (m *Model) blockForward(i int, acts *blockActs, out []float32, batch, seqLe
 	m.save(acts, aH1)
 	g := m.buf(acts, aG, mRows*ffn)
 	tensor.GELU(g, h1)
-	m.linear(out, m.save(acts, aG), off.wFC2, off.bFC2, mRows, ffn, h)
+	m.rowLinear(out, m.save(acts, aG), off.wFC2, off.bFC2, mRows, ffn, h)
 	tensor.Add(out, x2)
 	m.round(out)
 }
@@ -97,12 +109,13 @@ func (m *Model) blockForward(i int, acts *blockActs, out []float32, batch, seqLe
 // kernel (GELUBackward, MatMulATAdd, SoftmaxRowsBackward) — matching the
 // zero state fresh allocations used to provide. In fp16 mode each d-tensor
 // is rounded (operand) before the matmuls, bias gradient and copies that
-// read it.
+// read it. On a Megatron shard the input gradients of the two
+// column-parallel layers are partial sums over this rank's columns and are
+// all-reduced before the layernorms read them (the "f" operator).
 func (m *Model) blockBackward(i int, acts *blockActs, dOut, dst []float32, batch, seqLen int) {
 	h := m.Cfg.Hidden
-	heads := m.Cfg.Heads
-	dh := h / heads
-	ffn := 4 * h
+	heads, dh, ffn := m.Layout.heads, m.Layout.dh, m.Layout.ffn
+	k := heads * dh
 	mRows := batch * seqLen
 	n := mRows * h
 	off := m.Layout.blocks[i]
@@ -122,22 +135,24 @@ func (m *Model) blockBackward(i int, acts *blockActs, dOut, dst []float32, batch
 	tensor.GELUBackward(dH1, dG, m.load(acts, aH1))
 	dMlin := m.scratch(aMlin, n)
 	m.linearBackward(dMlin, m.operand(dH1), acts.t[aMlin], off.wFC1, off.bFC1, mRows, h, ffn)
+	m.allReduce(dMlin)
 	tensor.LayerNormBackward(dX2, g[off.ln2Gamma:off.ln2Gamma+h], g[off.ln2Beta:off.ln2Beta+h],
 		dMlin, m.load(acts, aXhat2), acts.invStd2, m.vec(off.ln2Gamma, h), mRows, h)
 
 	// Attention output projection backward (dAttnOut == dX2: x2 = x + attnOut).
-	dCtx := m.scratch(aCtx, n)
-	m.linearBackward(dCtx, m.operand(dX2), acts.t[aCtx], off.wProj, off.bProj, mRows, h, h)
+	dCtx := m.scratch(aCtx, mRows*k)
+	m.linearBackward(dCtx, m.operand(dX2), acts.t[aCtx], off.wProj, off.bProj, mRows, k, h)
 
 	// Attention core backward.
-	dQKV := m.scratch(sDQKV, 3*n)
+	dQKV := m.scratch(sDQKV, 3*mRows*k)
 	ws.attn = grow(ws.attn, tensor.AttentionScratchLen(seqLen, dh))
 	tensor.CausalAttentionBackward(dQKV, dCtx, m.load(acts, aQKV), m.load(acts, aProbs),
 		batch, seqLen, heads, dh, ws.attn)
 
 	// QKV projection backward.
 	dA := m.scratch(aA, n)
-	m.linearBackward(dA, m.operand(dQKV), acts.t[aA], off.wQKV, off.bQKV, mRows, h, 3*h)
+	m.linearBackward(dA, m.operand(dQKV), acts.t[aA], off.wQKV, off.bQKV, mRows, h, 3*k)
+	m.allReduce(dA)
 
 	// LN1 + residual: dx = dx2 (residual) + LN1-backward(dA).
 	copy(dst, dX2)

@@ -52,10 +52,14 @@ type Layout struct {
 	Total    int
 
 	// Offsets used by the forward/backward passes.
-	tokEmb, posEmb                 int
-	lnF                            int
-	blocks                         []blockOffsets
-	hidden, heads, vocab, seq, ffn int
+	tokEmb, posEmb int
+	lnF            int
+	blocks         []blockOffsets
+
+	// This rank's block widths: attention heads of dh columns each and the
+	// FFN width — all of Config's at MP degree 1, 1/N of them on a Megatron
+	// shard (NewSharded).
+	heads, dh, ffn int
 }
 
 type blockOffsets struct {
@@ -72,13 +76,18 @@ type blockOffsets struct {
 // matching the temporal order parameters are needed in the forward pass,
 // which is what ZeRO stage 3's pipelined all-gather schedule exploits
 // (§7.2.2).
-func BuildLayout(c Config) Layout {
+func BuildLayout(c Config) Layout { return buildLayout(c, 1) }
+
+// buildLayout is BuildLayout for one rank of an n-way Megatron shard: the
+// QKV projection keeps 3·(heads/n)·dh columns, the output projection as many
+// rows, and the MLP a 4h/n slice. n must divide Heads.
+func buildLayout(c Config, n int) Layout {
 	if err := c.Validate(); err != nil {
 		panic(err)
 	}
 	h := c.Hidden
-	ffn := 4 * h
-	l := Layout{hidden: h, heads: c.Heads, vocab: c.Vocab, seq: c.Seq, ffn: ffn}
+	l := Layout{heads: c.Heads / n, dh: h / c.Heads, ffn: 4 * h / n}
+	k, ffn := l.heads*l.dh, l.ffn
 	off := 0
 	add := func(name string, layer, n int) int {
 		lo := off
@@ -93,9 +102,9 @@ func BuildLayout(c Config) Layout {
 		b := &l.blocks[i]
 		b.ln1Gamma = add(fmt.Sprintf("block%d.ln1.gamma", i), i, h)
 		b.ln1Beta = add(fmt.Sprintf("block%d.ln1.beta", i), i, h)
-		b.wQKV = add(fmt.Sprintf("block%d.attn.wqkv", i), i, h*3*h)
-		b.bQKV = add(fmt.Sprintf("block%d.attn.bqkv", i), i, 3*h)
-		b.wProj = add(fmt.Sprintf("block%d.attn.wproj", i), i, h*h)
+		b.wQKV = add(fmt.Sprintf("block%d.attn.wqkv", i), i, h*3*k)
+		b.bQKV = add(fmt.Sprintf("block%d.attn.bqkv", i), i, 3*k)
+		b.wProj = add(fmt.Sprintf("block%d.attn.wproj", i), i, k*h)
 		b.bProj = add(fmt.Sprintf("block%d.attn.bproj", i), i, h)
 		b.ln2Gamma = add(fmt.Sprintf("block%d.ln2.gamma", i), i, h)
 		b.ln2Beta = add(fmt.Sprintf("block%d.ln2.beta", i), i, h)

@@ -79,6 +79,9 @@ func (m *Model) SetFP16Compute(on bool) {
 	if m.Params == nil {
 		panic("model: SetFP16Compute after ReleaseParams")
 	}
+	if on && m.mp != nil {
+		panic("model: fp16 compute has no model-parallel path")
+	}
 	if on != m.fp16 {
 		m.ReleaseWorkspace()
 	}

@@ -81,6 +81,10 @@ type Model struct {
 	// fp16 selects the half-precision storage layout (SetFP16Compute).
 	fp16 bool
 
+	// mp is the model-parallel group of a Megatron shard (NewSharded); nil
+	// on an unsharded model.
+	mp Reducer
+
 	// ws is the persistent step workspace (activations, gradients,
 	// attention scratch), reused across steps; fwd points at it between a
 	// Loss and its Backward. See workspace.go for the ownership rules.
@@ -137,7 +141,7 @@ func hasSuffix(s, suf string) bool {
 	return len(s) >= len(suf) && s[len(s)-len(suf):] == suf
 }
 
-// NumParams returns the flat parameter count.
+// NumParams returns the flat parameter count (this rank's, on a shard).
 func (m *Model) NumParams() int { return m.Layout.Total }
 
 // ZeroGrads clears the gradient buffer.

@@ -164,55 +164,6 @@ func TestLossScalerFloorsAtOne(t *testing.T) {
 	}
 }
 
-func TestMixedPrecisionStepAndSkip(t *testing.T) {
-	mp := NewMixedPrecision(4, 0.1)
-	mp.SetMaster([]float32{1, 2, 3, 4})
-	scale := float32(mp.Scaler.Scale)
-
-	// A clean scaled gradient applies and refreshes the fp16 mirror.
-	grads := []float32{scale * 0.1, scale * -0.2, 0, scale * 0.3}
-	if !mp.Step(grads) {
-		t.Fatal("clean step was skipped")
-	}
-	if mp.Master[0] >= 1 {
-		t.Error("master weight did not move")
-	}
-	for i, h := range mp.Half {
-		if got, want := h.Float32(), mp.Master[i]; math.Abs(float64(got-want)) > 1e-2 {
-			t.Errorf("fp16 mirror[%d] = %v, master %v", i, got, want)
-		}
-	}
-
-	// An Inf gradient skips the step and leaves weights untouched.
-	before := append([]float32(nil), mp.Master...)
-	bad := []float32{float32(math.Inf(1)), 0, 0, 0}
-	if mp.Step(bad) {
-		t.Error("overflow step was applied")
-	}
-	if d := tensor.MaxDiff(before, mp.Master); d != 0 {
-		t.Errorf("weights changed on skipped step: %g", d)
-	}
-	if mp.Scaler.Skips() != 1 {
-		t.Errorf("Skips = %d", mp.Scaler.Skips())
-	}
-}
-
-// The §3.1 accounting: a shard of n parameters holds (2+2+K)·n bytes of
-// model state, K=12 for mixed-precision Adam.
-func TestModelStateBytesAccounting(t *testing.T) {
-	const n = 1000
-	mp := NewMixedPrecision(n, 0.1)
-	if got, want := mp.ModelStateBytes(), int64(n*16); got != want {
-		t.Errorf("ModelStateBytes = %d, want %d (16 bytes/param)", got, want)
-	}
-	if got, want := mp.Opt.StateBytes(), int64(n*8); got != want {
-		t.Errorf("Adam StateBytes = %d, want %d", got, want)
-	}
-	if AdamK != 12 {
-		t.Errorf("AdamK = %d, the paper's K is 12", AdamK)
-	}
-}
-
 // The replicated (stage 0) and partitioned norm paths must produce the
 // identical partial vector: PartitionSquaredSums over the full buffer
 // equals per-shard PartialSquaredSum in partition order.

@@ -53,16 +53,6 @@ func (z ZeROConfig) PrefetchWindow() float64 {
 	return dpOverlapWindow - (dpOverlapWindow-gatherOverlapWindow)*scale
 }
 
-// StageVolumeFactor returns the §7.2 per-step DP communication volume in
-// units of Ψ: 2Ψ for stages 0-2 (all-reduce, or reduce-scatter + parameter
-// all-gather), 3Ψ for stage 3's extra parameter gather.
-func StageVolumeFactor(stage int) float64 {
-	if stage == 3 {
-		return 3
-	}
-	return 2
-}
-
 // Config is one training run: a model shape and its parallelization.
 type Config struct {
 	Shape      Shape

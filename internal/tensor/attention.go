@@ -6,8 +6,9 @@ import "math"
 // output projection: per (sample, head), gather the head's Q/K/V out of the
 // packed rows, scores = scale·Q·Kᵀ with the future masked, softmax, context
 // = P·V, scatter back. The packed layout is one row per token, [Q|K|V] with
-// heads·dh columns each, so a head-parallel shard (internal/mp) passes its
-// owned head count and gets the same kernel over narrower rows.
+// heads·dh columns each, so a head-parallel Megatron shard
+// (model.NewSharded) passes its owned head count and gets the same kernel
+// over narrower rows.
 
 // causalMask replaces attention scores above the diagonal; large enough
 // that exp underflows to zero after the softmax max-shift.

@@ -6,7 +6,7 @@ package tensor
 //
 //	forward:     Y  = X·W      (MatMulH)
 //	grad input:  dX = dY·Wᵀ    (MatMulBTH)
-//	grad weight: dW = Xᵀ·dY    (MatMulATH / MatMulATAddH)
+//	grad weight: dW += Xᵀ·dY   (MatMulATAddH)
 //
 // Decoding happens on the fly inside the sweep — MatMulH expands B four
 // rows at a time into a pooled tile riding the vector decode
@@ -147,34 +147,14 @@ func matMulHFRange(c []float32, a HalfBuffer, b []float32, k, n, lo, hi int) {
 	}
 }
 
-// MatMulATH computes C[k×n] = A[m×k]ᵀ · B[m×n] with fp16 operands and fp32
-// output, overwriting C. The transpose walks A by column (stride-k access
-// the vector decoder cannot ride), so both operands pay one pooled
-// vector-decode pass up front and the sweep delegates to the f32 Aᵀ
-// kernels — an O(m·(k+n)) decode against the O(m·k·n) multiply, and the
-// ascending-i fold makes the result bitwise MatMulAT on the decoded
-// images by construction.
-func MatMulATH(c []float32, a, b HalfBuffer, m, k, n int) {
-	checkDims(len(a), m*k, "A")
-	checkDims(len(b), m*n, "B")
-	checkDims(len(c), k*n, "C")
-	bf := getScratch(m * n)
-	halfDecode(bf, b)
-	af := getScratch(m * k)
-	halfDecode(af, a)
-	if fanOut(k, m*k*n) {
-		runParallel(opAT, c, af, bf, m, k, n, k)
-	} else {
-		matMulATRange(c, af, bf, m, k, n, 0, k)
-	}
-	putScratch(af)
-	putScratch(bf)
-}
-
 // MatMulATAddH computes C[k×n] += A[m×k]ᵀ · B[m×n] with fp16 operands,
 // accumulating into fp32 C — the weight-gradient orientation, where the
-// fp32 accumulator is the mixed-precision contract's whole point. Decode
-// strategy as in MatMulATH.
+// fp32 accumulator is the mixed-precision contract's whole point. The
+// transpose walks A by column (stride-k access the vector decoder cannot
+// ride), so both operands pay one pooled vector-decode pass up front and the
+// sweep delegates to the f32 Aᵀ kernels — an O(m·(k+n)) decode against the
+// O(m·k·n) multiply, and the ascending-i fold makes the result bitwise
+// MatMulATAdd on the decoded images by construction.
 func MatMulATAddH(c []float32, a, b HalfBuffer, m, k, n int) {
 	checkDims(len(a), m*k, "A")
 	checkDims(len(b), m*n, "B")

@@ -5,11 +5,11 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/model"
-	"repro/internal/mp"
 	"repro/internal/tensor"
 )
 
-// These tests close the loop on §8 with the real Megatron-parallel model:
+// These tests close the loop on §8 with the real Megatron-parallel model
+// (model.NewSharded):
 // under activation checkpointing a transformer block's measured MP traffic
 // is exactly the 12·B·s·h of the paper's analysis (2 forward + 2 recompute
 // + 2 backward all-reduces), and ZeRO-R's Pa — partitioning the block
@@ -17,43 +17,39 @@ import (
 // exactly one all-gather per block, i.e. 1/12 of that.
 
 const (
-	paVocab  = 17
-	paSeq    = 8
 	paLayers = 2
 	paHidden = 16
-	paHeads  = 4
+	paSeq    = 8
 	paBatch  = 2
 )
 
-// stepGPT runs one forward+backward of the parallel GPT on an n-rank MP
+var paCfg = model.Config{Layers: paLayers, Hidden: paHidden, Heads: 4, Vocab: 17, Seq: paSeq}
+
+// stepGPT runs one forward+backward of the sharded model on an n-rank MP
 // group and returns the world for traffic inspection plus rank 0's grads.
-func stepGPT(n int, checkpoint, pa bool) (*comm.World, [][]float32, float64) {
-	ids, targets := model.SyntheticBatch(71, paBatch, paSeq, paVocab)
+func stepGPT(n int, checkpoint, pa bool) (*comm.World, []float32, float64) {
+	ids, targets := model.SyntheticBatch(71, paBatch, paSeq, paCfg.Vocab)
 	w := comm.NewWorld(n)
-	grads := make([][][]float32, n)
-	losses := make([]float64, n)
+	var grads []float32
+	var loss float64
 	w.Run(func(c *comm.Comm) {
-		m := mp.NewGPT(c, paLayers, paHidden, paHeads, paVocab, paSeq, 23)
+		m := model.NewSharded(paCfg, 23, c)
 		m.Checkpoint = checkpoint
 		if pa {
 			st, closeSched := checkpointStream(c)
 			defer closeSched()
 			m.Store = NewPartitionedStore(st, false)
 		}
-		m.ZeroGrads()
-		losses[c.Rank()] = m.Loss(ids, targets, paBatch)
+		l := m.Loss(ids, targets, paBatch)
 		m.Backward()
-		var cp [][]float32
-		for _, g := range m.ReplicatedGrads() {
-			cp = append(cp, append([]float32(nil), g...))
+		if c.Rank() == 0 {
+			grads, loss = m.Grads, l
 		}
-		cp = append(cp, append([]float32(nil), m.ShardGrads()[0]...))
-		grads[c.Rank()] = cp
 	})
-	return w, grads[0], losses[0]
+	return w, grads, loss
 }
 
-// Checkpointed training of the parallel GPT is numerically identical to
+// Checkpointed training of the sharded model is numerically identical to
 // vanilla (it recomputes the same floats), with or without Pa.
 func TestGPTCheckpointAndPaAreNumericallyNeutral(t *testing.T) {
 	_, vanilla, lossV := stepGPT(4, false, false)
@@ -62,13 +58,11 @@ func TestGPTCheckpointAndPaAreNumericallyNeutral(t *testing.T) {
 	if lossV != lossC || lossV != lossP {
 		t.Fatalf("losses differ: vanilla %v ckpt %v pa %v", lossV, lossC, lossP)
 	}
-	for i := range vanilla {
-		if d := tensor.MaxDiff(vanilla[i], ckpt[i]); d != 0 {
-			t.Errorf("grad group %d: checkpointing changed gradients by %g", i, d)
-		}
-		if d := tensor.MaxDiff(vanilla[i], paGrads[i]); d != 0 {
-			t.Errorf("grad group %d: Pa changed gradients by %g", i, d)
-		}
+	if d := tensor.MaxDiff(vanilla, ckpt); d != 0 {
+		t.Errorf("checkpointing changed gradients by %g", d)
+	}
+	if d := tensor.MaxDiff(vanilla, paGrads); d != 0 {
+		t.Errorf("Pa changed gradients by %g", d)
 	}
 }
 
@@ -109,16 +103,15 @@ func TestSection8TrafficIdentitiesMeasured(t *testing.T) {
 // every checkpoint.
 func TestPaShrinksCheckpointResidency(t *testing.T) {
 	const n = 4
-	ids, targets := model.SyntheticBatch(73, paBatch, paSeq, paVocab)
+	ids, targets := model.SyntheticBatch(73, paBatch, paSeq, paCfg.Vocab)
 	w := comm.NewWorld(n)
 	w.Run(func(c *comm.Comm) {
 		st, closeSched := checkpointStream(c)
 		defer closeSched()
 		store := NewPartitionedStore(st, false)
-		m := mp.NewGPT(c, paLayers, paHidden, paHeads, paVocab, paSeq, 23)
+		m := model.NewSharded(paCfg, 23, c)
 		m.Checkpoint = true
 		m.Store = store
-		m.ZeroGrads()
 		m.Loss(ids, targets, paBatch)
 		fullBytes := int64(paLayers * paBatch * paSeq * paHidden * 2)
 		if got := store.DeviceBytes(); got != fullBytes/n {
