@@ -1,9 +1,7 @@
 package model
 
 import (
-	"math"
 	"runtime"
-	"sync"
 	"testing"
 
 	"repro/internal/comm"
@@ -18,48 +16,6 @@ func runSharded(n int, cfg Config, seed int64, fn func(c *comm.Comm, m *Model)) 
 	w := comm.NewWorld(n)
 	w.Run(func(c *comm.Comm) { fn(c, NewSharded(cfg, seed, c)) })
 	return w
-}
-
-// shardIndex maps each local parameter of rank's n-way shard to the index of
-// the full-model parameter it holds, by sharding a buffer of indices.
-func shardIndex(cfg Config, n, rank int) []int {
-	full := BuildLayout(cfg)
-	idx := make([]float32, full.Total)
-	for i := range idx {
-		idx[i] = float32(i)
-	}
-	l := buildLayout(cfg, n)
-	local := make([]float32, l.Total)
-	shardParams(local, l, idx, full, rank)
-	out := make([]int, len(local))
-	for i, v := range local {
-		out[i] = int(v)
-	}
-	return out
-}
-
-// assemble scatters per-rank shard buffers back into the full layout.
-func assemble(cfg Config, shards [][]float32) []float32 {
-	out := make([]float32, cfg.ParamCount())
-	for r, s := range shards {
-		for i, j := range shardIndex(cfg, len(shards), r) {
-			out[j] = s[i]
-		}
-	}
-	return out
-}
-
-// isReplicated reports whether segment i of a shard holds its tensor whole.
-func isReplicated(cfg Config, l Layout, i int) bool {
-	return l.Segments[i].Len() == BuildLayout(cfg).Segments[i].Len()
-}
-
-func sgd(m *Model, ids, targets []int, batch int, lr float32) float64 {
-	m.ZeroGrads()
-	l := m.Loss(ids, targets, batch)
-	m.Backward()
-	tensor.AXPY(-lr, m.Grads, m.Params)
-	return l
 }
 
 // At MP degree 1 — a nil reducer or a one-rank group — NewSharded is New:
@@ -82,249 +38,6 @@ func TestNewShardedDegreeOneIsNew(t *testing.T) {
 	}
 	check("nil reducer", NewSharded(shardCfg, 5, nil))
 	runSharded(1, shardCfg, 5, func(_ *comm.Comm, m *Model) { check("1-rank group", m) })
-}
-
-// The shard layout: each rank keeps 1/N of wqkv, bqkv, wproj, w1, b1 and w2
-// and all of every other tensor; the sharded slices tile the full tensors
-// exactly once across the group; and the gradients the ranks compute,
-// scattered back through that map, are the unsharded model's gradients.
-// (This replaces per-layer serial-reference tests: the same block code runs
-// both sides.)
-func TestShardSlicing(t *testing.T) {
-	ids, targets := SyntheticBatch(9, 2, shardCfg.Seq, shardCfg.Vocab)
-	ref := New(shardCfg, 7)
-	ref.Loss(ids, targets, 2)
-	ref.Backward()
-	full := BuildLayout(shardCfg)
-	for _, n := range []int{2, 4} {
-		l := buildLayout(shardCfg, n)
-		owners := make([]int, full.Total)
-		for r := 0; r < n; r++ {
-			for _, j := range shardIndex(shardCfg, n, r) {
-				owners[j]++
-			}
-		}
-		for i, seg := range l.Segments {
-			fs := full.Segments[i]
-			sharded := hasSuffix(seg.Name, ".wqkv") || hasSuffix(seg.Name, ".bqkv") ||
-				hasSuffix(seg.Name, ".wproj") || hasSuffix(seg.Name, ".w1") ||
-				hasSuffix(seg.Name, ".b1") || hasSuffix(seg.Name, ".w2")
-			want, owned := fs.Len(), n
-			if sharded {
-				want, owned = fs.Len()/n, 1
-			}
-			if seg.Name != fs.Name || seg.Len() != want {
-				t.Errorf("n=%d %s: %d local elems, want %d", n, seg.Name, seg.Len(), want)
-			}
-			for j := fs.Lo; j < fs.Hi; j++ {
-				if owners[j] != owned {
-					t.Fatalf("n=%d %s: full elem %d held by %d ranks, want %d", n, seg.Name, j, owners[j], owned)
-				}
-			}
-		}
-
-		params, grads := make([][]float32, n), make([][]float32, n)
-		runSharded(n, shardCfg, 7, func(c *comm.Comm, m *Model) {
-			m.Loss(ids, targets, 2)
-			m.Backward()
-			params[c.Rank()], grads[c.Rank()] = m.Params, m.Grads
-		})
-		if d := tensor.MaxDiff(assemble(shardCfg, params), ref.Params); d != 0 {
-			t.Errorf("n=%d: assembled shards differ from New's parameters by %g", n, d)
-		}
-		if d := tensor.MaxDiff(assemble(shardCfg, grads), ref.Grads); d > 1e-4 {
-			t.Errorf("n=%d: assembled shard gradients differ from the unsharded model's by %g", n, d)
-		}
-	}
-}
-
-// MP-degree invariance: loss and the trained parameters are independent of
-// how many ranks the blocks are sharded over (degree 1 is the reference).
-func TestShardedDegreeInvariance(t *testing.T) {
-	const batch, steps, lr = 2, 3, 0.01
-	ids, targets := SyntheticBatch(41, batch, shardCfg.Seq, shardCfg.Vocab)
-	ref := New(shardCfg, 9)
-	var refLoss float64
-	for s := 0; s < steps; s++ {
-		refLoss = sgd(ref, ids, targets, batch, lr)
-	}
-	for _, n := range []int{2, 4} {
-		params := make([][]float32, n)
-		losses := make([]float64, n)
-		runSharded(n, shardCfg, 9, func(c *comm.Comm, m *Model) {
-			for s := 0; s < steps; s++ {
-				losses[c.Rank()] = sgd(m, ids, targets, batch, lr)
-			}
-			params[c.Rank()] = m.Params
-		})
-		for r, l := range losses {
-			if math.Abs(l-refLoss) > 1e-4 {
-				t.Errorf("n=%d rank %d: loss %v != degree-1 %v", n, r, l, refLoss)
-			}
-		}
-		if d := tensor.MaxDiff(assemble(shardCfg, params), ref.Params); d > 1e-3 {
-			t.Errorf("n=%d: trained parameters differ from degree 1 by %g", n, d)
-		}
-	}
-}
-
-// Replicated gradients (embeddings, layernorms, row-parallel biases) come out
-// bitwise identical on every MP rank with no synchronization of their own:
-// the "g" all-reduces leave every rank the same sub-layer outputs.
-func TestShardedReplicatedGradsAgreeAcrossRanks(t *testing.T) {
-	const n = 4
-	ids, targets := SyntheticBatch(43, 2, shardCfg.Seq, shardCfg.Vocab)
-	grads := make([][]float32, n)
-	var l Layout
-	runSharded(n, shardCfg, 7, func(c *comm.Comm, m *Model) {
-		m.Loss(ids, targets, 2)
-		m.Backward()
-		grads[c.Rank()] = m.Grads
-		if c.Rank() == 0 {
-			l = m.Layout
-		}
-	})
-	for i, seg := range l.Segments {
-		if !isReplicated(shardCfg, l, i) {
-			continue
-		}
-		for r := 1; r < n; r++ {
-			if d := tensor.MaxDiff(grads[r][seg.Lo:seg.Hi], grads[0][seg.Lo:seg.Hi]); d != 0 {
-				t.Errorf("%s: ranks 0 and %d differ by %g", seg.Name, r, d)
-			}
-		}
-	}
-}
-
-// Finite differences at MP=2 through every tensor: a replicated parameter is
-// perturbed on both ranks, a sharded one on rank 0 only — either way exactly
-// one logical parameter of the model moves.
-func TestShardedGradientCheck(t *testing.T) {
-	cfg := Config{Layers: 1, Hidden: 8, Heads: 2, Vocab: 19, Seq: 8}
-	ids, targets := SyntheticBatch(47, 1, cfg.Seq, cfg.Vocab)
-	var mu sync.Mutex
-	runSharded(2, cfg, 13, func(c *comm.Comm, m *Model) {
-		m.Loss(ids, targets, 1)
-		m.Backward()
-		const eps = 1e-3
-		for si, seg := range m.Layout.Segments {
-			i := seg.Lo + seg.Len()/2
-			moves := isReplicated(cfg, m.Layout, si) || c.Rank() == 0
-			orig := m.Params[i]
-			if moves {
-				m.Params[i] = orig + eps
-			}
-			lp := m.Loss(ids, targets, 1)
-			if moves {
-				m.Params[i] = orig - eps
-			}
-			lm := m.Loss(ids, targets, 1)
-			m.Params[i] = orig
-			if !moves {
-				continue
-			}
-			numeric := (lp - lm) / (2 * eps)
-			got := float64(m.Grads[i])
-			if math.Abs(got-numeric) > 2e-2*math.Max(math.Abs(numeric), math.Abs(got))+2e-3 {
-				mu.Lock()
-				t.Errorf("rank %d %s grad[%d]: analytic %.6f numeric %.6f", c.Rank(), seg.Name, i, got, numeric)
-				mu.Unlock()
-			}
-		}
-	})
-}
-
-// The paper's deployment (§10.1): Megatron MP inside the node, data
-// parallelism across. A 2 MP × 2 DP grid — each replica on half the batch,
-// Grads averaged over the DP groups — trains to the same parameters as one
-// MP=2 replica on the full batch.
-func TestSharded2DTrainingMatchesSingleReplica(t *testing.T) {
-	const mpSize, batch, steps, lr = 2, 4, 3, 0.01
-	ids, targets := SyntheticBatch(53, batch, shardCfg.Seq, shardCfg.Vocab)
-
-	ref := make([][]float32, mpSize)
-	runSharded(mpSize, shardCfg, 17, func(c *comm.Comm, m *Model) {
-		for s := 0; s < steps; s++ {
-			sgd(m, ids, targets, batch, lr)
-		}
-		ref[c.Rank()] = m.Params
-	})
-
-	grid := make([][]float32, 2*mpSize)
-	w := comm.NewWorld(2 * mpSize)
-	w.Run(func(c *comm.Comm) {
-		mpGroup, err := c.MPGroup(mpSize)
-		if err != nil {
-			panic(err)
-		}
-		dpGroup, err := c.DPGroup(mpSize)
-		if err != nil {
-			panic(err)
-		}
-		m := NewSharded(shardCfg, 17, mpGroup)
-		sIDs, sTg, per := ShardBatch(ids, targets, batch, 2, dpGroup.Rank())
-		for s := 0; s < steps; s++ {
-			m.ZeroGrads()
-			m.Loss(sIDs, sTg, per)
-			m.Backward()
-			dpGroup.AllReduceAvg(m.Grads)
-			tensor.AXPY(-lr, m.Grads, m.Params)
-		}
-		grid[c.Rank()] = m.Params
-	})
-	for r, p := range grid {
-		if d := tensor.MaxDiff(p, ref[r%mpSize]); d > 2e-4 {
-			t.Errorf("rank %d: 2D-trained shard differs from the single replica's by %g", r, d)
-		}
-	}
-}
-
-// The sharded model learns: loss falls over training.
-func TestShardedLearns(t *testing.T) {
-	cfg := Config{Layers: 2, Hidden: 32, Heads: 4, Vocab: 19, Seq: 8}
-	ids, targets := SyntheticBatch(61, 4, cfg.Seq, cfg.Vocab)
-	var first, last float64
-	runSharded(2, cfg, 5, func(c *comm.Comm, m *Model) {
-		for s := 0; s < 25; s++ {
-			l := sgd(m, ids, targets, 4, 0.05)
-			if c.Rank() == 0 {
-				if s == 0 {
-					first = l
-				}
-				last = l
-			}
-		}
-	})
-	if last >= first-0.3 {
-		t.Errorf("sharded model did not learn: %.4f -> %.4f", first, last)
-	}
-}
-
-// §8's accounting, measured: a block costs exactly 4 all-reduces of M·h per
-// step (2 forward, 2 backward), and 6 under checkpointing, whose recompute
-// repeats the forward two. Embeddings, head and loss communicate nothing.
-func TestShardedBlockAllReduceCount(t *testing.T) {
-	const n, batch = 4, 2
-	ids, targets := SyntheticBatch(3, batch, shardCfg.Seq, shardCfg.Vocab)
-	mh := batch * shardCfg.Seq * shardCfg.Hidden
-	for _, tc := range []struct {
-		checkpoint bool
-		perBlock   int
-	}{{false, 4}, {true, 6}} {
-		w := runSharded(n, shardCfg, 5, func(_ *comm.Comm, m *Model) {
-			m.Checkpoint = tc.checkpoint
-			m.Loss(ids, targets, batch)
-			m.Backward()
-		})
-		want := int64(shardCfg.Layers * tc.perBlock * 2 * mh * (n - 1) / n)
-		for r := 0; r < n; r++ {
-			st := w.Stats(r)
-			if st.ElemsSent != want || st.PerCollective["allreduce"] != want {
-				t.Errorf("checkpoint=%v rank %d: sent %d elems, want %d (%d all-reduces of M·h per block)",
-					tc.checkpoint, r, st.ElemsSent, want, tc.perBlock)
-			}
-		}
-	}
 }
 
 // A degree-4 shard's Loss+Backward allocates nothing after warm-up: the
@@ -365,21 +78,16 @@ func TestShardedStepAllocations(t *testing.T) {
 	}
 }
 
-// Heads must split evenly over the group, and the fp16 layout has no MP path.
-func TestNewShardedValidation(t *testing.T) {
-	mustPanic := func(what string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("expected panic: %s", what)
-			}
-		}()
-		f()
-	}
-	comm.NewWorld(3).Run(func(c *comm.Comm) {
-		mustPanic("4 heads over 3 ranks", func() { NewSharded(shardCfg, 1, c) })
-	})
+// The fp16 layout has no MP path: SetFP16Compute panics on a shard. (The
+// Megatron tests proper are in internal/mp.)
+func TestShardedFP16ComputePanics(t *testing.T) {
 	comm.NewWorld(2).Run(func(c *comm.Comm) {
 		m := NewSharded(shardCfg, 1, c)
-		mustPanic("fp16 compute on a shard", func() { m.SetFP16Compute(true) })
+		defer func() {
+			if recover() == nil {
+				t.Error("expected panic: fp16 compute on a shard")
+			}
+		}()
+		m.SetFP16Compute(true)
 	})
 }

@@ -2,165 +2,156 @@ package mp
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/model"
 	"repro/internal/tensor"
 )
 
-// runBlockOnWorld runs one forward+backward of a ParallelBlock on an
-// n-rank MP group over replicated input, returning rank 0's output, dx,
-// and the replicated layernorm gradients.
-func runBlockOnWorld(n, hidden, heads, batch, seq int, seed int64, x, dy []float32) (y, dx, dG1 []float32) {
-	w := comm.NewWorld(n)
-	var mu sync.Mutex
-	w.Run(func(c *comm.Comm) {
-		blk := NewParallelBlock(c, hidden, heads, seed)
-		out := blk.Forward(x, batch, seq)
-		din := blk.Backward(dy)
-		if c.Rank() == 0 {
-			mu.Lock()
-			y = out
-			dx = din
-			dG1 = append([]float32(nil), blk.DGamma1...)
-			mu.Unlock()
-		}
-	})
-	return y, dx, dG1
-}
-
-// The MP degree must be invisible: running the identical block on 1, 2 and
-// 4 ranks computes the same function and the same gradients (the MP=1 run
-// is the serial reference).
+// The MP degree is invisible to one forward+backward: at degrees 2 and 4
+// every rank's loss is degree 1's, and every block tensor's gradient —
+// sharded ones scattered back through the split — is the unsharded model's.
 func TestParallelBlockDegreeInvariance(t *testing.T) {
-	const hidden, heads, batch, seq = 16, 4, 2, 6
-	m := batch * seq
-	x := randInput(m, hidden, 21)
-	dy := randInput(m, hidden, 22)
-
-	refY, refDx, refDG1 := runBlockOnWorld(1, hidden, heads, batch, seq, 33, x, dy)
+	ids, targets := model.SyntheticBatch(21, 2, mpCfg.Seq, mpCfg.Vocab)
+	ref := model.New(mpCfg, 33)
+	refLoss := ref.Loss(ids, targets, 2)
+	ref.Backward()
 	for _, n := range []int{2, 4} {
-		y, dx, dG1 := runBlockOnWorld(n, hidden, heads, batch, seq, 33, x, dy)
-		if d := tensor.MaxDiff(y, refY); d > 1e-4 {
-			t.Errorf("n=%d: forward differs from serial by %g", n, d)
+		grads := make([][]float32, n)
+		losses := make([]float64, n)
+		runSharded(n, mpCfg, 33, func(c *comm.Comm, m *model.Model) {
+			losses[c.Rank()] = m.Loss(ids, targets, 2)
+			m.Backward()
+			grads[c.Rank()] = m.Grads
+		})
+		for r, l := range losses {
+			if math.Abs(l-refLoss) > 1e-5 {
+				t.Errorf("n=%d rank %d: loss %v != degree-1 %v", n, r, l, refLoss)
+			}
 		}
-		if d := tensor.MaxDiff(dx, refDx); d > 1e-4 {
-			t.Errorf("n=%d: dx differs from serial by %g", n, d)
-		}
-		if d := tensor.MaxDiff(dG1, refDG1); d > 1e-4 {
-			t.Errorf("n=%d: layernorm grads differ from serial by %g", n, d)
+		got := assemble(mpCfg, grads)
+		for _, s := range model.BuildLayout(mpCfg).Segments {
+			if s.Layer < 0 {
+				continue
+			}
+			if d := tensor.MaxDiff(got[s.Lo:s.Hi], ref.Grads[s.Lo:s.Hi]); d > 1e-4 {
+				t.Errorf("n=%d %s: gradient differs from degree 1 by %g", n, s.Name, d)
+			}
 		}
 	}
 }
 
-// Gradient check of the serial (MP=1) block: validates the attention
-// backward math against finite differences through a scalar functional.
+// Finite differences at MP=4, one attention head per rank, through the
+// first, middle and last element of every block tensor. A replicated
+// parameter is perturbed on every rank, a sharded one on rank 0 only —
+// either way exactly one logical parameter of the model moves.
 func TestParallelBlockGradientCheck(t *testing.T) {
-	const hidden, heads, batch, seq = 8, 2, 1, 4
-	m := batch * seq
-	x := randInput(m, hidden, 31)
-	wvec := randInput(m, hidden, 32)
-
-	w := comm.NewWorld(1)
-	w.Run(func(c *comm.Comm) {
-		blk := NewParallelBlock(c, hidden, heads, 44)
-		loss := func() float64 {
-			y := blk.Forward(x, batch, seq)
-			return tensor.Dot(y, wvec)
-		}
-		_ = loss()
-		dx := blk.Backward(wvec)
-
+	cfg := model.Config{Layers: 1, Hidden: 8, Heads: 4, Vocab: 11, Seq: 4}
+	ids, targets := model.SyntheticBatch(31, 1, cfg.Seq, cfg.Vocab)
+	var mu sync.Mutex
+	runSharded(4, cfg, 44, func(c *comm.Comm, m *model.Model) {
+		m.Loss(ids, targets, 1)
+		m.Backward()
 		const eps = 1e-3
-		for _, i := range []int{0, m * hidden / 2, m*hidden - 1} {
-			orig := x[i]
-			x[i] = orig + eps
-			lp := loss()
-			x[i] = orig - eps
-			lm := loss()
-			x[i] = orig
-			numeric := (lp - lm) / (2 * eps)
-			if diff := math.Abs(float64(dx[i]) - numeric); diff > 2e-2 {
-				t.Errorf("dx[%d]: analytic %v numeric %v", i, dx[i], numeric)
+		for _, seg := range m.Layout.Segments {
+			if seg.Layer < 0 {
+				continue
 			}
-		}
-		// A weight probe in each shard type.
-		probes := []struct {
-			name string
-			w, g []float32
-		}{
-			{"attn.wqkv", blk.Attn.WQKV, blk.Attn.DWQKV},
-			{"attn.wproj", blk.Attn.WProj, blk.Attn.DWProj},
-			{"ln1.gamma", blk.Gamma1, blk.DGamma1},
-			{"mlp.fc1", blk.MLP.FC1.W, blk.MLP.FC1.DW},
-		}
-		for _, p := range probes {
-			i := len(p.w) / 2
-			orig := p.w[i]
-			p.w[i] = orig + eps
-			lp := loss()
-			p.w[i] = orig - eps
-			lm := loss()
-			p.w[i] = orig
-			numeric := (lp - lm) / (2 * eps)
-			if diff := math.Abs(float64(p.g[i]) - numeric); diff > 3e-2 {
-				t.Errorf("%s grad[%d]: analytic %v numeric %v", p.name, i, p.g[i], numeric)
+			moves := !isSharded(seg.Name) || c.Rank() == 0
+			for _, i := range []int{seg.Lo, seg.Lo + seg.Len()/2, seg.Hi - 1} {
+				orig := m.Params[i]
+				if moves {
+					m.Params[i] = orig + eps
+				}
+				lp := m.Loss(ids, targets, 1)
+				if moves {
+					m.Params[i] = orig - eps
+				}
+				lm := m.Loss(ids, targets, 1)
+				m.Params[i] = orig
+				if !moves {
+					continue
+				}
+				numeric := (lp - lm) / (2 * eps)
+				got := float64(m.Grads[i])
+				if math.Abs(got-numeric) > 2e-2*math.Max(math.Abs(numeric), math.Abs(got))+2e-3 {
+					mu.Lock()
+					t.Errorf("rank %d %s grad[%d]: analytic %.6f numeric %.6f", c.Rank(), seg.Name, i, got, numeric)
+					mu.Unlock()
+				}
 			}
 		}
 	})
 }
 
-// Head sharding: each rank stores ~1/Nm of the attention weights.
+// Head sharding: each rank stores 1/N of the QKV projection (its heads'
+// columns) and of the output projection (the matching rows), the output
+// bias whole.
 func TestAttentionWeightSharding(t *testing.T) {
-	const hidden, heads = 32, 8
-	for _, n := range []int{2, 4} {
-		w := comm.NewWorld(n)
-		var mu sync.Mutex
-		w.Run(func(c *comm.Comm) {
-			a := NewParallelAttention(c, hidden, heads, 1)
-			mu.Lock()
-			defer mu.Unlock()
-			if got, want := len(a.WQKV), hidden*3*hidden/n; got != want {
-				t.Errorf("n=%d rank %d: WQKV shard %d, want %d", n, c.Rank(), got, want)
+	checkShardSlices(t, func(name string) bool { return strings.Contains(name, ".attn.") })
+}
+
+// countingReducer records the length of every all-reduce a shard issues.
+type countingReducer struct {
+	*comm.Comm
+	sizes []int
+}
+
+func (r *countingReducer) AllReduce(x []float32) {
+	r.sizes = append(r.sizes, len(x))
+	r.Comm.AllReduce(x)
+}
+
+// §8's accounting, counted at the call sites: a block issues 2 all-reduces
+// of M·h in forward and 2 in backward, and under checkpointing 2 more when
+// Backward recomputes its forward. Embeddings, head and loss issue none.
+func TestBlockAllReduceCount(t *testing.T) {
+	const n, batch = 4, 2
+	ids, targets := model.SyntheticBatch(3, batch, mpCfg.Seq, mpCfg.Vocab)
+	mh := batch * mpCfg.Seq * mpCfg.Hidden
+	for _, tc := range []struct {
+		checkpoint        bool
+		forward, backward int
+	}{{false, 2, 2}, {true, 2, 4}} {
+		comm.NewWorld(n).Run(func(c *comm.Comm) {
+			r := &countingReducer{Comm: c}
+			m := model.NewSharded(mpCfg, 5, r)
+			m.Checkpoint = tc.checkpoint
+			m.Loss(ids, targets, batch)
+			fwd := len(r.sizes)
+			m.Backward()
+			bwd := len(r.sizes) - fwd
+			if fwd != mpCfg.Layers*tc.forward || bwd != mpCfg.Layers*tc.backward {
+				t.Errorf("checkpoint=%v rank %d: %d forward + %d backward all-reduces, want %d + %d per block",
+					tc.checkpoint, c.Rank(), fwd, bwd, tc.forward, tc.backward)
 			}
-			if got, want := len(a.WProj), hidden*hidden/n; got != want {
-				t.Errorf("n=%d rank %d: WProj shard %d, want %d", n, c.Rank(), got, want)
+			for i, s := range r.sizes {
+				if s != mh {
+					t.Errorf("checkpoint=%v rank %d: all-reduce %d has %d elems, want M·h = %d",
+						tc.checkpoint, c.Rank(), i, s, mh)
+				}
 			}
 		})
 	}
 }
 
-// The block performs exactly 2 forward + 2 backward all-reduces of
-// batch·seq·hidden elements — the §8 accounting (without recompute).
-func TestBlockAllReduceCount(t *testing.T) {
-	const n, hidden, heads, batch, seq = 4, 16, 4, 2, 8
-	m := batch * seq
-	x := randInput(m, hidden, 3)
-	dy := randInput(m, hidden, 4)
-	w := comm.NewWorld(n)
-	w.Run(func(c *comm.Comm) {
-		blk := NewParallelBlock(c, hidden, heads, 5)
-		blk.Forward(x, batch, seq)
-		blk.Backward(dy)
-	})
-	// 4 all-reduces × 2·M·h·(N-1)/N per rank.
-	want := int64(4 * 2 * m * hidden * (n - 1) / n)
-	for r := 0; r < n; r++ {
-		if got := w.Stats(r).ElemsSent; got != want {
-			t.Errorf("rank %d sent %d elems, want %d (4 all-reduces of M·h)", r, got, want)
-		}
-	}
-}
-
+// Heads must split evenly over the MP group.
 func TestAttentionValidation(t *testing.T) {
-	w := comm.NewWorld(2)
-	w.Run(func(c *comm.Comm) {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic: heads not divisible by MP degree")
-			}
-		}()
-		NewParallelAttention(c, 16, 3, 1)
-	})
+	for _, tc := range []struct {
+		n     int
+		heads int
+	}{{2, 3}, {3, 4}} {
+		cfg := model.Config{Layers: 1, Hidden: 12, Heads: tc.heads, Vocab: 11, Seq: 4}
+		comm.NewWorld(tc.n).Run(func(c *comm.Comm) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%d heads over %d ranks: expected panic", tc.heads, tc.n)
+				}
+			}()
+			model.NewSharded(cfg, 1, c)
+		})
+	}
 }

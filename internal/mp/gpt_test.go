@@ -10,200 +10,149 @@ import (
 	"repro/internal/tensor"
 )
 
-const gptVocab, gptSeq = 19, 8
-
-func runGPT(n, layers, hidden, heads int, seed int64, ids, targets []int,
-	batch, steps int, lr float32) (loss []float64, tokEmb []float32) {
-	w := comm.NewWorld(n)
-	losses := make([]float64, n)
-	var mu sync.Mutex
-	w.Run(func(c *comm.Comm) {
-		m := NewGPT(c, layers, hidden, heads, gptVocab, gptSeq, seed)
-		var l float64
-		for s := 0; s < steps; s++ {
-			m.ZeroGrads()
-			l = m.Loss(ids, targets, batch)
-			m.Backward()
-			m.SGDStep(lr)
-		}
-		mu.Lock()
-		losses[c.Rank()] = l
-		if c.Rank() == 0 {
-			tokEmb = append([]float32(nil), m.TokEmb...)
-		}
-		mu.Unlock()
-	})
-	return losses, tokEmb
-}
-
-// MP-degree invariance for the full model: loss and the replicated
-// parameter trajectory are independent of how many ranks the blocks are
-// sharded over (MP=1 is the serial reference).
+// MP-degree invariance over training: loss and the trained parameters are
+// independent of how many ranks the blocks are sharded over (degree 1 is
+// the reference).
 func TestGPTDegreeInvariance(t *testing.T) {
-	const layers, hidden, heads, batch, steps = 2, 16, 4, 2, 3
-	ids, targets := model.SyntheticBatch(41, batch, gptSeq, gptVocab)
-
-	refLoss, refEmb := runGPT(1, layers, hidden, heads, 9, ids, targets, batch, steps, 0.01)
+	const batch, steps, lr = 2, 3, 0.01
+	ids, targets := model.SyntheticBatch(41, batch, mpCfg.Seq, mpCfg.Vocab)
+	ref := model.New(mpCfg, 9)
+	var refLoss float64
+	for s := 0; s < steps; s++ {
+		refLoss = sgd(ref, ids, targets, batch, lr)
+	}
 	for _, n := range []int{2, 4} {
-		loss, emb := runGPT(n, layers, hidden, heads, 9, ids, targets, batch, steps, 0.01)
-		for r := 0; r < n; r++ {
-			if math.Abs(loss[r]-refLoss[0]) > 1e-4 {
-				t.Errorf("n=%d rank %d: loss %v != serial %v", n, r, loss[r], refLoss[0])
+		params := make([][]float32, n)
+		losses := make([]float64, n)
+		runSharded(n, mpCfg, 9, func(c *comm.Comm, m *model.Model) {
+			for s := 0; s < steps; s++ {
+				losses[c.Rank()] = sgd(m, ids, targets, batch, lr)
+			}
+			params[c.Rank()] = m.Params
+		})
+		for r, l := range losses {
+			if math.Abs(l-refLoss) > 1e-4 {
+				t.Errorf("n=%d rank %d: loss %v != degree-1 %v", n, r, l, refLoss)
 			}
 		}
-		if d := tensor.MaxDiff(emb, refEmb); d > 1e-3 {
-			t.Errorf("n=%d: trained embeddings differ from serial by %g", n, d)
+		if d := tensor.MaxDiff(assemble(mpCfg, params), ref.Params); d > 1e-3 {
+			t.Errorf("n=%d: trained parameters differ from degree 1 by %g", n, d)
 		}
 	}
 }
 
-// Replicated gradients (embeddings, layernorms) must come out bitwise
-// identical on every MP rank without any synchronization: the "g"
-// all-reduces keep the sub-layer outputs replicated, so the backward flows
-// are identical.
+// Replicated gradients (embeddings, layernorms, row-parallel biases) come out
+// bitwise identical on every MP rank with no synchronization of their own:
+// the "g" all-reduces leave every rank the same sub-layer outputs.
 func TestGPTReplicatedGradsAgreeAcrossRanks(t *testing.T) {
-	const n, layers, hidden, heads, batch = 4, 2, 16, 4, 2
-	ids, targets := model.SyntheticBatch(43, batch, gptSeq, gptVocab)
-	w := comm.NewWorld(n)
-	grads := make([][][]float32, n)
-	w.Run(func(c *comm.Comm) {
-		m := NewGPT(c, layers, hidden, heads, gptVocab, gptSeq, 7)
-		m.ZeroGrads()
-		m.Loss(ids, targets, batch)
+	const n = 4
+	ids, targets := model.SyntheticBatch(43, 2, mpCfg.Seq, mpCfg.Vocab)
+	grads := make([][]float32, n)
+	var l model.Layout
+	runSharded(n, mpCfg, 7, func(c *comm.Comm, m *model.Model) {
+		m.Loss(ids, targets, 2)
 		m.Backward()
-		var cp [][]float32
-		for _, g := range m.ReplicatedGrads() {
-			cp = append(cp, append([]float32(nil), g...))
+		grads[c.Rank()] = m.Grads
+		if c.Rank() == 0 {
+			l = m.Layout
 		}
-		grads[c.Rank()] = cp
 	})
-	for r := 1; r < n; r++ {
-		for i := range grads[0] {
-			if d := tensor.MaxDiff(grads[r][i], grads[0][i]); d != 0 {
-				t.Fatalf("replicated grad %d differs between ranks 0 and %d by %g", i, r, d)
+	for _, seg := range l.Segments {
+		if isSharded(seg.Name) {
+			continue
+		}
+		for r := 1; r < n; r++ {
+			if d := tensor.MaxDiff(grads[r][seg.Lo:seg.Hi], grads[0][seg.Lo:seg.Hi]); d != 0 {
+				t.Errorf("%s: ranks 0 and %d differ by %g", seg.Name, r, d)
 			}
 		}
 	}
 }
 
-// Full-model gradient check at MP=2: finite differences through the
-// sharded and replicated parameters.
+// Full-model finite differences at MP=2 through the middle element of every
+// tensor, embeddings and final layernorm included: a replicated parameter is
+// perturbed on both ranks, a sharded one on rank 0 only.
 func TestGPTGradientCheck(t *testing.T) {
-	const n, layers, hidden, heads, batch = 2, 1, 8, 2, 1
-	ids, targets := model.SyntheticBatch(47, batch, gptSeq, gptVocab)
-	w := comm.NewWorld(n)
-	w.Run(func(c *comm.Comm) {
-		m := NewGPT(c, layers, hidden, heads, gptVocab, gptSeq, 13)
-		m.ZeroGrads()
-		m.Loss(ids, targets, batch)
+	cfg := model.Config{Layers: 1, Hidden: 8, Heads: 2, Vocab: 19, Seq: 8}
+	ids, targets := model.SyntheticBatch(47, 1, cfg.Seq, cfg.Vocab)
+	var mu sync.Mutex
+	runSharded(2, cfg, 13, func(c *comm.Comm, m *model.Model) {
+		m.Loss(ids, targets, 1)
 		m.Backward()
-		params, grads := m.paramGrads()
 		const eps = 1e-3
-		for pi := range params {
-			i := len(params[pi]) / 2
-			analytic := float64(grads[pi][i])
-			orig := params[pi][i]
-			params[pi][i] = orig + eps
-			lp := m.Loss(ids, targets, batch)
-			params[pi][i] = orig - eps
-			lm := m.Loss(ids, targets, batch)
-			params[pi][i] = orig
-			numeric := (lp - lm) / (2 * eps)
-			// NOTE: Loss is collective — all ranks perturb their own copy,
-			// which for sharded tensors perturbs different logical
-			// parameters. Restrict the check to replicated tensors (the
-			// first 4 + per-block layernorms at indices 4..7 per block).
-			isReplicated := pi < 4 || (pi >= 4 && (pi-4)%12 < 4)
-			if !isReplicated {
+		for _, seg := range m.Layout.Segments {
+			i := seg.Lo + seg.Len()/2
+			moves := !isSharded(seg.Name) || c.Rank() == 0
+			orig := m.Params[i]
+			if moves {
+				m.Params[i] = orig + eps
+			}
+			lp := m.Loss(ids, targets, 1)
+			if moves {
+				m.Params[i] = orig - eps
+			}
+			lm := m.Loss(ids, targets, 1)
+			m.Params[i] = orig
+			if !moves {
 				continue
 			}
-			if math.Abs(analytic-numeric) > 2e-2*math.Max(1, math.Abs(numeric)) {
-				t.Errorf("param group %d grad[%d]: analytic %v numeric %v", pi, i, analytic, numeric)
+			numeric := (lp - lm) / (2 * eps)
+			got := float64(m.Grads[i])
+			if math.Abs(got-numeric) > 2e-2*math.Max(math.Abs(numeric), math.Abs(got))+2e-3 {
+				mu.Lock()
+				t.Errorf("rank %d %s grad[%d]: analytic %.6f numeric %.6f", c.Rank(), seg.Name, i, got, numeric)
+				mu.Unlock()
 			}
 		}
 	})
 }
 
-// The flagship integration: ZeRO-style data parallelism ACROSS nodes with
-// Megatron MP INSIDE — a 2 MP × 2 DP grid training the full GPT, verified
-// against the same model at MP=2, DP=1 on the full batch.
+// The paper's deployment (§10.1): Megatron MP inside the node, data
+// parallelism across. A 2 MP × 2 DP grid — each replica on half the batch,
+// Grads averaged over the DP groups — trains to the same parameters as one
+// MP=2 replica on the full batch.
 func TestGPT2DTrainingMatchesSingleReplica(t *testing.T) {
-	const (
-		mpSize = 2
-		layers = 2
-		hidden = 16
-		heads  = 4
-		batch  = 4
-		steps  = 3
-		lr     = 0.01
-	)
-	ids, targets := model.SyntheticBatch(53, batch, gptSeq, gptVocab)
+	const mpSize, batch, steps, lr = 2, 4, 3, 0.01
+	ids, targets := model.SyntheticBatch(53, batch, mpCfg.Seq, mpCfg.Vocab)
 
-	// Reference: one replica (MP=2), full batch.
-	refW := comm.NewWorld(mpSize)
-	var refEmb []float32
-	refW.Run(func(c *comm.Comm) {
-		m := NewGPT(c, layers, hidden, heads, gptVocab, gptSeq, 17)
+	ref := make([][]float32, mpSize)
+	runSharded(mpSize, mpCfg, 17, func(c *comm.Comm, m *model.Model) {
 		for s := 0; s < steps; s++ {
-			m.ZeroGrads()
-			m.Loss(ids, targets, batch)
-			m.Backward()
-			m.SGDStep(lr)
+			sgd(m, ids, targets, batch, lr)
 		}
-		if c.Rank() == 0 {
-			refEmb = append([]float32(nil), m.TokEmb...)
-		}
+		ref[c.Rank()] = m.Params
 	})
 
-	// 2×2 grid: each replica trains on half the batch; gradients averaged
-	// across the DP groups before the step.
-	w := comm.NewWorld(mpSize * 2)
-	var gridEmb []float32
-	var mu sync.Mutex
-	w.Run(func(c *comm.Comm) {
+	grid := make([][]float32, 2*mpSize)
+	comm.NewWorld(2 * mpSize).Run(func(c *comm.Comm) {
 		mpGroup := mustGroup(c.MPGroup(mpSize))
 		dpGroup := mustGroup(c.DPGroup(mpSize))
-		replica := c.Rank() / mpSize
-		m := NewGPT(mpGroup, layers, hidden, heads, gptVocab, gptSeq, 17)
-
-		sIDs, sTg, per := model.ShardBatch(ids, targets, batch, 2, replica)
+		m := model.NewSharded(mpCfg, 17, mpGroup)
+		sIDs, sTg, per := model.ShardBatch(ids, targets, batch, 2, dpGroup.Rank())
 		for s := 0; s < steps; s++ {
 			m.ZeroGrads()
 			m.Loss(sIDs, sTg, per)
 			m.Backward()
-			for _, g := range m.ShardGrads() {
-				dpGroup.AllReduceAvg(g)
-			}
-			for _, g := range m.ReplicatedGrads() {
-				dpGroup.AllReduceAvg(g)
-			}
-			m.SGDStep(lr)
+			dpGroup.AllReduceAvg(m.Grads)
+			tensor.AXPY(-lr, m.Grads, m.Params)
 		}
-		if c.Rank() == 0 {
-			mu.Lock()
-			gridEmb = append([]float32(nil), m.TokEmb...)
-			mu.Unlock()
-		}
+		grid[c.Rank()] = m.Params
 	})
-
-	if d := tensor.MaxDiff(gridEmb, refEmb); d > 2e-4 {
-		t.Errorf("2D-trained embeddings differ from single-replica full batch by %g", d)
+	for r, p := range grid {
+		if d := tensor.MaxDiff(p, ref[r%mpSize]); d > 2e-4 {
+			t.Errorf("rank %d: 2D-trained shard differs from the single replica's by %g", r, d)
+		}
 	}
 }
 
 // The full model learns under MP: loss falls over training.
 func TestGPTLearns(t *testing.T) {
-	const layers, hidden, heads, batch = 2, 32, 4, 4
-	ids, targets := model.SyntheticBatch(61, batch, gptSeq, gptVocab)
-	w := comm.NewWorld(2)
+	cfg := model.Config{Layers: 2, Hidden: 32, Heads: 4, Vocab: 19, Seq: 8}
+	ids, targets := model.SyntheticBatch(61, 4, cfg.Seq, cfg.Vocab)
 	var first, last float64
-	w.Run(func(c *comm.Comm) {
-		m := NewGPT(c, layers, hidden, heads, gptVocab, gptSeq, 5)
+	runSharded(2, cfg, 5, func(c *comm.Comm, m *model.Model) {
 		for s := 0; s < 25; s++ {
-			m.ZeroGrads()
-			l := m.Loss(ids, targets, batch)
-			m.Backward()
-			m.SGDStep(0.05)
+			l := sgd(m, ids, targets, 4, 0.05)
 			if c.Rank() == 0 {
 				if s == 0 {
 					first = l
@@ -217,13 +166,27 @@ func TestGPTLearns(t *testing.T) {
 	}
 }
 
+// A shard's NumParams is its local count: the replicated tensors whole and
+// 1/N of the sharded ones, so N shards hold ParamCount plus N-1 extra copies
+// of the replicated tensors. At degree 1 it is ParamCount.
 func TestGPTNumParams(t *testing.T) {
-	w := comm.NewWorld(1)
-	w.Run(func(c *comm.Comm) {
-		m := NewGPT(c, 2, 16, 2, gptVocab, gptSeq, 1)
-		want := model.Config{Layers: 2, Hidden: 16, Heads: 2, Vocab: gptVocab, Seq: gptSeq}.ParamCount()
-		if m.NumParams() != want {
-			t.Errorf("NumParams = %d, want %d (must agree with internal/model)", m.NumParams(), want)
+	want := mpCfg.ParamCount()
+	replicated := 0
+	for _, s := range model.BuildLayout(mpCfg).Segments {
+		if !isSharded(s.Name) {
+			replicated += s.Len()
 		}
-	})
+	}
+	for _, n := range []int{1, 2, 4} {
+		counts := make([]int, n)
+		runSharded(n, mpCfg, 1, func(c *comm.Comm, m *model.Model) { counts[c.Rank()] = m.NumParams() })
+		total := 0
+		for _, k := range counts {
+			total += k
+		}
+		if got := total - (n-1)*replicated; got != want {
+			t.Errorf("n=%d: shards hold %d params (%v) less %d replicated copies = %d, want %d (model's ParamCount)",
+				n, total, counts, n-1, got, want)
+		}
+	}
 }

@@ -2,10 +2,10 @@ package mp
 
 import (
 	"errors"
-	"sync"
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/model"
 	"repro/internal/tensor"
 )
 
@@ -19,130 +19,44 @@ func mustGroup(g *comm.Comm, err error) *comm.Comm {
 	return g
 }
 
-// The paper's deployment topology (§10.1): Megatron MP inside each node,
-// data parallelism across nodes. This test runs a 4-rank world as a 2×2
-// grid — MP groups {0,1} and {2,3}, DP groups {0,2} and {1,3} — with each
-// replica computing a ParallelBlock over its half of the global batch and
-// the weight gradients summed across the DP groups, then checks the result
-// against a serial (MP=1) run over the full batch.
+// The paper's deployment topology (§10.1), one step: a 4-rank world as a
+// 2×2 grid — MP groups {0,1} and {2,3}, DP groups {0,2} and {1,3} — each
+// replica running its shard on half the global batch and the DP groups
+// averaging Grads. Every rank's averaged gradient is the MP=2 replica's
+// full-batch gradient of the same shard, and the two replicas of a DP group
+// hold it bitwise identically.
 func TestTwoDimensionalMPxDP(t *testing.T) {
-	const (
-		mpSize = 2
-		dpSize = 2
-		world  = mpSize * dpSize
-		hidden = 16
-		heads  = 4
-		seq    = 6
-		perDP  = 2 // batch rows per replica
-		batch  = perDP * dpSize
-	)
-	m := batch * seq
-	x := randInput(m, hidden, 51)
-	dy := randInput(m, hidden, 52)
+	const mpSize, dpSize, batch = 2, 2, 4
+	cfg := model.Config{Layers: 1, Hidden: 16, Heads: 4, Vocab: 19, Seq: 6}
+	ids, targets := model.SyntheticBatch(51, batch, cfg.Seq, cfg.Vocab)
 
-	// Serial reference over the full batch.
-	var refY, refDW1 []float32
-	refW := comm.NewWorld(1)
-	refW.Run(func(c *comm.Comm) {
-		blk := NewParallelBlock(c, hidden, heads, 66)
-		refY = blk.Forward(x, batch, seq)
-		blk.Backward(dy)
-		refDW1 = append([]float32(nil), blk.MLP.FC1.DW...)
+	ref := make([][]float32, mpSize)
+	runSharded(mpSize, cfg, 66, func(c *comm.Comm, m *model.Model) {
+		m.Loss(ids, targets, batch)
+		m.Backward()
+		ref[c.Rank()] = m.Grads
 	})
 
-	// 2×2 grid.
-	w := comm.NewWorld(world)
-	outputs := make([][]float32, world)
-	dw1 := make([][]float32, world)
-	mpRanks := make([]int, world)
-	var mu sync.Mutex
-	w.Run(func(c *comm.Comm) {
+	grads := make([][]float32, mpSize*dpSize)
+	comm.NewWorld(mpSize * dpSize).Run(func(c *comm.Comm) {
 		mpGroup := mustGroup(c.MPGroup(mpSize))
 		dpGroup := mustGroup(c.DPGroup(mpSize))
-		replica := c.Rank() / mpSize
-
-		blk := NewParallelBlock(mpGroup, hidden, heads, 66)
-
-		// This replica's slice of the global batch.
-		lo := replica * perDP * seq * hidden
-		hi := (replica + 1) * perDP * seq * hidden
-		y := blk.Forward(x[lo:hi], perDP, seq)
-		blk.Backward(dy[lo:hi])
-
-		// DP gradient sync: sum the matching weight shards across replicas
-		// (full-batch gradient = sum of per-replica sums).
-		for _, g := range [][]float32{
-			blk.Attn.DWQKV, blk.Attn.DWProj, blk.MLP.FC1.DW, blk.MLP.FC2.DW,
-			blk.DGamma1, blk.DBeta1, blk.DGamma2, blk.DBeta2,
-		} {
-			dpGroup.AllReduce(g)
-		}
-
-		mu.Lock()
-		outputs[c.Rank()] = y
-		dw1[c.Rank()] = append([]float32(nil), blk.MLP.FC1.DW...)
-		mpRanks[c.Rank()] = mpGroup.Rank()
-		mu.Unlock()
+		m := model.NewSharded(cfg, 66, mpGroup)
+		sIDs, sTg, per := model.ShardBatch(ids, targets, batch, dpSize, dpGroup.Rank())
+		m.Loss(sIDs, sTg, per)
+		m.Backward()
+		dpGroup.AllReduceAvg(m.Grads)
+		grads[c.Rank()] = m.Grads
 	})
 
-	// Forward: each replica's output must equal the serial output rows.
-	for r := 0; r < world; r++ {
-		replica := r / mpSize
-		lo := replica * perDP * seq * hidden
-		hi := (replica + 1) * perDP * seq * hidden
-		if d := tensor.MaxDiff(outputs[r], refY[lo:hi]); d > 1e-4 {
-			t.Errorf("rank %d: replica output differs from serial rows by %g", r, d)
+	for r, g := range grads {
+		if d := tensor.MaxDiff(g, ref[r%mpSize]); d > 1e-4 {
+			t.Errorf("rank %d: DP-averaged gradient differs from the full-batch replica's by %g", r, d)
 		}
 	}
-
-	// Backward: the DP-summed FC1 shard on each rank must equal the
-	// corresponding column slice of the serial full-batch gradient.
-	ffn := 4 * hidden
-	parts := comm.Partition(ffn, mpSize)
-	for r := 0; r < world; r++ {
-		cols := parts[mpRanks[r]]
-		want := make([]float32, hidden*cols.Len())
-		for i := 0; i < hidden; i++ {
-			copy(want[i*cols.Len():(i+1)*cols.Len()], refDW1[i*ffn+cols.Lo:i*ffn+cols.Hi])
-		}
-		if d := tensor.MaxDiff(dw1[r], want); d > 1e-3 {
-			t.Errorf("rank %d: DP-summed FC1 gradient shard differs from serial by %g", r, d)
-		}
-	}
-
-	// Both ranks of a DP group hold identical synced shards.
 	for local := 0; local < mpSize; local++ {
-		if d := tensor.MaxDiff(dw1[local], dw1[local+mpSize]); d != 0 {
+		if d := tensor.MaxDiff(grads[local], grads[local+mpSize]); d != 0 {
 			t.Errorf("DP group %d: replicas disagree on the synced gradient by %g", local, d)
-		}
-	}
-}
-
-// Group communicators: MP groups are consecutive, DP groups strided, and a
-// group all-reduce only touches its members.
-func TestGroupTopology(t *testing.T) {
-	const world, mpSize = 6, 3
-	w := comm.NewWorld(world)
-	sums := make([]float32, world)
-	w.Run(func(c *comm.Comm) {
-		mpGroup := mustGroup(c.MPGroup(mpSize))
-		dpGroup := mustGroup(c.DPGroup(mpSize))
-		if mpGroup.Size() != mpSize || dpGroup.Size() != world/mpSize {
-			t.Errorf("rank %d: group sizes %d/%d", c.Rank(), mpGroup.Size(), dpGroup.Size())
-		}
-		// Sum rank ids across the MP group: consecutive blocks.
-		x := []float32{float32(c.Rank())}
-		mpGroup.AllReduce(x)
-		sums[c.Rank()] = x[0]
-	})
-	// Ranks 0,1,2 sum to 3; ranks 3,4,5 sum to 12.
-	for r := 0; r < world; r++ {
-		want := float32(3)
-		if r >= mpSize {
-			want = 12
-		}
-		if sums[r] != want {
-			t.Errorf("rank %d: MP-group sum %v, want %v", r, sums[r], want)
 		}
 	}
 }
