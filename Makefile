@@ -47,17 +47,22 @@ configcheck:
 	$(GO) test ./internal/engine -run TestCommittedConfigsValidate
 
 # Short native-fuzzer smokes: the BPE encode/decode round-trip, the
-# fp32↔fp16 conversion surface (batch encoders vs the scalar reference), the
-# ZELC snapshot decoder (reject, or re-encode to the identical bytes) and the
-# engine config parser (reject, or normalize → marshal → parse to the
-# identical config) — a few seconds of coverage-guided input generation on
-# every `make check`. (Unbounded minimisation of each new snapshot or config
-# input would eat the 3 s, so it is capped at 100 executions.)
+# fp32↔fp16 conversion surface (batch encoders vs the scalar reference),
+# GELU/GELUBackward/softmax on the exp/tanh lane kernels (bitwise the scalar
+# reference), the ZELC snapshot decoder (reject, or re-encode to the
+# identical bytes), the engine config parser (reject, or normalize → marshal
+# → parse to the identical config) and the job-spec parser (reject, or
+# marshal → parse to the identical spec) — a few seconds of coverage-guided
+# input generation on every `make check`. (Unbounded minimisation of each
+# new snapshot, config or spec input would eat the 3 s, so it is capped at
+# 100 executions.)
 fuzz-smoke:
 	$(GO) test ./internal/data -run=NONE -fuzz=FuzzBPERoundTrip -fuzztime=3s
 	$(GO) test ./internal/tensor -run=NONE -fuzz=FuzzHalfRoundTrip -fuzztime=3s
+	$(GO) test ./internal/tensor -run=NONE -fuzz=FuzzTranscendentals -fuzztime=3s
 	$(GO) test ./internal/zero -run=NONE -fuzz=FuzzDecodeSnapshot -fuzztime=3s -fuzzminimizetime=100x
 	$(GO) test ./internal/engine -run=NONE -fuzz=FuzzParseConfig -fuzztime=3s -fuzzminimizetime=100x
+	$(GO) test ./internal/serve -run=NONE -fuzz=FuzzParseSpec -fuzztime=3s -fuzzminimizetime=100x
 
 # Control-plane smoke: the full submit → stream → checkpoint HTTP round
 # trip against an in-process zeroserve (part of `make check`).

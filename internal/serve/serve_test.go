@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -849,4 +850,41 @@ func TestElasticSpecValidation(t *testing.T) {
 	if _, err := sched.Submit(bad); err == nil {
 		t.Error("negative max_restarts accepted")
 	}
+}
+
+// FuzzParseSpec: any body is rejected, or the Spec it parses to survives
+// json.Marshal → ParseSpec unchanged; nothing panics. Seeded with the spec
+// bodies these tests submit.
+func FuzzParseSpec(f *testing.F) {
+	for _, body := range []string{
+		specJSON(3, 1),
+		elasticSpecJSON(6, 1, 2, 1, 0, 2),
+		strings.Replace(elasticSpecJSON(4, 2, 0, 0, 0, 0), `"ranks": 2`, `"ranks": 4`, 1),
+		strings.Replace(specJSON(3, 1), `"seed": 1`,
+			`"seed": 1, "data": {"path": "corpus.txt", "tokenizer": "byte", "seq_len": 8}`, 1),
+		strings.Replace(specJSON(3, 1), `"seed": 1`,
+			`"seed": 1, "stage": "os+g", "precision": {"fp16_compute": true, "initial_loss_scale": 65536}`, 1),
+		`{"steps": `,
+		`{"steps": 1, "bogus": 2, "config": {}}`,
+		`{"steps": 1, "config": {}}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		spec, err := ParseSpec(body)
+		if err != nil {
+			return
+		}
+		out, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("marshal parsed spec: %v", err)
+		}
+		back, err := ParseSpec(out)
+		if err != nil {
+			t.Fatalf("re-parse of %s: %v", out, err)
+		}
+		if !reflect.DeepEqual(back, spec) {
+			t.Fatalf("round trip changed the spec:\n got %+v\nwant %+v", back, spec)
+		}
+	})
 }

@@ -4,15 +4,11 @@ import "math"
 
 // Multi-head causal self-attention core, between the QKV projection and the
 // output projection: per (sample, head), gather the head's Q/K/V out of the
-// packed rows, scores = scale·Q·Kᵀ with the future masked, softmax, context
-// = P·V, scatter back. The packed layout is one row per token, [Q|K|V] with
-// heads·dh columns each, so a head-parallel Megatron shard
-// (model.NewSharded) passes its owned head count and gets the same kernel
-// over narrower rows.
-
-// causalMask replaces attention scores above the diagonal; large enough
-// that exp underflows to zero after the softmax max-shift.
-const causalMask = -1e9
+// packed rows, scores = scale·Q·Kᵀ, each row's softmax over its causal
+// prefix (the future gets probability 0), context = P·V, scatter back. The
+// packed layout is one row per token, [Q|K|V] with heads·dh columns each,
+// so a head-parallel Megatron shard (model.NewSharded) passes its owned
+// head count and gets the same kernel over narrower rows.
 
 // AttentionScratchLen returns the scratch length CausalAttention and
 // CausalAttentionBackward need for heads of shape [seq × dh].
@@ -45,23 +41,21 @@ func CausalAttention(ctx, probs, qkv []float32, probsH HalfBuffer, batch, seq, h
 	n := seq * dh
 	qh, kh, vh, ctxh := scratch[:n], scratch[n:2*n], scratch[2*n:3*n], scratch[3*n:4*n]
 	scale := float32(1 / math.Sqrt(float64(dh)))
+	var d, e [laneChunk]float64
 	for b := 0; b < batch; b++ {
 		for hd := 0; hd < heads; hd++ {
 			gatherHead(qh, kh, vh, qkv, b, hd, seq, heads, dh)
 			lo := (b*heads + hd) * seq * seq
 			p := probs[lo : lo+seq*seq]
 			MatMulBT(p, qh, kh, seq, dh, seq)
+			// Row t is the softmax of its causal prefix [0, t]; the future
+			// gets exact zeros whatever the scores' scale.
 			for t := 0; t < seq; t++ {
 				row := p[t*seq : (t+1)*seq]
-				for u := range row {
-					if u > t {
-						row[u] = causalMask
-					} else {
-						row[u] *= scale
-					}
-				}
+				Scale(row[:t+1], scale)
+				softmaxRow(row[:t+1], row[:t+1], &d, &e)
+				Zero(row[t+1:])
 			}
-			SoftmaxRows(p, p, seq, seq)
 			if probsH != nil {
 				overflow = probsH[lo:lo+seq*seq].FromFloatsRound(p) || overflow
 			}
@@ -97,10 +91,14 @@ func CausalAttentionBackward(dQKV, dCtx, qkv, probs []float32, batch, seq, heads
 			// ctx = P·V.
 			MatMulBT(dP, dctxh, vh, seq, dh, seq)
 			MatMulAT(dvh, p, dctxh, seq, seq, dh)
-			// Softmax (accumulating kernel, hence the zeroing), then the
-			// scale applied to the scores before it.
+			// Softmax over each row's causal prefix (accumulating kernel,
+			// hence the zeroing; the future's gradient stays zero), then
+			// the scale applied to the scores before it.
 			Zero(dS)
-			SoftmaxRowsBackward(dS, dP, p, seq, seq)
+			for t := 0; t < seq; t++ {
+				lo, hi := t*seq, t*seq+t+1
+				SoftmaxRowsBackward(dS[lo:hi], dP[lo:hi], p[lo:hi], 1, t+1)
+			}
 			Scale(dS, scale)
 			// scores = scale·Q·Kᵀ.
 			MatMul(dqh, dS, kh, seq, seq, dh)

@@ -1,0 +1,24 @@
+//go:build !amd64
+
+package tensor
+
+import "math"
+
+// Scalar stand-ins for the amd64 lane kernels. useLanes is false here, so
+// the kernels run their scalar loops; these keep the chunked paths
+// compiling, and bitwise, if a test sets it.
+
+var useLanes = false
+
+func expLanes(dst, src []float64) uint64 {
+	for i := range dst {
+		dst[i] = math.Exp(src[i])
+	}
+	return 0
+}
+
+func tanhLanes(dst, src []float64) {
+	for i := range dst {
+		dst[i] = math.Tanh(src[i])
+	}
+}

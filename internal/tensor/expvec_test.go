@@ -1,0 +1,211 @@
+package tensor
+
+import (
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// The lane kernels and the kernels built on them against the scalar
+// reference, bit for bit. Where the CPU lacks AVX2/FMA the vector path
+// never runs and each test says so.
+
+// scalarRef runs f with the lane kernels off: one math.Tanh or math.Exp
+// call per element.
+func scalarRef(f func()) {
+	saved := useLanes
+	useLanes = false
+	defer func() { useLanes = saved }()
+	f()
+}
+
+func logScalarOnly(t *testing.T) {
+	if !useLanes {
+		t.Log("CPU lacks AVX2/FMA: only the scalar path was checked")
+	}
+}
+
+// transcendentalEdges are the lane kernels' branch points and fallbacks:
+// signed zeros, infinities, NaN, subnormals, tanh's 0.625 and 0.5·MAXLOG,
+// exp's overflow threshold, the start and end of its denormal results, the
+// causal mask, and the float64 neighbours of each.
+func transcendentalEdges() []float64 {
+	base := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Float64frombits(0x7ff0000000000001), // signalling NaN
+		math.Float64frombits(0xfff8000000000123), // negative NaN, payload
+		5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072014e-308,
+		0.625, -0.625, 44.014845965556525, -44.014845965556525,
+		709.78, 7.09782712893384e+02, -708.39, -708.3964185322641, -745.13, -745.1332191019411,
+		-1e9, 1e9, -1.5e9, 1, -1, 1e-8,
+	}
+	var vs []float64
+	for _, v := range base {
+		vs = append(vs, v, math.Nextafter(v, math.Inf(1)), math.Nextafter(v, math.Inf(-1)))
+	}
+	return vs
+}
+
+func TestLaneKernelsMatchMath(t *testing.T) {
+	logScalarOnly(t)
+	in := transcendentalEdges()
+	r := rand.New(rand.NewSource(27))
+	for len(in) < 1<<18 {
+		in = append(in, r.Float64()*1600-800)
+	}
+	// The denormal-result band of exp, densely.
+	for x := -750.0; x < -700; x += 0.0137 {
+		in = append(in, x)
+	}
+	var x, e, th [laneChunk]float64
+	for lo := 0; lo < len(in); lo += laneChunk {
+		n := copy(x[:], in[lo:])
+		expChunk(&e, &x, n)
+		if useLanes { // tanhLanes itself needs AVX2 on amd64
+			tanhLanes(th[:(n+3)&^3], x[:])
+		} else {
+			for i, v := range x[:n] {
+				th[i] = math.Tanh(v)
+			}
+		}
+		for i, v := range x[:n] {
+			if got, want := math.Float64bits(e[i]), math.Float64bits(math.Exp(v)); got != want {
+				t.Fatalf("exp(%v = %#016x) = %#016x, want %#016x", v, math.Float64bits(v), got, want)
+			}
+			if got, want := math.Float64bits(th[i]), math.Float64bits(math.Tanh(v)); got != want {
+				t.Fatalf("tanh(%v = %#016x) = %#016x, want %#016x", v, math.Float64bits(v), got, want)
+			}
+		}
+	}
+}
+
+// checkKernelsMatchScalar runs GELU, GELUBackward into a nonzero dx and
+// SoftmaxRows over x split m×n, live and scalar, and fails on any bit that
+// differs.
+func checkKernelsMatchScalar(t *testing.T, x []float32, m, n int) {
+	t.Helper()
+	dy := make([]float32, len(x))
+	dx0 := make([]float32, len(x))
+	for i := range x {
+		dy[i] = x[len(x)-1-i]
+		dx0[i] = float32(i%7) - 3.25
+	}
+	run := func() (y, dx, p []float32) {
+		y = make([]float32, len(x))
+		dx = append([]float32(nil), dx0...)
+		p = make([]float32, m*n)
+		GELU(y, x)
+		GELUBackward(dx, dy, x)
+		SoftmaxRows(p, x[:m*n], m, n)
+		return y, dx, p
+	}
+	var wantY, wantDx, wantP []float32
+	scalarRef(func() { wantY, wantDx, wantP = run() })
+	y, dx, p := run()
+	for _, c := range []struct {
+		name      string
+		got, want []float32
+	}{{"GELU", y, wantY}, {"GELUBackward", dx, wantDx}, {"SoftmaxRows", p, wantP}} {
+		for i := range c.want {
+			if g, w := math.Float32bits(c.got[i]), math.Float32bits(c.want[i]); g != w {
+				t.Fatalf("%s [%d] (x = %#08x, len %d, %d×%d): %#08x, want %#08x",
+					c.name, i, math.Float32bits(x[i]), len(x), m, n, g, w)
+			}
+		}
+	}
+}
+
+func TestTranscendentalKernelsMatchScalar(t *testing.T) {
+	logScalarOnly(t)
+	// Every 251st float32 bit pattern, in rows of 257.
+	const stride, rowLen = 251, 257
+	sweep := make([]float32, 0, 1<<15)
+	flush := func() {
+		m := len(sweep) / rowLen
+		checkKernelsMatchScalar(t, sweep, m, rowLen)
+		sweep = sweep[:0]
+	}
+	for u := uint64(0); u < 1<<32; u += stride {
+		sweep = append(sweep, math.Float32frombits(uint32(u)))
+		if len(sweep) == cap(sweep) {
+			flush()
+		}
+	}
+	flush()
+
+	// Every length around the chunk and lane boundaries, as one row, with
+	// and without the causal mask in it.
+	r := rand.New(rand.NewSource(28))
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 255, 256, 257} {
+		x := make([]float32, n)
+		for i := range x {
+			x[i] = float32(r.NormFloat64() * 4)
+		}
+		checkKernelsMatchScalar(t, x, min(n, 1), n)
+		for i := n / 2; i < n; i++ {
+			x[i] = -1e9
+		}
+		checkKernelsMatchScalar(t, x, min(n, 1), n)
+	}
+}
+
+// The stack chunks stay on the stack: no kernel allocates, on either path.
+func TestTranscendentalKernelsAllocateNothing(t *testing.T) {
+	const batch, seq, heads, dh = 1, 70, 1, 4
+	r := rand.New(rand.NewSource(29))
+	x := randSlice(r, 300)
+	y, dx := make([]float32, len(x)), make([]float32, len(x))
+	qkv := randSlice(r, batch*seq*3*heads*dh)
+	ctx, probs := make([]float32, batch*seq*heads*dh), make([]float32, batch*heads*seq*seq)
+	scratch := make([]float32, AttentionScratchLen(seq, dh))
+	kernels := func() {
+		GELU(y, x)
+		GELUBackward(dx, y, x)
+		SoftmaxRows(y, x, 3, 100)
+		CausalAttention(ctx, probs, qkv, nil, batch, seq, heads, dh, scratch)
+	}
+	for _, lanes := range []bool{true, false} {
+		run := kernels
+		if !lanes {
+			run = func() { scalarRef(kernels) }
+		}
+		if a := testing.AllocsPerRun(10, run); a != 0 {
+			t.Errorf("lanes=%v: %v allocs per run, want 0", lanes && useLanes, a)
+		}
+	}
+}
+
+// FuzzTranscendentals reads arbitrary bytes as float32 lanes (any bit
+// pattern) and checks the live GELU, GELUBackward and SoftmaxRows against
+// the scalar reference bit for bit, the softmax over the lanes split m×n.
+func FuzzTranscendentals(f *testing.F) {
+	seed := func(vs ...float32) []byte {
+		b := make([]byte, 1+4*len(vs))
+		b[0] = 2
+		for i, v := range vs {
+			binary.LittleEndian.PutUint32(b[1+4*i:], math.Float32bits(v))
+		}
+		return b
+	}
+	f.Add(seed(0, -1, 2.5, -1e9, 1e9, 0.3))
+	f.Add(seed(float32(math.NaN()), float32(math.Inf(-1)), 1e-45, -0.625, 44, 88.7, -103))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) == 0 {
+			return
+		}
+		x := make([]float32, (len(b)-1)/4)
+		for i := range x {
+			x[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[1+4*i:]))
+		}
+		m := 0
+		if len(x) > 0 {
+			m = 1 + int(b[0])%len(x)
+		}
+		n := 0
+		if m > 0 {
+			n = len(x) / m
+		}
+		checkKernelsMatchScalar(t, x, m, n)
+	})
+}

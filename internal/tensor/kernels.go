@@ -1,6 +1,9 @@
 package tensor
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Nonlinear kernels and their manual gradients. Forward signatures take
 // destination first, mirroring the matmul kernels. Backward kernels follow
@@ -8,16 +11,30 @@ import "math"
 
 const sqrt2OverPi = 0.7978845608028654 // √(2/π), for the tanh GELU approximation
 
+// The transcendental kernels stage their arguments on the stack in chunks
+// of laneChunk (the width of expLanes's mask) and fill the chunk's tanh or
+// exp with the lane kernels when useLanes is set, one math.Tanh/math.Exp
+// call per element otherwise. Everything around that fill is one piece of
+// code for both, so the two agree to the bit, NaN payloads included: which
+// NaN a commutative op returns depends on the operand order the compiler
+// picks, and shared code picks it once.
+const laneChunk = 64
+
 // GELU applies the tanh-approximated Gaussian error linear unit
 // elementwise: y = 0.5x(1 + tanh(√(2/π)(x + 0.044715x³))).
 func GELU(dst, x []float32) {
 	if len(dst) != len(x) {
 		panic("tensor: GELU length mismatch")
 	}
-	for i, v := range x {
-		f := float64(v)
-		u := sqrt2OverPi * (f + 0.044715*f*f*f)
-		dst[i] = float32(0.5 * f * (1 + math.Tanh(u)))
+	var u, t [laneChunk]float64
+	for len(x) > 0 {
+		n := min(len(x), laneChunk)
+		geluTanh(&t, &u, x[:n])
+		for i, v := range x[:n] {
+			f := float64(v)
+			dst[i] = float32(0.5 * f * (1 + t[i]))
+		}
+		dst, x = dst[n:], x[n:]
 	}
 }
 
@@ -26,13 +43,48 @@ func GELUBackward(dx, dy, x []float32) {
 	if len(dx) != len(dy) || len(dx) != len(x) {
 		panic("tensor: GELUBackward length mismatch")
 	}
+	var u, t [laneChunk]float64
+	for len(x) > 0 {
+		n := min(len(x), laneChunk)
+		geluTanh(&t, &u, x[:n])
+		for i, v := range x[:n] {
+			f := float64(v)
+			du := sqrt2OverPi * (1 + 3*0.044715*f*f) // 3*0.044715 folds to one constant
+			g := 0.5*(1+t[i]) + 0.5*f*(1-t[i]*t[i])*du
+			dx[i] += dy[i] * float32(g)
+		}
+		dx, dy, x = dx[n:], dy[n:], x[n:]
+	}
+}
+
+// geluTanh sets t[i] = tanh(√(2/π)(f + 0.044715f³)) for f = x[i], staging
+// the argument in u; 0.044715*f*f*f folds left to right.
+func geluTanh(t, u *[laneChunk]float64, x []float32) {
 	for i, v := range x {
 		f := float64(v)
-		u := sqrt2OverPi * (f + 0.044715*f*f*f)
-		t := math.Tanh(u)
-		du := sqrt2OverPi * (1 + 3*0.044715*f*f)
-		g := 0.5*(1+t) + 0.5*f*(1-t*t)*du
-		dx[i] += dy[i] * float32(g)
+		u[i] = sqrt2OverPi * (f + 0.044715*f*f*f)
+	}
+	if useLanes {
+		tanhLanes(t[:(len(x)+3)&^3], u[:])
+		return
+	}
+	for i, v := range u[:len(x)] {
+		t[i] = math.Tanh(v)
+	}
+}
+
+// expChunk sets e[i] = math.Exp(d[i]) for i < n, finishing in scalar the
+// lanes expLanes hands back.
+func expChunk(e, d *[laneChunk]float64, n int) {
+	if !useLanes {
+		for i, v := range d[:n] {
+			e[i] = math.Exp(v)
+		}
+		return
+	}
+	for m := expLanes(e[:(n+3)&^3], d[:]) & (1<<n - 1); m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		e[i] = math.Exp(d[i])
 	}
 }
 
@@ -113,25 +165,37 @@ func LayerNormBackward(dx, dGamma, dBeta, dy, xhat, invStd, gamma []float32, m, 
 func SoftmaxRows(y, x []float32, m, n int) {
 	checkDims(len(x), m*n, "x")
 	checkDims(len(y), m*n, "y")
+	var d, e [laneChunk]float64
 	for i := 0; i < m; i++ {
-		row := x[i*n : i*n+n]
-		out := y[i*n : i*n+n]
-		max := row[0]
-		for _, v := range row[1:] {
-			if v > max {
-				max = v
-			}
+		softmaxRow(y[i*n:i*n+n], x[i*n:i*n+n], &d, &e)
+	}
+}
+
+// softmaxRow writes the softmax of row into out (which may alias it),
+// staging exp's arguments and results in d and e. The float64 sum folds in
+// j order.
+func softmaxRow(out, row []float32, d, e *[laneChunk]float64) {
+	max := row[0]
+	for _, v := range row[1:] {
+		if v > max {
+			max = v
 		}
-		var sum float64
-		for j, v := range row {
-			e := math.Exp(float64(v - max))
-			out[j] = float32(e)
-			sum += e
+	}
+	var sum float64
+	for lo := 0; lo < len(row); lo += laneChunk {
+		c := row[lo:min(lo+laneChunk, len(row))]
+		for j, v := range c {
+			d[j] = float64(v - max)
 		}
-		inv := float32(1 / sum)
-		for j := range out {
-			out[j] *= inv
+		expChunk(e, d, len(c))
+		for j, v := range e[:len(c)] {
+			out[lo+j] = float32(v)
+			sum += v
 		}
+	}
+	inv := float32(1 / sum)
+	for j := range out {
+		out[j] *= inv
 	}
 }
 

@@ -282,6 +282,36 @@ func TestCausalAttentionMatchesDefinition(t *testing.T) {
 	}
 }
 
+// Scores far below any mask value still leave the future at zero weight:
+// every score here is −2e10, so each row is uniform over its prefix.
+func TestCausalAttentionHugeNegativeScores(t *testing.T) {
+	const batch, seq, heads, dh = 1, 4, 1, 4
+	qkv := make([]float32, batch*seq*3*heads*dh)
+	for tok := 0; tok < seq; tok++ {
+		for j := 0; j < dh; j++ {
+			qkv[tok*3*dh+j] = 1e5                   // q
+			qkv[tok*3*dh+dh+j] = -1e5               // k
+			qkv[tok*3*dh+2*dh+j] = float32(tok + 1) // v
+		}
+	}
+	ctx, probs, _ := attnRun(qkv, nil, batch, seq, heads, dh)
+	for tq := 0; tq < seq; tq++ {
+		for u := 0; u < seq; u++ {
+			want := float32(0)
+			if u <= tq {
+				want = 1 / float32(tq+1)
+			}
+			if got := probs[tq*seq+u]; math.Abs(float64(got-want)) > 1e-6 {
+				t.Errorf("probs[t%d u%d] = %g, want %g", tq, u, got, want)
+			}
+		}
+		// The mean of v over the prefix: (1 + … + (tq+1)) / (tq+1).
+		if got, want := ctx[tq*dh], float32(tq+2)/2; math.Abs(float64(got-want)) > 1e-5 {
+			t.Errorf("ctx[t%d] = %g, want %g", tq, got, want)
+		}
+	}
+}
+
 func TestCausalAttentionGradient(t *testing.T) {
 	r := rand.New(rand.NewSource(16))
 	const batch, seq, heads, dh = 2, 4, 2, 3
