@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet bench-vet bench-test build build-arm64 test race configcheck fuzz-smoke serve-smoke elastic-smoke bench-kernels bench-data bench-serve bench-elastic bench-fp16 bench-compare bench-smoke pprof sweep all
+.PHONY: check fmt vet bench-vet bench-test build build-arm64 test race configcheck fuzz-smoke serve-smoke elastic-smoke bench-data bench-serve bench-elastic bench-fp16 bench-compare bench-smoke pprof sweep all
 
 check: fmt vet bench-vet bench-test build build-arm64 test race configcheck fuzz-smoke serve-smoke elastic-smoke
 
@@ -46,20 +46,24 @@ race:
 configcheck:
 	$(GO) test ./internal/engine -run TestCommittedConfigsValidate
 
-# Short native-fuzzer smokes: the BPE encode/decode round-trip, the
-# fp32↔fp16 conversion surface (batch encoders vs the scalar reference),
-# GELU/GELUBackward/softmax on the exp/tanh lane kernels (bitwise the scalar
-# reference), the ZELC snapshot decoder (reject, or re-encode to the
-# identical bytes), the engine config parser (reject, or normalize → marshal
-# → parse to the identical config) and the job-spec parser (reject, or
-# marshal → parse to the identical spec) — a few seconds of coverage-guided
-# input generation on every `make check`. (Unbounded minimisation of each
-# new snapshot, config or spec input would eat the 3 s, so it is capped at
-# 100 executions.)
+# Short native-fuzzer smokes: the BPE encode/decode round-trip, the vocab
+# JSON loader (reject, or save → load to the identical vocab, with
+# allocation linear in the input), the fp32↔fp16 conversion surface (batch
+# encoders vs the scalar reference), GELU/GELUBackward/softmax on the
+# exp/tanh lane kernels and every matmul kernel on the AVX tile and F16C
+# decode (each bitwise the scalar reference), the ZELC snapshot decoder
+# (reject, or re-encode to the identical bytes), the engine config parser
+# (reject, or normalize → marshal → parse to the identical config) and the
+# job-spec parser (reject, or marshal → parse to the identical spec) — a few
+# seconds of coverage-guided input generation on every `make check`.
+# (Unbounded minimisation of each new vocab, matmul, snapshot, config or
+# spec input would eat the 3 s, so it is capped at 100 executions.)
 fuzz-smoke:
 	$(GO) test ./internal/data -run=NONE -fuzz=FuzzBPERoundTrip -fuzztime=3s
+	$(GO) test ./internal/data -run=NONE -fuzz=FuzzLoadTokenizerJSON -fuzztime=3s -fuzzminimizetime=100x
 	$(GO) test ./internal/tensor -run=NONE -fuzz=FuzzHalfRoundTrip -fuzztime=3s
 	$(GO) test ./internal/tensor -run=NONE -fuzz=FuzzTranscendentals -fuzztime=3s
+	$(GO) test ./internal/tensor -run=NONE -fuzz=FuzzMatMulLanes -fuzztime=3s -fuzzminimizetime=100x
 	$(GO) test ./internal/zero -run=NONE -fuzz=FuzzDecodeSnapshot -fuzztime=3s -fuzzminimizetime=100x
 	$(GO) test ./internal/engine -run=NONE -fuzz=FuzzParseConfig -fuzztime=3s -fuzzminimizetime=100x
 	$(GO) test ./internal/serve -run=NONE -fuzz=FuzzParseSpec -fuzztime=3s -fuzzminimizetime=100x
@@ -74,10 +78,6 @@ serve-smoke:
 # (part of `make check`).
 elastic-smoke:
 	$(GO) test -race ./internal/serve -run TestElasticKillResume -count=1
-
-# Regenerate the dense-kernel baseline (BENCH_KERNELS.json).
-bench-kernels:
-	./scripts/bench_kernels.sh
 
 # Regenerate the data-pipeline baseline (BENCH_DATA.json).
 bench-data:
@@ -99,7 +99,6 @@ bench-fp16:
 # allocs/op growth (hard gate; allocation counts are deterministic) —
 # against the committed JSONs.
 bench-compare:
-	./scripts/bench_compare.sh BENCH_KERNELS.json
 	./scripts/bench_compare.sh BENCH_DATA.json
 	./scripts/bench_compare.sh BENCH_SERVE.json
 	./scripts/bench_compare.sh BENCH_ELASTIC.json
@@ -108,7 +107,7 @@ bench-compare:
 # One-iteration benchmark smoke: proves the alloc-reporting path itself
 # still runs (CI uses this; it makes no timing claims).
 bench-smoke:
-	$(GO) test -run=NONE -bench='StageStep|AccumStep|^BenchmarkKernels$$|^BenchmarkDataPipeline$$|^BenchmarkServe$$|^BenchmarkElastic$$|^BenchmarkFP16Step$$' -benchtime=1x .
+	$(GO) test -run=NONE -bench='StageStep|AccumStep|^BenchmarkDataPipeline$$|^BenchmarkServe$$|^BenchmarkElastic$$|^BenchmarkFP16Step$$' -benchtime=1x .
 
 # Capture CPU + heap profiles of BenchmarkStageStep into ./profiles (see
 # README "Profiling & allocation discipline" for how to read them).

@@ -20,7 +20,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/model"
 	"repro/internal/serve"
-	"repro/internal/tensor"
 	"repro/internal/zero"
 )
 
@@ -245,45 +244,6 @@ func BenchmarkStreamReduceScatter1M(b *testing.B) {
 // enough for the overlap window to matter.
 func benchStageConfig() model.Config {
 	return model.Config{Layers: 4, Hidden: 128, Heads: 4, Vocab: 128, Seq: 32}
-}
-
-// BenchmarkKernels measures the three dense-kernel orientations of one
-// linear layer at the bench-shape FC1 dimensions (per-rank rows × hidden ×
-// 4·hidden): forward X·W, grad-input dY·Wᵀ, grad-weight Xᵀ·dY. This is the
-// BENCH_KERNELS.json baseline, gating raw kernel throughput.
-func BenchmarkKernels(b *testing.B) {
-	const m, k, n = 64, 128, 512
-	x := make([]float32, m*k)
-	w := make([]float32, k*n)
-	y := make([]float32, m*n)
-	dx := make([]float32, m*k)
-	dw := make([]float32, k*n)
-	for i := range x {
-		x[i] = float32(i%13) * 0.1
-	}
-	for i := range w {
-		w[i] = float32(i%7) * 0.01
-	}
-	for i := range y {
-		y[i] = float32(i%11) * 0.02
-	}
-	for _, bench := range []struct {
-		name string
-		fn   func()
-	}{
-		{"matmul", func() { tensor.MatMul(y, x, w, m, k, n) }},
-		{"matmul-bt", func() { tensor.MatMulBT(dx, y, w, m, n, k) }},
-		{"matmul-at-add", func() { tensor.MatMulATAdd(dw, x, y, m, k, n) }},
-	} {
-		b.Run(bench.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				bench.fn()
-			}
-			b.SetBytes(int64(m*k+k*n+m*n) * 4) // operand bytes touched per op
-		})
-	}
 }
 
 // BenchmarkStageStep sweeps the unified Stage API: ns/step for every stage

@@ -69,27 +69,43 @@ type Tokenizer struct {
 	buf    []int          // encode scratch
 }
 
+// maxTokenBytes caps the byte length of one token. Each merge concatenates
+// two earlier tokens, so a merge list can double the longest token at every
+// step: without a cap, a 283-byte vocab file with 26 chained merges makes a
+// 64 MiB token. TrainBPE never learns a merge past the cap, so every vocab
+// it trains loads, and LoadTokenizerJSON rejects one that crosses it, which
+// keeps a loaded vocab within maxTokenBytes per merge. Natural text is far
+// below it: the tokens TrainBPE learns from examples/corpus at a 4096 vocab
+// are at most 30 bytes.
+const maxTokenBytes = 1 << 10
+
 // pairKey packs an adjacent id pair into one map key.
 func pairKey(l, r int) uint64 { return uint64(l)<<32 | uint64(uint32(r)) }
 
 // NewByteTokenizer returns the merge-free byte tokenizer (vocab 257: every
 // byte plus EOT). It needs no training and handles any input.
 func NewByteTokenizer() *Tokenizer {
-	t := &Tokenizer{rank: map[uint64]int{}}
-	t.buildVocab()
-	return t
-}
-
-// buildVocab materializes the id → bytes table from the merge list.
-func (t *Tokenizer) buildVocab() {
-	t.vocab = make([][]byte, byteVocab+len(t.merges))
+	t := &Tokenizer{rank: map[uint64]int{}, vocab: make([][]byte, byteVocab)}
 	for b := 0; b < 256; b++ {
 		t.vocab[b] = []byte{byte(b)}
 	}
-	t.vocab[EOT] = nil
-	for i, m := range t.merges {
-		t.vocab[byteVocab+i] = append(append([]byte{}, t.vocab[m.L]...), t.vocab[m.R]...)
+	return t
+}
+
+// addMerge appends the rule (l,r) → next id and its token's bytes. Callers
+// have checked that l and r are defined ids other than EOT.
+func (t *Tokenizer) addMerge(l, r int) error {
+	key := pairKey(l, r)
+	if _, dup := t.rank[key]; dup {
+		return fmt.Errorf("duplicate merge (%d,%d)", l, r)
 	}
+	if n := len(t.vocab[l]) + len(t.vocab[r]); n > maxTokenBytes {
+		return fmt.Errorf("merge (%d,%d) makes a %d-byte token, above the %d-byte cap", l, r, n, maxTokenBytes)
+	}
+	t.rank[key] = len(t.merges)
+	t.merges = append(t.merges, merge{L: l, R: r})
+	t.vocab = append(t.vocab, append(append([]byte{}, t.vocab[l]...), t.vocab[r]...))
+	return nil
 }
 
 // VocabSize returns the number of token ids the tokenizer emits (257 byte
@@ -103,7 +119,8 @@ func (t *Tokenizer) Merges() int { return len(t.merges) }
 // TrainBPE learns up to vocabSize-257 merges from sample, most-frequent
 // pair first. Ties break toward the numerically smallest pair, so the
 // merge list — and therefore every downstream token stream — is a pure
-// function of the sample bytes. Training stops early when no pair repeats;
+// function of the sample bytes. A pair whose token would exceed
+// maxTokenBytes is never chosen. Training stops early when no pair repeats;
 // the resulting vocab may be smaller than the budget on tiny corpora.
 // vocabSize must be ≥ 257 (257 means zero merges, the byte tokenizer).
 func TrainBPE(sample []byte, vocabSize int) (*Tokenizer, error) {
@@ -114,7 +131,7 @@ func TrainBPE(sample []byte, vocabSize int) (*Tokenizer, error) {
 	for i, b := range sample {
 		seq[i] = int(b)
 	}
-	t := &Tokenizer{rank: map[uint64]int{}}
+	t := NewByteTokenizer()
 	counts := map[uint64]int{}
 	for id := byteVocab; id < vocabSize; id++ {
 		clear(counts)
@@ -123,7 +140,8 @@ func TrainBPE(sample []byte, vocabSize int) (*Tokenizer, error) {
 		}
 		bestKey, bestCount := uint64(0), 0
 		for k, c := range counts {
-			if c > bestCount || (c == bestCount && k < bestKey) {
+			if (c > bestCount || (c == bestCount && k < bestKey)) &&
+				len(t.vocab[k>>32])+len(t.vocab[uint32(k)]) <= maxTokenBytes {
 				bestKey, bestCount = k, c
 			}
 		}
@@ -131,11 +149,9 @@ func TrainBPE(sample []byte, vocabSize int) (*Tokenizer, error) {
 			break // nothing left worth merging
 		}
 		m := merge{L: int(bestKey >> 32), R: int(uint32(bestKey))}
-		t.rank[bestKey] = len(t.merges)
-		t.merges = append(t.merges, m)
+		_ = t.addMerge(m.L, m.R) // cannot fail: a new pair, checked against the cap
 		seq = mergePair(seq, m.L, m.R, id)
 	}
-	t.buildVocab()
 	return t, nil
 }
 
@@ -223,7 +239,9 @@ func (t *Tokenizer) SaveJSON() ([]byte, error) {
 }
 
 // LoadTokenizerJSON rebuilds a tokenizer from SaveJSON output, validating
-// that every merge references only previously defined ids.
+// that every merge references only previously defined ids, appears once,
+// and makes a token of at most maxTokenBytes (1 KiB) — so a vocab file's
+// memory grows at most linearly with its length.
 func LoadTokenizerJSON(blob []byte) (*Tokenizer, error) {
 	var in tokenizerJSON
 	if err := json.Unmarshal(blob, &in); err != nil {
@@ -232,21 +250,17 @@ func LoadTokenizerJSON(blob []byte) (*Tokenizer, error) {
 	if in.Kind != "bpe" {
 		return nil, fmt.Errorf("%w: kind %q (want \"bpe\")", ErrTokenizerJSON, in.Kind)
 	}
-	t := &Tokenizer{rank: map[uint64]int{}}
+	t := NewByteTokenizer()
 	for i, p := range in.Merges {
 		l, r := p[0], p[1]
 		limit := byteVocab + i // ids defined so far
 		if l < 0 || r < 0 || l >= limit || r >= limit || l == EOT || r == EOT {
 			return nil, fmt.Errorf("%w: merge %d references id out of range (%d,%d)", ErrTokenizerJSON, i, l, r)
 		}
-		key := pairKey(l, r)
-		if _, dup := t.rank[key]; dup {
-			return nil, fmt.Errorf("%w: duplicate merge (%d,%d)", ErrTokenizerJSON, l, r)
+		if err := t.addMerge(l, r); err != nil {
+			return nil, fmt.Errorf("%w: merge %d: %v", ErrTokenizerJSON, i, err)
 		}
-		t.rank[key] = i
-		t.merges = append(t.merges, merge{L: l, R: r})
 	}
-	t.buildVocab()
 	return t, nil
 }
 

@@ -3,7 +3,11 @@ package data
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -128,6 +132,67 @@ func TestTokenizerJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// doublingVocab is a vocab file whose n merges each join the previous
+// token with itself: [[97,97],[257,257],[258,258],…]. Token i is 2^(i+1)
+// bytes long.
+func doublingVocab(n int) []byte {
+	merges := []string{"[97,97]"}
+	for i := 1; i < n; i++ {
+		merges = append(merges, fmt.Sprintf("[%d,%d]", 256+i, 256+i))
+	}
+	return []byte(`{"kind":"bpe","merges":[` + strings.Join(merges, ",") + `]}`)
+}
+
+// loadAllocs loads blob and returns the bytes the load allocated.
+func loadAllocs(blob []byte) (*Tokenizer, uint64, error) {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	tok, err := LoadTokenizerJSON(blob)
+	runtime.ReadMemStats(&m1)
+	return tok, m1.TotalAlloc - m0.TotalAlloc, err
+}
+
+// A token may not grow past maxTokenBytes. The 283-byte, 26-merge doubling
+// file would need a 64 MiB token (220 MB in all); it is rejected after a
+// few KiB. TrainBPE on a sample that doubles the same way stops at the cap,
+// so what it trains still saves and loads.
+func TestTokenLengthCap(t *testing.T) {
+	blob := doublingVocab(26)
+	if len(blob) != 283 {
+		t.Fatalf("doubling file is %d bytes, want 283", len(blob))
+	}
+	_, alloc, err := loadAllocs(blob)
+	if !errors.Is(err, ErrTokenizerJSON) {
+		t.Fatalf("26 doubling merges: %v, want ErrTokenizerJSON", err)
+	}
+	if alloc > 1<<20 {
+		t.Errorf("rejecting 26 doubling merges allocated %d bytes", alloc)
+	}
+	if _, err := LoadTokenizerJSON(doublingVocab(10)); err != nil {
+		t.Fatalf("10 doubling merges (a %d-byte token): %v", maxTokenBytes, err)
+	}
+
+	tok, err := TrainBPE(bytes.Repeat([]byte("a"), 1<<13), 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	longest := 0
+	for _, v := range tok.vocab {
+		longest = max(longest, len(v))
+	}
+	if longest != maxTokenBytes {
+		t.Errorf("longest trained token %d bytes, want the %d-byte cap", longest, maxTokenBytes)
+	}
+	out, err := tok.SaveJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadTokenizerJSON(out)
+	if err != nil || !reflect.DeepEqual(back.vocab, tok.vocab) {
+		t.Fatalf("trained vocab does not load back identically: %v", err)
+	}
+}
+
 // Sub-floor vocab budgets are rejected; a floor budget is the byte
 // tokenizer; tiny samples stop early instead of inventing merges.
 func TestTrainBPEBudgets(t *testing.T) {
@@ -183,6 +248,51 @@ func FuzzBPERoundTrip(f *testing.F) {
 			if !bytes.Equal(out, in) {
 				t.Fatalf("%s: round trip changed %q -> %q", name, in, out)
 			}
+		}
+	})
+}
+
+// FuzzLoadTokenizerJSON: any input is rejected with ErrTokenizerJSON, or
+// loads into a tokenizer whose SaveJSON loads back to the identical merges
+// and vocabulary. It never panics, and what a load allocates stays within a
+// fixed multiple of the input's length: each merge costs at most a
+// maxTokenBytes token plus bookkeeping, and takes at least 6 input bytes.
+func FuzzLoadTokenizerJSON(f *testing.F) {
+	trained, err := TrainBPE(bytes.Repeat([]byte("zero redundancy optimizer. "), 60), 290)
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid, err := trained.SaveJSON()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(doublingVocab(26))
+	f.Add(doublingVocab(10))
+	f.Add([]byte(`{"kind":"bpe","merges":[]}`))
+	f.Add([]byte(`{"kind":"bpe","merges":[[97,98],[97,98]]}`))
+	f.Add([]byte(`{"kind":"bpe","merges":[[256,97]]}`))
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		tok, alloc, err := loadAllocs(blob)
+		if budget := 256*uint64(len(blob)) + 64<<10; alloc > budget {
+			t.Fatalf("load of %d bytes allocated %d bytes, budget %d", len(blob), alloc, budget)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrTokenizerJSON) {
+				t.Fatalf("error %v is not ErrTokenizerJSON", err)
+			}
+			return
+		}
+		out, err := tok.SaveJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := LoadTokenizerJSON(out)
+		if err != nil {
+			t.Fatalf("saved vocab does not load: %v", err)
+		}
+		if !reflect.DeepEqual(back.merges, tok.merges) || !reflect.DeepEqual(back.vocab, tok.vocab) {
+			t.Fatal("saved vocab loads back different")
 		}
 	})
 }

@@ -2,11 +2,12 @@
 
 package tensor
 
-// SSE implementations of the axpy inner loops (axpy_amd64.s). The vector
-// lanes map to distinct output elements, so every element folds its
-// products in exactly the scalar order — the assembly is bitwise
-// interchangeable with the fallbacks in axpy_generic.go, and kernels built
-// on these helpers produce identical results on every architecture.
+// SSE implementations of the axpy inner loops (axpy_amd64.s) and the AVX
+// register-blocked tile (gemm_amd64.s). The vector lanes map to distinct
+// output elements, so every element folds its products in exactly the
+// scalar order — the assembly is bitwise interchangeable with the
+// fallbacks in axpy_generic.go, and kernels built on these helpers produce
+// identical results on every architecture.
 //
 // Callers guarantee len(b*) >= len(c); the loops run over len(c).
 
@@ -31,3 +32,15 @@ func axpy4(c, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32)
 //
 //go:noescape
 func ov4(c, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32)
+
+// gemmTile folds a 4×16 block of C over k ≥ 1 steps: for r < 4, x < 16,
+//
+//	c[r·n+x] = c[r·n+x] + a[r·ars]·b[x] + a[r·ars+aps]·b[n+x] + …
+//
+// left to right, with step p's coefficient at a[r·ars+p·aps] and B's rows
+// n apart. Without add, step 0's product starts the fold instead of C. It
+// needs AVX (useLanes) and reads only base pointers: callers slice every
+// operand to the tile's full extent first, so a bad shape panics in Go.
+//
+//go:noescape
+func gemmTile(c, a, b []float32, n, ars, aps, k int, add bool)

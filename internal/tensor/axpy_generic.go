@@ -39,3 +39,21 @@ func ov4(c, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
 		c[j] = a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
 	}
 }
+
+// gemmTile is the amd64 tile's stand-in; useLanes is false here, so the
+// kernels never call it.
+func gemmTile(c, a, b []float32, n, ars, aps, k int, add bool) {
+	for r := 0; r < 4; r++ {
+		for x := 0; x < 16; x++ {
+			s := c[r*n+x]
+			for p := 0; p < k; p++ {
+				if v := a[r*ars+p*aps] * b[p*n+x]; p > 0 || add {
+					s += v
+				} else {
+					s = v
+				}
+			}
+			c[r*n+x] = s
+		}
+	}
+}

@@ -5,7 +5,7 @@ package tensor
 // Four-lane AVX2+FMA exp and tanh (expvec_amd64.s), bitwise equal to
 // math.Exp and math.Tanh lane for lane. They run only where math.Exp itself
 // takes its FMA branch: Go sets math's useFMA from AVX and FMA, and every
-// CPU that passes hasAVX2FMA has both. Elsewhere useLanes is false and the
+// CPU that passes hasLaneISA has both. Elsewhere useLanes is false and the
 // kernels' scalar loops run.
 
 // expLanes sets dst[i] = math.Exp(src[i]) for every lane it can finish and
@@ -28,18 +28,20 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv0 returns the low word of XCR0, the state components the OS saves.
 func xgetbv0() uint32
 
-// useLanes selects the vector kernels; tests clear it to run the scalar
-// reference.
-var useLanes = hasAVX2FMA()
+// useLanes selects every vector kernel that needs more than SSE2: the
+// exp/tanh lanes, the AVX matmul tile (gemm_amd64.s) and the F16C half
+// conversions (half_amd64.s). Tests clear it to run the scalar reference.
+var useLanes = hasLaneISA()
 
-// hasAVX2FMA reports AVX, AVX2 and FMA, with the OS saving XMM and YMM
-// state (OSXSAVE, and XCR0 bits 1 and 2).
-func hasAVX2FMA() bool {
+// hasLaneISA reports AVX, AVX2, FMA and F16C, with the OS saving XMM and
+// YMM state (OSXSAVE, and XCR0 bits 1 and 2).
+func hasLaneISA() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return false
 	}
-	const fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&(fma|osxsave|avx) != fma|osxsave|avx {
+	const fma, osxsave, avx, f16c = 1 << 12, 1 << 27, 1 << 28, 1 << 29
+	const want = fma | osxsave | avx | f16c
+	if _, _, ecx, _ := cpuid(1, 0); ecx&want != want {
 		return false
 	}
 	if xgetbv0()&6 != 6 {

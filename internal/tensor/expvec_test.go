@@ -8,7 +8,7 @@ import (
 )
 
 // The lane kernels and the kernels built on them against the scalar
-// reference, bit for bit. Where the CPU lacks AVX2/FMA the vector path
+// reference, bit for bit. Where the CPU lacks AVX2/FMA/F16C the vector path
 // never runs and each test says so.
 
 // scalarRef runs f with the lane kernels off: one math.Tanh or math.Exp
@@ -22,7 +22,7 @@ func scalarRef(f func()) {
 
 func logScalarOnly(t *testing.T) {
 	if !useLanes {
-		t.Log("CPU lacks AVX2/FMA: only the scalar path was checked")
+		t.Log("CPU lacks AVX2/FMA/F16C: only the scalar path was checked")
 	}
 }
 

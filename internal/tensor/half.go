@@ -136,8 +136,8 @@ func (b HalfBuffer) Bytes() int64 { return int64(len(b)) * BytesPerHalf }
 // round-to-odd bit implements round-to-nearest-even, with a carry that
 // correctly rolls into the exponent — and the subnormal range rides the
 // FP adder: adding 0.5 (whose ulp is exactly the fp16 subnormal spacing,
-// 2⁻²⁴) makes the hardware's own RNE do the rounding. On amd64 the bulk
-// runs eight lanes at a time through halfencode_amd64.s.
+// 2⁻²⁴) makes the hardware's own RNE do the rounding. With the lane
+// features the bulk runs eight lanes at a time through F16C (half_amd64.s).
 func (b HalfBuffer) FromFloats(src []float32) {
 	if len(b) != len(src) {
 		panic("tensor: HalfBuffer.FromFloats length mismatch")
@@ -186,7 +186,7 @@ func (b HalfBuffer) ToFloats(dst []float32) {
 
 // halfVal decodes one binary16 value with the same scaling trick as
 // ToFloats — the scalar building block of the half-domain matmul kernels,
-// bitwise identical to the vectorized decode (halfdecode_amd64.s).
+// bitwise identical to the vectorized decode (half_amd64.s).
 func halfVal(h Half) float32 {
 	em := uint32(h) & 0x7fff
 	if em >= halfPosInf { // Inf or NaN
@@ -196,12 +196,27 @@ func halfVal(h Half) float32 {
 	return math.Float32frombits(math.Float32bits(f) | uint32(h&halfSignMask)<<16)
 }
 
+// halfDecodeScalar is halfVal over src into dst, written out so the loop
+// body inlines: the portable halfDecode and the amd64 tail.
+func halfDecodeScalar(dst []float32, src []Half) {
+	dst = dst[:len(src)]
+	for i, h := range src {
+		em := uint32(h) & 0x7fff
+		if em >= halfPosInf { // Inf or NaN
+			dst[i] = h.Float32()
+			continue
+		}
+		f := math.Float32frombits(em<<13) * 0x1p112
+		dst[i] = math.Float32frombits(math.Float32bits(f) | uint32(h&halfSignMask)<<16)
+	}
+}
+
 // RoundHalf rounds every element of x through binary16 in place — the
 // quantization applied when an fp32-computed value is stored or shipped as
 // fp16. Equivalent to FromFloat32(v).Float32() per element (pinned
 // bit-for-bit by TestHalfFastPathsMatchReference) in a single fused pass:
 // normals round on the fp32 bits directly and never leave fp32, so no
-// decode step is needed. Vectorized on amd64 (halfencode_amd64.s).
+// decode step is needed. F16C lanes where the CPU has them (half_amd64.s).
 func RoundHalf(x []float32) {
 	roundHalfImpl(x)
 }

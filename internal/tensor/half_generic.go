@@ -2,8 +2,10 @@
 
 package tensor
 
-// Portable fp32 → binary16 batch conversions: the scalar loops in half.go
-// are the whole implementation off amd64.
+// Portable batch conversions: the scalar loops in half.go are the whole
+// implementation off amd64.
+
+func halfDecode(dst []float32, src []Half) { halfDecodeScalar(dst, src) }
 
 func fromFloatsImpl(b HalfBuffer, src []float32) { fromFloatsScalar(b, src) }
 

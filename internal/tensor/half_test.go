@@ -235,6 +235,83 @@ func halfProbeValues() []float32 {
 	return vs
 }
 
+// The F16C kernels against the scalar loops, bit for bit: ToFloats over
+// every binary16 pattern, and FromFloats, FromFloatsRound, RoundHalf and
+// RoundHalfCheck (values and overflow flags) over halfProbeValues and every
+// 251st float32 bit pattern. Chunks of 4099 leave a scalar tail after the
+// lanes, and each chunk's flags are compared on their own.
+func TestHalfLanesMatchScalar(t *testing.T) {
+	logScalarOnly(t)
+	all := make(HalfBuffer, 1<<16)
+	for i := range all {
+		all[i] = Half(i)
+	}
+	decode := func() []float32 {
+		d := make([]float32, len(all))
+		all.ToFloats(d)
+		return d
+	}
+	var wantDec []float32
+	scalarRef(func() { wantDec = decode() })
+	for i, v := range decode() {
+		if got, want := math.Float32bits(v), math.Float32bits(wantDec[i]); got != want {
+			t.Fatalf("ToFloats(%#04x) = %#08x, scalar %#08x", i, got, want)
+		}
+	}
+
+	type result struct {
+		enc, fusedEnc           HalfBuffer
+		rounded, fused, checked []float32
+		fusedFlag, checkedFlag  bool
+	}
+	convert := func(src []float32) (r result) {
+		r.enc = NewHalfBuffer(len(src))
+		r.enc.FromFloats(src)
+		r.rounded = append([]float32(nil), src...)
+		RoundHalf(r.rounded)
+		r.fused = append([]float32(nil), src...)
+		r.fusedEnc = NewHalfBuffer(len(src))
+		r.fusedFlag = r.fusedEnc.FromFloatsRound(r.fused)
+		r.checked = append([]float32(nil), src...)
+		r.checkedFlag = RoundHalfCheck(r.checked)
+		return r
+	}
+	check := func(src []float32) {
+		var want result
+		scalarRef(func() { want = convert(src) })
+		got := convert(src)
+		if got.fusedFlag != want.fusedFlag || got.checkedFlag != want.checkedFlag {
+			t.Fatalf("overflow flags fused=%v checked=%v, scalar %v %v (chunk from %#08x)",
+				got.fusedFlag, got.checkedFlag, want.fusedFlag, want.checkedFlag, math.Float32bits(src[0]))
+		}
+		for i, v := range src {
+			if got.enc[i] != want.enc[i] || got.fusedEnc[i] != want.fusedEnc[i] {
+				t.Fatalf("encode(%#08x) = %#04x fused %#04x, scalar %#04x",
+					math.Float32bits(v), got.enc[i], got.fusedEnc[i], want.enc[i])
+			}
+			for _, p := range [][2]float32{{got.rounded[i], want.rounded[i]}, {got.fused[i], want.fused[i]}, {got.checked[i], want.checked[i]}} {
+				if math.Float32bits(p[0]) != math.Float32bits(p[1]) {
+					t.Fatalf("round(%#08x) = %#08x, scalar %#08x", math.Float32bits(v), math.Float32bits(p[0]), math.Float32bits(p[1]))
+				}
+			}
+		}
+	}
+	const chunk = 4099
+	probe := halfProbeValues()
+	for lo := 0; lo < len(probe); lo += chunk {
+		check(probe[lo:min(lo+chunk, len(probe))])
+	}
+	sweep := make([]float32, 0, chunk)
+	for u := uint64(0); u < 1<<32; u += 251 {
+		sweep = append(sweep, math.Float32frombits(uint32(u)))
+		if len(sweep) == chunk {
+			check(sweep)
+			sweep = sweep[:0]
+		}
+	}
+	check(sweep)
+}
+
 // The batch fast paths (FromFloats, ToFloats, RoundHalf) must match the
 // scalar reference conversions bit for bit — the goldens and the wire
 // quantization depend on it.

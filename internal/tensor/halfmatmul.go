@@ -8,20 +8,22 @@ package tensor
 //	grad input:  dX = dY·Wᵀ    (MatMulBTH)
 //	grad weight: dW += Xᵀ·dY   (MatMulATAddH)
 //
-// Decoding happens on the fly inside the sweep — MatMulH expands B four
-// rows at a time into a pooled tile riding the vector decode
-// (halfdecode_amd64.s) and feeds the same ov4/axpy4 inner loops as the f32
-// kernels, while A's coefficients decode scalar per fold (one halfVal per
-// swept row). The transpose orientations pay one fused decode(+transpose)
-// pass over the smaller operand instead, an O(m·n) pass against the
-// O(m·n·k) multiply. Every output element folds its products in exactly
-// the f32 kernels' order (ascending p, or ascending i for Aᵀ), so a half
-// kernel on fp16 operands is bitwise identical to the matching f32 kernel
-// on their decoded images — the property the fp16-path tests pin.
+// Decoding happens on the fly inside the sweep — serial MatMulH expands B
+// four rows at a time into a pooled tile through the batch decode (F16C
+// lanes where the CPU has them, half_amd64.s) and feeds the same ov4/axpy4
+// inner loops as the f32 kernels, while A's coefficients decode scalar per
+// fold (one halfVal per swept row). Parallel MatMulH and MatMulBTH decode A
+// in 4-row panels into the f32 kernels' fold (matMulHFRange), and the
+// transpose orientations pay one fused decode(+transpose) pass over the
+// smaller operand, an O(m·n) pass against the O(m·n·k) multiply. Every
+// output element folds its products in exactly the f32 kernels' order
+// (ascending p, or ascending i for Aᵀ), so a half kernel on fp16 operands
+// is bitwise identical to the matching f32 kernel on their decoded images —
+// the property the fp16-path tests pin.
 
 // MatMulH computes C[m×n] = A[m×k] · B[k×n] with fp16 operands and fp32
 // output, overwriting C. Serial problems run the fused tile-decode sweep;
-// above the fan-out threshold B pays one pooled vector-decode pass shared
+// above the fan-out threshold B pays one pooled batch-decode pass shared
 // by every worker (an O(k·n) pass against the O(m·k·n) multiply, and the
 // only alloc-deterministic shape — per-worker tiles would churn the
 // bounded scratch list) while A's coefficients still decode in the sweep.
@@ -41,7 +43,7 @@ func MatMulH(c []float32, a, b HalfBuffer, m, k, n int) {
 
 // matMulHRange computes rows [lo,hi) of C = A·B from fp16 operands. The
 // sweep is tiled k-outer: four B rows at a time decode into a pooled fp32
-// tile (vector decode), then fold into every output row of the range with
+// tile (batch decode), then fold into every output row of the range with
 // the same ov4/axpy4 blocks as matMulRange — first tile overwrites, tail
 // rows fold one at a time. Tiles apply in ascending p, so each output
 // element's fold order matches matMulRange on decoded operands exactly.
@@ -106,43 +108,24 @@ func MatMulBTH(c []float32, a, b HalfBuffer, m, n, k int) {
 }
 
 // matMulHFRange computes rows [lo,hi) of C = A·B with fp16 A coefficients
-// against an already-decoded fp32 B. Coefficients decode through the
-// vector decoder in 256-wide stack chunks (halfDecode is bitwise halfVal
-// per element, and 256 is a multiple of 4, so the ov4/axpy4 group
-// boundaries — and with them the fold order — match matMulRange on the
-// decoded operands exactly).
+// against an already-decoded fp32 B. A panel of up to four rows × 256
+// coefficients decodes into a stack buffer and folds through foldRows —
+// 4×16 tiles with the lane kernels on — overwriting C on the first panel
+// and accumulating after it. halfDecode is bitwise halfVal per element and
+// every panel continues the same ascending-p fold, so each element matches
+// matMulRange on the decoded operands exactly.
 func matMulHFRange(c []float32, a HalfBuffer, b []float32, k, n, lo, hi int) {
-	var buf [256]float32
-	for i := lo; i < hi; i++ {
-		ci := c[i*n : i*n+n]
-		ai := a[i*k : i*k+k]
-		if k == 0 {
-			Zero(ci)
-			continue
-		}
-		for p0 := 0; p0 < k; p0 += len(buf) {
-			cl := min(len(buf), k-p0)
-			af := buf[:cl]
-			halfDecode(af, ai[p0:p0+cl])
-			var p int
-			if p0 == 0 {
-				if cl >= 4 {
-					ov4(ci, b[:n], b[n:2*n], b[2*n:3*n], b[3*n:4*n],
-						af[0], af[1], af[2], af[3])
-					p = 4
-				} else {
-					ov1(ci, b[:n], af[0])
-					p = 1
-				}
+	const panel = 256
+	var buf [4 * panel]float32
+	for i := lo; i < hi; i += 4 {
+		rows := min(4, hi-i)
+		// k == 0 still runs one empty panel, which zeroes C.
+		for p0 := 0; p0 == 0 || p0 < k; p0 += panel {
+			cl := min(panel, k-p0)
+			for r := 0; r < rows; r++ {
+				halfDecode(buf[r*panel:r*panel+cl], a[(i+r)*k+p0:(i+r)*k+p0+cl])
 			}
-			for ; p+4 <= cl; p += 4 {
-				q := p0 + p
-				axpy4(ci, b[q*n:q*n+n], b[(q+1)*n:(q+2)*n], b[(q+2)*n:(q+3)*n], b[(q+3)*n:(q+4)*n],
-					af[p], af[p+1], af[p+2], af[p+3])
-			}
-			for ; p < cl; p++ {
-				axpy1(ci, b[(p0+p)*n:(p0+p)*n+n], af[p])
-			}
+			foldRows(c[i*n:(i+rows)*n], buf[:], panel, 1, b[p0*n:], cl, n, 0, rows, p0 > 0)
 		}
 	}
 }
@@ -150,8 +133,8 @@ func matMulHFRange(c []float32, a HalfBuffer, b []float32, k, n, lo, hi int) {
 // MatMulATAddH computes C[k×n] += A[m×k]ᵀ · B[m×n] with fp16 operands,
 // accumulating into fp32 C — the weight-gradient orientation, where the
 // fp32 accumulator is the mixed-precision contract's whole point. The
-// transpose walks A by column (stride-k access the vector decoder cannot
-// ride), so both operands pay one pooled vector-decode pass up front and the
+// transpose walks A by column (stride-k access the batch decoder cannot
+// ride), so both operands pay one pooled batch-decode pass up front and the
 // sweep delegates to the f32 Aᵀ kernels — an O(m·(k+n)) decode against the
 // O(m·k·n) multiply, and the ascending-i fold makes the result bitwise
 // MatMulATAdd on the decoded images by construction.
@@ -173,8 +156,8 @@ func MatMulATAddH(c []float32, a, b HalfBuffer, m, k, n int) {
 }
 
 // transposeHalfInto writes the decoded src[rows×cols]ᵀ into dst[cols×rows]
-// in one fused pass. Row segments decode through the vector decoder into a
-// stack tile before scattering, so the per-element cost is the SSE lane
+// in one fused pass. Row segments decode through the batch decoder into a
+// stack tile before scattering, so the per-element cost is the lane
 // decode, not a scalar halfVal. Four source rows decode per pass and each
 // destination column takes its four values as one contiguous group — one
 // bounds check and one strided step per four elements — and 16 consecutive r

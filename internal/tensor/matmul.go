@@ -7,16 +7,19 @@ package tensor
 //	grad input:  dX = dY·Wᵀ    (MatMulBT)
 //	grad weight: dW = Xᵀ·dY    (MatMulAT / MatMulATAdd)
 //
-// All matrices are row-major flat slices. The kernels are built on blocked
-// axpy inner loops (axpy_amd64.s / axpy_generic.go): each output row is
-// swept as a contiguous vector while up to four input rows fold into it
-// per pass. Blocking and vectorization only span output elements — every
-// element still folds its products left to right in the same operand order
-// as the naive triple loop (ascending p for MatMul/MatMulBT, ascending i
-// for the Aᵀ orientations), and neither the SSE path nor the Go compiler
-// contracts a*b+c into an FMA — so results are bitwise identical to the
-// scalar reference on every architecture and the stage-equivalence goldens
-// hold exactly.
+// All matrices are row-major flat slices. Every orientation is one fold
+// (foldRows): where the CPU has the lane features, 4-row × 16-column
+// blocks of C stay in AVX registers for the whole reduction
+// (gemm_amd64.s); the column and row tails, and every block elsewhere, run
+// the axpy sweep (axpy_amd64.s / axpy_generic.go), where each output row is
+// a contiguous vector that up to four input rows fold into per pass.
+// Blocking and vectorization only span output elements — every element
+// still folds its products left to right in the same operand order as the
+// naive triple loop (ascending p for MatMul/MatMulBT, ascending i for the
+// Aᵀ orientations), and neither the assembly nor the Go compiler contracts
+// a*b+c into an FMA — so results are bitwise identical to the scalar
+// reference on every architecture and the stage-equivalence goldens hold
+// exactly.
 //
 // Kernels fan out over a persistent worker pool (pool.go) when the problem
 // is large enough to amortize the handoff — the same compute/communication
@@ -47,31 +50,9 @@ func MatMul(c, a, b []float32, m, k, n int) {
 
 // matMulRange computes rows [lo,hi) of C = A·B in the row-major "axpy"
 // orientation: C's row i is a linear combination of B's rows with
-// coefficients from A's row i, folded four B rows per pass. The first
-// block overwrites, saving a zeroing pass.
+// coefficients from A's row i (row stride k, step stride 1).
 func matMulRange(c, a, b []float32, k, n, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		ci := c[i*n : i*n+n]
-		ai := a[i*k : i*k+k]
-		var p int
-		switch {
-		case k >= 4:
-			ov4(ci, b[:n], b[n:2*n], b[2*n:3*n], b[3*n:4*n], ai[0], ai[1], ai[2], ai[3])
-			p = 4
-		case k >= 1:
-			ov1(ci, b[:n], ai[0])
-			p = 1
-		default:
-			Zero(ci)
-		}
-		for ; p+4 <= k; p += 4 {
-			axpy4(ci, b[p*n:p*n+n], b[(p+1)*n:(p+2)*n], b[(p+2)*n:(p+3)*n], b[(p+3)*n:(p+4)*n],
-				ai[p], ai[p+1], ai[p+2], ai[p+3])
-		}
-		for ; p < k; p++ {
-			axpy1(ci, b[p*n:p*n+n], ai[p])
-		}
-	}
+	foldRows(c, a, k, 1, b, k, n, lo, hi, false)
 }
 
 // matMulColsRange computes columns [lo,hi) of the single-row product
@@ -80,24 +61,75 @@ func matMulRange(c, a, b []float32, k, n, lo, hi int) {
 // output columns; the accumulation order per element (ascending p) matches
 // matMulRange, keeping both paths bitwise interchangeable.
 func matMulColsRange(c, a, b []float32, k, n, lo, hi int) {
-	ci := c[lo:hi]
+	foldCols(c, a, 1, b, k, n, lo, hi, false)
+}
+
+// foldRows computes rows [lo,hi) of C[·×n] as k-step folds over B's rows:
+// row i's step-p coefficient is a[i·ars+p·aps], so (k, 1) reads A by rows
+// and (1, k) reads it by columns (the Aᵀ orientations, where the transpose
+// stays in the indexing). Without add the fold overwrites C.
+//
+// With the lane kernels on, four rows at a time run as 4×16 register tiles
+// (gemmTile), column tile outermost so each 16-column panel of B serves
+// every row block from cache; the column tail (n mod 16) and the row tail
+// (hi-lo mod 4) run on foldCols. Tile and axpy sweep both compute each
+// element as the strict left fold over ascending p, so the two paths are
+// bitwise identical.
+func foldRows(c, a []float32, ars, aps int, b []float32, k, n, lo, hi int, add bool) {
+	if k == 0 { // A may be empty: no coefficient to index
+		if !add {
+			Zero(c[lo*n : hi*n])
+		}
+		return
+	}
+	i := lo
+	if useLanes && n >= 16 {
+		n16, h4 := n&^15, lo+(hi-lo)&^3
+		aExt := 3*ars + (k-1)*aps + 1 // one tile's coefficients
+		bExt := (k-1)*n + 16          // one tile's B panel
+		for j := 0; j < n16; j += 16 {
+			bj := b[j : j+bExt]
+			for r := lo; r < h4; r += 4 {
+				gemmTile(c[r*n+j:(r+3)*n+j+16], a[r*ars:r*ars+aExt], bj, n, ars, aps, k, add)
+			}
+		}
+		if n16 < n {
+			for r := lo; r < h4; r++ {
+				foldCols(c[r*n:r*n+n], a[r*ars:], aps, b, k, n, n16, n, add)
+			}
+		}
+		i = h4
+	}
+	for ; i < hi; i++ {
+		foldCols(c[i*n:i*n+n], a[i*ars:], aps, b, k, n, 0, n, add)
+	}
+}
+
+// foldCols folds columns [lo,hi) of one output row c over k steps, four B
+// rows per pass: c[x] = c[x] + a[0]·b[x] + a[as]·b[n+x] + … left to right,
+// with step p's coefficient at a[p·as]. Without add the first block
+// overwrites instead (ov4/ov1), saving a zeroing pass.
+func foldCols(c, a []float32, as int, b []float32, k, n, lo, hi int, add bool) {
+	cw := c[lo:hi]
 	var p int
-	switch {
-	case k >= 4:
-		ov4(ci, b[lo:hi], b[n+lo:n+hi], b[2*n+lo:2*n+hi], b[3*n+lo:3*n+hi], a[0], a[1], a[2], a[3])
-		p = 4
-	case k >= 1:
-		ov1(ci, b[lo:hi], a[0])
-		p = 1
-	default:
-		Zero(ci)
+	if !add {
+		switch {
+		case k >= 4:
+			ov4(cw, b[lo:hi], b[n+lo:n+hi], b[2*n+lo:2*n+hi], b[3*n+lo:3*n+hi], a[0], a[as], a[2*as], a[3*as])
+			p = 4
+		case k >= 1:
+			ov1(cw, b[lo:hi], a[0])
+			p = 1
+		default:
+			Zero(cw)
+		}
 	}
 	for ; p+4 <= k; p += 4 {
-		axpy4(ci, b[p*n+lo:p*n+hi], b[(p+1)*n+lo:(p+1)*n+hi], b[(p+2)*n+lo:(p+2)*n+hi], b[(p+3)*n+lo:(p+3)*n+hi],
-			a[p], a[p+1], a[p+2], a[p+3])
+		axpy4(cw, b[p*n+lo:p*n+hi], b[(p+1)*n+lo:(p+1)*n+hi], b[(p+2)*n+lo:(p+2)*n+hi], b[(p+3)*n+lo:(p+3)*n+hi],
+			a[p*as], a[(p+1)*as], a[(p+2)*as], a[(p+3)*as])
 	}
 	for ; p < k; p++ {
-		axpy1(ci, b[p*n+lo:p*n+hi], a[p])
+		axpy1(cw, b[p*n+lo:p*n+hi], a[p*as])
 	}
 }
 
@@ -238,27 +270,7 @@ func MatMulAT(c, a, b []float32, m, k, n int) {
 // overwriting so no zero pass is needed. Fold order is ascending i,
 // matching matMulATAddRange exactly.
 func matMulATRange(c, a, b []float32, m, k, n, lo, hi int) {
-	for j := lo; j < hi; j++ {
-		cj := c[j*n : j*n+n]
-		var i int
-		switch {
-		case m >= 4:
-			ov4(cj, b[:n], b[n:2*n], b[2*n:3*n], b[3*n:4*n], a[j], a[k+j], a[2*k+j], a[3*k+j])
-			i = 4
-		case m >= 1:
-			ov1(cj, b[:n], a[j])
-			i = 1
-		default:
-			Zero(cj)
-		}
-		for ; i+4 <= m; i += 4 {
-			axpy4(cj, b[i*n:i*n+n], b[(i+1)*n:(i+2)*n], b[(i+2)*n:(i+3)*n], b[(i+3)*n:(i+4)*n],
-				a[i*k+j], a[(i+1)*k+j], a[(i+2)*k+j], a[(i+3)*k+j])
-		}
-		for ; i < m; i++ {
-			axpy1(cj, b[i*n:i*n+n], a[i*k+j])
-		}
-	}
+	foldRows(c, a, 1, k, b, m, n, lo, hi, false)
 }
 
 func matMulATColsRange(c, a, b []float32, m, n, lo, hi int) {
@@ -288,32 +300,14 @@ func MatMulATAdd(c, a, b []float32, m, k, n int) {
 // as matMulATRange but folding into C's existing contents. Ascending i
 // order per element, bitwise-matching the naive loop.
 func matMulATAddRange(c, a, b []float32, m, k, n, lo, hi int) {
-	for j := lo; j < hi; j++ {
-		cj := c[j*n : j*n+n]
-		i := 0
-		for ; i+4 <= m; i += 4 {
-			axpy4(cj, b[i*n:i*n+n], b[(i+1)*n:(i+2)*n], b[(i+2)*n:(i+3)*n], b[(i+3)*n:(i+4)*n],
-				a[i*k+j], a[(i+1)*k+j], a[(i+2)*k+j], a[(i+3)*k+j])
-		}
-		for ; i < m; i++ {
-			axpy1(cj, b[i*n:i*n+n], a[i*k+j])
-		}
-	}
+	foldRows(c, a, 1, k, b, m, n, lo, hi, true)
 }
 
 // matMulATAddColsRange accumulates columns [lo,hi) of the single-row
 // result C[1×n] += A[m×1]ᵀ·B — the k == 1 orientation (a column vector
 // against a matrix), which row splitting cannot parallelize.
 func matMulATAddColsRange(c, a, b []float32, m, n, lo, hi int) {
-	cw := c[lo:hi]
-	i := 0
-	for ; i+4 <= m; i += 4 {
-		axpy4(cw, b[i*n+lo:i*n+hi], b[(i+1)*n+lo:(i+1)*n+hi], b[(i+2)*n+lo:(i+2)*n+hi], b[(i+3)*n+lo:(i+3)*n+hi],
-			a[i], a[i+1], a[i+2], a[i+3])
-	}
-	for ; i < m; i++ {
-		axpy1(cw, b[i*n+lo:i*n+hi], a[i])
-	}
+	foldCols(c, a, 1, b, m, n, lo, hi, true)
 }
 
 // transposeInto writes src[rows×cols]ᵀ into dst[cols×rows], tiled so both

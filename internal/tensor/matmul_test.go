@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -138,6 +140,77 @@ func TestMatMulDimensionPanic(t *testing.T) {
 		}
 	}()
 	MatMul(make([]float32, 4), make([]float32, 4), make([]float32, 5), 2, 2, 2)
+}
+
+// FuzzMatMulLanes takes the shape from the first three bytes and reads the
+// rest as operand bits — float32 words for the f32 kernels, binary16 words
+// for the half kernels, any pattern: NaN payloads, ±Inf, ±0, subnormals. It
+// checks every matmul kernel with the lane kernels on against the same
+// kernel with them off, bit for bit. Shapes reach past parallelThreshold,
+// so MatMulBT's transposed path and the pool splits run too.
+func FuzzMatMulLanes(f *testing.F) {
+	word := func(vs ...uint32) []byte {
+		b := make([]byte, 4*len(vs))
+		for i, v := range vs {
+			binary.LittleEndian.PutUint32(b[4*i:], v)
+		}
+		return b
+	}
+	f.Add(append([]byte{6, 5, 32}, word(0x3f800000, 0xbfc00000, 0x40490fdb, 0x3e99999a)...))
+	f.Add(append([]byte{9, 3, 47}, word(0x7fc00123, 0xff800000, 0x80000000, 0x00000001, 0x7f8000ff, 0x3c007e01)...))
+	f.Add(append([]byte{40, 40, 70}, word(0x3f000000, 0xc0000000, 0x7c01fc00, 0x00400000)...))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < 3 {
+			return
+		}
+		m, k, n := 1+int(in[0])%48, int(in[1])%48, 1+int(in[2])%80
+		in = in[3:]
+		f32 := func(size, salt int) []float32 {
+			s := make([]float32, size)
+			if w := len(in) / 4; w > 0 {
+				for i := range s {
+					s[i] = math.Float32frombits(binary.LittleEndian.Uint32(in[4*((i+salt)%w):]))
+				}
+			}
+			return s
+		}
+		f16 := func(size, salt int) HalfBuffer {
+			s := make(HalfBuffer, size)
+			if w := len(in) / 2; w > 0 {
+				for i := range s {
+					s[i] = Half(binary.LittleEndian.Uint16(in[2*((i+salt)%w):]))
+				}
+			}
+			return s
+		}
+		a, b, bt, bm, c0 := f32(m*k, 0), f32(k*n, 1), f32(n*k, 2), f32(m*n, 3), f32(k*n, 4)
+		ha, hb, hbt, hbm := f16(m*k, 5), f16(k*n, 6), f16(n*k, 7), f16(m*n, 8)
+		run := func() map[string][]float32 {
+			out := map[string][]float32{
+				"MatMul": make([]float32, m*n), "MatMulBT": make([]float32, m*n),
+				"MatMulAT": make([]float32, k*n), "MatMulATAdd": append([]float32(nil), c0...),
+				"MatMulH": make([]float32, m*n), "MatMulBTH": make([]float32, m*n),
+				"MatMulATAddH": append([]float32(nil), c0...),
+			}
+			MatMul(out["MatMul"], a, b, m, k, n)
+			MatMulBT(out["MatMulBT"], a, bt, m, k, n)
+			MatMulAT(out["MatMulAT"], a, bm, m, k, n)
+			MatMulATAdd(out["MatMulATAdd"], a, bm, m, k, n)
+			MatMulH(out["MatMulH"], ha, hb, m, k, n)
+			MatMulBTH(out["MatMulBTH"], ha, hbt, m, k, n)
+			MatMulATAddH(out["MatMulATAddH"], ha, hbm, m, k, n)
+			return out
+		}
+		var want map[string][]float32
+		scalarRef(func() { want = run() })
+		for name, got := range run() {
+			for i, g := range got {
+				if gb, wb := math.Float32bits(g), math.Float32bits(want[name][i]); gb != wb {
+					t.Fatalf("%s %dx%dx%d [%d]: lanes %#08x, scalar %#08x", name, m, k, n, i, gb, wb)
+				}
+			}
+		}
+	})
 }
 
 func BenchmarkMatMul256(b *testing.B) {

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -51,48 +52,79 @@ func bitsEqual(t *testing.T, label string, got, want []float32) {
 }
 
 // kernelShapes spans the dispatch matrix: zero-size edges, odd/prime dims,
-// fewer rows than workers, the m==1 (and k==1 for Aᵀ) column splits, and
-// shapes that cross parallelThreshold in each orientation.
-var kernelShapes = [][3]int{
+// fewer rows than workers, the m==1 (and k==1 for Aᵀ) column splits,
+// shapes that cross parallelThreshold in each orientation, and the 4×16
+// tile's row and column tails (tileShapes).
+var kernelShapes = append([][3]int{
 	{0, 3, 2}, {3, 0, 2}, {3, 2, 0}, {0, 0, 0},
 	{1, 1, 1}, {1, 2, 3}, {2, 3, 4}, {3, 1, 5}, {5, 7, 3},
 	{7, 13, 11}, {13, 1, 7}, {31, 17, 29}, {67, 31, 37},
+	{4, 7, 16},     // exactly one tile
 	{9, 64, 128},   // work ≥ threshold, rows < workers
 	{1, 256, 257},  // matvec: column split must engage
 	{257, 256, 1},  // n == 1
 	{256, 1, 257},  // k == 1: Aᵀ column split
 	{64, 128, 512}, // the bench FC1 shape
+}, tileShapes()...)
+
+// tileShapes crosses m mod 4 ∈ {1,2,3} (one tile row block plus a row
+// tail), n mod 16 ∈ {1,8,15} (one or two column tiles plus a column tail)
+// and short reductions k ∈ {1,2,3,5}. In the Aᵀ orientations k counts the
+// tile rows and m the steps, so the same triples cover their tails too.
+func tileShapes() [][3]int {
+	var s [][3]int
+	for _, m := range []int{5, 6, 7} {
+		for _, n := range []int{17, 24, 47} {
+			for _, k := range []int{1, 2, 3, 5} {
+				s = append(s, [3]int{m, k, n})
+			}
+		}
+	}
+	return s
 }
 
 // runShapeMatrix validates all four kernel orientations against the naive
-// references for every shape, at the current GOMAXPROCS.
+// references for every shape, at the current GOMAXPROCS, with the lane
+// kernels on (where the CPU has them) and off.
 func runShapeMatrix(t *testing.T, seed int64) {
+	logScalarOnly(t)
+	for _, lanes := range []bool{true, false} {
+		if lanes {
+			runShapes(t, seed)
+		} else {
+			scalarRef(func() { runShapes(t, seed) })
+		}
+	}
+}
+
+func runShapes(t *testing.T, seed int64) {
 	r := rand.New(rand.NewSource(seed))
 	for _, dims := range kernelShapes {
 		m, k, n := dims[0], dims[1], dims[2]
+		at := fmt.Sprintf(" %v lanes=%v", dims, useLanes)
 
 		a, b := randSlice(r, m*k), randSlice(r, k*n)
 		c := make([]float32, m*n)
 		MatMul(c, a, b, m, k, n)
-		bitsEqual(t, "MatMul", c, refMatMul(a, b, m, k, n))
+		bitsEqual(t, "MatMul"+at, c, refMatMul(a, b, m, k, n))
 
 		// BT reads the triple as (m, n, k): A[m×n]·B[k×n]ᵀ.
 		bm, bn, bk := m, k, n
 		a, b = randSlice(r, bm*bn), randSlice(r, bk*bn)
 		c = make([]float32, bm*bk)
 		MatMulBT(c, a, b, bm, bn, bk)
-		bitsEqual(t, "MatMulBT", c, refBT(a, b, bm, bn, bk))
+		bitsEqual(t, "MatMulBT"+at, c, refBT(a, b, bm, bn, bk))
 
 		a, b = randSlice(r, m*k), randSlice(r, m*n)
 		c = make([]float32, k*n)
 		initial := randSlice(r, k*n)
 		copy(c, initial)
 		MatMulATAdd(c, a, b, m, k, n)
-		bitsEqual(t, "MatMulATAdd", c, refATAdd(initial, a, b, m, k, n))
+		bitsEqual(t, "MatMulATAdd"+at, c, refATAdd(initial, a, b, m, k, n))
 
 		c2 := make([]float32, k*n)
 		MatMulAT(c2, a, b, m, k, n)
-		bitsEqual(t, "MatMulAT", c2, refMatMul(refTranspose(a, m, k), b, k, m, n))
+		bitsEqual(t, "MatMulAT"+at, c2, refMatMul(refTranspose(a, m, k), b, k, m, n))
 	}
 }
 
