@@ -2,8 +2,13 @@ package data
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -207,6 +212,88 @@ func TestTrainBPEBudgets(t *testing.T) {
 	tok, err = TrainBPE([]byte("ab"), 1000)
 	if err != nil || tok.Merges() != 0 {
 		t.Fatalf("no-repeat sample: merges %d err %v, want 0", tok.Merges(), err)
+	}
+}
+
+// The committed example corpus and its vocab, which the goldens encode.
+const (
+	exampleCorpus = "../../examples/corpus/corpus.txt"
+	exampleVocab  = "../../examples/corpus/vocab.json"
+)
+
+// corpusDigest frames path into documents with the loader's docScanner,
+// encodes each with tok, and returns the SHA-256 of every document's ids
+// (4-byte little-endian, each document followed by EOT) and the token
+// count.
+func corpusDigest(t *testing.T, tok *Tokenizer, path string) (string, int) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	h := sha256.New()
+	sc := newDocScanner(f, 0, 0)
+	var ids []int
+	var word [4]byte
+	tokens := 0
+	for {
+		doc, err := sc.next()
+		if err == io.EOF {
+			return hex.EncodeToString(h.Sum(nil)), tokens
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = tok.EncodeInto(ids[:0], doc)
+		tokens += len(ids)
+		for _, id := range append(ids, EOT) {
+			binary.LittleEndian.PutUint32(word[:], uint32(id))
+			h.Write(word[:])
+		}
+	}
+}
+
+// The encoder's output on the example corpus is pinned bit for bit: for
+// tokenizers trained at open (the loader's "bpe" sample) at three vocab
+// sizes and for the committed vocab.json, the digest of every document's
+// ids must not move. The digests were computed by the rescan-per-merge
+// encoder.
+func TestEncodeCorpusGolden(t *testing.T) {
+	sample, err := readSample(exampleCorpus, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		vocab  int // 0: the committed vocab.json
+		digest string
+		tokens int
+	}{
+		{"bpe300", 300, "de8141ff7469c21f2850dcb0fb03cb15ef60b58829a924ceb998b078d9f40aa4", 4756},
+		{"bpe512", 512, "26debf51e553022095eae21970d7a3bef7b0a692ca6a44c3b05a8a7f31ff888b", 2900},
+		// The 7 KiB sample stops repeating pairs at 924 ids.
+		{"bpe4096", 4096, "f55825c220af79c1b8b0f31be48e2f3128e59644dca11e43ea0c46e2f0ff0e6f", 1897},
+		{"vocab.json", 0, "c36c8d4f9f2167ed530647fc6846c58d37266b2aea6a60ac3907fcb0bc8138ab", 2900},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var tok *Tokenizer
+			var err error
+			if tc.vocab == 0 {
+				tok, err = LoadTokenizerFile(exampleVocab)
+			} else {
+				tok, err = TrainBPE(sample, tc.vocab)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			digest, tokens := corpusDigest(t, tok, exampleCorpus)
+			if digest != tc.digest || tokens != tc.tokens {
+				t.Errorf("vocab %d: %d tokens, digest %s; want %d tokens, digest %s",
+					tok.VocabSize(), tokens, digest, tc.tokens, tc.digest)
+			}
+		})
 	}
 }
 
