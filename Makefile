@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet bench-vet bench-test build build-arm64 test race configcheck fuzz-smoke serve-smoke elastic-smoke bench-data bench-serve bench-elastic bench-fp16 bench-compare bench-smoke pprof sweep all
+.PHONY: check fmt vet bench-vet bench-test build build-arm64 test race configcheck fuzz-smoke serve-smoke elastic-smoke bench-serve bench-elastic bench-fp16 bench-compare bench-smoke pprof sweep all
 
 check: fmt vet bench-vet bench-test build build-arm64 test race configcheck fuzz-smoke serve-smoke elastic-smoke
 
@@ -46,7 +46,8 @@ race:
 configcheck:
 	$(GO) test ./internal/engine -run TestCommittedConfigsValidate
 
-# Short native-fuzzer smokes: the BPE encode/decode round-trip, the vocab
+# Short native-fuzzer smokes: the BPE encode/decode round-trip, the
+# heap-driven BPE encode against the rescan-per-merge reference, the vocab
 # JSON loader (reject, or save → load to the identical vocab, with
 # allocation linear in the input), the fp32↔fp16 conversion surface (batch
 # encoders vs the scalar reference), GELU/GELUBackward/softmax on the
@@ -56,11 +57,13 @@ configcheck:
 # (reject, or normalize → marshal → parse to the identical config) and the
 # job-spec parser (reject, or marshal → parse to the identical spec) — a few
 # seconds of coverage-guided input generation on every `make check`.
-# (Unbounded minimisation of each new vocab, matmul, snapshot, config or
-# spec input would eat the 3 s, so it is capped at 100 executions.)
+# (Unbounded minimisation of each new vocab, encode, matmul, snapshot,
+# config or spec input would eat the 3 s, so it is capped at 100
+# executions.)
 fuzz-smoke:
 	$(GO) test ./internal/data -run=NONE -fuzz=FuzzBPERoundTrip -fuzztime=3s
 	$(GO) test ./internal/data -run=NONE -fuzz=FuzzLoadTokenizerJSON -fuzztime=3s -fuzzminimizetime=100x
+	$(GO) test ./internal/data -run=NONE -fuzz=FuzzEncodeMatchesReference -fuzztime=3s -fuzzminimizetime=100x
 	$(GO) test ./internal/tensor -run=NONE -fuzz=FuzzHalfRoundTrip -fuzztime=3s
 	$(GO) test ./internal/tensor -run=NONE -fuzz=FuzzTranscendentals -fuzztime=3s
 	$(GO) test ./internal/tensor -run=NONE -fuzz=FuzzMatMulLanes -fuzztime=3s -fuzzminimizetime=100x
@@ -79,10 +82,6 @@ serve-smoke:
 elastic-smoke:
 	$(GO) test -race ./internal/serve -run TestElasticKillResume -count=1
 
-# Regenerate the data-pipeline baseline (BENCH_DATA.json).
-bench-data:
-	./scripts/bench_data.sh
-
 # Regenerate the control-plane baseline (BENCH_SERVE.json).
 bench-serve:
 	./scripts/bench_serve.sh
@@ -99,7 +98,6 @@ bench-fp16:
 # allocs/op growth (hard gate; allocation counts are deterministic) —
 # against the committed JSONs.
 bench-compare:
-	./scripts/bench_compare.sh BENCH_DATA.json
 	./scripts/bench_compare.sh BENCH_SERVE.json
 	./scripts/bench_compare.sh BENCH_ELASTIC.json
 	./scripts/bench_compare.sh BENCH_FP16.json
@@ -107,7 +105,7 @@ bench-compare:
 # One-iteration benchmark smoke: proves the alloc-reporting path itself
 # still runs (CI uses this; it makes no timing claims).
 bench-smoke:
-	$(GO) test -run=NONE -bench='StageStep|AccumStep|^BenchmarkDataPipeline$$|^BenchmarkServe$$|^BenchmarkElastic$$|^BenchmarkFP16Step$$' -benchtime=1x .
+	$(GO) test -run=NONE -bench='StageStep|AccumStep|^BenchmarkServe$$|^BenchmarkElastic$$|^BenchmarkFP16Step$$' -benchtime=1x .
 
 # Capture CPU + heap profiles of BenchmarkStageStep into ./profiles (see
 # README "Profiling & allocation discipline" for how to read them).

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/data"
 	"repro/internal/elastic"
 	"repro/internal/engine"
 	"repro/internal/experiments"
@@ -443,53 +442,6 @@ func BenchmarkAccumStep(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.ReportMetric(float64(w.Stats(0).BytesSent)/float64(b.N), "wire-B/rank/step")
-		})
-	}
-}
-
-// BenchmarkDataPipeline measures the streaming corpus path end to end —
-// chunked file reads, document framing, tokenization, the seeded shuffle
-// buffer, and sequence packing into micro-batches — in tokens/sec through
-// the loader. Steady state must be allocation-free: documents recycle
-// through the loader's int arena and the batch buffers are reused, so the
-// BENCH_DATA.json baseline pins allocs/op near zero (hard gate, like the
-// other suites).
-func BenchmarkDataPipeline(b *testing.B) {
-	base := data.Config{
-		Path:          "examples/corpus/corpus.txt",
-		SeqLen:        32,
-		ShuffleBuffer: 8,
-		Seed:          7,
-	}
-	const rows, world = 8, 2
-	for _, tok := range []string{"byte", "bpe"} {
-		b.Run("tok="+tok, func(b *testing.B) {
-			cfg := base
-			cfg.Tokenizer = tok
-			if tok == "bpe" {
-				cfg.VocabSize = 512
-			}
-			ld, err := data.Open(cfg, rows, world)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer ld.Close()
-			// Reach steady state before measuring: the first batches
-			// grow the batch buffers, prime the shuffle windows, and
-			// populate the arena's size classes.
-			for i := 0; i < 50; i++ {
-				ld.NextBatch()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ld.NextBatch()
-			}
-			b.StopTimer()
-			tokens := float64(b.N) * float64(rows) * float64(cfg.SeqLen)
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(tokens/secs, "tokens/s")
-			}
 		})
 	}
 }

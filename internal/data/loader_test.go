@@ -163,6 +163,29 @@ func TestLoaderSteadyStateAllocations(t *testing.T) {
 	}
 }
 
+// The same contract in BPE mode, at the corpus-accum4 benchmark's shape
+// (vocab 512, world 2, seq 32, 4 rows, 8 shuffled docs): once every
+// stream's encode scratch has reached its longest document, tokenizing
+// allocates nothing either.
+func TestLoaderSteadyStateAllocationsBPE(t *testing.T) {
+	cfg := Config{Path: exampleCorpus, Tokenizer: "bpe", VocabSize: 512, SeqLen: 32, ShuffleBuffer: 8, Seed: 7}
+	l, err := Open(cfg, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for i := 0; i < 100; i++ { // warm-up: several epochs wrap
+		l.NextBatch()
+	}
+	if l.Epochs() < 1 {
+		t.Fatalf("warm-up did not wrap an epoch (epochs %d)", l.Epochs())
+	}
+	avg := testing.AllocsPerRun(100, func() { l.NextBatch() })
+	if avg != 0 {
+		t.Fatalf("steady-state BPE NextBatch allocates %.2f allocs/op, want 0", avg)
+	}
+}
+
 // BPE mode trains on the corpus head at Open and the loader reports the
 // actual vocabulary; a .json tokenizer spec loads a saved vocab.
 func TestLoaderTokenizerModes(t *testing.T) {

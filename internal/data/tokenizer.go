@@ -60,13 +60,22 @@ type merge struct {
 // merges is the plain byte tokenizer. Encode/Decode round-trip any byte
 // sequence exactly (byte-level BPE has no unknown-token case).
 //
-// EncodeInto reuses an internal scratch buffer, so a Tokenizer must not be
-// shared across goroutines; each Loader (and each rank) owns its own.
+// EncodeInto reuses internal scratch, so a Tokenizer must not be shared
+// across goroutines; each Loader (and each rank) owns its own.
 type Tokenizer struct {
 	merges []merge
 	rank   map[uint64]int // pair key → merge index (encode priority)
 	vocab  [][]byte       // id → bytes; vocab[EOT] is empty
-	buf    []int          // encode scratch
+	enc    encodeScratch
+}
+
+// encodeScratch is EncodeInto's working set, grown to the longest text
+// seen and reused: the symbols as a doubly linked list over their original
+// byte positions, and a min-heap of candidate merges.
+type encodeScratch struct {
+	sym        []int32  // id at each position; dead once merged into its left neighbour
+	prev, next []int32  // neighbouring live positions; -1 and len(text) past the ends
+	heap       []uint64 // candidates: merge index<<32 | left position
 }
 
 // maxTokenBytes caps the byte length of one token. Each merge concatenates
@@ -177,31 +186,99 @@ func mergePair(seq []int, l, r, id int) []int {
 // first), each rewriting every occurrence left to right — the standard
 // greedy BPE encode. It never emits EOT; document separators are the
 // packer's job.
+//
+// The symbols form a linked list over their byte positions, and a min-heap
+// holds every adjacent pair that has a merge, keyed by (merge index, left
+// position). The smallest key is popped; if its position has died or no
+// longer holds that merge's pair, it is skipped, and otherwise the pair
+// merges in place and the two pairs it forms with its neighbours are
+// pushed. That is the rewrite above, bit for bit: merge i's output 257+i
+// only feeds merges j > i, so indices pop in increasing order, and within
+// one index ascending position with stale skips is the left-to-right,
+// non-overlapping rewrite ("aaa" → [aa, a]). Cost: O(n log n) for n bytes,
+// where rescanning the text once per applied merge is O(merges × n).
 func (t *Tokenizer) EncodeInto(dst []int, text []byte) []int {
-	if len(text) == 0 {
-		return dst
+	n := len(text)
+	e := &t.enc
+	if cap(e.sym) < n {
+		e.sym, e.prev, e.next = make([]int32, n), make([]int32, n), make([]int32, n)
 	}
-	if cap(t.buf) < len(text) {
-		t.buf = make([]int, len(text))
-	}
-	buf := t.buf[:len(text)]
+	sym, prev, next := e.sym[:n], e.prev[:n], e.next[:n]
+	h := e.heap[:0]
 	for i, b := range text {
-		buf[i] = int(b)
-	}
-	for len(t.merges) > 0 {
-		best := -1
-		for i := 0; i+1 < len(buf); i++ {
-			if m, ok := t.rank[pairKey(buf[i], buf[i+1])]; ok && (best == -1 || m < best) {
-				best = m
+		sym[i], prev[i], next[i] = int32(b), int32(i-1), int32(i+1)
+		if i+1 < n {
+			if m, ok := t.rank[pairKey(int(b), int(text[i+1]))]; ok {
+				h = append(h, uint64(m)<<32|uint64(i))
 			}
 		}
-		if best == -1 {
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for len(h) > 0 {
+		key := h[0]
+		h[0] = h[len(h)-1]
+		h = h[:len(h)-1]
+		siftDown(h, 0)
+		m, p := int(key>>32), int32(uint32(key))
+		q := next[p]
+		if mg := t.merges[m]; sym[p] != int32(mg.L) || int(q) == n || sym[q] != int32(mg.R) {
+			continue // stale: p died, or its pair changed since the push
+		}
+		r := next[q]
+		sym[p], sym[q] = int32(byteVocab+m), -1
+		next[p] = r
+		if int(r) < n {
+			prev[r] = p
+			h = t.pushPair(h, sym, p, r)
+		}
+		if l := prev[p]; l >= 0 {
+			h = t.pushPair(h, sym, l, p)
+		}
+	}
+	e.heap = h
+	for i := int32(0); int(i) < n; i = next[i] {
+		dst = append(dst, int(sym[i]))
+	}
+	return dst
+}
+
+// pushPair pushes the pair at adjacent live positions (l, r) onto the heap
+// h if it has a merge.
+func (t *Tokenizer) pushPair(h []uint64, sym []int32, l, r int32) []uint64 {
+	m, ok := t.rank[pairKey(int(sym[l]), int(sym[r]))]
+	if !ok {
+		return h
+	}
+	h = append(h, uint64(m)<<32|uint64(l))
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if h[parent] <= h[i] {
 			break
 		}
-		m := t.merges[best]
-		buf = mergePair(buf, m.L, m.R, byteVocab+best)
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
 	}
-	return append(dst, buf...)
+	return h
+}
+
+// siftDown restores the min-heap order of h below index i.
+func siftDown(h []uint64, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
+		}
+		if h[i] <= h[c] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // Encode is the allocating convenience form of EncodeInto.

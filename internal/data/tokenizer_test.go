@@ -5,9 +5,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -297,6 +299,79 @@ func TestEncodeCorpusGolden(t *testing.T) {
 	}
 }
 
+// encodeReference is the rescan-per-merge encoder: find the lowest merge
+// index present anywhere in the sequence, rewrite all its occurrences left
+// to right, and repeat. It costs O(merges applied × len) and is kept only
+// as the oracle EncodeInto must match id for id.
+func encodeReference(t *Tokenizer, text []byte) []int {
+	buf := make([]int, len(text))
+	for i, b := range text {
+		buf[i] = int(b)
+	}
+	for len(t.merges) > 0 {
+		best := -1
+		for i := 0; i+1 < len(buf); i++ {
+			if m, ok := t.rank[pairKey(buf[i], buf[i+1])]; ok && (best == -1 || m < best) {
+				best = m
+			}
+		}
+		if best == -1 {
+			break
+		}
+		m := t.merges[best]
+		buf = mergePair(buf, m.L, m.R, byteVocab+best)
+	}
+	return buf
+}
+
+// EncodeInto matches encodeReference id for id on seeded random texts —
+// windows of the example corpus with a few bytes replaced, and runs over
+// tiny alphabets where one merge overlaps itself — under the corpus-trained
+// vocabs of TestEncodeCorpusGolden and the self-merge chain. Each encode
+// appends behind a sentinel, which must survive.
+func TestEncodeMatchesReference(t *testing.T) {
+	sample, err := readSample(exampleCorpus, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var toks []*Tokenizer
+	for _, vocab := range []int{300, 512, 4096} {
+		tok, err := TrainBPE(sample, vocab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		toks = append(toks, tok)
+	}
+	doubling, err := LoadTokenizerJSON(doublingVocab(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	toks = append(toks, doubling)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 600; i++ {
+		n := rng.Intn(160)
+		var text []byte
+		if i%2 == 0 {
+			off := rng.Intn(len(sample) - n)
+			text = append(text, sample[off:off+n]...)
+			for j := rng.Intn(4); j > 0 && n > 0; j-- {
+				text[rng.Intn(n)] = byte(rng.Intn(256))
+			}
+		} else {
+			alphabet := []string{"a", "ab", "ae ", "the "}[rng.Intn(4)]
+			for range n {
+				text = append(text, alphabet[rng.Intn(len(alphabet))])
+			}
+		}
+		for _, tok := range toks {
+			got := tok.EncodeInto([]int{-1}, text)
+			if want := encodeReference(tok, text); got[0] != -1 || !equalIDs(got[1:], want) {
+				t.Fatalf("vocab %d, text %q: EncodeInto %v, reference %v", tok.VocabSize(), text, got, want)
+			}
+		}
+	}
+}
+
 // EncodeInto appends into the destination without clobbering its prefix
 // and reuses scratch across calls.
 func TestEncodeIntoAppends(t *testing.T) {
@@ -334,6 +409,73 @@ func FuzzBPERoundTrip(f *testing.F) {
 			}
 			if !bytes.Equal(out, in) {
 				t.Fatalf("%s: round trip changed %q -> %q", name, in, out)
+			}
+		}
+	})
+}
+
+// fuzzVocab splits a fuzz input into a vocab and a text. in[0] mod 16 is
+// the merge count, and each merge takes the next two bytes: a byte below
+// 128 is that raw byte, one at or above it an earlier merge's id, so
+// chains and self-merges come up often. It returns the tokenizer
+// LoadTokenizerJSON builds from those pairs (nil when it rejects them) and
+// the rest of the input.
+func fuzzVocab(in []byte) (*Tokenizer, []byte) {
+	if len(in) == 0 {
+		return nil, in
+	}
+	spec := tokenizerJSON{Kind: "bpe"}
+	k, rest := int(in[0]%16), in[1:]
+	for i := 0; i < k && len(rest) >= 2; i++ {
+		var pair [2]int
+		for j, x := range rest[:2] {
+			pair[j] = int(x)
+			if x >= 128 && i > 0 {
+				pair[j] = byteVocab + int(x-128)%i
+			}
+		}
+		spec.Merges = append(spec.Merges, pair)
+		rest = rest[2:]
+	}
+	blob, err := json.Marshal(spec)
+	if err != nil {
+		panic(err)
+	}
+	tok, _ := LoadTokenizerJSON(blob) // nil when rejected
+	return tok, rest
+}
+
+// FuzzEncodeMatchesReference: for any input bytes, EncodeInto equals
+// encodeReference under a trained 320-id vocab, under the self-merge chain
+// doublingVocab(10) (tie order on runs like "aaaa"), and under a vocab
+// loaded from merge pairs taken out of the input itself (fuzzVocab). Run as
+// a short smoke in `make check` (fuzz-smoke).
+func FuzzEncodeMatchesReference(f *testing.F) {
+	trained, err := TrainBPE(bytes.Repeat([]byte("the zero redundancy optimizer shards optimizer state. "), 40), 320)
+	if err != nil {
+		f.Fatal(err)
+	}
+	doubling, err := LoadTokenizerJSON(doublingVocab(10))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte("the optimizer shards state"))
+	f.Add([]byte(""))
+	f.Add(bytes.Repeat([]byte("a"), 37))
+	f.Add([]byte("\x03aa\x80\x80\x81aaaaaaaaaaa"))
+	f.Add([]byte("\x02ab\x80bababbabab"))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		loaded, text := fuzzVocab(in)
+		for _, c := range []struct {
+			name string
+			tok  *Tokenizer
+			text []byte
+		}{{"trained", trained, in}, {"doubling", doubling, in}, {"loaded", loaded, text}} {
+			if c.tok == nil {
+				continue
+			}
+			if got, want := c.tok.Encode(c.text), encodeReference(c.tok, c.text); !equalIDs(got, want) {
+				t.Fatalf("%s: EncodeInto(%q) = %v, reference %v", c.name, c.text, got, want)
 			}
 		}
 	})
