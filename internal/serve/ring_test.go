@@ -80,6 +80,30 @@ func TestRingFollowAndClose(t *testing.T) {
 	}
 }
 
+// The follow path an HTTP metrics stream rides — Append then Next at the
+// head — allocates nothing per record: 256 append+read pairs on a warm
+// ring, counted under testing.AllocsPerRun, must be exactly 0.
+func TestRingFollowAllocatesNothing(t *testing.T) {
+	const pairs = 256
+	r := NewRing(1024)
+	rec := Record{Loss: 2.5, GradNorm: 1.25, WireElems: 1 << 20, WireBytes: 4 << 20}
+	var cursor int64
+	allocs := testing.AllocsPerRun(20, func() {
+		for p := 0; p < pairs; p++ {
+			rec.Step++
+			r.Append(rec)
+			got, next, ok := r.Next(cursor, nil)
+			if !ok || got.Step != rec.Step {
+				t.Fatalf("Next(%d) = (step %d, %v), want step %d", cursor, got.Step, ok, rec.Step)
+			}
+			cursor = next
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%d append+follow pairs allocate %.1f objects, want 0", pairs, allocs)
+	}
+}
+
 // The giveUp hook aborts a blocked reader when woken — the client-gone
 // path: context.AfterFunc calls Wake, the reader re-checks and returns.
 func TestRingGiveUpOnWake(t *testing.T) {

@@ -283,6 +283,53 @@ func TestEncodeRejectsInconsistentSnapshot(t *testing.T) {
 	}
 }
 
+// maxCodecAllocs bounds one Encode + DecodeSnapshot round trip of the
+// snapshot below. The round trip measures 29 allocations (go1.24); the 2
+// on top are slack for allocation-count drift across Go releases
+// (encoding/json), not room for a new per-tensor or per-shard allocation,
+// which would add 3–8.
+const maxCodecAllocs = 29 + 2
+
+// The ZELC codec's allocation count is a deterministic function of the
+// snapshot's geometry — one output buffer, one header, one slice per
+// decoded tensor — so it is pinned here: a world-8 snapshot of 1<<16
+// parameters with two optimizer tensors and position-dependent values.
+func TestSnapshotCodecAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("counts vary under -race: encoding/json's sync.Pool drops puts at random")
+	}
+	const n, numParams, optK = 8, 1 << 16, 2
+	snap := &Snapshot{
+		Stage:     StageOSG,
+		WorldSize: n,
+		NumParams: numParams,
+		OptSteps:  3,
+		Params:    make([]float32, numParams),
+		Opt:       make([][]float32, optK),
+	}
+	for i := range snap.Params {
+		snap.Params[i] = float32(i) * 0.5
+	}
+	for k := range snap.Opt {
+		snap.Opt[k] = make([]float32, numParams)
+		for i := range snap.Opt[k] {
+			snap.Opt[k][i] = float32(k*numParams + i)
+		}
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		blob, err := snap.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeSnapshot(blob); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > maxCodecAllocs {
+		t.Errorf("Encode + DecodeSnapshot allocates %.0f objects, want ≤ %d", allocs, maxCodecAllocs)
+	}
+}
+
 // FuzzDecodeSnapshot: any input is rejected or is exactly what Encode
 // writes for the snapshot it decodes to; never a panic, and the floats it
 // holds never outweigh the input. Each input is tried as it is and sealed —
