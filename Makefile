@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet bench-vet bench-test build build-arm64 test race configcheck fuzz-smoke serve-smoke elastic-smoke bench-serve bench-elastic bench-fp16 bench-compare bench-smoke pprof sweep all
+.PHONY: check fmt vet bench-vet bench-test build build-arm64 test race configcheck fuzz-smoke serve-smoke elastic-smoke pprof sweep all
 
 check: fmt vet bench-vet bench-test build build-arm64 test race configcheck fuzz-smoke serve-smoke elastic-smoke
 
@@ -82,35 +82,13 @@ serve-smoke:
 elastic-smoke:
 	$(GO) test -race ./internal/serve -run TestElasticKillResume -count=1
 
-# Regenerate the control-plane baseline (BENCH_SERVE.json).
-bench-serve:
-	./scripts/bench_serve.sh
-
-# Regenerate the elastic-checkpointing baseline (BENCH_ELASTIC.json).
-bench-elastic:
-	./scripts/bench_elastic.sh
-
-# Regenerate the fp16 compute-path baseline (BENCH_FP16.json).
-bench-fp16:
-	./scripts/bench_fp16.sh
-
-# Re-run every baseline suite and fail on >10% ns/op regression — or any
-# allocs/op growth (hard gate; allocation counts are deterministic) —
-# against the committed JSONs.
-bench-compare:
-	./scripts/bench_compare.sh BENCH_SERVE.json
-	./scripts/bench_compare.sh BENCH_ELASTIC.json
-	./scripts/bench_compare.sh BENCH_FP16.json
-
-# One-iteration benchmark smoke: proves the alloc-reporting path itself
-# still runs (CI uses this; it makes no timing claims).
-bench-smoke:
-	$(GO) test -run=NONE -bench='StageStep|AccumStep|^BenchmarkServe$$|^BenchmarkElastic$$|^BenchmarkFP16Step$$' -benchtime=1x .
-
-# Capture CPU + heap profiles of BenchmarkStageStep into ./profiles (see
-# README "Profiling & allocation discipline" for how to read them).
+# Capture CPU and heap profiles of the steady-state allocation test (every
+# stage × schedule, warm-up and measured steps) into ./profiles, with every
+# allocation sampled. See README "Profiling & allocation discipline" for how
+# to read them.
 pprof:
-	./scripts/profile.sh
+	mkdir -p profiles
+	$(GO) test ./internal/zero -run '^TestSteadyStateStepAllocations$$' -count=1 -memprofilerate=1 -cpuprofile profiles/cpu.pprof -memprofile profiles/mem.pprof -o profiles/zero.test
 
 # Render the stage-sweep experiments.
 sweep:

@@ -11,8 +11,7 @@
 //
 // Experiments: fig1 table1 table2 fig2 fig3 fig4 fig5 fig6 fig7 fig8
 // commvolume ablations stagesweep stagethroughput stagememory. Output is an
-// aligned text table per experiment; EXPERIMENTS.md records the comparison
-// against the paper's reported values.
+// aligned text table per experiment.
 package main
 
 import (

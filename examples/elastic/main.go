@@ -63,7 +63,10 @@ func trainAndCapture(n, steps, capAt int) ([][]float64, *zero.Snapshot) {
 	var hdr zero.Snapshot
 	w := comm.NewWorld(n)
 	w.Run(func(c *comm.Comm) {
-		tr := zero.MustNew(c, mcfg, opts(9))
+		tr, err := zero.New(c, mcfg, opts(9))
+		if err != nil {
+			log.Fatal(err)
+		}
 		defer tr.Close()
 		for s := 1; s <= steps; s++ {
 			losses[s-1][c.Rank()] = tr.Step(ids, targets, batch)
@@ -98,7 +101,10 @@ func resume(m int, snap *zero.Snapshot) [][]float64 {
 	}
 	w := comm.NewWorld(m)
 	w.Run(func(c *comm.Comm) {
-		tr := zero.MustNew(c, mcfg, opts(4242))
+		tr, err := zero.New(c, mcfg, opts(4242))
+		if err != nil {
+			log.Fatal(err)
+		}
 		defer tr.Close()
 		if err := tr.Load(snap); err != nil {
 			log.Fatal(err)

@@ -23,6 +23,16 @@ const (
 	testLR   = 1e-3
 )
 
+// newTrainer builds a trainer of testConfig on c. It runs on a rank's
+// goroutine, where t.Fatal cannot stop the test, so it panics on error.
+func newTrainer(c *comm.Comm, opts zero.Options) *zero.Trainer {
+	tr, err := zero.New(c, testConfig(), opts)
+	if err != nil {
+		panic(err)
+	}
+	return tr
+}
+
 func snapshotsEqual(t *testing.T, a, b *zero.Snapshot, label string) {
 	t.Helper()
 	if a.NumParams != b.NumParams || a.OptSteps != b.OptSteps ||
@@ -55,7 +65,7 @@ func captureWorld(t *testing.T, n int, opts zero.Options, fullSteps, microsPer, 
 	hdrs := make([]zero.Snapshot, n)
 	w := comm.NewWorld(n)
 	w.Run(func(c *comm.Comm) {
-		tr := zero.MustNew(c, testConfig(), opts)
+		tr := newTrainer(c, opts)
 		defer tr.Close()
 		for s := 0; s < fullSteps; s++ {
 			for m := 0; m < microsPer; m++ {
@@ -101,7 +111,7 @@ func resumeWorld(t *testing.T, n int, opts zero.Options, snap *zero.Snapshot,
 	w.Run(func(c *comm.Comm) {
 		o := opts
 		o.Seed = 4242
-		tr := zero.MustNew(c, testConfig(), o)
+		tr := newTrainer(c, o)
 		defer tr.Close()
 		if err := tr.Load(snap); err != nil {
 			t.Error(err)
@@ -133,7 +143,7 @@ func referenceWorld(t *testing.T, n int, opts zero.Options, fullSteps, microsPer
 	out := make([][]float32, n)
 	w := comm.NewWorld(n)
 	w.Run(func(c *comm.Comm) {
-		tr := zero.MustNew(c, testConfig(), opts)
+		tr := newTrainer(c, opts)
 		defer tr.Close()
 		for s := 0; s < fullSteps; s++ {
 			for m := 0; m < microsPer; m++ {
@@ -249,7 +259,7 @@ func TestSnapshotterAsyncMatchesSyncCapture(t *testing.T) {
 	hdrs := make([]zero.Snapshot, n)
 	w := comm.NewWorld(n)
 	w.Run(func(c *comm.Comm) {
-		tr := zero.MustNew(c, testConfig(), opts)
+		tr := newTrainer(c, opts)
 		defer tr.Close()
 		for s := 1; s <= steps; s++ {
 			tr.Step(ids, targets, batch)
@@ -319,7 +329,7 @@ func TestSnapshotterMidAccumInMemory(t *testing.T) {
 	}
 	w := comm.NewWorld(n)
 	w.Run(func(c *comm.Comm) {
-		tr := zero.MustNew(c, testConfig(), opts)
+		tr := newTrainer(c, opts)
 		defer tr.Close()
 		tr.Step(ids, targets, batch)
 		tr.Forward(ids, targets, batch)

@@ -30,7 +30,10 @@ func Ablations() Table {
 		opts.Seed = 1
 		w := comm.NewWorld(n)
 		w.Run(func(c *comm.Comm) {
-			tr := zero.MustNew(c, cfg, opts)
+			tr, err := zero.New(c, cfg, opts)
+			if err != nil {
+				panic(err)
+			}
 			tr.Step(ids, targets, batch)
 		})
 		for r := 0; r < n; r++ {

@@ -1,8 +1,7 @@
 // Package experiments contains one driver per table and figure of the
 // paper's evaluation (§10). Each driver returns a Table whose rows mirror
-// what the paper reports; cmd/zerobench renders them and bench_test.go
-// regenerates them under `go test -bench`. EXPERIMENTS.md records the
-// paper-vs-measured comparison for every driver.
+// what the paper reports; cmd/zerobench renders them, and this package's
+// tests pin each table's shape and the paper's orderings against it.
 package experiments
 
 import (

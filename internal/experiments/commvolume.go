@@ -46,7 +46,10 @@ func CommVolume() Table {
 		}
 		w := comm.NewWorld(n)
 		w.Run(func(c *comm.Comm) {
-			tr := zero.MustNew(c, cfg, zero.Options{Stage: st, LR: 1e-3, Seed: 1})
+			tr, err := zero.New(c, cfg, zero.Options{Stage: st, LR: 1e-3, Seed: 1})
+			if err != nil {
+				panic(err)
+			}
 			tr.Step(ids, targets, batch)
 		})
 		addRow(name, w.TotalElemsSent(), mult)

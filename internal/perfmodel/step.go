@@ -27,9 +27,9 @@ type ZeROConfig struct {
 	// the gradient buckets' dpOverlapWindow ceiling as depth grows.
 	PrefetchDepth int
 	// GatherWindow, when > 0, overrides the modeled prefetch overlap
-	// window with a measured compute fraction in (0,1] — read it off a
-	// depth sweep of BenchmarkPrefetchStep/BenchmarkAccumStep instead of
-	// assuming the closed form.
+	// window with a measured compute fraction in (0,1] — read it off
+	// bench/'s traced zero.exposed_* figures on a stage-3 prefetch workload
+	// (gather-s3-fp16) instead of assuming the closed form.
 	GatherWindow float64
 }
 

@@ -212,15 +212,3 @@ func FuzzMatMulLanes(f *testing.F) {
 		}
 	})
 }
-
-func BenchmarkMatMul256(b *testing.B) {
-	r := rand.New(rand.NewSource(5))
-	n := 256
-	a, bb := randSlice(r, n*n), randSlice(r, n*n)
-	c := make([]float32, n*n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMul(c, a, bb, n, n, n)
-	}
-	b.SetBytes(int64(n * n * 4))
-}

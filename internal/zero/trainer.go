@@ -387,16 +387,6 @@ func New(c *comm.Comm, cfg model.Config, opts Options) (*Trainer, error) {
 	return t, nil
 }
 
-// MustNew is New for configurations known to be valid (benchmarks,
-// examples); it panics on error.
-func MustNew(c *comm.Comm, cfg model.Config, opts Options) *Trainer {
-	t, err := New(c, cfg, opts)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Stage returns the trainer's configured ZeRO-DP stage.
 func (t *Trainer) Stage() Stage { return t.stage }
 

@@ -20,6 +20,16 @@ const (
 	testLR   = 1e-3
 )
 
+// MustNew is New for configurations the tests know to be valid; it panics
+// on error.
+func MustNew(c *comm.Comm, cfg model.Config, opts Options) *Trainer {
+	t, err := New(c, cfg, opts)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
 // runZeRO trains `steps` steps at the given stage/world size and returns
 // every rank's final full parameter buffer (stage 3 gathers before
 // reporting).

@@ -287,12 +287,11 @@ func TestEncodeRejectsInconsistentSnapshot(t *testing.T) {
 // snapshot below. The round trip measures 29 allocations (go1.24); the 2
 // on top are slack for allocation-count drift across Go releases
 // (encoding/json), not room for a new per-tensor or per-shard allocation,
-// which would add 3–8.
+// either of which adds at least 3.
 const maxCodecAllocs = 29 + 2
 
 // The ZELC codec's allocation count is a deterministic function of the
-// snapshot's geometry — one output buffer, one header, one slice per
-// decoded tensor — so it is pinned here: a world-8 snapshot of 1<<16
+// snapshot's geometry, so it is pinned here: a world-8 snapshot of 1<<16
 // parameters with two optimizer tensors and position-dependent values.
 func TestSnapshotCodecAllocations(t *testing.T) {
 	if raceEnabled {
