@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet bench-vet bench-test build build-arm64 test race configcheck fuzz-smoke serve-smoke elastic-smoke pprof sweep all
+.PHONY: check fmt vet bench-vet bench-test build build-arm64 test test-386 race configcheck fuzz-smoke serve-smoke elastic-smoke pprof sweep all
 
-check: fmt vet bench-vet bench-test build build-arm64 test race configcheck fuzz-smoke serve-smoke elastic-smoke
+check: fmt vet bench-vet bench-test build build-arm64 test test-386 race configcheck fuzz-smoke serve-smoke elastic-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -35,6 +35,13 @@ build-arm64:
 
 test:
 	$(GO) test ./...
+
+# Pure-Go kernel tier: on amd64 "lanes off" still runs the SSE axpy sweep,
+# so the portable loops (axpy_generic.go, half_generic.go, expvec_generic.go)
+# only ever build there. 386 has no lane kernels and runs them, and every
+# golden in these packages must still hold bitwise.
+test-386:
+	GOARCH=386 $(GO) test ./internal/tensor ./internal/model ./internal/zero
 
 # Race-detector gate over the whole module — the one definition, and the
 # one CI's last step runs.

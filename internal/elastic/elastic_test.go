@@ -295,10 +295,7 @@ func TestSnapshotterAsyncMatchesSyncCapture(t *testing.T) {
 	if len(files) != 2 {
 		t.Fatalf("retention kept %d files, want 2: %v", len(files), files)
 	}
-	newest, err := LatestFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	newest := files[len(files)-1]
 	if filepath.Base(newest) != checkpointName(steps) {
 		t.Errorf("newest file %s, want %s", newest, checkpointName(steps))
 	}
@@ -308,7 +305,11 @@ func TestSnapshotterAsyncMatchesSyncCapture(t *testing.T) {
 			t.Errorf("leaked temp file %s", e.Name())
 		}
 	}
-	fromDisk, err := LoadFile(newest)
+	blob, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromDisk, err := zero.DecodeSnapshot(blob)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -260,26 +260,3 @@ func ListCheckpoints(dir string) ([]string, error) {
 	sort.Strings(matches)
 	return matches, nil
 }
-
-// LatestFile returns the newest checkpoint file in dir, or "" when none
-// exist yet.
-func LatestFile(dir string) (string, error) {
-	files, err := ListCheckpoints(dir)
-	if err != nil || len(files) == 0 {
-		return "", err
-	}
-	return files[len(files)-1], nil
-}
-
-// LoadFile reads and decodes a checkpoint file.
-func LoadFile(path string) (*zero.Snapshot, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	snap, err := zero.DecodeSnapshot(blob)
-	if err != nil {
-		return nil, fmt.Errorf("elastic: %s: %w", filepath.Base(path), err)
-	}
-	return snap, nil
-}

@@ -9,7 +9,7 @@ import "repro/internal/tensor"
 //
 //   - fp32 mode: every saved activation is its own per-layer []float32.
 //     Forward computes straight into it, "save" is a no-op, "load" returns
-//     the slice, weights are Params[lo:hi] and matmuls are tensor.MatMul*.
+//     the slice, and the matmuls read Params[lo:hi] and the fp32 images.
 //   - fp16 mode: every tensor that persists across the step — saved
 //     activations and the parameter copy the compute reads — is 2-byte
 //     binary16, while all arithmetic accumulates in fp32. Forward computes
@@ -17,9 +17,9 @@ import "repro/internal/tensor"
 //     set, O(1) in depth); "save" rounds the staging in place through
 //     binary16 into the layer's HalfBuffer, so fp32 consumers always see
 //     exactly the values the store decodes to, and raises the overflow flag
-//     TakeOverflow surfaces; "load" decodes back into the staging. Matmuls
-//     run the fused half-domain kernels (tensor.MatMul*H: fp16 operands,
-//     fp32 accumulation) on ParamsH, the rounded image of the fp32 master
+//     TakeOverflow surfaces; "load" decodes back into the staging. The
+//     same tensor matmuls take the binary16 operands instead (accumulating
+//     in fp32) and read ParamsH, the rounded image of the fp32 master
 //     (Params, or an engine's own shard of it after ReleaseParams);
 //     layernorm gains and biases decode into scratch (vec).
 //     Backward's gradient scratch reuses the staging of tensors that are
@@ -55,7 +55,7 @@ const (
 )
 
 // tens is a tensor as the matmul helpers take it: the fp32 image and, in
-// fp16 mode, the binary16 copy the half kernels read instead.
+// fp16 mode, the binary16 copy the matmuls read instead.
 type tens struct {
 	f []float32
 	h tensor.HalfBuffer
@@ -225,7 +225,7 @@ func (m *Model) vec(off, n int) []float32 {
 // at offset w.
 func (m *Model) matMul(c []float32, a tens, w, rows, k, n int) {
 	if m.fp16 {
-		tensor.MatMulH(c, a.h, m.ParamsH[w:w+k*n], rows, k, n)
+		tensor.MatMul(c, a.h, m.ParamsH[w:w+k*n], rows, k, n)
 		return
 	}
 	tensor.MatMul(c, a.f, m.Params[w:w+k*n], rows, k, n)
@@ -235,7 +235,7 @@ func (m *Model) matMul(c []float32, a tens, w, rows, k, n int) {
 // matrix at offset w.
 func (m *Model) matMulBT(c []float32, a tens, w, rows, n, k int) {
 	if m.fp16 {
-		tensor.MatMulBTH(c, a.h, m.ParamsH[w:w+k*n], rows, n, k)
+		tensor.MatMulBT(c, a.h, m.ParamsH[w:w+k*n], rows, n, k)
 		return
 	}
 	tensor.MatMulBT(c, a.f, m.Params[w:w+k*n], rows, n, k)
@@ -245,7 +245,7 @@ func (m *Model) matMulBT(c []float32, a tens, w, rows, n, k int) {
 // the [k×n] parameter matrix at offset w.
 func (m *Model) matMulATAdd(w int, a, b tens, rows, k, n int) {
 	if m.fp16 {
-		tensor.MatMulATAddH(m.Grads[w:w+k*n], a.h, b.h, rows, k, n)
+		tensor.MatMulATAdd(m.Grads[w:w+k*n], a.h, b.h, rows, k, n)
 		return
 	}
 	tensor.MatMulATAdd(m.Grads[w:w+k*n], a.f, b.f, rows, k, n)

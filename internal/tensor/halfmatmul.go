@@ -1,110 +1,34 @@
 package tensor
 
-// Half-domain matrix multiplication: the fp16 compute path's kernels read
-// binary16 operands and accumulate/write fp32, in the three orientations
-// backpropagation needs (mirroring matmul.go):
-//
-//	forward:     Y  = X·W      (MatMulH)
-//	grad input:  dX = dY·Wᵀ    (MatMulBTH)
-//	grad weight: dW += Xᵀ·dY   (MatMulATAddH)
-//
-// Decoding happens on the fly inside the sweep — serial MatMulH expands B
-// four rows at a time into a pooled tile through the batch decode (F16C
-// lanes where the CPU has them, half_amd64.s) and feeds the same ov4/axpy4
-// inner loops as the f32 kernels, while A's coefficients decode scalar per
-// fold (one halfVal per swept row). Parallel MatMulH and MatMulBTH decode A
-// in 4-row panels into the f32 kernels' fold (matMulHFRange), and the
-// transpose orientations pay one fused decode(+transpose) pass over the
-// smaller operand, an O(m·n) pass against the O(m·n·k) multiply. Every
-// output element folds its products in exactly the f32 kernels' order
-// (ascending p, or ascending i for Aᵀ), so a half kernel on fp16 operands
-// is bitwise identical to the matching f32 kernel on their decoded images —
-// the property the fp16-path tests pin.
+// The half side of the matmuls: §3.1's mixed precision, where binary16 is
+// only how a tensor is stored and every product accumulates in fp32. A
+// HalfBuffer operand has no kernel of its own; it decodes into the fp32
+// fold. B, and both operands of the Aᵀ orientations, decode whole into
+// pooled scratch (floats; MatMulBT's transposeHalfInto decodes and
+// transposes in one pass), while MatMul's and MatMulBT's A decodes in 4-row
+// panels as the fold reaches them (matMulHFRange). Every binary16 value is
+// an fp32 value and halfDecode (F16C lanes where the CPU has them,
+// half_amd64.s) is bitwise halfVal, so a matmul on half operands is bitwise
+// the same matmul on their decoded images — the property the fp16-path
+// tests pin.
 
-// MatMulH computes C[m×n] = A[m×k] · B[k×n] with fp16 operands and fp32
-// output, overwriting C. Serial problems run the fused tile-decode sweep;
-// above the fan-out threshold B pays one pooled batch-decode pass shared
-// by every worker (an O(k·n) pass against the O(m·k·n) multiply, and the
-// only alloc-deterministic shape — per-worker tiles would churn the
-// bounded scratch list) while A's coefficients still decode in the sweep.
-func MatMulH(c []float32, a, b HalfBuffer, m, k, n int) {
-	checkDims(len(a), m*k, "A")
-	checkDims(len(b), k*n, "B")
-	checkDims(len(c), m*n, "C")
-	if fanOut(m, m*k*n) {
-		bf := getScratch(k * n)
-		halfDecode(bf, b)
-		runParallelH(opMMHF, c, a, bf, k, n, 0, m)
-		putScratch(bf)
-		return
+// floats returns s's fp32 image: s itself, or a HalfBuffer decoded into
+// pooled scratch, which release hands back.
+func floats[S Operand](s S) []float32 {
+	h, ok := any(s).(HalfBuffer)
+	if !ok {
+		return any(s).([]float32)
 	}
-	matMulHRange(c, a, b, k, n, 0, m)
+	f := getScratch(len(h))
+	halfDecode(f, h)
+	return f
 }
 
-// matMulHRange computes rows [lo,hi) of C = A·B from fp16 operands. The
-// sweep is tiled k-outer: four B rows at a time decode into a pooled fp32
-// tile (batch decode), then fold into every output row of the range with
-// the same ov4/axpy4 blocks as matMulRange — first tile overwrites, tail
-// rows fold one at a time. Tiles apply in ascending p, so each output
-// element's fold order matches matMulRange on decoded operands exactly.
-func matMulHRange(c []float32, a, b HalfBuffer, k, n, lo, hi int) {
-	if k == 0 {
-		for i := lo; i < hi; i++ {
-			Zero(c[i*n : i*n+n])
-		}
-		return
+// release returns floats(s)'s scratch, if it took one.
+func release[S Operand](s S, f []float32) {
+	if _, ok := any(s).(HalfBuffer); ok {
+		putScratch(f)
 	}
-	bt := getScratch(4 * n)
-	b0, b1, b2, b3 := bt[:n], bt[n:2*n], bt[2*n:3*n], bt[3*n:4*n]
-	var p int
-	if k >= 4 {
-		halfDecode(bt, b[:4*n])
-		for i := lo; i < hi; i++ {
-			ai := a[i*k : i*k+k]
-			ov4(c[i*n:i*n+n], b0, b1, b2, b3,
-				halfVal(ai[0]), halfVal(ai[1]), halfVal(ai[2]), halfVal(ai[3]))
-		}
-		for p = 4; p+4 <= k; p += 4 {
-			halfDecode(bt, b[p*n:(p+4)*n])
-			for i := lo; i < hi; i++ {
-				ai := a[i*k : i*k+k]
-				axpy4(c[i*n:i*n+n], b0, b1, b2, b3,
-					halfVal(ai[p]), halfVal(ai[p+1]), halfVal(ai[p+2]), halfVal(ai[p+3]))
-			}
-		}
-	} else {
-		halfDecode(b0, b[:n])
-		for i := lo; i < hi; i++ {
-			ov1(c[i*n:i*n+n], b0, halfVal(a[i*k]))
-		}
-		p = 1
-	}
-	for ; p < k; p++ {
-		halfDecode(b0, b[p*n:(p+1)*n])
-		for i := lo; i < hi; i++ {
-			axpy1(c[i*n:i*n+n], b0, halfVal(a[i*k+p]))
-		}
-	}
-	putScratch(bt)
-}
-
-// MatMulBTH computes C[m×k] = A[m×n] · B[k×n]ᵀ with fp16 operands and fp32
-// output, overwriting C — the dX = dY·Wᵀ orientation for fp16-resident dY
-// and W. B decodes and transposes in one fused pooled pass, then A's rows
-// sweep it with scalar coefficient decodes; fold order is ascending p,
-// bitwise-matching MatMulBT on the decoded operands.
-func MatMulBTH(c []float32, a, b HalfBuffer, m, n, k int) {
-	checkDims(len(a), m*n, "A")
-	checkDims(len(b), k*n, "B")
-	checkDims(len(c), m*k, "C")
-	bt := getScratch(n * k)
-	transposeHalfInto(bt, b, k, n)
-	if fanOut(m, m*k*n) {
-		runParallelH(opMMHF, c, a, bt, n, k, 0, m)
-	} else {
-		matMulHFRange(c, a, bt, n, k, 0, m)
-	}
-	putScratch(bt)
 }
 
 // matMulHFRange computes rows [lo,hi) of C = A·B with fp16 A coefficients
@@ -113,7 +37,7 @@ func MatMulBTH(c []float32, a, b HalfBuffer, m, n, k int) {
 // 4×16 tiles with the lane kernels on — overwriting C on the first panel
 // and accumulating after it. halfDecode is bitwise halfVal per element and
 // every panel continues the same ascending-p fold, so each element matches
-// matMulRange on the decoded operands exactly.
+// the fp32 A's single fold on the decoded operands exactly.
 func matMulHFRange(c []float32, a HalfBuffer, b []float32, k, n, lo, hi int) {
 	const panel = 256
 	var buf [4 * panel]float32
@@ -128,31 +52,6 @@ func matMulHFRange(c []float32, a HalfBuffer, b []float32, k, n, lo, hi int) {
 			foldRows(c[i*n:(i+rows)*n], buf[:], panel, 1, b[p0*n:], cl, n, 0, rows, p0 > 0)
 		}
 	}
-}
-
-// MatMulATAddH computes C[k×n] += A[m×k]ᵀ · B[m×n] with fp16 operands,
-// accumulating into fp32 C — the weight-gradient orientation, where the
-// fp32 accumulator is the mixed-precision contract's whole point. The
-// transpose walks A by column (stride-k access the batch decoder cannot
-// ride), so both operands pay one pooled batch-decode pass up front and the
-// sweep delegates to the f32 Aᵀ kernels — an O(m·(k+n)) decode against the
-// O(m·k·n) multiply, and the ascending-i fold makes the result bitwise
-// MatMulATAdd on the decoded images by construction.
-func MatMulATAddH(c []float32, a, b HalfBuffer, m, k, n int) {
-	checkDims(len(a), m*k, "A")
-	checkDims(len(b), m*n, "B")
-	checkDims(len(c), k*n, "C")
-	bf := getScratch(m * n)
-	halfDecode(bf, b)
-	af := getScratch(m * k)
-	halfDecode(af, a)
-	if fanOut(k, m*k*n) {
-		runParallel(opATAdd, c, af, bf, m, k, n, k)
-	} else {
-		matMulATAddRange(c, af, bf, m, k, n, 0, k)
-	}
-	putScratch(af)
-	putScratch(bf)
 }
 
 // transposeHalfInto writes the decoded src[rows×cols]ᵀ into dst[cols×rows]

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -99,73 +100,61 @@ func randHalf(r *rand.Rand, n int) (HalfBuffer, []float32) {
 	return h, f
 }
 
-// The half kernels on fp16 operands must be bitwise identical to the f32
-// kernels on the decoded images of the same operands — the property that
-// makes the fp16 compute path testable against the f32 goldens. Shapes
-// cover the ov1/ov4 split (k < 4), axpy tails, odd rows, and sizes beyond
-// the parallel threshold on both sides.
+// allOrientations runs the four matmuls on operands of one type — A[m×k]
+// against B[k×n] (MatMul), bt[n×k] (MatMulBT) and bm[m×n] (MatMulAT, and
+// MatMulATAdd onto c0) — and returns their outputs by name.
+func allOrientations[S Operand](a, b, bt, bm S, c0 []float32, m, k, n int) map[string][]float32 {
+	out := map[string][]float32{
+		"MatMul": make([]float32, m*n), "MatMulBT": make([]float32, m*n),
+		"MatMulAT": make([]float32, k*n), "MatMulATAdd": append([]float32(nil), c0...),
+	}
+	MatMul(out["MatMul"], a, b, m, k, n)
+	MatMulBT(out["MatMulBT"], a, bt, m, k, n)
+	MatMulAT(out["MatMulAT"], a, bm, m, k, n)
+	MatMulATAdd(out["MatMulATAdd"], a, bm, m, k, n)
+	return out
+}
+
+// Every orientation on fp16 operands must be bitwise identical to the same
+// orientation on the decoded images of those operands — the property that
+// makes the fp16 compute path testable against the f32 goldens — over the
+// whole kernel shape matrix: zero sizes, k = 0, matvecs, k = 1, the tile's
+// tails, and sizes on both sides of the parallel threshold.
 func TestHalfMatMulMatchesF32OnDecoded(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
-	shapes := []struct{ m, k, n int }{
-		{1, 1, 1}, {1, 2, 3}, {2, 3, 5}, {3, 4, 4}, {5, 7, 9}, {4, 8, 16},
-		{7, 5, 3}, {16, 16, 16}, {13, 29, 17}, {64, 32, 48}, {96, 128, 64},
-	}
-	for _, s := range shapes {
-		ha, fa := randHalf(r, s.m*s.k)
-		hb, fb := randHalf(r, s.k*s.n)
-
-		got := make([]float32, s.m*s.n)
-		want := make([]float32, s.m*s.n)
-		MatMulH(got, ha, hb, s.m, s.k, s.n)
-		MatMul(want, fa, fb, s.m, s.k, s.n)
-		if d := MaxDiff(got, want); d != 0 {
-			t.Fatalf("MatMulH %dx%dx%d differs from f32 by %g", s.m, s.k, s.n, d)
-		}
-
-		// BT orientation: A[m×n] · B[k×n]ᵀ.
-		ha2, fa2 := randHalf(r, s.m*s.n)
-		hb2, fb2 := randHalf(r, s.k*s.n)
-		gotBT := make([]float32, s.m*s.k)
-		wantBT := make([]float32, s.m*s.k)
-		MatMulBTH(gotBT, ha2, hb2, s.m, s.n, s.k)
-		MatMulBT(wantBT, fa2, fb2, s.m, s.n, s.k)
-		if d := MaxDiff(gotBT, wantBT); d != 0 {
-			t.Fatalf("MatMulBTH %dx%dx%d differs from f32 by %g", s.m, s.n, s.k, d)
-		}
-
-		// AT orientation: A[m×k]ᵀ · B[m×n], accumulated.
-		hbn, fbn := randHalf(r, s.m*s.n)
-		seed := make([]float32, s.k*s.n)
-		for i := range seed {
-			seed[i] = float32(r.NormFloat64())
-		}
-		gotATA := append([]float32(nil), seed...)
-		wantATA := append([]float32(nil), seed...)
-		MatMulATAddH(gotATA, ha, hbn, s.m, s.k, s.n)
-		MatMulATAdd(wantATA, fa, fbn, s.m, s.k, s.n)
-		if d := MaxDiff(gotATA, wantATA); d != 0 {
-			t.Fatalf("MatMulATAddH %dx%dx%d differs from f32 by %g", s.m, s.k, s.n, d)
+	for _, dims := range kernelShapes {
+		m, k, n := dims[0], dims[1], dims[2]
+		ha, fa := randHalf(r, m*k)
+		hb, fb := randHalf(r, k*n)
+		hbt, fbt := randHalf(r, n*k)
+		hbm, fbm := randHalf(r, m*n)
+		c0 := randSlice(r, k*n)
+		got := allOrientations(ha, hb, hbt, hbm, c0, m, k, n)
+		want := allOrientations(fa, fb, fbt, fbm, c0, m, k, n)
+		for name, w := range want {
+			bitsEqual(t, fmt.Sprintf("half %s %v", name, dims), got[name], w)
 		}
 	}
 }
 
-// The parallel and serial half-kernel paths must agree bitwise, like their
-// f32 counterparts.
+// The parallel and serial paths must agree bitwise on half operands, like
+// their f32 counterparts.
 func TestHalfMatMulParallelMatchesSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	m, k, n := 96, 64, 80 // above parallelThreshold
 	ha, _ := randHalf(r, m*k)
 	hb, _ := randHalf(r, k*n)
-	par := make([]float32, m*n)
-	MatMulH(par, ha, hb, m, k, n)
-
-	prev := runtime.GOMAXPROCS(1)
-	ser := make([]float32, m*n)
-	MatMulH(ser, ha, hb, m, k, n)
+	hbt, _ := randHalf(r, n*k)
+	hbm, _ := randHalf(r, m*n)
+	c0 := randSlice(r, k*n)
+	prev := runtime.GOMAXPROCS(4)
+	par := allOrientations(ha, hb, hbt, hbm, c0, m, k, n)
+	runtime.GOMAXPROCS(1)
+	ser := allOrientations(ha, hb, hbt, hbm, c0, m, k, n)
 	runtime.GOMAXPROCS(prev)
 
-	if d := MaxDiff(par, ser); d != 0 {
-		t.Fatalf("parallel and serial MatMulH differ by %g", d)
+	for name, s := range ser {
+		bitsEqual(t, "parallel vs serial half "+name, par[name], s)
 	}
 }
 

@@ -2,8 +2,10 @@ package tensor
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -70,6 +72,35 @@ func TestMatMulBTAgainstReference(t *testing.T) {
 		want := refMatMul(a, bt, m, n, k)
 		if d := MaxDiff(c, want); d > 1e-4 {
 			t.Errorf("MatMulBT %v: max diff %g", dims, d)
+		}
+	}
+}
+
+// MatMulBT(A, B) is MatMul(A, Bᵀ) to the bit at every problem size,
+// including the sign of an exact zero: row 1 of A is −0 against a positive
+// B, so all its products are −0, and the fold that starts from the first
+// product keeps that sign where one starting from +0 would not. Shapes sit
+// on both sides of parallelThreshold; the pool splits the larger ones.
+func TestMatMulBTMatchesMatMulOnTranspose(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	r := rand.New(rand.NewSource(5))
+	negZero := float32(math.Copysign(0, -1))
+	for _, dims := range [][3]int{{2, 3, 4}, {5, 16, 24}, {8, 32, 8}, {32, 32, 32}, {9, 64, 128}, {37, 64, 128}} {
+		m, n, k := dims[0], dims[1], dims[2]
+		a := randSlice(r, m*n) // A[m×n]
+		for p := 0; p < n; p++ {
+			a[n+p] = negZero
+		}
+		b := randSlice(r, k*n) // B[k×n]
+		for i, v := range b {
+			b[i] = float32(math.Abs(float64(v)))
+		}
+		got, want := make([]float32, m*k), make([]float32, m*k)
+		MatMulBT(got, a, b, m, n, k)
+		MatMul(want, a, refTranspose(b, k, n), m, n, k)
+		bitsEqual(t, fmt.Sprintf("MatMulBT vs MatMul on Bᵀ %v", dims), got, want)
+		if math.Float32bits(got[k]) != math.Float32bits(negZero) {
+			t.Fatalf("%v: all −0 products summed to %v (%#08x), want −0", dims, got[k], math.Float32bits(got[k]))
 		}
 	}
 }
@@ -143,11 +174,11 @@ func TestMatMulDimensionPanic(t *testing.T) {
 }
 
 // FuzzMatMulLanes takes the shape from the first three bytes and reads the
-// rest as operand bits — float32 words for the f32 kernels, binary16 words
-// for the half kernels, any pattern: NaN payloads, ±Inf, ±0, subnormals. It
-// checks every matmul kernel with the lane kernels on against the same
-// kernel with them off, bit for bit. Shapes reach past parallelThreshold,
-// so MatMulBT's transposed path and the pool splits run too.
+// rest as operand bits — float32 words for the f32 operands, binary16 words
+// for the half ones, any pattern: NaN payloads, ±Inf, ±0, subnormals. It
+// checks all four orientations on both operand types with the lane kernels
+// on against the same call with them off, bit for bit. Shapes reach past
+// parallelThreshold, so the pool splits run too.
 func FuzzMatMulLanes(f *testing.F) {
 	word := func(vs ...uint32) []byte {
 		b := make([]byte, 4*len(vs))
@@ -186,19 +217,10 @@ func FuzzMatMulLanes(f *testing.F) {
 		a, b, bt, bm, c0 := f32(m*k, 0), f32(k*n, 1), f32(n*k, 2), f32(m*n, 3), f32(k*n, 4)
 		ha, hb, hbt, hbm := f16(m*k, 5), f16(k*n, 6), f16(n*k, 7), f16(m*n, 8)
 		run := func() map[string][]float32 {
-			out := map[string][]float32{
-				"MatMul": make([]float32, m*n), "MatMulBT": make([]float32, m*n),
-				"MatMulAT": make([]float32, k*n), "MatMulATAdd": append([]float32(nil), c0...),
-				"MatMulH": make([]float32, m*n), "MatMulBTH": make([]float32, m*n),
-				"MatMulATAddH": append([]float32(nil), c0...),
+			out := allOrientations(a, b, bt, bm, c0, m, k, n)
+			for name, c := range allOrientations(ha, hb, hbt, hbm, c0, m, k, n) {
+				out["half "+name] = c
 			}
-			MatMul(out["MatMul"], a, b, m, k, n)
-			MatMulBT(out["MatMulBT"], a, bt, m, k, n)
-			MatMulAT(out["MatMulAT"], a, bm, m, k, n)
-			MatMulATAdd(out["MatMulATAdd"], a, bm, m, k, n)
-			MatMulH(out["MatMulH"], ha, hb, m, k, n)
-			MatMulBTH(out["MatMulBTH"], ha, hbt, m, k, n)
-			MatMulATAddH(out["MatMulATAddH"], ha, hbm, m, k, n)
 			return out
 		}
 		var want map[string][]float32

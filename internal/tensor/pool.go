@@ -25,29 +25,45 @@ import (
 // executes the final range itself — so a split that resolves to a single
 // chunk runs inline on the calling goroutine with no handoff at all.
 
-// op selects the range kernel a task runs; see runKernel.
+// op selects the range kernel a task runs; see kernel.run.
 type op int8
 
 const (
-	opMM op = iota
-	opMMCols
-	opATAdd
-	opATAddCols
-	opAT
-	opATCols
-	opMMHF // fp16 A coefficients against decoded fp32 B
+	opRows     op = iota // foldRows over output rows
+	opCols               // foldCols over the columns of a single output row
+	opHalfRows           // matMulHFRange: fp16 A decoded in panels per row range
 )
 
-// job carries one parallel kernel invocation's arguments and its
-// completion counter. Jobs are recycled through jobFree so steady-state
-// dispatch does not allocate. The half-domain kernels carry their fp16
-// operand in ha alongside the fp32 slices.
+// kernel is one matmul's range kernel and its arguments: C[·×n] folds k
+// steps over B's rows, step p's coefficient for row i at a[i·ars+p·aps]
+// (ha for opHalfRows, which reads A by rows), overwriting C unless add.
+type kernel struct {
+	kind     op
+	c, a, b  []float32
+	ha       HalfBuffer
+	ars, aps int
+	k, n     int
+	add      bool
+}
+
+// run computes output rows (columns, for opCols) [lo,hi).
+func (kr *kernel) run(lo, hi int) {
+	switch kr.kind {
+	case opRows:
+		foldRows(kr.c, kr.a, kr.ars, kr.aps, kr.b, kr.k, kr.n, lo, hi, kr.add)
+	case opCols:
+		foldCols(kr.c, kr.a, kr.aps, kr.b, kr.k, kr.n, lo, hi, kr.add)
+	case opHalfRows:
+		matMulHFRange(kr.c, kr.ha, kr.b, kr.k, kr.n, lo, hi)
+	}
+}
+
+// job carries one parallel kernel invocation and its completion counter.
+// Jobs are recycled through jobFree so steady-state dispatch does not
+// allocate.
 type job struct {
-	kind       op
-	c, a, b    []float32
-	ha         HalfBuffer
-	d0, d1, d2 int
-	wg         sync.WaitGroup
+	kernel
+	wg sync.WaitGroup
 }
 
 // task is one worker's share of a job: rows (or columns) [lo,hi).
@@ -79,36 +95,11 @@ func startPool() {
 	for i := 0; i < poolSize; i++ {
 		go func() {
 			for t := range poolCh {
-				runKernel(t.j.kind, t.j.c, t.j.a, t.j.b, t.j.ha, t.j.d0, t.j.d1, t.j.d2, t.lo, t.hi)
+				t.j.run(t.lo, t.hi)
 				t.j.wg.Done()
 			}
 		}()
 	}
-}
-
-func runKernel(kind op, c, a, b []float32, ha HalfBuffer, d0, d1, d2, lo, hi int) {
-	switch kind {
-	case opMM:
-		matMulRange(c, a, b, d0, d1, lo, hi)
-	case opMMCols:
-		matMulColsRange(c, a, b, d0, d1, lo, hi)
-	case opATAdd:
-		matMulATAddRange(c, a, b, d0, d1, d2, lo, hi)
-	case opATAddCols:
-		matMulATAddColsRange(c, a, b, d0, d1, lo, hi)
-	case opAT:
-		matMulATRange(c, a, b, d0, d1, d2, lo, hi)
-	case opATCols:
-		matMulATColsRange(c, a, b, d0, d1, lo, hi)
-	case opMMHF:
-		matMulHFRange(c, ha, b, d0, d1, lo, hi)
-	}
-}
-
-// fanOut reports whether a kernel with the given number of splittable
-// units and total fused multiply-adds should use the pool.
-func fanOut(units, work int) bool {
-	return work >= parallelThreshold && units > 1 && runtime.GOMAXPROCS(0) > 1
 }
 
 // chunk returns the i-th of width balanced ranges over units: every range
@@ -126,57 +117,44 @@ func chunk(units, width, i int) (lo, hi int) {
 	return lo, hi
 }
 
-// runParallel splits units across the pool and the calling goroutine.
-// Callers have already checked fanOut.
-func runParallel(kind op, c, a, b []float32, d0, d1, d2, units int) {
-	dispatch(kind, c, a, b, nil, d0, d1, d2, units)
-}
-
-// runParallelH is runParallel for the half-domain kernels: ha carries the
-// fp16 operand, b the already-decoded fp32 one.
-func runParallelH(kind op, c []float32, ha HalfBuffer, b []float32, d0, d1, d2, units int) {
-	dispatch(kind, c, nil, b, ha, d0, d1, d2, units)
-}
-
-func dispatch(kind op, c, a, b []float32, ha HalfBuffer, d0, d1, d2, units int) {
-	poolOnce.Do(startPool)
+// run computes all units of kr. Problems below parallelThreshold fused
+// multiply-adds (work), with a single unit, or on one proc run inline;
+// the rest split across the pool and the calling goroutine.
+func run(kr kernel, units, work int) {
 	width := runtime.GOMAXPROCS(0)
-	if width > poolSize+1 {
-		width = poolSize + 1 // parked workers plus the caller itself
-	}
-	if width > units {
-		width = units
-	}
-	if width <= 1 {
-		runKernel(kind, c, a, b, ha, d0, d1, d2, 0, units)
+	if work < parallelThreshold || units <= 1 || width <= 1 {
+		kr.run(0, units)
 		return
 	}
+	poolOnce.Do(startPool)
+	width = min(width, poolSize+1, units) // parked workers plus the caller itself
 	var jb *job
 	select {
 	case jb = <-jobFree:
 	default:
 		jb = new(job) // free list drained by concurrent ranks; rare
 	}
-	jb.kind, jb.c, jb.a, jb.b, jb.ha, jb.d0, jb.d1, jb.d2 = kind, c, a, b, ha, d0, d1, d2
+	jb.kernel = kr
 	jb.wg.Add(width - 1)
 	for i := 0; i < width-1; i++ {
 		lo, hi := chunk(units, width, i)
 		poolCh <- task{j: jb, lo: lo, hi: hi}
 	}
 	lo, _ := chunk(units, width, width-1)
-	runKernel(kind, c, a, b, ha, d0, d1, d2, lo, units) // caller takes the last range
+	kr.run(lo, units) // caller takes the last range
 	jb.wg.Wait()
-	jb.c, jb.a, jb.b, jb.ha = nil, nil, nil, nil
+	jb.kernel = kernel{}
 	select {
 	case jobFree <- jb:
 	default:
 	}
 }
 
-// scratchFree recycles the B-transpose buffers MatMulBT uses above the
-// threshold. A channel free list (not sync.Pool) so the steady state is
-// deterministically allocation-free: buffers are never dropped by GC, and
-// the capacity bounds how many concurrent ranks can park one.
+// scratchFree recycles the fp32 operand images the matmuls build:
+// MatMulBT's transposed B and decoded half operands. A channel free list
+// (not sync.Pool) so the steady state is deterministically
+// allocation-free: buffers are never dropped by GC, and the capacity
+// bounds how many concurrent ranks can park one.
 var scratchFree = make(chan []float32, 16)
 
 func getScratch(n int) []float32 {

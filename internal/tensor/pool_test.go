@@ -134,9 +134,9 @@ func TestKernelShapeMatrixSerial(t *testing.T) {
 }
 
 // The same matrix with the worker pool engaged: GOMAXPROCS is raised so
-// fanOut fires and the threshold-crossing shapes run split across the pool
-// (including on the single-core CI box, where the pool keeps a floor of
-// parked workers for exactly this).
+// the threshold-crossing shapes run split across the pool (including on
+// the single-core CI box, where the pool keeps a floor of parked workers
+// for exactly this).
 func TestKernelShapeMatrixParallel(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	runShapeMatrix(t, 22)
@@ -193,11 +193,11 @@ func TestChunkBalanced(t *testing.T) {
 	}
 }
 
-// Parallel kernels are allocation-free once the pool and the transpose
-// scratch are warm: tasks are value structs over a buffered channel, jobs
-// and scratches recycle through free lists. Measured with a Mallocs window
-// (testing.AllocsPerRun pins GOMAXPROCS to 1, which would disable the very
-// fan-out under test).
+// Parallel kernels are allocation-free, on both operand types, once the
+// pool and the transpose/decode scratch are warm: tasks are value structs
+// over a buffered channel, jobs and scratches recycle through free lists.
+// Measured with a Mallocs window (testing.AllocsPerRun pins GOMAXPROCS to
+// 1, which would disable the very fan-out under test).
 func TestParallelKernelAllocsZero(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	r := rand.New(rand.NewSource(24))
@@ -206,15 +206,22 @@ func TestParallelKernelAllocsZero(t *testing.T) {
 	c := make([]float32, m*n)
 	cbt := make([]float32, m*k)
 	cat := make([]float32, k*n)
+	ha, _ := randHalf(r, m*k)
+	hb, _ := randHalf(r, k*n)
+	hc, _ := randHalf(r, m*n)
 
 	step := func() {
 		MatMul(c, a, b, m, k, n)
 		MatMulBT(cbt, c, b, m, n, k)
 		MatMulATAdd(cat, a, c, m, k, n)
 		MatMulAT(cat, a, c, m, k, n)
+		MatMul(c, ha, hb, m, k, n)
+		MatMulBT(cbt, hc, hb, m, n, k)
+		MatMulATAdd(cat, ha, hc, m, k, n)
+		MatMulAT(cat, ha, hc, m, k, n)
 	}
 	for i := 0; i < 3; i++ {
-		step() // warm the pool, job free list, and transpose scratch
+		step() // warm the pool, job free list, and transpose/decode scratch
 	}
 
 	const rounds = 10
