@@ -55,7 +55,6 @@ func main() {
 		bucket     = flag.Int("bucket", def.BucketElems, "gradient bucket elements (0 = one bucket per layer group)")
 		overlap    = flag.Bool("overlap", def.Overlap, "overlap gradient collectives with backward compute (grad stream)")
 		prefetch   = flag.Bool("prefetch", def.Prefetch, "stage 3: pipeline parameter all-gathers on the prefetch stream")
-		depth      = flag.Int("depth", def.PrefetchDepth, "prefetch window in layer groups (1 = one group ahead)")
 		nodeSize   = flag.Int("nodesize", def.NodeSize, "ranks per simulated node: route collectives hierarchically (0 = flat)")
 		seed       = flag.Int64("seed", def.Seed, "init and data seed")
 		dataPath   = flag.String("data", "", "corpus text file: stream real data (overrides the config's data.path)")
@@ -113,8 +112,6 @@ func main() {
 			cfg.Overlap = *overlap
 		case "prefetch":
 			cfg.Prefetch = *prefetch
-		case "depth":
-			cfg.PrefetchDepth = *depth
 		case "nodesize":
 			cfg.NodeSize = *nodeSize
 		case "seed":
@@ -167,7 +164,7 @@ func main() {
 		cfg.GlobalBatch, cfg.MicroBatch, cfg.GradAccumSteps)
 	fmt.Printf("model-state/rank: %.2f MB (baseline DP would be %.2f MB)\n\n",
 		zero.ModelStateBytes(int64(psi), st, cfg.Ranks)/1e6,
-		zero.ModelStateBytes(int64(psi), zero.StageDP, cfg.Ranks)/1e6)
+		zero.ModelStateBytes(int64(psi), zero.StageDDP, cfg.Ranks)/1e6)
 
 	seqLen := cfg.Model.Seq
 	if cfg.Data != nil {

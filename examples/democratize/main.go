@@ -35,8 +35,8 @@ func main() {
 		{"13B", 13_000_000_000},
 		{"100B", 100_000_000_000},
 	} {
-		base := zero.ModelStateGB(m.psi, zero.StageDP, gpus)
-		z := zero.ModelStateGB(m.psi, zero.StageOSG, gpus)
+		base := zero.ModelStateGB(m.psi, zero.StageDDP, gpus)
+		z := zero.ModelStateGB(m.psi, zero.StageOSGrad, gpus)
 		verdict := "baseline OOM, ZeRO OK"
 		switch {
 		case base*zero.GB <= budget:

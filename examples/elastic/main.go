@@ -39,7 +39,7 @@ const (
 )
 
 func opts(seed int64) zero.Options {
-	return zero.Options{Stage: zero.StageOSG, LR: 1e-3, Seed: seed}
+	return zero.Options{Stage: zero.StageOSGrad, LR: 1e-3, Seed: seed}
 }
 
 func main() {
@@ -51,16 +51,14 @@ func main() {
 // trainAndCapture runs `steps` optimizer steps on n ranks and returns the
 // per-step per-rank local losses (steps × n; rank r's loss covers its
 // batch/n rows, so only the mean across ranks is comparable between world
-// sizes) plus the snapshot assembled from the ranks' shard captures at
-// capAt (0 = none).
+// sizes) plus the snapshot Save gathers to rank 0 after step capAt.
 func trainAndCapture(n, steps, capAt int) ([][]float64, *zero.Snapshot) {
 	ids, targets := model.SyntheticBatch(42, batch, mcfg.Seq, mcfg.Vocab)
 	losses := make([][]float64, steps)
 	for s := range losses {
 		losses[s] = make([]float64, n)
 	}
-	slabs := make([][]float32, n)
-	var hdr zero.Snapshot
+	var snap *zero.Snapshot
 	w := comm.NewWorld(n)
 	w.Run(func(c *comm.Comm) {
 		tr, err := zero.New(c, mcfg, opts(9))
@@ -71,21 +69,12 @@ func trainAndCapture(n, steps, capAt int) ([][]float64, *zero.Snapshot) {
 		for s := 1; s <= steps; s++ {
 			losses[s-1][c.Rank()] = tr.Step(ids, targets, batch)
 			if s == capAt {
-				slab, h := tr.CaptureShard(nil)
-				slabs[c.Rank()] = slab
-				if c.Rank() == 0 {
-					hdr = h
+				if sn := tr.Save(); sn != nil {
+					snap = sn
 				}
 			}
 		}
 	})
-	if capAt == 0 {
-		return losses, nil
-	}
-	snap, err := zero.AssembleSnapshot(hdr, slabs)
-	if err != nil {
-		log.Fatal(err)
-	}
 	return losses, snap
 }
 

@@ -23,7 +23,7 @@ func main() {
 
 	fmt.Println("\nOption A: ZeRO-DP stage 3 (Pos+g+p), DP only:")
 	for _, nd := range []int{256, 512, 1024} {
-		gb := zero.ModelStateGB(psi, zero.StageOSGP, nd)
+		gb := zero.ModelStateGB(psi, zero.StageFull, nd)
 		fits := "OOM"
 		if gb <= budget {
 			fits = "fits"
@@ -47,7 +47,7 @@ func main() {
 	}
 
 	fmt.Println("\nOption B: full ZeRO (Pos+g+p) + 16-way MP in the node, 64-way DP (Table 2, §9):")
-	perGPU := zero.ModelStateGB(psi, zero.StageOSGP, 64) / 16
+	perGPU := zero.ModelStateGB(psi, zero.StageFull, 64) / 16
 	fmt.Printf("  (16Ψ/64) / 16 = %.1f GB/GPU on 1024 GPUs -> fits, with a practical batch size\n", perGPU)
 
 	// Residual states (§6): at 1T scale the activations rival the model

@@ -92,8 +92,16 @@ func TestAllReduceAvg(t *testing.T) {
 // kind of slack: a wire-pool Get can race a Put and allocate once as the
 // pool's high-water mark settles, which is drift, not a per-call cost (the
 // per-call range list this pins out cost one object per rank per call).
+//
+// The test runs on one P. A goroutine that blocks on a channel takes a
+// sudog from its P's cache and returns it to the cache of the P it wakes
+// on, so with several Ps the rank goroutines drain one P's cache into
+// another's and the runtime allocates fresh sudogs inside the window
+// (runtime.acquireSudog, which MemStats.Mallocs counts). On one P every
+// sudog comes back to the cache it left.
 func TestAllReduceSteadyStateAllocsZero(t *testing.T) {
 	const n, elems, warm, calls, slack = 4, 1000, 100, 100, 2
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	w := NewWorld(n)
 	var allocs uint64
 	w.Run(func(c *Comm) {

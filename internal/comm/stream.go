@@ -20,8 +20,7 @@ import "sync"
 // gradients while layer k+1's bucket is on the wire, and the prefetch stream
 // gathers layer k+1's parameters while layer k computes.
 type Scheduler struct {
-	c     *Comm
-	depth int
+	c *Comm
 
 	mu      sync.Mutex
 	streams map[string]*Stream
@@ -29,50 +28,29 @@ type Scheduler struct {
 	closed  bool
 }
 
-// defaultQueueDepth is the submission-queue capacity a Scheduler gives its
-// streams unless overridden by WithQueueDepth or StreamWithDepth: deep
+// defaultQueueDepth is every stream's submission-queue capacity: deep
 // enough that a backward pass never blocks on submission at realistic
-// bucket counts.
+// bucket counts. When a queue is full, submission blocks until the worker
+// drains an op — backpressure that bounds how far a producer can run ahead
+// of the wire, never dropping or reordering ops.
 const defaultQueueDepth = 64
-
-// SchedulerOption configures a Scheduler at construction.
-type SchedulerOption func(*Scheduler)
-
-// WithQueueDepth sets the default submission-queue capacity for streams
-// created by the Scheduler. When a stream's queue is full, Submit blocks
-// until the worker drains an op — backpressure that bounds how far a
-// producer can run ahead of the wire, never dropping or reordering ops.
-// Non-positive depths are ignored.
-func WithQueueDepth(depth int) SchedulerOption {
-	return func(s *Scheduler) {
-		if depth > 0 {
-			s.depth = depth
-		}
-	}
-}
 
 // NewScheduler creates a stream scheduler over one rank's communicator.
 // Creation is cheap (no goroutines until a stream is created). The
 // scheduler assumes it is the only issuer of named streams for this rank;
 // a second scheduler may coexist only if its stream names are disjoint
 // (enforced by panic).
-func NewScheduler(c *Comm, opts ...SchedulerOption) *Scheduler {
-	s := &Scheduler{c: c, depth: defaultQueueDepth, streams: make(map[string]*Stream)}
-	for _, o := range opts {
-		o(s)
-	}
-	return s
+func NewScheduler(c *Comm) *Scheduler {
+	return &Scheduler{c: c, streams: make(map[string]*Stream)}
 }
 
 // Stream returns the named ordering domain, creating it (and its worker
 // goroutine) on first use. Streams are get-or-create: a second call with
 // the same name returns the same stream.
-func (s *Scheduler) Stream(name string) *Stream { return s.StreamWithDepth(name, 0) }
+func (s *Scheduler) Stream(name string) *Stream { return s.stream(name, defaultQueueDepth) }
 
-// StreamWithDepth is Stream with a per-stream submission-queue capacity
-// override (0 uses the scheduler default). The depth only applies on
-// creation; an existing stream keeps its queue.
-func (s *Scheduler) StreamWithDepth(name string, depth int) *Stream {
+// stream is Stream with the submission-queue capacity a new stream gets.
+func (s *Scheduler) stream(name string, depth int) *Stream {
 	if name == "" || name == DefaultStream {
 		panic("comm: stream name must be non-empty and not the default domain")
 	}
@@ -83,9 +61,6 @@ func (s *Scheduler) StreamWithDepth(name string, depth int) *Stream {
 	}
 	if st := s.streams[name]; st != nil {
 		return st
-	}
-	if depth <= 0 {
-		depth = s.depth
 	}
 	s.c.w.claimStream(s.c.rank, name)
 	// Two persistent dtype views of the stream's communicator, so typed ops
@@ -346,12 +321,9 @@ func (st *Stream) Rank() int { return st.c32.rank }
 // Size returns the world size.
 func (st *Stream) Size() int { return st.c32.w.n }
 
-// Depth returns the submission-queue capacity.
-func (st *Stream) Depth() int { return cap(st.ops) }
-
 // Submit enqueues an arbitrary op; fn runs on the worker goroutine with the
 // stream's communicator (use Comm.WithDType inside fn for non-F32
-// accounting). Blocks only when the queue is full (see WithQueueDepth).
+// accounting). Blocks only when the queue is full (see defaultQueueDepth).
 // The typed collective methods below are cheaper (no closure); prefer them
 // on hot paths.
 func (st *Stream) Submit(fn func(c *Comm)) Handle {

@@ -204,24 +204,19 @@ func TestStreamReuseAcrossSteps(t *testing.T) {
 	}
 }
 
-// The queue depth is an option, not a package constant: a depth-1 stream
-// still completes an arbitrarily long schedule (backpressure blocks the
-// producer, never drops or reorders), and per-stream overrides beat the
-// scheduler default.
+// A full submission queue is backpressure: a capacity-1 stream still
+// completes an arbitrarily long schedule (submission blocks the producer,
+// never drops or reorders), and Stream gives new streams the default depth.
 func TestQueueDepthOptionAndBackpressure(t *testing.T) {
 	const n, ops = 2, 40
 	w := NewWorld(n)
 	w.Run(func(c *Comm) {
-		s := NewScheduler(c, WithQueueDepth(1))
+		s := NewScheduler(c)
 		defer s.Close()
-		st := s.Stream("tiny")
-		if st.Depth() != 1 {
-			t.Errorf("rank %d: depth = %d, want scheduler default 1", c.Rank(), st.Depth())
+		if d := cap(s.Stream("wide").ops); d != defaultQueueDepth {
+			t.Errorf("rank %d: depth = %d, want default %d", c.Rank(), d, defaultQueueDepth)
 		}
-		wide := s.StreamWithDepth("wide", 128)
-		if wide.Depth() != 128 {
-			t.Errorf("rank %d: wide depth = %d, want 128", c.Rank(), wide.Depth())
-		}
+		st := s.stream("tiny", 1)
 		x := []float32{1}
 		var last Handle
 		for i := 0; i < ops; i++ {

@@ -177,13 +177,13 @@ func TestCaptureRoundTripMatrix(t *testing.T) {
 	}{
 		{name: "ddp/adam/k1", stage: zero.StageDDP, micros: 1},
 		{name: "os/adam/k2", stage: zero.StageOS, micros: 2},
-		{name: "osg/adam/k1", stage: zero.StageOSG, micros: 1},
-		{name: "osg/adam/k3-mid2", stage: zero.StageOSG, micros: 3, midCut: 2},
-		{name: "osg/sgd/k2-mid1", stage: zero.StageOSG, opt: optimizer.Spec{Kind: optimizer.KindSGD}, micros: 2, midCut: 1},
-		{name: "osg/lamb/k2", stage: zero.StageOSG, opt: optimizer.Spec{Kind: optimizer.KindLAMB}, micros: 2},
-		{name: "osgp/adam/k2-mid1", stage: zero.StageOSGP, micros: 2, midCut: 1},
-		{name: "osgp/sgd/k1", stage: zero.StageOSGP, opt: optimizer.Spec{Kind: optimizer.KindSGD}, micros: 1},
-		{name: "osg/adam/fp16-k2-mid1", stage: zero.StageOSG, micros: 2, midCut: 1, fp16: true},
+		{name: "osg/adam/k1", stage: zero.StageOSGrad, micros: 1},
+		{name: "osg/adam/k3-mid2", stage: zero.StageOSGrad, micros: 3, midCut: 2},
+		{name: "osg/sgd/k2-mid1", stage: zero.StageOSGrad, opt: optimizer.Spec{Kind: optimizer.KindSGD}, micros: 2, midCut: 1},
+		{name: "osg/lamb/k2", stage: zero.StageOSGrad, opt: optimizer.Spec{Kind: optimizer.KindLAMB}, micros: 2},
+		{name: "osgp/adam/k2-mid1", stage: zero.StageFull, micros: 2, midCut: 1},
+		{name: "osgp/sgd/k1", stage: zero.StageFull, opt: optimizer.Spec{Kind: optimizer.KindSGD}, micros: 1},
+		{name: "osg/adam/fp16-k2-mid1", stage: zero.StageOSGrad, micros: 2, midCut: 1, fp16: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -229,7 +229,7 @@ func TestReshardedResumeMatchesSmallWorld(t *testing.T) {
 	cfg := testConfig()
 	const batch, pre, post = 4, 3, 3
 	ids, targets := model.SyntheticBatch(5, batch, cfg.Seq, cfg.Vocab)
-	opts := zero.Options{Stage: zero.StageOSG, LR: testLR, Seed: testSeed}
+	opts := zero.Options{Stage: zero.StageOSGrad, LR: testLR, Seed: testSeed}
 
 	ck := captureWorld(t, 4, opts, pre, 1, 0, ids, targets, batch)
 	ref := referenceWorld(t, 2, opts, pre+post, 1, ids, targets, batch)
@@ -248,7 +248,7 @@ func TestSnapshotterAsyncMatchesSyncCapture(t *testing.T) {
 	cfg := testConfig()
 	const n, batch, steps, every = 4, 4, 6, 2
 	ids, targets := model.SyntheticBatch(3, batch, cfg.Seq, cfg.Vocab)
-	opts := zero.Options{Stage: zero.StageOSG, LR: testLR, Seed: testSeed}
+	opts := zero.Options{Stage: zero.StageOSGrad, LR: testLR, Seed: testSeed}
 	dir := t.TempDir()
 
 	snap, err := NewSnapshotter(Policy{Every: every, Dir: dir, Keep: 2}, n)

@@ -48,8 +48,8 @@ var (
 	ErrBatch = errors.New("engine: invalid batch geometry")
 	// ErrTopology marks a node layout the world does not tile into.
 	ErrTopology = errors.New("engine: invalid topology")
-	// ErrSchedule marks bad communication-schedule knobs (negative bucket,
-	// queue depth or prefetch depth).
+	// ErrSchedule marks a bad communication-schedule knob (a negative
+	// bucket size).
 	ErrSchedule = errors.New("engine: invalid schedule")
 	// ErrData marks an invalid data section (missing corpus path, unknown
 	// tokenizer, sequence length beyond the model, vocabulary mismatch).
@@ -171,14 +171,9 @@ type Config struct {
 	Overlap bool `json:"overlap,omitempty"`
 	// Prefetch pipelines stage-3 parameter all-gathers (§7.2.2).
 	Prefetch bool `json:"prefetch,omitempty"`
-	// PrefetchDepth is the pipelining window in layer groups (0/1 = the
-	// classic one-group-ahead schedule).
-	PrefetchDepth int `json:"prefetch_depth,omitempty"`
 	// NodeSize routes collectives hierarchically for worlds laid out as
 	// nodes of NodeSize ranks (0 = flat).
 	NodeSize int `json:"node_size,omitempty"`
-	// QueueDepth overrides the per-stream submission-queue capacity.
-	QueueDepth int `json:"queue_depth,omitempty"`
 	// GlobalBatch is the rows per optimizer step across all ranks.
 	GlobalBatch int `json:"global_batch"`
 	// MicroBatch is the rows per Forward/Backward across all ranks; the
@@ -217,7 +212,6 @@ func DefaultConfig() Config {
 		BucketElems:    4096,
 		Overlap:        true,
 		Prefetch:       true,
-		PrefetchDepth:  1,
 		GlobalBatch:    8,
 		MicroBatch:     8,
 		GradAccumSteps: 1,
@@ -284,9 +278,8 @@ func (c Config) Normalized() (Config, error) {
 		return c, fmt.Errorf("%w: weight_decay %g / grad_clip %g (want ≥ 0)",
 			ErrOptimizer, c.Optimizer.WeightDecay, c.GradClip)
 	}
-	if c.BucketElems < 0 || c.QueueDepth < 0 || c.PrefetchDepth < 0 {
-		return c, fmt.Errorf("%w: bucket_elems %d, queue_depth %d, prefetch_depth %d (want ≥ 0)",
-			ErrSchedule, c.BucketElems, c.QueueDepth, c.PrefetchDepth)
+	if c.BucketElems < 0 {
+		return c, fmt.Errorf("%w: bucket_elems %d (want ≥ 0)", ErrSchedule, c.BucketElems)
 	}
 	if c.NodeSize < 0 {
 		return c, fmt.Errorf("%w: node_size %d (want ≥ 0)", ErrTopology, c.NodeSize)
@@ -489,18 +482,16 @@ func (c Config) compile() (zero.Options, error) {
 		return zero.Options{}, fmt.Errorf("%w: %v", ErrOptimizer, err)
 	}
 	opts := zero.Options{
-		Stage:         stage,
-		LR:            c.Optimizer.LR,
-		Seed:          c.Seed,
-		BucketElems:   c.BucketElems,
-		Overlap:       c.Overlap,
-		Prefetch:      c.Prefetch,
-		PrefetchDepth: c.PrefetchDepth,
-		Topology:      zero.Topology{NodeSize: c.NodeSize},
-		QueueDepth:    c.QueueDepth,
-		FP16:          c.FP16,
-		Checkpoint:    c.Checkpoint,
-		ClipNorm:      c.GradClip,
+		Stage:       stage,
+		LR:          c.Optimizer.LR,
+		Seed:        c.Seed,
+		BucketElems: c.BucketElems,
+		Overlap:     c.Overlap,
+		Prefetch:    c.Prefetch,
+		Topology:    zero.Topology{NodeSize: c.NodeSize},
+		FP16:        c.FP16,
+		Checkpoint:  c.Checkpoint,
+		ClipNorm:    c.GradClip,
 		Optimizer: optimizer.Spec{
 			Kind:        kind,
 			LR:          c.Optimizer.LR,

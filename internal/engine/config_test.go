@@ -58,8 +58,6 @@ func TestValidateSentinelErrors(t *testing.T) {
 		{"node size not tiling ranks", mut(func(c *Config) { c.NodeSize = 3 }), ErrTopology},
 		{"negative node size", mut(func(c *Config) { c.NodeSize = -2 }), ErrTopology},
 		{"negative bucket", mut(func(c *Config) { c.BucketElems = -1 }), ErrSchedule},
-		{"negative queue depth", mut(func(c *Config) { c.QueueDepth = -1 }), ErrSchedule},
-		{"negative prefetch depth", mut(func(c *Config) { c.PrefetchDepth = -1 }), ErrSchedule},
 		{"data without path", mut(func(c *Config) { c.Data = &DataConfig{} }), ErrData},
 		{"unknown tokenizer", mut(func(c *Config) {
 			c.Data = &DataConfig{Path: "x.txt", Tokenizer: "wordpiece"}
@@ -126,6 +124,7 @@ func TestParseConfigMalformedJSON(t *testing.T) {
 	}{
 		{"syntax error", `{"ranks": 4,}`},
 		{"unknown field", `{"ranks": 4, "zero_optimization": {"stage": 2}}`},
+		{"deleted queue_depth knob", `{"ranks": 4, "queue_depth": 8}`},
 		{"wrong type", `{"ranks": "four"}`},
 		{"bad stage type", `{"stage": [2]}`},
 		{"trailing garbage", `{"ranks": 4} {"ranks": 8}`},

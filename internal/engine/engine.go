@@ -383,7 +383,8 @@ func (e *Engine) Load(s *zero.Snapshot) error {
 }
 
 // Trainer exposes the underlying zero.Trainer for internal callers that
-// tune scheduling knobs between steps (bench harnesses, experiments).
+// read its residency or snapshot its state (bench harnesses, experiments,
+// the job daemon's snapshotter). Its schedule is fixed by the config.
 func (e *Engine) Trainer() *zero.Trainer { return e.tr }
 
 // Comm returns the engine's communicator (fault injection, elastic

@@ -99,7 +99,7 @@ func TestEngineTrainBatchDescends(t *testing.T) {
 func TestEngineAccumOverlapPrefetchRace(t *testing.T) {
 	cfg := testEngineConfig()
 	cfg.Stage = "3"
-	cfg.Overlap, cfg.Prefetch, cfg.PrefetchDepth = true, true, 2
+	cfg.Overlap, cfg.Prefetch = true, true
 	cfg.FP16 = true
 	norm, err := cfg.Normalized()
 	if err != nil {

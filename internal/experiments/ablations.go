@@ -25,7 +25,7 @@ func Ablations() Table {
 	ids, targets := model.SyntheticBatch(1, batch, cfg.Seq, cfg.Vocab)
 
 	runStage2 := func(opts zero.Options) (elems, msgs int64) {
-		opts.Stage = zero.StageOSG
+		opts.Stage = zero.StageOSGrad
 		opts.LR = 1e-3
 		opts.Seed = 1
 		w := comm.NewWorld(n)

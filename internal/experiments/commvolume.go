@@ -41,7 +41,7 @@ func CommVolume() Table {
 		switch st {
 		case zero.StageDDP:
 			name = "DP all-reduce"
-		case zero.StageOSGP:
+		case zero.StageFull:
 			mult = 3.0
 		}
 		w := comm.NewWorld(n)

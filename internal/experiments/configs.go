@@ -19,9 +19,9 @@ type CConfig struct {
 var Configs = []CConfig{
 	{"C1", zero.StageOS, false, false},
 	{"C2", zero.StageOS, true, false},
-	{"C3", zero.StageOSG, false, false},
-	{"C4", zero.StageOSG, true, false},
-	{"C5", zero.StageOSG, true, true},
+	{"C3", zero.StageOSGrad, false, false},
+	{"C4", zero.StageOSGrad, true, false},
+	{"C5", zero.StageOSGrad, true, true},
 }
 
 func (c CConfig) residual(batch, mp int) zero.ResidualConfig {
@@ -122,9 +122,9 @@ func stageNum(s zero.Stage) int {
 	switch s {
 	case zero.StageOS:
 		return 1
-	case zero.StageOSG:
+	case zero.StageOSGrad:
 		return 2
-	case zero.StageOSGP:
+	case zero.StageFull:
 		return 3
 	default:
 		return 0

@@ -16,10 +16,10 @@ func Fig1() Table {
 		stage   zero.Stage
 		formula string
 	}{
-		{zero.StageDP, "(2+2+K)Ψ"},
+		{zero.StageDDP, "(2+2+K)Ψ"},
 		{zero.StageOS, "2Ψ+2Ψ+KΨ/Nd"},
-		{zero.StageOSG, "2Ψ+(2+K)Ψ/Nd"},
-		{zero.StageOSGP, "(2+2+K)Ψ/Nd"},
+		{zero.StageOSGrad, "2Ψ+(2+K)Ψ/Nd"},
+		{zero.StageFull, "(2+2+K)Ψ/Nd"},
 	}
 	for _, s := range specs {
 		rows = append(rows, []string{
@@ -49,7 +49,7 @@ func Table1() Table {
 	dps := []int{1, 4, 16, 64, 256, 1024}
 	header := []string{"DP"}
 	for _, m := range models {
-		for _, st := range []zero.Stage{zero.StageOS, zero.StageOSG, zero.StageOSGP} {
+		for _, st := range []zero.Stage{zero.StageOS, zero.StageOSGrad, zero.StageFull} {
 			header = append(header, m.label+" "+st.String())
 		}
 	}
@@ -57,7 +57,7 @@ func Table1() Table {
 	for _, nd := range dps {
 		row := []string{fmt.Sprint(nd)}
 		for _, m := range models {
-			for _, st := range []zero.Stage{zero.StageOS, zero.StageOSG, zero.StageOSGP} {
+			for _, st := range []zero.Stage{zero.StageOS, zero.StageOSGrad, zero.StageFull} {
 				row = append(row, fmtF(zero.ModelStateGB(m.psi, st, nd), 2))
 			}
 		}
@@ -87,11 +87,11 @@ func Table2() Table {
 		zeroRC := zero.ResidualConfig{Batch: 8, Seq: 1024, MP: mp, CB: true, MD: true}
 		// MaxMeasuredParams already accounts for MP: it returns the total
 		// model size whose per-device share (states/MP + residuals) fits.
-		measBase := zero.MaxMeasuredParams(budget, zero.StageDP, 64, baseRC)
+		measBase := zero.MaxMeasuredParams(budget, zero.StageDDP, 64, baseRC)
 		measZeRO := zero.MaxMeasuredParams(budget, zero.StageOS, 64, zeroRC)
 		rows = append(rows, []string{
 			fmt.Sprint(mp), fmt.Sprint(64 * mp),
-			theo(zero.StageDP), theo(zero.StageOS), theo(zero.StageOSG), theo(zero.StageOSGP),
+			theo(zero.StageDDP), theo(zero.StageOS), theo(zero.StageOSGrad), theo(zero.StageFull),
 			fmtB(measBase), fmtB(measZeRO),
 		})
 	}

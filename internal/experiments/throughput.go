@@ -86,7 +86,7 @@ func Fig4() Table {
 	for _, r := range Fig4Models {
 		shape := perfmodel.GPT2Like(r.Layers, r.Hidden, r.Heads)
 		psi := shape.Params()
-		states := zero.ModelStateBytes(psi, zero.StageOSG, r.DP())
+		states := zero.ModelStateBytes(psi, zero.StageOSGrad, r.DP())
 		rc := zero.ResidualConfig{Batch: r.Batch, Seq: 1024, MP: 1, CB: true, MD: true}
 		resid := zero.ResidualBytes(zero.ShapeInfo{Params: psi, Layers: r.Layers, Hidden: r.Hidden}, rc)
 		fits := states+resid <= budget
@@ -99,7 +99,7 @@ func Fig4() Table {
 			status = "OOM"
 		}
 		// Baseline DP replicates 16Ψ: OOM for everything past ~1.4B.
-		baseStates := zero.ModelStateBytes(psi, zero.StageDP, r.DP())
+		baseStates := zero.ModelStateBytes(psi, zero.StageDDP, r.DP())
 		baseStatus := "OOM"
 		baseTF := "-"
 		if baseStates+resid <= budget {

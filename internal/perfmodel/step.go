@@ -20,37 +20,22 @@ type ZeROConfig struct {
 	// synchronous gather schedule the stream API replaced. No effect at
 	// stages 0-2 (no parameter gathers) or under SyncComm.
 	Prefetch bool
-	// PrefetchDepth is the pipelining window in layer groups (0/1 = the
-	// classic one-group-ahead schedule). Deeper windows keep more gathers
-	// in flight, hiding more of the gather stream behind compute with
-	// geometrically diminishing returns — the modeled window approaches
-	// the gradient buckets' dpOverlapWindow ceiling as depth grows.
-	PrefetchDepth int
-	// GatherWindow, when > 0, overrides the modeled prefetch overlap
+	// GatherWindow, when > 0, overrides the assumed prefetch overlap
 	// window with a measured compute fraction in (0,1] — read it off
 	// bench/'s traced zero.exposed_* figures on a stage-3 prefetch workload
-	// (gather-s3-fp16) instead of assuming the closed form.
+	// (gather-s3-fp16) instead of assuming gatherOverlapWindow.
 	GatherWindow float64
 }
 
 // PrefetchWindow returns the compute fraction available to hide stage-3
 // parameter gathers for this config: the measured GatherWindow when set,
-// otherwise the depth model — gatherOverlapWindow at depth 1, approaching
-// dpOverlapWindow as the window deepens (each extra group in flight halves
-// the remaining exposed fraction).
+// otherwise the assumed gatherOverlapWindow of the one-group-ahead
+// pipeline.
 func (z ZeROConfig) PrefetchWindow() float64 {
 	if z.GatherWindow > 0 {
 		return z.GatherWindow
 	}
-	d := z.PrefetchDepth
-	if d <= 1 {
-		return gatherOverlapWindow
-	}
-	scale := 1.0
-	for i := 1; i < d && i < 16; i++ {
-		scale /= 2
-	}
-	return dpOverlapWindow - (dpOverlapWindow-gatherOverlapWindow)*scale
+	return gatherOverlapWindow
 }
 
 // Config is one training run: a model shape and its parallelization.

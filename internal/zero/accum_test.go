@@ -17,6 +17,14 @@ import (
 func accumRun(t *testing.T, cfg model.Config, n, boundaries, k int, opts Options,
 	ids, targets []int, globalBatch int) ([]float64, [][]float32) {
 	t.Helper()
+	return accumRunIn(t, comm.NewWorld(n), cfg, boundaries, k, opts, ids, targets, globalBatch)
+}
+
+// accumRunIn is accumRun on a caller-supplied world, whose Stats the caller
+// can read afterwards.
+func accumRunIn(t *testing.T, w *comm.World, cfg model.Config, boundaries, k int, opts Options,
+	ids, targets []int, globalBatch int) ([]float64, [][]float32) {
+	t.Helper()
 	if globalBatch%k != 0 {
 		t.Fatalf("global batch %d not divisible by k=%d", globalBatch, k)
 	}
@@ -24,8 +32,7 @@ func accumRun(t *testing.T, cfg model.Config, n, boundaries, k int, opts Options
 	seqLen := len(ids) / globalBatch
 	mt := micro * seqLen
 	losses := make([]float64, 0, boundaries*k)
-	params := make([][]float32, n)
-	w := comm.NewWorld(n)
+	params := make([][]float32, w.Size())
 	w.Run(func(c *comm.Comm) {
 		tr := MustNew(c, cfg, opts)
 		defer tr.Close()
@@ -332,30 +339,37 @@ func TestUpdateWithoutBackwardPanics(t *testing.T) {
 	})
 }
 
-// Depth-k prefetch windows are gather-only reordering: every depth is
-// bitwise identical to the depth-1 pipeline and to the synchronous
-// schedule, with accumulation in the loop.
+// The Prefetch window only moves where stage-3 gathers are waited: window 1
+// (one group ahead) is bitwise identical to window 0 (each group gathered
+// at its own entry) with accumulation in the loop, and both send the same
+// messages and the same prefetch-stream elements.
 func TestPrefetchDepthBitwiseInvariant(t *testing.T) {
 	cfg := testConfig()
 	const n, boundaries, k, batch = 4, 3, 2, 8
 	ids, targets := model.SyntheticBatch(31, batch, cfg.Seq, cfg.Vocab)
 	base := Options{Stage: StageFull, LR: testLR, Seed: testSeed, BucketElems: 193, Overlap: true}
-	refLoss, refParams := accumRun(t, cfg, n, boundaries, k, base, ids, targets, batch)
-	for _, depth := range []int{0, 1, 2, 4, 100} {
-		opts := base
-		opts.Prefetch = true
-		opts.PrefetchDepth = depth
-		loss, params := accumRun(t, cfg, n, boundaries, k, opts, ids, targets, batch)
-		for i := range refLoss {
-			if loss[i] != refLoss[i] {
-				t.Errorf("depth=%d micro %d: loss %.17g != sync ref %.17g", depth, i, loss[i], refLoss[i])
-				break
-			}
+	refW := comm.NewWorld(n)
+	refLoss, refParams := accumRunIn(t, refW, cfg, boundaries, k, base, ids, targets, batch)
+	opts := base
+	opts.Prefetch = true
+	w := comm.NewWorld(n)
+	loss, params := accumRunIn(t, w, cfg, boundaries, k, opts, ids, targets, batch)
+	for i := range refLoss {
+		if loss[i] != refLoss[i] {
+			t.Errorf("micro %d: window-1 loss %.17g != window-0 %.17g", i, loss[i], refLoss[i])
+			break
 		}
-		for r := 0; r < n; r++ {
-			if d := tensor.MaxDiff(params[r], refParams[r]); d != 0 {
-				t.Errorf("depth=%d rank %d: params diverged by %g", depth, r, d)
-			}
+	}
+	for r := 0; r < n; r++ {
+		if d := tensor.MaxDiff(params[r], refParams[r]); d != 0 {
+			t.Errorf("rank %d: params diverged by %g", r, d)
+		}
+		got, want := w.Stats(r), refW.Stats(r)
+		if got.Messages != want.Messages {
+			t.Errorf("rank %d: window 1 sent %d messages, window 0 %d", r, got.Messages, want.Messages)
+		}
+		if g, wt := got.PerStream[StreamPrefetch], want.PerStream[StreamPrefetch]; g != wt || g == 0 {
+			t.Errorf("rank %d: window 1 sent %d prefetch elems, window 0 %d (want equal, nonzero)", r, g, wt)
 		}
 	}
 }

@@ -29,7 +29,7 @@ func TestClippedStagesMatchClippedDDPBitwise(t *testing.T) {
 		ddpNorms[c.Rank()] = tr.LastGradNorm
 	})
 
-	for _, stage := range []Stage{StageOS, StageOSG, StageOSGP} {
+	for _, stage := range []Stage{StageOS, StageOSGrad, StageFull} {
 		w2 := comm.NewWorld(n)
 		params := make([][]float32, n)
 		norms := make([]float64, n)
@@ -38,7 +38,7 @@ func TestClippedStagesMatchClippedDDPBitwise(t *testing.T) {
 			for s := 0; s < steps; s++ {
 				tr.Step(ids, targets, batch)
 			}
-			if stage == StageOSGP {
+			if stage == StageFull {
 				tr.gatherParams()
 			}
 			params[c.Rank()] = tr.Model.Params
@@ -67,7 +67,7 @@ func TestClippingBoundsTheUpdate(t *testing.T) {
 		var out []float32
 		var norm float64
 		w.Run(func(c *comm.Comm) {
-			tr := MustNew(c, cfg, Options{Stage: StageOSG, LR: testLR, Seed: 1, ClipNorm: clip})
+			tr := MustNew(c, cfg, Options{Stage: StageOSGrad, LR: testLR, Seed: 1, ClipNorm: clip})
 			tr.Step(ids, targets, batch)
 			if c.Rank() == 0 {
 				out = tr.Model.Params

@@ -24,26 +24,27 @@ import (
 type Stage int
 
 const (
-	// StageDP is baseline data parallelism: everything replicated.
-	StageDP Stage = iota
+	// StageDDP is baseline data parallelism run through the unified code
+	// path: everything replicated, gradients averaged collectively.
+	StageDDP Stage = iota
 	// StageOS partitions optimizer states (Pos): 4Ψ + KΨ/Nd.
 	StageOS
-	// StageOSG adds gradient partitioning (Pos+g): 2Ψ + (2+K)Ψ/Nd.
-	StageOSG
-	// StageOSGP adds parameter partitioning (Pos+g+p): (2+2+K)Ψ/Nd.
-	StageOSGP
+	// StageOSGrad adds gradient partitioning (Pos+g): 2Ψ + (2+K)Ψ/Nd.
+	StageOSGrad
+	// StageFull adds parameter partitioning (Pos+g+p): (2+2+K)Ψ/Nd.
+	StageFull
 )
 
 // String returns the paper's name for the stage.
 func (s Stage) String() string {
 	switch s {
-	case StageDP:
+	case StageDDP:
 		return "DP"
 	case StageOS:
 		return "Pos"
-	case StageOSG:
+	case StageOSGrad:
 		return "Pos+g"
-	case StageOSGP:
+	case StageFull:
 		return "Pos+g+p"
 	default:
 		return fmt.Sprintf("Stage(%d)", int(s))
@@ -73,13 +74,13 @@ func ModelStateBytes(psi int64, stage Stage, nd int) float64 {
 	p := float64(psi)
 	n := float64(nd)
 	switch stage {
-	case StageDP:
+	case StageDDP:
 		return (paramBytes + gradBytes + optimK) * p
 	case StageOS:
 		return (paramBytes+gradBytes)*p + optimK*p/n
-	case StageOSG:
+	case StageOSGrad:
 		return paramBytes*p + (gradBytes+optimK)*p/n
-	case StageOSGP:
+	case StageFull:
 		return (paramBytes + gradBytes + optimK) * p / n
 	default:
 		panic(fmt.Sprintf("zero: unknown stage %d", stage))
@@ -95,7 +96,7 @@ func ModelStateGB(psi int64, stage Stage, nd int) float64 {
 // (4x for Pos at large Nd, 8x for Pos+g, Nd for Pos+g+p).
 func MemoryReduction(stage Stage, nd int) float64 {
 	const psi = 1 << 30
-	return ModelStateBytes(psi, StageDP, nd) / ModelStateBytes(psi, stage, nd)
+	return ModelStateBytes(psi, StageDDP, nd) / ModelStateBytes(psi, stage, nd)
 }
 
 // MaxTheoreticalParams returns the largest Ψ whose model states fit in

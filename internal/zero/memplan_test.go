@@ -21,10 +21,10 @@ func TestFigure1Example(t *testing.T) {
 		stage Stage
 		want  float64
 	}{
-		{StageDP, 120},
+		{StageDDP, 120},
 		{StageOS, 31.4},
-		{StageOSG, 16.6},
-		{StageOSGP, 1.88},
+		{StageOSGrad, 16.6},
+		{StageFull, 1.88},
 	}
 	for _, c := range cases {
 		got := ModelStateGB(psi, c.stage, nd)
@@ -53,7 +53,7 @@ func TestTable1AllCells(t *testing.T) {
 			64: {4187, 2218, 250}, 256: {4046, 2054, 62.5}, 1024: {4011, 2013, 15.6},
 		},
 	}
-	stages := []Stage{StageOS, StageOSG, StageOSGP}
+	stages := []Stage{StageOS, StageOSGrad, StageFull}
 	for _, psi := range models {
 		for _, nd := range dps {
 			for si, st := range stages {
@@ -88,7 +88,7 @@ func TestTable2Theoretical(t *testing.T) {
 			stage Stage
 			want  float64
 		}{
-			{StageDP, r.baseline}, {StageOS, r.pos}, {StageOSG, r.posg}, {StageOSGP, r.posgp},
+			{StageDDP, r.baseline}, {StageOS, r.pos}, {StageOSGrad, r.posg}, {StageFull, r.posgp},
 		}
 		for _, c := range checks {
 			got := float64(MaxTheoreticalParams(budget, c.stage, 64, r.mp)) / 1e9
@@ -98,7 +98,7 @@ func TestTable2Theoretical(t *testing.T) {
 		}
 	}
 	// The headline: Pos+g+p at Nd=1024 fits >1T parameters (§5.4).
-	if got := MaxTheoreticalParams(budget, StageOSGP, 1024, 1); got < 2_000_000_000_000 {
+	if got := MaxTheoreticalParams(budget, StageFull, 1024, 1); got < 2_000_000_000_000 {
 		t.Errorf("Pos+g+p @ Nd=1024: %.2fT, want ≥2T (32GB×1024/16B)", float64(got)/1e12)
 	}
 }
@@ -108,10 +108,10 @@ func TestMemoryReductionFactors(t *testing.T) {
 	if r := MemoryReduction(StageOS, 1024); !approx(r, 4, 0.01) {
 		t.Errorf("Pos reduction %v, want ≈4", r)
 	}
-	if r := MemoryReduction(StageOSG, 1024); !approx(r, 8, 0.01) {
+	if r := MemoryReduction(StageOSGrad, 1024); !approx(r, 8, 0.01) {
 		t.Errorf("Pos+g reduction %v, want ≈8", r)
 	}
-	if r := MemoryReduction(StageOSGP, 64); !approx(r, 64, 1e-9) {
+	if r := MemoryReduction(StageFull, 64); !approx(r, 64, 1e-9) {
 		t.Errorf("Pos+g+p reduction %v, want exactly Nd=64", r)
 	}
 }
@@ -123,7 +123,7 @@ func TestMemPlanProperties(t *testing.T) {
 		nd := int(ndRaw)%1024 + 1
 		prev := math.Inf(1)
 		// Each deeper stage consumes no more memory.
-		for _, st := range []Stage{StageDP, StageOS, StageOSG, StageOSGP} {
+		for _, st := range []Stage{StageDDP, StageOS, StageOSGrad, StageFull} {
 			cur := ModelStateBytes(psi, st, nd)
 			if cur > prev+1e-6 {
 				return false
@@ -132,14 +132,14 @@ func TestMemPlanProperties(t *testing.T) {
 		}
 		// Larger Nd never increases partitioned-stage memory.
 		if nd > 1 {
-			for _, st := range []Stage{StageOS, StageOSG, StageOSGP} {
+			for _, st := range []Stage{StageOS, StageOSGrad, StageFull} {
 				if ModelStateBytes(psi, st, nd) > ModelStateBytes(psi, st, nd-1)+1e-6 {
 					return false
 				}
 			}
 		}
 		// Baseline is exactly 16 bytes/param.
-		return ModelStateBytes(psi, StageDP, nd) == 16*float64(psi)
+		return ModelStateBytes(psi, StageDDP, nd) == 16*float64(psi)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -163,7 +163,7 @@ func TestMaxMeasuredParams(t *testing.T) {
 	// Baseline without ZeRO-R: fused buffers + fragmentation push the
 	// measured size toward the paper's 1.3B (vs 2B theoretical).
 	baseRC := ResidualConfig{Batch: 8, Seq: 1024, MP: 1}
-	baseMeas := MaxMeasuredParams(budget, StageDP, 64, baseRC)
+	baseMeas := MaxMeasuredParams(budget, StageDDP, 64, baseRC)
 	if got := float64(baseMeas) / 1e9; got < 0.9 || got > 1.7 {
 		t.Errorf("baseline measured %.2fB, paper measured 1.3B (want 0.9-1.7B)", got)
 	}
@@ -205,7 +205,7 @@ func TestResidualBytesKnobs(t *testing.T) {
 }
 
 func TestStageString(t *testing.T) {
-	names := map[Stage]string{StageDP: "DP", StageOS: "Pos", StageOSG: "Pos+g", StageOSGP: "Pos+g+p"}
+	names := map[Stage]string{StageDDP: "DP", StageOS: "Pos", StageOSGrad: "Pos+g", StageFull: "Pos+g+p"}
 	for st, want := range names {
 		if st.String() != want {
 			t.Errorf("%d.String() = %q, want %q", int(st), st.String(), want)

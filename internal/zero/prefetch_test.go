@@ -33,12 +33,12 @@ func runStage3(t *testing.T, cfg model.Config, n, steps, batch int, opts Options
 	return out[0], w
 }
 
-// The prefetch satellite's core contract: stage-3 parameter gathers
-// pipelined on the prefetch stream are bitwise identical to the synchronous
-// gather-everything-up-front schedule, across world sizes and bucket sizes,
-// with and without gradient overlap riding the grad stream at the same
-// time. The gathers move the same elements either way — only *when* they
-// run changes.
+// The prefetch contract: stage-3 parameter gathers pipelined one group
+// ahead on the prefetch stream are bitwise identical to the window-0
+// schedule that gathers each group where it is needed, across world sizes
+// and bucket sizes, with and without gradient overlap riding the grad
+// stream at the same time. The gathers move the same elements either way —
+// only *when* they run changes.
 func TestStage3PrefetchBitIdentical(t *testing.T) {
 	cfg := testConfig()
 	const steps = 3
@@ -202,40 +202,52 @@ func TestNativeByteAccountingPerStep(t *testing.T) {
 	}
 }
 
-// QueueDepth must apply per stream even under a caller-owned scheduler
-// (whose own default the trainer cannot set).
+// A trainer on a caller-owned Scheduler runs on that scheduler's streams —
+// the same *Stream, not a second ordering domain — and its Close leaves
+// them running for the caller.
 func TestQueueDepthAppliesToSharedScheduler(t *testing.T) {
-	w := comm.NewWorld(1)
+	w := comm.NewWorld(2)
 	w.Run(func(c *comm.Comm) {
 		sched := comm.NewScheduler(c)
 		defer sched.Close()
 		tr := MustNew(c, testConfig(), Options{
-			Stage: StageFull, LR: testLR, Seed: testSeed,
-			QueueDepth: 2, Scheduler: sched,
+			Stage: StageFull, LR: testLR, Seed: testSeed, Scheduler: sched,
 		})
-		if d := tr.gradStream().Depth(); d != 2 {
-			t.Errorf("grad stream depth = %d, want 2 via shared scheduler", d)
+		if tr.gradStream() != sched.Stream(StreamGrad) {
+			t.Error("trainer's grad stream is not the shared scheduler's")
 		}
-		if d := tr.prefetchStream().Depth(); d != 2 {
-			t.Errorf("prefetch stream depth = %d, want 2 via shared scheduler", d)
+		if tr.prefetchStream() != sched.Stream(StreamPrefetch) {
+			t.Error("trainer's prefetch stream is not the shared scheduler's")
+		}
+		tr.Close()
+		x := []float32{float32(c.Rank() + 1)}
+		sched.Stream(StreamGrad).AllReduce(comm.F32Buf(x)).Wait()
+		if x[0] != 3 {
+			t.Errorf("rank %d: all-reduce after trainer Close gave %v, want 3", c.Rank(), x[0])
 		}
 	})
 }
 
-// The submission-queue depth plumbs through Options.QueueDepth: a depth-1
-// queue still trains bitwise identically (backpressure, not reordering).
+// A trainer that owns its scheduler and one that shares a caller's train
+// bitwise identically: the scheduler's owner changes teardown, never the
+// schedule.
 func TestQueueDepthOptionTrainsIdentically(t *testing.T) {
 	cfg := testConfig()
 	const n, steps, batch = 2, 3, 4
 	ids, targets := model.SyntheticBatch(71, batch, cfg.Seq, cfg.Vocab)
-	run := func(depth int) []float64 {
+	run := func(shared bool) []float64 {
 		w := comm.NewWorld(n)
 		out := make([]float64, steps)
 		w.Run(func(c *comm.Comm) {
-			tr := MustNew(c, cfg, Options{
+			opts := Options{
 				Stage: StageFull, LR: testLR, Seed: testSeed,
-				BucketElems: 64, Overlap: true, Prefetch: true, QueueDepth: depth,
-			})
+				BucketElems: 64, Overlap: true, Prefetch: true,
+			}
+			if shared {
+				opts.Scheduler = comm.NewScheduler(c)
+				defer opts.Scheduler.Close()
+			}
+			tr := MustNew(c, cfg, opts)
 			defer tr.Close()
 			for s := 0; s < steps; s++ {
 				l := tr.Step(ids, targets, batch)
@@ -246,11 +258,11 @@ func TestQueueDepthOptionTrainsIdentically(t *testing.T) {
 		})
 		return out
 	}
-	deep := run(0) // default depth
-	tiny := run(1)
-	for s := range deep {
-		if deep[s] != tiny[s] {
-			t.Errorf("step %d: depth-1 loss %.17g != default-depth %.17g", s, tiny[s], deep[s])
+	owned := run(false)
+	shared := run(true)
+	for s := range owned {
+		if owned[s] != shared[s] {
+			t.Errorf("step %d: shared-scheduler loss %.17g != owned %.17g", s, shared[s], owned[s])
 		}
 	}
 }

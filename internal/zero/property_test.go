@@ -76,7 +76,7 @@ func TestPropertyAnyConfigStageEqualsDDP(t *testing.T) {
 			for s := 0; s < steps; s++ {
 				tr.Step(ids, targets, tc.batch)
 			}
-			if tc.stage == StageOSGP {
+			if tc.stage == StageFull {
 				tr.gatherParams()
 			}
 			zeroOut[c.Rank()] = tr.Model.Params
@@ -113,7 +113,7 @@ func TestPropertyVolumeIdentityAnyWorld(t *testing.T) {
 		for _, tc := range []struct {
 			stage Stage
 			mult  int64
-		}{{StageDDP, 2}, {StageOS, 2}, {StageOSG, 2}, {StageOSGP, 3}} {
+		}{{StageDDP, 2}, {StageOS, 2}, {StageOSGrad, 2}, {StageFull, 3}} {
 			w := comm.NewWorld(n)
 			w.Run(func(c *comm.Comm) {
 				tr := MustNew(c, cfg, Options{Stage: tc.stage, LR: 1e-3, Seed: 1})

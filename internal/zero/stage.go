@@ -5,21 +5,6 @@ import (
 	"strings"
 )
 
-// Canonical stage names for the unified trainer API. The memory planner's
-// historical names (StageDP, StageOS, StageOSG, StageOSGP, declared in
-// memplan.go) remain valid aliases; these are the names the trainer, the
-// command-line tools and the stage-sweep experiments use.
-const (
-	// StageDDP is baseline data parallelism run through the unified code
-	// path: everything replicated, gradients averaged collectively.
-	StageDDP = StageDP
-	// StageOSGrad is Pos+g: optimizer state and gradient partitioning.
-	StageOSGrad = StageOSG
-	// StageFull is Pos+g+p: optimizer state, gradient and parameter
-	// partitioning.
-	StageFull = StageOSGP
-)
-
 // AllStages lists every stage the unified trainer accepts, in order of
 // increasing partitioning.
 var AllStages = []Stage{StageDDP, StageOS, StageOSGrad, StageFull}

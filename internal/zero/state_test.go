@@ -17,7 +17,7 @@ func TestSaveLoadResumesBitwise(t *testing.T) {
 	const n, batch, k, j = 4, 4, 3, 4
 	ids, targets := model.SyntheticBatch(3, batch, cfg.Seq, cfg.Vocab)
 
-	for _, stage := range []Stage{StageDDP, StageOS, StageOSG, StageOSGP} {
+	for _, stage := range []Stage{StageDDP, StageOS, StageOSGrad, StageFull} {
 		opts := Options{Stage: stage, LR: testLR, Seed: testSeed}
 
 		// Uninterrupted reference.
@@ -58,7 +58,7 @@ func TestSaveLoadResumesBitwise(t *testing.T) {
 			for s := 0; s < j; s++ {
 				tr.Step(ids, targets, batch)
 			}
-			if stage == StageOSGP {
+			if stage == StageFull {
 				tr.gatherParams()
 			}
 			results[c.Rank()] = append([]float32(nil), tr.Model.Params...)
@@ -78,7 +78,7 @@ func TestElasticRestoreAcrossWorldSizes(t *testing.T) {
 	cfg := testConfig()
 	const batch, k, j = 4, 3, 3
 	ids, targets := model.SyntheticBatch(5, batch, cfg.Seq, cfg.Vocab)
-	opts := Options{Stage: StageOSG, LR: testLR, Seed: testSeed}
+	opts := Options{Stage: StageOSGrad, LR: testLR, Seed: testSeed}
 
 	// Save from a 4-rank world.
 	var blob []byte
@@ -96,7 +96,7 @@ func TestElasticRestoreAcrossWorldSizes(t *testing.T) {
 	// Reference: what a 2-rank world reaches after k+j steps from scratch.
 	// (The k-step prefix differs only by reduction grouping, so compare
 	// with tolerance rather than bitwise.)
-	ref := runZeRO(t, cfg, StageOSG, 2, k+j, opts, ids, targets, batch)
+	ref := runZeRO(t, cfg, StageOSGrad, 2, k+j, opts, ids, targets, batch)
 
 	snap, err := DecodeSnapshot(blob)
 	if err != nil {
@@ -105,7 +105,7 @@ func TestElasticRestoreAcrossWorldSizes(t *testing.T) {
 	w2 := comm.NewWorld(2)
 	results := make([][]float32, 2)
 	w2.Run(func(c *comm.Comm) {
-		tr := MustNew(c, cfg, Options{Stage: StageOSG, LR: testLR, Seed: 123})
+		tr := MustNew(c, cfg, Options{Stage: StageOSGrad, LR: testLR, Seed: 123})
 		if err := tr.Load(snap); err != nil {
 			t.Error(err)
 			return
@@ -128,9 +128,9 @@ func TestSaveLoadFP16PreservesMasters(t *testing.T) {
 	cfg := testConfig()
 	const n, batch = 2, 4
 	ids, targets := model.SyntheticBatch(7, batch, cfg.Seq, cfg.Vocab)
-	opts := Options{Stage: StageOSG, LR: testLR, Seed: testSeed, FP16: true}
+	opts := Options{Stage: StageOSGrad, LR: testLR, Seed: testSeed, FP16: true}
 
-	ref := runZeRO(t, cfg, StageOSG, n, 5, opts, ids, targets, batch)
+	ref := runZeRO(t, cfg, StageOSGrad, n, 5, opts, ids, targets, batch)
 
 	var blob []byte
 	w1 := comm.NewWorld(n)
@@ -150,7 +150,7 @@ func TestSaveLoadFP16PreservesMasters(t *testing.T) {
 	w2 := comm.NewWorld(n)
 	results := make([][]float32, n)
 	w2.Run(func(c *comm.Comm) {
-		tr := MustNew(c, cfg, Options{Stage: StageOSG, LR: testLR, Seed: 55, FP16: true})
+		tr := MustNew(c, cfg, Options{Stage: StageOSGrad, LR: testLR, Seed: 55, FP16: true})
 		if err := tr.Load(snap); err != nil {
 			t.Error(err)
 			return
@@ -170,7 +170,7 @@ func TestSaveLoadFP16PreservesMasters(t *testing.T) {
 func TestLoadValidation(t *testing.T) {
 	w := comm.NewWorld(1)
 	w.Run(func(c *comm.Comm) {
-		tr := MustNew(c, testConfig(), Options{Stage: StageOSG, LR: testLR})
+		tr := MustNew(c, testConfig(), Options{Stage: StageOSGrad, LR: testLR})
 		if err := tr.Load(nil); err == nil {
 			t.Error("expected error for nil snapshot")
 		}
@@ -182,7 +182,7 @@ func TestLoadValidation(t *testing.T) {
 
 func TestSnapshotEncodeDecode(t *testing.T) {
 	s := &Snapshot{
-		Stage: StageOSG, WorldSize: 4, NumParams: 3, OptSteps: 7,
+		Stage: StageOSGrad, WorldSize: 4, NumParams: 3, OptSteps: 7,
 		Params: []float32{1, 2, 3},
 		Opt:    [][]float32{{4, 5, 6}, {7, 8, 9}},
 	}

@@ -72,13 +72,16 @@ type Options struct {
 	// available during backward (§5.2). 0 reduces each layer group in one
 	// bucket.
 	BucketElems int
-	// Overlap submits each gradient bucket to the grad stream as soon as
-	// its layer's backward pass finishes, overlapping communication with
-	// the remaining backward compute (§7.2); the per-bucket handles are
-	// waited before the optimizer step. Results are bitwise identical to
-	// the synchronous schedule; only wall-clock changes. Composes with an
-	// activation-checkpoint Store: Pa's gathers ride their own checkpoint
-	// stream, so the two ordering domains interleave freely on the wire.
+	// Overlap decides where gradient bucket handles are waited. Backward
+	// always submits each layer group's buckets to the grad stream as soon
+	// as that group's backward pass finishes (§7.2). With Overlap the
+	// handles are held until the end of Backward, so the reduce-scatters
+	// ride under the remaining backward compute; without it each handle is
+	// waited where it is submitted. The ops and their order are the same
+	// either way, so results are bitwise identical; only wall-clock
+	// changes. Composes with an activation-checkpoint Store: Pa's gathers
+	// ride their own checkpoint stream, so the two ordering domains
+	// interleave freely on the wire.
 	Overlap bool
 	// Topology routes the trainer's collectives hierarchically for worlds
 	// laid out as nodes of Topology.NodeSize ranks (flat when zero).
@@ -87,22 +90,16 @@ type Options struct {
 	// identical to each other; across topologies the reduction tree (and
 	// therefore the float rounding) differs.
 	Topology Topology
-	// Prefetch pipelines stage 3's parameter all-gathers on the prefetch
-	// stream: while a layer group computes, the next group's gather is
-	// already on the wire, and the forward/backward pass waits per-group
-	// handles at layer entry instead of gathering everything up front —
-	// §7.2.2's pipelined schedule ("spread across the entire forward
-	// propagation"). Bitwise identical to the synchronous gathers; no-op
-	// for stages 0-2, which keep parameters resident.
+	// Prefetch sets the window of stage 3's parameter all-gathers. Forward
+	// and Backward always gather layer group by layer group on the prefetch
+	// stream, waiting each group's handle at its entry — §7.2.2's schedule,
+	// "spread across the entire forward propagation". With Prefetch the
+	// window is one group: the next group's gather is already on the wire
+	// while the current one computes. Without it the window is 0 and each
+	// group is gathered where it is needed. Gathers move bits, never sum
+	// them, so both windows are bitwise identical. No-op for stages 0-2,
+	// which keep parameters resident.
 	Prefetch bool
-	// PrefetchDepth is the pipelining window of the Prefetch schedule in
-	// layer groups: when a group's parameters arrive, the gathers of the
-	// next PrefetchDepth groups are (re-)submitted, so up to that many
-	// gathers ride the wire while one group computes. 0 or 1 is the
-	// classic one-group-ahead pipeline; larger depths trade transient
-	// gather memory for more overlap. Results are bitwise identical at
-	// every depth — gathers move bits, they never sum them.
-	PrefetchDepth int
 	// Optimizer selects and parameterizes the optimizer the rank runs over
 	// its partition (Adam, momentum SGD or LAMB — §2.3's optimizer family,
 	// all of whose state partitions identically). The zero value means
@@ -111,10 +108,6 @@ type Options struct {
 	// extra 2·#tensors-float all-gather per boundary), so the update stays
 	// bitwise identical across stages.
 	Optimizer optimizer.Spec
-	// QueueDepth overrides the per-stream submission-queue capacity
-	// (0 = comm's default of 64). When a queue fills, submission blocks
-	// until the stream worker drains an op — backpressure, never loss.
-	QueueDepth int
 	// Scheduler, when non-nil, is the stream scheduler the trainer uses
 	// instead of creating (and owning) its own — pass one when other
 	// components of the rank (e.g. a Pa checkpoint store) must share the
@@ -168,19 +161,11 @@ type Options struct {
 // a gradient all-gather.
 //
 // All of the trainer's collectives flow through comm streams: gradient
-// traffic on StreamGrad, stage-3 parameter gathers on StreamPrefetch. The
-// synchronous schedules submit and immediately Wait; the overlapped ones
-// hold the Handle until the dependency point.
+// traffic on StreamGrad, stage-3 parameter gathers on StreamPrefetch. Every
+// configuration submits the same ops in the same order; Overlap and Prefetch
+// only decide where a Handle is waited.
 type Trainer struct {
 	Model *model.Model
-
-	// BucketElems, ClipNorm, Overlap, Prefetch and PrefetchDepth mirror
-	// the Options fields and may be mutated between steps.
-	BucketElems   int
-	ClipNorm      float64
-	Overlap       bool
-	Prefetch      bool
-	PrefetchDepth int
 
 	// LastGradNorm is the global gradient norm observed by the most
 	// recent Update when ClipNorm is enabled (pre-clipping).
@@ -218,17 +203,16 @@ type Trainer struct {
 
 	// Steady-state scratch, preallocated at construction (or on first use
 	// for the lazily sized pieces) so step k≥2 of a warmed trainer
-	// allocates nothing: the bucket plan caches the gradient schedule and
+	// allocates nothing: the bucket plan holds the gradient schedule and
 	// its per-bucket ownership partitions; the prefetchers and hook
 	// closures persist across steps; the clip and LAMB buffers hold the
 	// small collective payloads.
-	plan           bucketPlan      // gradient bucket schedule, keyed off BucketElems
-	groupsParts    [][]comm.Range  // per t.groups entry: partition clipped to the group
-	fwdPf          paramPrefetcher // stage-3 forward gather pipeline
-	bwdPf          paramPrefetcher // stage-3 backward gather pipeline
-	fwdHook        func(int)       // persistent Model.ForwardHook body
-	bwdPreHook     func(int)       // persistent Model.BackwardPreHook body
-	bwdHook        func(int)       // persistent Model.BackwardHook body (overlap)
+	plan           bucketPlan      // gradient bucket schedule
+	fwdPf          paramPrefetcher // stage-3 forward gathers
+	bwdPf          paramPrefetcher // stage-3 backward gathers
+	fwdHook        func(int)       // persistent Model.ForwardHook body (stage 3)
+	bwdPreHook     func(int)       // persistent Model.BackwardPreHook body (stage 3)
+	bwdHook        func(int)       // persistent Model.BackwardHook body
 	gradHandles    []comm.Handle   // overlapped-bucket handles, reused per step
 	clipPartials   []float32       // N-element clip partial buffer
 	clipParts      []comm.Range    // its one-element-per-rank partition
@@ -238,16 +222,13 @@ type Trainer struct {
 	lambWP, lambUP []float32       // per-rank partial folds of one segment
 }
 
-// bucketPlan is the cached gradient communication schedule: the bucket
-// windows in reduction order, each with its ownership partition clipped to
-// the window, plus the submission indices per layer group for the
-// overlapped path. Rebuilt only when BucketElems changes.
+// bucketPlan is the gradient communication schedule, built once in New:
+// each bucket's ownership partition clipped to its window, in reduction
+// order, plus the plan indices each layer group submits when its backward
+// pass finishes.
 type bucketPlan struct {
-	built       bool
-	bucketElems int
-	ranges      []comm.Range
-	parts       [][]comm.Range
-	byLayer     map[int][]int
+	parts   [][]comm.Range
+	byLayer map[int][]int
 }
 
 // New constructs a rank's trainer. Every rank must use identical cfg and
@@ -289,11 +270,7 @@ func New(c *comm.Comm, cfg model.Config, opts Options) (*Trainer, error) {
 	sched := opts.Scheduler
 	ownSched := false
 	if sched == nil {
-		var so []comm.SchedulerOption
-		if opts.QueueDepth > 0 {
-			so = append(so, comm.WithQueueDepth(opts.QueueDepth))
-		}
-		sched = comm.NewScheduler(c, so...)
+		sched = comm.NewScheduler(c)
 		ownSched = true
 	}
 	spec := opts.Optimizer
@@ -305,22 +282,17 @@ func New(c *comm.Comm, cfg model.Config, opts Options) (*Trainer, error) {
 		return nil, fmt.Errorf("zero: %w", err)
 	}
 	t := &Trainer{
-		Model:         m,
-		BucketElems:   opts.BucketElems,
-		ClipNorm:      opts.ClipNorm,
-		Overlap:       opts.Overlap,
-		Prefetch:      opts.Prefetch,
-		PrefetchDepth: opts.PrefetchDepth,
-		c:             c,
-		opts:          opts,
-		stage:         opts.Stage,
-		parts:         parts,
-		opt:           opt,
-		accum:         make([]float32, optDomain.Len()),
-		groups:        m.Layout.LayerSegments(cfg.Layers),
-		nodeSize:      nodeSize,
-		sched:         sched,
-		ownSched:      ownSched,
+		Model:    m,
+		c:        c,
+		opts:     opts,
+		stage:    opts.Stage,
+		parts:    parts,
+		opt:      opt,
+		accum:    make([]float32, optDomain.Len()),
+		groups:   m.Layout.LayerSegments(cfg.Layers),
+		nodeSize: nodeSize,
+		sched:    sched,
+		ownSched: ownSched,
 	}
 	if opts.FP16 {
 		t.master = append([]float32(nil), m.Params[optDomain.Lo:optDomain.Hi]...)
@@ -346,13 +318,10 @@ func New(c *comm.Comm, cfg model.Config, opts Options) (*Trainer, error) {
 		t.dropUnowned()
 	}
 
-	// Preallocate the steady-state scratch: per-group gather partitions,
-	// the small-collective payloads, the stage-3 prefetch pipelines and the
+	// Preallocate the steady-state scratch: the bucket plan, the
+	// small-collective payloads, the stage-3 gather schedules and the
 	// persistent hook closures. After this, a warmed step allocates nothing.
-	t.groupsParts = make([][]comm.Range, len(t.groups))
-	for i, g := range t.groups {
-		t.groupsParts[i] = intersect(parts, g.Lo, g.Hi)
-	}
+	t.plan = t.buildPlan()
 	t.clipPartials = make([]float32, c.Size())
 	t.clipParts = comm.Partition(c.Size(), c.Size())
 	if opts.Stage == StageFull {
@@ -375,7 +344,10 @@ func New(c *comm.Comm, cfg model.Config, opts Options) (*Trainer, error) {
 		t.bwdPreHook = func(layer int) {
 			if layer == layers {
 				// The head reads the embeddings and the final layernorm
-				// (positions 0 and 1) at once.
+				// (positions 0 and 1) at once, so both gathers go on the
+				// wire before either is waited.
+				t.bwdPf.submit(0)
+				t.bwdPf.submit(1)
 				t.bwdPf.arrive(0)
 				t.bwdPf.arrive(1)
 				return
@@ -383,7 +355,7 @@ func New(c *comm.Comm, cfg model.Config, opts Options) (*Trainer, error) {
 			t.bwdPf.arrive(layers + 1 - layer)
 		}
 	}
-	t.bwdHook = func(layer int) { t.submitLayerBuckets(layer) }
+	t.bwdHook = t.submitLayerBuckets
 	return t, nil
 }
 
@@ -430,12 +402,10 @@ func (t *Trainer) Close() {
 	}
 }
 
-// gradStream lazily creates the gradient ordering domain. QueueDepth is
-// passed per stream so it also applies under a shared Options.Scheduler
-// (0 falls back to the scheduler's default).
+// gradStream lazily creates the gradient ordering domain.
 func (t *Trainer) gradStream() *comm.Stream {
 	if t.grad == nil {
-		t.grad = t.sched.StreamWithDepth(StreamGrad, t.opts.QueueDepth)
+		t.grad = t.sched.Stream(StreamGrad)
 	}
 	return t.grad
 }
@@ -443,7 +413,7 @@ func (t *Trainer) gradStream() *comm.Stream {
 // prefetchStream lazily creates the stage-3 gather ordering domain.
 func (t *Trainer) prefetchStream() *comm.Stream {
 	if t.prefetch == nil {
-		t.prefetch = t.sched.StreamWithDepth(StreamPrefetch, t.opts.QueueDepth)
+		t.prefetch = t.sched.Stream(StreamPrefetch)
 	}
 	return t.prefetch
 }
@@ -454,7 +424,7 @@ func (t *Trainer) prefetchStream() *comm.Stream {
 // contract of the scheduler.
 func (t *Trainer) priorityStream() *comm.Stream {
 	if t.priority == nil {
-		t.priority = t.sched.StreamWithDepth(StreamPriority, t.opts.QueueDepth)
+		t.priority = t.sched.Stream(StreamPriority)
 	}
 	return t.priority
 }
@@ -524,14 +494,13 @@ func (t *Trainer) dropUnowned() {
 	tensor.Zero(t.Model.Params[own.Hi:])
 }
 
-// gatherParams synchronously re-materializes the full parameter buffer from
-// the owned shards, layer group by layer group, on the prefetch stream
-// (submit + wait per group). The Prefetch option replaces this with the
-// pipelined schedule of §7.2.2; the group order and ring arithmetic are
-// identical either way, which is why the two are bitwise equal.
+// gatherParams re-materializes the full stage-3 parameter buffer from the
+// owned shards outside a training pass, for GatheredParams: one forward
+// gather schedule with nothing computing in between.
 func (t *Trainer) gatherParams() {
-	for i := range t.groups {
-		t.allGather(t.prefetchStream(), t.paramBuf(), t.groupsParts[i]).Wait()
+	t.fwdPf.reset()
+	for k := range t.fwdPf.handles {
+		t.fwdPf.arrive(k)
 	}
 }
 
@@ -541,7 +510,7 @@ func (t *Trainer) gatherParams() {
 // call it together). Harness code (examples, elastic tests) uses it to
 // compare trajectories across stages without reaching into the model.
 func (t *Trainer) GatheredParams() []float32 {
-	if t.stage == StageOSGP {
+	if t.stage == StageFull {
 		t.gatherParams()
 	}
 	if t.opts.FP16Compute {
@@ -550,106 +519,64 @@ func (t *Trainer) GatheredParams() []float32 {
 	return append([]float32(nil), t.Model.Params...)
 }
 
-// paramPrefetcher pipelines layer-group all-gathers on the prefetch stream:
-// submit(k) launches group k's gather, arrive(k) waits for it and keeps the
-// next depth groups' gathers in flight — so while group k computes, up to
-// depth groups are on the wire (depth 1 is the classic one-group-ahead
-// pipeline of §7.2.2; deeper windows trade transient gather memory for more
-// overlap). Every rank walks the same order with the same depth, so the
-// per-stream submission order is identical across ranks (the determinism
-// contract), and gathers only move bits, so results are depth-invariant.
+// paramPrefetcher runs one pass's stage-3 layer-group all-gathers on the
+// prefetch stream (§7.2.2). arrive(k) makes group k resident — submitting
+// its gather if it is not on the wire yet, then waiting it — and submits
+// the next window groups' gathers, which ride the wire while group k
+// computes. Window 1 is the Prefetch pipeline; window 0 gathers each group
+// where it is needed. Every rank walks the same order with the same window,
+// so the per-stream submission order is identical across ranks (the
+// determinism contract), and gathers only move bits, so both windows give
+// the same bits.
 //
 // A prefetcher is constructed once per trainer (forward and backward each
-// own one) and reset per pass: the gather order, the per-group ownership
-// partitions and the handle slots all persist, so a steady-state pass
-// submits its whole pipeline without allocating.
+// own one) and reset per pass: the per-group ownership partitions and the
+// handle slots persist, so a steady-state pass submits its gathers without
+// allocating.
 type paramPrefetcher struct {
 	t          *Trainer
-	order      []model.Segment
 	orderParts [][]comm.Range
 	handles    []comm.Handle
-	depth      int
+	window     int
 }
 
 // init precomputes the gather order's partitions and handle slots.
 func (p *paramPrefetcher) init(t *Trainer, order []model.Segment) {
 	p.t = t
-	p.order = order
 	p.orderParts = make([][]comm.Range, len(order))
 	for i, g := range order {
 		p.orderParts[i] = intersect(t.parts, g.Lo, g.Hi)
 	}
 	p.handles = make([]comm.Handle, len(order))
+	if t.opts.Prefetch {
+		p.window = 1
+	}
 }
 
-// reset clears the launch state for a new pass and re-reads the depth knob
-// (PrefetchDepth is mutable between steps).
+// reset clears the launch state for a new pass.
 func (p *paramPrefetcher) reset() {
-	p.depth = p.t.prefetchWindow()
 	for i := range p.handles {
 		p.handles[i] = comm.Handle{}
 	}
 }
 
-// prefetchWindow is the effective depth-k window: PrefetchDepth, floored at
-// the classic depth of one.
-func (t *Trainer) prefetchWindow() int {
-	if t.PrefetchDepth > 1 {
-		return t.PrefetchDepth
-	}
-	return 1
-}
-
-// submit launches the all-gather for order[k] if it exists and has not been
+// submit launches the all-gather for group k if it exists and has not been
 // launched yet.
 func (p *paramPrefetcher) submit(k int) {
-	if k < 0 || k >= len(p.order) || p.handles[k].Valid() {
+	if k < 0 || k >= len(p.handles) || p.handles[k].Valid() {
 		return
 	}
 	p.handles[k] = p.t.allGather(p.t.prefetchStream(), p.t.paramBuf(), p.orderParts[k])
 }
 
-// arrive blocks until order[k]'s parameters are resident and tops the
-// pipeline back up to depth groups ahead.
+// arrive blocks until group k's parameters are resident and keeps the next
+// window groups' gathers in flight.
 func (p *paramPrefetcher) arrive(k int) {
-	p.submit(k) // defensive; a no-op on the normal path
+	p.submit(k)
 	p.handles[k].Wait()
-	for d := 1; d <= p.depth; d++ {
+	for d := 1; d <= p.window; d++ {
 		p.submit(k + d)
 	}
-}
-
-// prime launches the initial window: groups [0, n) for an n-deep start.
-func (p *paramPrefetcher) prime(n int) {
-	for k := 0; k < n && k < len(p.order); k++ {
-		p.submit(k)
-	}
-}
-
-// forwardPrefetched runs the forward pass with the stage-3 parameter
-// gathers pipelined: group order is embeddings, blocks 0..L-1, final
-// layernorm (position = layer+1), matching the order Loss touches them.
-// The tied head re-reads the embeddings, which stay resident from position
-// 0 — gathered groups are only dropped after the pass, exactly like the
-// synchronous schedule.
-func (t *Trainer) forwardPrefetched(ids, targets []int, per int) float64 {
-	t.fwdPf.reset()
-	t.fwdPf.prime(t.fwdPf.depth)
-	t.Model.ForwardHook = t.fwdHook
-	loss := t.Model.Loss(ids, targets, per)
-	t.Model.ForwardHook = nil
-	return loss
-}
-
-// armBackwardPrefetch arms the pipelined parameter gathers for the backward
-// pass: the head needs the embeddings and the final layernorm first
-// (positions 0 and 1), then blocks L-1..0 (position L+1-layer). The caller
-// clears Model.BackwardPreHook after Backward; all handles have been waited
-// by then because every group's BackwardPreHook fires.
-func (t *Trainer) armBackwardPrefetch() {
-	t.bwdPf.reset()
-	t.bwdPf.prime(t.bwdPf.depth + 1) // the head reads two groups (embeddings + ln_f) at once
-	t.Model.BackwardPreHook = t.bwdPreHook
 }
 
 // intersect clips the global partition to [lo,hi), producing a per-rank
@@ -687,67 +614,56 @@ func (t *Trainer) Step(ids, targets []int, globalBatch int) float64 {
 
 // Forward runs the forward pass of one micro-batch (microBatch rows across
 // the whole data-parallel group; this rank computes its 1/Nd shard) and
-// returns the local loss. Stage 3 re-materializes parameters first — up
-// front on the synchronous schedule, or pipelined under the forward compute
-// with Prefetch (§7.2.2). Each Forward starts a fresh micro-gradient; the
-// cross-micro-batch state lives in the partitioned accumulator that
-// Backward maintains.
+// returns the local loss. Stage 3 gathers each layer group's parameters as
+// its compute begins, in the order Loss touches them: embeddings, blocks
+// 0..L-1, final layernorm. The tied head re-reads the embeddings, which
+// stay resident until Backward drops them. Each Forward starts a fresh
+// micro-gradient; the cross-micro-batch state lives in the partitioned
+// accumulator that Backward maintains.
 func (t *Trainer) Forward(ids, targets []int, microBatch int) float64 {
 	shardIDs, shardTargets, per := model.ShardBatch(ids, targets, microBatch, t.c.Size(), t.c.Rank())
-	prefetching := t.stage == StageFull && t.Prefetch
-	if t.stage == StageFull && !prefetching {
-		t.gatherParams()
-	}
 	t.Model.ZeroGrads()
-	if prefetching {
-		return t.forwardPrefetched(shardIDs, shardTargets, per)
-	}
-	return t.Model.Loss(shardIDs, shardTargets, per)
+	t.fwdPf.reset()
+	t.Model.ForwardHook = t.fwdHook // nil below stage 3
+	loss := t.Model.Loss(shardIDs, shardTargets, per)
+	t.Model.ForwardHook = nil
+	return loss
 }
 
 // Backward runs the backward pass of the micro-batch last seen by Forward
-// and folds its gradient into the rank's persistent accumulator: the bucket
-// schedule reduce-scatters each window across the group as gradients become
-// available (synchronously after backward, or overlapped bucket by bucket
-// as layers finish), and only the reduced values over the optimizer domain
-// are accumulated. At the partitioned stages that domain is the owned Ψ/Nd
-// shard, so gradient accumulation across micro-batches never holds more
-// than the partition (§5.2) — the full-width micro gradient is transient
-// workspace, re-zeroed by the next Forward.
+// and folds its gradient into the rank's persistent accumulator. As each
+// layer group's gradients become final, its buckets are reduce-scattered
+// across the group on the grad stream (§7.2), and only the reduced values
+// over the optimizer domain are accumulated. At the partitioned stages that
+// domain is the owned Ψ/Nd shard, so gradient accumulation across
+// micro-batches never holds more than the partition (§5.2) — the
+// full-width micro gradient is transient workspace, re-zeroed by the next
+// Forward. Stage 3 gathers each group's parameters again as its backward
+// begins: the head's embeddings and final layernorm first, then blocks
+// L-1..0.
 func (t *Trainer) Backward() {
 	own := t.Owned()
-	prefetching := t.stage == StageFull && t.Prefetch
 
-	// Stage 3: parameters were "discarded once used" after forward; gather
-	// them again for the backward pass (the second Ψ of §7.2.2).
+	// Stage 3: parameters were "discarded once used" after forward; the
+	// backward pass gathers them again (the second Ψ of §7.2.2).
 	if t.stage == StageFull {
 		t.dropUnowned()
-		if !prefetching {
-			t.gatherParams()
-		}
 	}
-	if prefetching {
-		t.armBackwardPrefetch()
-	}
-
-	// Backward pass plus the gradient collective schedule: synchronous
-	// after backward, or overlapped bucket by bucket as layers finish.
-	// Both ride the grad stream; an attached checkpoint store gathers on
-	// its own stream concurrently.
-	if t.Overlap {
-		t.backwardOverlapped()
-	} else {
-		t.Model.Backward()
-		if t.opts.FP16 {
-			t.quantizeGrads(t.Model.Grads)
-		}
-		p := t.ensurePlan()
-		for i := range p.ranges {
-			t.reduceBucketAt(p, i).Wait()
-		}
-	}
-	if prefetching {
-		t.Model.BackwardPreHook = nil
+	t.bwdPf.reset()
+	t.gradHandles = t.gradHandles[:0]
+	t.Model.BackwardPreHook = t.bwdPreHook // nil below stage 3
+	t.Model.BackwardHook = t.bwdHook
+	t.Model.Backward()
+	t.Model.BackwardPreHook = nil
+	t.Model.BackwardHook = nil
+	// The embedding gradients keep accumulating until Model.Backward
+	// returns (tied head at the start + embedding lookup at the end), so
+	// their buckets — and the small ln_f group that shares this slot — go
+	// last, exactly as in the plan order.
+	t.submitLayerBuckets(t.Model.Cfg.Layers)
+	t.submitLayerBuckets(-1)
+	for _, h := range t.gradHandles {
+		h.Wait()
 	}
 	// Latch any fp16-store overflow this micro-batch raised; the group
 	// votes on the accumulated flag at the next Update.
@@ -808,7 +724,7 @@ func (t *Trainer) Update() {
 	// bound, and on its own ordering domain it never queues behind bucket
 	// traffic still draining on the grad stream. Gathers move bits, so the
 	// result is bitwise identical to the grad-stream schedule.
-	if t.ClipNorm > 0 {
+	if t.opts.ClipNorm > 0 {
 		partials := t.clipPartials
 		if t.stage == StageDDP {
 			optimizer.PartitionSquaredSumsInto(partials, t.accum, t.parts)
@@ -818,7 +734,7 @@ func (t *Trainer) Update() {
 		}
 		norm := optimizer.GlobalGradNorm(partials)
 		t.LastGradNorm = norm
-		tensor.Scale(t.accum, optimizer.ClipScale(norm, t.ClipNorm))
+		tensor.Scale(t.accum, optimizer.ClipScale(norm, t.opts.ClipNorm))
 	}
 
 	// Optimizer step over this rank's domain: the owned shard (Pos, §5.1),
@@ -1045,23 +961,16 @@ func (t *Trainer) AccumulatedMicros() int { return t.accumMicros }
 // only at stage 0 where every state is replicated anyway.
 func (t *Trainer) GradAccumElems() int { return len(t.accum) }
 
-// ensurePlan returns the cached gradient bucket plan, rebuilding it when
-// BucketElems has changed since the last step. The plan holds the
-// deterministic bucket order shared by the synchronous and overlapped
-// paths — transformer blocks in backward order (block L-1 first), then the
-// final layernorm, then the embeddings, each group split into
-// BucketElems-sized windows in reverse — plus each bucket's ownership
-// partition and the per-layer submission indices, so steady-state steps
-// replay the schedule without rebuilding it.
-func (t *Trainer) ensurePlan() *bucketPlan {
-	if t.plan.built && t.plan.bucketElems == t.BucketElems {
-		return &t.plan
-	}
-	p := bucketPlan{built: true, bucketElems: t.BucketElems, byLayer: make(map[int][]int)}
+// buildPlan builds the gradient bucket plan: transformer blocks in backward
+// order (block L-1 first), then the final layernorm, then the embeddings,
+// each group split into BucketElems-sized windows in reverse, plus each
+// bucket's ownership partition and the per-layer submission indices, so
+// steady-state steps replay the schedule without rebuilding it.
+func (t *Trainer) buildPlan() bucketPlan {
+	p := bucketPlan{byLayer: make(map[int][]int)}
 	add := func(layer int) {
 		for _, b := range t.groupBuckets(t.layerGroup(layer)) {
-			p.byLayer[layer] = append(p.byLayer[layer], len(p.ranges))
-			p.ranges = append(p.ranges, b)
+			p.byLayer[layer] = append(p.byLayer[layer], len(p.parts))
 			p.parts = append(p.parts, intersect(t.parts, b.Lo, b.Hi))
 		}
 	}
@@ -1071,14 +980,7 @@ func (t *Trainer) ensurePlan() *bucketPlan {
 	}
 	add(layers) // ln_f
 	add(-1)     // embeddings
-	t.plan = p
-	return &t.plan
-}
-
-// commSchedule returns the gradient-bucket order of the current plan (for
-// tests and instrumentation).
-func (t *Trainer) commSchedule() []comm.Range {
-	return t.ensurePlan().ranges
+	return p
 }
 
 // layerGroup returns the flat-buffer segment for a block index, the final
@@ -1095,7 +997,7 @@ func (t *Trainer) layerGroup(layer int) model.Segment {
 // groupBuckets splits one layer group into bucket windows, last window
 // first (mirroring backward-order bucket fills inside a layer).
 func (t *Trainer) groupBuckets(g model.Segment) []comm.Range {
-	bucket := t.BucketElems
+	bucket := t.opts.BucketElems
 	if bucket <= 0 || bucket >= g.Len() {
 		return []comm.Range{{Lo: g.Lo, Hi: g.Hi}}
 	}
@@ -1117,46 +1019,34 @@ func (t *Trainer) groupBuckets(g model.Segment) []comm.Range {
 // global partition, so the elementwise reduction order — and therefore the
 // bits — is independent of bucket framing; under a Topology both ops route
 // hierarchically with the same ownership layout.
-func (t *Trainer) reduceBucketAt(p *bucketPlan, i int) comm.Handle {
+func (t *Trainer) reduceBucketAt(i int) comm.Handle {
 	buf := t.wireBuf(t.Model.Grads)
 	st := t.gradStream()
-	h := t.reduceScatter(st, buf, p.parts[i])
+	parts := t.plan.parts[i]
+	h := t.reduceScatter(st, buf, parts)
 	if t.stage == StageDDP {
-		h = t.allGather(st, buf, p.parts[i]) // FIFO after the reduce-scatter
+		h = t.allGather(st, buf, parts) // FIFO after the reduce-scatter
 	}
 	return h
 }
 
 // submitLayerBuckets quantizes (FP16) and submits one layer group's buckets
-// in plan order, collecting the handles for the end-of-backward wait.
+// in plan order. Overlap holds each handle for the wait at the end of
+// Backward, so the reduce-scatter of layer k rides under the compute of
+// layers k-1..0 (§7.2's communication/computation overlap); otherwise the
+// handle is waited where it is submitted.
 func (t *Trainer) submitLayerBuckets(layer int) {
-	p := t.ensurePlan()
 	if t.opts.FP16 {
 		g := t.layerGroup(layer)
 		t.quantizeGrads(t.Model.Grads[g.Lo:g.Hi])
 	}
-	for _, i := range p.byLayer[layer] {
-		t.gradHandles = append(t.gradHandles, t.reduceBucketAt(p, i))
-	}
-}
-
-// backwardOverlapped runs Backward with the bucket schedule submitted to
-// the grad stream as each layer's gradients finalize, then waits every
-// bucket handle before returning — reduce-scatter of layer k rides under
-// the compute of layers k-1..0 (§7.2's communication/computation overlap).
-func (t *Trainer) backwardOverlapped() {
-	t.gradHandles = t.gradHandles[:0]
-	t.Model.BackwardHook = t.bwdHook
-	t.Model.Backward()
-	t.Model.BackwardHook = nil
-	// The embedding gradients keep accumulating until Backward returns
-	// (tied head at the start + embedding lookup at the end), so their
-	// buckets — and the small ln_f group that shares this slot — go
-	// last, exactly as in the plan order.
-	t.submitLayerBuckets(t.Model.Cfg.Layers)
-	t.submitLayerBuckets(-1)
-	for _, h := range t.gradHandles {
-		h.Wait()
+	for _, i := range t.plan.byLayer[layer] {
+		h := t.reduceBucketAt(i)
+		if t.opts.Overlap {
+			t.gradHandles = append(t.gradHandles, h)
+		} else {
+			h.Wait()
+		}
 	}
 }
 

@@ -44,7 +44,7 @@ func runZeRO(t *testing.T, cfg model.Config, stage Stage, n, steps int, opts Opt
 		for s := 0; s < steps; s++ {
 			tr.Step(ids, targets, batch)
 		}
-		if stage == StageOSGP {
+		if stage == StageFull {
 			tr.gatherParams() // re-materialize for comparison
 		}
 		out[c.Rank()] = append([]float32(nil), tr.Model.Params...)
@@ -77,7 +77,7 @@ func TestStagesMatchDDPBitwise(t *testing.T) {
 	ids, targets := model.SyntheticBatch(3, batch, cfg.Seq, cfg.Vocab)
 	for _, n := range []int{1, 2, 4} {
 		want := runDDP(cfg, n, steps, ids, targets, batch)
-		for _, stage := range []Stage{StageOS, StageOSG, StageOSGP} {
+		for _, stage := range []Stage{StageOS, StageOSGrad, StageFull} {
 			got := runZeRO(t, cfg, stage, n, steps,
 				Options{LR: testLR, Seed: testSeed}, ids, targets, batch)
 			for r := 0; r < n; r++ {
@@ -118,8 +118,8 @@ func TestBucketedReduceScatterBitwise(t *testing.T) {
 	cfg := testConfig()
 	const batch = 4
 	ids, targets := model.SyntheticBatch(13, batch, cfg.Seq, cfg.Vocab)
-	unfused := runZeRO(t, cfg, StageOSG, 4, 3, Options{LR: testLR, Seed: testSeed}, ids, targets, batch)
-	bucketed := runZeRO(t, cfg, StageOSG, 4, 3,
+	unfused := runZeRO(t, cfg, StageOSGrad, 4, 3, Options{LR: testLR, Seed: testSeed}, ids, targets, batch)
+	bucketed := runZeRO(t, cfg, StageOSGrad, 4, 3,
 		Options{LR: testLR, Seed: testSeed, BucketElems: 257}, ids, targets, batch)
 	if d := tensor.MaxDiff(unfused[0], bucketed[0]); d != 0 {
 		t.Errorf("bucketing changed the trajectory by %g", d)
@@ -141,7 +141,7 @@ func TestCommunicationVolumeIdentities(t *testing.T) {
 			stage Stage
 			mult  int64
 		}{
-			{StageDDP, 2}, {StageOS, 2}, {StageOSG, 2}, {StageOSGP, 3},
+			{StageDDP, 2}, {StageOS, 2}, {StageOSGrad, 2}, {StageFull, 3},
 		} {
 			w := comm.NewWorld(n)
 			w.Run(func(c *comm.Comm) {
@@ -168,7 +168,7 @@ func TestStage3ResidencyAndShards(t *testing.T) {
 	ids, targets := model.SyntheticBatch(5, batch, cfg.Seq, cfg.Vocab)
 	w := comm.NewWorld(n)
 	w.Run(func(c *comm.Comm) {
-		tr := MustNew(c, cfg, Options{Stage: StageOSGP, LR: testLR, Seed: testSeed})
+		tr := MustNew(c, cfg, Options{Stage: StageFull, LR: testLR, Seed: testSeed})
 		tr.Step(ids, targets, batch)
 		own := tr.Owned()
 		for i, v := range tr.Model.Params {
@@ -194,8 +194,8 @@ func TestFP16StagesAgreeAndLearn(t *testing.T) {
 	opts := Options{LR: 5e-3, Seed: 23, FP16: true}
 
 	s1 := runZeRO(t, cfg, StageOS, n, steps, opts, ids, targets, batch)
-	s2 := runZeRO(t, cfg, StageOSG, n, steps, opts, ids, targets, batch)
-	s3 := runZeRO(t, cfg, StageOSGP, n, steps, opts, ids, targets, batch)
+	s2 := runZeRO(t, cfg, StageOSGrad, n, steps, opts, ids, targets, batch)
+	s3 := runZeRO(t, cfg, StageFull, n, steps, opts, ids, targets, batch)
 	if d := tensor.MaxDiff(s1[0], s2[0]); d != 0 {
 		t.Errorf("fp16 Pos vs Pos+g differ by %g", d)
 	}
@@ -208,7 +208,7 @@ func TestFP16StagesAgreeAndLearn(t *testing.T) {
 	losses := make([]float64, n)
 	firsts := make([]float64, n)
 	w.Run(func(c *comm.Comm) {
-		tr := MustNew(c, cfg, Options{Stage: StageOSG, LR: 5e-3, Seed: 23, FP16: true})
+		tr := MustNew(c, cfg, Options{Stage: StageOSGrad, LR: 5e-3, Seed: 23, FP16: true})
 		for s := 0; s < steps; s++ {
 			l := tr.Step(ids, targets, batch)
 			if s == 0 {
@@ -230,8 +230,8 @@ func TestZeROWithCheckpointingBitwise(t *testing.T) {
 	cfg := testConfig()
 	const batch = 4
 	ids, targets := model.SyntheticBatch(29, batch, cfg.Seq, cfg.Vocab)
-	plain := runZeRO(t, cfg, StageOSG, 2, 3, Options{LR: testLR, Seed: testSeed}, ids, targets, batch)
-	ckpt := runZeRO(t, cfg, StageOSG, 2, 3,
+	plain := runZeRO(t, cfg, StageOSGrad, 2, 3, Options{LR: testLR, Seed: testSeed}, ids, targets, batch)
+	ckpt := runZeRO(t, cfg, StageOSGrad, 2, 3,
 		Options{LR: testLR, Seed: testSeed, Checkpoint: true}, ids, targets, batch)
 	if d := tensor.MaxDiff(plain[0], ckpt[0]); d != 0 {
 		t.Errorf("checkpointing changed the trajectory by %g", d)

@@ -54,7 +54,7 @@ func fixtureRun(t *testing.T, midAccum bool) *Snapshot {
 	cfg := model.Config{Layers: 1, Hidden: 10, Heads: 2, Vocab: 7, Seq: 3}
 	const n, batch = 4, 4
 	ids, targets := model.SyntheticBatch(21, batch, cfg.Seq, cfg.Vocab)
-	opts := Options{Stage: StageOSG, LR: testLR, Seed: testSeed}
+	opts := Options{Stage: StageOSGrad, LR: testLR, Seed: testSeed}
 	micros, extra := 1, 0
 	if midAccum {
 		micros, extra = 2, 1
@@ -299,7 +299,7 @@ func TestSnapshotCodecAllocations(t *testing.T) {
 	}
 	const n, numParams, optK = 8, 1 << 16, 2
 	snap := &Snapshot{
-		Stage:     StageOSG,
+		Stage:     StageOSGrad,
 		WorldSize: n,
 		NumParams: numParams,
 		OptSteps:  3,
