@@ -59,13 +59,16 @@ configcheck:
 # allocation linear in the input), the fp32↔fp16 conversion surface (batch
 # encoders vs the scalar reference), GELU/GELUBackward/softmax on the
 # exp/tanh lane kernels and every matmul kernel on the AVX tile and F16C
-# decode (each bitwise the scalar reference), the ZELC snapshot decoder
-# (reject, or re-encode to the identical bytes), the engine config parser
-# (reject, or normalize → marshal → parse to the identical config) and the
-# job-spec parser (reject, or marshal → parse to the identical spec) — a few
-# seconds of coverage-guided input generation on every `make check`.
-# (Unbounded minimisation of each new vocab, encode, matmul, snapshot,
-# config or spec input would eat the 3 s, so it is capped at 100
+# decode (each bitwise the scalar reference), a ring reduce-scatter then
+# all-gather over random partitions with empty ranges (bitwise the
+# ring-order sum, one message per non-empty chunk hop), the ZELC snapshot
+# decoder (reject, or re-encode to the identical bytes), the engine config
+# parser (reject, or normalize → marshal → parse to the identical config)
+# and the job-spec parser (reject, or marshal → parse to the identical
+# spec) — a few seconds of coverage-guided input generation on every
+# `make check`.
+# (Unbounded minimisation of each new vocab, encode, matmul, ring,
+# snapshot, config or spec input would eat the 3 s, so it is capped at 100
 # executions.)
 fuzz-smoke:
 	$(GO) test ./internal/data -run=NONE -fuzz=FuzzBPERoundTrip -fuzztime=3s
@@ -74,6 +77,7 @@ fuzz-smoke:
 	$(GO) test ./internal/tensor -run=NONE -fuzz=FuzzHalfRoundTrip -fuzztime=3s
 	$(GO) test ./internal/tensor -run=NONE -fuzz=FuzzTranscendentals -fuzztime=3s
 	$(GO) test ./internal/tensor -run=NONE -fuzz=FuzzMatMulLanes -fuzztime=3s -fuzzminimizetime=100x
+	$(GO) test ./internal/comm -run=NONE -fuzz=FuzzRingPartitions -fuzztime=3s -fuzzminimizetime=100x
 	$(GO) test ./internal/zero -run=NONE -fuzz=FuzzDecodeSnapshot -fuzztime=3s -fuzzminimizetime=100x
 	$(GO) test ./internal/engine -run=NONE -fuzz=FuzzParseConfig -fuzztime=3s -fuzzminimizetime=100x
 	$(GO) test ./internal/serve -run=NONE -fuzz=FuzzParseSpec -fuzztime=3s -fuzzminimizetime=100x

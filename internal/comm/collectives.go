@@ -1,6 +1,10 @@
 package comm
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/tensor"
+)
 
 // Ring and tree collectives. Per-rank traffic for a buffer of Ψ elements on
 // a group of N members (the quantities the paper's §7 analysis is built on):
@@ -15,6 +19,17 @@ import "fmt"
 // derived by Split/Subgroup — with ranks, partition indices and roots in
 // group-local coordinates. All members must enter the collective with
 // buffers of identical length; collectives are synchronizing operations.
+//
+// A ring step moves a chunk only when it carries elements: the send of an
+// empty chunk and its matching receive are both skipped. Every member
+// computes the same chunk list, so the pairing on each link is unchanged.
+// Element and byte counts are those above (an empty chunk never carried
+// any); Stats.Messages counts one send and one receive per non-empty chunk
+// hop. That matters when a bucket falls inside one member's partition, as
+// ZeRO's stage-3 bucket windows do, and most chunks are empty. Each ring
+// message is stamped with its chunk's offset and its buffer's length, and
+// the receiver checks both against its own, so members that disagree on a
+// buffer still panic rather than pair mismatched chunks.
 
 // AllReduce sums x elementwise across the group, in place, using the
 // two-phase ring algorithm (pipelined reduce-scatter then all-gather).
@@ -186,18 +201,12 @@ func (c *Comm) ringReduceScatter(op string, x []float32, parts []Range) {
 	for s := 0; s < n-1; s++ {
 		sendIdx := ((c.pos-s-1)%n + n) % n
 		recvIdx := ((c.pos-s-2)%n + n) % n
-		sp := chunk(parts, len(x), n, sendIdx)
-		c.send(op, right, x[sp.Lo:sp.Hi])
-		data := c.recv(op, left)
+		sendChunk(c, op, right, x, chunk(parts, len(x), n, sendIdx))
 		rp := chunk(parts, len(x), n, recvIdx)
-		dst := x[rp.Lo:rp.Hi]
-		if len(data) != len(dst) {
-			panic("comm: ring chunk length mismatch (buffers must be equal-length on all ranks)")
+		if data := recvChunk(c, op, left, x, rp); data != nil {
+			tensor.Add(x[rp.Lo:rp.Hi], data)
+			c.release(data)
 		}
-		for i, v := range data {
-			dst[i] += v
-		}
-		c.release(data)
 	}
 }
 
@@ -212,15 +221,36 @@ func ringAllGather[T elem](c *Comm, op string, x []T, parts []Range, ownIdx int)
 	for s := 0; s < n-1; s++ {
 		sendIdx := ((ownIdx-s)%n + n) % n
 		recvIdx := ((ownIdx-s-1)%n + n) % n
-		sp := chunk(parts, len(x), n, sendIdx)
-		sendElems(c, op, right, x[sp.Lo:sp.Hi])
-		msg := c.recvMsg(op, left)
+		sendChunk(c, op, right, x, chunk(parts, len(x), n, sendIdx))
 		rp := chunk(parts, len(x), n, recvIdx)
-		dst := x[rp.Lo:rp.Hi]
-		if msg.elems != len(dst) {
-			panic("comm: ring chunk length mismatch (buffers must be equal-length on all ranks)")
+		if words := recvChunk(c, op, left, x, rp); words != nil {
+			copy(x[rp.Lo:rp.Hi], wireView[T](words, rp.Len()))
+			c.release(words)
 		}
-		copy(dst, wireView[T](msg.words, msg.elems))
-		c.release(msg.words)
 	}
+}
+
+// sendChunk sends chunk r of x to the group-local rank dst, stamped with
+// r's offset and x's length — or nothing at all when r is empty.
+func sendChunk[T elem](c *Comm, op string, dst int, x []T, r Range) {
+	if r.Lo != r.Hi {
+		sendElems(c, op, dst, x[r.Lo:r.Hi], r.Lo, len(x))
+	}
+}
+
+// recvChunk receives chunk r of x from the group-local rank src, the mirror
+// of sendChunk, and returns the message's pool words — nil, with nothing
+// received, when r is empty. A message whose stamp or length differs from
+// r and x panics.
+func recvChunk[T elem](c *Comm, op string, src int, x []T, r Range) []float32 {
+	if r.Lo == r.Hi {
+		return nil
+	}
+	msg := c.recvMsg(op, src)
+	if msg.off != r.Lo || msg.elems != r.Len() || msg.total != len(x) {
+		panic(fmt.Sprintf("comm: ring chunk length mismatch (buffers must be equal-length on all ranks): "+
+			"got %d elems at offset %d of a %d-element buffer, want %d at %d of %d",
+			msg.elems, msg.off, msg.total, r.Len(), r.Lo, len(x)))
+	}
+	return msg.words
 }

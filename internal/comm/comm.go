@@ -97,7 +97,10 @@ type Stats struct {
 	ElemsRecv int64
 	BytesSent int64
 	BytesRecv int64
-	Messages  int64
+	// Messages counts sends plus receives. A ring collective moves only the
+	// chunks that carry elements, so it records one send and one receive
+	// per non-empty chunk hop.
+	Messages int64
 	// PerCollective maps collective name (suffixed ":<label>" on labeled
 	// group communicators) to elements sent under it.
 	PerCollective map[string]int64
@@ -463,14 +466,15 @@ func (c *Comm) opName(op string) string {
 }
 
 // sendElems transmits a copy of data to the group-local rank dst and
-// accounts for it under op. The copy draws from the world's wire pool; the
-// receiver recycles it after its last read (every internal path — Gather
-// clones before recycling) or lets it escape to the GC (the public Recv).
-func sendElems[T elem](c *Comm, op string, dst int, data []T) {
+// accounts for it under op; off and total are the message's ring stamp
+// (wireMsg). The copy draws from the world's wire pool; the receiver
+// recycles it after its last read (every internal path — Gather clones
+// before recycling) or lets it escape to the GC (the public Recv).
+func sendElems[T elem](c *Comm, op string, dst int, data []T, off, total int) {
 	if dst == c.pos {
 		panic("comm: send to self")
 	}
-	msg := wireMsg{words: c.w.wire.Get(wireWords[T](len(data))), elems: len(data)}
+	msg := wireMsg{words: c.w.wire.Get(wireWords[T](len(data))), elems: len(data), off: off, total: total}
 	copy(wireView[T](msg.words, msg.elems), data)
 	if c.w.faultsOn() {
 		c.w.preOp(c.rank)
@@ -481,9 +485,9 @@ func sendElems[T elem](c *Comm, op string, dst int, data []T) {
 	c.w.stats[c.rank].record(c.opName(op), c.stream, c.label, c.dtype.Bytes(), int64(len(data)), 0)
 }
 
-// send is sendElems for the float32 payloads every collective but the half
-// all-gather moves.
-func (c *Comm) send(op string, dst int, data []float32) { sendElems(c, op, dst, data) }
+// send is sendElems for the unstamped float32 payloads of the tree, gather
+// and point-to-point paths.
+func (c *Comm) send(op string, dst int, data []float32) { sendElems(c, op, dst, data, 0, 0) }
 
 // release returns a received wire buffer to the pool. Call only after the
 // last read of the buffer.

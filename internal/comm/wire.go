@@ -14,9 +14,15 @@ type elem interface{ float32 | tensor.Half }
 // plus the number of elements packed into it. The pool is float32-typed, so a
 // message of n halves occupies ⌈n/2⌉ pool words — fp16 traffic really is
 // copied at 2 bytes per element, the width Stats records for it.
+//
+// A ring message is also stamped with its chunk's offset and the length of
+// the buffer it was cut from. Empty chunks are never sent, so a receiver
+// whose buffer disagrees with its neighbour's would otherwise pair one
+// chunk's message with another chunk; the stamp makes it panic instead.
 type wireMsg struct {
-	words []float32
-	elems int
+	words      []float32
+	elems      int
+	off, total int
 }
 
 // wireWords returns the pool words n elements of type T occupy.

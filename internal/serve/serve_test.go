@@ -384,24 +384,35 @@ func TestServeValidationAndErrorMapping(t *testing.T) {
 	}
 
 	// Checkpoint before terminal is a 409; cancelling a terminal job too.
+	// The one world is held by a long blocker, so the probed job is queued
+	// behind it for as long as the test needs it to be.
+	code := func(method, path string) int {
+		req, _ := http.NewRequest(method, ts.URL+path, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	blocker := submit(t, ts, specJSON(2000, 4))
 	st := submit(t, ts, specJSON(3, 5))
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/checkpoint")
-	if err != nil {
-		t.Fatal(err)
+	if st.State != StateQueued {
+		t.Fatalf("job behind a blocker on the one world: state %s, want queued", st.State)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Errorf("checkpoint while %s: status %d, want 409", st.State, resp.StatusCode)
+	for _, id := range []string{blocker.ID, st.ID} {
+		if got := code(http.MethodGet, "/v1/jobs/"+id+"/checkpoint"); got != http.StatusConflict {
+			t.Errorf("checkpoint while %s: status %d, want 409", getStatus(t, ts, id).State, got)
+		}
 	}
-	waitState(t, ts, st.ID, func(s Status) bool { return s.State.Terminal() })
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+st.ID, nil)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	for _, id := range []string{st.ID, blocker.ID} {
+		if got := code(http.MethodDelete, "/v1/jobs/"+id); got != http.StatusAccepted {
+			t.Errorf("cancel %s job: status %d, want 202", getStatus(t, ts, id).State, got)
+		}
+		waitState(t, ts, id, func(s Status) bool { return s.State.Terminal() })
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Errorf("cancel terminal job: status %d, want 409", resp.StatusCode)
+	if got := code(http.MethodDelete, "/v1/jobs/"+st.ID); got != http.StatusConflict {
+		t.Errorf("cancel terminal job: status %d, want 409", got)
 	}
 }
 

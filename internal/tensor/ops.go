@@ -29,14 +29,15 @@ func Copy(dst, src []float32) {
 	copy(dst, src)
 }
 
-// Add computes dst[i] += src[i].
+// Add computes dst[i] += src[i]. It runs the axpy sweep with a = 1, which
+// is exact — 1·v is v for every float32 (a signalling NaN comes back quiet,
+// as the add would leave it anyway) — so every sum is bitwise the scalar
+// loop's. A sum of two NaNs returns dst's, quieted.
 func Add(dst, src []float32) {
 	if len(dst) != len(src) {
 		panic("tensor: Add length mismatch")
 	}
-	for i, v := range src {
-		dst[i] += v
-	}
+	axpy1(dst, src, 1)
 }
 
 // Sub computes dst[i] -= src[i].

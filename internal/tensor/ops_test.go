@@ -1,0 +1,67 @@
+package tensor
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// addSpecials is every float32 class the sum can treat differently: signed
+// zeros and infinities, quiet and signalling NaNs with payloads and both
+// signs, subnormals, the normal boundary and the finite extremes.
+var addSpecials = []uint32{
+	0x00000000, 0x80000000, // ±0
+	0x7f800000, 0xff800000, // ±Inf
+	0x7fc00000, 0xffc00000, 0x7fc12345, 0xffd00001, // quiet NaNs
+	0x7f800001, 0xff800001, 0x7fa00000, 0x7f8abcde, // signalling NaNs
+	0x00000001, 0x80000001, 0x00400000, 0x807fffff, // subnormals
+	0x00800000, 0x80800000, // smallest normals
+	0x7f7fffff, 0xff7fffff, 0x7f7ffffe, // max finite
+	0x3f800000, 0xbf800000, 0x33800000, // ±1, 2^-24
+}
+
+// Add runs the axpy lane with a = 1; it must match the scalar loop it
+// replaced bit for bit, NaN payloads and signs included, at every position
+// of the 8-wide body and the scalar tail. The one case the loop does not
+// fix is a sum of two NaNs: IEEE 754 lets either payload through, x86
+// returns the first operand's, and which operand comes first in the loop is
+// the compiler's choice. Add pins it to dst's NaN, quieted — the axpy
+// sweep's operand order, on the SSE lanes and in the portable fallback.
+func TestAddMatchesScalarLoop(t *testing.T) {
+	var dst, src []float32
+	for _, a := range addSpecials {
+		for _, b := range addSpecials {
+			dst = append(dst, math.Float32frombits(a))
+			src = append(src, math.Float32frombits(b))
+		}
+	}
+	r := rand.New(rand.NewSource(33))
+	for i := 0; i < 4096; i++ {
+		dst = append(dst, math.Float32frombits(r.Uint32()))
+		src = append(src, math.Float32frombits(r.Uint32()))
+		// Same-scale pairs, where rounding and cancellation happen.
+		x := float32(r.NormFloat64()) * float32(math.Ldexp(1, r.Intn(80)-40))
+		dst = append(dst, x)
+		src = append(src, -x*float32(1+r.NormFloat64()*1e-6))
+	}
+	for _, off := range []int{0, 1, 3, 7} {
+		for _, n := range []int{0, 1, 5, 8, 13, len(dst) - off} {
+			d, s := dst[off:off+n], src[off:off+n]
+			want := append([]float32(nil), d...)
+			for i, v := range s {
+				want[i] += v
+				if v != v && d[i] != d[i] {
+					want[i] = math.Float32frombits(math.Float32bits(d[i]) | 0x00400000)
+				}
+			}
+			got := append([]float32(nil), d...)
+			Add(got, s)
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("off %d n %d elem %d: %#08x + %#08x = %#08x, scalar loop %#08x", off, n, i,
+						math.Float32bits(d[i]), math.Float32bits(s[i]), math.Float32bits(got[i]), math.Float32bits(want[i]))
+				}
+			}
+		}
+	}
+}

@@ -396,3 +396,39 @@ func TestFP16ComputeSaveLoadResumesBitwise(t *testing.T) {
 		}
 	}
 }
+
+// A stage-3 fp16 step of one row per rank puts every 4096-element bucket
+// inside one rank's shard, so three of each bucket's four ring chunks are
+// empty and move nothing. Rank 0's traffic per step is pinned exactly —
+// 341 messages (sends plus receives) and 3,648,396 bytes — on the steps the
+// loss-scale overflow skips as on the ones it applies.
+func TestStageThreeStepWireCounts(t *testing.T) {
+	cfg := model.Config{Layers: 4, Hidden: 128, Heads: 4, Vocab: 128, Seq: 8}
+	const n, batch, skips, clean = 4, 4, 8, 3
+	const wantMsgs, wantBytes = 341, 3648396
+	ids, targets := model.SyntheticBatch(4, batch, cfg.Seq, cfg.Vocab)
+	w := comm.NewWorld(n)
+	w.Run(func(c *comm.Comm) {
+		tr := MustNew(c, cfg, Options{
+			Stage: StageFull, LR: 3e-3, Seed: 4, BucketElems: 4096,
+			Overlap: true, Prefetch: true, FP16Compute: true,
+			InitialLossScale: 1 << (16 + skips), // backs off to 2^16 in `skips` steps
+		})
+		defer tr.Close()
+		for i := 0; i < skips+clean; i++ {
+			before := w.Stats(0)
+			tr.Step(ids, targets, batch)
+			if c.Rank() != 0 {
+				continue
+			}
+			after := w.Stats(0)
+			if wantSkips := min(i+1, skips); tr.OverflowSteps() != wantSkips {
+				t.Errorf("step %d: %d overflow skips so far, want %d", i, tr.OverflowSteps(), wantSkips)
+			}
+			if msgs, bytes := after.Messages-before.Messages, after.BytesSent-before.BytesSent; msgs != wantMsgs || bytes != wantBytes {
+				t.Errorf("step %d (overflow skips %d): rank 0 recorded %d messages and sent %d bytes, want %d and %d",
+					i, tr.OverflowSteps(), msgs, bytes, wantMsgs, wantBytes)
+			}
+		}
+	})
+}
