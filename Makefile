@@ -38,10 +38,11 @@ test:
 
 # Pure-Go kernel tier: on amd64 "lanes off" still runs the SSE axpy sweep,
 # so the portable loops (axpy_generic.go, half_generic.go, expvec_generic.go)
-# only ever build there. 386 has no lane kernels and runs them, and every
-# golden in these packages must still hold bitwise.
+# only ever build there. 386 has no lane kernels and runs them — the
+# optimizer's scalar Adam loop (adam_generic.go) too — and every golden in
+# these packages must still hold bitwise.
 test-386:
-	GOARCH=386 $(GO) test ./internal/tensor ./internal/model ./internal/zero
+	GOARCH=386 $(GO) test ./internal/tensor ./internal/optimizer ./internal/model ./internal/zero
 
 # Race-detector gate over the whole module — the one definition, and the
 # one CI's last step runs.
@@ -58,8 +59,9 @@ configcheck:
 # JSON loader (reject, or save → load to the identical vocab, with
 # allocation linear in the input), the fp32↔fp16 conversion surface (batch
 # encoders vs the scalar reference), GELU/GELUBackward/softmax on the
-# exp/tanh lane kernels and every matmul kernel on the AVX tile and F16C
-# decode (each bitwise the scalar reference), a ring reduce-scatter then
+# exp/tanh lane kernels and every matmul kernel on the AVX tiles and F16C
+# decode (each bitwise the scalar reference), the Adam lane kernel on any
+# moments, gradients and step (bitwise the scalar loop), a ring reduce-scatter then
 # all-gather over random partitions with empty ranges (bitwise the
 # ring-order sum, one message per non-empty chunk hop), the ZELC snapshot
 # decoder (reject, or re-encode to the identical bytes), the engine config
@@ -67,7 +69,7 @@ configcheck:
 # and the job-spec parser (reject, or marshal → parse to the identical
 # spec) — a few seconds of coverage-guided input generation on every
 # `make check`.
-# (Unbounded minimisation of each new vocab, encode, matmul, ring,
+# (Unbounded minimisation of each new vocab, encode, matmul, Adam, ring,
 # snapshot, config or spec input would eat the 3 s, so it is capped at 100
 # executions.)
 fuzz-smoke:
@@ -77,6 +79,7 @@ fuzz-smoke:
 	$(GO) test ./internal/tensor -run=NONE -fuzz=FuzzHalfRoundTrip -fuzztime=3s
 	$(GO) test ./internal/tensor -run=NONE -fuzz=FuzzTranscendentals -fuzztime=3s
 	$(GO) test ./internal/tensor -run=NONE -fuzz=FuzzMatMulLanes -fuzztime=3s -fuzzminimizetime=100x
+	$(GO) test ./internal/optimizer -run=NONE -fuzz=FuzzAdamLanes -fuzztime=3s -fuzzminimizetime=100x
 	$(GO) test ./internal/comm -run=NONE -fuzz=FuzzRingPartitions -fuzztime=3s -fuzzminimizetime=100x
 	$(GO) test ./internal/zero -run=NONE -fuzz=FuzzDecodeSnapshot -fuzztime=3s -fuzzminimizetime=100x
 	$(GO) test ./internal/engine -run=NONE -fuzz=FuzzParseConfig -fuzztime=3s -fuzzminimizetime=100x

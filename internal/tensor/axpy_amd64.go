@@ -44,3 +44,21 @@ func ov4(c, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32)
 //
 //go:noescape
 func gemmTile(c, a, b []float32, n, ars, aps, k int, add bool)
+
+// gemmTileH is gemmTile over a binary16 B, read in place: each step
+// converts B's 16-value row segment on load (VCVTPH2PS, exact), with B's
+// rows n halves apart.
+//
+//go:noescape
+func gemmTileH(c, a []float32, b []Half, n, ars, aps, k int, add bool)
+
+// gemmTile8 folds an 8×8 block of C over k ≥ 1 steps: for r < 8, x < 8,
+//
+//	c[r·n+x] = c[r·n+x] + a[r·ars]·b[x] + a[r·ars+aps]·b[n+x] + …
+//
+// left to right, as gemmTile, except that each product is coefficient ·
+// row: the coefficient is the first source, so a NaN coefficient's payload
+// wins over a NaN in b. Same slicing contract as gemmTile.
+//
+//go:noescape
+func gemmTile8(c, a, b []float32, n, ars, aps, k int, add bool)

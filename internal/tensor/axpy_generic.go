@@ -40,14 +40,28 @@ func ov4(c, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
 	}
 }
 
-// gemmTile is the amd64 tile's stand-in; useLanes is false here, so the
-// kernels never call it.
+// gemmTile, gemmTileH and gemmTile8 are the amd64 tiles' stand-ins;
+// useLanes is false here, so the kernels never call them.
 func gemmTile(c, a, b []float32, n, ars, aps, k int, add bool) {
-	for r := 0; r < 4; r++ {
-		for x := 0; x < 16; x++ {
+	tileRef(c, a, n, ars, aps, k, add, 4, 16, func(i int) float32 { return b[i] })
+}
+
+func gemmTileH(c, a []float32, b []Half, n, ars, aps, k int, add bool) {
+	tileRef(c, a, n, ars, aps, k, add, 4, 16, func(i int) float32 { return halfVal(b[i]) })
+}
+
+func gemmTile8(c, a, b []float32, n, ars, aps, k int, add bool) {
+	tileRef(c, a, n, ars, aps, k, add, 8, 8, func(i int) float32 { return b[i] })
+}
+
+// tileRef folds a rows×cols block of C the way the tiles do, B's element i
+// read through b.
+func tileRef(c, a []float32, n, ars, aps, k int, add bool, rows, cols int, b func(int) float32) {
+	for r := 0; r < rows; r++ {
+		for x := 0; x < cols; x++ {
 			s := c[r*n+x]
 			for p := 0; p < k; p++ {
-				if v := a[r*ars+p*aps] * b[p*n+x]; p > 0 || add {
+				if v := a[r*ars+p*aps] * b(p*n+x); p > 0 || add {
 					s += v
 				} else {
 					s = v

@@ -1,101 +1,258 @@
-// Register-blocked AVX matmul tile: a 4-row × 16-column block of C lives in
-// eight YMM accumulators for the whole reduction (Goto & van de Geijn,
-// "Anatomy of High-Performance Matrix Multiplication", ACM TOMS 2008), so C
-// is loaded and stored once per tile instead of once per four coefficients.
+// Register-blocked AVX matmul tiles: a block of C lives in eight YMM
+// accumulators for the whole reduction (Goto & van de Geijn, "Anatomy of
+// High-Performance Matrix Multiplication", ACM TOMS 2008), so C is loaded
+// and stored once per tile instead of once per four coefficients.
 //
-// Each step p loads B's row segment once, broadcasts the four rows'
-// coefficients, and does eight VMULPS and eight VADDPS — separate rounding
-// per operation, never FMA. Every element is therefore the strict left fold
-// over ascending p that ov4/axpy4/axpy1 compute, in their operand order:
-// products are b·a with b as the first source and sums are c + product with
-// c as the first source, so even NaN payloads come out the same.
+// gemmTile and gemmTileH hold a 4-row × 16-column block. Each step p loads
+// B's row segment once — gemmTileH converts it from binary16 with
+// VCVTPH2PS, which is exact — broadcasts the four rows' coefficients, and
+// does eight VMULPS and eight VADDPS: separate rounding per operation, never
+// FMA. Every element is therefore the strict left fold over ascending p that
+// ov4/axpy4/axpy1 compute, in their operand order: products are b·a with b
+// as the first source and sums are c + product with c as the first source,
+// so even NaN payloads come out the same.
+//
+// gemmTile8 holds an 8-row × 8-column block for MatMulBT's Cᵀ = B·Aᵀ fold,
+// where B's rows are the coefficients and Aᵀ's rows the vectors. Its
+// products are coefficient · row, so B stays the first multiplicand, as it
+// is in the transposed fold, and the two paths agree to the bit.
 
 #include "textflag.h"
 
+// MUL4x16 starts the four rows' folds from the products of the B segment in
+// Y8:Y9 with the coefficients at (SI), (SI)(R9), (SI)(R9*2), (SI)(R11).
+#define MUL4x16 \
+	VBROADCASTSS (SI), Y10       \
+	VBROADCASTSS (SI)(R9*1), Y11 \
+	VMULPS       Y10, Y8, Y0     \
+	VMULPS       Y10, Y9, Y1     \
+	VMULPS       Y11, Y8, Y2     \
+	VMULPS       Y11, Y9, Y3     \
+	VBROADCASTSS (SI)(R9*2), Y10 \
+	VBROADCASTSS (SI)(R11*1), Y11 \
+	VMULPS       Y10, Y8, Y4     \
+	VMULPS       Y10, Y9, Y5     \
+	VMULPS       Y11, Y8, Y6     \
+	VMULPS       Y11, Y9, Y7
+
+// FOLD4x16 adds the products of the B segment in Y8:Y9 and the four rows'
+// coefficients to the accumulators Y0–Y7.
+#define FOLD4x16 \
+	VBROADCASTSS (SI), Y10        \
+	VBROADCASTSS (SI)(R9*1), Y11  \
+	VMULPS       Y10, Y8, Y12     \
+	VMULPS       Y10, Y9, Y13     \
+	VMULPS       Y11, Y8, Y14     \
+	VMULPS       Y11, Y9, Y15     \
+	VADDPS       Y12, Y0, Y0      \
+	VADDPS       Y13, Y1, Y1      \
+	VADDPS       Y14, Y2, Y2      \
+	VADDPS       Y15, Y3, Y3      \
+	VBROADCASTSS (SI)(R9*2), Y10  \
+	VBROADCASTSS (SI)(R11*1), Y11 \
+	VMULPS       Y10, Y8, Y12     \
+	VMULPS       Y10, Y9, Y13     \
+	VMULPS       Y11, Y8, Y14     \
+	VMULPS       Y11, Y9, Y15     \
+	VADDPS       Y12, Y4, Y4      \
+	VADDPS       Y13, Y5, Y5      \
+	VADDPS       Y14, Y6, Y6      \
+	VADDPS       Y15, Y7, Y7
+
+// LOAD4x16 and STORE4x16 move the 4×16 block of C at DI (rows 0, 1) and BX
+// (rows 2, 3), rows R8 bytes apart, to and from Y0–Y7.
+#define LOAD4x16 \
+	VMOVUPS (DI), Y0          \
+	VMOVUPS 32(DI), Y1        \
+	VMOVUPS (DI)(R8*1), Y2    \
+	VMOVUPS 32(DI)(R8*1), Y3  \
+	VMOVUPS (BX), Y4          \
+	VMOVUPS 32(BX), Y5        \
+	VMOVUPS (BX)(R8*1), Y6    \
+	VMOVUPS 32(BX)(R8*1), Y7
+
+#define STORE4x16 \
+	VMOVUPS Y0, (DI)          \
+	VMOVUPS Y1, 32(DI)        \
+	VMOVUPS Y2, (DI)(R8*1)    \
+	VMOVUPS Y3, 32(DI)(R8*1)  \
+	VMOVUPS Y4, (BX)          \
+	VMOVUPS Y5, 32(BX)        \
+	VMOVUPS Y6, (BX)(R8*1)    \
+	VMOVUPS Y7, 32(BX)(R8*1)
+
+// ARGS4x16 loads the shared arguments of gemmTile and gemmTileH: C at DI
+// and BX (row 2), coefficients at SI, B at DX, k in CX, C's row stride in
+// R8 (bytes), the coefficient strides in R9 (rows) and R10 (steps), and
+// row 3's coefficient offset in R11.
+#define ARGS4x16 \
+	MOVQ c_base+0(FP), DI  \
+	MOVQ a_base+24(FP), SI \
+	MOVQ b_base+48(FP), DX \
+	MOVQ n+72(FP), R8      \
+	SHLQ $2, R8            \
+	MOVQ ars+80(FP), R9    \
+	SHLQ $2, R9            \
+	MOVQ aps+88(FP), R10   \
+	SHLQ $2, R10           \
+	MOVQ k+96(FP), CX      \
+	LEAQ (R9)(R9*2), R11   \
+	LEAQ (DI)(R8*2), BX
+
 // func gemmTile(c, a, b []float32, n, ars, aps, k int, add bool)
 TEXT ·gemmTile(SB), NOSPLIT, $0-105
-	MOVQ c_base+0(FP), DI
-	MOVQ a_base+24(FP), SI
-	MOVQ b_base+48(FP), DX
-	MOVQ n+72(FP), R8
-	SHLQ $2, R8            // row stride of B and C, bytes
-	MOVQ ars+80(FP), R9
-	SHLQ $2, R9            // coefficient stride between rows, bytes
-	MOVQ aps+88(FP), R10
-	SHLQ $2, R10           // coefficient stride between steps, bytes
-	MOVQ k+96(FP), CX
-	LEAQ (R9)(R9*2), R11   // row 3's coefficient offset
-	LEAQ (DI)(R8*2), BX    // C row 2
+	ARGS4x16
 	CMPB add+104(FP), $0
 	JEQ  first
-
-	VMOVUPS (DI), Y0
-	VMOVUPS 32(DI), Y1
-	VMOVUPS (DI)(R8*1), Y2
-	VMOVUPS 32(DI)(R8*1), Y3
-	VMOVUPS (BX), Y4
-	VMOVUPS 32(BX), Y5
-	VMOVUPS (BX)(R8*1), Y6
-	VMOVUPS 32(BX)(R8*1), Y7
-	JMP     loop
+	LOAD4x16
+	JMP  loop
 
 first: // overwrite: step 0's products start the fold
-	VMOVUPS      (DX), Y8
-	VMOVUPS      32(DX), Y9
-	VBROADCASTSS (SI), Y10
-	VBROADCASTSS (SI)(R9*1), Y11
-	VMULPS       Y10, Y8, Y0
-	VMULPS       Y10, Y9, Y1
-	VMULPS       Y11, Y8, Y2
-	VMULPS       Y11, Y9, Y3
-	VBROADCASTSS (SI)(R9*2), Y10
-	VBROADCASTSS (SI)(R11*1), Y11
-	VMULPS       Y10, Y8, Y4
-	VMULPS       Y10, Y9, Y5
-	VMULPS       Y11, Y8, Y6
-	VMULPS       Y11, Y9, Y7
-	ADDQ         R10, SI
-	ADDQ         R8, DX
-	DECQ         CX
+	VMOVUPS (DX), Y8
+	VMOVUPS 32(DX), Y9
+	MUL4x16
+	ADDQ    R10, SI
+	ADDQ    R8, DX
+	DECQ    CX
 
 loop:
-	TESTQ        CX, CX
-	JZ           store
-	VMOVUPS      (DX), Y8
-	VMOVUPS      32(DX), Y9
-	VBROADCASTSS (SI), Y10
-	VBROADCASTSS (SI)(R9*1), Y11
-	VMULPS       Y10, Y8, Y12
-	VMULPS       Y10, Y9, Y13
-	VMULPS       Y11, Y8, Y14
-	VMULPS       Y11, Y9, Y15
-	VADDPS       Y12, Y0, Y0
-	VADDPS       Y13, Y1, Y1
-	VADDPS       Y14, Y2, Y2
-	VADDPS       Y15, Y3, Y3
-	VBROADCASTSS (SI)(R9*2), Y10
-	VBROADCASTSS (SI)(R11*1), Y11
-	VMULPS       Y10, Y8, Y12
-	VMULPS       Y10, Y9, Y13
-	VMULPS       Y11, Y8, Y14
-	VMULPS       Y11, Y9, Y15
-	VADDPS       Y12, Y4, Y4
-	VADDPS       Y13, Y5, Y5
-	VADDPS       Y14, Y6, Y6
-	VADDPS       Y15, Y7, Y7
-	ADDQ         R10, SI
-	ADDQ         R8, DX
-	DECQ         CX
-	JMP          loop
+	TESTQ   CX, CX
+	JZ      store
+	VMOVUPS (DX), Y8
+	VMOVUPS 32(DX), Y9
+	FOLD4x16
+	ADDQ    R10, SI
+	ADDQ    R8, DX
+	DECQ    CX
+	JMP     loop
 
 store:
+	STORE4x16
+	VZEROUPPER
+	RET
+
+// func gemmTileH(c, a []float32, b []Half, n, ars, aps, k int, add bool)
+// B's rows are n halves (2n bytes) apart; R12 holds that stride.
+TEXT ·gemmTileH(SB), NOSPLIT, $0-105
+	ARGS4x16
+	MOVQ n+72(FP), R12
+	SHLQ $1, R12
+	CMPB add+104(FP), $0
+	JEQ  first
+	LOAD4x16
+	JMP  loop
+
+first:
+	VCVTPH2PS (DX), Y8
+	VCVTPH2PS 16(DX), Y9
+	MUL4x16
+	ADDQ      R10, SI
+	ADDQ      R12, DX
+	DECQ      CX
+
+loop:
+	TESTQ     CX, CX
+	JZ        store
+	VCVTPH2PS (DX), Y8
+	VCVTPH2PS 16(DX), Y9
+	FOLD4x16
+	ADDQ      R10, SI
+	ADDQ      R12, DX
+	DECQ      CX
+	JMP       loop
+
+store:
+	STORE4x16
+	VZEROUPPER
+	RET
+
+// func gemmTile8(c, a, b []float32, n, ars, aps, k int, add bool)
+// Rows 0–3 of C sit at DI, rows 4–7 at BX, R8 bytes apart (R13 = 3·R8);
+// rows 0–3's coefficients at SI, rows 4–7's at R12 (R11 = 3·R9). Each
+// step loads the 8-wide B row into Y8 and broadcasts one coefficient per
+// row into Y9 or Y11; VMULPS row, coefficient puts the coefficient first.
+TEXT ·gemmTile8(SB), NOSPLIT, $0-105
+	ARGS4x16
+	LEAQ (R8)(R8*2), R13
+	LEAQ (DI)(R8*4), BX
+	LEAQ (SI)(R9*4), R12
+	CMPB add+104(FP), $0
+	JEQ  first8
+	VMOVUPS (DI), Y0
+	VMOVUPS (DI)(R8*1), Y1
+	VMOVUPS (DI)(R8*2), Y2
+	VMOVUPS (DI)(R13*1), Y3
+	VMOVUPS (BX), Y4
+	VMOVUPS (BX)(R8*1), Y5
+	VMOVUPS (BX)(R8*2), Y6
+	VMOVUPS (BX)(R13*1), Y7
+	JMP     loop8
+
+first8:
+	VMOVUPS      (DX), Y8
+	VBROADCASTSS (SI), Y9
+	VBROADCASTSS (SI)(R9*1), Y11
+	VMULPS       Y8, Y9, Y0
+	VMULPS       Y8, Y11, Y1
+	VBROADCASTSS (SI)(R9*2), Y9
+	VBROADCASTSS (SI)(R11*1), Y11
+	VMULPS       Y8, Y9, Y2
+	VMULPS       Y8, Y11, Y3
+	VBROADCASTSS (R12), Y9
+	VBROADCASTSS (R12)(R9*1), Y11
+	VMULPS       Y8, Y9, Y4
+	VMULPS       Y8, Y11, Y5
+	VBROADCASTSS (R12)(R9*2), Y9
+	VBROADCASTSS (R12)(R11*1), Y11
+	VMULPS       Y8, Y9, Y6
+	VMULPS       Y8, Y11, Y7
+	ADDQ         R10, SI
+	ADDQ         R10, R12
+	ADDQ         R8, DX
+	DECQ         CX
+
+loop8:
+	TESTQ        CX, CX
+	JZ           store8
+	VMOVUPS      (DX), Y8
+	VBROADCASTSS (SI), Y9
+	VBROADCASTSS (SI)(R9*1), Y11
+	VMULPS       Y8, Y9, Y10
+	VMULPS       Y8, Y11, Y12
+	VADDPS       Y10, Y0, Y0
+	VADDPS       Y12, Y1, Y1
+	VBROADCASTSS (SI)(R9*2), Y9
+	VBROADCASTSS (SI)(R11*1), Y11
+	VMULPS       Y8, Y9, Y10
+	VMULPS       Y8, Y11, Y12
+	VADDPS       Y10, Y2, Y2
+	VADDPS       Y12, Y3, Y3
+	VBROADCASTSS (R12), Y9
+	VBROADCASTSS (R12)(R9*1), Y11
+	VMULPS       Y8, Y9, Y10
+	VMULPS       Y8, Y11, Y12
+	VADDPS       Y10, Y4, Y4
+	VADDPS       Y12, Y5, Y5
+	VBROADCASTSS (R12)(R9*2), Y9
+	VBROADCASTSS (R12)(R11*1), Y11
+	VMULPS       Y8, Y9, Y10
+	VMULPS       Y8, Y11, Y12
+	VADDPS       Y10, Y6, Y6
+	VADDPS       Y12, Y7, Y7
+	ADDQ         R10, SI
+	ADDQ         R10, R12
+	ADDQ         R8, DX
+	DECQ         CX
+	JMP          loop8
+
+store8:
 	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, 32(DI)
-	VMOVUPS Y2, (DI)(R8*1)
-	VMOVUPS Y3, 32(DI)(R8*1)
+	VMOVUPS Y1, (DI)(R8*1)
+	VMOVUPS Y2, (DI)(R8*2)
+	VMOVUPS Y3, (DI)(R13*1)
 	VMOVUPS Y4, (BX)
-	VMOVUPS Y5, 32(BX)
-	VMOVUPS Y6, (BX)(R8*1)
-	VMOVUPS Y7, 32(BX)(R8*1)
+	VMOVUPS Y5, (BX)(R8*1)
+	VMOVUPS Y6, (BX)(R8*2)
+	VMOVUPS Y7, (BX)(R13*1)
 	VZEROUPPER
 	RET

@@ -158,12 +158,13 @@ func TestHalfMatMulParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// Both transposes must equal the definition dst[c·rows+r] = src[r·cols+c]
+// Both transposes must equal the definition dst[c·ldd+r] = src[r·lds+c]
 // (decoded, for the half one) at every shape around their tile widths — the
 // four-row groups, the 16-row tile and the 64-column decode tile all leave
-// tails when rows and cols are not multiples of 4, 16 and 64. The source
-// covers every fp16 bit pattern, so "moves values, cannot change bits"
-// includes NaN payloads and subnormals.
+// tails when rows and cols are not multiples of 4, 16 and 64 — with dense
+// rows and with MatMulBT's padded ones (ldd rounded up to 8, and lds wider
+// than cols for the fp32 one). The source covers every fp16 bit pattern, so
+// "moves values, cannot change bits" includes NaN payloads and subnormals.
 func TestTransposesMatchDefinition(t *testing.T) {
 	dims := []int{1, 2, 3, 4, 5, 15, 16, 17, 63, 64, 65, 130}
 	for _, rows := range dims {
@@ -173,18 +174,28 @@ func TestTransposesMatchDefinition(t *testing.T) {
 				src[i] = Half(i*2659 + rows*31 + cols)
 			}
 			srcF := src.Floats()
-			gotH := make([]float32, rows*cols)
-			transposeHalfInto(gotH, src, rows, cols)
-			gotF := make([]float32, rows*cols)
-			transposeInto(gotF, srcF, rows, cols)
-			for r := 0; r < rows; r++ {
-				for c := 0; c < cols; c++ {
-					want := math.Float32bits(src[r*cols+c].Float32())
-					if got := math.Float32bits(gotH[c*rows+r]); got != want {
-						t.Fatalf("transposeHalfInto %dx%d: dst[%d,%d] = %#08x, want %#08x", rows, cols, c, r, got, want)
-					}
-					if got := math.Float32bits(gotF[c*rows+r]); got != want {
-						t.Fatalf("transposeInto %dx%d: dst[%d,%d] = %#08x, want %#08x", rows, cols, c, r, got, want)
+			for _, pad := range []bool{false, true} {
+				ldd, lds := rows, cols
+				if pad {
+					ldd, lds = (rows+7)&^7, cols+3
+				}
+				wide := make([]float32, rows*lds)
+				for r := 0; r < rows; r++ {
+					copy(wide[r*lds:], srcF[r*cols:(r+1)*cols])
+				}
+				gotH := make([]float32, cols*ldd)
+				transposeHalfInto(gotH, src, rows, cols, ldd)
+				gotF := make([]float32, cols*ldd)
+				transposeInto(gotF, wide, rows, cols, lds, ldd)
+				for r := 0; r < rows; r++ {
+					for c := 0; c < cols; c++ {
+						want := math.Float32bits(src[r*cols+c].Float32())
+						if got := math.Float32bits(gotH[c*ldd+r]); got != want {
+							t.Fatalf("transposeHalfInto %dx%d ldd %d: dst[%d,%d] = %#08x, want %#08x", rows, cols, ldd, c, r, got, want)
+						}
+						if got := math.Float32bits(gotF[c*ldd+r]); got != want {
+							t.Fatalf("transposeInto %dx%d lds %d ldd %d: dst[%d,%d] = %#08x, want %#08x", rows, cols, lds, ldd, c, r, got, want)
+						}
 					}
 				}
 			}

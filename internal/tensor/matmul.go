@@ -8,25 +8,28 @@ package tensor
 //	grad weight: dW = Xᵀ·dY    (MatMulAT; MatMulATAdd accumulates)
 //
 // All matrices are row-major flat slices, with one entry point per
-// orientation over either Operand type: fp32, or binary16 that decodes to
-// fp32 before it folds (halfmatmul.go). The output is always fp32.
+// orientation over either Operand type: fp32, or binary16 whose values are
+// exactly fp32 values (halfmatmul.go). The output is always fp32.
 //
-// Every orientation is one fold (foldRows) over an fp32 B: MatMulBT
-// transposes B into pooled scratch first, and the Aᵀ orientations keep the
-// transpose in the coefficient indexing. Where the CPU has the lane
-// features, 4-row × 16-column blocks of C stay in AVX registers for the
-// whole reduction (gemm_amd64.s); the column and row tails, and every block
-// elsewhere, run the axpy sweep (axpy_amd64.s / axpy_generic.go), where
-// each output row is a contiguous vector that up to four input rows fold
-// into per pass. Blocking and vectorization only span output elements —
-// every element still folds its products left to right in the same operand
-// order as the naive triple loop (ascending p for MatMul/MatMulBT,
-// ascending i for the Aᵀ orientations), and neither the assembly nor the Go
-// compiler contracts a*b+c into an FMA — so results are bitwise identical
-// to the scalar reference on every architecture and the stage-equivalence
-// goldens hold exactly. The fold starts from the first product, not from
-// +0, so an overwritten element whose products are all −0 is −0 — at every
-// shape, on every path.
+// Every orientation is one fold (foldRows) of B's rows: MatMulBT either
+// transposes B into pooled scratch first or, for few rows, folds Cᵀ = B·Aᵀ
+// and transposes A and the result instead (mulBTFold), and the Aᵀ
+// orientations keep the transpose in the coefficient indexing. Where the
+// CPU has the lane features, 4-row × 16-column blocks of C stay in AVX
+// registers for the whole reduction (gemm_amd64.s) — gemmTileH reads a
+// half B in place — and Cᵀ folds in 8×8 blocks (gemmTile8); the column and
+// row tails, and every block elsewhere, run the axpy sweep (axpy_amd64.s /
+// axpy_generic.go), where each output row is a contiguous vector that up
+// to four input rows fold into per pass. Blocking and vectorization only
+// span output elements — every element still folds its products left to
+// right in the same operand order as the naive triple loop (ascending p for
+// MatMul/MatMulBT, ascending i for the Aᵀ orientations, B's value the
+// first multiplicand), and neither the assembly nor the Go compiler
+// contracts a*b+c into an FMA — so results are bitwise identical to the
+// scalar reference on every architecture and the stage-equivalence goldens
+// hold exactly. The fold starts from the first product, not from +0, so an
+// overwritten element whose products are all −0 is −0 — at every shape, on
+// every path.
 //
 // Kernels fan out over a persistent worker pool (pool.go) when the problem
 // is large enough to amortize the handoff — the same compute/communication
@@ -42,34 +45,130 @@ const parallelThreshold = 1 << 16
 // decode (exactly) to fp32.
 type Operand interface{ []float32 | HalfBuffer }
 
-// MatMul computes C[m×n] = A[m×k] · B[k×n], overwriting C.
+// bOperand is the B a fold reads: fp32 rows, or binary16 rows (h non-nil)
+// that the lane tiles convert on load and the tails decode on the stack.
+type bOperand struct {
+	f []float32
+	h HalfBuffer
+}
+
+// asB returns s as a fold's B.
+func asB[S Operand](s S) bOperand {
+	if h, ok := any(s).(HalfBuffer); ok {
+		return bOperand{h: h}
+	}
+	return bOperand{f: any(s).([]float32)}
+}
+
+// from returns B from element off on.
+func (b bOperand) from(off int) bOperand {
+	if b.h != nil {
+		return bOperand{h: b.h[off:]}
+	}
+	return bOperand{f: b.f[off:]}
+}
+
+// MatMul computes C[m×n] = A[m×k] · B[k×n], overwriting C. With the lane
+// kernels on, a half B folds where it lies (gemmTileH, foldStrips);
+// elsewhere it decodes whole into pooled scratch first.
 func MatMul[S Operand](c []float32, a, b S, m, k, n int) {
 	checkDims(len(a), m*k, "A")
 	checkDims(len(b), k*n, "B")
 	checkDims(len(c), m*n, "C")
+	if _, half := any(b).(HalfBuffer); half && useLanes {
+		mulRows(c, a, asB(b), m, k, n)
+		return
+	}
 	bf := floats(b)
-	mulRows(c, a, bf, m, k, n)
+	mulRows(c, a, bOperand{f: bf}, m, k, n)
 	release(b, bf)
 }
 
 // MatMulBT computes C[m×k] = A[m×n] · B[k×n]ᵀ, overwriting C — the
 // dX = dY·Wᵀ orientation when W is stored [k×n]. Each output element is a
 // dot product of two rows, a shape the tile cannot vectorize directly, so
-// B's transpose goes into pooled scratch (an O(k·n) pass against the
-// O(m·n·k) multiply) and MatMul's fold runs on it.
+// one side is transposed into pooled scratch. Which side is a size rule:
+// B's transpose costs k·n moves and MatMul's fold runs on it; the fold of
+// Cᵀ = B·Aᵀ (mulBTFold) moves A and the result, m·(n+k), and runs with
+// the lane kernels on when that is less. Both fold every element over
+// ascending p with B's value the first multiplicand, so they agree to the
+// bit.
 func MatMulBT[S Operand](c []float32, a, b S, m, n, k int) {
 	checkDims(len(a), m*n, "A")
 	checkDims(len(b), k*n, "B")
 	checkDims(len(c), m*k, "C")
+	if useLanes && m*(n+k) < k*n {
+		mulBTFold(c, a, b, m, n, k)
+		return
+	}
 	bt := getScratch(n * k)
 	switch b := any(b).(type) {
 	case []float32:
-		transposeInto(bt, b, k, n)
+		transposeInto(bt, b, k, n, n, k)
 	case HalfBuffer:
-		transposeHalfInto(bt, b, k, n)
+		transposeHalfInto(bt, b, k, n, k)
 	}
-	mulRows(c, a, bt, m, n, k)
+	mulRows(c, a, bOperand{f: bt}, m, n, k)
 	putScratch(bt)
+}
+
+// mulBTFold computes MatMulBT's C as the transpose of Cᵀ[k×m] = B·Aᵀ: B's
+// rows are the coefficients, read in place (fp32) or decoded 8 rows × 256
+// at a time on the stack (half), and Aᵀ's rows the vectors. Aᵀ and Cᵀ sit
+// in pooled scratch with their rows padded to m8, a multiple of the 8×8
+// tile's width; the padding columns fold whatever the scratch held and are
+// never read back. The pool splits Cᵀ's 8-row blocks.
+func mulBTFold[S Operand](c []float32, a, b S, m, n, k int) {
+	m8, k8 := (m+7)&^7, (k+7)&^7
+	s := getScratch(n*m8 + k8*m8)
+	at, ct := s[:n*m8], s[n*m8:]
+	switch a := any(a).(type) {
+	case []float32:
+		transposeInto(at, a, m, n, n, m8)
+	case HalfBuffer:
+		transposeHalfInto(at, a, m, n, m8)
+	}
+	run(kernel{kind: opFoldBT, c: ct, a: at, b: asB(b), k: n, n: m8}, k8/8, m*n*k)
+	transposeInto(c, ct, k, m, m8, k)
+	putScratch(s)
+}
+
+// foldBT computes 8-row blocks [lo,hi) of Cᵀ[·×m8] = B·Aᵀ over k steps,
+// Aᵀ (at) k rows of m8: block j's rows take their step-p coefficients from
+// B's rows 8j…8j+7 at column p. A full block of an fp32 B runs the 8×8
+// tiles on B in place. Otherwise its rows decode (or, for the last block's
+// fewer than eight fp32 rows, copy) into a stack panel of 256 steps, the
+// rows past B's end padding it, and the tiles fold panel after panel, each
+// continuing the fold the one before left in Cᵀ.
+func foldBT(ct, at []float32, b bOperand, k, m8, lo, hi int) {
+	const panel = 256
+	var buf [8 * panel]float32
+	rows := (len(b.f) + len(b.h)) / k
+	for blk := lo; blk < hi; blk++ {
+		j := 8 * blk
+		cj := ct[j*m8 : (j+8)*m8]
+		if b.h == nil && j+8 <= rows {
+			bj := b.f[j*k : (j+8)*k]
+			for x := 0; x < m8; x += 8 {
+				gemmTile8(cj[x:7*m8+x+8], bj, at[x:(k-1)*m8+x+8], m8, k, 1, k, false)
+			}
+			continue
+		}
+		for p0 := 0; p0 < k; p0 += panel {
+			cl := min(panel, k-p0)
+			for r := 0; r < min(8, rows-j); r++ {
+				src := (j+r)*k + p0
+				if b.h != nil {
+					halfDecode(buf[r*panel:r*panel+cl], b.h[src:src+cl])
+				} else {
+					copy(buf[r*panel:r*panel+cl], b.f[src:src+cl])
+				}
+			}
+			for x := 0; x < m8; x += 8 {
+				gemmTile8(cj[x:7*m8+x+8], buf[:], at[p0*m8+x:(p0+cl-1)*m8+x+8], m8, panel, 1, cl, p0 > 0)
+			}
+		}
+	}
 }
 
 // MatMulAT computes C[k×n] = A[m×k]ᵀ · B[m×n], overwriting C — the fused
@@ -85,11 +184,11 @@ func MatMulATAdd[S Operand](c []float32, a, b S, m, k, n int) {
 	matMulAT(c, a, b, m, k, n, true)
 }
 
-// mulRows computes C[m×n] = A[m×k] · B for an fp32 B: row i is a linear
-// combination of B's rows with coefficients from A's row i. An fp32 A
-// splits output rows across the pool, or output columns when m is 1; a half
-// A decodes in row panels (matMulHFRange).
-func mulRows[S Operand](c []float32, a S, b []float32, m, k, n int) {
+// mulRows computes C[m×n] = A[m×k] · B: row i is a linear combination of
+// B's rows with coefficients from A's row i. An fp32 A splits output rows
+// across the pool, or output columns when m is 1; a half A decodes in row
+// panels (matMulHFRange).
+func mulRows[S Operand](c []float32, a S, b bOperand, m, k, n int) {
 	kr, units := kernel{c: c, b: b, k: k, n: n}, m
 	switch a := any(a).(type) {
 	case []float32:
@@ -113,7 +212,7 @@ func matMulAT[S Operand](c []float32, a, b S, m, k, n int, add bool) {
 	checkDims(len(b), m*n, "B")
 	checkDims(len(c), k*n, "C")
 	af, bf := floats(a), floats(b)
-	kr, units := kernel{kind: opRows, c: c, a: af, b: bf, ars: 1, aps: k, k: m, n: n, add: add}, k
+	kr, units := kernel{kind: opRows, c: c, a: af, b: bOperand{f: bf}, ars: 1, aps: k, k: m, n: n, add: add}, k
 	if k == 1 {
 		kr.kind, units = opCols, n
 	}
@@ -128,12 +227,13 @@ func matMulAT[S Operand](c []float32, a, b S, m, k, n int, add bool) {
 // stays in the indexing). Without add the fold overwrites C.
 //
 // With the lane kernels on, four rows at a time run as 4×16 register tiles
-// (gemmTile), column tile outermost so each 16-column panel of B serves
-// every row block from cache; the column tail (n mod 16) and the row tail
-// (hi-lo mod 4) run on foldCols. Tile and axpy sweep both compute each
-// element as the strict left fold over ascending p, so the two paths are
+// (gemmTile, or gemmTileH on a half B), column tile outermost so each
+// 16-column panel of B serves every row block from cache; the column tail
+// (n mod 16) and the row tail (hi-lo mod 4) run on foldCols, through stack
+// strips for a half B (foldStrips). Tiles and axpy sweep all compute each
+// element as the strict left fold over ascending p, so the paths are
 // bitwise identical.
-func foldRows(c, a []float32, ars, aps int, b []float32, k, n, lo, hi int, add bool) {
+func foldRows(c, a []float32, ars, aps int, b bOperand, k, n, lo, hi int, add bool) {
 	if k == 0 { // A may be empty: no coefficient to index
 		if !add {
 			Zero(c[lo*n : hi*n])
@@ -146,20 +246,31 @@ func foldRows(c, a []float32, ars, aps int, b []float32, k, n, lo, hi int, add b
 		aExt := 3*ars + (k-1)*aps + 1 // one tile's coefficients
 		bExt := (k-1)*n + 16          // one tile's B panel
 		for j := 0; j < n16; j += 16 {
-			bj := b[j : j+bExt]
 			for r := lo; r < h4; r += 4 {
-				gemmTile(c[r*n+j:(r+3)*n+j+16], a[r*ars:r*ars+aExt], bj, n, ars, aps, k, add)
+				cr, ar := c[r*n+j:(r+3)*n+j+16], a[r*ars:r*ars+aExt]
+				if b.h != nil {
+					gemmTileH(cr, ar, b.h[j:j+bExt], n, ars, aps, k, add)
+				} else {
+					gemmTile(cr, ar, b.f[j:j+bExt], n, ars, aps, k, add)
+				}
 			}
 		}
 		if n16 < n {
-			for r := lo; r < h4; r++ {
-				foldCols(c[r*n:r*n+n], a[r*ars:], aps, b, k, n, n16, n, add)
-			}
+			foldTail(c, a, ars, aps, b, k, n, lo, h4, n16, add)
 		}
 		i = h4
 	}
-	for ; i < hi; i++ {
-		foldCols(c[i*n:i*n+n], a[i*ars:], aps, b, k, n, 0, n, add)
+	foldTail(c, a, ars, aps, b, k, n, i, hi, 0, add)
+}
+
+// foldTail folds rows [lo,hi) × columns [j0,n) of C on the axpy sweep.
+func foldTail(c, a []float32, ars, aps int, b bOperand, k, n, lo, hi, j0 int, add bool) {
+	if b.h != nil {
+		foldStrips(c, a, ars, aps, b.h, k, n, lo, hi, j0, n, add)
+		return
+	}
+	for r := lo; r < hi; r++ {
+		foldCols(c[r*n:r*n+n], a[r*ars:], aps, b.f, k, n, j0, n, add)
 	}
 }
 
@@ -191,11 +302,12 @@ func foldCols(c, a []float32, as int, b []float32, k, n, lo, hi int, add bool) {
 	}
 }
 
-// transposeInto writes src[rows×cols]ᵀ into dst[cols×rows], tiled so both
-// sides stay within a few cache lines per pass. Four source rows move per
-// pass, so each destination column takes its four values as one contiguous
-// group: one bounds check and one strided step per four elements.
-func transposeInto(dst, src []float32, rows, cols int) {
+// transposeInto writes the transpose of src's rows×cols block into dst:
+// dst[c·ldd+r] = src[r·lds+c]. It is tiled so both sides stay within a few
+// cache lines per pass. Four source rows move per pass, so each destination
+// row takes its four values as one contiguous group: one bounds check and
+// one strided step per four elements.
+func transposeInto(dst, src []float32, rows, cols, lds, ldd int) {
 	const tile = 16
 	for r0 := 0; r0 < rows; r0 += tile {
 		rMax := min(r0+tile, rows)
@@ -203,20 +315,20 @@ func transposeInto(dst, src []float32, rows, cols int) {
 			w := min(tile, cols-c0)
 			r := r0
 			for ; r+4 <= rMax; r += 4 {
-				s := r*cols + c0
-				b0, b1 := src[s:s+w], src[s+cols:s+cols+w]
-				b2, b3 := src[s+2*cols:s+2*cols+w], src[s+3*cols:s+3*cols+w]
-				o := c0*rows + r
+				s := r*lds + c0
+				b0, b1 := src[s:s+w], src[s+lds:s+lds+w]
+				b2, b3 := src[s+2*lds:s+2*lds+w], src[s+3*lds:s+3*lds+w]
+				o := c0*ldd + r
 				for ci, v := range b0 {
 					d := dst[o : o+4 : o+4]
 					d[0], d[1], d[2], d[3] = v, b1[ci], b2[ci], b3[ci]
-					o += rows
+					o += ldd
 				}
 			}
 			for ; r < rMax; r++ {
-				row := src[r*cols+c0 : r*cols+c0+w]
+				row := src[r*lds+c0 : r*lds+c0+w]
 				for ci, v := range row {
-					dst[(c0+ci)*rows+r] = v
+					dst[(c0+ci)*ldd+r] = v
 				}
 			}
 		}

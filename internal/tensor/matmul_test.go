@@ -105,6 +105,49 @@ func TestMatMulBTMatchesMatMulOnTranspose(t *testing.T) {
 	}
 }
 
+// Where A and B both hold a NaN, the product's payload is B's: x86 returns
+// the first source's NaN, and every path multiplies B's value by A's. The
+// Cᵀ fold keeps that by putting the coefficient first (gemmTile8), so it
+// must agree with the transpose path, and with B's payload, on fp32 and on
+// half operands. A and B carry NaNs with different payloads at step 1 of
+// row 0, where C[0][0] adds NaN_B·NaN_A to a finite sum, and at step 0 of
+// row 1, where C[1][1] starts from that product; C[0][2] adds b·NaN_A.
+func TestMatMulBTNaNPayloadFromB(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	const nanA, nanB = 0x7fc0a000, 0xffc16000 // the images of halves 0x7e05, 0xfe0b
+	for _, dims := range [][3]int{{8, 512, 128}, {3, 128, 384}, {64, 128, 128}} {
+		m, n, k := dims[0], dims[1], dims[2]
+		a, b := randSlice(r, m*n), randSlice(r, k*n)
+		ha, hb := NewHalfBuffer(m*n), NewHalfBuffer(k*n)
+		ha.FromFloats(a)
+		hb.FromFloats(b)
+		for _, i := range []int{1, n} { // row 0 step 1, row 1 step 0
+			a[i], b[i] = math.Float32frombits(nanA), math.Float32frombits(nanB)
+			ha[i], hb[i] = 0x7e05, 0xfe0b
+		}
+		fa, fb := ha.Floats(), hb.Floats()
+		for name, got := range map[string][]float32{"fp32": make([]float32, m*k), "half": make([]float32, m*k)} {
+			want := make([]float32, m*k)
+			if name == "fp32" {
+				MatMulBT(got, a, b, m, n, k)
+				MatMul(want, a, refTranspose(b, k, n), m, n, k)
+			} else {
+				MatMulBT(got, ha, hb, m, n, k)
+				MatMul(want, fa, refTranspose(fb, k, n), m, n, k)
+			}
+			bitsEqual(t, fmt.Sprintf("%s MatMulBT vs transpose path %v", name, dims), got, want)
+			for _, c := range []struct {
+				i    int
+				want uint32
+			}{{0, nanB}, {k + 1, nanB}, {2, nanA}} {
+				if g := math.Float32bits(got[c.i]); g != c.want {
+					t.Fatalf("%s %v: C[%d][%d] = %#08x, want %#08x", name, dims, c.i/k, c.i%k, g, c.want)
+				}
+			}
+		}
+	}
+}
+
 func TestMatMulATAddAgainstReference(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for _, dims := range [][3]int{{2, 3, 4}, {7, 5, 9}, {33, 17, 65}} {
@@ -178,7 +221,8 @@ func TestMatMulDimensionPanic(t *testing.T) {
 // for the half ones, any pattern: NaN payloads, ±Inf, ±0, subnormals. It
 // checks all four orientations on both operand types with the lane kernels
 // on against the same call with them off, bit for bit. Shapes reach past
-// parallelThreshold, so the pool splits run too.
+// parallelThreshold, so the pool splits run too, and few-row MatMulBT
+// shapes, where the lanes fold Cᵀ and the scalar run transposes B.
 func FuzzMatMulLanes(f *testing.F) {
 	word := func(vs ...uint32) []byte {
 		b := make([]byte, 4*len(vs))
@@ -190,11 +234,22 @@ func FuzzMatMulLanes(f *testing.F) {
 	f.Add(append([]byte{6, 5, 32}, word(0x3f800000, 0xbfc00000, 0x40490fdb, 0x3e99999a)...))
 	f.Add(append([]byte{9, 3, 47}, word(0x7fc00123, 0xff800000, 0x80000000, 0x00000001, 0x7f8000ff, 0x3c007e01)...))
 	f.Add(append([]byte{40, 40, 70}, word(0x3f000000, 0xc0000000, 0x7c01fc00, 0x00400000)...))
+	f.Add(append([]byte{7, 0x80 | 47, 0x80 | 73}, word(0x3f800000, 0x7fc0beef, 0xbe000000, 0x7e017c02)...))
+	f.Add(append([]byte{15, 0x80 | 6, 0x80 | 8}, word(0x40000000, 0xffc00001, 0x3d000000, 0x80000001)...))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) < 3 {
 			return
 		}
-		m, k, n := 1+int(in[0])%48, int(in[1])%48, 1+int(in[2])%80
+		// A set top bit in the k or n byte stretches it ×11 or ×7, up to
+		// 517 and 560, so few-row shapes reach MatMulBT's Cᵀ fold against
+		// wide weights and its 256-step panels.
+		m, k, n := 1+int(in[0])%48, int(in[1]&0x7f)%48, 1+int(in[2]&0x7f)%80
+		if in[1]&0x80 != 0 {
+			k *= 11
+		}
+		if in[2]&0x80 != 0 {
+			n *= 7
+		}
 		in = in[3:]
 		f32 := func(size, salt int) []float32 {
 			s := make([]float32, size)

@@ -7,6 +7,11 @@ import "math"
 // internal/model. All functions panic on length mismatch: a shape error in
 // the training stack is a programming bug, not a runtime condition.
 
+// Lanes reports whether the kernels that need more than SSE2 run: AVX2,
+// FMA and F16C, probed once at start-up. Lane kernels outside this package
+// (the optimizer's Adam) dispatch on it rather than probe the CPU again.
+func Lanes() bool { return useLanes }
+
 // Zero sets every element of x to 0.
 func Zero(x []float32) {
 	for i := range x {
@@ -60,11 +65,11 @@ func Mul(dst, src []float32) {
 	}
 }
 
-// Scale computes x[i] *= a.
+// Scale computes x[i] *= a. It runs the axpy sweep's overwrite with
+// dst = src (ov1), lane for lane the scalar product, so every result is
+// bitwise the scalar loop's. A product of two NaNs returns x's, quieted.
 func Scale(x []float32, a float32) {
-	for i := range x {
-		x[i] *= a
-	}
+	ov1(x, x, a)
 }
 
 // AXPY computes y[i] += a*x[i].

@@ -65,3 +65,44 @@ func TestAddMatchesScalarLoop(t *testing.T) {
 		}
 	}
 }
+
+// Scale runs ov1 with dst = src; it must match the scalar loop x[i] *= a
+// bit for bit over every special class as both factor and scale — signed
+// zeros and infinities, subnormals, max-finite, NaNs — at every position of
+// the 8-wide body and the scalar tail. As for Add, the loop leaves open
+// which payload a product of two NaNs returns; Scale pins it to x's NaN,
+// quieted.
+func TestScaleMatchesScalarLoop(t *testing.T) {
+	var x []float32
+	for _, v := range addSpecials {
+		x = append(x, math.Float32frombits(v))
+	}
+	r := rand.New(rand.NewSource(34))
+	for i := 0; i < 4096; i++ {
+		x = append(x, math.Float32frombits(r.Uint32()))
+	}
+	scales := append([]uint32{0x3f000000, 0x40000000, 0x3f7fffff, 0x7f000000, 0x00800000}, addSpecials...)
+	for _, ab := range scales {
+		a := math.Float32frombits(ab)
+		for _, off := range []int{0, 1, 3, 7} {
+			for _, n := range []int{0, 1, 5, 8, 13, len(x) - off} {
+				src := x[off : off+n]
+				want := append([]float32(nil), src...)
+				for i, v := range src {
+					want[i] *= a
+					if v != v && a != a {
+						want[i] = math.Float32frombits(math.Float32bits(v) | 0x00400000)
+					}
+				}
+				got := append([]float32(nil), src...)
+				Scale(got, a)
+				for i := range want {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("a %#08x off %d n %d elem %d: %#08x · a = %#08x, scalar loop %#08x", ab, off, n, i,
+							math.Float32bits(src[i]), math.Float32bits(got[i]), math.Float32bits(want[i]))
+					}
+				}
+			}
+		}
+	}
+}

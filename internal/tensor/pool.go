@@ -32,29 +32,35 @@ const (
 	opRows     op = iota // foldRows over output rows
 	opCols               // foldCols over the columns of a single output row
 	opHalfRows           // matMulHFRange: fp16 A decoded in panels per row range
+	opFoldBT             // foldBT over 8-row blocks of MatMulBT's Cᵀ
 )
 
 // kernel is one matmul's range kernel and its arguments: C[·×n] folds k
 // steps over B's rows, step p's coefficient for row i at a[i·ars+p·aps]
 // (ha for opHalfRows, which reads A by rows), overwriting C unless add.
+// opFoldBT reads B's rows as the coefficients and a as the rows (foldBT).
 type kernel struct {
 	kind     op
-	c, a, b  []float32
+	c, a     []float32
+	b        bOperand
 	ha       HalfBuffer
 	ars, aps int
 	k, n     int
 	add      bool
 }
 
-// run computes output rows (columns, for opCols) [lo,hi).
+// run computes output rows (columns, for opCols; 8-row blocks, for
+// opFoldBT) [lo,hi).
 func (kr *kernel) run(lo, hi int) {
 	switch kr.kind {
 	case opRows:
 		foldRows(kr.c, kr.a, kr.ars, kr.aps, kr.b, kr.k, kr.n, lo, hi, kr.add)
-	case opCols:
-		foldCols(kr.c, kr.a, kr.aps, kr.b, kr.k, kr.n, lo, hi, kr.add)
+	case opCols: // an fp32 A, so an fp32 B
+		foldCols(kr.c, kr.a, kr.aps, kr.b.f, kr.k, kr.n, lo, hi, kr.add)
 	case opHalfRows:
 		matMulHFRange(kr.c, kr.ha, kr.b, kr.k, kr.n, lo, hi)
+	case opFoldBT:
+		foldBT(kr.c, kr.a, kr.b, kr.k, kr.n, lo, hi)
 	}
 }
 
@@ -151,7 +157,7 @@ func run(kr kernel, units, work int) {
 }
 
 // scratchFree recycles the fp32 operand images the matmuls build:
-// MatMulBT's transposed B and decoded half operands. A channel free list
+// MatMulBT's transposes and decoded half operands. A channel free list
 // (not sync.Pool) so the steady state is deterministically
 // allocation-free: buffers are never dropped by GC, and the capacity
 // bounds how many concurrent ranks can park one.

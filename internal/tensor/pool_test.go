@@ -53,9 +53,10 @@ func bitsEqual(t *testing.T, label string, got, want []float32) {
 
 // kernelShapes spans the dispatch matrix: zero-size edges, odd/prime dims,
 // fewer rows than workers, the m==1 (and k==1 for Aᵀ) column splits,
-// shapes that cross parallelThreshold in each orientation, and the 4×16
-// tile's row and column tails (tileShapes).
-var kernelShapes = append([][3]int{
+// shapes that cross parallelThreshold in each orientation, the 4×16
+// tiles' row and column tails (tileShapes, halfBShapes) and both sides of
+// MatMulBT's fold rule (foldShapes).
+var kernelShapes = append(append(append([][3]int{
 	{0, 3, 2}, {3, 0, 2}, {3, 2, 0}, {0, 0, 0},
 	{1, 1, 1}, {1, 2, 3}, {2, 3, 4}, {3, 1, 5}, {5, 7, 3},
 	{7, 13, 11}, {13, 1, 7}, {31, 17, 29}, {67, 31, 37},
@@ -65,7 +66,7 @@ var kernelShapes = append([][3]int{
 	{257, 256, 1},  // n == 1
 	{256, 1, 257},  // k == 1: Aᵀ column split
 	{64, 128, 512}, // the bench FC1 shape
-}, tileShapes()...)
+}, tileShapes()...), halfBShapes()...), foldShapes()...)
 
 // tileShapes crosses m mod 4 ∈ {1,2,3} (one tile row block plus a row
 // tail), n mod 16 ∈ {1,8,15} (one or two column tiles plus a column tail)
@@ -79,6 +80,40 @@ func tileShapes() [][3]int {
 				s = append(s, [3]int{m, k, n})
 			}
 		}
+	}
+	return s
+}
+
+// halfBShapes crosses n mod 16 ∈ {0,1,8,15} with m mod 4 ∈ {0,1,2,3}, at a
+// short reduction and at one longer than the 256-step panels the half A
+// rows and the half B strips decode in.
+func halfBShapes() [][3]int {
+	var s [][3]int
+	for _, m := range []int{4, 5, 6, 7} {
+		for _, n := range []int{32, 33, 40, 47} {
+			for _, k := range []int{3, 300} {
+				s = append(s, [3]int{m, k, n})
+			}
+		}
+	}
+	return s
+}
+
+// foldShapes puts m ∈ {1…9, 16} against MatMulBT reductions and output
+// widths on both sides of its fold rule m·(n+k) < k·n. As a MatMulBT triple
+// (m, n, k) reads (m, k, n), so each pair below is (steps, B rows) there:
+// (16, 16) keeps the transpose from m = 8 on and (24, 40) at m = 16;
+// (300, 132) folds past one 256-step panel into a part-filled last block
+// of B rows; 512×512 folds at m ∈ {1, 8, 16}.
+func foldShapes() [][3]int {
+	var s [][3]int
+	for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16} {
+		for _, kn := range [][2]int{{16, 16}, {24, 40}, {300, 132}} {
+			s = append(s, [3]int{m, kn[0], kn[1]})
+		}
+	}
+	for _, m := range []int{1, 8, 16} {
+		s = append(s, [3]int{m, 512, 512})
 	}
 	return s
 }
@@ -114,6 +149,9 @@ func runShapes(t *testing.T, seed int64) {
 		c = make([]float32, bm*bk)
 		MatMulBT(c, a, b, bm, bn, bk)
 		bitsEqual(t, "MatMulBT"+at, c, refBT(a, b, bm, bn, bk))
+		tp := make([]float32, bm*bk) // the transpose path, run by hand
+		MatMul(tp, a, refTranspose(b, bk, bn), bm, bn, bk)
+		bitsEqual(t, "MatMulBT vs MatMul on Bᵀ"+at, c, tp)
 
 		a, b = randSlice(r, m*k), randSlice(r, m*n)
 		c = make([]float32, k*n)
@@ -193,8 +231,9 @@ func TestChunkBalanced(t *testing.T) {
 	}
 }
 
-// Parallel kernels are allocation-free, on both operand types, once the
-// pool and the transpose/decode scratch are warm: tasks are value structs
+// Parallel kernels are allocation-free, on both operand types and on the
+// half-B tile and Cᵀ fold paths, once the pool and the transpose/decode
+// scratch are warm: tasks are value structs
 // over a buffered channel, jobs and scratches recycle through free lists.
 // Measured with a Mallocs window (testing.AllocsPerRun pins GOMAXPROCS to
 // 1, which would disable the very fan-out under test).
@@ -209,6 +248,10 @@ func TestParallelKernelAllocsZero(t *testing.T) {
 	ha, _ := randHalf(r, m*k)
 	hb, _ := randHalf(r, k*n)
 	hc, _ := randHalf(r, m*n)
+	const few = 8 // rows few enough that MatMulBT folds Cᵀ
+	c8, cbt8 := make([]float32, few*n), make([]float32, few*k)
+	ha8, _ := randHalf(r, few*k)
+	hc8, _ := randHalf(r, few*n)
 
 	step := func() {
 		MatMul(c, a, b, m, k, n)
@@ -219,6 +262,9 @@ func TestParallelKernelAllocsZero(t *testing.T) {
 		MatMulBT(cbt, hc, hb, m, n, k)
 		MatMulATAdd(cat, ha, hc, m, k, n)
 		MatMulAT(cat, ha, hc, m, k, n)
+		MatMul(c8, ha8, hb, few, k, n)     // half-B tile
+		MatMulBT(cbt8, c8, b, few, n, k)   // Cᵀ fold, fp32 B in place
+		MatMulBT(cbt8, hc8, hb, few, n, k) // Cᵀ fold, half B decoded on the stack
 	}
 	for i := 0; i < 3; i++ {
 		step() // warm the pool, job free list, and transpose/decode scratch
