@@ -50,7 +50,7 @@ func main() {
 		opt        = flag.String("opt", def.Optimizer.Type, "optimizer: adam, sgd or lamb")
 		lr         = flag.Float64("lr", def.Optimizer.LR, "learning rate")
 		clip       = flag.Float64("clip", def.GradClip, "gradient clipping norm (0 = off)")
-		fp16       = flag.Bool("fp16", def.FP16, "simulate mixed-precision training")
+		fp16       = flag.Bool("fp16", false, "mixed-precision training: fp16 compute with dynamic loss scaling (precision.fp16_compute)")
 		checkpoint = flag.Bool("checkpoint", def.Checkpoint, "activation checkpointing")
 		bucket     = flag.Int("bucket", def.BucketElems, "gradient bucket elements (0 = one bucket per layer group)")
 		overlap    = flag.Bool("overlap", def.Overlap, "overlap gradient collectives with backward compute (grad stream)")
@@ -103,7 +103,12 @@ func main() {
 		case "clip":
 			cfg.GradClip = *clip
 		case "fp16":
-			cfg.FP16 = *fp16
+			p := engine.PrecisionConfig{}
+			if cfg.Precision != nil {
+				p = *cfg.Precision
+			}
+			p.FP16Compute = *fp16
+			cfg.Precision = &p
 		case "checkpoint":
 			cfg.Checkpoint = *checkpoint
 		case "bucket":
@@ -159,7 +164,7 @@ func main() {
 	st, _ := cfg.Stage.Parse()
 	psi := cfg.Model.ParamCount()
 	fmt.Printf("model: Ψ=%d params | ranks: %d | stage: %v | opt: %s | fp16: %v | ckpt: %v\n",
-		psi, cfg.Ranks, st, cfg.Optimizer.Type, cfg.FP16, cfg.Checkpoint)
+		psi, cfg.Ranks, st, cfg.Optimizer.Type, cfg.Precision != nil && cfg.Precision.FP16Compute, cfg.Checkpoint)
 	fmt.Printf("batch: %d global = %d micro-batch × %d accumulation steps (accumulator: Ψ/N elems at stages ≥ 1)\n",
 		cfg.GlobalBatch, cfg.MicroBatch, cfg.GradAccumSteps)
 	fmt.Printf("model-state/rank: %.2f MB (baseline DP would be %.2f MB)\n\n",

@@ -40,7 +40,7 @@ func main() {
 	// fp32) — every rank all-reduces every micro-batch's full gradient.
 	ddpCfg := cfg
 	ddpCfg.Stage = "0"
-	ddpCfg.FP16 = false
+	ddpCfg.Precision = nil
 	var ddpLoss float64
 	ddpWorld, err := engine.Run(ddpCfg, func(e *engine.Engine) {
 		for s := 0; s < steps; s++ {
@@ -54,7 +54,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The configured run: ZeRO stage 2 with fp16 wire traffic, bucketed
+	// The configured run: ZeRO stage 2 with fp16 compute, bucketed
 	// overlap, and the gradient accumulated post-reduce-scatter — so each
 	// rank's cross-micro-batch state is its Ψ/N partition (§5.2), and only
 	// ONE parameter all-gather happens per boundary.

@@ -36,11 +36,11 @@ func (d DType) String() string {
 // on the wire. Collectives on a Stream take Buffers so traffic is
 // byte-accounted natively. There are two kinds. A float buffer (Data) is what
 // every reduction takes: the values stay float32 and the dtype is accounting
-// only — fp16 storage of an fp32-computed value is modeled by rounding
-// through binary16, see Quantize. A half buffer (Half, built by HalfBuf) holds
-// already-encoded binary16 elements and is moved as such, 2 bytes per element
-// through the wire pool; only all-gathers accept it, since halves are never
-// summed.
+// only — the caller rounds them through binary16 when they stand for fp16
+// storage (the trainer's gradients). A half buffer (Half, built by HalfBuf)
+// holds already-encoded binary16 elements and is moved as such, 2 bytes per
+// element through the wire pool; only all-gathers accept it, since halves
+// are never summed.
 type Buffer struct {
 	Data  []float32
 	Half  tensor.HalfBuffer // when non-nil, the payload; DType is then F16
@@ -69,16 +69,4 @@ func (b Buffer) floats() []float32 {
 		panic("comm: a half buffer can only be all-gathered (sums accumulate in float32)")
 	}
 	return b.Data
-}
-
-// Quantize rounds every value through the buffer's storage format in place:
-// a no-op for F32 (and for a half buffer, which is stored in the format
-// already), round-to-nearest-even binary16 for F16 — the operation that makes
-// "this buffer is stored in fp16" true for the float32 values the simulator
-// computes with.
-func (b Buffer) Quantize() {
-	if b.DType != F16 || b.Half != nil {
-		return
-	}
-	tensor.RoundHalf(b.Data)
 }

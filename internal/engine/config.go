@@ -122,16 +122,14 @@ type DataConfig struct {
 	Seed int64 `json:"seed,omitempty"`
 }
 
-// PrecisionConfig is the "precision" block: the true half-precision
-// compute path (§3.1's mixed-precision training taken all the way into the
-// kernels) and its dynamic loss-scaling knobs. It subsumes the top-level
-// fp16 flag: fp16_compute implies the fp16 master-copy/wire machinery and
-// additionally stores activations and the kernel-side weight copy in
-// 2-byte form, with f32 accumulation inside the fused kernels.
+// PrecisionConfig is the "precision" block: mixed-precision training
+// (§3.1, taken all the way into the kernels) and its dynamic loss-scaling
+// knobs. fp16_compute stores activations, the kernel-side weight copy and
+// the wire in 2-byte form beside an fp32 master, with f32 accumulation
+// inside the kernels; it is the one way to spell fp16.
 type PrecisionConfig struct {
-	// FP16Compute enables half-precision activation/weight storage with
-	// fused convert-on-the-fly kernels. Incompatible with
-	// activation_checkpoint (the half path stores, it does not recompute).
+	// FP16Compute enables half-precision activation/weight storage,
+	// gradients and wire. Composes with activation_checkpoint.
 	FP16Compute bool `json:"fp16_compute,omitempty"`
 	// InitialLossScale seeds the dynamic loss scaler (0 = 65536).
 	InitialLossScale float64 `json:"initial_loss_scale,omitempty"`
@@ -157,10 +155,8 @@ type Config struct {
 	// GradClip caps the global gradient L2 norm at the accumulation
 	// boundary (0 disables).
 	GradClip float64 `json:"grad_clip,omitempty"`
-	// FP16 simulates mixed-precision training (§3.1).
-	FP16 bool `json:"fp16,omitempty"`
-	// Precision opts into the true fp16 compute path with dynamic loss
-	// scaling when set (see PrecisionConfig).
+	// Precision opts into fp16 compute with dynamic loss scaling when set
+	// (see PrecisionConfig).
 	Precision *PrecisionConfig `json:"precision,omitempty"`
 	// Checkpoint enables activation checkpointing.
 	Checkpoint bool `json:"activation_checkpoint,omitempty"`
@@ -199,8 +195,8 @@ type Config struct {
 }
 
 // DefaultConfig is the one constructor every entry point starts from: the
-// stage-2 streamed schedule (overlap + prefetch, fp32 numerics — set FP16
-// for the mixed-precision wire) on a small 4-rank world. cmd/zerotrain's
+// stage-2 streamed schedule (overlap + prefetch, fp32 numerics — set
+// Precision for fp16) on a small 4-rank world. cmd/zerotrain's
 // flag defaults, cmd/zerobench's sweep base and the examples all derive
 // from it, so a new knob defaults consistently everywhere.
 func DefaultConfig() Config {
@@ -293,10 +289,6 @@ func (c Config) Normalized() (Config, error) {
 		if p.InitialLossScale < 0 || p.LossScaleWindow < 0 {
 			return c, fmt.Errorf("%w: initial_loss_scale %g / loss_scale_window %d (want ≥ 0)",
 				ErrPrecision, p.InitialLossScale, p.LossScaleWindow)
-		}
-		if p.FP16Compute && c.Checkpoint {
-			return c, fmt.Errorf("%w: fp16_compute is incompatible with activation_checkpoint (the half path stores activations, it does not recompute them)",
-				ErrPrecision)
 		}
 	}
 
@@ -489,7 +481,6 @@ func (c Config) compile() (zero.Options, error) {
 		Overlap:     c.Overlap,
 		Prefetch:    c.Prefetch,
 		Topology:    zero.Topology{NodeSize: c.NodeSize},
-		FP16:        c.FP16,
 		Checkpoint:  c.Checkpoint,
 		ClipNorm:    c.GradClip,
 		Optimizer: optimizer.Spec{

@@ -125,6 +125,7 @@ func TestParseConfigMalformedJSON(t *testing.T) {
 		{"syntax error", `{"ranks": 4,}`},
 		{"unknown field", `{"ranks": 4, "zero_optimization": {"stage": 2}}`},
 		{"deleted queue_depth knob", `{"ranks": 4, "queue_depth": 8}`},
+		{"deleted top-level fp16 knob", `{"ranks": 4, "fp16": true}`},
 		{"wrong type", `{"ranks": "four"}`},
 		{"bad stage type", `{"stage": [2]}`},
 		{"trailing garbage", `{"ranks": 4} {"ranks": 8}`},

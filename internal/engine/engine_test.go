@@ -100,7 +100,7 @@ func TestEngineAccumOverlapPrefetchRace(t *testing.T) {
 	cfg := testEngineConfig()
 	cfg.Stage = "3"
 	cfg.Overlap, cfg.Prefetch = true, true
-	cfg.FP16 = true
+	cfg.Precision = &PrecisionConfig{FP16Compute: true}
 	norm, err := cfg.Normalized()
 	if err != nil {
 		t.Fatal(err)

@@ -241,6 +241,8 @@ func TestRenderDoesNotPanic(t *testing.T) {
 // The stage sweep's headline: every ZeRO stage moves fewer wire bytes per
 // step than the seed's synchronous fp32 DP path, and stages 0-2 move the
 // same number of *elements* (2Ψ-class schedules) while stage 3 moves 1.5x.
+// The fp16 rows also run the loss scaler's overflow vote: one N-float
+// all-gather, N-1 elements per rank per step on top of the schedule.
 func TestStageSweepBytesBelowSeed(t *testing.T) {
 	sc := DefaultStageSweep()
 	sc.Steps = 1
@@ -255,9 +257,10 @@ func TestStageSweepBytesBelowSeed(t *testing.T) {
 			t.Errorf("%s: %v bytes/rank/step, must be below seed's %v", row[0], b, seedBytes)
 		}
 	}
+	vote := float64(sc.Base.Ranks - 1)
 	for _, i := range []int{1, 2, 3} { // DP, Pos, Pos+g
-		if e := parseF(t, tab.Rows[i][2]); e != seedElems {
-			t.Errorf("%s: %v elems, want seed's %v (2Ψ schedule)", tab.Rows[i][0], e, seedElems)
+		if e := parseF(t, tab.Rows[i][2]); e != seedElems+vote {
+			t.Errorf("%s: %v elems, want seed's %v (2Ψ schedule) + %v (overflow vote)", tab.Rows[i][0], e, seedElems, vote)
 		}
 	}
 	s3 := parseF(t, tab.Rows[4][2])

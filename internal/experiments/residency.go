@@ -41,7 +41,6 @@ func MeasureComputeResidency(fp16Compute bool) ComputeResidency {
 	cfg.MicroBatch = cfg.GlobalBatch
 	cfg.GradAccumSteps = 1
 	cfg.Seed = 1
-	cfg.FP16 = true
 	if fp16Compute {
 		cfg.Precision = &engine.PrecisionConfig{FP16Compute: true}
 	}

@@ -40,7 +40,10 @@ func DefaultStageSweep() StageSweepConfig {
 func (sc StageSweepConfig) sweepRow(stage zero.Stage, fp16, overlap, prefetch bool, bucket int) engine.Config {
 	cfg := sc.Base
 	cfg.Stage = engine.StageSpec(fmt.Sprint(int(stage)))
-	cfg.FP16 = fp16
+	cfg.Precision = nil
+	if fp16 {
+		cfg.Precision = &engine.PrecisionConfig{FP16Compute: true}
+	}
 	cfg.Overlap = overlap
 	cfg.Prefetch = prefetch
 	cfg.BucketElems = bucket

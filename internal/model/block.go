@@ -36,18 +36,18 @@ func (m *Model) lnParams(off int) (gamma, beta []float32) {
 	return p[:h], p[h:]
 }
 
-// blockForward computes one transformer block given acts.x (the block
-// input, [M,h]), fills the remaining activation slots and writes the block
-// output into out (a workspace buffer owned by the caller; in fp16 mode it
-// is acts.x itself, which the block is done reading by then). Every buffer
-// comes from the persistent workspace and is fully overwritten — the forward
-// kernels (matmul, layernorm, softmax, GELU) write their destinations, so
-// stale values from the previous step never leak into the math. In fp16
+// blockForward computes one transformer block given its input x ([M,h]),
+// fills the block's activation slots and writes the block output into out
+// (a workspace buffer owned by the caller; it may be x itself, which the
+// block is done reading by then). Every buffer comes from the persistent
+// workspace and is fully overwritten — the forward kernels (matmul,
+// layernorm, softmax, GELU) write their destinations, so stale values
+// from the previous step never leak into the math. In fp16
 // mode each value crossing a kernel boundary rounds through binary16 first
 // (save, round). Widths are this rank's (Layout): on a Megatron shard the
 // attention runs its own heads and the MLP its own FFN slice, and the two
 // row-parallel layers all-reduce their outputs.
-func (m *Model) blockForward(i int, acts *blockActs, out []float32, batch, seqLen int) {
+func (m *Model) blockForward(i int, acts *blockActs, x, out []float32, batch, seqLen int) {
 	h := m.Cfg.Hidden
 	heads, dh, ffn := m.Layout.heads, m.Layout.dh, m.Layout.ffn
 	k := heads * dh // attention width: h, or the owned heads' columns
@@ -55,7 +55,6 @@ func (m *Model) blockForward(i int, acts *blockActs, out []float32, batch, seqLe
 	n := mRows * h
 	off := m.Layout.blocks[i]
 	ws := &m.ws
-	x := acts.x
 
 	// LN1.
 	a, xhat1 := m.buf(acts, aA, n), m.buf(acts, aXhat1, n)

@@ -33,7 +33,8 @@ import "repro/internal/tensor"
 // Activation slots of one transformer block: the index of a tensor in
 // blockActs.t and of its shared buffer in workspace.shared.
 const (
-	aXhat1   = iota // [M,h] ln1 normalized input
+	aX       = iota // [M,h] block input (the activation checkpoint)
+	aXhat1          // [M,h] ln1 normalized input
 	aA              // [M,h] ln1 output
 	aQKV            // [M,3h]
 	aProbs          // attention softmax [B*heads, T, T]

@@ -281,19 +281,41 @@ func TestFP16SwitchOffReleasesHalfBuffers(t *testing.T) {
 	}
 }
 
-// A bare Model must refuse fp16 compute together with activation
-// checkpointing instead of silently skipping the checkpoints (zero.New and
-// the engine reject the pair before it gets here).
+// fp16 compute runs with activation checkpointing, and checkpointing is
+// bitwise invisible there: every block input is already rounded at the
+// block boundary, so its 2-byte checkpoint is exact and the recompute
+// rebuilds the same stores. Loss, gradients and the overflow flag equal the
+// run without Checkpoint, at loss scale 1 and 1024, over two steps (the
+// second reuses the workspace).
 func TestFP16WithCheckpointPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Loss accepted fp16 compute together with Checkpoint")
+	cfg := Config{Layers: 3, Hidden: 32, Heads: 4, Vocab: 17, Seq: 16}
+	ids, targets := SyntheticBatch(7, 2, cfg.Seq, cfg.Vocab)
+	for _, scale := range []float32{1, 1024} {
+		run := func(checkpoint bool) (losses []float64, grads []uint64, overflow bool) {
+			m := New(cfg, 42)
+			m.SetFP16Compute(true)
+			m.LossScale = scale
+			m.Checkpoint = checkpoint
+			for step := 0; step < 2; step++ {
+				m.ZeroGrads()
+				losses = append(losses, m.Loss(ids, targets, 2))
+				m.Backward()
+				grads = append(grads, gradChecksum(m.Grads))
+				tensor.AXPY(-0.1, m.Grads, m.Params)
+				m.RefreshHalfParams(0, len(m.Params))
+			}
+			return losses, grads, m.TakeOverflow()
 		}
-	}()
-	cfg := tinyConfig()
-	ids, targets := SyntheticBatch(3, 2, cfg.Seq, cfg.Vocab)
-	m := New(cfg, 1)
-	m.SetFP16Compute(true)
-	m.Checkpoint = true
-	m.Loss(ids, targets, 2)
+		wantL, wantG, wantO := run(false)
+		gotL, gotG, gotO := run(true)
+		for s := range wantL {
+			if gotL[s] != wantL[s] || gotG[s] != wantG[s] {
+				t.Errorf("scale %g step %d: checkpointed loss %.17g grads %#016x, want %.17g %#016x",
+					scale, s, gotL[s], gotG[s], wantL[s], wantG[s])
+			}
+		}
+		if gotO != wantO {
+			t.Errorf("scale %g: overflow flag %v under Checkpoint, want %v", scale, gotO, wantO)
+		}
+	}
 }

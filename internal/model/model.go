@@ -21,16 +21,17 @@ type Model struct {
 	Grads []float32
 
 	// Checkpoint enables activation checkpointing: the forward pass keeps
-	// only each block's input and the backward pass recomputes block
-	// internals (§3.2's "activation recomputation", the base ZeRO-R builds
-	// Pa on).
+	// each block's input and the backward pass recomputes block internals
+	// from it (§3.2's "activation recomputation", the base ZeRO-R builds Pa
+	// on). In fp16 mode the input is already rounded at the block boundary,
+	// so its 2-byte store is exact and checkpointing changes no bit.
 	Checkpoint bool
 
 	// Store, when non-nil and Checkpoint is on, receives each block's
-	// checkpoint instead of it being held inline. ZeRO-R's Pa plugs in
-	// here: a store that partitions the checkpoint across the MP group and
-	// all-gathers it back on Get (§6.1), or offloads it to host memory
-	// (Pa+cpu).
+	// checkpoint instead of it being held inline (in fp16 mode, the rounded
+	// fp32 image). ZeRO-R's Pa plugs in here: a store that partitions the
+	// checkpoint across the MP group and all-gathers it back on Get (§6.1),
+	// or offloads it to host memory (Pa+cpu).
 	Store CheckpointStore
 
 	// ForwardHook, when non-nil, is invoked during Loss immediately before
@@ -96,11 +97,11 @@ type Model struct {
 // model workspace and reused across steps: the activation slots of fp16.go
 // (fp32 buffers in fp32 mode, 2-byte stores in fp16 mode) plus the inverse
 // standard deviations, which stay fp32 in both — they are O(M) and
-// precision-critical. x (the block input / activation checkpoint) aliases
-// the previous block's output; under a checkpoint Store it is nil between
-// the forward Put and the backward Get.
+// precision-critical. Slot aX is the block input: in fp32 mode the buffer
+// the previous block (or the embedding) writes its output into; in fp16
+// mode the staging is the one residual-stream buffer, and the 2-byte store
+// is filled only when checkpointing keeps the input inline.
 type blockActs struct {
-	x                []float32
 	t                [numActs]tens
 	invStd1, invStd2 []float32
 }
@@ -158,53 +159,54 @@ func (m *Model) Loss(ids, targets []int, batch int) float64 {
 	if seqLen > m.Cfg.Seq {
 		panic("model: sequence longer than configured maximum")
 	}
-	if m.fp16 && m.Checkpoint {
-		panic("model: fp16 compute keeps no fp32 block inputs to checkpoint; turn Checkpoint off")
-	}
 	h, v := m.Cfg.Hidden, m.Cfg.Vocab
 	mRows := batch * seqLen
+	n := mRows * h
 	fs := &m.ws
 	fs.batch, fs.seqLen = batch, seqLen
 	fs.ids = append(fs.ids[:0], ids...)
 	fs.targets = append(fs.targets[:0], targets...)
-	fs.x0 = grow(fs.x0, mRows*h)
+	if len(fs.blocks) != m.Cfg.Layers {
+		fs.blocks = make([]blockActs, m.Cfg.Layers)
+	}
 
-	// Embedding: token + position.
+	// Embedding: token + position, into block 0's input slot.
 	if m.ForwardHook != nil {
 		m.ForwardHook(-1)
 	}
+	x := m.buf(fs.in(0), aX, n)
 	for b := 0; b < batch; b++ {
 		for t := 0; t < seqLen; t++ {
 			id := ids[b*seqLen+t]
 			if id < 0 || id >= v {
 				panic("model: token id out of range")
 			}
-			row := fs.x0[(b*seqLen+t)*h : (b*seqLen+t+1)*h]
+			row := x[(b*seqLen+t)*h : (b*seqLen+t+1)*h]
 			copy(row, m.vec(m.Layout.tokEmb+id*h, h))
 			tensor.Add(row, m.vec(m.Layout.posEmb+t*h, h))
 		}
 	}
-	m.round(fs.x0)
+	m.round(x)
 
-	// Blocks. fp32 mode keeps every block's output (the next block's saved
-	// input); fp16 mode saves no block input, so each block overwrites x0.
-	if len(fs.blocks) != m.Cfg.Layers {
-		fs.blocks = make([]blockActs, m.Cfg.Layers)
-		fs.outs = make([][]float32, m.Cfg.Layers)
-	}
-	x := fs.x0
+	// Blocks. Each writes its output into the next one's input slot: a
+	// buffer of its own per block in fp32 mode, the one residual-stream
+	// staging buffer in fp16 mode. The checkpoint is taken before the
+	// block runs, because in fp16 mode the output overwrites the input.
 	for i := 0; i < m.Cfg.Layers; i++ {
 		if m.ForwardHook != nil {
 			m.ForwardHook(i)
 		}
 		acts := &fs.blocks[i]
-		acts.x = x
-		x = m.pick(&fs.outs[i], &fs.x0, mRows*h)
-		m.blockForward(i, acts, x, batch, seqLen)
-		if m.Checkpoint && m.Store != nil {
-			m.Store.Put(i, acts.x)
-			acts.x = nil
+		if m.Checkpoint {
+			if m.Store != nil {
+				m.Store.Put(i, x)
+			} else {
+				m.save(acts, aX)
+			}
 		}
+		out := m.buf(fs.in(i+1), aX, n)
+		m.blockForward(i, acts, x, out, batch, seqLen)
+		x = out
 	}
 
 	// Final layernorm + tied-embedding head. The layernorm saves what a
@@ -212,7 +214,7 @@ func (m *Model) Loss(ids, targets []int, batch int) float64 {
 	if m.ForwardHook != nil {
 		m.ForwardHook(m.Cfg.Layers)
 	}
-	xf, xhatF := m.buf(&fs.head, aA, mRows*h), m.buf(&fs.head, aXhat1, mRows*h)
+	xf, xhatF := m.buf(&fs.head, aA, n), m.buf(&fs.head, aXhat1, n)
 	fs.head.invStd1 = grow(fs.head.invStd1, mRows)
 	gammaF, betaF := m.lnParams(m.Layout.lnF)
 	tensor.LayerNorm(xf, xhatF, fs.head.invStd1, x, gammaF, betaF, mRows, h, lnEps)
@@ -243,6 +245,7 @@ func (m *Model) Backward() {
 	m.fwd = nil
 	h, v := m.Cfg.Hidden, m.Cfg.Vocab
 	mRows := fs.batch * fs.seqLen
+	n := mRows * h
 	g := m.Grads
 
 	// The head reads the tied token embedding and the final layernorm's
@@ -262,33 +265,44 @@ func (m *Model) Backward() {
 		tensor.Scale(dLogits, m.LossScale)
 	}
 	hdLogits := m.operand(dLogits)
-	dXf := m.pick(&fs.dXf, &fs.shared[aA], mRows*h)
+	dXf := m.pick(&fs.dXf, &fs.shared[aA], n)
 	m.matMul(dXf, hdLogits, tokEmb, mRows, v, h)
 	m.matMulATAdd(tokEmb, hdLogits, fs.head.t[aA], mRows, v, h)
 
 	// Final layernorm. LayerNormBackward accumulates into dX, so the reused
 	// buffer is zeroed first (fresh allocations used to guarantee this).
 	// The input gradient is double-buffered (block i reads dX while writing
-	// next); fp16 mode takes the pair from buffers forward is done with.
-	dX := m.pick(&fs.dXa, &fs.x0, mRows*h)
-	next := m.pick(&fs.dXb, &fs.shared[aAttnOut], mRows*h)
+	// next). fp16 mode takes the pair from buffers forward is done with,
+	// unless checkpointing recomputes the blocks: the recompute writes
+	// every forward staging slot again.
+	pa, pb := &fs.dXa, &fs.dXb
+	if m.fp16 && !m.Checkpoint {
+		pa, pb = &fs.shared[aX], &fs.shared[aAttnOut]
+	}
+	*pa, *pb = grow(*pa, n), grow(*pb, n)
+	dX, next := *pa, *pb
 	tensor.Zero(dX)
 	tensor.LayerNormBackward(dX, g[lnF:lnF+h], g[lnF+h:lnF+2*h], dXf,
 		m.load(&fs.head, aXhat1), fs.head.invStd1, m.vec(lnF, h), mRows, h)
 	m.round(dX)
 
 	// Blocks in reverse. Under checkpointing, recompute each block's
-	// internals from its saved input first.
+	// internals from its saved input first; in fp16 mode the input decodes
+	// into the residual-stream staging, which the recompute's output
+	// overwrites as in forward.
 	for i := m.Cfg.Layers - 1; i >= 0; i-- {
 		if m.BackwardPreHook != nil {
 			m.BackwardPreHook(i)
 		}
 		acts := &fs.blocks[i]
 		if m.Checkpoint {
+			var x []float32
 			if m.Store != nil {
-				acts.x = m.Store.Get(i)
+				x = m.Store.Get(i)
+			} else {
+				x = m.load(acts, aX)
 			}
-			m.blockForward(i, acts, fs.outs[i], fs.batch, fs.seqLen) // rebuild internals
+			m.blockForward(i, acts, x, m.buf(fs.in(i+1), aX, n), fs.batch, fs.seqLen)
 		}
 		m.blockBackward(i, acts, dX, next, fs.batch, fs.seqLen)
 		dX, next = next, dX

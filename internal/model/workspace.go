@@ -22,15 +22,14 @@ type workspace struct {
 	batch, seqLen int
 	ids           []int
 	targets       []int
-	x0            []float32 // embedding output; fp16 mode: every block's input and output too
 	blocks        []blockActs
-	head          blockActs   // final layernorm: output in slot aA, plus aXhat1 and invStd1
-	outs          [][]float32 // fp32 mode: per-block outputs (block i's out = block i+1's input)
+	head          blockActs // final layernorm: input in slot aX, output in aA, plus aXhat1 and invStd1
 	logits        []float32
 	probs         []float32 // fp32 mode: softmax over vocab (fp16 mode: in place over logits)
 
 	// fp32 mode's own head and input-gradient buffers; fp16 mode reuses
-	// dead ones instead (see the pick calls in Backward).
+	// dead ones instead (see Backward), except for the input-gradient pair
+	// under checkpointing, whose recompute writes the forward staging.
 	dLogits, dXf, dXa, dXb []float32
 
 	// shared is backward's gradient scratch, indexed by the slot of the
@@ -42,6 +41,15 @@ type workspace struct {
 	pvec   []float32         // fp16 mode: parameter-vector decode scratch
 
 	overflow bool // any fp16 store overflowed since TakeOverflow
+}
+
+// in returns the activations whose aX slot holds block i's input: block
+// i's own, or the head's for i == Layers (the last block's output).
+func (ws *workspace) in(i int) *blockActs {
+	if i == len(ws.blocks) {
+		return &ws.head
+	}
+	return &ws.blocks[i]
 }
 
 // grow returns a slice of length n backed by buf when its capacity
@@ -73,8 +81,7 @@ func (m *Model) WorkspaceBytes() int64 {
 			n += cap(b)
 		}
 	}
-	add(ws.x0, ws.logits, ws.probs, ws.dLogits, ws.dXf, ws.dXa, ws.dXb, ws.attn, ws.pvec)
-	add(ws.outs...)
+	add(ws.logits, ws.probs, ws.dLogits, ws.dXf, ws.dXa, ws.dXb, ws.attn, ws.pvec)
 	add(ws.shared[:]...)
 	addActs := func(a *blockActs) {
 		for _, t := range a.t {

@@ -211,17 +211,17 @@ func halfDecodeScalar(dst []float32, src []Half) {
 	}
 }
 
-// RoundHalf rounds every element of x through binary16 in place — the
+// roundHalf rounds every element of x through binary16 in place — the
 // quantization applied when an fp32-computed value is stored or shipped as
 // fp16. Equivalent to FromFloat32(v).Float32() per element (pinned
 // bit-for-bit by TestHalfFastPathsMatchReference) in a single fused pass:
 // normals round on the fp32 bits directly and never leave fp32, so no
 // decode step is needed. F16C lanes where the CPU has them (half_amd64.s).
-func RoundHalf(x []float32) {
+func roundHalf(x []float32) {
 	roundHalfImpl(x)
 }
 
-// roundHalfScalar is the portable RoundHalf body and the amd64 tail.
+// roundHalfScalar is the portable roundHalf body and the amd64 tail.
 func roundHalfScalar(x []float32) {
 	for i, f := range x {
 		u := math.Float32bits(f)
@@ -253,7 +253,7 @@ func roundHalfScalar(x []float32) {
 // src through binary16 in place (so fp32 consumers see exactly the stored
 // values), writes the fp16 images into b, and reports whether any element
 // overflowed the fp16 range (rounded to ±Inf, or was already non-finite).
-// Per element it is RoundHalf + FromFloats + Overflowed in one pass,
+// Per element it is roundHalf + FromFloats + Overflowed in one pass,
 // bit-for-bit (pinned by TestHalfFusedPathsMatchReference); the overflow
 // flag drives dynamic loss scaling.
 func (b HalfBuffer) FromFloatsRound(src []float32) bool {
@@ -301,7 +301,7 @@ func fromFloatsRoundScalar(b HalfBuffer, src []float32) bool {
 	return overflow
 }
 
-// RoundHalfCheck is RoundHalf with overflow detection: it rounds x through
+// RoundHalfCheck is roundHalf with overflow detection: it rounds x through
 // binary16 in place and reports whether any element left the finite fp16
 // range. Used where the fp16 compute path keeps an fp32-resident tensor
 // (master-copy writeback) but still needs the loss-scaling overflow signal.

@@ -173,7 +173,7 @@ func FuzzHalfRoundTrip(f *testing.F) {
 		enc := NewHalfBuffer(len(src))
 		enc.FromFloats(src)
 		rounded := append([]float32(nil), src...)
-		RoundHalf(rounded)
+		roundHalf(rounded)
 		fused := append([]float32(nil), src...)
 		fusedEnc := NewHalfBuffer(len(src))
 		overflow := fusedEnc.FromFloatsRound(fused)
@@ -236,7 +236,7 @@ func halfProbeValues() []float32 {
 }
 
 // The F16C kernels against the scalar loops, bit for bit: ToFloats over
-// every binary16 pattern, and FromFloats, FromFloatsRound, RoundHalf and
+// every binary16 pattern, and FromFloats, FromFloatsRound, roundHalf and
 // RoundHalfCheck (values and overflow flags) over halfProbeValues and every
 // 251st float32 bit pattern. Chunks of 4099 leave a scalar tail after the
 // lanes, and each chunk's flags are compared on their own.
@@ -268,7 +268,7 @@ func TestHalfLanesMatchScalar(t *testing.T) {
 		r.enc = NewHalfBuffer(len(src))
 		r.enc.FromFloats(src)
 		r.rounded = append([]float32(nil), src...)
-		RoundHalf(r.rounded)
+		roundHalf(r.rounded)
 		r.fused = append([]float32(nil), src...)
 		r.fusedEnc = NewHalfBuffer(len(src))
 		r.fusedFlag = r.fusedEnc.FromFloatsRound(r.fused)
@@ -312,7 +312,7 @@ func TestHalfLanesMatchScalar(t *testing.T) {
 	check(sweep)
 }
 
-// The batch fast paths (FromFloats, ToFloats, RoundHalf) must match the
+// The batch fast paths (FromFloats, ToFloats, roundHalf) must match the
 // scalar reference conversions bit for bit — the goldens and the wire
 // quantization depend on it.
 func TestHalfFastPathsMatchReference(t *testing.T) {
@@ -325,7 +325,7 @@ func TestHalfFastPathsMatchReference(t *testing.T) {
 	enc.FromFloats(probe)
 	rounded := make([]float32, len(probe))
 	copy(rounded, probe)
-	RoundHalf(rounded)
+	roundHalf(rounded)
 	for i, f := range probe {
 		want := FromFloat32(f)
 		if enc[i] != want {
@@ -333,7 +333,7 @@ func TestHalfFastPathsMatchReference(t *testing.T) {
 				f, math.Float32bits(f), enc[i], want)
 		}
 		if got, w := math.Float32bits(rounded[i]), math.Float32bits(want.Float32()); got != w {
-			t.Fatalf("RoundHalf(%v = %#08x) = %#08x, want %#08x",
+			t.Fatalf("roundHalf(%v = %#08x) = %#08x, want %#08x",
 				f, math.Float32bits(f), got, w)
 		}
 	}

@@ -43,7 +43,7 @@ func TestHalfDecodeAllBitPatterns(t *testing.T) {
 }
 
 // The fused round-and-store paths must match the separately pinned
-// FromFloats/RoundHalf conversions bit for bit, and the overflow flag must
+// FromFloats/roundHalf conversions bit for bit, and the overflow flag must
 // agree with Overflowed on the encoded buffer.
 func TestHalfFusedPathsMatchReference(t *testing.T) {
 	probe := halfProbeValues()
@@ -56,7 +56,7 @@ func TestHalfFusedPathsMatchReference(t *testing.T) {
 		wantEnc.FromFloats(chunk)
 		wantRounded := make([]float32, len(chunk))
 		copy(wantRounded, chunk)
-		RoundHalf(wantRounded)
+		roundHalf(wantRounded)
 
 		gotSrc := make([]float32, len(chunk))
 		copy(gotSrc, chunk)

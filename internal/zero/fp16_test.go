@@ -157,19 +157,59 @@ func TestFP16LossScaleBackoffRecovers(t *testing.T) {
 	}
 }
 
-// FP16Compute is incompatible with activation checkpointing (the half path
-// stores activations, it does not recompute them) and must be rejected at
-// construction, before any collective is in flight.
+// FP16Compute composes with activation checkpointing, and checkpointing is
+// bitwise invisible there: at every stage, synchronous and with overlap +
+// prefetch, three steps with Checkpoint walk the same losses to the same
+// halves as three steps without it. The loss scale is low enough that all
+// three steps update.
 func TestFP16ComputeRejectsCheckpoint(t *testing.T) {
-	w := comm.NewWorld(1)
-	w.Run(func(c *comm.Comm) {
-		_, err := New(c, testConfig(), Options{
-			LR: testLR, Seed: testSeed, FP16Compute: true, Checkpoint: true,
+	cfg := testConfig()
+	const n, batch, steps = 4, 4, 3
+	ids, targets := model.SyntheticBatch(19, batch, cfg.Seq, cfg.Vocab)
+	run := func(opts Options) ([]float64, [][]float32) {
+		losses := make([]float64, steps)
+		params := make([][]float32, n)
+		w := comm.NewWorld(n)
+		w.Run(func(c *comm.Comm) {
+			tr, err := New(c, cfg, opts)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer tr.Close()
+			for s := 0; s < steps; s++ {
+				l := tr.Step(ids, targets, batch)
+				if c.Rank() == 0 {
+					losses[s] = l
+				}
+			}
+			if skips := tr.OverflowSteps(); skips != 0 {
+				t.Errorf("rank %d: %d of %d steps overflowed", c.Rank(), skips, steps)
+			}
+			params[c.Rank()] = tr.GatheredParams()
 		})
-		if err == nil {
-			t.Error("New accepted FP16Compute together with Checkpoint")
+		return losses, params
+	}
+	for _, stage := range AllStages {
+		for _, streamed := range []bool{false, true} {
+			opts := Options{
+				Stage: stage, LR: testLR, Seed: testSeed, BucketElems: 100,
+				Overlap: streamed, Prefetch: streamed,
+				FP16Compute: true, InitialLossScale: 1024,
+			}
+			wantL, wantP := run(opts)
+			opts.Checkpoint = true
+			gotL, gotP := run(opts)
+			if !slices.Equal(gotL, wantL) {
+				t.Errorf("%v streamed=%v: losses %v with Checkpoint, want %v", stage, streamed, gotL, wantL)
+			}
+			for r := range wantP {
+				if !slices.Equal(gotP[r], wantP[r]) {
+					t.Errorf("%v streamed=%v rank %d: parameters differ with Checkpoint", stage, streamed, r)
+				}
+			}
 		}
-	})
+	}
 }
 
 // Trainer-level residency gate: with FP16Compute on, the step workspace

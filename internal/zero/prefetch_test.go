@@ -174,9 +174,11 @@ func TestOverlapRunsWithCheckpointStore(t *testing.T) {
 	}
 }
 
-// FP16 wire accounting is native: a mixed-precision step's measured bytes
-// are exactly 2 per element, an fp32 step's exactly 4 — reported by Stats,
-// not reconstructed from elems × convention.
+// fp16 wire accounting is native: an fp32 step's measured bytes are exactly
+// 4 per element, and an fp16 compute step's are 2 per element for every
+// gradient and parameter collective plus 4 for the overflow vote's N-float
+// gather on the priority lane — reported by Stats, not reconstructed from
+// elems × convention.
 func TestNativeByteAccountingPerStep(t *testing.T) {
 	cfg := testConfig()
 	const n, batch = 4, 4
@@ -184,19 +186,23 @@ func TestNativeByteAccountingPerStep(t *testing.T) {
 	for _, fp16 := range []bool{false, true} {
 		w := comm.NewWorld(n)
 		w.Run(func(c *comm.Comm) {
-			tr := MustNew(c, cfg, Options{Stage: StageOSGrad, LR: testLR, Seed: testSeed, FP16: fp16})
+			tr := MustNew(c, cfg, Options{Stage: StageOSGrad, LR: testLR, Seed: testSeed, FP16Compute: fp16})
 			defer tr.Close()
 			tr.Step(ids, targets, batch)
 		})
-		width := int64(4)
-		if fp16 {
-			width = 2
-		}
 		for r := 0; r < n; r++ {
 			st := w.Stats(r)
-			if st.BytesSent != st.ElemsSent*width {
-				t.Errorf("fp16=%v rank %d: %d bytes for %d elems, want width %d",
-					fp16, r, st.BytesSent, st.ElemsSent, width)
+			want := 4 * st.ElemsSent
+			if fp16 {
+				vote := st.PerStream[StreamPriority]
+				if vote != n-1 {
+					t.Errorf("rank %d: %d elems on the priority lane, want the vote's %d", r, vote, n-1)
+				}
+				want = 2*(st.ElemsSent-vote) + 4*vote
+			}
+			if st.BytesSent != want {
+				t.Errorf("fp16=%v rank %d: %d bytes for %d elems, want %d",
+					fp16, r, st.BytesSent, st.ElemsSent, want)
 			}
 		}
 	}

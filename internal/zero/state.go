@@ -91,18 +91,12 @@ func (t *Trainer) Load(s *Snapshot) error {
 		shards[i] = full[dom.Lo:dom.Hi]
 	}
 	t.opt.Restore(shards, s.OptSteps)
-	if t.opts.FP16 {
-		copy(t.master, s.Params[dom.Lo:dom.Hi])
-	}
-	switch {
-	case t.opts.FP16Compute:
+	if t.opts.FP16Compute {
 		// Every rank holds the whole snapshot, so each encodes the full
 		// parameter set itself (what the owners would encode and gather).
+		copy(t.master, s.Params[dom.Lo:dom.Hi])
 		t.Model.ParamsH.FromFloats(s.Params)
-	case t.opts.FP16:
-		tensor.Copy(t.Model.Params, s.Params)
-		quantizeFP16(t.Model.Params)
-	default:
+	} else {
 		tensor.Copy(t.Model.Params, s.Params)
 	}
 	if t.stage == StageFull {
@@ -138,9 +132,9 @@ func (t *Trainer) CaptureShard(dst []float32) ([]float32, Snapshot) {
 	dom := t.optimizerDomain()
 	lo, hi := own.Lo-dom.Lo, own.Hi-dom.Lo
 
-	// The authoritative parameters: the fp32 master under FP16 mode, the
+	// The authoritative parameters: the fp32 master under FP16Compute, the
 	// live slice otherwise.
-	if t.opts.FP16 {
+	if t.opts.FP16Compute {
 		dst = append(dst, t.master[lo:hi]...)
 	} else {
 		dst = append(dst, t.Model.Params[own.Lo:own.Hi]...)

@@ -171,7 +171,7 @@ func TestTopologyVolumeSplitIdentities(t *testing.T) {
 	}
 }
 
-// Full composition under a topology: hierarchical routing + FP16 wire +
+// Full composition under a topology: hierarchical routing + fp16 compute +
 // gradient clipping + activation checkpointing still matches the same
 // configuration's flat-schedule arithmetic contract (sync == overlapped)
 // and moves fp16-native bytes on both hierarchy levels.
@@ -185,7 +185,7 @@ func TestTopologyComposesWithFP16ClipCheckpoint(t *testing.T) {
 		w.Run(func(c *comm.Comm) {
 			tr := MustNew(c, cfg, Options{
 				Stage: StageFull, LR: testLR, Seed: testSeed,
-				FP16: true, ClipNorm: 1, Checkpoint: true, BucketElems: 193,
+				FP16Compute: true, ClipNorm: 1, Checkpoint: true, BucketElems: 193,
 				Overlap: overlap, Prefetch: overlap,
 				Topology: Topology{NodeSize: nodeSize},
 			})
@@ -213,8 +213,8 @@ func TestTopologyComposesWithFP16ClipCheckpoint(t *testing.T) {
 			t.Errorf("no %s traffic recorded", key)
 			continue
 		}
-		// The clip partial gather stays flat and fp32, so only the group
-		// keys are asserted fp16-native (2 B/elem).
+		// The clip partial and overflow vote gathers stay flat and fp32, so
+		// only the group keys are asserted fp16-native (2 B/elem).
 		if tr.Bytes != 2*tr.Elems {
 			t.Errorf("%s: %d bytes for %d elems, want fp16-native 2 B/elem", key, tr.Bytes, tr.Elems)
 		}

@@ -114,24 +114,18 @@ type Options struct {
 	// same set of ordering domains. The caller keeps ownership: Close is
 	// then the caller's job.
 	Scheduler *comm.Scheduler
-	// FP16 simulates mixed-precision training: parameters and gradients
-	// are rounded through binary16 around forward/backward while each
-	// rank's owned fp32 master shard drives the Adam update (§3.1).
-	// Collectives carry F16-typed buffers, so Stats counts 2 bytes per
-	// element natively.
-	FP16 bool
-	// FP16Compute enables the true fp16 compute path: activations and the
-	// parameters the kernels read are *stored* in 2-byte binary16
-	// (model.SetFP16Compute) with fp32 accumulation inside the fused half
+	// FP16Compute is mixed-precision training (§3.1): activations and the
+	// parameters the kernels read are stored in 2-byte binary16
+	// (model.SetFP16Compute) with fp32 accumulation inside the half
 	// kernels, and dynamic loss scaling guards the gradient stream —
 	// overflowing steps are skipped by a group-wide vote so every rank
 	// backs the scale off together. Parameters exist as halves only: each
 	// rank keeps the fp32 master of its optimizer domain, encodes it into
 	// Model.ParamsH once per step, and every parameter all-gather moves
 	// those halves; the Ψ-long fp32 Model.Params is released at
-	// construction. Implies FP16 (the master-copy machinery and fp16-wire
-	// gradients). Incompatible with Checkpoint: the recompute path has no
-	// half-domain equivalent yet (zero.New reports the error).
+	// construction. Gradients are rounded through binary16 before their
+	// reduce-scatter, and every collective is accounted at 2 bytes per
+	// element. Composes with Checkpoint and a Store.
 	FP16Compute bool
 	// InitialLossScale overrides the dynamic loss scaler's starting scale
 	// under FP16Compute (0 = the conventional 2^16).
@@ -182,7 +176,7 @@ type Trainer struct {
 
 	parts    []comm.Range        // global Ψ/Nd partition; parts[rank] is owned
 	opt      optimizer.Optimizer // optimizer over the owned partition (full buffer at stage 0)
-	master   []float32           // fp32 master copy of the optimizer's domain (FP16 mode)
+	master   []float32           // fp32 master copy of the optimizer's domain (FP16Compute)
 	groups   []model.Segment     // layer groups: gather and bucket granularity
 	nodeSize int                 // hierarchical node width; 0 = flat routing
 
@@ -242,12 +236,6 @@ func New(c *comm.Comm, cfg model.Config, opts Options) (*Trainer, error) {
 	if !opts.Stage.Valid() {
 		return nil, fmt.Errorf("zero: unknown stage %v (want StageDDP..StageFull)", opts.Stage)
 	}
-	if opts.FP16Compute {
-		if opts.Checkpoint {
-			return nil, fmt.Errorf("zero: FP16Compute is incompatible with activation checkpointing")
-		}
-		opts.FP16 = true // fp16 compute implies the fp16 master-copy/wire machinery
-	}
 	if opts.Topology.NodeSize != 0 {
 		if err := comm.CheckNodeSize(c.Size(), opts.Topology.NodeSize); err != nil {
 			return nil, fmt.Errorf("zero: topology: %w", err)
@@ -294,13 +282,10 @@ func New(c *comm.Comm, cfg model.Config, opts Options) (*Trainer, error) {
 		sched:    sched,
 		ownSched: ownSched,
 	}
-	if opts.FP16 {
-		t.master = append([]float32(nil), m.Params[optDomain.Lo:optDomain.Hi]...)
-	}
-	switch {
-	case opts.FP16Compute:
+	if opts.FP16Compute {
 		// The round-to-nearest-even encode is the fp16 rounding; from here on
 		// the fp32 values live only in the master shards.
+		t.master = append([]float32(nil), m.Params[optDomain.Lo:optDomain.Hi]...)
 		m.SetFP16Compute(true)
 		m.ReleaseParams()
 		t.scaler = optimizer.NewLossScaler()
@@ -311,8 +296,6 @@ func New(c *comm.Comm, cfg model.Config, opts Options) (*Trainer, error) {
 			t.scaler.GrowthInterval = opts.LossScaleWindow
 		}
 		m.LossScale = float32(t.scaler.Scale)
-	case opts.FP16:
-		quantizeFP16(m.Params) // forward always sees fp16-valued weights
 	}
 	if opts.Stage == StageFull {
 		t.dropUnowned()
@@ -429,19 +412,14 @@ func (t *Trainer) priorityStream() *comm.Stream {
 	return t.priority
 }
 
-// wireDType is the dtype collectives are accounted at: F16 under
-// mixed-precision (gradients and parameters move as 2-byte halves on real
-// wires, §3.1), F32 otherwise.
+// wireDType is the dtype gradient collectives are accounted at: F16 under
+// FP16Compute (gradients move as 2-byte halves on real wires, §3.1), F32
+// otherwise.
 func (t *Trainer) wireDType() comm.DType {
-	if t.opts.FP16 {
+	if t.opts.FP16Compute {
 		return comm.F16
 	}
 	return comm.F32
-}
-
-// wireBuf wraps a flat buffer at the trainer's wire dtype.
-func (t *Trainer) wireBuf(x []float32) comm.Buffer {
-	return comm.Buffer{Data: x, DType: t.wireDType()}
 }
 
 // NodeSize returns the effective hierarchical node width (0 when routing
@@ -471,13 +449,12 @@ func (t *Trainer) allGather(st *comm.Stream, b comm.Buffer, parts []comm.Range) 
 
 // paramBuf is the buffer the parameter all-gathers move: the encoded halves
 // under FP16Compute (2 bytes per element on the wire, landing where the
-// kernels read them), the flat fp32 buffer at the trainer's wire dtype
-// otherwise.
+// kernels read them), the flat fp32 buffer otherwise.
 func (t *Trainer) paramBuf() comm.Buffer {
 	if t.opts.FP16Compute {
 		return comm.HalfBuf(t.Model.ParamsH)
 	}
-	return t.wireBuf(t.Model.Params)
+	return comm.F32Buf(t.Model.Params)
 }
 
 // dropUnowned zeroes every parameter outside the owned partition — the
@@ -741,19 +718,13 @@ func (t *Trainer) Update() {
 	// or the full buffer at stage 0. LAMB steps with per-tensor trust
 	// ratio blocks clipped to the domain.
 	dom := t.optimizerDomain()
-	switch {
-	case t.opts.FP16Compute:
+	if t.opts.FP16Compute {
 		// The owner encodes its stepped master once; the round-to-nearest-
 		// even encode is the fp16 rounding, and from here to the kernels the
 		// parameter exists only as this half.
 		t.stepOptimizer(t.master, t.accum)
 		t.Model.ParamsH[dom.Lo:dom.Hi].FromFloats(t.master)
-	case t.opts.FP16:
-		t.stepOptimizer(t.master, t.accum)
-		p := t.Model.Params[dom.Lo:dom.Hi]
-		copy(p, t.master)
-		tensor.RoundHalf(p)
-	default:
+	} else {
 		t.stepOptimizer(t.Model.Params[dom.Lo:dom.Hi], t.accum)
 	}
 
@@ -1020,7 +991,7 @@ func (t *Trainer) groupBuckets(g model.Segment) []comm.Range {
 // bits — is independent of bucket framing; under a Topology both ops route
 // hierarchically with the same ownership layout.
 func (t *Trainer) reduceBucketAt(i int) comm.Handle {
-	buf := t.wireBuf(t.Model.Grads)
+	buf := comm.Buffer{Data: t.Model.Grads, DType: t.wireDType()}
 	st := t.gradStream()
 	parts := t.plan.parts[i]
 	h := t.reduceScatter(st, buf, parts)
@@ -1030,15 +1001,20 @@ func (t *Trainer) reduceBucketAt(i int) comm.Handle {
 	return h
 }
 
-// submitLayerBuckets quantizes (FP16) and submits one layer group's buckets
-// in plan order. Overlap holds each handle for the wait at the end of
-// Backward, so the reduce-scatter of layer k rides under the compute of
-// layers k-1..0 (§7.2's communication/computation overlap); otherwise the
-// handle is waited where it is submitted.
+// submitLayerBuckets submits one layer group's buckets in plan order.
+// Overlap holds each handle for the wait at the end of Backward, so the
+// reduce-scatter of layer k rides under the compute of layers k-1..0
+// (§7.2's communication/computation overlap); otherwise the handle is
+// waited where it is submitted. Under FP16Compute the group's gradients
+// are rounded through binary16 for the wire first, and the rounding feeds
+// overflow detection: a loss-scaled weight gradient can exceed the fp16
+// range even when every activation store stayed finite.
 func (t *Trainer) submitLayerBuckets(layer int) {
-	if t.opts.FP16 {
+	if t.opts.FP16Compute {
 		g := t.layerGroup(layer)
-		t.quantizeGrads(t.Model.Grads[g.Lo:g.Hi])
+		if tensor.RoundHalfCheck(t.Model.Grads[g.Lo:g.Hi]) {
+			t.overflow = true
+		}
 	}
 	for _, i := range t.plan.byLayer[layer] {
 		h := t.reduceBucketAt(i)
@@ -1048,27 +1024,6 @@ func (t *Trainer) submitLayerBuckets(layer int) {
 			h.Wait()
 		}
 	}
-}
-
-// quantizeFP16 rounds every value through binary16 in place, simulating
-// fp16 storage of a buffer whose arithmetic happens in fp32.
-func quantizeFP16(x []float32) {
-	comm.F16Buf(x).Quantize()
-}
-
-// quantizeGrads rounds a gradient range through binary16 for the wire.
-// Under FP16Compute the same rounding also feeds overflow detection
-// (RoundHalfCheck produces bitwise-identical values to Quantize) — a
-// loss-scaled weight gradient can exceed the fp16 range even when every
-// activation store stayed finite.
-func (t *Trainer) quantizeGrads(x []float32) {
-	if t.opts.FP16Compute {
-		if tensor.RoundHalfCheck(x) {
-			t.overflow = true
-		}
-		return
-	}
-	quantizeFP16(x)
 }
 
 // ModelStateBytes returns this rank's resident model-state bytes under the

@@ -31,8 +31,8 @@ func MustNew(c *comm.Comm, cfg model.Config, opts Options) *Trainer {
 }
 
 // runZeRO trains `steps` steps at the given stage/world size and returns
-// every rank's final full parameter buffer (stage 3 gathers before
-// reporting).
+// every rank's final full parameter buffer (GatheredParams: stage 3
+// gathers before reporting, and fp16 compute reports the halves).
 func runZeRO(t *testing.T, cfg model.Config, stage Stage, n, steps int, opts Options,
 	ids, targets []int, batch int) [][]float32 {
 	t.Helper()
@@ -44,10 +44,7 @@ func runZeRO(t *testing.T, cfg model.Config, stage Stage, n, steps int, opts Opt
 		for s := 0; s < steps; s++ {
 			tr.Step(ids, targets, batch)
 		}
-		if stage == StageFull {
-			tr.gatherParams() // re-materialize for comparison
-		}
-		out[c.Rank()] = append([]float32(nil), tr.Model.Params...)
+		out[c.Rank()] = tr.GatheredParams()
 	})
 	return out
 }
@@ -184,14 +181,14 @@ func TestStage3ResidencyAndShards(t *testing.T) {
 	})
 }
 
-// FP16 mode: all three stages execute the identical sequence of rounded
+// fp16 compute: all three stages execute the identical sequence of rounded
 // operations, so they agree bitwise with each other, and training still
 // learns.
 func TestFP16StagesAgreeAndLearn(t *testing.T) {
 	cfg := model.Config{Layers: 2, Hidden: 32, Heads: 4, Vocab: 13, Seq: 12}
 	const n, batch, steps = 2, 4, 15
 	ids, targets := model.SyntheticBatch(17, batch, cfg.Seq, cfg.Vocab)
-	opts := Options{LR: 5e-3, Seed: 23, FP16: true}
+	opts := Options{LR: 5e-3, Seed: 23, FP16Compute: true}
 
 	s1 := runZeRO(t, cfg, StageOS, n, steps, opts, ids, targets, batch)
 	s2 := runZeRO(t, cfg, StageOSGrad, n, steps, opts, ids, targets, batch)
@@ -207,8 +204,9 @@ func TestFP16StagesAgreeAndLearn(t *testing.T) {
 	w := comm.NewWorld(n)
 	losses := make([]float64, n)
 	firsts := make([]float64, n)
+	opts.Stage = StageOSGrad
 	w.Run(func(c *comm.Comm) {
-		tr := MustNew(c, cfg, Options{Stage: StageOSGrad, LR: 5e-3, Seed: 23, FP16: true})
+		tr := MustNew(c, cfg, opts)
 		for s := 0; s < steps; s++ {
 			l := tr.Step(ids, targets, batch)
 			if s == 0 {

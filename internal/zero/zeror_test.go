@@ -1,6 +1,7 @@
 package zero
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -115,43 +116,55 @@ func TestPartitionedStoreCPUOffload(t *testing.T) {
 
 // End-to-end Pa: a model trained with checkpoints routed through a
 // PartitionedStore (ranks running replicated compute, as an MP group does
-// for activations) must match inline checkpointing bitwise.
+// for activations) must match inline checkpointing and the run without
+// checkpointing bitwise, in both precisions. Under fp16 compute a store
+// receives the rounded fp32 image of each block input, so Pa's checkpoint
+// stream carries what it carries in fp32: one all-gather of the M·h block
+// input per block, accounted at 2 B/elem.
 func TestPaTrainingMatchesInline(t *testing.T) {
 	cfg := model.Config{Layers: 3, Hidden: 16, Heads: 2, Vocab: 17, Seq: 8}
-	ids, targets := model.SyntheticBatch(31, 2, cfg.Seq, cfg.Vocab)
-
-	// Reference: single process with inline checkpointing.
-	ref := model.New(cfg, 5)
-	ref.Checkpoint = true
-	ref.Store = NewInlineStore()
-	ref.ZeroGrads()
-	refLoss := ref.Loss(ids, targets, 2)
-	ref.Backward()
-
-	// MP-replicated group: every rank runs the same data through the same
-	// model, checkpoints partitioned across the group.
-	const n = 4
-	w := comm.NewWorld(n)
-	losses := make([]float64, n)
-	grads := make([][]float32, n)
-	w.Run(func(c *comm.Comm) {
+	const n, batch = 4, 2
+	ids, targets := model.SyntheticBatch(31, batch, cfg.Seq, cfg.Vocab)
+	step := func(fp16 bool, store model.CheckpointStore) (float64, []float32) {
 		m := model.New(cfg, 5)
-		m.Checkpoint = true
-		st, closeSched := checkpointStream(c)
-		defer closeSched()
-		m.Store = NewPartitionedStore(st, false)
+		if fp16 {
+			m.SetFP16Compute(true)
+			m.LossScale = 1024
+		}
+		m.Checkpoint, m.Store = store != nil, store
 		m.ZeroGrads()
-		losses[c.Rank()] = m.Loss(ids, targets, 2)
+		loss := m.Loss(ids, targets, batch)
 		m.Backward()
-		grads[c.Rank()] = m.Grads
-	})
-	for r := 0; r < n; r++ {
-		if losses[r] != refLoss {
-			t.Errorf("rank %d loss %v != reference %v", r, losses[r], refLoss)
+		return loss, m.Grads
+	}
+
+	var paElems [2]int64
+	for i, fp16 := range []bool{false, true} {
+		refLoss, refGrads := step(fp16, nil)
+		if loss, grads := step(fp16, NewInlineStore()); loss != refLoss || !slices.Equal(grads, refGrads) {
+			t.Errorf("fp16=%v inline: loss %v (want %v), gradients equal: %v",
+				fp16, loss, refLoss, slices.Equal(grads, refGrads))
 		}
-		if d := tensor.MaxDiff(grads[r], ref.Grads); d != 0 {
-			t.Errorf("rank %d grads differ from inline-checkpoint reference by %g", r, d)
+		// MP-replicated group: every rank runs the same data through the
+		// same model, checkpoints partitioned across the group.
+		w := comm.NewWorld(n)
+		w.Run(func(c *comm.Comm) {
+			st, closeSched := checkpointStream(c)
+			defer closeSched()
+			loss, grads := step(fp16, NewPartitionedStore(st, false))
+			if loss != refLoss || !slices.Equal(grads, refGrads) {
+				t.Errorf("fp16=%v rank %d Pa: loss %v (want %v), gradients equal: %v",
+					fp16, c.Rank(), loss, refLoss, slices.Equal(grads, refGrads))
+			}
+		})
+		st := w.Stats(0)
+		paElems[i] = st.PerStream[StreamCheckpoint]
+		if st.BytesSent != 2*st.ElemsSent {
+			t.Errorf("fp16=%v: Pa sent %d bytes for %d elems, want 2 B/elem", fp16, st.BytesSent, st.ElemsSent)
 		}
+	}
+	if want := int64(cfg.Layers * batch * cfg.Seq * cfg.Hidden * (n - 1) / n); paElems != [2]int64{want, want} {
+		t.Errorf("Pa checkpoint elems per rank (fp32, fp16) = %v, want %d each", paElems, want)
 	}
 }
 
