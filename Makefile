@@ -59,8 +59,9 @@ configcheck:
 # JSON loader (reject, or save → load to the identical vocab, with
 # allocation linear in the input), the fp32↔fp16 conversion surface (batch
 # encoders vs the scalar reference), GELU/GELUBackward/softmax on the
-# exp/tanh lane kernels and every matmul kernel on the AVX tiles and F16C
-# decode (each bitwise the scalar reference), the Adam lane kernel on any
+# exp/tanh lane kernels and every matmul kernel on both register-tile tiers
+# (8×32 ZMM and 4×16 YMM) and F16C decode (each bitwise the scalar
+# reference), the Adam lane kernel on any
 # moments, gradients and step (bitwise the scalar loop), a ring reduce-scatter then
 # all-gather over random partitions with empty ranges (bitwise the
 # ring-order sum, one message per non-empty chunk hop), the ZELC snapshot

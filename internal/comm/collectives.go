@@ -160,20 +160,22 @@ func (c *Comm) Reduce(x []float32, root int) {
 
 // Gather collects each member's shard to the root member. shard lengths may
 // differ per member; root receives them in group-rank order into out
-// (caller-sized). Non-root members pass out == nil.
+// (caller-sized), refilling each slot in place — a root that gathers into
+// the same out every time allocates only when a shard outgrows its slot.
+// Non-root members pass out == nil.
 func (c *Comm) Gather(shard []float32, root int, out [][]float32) {
 	c.checkRoot(root)
 	if c.pos == root {
 		if len(out) != c.Size() {
 			panic("comm: Gather out must have one slot per group member")
 		}
-		out[root] = append([]float32(nil), shard...)
+		out[root] = append(out[root][:0], shard...)
 		for r := 0; r < c.Size(); r++ {
 			if r == root {
 				continue
 			}
 			data := c.recv("gather", r)
-			out[r] = append([]float32(nil), data...)
+			out[r] = append(out[r][:0], data...)
 			c.release(data)
 		}
 		return

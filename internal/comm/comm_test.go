@@ -231,6 +231,57 @@ func TestGather(t *testing.T) {
 	}
 }
 
+// A root that gathers into the same out every call refills its slots in
+// place: once warm, the gather allocates nothing on the root (counted as
+// TestAllReduceSteadyStateAllocsZero counts, with its slack for the wire
+// pool), and each call's slots hold that call's shards.
+func TestGatherIntoSameOutAllocsZero(t *testing.T) {
+	const n, elems, warm, calls, slack = 4, 1000, 10, 50, 2
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	w := NewWorld(n)
+	var allocs uint64
+	out := make([][]float32, n)
+	gather := func(c *Comm, shard []float32, call int) {
+		for i := range shard {
+			shard[i] = float32(call*n + c.Rank())
+		}
+		if c.Rank() != 0 {
+			c.Gather(shard, 0, nil)
+			return
+		}
+		c.Gather(shard, 0, out)
+		for r, slot := range out {
+			if len(slot) != elems+r || slot[0] != float32(call*n+r) || slot[len(slot)-1] != float32(call*n+r) {
+				t.Errorf("call %d slot %d: len %d, ends %v %v", call, r, len(slot), slot[0], slot[len(slot)-1])
+			}
+		}
+	}
+	w.Run(func(c *Comm) {
+		shard := make([]float32, elems+c.Rank()) // shard lengths differ per rank
+		for i := 0; i < warm; i++ {
+			gather(c, shard, i)
+		}
+		c.Barrier()
+		var m0, m1 runtime.MemStats
+		if c.Rank() == 0 {
+			runtime.ReadMemStats(&m0)
+		}
+		c.Barrier()
+		for i := 0; i < calls; i++ {
+			gather(c, shard, warm+i)
+		}
+		c.Barrier()
+		if c.Rank() == 0 {
+			runtime.ReadMemStats(&m1)
+			allocs = m1.Mallocs - m0.Mallocs
+		}
+		c.Barrier()
+	})
+	if allocs > slack {
+		t.Errorf("%d warm %d-rank Gathers into the same out allocated %d objects, want 0 (slack %d)", calls, n, allocs, slack)
+	}
+}
+
 func TestBarrier(t *testing.T) {
 	n := 8
 	w := NewWorld(n)

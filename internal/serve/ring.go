@@ -28,9 +28,10 @@ type Record struct {
 	// cumulative elements sent on it by rank 0.
 	PerStream map[string]int64 `json:"per_stream,omitempty"`
 	// Allocs is the process-wide heap allocation count delta over the
-	// step — an upper bound on the job's own allocations when worlds
-	// share the process, and the live view of the zero-allocation
-	// steady-state contract when one job runs alone.
+	// step (mallocCounter: small objects count when their span leaves a
+	// P's cache, so a step's figure can shift into a neighbour) — the
+	// live view of the zero-allocation steady-state contract when one job
+	// runs alone.
 	Allocs uint64 `json:"allocs"`
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -131,5 +132,36 @@ func TestRingGiveUpOnWake(t *testing.T) {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("Wake did not release the blocked reader")
+	}
+}
+
+var mallocSink []byte
+
+// The per-step record's allocation counter reads what MemStats.Mallocs
+// sums without stopping the world. Right after ReadMemStats has flushed
+// every P's cache the two agree (retried, in case a background goroutine
+// allocates between the reads), and k allocations move it by at least k —
+// large ones, which the runtime counts as they happen, where a small one
+// counts when its span leaves the cache.
+func TestMallocCounterMatchesMemStats(t *testing.T) {
+	mc := newMallocCounter()
+	var ms runtime.MemStats
+	var got uint64
+	for try := 0; try < 10; try++ {
+		runtime.ReadMemStats(&ms)
+		if got = mc.read(); got == ms.Mallocs {
+			break
+		}
+	}
+	if got != ms.Mallocs {
+		t.Fatalf("mallocCounter read %d right after MemStats.Mallocs = %d", got, ms.Mallocs)
+	}
+	const k = 8
+	before := mc.read()
+	for i := 0; i < k; i++ {
+		mallocSink = make([]byte, 64<<10)
+	}
+	if d := mc.read() - before; d < k {
+		t.Errorf("%d allocations moved mallocCounter by %d, want ≥ %d", k, d, k)
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"runtime"
+	"runtime/metrics"
 	"sync"
 
 	"repro/internal/comm"
@@ -332,9 +332,10 @@ func (s *Scheduler) runAttempt(j *Job, cfg engine.Config, resume *zero.Snapshot,
 			defer snapper.Flush(e.Rank())
 		}
 		if e.Rank() == 0 {
-			lastMallocs := mallocs()
+			mc := newMallocCounter()
+			lastMallocs := mc.read()
 			e.Observe(func(info engine.StepInfo) {
-				now := mallocs()
+				now := mc.read()
 				st := w.Stats(0)
 				j.ring.Append(Record{
 					Step:          info.Step,
@@ -404,9 +405,19 @@ func (s *Scheduler) runAttempt(j *Job, cfg engine.Config, resume *zero.Snapshot,
 	return res
 }
 
-// mallocs reads the process-wide cumulative heap allocation count.
-func mallocs() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.Mallocs
+// mallocCounter reads the process-wide cumulative heap allocation count,
+// MemStats.Mallocs, from the two runtime/metrics counters it sums — without
+// ReadMemStats stopping the world. The runtime counts a small object when
+// the span it came from leaves its P's cache (ReadMemStats flushes every
+// cache first), so a step's delta can shift by up to a span per size class
+// into a neighbouring step; a step that allocates nothing moves neither.
+type mallocCounter [2]metrics.Sample
+
+func newMallocCounter() *mallocCounter {
+	return &mallocCounter{{Name: "/gc/heap/allocs:objects"}, {Name: "/gc/heap/tiny/allocs:objects"}}
+}
+
+func (m *mallocCounter) read() uint64 {
+	metrics.Read(m[:])
+	return m[0].Value.Uint64() + m[1].Value.Uint64()
 }

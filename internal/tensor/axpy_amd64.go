@@ -3,7 +3,7 @@
 package tensor
 
 // SSE implementations of the axpy inner loops (axpy_amd64.s) and the AVX
-// register-blocked tile (gemm_amd64.s). The vector lanes map to distinct
+// and AVX-512 register-blocked tiles (gemm_amd64.s). The vector lanes map to distinct
 // output elements, so every element folds its products in exactly the
 // scalar order — the assembly is bitwise interchangeable with the
 // fallbacks in axpy_generic.go, and kernels built on these helpers produce
@@ -51,6 +51,17 @@ func gemmTile(c, a, b []float32, n, ars, aps, k int, add bool)
 //
 //go:noescape
 func gemmTileH(c, a []float32, b []Half, n, ars, aps, k int, add bool)
+
+// gemmTileZ folds an 8×32 block of C as gemmTile folds its 4×16 one, in
+// ZMM registers. It needs AVX-512F (useZMM); same slicing contract.
+//
+//go:noescape
+func gemmTileZ(c, a, b []float32, n, ars, aps, k int, add bool)
+
+// gemmTileZH is gemmTileZ over a binary16 B read in place, as gemmTileH.
+//
+//go:noescape
+func gemmTileZH(c, a []float32, b []Half, n, ars, aps, k int, add bool)
 
 // gemmTile8 folds an 8×8 block of C over k ≥ 1 steps: for r < 8, x < 8,
 //

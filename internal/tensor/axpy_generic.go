@@ -40,14 +40,23 @@ func ov4(c, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
 	}
 }
 
-// gemmTile, gemmTileH and gemmTile8 are the amd64 tiles' stand-ins;
-// useLanes is false here, so the kernels never call them.
+// gemmTile, gemmTileH, gemmTileZ, gemmTileZH and gemmTile8 are the amd64
+// tiles' stand-ins; useLanes and useZMM are false here, so the kernels
+// never call them.
 func gemmTile(c, a, b []float32, n, ars, aps, k int, add bool) {
 	tileRef(c, a, n, ars, aps, k, add, 4, 16, func(i int) float32 { return b[i] })
 }
 
 func gemmTileH(c, a []float32, b []Half, n, ars, aps, k int, add bool) {
 	tileRef(c, a, n, ars, aps, k, add, 4, 16, func(i int) float32 { return halfVal(b[i]) })
+}
+
+func gemmTileZ(c, a, b []float32, n, ars, aps, k int, add bool) {
+	tileRef(c, a, n, ars, aps, k, add, 8, 32, func(i int) float32 { return b[i] })
+}
+
+func gemmTileZH(c, a []float32, b []Half, n, ars, aps, k int, add bool) {
+	tileRef(c, a, n, ars, aps, k, add, 8, 32, func(i int) float32 { return halfVal(b[i]) })
 }
 
 func gemmTile8(c, a, b []float32, n, ars, aps, k int, add bool) {

@@ -29,9 +29,33 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() uint32
 
 // useLanes selects every vector kernel that needs more than SSE2: the
-// exp/tanh lanes, the AVX matmul tile (gemm_amd64.s) and the F16C half
+// exp/tanh lanes, the AVX matmul tiles (gemm_amd64.s) and the F16C half
 // conversions (half_amd64.s). Tests clear it to run the scalar reference.
 var useLanes = hasLaneISA()
+
+// useZMM selects the 512-bit matmul tiles (gemmTileZ, gemmTileZH) over the
+// 4×16 YMM ones. Tests clear it to run the YMM tier.
+var useZMM = hasZMMTier()
+
+// hasZMMTier probes the 512-bit tier. The lane probe has seen CPUID leaf 7
+// and OSXSAVE, which CPUID.7 and XGETBV need, so it runs only behind it.
+func hasZMMTier() bool {
+	if !useLanes {
+		return false
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	return zmmTier(true, ebx, xgetbv0())
+}
+
+// zmmTier reports whether the 512-bit tiles may run, given the lane probe,
+// CPUID.(7,0):EBX and XCR0: the lanes, AVX-512F (EBX bit 16), and the OS
+// saving XMM, YMM, opmask and both halves of the ZMM file (XCR0 bits 1, 2,
+// 5, 6 and 7).
+func zmmTier(lanes bool, ebx7, xcr0 uint32) bool {
+	const avx512f = 1 << 16
+	const state = 1<<1 | 1<<2 | 1<<5 | 1<<6 | 1<<7
+	return lanes && ebx7&avx512f != 0 && xcr0&state == state
+}
 
 // hasLaneISA reports AVX, AVX2, FMA and F16C, with the OS saving XMM and
 // YMM state (OSXSAVE, and XCR0 bits 1 and 2).

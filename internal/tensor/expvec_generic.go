@@ -4,11 +4,11 @@ package tensor
 
 import "math"
 
-// Scalar stand-ins for the amd64 lane kernels. useLanes is false here, so
-// the kernels run their scalar loops; these keep the chunked paths
+// Scalar stand-ins for the amd64 lane kernels. useLanes and useZMM are
+// false here, so the kernels run their scalar loops; these keep the chunked paths
 // compiling, and bitwise, if a test sets it.
 
-var useLanes = false
+var useLanes, useZMM = false, false
 
 func expLanes(dst, src []float64) uint64 {
 	for i := range dst {

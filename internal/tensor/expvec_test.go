@@ -12,12 +12,45 @@ import (
 // never runs and each test says so.
 
 // scalarRef runs f with the lane kernels off: one math.Tanh or math.Exp
-// call per element.
+// call per element, and the matmul fold on the axpy sweep.
 func scalarRef(f func()) {
-	saved := useLanes
-	useLanes = false
-	defer func() { useLanes = saved }()
+	saved, savedZ := useLanes, useZMM
+	useLanes, useZMM = false, false
+	defer func() { useLanes, useZMM = saved, savedZ }()
 	f()
+}
+
+// ymmRef runs f with the 512-bit tier off, so the matmul fold's blocks run
+// on the 4×16 YMM tiles.
+func ymmRef(f func()) {
+	saved := useZMM
+	useZMM = false
+	defer func() { useZMM = saved }()
+	f()
+}
+
+// foldTiers are the ways the matmul fold runs: the 8×32 ZMM tiles, the
+// 4×16 YMM tiles and the scalar reference.
+var foldTiers = []string{"zmm", "ymm", "scalar"}
+
+// onTier runs f with the matmul fold on the named tier, or skips t, giving
+// the reason, where this CPU or OS cannot run that tier.
+func onTier(t *testing.T, tier string, f func()) {
+	t.Helper()
+	switch tier {
+	case "zmm":
+		if !useZMM {
+			t.Skip("CPU or OS lacks AVX-512F with opmask and ZMM state: the 512-bit tier never runs here")
+		}
+		f()
+	case "ymm":
+		if !useLanes {
+			t.Skip("CPU lacks AVX2/FMA/F16C: the YMM tier never runs here")
+		}
+		ymmRef(f)
+	default:
+		scalarRef(f)
+	}
 }
 
 func logScalarOnly(t *testing.T) {

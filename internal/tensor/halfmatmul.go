@@ -4,11 +4,12 @@ package tensor
 // only how a tensor is stored and every product accumulates in fp32. A
 // HalfBuffer operand decodes into the fp32 fold where it lies, as the fold
 // reaches it:
-//   - MatMul's B, with the lane kernels on: the 4×16 tile converts each row
-//     segment on load (gemmTileH), and the tile's column and row tails
-//     decode only their own strips onto the stack (foldStrips). Without the
-//     lanes B decodes whole into pooled scratch (floats).
-//   - MatMul's and MatMulBT's A: 4-row panels on the stack (matMulHFRange).
+//   - MatMul's B, with the lane kernels on: the 8×32 and 4×16 tiles convert
+//     each row segment on load (gemmTileZH, gemmTileH), and the tiles'
+//     column and row tails decode only their own strips onto the stack
+//     (foldStrips). Without the lanes B decodes whole into pooled scratch
+//     (floats).
+//   - MatMul's and MatMulBT's A: 8-row panels on the stack (matMulHFRange).
 //   - MatMulBT's B: 8-row panels on the stack when it folds Cᵀ (foldBT);
 //     otherwise decoded and transposed into scratch in one pass
 //     (transposeHalfInto), which also serves the Cᵀ fold's A.
@@ -39,17 +40,17 @@ func release[S Operand](s S, f []float32) {
 }
 
 // matMulHFRange computes rows [lo,hi) of C = A·B with fp16 A coefficients.
-// A panel of up to four rows × 256 coefficients decodes into a stack buffer
-// and folds through foldRows — 4×16 tiles with the lane kernels on —
-// overwriting C on the first panel and accumulating after it. halfDecode is
-// bitwise halfVal per element and every panel continues the same
-// ascending-p fold, so each element matches the fp32 A's single fold on the
-// decoded operands exactly.
+// A panel of up to eight rows × 256 coefficients decodes into a stack
+// buffer and folds through foldRows — an 8×32 tile with the 512-bit tier
+// on, 4×16 tiles with the lane kernels — overwriting C on the first panel
+// and accumulating after it. halfDecode is bitwise halfVal per element and
+// every panel continues the same ascending-p fold, so each element matches
+// the fp32 A's single fold on the decoded operands exactly.
 func matMulHFRange(c []float32, a HalfBuffer, b bOperand, k, n, lo, hi int) {
 	const panel = 256
-	var buf [4 * panel]float32
-	for i := lo; i < hi; i += 4 {
-		rows := min(4, hi-i)
+	var buf [8 * panel]float32
+	for i := lo; i < hi; i += 8 {
+		rows := min(8, hi-i)
 		// k == 0 still runs one empty panel, which zeroes C.
 		for p0 := 0; p0 == 0 || p0 < k; p0 += panel {
 			cl := min(panel, k-p0)

@@ -14,28 +14,31 @@ package tensor
 // Every orientation is one fold (foldRows) of B's rows: MatMulBT either
 // transposes B into pooled scratch first or, for few rows, folds Cᵀ = B·Aᵀ
 // and transposes A and the result instead (mulBTFold), and the Aᵀ
-// orientations keep the transpose in the coefficient indexing. Where the
-// CPU has the lane features, 4-row × 16-column blocks of C stay in AVX
-// registers for the whole reduction (gemm_amd64.s) — gemmTileH reads a
-// half B in place — and Cᵀ folds in 8×8 blocks (gemmTile8); the column and
-// row tails, and every block elsewhere, run the axpy sweep (axpy_amd64.s /
-// axpy_generic.go), where each output row is a contiguous vector that up
-// to four input rows fold into per pass. Blocking and vectorization only
-// span output elements — every element still folds its products left to
-// right in the same operand order as the naive triple loop (ascending p for
-// MatMul/MatMulBT, ascending i for the Aᵀ orientations, B's value the
-// first multiplicand), and neither the assembly nor the Go compiler
-// contracts a*b+c into an FMA — so results are bitwise identical to the
-// scalar reference on every architecture and the stage-equivalence goldens
-// hold exactly. The fold starts from the first product, not from +0, so an
+// orientations keep the transpose in the coefficient indexing. The fold
+// has three tiers. Where the CPU and OS have AVX-512 (useZMM), 8-row ×
+// 32-column blocks of C stay in ZMM registers for the whole reduction;
+// where they have the lane features, the 4-row × 16-column blocks left
+// over (or, on AVX2-only CPUs, all of them) stay in YMM registers
+// (gemm_amd64.s) — gemmTileZH and gemmTileH read a half B in place — and
+// Cᵀ folds in 8×8 blocks (gemmTile8); the column and row tails, and every
+// block elsewhere, run the axpy sweep (axpy_amd64.s / axpy_generic.go),
+// where each output row is a contiguous vector that up to four input rows
+// fold into per pass. Blocking and vectorization only span output elements
+// — every element still folds its products left to right in the same
+// operand order as the naive triple loop (ascending p for MatMul/MatMulBT,
+// ascending i for the Aᵀ orientations, B's value the first multiplicand),
+// and neither the assembly nor the Go compiler contracts a*b+c into an FMA
+// — so results are bitwise identical to the scalar reference on every
+// architecture and the stage-equivalence goldens hold exactly. The fold starts from the first product, not from +0, so an
 // overwritten element whose products are all −0 is −0 — at every shape, on
 // every path.
 //
 // Kernels fan out over a persistent worker pool (pool.go) when the problem
 // is large enough to amortize the handoff — the same compute/communication
 // granularity argument the ZeRO paper makes for data parallelism applies
-// inside a rank. Row kernels split output rows; a single output row folded
-// from an fp32 operand (a matvec) splits output columns instead.
+// inside a rank. Row kernels split output rows at multiples of the active
+// tile height; a single output row folded from an fp32 operand (a matvec)
+// splits output columns instead.
 
 // parallelThreshold is the number of fused multiply-adds below which a
 // matmul stays on the calling goroutine.
@@ -226,13 +229,11 @@ func matMulAT[S Operand](c []float32, a, b S, m, k, n int, add bool) {
 // and (1, k) reads it by columns (the Aᵀ orientations, where the transpose
 // stays in the indexing). Without add the fold overwrites C.
 //
-// With the lane kernels on, four rows at a time run as 4×16 register tiles
-// (gemmTile, or gemmTileH on a half B), column tile outermost so each
-// 16-column panel of B serves every row block from cache; the column tail
-// (n mod 16) and the row tail (hi-lo mod 4) run on foldCols, through stack
-// strips for a half B (foldStrips). Tiles and axpy sweep all compute each
-// element as the strict left fold over ascending p, so the paths are
-// bitwise identical.
+// With the 512-bit tier on (useZMM), eight rows at a time run as 8×32
+// register tiles over the 32-column panels (gemmTileZ, or gemmTileZH on a
+// half B), column panel outermost so each panel of B serves every row
+// block from cache; foldYMM then takes those rows' last n mod 32 columns
+// and every row past the last full 8-row block.
 func foldRows(c, a []float32, ars, aps int, b bOperand, k, n, lo, hi int, add bool) {
 	if k == 0 { // A may be empty: no coefficient to index
 		if !add {
@@ -240,12 +241,42 @@ func foldRows(c, a []float32, ars, aps int, b bOperand, k, n, lo, hi int, add bo
 		}
 		return
 	}
+	if useZMM && n >= 32 && hi-lo >= 8 {
+		n32, h8 := n&^31, lo+(hi-lo)&^7
+		aExt := 7*ars + (k-1)*aps + 1 // one tile's coefficients
+		bExt := (k-1)*n + 32          // one tile's B panel
+		for j := 0; j < n32; j += 32 {
+			for r := lo; r < h8; r += 8 {
+				cr, ar := c[r*n+j:(r+7)*n+j+32], a[r*ars:r*ars+aExt]
+				if b.h != nil {
+					gemmTileZH(cr, ar, b.h[j:j+bExt], n, ars, aps, k, add)
+				} else {
+					gemmTileZ(cr, ar, b.f[j:j+bExt], n, ars, aps, k, add)
+				}
+			}
+		}
+		if n32 < n {
+			foldYMM(c, a, ars, aps, b, k, n, lo, h8, n32, add)
+		}
+		lo = h8
+	}
+	foldYMM(c, a, ars, aps, b, k, n, lo, hi, 0, add)
+}
+
+// foldYMM computes rows [lo,hi) × columns [j0,n) of foldRows' C. With the
+// lane kernels on, four rows at a time run as 4×16 register tiles
+// (gemmTile, or gemmTileH on a half B), column tile outermost; the column
+// tail ((n-j0) mod 16) and the row tail ((hi-lo) mod 4) run on foldCols,
+// through stack strips for a half B (foldStrips). Both tiers' tiles and the
+// axpy sweep all compute each element as the strict left fold over
+// ascending p, so the paths are bitwise identical.
+func foldYMM(c, a []float32, ars, aps int, b bOperand, k, n, lo, hi, j0 int, add bool) {
 	i := lo
-	if useLanes && n >= 16 {
-		n16, h4 := n&^15, lo+(hi-lo)&^3
-		aExt := 3*ars + (k-1)*aps + 1 // one tile's coefficients
-		bExt := (k-1)*n + 16          // one tile's B panel
-		for j := 0; j < n16; j += 16 {
+	if useLanes && n-j0 >= 16 {
+		n16, h4 := j0+(n-j0)&^15, lo+(hi-lo)&^3
+		aExt := 3*ars + (k-1)*aps + 1
+		bExt := (k-1)*n + 16
+		for j := j0; j < n16; j += 16 {
 			for r := lo; r < h4; r += 4 {
 				cr, ar := c[r*n+j:(r+3)*n+j+16], a[r*ars:r*ars+aExt]
 				if b.h != nil {
@@ -260,7 +291,7 @@ func foldRows(c, a []float32, ars, aps int, b bOperand, k, n, lo, hi int, add bo
 		}
 		i = h4
 	}
-	foldTail(c, a, ars, aps, b, k, n, i, hi, 0, add)
+	foldTail(c, a, ars, aps, b, k, n, i, hi, j0, add)
 }
 
 // foldTail folds rows [lo,hi) × columns [j0,n) of C on the axpy sweep.

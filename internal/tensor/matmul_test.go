@@ -219,8 +219,9 @@ func TestMatMulDimensionPanic(t *testing.T) {
 // FuzzMatMulLanes takes the shape from the first three bytes and reads the
 // rest as operand bits — float32 words for the f32 operands, binary16 words
 // for the half ones, any pattern: NaN payloads, ±Inf, ±0, subnormals. It
-// checks all four orientations on both operand types with the lane kernels
-// on against the same call with them off, bit for bit. Shapes reach past
+// checks all four orientations on both operand types on the ZMM tier and
+// on the YMM tier against the same call on the scalar reference, bit for
+// bit. Shapes reach past
 // parallelThreshold, so the pool splits run too, and few-row MatMulBT
 // shapes, where the lanes fold Cᵀ and the scalar run transposes B.
 func FuzzMatMulLanes(f *testing.F) {
@@ -236,6 +237,14 @@ func FuzzMatMulLanes(f *testing.F) {
 	f.Add(append([]byte{40, 40, 70}, word(0x3f000000, 0xc0000000, 0x7c01fc00, 0x00400000)...))
 	f.Add(append([]byte{7, 0x80 | 47, 0x80 | 73}, word(0x3f800000, 0x7fc0beef, 0xbe000000, 0x7e017c02)...))
 	f.Add(append([]byte{15, 0x80 | 6, 0x80 | 8}, word(0x40000000, 0xffc00001, 0x3d000000, 0x80000001)...))
+	// The 8×32 tiles: one full block at k = 1 over ±0 and ±Inf; two blocks
+	// by two panels over NaN payloads; 8 + 4 rows by 32 + 16 columns with
+	// −0 products; and 16 + 4 rows by 32 + 16 + 15 columns at k = 264, past
+	// a half A's first 256-step panel, over fp16 NaN payloads, ±Inf and ±0.
+	f.Add(append([]byte{7, 1, 31}, word(0x3f800000, 0x80000000, 0x7f800000, 0xff800000, 0x00000000)...))
+	f.Add(append([]byte{15, 5, 63}, word(0x7fc00123, 0xffc0beef, 0x3e99999a, 0xc0400000, 0x7f800001)...))
+	f.Add(append([]byte{11, 12, 47}, word(0x80000000, 0x3f800000, 0x80000000, 0xbf800000)...))
+	f.Add(append([]byte{19, 0x80 | 24, 62}, word(0x7e017c00, 0xfc008000, 0x3c00bc00, 0x7fa00001, 0x0000fe03)...))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) < 3 {
 			return
@@ -280,12 +289,18 @@ func FuzzMatMulLanes(f *testing.F) {
 		}
 		var want map[string][]float32
 		scalarRef(func() { want = run() })
-		for name, got := range run() {
-			for i, g := range got {
-				if gb, wb := math.Float32bits(g), math.Float32bits(want[name][i]); gb != wb {
-					t.Fatalf("%s %dx%dx%d [%d]: lanes %#08x, scalar %#08x", name, m, k, n, i, gb, wb)
+		for _, tier := range foldTiers[:2] {
+			t.Run(tier, func(t *testing.T) {
+				var got map[string][]float32
+				onTier(t, tier, func() { got = run() })
+				for name, c := range got {
+					for i, g := range c {
+						if gb, wb := math.Float32bits(g), math.Float32bits(want[name][i]); gb != wb {
+							t.Fatalf("%s %dx%dx%d [%d]: %s %#08x, scalar %#08x", name, m, k, n, i, tier, gb, wb)
+						}
+					}
 				}
-			}
+			})
 		}
 	})
 }

@@ -21,9 +21,11 @@ import (
 // Dispatch width adapts to runtime.GOMAXPROCS at every call (the pool
 // keeps enough parked workers to cover a GOMAXPROCS raised above the
 // physical core count, as tests on small containers do), the work is split
-// into ranges whose sizes differ by at most one unit, and the caller
-// executes the final range itself — so a split that resolves to a single
-// chunk runs inline on the calling goroutine with no handoff at all.
+// into ranges whose sizes differ by at most one unit — for the row kernels
+// a unit is a block of rows as tall as the active register tile, so no
+// tile is cut across two tasks — and the caller executes the final range
+// itself, so a split that resolves to a single chunk runs inline on the
+// calling goroutine with no handoff at all.
 
 // op selects the range kernel a task runs; see kernel.run.
 type op int8
@@ -123,17 +125,37 @@ func chunk(units, width, i int) (lo, hi int) {
 	return lo, hi
 }
 
+// rowGrain is the height of the widest row tile the row kernels run: 8
+// with the 512-bit tier, 4 with the lane kernels, else 1 (the axpy sweep
+// folds a row at a time).
+func rowGrain() int {
+	switch {
+	case useZMM:
+		return 8
+	case useLanes:
+		return 4
+	}
+	return 1
+}
+
 // run computes all units of kr. Problems below parallelThreshold fused
-// multiply-adds (work), with a single unit, or on one proc run inline;
-// the rest split across the pool and the calling goroutine.
+// multiply-adds (work), with a single block of units, or on one proc run
+// inline; the rest split across the pool and the calling goroutine. The
+// row kernels split at multiples of rowGrain, so no register tile is cut
+// in two across tasks; every other kernel splits unit by unit.
 func run(kr kernel, units, work int) {
+	grain := 1
+	if kr.kind == opRows || kr.kind == opHalfRows {
+		grain = rowGrain()
+	}
+	blocks := (units + grain - 1) / grain
 	width := runtime.GOMAXPROCS(0)
-	if work < parallelThreshold || units <= 1 || width <= 1 {
+	if work < parallelThreshold || blocks <= 1 || width <= 1 {
 		kr.run(0, units)
 		return
 	}
 	poolOnce.Do(startPool)
-	width = min(width, poolSize+1, units) // parked workers plus the caller itself
+	width = min(width, poolSize+1, blocks) // parked workers plus the caller itself
 	var jb *job
 	select {
 	case jb = <-jobFree:
@@ -143,11 +165,11 @@ func run(kr kernel, units, work int) {
 	jb.kernel = kr
 	jb.wg.Add(width - 1)
 	for i := 0; i < width-1; i++ {
-		lo, hi := chunk(units, width, i)
-		poolCh <- task{j: jb, lo: lo, hi: hi}
+		lo, hi := chunk(blocks, width, i)
+		poolCh <- task{j: jb, lo: lo * grain, hi: hi * grain}
 	}
-	lo, _ := chunk(units, width, width-1)
-	kr.run(lo, units) // caller takes the last range
+	lo, _ := chunk(blocks, width, width-1)
+	kr.run(lo*grain, units) // caller takes the last range
 	jb.wg.Wait()
 	jb.kernel = kernel{}
 	select {

@@ -10,7 +10,8 @@ import (
 
 // The blocked kernels fold every output element's products in the naive
 // reference order, so these tests demand exact bit equality, not tolerance
-// — on the serial path, the SSE path, and every pool fan-out split.
+// — on the scalar path, both register-tile tiers, and every pool fan-out
+// split.
 // Inputs are nonzero normals (NormFloat64 never returns exactly zero), so
 // the one licensed divergence — the sign of an exactly-zero sum, which the
 // overwrite-first blocks may produce as -0 where a zero-initialized fold
@@ -54,9 +55,10 @@ func bitsEqual(t *testing.T, label string, got, want []float32) {
 // kernelShapes spans the dispatch matrix: zero-size edges, odd/prime dims,
 // fewer rows than workers, the m==1 (and k==1 for Aᵀ) column splits,
 // shapes that cross parallelThreshold in each orientation, the 4×16
-// tiles' row and column tails (tileShapes, halfBShapes) and both sides of
-// MatMulBT's fold rule (foldShapes).
-var kernelShapes = append(append(append([][3]int{
+// tiles' row and column tails (tileShapes, halfBShapes), the 8×32 tiles'
+// full blocks and leftovers (zmmShapes) and both sides of MatMulBT's fold
+// rule (foldShapes).
+var kernelShapes = append(append(append(append([][3]int{
 	{0, 3, 2}, {3, 0, 2}, {3, 2, 0}, {0, 0, 0},
 	{1, 1, 1}, {1, 2, 3}, {2, 3, 4}, {3, 1, 5}, {5, 7, 3},
 	{7, 13, 11}, {13, 1, 7}, {31, 17, 29}, {67, 31, 37},
@@ -66,7 +68,7 @@ var kernelShapes = append(append(append([][3]int{
 	{257, 256, 1},  // n == 1
 	{256, 1, 257},  // k == 1: Aᵀ column split
 	{64, 128, 512}, // the bench FC1 shape
-}, tileShapes()...), halfBShapes()...), foldShapes()...)
+}, tileShapes()...), halfBShapes()...), zmmShapes()...), foldShapes()...)
 
 // tileShapes crosses m mod 4 ∈ {1,2,3} (one tile row block plus a row
 // tail), n mod 16 ∈ {1,8,15} (one or two column tiles plus a column tail)
@@ -99,6 +101,25 @@ func halfBShapes() [][3]int {
 	return s
 }
 
+// zmmShapes cross m ∈ {8, 12, 13, 16, 23} — one 8-row block, then a 4-row
+// leftover, a row tail after it, two blocks, two blocks and both — with n ∈
+// {32, 48, 63, 64, 111}, the same for 32-column panels, a 16-column
+// leftover and a column tail, at short reductions. In the Aᵀ orientations
+// k counts the tile rows, so k ∈ {3, 12, 21} is no block, a block and a
+// 4-row leftover, and two blocks, a leftover and a tail. The k = 300 rows
+// fold past one 256-step panel of a half A's 8-row panels.
+func zmmShapes() [][3]int {
+	var s [][3]int
+	for _, m := range []int{8, 12, 13, 16, 23} {
+		for _, n := range []int{32, 48, 63, 64, 111} {
+			for _, k := range []int{3, 12, 21} {
+				s = append(s, [3]int{m, k, n})
+			}
+		}
+	}
+	return append(s, [3]int{8, 300, 32}, [3]int{13, 300, 48}, [3]int{16, 300, 111})
+}
+
 // foldShapes puts m ∈ {1…9, 16} against MatMulBT reductions and output
 // widths on both sides of its fold rule m·(n+k) < k·n. As a MatMulBT triple
 // (m, n, k) reads (m, k, n), so each pair below is (steps, B rows) there:
@@ -119,16 +140,14 @@ func foldShapes() [][3]int {
 }
 
 // runShapeMatrix validates all four kernel orientations against the naive
-// references for every shape, at the current GOMAXPROCS, with the lane
-// kernels on (where the CPU has them) and off.
+// references for every shape, at the current GOMAXPROCS, on each fold tier
+// this CPU has — so the ZMM tiles, the YMM tiles and the scalar reference
+// agree bit for bit.
 func runShapeMatrix(t *testing.T, seed int64) {
-	logScalarOnly(t)
-	for _, lanes := range []bool{true, false} {
-		if lanes {
-			runShapes(t, seed)
-		} else {
-			scalarRef(func() { runShapes(t, seed) })
-		}
+	for _, tier := range foldTiers {
+		t.Run(tier, func(t *testing.T) {
+			onTier(t, tier, func() { runShapes(t, seed) })
+		})
 	}
 }
 
@@ -136,7 +155,7 @@ func runShapes(t *testing.T, seed int64) {
 	r := rand.New(rand.NewSource(seed))
 	for _, dims := range kernelShapes {
 		m, k, n := dims[0], dims[1], dims[2]
-		at := fmt.Sprintf(" %v lanes=%v", dims, useLanes)
+		at := fmt.Sprintf(" %v", dims)
 
 		a, b := randSlice(r, m*k), randSlice(r, k*n)
 		c := make([]float32, m*n)
