@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet bench-vet bench-test build build-arm64 test test-386 race configcheck fuzz-smoke serve-smoke elastic-smoke pprof sweep all
+.PHONY: check fmt vet bench-vet bench-test build build-arm64 test test-386 race configcheck api fuzz-smoke serve-smoke elastic-smoke pprof sweep all
 
-check: fmt vet bench-vet bench-test build build-arm64 test test-386 race configcheck fuzz-smoke serve-smoke elastic-smoke
+check: fmt vet bench-vet bench-test build build-arm64 test test-386 race configcheck api fuzz-smoke serve-smoke elastic-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -50,9 +50,16 @@ race:
 	$(GO) test -race ./...
 
 # Config-roundtrip gate: every committed example config must parse strictly
-# and pass engine.Config.Validate.
+# and pass engine.Config.Normalized.
 configcheck:
 	$(GO) test ./internal/engine -run TestCommittedConfigsValidate
+
+# Exported-surface gate: every exported func or method under internal/ has
+# a non-test reference outside its package (cmd/, examples/ and bench/
+# count), or an allowlist entry with its reason. Fails with each offender's
+# file:line.
+api:
+	$(GO) test ./internal/testutil -run TestExportedSurfaceHasImporters -count=1
 
 # Short native-fuzzer smokes: the BPE encode/decode round-trip, the
 # heap-driven BPE encode against the rescan-per-merge reference, the vocab

@@ -50,7 +50,7 @@ func main() {
 	// Part 2: the same API at laptop scale, with full partitioning (stage
 	// 3) through the declarative engine config — the data scientist writes
 	// a config, not a parallelization strategy.
-	fmt.Println("\nTraining through engine.Initialize at stage 3 (Pos+g+p), 4 ranks:")
+	fmt.Println("\nTraining through engine.Run at stage 3 (Pos+g+p), 4 ranks:")
 	cfg := engine.DefaultConfig()
 	cfg.Model = model.Config{Layers: 3, Hidden: 48, Heads: 4, Vocab: 67, Seq: 24}
 	cfg.Stage = "3"

@@ -25,6 +25,12 @@
 //
 // An Arena is safe for concurrent use: one instance serves all ranks of an
 // in-process world.
+//
+// Surface: New and NewInts build the float32 and int pools; each has Get,
+// Put, Release and Stats, and Arena also Resident. internal/comm draws its
+// wire copies from an Arena and internal/data its token buffers from an
+// Ints; zero's teardown test reads the wire pool's residency through
+// comm.World.WirePool.
 package arena
 
 import (
@@ -186,13 +192,6 @@ func (a *Ints) Release() {
 	}
 	a.resident = 0
 	a.mu.Unlock()
-}
-
-// Resident returns the bytes currently pooled.
-func (a *Ints) Resident() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.resident
 }
 
 // Stats returns cumulative Get calls and the subset that had to allocate.

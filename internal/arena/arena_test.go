@@ -83,7 +83,7 @@ func TestIntsGetPutReuse(t *testing.T) {
 		t.Fatalf("Get(1000): len=%d cap=%d, want 1000/1024", len(b), cap(b))
 	}
 	a.Put(b)
-	if got := a.Resident(); got != 1024*8 {
+	if got := a.resident; got != 1024*8 {
 		t.Fatalf("Resident after Put = %d, want %d", got, 1024*8)
 	}
 	c := a.Get(700)
@@ -99,7 +99,7 @@ func TestIntsGetPutReuse(t *testing.T) {
 	a.Put(nil)
 	a.Put(make([]int, 0, 3)) // non-power-of-two cap: dropped
 	a.Release()
-	if got := a.Resident(); got != 0 {
+	if got := a.resident; got != 0 {
 		t.Fatalf("Resident after Release = %d, want 0", got)
 	}
 }

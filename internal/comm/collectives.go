@@ -127,10 +127,10 @@ func (c *Comm) Broadcast(x []float32, root int) {
 	}
 }
 
-// Reduce sums x across the group onto the root member (in place at root;
+// reduce sums x across the group onto the root member (in place at root;
 // other members' x is unchanged). Implemented as reduce-scatter +
 // gather-to-root so per-rank volume stays O(Ψ). root is a group-local rank.
-func (c *Comm) Reduce(x []float32, root int) {
+func (c *Comm) reduce(x []float32, root int) {
 	n := c.Size()
 	c.checkRoot(root)
 	if n == 1 {

@@ -23,6 +23,16 @@
 // contract NCCL streams give CUDA callers, and the reason concurrent
 // gradient reduction, parameter prefetch and checkpoint gathers compose
 // without a global serialization point.
+//
+// Surface: NewWorld and World (Comm, Run, RunFallible, Stats and the
+// fault-injection seams); a rank's Comm with the collectives (AllReduce,
+// ReduceScatter, AllGather, Broadcast, Gather, their Hierarchical forms,
+// Barrier) and the group constructors (Split, Subgroup, MPGroup, DPGroup);
+// NewScheduler, Stream and Handle for ordered asynchronous collectives over
+// F32Buf, F16Buf and HalfBuf buffers; Partition and Range for ownership;
+// Killed, RankFailure and FirstFailure for rank death. Imported by zero,
+// engine, optimizer, elastic, serve and experiments, by cmd/zerobench,
+// cmd/zerotrain and the examples, and by bench.
 package comm
 
 import (
@@ -57,9 +67,8 @@ type World struct {
 	// step, steady-state collectives move data through recycled buffers
 	// instead of allocating one per message. Internal receive paths (ring
 	// phases, broadcast, reduce, gather) recycle the buffer after their
-	// last read — Gather clones each shard into caller-owned memory first —
-	// while a buffer handed out by the public Recv escapes to the caller
-	// and simply falls back to the GC.
+	// last read — Gather clones each shard into caller-owned memory first;
+	// a buffer a caller of recv keeps simply falls back to the GC.
 	wire *arena.Arena
 
 	// faults is the rank-failure bookkeeping (nil until fault injection is
@@ -107,7 +116,7 @@ type Stats struct {
 	// PerStream maps ordering-domain name (DefaultStream for plain Comms)
 	// to elements sent on it.
 	PerStream map[string]int64
-	// PerGroup maps a group communicator's accounting label (Comm.Named;
+	// PerGroup maps a group communicator's accounting label (Comm.named;
 	// "hier-intra"/"hier-inter" for the hierarchical collectives, "mp"/"dp"
 	// for the 2D layout helpers) to the traffic sent under it, with native
 	// byte accounting — the counters behind the measured intra-vs-inter
@@ -308,10 +317,10 @@ func (w *World) TotalBytesSent() int64 {
 	return t
 }
 
-// ResetStats clears all traffic counters. Safe to call while streams exist;
+// resetStats clears all traffic counters. Safe to call while streams exist;
 // quiesce with Scheduler.Barrier first if ops are in flight and the reset
 // must not race mid-collective counts.
-func (w *World) ResetStats() {
+func (w *World) resetStats() {
 	for r := range w.stats {
 		rs := &w.stats[r]
 		rs.mu.Lock()
@@ -324,7 +333,7 @@ func (w *World) ResetStats() {
 // subset carved out by Split/Subgroup) bound to one ordering domain (stream)
 // and one wire dtype for traffic accounting. World.Comm hands out the
 // world group on the default domain; Scheduler.Stream derives named domains;
-// Split, Subgroup, MPGroup, DPGroup and NodeTopology derive subgroups.
+// Split, Subgroup, MPGroup, DPGroup and nodeTopology derive subgroups.
 //
 // Every collective is group-generic: it runs over the communicator's member
 // set, with ranks, partition indices and broadcast roots all expressed in
@@ -342,17 +351,17 @@ type Comm struct {
 	// out[i] and in[i] are the directed links to and from group member i on
 	// this communicator's ordering domain (nil at i == pos), resolved once by
 	// bindWires when the member set or the stream is fixed — World.Comm,
-	// Subgroup, Scheduler.Stream — and shared by the Named/WithDType views,
+	// Subgroup, Scheduler.Stream — and shared by the named/withDType views,
 	// so the per-message path is a slice index.
 	out, in []chan wireMsg
 
 	// opCache maps collective names to their ":<label>"-suffixed form so
 	// labeled sends don't concatenate strings per message. Built once by
-	// Named and shared (read-only) by every derived view.
+	// named and shared (read-only) by every derived view.
 	opCache map[string]string
-	// topos caches NodeTopology results per (nodeSize, dtype, label) so
+	// topos caches nodeTopology results per (nodeSize, dtype, label) so
 	// hierarchical collectives don't rebuild sub-communicators per op. The
-	// pointer is shared by same-group views (Named/WithDType) and reset by
+	// pointer is shared by same-group views (named/withDType) and reset by
 	// Subgroup/Split, whose member sets differ. Comm handles are
 	// single-goroutine, so the cache is unlocked.
 	topos *topoCache
@@ -371,10 +380,6 @@ func (c *Comm) Size() int {
 	}
 	return len(c.members)
 }
-
-// GlobalRank returns the underlying world rank, regardless of how deeply
-// this communicator was derived.
-func (c *Comm) GlobalRank() int { return c.rank }
 
 // global translates a group-local rank to the global rank addressed on the
 // wire.
@@ -402,11 +407,11 @@ func (c *Comm) bindWires() {
 // World returns the underlying world (for stats inspection).
 func (c *Comm) World() *World { return c.w }
 
-// Named returns a view of the communicator whose traffic is additionally
+// named returns a view of the communicator whose traffic is additionally
 // aggregated under label in Stats.PerGroup (and whose PerCollective keys
 // carry a ":<label>" suffix), so e.g. MP and DP traffic of a 2D layout, or
 // the intra-vs-inter split of a hierarchical collective, can be separated.
-func (c *Comm) Named(label string) *Comm {
+func (c *Comm) named(label string) *Comm {
 	if label == c.label {
 		return c
 	}
@@ -416,7 +421,7 @@ func (c *Comm) Named(label string) *Comm {
 	return &cp
 }
 
-// knownOps lists every collective name a Comm records, so Named can
+// knownOps lists every collective name a Comm records, so named can
 // precompute the labeled forms instead of allocating a concatenation per
 // message on the hot path.
 var knownOps = []string{
@@ -435,16 +440,10 @@ func buildOpCache(label string) map[string]string {
 	return m
 }
 
-// Label returns the traffic-accounting label set by Named ("" if none).
-func (c *Comm) Label() string { return c.label }
-
-// DType returns the wire dtype this communicator accounts traffic at.
-func (c *Comm) DType() DType { return c.dtype }
-
-// WithDType returns a view of the communicator whose traffic is accounted
+// withDType returns a view of the communicator whose traffic is accounted
 // at d's wire width. The view shares the ordering domain — it is the same
 // stream, only the bookkeeping changes.
-func (c *Comm) WithDType(d DType) *Comm {
+func (c *Comm) withDType(d DType) *Comm {
 	if d == c.dtype {
 		return c
 	}
@@ -468,8 +467,8 @@ func (c *Comm) opName(op string) string {
 // sendElems transmits a copy of data to the group-local rank dst and
 // accounts for it under op; off and total are the message's ring stamp
 // (wireMsg). The copy draws from the world's wire pool; the receiver
-// recycles it after its last read (every internal path — Gather clones
-// before recycling) or lets it escape to the GC (the public Recv).
+// recycles it after its last read (every collective — Gather clones
+// before recycling) or lets it escape to the GC.
 func sendElems[T elem](c *Comm, op string, dst int, data []T, off, total int) {
 	if dst == c.pos {
 		panic("comm: send to self")
@@ -513,12 +512,6 @@ func (c *Comm) recvMsg(op string, src int) wireMsg {
 // recv is recvMsg for float32 payloads, where the pool words are the
 // elements.
 func (c *Comm) recv(op string, src int) []float32 { return c.recvMsg(op, src).words }
-
-// Send transmits data to the group-local rank dst (point-to-point).
-func (c *Comm) Send(dst int, data []float32) { c.send("p2p", dst, data) }
-
-// Recv blocks for a message from the group-local rank src (point-to-point).
-func (c *Comm) Recv(src int) []float32 { return c.recv("p2p", src) }
 
 // Barrier blocks until every member of the group has entered it.
 // Implemented as a dissemination barrier: ⌈log2 n⌉ rounds of empty

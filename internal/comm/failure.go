@@ -22,7 +22,7 @@ import (
 // drains. World.RunFallible converts the death panics into per-rank errors.
 //
 // Fault handling is opt-in per world (EnableFaultInjection, implied by
-// RunFallible and FailRank): worlds that never inject faults keep the
+// RunFallible and failRank): worlds that never inject faults keep the
 // select-free send/recv fast path.
 
 // RankFailure is the panic value a collective raises when it observes a dead
@@ -46,11 +46,11 @@ func (k Killed) Error() string {
 	return fmt.Sprintf("comm: rank %d killed by fault injection", k.Rank)
 }
 
-// AsRankDeath reports whether a recovered panic value is part of the
+// asRankDeath reports whether a recovered panic value is part of the
 // rank-failure protocol (an injected Killed or an observed RankFailure) and
 // returns it as an error. Any other panic value is a genuine bug and should
 // be re-panicked.
-func AsRankDeath(r any) (error, bool) {
+func asRankDeath(r any) (error, bool) {
 	switch v := r.(type) {
 	case Killed:
 		return v, true
@@ -116,11 +116,11 @@ func (w *World) FailRankAfterOps(rank, n int) {
 	w.faults.trigger[rank].Store(int64(n))
 }
 
-// FailRank marks rank dead and broadcasts its death signal. Peers blocked on
+// failRank marks rank dead and broadcasts its death signal. Peers blocked on
 // a wire paired with the rank unblock immediately and panic RankFailure (any
 // messages the rank enqueued before dying are drained first); operations on
 // wires created later observe the death the same way. Idempotent.
-func (w *World) FailRank(rank int) {
+func (w *World) failRank(rank int) {
 	if rank < 0 || rank >= w.n {
 		panic(fmt.Sprintf("comm: rank %d out of range [0,%d)", rank, w.n))
 	}
@@ -134,8 +134,8 @@ func (w *World) FailRank(rank int) {
 	w.mu.Unlock()
 }
 
-// RankDead reports whether rank has been marked dead.
-func (w *World) RankDead(rank int) bool {
+// rankDead reports whether rank has been marked dead.
+func (w *World) rankDead(rank int) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.faults != nil && w.faults.dead[rank]
@@ -146,7 +146,7 @@ func (w *World) RankDead(rank int) bool {
 func (w *World) preOp(rank int) {
 	t := &w.faults.trigger[rank]
 	if t.Load() > 0 && t.Add(-1) == 0 {
-		w.FailRank(rank)
+		w.failRank(rank)
 		panic(Killed{Rank: rank})
 	}
 }
@@ -171,7 +171,7 @@ func (c *Comm) sendWire(dst int, msg wireMsg) {
 		// complete, so this rank dies too before unwinding — the signal
 		// cascades to its own stream workers and to peers blocked on it,
 		// keeping teardown (deferred Scheduler.Close et al) drainable.
-		c.w.FailRank(c.rank)
+		c.w.failRank(c.rank)
 		panic(RankFailure{Rank: c.rank, Peer: gdst})
 	case <-fs.death[c.rank]:
 		// Another goroutine of this rank died (injected kill or observed
@@ -202,7 +202,7 @@ func (c *Comm) recvWire(src int) wireMsg {
 			return msg
 		default:
 		}
-		c.w.FailRank(c.rank)
+		c.w.failRank(c.rank)
 		panic(RankFailure{Rank: c.rank, Peer: gsrc})
 	case <-fs.death[c.rank]:
 		panic(Killed{Rank: c.rank})
@@ -213,7 +213,7 @@ func (c *Comm) recvWire(src int) wireMsg {
 // observe the death) and the calling goroutine panics Killed, to be
 // converted into an error by World.RunFallible. It never returns.
 func (c *Comm) Fail() {
-	c.w.FailRank(c.rank)
+	c.w.failRank(c.rank)
 	panic(Killed{Rank: c.rank})
 }
 
@@ -234,11 +234,11 @@ func (w *World) RunFallible(fn func(c *Comm)) []error {
 			defer wg.Done()
 			defer func() {
 				if rec := recover(); rec != nil {
-					err, ok := AsRankDeath(rec)
+					err, ok := asRankDeath(rec)
 					if !ok {
 						panic(rec)
 					}
-					w.FailRank(rank)
+					w.failRank(rank)
 					errs[rank] = err
 				}
 			}()

@@ -185,13 +185,13 @@ func TestInFlightMessagesDeliveredBeforeFailure(t *testing.T) {
 	got := make(chan []float32, 1)
 	errs := runFallibleWithTimeout(t, w, func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Send(1, payload)
+			c.send("p2p", 1, payload)
 			c.Fail()
 		}
-		data := c.Recv(0)
+		data := c.recv("p2p", 0)
 		got <- append([]float32(nil), data...)
 		// The next receive observes the death.
-		c.Recv(0)
+		c.recv("p2p", 0)
 	})
 	if errs[1] == nil {
 		t.Fatal("rank 1 should observe rank 0's death on the second recv")
@@ -229,9 +229,9 @@ func TestRunFallibleCleanRun(t *testing.T) {
 func TestRankDeadAndLazyChannels(t *testing.T) {
 	w := NewWorld(2)
 	w.EnableFaultInjection()
-	w.FailRank(1)
-	if !w.RankDead(1) || w.RankDead(0) {
-		t.Fatalf("RankDead = (%v, %v), want (false, true)", w.RankDead(0), w.RankDead(1))
+	w.failRank(1)
+	if !w.rankDead(1) || w.rankDead(0) {
+		t.Fatalf("rankDead = (%v, %v), want (false, true)", w.rankDead(0), w.rankDead(1))
 	}
 	errs := runFallibleWithTimeout(t, w, func(c *Comm) {
 		if c.Rank() != 0 {
@@ -239,7 +239,7 @@ func TestRankDeadAndLazyChannels(t *testing.T) {
 		}
 		s := NewScheduler(c)
 		defer s.Close()
-		h := s.Stream("late").Submit(func(sc *Comm) { sc.Recv(1) })
+		h := s.Stream("late").Submit(func(sc *Comm) { sc.recv("p2p", 1) })
 		h.Wait()
 	})
 	if errs[0] == nil {

@@ -160,7 +160,7 @@ func (c *Comm) MPGroup(mpSize int) (*Comm, error) {
 	if err != nil {
 		return nil, err
 	}
-	return g.Named("mp"), nil
+	return g.named("mp"), nil
 }
 
 // DPGroup returns the data-parallel group: ranks with the same MP position
@@ -174,5 +174,5 @@ func (c *Comm) DPGroup(mpSize int) (*Comm, error) {
 	if err != nil {
 		return nil, err
 	}
-	return g.Named("dp"), nil
+	return g.named("dp"), nil
 }

@@ -103,10 +103,10 @@ func TestHalfAllGatherMatchesFloatGather(t *testing.T) {
 			}
 			own := parts[g.Rank()]
 			for i := own.Lo; i < own.Hi; i++ {
-				h[i] = halfPattern(c.GlobalRank(), i)
+				h[i] = halfPattern(c.rank, i)
 			}
 			f := h.Floats()
-			before := w.Stats(c.GlobalRank()) // the Split exchange is not the gather's
+			before := w.Stats(c.rank) // the Split exchange is not the gather's
 			submit(func(sc *Comm) {
 				if half {
 					gatherTyped(sc, HalfBuf(h), parts, nodeSize)
@@ -114,7 +114,7 @@ func TestHalfAllGatherMatchesFloatGather(t *testing.T) {
 					gatherTyped(sc, F16Buf(f), parts, nodeSize)
 				}
 			})
-			stats[c.GlobalRank()] = statsSince(before, w.Stats(c.GlobalRank()))
+			stats[c.rank] = statsSince(before, w.Stats(c.rank))
 			if half {
 				f = h.Floats()
 			}
@@ -122,7 +122,7 @@ func TestHalfAllGatherMatchesFloatGather(t *testing.T) {
 			for i, v := range f {
 				bits[i] = math.Float32bits(v)
 			}
-			out[c.GlobalRank()] = bits
+			out[c.rank] = bits
 		})
 		return out, stats
 	}
@@ -241,7 +241,7 @@ func TestHalfGatherWithThreeStreamsActive(t *testing.T) {
 		h1 := s.Stream("grad").AllReduceHierarchical(F16Buf(sums[r]), nodeSize)
 		h2 := s.Stream("prefetch").AllGatherHierarchical(HalfBuf(hier[r]), parts, nodeSize)
 		h3 := s.Stream("checkpoint").AllGather(HalfBuf(flat[r]), parts)
-		topo, err := c.NodeTopology(nodeSize)
+		topo, err := c.nodeTopology(nodeSize)
 		if err != nil {
 			t.Error(err)
 			return

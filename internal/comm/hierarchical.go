@@ -6,7 +6,7 @@ import "fmt"
 // of multi-GPU nodes use: only 1/nodeSize of the buffer ever crosses the
 // node uplink, which is why DP communication survives the node boundary
 // while flat MP all-reduces do not (the effective-bandwidth model in
-// internal/perfmodel.DPBandwidth). They are compositions of the ordinary
+// internal/perfmodel's harmonic DP bandwidth). They are compositions of the ordinary
 // group collectives over the two sub-communicators of a node Topology —
 // there is no bespoke ring code here.
 //
@@ -65,22 +65,22 @@ type topoKey struct {
 	label    string
 }
 
-// topoCache memoizes NodeTopology per communicator chain. Building a
+// topoCache memoizes nodeTopology per communicator chain. Building a
 // topology means deriving two sub-communicators (member lists, label maps)
 // — cheap once, but not per collective: a bucketed hierarchical schedule
 // issues hundreds of ops per step. The cache pointer is shared by
-// same-group views (Named/WithDType) and dropped by Subgroup/Split, whose
+// same-group views (named/withDType) and dropped by Subgroup/Split, whose
 // member sets differ; Comm handles are single-goroutine, so no lock.
 type topoCache struct {
 	m map[topoKey]*Topology
 }
 
-// NodeTopology carves the communicator into nodes of nodeSize consecutive
+// nodeTopology carves the communicator into nodes of nodeSize consecutive
 // members and returns this rank's intra-node and inter-node groups. It is
 // communication-free; every member must construct the same topology before
 // collectives on it pair up. The group size must be a multiple of nodeSize
 // (ErrTopology otherwise).
-func (c *Comm) NodeTopology(nodeSize int) (*Topology, error) {
+func (c *Comm) nodeTopology(nodeSize int) (*Topology, error) {
 	if err := CheckNodeSize(c.Size(), nodeSize); err != nil {
 		return nil, err
 	}
@@ -111,8 +111,8 @@ func (c *Comm) NodeTopology(nodeSize int) (*Topology, error) {
 	topo := &Topology{
 		NodeSize: nodeSize,
 		Nodes:    nodes,
-		Intra:    intra.Named("hier-intra"),
-		Inter:    inter.Named("hier-inter"),
+		Intra:    intra.named("hier-intra"),
+		Inter:    inter.named("hier-inter"),
 	}
 	if c.topos != nil {
 		if c.topos.m == nil {
@@ -158,14 +158,14 @@ func (c *Comm) ReduceScatterHierarchical(b Buffer, parts []Range, nodeSize int) 
 	if err := c.checkHierParts(parts, nodeSize); err != nil {
 		return err
 	}
-	v := c.WithDType(b.DType)
+	v := c.withDType(b.DType)
 	n := c.Size()
 	x := b.floats()
 	if n == 1 || nodeSize == 1 || nodeSize == n {
 		v.ReduceScatter(x, parts)
 		return nil
 	}
-	topo, err := v.NodeTopology(nodeSize)
+	topo, err := v.nodeTopology(nodeSize)
 	if err != nil {
 		return err
 	}
@@ -191,13 +191,13 @@ func (c *Comm) AllGatherHierarchical(b Buffer, parts []Range, nodeSize int) erro
 	if err := c.checkHierParts(parts, nodeSize); err != nil {
 		return err
 	}
-	v := c.WithDType(b.DType)
+	v := c.withDType(b.DType)
 	n := c.Size()
 	if n == 1 || nodeSize == 1 || nodeSize == n {
 		v.allGather(b, parts)
 		return nil
 	}
-	topo, err := v.NodeTopology(nodeSize)
+	topo, err := v.nodeTopology(nodeSize)
 	if err != nil {
 		return err
 	}

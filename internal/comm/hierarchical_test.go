@@ -133,8 +133,8 @@ func TestHierarchicalValidation(t *testing.T) {
 			if err := c.AllReduceHierarchical(F32Buf(make([]float32, 8)), bad); !errors.Is(err, ErrTopology) {
 				t.Errorf("nodeSize %d: err = %v, want ErrTopology", bad, err)
 			}
-			if _, err := c.NodeTopology(bad); !errors.Is(err, ErrTopology) {
-				t.Errorf("NodeTopology(%d): err = %v, want ErrTopology", bad, err)
+			if _, err := c.nodeTopology(bad); !errors.Is(err, ErrTopology) {
+				t.Errorf("nodeTopology(%d): err = %v, want ErrTopology", bad, err)
 			}
 		}
 		parts := Partition(8, 2) // wrong count for a 4-rank world

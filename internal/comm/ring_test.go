@@ -346,10 +346,10 @@ func TestRingLengthMismatchPanics(t *testing.T) {
 					case r == nil:
 						outcome <- "returned"
 					case strings.Contains(fmt.Sprint(r), "ring chunk length mismatch"):
-						w.FailRank(rank)
+						w.failRank(rank)
 						outcome <- "mismatch"
 					default:
-						if _, ok := AsRankDeath(r); !ok {
+						if _, ok := asRankDeath(r); !ok {
 							outcome <- fmt.Sprintf("unexpected panic: %v", r)
 							return
 						}

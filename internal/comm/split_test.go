@@ -112,8 +112,8 @@ func TestSplitKeysAndColorNone(t *testing.T) {
 		if g.Rank() != wantPos {
 			t.Errorf("rank %d: group rank %d, want %d", c.Rank(), g.Rank(), wantPos)
 		}
-		if g.GlobalRank() != c.Rank() {
-			t.Errorf("rank %d: GlobalRank %d", c.Rank(), g.GlobalRank())
+		if g.rank != c.Rank() {
+			t.Errorf("rank %d: global rank %d", c.Rank(), g.rank)
 		}
 		// A quick collective sanity check in the permuted order.
 		x := []float32{float32(c.Rank())}
@@ -306,15 +306,15 @@ func TestGroupCollectivesWithThreeStreamsActive(t *testing.T) {
 		// Checkpoint stream: a node-subgroup all-reduce submitted as a raw
 		// op (subgroups are derived from the stream's comm inside the op).
 		h3 := s.Stream("checkpoint").Submit(func(sc *Comm) {
-			topo, err := sc.NodeTopology(nodeSize)
+			topo, err := sc.nodeTopology(nodeSize)
 			if err != nil {
 				panic(err)
 			}
-			topo.Intra.AllReduce(ckpt[sc.GlobalRank()])
+			topo.Intra.AllReduce(ckpt[sc.rank])
 		})
 		// Default domain, main goroutine: inter-node subgroup all-reduce
 		// while all three streams are in flight.
-		topo, err := c.NodeTopology(nodeSize)
+		topo, err := c.nodeTopology(nodeSize)
 		if err != nil {
 			t.Error(err)
 			return

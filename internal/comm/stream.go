@@ -65,7 +65,7 @@ func (s *Scheduler) stream(name string, depth int) *Stream {
 	s.c.w.claimStream(s.c.rank, name)
 	// Two persistent dtype views of the stream's communicator, so typed ops
 	// execute without deriving a per-op view: the worker picks the view
-	// whose dtype matches the buffer, and WithDType inside the collective
+	// whose dtype matches the buffer, and withDType inside the collective
 	// becomes the identity. Both views share one topology cache.
 	view := *s.c
 	view.stream = name
@@ -163,7 +163,6 @@ const (
 	opReduceScatter
 	opAllGather
 	opAllReduce
-	opAllReduceAvg
 	opReduceScatterHier
 	opAllGatherHier
 	opAllReduceHier
@@ -222,7 +221,7 @@ func (st *Stream) loop() {
 func (st *Stream) execSafe(op streamOp) {
 	defer func() {
 		if r := recover(); r != nil {
-			err, ok := AsRankDeath(r)
+			err, ok := asRankDeath(r)
 			if !ok {
 				panic(r)
 			}
@@ -265,8 +264,6 @@ func (st *Stream) exec(op streamOp) {
 		c.allGather(op.b, op.parts)
 	case opAllReduce:
 		c.AllReduce(op.b.floats())
-	case opAllReduceAvg:
-		c.AllReduceAvg(op.b.floats())
 	case opReduceScatterHier:
 		if err := c.ReduceScatterHierarchical(op.b, op.parts, op.nodeSize); err != nil {
 			panic(err)
@@ -312,9 +309,6 @@ func (st *Stream) enqueue(op streamOp) Handle {
 	return Handle{st: st, seq: seq}
 }
 
-// Name returns the stream's ordering-domain name.
-func (st *Stream) Name() string { return st.name }
-
 // Rank returns the rank the stream belongs to.
 func (st *Stream) Rank() int { return st.c32.rank }
 
@@ -322,7 +316,7 @@ func (st *Stream) Rank() int { return st.c32.rank }
 func (st *Stream) Size() int { return st.c32.w.n }
 
 // Submit enqueues an arbitrary op; fn runs on the worker goroutine with the
-// stream's communicator (use Comm.WithDType inside fn for non-F32
+// stream's communicator (use Comm.withDType inside fn for non-F32
 // accounting). Blocks only when the queue is full (see defaultQueueDepth).
 // The typed collective methods below are cheaper (no closure); prefer them
 // on hot paths.
@@ -345,12 +339,6 @@ func (st *Stream) AllGather(b Buffer, parts []Range) Handle {
 // AllReduce enqueues an all-reduce (sum) of b.
 func (st *Stream) AllReduce(b Buffer) Handle {
 	return st.enqueue(streamOp{kind: opAllReduce, b: b})
-}
-
-// AllReduceAvg enqueues an all-reduce followed by division by the world
-// size — the gradient-averaging collective.
-func (st *Stream) AllReduceAvg(b Buffer) Handle {
-	return st.enqueue(streamOp{kind: opAllReduceAvg, b: b})
 }
 
 // checkNodeSize validates a hierarchical submission eagerly, before the op
@@ -397,9 +385,9 @@ func (st *Stream) Flush() {
 	st.waitFor(seq)
 }
 
-// Pending returns the number of submitted ops not yet completed. It is
+// pendingOps returns the number of submitted ops not yet completed. It is
 // advisory (racy by nature) and meant for tests and instrumentation.
-func (st *Stream) Pending() int64 {
+func (st *Stream) pendingOps() int64 {
 	st.submitMu.Lock()
 	sub := st.submitted
 	st.submitMu.Unlock()
@@ -408,8 +396,8 @@ func (st *Stream) Pending() int64 {
 	return sub - st.completed
 }
 
-// Completed returns the number of ops the worker has finished executing.
-func (st *Stream) Completed() int64 {
+// completedOps returns the number of ops the worker has finished executing.
+func (st *Stream) completedOps() int64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.completed

@@ -85,10 +85,10 @@ func TestStreamFIFOAndFlush(t *testing.T) {
 			}
 			h.Wait() // must not block or panic after completion
 		}
-		if p := st.Pending(); p != 0 {
+		if p := st.pendingOps(); p != 0 {
 			t.Errorf("rank %d: %d ops pending after Flush", c.Rank(), p)
 		}
-		if got := st.Completed(); got != ops {
+		if got := st.completedOps(); got != ops {
 			t.Errorf("rank %d: Completed() = %d, want %d", c.Rank(), got, ops)
 		}
 	})
@@ -223,7 +223,7 @@ func TestQueueDepthOptionAndBackpressure(t *testing.T) {
 			last = st.AllReduce(F32Buf(x)) // blocks on the full queue, must not deadlock
 		}
 		last.Wait()
-		if got := st.Completed(); got != ops {
+		if got := st.completedOps(); got != ops {
 			t.Errorf("rank %d: completed %d ops on depth-1 stream, want %d", c.Rank(), got, ops)
 		}
 	})
@@ -263,7 +263,7 @@ func TestCloseReleasesStreamNames(t *testing.T) {
 	s2.Stream("grad") // must not panic
 }
 
-// Stats and ResetStats are safe while streams are live: harness goroutines
+// Stats and resetStats are safe while streams are live: harness goroutines
 // may poll mid-flight (run under -race), and a Scheduler.Barrier quiesce
 // makes reset/read exact.
 func TestStatsSafeWithLiveStreams(t *testing.T) {
@@ -297,7 +297,7 @@ func TestStatsSafeWithLiveStreams(t *testing.T) {
 		s.Barrier()
 		c.Barrier() // all ranks quiesced before any rank resets
 		if c.Rank() == 0 {
-			w.ResetStats()
+			w.resetStats()
 		}
 		c.Barrier()
 		st.AllReduce(F32Buf(x))

@@ -6,14 +6,14 @@ import (
 	"path/filepath"
 )
 
-// CorpusFiles resolves a corpus path to its ordered file list. A regular
+// corpusFiles resolves a corpus path to its ordered file list. A regular
 // file is a one-file corpus; a directory is a multi-file corpus made of
 // its regular files in sorted name order (subdirectories and dotfiles are
 // skipped — no recursion). The order is what defines the corpus: files
 // are concatenated logically, a file boundary separates documents exactly
 // like a blank line, and document indices run globally across the list,
-// so ShardOf sees one corpus no matter how it is split on disk.
-func CorpusFiles(path string) ([]string, error) {
+// so shardOf sees one corpus no matter how it is split on disk.
+func corpusFiles(path string) ([]string, error) {
 	info, err := os.Stat(path)
 	if err != nil {
 		return nil, fmt.Errorf("data: opening corpus: %w", err)

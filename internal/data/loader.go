@@ -23,7 +23,7 @@ const DefaultShuffleDocs = 64
 // zero-value sizing knobs.
 type Config struct {
 	// Path is the corpus: a text file, or a directory whose sorted
-	// regular files form one logical corpus (see CorpusFiles). Documents
+	// regular files form one logical corpus (see corpusFiles). Documents
 	// are blank-line-separated runs of text (paragraphs) and never span a
 	// file boundary; see the package comment for framing.
 	Path string
@@ -113,7 +113,7 @@ func Open(cfg Config, rows, world int) (*Loader, error) {
 			return nil, err
 		}
 		// Every stream applies the shared tokenizer through its own
-		// scratch, but EncodeInto scratch lives on the Tokenizer; give
+		// scratch, but encodeInto scratch lives on the Tokenizer; give
 		// each stream a private tokenizer view to keep fills reentrant.
 		if r > 0 {
 			s.tok = tok.clone()
@@ -133,7 +133,7 @@ func (t *Tokenizer) clone() *Tokenizer {
 func openTokenizer(cfg Config) (*Tokenizer, error) {
 	switch {
 	case cfg.Tokenizer == "" || cfg.Tokenizer == "byte":
-		return NewByteTokenizer(), nil
+		return newByteTokenizer(), nil
 	case cfg.Tokenizer == "bpe":
 		sample, err := readSample(cfg.Path, cfg.TrainBytes)
 		if err != nil {
@@ -146,9 +146,9 @@ func openTokenizer(cfg Config) (*Tokenizer, error) {
 		if vocab == 0 {
 			vocab = 512
 		}
-		return TrainBPE(sample, vocab)
+		return trainBPE(sample, vocab)
 	case strings.HasSuffix(cfg.Tokenizer, ".json"):
-		return LoadTokenizerFile(cfg.Tokenizer)
+		return loadTokenizerFile(cfg.Tokenizer)
 	default:
 		return nil, fmt.Errorf("%w: tokenizer %q (want \"byte\", \"bpe\" or a .json vocab path)", ErrConfig, cfg.Tokenizer)
 	}
@@ -161,7 +161,7 @@ func readSample(path string, max int) ([]byte, error) {
 	if max <= 0 {
 		max = DefaultTrainBytes
 	}
-	paths, err := CorpusFiles(path)
+	paths, err := corpusFiles(path)
 	if err != nil {
 		return nil, err
 	}
@@ -230,9 +230,6 @@ func (l *Loader) Tokenizer() *Tokenizer { return l.tok }
 // Tokens returns the total tokens emitted so far.
 func (l *Loader) Tokens() int64 { return l.tokens }
 
-// Batches returns how many micro-batches have been produced.
-func (l *Loader) Batches() int64 { return l.batches }
-
 // Epochs returns the number of completed passes over the corpus by the
 // slowest shard stream.
 func (l *Loader) Epochs() int {
@@ -248,9 +245,9 @@ func (l *Loader) Epochs() int {
 	return min
 }
 
-// ResidentTokens reports the tokens currently buffered across shuffle
+// residentTokens reports the tokens currently buffered across shuffle
 // buffers and token queues — the bounded working set.
-func (l *Loader) ResidentTokens() int {
+func (l *Loader) residentTokens() int {
 	n := 0
 	for _, s := range l.streams {
 		for _, d := range s.shuffle {

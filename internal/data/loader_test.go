@@ -64,8 +64,8 @@ func TestLoaderBatchShapeAndTargets(t *testing.T) {
 			}
 		}
 	}
-	if l.Batches() != 10 || l.Tokens() != int64(10*4*cfg.SeqLen) {
-		t.Fatalf("counters: batches %d tokens %d", l.Batches(), l.Tokens())
+	if l.batches != 10 || l.Tokens() != int64(10*4*cfg.SeqLen) {
+		t.Fatalf("counters: batches %d tokens %d", l.batches, l.Tokens())
 	}
 }
 
@@ -102,7 +102,7 @@ func TestLoaderRowBlocksMatchShards(t *testing.T) {
 				if doc < 0 || doc >= 10 {
 					t.Fatalf("unexpected token %d", id)
 				}
-				if ShardOf(doc, 2) != rank {
+				if shardOf(doc, 2) != rank {
 					t.Fatalf("step %d: doc %d token in rank %d's rows", step, doc, rank)
 				}
 			}
@@ -135,7 +135,7 @@ func TestLoaderBoundedMemory(t *testing.T) {
 	limit := world * perStream
 	for step := 0; step < 500; step++ {
 		l.NextBatch()
-		if got := l.ResidentTokens(); got > limit {
+		if got := l.residentTokens(); got > limit {
 			t.Fatalf("step %d: resident %d tokens exceeds bound %d", step, got, limit)
 		}
 	}

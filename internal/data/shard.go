@@ -10,14 +10,14 @@ import (
 	"repro/internal/arena"
 )
 
-// ShardOf is the per-rank document assignment: document d of an epoch
+// shardOf is the per-rank document assignment: document d of an epoch
 // belongs to rank d mod world. It is a pure function, so for any world
 // size the rank shards are disjoint, cover the corpus exactly, and are
 // identical on every run — the property that keeps simulated data
 // parallelism reproducible (each rank derives the same global batch from
 // the same file and seed, and rank r's rows really are shard r's
 // documents).
-func ShardOf(doc, world int) int {
+func shardOf(doc, world int) int {
 	if world <= 0 {
 		panic("data: world must be positive")
 	}
@@ -29,10 +29,10 @@ func ShardOf(doc, world int) int {
 var ErrCorpus = errors.New("data: unusable corpus")
 
 // shardStream produces rank r's token stream: it scans the corpus
-// documents in order, keeps only those ShardOf assigns to r, tokenizes
+// documents in order, keeps only those shardOf assigns to r, tokenizes
 // them, runs them through a seeded shuffle buffer, and packs the result
 // into a flat token queue with an EOT separator after every document. The
-// corpus may be one file or a directory of files (see CorpusFiles): the
+// corpus may be one file or a directory of files (see corpusFiles): the
 // document index runs globally across the sorted file list, a file
 // boundary separates documents like a blank line, and at the end of the
 // last file the stream seeks every handle back to the start (the stream
@@ -56,7 +56,7 @@ type shardStream struct {
 	docIndex   int // position in the current epoch's GLOBAL document sequence
 	epochs     int
 	primed     bool
-	encScratch []int // EncodeInto append target, reused across documents
+	encScratch []int // encodeInto append target, reused across documents
 }
 
 // newShardStream opens one rank's view of the corpus (a file, or a
@@ -65,7 +65,7 @@ type shardStream struct {
 // streams with equal (rank, world, seed) over the same corpus are
 // bitwise-identical.
 func newShardStream(path string, rank, world int, tok *Tokenizer, seed int64, chunkBytes, maxDocBytes int, ints *arena.Ints) (*shardStream, error) {
-	paths, err := CorpusFiles(path)
+	paths, err := corpusFiles(path)
 	if err != nil {
 		return nil, err
 	}
@@ -151,10 +151,10 @@ func (s *shardStream) nextShardDoc() ([]int, error) {
 		}
 		d := s.docIndex
 		s.docIndex++
-		if ShardOf(d, s.world) != s.rank {
+		if shardOf(d, s.world) != s.rank {
 			continue
 		}
-		s.encScratch = s.tok.EncodeInto(s.encScratch[:0], doc)
+		s.encScratch = s.tok.encodeInto(s.encScratch[:0], doc)
 		buf := s.ints.Get(len(s.encScratch) + 1)
 		copy(buf, s.encScratch)
 		buf[len(s.encScratch)] = EOT

@@ -12,7 +12,7 @@ import (
 	"repro/internal/arena"
 )
 
-// Property: for every world size, ShardOf partitions any document range —
+// Property: for every world size, shardOf partitions any document range —
 // per-rank sets are pairwise disjoint, their union covers the corpus
 // exactly, and the assignment is a pure function (stable across calls and
 // across world sizes in the sense that changing N never drops or
@@ -24,7 +24,7 @@ func TestShardAssignmentPartition(t *testing.T) {
 		seen := make([]int, docs) // how many ranks claimed each doc
 		for r := 0; r < world; r++ {
 			for d := 0; d < docs; d++ {
-				if ShardOf(d, world) == r {
+				if shardOf(d, world) == r {
 					seen[d]++
 				}
 			}
@@ -37,7 +37,7 @@ func TestShardAssignmentPartition(t *testing.T) {
 		}
 		// Stability: the assignment is deterministic.
 		for d := 0; d < docs; d++ {
-			if ShardOf(d, world) != ShardOf(d, world) {
+			if shardOf(d, world) != shardOf(d, world) {
 				return false
 			}
 		}
@@ -67,11 +67,11 @@ func writeCorpus(t testing.TB, docs int) (string, []string) {
 }
 
 // The stream level honors the assignment: rank r's stream yields exactly
-// the documents ShardOf maps to r, in epoch order, for every world size.
+// the documents shardOf maps to r, in epoch order, for every world size.
 func TestShardStreamsPartitionTheCorpus(t *testing.T) {
 	const docs = 23
 	path, texts := writeCorpus(t, docs)
-	tok := NewByteTokenizer()
+	tok := newByteTokenizer()
 	for world := 1; world <= 6; world++ {
 		claimed := make([]int, docs)
 		for r := 0; r < world; r++ {
@@ -107,9 +107,9 @@ func TestShardStreamsPartitionTheCorpus(t *testing.T) {
 				if found == -1 {
 					t.Fatalf("world %d rank %d: unknown document %q", world, r, body)
 				}
-				if ShardOf(found, world) != r {
+				if shardOf(found, world) != r {
 					t.Fatalf("world %d: doc %d surfaced on rank %d, want %d",
-						world, found, r, ShardOf(found, world))
+						world, found, r, shardOf(found, world))
 				}
 				claimed[found]++
 			}
@@ -127,7 +127,7 @@ func TestShardStreamsPartitionTheCorpus(t *testing.T) {
 // ErrCorpus instead of spinning on the file forever.
 func TestShardStreamStarvedRank(t *testing.T) {
 	path, _ := writeCorpus(t, 2)
-	s, err := newShardStream(path, 3, 4, NewByteTokenizer(), 1, 0, 0, arena.NewInts())
+	s, err := newShardStream(path, 3, 4, newByteTokenizer(), 1, 0, 0, arena.NewInts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestShardStreamStarvedRank(t *testing.T) {
 // the same shard in the same order.
 func TestShardStreamEpochLoop(t *testing.T) {
 	path, _ := writeCorpus(t, 5)
-	tok := NewByteTokenizer()
+	tok := newByteTokenizer()
 	s, err := newShardStream(path, 1, 2, tok, 1, 32, 0, arena.NewInts())
 	if err != nil {
 		t.Fatal(err)
@@ -196,12 +196,12 @@ func writeCorpusDir(t testing.TB, docs, files int) (string, []string) {
 	return dir, texts
 }
 
-// CorpusFiles resolves a file to itself and a directory to its sorted
+// corpusFiles resolves a file to itself and a directory to its sorted
 // regular files, skipping dotfiles and subdirectories, and rejects an
 // empty directory with ErrCorpus.
 func TestCorpusFilesResolution(t *testing.T) {
 	path, _ := writeCorpus(t, 3)
-	got, err := CorpusFiles(path)
+	got, err := corpusFiles(path)
 	if err != nil || len(got) != 1 || got[0] != path {
 		t.Fatalf("file corpus resolved to %v (%v), want [%s]", got, err, path)
 	}
@@ -218,7 +218,7 @@ func TestCorpusFilesResolution(t *testing.T) {
 	if err := os.Mkdir(filepath.Join(dir, "sub"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	got, err = CorpusFiles(dir)
+	got, err = corpusFiles(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,10 +232,10 @@ func TestCorpusFilesResolution(t *testing.T) {
 		}
 	}
 
-	if _, err := CorpusFiles(t.TempDir()); !errors.Is(err, ErrCorpus) {
+	if _, err := corpusFiles(t.TempDir()); !errors.Is(err, ErrCorpus) {
 		t.Fatalf("empty directory error = %v, want ErrCorpus", err)
 	}
-	if _, err := CorpusFiles(filepath.Join(dir, "missing")); err == nil {
+	if _, err := corpusFiles(filepath.Join(dir, "missing")); err == nil {
 		t.Fatal("missing path: want error")
 	}
 }
@@ -249,7 +249,7 @@ func TestMultiFileStreamsMatchConcatenated(t *testing.T) {
 	const docs = 23
 	single, _ := writeCorpus(t, docs)
 	dir, _ := writeCorpusDir(t, docs, 4)
-	tok := NewByteTokenizer()
+	tok := newByteTokenizer()
 	for world := 1; world <= 5; world++ {
 		for r := 0; r < world; r++ {
 			a, err := newShardStream(single, r, world, tok.clone(), 1, 16, 0, arena.NewInts())
@@ -291,9 +291,9 @@ func TestMultiFileStreamsMatchConcatenated(t *testing.T) {
 
 // Property: the file split of a corpus is invisible to sharding — for any
 // document count, file count and world size, every document surfaces on
-// exactly the rank ShardOf assigns it when streamed from a directory.
+// exactly the rank shardOf assigns it when streamed from a directory.
 func TestMultiFileShardAssignmentProperty(t *testing.T) {
-	tok := NewByteTokenizer()
+	tok := newByteTokenizer()
 	f := func(docsRaw, filesRaw, worldRaw uint8) bool {
 		docs := int(docsRaw)%20 + 1
 		files := int(filesRaw)%5 + 1
@@ -328,7 +328,7 @@ func TestMultiFileShardAssignmentProperty(t *testing.T) {
 						break
 					}
 				}
-				if found == -1 || ShardOf(found, world) != r {
+				if found == -1 || shardOf(found, world) != r {
 					t.Logf("docs %d files %d world %d: doc %d on rank %d", docs, files, world, found, r)
 					return false
 				}
@@ -348,7 +348,7 @@ func TestMultiFileShardAssignmentProperty(t *testing.T) {
 	}
 }
 
-// Property: ShardOf balances every world — rank loads differ by at most
+// Property: shardOf balances every world — rank loads differ by at most
 // one document, and the heavier ranks are exactly the first docs%world.
 func TestShardAssignmentBalance(t *testing.T) {
 	f := func(docsRaw, worldRaw uint8) bool {
@@ -356,7 +356,7 @@ func TestShardAssignmentBalance(t *testing.T) {
 		world := int(worldRaw)%16 + 1
 		load := make([]int, world)
 		for d := 0; d < docs; d++ {
-			load[ShardOf(d, world)]++
+			load[shardOf(d, world)]++
 		}
 		for r, n := range load {
 			want := docs / world
@@ -380,7 +380,7 @@ func TestShardAssignmentBalance(t *testing.T) {
 // ErrCorpus after one full cycle instead of spinning.
 func TestMultiFileEpochLoopAndStarvation(t *testing.T) {
 	dir, _ := writeCorpusDir(t, 5, 3)
-	tok := NewByteTokenizer()
+	tok := newByteTokenizer()
 	s, err := newShardStream(dir, 1, 2, tok, 1, 32, 0, arena.NewInts())
 	if err != nil {
 		t.Fatal(err)
@@ -411,7 +411,7 @@ func TestMultiFileEpochLoopAndStarvation(t *testing.T) {
 		t.Fatalf("epochs = %d, want ≥ 3", s.epochs)
 	}
 
-	starved, err := newShardStream(dir, 5, 6, NewByteTokenizer(), 1, 0, 0, arena.NewInts())
+	starved, err := newShardStream(dir, 5, 6, newByteTokenizer(), 1, 0, 0, arena.NewInts())
 	if err != nil {
 		t.Fatal(err)
 	}

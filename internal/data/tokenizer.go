@@ -13,7 +13,7 @@
 //   - BPE merges are selected by (count desc, pair asc) — no map-iteration
 //     order leaks into the vocabulary.
 //   - Documents are assigned to ranks by a pure function of (document
-//     index, world size); see ShardOf.
+//     index, world size); see shardOf.
 //   - Shuffling is a bounded, seeded reservoir per shard stream.
 //
 // Memory stays bounded regardless of corpus size: the reader works in
@@ -21,6 +21,11 @@
 // buffer holds a fixed number of tokenized documents. Steady-state batch
 // production draws every token buffer from an internal/arena pool and
 // performs no heap allocation.
+//
+// Surface: Open builds a Loader (NextBatch, Tokenizer, Tokens, Epochs,
+// VocabSize, Close) from a Config; TrainFromCorpus and SaveTokenizerFile
+// train and store a vocab; Tokenizer encodes and decodes. Imported by
+// internal/engine (OpenData) and cmd/zerotok.
 package data
 
 import (
@@ -60,7 +65,7 @@ type merge struct {
 // merges is the plain byte tokenizer. Encode/Decode round-trip any byte
 // sequence exactly (byte-level BPE has no unknown-token case).
 //
-// EncodeInto reuses internal scratch, so a Tokenizer must not be shared
+// encodeInto reuses internal scratch, so a Tokenizer must not be shared
 // across goroutines; each Loader (and each rank) owns its own.
 type Tokenizer struct {
 	merges []merge
@@ -69,7 +74,7 @@ type Tokenizer struct {
 	enc    encodeScratch
 }
 
-// encodeScratch is EncodeInto's working set, grown to the longest text
+// encodeScratch is encodeInto's working set, grown to the longest text
 // seen and reused: the symbols as a doubly linked list over their original
 // byte positions, and a min-heap of candidate merges.
 type encodeScratch struct {
@@ -81,19 +86,19 @@ type encodeScratch struct {
 // maxTokenBytes caps the byte length of one token. Each merge concatenates
 // two earlier tokens, so a merge list can double the longest token at every
 // step: without a cap, a 283-byte vocab file with 26 chained merges makes a
-// 64 MiB token. TrainBPE never learns a merge past the cap, so every vocab
-// it trains loads, and LoadTokenizerJSON rejects one that crosses it, which
+// 64 MiB token. trainBPE never learns a merge past the cap, so every vocab
+// it trains loads, and loadTokenizerJSON rejects one that crosses it, which
 // keeps a loaded vocab within maxTokenBytes per merge. Natural text is far
-// below it: the tokens TrainBPE learns from examples/corpus at a 4096 vocab
+// below it: the tokens trainBPE learns from examples/corpus at a 4096 vocab
 // are at most 30 bytes.
 const maxTokenBytes = 1 << 10
 
 // pairKey packs an adjacent id pair into one map key.
 func pairKey(l, r int) uint64 { return uint64(l)<<32 | uint64(uint32(r)) }
 
-// NewByteTokenizer returns the merge-free byte tokenizer (vocab 257: every
+// newByteTokenizer returns the merge-free byte tokenizer (vocab 257: every
 // byte plus EOT). It needs no training and handles any input.
-func NewByteTokenizer() *Tokenizer {
+func newByteTokenizer() *Tokenizer {
 	t := &Tokenizer{rank: map[uint64]int{}, vocab: make([][]byte, byteVocab)}
 	for b := 0; b < 256; b++ {
 		t.vocab[b] = []byte{byte(b)}
@@ -122,17 +127,14 @@ func (t *Tokenizer) addMerge(l, r int) error {
 // this large.
 func (t *Tokenizer) VocabSize() int { return byteVocab + len(t.merges) }
 
-// Merges returns the number of learned merge rules.
-func (t *Tokenizer) Merges() int { return len(t.merges) }
-
-// TrainBPE learns up to vocabSize-257 merges from sample, most-frequent
+// trainBPE learns up to vocabSize-257 merges from sample, most-frequent
 // pair first. Ties break toward the numerically smallest pair, so the
 // merge list — and therefore every downstream token stream — is a pure
 // function of the sample bytes. A pair whose token would exceed
 // maxTokenBytes is never chosen. Training stops early when no pair repeats;
 // the resulting vocab may be smaller than the budget on tiny corpora.
 // vocabSize must be ≥ 257 (257 means zero merges, the byte tokenizer).
-func TrainBPE(sample []byte, vocabSize int) (*Tokenizer, error) {
+func trainBPE(sample []byte, vocabSize int) (*Tokenizer, error) {
 	if vocabSize < byteVocab {
 		return nil, fmt.Errorf("%w: %d (want ≥ %d)", ErrVocab, vocabSize, byteVocab)
 	}
@@ -140,7 +142,7 @@ func TrainBPE(sample []byte, vocabSize int) (*Tokenizer, error) {
 	for i, b := range sample {
 		seq[i] = int(b)
 	}
-	t := NewByteTokenizer()
+	t := newByteTokenizer()
 	counts := map[uint64]int{}
 	for id := byteVocab; id < vocabSize; id++ {
 		clear(counts)
@@ -181,7 +183,7 @@ func mergePair(seq []int, l, r, id int) []int {
 	return seq[:w]
 }
 
-// EncodeInto tokenizes text and appends the ids to dst, returning the
+// encodeInto tokenizes text and appends the ids to dst, returning the
 // extended slice. Merges apply in training order (lowest merge index
 // first), each rewriting every occurrence left to right — the standard
 // greedy BPE encode. It never emits EOT; document separators are the
@@ -197,7 +199,7 @@ func mergePair(seq []int, l, r, id int) []int {
 // one index ascending position with stale skips is the left-to-right,
 // non-overlapping rewrite ("aaa" → [aa, a]). Cost: O(n log n) for n bytes,
 // where rescanning the text once per applied merge is O(merges × n).
-func (t *Tokenizer) EncodeInto(dst []int, text []byte) []int {
+func (t *Tokenizer) encodeInto(dst []int, text []byte) []int {
 	n := len(text)
 	e := &t.enc
 	if cap(e.sym) < n {
@@ -281,12 +283,13 @@ func siftDown(h []uint64, i int) {
 	}
 }
 
-// Encode is the allocating convenience form of EncodeInto.
-func (t *Tokenizer) Encode(text []byte) []int { return t.EncodeInto(nil, text) }
+// Encode is the allocating convenience form of encodeInto.
+func (t *Tokenizer) Encode(text []byte) []int { return t.encodeInto(nil, text) }
 
-// DecodeInto appends the bytes of ids to dst. EOT decodes to nothing.
-// Unknown ids are ErrToken.
-func (t *Tokenizer) DecodeInto(dst []byte, ids []int) ([]byte, error) {
+// Decode returns the bytes of ids. EOT decodes to nothing. Unknown ids are
+// ErrToken.
+func (t *Tokenizer) Decode(ids []int) ([]byte, error) {
+	var dst []byte
 	for _, id := range ids {
 		if id < 0 || id >= len(t.vocab) {
 			return dst, fmt.Errorf("%w: %d (vocab %d)", ErrToken, id, len(t.vocab))
@@ -296,9 +299,6 @@ func (t *Tokenizer) DecodeInto(dst []byte, ids []int) ([]byte, error) {
 	return dst, nil
 }
 
-// Decode is the allocating convenience form of DecodeInto.
-func (t *Tokenizer) Decode(ids []int) ([]byte, error) { return t.DecodeInto(nil, ids) }
-
 // tokenizerJSON is the on-disk vocab format: the ordered merge list fully
 // determines the vocabulary, so nothing else is stored.
 type tokenizerJSON struct {
@@ -306,8 +306,8 @@ type tokenizerJSON struct {
 	Merges [][2]int `json:"merges"`
 }
 
-// SaveJSON serializes the tokenizer's merge list.
-func (t *Tokenizer) SaveJSON() ([]byte, error) {
+// saveJSON serializes the tokenizer's merge list.
+func (t *Tokenizer) saveJSON() ([]byte, error) {
 	out := tokenizerJSON{Kind: "bpe", Merges: make([][2]int, len(t.merges))}
 	for i, m := range t.merges {
 		out.Merges[i] = [2]int{m.L, m.R}
@@ -315,11 +315,11 @@ func (t *Tokenizer) SaveJSON() ([]byte, error) {
 	return json.MarshalIndent(out, "", "  ")
 }
 
-// LoadTokenizerJSON rebuilds a tokenizer from SaveJSON output, validating
+// loadTokenizerJSON rebuilds a tokenizer from saveJSON output, validating
 // that every merge references only previously defined ids, appears once,
 // and makes a token of at most maxTokenBytes (1 KiB) — so a vocab file's
 // memory grows at most linearly with its length.
-func LoadTokenizerJSON(blob []byte) (*Tokenizer, error) {
+func loadTokenizerJSON(blob []byte) (*Tokenizer, error) {
 	var in tokenizerJSON
 	if err := json.Unmarshal(blob, &in); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrTokenizerJSON, err)
@@ -327,7 +327,7 @@ func LoadTokenizerJSON(blob []byte) (*Tokenizer, error) {
 	if in.Kind != "bpe" {
 		return nil, fmt.Errorf("%w: kind %q (want \"bpe\")", ErrTokenizerJSON, in.Kind)
 	}
-	t := NewByteTokenizer()
+	t := newByteTokenizer()
 	for i, p := range in.Merges {
 		l, r := p[0], p[1]
 		limit := byteVocab + i // ids defined so far
@@ -343,20 +343,20 @@ func LoadTokenizerJSON(blob []byte) (*Tokenizer, error) {
 
 // SaveTokenizerFile writes the vocab JSON to path.
 func SaveTokenizerFile(t *Tokenizer, path string) error {
-	blob, err := t.SaveJSON()
+	blob, err := t.saveJSON()
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, blob, 0o644)
 }
 
-// LoadTokenizerFile reads a vocab JSON written by SaveTokenizerFile.
-func LoadTokenizerFile(path string) (*Tokenizer, error) {
+// loadTokenizerFile reads a vocab JSON written by SaveTokenizerFile.
+func loadTokenizerFile(path string) (*Tokenizer, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("data: reading tokenizer: %w", err)
 	}
-	t, err := LoadTokenizerJSON(blob)
+	t, err := loadTokenizerJSON(blob)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

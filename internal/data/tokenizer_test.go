@@ -22,15 +22,15 @@ import (
 // deterministically, and round-trip exactly.
 func TestTrainBPECompressesAndRoundTrips(t *testing.T) {
 	sample := bytes.Repeat([]byte("the cat sat on the mat. the dog ate the log.\n"), 50)
-	tok, err := TrainBPE(sample, 300)
+	tok, err := trainBPE(sample, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tok.Merges() == 0 {
+	if len(tok.merges) == 0 {
 		t.Fatal("trained tokenizer learned no merges")
 	}
-	if tok.VocabSize() != 257+tok.Merges() {
-		t.Fatalf("VocabSize %d, want %d", tok.VocabSize(), 257+tok.Merges())
+	if tok.VocabSize() != 257+len(tok.merges) {
+		t.Fatalf("VocabSize %d, want %d", tok.VocabSize(), 257+len(tok.merges))
 	}
 	ids := tok.Encode(sample)
 	if len(ids) >= len(sample) {
@@ -53,16 +53,16 @@ func TestTrainBPECompressesAndRoundTrips(t *testing.T) {
 // Training is deterministic: same sample, same merges — twice.
 func TestTrainBPEDeterministic(t *testing.T) {
 	sample := bytes.Repeat([]byte("abcabd abcabd xyz xyz "), 40)
-	a, err := TrainBPE(sample, 280)
+	a, err := trainBPE(sample, 280)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := TrainBPE(sample, 280)
+	b, err := trainBPE(sample, 280)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Merges() != b.Merges() {
-		t.Fatalf("merge counts differ: %d vs %d", a.Merges(), b.Merges())
+	if len(a.merges) != len(b.merges) {
+		t.Fatalf("merge counts differ: %d vs %d", len(a.merges), len(b.merges))
 	}
 	for i := range a.merges {
 		if a.merges[i] != b.merges[i] {
@@ -73,7 +73,7 @@ func TestTrainBPEDeterministic(t *testing.T) {
 
 // The byte tokenizer is the identity mapping plus EOT headroom.
 func TestByteTokenizer(t *testing.T) {
-	tok := NewByteTokenizer()
+	tok := newByteTokenizer()
 	if tok.VocabSize() != 257 {
 		t.Fatalf("byte vocab %d, want 257", tok.VocabSize())
 	}
@@ -99,7 +99,7 @@ func TestByteTokenizer(t *testing.T) {
 // structured errors.
 func TestTokenizerJSONRoundTrip(t *testing.T) {
 	sample := bytes.Repeat([]byte("zero redundancy optimizer. "), 60)
-	tok, err := TrainBPE(sample, 290)
+	tok, err := trainBPE(sample, 290)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestTokenizerJSONRoundTrip(t *testing.T) {
 	if err := SaveTokenizerFile(tok, path); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadTokenizerFile(path)
+	back, err := loadTokenizerFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestTokenizerJSONRoundTrip(t *testing.T) {
 		"duplicate merge": `{"kind":"bpe","merges":[[97,98],[97,98]]}`,
 		"negative id":     `{"kind":"bpe","merges":[[-1,97]]}`,
 	} {
-		if _, err := LoadTokenizerJSON([]byte(blob)); !errors.Is(err, ErrTokenizerJSON) {
+		if _, err := loadTokenizerJSON([]byte(blob)); !errors.Is(err, ErrTokenizerJSON) {
 			t.Errorf("%s: error %v, want ErrTokenizerJSON", name, err)
 		}
 	}
@@ -154,14 +154,14 @@ func doublingVocab(n int) []byte {
 func loadAllocs(blob []byte) (*Tokenizer, uint64, error) {
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	tok, err := LoadTokenizerJSON(blob)
+	tok, err := loadTokenizerJSON(blob)
 	runtime.ReadMemStats(&m1)
 	return tok, m1.TotalAlloc - m0.TotalAlloc, err
 }
 
 // A token may not grow past maxTokenBytes. The 283-byte, 26-merge doubling
 // file would need a 64 MiB token (220 MB in all); it is rejected after a
-// few KiB. TrainBPE on a sample that doubles the same way stops at the cap,
+// few KiB. trainBPE on a sample that doubles the same way stops at the cap,
 // so what it trains still saves and loads.
 func TestTokenLengthCap(t *testing.T) {
 	blob := doublingVocab(26)
@@ -175,11 +175,11 @@ func TestTokenLengthCap(t *testing.T) {
 	if alloc > 1<<20 {
 		t.Errorf("rejecting 26 doubling merges allocated %d bytes", alloc)
 	}
-	if _, err := LoadTokenizerJSON(doublingVocab(10)); err != nil {
+	if _, err := loadTokenizerJSON(doublingVocab(10)); err != nil {
 		t.Fatalf("10 doubling merges (a %d-byte token): %v", maxTokenBytes, err)
 	}
 
-	tok, err := TrainBPE(bytes.Repeat([]byte("a"), 1<<13), 300)
+	tok, err := trainBPE(bytes.Repeat([]byte("a"), 1<<13), 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,11 +190,11 @@ func TestTokenLengthCap(t *testing.T) {
 	if longest != maxTokenBytes {
 		t.Errorf("longest trained token %d bytes, want the %d-byte cap", longest, maxTokenBytes)
 	}
-	out, err := tok.SaveJSON()
+	out, err := tok.saveJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadTokenizerJSON(out)
+	back, err := loadTokenizerJSON(out)
 	if err != nil || !reflect.DeepEqual(back.vocab, tok.vocab) {
 		t.Fatalf("trained vocab does not load back identically: %v", err)
 	}
@@ -203,17 +203,17 @@ func TestTokenLengthCap(t *testing.T) {
 // Sub-floor vocab budgets are rejected; a floor budget is the byte
 // tokenizer; tiny samples stop early instead of inventing merges.
 func TestTrainBPEBudgets(t *testing.T) {
-	if _, err := TrainBPE([]byte("abc"), 100); !errors.Is(err, ErrVocab) {
-		t.Fatalf("TrainBPE(100): %v, want ErrVocab", err)
+	if _, err := trainBPE([]byte("abc"), 100); !errors.Is(err, ErrVocab) {
+		t.Fatalf("trainBPE(100): %v, want ErrVocab", err)
 	}
-	tok, err := TrainBPE([]byte("ab"), 257)
-	if err != nil || tok.Merges() != 0 {
-		t.Fatalf("floor budget: merges %d err %v, want 0 merges", tok.Merges(), err)
+	tok, err := trainBPE([]byte("ab"), 257)
+	if err != nil || len(tok.merges) != 0 {
+		t.Fatalf("floor budget: merges %d err %v, want 0 merges", len(tok.merges), err)
 	}
 	// "ab" has no repeated pair: a huge budget still learns nothing.
-	tok, err = TrainBPE([]byte("ab"), 1000)
-	if err != nil || tok.Merges() != 0 {
-		t.Fatalf("no-repeat sample: merges %d err %v, want 0", tok.Merges(), err)
+	tok, err = trainBPE([]byte("ab"), 1000)
+	if err != nil || len(tok.merges) != 0 {
+		t.Fatalf("no-repeat sample: merges %d err %v, want 0", len(tok.merges), err)
 	}
 }
 
@@ -247,7 +247,7 @@ func corpusDigest(t *testing.T, tok *Tokenizer, path string) (string, int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids = tok.EncodeInto(ids[:0], doc)
+		ids = tok.encodeInto(ids[:0], doc)
 		tokens += len(ids)
 		for _, id := range append(ids, EOT) {
 			binary.LittleEndian.PutUint32(word[:], uint32(id))
@@ -283,9 +283,9 @@ func TestEncodeCorpusGolden(t *testing.T) {
 			var tok *Tokenizer
 			var err error
 			if tc.vocab == 0 {
-				tok, err = LoadTokenizerFile(exampleVocab)
+				tok, err = loadTokenizerFile(exampleVocab)
 			} else {
-				tok, err = TrainBPE(sample, tc.vocab)
+				tok, err = trainBPE(sample, tc.vocab)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -302,7 +302,7 @@ func TestEncodeCorpusGolden(t *testing.T) {
 // encodeReference is the rescan-per-merge encoder: find the lowest merge
 // index present anywhere in the sequence, rewrite all its occurrences left
 // to right, and repeat. It costs O(merges applied × len) and is kept only
-// as the oracle EncodeInto must match id for id.
+// as the oracle encodeInto must match id for id.
 func encodeReference(t *Tokenizer, text []byte) []int {
 	buf := make([]int, len(text))
 	for i, b := range text {
@@ -324,7 +324,7 @@ func encodeReference(t *Tokenizer, text []byte) []int {
 	return buf
 }
 
-// EncodeInto matches encodeReference id for id on seeded random texts —
+// encodeInto matches encodeReference id for id on seeded random texts —
 // windows of the example corpus with a few bytes replaced, and runs over
 // tiny alphabets where one merge overlaps itself — under the corpus-trained
 // vocabs of TestEncodeCorpusGolden and the self-merge chain. Each encode
@@ -336,13 +336,13 @@ func TestEncodeMatchesReference(t *testing.T) {
 	}
 	var toks []*Tokenizer
 	for _, vocab := range []int{300, 512, 4096} {
-		tok, err := TrainBPE(sample, vocab)
+		tok, err := trainBPE(sample, vocab)
 		if err != nil {
 			t.Fatal(err)
 		}
 		toks = append(toks, tok)
 	}
-	doubling, err := LoadTokenizerJSON(doublingVocab(10))
+	doubling, err := loadTokenizerJSON(doublingVocab(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,25 +364,25 @@ func TestEncodeMatchesReference(t *testing.T) {
 			}
 		}
 		for _, tok := range toks {
-			got := tok.EncodeInto([]int{-1}, text)
+			got := tok.encodeInto([]int{-1}, text)
 			if want := encodeReference(tok, text); got[0] != -1 || !equalIDs(got[1:], want) {
-				t.Fatalf("vocab %d, text %q: EncodeInto %v, reference %v", tok.VocabSize(), text, got, want)
+				t.Fatalf("vocab %d, text %q: encodeInto %v, reference %v", tok.VocabSize(), text, got, want)
 			}
 		}
 	}
 }
 
-// EncodeInto appends into the destination without clobbering its prefix
+// encodeInto appends into the destination without clobbering its prefix
 // and reuses scratch across calls.
 func TestEncodeIntoAppends(t *testing.T) {
-	tok := NewByteTokenizer()
+	tok := newByteTokenizer()
 	dst := []int{42}
-	dst = tok.EncodeInto(dst, []byte("xy"))
+	dst = tok.encodeInto(dst, []byte("xy"))
 	if len(dst) != 3 || dst[0] != 42 || dst[1] != 'x' || dst[2] != 'y' {
-		t.Fatalf("EncodeInto = %v", dst)
+		t.Fatalf("encodeInto = %v", dst)
 	}
-	if got := tok.EncodeInto(nil, nil); got != nil {
-		t.Fatalf("EncodeInto(nil, empty) = %v, want nil", got)
+	if got := tok.encodeInto(nil, nil); got != nil {
+		t.Fatalf("encodeInto(nil, empty) = %v, want nil", got)
 	}
 }
 
@@ -391,11 +391,11 @@ func TestEncodeIntoAppends(t *testing.T) {
 // and the byte tokenizer. Run as a short smoke in `make check`
 // (fuzz-smoke) and at length with `go test -fuzz=FuzzBPERoundTrip`.
 func FuzzBPERoundTrip(f *testing.F) {
-	trained, err := TrainBPE(bytes.Repeat([]byte("the zero redundancy optimizer shards optimizer state. "), 40), 320)
+	trained, err := trainBPE(bytes.Repeat([]byte("the zero redundancy optimizer shards optimizer state. "), 40), 320)
 	if err != nil {
 		f.Fatal(err)
 	}
-	bt := NewByteTokenizer()
+	bt := newByteTokenizer()
 	f.Add([]byte("the optimizer"))
 	f.Add([]byte(""))
 	f.Add([]byte{0, 255, 10, 13, 10})
@@ -418,7 +418,7 @@ func FuzzBPERoundTrip(f *testing.F) {
 // the merge count, and each merge takes the next two bytes: a byte below
 // 128 is that raw byte, one at or above it an earlier merge's id, so
 // chains and self-merges come up often. It returns the tokenizer
-// LoadTokenizerJSON builds from those pairs (nil when it rejects them) and
+// loadTokenizerJSON builds from those pairs (nil when it rejects them) and
 // the rest of the input.
 func fuzzVocab(in []byte) (*Tokenizer, []byte) {
 	if len(in) == 0 {
@@ -441,21 +441,21 @@ func fuzzVocab(in []byte) (*Tokenizer, []byte) {
 	if err != nil {
 		panic(err)
 	}
-	tok, _ := LoadTokenizerJSON(blob) // nil when rejected
+	tok, _ := loadTokenizerJSON(blob) // nil when rejected
 	return tok, rest
 }
 
-// FuzzEncodeMatchesReference: for any input bytes, EncodeInto equals
+// FuzzEncodeMatchesReference: for any input bytes, encodeInto equals
 // encodeReference under a trained 320-id vocab, under the self-merge chain
 // doublingVocab(10) (tie order on runs like "aaaa"), and under a vocab
 // loaded from merge pairs taken out of the input itself (fuzzVocab). Run as
 // a short smoke in `make check` (fuzz-smoke).
 func FuzzEncodeMatchesReference(f *testing.F) {
-	trained, err := TrainBPE(bytes.Repeat([]byte("the zero redundancy optimizer shards optimizer state. "), 40), 320)
+	trained, err := trainBPE(bytes.Repeat([]byte("the zero redundancy optimizer shards optimizer state. "), 40), 320)
 	if err != nil {
 		f.Fatal(err)
 	}
-	doubling, err := LoadTokenizerJSON(doublingVocab(10))
+	doubling, err := loadTokenizerJSON(doublingVocab(10))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -475,23 +475,23 @@ func FuzzEncodeMatchesReference(f *testing.F) {
 				continue
 			}
 			if got, want := c.tok.Encode(c.text), encodeReference(c.tok, c.text); !equalIDs(got, want) {
-				t.Fatalf("%s: EncodeInto(%q) = %v, reference %v", c.name, c.text, got, want)
+				t.Fatalf("%s: encodeInto(%q) = %v, reference %v", c.name, c.text, got, want)
 			}
 		}
 	})
 }
 
 // FuzzLoadTokenizerJSON: any input is rejected with ErrTokenizerJSON, or
-// loads into a tokenizer whose SaveJSON loads back to the identical merges
+// loads into a tokenizer whose saveJSON loads back to the identical merges
 // and vocabulary. It never panics, and what a load allocates stays within a
 // fixed multiple of the input's length: each merge costs at most a
 // maxTokenBytes token plus bookkeeping, and takes at least 6 input bytes.
 func FuzzLoadTokenizerJSON(f *testing.F) {
-	trained, err := TrainBPE(bytes.Repeat([]byte("zero redundancy optimizer. "), 60), 290)
+	trained, err := trainBPE(bytes.Repeat([]byte("zero redundancy optimizer. "), 60), 290)
 	if err != nil {
 		f.Fatal(err)
 	}
-	valid, err := trained.SaveJSON()
+	valid, err := trained.saveJSON()
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -512,11 +512,11 @@ func FuzzLoadTokenizerJSON(f *testing.F) {
 			}
 			return
 		}
-		out, err := tok.SaveJSON()
+		out, err := tok.saveJSON()
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := LoadTokenizerJSON(out)
+		back, err := loadTokenizerJSON(out)
 		if err != nil {
 			t.Fatalf("saved vocab does not load: %v", err)
 		}

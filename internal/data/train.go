@@ -25,7 +25,7 @@ type TrainStats struct {
 
 // TrainFromCorpus trains a byte-level BPE vocabulary of up to vocabSize
 // ids from the head of the corpus at path (a file, or a directory of
-// files — see CorpusFiles), framing the text through the same streaming
+// files — see corpusFiles), framing the text through the same streaming
 // document scanner the Loader uses (chunked reads, blank line separators,
 // file boundaries, maxDocBytes splits — 0 means DefaultMaxDocBytes), so
 // the committed vocabulary sees exactly the documents training will.
@@ -37,7 +37,7 @@ func TrainFromCorpus(path string, vocabSize, trainBytes, maxDocBytes int) (*Toke
 	if trainBytes <= 0 {
 		trainBytes = DefaultZerotokTrainBytes
 	}
-	paths, err := CorpusFiles(path)
+	paths, err := corpusFiles(path)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -84,7 +84,7 @@ func TrainFromCorpus(path string, vocabSize, trainBytes, maxDocBytes int) (*Toke
 	}
 	stats.SampleBytes = len(sample)
 
-	t, err := TrainBPE(sample, vocabSize)
+	t, err := trainBPE(sample, vocabSize)
 	if err != nil {
 		return nil, stats, err
 	}

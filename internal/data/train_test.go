@@ -77,7 +77,7 @@ func TestTrainFromCorpusSaveLoadRoundTrip(t *testing.T) {
 	if err := SaveTokenizerFile(tok, vocabPath); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadTokenizerFile(vocabPath)
+	loaded, err := loadTokenizerFile(vocabPath)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,11 @@
 // like PyTorch reusing a cudaMalloc'd segment), then carves from virgin
 // address space; on failure it flushes the cache (cudaEmptyCache) and
 // retries before reporting OOM.
+//
+// Surface: New builds a Device (Alloc, Free, Release, NewRegion, Stats,
+// Validate); a Region is a bump-allocated block (Alloc, Close); an
+// allocation failure is an OOMError wrapping ErrOOM. Imported by
+// internal/experiments (Figure 7's replay) and examples/zeror.
 package device
 
 import (
@@ -102,9 +107,6 @@ func New(capacity int64) *Device {
 	}
 }
 
-// Capacity returns the device memory size in bytes.
-func (d *Device) Capacity() int64 { return d.capacity }
-
 // Stats returns a snapshot of the allocator counters.
 func (d *Device) Stats() Stats {
 	s := d.stats
@@ -126,10 +128,10 @@ func (d *Device) tally() (used, cached, free int64) {
 	return
 }
 
-// LargestContiguous returns the size of the largest contiguous run of
+// largestContiguous returns the size of the largest contiguous run of
 // free-or-cached memory — the biggest single allocation that could succeed
 // after a cache flush.
-func (d *Device) LargestContiguous() int64 {
+func (d *Device) largestContiguous() int64 {
 	var best, run int64
 	for _, s := range d.segs {
 		if s.state == segUsed {
@@ -163,7 +165,7 @@ func (d *Device) Alloc(size int64) (Block, error) {
 		return d.claim(i, size), nil
 	}
 	// 3. Flush cache (cudaEmptyCache) and retry, like PyTorch on OOM.
-	d.EmptyCache()
+	d.emptyCache()
 	if i := d.firstFit(segFree, size); i >= 0 {
 		return d.claim(i, size), nil
 	}
@@ -172,13 +174,13 @@ func (d *Device) Alloc(size int64) (Block, error) {
 	return Block{}, &OOMError{
 		Request:     size,
 		FreeTotal:   freeTotal,
-		LargestFree: d.LargestContiguous(),
+		LargestFree: d.largestContiguous(),
 		Fragmented:  freeTotal >= size,
 	}
 }
 
 // Free releases a block into the allocator cache (it stays reserved, as on
-// a real GPU, until EmptyCache or an OOM-triggered flush).
+// a real GPU, until emptyCache or an OOM-triggered flush).
 func (d *Device) Free(b Block) {
 	i := d.findUsed(b)
 	d.segs[i].state = segCached
@@ -194,8 +196,8 @@ func (d *Device) Release(b Block) {
 	d.coalesce(i, segFree)
 }
 
-// EmptyCache converts all cached segments to free and coalesces.
-func (d *Device) EmptyCache() {
+// emptyCache converts all cached segments to free and coalesces.
+func (d *Device) emptyCache() {
 	for i := range d.segs {
 		if d.segs[i].state == segCached {
 			d.segs[i].state = segFree
@@ -287,9 +289,9 @@ func (d *Device) coalesceAll() {
 	d.segs = out
 }
 
-// ResetPeaks clears the high-water marks (PyTorch
+// resetPeaks clears the high-water marks (PyTorch
 // reset_max_memory_allocated/cached), so per-iteration peaks can be measured.
-func (d *Device) ResetPeaks() {
+func (d *Device) resetPeaks() {
 	used, cached, _ := d.tally()
 	d.stats.PeakInUse = used
 	d.stats.PeakReserved = used + cached

@@ -6,9 +6,9 @@ import (
 	"testing/quick"
 )
 
-// Property: LargestContiguous never exceeds total free+cached, and a
-// request of exactly LargestContiguous succeeds (possibly after the
-// internal cache flush) while LargestContiguous+1 fails.
+// Property: largestContiguous never exceeds total free+cached, and a
+// request of exactly largestContiguous succeeds (possibly after the
+// internal cache flush) while largestContiguous+1 fails.
 func TestLargestContiguousIsTight(t *testing.T) {
 	f := func(seed int64) bool {
 		d := New(1 << 12)
@@ -33,7 +33,7 @@ func TestLargestContiguousIsTight(t *testing.T) {
 				live = append(live, b)
 			}
 		}
-		lc := d.LargestContiguous()
+		lc := d.largestContiguous()
 		st := d.Stats()
 		if lc > st.Cached+st.Free {
 			return false

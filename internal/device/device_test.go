@@ -138,12 +138,8 @@ func TestDefragRegionPreventsFragmentationOOM(t *testing.T) {
 	if _, err := d.Alloc(300); err != nil {
 		t.Fatalf("MD should prevent fragmentation OOM, got %v", err)
 	}
-	if region.Peak() != 500 {
-		t.Errorf("region peak = %d, want 500", region.Peak())
-	}
-	region.Reset()
-	if region.Used() != 0 {
-		t.Error("Reset did not clear region")
+	if region.used != 500 || region.peak != 500 {
+		t.Errorf("region used/peak = %d/%d, want 500/500", region.used, region.peak)
 	}
 	region.Close()
 	if err := d.Validate(); err != nil {
@@ -161,13 +157,13 @@ func TestEmptyCacheCoalesces(t *testing.T) {
 	for _, b := range blocks {
 		d.Free(b)
 	}
-	d.EmptyCache()
-	if got := d.LargestContiguous(); got != 1000 {
-		t.Errorf("LargestContiguous after EmptyCache = %d, want 1000", got)
+	d.emptyCache()
+	if got := d.largestContiguous(); got != 1000 {
+		t.Errorf("largestContiguous after emptyCache = %d, want 1000", got)
 	}
 	st := d.Stats()
 	if st.Free != 1000 || st.Cached != 0 {
-		t.Errorf("stats after EmptyCache: %+v", st)
+		t.Errorf("stats after emptyCache: %+v", st)
 	}
 }
 
@@ -197,10 +193,10 @@ func TestPeakTracking(t *testing.T) {
 		t.Errorf("PeakReserved = %d, want 700", st.PeakReserved)
 	}
 	d.Free(b)
-	d.ResetPeaks()
+	d.resetPeaks()
 	st = d.Stats()
 	if st.PeakInUse != 0 || st.PeakReserved != 700 {
-		t.Errorf("after ResetPeaks: %+v", st)
+		t.Errorf("after resetPeaks: %+v", st)
 	}
 }
 
@@ -261,8 +257,8 @@ func TestRegionExhaustion(t *testing.T) {
 	if _, err := r.Alloc(60); !errors.Is(err, ErrOOM) {
 		t.Errorf("expected region OOM, got %v", err)
 	}
-	r.Reset()
+	r.used = 0 // the per-iteration reset
 	if _, err := r.Alloc(100); err != nil {
-		t.Errorf("after Reset full-size alloc should fit: %v", err)
+		t.Errorf("after a reset a full-size alloc should fit: %v", err)
 	}
 }

@@ -48,19 +48,6 @@ func (r *Region) Alloc(size int64) (Block, error) {
 	return b, nil
 }
 
-// Reset discards all bump allocations (the per-iteration lifetime of
-// checkpoints and gradients).
-func (r *Region) Reset() { r.used = 0 }
-
-// Used returns the bytes currently bump-allocated.
-func (r *Region) Used() int64 { return r.used }
-
-// Peak returns the high-water mark of bump allocation.
-func (r *Region) Peak() int64 { return r.peak }
-
-// Size returns the region's total capacity.
-func (r *Region) Size() int64 { return r.block.Size }
-
 // Close returns the region's memory to the device free space.
 func (r *Region) Close() {
 	r.dev.Release(r.block)

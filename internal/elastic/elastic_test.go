@@ -10,7 +10,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/model"
 	"repro/internal/optimizer"
-	"repro/internal/tensor"
+	"repro/internal/testutil"
 	"repro/internal/zero"
 )
 
@@ -39,16 +39,16 @@ func snapshotsEqual(t *testing.T, a, b *zero.Snapshot, label string) {
 		a.AccumMicros != b.AccumMicros || len(a.Opt) != len(b.Opt) {
 		t.Fatalf("%s: snapshot headers differ: %+v vs %+v", label, a.OptSteps, b.OptSteps)
 	}
-	if d := tensor.MaxDiff(a.Params, b.Params); d != 0 {
+	if d := testutil.MaxDiff(a.Params, b.Params); d != 0 {
 		t.Errorf("%s: params differ by %g", label, d)
 	}
 	for i := range a.Opt {
-		if d := tensor.MaxDiff(a.Opt[i], b.Opt[i]); d != 0 {
+		if d := testutil.MaxDiff(a.Opt[i], b.Opt[i]); d != 0 {
 			t.Errorf("%s: opt tensor %d differs by %g", label, i, d)
 		}
 	}
 	if a.AccumMicros > 0 {
-		if d := tensor.MaxDiff(a.Accum, b.Accum); d != 0 {
+		if d := testutil.MaxDiff(a.Accum, b.Accum); d != 0 {
 			t.Errorf("%s: accum differs by %g", label, d)
 		}
 	}
@@ -218,7 +218,7 @@ func TestCaptureRoundTripMatrix(t *testing.T) {
 			got := resumeWorld(t, n, opts, ck, finish, postSteps, tc.micros,
 				ids, targets, batch)
 			for r := 0; r < n; r++ {
-				if d := tensor.MaxDiff(got[r], ref[r]); d != 0 {
+				if d := testutil.MaxDiff(got[r], ref[r]); d != 0 {
 					t.Errorf("rank %d: resumed trajectory diverged by %g", r, d)
 				}
 			}
@@ -241,7 +241,7 @@ func TestReshardedResumeMatchesSmallWorld(t *testing.T) {
 	ref := referenceWorld(t, 2, opts, pre+post, 1, ids, targets, batch)
 	got := resumeWorld(t, 2, opts, ck, 0, post, 1, ids, targets, batch)
 	for r := 0; r < 2; r++ {
-		if d := tensor.MaxDiff(got[r], ref[r]); d > 1e-3 {
+		if d := testutil.MaxDiff(got[r], ref[r]); d > 1e-3 {
 			t.Errorf("rank %d: resume at M=2 diverged by %g", r, d)
 		}
 	}
@@ -294,7 +294,7 @@ func TestSnapshotterAsyncMatchesSyncCapture(t *testing.T) {
 
 	// Retention kept exactly Keep files; the newest is the last Tick; no
 	// temp files leaked; the file decodes back to the published checkpoint.
-	files, err := ListCheckpoints(dir)
+	files, err := listCheckpoints(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestSnapshotterAsyncMatchesSyncCapture(t *testing.T) {
 	snapshotsEqual(t, latest, fromDisk, "disk vs memory")
 }
 
-// A snapshotter with no Dir keeps checkpoints in memory only; Snap works
+// A snapshotter with no Dir keeps checkpoints in memory only; take works
 // mid-accumulation and the restored accumulator round-trips.
 func TestSnapshotterMidAccumInMemory(t *testing.T) {
 	cfg := testConfig()
@@ -341,7 +341,7 @@ func TestSnapshotterMidAccumInMemory(t *testing.T) {
 		tr.Step(ids, targets, batch)
 		tr.Forward(ids, targets, batch)
 		tr.Backward()
-		snap.Snap(1, tr)
+		snap.take(1, tr)
 		snap.Flush(c.Rank())
 	})
 	if err := snap.Close(); err != nil {

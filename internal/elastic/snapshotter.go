@@ -12,6 +12,10 @@
 // at any M; at M == N the resumed trajectory is bitwise too, and across
 // N↔M it differs only within reduction-tree tolerance (the same caveat as
 // cross-topology runs).
+//
+// Surface: NewSnapshotter builds a Snapshotter from a Policy; Tick, Flush,
+// Latest, Count, StallNs, Err and Close drive and read it. Imported by
+// internal/serve (the job supervisor) and bench.
 package elastic
 
 import (
@@ -30,7 +34,7 @@ import (
 // Policy configures periodic snapshotting.
 type Policy struct {
 	// Every takes a snapshot when Tick's step is a multiple of Every.
-	// Every <= 0 disables Tick (Snap still works).
+	// Every <= 0 disables Tick (take still works).
 	Every int
 	// Dir, when non-empty, is where rank 0 persists encoded snapshots
 	// (ckpt-<step>.zelc, written via a temp file + atomic rename). Empty
@@ -109,12 +113,12 @@ func (s *Snapshotter) Tick(step int, tr *zero.Trainer) {
 	if s.pol.Every <= 0 || step <= 0 || step%s.pol.Every != 0 {
 		return
 	}
-	s.Snap(step, tr)
+	s.take(step, tr)
 }
 
-// Snap takes a snapshot unconditionally. Collective across ranks. Legal
+// take takes a snapshot unconditionally. Collective across ranks. Legal
 // mid-accumulation: the capture includes the pending gradient accumulator.
-func (s *Snapshotter) Snap(step int, tr *zero.Trainer) {
+func (s *Snapshotter) take(step int, tr *zero.Trainer) {
 	r := tr.Comm().Rank()
 	sl := &s.slots[r]
 	i := sl.cur & 1
@@ -234,7 +238,7 @@ func (s *Snapshotter) prune() error {
 	if s.pol.Keep <= 0 {
 		return nil
 	}
-	files, err := ListCheckpoints(s.pol.Dir)
+	files, err := listCheckpoints(s.pol.Dir)
 	if err != nil {
 		return err
 	}
@@ -251,8 +255,8 @@ func checkpointName(step int) string {
 	return fmt.Sprintf("ckpt-%09d.zelc", step)
 }
 
-// ListCheckpoints returns the checkpoint files in dir, oldest step first.
-func ListCheckpoints(dir string) ([]string, error) {
+// listCheckpoints returns the checkpoint files in dir, oldest step first.
+func listCheckpoints(dir string) ([]string, error) {
 	matches, err := filepath.Glob(filepath.Join(dir, "ckpt-*.zelc"))
 	if err != nil {
 		return nil, err

@@ -10,6 +10,14 @@
 // Every command, example and experiment constructs its training run through
 // this one package, so a new knob lands in the config struct once instead
 // of being duplicated as ad-hoc flags and hand-built option structs.
+//
+// Surface: Config with ParseConfig, LoadConfig, DefaultConfig and
+// Normalized; Run and RunOnFallible start one Engine per rank (Forward,
+// Backward, Step, TrainStream, TrainLoop, Save, Load, Observe, OnBoundary
+// and the accounting readers); OpenData compiles the data section into a
+// data.Loader; the Err* sentinels classify config errors. Imported by
+// internal/serve, internal/experiments, cmd/zerotrain, the examples and
+// bench.
 package engine
 
 import (
@@ -28,7 +36,7 @@ import (
 	"repro/internal/zero"
 )
 
-// Sentinel errors for the distinct ways a config can be invalid. Validate
+// Sentinel errors for the distinct ways a config can be invalid. Normalized
 // (and everything built on it) wraps one of these, so callers distinguish
 // failure classes with errors.Is instead of string matching.
 var (
@@ -37,7 +45,7 @@ var (
 	// ErrModel marks an invalid model shape.
 	ErrModel = errors.New("engine: invalid model")
 	// ErrWorld marks an invalid rank count, or a world whose size does not
-	// match the config at Initialize time.
+	// match the config at start-up.
 	ErrWorld = errors.New("engine: invalid world")
 	// ErrStage marks an unknown ZeRO stage spelling.
 	ErrStage = errors.New("engine: invalid stage")
@@ -139,7 +147,7 @@ type PrecisionConfig struct {
 }
 
 // Config is the declarative training configuration. Zero values mean "use
-// the documented default"; Validate reports structured errors for every
+// the documented default"; Normalized reports structured errors for every
 // inconsistent combination. The batch geometry follows DeepSpeed's
 // contract: global_batch = grad_accum_steps × micro_batch, with any one of
 // the three derivable from the other two.
@@ -249,7 +257,7 @@ func LoadConfig(path string) (Config, error) {
 }
 
 // Normalized returns the config with derivable batch-geometry fields
-// filled in (the config Initialize actually runs), validating everything
+// filled in (the config each rank actually runs), validating everything
 // and wrapping one sentinel error per failure class.
 func (c Config) Normalized() (Config, error) {
 	if c.Ranks < 1 {
@@ -419,14 +427,6 @@ func tokenizerFloor(d DataConfig) int {
 		return d.VocabSize
 	}
 	return 257
-}
-
-// Validate reports whether the config is runnable, wrapping one of the
-// package's sentinel errors per failure class. It does not mutate c;
-// derivable batch fields may stay zero and are filled at Initialize.
-func (c Config) Validate() error {
-	_, err := c.Normalized()
-	return err
 }
 
 // OpenData compiles the config's data section into a streaming

@@ -100,9 +100,9 @@ func TestValidateSentinelErrors(t *testing.T) {
 		}), ErrData},
 	}
 	for _, tc := range cases {
-		err := tc.cfg.Validate()
+		_, err := tc.cfg.Normalized()
 		if err == nil {
-			t.Errorf("%s: Validate() = nil, want %v", tc.name, tc.want)
+			t.Errorf("%s: Normalized() = nil, want %v", tc.name, tc.want)
 			continue
 		}
 		for _, s := range sentinels {
@@ -111,7 +111,7 @@ func TestValidateSentinelErrors(t *testing.T) {
 			}
 		}
 	}
-	if err := DefaultConfig().Validate(); err != nil {
+	if _, err := DefaultConfig().Normalized(); err != nil {
 		t.Errorf("DefaultConfig must validate, got %v", err)
 	}
 }
@@ -245,7 +245,7 @@ func TestConfigMarshalRoundTrip(t *testing.T) {
 	if back != orig {
 		t.Errorf("round trip changed the config:\n  orig %+v\n  back %+v", orig, back)
 	}
-	if err := back.Validate(); err != nil {
+	if _, err := back.Normalized(); err != nil {
 		t.Error(err)
 	}
 }
@@ -271,7 +271,7 @@ func TestCommittedConfigsValidate(t *testing.T) {
 			t.Errorf("%s: %v", p, err)
 			continue
 		}
-		if err := cfg.Validate(); err != nil {
+		if _, err := cfg.Normalized(); err != nil {
 			t.Errorf("%s: %v", p, err)
 		}
 		if strings.Contains(p, "quickstart") {

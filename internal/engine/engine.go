@@ -66,10 +66,10 @@ func (e *Engine) Observe(fn func(StepInfo)) { e.observer = fn }
 // they are part of the collective schedule.
 func (e *Engine) OnBoundary(fn func(step int)) { e.onBoundary = append(e.onBoundary, fn) }
 
-// Initialize validates cfg, compiles it down to zero.Options and builds
+// initialize validates cfg, compiles it down to zero.Options and builds
 // this rank's Engine — the deepspeed.initialize of the reproduction. The
 // same cfg must be passed on every rank of the world.
-func Initialize(c *comm.Comm, cfg Config) (*Engine, error) {
+func initialize(c *comm.Comm, cfg Config) (*Engine, error) {
 	norm, err := cfg.Normalized()
 	if err != nil {
 		return nil, err
@@ -98,87 +98,59 @@ func Run(cfg Config, body func(*Engine)) (*comm.World, error) {
 		return nil, err
 	}
 	w := comm.NewWorld(norm.Ranks)
-	if err := RunOn(w, norm, body); err != nil {
-		return nil, err
+	var firstErr error
+	w.Run(rankBody(norm, body, &firstErr))
+	if firstErr != nil {
+		return nil, firstErr
 	}
 	return w, nil
 }
 
-// RunOn is Run against a caller-built world — the entry point for hosts
-// (servers, schedulers) that need the World handle before the job starts,
-// e.g. to read live wire statistics from inside a step observer. The world
-// size must match the config's rank count.
-func RunOn(w *comm.World, cfg Config, body func(*Engine)) error {
-	norm, err := cfg.Normalized()
-	if err != nil {
-		return err
-	}
-	var mu sync.Mutex
-	var firstErr error
-	w.Run(func(c *comm.Comm) {
-		e, err := Initialize(c, norm)
-		if err != nil {
-			// The config validated above, so per-rank failures are
-			// identical across ranks; every rank returns before any
-			// collective starts.
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			return
-		}
-		defer e.Close()
-		body(e)
-	})
-	return firstErr
-}
-
-// RunOnFallible is RunOn with rank-death containment: the world runs with
-// fault injection enabled, and a rank that dies mid-collective (killed by
-// injection, or erroring out after observing a dead peer) surfaces as that
-// rank's entry in the returned slice instead of crashing the process. The
-// supervisor loop in internal/serve restarts jobs from this signal. The
-// second return value reports configuration errors (identical on all
-// ranks), which prevent the job from starting at all.
+// RunOnFallible is Run against a caller-built world, with rank-death
+// containment: the world runs with fault injection enabled, and a rank
+// that dies mid-collective (killed by injection, or erroring out after
+// observing a dead peer) surfaces as that rank's entry in the returned
+// slice instead of crashing the process. The supervisor loop in
+// internal/serve restarts jobs from this signal. The second return value
+// reports configuration errors (identical on all ranks), which prevent the
+// job from starting at all.
 func RunOnFallible(w *comm.World, cfg Config, body func(*Engine)) ([]error, error) {
 	norm, err := cfg.Normalized()
 	if err != nil {
 		return nil, err
 	}
-	var mu sync.Mutex
 	var firstErr error
-	errs := w.RunFallible(func(c *comm.Comm) {
-		e, err := Initialize(c, norm)
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			return
-		}
-		defer e.Close()
-		body(e)
-	})
+	errs := w.RunFallible(rankBody(norm, body, &firstErr))
 	if firstErr != nil {
 		return nil, firstErr
 	}
 	return errs, nil
 }
 
-// Config returns the normalized configuration the engine runs (batch
-// geometry fully resolved).
-func (e *Engine) Config() Config { return e.cfg }
+// rankBody is the per-rank start loop of Run and RunOnFallible: initialize
+// this rank's Engine, run body on it, close it. The config validated
+// before the world started, so an initialize failure is identical on every
+// rank and every rank returns before any collective starts; the first one
+// lands in *firstErr.
+func rankBody(norm Config, body func(*Engine), firstErr *error) func(*comm.Comm) {
+	var mu sync.Mutex
+	return func(c *comm.Comm) {
+		e, err := initialize(c, norm)
+		if err != nil {
+			mu.Lock()
+			if *firstErr == nil {
+				*firstErr = err
+			}
+			mu.Unlock()
+			return
+		}
+		defer e.Close()
+		body(e)
+	}
+}
 
 // Rank returns this engine's data-parallel rank.
 func (e *Engine) Rank() int { return e.c.Rank() }
-
-// Size returns the data-parallel degree.
-func (e *Engine) Size() int { return e.c.Size() }
-
-// Stage returns the configured ZeRO stage.
-func (e *Engine) Stage() zero.Stage { return e.tr.Stage() }
 
 // Forward runs one micro-batch's forward pass (MicroBatch rows across the
 // group, row-major ids/targets; this rank computes its shard) and returns
@@ -328,9 +300,6 @@ func (e *Engine) BatchLoss() float64 { return e.last }
 
 // Steps returns how many optimizer steps have fired.
 func (e *Engine) Steps() int { return e.steps }
-
-// MicroSteps reports the micro-batches accumulated since the last boundary.
-func (e *Engine) MicroSteps() int { return e.micro }
 
 // LastGradNorm returns the pre-clipping global gradient norm of the most
 // recent boundary (when grad_clip is enabled).

@@ -45,7 +45,7 @@ func TestEngineStepFiresOnBoundary(t *testing.T) {
 					if e.BatchLoss() == 0 || loss == 0 {
 						t.Error("BatchLoss not materialized at the boundary")
 					}
-					if e.MicroSteps() != 0 {
+					if e.micro != 0 {
 						t.Error("micro counter did not reset at the boundary")
 					}
 				}
@@ -130,13 +130,13 @@ func TestEngineStepWithoutBackwardPanics(t *testing.T) {
 	}
 }
 
-// Initialize rejects a world whose size disagrees with the config.
+// initialize rejects a world whose size disagrees with the config.
 func TestInitializeWorldMismatch(t *testing.T) {
 	cfg := testEngineConfig() // says 2 ranks
 	w := comm.NewWorld(4)
 	w.Run(func(c *comm.Comm) {
-		if _, err := Initialize(c, cfg); !errors.Is(err, ErrWorld) {
-			t.Errorf("Initialize on wrong-sized world: err = %v, want ErrWorld", err)
+		if _, err := initialize(c, cfg); !errors.Is(err, ErrWorld) {
+			t.Errorf("initialize on wrong-sized world: err = %v, want ErrWorld", err)
 		}
 	})
 }

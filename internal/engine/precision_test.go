@@ -23,18 +23,18 @@ func TestPrecisionConfigParseAndValidate(t *testing.T) {
 		c.Precision.InitialLossScale != 4096 || c.Precision.LossScaleWindow != 50 {
 		t.Fatalf("precision block did not round-trip: %+v", c.Precision)
 	}
-	if err := c.Validate(); err != nil {
+	if _, err := c.Normalized(); err != nil {
 		t.Fatalf("valid precision config rejected: %v", err)
 	}
 
 	ckpt := c
 	ckpt.Checkpoint = true
-	if err := ckpt.Validate(); err != nil {
+	if _, err := ckpt.Normalized(); err != nil {
 		t.Errorf("fp16_compute + activation_checkpoint rejected: %v", err)
 	}
 	bad := c
 	bad.Precision = &PrecisionConfig{FP16Compute: true, InitialLossScale: -1}
-	if err := bad.Validate(); !errors.Is(err, ErrPrecision) {
+	if _, err := bad.Normalized(); !errors.Is(err, ErrPrecision) {
 		t.Errorf("negative initial_loss_scale: got %v, want ErrPrecision", err)
 	}
 	// Checkpointing alongside a precision block that does NOT enable fp16
@@ -42,7 +42,7 @@ func TestPrecisionConfigParseAndValidate(t *testing.T) {
 	ok := c
 	ok.Checkpoint = true
 	ok.Precision = &PrecisionConfig{InitialLossScale: 1024}
-	if err := ok.Validate(); err != nil {
+	if _, err := ok.Normalized(); err != nil {
 		t.Errorf("checkpoint + non-compute precision block rejected: %v", err)
 	}
 }

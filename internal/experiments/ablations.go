@@ -15,7 +15,7 @@ import (
 //   - gradient bucketing (CB applied to the reduce-scatter): identical
 //     volume, more messages, bitwise-identical result;
 //   - hierarchical vs flat all-reduce: the inter-node traffic cut that
-//     makes cross-node DP viable (perfmodel.DPBandwidth's assumption);
+//     makes cross-node DP viable (perfmodel's harmonic DP bandwidth assumes it);
 //   - activation checkpointing: the §3.2 memory/recompute trade;
 //   - gradient clipping: the extra collective it costs under partitioning.
 func Ablations() Table {

@@ -2,6 +2,11 @@
 // paper's evaluation (§10). Each driver returns a Table whose rows mirror
 // what the paper reports; cmd/zerobench renders them, and this package's
 // tests pin each table's shape and the paper's orderings against it.
+//
+// Surface: one func per table or figure (Table1, Table2, Fig1 … Fig8,
+// StageMemory, StageSweep, StageThroughput, AccumSweep, CommVolume,
+// Ablations), each returning a Table to Render, plus
+// MeasureComputeResidency. Imported by cmd/zerobench and examples/trillion.
 package experiments
 
 import (

@@ -31,7 +31,7 @@ func Fig7() Table {
 		shape := zero.ShapeForParams(paramsFor(m.layers, m.hidden))
 		shape.Layers, shape.Hidden = m.layers, m.hidden
 		for _, c := range Configs {
-			peak, err := SimulateIterationPeak(shape, c, m.batch, mp, nd, int64(32*zero.GB))
+			peak, err := simulateIterationPeak(shape, c, m.batch, mp, nd, int64(32*zero.GB))
 			cell := fmtF(peak/zero.GB, 1)
 			if err != nil {
 				cell = "OOM"
@@ -54,7 +54,7 @@ func paramsFor(layers, hidden int) int64 {
 	return int64(layers)*(12*h*h+13*h) + (50257+1024)*h
 }
 
-// SimulateIterationPeak replays one training iteration's allocation
+// simulateIterationPeak replays one training iteration's allocation
 // sequence for a configuration on a fresh simulated device and returns the
 // peak reserved ("cached") bytes. The trace follows §6.3's lifetime
 // analysis: model states are allocated once and live forever; per layer the
@@ -63,7 +63,7 @@ func paramsFor(layers, hidden int) int64 {
 // includes MD); the backward pass re-allocates working memory and transient
 // gradient buffers; constant-size fused buffers (CB) come and go around the
 // reduction.
-func SimulateIterationPeak(shape zero.ShapeInfo, c CConfig, batch, mp, nd int, capacity int64) (float64, error) {
+func simulateIterationPeak(shape zero.ShapeInfo, c CConfig, batch, mp, nd int, capacity int64) (float64, error) {
 	d := device.New(capacity)
 
 	// Persistent model states.

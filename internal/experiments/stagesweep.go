@@ -55,7 +55,7 @@ func (sc StageSweepConfig) sweepRow(stage zero.Stage, fp16, overlap, prefetch bo
 
 // StageSweep measures the unified Stage API end to end on the real
 // engines: for each ZeRO-DP stage it trains a small model through
-// engine.Initialize and reports the wire traffic per rank per step —
+// engine.Run and reports the wire traffic per rank per step —
 // elements counted by the collectives and bytes counted *natively* by the
 // dtype-tagged buffers (comm.Stats records each op at its Buffer's wire
 // width, so the fp16 column is measured, not elems × convention) — and the
@@ -158,7 +158,7 @@ func StageSweep(sc StageSweepConfig) Table {
 		Note: fmt.Sprintf("Ψ=%d params, N=%d ranks, bucket=%d elems; bytes measured natively by\n"+
 			"dtype-tagged buffers (fp16 = 2 B/elem on the wire); %s.\n"+
 			"Step times are wall-clock of this run (overlap = grad-stream buckets + stage-3\n"+
-			"prefetch stream). All rows run through engine.Initialize.",
+			"prefetch stream). All rows run through engine.Run.",
 			psi, ranks, sc.Base.BucketElems, topoNote),
 		Header: []string{"System", "Wire", "Elems/rank/step", "Bytes/rank/step (measured)", "vs seed",
 			"Inter-B/rank/step", "Inter-B predicted", "Step (sync)", "Step (overlap)", "Speedup"},

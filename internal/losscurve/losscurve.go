@@ -8,6 +8,10 @@
 // The substitution is documented in DESIGN.md: we have neither the corpus
 // nor 400 GPUs, but the ordering and asymptote structure are what the
 // figure communicates.
+//
+// Surface: Curve (Loss, Perplexity) for Figure 5, and FitSlope, the
+// least-squares trend engine's and zero's training tests assert a descending
+// loss with. Imported by internal/experiments.
 package losscurve
 
 import "math"
@@ -32,8 +36,8 @@ type Curve struct {
 	Params int64 // parameter count
 }
 
-// AsymptoticLoss returns the converged validation loss in nats/token.
-func (c Curve) AsymptoticLoss() float64 {
+// asymptoticLoss returns the converged validation loss in nats/token.
+func (c Curve) asymptoticLoss() float64 {
 	return lossFloor + paramCoeff*math.Pow(float64(c.Params), -paramExp)
 }
 
@@ -42,7 +46,7 @@ func (c Curve) Loss(iter int) float64 {
 	if iter < 0 {
 		panic("losscurve: negative iteration")
 	}
-	return c.AsymptoticLoss() + iterCoeff*math.Pow(1+float64(iter)/iterScale, -iterExp)
+	return c.asymptoticLoss() + iterCoeff*math.Pow(1+float64(iter)/iterScale, -iterExp)
 }
 
 // Perplexity returns exp(Loss) at the given iteration — the metric of
@@ -51,22 +55,22 @@ func (c Curve) Perplexity(iter int) float64 {
 	return math.Exp(c.Loss(iter))
 }
 
-// Point is one sample of a perplexity trajectory.
-type Point struct {
+// point is one sample of a perplexity trajectory.
+type point struct {
 	Iter       int
 	Perplexity float64
 }
 
-// Series samples the trajectory at `points` evenly spaced iterations up to
+// series samples the trajectory at `points` evenly spaced iterations up to
 // maxIter inclusive.
-func (c Curve) Series(maxIter, points int) []Point {
+func (c Curve) series(maxIter, points int) []point {
 	if points < 2 {
 		panic("losscurve: need at least two points")
 	}
-	out := make([]Point, points)
+	out := make([]point, points)
 	for i := range out {
 		it := i * maxIter / (points - 1)
-		out[i] = Point{Iter: it, Perplexity: c.Perplexity(it)}
+		out[i] = point{Iter: it, Perplexity: c.Perplexity(it)}
 	}
 	return out
 }

@@ -56,7 +56,7 @@ func TestCurveProperties(t *testing.T) {
 }
 
 func TestSeriesShape(t *testing.T) {
-	s := Curve{Params: turingNLG}.Series(300_000, 31)
+	s := Curve{Params: turingNLG}.series(300_000, 31)
 	if len(s) != 31 || s[0].Iter != 0 || s[30].Iter != 300_000 {
 		t.Fatalf("series endpoints wrong: %+v ... %+v", s[0], s[30])
 	}

@@ -9,6 +9,13 @@
 // model is exercised at laptop scale (tiny vocab/hidden sizes) for
 // correctness; the paper-scale shapes are handled analytically by
 // internal/perfmodel and the memory planner.
+//
+// Surface: Config, New and NewSharded build a Model (Loss, Backward,
+// ZeroGrads, SetFP16Compute, ReleaseParams and the workspace readers) over a
+// flat Layout of Segments; SyntheticBatch, NewSyntheticStream and ShardBatch
+// make and split batches; CheckpointStore and Reducer are the hooks zero and
+// internal/mp plug in. Imported by zero, engine, serve, experiments,
+// cmd/zerotrain, the examples and bench.
 package model
 
 import "fmt"

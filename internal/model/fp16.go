@@ -72,8 +72,8 @@ func growH(buf tensor.HalfBuffer, n int) tensor.HalfBuffer {
 
 // SetFP16Compute switches the model between the fp32 and fp16 layouts.
 // Enabling allocates the ParamsH compute copy and encodes the current
-// master into it; callers that mutate Params afterwards must
-// RefreshHalfParams the touched range. A switch in either direction drops
+// master into it; a caller that mutates Params afterwards re-encodes the
+// touched range into ParamsH itself. A switch in either direction drops
 // the step workspace (the layouts share no buffer list), and switching off
 // drops ParamsH too.
 func (m *Model) SetFP16Compute(on bool) {
@@ -92,7 +92,7 @@ func (m *Model) SetFP16Compute(on bool) {
 		return
 	}
 	m.ParamsH = growH(m.ParamsH, len(m.Params))
-	m.RefreshHalfParams(0, len(m.Params))
+	m.refreshHalfParams(0, len(m.Params))
 	if m.LossScale == 0 {
 		m.LossScale = 1
 	}
@@ -110,13 +110,10 @@ func (m *Model) ReleaseParams() {
 	m.Params = nil
 }
 
-// FP16Compute reports whether the fp16 layout is active.
-func (m *Model) FP16Compute() bool { return m.fp16 }
-
-// RefreshHalfParams re-encodes Params[lo:hi] into the fp16 compute copy —
+// refreshHalfParams re-encodes Params[lo:hi] into the fp16 compute copy —
 // the writeback point after the optimizer (or a parameter all-gather)
 // changes the fp32 master.
-func (m *Model) RefreshHalfParams(lo, hi int) {
+func (m *Model) refreshHalfParams(lo, hi int) {
 	m.ParamsH[lo:hi].FromFloats(m.Params[lo:hi])
 }
 

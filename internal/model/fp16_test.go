@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/tensor"
+	"repro/internal/testutil"
 )
 
 // The fp16 path must track the f32 path closely at init: same near-uniform
@@ -64,7 +65,7 @@ func TestFP16Deterministic(t *testing.T) {
 	if l1 != l2 {
 		t.Errorf("same seed, different fp16 loss: %v vs %v", l1, l2)
 	}
-	if d := tensor.MaxDiff(g1, g2); d != 0 {
+	if d := testutil.MaxDiff(g1, g2); d != 0 {
 		t.Errorf("same seed, different fp16 grads: %g", d)
 	}
 }
@@ -128,7 +129,7 @@ func TestFP16OverflowDetection(t *testing.T) {
 	if m.TakeOverflow() {
 		t.Error("overflow persisted after backing off the loss scale")
 	}
-	if tensor.HasNaNOrInf(m.Grads) {
+	if testutil.HasNaNOrInf(m.Grads) {
 		t.Error("non-finite gradients after recovery")
 	}
 }
@@ -147,8 +148,8 @@ func TestFP16TrainingReducesLoss(t *testing.T) {
 		m.ZeroGrads()
 		loss = m.Loss(ids, targets, 4)
 		m.Backward()
-		tensor.AXPY(-lr, m.Grads, m.Params)
-		m.RefreshHalfParams(0, len(m.Params))
+		testutil.AXPY(-lr, m.Grads, m.Params)
+		m.refreshHalfParams(0, len(m.Params))
 	}
 	if loss >= first-0.3 {
 		t.Errorf("fp16 loss did not fall: %.4f -> %.4f", first, loss)
@@ -264,8 +265,8 @@ func TestFP16SwitchOffReleasesHalfBuffers(t *testing.T) {
 	m.SetFP16Compute(true)
 	step(m)
 	m.SetFP16Compute(false)
-	if m.FP16Compute() || m.ParamsH != nil {
-		t.Errorf("fp16 compute off, but FP16Compute=%v and ParamsH holds %d B", m.FP16Compute(), m.ParamsH.Bytes())
+	if m.fp16 || m.ParamsH != nil {
+		t.Errorf("fp16 compute off, but FP16Compute=%v and ParamsH holds %d B", m.fp16, m.ParamsH.Bytes())
 	}
 	if got := m.WorkspaceBytes(); got != 0 {
 		t.Errorf("workspace still holds %d B of the fp16 layout after switching off", got)
@@ -276,7 +277,7 @@ func TestFP16SwitchOffReleasesHalfBuffers(t *testing.T) {
 	if got, want := m.WorkspaceBytes(), ref.WorkspaceBytes(); got != want {
 		t.Errorf("workspace %d B after switching back, want the fp32 value %d B", got, want)
 	}
-	if d := tensor.MaxDiff(m.Grads, ref.Grads); d != 0 {
+	if d := testutil.MaxDiff(m.Grads, ref.Grads); d != 0 {
 		t.Errorf("fp32 gradients after switching back differ by %g", d)
 	}
 }
@@ -301,8 +302,8 @@ func TestFP16WithCheckpointPanics(t *testing.T) {
 				losses = append(losses, m.Loss(ids, targets, 2))
 				m.Backward()
 				grads = append(grads, gradChecksum(m.Grads))
-				tensor.AXPY(-0.1, m.Grads, m.Params)
-				m.RefreshHalfParams(0, len(m.Params))
+				testutil.AXPY(-0.1, m.Grads, m.Params)
+				m.refreshHalfParams(0, len(m.Params))
 			}
 			return losses, grads, m.TakeOverflow()
 		}

@@ -68,8 +68,8 @@ type Model struct {
 	BackwardHook func(layer int)
 
 	// ParamsH holds the binary16 parameters the fp16 mode's kernels read.
-	// Non-nil only while FP16Compute is on. A standalone model keeps Params
-	// as the fp32 master and re-encodes via RefreshHalfParams; an engine
+	// Non-nil only while fp16 compute is on. A standalone model keeps Params
+	// as the fp32 master and re-encodes it into ParamsH; an engine
 	// that holds the master elsewhere writes ParamsH itself and may
 	// ReleaseParams (see fp16.go).
 	ParamsH tensor.HalfBuffer
@@ -228,7 +228,7 @@ func (m *Model) Loss(ids, targets []int, batch int) float64 {
 }
 
 // headProbs returns the softmax-over-vocab buffer of the last Loss: its own
-// in fp32 mode; in fp16 mode the softmax overwrites the logits (SoftmaxRows
+// in fp32 mode; in fp16 mode the softmax overwrites the logits (the row softmax
 // allows aliasing), and dLogits the probabilities in turn, so one fp32
 // [M,v] buffer carries the head state into backward.
 func (m *Model) headProbs() []float32 {

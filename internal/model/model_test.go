@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/tensor"
+	"repro/internal/testutil"
 )
 
 func tinyConfig() Config {
@@ -94,7 +94,7 @@ func TestDeterministicForward(t *testing.T) {
 	if l1 != l2 {
 		t.Errorf("same seed, different loss: %v vs %v", l1, l2)
 	}
-	if d := tensor.MaxDiff(m1.Params, m2.Params); d != 0 {
+	if d := testutil.MaxDiff(m1.Params, m2.Params); d != 0 {
 		t.Errorf("same seed, different params: %g", d)
 	}
 }
@@ -158,7 +158,7 @@ func TestCheckpointingMatchesVanilla(t *testing.T) {
 	if lv != lc {
 		t.Errorf("loss differs under checkpointing: %v vs %v", lv, lc)
 	}
-	if d := tensor.MaxDiff(vanilla.Grads, ckpt.Grads); d != 0 {
+	if d := testutil.MaxDiff(vanilla.Grads, ckpt.Grads); d != 0 {
 		t.Errorf("gradients differ under checkpointing by %g", d)
 	}
 }
@@ -177,7 +177,7 @@ func TestTrainingReducesLoss(t *testing.T) {
 		m.ZeroGrads()
 		loss = m.Loss(ids, targets, 4)
 		m.Backward()
-		tensor.AXPY(-lr, m.Grads, m.Params)
+		testutil.AXPY(-lr, m.Grads, m.Params)
 	}
 	if loss >= first-0.3 {
 		t.Errorf("loss did not fall: %.4f -> %.4f", first, loss)

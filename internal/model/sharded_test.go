@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/comm"
-	"repro/internal/tensor"
+	"repro/internal/testutil"
 )
 
 var shardCfg = Config{Layers: 2, Hidden: 16, Heads: 4, Vocab: 19, Seq: 8}
@@ -32,7 +32,7 @@ func TestNewShardedDegreeOneIsNew(t *testing.T) {
 			t.Errorf("%s: loss %v != New's %v", name, l, refLoss)
 		}
 		m.Backward()
-		if d := tensor.MaxDiff(m.Grads, ref.Grads); d != 0 || len(m.Grads) != len(ref.Grads) {
+		if d := testutil.MaxDiff(m.Grads, ref.Grads); d != 0 || len(m.Grads) != len(ref.Grads) {
 			t.Errorf("%s: grads differ from New's by %g", name, d)
 		}
 	}

@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/model"
-	"repro/internal/tensor"
+	"repro/internal/testutil"
 )
 
 // The MP degree is invisible to one forward+backward: at degrees 2 and 4
@@ -37,7 +37,7 @@ func TestParallelBlockDegreeInvariance(t *testing.T) {
 			if s.Layer < 0 {
 				continue
 			}
-			if d := tensor.MaxDiff(got[s.Lo:s.Hi], ref.Grads[s.Lo:s.Hi]); d > 1e-4 {
+			if d := testutil.MaxDiff(got[s.Lo:s.Hi], ref.Grads[s.Lo:s.Hi]); d > 1e-4 {
 				t.Errorf("n=%d %s: gradient differs from degree 1 by %g", n, s.Name, d)
 			}
 		}

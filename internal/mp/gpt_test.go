@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/model"
-	"repro/internal/tensor"
+	"repro/internal/testutil"
 )
 
 // MP-degree invariance over training: loss and the trained parameters are
@@ -35,7 +35,7 @@ func TestGPTDegreeInvariance(t *testing.T) {
 				t.Errorf("n=%d rank %d: loss %v != degree-1 %v", n, r, l, refLoss)
 			}
 		}
-		if d := tensor.MaxDiff(assemble(mpCfg, params), ref.Params); d > 1e-3 {
+		if d := testutil.MaxDiff(assemble(mpCfg, params), ref.Params); d > 1e-3 {
 			t.Errorf("n=%d: trained parameters differ from degree 1 by %g", n, d)
 		}
 	}
@@ -62,7 +62,7 @@ func TestGPTReplicatedGradsAgreeAcrossRanks(t *testing.T) {
 			continue
 		}
 		for r := 1; r < n; r++ {
-			if d := tensor.MaxDiff(grads[r][seg.Lo:seg.Hi], grads[0][seg.Lo:seg.Hi]); d != 0 {
+			if d := testutil.MaxDiff(grads[r][seg.Lo:seg.Hi], grads[0][seg.Lo:seg.Hi]); d != 0 {
 				t.Errorf("%s: ranks 0 and %d differ by %g", seg.Name, r, d)
 			}
 		}
@@ -134,12 +134,12 @@ func TestGPT2DTrainingMatchesSingleReplica(t *testing.T) {
 			m.Loss(sIDs, sTg, per)
 			m.Backward()
 			dpGroup.AllReduceAvg(m.Grads)
-			tensor.AXPY(-lr, m.Grads, m.Params)
+			testutil.AXPY(-lr, m.Grads, m.Params)
 		}
 		grid[c.Rank()] = m.Params
 	})
 	for r, p := range grid {
-		if d := tensor.MaxDiff(p, ref[r%mpSize]); d > 2e-4 {
+		if d := testutil.MaxDiff(p, ref[r%mpSize]); d > 2e-4 {
 			t.Errorf("rank %d: 2D-trained shard differs from the single replica's by %g", r, d)
 		}
 	}

@@ -10,7 +10,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/model"
-	"repro/internal/tensor"
+	"repro/internal/testutil"
 	"repro/internal/zero"
 )
 
@@ -89,7 +89,7 @@ func sgd(m *model.Model, ids, targets []int, batch int, lr float32) float64 {
 	m.ZeroGrads()
 	l := m.Loss(ids, targets, batch)
 	m.Backward()
-	tensor.AXPY(-lr, m.Grads, m.Params)
+	testutil.AXPY(-lr, m.Grads, m.Params)
 	return l
 }
 
@@ -169,7 +169,7 @@ func TestParallelMLPMatchesSerial(t *testing.T) {
 			if !strings.Contains(s.Name, ".mlp.") {
 				continue
 			}
-			if d := tensor.MaxDiff(got[s.Lo:s.Hi], ref.Grads[s.Lo:s.Hi]); d > 1e-4 {
+			if d := testutil.MaxDiff(got[s.Lo:s.Hi], ref.Grads[s.Lo:s.Hi]); d > 1e-4 {
 				t.Errorf("n=%d %s: assembled gradient differs from the unsharded model's by %g", n, s.Name, d)
 			}
 		}

@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/model"
-	"repro/internal/tensor"
+	"repro/internal/testutil"
 )
 
 // mustGroup unwraps a group-construction result inside a rank goroutine;
@@ -50,12 +50,12 @@ func TestTwoDimensionalMPxDP(t *testing.T) {
 	})
 
 	for r, g := range grads {
-		if d := tensor.MaxDiff(g, ref[r%mpSize]); d > 1e-4 {
+		if d := testutil.MaxDiff(g, ref[r%mpSize]); d > 1e-4 {
 			t.Errorf("rank %d: DP-averaged gradient differs from the full-batch replica's by %g", r, d)
 		}
 	}
 	for local := 0; local < mpSize; local++ {
-		if d := tensor.MaxDiff(grads[local], grads[local+mpSize]); d != 0 {
+		if d := testutil.MaxDiff(grads[local], grads[local+mpSize]); d != 0 {
 			t.Errorf("DP group %d: replicas disagree on the synced gradient by %g", local, d)
 		}
 	}

@@ -2,13 +2,18 @@
 // analysis is built around: Adam with fp32 state (the K=12 memory
 // multiplier of §3.1), momentum SGD, and the mixed-precision machinery
 // (fp32 master weights, dynamic loss scaling) whose state ZeRO partitions.
+//
+// Surface: New builds the Optimizer a Spec names (ParseKind, Kind), over
+// Adam, SGD or LAMB (whose PrepareUpdate and ApplyBlock let zero aggregate
+// trust ratios across shards); NewLossScaler for dynamic loss scaling;
+// PartialSquaredSum, PartitionSquaredSumsInto, GlobalGradNorm and ClipScale
+// for partitioned clipping. Imported by zero, engine and bench.
 package optimizer
 
 import (
 	"math"
 
 	"repro/internal/comm"
-	"repro/internal/tensor"
 )
 
 // AdamK is the mixed-precision Adam memory multiplier: per parameter, the
@@ -46,10 +51,6 @@ func NewAdam(n int, lr float64) *Adam {
 
 // Len returns the number of parameters this instance manages.
 func (a *Adam) Len() int { return len(a.m) }
-
-// StateBytes returns the optimizer-state footprint in bytes (fp32 momentum
-// + variance; the fp32 master copy is accounted by the caller).
-func (a *Adam) StateBytes() int64 { return int64(len(a.m)) * 2 * tensor.BytesPerFloat32 }
 
 // Step applies one Adam update to params given grads. Both slices must have
 // length Len(). The update is elementwise and deterministic, so a
@@ -124,19 +125,19 @@ func PartialSquaredSum(g []float32) float32 {
 	return float32(s)
 }
 
-// PartitionSquaredSums computes every partition's partial Σg² from a full
+// partitionSquaredSums computes every partition's partial Σg² from a full
 // gradient buffer — the replicated (stage 0) counterpart of each
 // partitioned rank contributing PartialSquaredSum over its own shard and
 // all-gathering the rest. Both paths feed GlobalGradNorm the identical
 // partition-ordered partials, which is what keeps gradient clipping
 // bitwise-equal across every ZeRO stage.
-func PartitionSquaredSums(g []float32, parts []comm.Range) []float32 {
+func partitionSquaredSums(g []float32, parts []comm.Range) []float32 {
 	partials := make([]float32, len(parts))
 	PartitionSquaredSumsInto(partials, g, parts)
 	return partials
 }
 
-// PartitionSquaredSumsInto is PartitionSquaredSums into a caller-owned
+// PartitionSquaredSumsInto is partitionSquaredSums into a caller-owned
 // buffer (len(parts) long) — the allocation-free form the trainer's
 // steady-state clipping path uses.
 func PartitionSquaredSumsInto(dst []float32, g []float32, parts []comm.Range) {
@@ -166,8 +167,8 @@ type SGD struct {
 	t        int
 }
 
-// NewSGD creates a momentum-SGD instance managing n parameters.
-func NewSGD(n int, lr, momentum float64) *SGD {
+// newSGD creates a momentum-SGD instance managing n parameters.
+func newSGD(n int, lr, momentum float64) *SGD {
 	return &SGD{LR: lr, Momentum: momentum, buf: make([]float32, n)}
 }
 
@@ -190,9 +191,6 @@ func (s *SGD) Step(params, grads []float32) {
 
 // Steps returns the number of updates applied so far.
 func (s *SGD) Steps() int { return s.t }
-
-// StateBytes returns the SGD state footprint (one fp32 buffer).
-func (s *SGD) StateBytes() int64 { return int64(len(s.buf)) * tensor.BytesPerFloat32 }
 
 // State exposes the live momentum buffer.
 func (s *SGD) State() [][]float32 { return [][]float32{s.buf} }

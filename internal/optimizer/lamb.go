@@ -23,8 +23,8 @@ type LAMB struct {
 	t    int
 }
 
-// NewLAMB creates a LAMB instance managing n parameters.
-func NewLAMB(n int, lr float64) *LAMB {
+// newLAMB creates a LAMB instance managing n parameters.
+func newLAMB(n int, lr float64) *LAMB {
 	return &LAMB{
 		LR:    lr,
 		Beta1: 0.9,
@@ -38,22 +38,19 @@ func NewLAMB(n int, lr float64) *LAMB {
 // Len returns the number of parameters this instance manages.
 func (l *LAMB) Len() int { return len(l.m) }
 
-// StateBytes returns the optimizer-state footprint (identical to Adam's).
-func (l *LAMB) StateBytes() int64 { return int64(len(l.m)) * 2 * tensor.BytesPerFloat32 }
-
 // Step applies one LAMB update, treating the whole managed slice as one
-// trust-ratio block. ZeRO shards call StepBlocks with per-tensor segments
-// to keep layer-wise semantics.
+// trust-ratio block. ZeRO shards keep layer-wise semantics by running
+// PrepareUpdate and ApplyBlock over per-tensor segments.
 func (l *LAMB) Step(params, grads []float32) {
-	l.StepBlocks(params, grads, []int{0, len(params)})
+	l.stepBlocks(params, grads, []int{0, len(params)})
 }
 
-// StepBlocks applies one LAMB update with trust ratios computed per block;
+// stepBlocks applies one LAMB update with trust ratios computed per block;
 // bounds is a sorted offset list (len = #blocks+1) delimiting the blocks
 // (typically tensor boundaries from model.Layout clipped to the shard).
-func (l *LAMB) StepBlocks(params, grads []float32, bounds []int) {
+func (l *LAMB) stepBlocks(params, grads []float32, bounds []int) {
 	if len(bounds) < 2 || bounds[0] != 0 || bounds[len(bounds)-1] != len(params) {
-		panic("optimizer: LAMB.StepBlocks bounds must cover the slice")
+		panic("optimizer: LAMB.stepBlocks bounds must cover the slice")
 	}
 	update := make([]float32, len(params))
 	l.PrepareUpdate(params, grads, update)

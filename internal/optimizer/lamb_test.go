@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/tensor"
+	"repro/internal/testutil"
 )
 
 func TestLAMBConvergesOnQuadratic(t *testing.T) {
@@ -16,7 +17,7 @@ func TestLAMBConvergesOnQuadratic(t *testing.T) {
 	}
 	x := make([]float32, n)
 	tensor.Fill(x, 1) // non-zero start so trust ratios are defined
-	l := NewLAMB(n, 0.02)
+	l := newLAMB(n, 0.02)
 	g := make([]float32, n)
 	for step := 0; step < 6000; step++ {
 		for i := range g {
@@ -27,7 +28,7 @@ func TestLAMBConvergesOnQuadratic(t *testing.T) {
 		}
 		l.Step(x, g)
 	}
-	if d := tensor.MaxDiff(x, target); d > 5e-2 {
+	if d := testutil.MaxDiff(x, target); d > 5e-2 {
 		t.Errorf("LAMB did not converge: max |x-c| = %g", d)
 	}
 }
@@ -37,12 +38,12 @@ func TestLAMBConvergesOnQuadratic(t *testing.T) {
 func TestLAMBTrustRatioScalesWithWeightNorm(t *testing.T) {
 	grad := []float32{1, 1, 1, 1}
 
-	small := NewLAMB(4, 0.1)
+	small := newLAMB(4, 0.1)
 	ws := []float32{1, 1, 1, 1}
 	wsBefore := append([]float32(nil), ws...)
 	small.Step(ws, grad)
 
-	big := NewLAMB(4, 0.1)
+	big := newLAMB(4, 0.1)
 	wb := []float32{2, 2, 2, 2}
 	wbBefore := append([]float32(nil), wb...)
 	big.Step(wb, grad)
@@ -67,20 +68,20 @@ func TestPartitionedLAMBEqualsFullLAMB(t *testing.T) {
 	}
 	sharded := append([]float32(nil), full...)
 
-	fullOpt := NewLAMB(n, 0.01)
+	fullOpt := newLAMB(n, 0.01)
 	// Shards split at a block boundary (16): LAMB shards must align with
 	// tensor blocks for the trust ratio to partition cleanly.
-	shardA := NewLAMB(16, 0.01)
-	shardB := NewLAMB(48, 0.01)
+	shardA := newLAMB(16, 0.01)
+	shardB := newLAMB(48, 0.01)
 
 	grads := make([]float32, n)
 	for s := 0; s < steps; s++ {
 		for i := range grads {
 			grads[i] = float32(r.NormFloat64())
 		}
-		fullOpt.StepBlocks(full, grads, bounds)
-		shardA.StepBlocks(sharded[:16], grads[:16], []int{0, 16})
-		shardB.StepBlocks(sharded[16:], grads[16:], []int{0, 32, 48})
+		fullOpt.stepBlocks(full, grads, bounds)
+		shardA.stepBlocks(sharded[:16], grads[:16], []int{0, 16})
+		shardB.stepBlocks(sharded[16:], grads[16:], []int{0, 32, 48})
 	}
 	for i := range full {
 		if full[i] != sharded[i] {
@@ -90,9 +91,10 @@ func TestPartitionedLAMBEqualsFullLAMB(t *testing.T) {
 }
 
 func TestLAMBStateAccounting(t *testing.T) {
-	l := NewLAMB(100, 0.1)
-	if l.StateBytes() != 800 {
-		t.Errorf("StateBytes = %d, want 800 (same 2x fp32 as Adam)", l.StateBytes())
+	l := newLAMB(100, 0.1)
+	st := l.State()
+	if len(st) != 2 || len(st[0]) != 100 || len(st[1]) != 100 {
+		t.Errorf("State shape %d buffers, want 2 × 100 fp32 (the same as Adam's)", len(st))
 	}
 	if l.Len() != 100 {
 		t.Errorf("Len = %d", l.Len())
@@ -108,8 +110,8 @@ func TestLAMBValidation(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("length", func() { NewLAMB(2, 0.1).Step(make([]float32, 3), make([]float32, 3)) })
+	mustPanic("length", func() { newLAMB(2, 0.1).Step(make([]float32, 3), make([]float32, 3)) })
 	mustPanic("bounds", func() {
-		NewLAMB(4, 0.1).StepBlocks(make([]float32, 4), make([]float32, 4), []int{0, 2})
+		newLAMB(4, 0.1).stepBlocks(make([]float32, 4), make([]float32, 4), []int{0, 2})
 	})
 }

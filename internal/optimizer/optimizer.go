@@ -21,10 +21,6 @@ type Optimizer interface {
 	Len() int
 	// Steps returns the number of updates applied so far.
 	Steps() int
-	// StateBytes returns the optimizer-state footprint in bytes (the KΨ/Nd
-	// term of the §3.1 accounting, minus the fp32 master copy which the
-	// caller accounts).
-	StateBytes() int64
 	// State exposes the live state tensors in a fixed per-kind order, each
 	// of length Len(). Checkpointing gathers these across ZeRO shards;
 	// mutate only when restoring.
@@ -89,9 +85,9 @@ func New(sp Spec, n int) (Optimizer, error) {
 		if mu == 0 {
 			mu = 0.9
 		}
-		return NewSGD(n, sp.LR, mu), nil
+		return newSGD(n, sp.LR, mu), nil
 	case KindLAMB:
-		l := NewLAMB(n, sp.LR)
+		l := newLAMB(n, sp.LR)
 		l.WeightDecay = sp.WeightDecay
 		return l, nil
 	}

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/comm"
-	"repro/internal/tensor"
+	"repro/internal/testutil"
 )
 
 // TestAdamFirstStepHandComputed checks the very first update against the
@@ -48,7 +48,7 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 		}
 		a.Step(x, g)
 	}
-	if d := tensor.MaxDiff(x, target); d > 1e-2 {
+	if d := testutil.MaxDiff(x, target); d > 1e-2 {
 		t.Errorf("Adam did not converge: max |x-c| = %g", d)
 	}
 }
@@ -107,7 +107,7 @@ func TestAdamWeightDecay(t *testing.T) {
 }
 
 func TestSGDMomentum(t *testing.T) {
-	s := NewSGD(1, 0.1, 0.9)
+	s := newSGD(1, 0.1, 0.9)
 	params := []float32{0}
 	s.Step(params, []float32{1})
 	if params[0] != -0.1 {
@@ -165,7 +165,7 @@ func TestLossScalerFloorsAtOne(t *testing.T) {
 }
 
 // The replicated (stage 0) and partitioned norm paths must produce the
-// identical partial vector: PartitionSquaredSums over the full buffer
+// identical partial vector: partitionSquaredSums over the full buffer
 // equals per-shard PartialSquaredSum in partition order.
 func TestPartitionSquaredSumsMatchesShardPartials(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
@@ -174,7 +174,7 @@ func TestPartitionSquaredSumsMatchesShardPartials(t *testing.T) {
 		g[i] = float32(r.NormFloat64())
 	}
 	parts := comm.Partition(len(g), 4)
-	full := PartitionSquaredSums(g, parts)
+	full := partitionSquaredSums(g, parts)
 	for i, p := range parts {
 		if shard := PartialSquaredSum(g[p.Lo:p.Hi]); shard != full[i] {
 			t.Errorf("partition %d: %v != %v", i, full[i], shard)

@@ -14,6 +14,11 @@
 //     amortized over the whole step and grows with Ψ, not with MP volume;
 //   - larger per-GPU batches raise arithmetic intensity and therefore
 //     efficiency — the superlinearity driver of Figure 3 (§10.3).
+//
+// Surface: DGX2 and Hardware (SplitDPBandwidth, HierarchicalDPBandwidth),
+// GPT2Like and Shape, Config and ZeROConfig, Estimate returning a Breakdown,
+// and HierarchicalSplit. Imported by internal/experiments and
+// examples/trillion.
 package perfmodel
 
 // Hardware describes one cluster profile. All bandwidths are effective
@@ -62,12 +67,12 @@ const (
 	tokensHalf = 4000.0
 )
 
-// Efficiency returns the fraction of peak flops achieved for GEMMs of a
+// efficiency returns the fraction of peak flops achieved for GEMMs of a
 // transformer with hidden size h split MP ways, at batch·seq tokens per
 // replica. Both factors saturate: big weight shards and big batches
 // approach MaxEfficiency, tiny shards (high MP) and tiny batches starve the
 // device — the granularity insight of §4.1(a).
-func (hw Hardware) Efficiency(hidden, mp, batch, seq int) float64 {
+func (hw Hardware) efficiency(hidden, mp, batch, seq int) float64 {
 	shard := 4 * float64(hidden) / float64(mp)
 	gran := shard / (shard + granHalf)
 	tokens := float64(batch) * float64(seq)
@@ -75,17 +80,17 @@ func (hw Hardware) Efficiency(hidden, mp, batch, seq int) float64 {
 	return hw.MaxEfficiency * gran * util
 }
 
-// MPBandwidth returns the effective per-GPU bandwidth for a model-parallel
+// mpBandwidth returns the effective per-GPU bandwidth for a model-parallel
 // group of the given degree: NVSwitch while the group fits in one node, the
 // inter-node share once it spans nodes.
-func (hw Hardware) MPBandwidth(mp int) float64 {
+func (hw Hardware) mpBandwidth(mp int) float64 {
 	if mp <= hw.GPUsPerNode {
 		return hw.IntraNodeBW
 	}
 	return hw.InterNodeBWPerGPU
 }
 
-// DPBandwidth returns the effective per-GPU bandwidth for the data-parallel
+// dpBandwidth returns the effective per-GPU bandwidth for the data-parallel
 // group. Cross-node DP collectives are hierarchical (NCCL-style): an
 // intra-node reduce-scatter concentrates each GPU's share, then only Ψ/16
 // per GPU crosses the node uplink. The effective bandwidth is the harmonic
@@ -95,7 +100,7 @@ func (hw Hardware) MPBandwidth(mp int) float64 {
 // node boundary (insight §4.1a). It is the large-(S,M) limit of
 // HierarchicalDPBandwidth; the runtime's measured intra/inter split
 // validates both (see SplitDPBandwidth and the perfmodel tests).
-func (hw Hardware) DPBandwidth(mp, dp int) float64 {
+func (hw Hardware) dpBandwidth(mp, dp int) float64 {
 	if mp*dp <= hw.GPUsPerNode {
 		return hw.IntraNodeBW
 	}
@@ -133,7 +138,7 @@ func (hw Hardware) SplitDPBandwidth(intra, inter float64) float64 {
 
 // HierarchicalDPBandwidth is the exact-form effective DP bandwidth for M
 // nodes of S ranks: SplitDPBandwidth applied to the predicted two-level
-// split. As S and M grow it converges to DPBandwidth's harmonic limit
+// split. As S and M grow it converges to dpBandwidth's harmonic limit
 // (intra share → 1, inter share → 1/S with S·interPerGPU = the node
 // uplink).
 func (hw Hardware) HierarchicalDPBandwidth(nodeSize, nodes int) float64 {

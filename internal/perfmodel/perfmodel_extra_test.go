@@ -9,16 +9,16 @@ import (
 // the node uplink: 1/(1/150 + 1/100) GB/s = 60 GB/s on the DGX-2 profile.
 func TestDPBandwidthHierarchicalValue(t *testing.T) {
 	hw := DGX2()
-	got := hw.DPBandwidth(16, 25)
+	got := hw.dpBandwidth(16, 25)
 	want := 1 / (1/hw.IntraNodeBW + 1/(hw.InterNodeBWPerGPU*float64(hw.GPUsPerNode)))
 	if math.Abs(got-want) > 1 {
-		t.Errorf("DPBandwidth = %v, want %v", got, want)
+		t.Errorf("dpBandwidth = %v, want %v", got, want)
 	}
 	if math.Abs(got-60e9) > 1e9 {
-		t.Errorf("DPBandwidth = %.1f GB/s, want ≈60", got/1e9)
+		t.Errorf("dpBandwidth = %.1f GB/s, want ≈60", got/1e9)
 	}
 	// In-node DP sees NVSwitch.
-	if hw.DPBandwidth(2, 4) != hw.IntraNodeBW {
+	if hw.dpBandwidth(2, 4) != hw.IntraNodeBW {
 		t.Error("small jobs should stay on NVSwitch")
 	}
 }
@@ -28,13 +28,13 @@ func TestActivationAccountingFootnote3(t *testing.T) {
 	// For the 1.5B GPT-2 (48 layers, h=1600, seq 1K, batch 32) that is
 	// ~60 GB in fp16 — the paper's §3.2 number.
 	s := GPT2Like(48, 1600, 16)
-	perSample := s.ActivationElemsPerSample()
+	perSample := s.activationElemsPerSample()
 	totalGB := float64(perSample) * 32 * 2 / 1e9
 	if totalGB < 55 || totalGB > 70 {
 		t.Errorf("1.5B batch-32 activations = %.1f GB, paper says ~60 GB", totalGB)
 	}
 	// Checkpointing cuts it to the per-layer inputs: ~1/12.
-	ckpt := s.CheckpointElemsPerSample()
+	ckpt := s.checkpointElemsPerSample()
 	if r := float64(perSample) / float64(ckpt); math.Abs(r-12) > 1e-9 {
 		t.Errorf("activation/checkpoint ratio %v, want 12", r)
 	}

@@ -32,15 +32,15 @@ func TestParamsCounts(t *testing.T) {
 
 func TestFlopsMonotonicInBatchAndSize(t *testing.T) {
 	s := GPT2Like(48, 1600, 16)
-	if s.FlopsPerStep(2) <= s.FlopsPerStep(1) {
+	if s.flopsPerStep(2) <= s.flopsPerStep(1) {
 		t.Error("flops must grow with batch")
 	}
 	big := GPT2Like(125, 8192, 64)
-	if big.FlopsPerStep(1) <= s.FlopsPerStep(1) {
+	if big.flopsPerStep(1) <= s.flopsPerStep(1) {
 		t.Error("flops must grow with model size")
 	}
 	// Linearity in batch.
-	if r := s.FlopsPerStep(8) / s.FlopsPerStep(4); math.Abs(r-2) > 1e-9 {
+	if r := s.flopsPerStep(8) / s.flopsPerStep(4); math.Abs(r-2) > 1e-9 {
 		t.Errorf("flops should be linear in batch, ratio %v", r)
 	}
 }
@@ -48,28 +48,28 @@ func TestFlopsMonotonicInBatchAndSize(t *testing.T) {
 func TestEfficiencyShape(t *testing.T) {
 	hw := DGX2()
 	// Larger batch → higher efficiency (Figure 3's driver).
-	if hw.Efficiency(8192, 16, 64, 1024) <= hw.Efficiency(8192, 16, 4, 1024) {
+	if hw.efficiency(8192, 16, 64, 1024) <= hw.efficiency(8192, 16, 4, 1024) {
 		t.Error("efficiency must grow with batch")
 	}
 	// Higher MP → lower efficiency (granularity insight §4.1a).
-	if hw.Efficiency(8192, 128, 16, 1024) >= hw.Efficiency(8192, 16, 16, 1024) {
+	if hw.efficiency(8192, 128, 16, 1024) >= hw.efficiency(8192, 16, 16, 1024) {
 		t.Error("efficiency must fall with MP degree")
 	}
 	// Never exceeds ceiling.
-	if e := hw.Efficiency(1<<20, 1, 1<<20, 1024); e >= hw.MaxEfficiency {
+	if e := hw.efficiency(1<<20, 1, 1<<20, 1024); e >= hw.MaxEfficiency {
 		t.Errorf("efficiency %v must stay below ceiling %v", e, hw.MaxEfficiency)
 	}
 }
 
 func TestBandwidthCliff(t *testing.T) {
 	hw := DGX2()
-	if hw.MPBandwidth(16) != hw.IntraNodeBW {
+	if hw.mpBandwidth(16) != hw.IntraNodeBW {
 		t.Error("MP=16 fits a DGX-2 node, should see NVSwitch bandwidth")
 	}
-	if hw.MPBandwidth(32) != hw.InterNodeBWPerGPU {
+	if hw.mpBandwidth(32) != hw.InterNodeBWPerGPU {
 		t.Error("MP=32 spans nodes, should see InfiniBand share")
 	}
-	if hw.MPBandwidth(16) <= 10*hw.MPBandwidth(32) {
+	if hw.mpBandwidth(16) <= 10*hw.mpBandwidth(32) {
 		t.Error("the intra/inter cliff should be at least 10x (300 vs 12.5 GB/s per link)")
 	}
 }
@@ -90,7 +90,7 @@ func TestHundredBillionHeadline(t *testing.T) {
 	if b.TFlopsPerGPU < 30 || b.TFlopsPerGPU > 55 {
 		t.Errorf("100B ZeRO throughput %.1f TFlops/GPU, want ~38 (30%% of peak)", b.TFlopsPerGPU)
 	}
-	if agg := AggregatePetaflops(hw, cfg); agg < 12 || agg > 22 {
+	if agg := aggregatePetaflops(hw, cfg); agg < 12 || agg > 22 {
 		t.Errorf("aggregate %.1f Pflops, want ~15", agg)
 	}
 }

@@ -33,11 +33,11 @@ func (s Shape) Params() int64 {
 	return int64(s.Layers)*perLayer + emb + 2*h
 }
 
-// FlopsPerStep returns the training flops for one step of one model replica
+// flopsPerStep returns the training flops for one step of one model replica
 // at the given micro-batch, using the standard transformer accounting with
 // activation recomputation included (the 4/3 recompute factor is folded into
 // the constant): F = 96·B·s·l·h²·(1 + s/(6h) + V/(16·l·h)).
-func (s Shape) FlopsPerStep(batch int) float64 {
+func (s Shape) flopsPerStep(batch int) float64 {
 	b := float64(batch)
 	sl := float64(s.Seq)
 	l := float64(s.Layers)
@@ -46,15 +46,15 @@ func (s Shape) FlopsPerStep(batch int) float64 {
 	return 96 * b * sl * l * h * h * (1 + sl/(6*h) + v/(16*l*h))
 }
 
-// ActivationElemsPerSample is the total activation footprint of one sample
+// activationElemsPerSample is the total activation footprint of one sample
 // in elements, per the paper's footnote 3: ≈ 12 × hidden × seq × layers.
-func (s Shape) ActivationElemsPerSample() int64 {
+func (s Shape) activationElemsPerSample() int64 {
 	return 12 * int64(s.Hidden) * int64(s.Seq) * int64(s.Layers)
 }
 
-// CheckpointElemsPerSample is the activation-checkpoint footprint of one
+// checkpointElemsPerSample is the activation-checkpoint footprint of one
 // sample in elements when checkpointing one activation per transformer
 // layer (§6.1): hidden × seq × layers.
-func (s Shape) CheckpointElemsPerSample() int64 {
+func (s Shape) checkpointElemsPerSample() int64 {
 	return int64(s.Hidden) * int64(s.Seq) * int64(s.Layers)
 }

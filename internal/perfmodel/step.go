@@ -27,11 +27,11 @@ type ZeROConfig struct {
 	GatherWindow float64
 }
 
-// PrefetchWindow returns the compute fraction available to hide stage-3
+// prefetchWindow returns the compute fraction available to hide stage-3
 // parameter gathers for this config: the measured GatherWindow when set,
 // otherwise the assumed gatherOverlapWindow of the one-group-ahead
 // pipeline.
-func (z ZeROConfig) PrefetchWindow() float64 {
+func (z ZeROConfig) prefetchWindow() float64 {
 	if z.GatherWindow > 0 {
 		return z.GatherWindow
 	}
@@ -101,8 +101,8 @@ func Estimate(hw Hardware, cfg Config) Breakdown {
 	var b Breakdown
 
 	// Compute.
-	b.FlopsPerGPU = cfg.Shape.FlopsPerStep(cfg.MicroBatch) / float64(cfg.MP)
-	eff := hw.Efficiency(cfg.Shape.Hidden, cfg.MP, cfg.MicroBatch, cfg.Shape.Seq)
+	b.FlopsPerGPU = cfg.Shape.flopsPerStep(cfg.MicroBatch) / float64(cfg.MP)
+	eff := hw.efficiency(cfg.Shape.Hidden, cfg.MP, cfg.MicroBatch, cfg.Shape.Seq)
 	b.ComputeSec = b.FlopsPerGPU / (hw.PeakFlopsPerGPU * eff)
 
 	// Megatron MP traffic: 12·B·s·h elements per transformer block (§8),
@@ -116,7 +116,7 @@ func Estimate(hw Hardware, cfg Config) Breakdown {
 			mpBytes += float64(cfg.MicroBatch) * float64(cfg.Shape.Seq) * float64(cfg.Shape.Hidden) *
 				float64(cfg.Shape.Layers) * fp16Bytes
 		}
-		b.MPCommSec = mpBytes / hw.MPBandwidth(cfg.MP)
+		b.MPCommSec = mpBytes / hw.mpBandwidth(cfg.MP)
 	}
 
 	// DP traffic per §7.2: 2Ψ elements per step of gradient-class volume
@@ -128,7 +128,7 @@ func Estimate(hw Hardware, cfg Config) Breakdown {
 	if cfg.DP > 1 {
 		psiShard := float64(cfg.Shape.Params()) / float64(cfg.MP)
 		ringFrac := float64(cfg.DP-1) / float64(cfg.DP)
-		bw := hw.DPBandwidth(cfg.MP, cfg.DP)
+		bw := hw.dpBandwidth(cfg.MP, cfg.DP)
 		gradSec := 2 * psiShard * ringFrac * fp16Bytes / bw
 		if cfg.ZeRO.Stage == 3 {
 			b.GatherSec = psiShard * ringFrac * fp16Bytes / bw
@@ -144,7 +144,7 @@ func Estimate(hw Hardware, cfg Config) Breakdown {
 		}
 		b.ExposedGatherSec = b.GatherSec
 		if cfg.ZeRO.Prefetch && !cfg.ZeRO.SyncComm {
-			b.ExposedGatherSec = b.GatherSec - cfg.ZeRO.PrefetchWindow()*b.ComputeSec
+			b.ExposedGatherSec = b.GatherSec - cfg.ZeRO.prefetchWindow()*b.ComputeSec
 			if b.ExposedGatherSec < 0 {
 				b.ExposedGatherSec = 0
 			}
@@ -156,7 +156,7 @@ func Estimate(hw Hardware, cfg Config) Breakdown {
 	// before recomputation), "2x added data movement ... compared to Pa"
 	// (§8).
 	if cfg.ZeRO.PaCPU {
-		ckptBytes := float64(cfg.Shape.CheckpointElemsPerSample()) * float64(cfg.MicroBatch) * fp16Bytes
+		ckptBytes := float64(cfg.Shape.checkpointElemsPerSample()) * float64(cfg.MicroBatch) * fp16Bytes
 		if cfg.MP > 1 {
 			ckptBytes /= float64(cfg.MP) // checkpoints are partitioned before offload
 		}
@@ -173,9 +173,9 @@ func Estimate(hw Hardware, cfg Config) Breakdown {
 	return b
 }
 
-// AggregatePetaflops returns the cluster-wide sustained throughput of a run
+// aggregatePetaflops returns the cluster-wide sustained throughput of a run
 // in petaflops (the paper's "15 Petaflops" headline for 100B on 400 GPUs).
-func AggregatePetaflops(hw Hardware, cfg Config) float64 {
+func aggregatePetaflops(hw Hardware, cfg Config) float64 {
 	b := Estimate(hw, cfg)
 	return b.TFlopsPerGPU * float64(cfg.GPUs()) / 1e3
 }

@@ -7,7 +7,7 @@ import (
 	"repro/internal/comm"
 )
 
-// The DPBandwidth model is validated against the *measured* intra/inter
+// The dpBandwidth model is validated against the *measured* intra/inter
 // split of the runtime's hierarchical all-reduce: run the real two-level
 // collective on an in-process world, read the PerGroup wire counters, and
 // check that (a) the predicted split matches the measurement exactly and
@@ -44,14 +44,14 @@ func TestDPBandwidthAgainstMeasuredSplit(t *testing.T) {
 }
 
 // At the paper's scale (16-GPU nodes, 25 nodes) the exact two-level form
-// converges to DPBandwidth's harmonic approximation — the number the step
+// converges to dpBandwidth's harmonic approximation — the number the step
 // model uses — to within a few percent; at small node counts the exact
 // form is meaningfully faster (less of the buffer crosses nodes), which is
 // why the experiments report the exact prediction next to the measurement.
 func TestHierarchicalDPBandwidthConvergesToHarmonic(t *testing.T) {
 	hw := DGX2()
 	exact := hw.HierarchicalDPBandwidth(16, 25)
-	harmonic := hw.DPBandwidth(1, 400)
+	harmonic := hw.dpBandwidth(1, 400)
 	if rel := math.Abs(exact-harmonic) / harmonic; rel > 0.12 {
 		t.Errorf("exact %v vs harmonic %v: rel %g, want <12%% at DGX-2 scale", exact, harmonic, rel)
 	}
@@ -69,11 +69,11 @@ func TestHierarchicalDPBandwidthConvergesToHarmonic(t *testing.T) {
 // window above the assumed one hides more of the gathers in Estimate.
 func TestPrefetchWindowDepthModel(t *testing.T) {
 	base := ZeROConfig{Stage: 3, Prefetch: true}
-	if w := base.PrefetchWindow(); w != gatherOverlapWindow {
+	if w := base.prefetchWindow(); w != gatherOverlapWindow {
 		t.Errorf("assumed window %v, want %v", w, gatherOverlapWindow)
 	}
 	meas := ZeROConfig{Stage: 3, Prefetch: true, GatherWindow: 0.42}
-	if w := meas.PrefetchWindow(); w != 0.42 {
+	if w := meas.prefetchWindow(); w != 0.42 {
 		t.Errorf("measured override window %v, want 0.42", w)
 	}
 	// Use a bandwidth-starved cluster so the gathers cannot fully hide

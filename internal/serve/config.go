@@ -23,6 +23,11 @@
 // die immediately, running jobs stop collectively at the next accumulation
 // boundary and checkpoint what they have. Graceful drain (SIGTERM) is the
 // same mechanism applied to every job at once.
+//
+// Surface: New builds a Server from a Config (ParseConfig, DefaultConfig,
+// Normalized) and exposes Handler, Config and Drain; NewScheduler, Job,
+// Spec, State, Status and Record are the job plane the routes speak.
+// Imported by cmd/zeroserve, examples/elastic and bench.
 package serve
 
 import (
@@ -158,11 +163,4 @@ func (c Config) Normalized() (Config, error) {
 		c.SnapshotKeep = DefaultSnapshotKeep
 	}
 	return c, nil
-}
-
-// Validate reports whether the config is runnable (Normalized without the
-// normalization).
-func (c Config) Validate() error {
-	_, err := c.Normalized()
-	return err
 }

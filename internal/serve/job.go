@@ -31,7 +31,7 @@ func (s State) Terminal() bool {
 
 // Spec is a job submission: how many optimizer steps to run, and the full
 // training configuration. The config goes through the exact
-// engine.Config.Validate gate the CLIs use; relative data paths are
+// engine.Config.Normalized gate the CLIs use; relative data paths are
 // rejected because an HTTP submission has no config directory (set
 // absolute paths server-side).
 type Spec struct {
@@ -68,9 +68,9 @@ type FaultSpec struct {
 	Step int `json:"step"`
 }
 
-// ParseSpec decodes a job submission strictly: unknown fields anywhere in
+// parseSpec decodes a job submission strictly: unknown fields anywhere in
 // the document (including inside the engine config) are ErrSpec.
-func ParseSpec(data []byte) (Spec, error) {
+func parseSpec(data []byte) (Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var s Spec
@@ -88,7 +88,7 @@ func ParseSpec(data []byte) (Spec, error) {
 type Job struct {
 	id     string
 	spec   Spec // config normalized at admission
-	ring   *Ring
+	ring   *metricRing
 	ctx    context.Context // cancelled by DELETE, drain, or terminal cleanup
 	cancel context.CancelFunc
 
@@ -111,7 +111,7 @@ func newJob(id string, spec Spec, ringCap int) *Job {
 	return &Job{
 		id:        id,
 		spec:      spec,
-		ring:      NewRing(ringCap),
+		ring:      newMetricRing(ringCap),
 		ctx:       ctx,
 		cancel:    cancel,
 		state:     StateQueued,
@@ -122,12 +122,6 @@ func newJob(id string, spec Spec, ringCap int) *Job {
 
 // ID returns the job's server-assigned identifier.
 func (j *Job) ID() string { return j.id }
-
-// Spec returns the job's normalized submission.
-func (j *Job) Spec() Spec { return j.spec }
-
-// Ring returns the job's metric ring.
-func (j *Job) Ring() *Ring { return j.ring }
 
 // State returns the job's current state.
 func (j *Job) State() State {
@@ -173,7 +167,7 @@ func (j *Job) finish(state State, err error) {
 	}
 	j.mu.Unlock()
 	j.cancel()
-	j.ring.Close()
+	j.ring.close()
 }
 
 // noteStep records boundary progress (called from the rank-0 observer).
@@ -191,13 +185,6 @@ func (j *Job) noteRestart(ranks int) {
 	j.restarts++
 	j.ranks = ranks
 	j.mu.Unlock()
-}
-
-// Restarts returns how many supervisor restarts the job has consumed.
-func (j *Job) Restarts() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.restarts
 }
 
 // setCheckpoint stores the consolidated snapshot blob.

@@ -35,13 +35,13 @@ type Record struct {
 	Allocs uint64 `json:"allocs"`
 }
 
-// Ring is a bounded, closeable metric buffer with follow semantics: one
+// metricRing is a bounded, closeable metric buffer with follow semantics: one
 // writer appends per-step records, any number of readers replay from a
 // sequence cursor and block for more until the ring closes. Capacity
 // bounds memory per job — a reader that falls more than cap records
 // behind skips forward to the oldest retained record (readers observe the
 // gap via the record's Step field jumping).
-type Ring struct {
+type metricRing struct {
 	mu     sync.Mutex
 	cond   sync.Cond
 	buf    []Record // circular; seq i lives at buf[i % cap]
@@ -49,20 +49,20 @@ type Ring struct {
 	closed bool
 }
 
-// NewRing creates a ring retaining the most recent capacity records.
-func NewRing(capacity int) *Ring {
+// newMetricRing creates a ring retaining the most recent capacity records.
+func newMetricRing(capacity int) *metricRing {
 	if capacity <= 0 {
 		capacity = DefaultMetricRing
 	}
-	r := &Ring{buf: make([]Record, capacity)}
+	r := &metricRing{buf: make([]Record, capacity)}
 	r.cond.L = &r.mu
 	return r
 }
 
-// Append adds a record, evicting the oldest when full, and wakes readers.
+// push adds a record, evicting the oldest when full, and wakes readers.
 // Appending to a closed ring is a no-op (a cancelled job's last boundary
 // may race its terminal transition).
-func (r *Ring) Append(rec Record) {
+func (r *metricRing) push(rec Record) {
 	r.mu.Lock()
 	if !r.closed {
 		r.buf[r.total%int64(len(r.buf))] = rec
@@ -72,41 +72,41 @@ func (r *Ring) Append(rec Record) {
 	r.cond.Broadcast()
 }
 
-// Close marks the stream complete: blocked readers drain what is buffered
+// close marks the stream complete: blocked readers drain what is buffered
 // and then see ok=false. Idempotent.
-func (r *Ring) Close() {
+func (r *metricRing) close() {
 	r.mu.Lock()
 	r.closed = true
 	r.mu.Unlock()
 	r.cond.Broadcast()
 }
 
-// Closed reports whether the writer is done.
-func (r *Ring) Closed() bool {
+// isClosed reports whether the writer is done.
+func (r *metricRing) isClosed() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.closed
 }
 
-// Total returns how many records have ever been appended.
-func (r *Ring) Total() int64 {
+// appended returns how many records have ever been appended.
+func (r *metricRing) appended() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.total
 }
 
-// Wake broadcasts to blocked readers so they re-poll their giveUp
+// wake broadcasts to blocked readers so they re-poll their giveUp
 // condition — the hook for context.AfterFunc on a streaming request.
-func (r *Ring) Wake() { r.cond.Broadcast() }
+func (r *metricRing) wake() { r.cond.Broadcast() }
 
-// Next returns the record at sequence cursor, blocking until it exists.
+// next returns the record at sequence cursor, blocking until it exists.
 // A cursor older than the retention window skips forward to the oldest
 // retained record. The returned next is the cursor for the following call.
 // ok=false means no record: the ring closed and cursor is past the end,
-// or giveUp returned true on a wake-up (pair with Wake via
+// or giveUp returned true on a wake-up (pair with wake via
 // context.AfterFunc to abort on client disconnect; pass nil to wait
 // indefinitely).
-func (r *Ring) Next(cursor int64, giveUp func() bool) (rec Record, next int64, ok bool) {
+func (r *metricRing) next(cursor int64, giveUp func() bool) (rec Record, next int64, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {

@@ -11,20 +11,20 @@ func rec(step int) Record { return Record{Step: step, Loss: float64(step)} }
 
 // Appends within capacity replay in order from cursor 0.
 func TestRingReplayInOrder(t *testing.T) {
-	r := NewRing(4)
+	r := newMetricRing(4)
 	for s := 1; s <= 3; s++ {
-		r.Append(rec(s))
+		r.push(rec(s))
 	}
-	r.Close()
+	r.close()
 	var cursor int64
 	for s := 1; s <= 3; s++ {
-		got, next, ok := r.Next(cursor, nil)
+		got, next, ok := r.next(cursor, nil)
 		if !ok || got.Step != s {
 			t.Fatalf("Next(%d) = (%+v, %v), want step %d", cursor, got, ok, s)
 		}
 		cursor = next
 	}
-	if _, _, ok := r.Next(cursor, nil); ok {
+	if _, _, ok := r.next(cursor, nil); ok {
 		t.Error("closed, drained ring should report !ok")
 	}
 }
@@ -32,52 +32,52 @@ func TestRingReplayInOrder(t *testing.T) {
 // Overflow evicts the oldest records; a stale cursor clamps forward to the
 // oldest retained record instead of re-reading evicted slots.
 func TestRingEvictionClampsCursor(t *testing.T) {
-	r := NewRing(4)
+	r := newMetricRing(4)
 	for s := 1; s <= 10; s++ {
-		r.Append(rec(s))
+		r.push(rec(s))
 	}
-	got, next, ok := r.Next(0, nil) // steps 1..6 are gone
+	got, next, ok := r.next(0, nil) // steps 1..6 are gone
 	if !ok || got.Step != 7 {
 		t.Fatalf("Next(0) = (%+v, %v), want clamped to step 7", got, ok)
 	}
 	if next != 7 {
 		t.Errorf("next cursor = %d, want 7", next)
 	}
-	if r.Total() != 10 {
-		t.Errorf("Total = %d, want 10", r.Total())
+	if r.appended() != 10 {
+		t.Errorf("appended = %d, want 10", r.appended())
 	}
 }
 
 // A reader at the head blocks until the next Append, and Close releases
 // blocked readers with !ok.
 func TestRingFollowAndClose(t *testing.T) {
-	r := NewRing(4)
-	r.Append(rec(1))
+	r := newMetricRing(4)
+	r.push(rec(1))
 
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		got, next, ok := r.Next(1, nil) // head: blocks until step 2 arrives
+		got, next, ok := r.next(1, nil) // head: blocks until step 2 arrives
 		if !ok || got.Step != 2 {
 			t.Errorf("follow read = (%+v, %v), want step 2", got, ok)
 		}
-		if _, _, ok := r.Next(next, nil); ok {
+		if _, _, ok := r.next(next, nil); ok {
 			t.Error("read after Close should report !ok")
 		}
 	}()
 	time.Sleep(10 * time.Millisecond)
-	r.Append(rec(2))
+	r.push(rec(2))
 	time.Sleep(10 * time.Millisecond)
-	r.Close()
+	r.close()
 	wg.Wait()
 
-	if !r.Closed() {
+	if !r.isClosed() {
 		t.Error("Closed() = false after Close")
 	}
-	r.Append(rec(3)) // no-op
-	if r.Total() != 2 {
-		t.Errorf("Append after Close changed Total to %d", r.Total())
+	r.push(rec(3)) // no-op
+	if r.appended() != 2 {
+		t.Errorf("push after close changed the count to %d", r.appended())
 	}
 }
 
@@ -86,14 +86,14 @@ func TestRingFollowAndClose(t *testing.T) {
 // ring, counted under testing.AllocsPerRun, must be exactly 0.
 func TestRingFollowAllocatesNothing(t *testing.T) {
 	const pairs = 256
-	r := NewRing(1024)
+	r := newMetricRing(1024)
 	rec := Record{Loss: 2.5, GradNorm: 1.25, WireElems: 1 << 20, WireBytes: 4 << 20}
 	var cursor int64
 	allocs := testing.AllocsPerRun(20, func() {
 		for p := 0; p < pairs; p++ {
 			rec.Step++
-			r.Append(rec)
-			got, next, ok := r.Next(cursor, nil)
+			r.push(rec)
+			got, next, ok := r.next(cursor, nil)
 			if !ok || got.Step != rec.Step {
 				t.Fatalf("Next(%d) = (step %d, %v), want step %d", cursor, got.Step, ok, rec.Step)
 			}
@@ -108,7 +108,7 @@ func TestRingFollowAllocatesNothing(t *testing.T) {
 // The giveUp hook aborts a blocked reader when woken — the client-gone
 // path: context.AfterFunc calls Wake, the reader re-checks and returns.
 func TestRingGiveUpOnWake(t *testing.T) {
-	r := NewRing(4)
+	r := newMetricRing(4)
 	var mu sync.Mutex
 	gone := false
 	giveUp := func() bool {
@@ -119,7 +119,7 @@ func TestRingGiveUpOnWake(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, _, ok := r.Next(0, giveUp); ok {
+		if _, _, ok := r.next(0, giveUp); ok {
 			t.Error("gave-up reader should report !ok")
 		}
 	}()
@@ -127,7 +127,7 @@ func TestRingGiveUpOnWake(t *testing.T) {
 	mu.Lock()
 	gone = true
 	mu.Unlock()
-	r.Wake()
+	r.wake()
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):

@@ -29,7 +29,7 @@ type Scheduler struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
-	order    []*Job // submission order, for List
+	order    []*Job // submission order, for list
 	draining bool
 	seq      int
 }
@@ -124,24 +124,24 @@ func (s *Scheduler) Get(id string) (*Job, error) {
 	return j, nil
 }
 
-// List returns every known job in submission order.
-func (s *Scheduler) List() []*Job {
+// list returns every known job in submission order.
+func (s *Scheduler) list() []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]*Job(nil), s.order...)
 }
 
-// Draining reports whether Drain has begun.
-func (s *Scheduler) Draining() bool {
+// isDraining reports whether Drain has begun.
+func (s *Scheduler) isDraining() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.draining
 }
 
-// Cancel stops a job: a queued job dies immediately, a running job stops
+// cancel stops a job: a queued job dies immediately, a running job stops
 // collectively at its next accumulation boundary and checkpoints first.
 // Cancelling a terminal job is ErrJobTerminal.
-func (s *Scheduler) Cancel(id string) error {
+func (s *Scheduler) cancel(id string) error {
 	j, err := s.Get(id)
 	if err != nil {
 		return err
@@ -337,7 +337,7 @@ func (s *Scheduler) runAttempt(j *Job, cfg engine.Config, resume *zero.Snapshot,
 			e.Observe(func(info engine.StepInfo) {
 				now := mc.read()
 				st := w.Stats(0)
-				j.ring.Append(Record{
+				j.ring.push(Record{
 					Step:          info.Step,
 					Loss:          info.Loss,
 					GradNorm:      info.GradNorm,

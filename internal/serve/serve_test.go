@@ -17,7 +17,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/model"
-	"repro/internal/tensor"
+	"repro/internal/testutil"
 	"repro/internal/zero"
 )
 
@@ -195,7 +195,7 @@ func TestServeSubmitStreamCheckpoint(t *testing.T) {
 	if snap.OptSteps != steps {
 		t.Errorf("checkpoint OptSteps = %d, want %d", snap.OptSteps, steps)
 	}
-	spec, err := ParseSpec([]byte(specJSON(steps, 7)))
+	spec, err := parseSpec([]byte(specJSON(steps, 7)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,24 +351,30 @@ func TestServeValidationAndErrorMapping(t *testing.T) {
 		return resp.StatusCode, string(blob)
 	}
 
+	// A valid spec padded past the cap is 413 naming the cap, not a 400
+	// syntax error from a body cut at maxSpecBytes.
+	overCap := specJSON(3, 1)
+	overCap += strings.Repeat(" ", maxSpecBytes+1-len(overCap))
 	cases := []struct {
 		name, body, wantErr string
+		code                int
 	}{
-		{"malformed json", `{"steps": `, "invalid job spec"},
-		{"unknown field", `{"steps": 1, "bogus": 2, "config": {}}`, "invalid job spec"},
-		{"empty config", `{"steps": 1, "config": {}}`, "invalid world"},
-		{"negative steps", strings.Replace(specJSON(3, 1), `"steps": 3`, `"steps": -1`, 1), "invalid job spec"},
-		{"over step cap", strings.Replace(specJSON(3, 1), `"steps": 3`, `"steps": 1000000`, 1), "invalid job spec"},
+		{"malformed json", `{"steps": `, "invalid job spec", http.StatusBadRequest},
+		{"unknown field", `{"steps": 1, "bogus": 2, "config": {}}`, "invalid job spec", http.StatusBadRequest},
+		{"empty config", `{"steps": 1, "config": {}}`, "invalid world", http.StatusBadRequest},
+		{"negative steps", strings.Replace(specJSON(3, 1), `"steps": 3`, `"steps": -1`, 1), "invalid job spec", http.StatusBadRequest},
+		{"over step cap", strings.Replace(specJSON(3, 1), `"steps": 3`, `"steps": 1000000`, 1), "invalid job spec", http.StatusBadRequest},
 		{"relative data path", strings.Replace(specJSON(3, 1), `"seed": 1`,
-			`"seed": 1, "data": {"path": "corpus.txt", "tokenizer": "byte", "seq_len": 8}`, 1), "relative"},
+			`"seed": 1, "data": {"path": "corpus.txt", "tokenizer": "byte", "seq_len": 8}`, 1), "relative", http.StatusBadRequest},
+		{"over size cap", overCap, fmt.Sprintf("over the %d-byte cap", maxSpecBytes), http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		code, body := post(tc.body)
-		if code != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400 (body %s)", tc.name, code, body)
+		if code != tc.code {
+			t.Errorf("%s: status %d, want %d (body %.200s)", tc.name, code, tc.code, body)
 		}
 		if !strings.Contains(body, tc.wantErr) {
-			t.Errorf("%s: body %q does not mention %q", tc.name, body, tc.wantErr)
+			t.Errorf("%s: body %.200q does not mention %q", tc.name, body, tc.wantErr)
 		}
 	}
 
@@ -545,7 +551,7 @@ func TestSchedulerQueuedCancelAndList(t *testing.T) {
 		s.Drain(ctx) //nolint:errcheck // best-effort test cleanup
 	}()
 
-	spec, err := ParseSpec([]byte(specJSON(2000, 1)))
+	spec, err := parseSpec([]byte(specJSON(2000, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,25 +559,25 @@ func TestSchedulerQueuedCancelAndList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec2, _ := ParseSpec([]byte(specJSON(5, 2)))
+	spec2, _ := parseSpec([]byte(specJSON(5, 2)))
 	victim, err := s.Submit(spec2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Cancel(victim.ID()); err != nil {
+	if err := s.cancel(victim.ID()); err != nil {
 		t.Fatal(err)
 	}
 	if st := victim.State(); st != StateCancelled {
 		t.Errorf("queued victim state = %s, want cancelled", st)
 	}
-	if err := s.Cancel(victim.ID()); err == nil {
+	if err := s.cancel(victim.ID()); err == nil {
 		t.Error("second cancel should be ErrJobTerminal")
 	}
-	if err := s.Cancel(blocker.ID()); err != nil {
+	if err := s.cancel(blocker.ID()); err != nil {
 		t.Fatal(err)
 	}
 
-	list := s.List()
+	list := s.list()
 	if len(list) != 2 || list[0] != blocker || list[1] != victim {
 		t.Errorf("List() out of submission order: %v", list)
 	}
@@ -600,7 +606,7 @@ func TestSubmitPropagatesEngineSentinels(t *testing.T) {
 		defer cancel()
 		s.Drain(ctx) //nolint:errcheck // best-effort test cleanup
 	}()
-	spec, err := ParseSpec([]byte(specJSON(3, 1)))
+	spec, err := parseSpec([]byte(specJSON(3, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -730,7 +736,7 @@ func TestPersistedSnapshotResumes(t *testing.T) {
 		t.Fatalf("persisted snapshot at step %d from %d ranks, want %d from 4", snap.OptSteps, snap.WorldSize, from)
 	}
 
-	spec, err := ParseSpec([]byte(body))
+	spec, err := parseSpec([]byte(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -773,17 +779,17 @@ func TestPersistedSnapshotResumes(t *testing.T) {
 		t.Fatalf("resumed run ended at step %d with %d opt tensors, job at %d with %d",
 			same.OptSteps, len(same.Opt), want.OptSteps, len(want.Opt))
 	}
-	if d := tensor.MaxDiff(same.Params, want.Params); d != 0 {
+	if d := testutil.MaxDiff(same.Params, want.Params); d != 0 {
 		t.Errorf("same-N resume from the persisted file: params differ from the uninterrupted job by %g", d)
 	}
 	for i := range want.Opt {
-		if d := tensor.MaxDiff(same.Opt[i], want.Opt[i]); d != 0 {
+		if d := testutil.MaxDiff(same.Opt[i], want.Opt[i]); d != 0 {
 			t.Errorf("same-N resume from the persisted file: opt tensor %d differs by %g", i, d)
 		}
 	}
 
 	half, scratch := run(2, snap), run(2, nil)
-	if d := tensor.MaxDiff(half.Params, scratch.Params); d > 1e-3 {
+	if d := testutil.MaxDiff(half.Params, scratch.Params); d > 1e-3 {
 		t.Errorf("resume at N/2 drifted %g from a from-scratch 2-rank run", d)
 	}
 }
@@ -835,7 +841,7 @@ func TestElasticSpecValidation(t *testing.T) {
 		sched.Drain(ctx) //nolint:errcheck
 	}()
 	base := func() Spec {
-		s, err := ParseSpec([]byte(specJSON(3, 1)))
+		s, err := parseSpec([]byte(specJSON(3, 1)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -864,7 +870,7 @@ func TestElasticSpecValidation(t *testing.T) {
 }
 
 // FuzzParseSpec: any body is rejected, or the Spec it parses to survives
-// json.Marshal → ParseSpec unchanged; nothing panics. Seeded with the spec
+// json.Marshal → parseSpec unchanged; nothing panics. Seeded with the spec
 // bodies these tests submit.
 func FuzzParseSpec(f *testing.F) {
 	for _, body := range []string{
@@ -882,7 +888,7 @@ func FuzzParseSpec(f *testing.F) {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		spec, err := ParseSpec(body)
+		spec, err := parseSpec(body)
 		if err != nil {
 			return
 		}
@@ -890,7 +896,7 @@ func FuzzParseSpec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("marshal parsed spec: %v", err)
 		}
-		back, err := ParseSpec(out)
+		back, err := parseSpec(out)
 		if err != nil {
 			t.Fatalf("re-parse of %s: %v", out, err)
 		}

@@ -64,9 +64,6 @@ func New(cfg Config, logger *log.Logger) (*Server, error) {
 // Handler returns the middleware-wrapped root handler.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// Scheduler exposes the job scheduler (CLI drain, tests).
-func (s *Server) Scheduler() *Scheduler { return s.sched }
-
 // Config returns the normalized server configuration.
 func (s *Server) Config() Config { return s.cfg }
 
@@ -75,9 +72,11 @@ func (s *Server) Drain(ctx context.Context) error { return s.sched.Drain(ctx) }
 
 // statusFor maps an error to its HTTP status: invalid configs and specs
 // are the client's fault (400), backpressure is 429, draining 503,
-// unknown ids 404, state conflicts 409.
+// unknown ids 404, state conflicts 409, a body over its cap 413.
 func statusFor(err error) int {
 	switch {
+	case errors.As(err, new(*http.MaxBytesError)):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrUnknownJob):
 		return http.StatusNotFound
 	case errors.Is(err, ErrQueueFull):
@@ -113,16 +112,16 @@ func writeError(w http.ResponseWriter, err error) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "draining": s.sched.Draining()})
+	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "draining": s.sched.isDraining()})
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := readAll(r, maxSpecBytes)
+	body, err := readAll(w, r, maxSpecBytes)
 	if err != nil {
-		writeError(w, fmt.Errorf("%w: %v", ErrSpec, err))
+		writeError(w, fmt.Errorf("%w: %w", ErrSpec, err))
 		return
 	}
-	spec, err := ParseSpec(body)
+	spec, err := parseSpec(body)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -137,7 +136,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	jobs := s.sched.List()
+	jobs := s.sched.list()
 	out := make([]Status, len(jobs))
 	for i, j := range jobs {
 		out[i] = j.Status()
@@ -156,7 +155,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if err := s.sched.Cancel(id); err != nil {
+	if err := s.sched.cancel(id); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -193,14 +192,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 
 	// A disconnected client must unblock the ring wait.
-	ring := j.Ring()
-	stop := context.AfterFunc(r.Context(), ring.Wake)
+	ring := j.ring
+	stop := context.AfterFunc(r.Context(), ring.wake)
 	defer stop()
 	gone := func() bool { return r.Context().Err() != nil }
 
 	enc := json.NewEncoder(w)
 	for {
-		rec, next, ok := ring.Next(cursor, gone)
+		rec, next, ok := ring.next(cursor, gone)
 		if !ok {
 			return // job terminal and drained, or client gone
 		}
@@ -248,8 +247,15 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	w.Write(blob) //nolint:errcheck // client gone; nothing to do
 }
 
-// readAll slurps a bounded request body.
-func readAll(r *http.Request, limit int64) ([]byte, error) {
+// readAll slurps a request body of at most limit bytes. A longer body is
+// an error wrapping *http.MaxBytesError that names the cap (413), not a
+// truncated read that would surface as a JSON syntax error.
+func readAll(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
 	defer r.Body.Close()
-	return io.ReadAll(io.LimitReader(r.Body, limit))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return nil, fmt.Errorf("body over the %d-byte cap: %w", tooLarge.Limit, err)
+	}
+	return body, err
 }

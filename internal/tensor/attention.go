@@ -90,19 +90,19 @@ func CausalAttentionBackward(dQKV, dCtx, qkv, probs []float32, batch, seq, heads
 			}
 			// ctx = P·V.
 			MatMulBT(dP, dctxh, vh, seq, dh, seq)
-			MatMulAT(dvh, p, dctxh, seq, seq, dh)
+			matMulAT(dvh, p, dctxh, seq, seq, dh, false)
 			// Softmax over each row's causal prefix (accumulating kernel,
 			// hence the zeroing; the future's gradient stays zero), then
 			// the scale applied to the scores before it.
 			Zero(dS)
 			for t := 0; t < seq; t++ {
 				lo, hi := t*seq, t*seq+t+1
-				SoftmaxRowsBackward(dS[lo:hi], dP[lo:hi], p[lo:hi], 1, t+1)
+				softmaxRowsBackward(dS[lo:hi], dP[lo:hi], p[lo:hi], 1, t+1)
 			}
 			Scale(dS, scale)
 			// scores = scale·Q·Kᵀ.
 			MatMul(dqh, dS, kh, seq, seq, dh)
-			MatMulAT(dkh, dS, qh, seq, seq, dh)
+			matMulAT(dkh, dS, qh, seq, seq, dh, false)
 			for t := 0; t < seq; t++ {
 				base := (b*seq+t)*3*w + hd*dh
 				copy(dQKV[base:base+dh], dqh[t*dh:(t+1)*dh])

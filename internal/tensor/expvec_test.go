@@ -114,7 +114,7 @@ func TestLaneKernelsMatchMath(t *testing.T) {
 }
 
 // checkKernelsMatchScalar runs GELU, GELUBackward into a nonzero dx and
-// SoftmaxRows over x split m×n, live and scalar, and fails on any bit that
+// softmaxRows over x split m×n, live and scalar, and fails on any bit that
 // differs.
 func checkKernelsMatchScalar(t *testing.T, x []float32, m, n int) {
 	t.Helper()
@@ -130,7 +130,7 @@ func checkKernelsMatchScalar(t *testing.T, x []float32, m, n int) {
 		p = make([]float32, m*n)
 		GELU(y, x)
 		GELUBackward(dx, dy, x)
-		SoftmaxRows(p, x[:m*n], m, n)
+		softmaxRows(p, x[:m*n], m, n)
 		return y, dx, p
 	}
 	var wantY, wantDx, wantP []float32
@@ -139,7 +139,7 @@ func checkKernelsMatchScalar(t *testing.T, x []float32, m, n int) {
 	for _, c := range []struct {
 		name      string
 		got, want []float32
-	}{{"GELU", y, wantY}, {"GELUBackward", dx, wantDx}, {"SoftmaxRows", p, wantP}} {
+	}{{"GELU", y, wantY}, {"GELUBackward", dx, wantDx}, {"softmaxRows", p, wantP}} {
 		for i := range c.want {
 			if g, w := math.Float32bits(c.got[i]), math.Float32bits(c.want[i]); g != w {
 				t.Fatalf("%s [%d] (x = %#08x, len %d, %d×%d): %#08x, want %#08x",
@@ -195,7 +195,7 @@ func TestTranscendentalKernelsAllocateNothing(t *testing.T) {
 	kernels := func() {
 		GELU(y, x)
 		GELUBackward(dx, y, x)
-		SoftmaxRows(y, x, 3, 100)
+		softmaxRows(y, x, 3, 100)
 		CausalAttention(ctx, probs, qkv, nil, batch, seq, heads, dh, scratch)
 	}
 	for _, lanes := range []bool{true, false} {
@@ -210,7 +210,7 @@ func TestTranscendentalKernelsAllocateNothing(t *testing.T) {
 }
 
 // FuzzTranscendentals reads arbitrary bytes as float32 lanes (any bit
-// pattern) and checks the live GELU, GELUBackward and SoftmaxRows against
+// pattern) and checks the live GELU, GELUBackward and softmaxRows against
 // the scalar reference bit for bit, the softmax over the lanes split m×n.
 func FuzzTranscendentals(f *testing.F) {
 	seed := func(vs ...float32) []byte {

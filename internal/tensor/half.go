@@ -8,6 +8,13 @@
 // framework: fp16 is a storage format (2 bytes per element, used for
 // parameters, gradients and activations) while arithmetic happens at fp32
 // precision, exactly as on V100 tensor cores.
+//
+// Surface: Half and HalfBuffer with the batch encoders (FromFloats,
+// FromFloatsRound, ToFloats, Floats, RoundHalfCheck); MatMul, MatMulBT and
+// MatMulATAdd over either Operand; the elementwise ops (Zero, Fill, Copy,
+// Add, Scale, Norm2) and the layer kernels (LayerNorm, GELU,
+// CausalAttention, CrossEntropy, bias rows) with their backward passes;
+// Lanes. Imported by model, zero, optimizer, comm, experiments and bench.
 package tensor
 
 import "math"
@@ -31,10 +38,10 @@ const (
 	halfNaN      = 0x7e00
 )
 
-// FromFloat32 converts an fp32 value to binary16 with round-to-nearest-even,
+// fromFloat32 converts an fp32 value to binary16 with round-to-nearest-even,
 // the rounding mode used by GPU hardware. Values above the fp16 range become
 // ±Inf; NaN payloads collapse to a quiet NaN.
-func FromFloat32(f float32) Half {
+func fromFloat32(f float32) Half {
 	b := math.Float32bits(f)
 	sign := uint16(b>>16) & halfSignMask
 	exp := int32(b>>23) & 0xff
@@ -74,9 +81,9 @@ func FromFloat32(f float32) Half {
 	}
 }
 
-// Float32 converts a binary16 value back to fp32. The conversion is exact:
+// float32 converts a binary16 value back to fp32. The conversion is exact:
 // every fp16 value is representable in fp32.
-func (h Half) Float32() float32 {
+func (h Half) float32() float32 {
 	sign := uint32(h&halfSignMask) << 16
 	exp := uint32(h>>10) & 0x1f
 	man := uint32(h & halfManMask)
@@ -130,7 +137,7 @@ func (b HalfBuffer) Bytes() int64 { return int64(len(b)) * BytesPerHalf }
 // FromFloats overwrites b with the rounded fp16 images of src.
 // The two slices must have equal length.
 //
-// The conversion is a branch-light restatement of FromFloat32 (bit-for-bit
+// The conversion is a branch-light restatement of fromFloat32 (bit-for-bit
 // identical, pinned by TestHalfFastPathsMatchReference): normal values
 // round via integer arithmetic on the fp32 bits — adding 0xfff plus the
 // round-to-odd bit implements round-to-nearest-even, with a carry that
@@ -190,7 +197,7 @@ func (b HalfBuffer) ToFloats(dst []float32) {
 func halfVal(h Half) float32 {
 	em := uint32(h) & 0x7fff
 	if em >= halfPosInf { // Inf or NaN
-		return h.Float32()
+		return h.float32()
 	}
 	f := math.Float32frombits(em<<13) * 0x1p112
 	return math.Float32frombits(math.Float32bits(f) | uint32(h&halfSignMask)<<16)
@@ -203,7 +210,7 @@ func halfDecodeScalar(dst []float32, src []Half) {
 	for i, h := range src {
 		em := uint32(h) & 0x7fff
 		if em >= halfPosInf { // Inf or NaN
-			dst[i] = h.Float32()
+			dst[i] = h.float32()
 			continue
 		}
 		f := math.Float32frombits(em<<13) * 0x1p112
@@ -213,7 +220,7 @@ func halfDecodeScalar(dst []float32, src []Half) {
 
 // roundHalf rounds every element of x through binary16 in place — the
 // quantization applied when an fp32-computed value is stored or shipped as
-// fp16. Equivalent to FromFloat32(v).Float32() per element (pinned
+// fp16. Equivalent to fromFloat32(v).float32() per element (pinned
 // bit-for-bit by TestHalfFastPathsMatchReference) in a single fused pass:
 // normals round on the fp32 bits directly and never leave fp32, so no
 // decode step is needed. F16C lanes where the CPU has them (half_amd64.s).
@@ -253,7 +260,7 @@ func roundHalfScalar(x []float32) {
 // src through binary16 in place (so fp32 consumers see exactly the stored
 // values), writes the fp16 images into b, and reports whether any element
 // overflowed the fp16 range (rounded to ±Inf, or was already non-finite).
-// Per element it is roundHalf + FromFloats + Overflowed in one pass,
+// Per element it is roundHalf + FromFloats + an Inf/NaN check in one pass,
 // bit-for-bit (pinned by TestHalfFusedPathsMatchReference); the overflow
 // flag drives dynamic loss scaling.
 func (b HalfBuffer) FromFloatsRound(src []float32) bool {
@@ -346,15 +353,4 @@ func (b HalfBuffer) Floats() []float32 {
 	out := make([]float32, len(b))
 	b.ToFloats(out)
 	return out
-}
-
-// Overflowed reports whether any element of b is Inf or NaN. Mixed-precision
-// training uses this to detect loss-scale overflow and skip the step.
-func (b HalfBuffer) Overflowed() bool {
-	for _, h := range b {
-		if h&halfExpMask == halfExpMask {
-			return true
-		}
-	}
-	return false
 }

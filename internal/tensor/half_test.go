@@ -25,40 +25,40 @@ func TestHalfExactValues(t *testing.T) {
 		{0.333251953125, 0x3555},        // nearest fp16 to 1/3
 	}
 	for _, c := range cases {
-		if got := FromFloat32(c.f); got != c.bits {
-			t.Errorf("FromFloat32(%v) = %#04x, want %#04x", c.f, got, c.bits)
+		if got := fromFloat32(c.f); got != c.bits {
+			t.Errorf("fromFloat32(%v) = %#04x, want %#04x", c.f, got, c.bits)
 		}
-		if got := c.bits.Float32(); got != c.f {
-			t.Errorf("(%#04x).Float32() = %v, want %v", c.bits, got, c.f)
+		if got := c.bits.float32(); got != c.f {
+			t.Errorf("(%#04x).float32() = %v, want %v", c.bits, got, c.f)
 		}
 	}
 }
 
 func TestHalfSpecials(t *testing.T) {
-	inf := FromFloat32(float32(math.Inf(1)))
+	inf := fromFloat32(float32(math.Inf(1)))
 	if !inf.IsInf() || inf != 0x7c00 {
 		t.Errorf("+Inf encodes to %#04x", inf)
 	}
-	ninf := FromFloat32(float32(math.Inf(-1)))
+	ninf := fromFloat32(float32(math.Inf(-1)))
 	if !ninf.IsInf() || ninf != 0xfc00 {
 		t.Errorf("-Inf encodes to %#04x", ninf)
 	}
-	nan := FromFloat32(float32(math.NaN()))
+	nan := fromFloat32(float32(math.NaN()))
 	if !nan.IsNaN() {
 		t.Errorf("NaN encodes to %#04x, not NaN", nan)
 	}
-	if !math.IsNaN(float64(nan.Float32())) {
+	if !math.IsNaN(float64(nan.float32())) {
 		t.Error("NaN round-trip lost NaN-ness")
 	}
 	// Overflow rounds to infinity.
-	if got := FromFloat32(70000); !got.IsInf() {
+	if got := fromFloat32(70000); !got.IsInf() {
 		t.Errorf("70000 should overflow to Inf, got %#04x", got)
 	}
 	// Tiny values flush to signed zero.
-	if got := FromFloat32(1e-10); got != 0 {
+	if got := fromFloat32(1e-10); got != 0 {
 		t.Errorf("1e-10 should flush to +0, got %#04x", got)
 	}
-	if got := FromFloat32(-1e-10); got != 0x8000 {
+	if got := fromFloat32(-1e-10); got != 0x8000 {
 		t.Errorf("-1e-10 should flush to -0, got %#04x", got)
 	}
 }
@@ -67,12 +67,12 @@ func TestHalfRoundToNearestEven(t *testing.T) {
 	// 1 + 2^-11 is exactly halfway between 1.0 and the next fp16 (1+2^-10);
 	// RNE must pick the even mantissa, i.e. 1.0.
 	f := float32(1) + float32(math.Ldexp(1, -11))
-	if got := FromFloat32(f); got != 0x3c00 {
+	if got := fromFloat32(f); got != 0x3c00 {
 		t.Errorf("halfway 1+2^-11 rounds to %#04x, want 0x3c00 (even)", got)
 	}
 	// 1 + 3*2^-11 is halfway between 1+2^-10 and 1+2^-9; even neighbor is 1+2^-9.
 	f = float32(1) + 3*float32(math.Ldexp(1, -11))
-	if got := FromFloat32(f); got != 0x3c02 {
+	if got := fromFloat32(f); got != 0x3c02 {
 		t.Errorf("halfway 1+3*2^-11 rounds to %#04x, want 0x3c02 (even)", got)
 	}
 }
@@ -82,8 +82,8 @@ func TestHalfRoundToNearestEven(t *testing.T) {
 func TestHalfRoundTripAllBitPatterns(t *testing.T) {
 	for i := 0; i <= 0xffff; i++ {
 		h := Half(i)
-		f := h.Float32()
-		back := FromFloat32(f)
+		f := h.float32()
+		back := fromFloat32(f)
 		if h.IsNaN() {
 			if !back.IsNaN() {
 				t.Fatalf("NaN pattern %#04x lost on round trip", i)
@@ -96,14 +96,14 @@ func TestHalfRoundTripAllBitPatterns(t *testing.T) {
 	}
 }
 
-// Property: rounding error of FromFloat32 is at most half a ULP of the fp16
+// Property: rounding error of fromFloat32 is at most half a ULP of the fp16
 // target for in-range values.
 func TestHalfRoundingErrorBound(t *testing.T) {
 	f := func(v float32) bool {
 		if math.IsNaN(float64(v)) || math.Abs(float64(v)) > MaxHalf {
 			return true
 		}
-		got := float64(FromFloat32(v).Float32())
+		got := float64(fromFloat32(v).float32())
 		// ULP at this magnitude: 2^(e-10) where e is the fp16 exponent.
 		av := math.Abs(float64(v))
 		ulp := math.Ldexp(1, -24) // subnormal ULP
@@ -137,11 +137,11 @@ func TestHalfBuffer(t *testing.T) {
 			t.Errorf("element %d: got %v want %v", i, got[i], src[i])
 		}
 	}
-	if b.Overflowed() {
+	if overflowed(b) {
 		t.Error("finite buffer reported overflow")
 	}
 	b[2] = halfPosInf
-	if !b.Overflowed() {
+	if !overflowed(b) {
 		t.Error("buffer with Inf did not report overflow")
 	}
 }
@@ -182,12 +182,12 @@ func FuzzHalfRoundTrip(f *testing.F) {
 		dec := make([]float32, len(src))
 		enc.ToFloats(dec)
 		for i, v := range src {
-			want := FromFloat32(v)
+			want := fromFloat32(v)
 			if enc[i] != want || fusedEnc[i] != want {
 				t.Fatalf("encode(%#08x): batch %#04x fused %#04x, want %#04x",
 					math.Float32bits(v), enc[i], fusedEnc[i], want)
 			}
-			wantRound := math.Float32bits(want.Float32())
+			wantRound := math.Float32bits(want.float32())
 			for _, got := range []float32{rounded[i], fused[i], checked[i], dec[i]} {
 				if math.Float32bits(got) != wantRound {
 					t.Fatalf("round/decode(%#08x) = %#08x, want %#08x",
@@ -195,11 +195,11 @@ func FuzzHalfRoundTrip(f *testing.F) {
 				}
 			}
 			// Decode→encode is the identity (modulo NaN canonicalization).
-			if back := FromFloat32(dec[i]); back != enc[i] && !enc[i].IsNaN() {
+			if back := fromFloat32(dec[i]); back != enc[i] && !enc[i].IsNaN() {
 				t.Fatalf("round trip %#04x -> %v -> %#04x", enc[i], dec[i], back)
 			}
 		}
-		if want := enc.Overflowed(); overflow != want || checkFlag != want {
+		if want := overflowed(enc); overflow != want || checkFlag != want {
 			t.Fatalf("overflow flags fused=%v checked=%v, want %v", overflow, checkFlag, want)
 		}
 	})
@@ -218,12 +218,12 @@ func halfProbeValues() []float32 {
 			math.Float32frombits(u-1))
 	}
 	for i := 0; i <= 0xffff; i++ {
-		f := Half(i).Float32()
+		f := Half(i).float32()
 		add(f)
 		// Tie point halfway to the next representable fp16 magnitude.
 		next := Half(i + 1)
 		if !Half(i).IsInf() && !Half(i).IsNaN() && !next.IsNaN() && !next.IsInf() && (i&0x7fff) != 0x7fff {
-			add((f + next.Float32()) / 2)
+			add((f + next.float32()) / 2)
 		}
 	}
 	vs = append(vs,
@@ -327,12 +327,12 @@ func TestHalfFastPathsMatchReference(t *testing.T) {
 	copy(rounded, probe)
 	roundHalf(rounded)
 	for i, f := range probe {
-		want := FromFloat32(f)
+		want := fromFloat32(f)
 		if enc[i] != want {
 			t.Fatalf("FromFloats(%v = %#08x) = %#04x, want %#04x",
 				f, math.Float32bits(f), enc[i], want)
 		}
-		if got, w := math.Float32bits(rounded[i]), math.Float32bits(want.Float32()); got != w {
+		if got, w := math.Float32bits(rounded[i]), math.Float32bits(want.float32()); got != w {
 			t.Fatalf("roundHalf(%v = %#08x) = %#08x, want %#08x",
 				f, math.Float32bits(f), got, w)
 		}
@@ -345,8 +345,19 @@ func TestHalfFastPathsMatchReference(t *testing.T) {
 	dec := make([]float32, len(all))
 	all.ToFloats(dec)
 	for i, h := range all {
-		if got, want := math.Float32bits(dec[i]), math.Float32bits(h.Float32()); got != want {
+		if got, want := math.Float32bits(dec[i]), math.Float32bits(h.float32()); got != want {
 			t.Fatalf("ToFloats(%#04x) = %#08x, want %#08x", i, got, want)
 		}
 	}
+}
+
+// overflowed reports whether any element of b is Inf or NaN: the reference
+// for the overflow flag FromFloatsRound and RoundHalfCheck return.
+func overflowed(b HalfBuffer) bool {
+	for _, h := range b {
+		if h&halfExpMask == halfExpMask {
+			return true
+		}
+	}
+	return false
 }

@@ -19,10 +19,10 @@ func TestHalfDecodeAllBitPatterns(t *testing.T) {
 	dst := make([]float32, len(src))
 	halfDecode(dst, src)
 	for i, h := range src {
-		if got, want := math.Float32bits(dst[i]), math.Float32bits(h.Float32()); got != want {
+		if got, want := math.Float32bits(dst[i]), math.Float32bits(h.float32()); got != want {
 			t.Fatalf("halfDecode(%#04x) = %#08x, want %#08x", i, got, want)
 		}
-		if got, want := math.Float32bits(halfVal(h)), math.Float32bits(h.Float32()); got != want {
+		if got, want := math.Float32bits(halfVal(h)), math.Float32bits(h.float32()); got != want {
 			t.Fatalf("halfVal(%#04x) = %#08x, want %#08x", i, got, want)
 		}
 	}
@@ -33,7 +33,7 @@ func TestHalfDecodeAllBitPatterns(t *testing.T) {
 			out := make([]float32, n)
 			halfDecode(out, sub)
 			for i, h := range sub {
-				if got, want := math.Float32bits(out[i]), math.Float32bits(h.Float32()); got != want {
+				if got, want := math.Float32bits(out[i]), math.Float32bits(h.float32()); got != want {
 					t.Fatalf("halfDecode len %d off %d elem %d (%#04x): got %#08x want %#08x",
 						n, off, i, uint16(h), got, want)
 				}
@@ -44,7 +44,7 @@ func TestHalfDecodeAllBitPatterns(t *testing.T) {
 
 // The fused round-and-store paths must match the separately pinned
 // FromFloats/roundHalf conversions bit for bit, and the overflow flag must
-// agree with Overflowed on the encoded buffer.
+// agree with overflowed on the encoded buffer.
 func TestHalfFusedPathsMatchReference(t *testing.T) {
 	probe := halfProbeValues()
 	r := rand.New(rand.NewSource(23))
@@ -70,8 +70,8 @@ func TestHalfFusedPathsMatchReference(t *testing.T) {
 				t.Fatalf("FromFloatsRound rounded(%v) = %#08x, want %#08x", chunk[i], got, want)
 			}
 		}
-		if overflow != wantEnc.Overflowed() {
-			t.Fatalf("FromFloatsRound overflow = %v, Overflowed = %v", overflow, wantEnc.Overflowed())
+		if overflow != overflowed(wantEnc) {
+			t.Fatalf("FromFloatsRound overflow = %v, overflowed = %v", overflow, overflowed(wantEnc))
 		}
 
 		gotChecked := make([]float32, len(chunk))
@@ -82,8 +82,8 @@ func TestHalfFusedPathsMatchReference(t *testing.T) {
 				t.Fatalf("RoundHalfCheck(%v) = %#08x, want %#08x", chunk[i], got, want)
 			}
 		}
-		if checked != wantEnc.Overflowed() {
-			t.Fatalf("RoundHalfCheck overflow = %v, Overflowed = %v", checked, wantEnc.Overflowed())
+		if checked != overflowed(wantEnc) {
+			t.Fatalf("RoundHalfCheck overflow = %v, overflowed = %v", checked, overflowed(wantEnc))
 		}
 	}
 }
@@ -101,16 +101,16 @@ func randHalf(r *rand.Rand, n int) (HalfBuffer, []float32) {
 }
 
 // allOrientations runs the four matmuls on operands of one type — A[m×k]
-// against B[k×n] (MatMul), bt[n×k] (MatMulBT) and bm[m×n] (MatMulAT, and
+// against B[k×n] (MatMul), bt[n×k] (MatMulBT) and bm[m×n] (matMulAT, and
 // MatMulATAdd onto c0) — and returns their outputs by name.
 func allOrientations[S Operand](a, b, bt, bm S, c0 []float32, m, k, n int) map[string][]float32 {
 	out := map[string][]float32{
 		"MatMul": make([]float32, m*n), "MatMulBT": make([]float32, m*n),
-		"MatMulAT": make([]float32, k*n), "MatMulATAdd": append([]float32(nil), c0...),
+		"matMulAT": make([]float32, k*n), "MatMulATAdd": append([]float32(nil), c0...),
 	}
 	MatMul(out["MatMul"], a, b, m, k, n)
 	MatMulBT(out["MatMulBT"], a, bt, m, k, n)
-	MatMulAT(out["MatMulAT"], a, bm, m, k, n)
+	matMulAT(out["matMulAT"], a, bm, m, k, n, false)
 	MatMulATAdd(out["MatMulATAdd"], a, bm, m, k, n)
 	return out
 }
@@ -189,7 +189,7 @@ func TestTransposesMatchDefinition(t *testing.T) {
 				transposeInto(gotF, wide, rows, cols, lds, ldd)
 				for r := 0; r < rows; r++ {
 					for c := 0; c < cols; c++ {
-						want := math.Float32bits(src[r*cols+c].Float32())
+						want := math.Float32bits(src[r*cols+c].float32())
 						if got := math.Float32bits(gotH[c*ldd+r]); got != want {
 							t.Fatalf("transposeHalfInto %dx%d ldd %d: dst[%d,%d] = %#08x, want %#08x", rows, cols, ldd, c, r, got, want)
 						}

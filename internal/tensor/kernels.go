@@ -160,9 +160,9 @@ func LayerNormBackward(dx, dGamma, dBeta, dy, xhat, invStd, gamma []float32, m, 
 	}
 }
 
-// SoftmaxRows applies a numerically stable softmax to each row of x[m×n],
+// softmaxRows applies a numerically stable softmax to each row of x[m×n],
 // writing into y (y may alias x).
-func SoftmaxRows(y, x []float32, m, n int) {
+func softmaxRows(y, x []float32, m, n int) {
 	checkDims(len(x), m*n, "x")
 	checkDims(len(y), m*n, "y")
 	var d, e [laneChunk]float64
@@ -199,9 +199,9 @@ func softmaxRow(out, row []float32, d, e *[laneChunk]float64) {
 	}
 }
 
-// SoftmaxRowsBackward accumulates dx given dy and the saved softmax output p:
+// softmaxRowsBackward accumulates dx given dy and the saved softmax output p:
 // dx = p ⊙ (dy - Σ dy⊙p) per row.
-func SoftmaxRowsBackward(dx, dy, p []float32, m, n int) {
+func softmaxRowsBackward(dx, dy, p []float32, m, n int) {
 	checkDims(len(dx), m*n, "dx")
 	checkDims(len(dy), m*n, "dy")
 	checkDims(len(p), m*n, "p")
@@ -226,7 +226,7 @@ func CrossEntropy(probs, logits []float32, targets []int, m, v int) float64 {
 	checkDims(len(logits), m*v, "logits")
 	checkDims(len(probs), m*v, "probs")
 	checkDims(len(targets), m, "targets")
-	SoftmaxRows(probs, logits, m, v)
+	softmaxRows(probs, logits, m, v)
 	var loss float64
 	for i, t := range targets {
 		if t < 0 || t >= v {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/testutil"
 )
 
 // Finite-difference gradient checks for every nonlinear kernel. These anchor
@@ -33,7 +35,7 @@ func TestGELUGradient(t *testing.T) {
 	loss := func() float64 {
 		y := make([]float32, n)
 		GELU(y, x)
-		return Dot(y, w)
+		return testutil.Dot(y, w)
 	}
 	dy := make([]float32, n)
 	copy(dy, w)
@@ -60,7 +62,7 @@ func TestLayerNormForwardStats(t *testing.T) {
 	LayerNorm(y, xhat, invStd, x, gamma, beta, m, n, 1e-5)
 	for i := 0; i < m; i++ {
 		row := y[i*n : i*n+n]
-		mean := Sum(row) / float64(n)
+		mean := testutil.Sum(row) / float64(n)
 		if math.Abs(mean) > 1e-5 {
 			t.Errorf("row %d mean %g, want ~0", i, mean)
 		}
@@ -87,7 +89,7 @@ func TestLayerNormGradient(t *testing.T) {
 		xhat := make([]float32, m*n)
 		invStd := make([]float32, m)
 		LayerNorm(y, xhat, invStd, x, gamma, beta, m, n, 1e-5)
-		return Dot(y, w)
+		return testutil.Dot(y, w)
 	}
 	y := make([]float32, m*n)
 	xhat := make([]float32, m*n)
@@ -121,10 +123,10 @@ func TestSoftmaxRows(t *testing.T) {
 	m, n := 3, 10
 	x := randSlice(r, m*n)
 	y := make([]float32, m*n)
-	SoftmaxRows(y, x, m, n)
+	softmaxRows(y, x, m, n)
 	for i := 0; i < m; i++ {
 		row := y[i*n : i*n+n]
-		s := Sum(row)
+		s := testutil.Sum(row)
 		if math.Abs(s-1) > 1e-5 {
 			t.Errorf("softmax row %d sums to %g", i, s)
 		}
@@ -141,8 +143,8 @@ func TestSoftmaxRows(t *testing.T) {
 		shifted[i] += 1000
 	}
 	y2 := make([]float32, m*n)
-	SoftmaxRows(y2, shifted, m, n)
-	if d := MaxDiff(y, y2); d > 1e-5 {
+	softmaxRows(y2, shifted, m, n)
+	if d := testutil.MaxDiff(y, y2); d > 1e-5 {
 		t.Errorf("softmax not shift invariant: %g", d)
 	}
 }
@@ -154,13 +156,13 @@ func TestSoftmaxGradient(t *testing.T) {
 	w := randSlice(r, m*n)
 	forward := func() float64 {
 		y := make([]float32, m*n)
-		SoftmaxRows(y, x, m, n)
-		return Dot(y, w)
+		softmaxRows(y, x, m, n)
+		return testutil.Dot(y, w)
 	}
 	p := make([]float32, m*n)
-	SoftmaxRows(p, x, m, n)
+	softmaxRows(p, x, m, n)
 	dx := make([]float32, m*n)
-	SoftmaxRowsBackward(dx, w, p, m, n)
+	softmaxRowsBackward(dx, w, p, m, n)
 	for i := 0; i < m*n; i++ {
 		want := numericalGrad(x, i, forward)
 		if diff := math.Abs(float64(dx[i]) - want); diff > 1e-2 {
@@ -205,28 +207,22 @@ func TestCrossEntropyPerfectPrediction(t *testing.T) {
 func TestOpsBasics(t *testing.T) {
 	x := []float32{1, 2, 3}
 	y := []float32{4, 5, 6}
-	AXPY(2, x, y)
-	want := []float32{6, 9, 12}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Fatalf("AXPY: got %v", y)
-		}
+	Add(y, x)
+	if want := []float32{5, 7, 9}; testutil.MaxDiff(y, want) != 0 {
+		t.Fatalf("Add: got %v, want %v", y, want)
 	}
-	if Dot(x, x) != 14 {
-		t.Errorf("Dot = %v, want 14", Dot(x, x))
+	Copy(y, x)
+	Scale(y, 2)
+	if want := []float32{2, 4, 6}; testutil.MaxDiff(y, want) != 0 {
+		t.Fatalf("Copy+Scale: got %v, want %v", y, want)
 	}
-	if MaxAbs([]float32{-5, 3}) != 5 {
-		t.Error("MaxAbs wrong")
+	if n := Norm2([]float32{3, 4}); n != 5 {
+		t.Errorf("Norm2 = %v, want 5", n)
 	}
-	if !HasNaNOrInf([]float32{1, float32(math.Inf(1))}) {
-		t.Error("HasNaNOrInf missed Inf")
-	}
-	if HasNaNOrInf(x) {
-		t.Error("HasNaNOrInf false positive")
-	}
-	Scale(x, 0)
-	if Sum(x) != 0 {
-		t.Error("Scale by 0 failed")
+	Fill(x, 7)
+	Zero(x[:1])
+	if want := []float32{0, 7, 7}; testutil.MaxDiff(x, want) != 0 {
+		t.Errorf("Fill+Zero: got %v, want %v", x, want)
 	}
 }
 
@@ -320,7 +316,7 @@ func TestCausalAttentionGradient(t *testing.T) {
 	wgt := randSlice(r, batch*seq*w) // random linear functional to form a scalar loss
 	loss := func() float64 {
 		ctx, _, _ := attnRun(qkv, nil, batch, seq, heads, dh)
-		return Dot(ctx, wgt)
+		return testutil.Dot(ctx, wgt)
 	}
 	_, probs, _ := attnRun(qkv, nil, batch, seq, heads, dh)
 	dQKV := randSlice(r, len(qkv)) // stale contents must be overwritten
@@ -345,11 +341,11 @@ func TestCausalAttentionHalfStore(t *testing.T) {
 	if overflow {
 		t.Error("probabilities in [0,1] reported an fp16 overflow")
 	}
-	if d := MaxDiff(probs, probsH.Floats()); d != 0 {
+	if d := testutil.MaxDiff(probs, probsH.Floats()); d != 0 {
 		t.Errorf("saved fp32 probabilities differ from the half store by %g", d)
 	}
 	_, exact, _ := attnRun(qkv, nil, batch, seq, heads, dh)
-	if MaxDiff(probs, exact) == 0 {
+	if testutil.MaxDiff(probs, exact) == 0 {
 		t.Fatal("rounding through binary16 changed no probability; test is vacuous")
 	}
 	// Recompute the context from the rounded probabilities alone.

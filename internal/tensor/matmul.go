@@ -5,7 +5,7 @@ package tensor
 //
 //	forward:     Y  = X·W      (MatMul)
 //	grad input:  dX = dY·Wᵀ    (MatMulBT)
-//	grad weight: dW = Xᵀ·dY    (MatMulAT; MatMulATAdd accumulates)
+//	grad weight: dW = Xᵀ·dY    (MatMulATAdd; matMulAT overwrites)
 //
 // All matrices are row-major flat slices, with one entry point per
 // orientation over either Operand type: fp32, or binary16 whose values are
@@ -174,13 +174,6 @@ func foldBT(ct, at []float32, b bOperand, k, m8, lo, hi int) {
 	}
 }
 
-// MatMulAT computes C[k×n] = A[m×k]ᵀ · B[m×n], overwriting C — the fused
-// transpose-multiply, where the first input row overwrites the output
-// instead of a zero pass.
-func MatMulAT[S Operand](c []float32, a, b S, m, k, n int) {
-	matMulAT(c, a, b, m, k, n, false)
-}
-
 // MatMulATAdd computes C[k×n] += A[m×k]ᵀ · B[m×n]. It accumulates rather
 // than overwrites because weight gradients sum over micro-batches.
 func MatMulATAdd[S Operand](c []float32, a, b S, m, k, n int) {
@@ -205,7 +198,8 @@ func mulRows[S Operand](c []float32, a S, b bOperand, m, k, n int) {
 	run(kr, units, m*k*n)
 }
 
-// matMulAT computes C (+)= Aᵀ·B. Output row j sweeps B's rows scaled by A's
+// matMulAT computes C[k×n] (+)= A[m×k]ᵀ · B[m×n]; without add the first
+// input row overwrites the output instead of a zero pass. Output row j sweeps B's rows scaled by A's
 // column j — the transpose happens in the coefficient indexing (a[i·k+j]),
 // never as a data movement — folding in ascending i. The pool splits C's k
 // rows, or the columns of a single one. That indexing walks A by column, a

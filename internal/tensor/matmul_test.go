@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"repro/internal/testutil"
 )
 
 // naive reference implementations used to validate the blocked kernels.
@@ -53,7 +55,7 @@ func TestMatMulAgainstReference(t *testing.T) {
 		c := make([]float32, m*n)
 		MatMul(c, a, b, m, k, n)
 		want := refMatMul(a, b, m, k, n)
-		if d := MaxDiff(c, want); d > 1e-4 {
+		if d := testutil.MaxDiff(c, want); d > 1e-4 {
 			t.Errorf("MatMul %v: max diff %g", dims, d)
 		}
 	}
@@ -70,7 +72,7 @@ func TestMatMulBTAgainstReference(t *testing.T) {
 		// reference: C = A · Bᵀ
 		bt := refTranspose(b, k, n)
 		want := refMatMul(a, bt, m, n, k)
-		if d := MaxDiff(c, want); d > 1e-4 {
+		if d := testutil.MaxDiff(c, want); d > 1e-4 {
 			t.Errorf("MatMulBT %v: max diff %g", dims, d)
 		}
 	}
@@ -161,7 +163,7 @@ func TestMatMulATAddAgainstReference(t *testing.T) {
 		at := refTranspose(a, m, k)
 		want := refMatMul(at, b, k, m, n)
 		Add(want, initial)
-		if d := MaxDiff(c, want); d > 1e-4 {
+		if d := testutil.MaxDiff(c, want); d > 1e-4 {
 			t.Errorf("MatMulATAdd %v: max diff %g", dims, d)
 		}
 	}
@@ -177,11 +179,11 @@ func TestMatMulIdentity(t *testing.T) {
 	a := randSlice(r, n*n)
 	c := make([]float32, n*n)
 	MatMul(c, a, id, n, n, n)
-	if d := MaxDiff(c, a); d != 0 {
+	if d := testutil.MaxDiff(c, a); d != 0 {
 		t.Errorf("A·I differs from A by %g", d)
 	}
 	MatMul(c, id, a, n, n, n)
-	if d := MaxDiff(c, a); d != 0 {
+	if d := testutil.MaxDiff(c, a); d != 0 {
 		t.Errorf("I·A differs from A by %g", d)
 	}
 }

@@ -45,63 +45,11 @@ func Add(dst, src []float32) {
 	axpy1(dst, src, 1)
 }
 
-// Sub computes dst[i] -= src[i].
-func Sub(dst, src []float32) {
-	if len(dst) != len(src) {
-		panic("tensor: Sub length mismatch")
-	}
-	for i, v := range src {
-		dst[i] -= v
-	}
-}
-
-// Mul computes dst[i] *= src[i] (Hadamard product).
-func Mul(dst, src []float32) {
-	if len(dst) != len(src) {
-		panic("tensor: Mul length mismatch")
-	}
-	for i, v := range src {
-		dst[i] *= v
-	}
-}
-
 // Scale computes x[i] *= a. It runs the axpy sweep's overwrite with
 // dst = src (ov1), lane for lane the scalar product, so every result is
 // bitwise the scalar loop's. A product of two NaNs returns x's, quieted.
 func Scale(x []float32, a float32) {
 	ov1(x, x, a)
-}
-
-// AXPY computes y[i] += a*x[i].
-func AXPY(a float32, x, y []float32) {
-	if len(x) != len(y) {
-		panic("tensor: AXPY length mismatch")
-	}
-	for i, v := range x {
-		y[i] += a * v
-	}
-}
-
-// Dot returns the inner product of x and y accumulated in float64 for
-// stability.
-func Dot(x, y []float32) float64 {
-	if len(x) != len(y) {
-		panic("tensor: Dot length mismatch")
-	}
-	var s float64
-	for i, v := range x {
-		s += float64(v) * float64(y[i])
-	}
-	return s
-}
-
-// Sum returns the float64-accumulated sum of x.
-func Sum(x []float32) float64 {
-	var s float64
-	for _, v := range x {
-		s += float64(v)
-	}
-	return s
 }
 
 // Norm2 returns the Euclidean norm of x.
@@ -111,46 +59,4 @@ func Norm2(x []float32) float64 {
 		s += float64(v) * float64(v)
 	}
 	return math.Sqrt(s)
-}
-
-// MaxAbs returns the largest absolute value in x (0 for empty input).
-func MaxAbs(x []float32) float32 {
-	var m float32
-	for _, v := range x {
-		a := v
-		if a < 0 {
-			a = -a
-		}
-		if a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// HasNaNOrInf reports whether x contains a non-finite value.
-func HasNaNOrInf(x []float32) bool {
-	for _, v := range x {
-		f := float64(v)
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return true
-		}
-	}
-	return false
-}
-
-// MaxDiff returns the largest absolute elementwise difference between x
-// and y, for numeric-equivalence tests.
-func MaxDiff(x, y []float32) float64 {
-	if len(x) != len(y) {
-		panic("tensor: MaxDiff length mismatch")
-	}
-	var m float64
-	for i, v := range x {
-		d := math.Abs(float64(v) - float64(y[i]))
-		if d > m {
-			m = d
-		}
-	}
-	return m
 }

@@ -180,8 +180,8 @@ func runShapes(t *testing.T, seed int64) {
 		bitsEqual(t, "MatMulATAdd"+at, c, refATAdd(initial, a, b, m, k, n))
 
 		c2 := make([]float32, k*n)
-		MatMulAT(c2, a, b, m, k, n)
-		bitsEqual(t, "MatMulAT"+at, c2, refMatMul(refTranspose(a, m, k), b, k, m, n))
+		matMulAT(c2, a, b, m, k, n, false)
+		bitsEqual(t, "matMulAT"+at, c2, refMatMul(refTranspose(a, m, k), b, k, m, n))
 	}
 }
 
@@ -276,11 +276,11 @@ func TestParallelKernelAllocsZero(t *testing.T) {
 		MatMul(c, a, b, m, k, n)
 		MatMulBT(cbt, c, b, m, n, k)
 		MatMulATAdd(cat, a, c, m, k, n)
-		MatMulAT(cat, a, c, m, k, n)
+		matMulAT(cat, a, c, m, k, n, false)
 		MatMul(c, ha, hb, m, k, n)
 		MatMulBT(cbt, hc, hb, m, n, k)
 		MatMulATAdd(cat, ha, hc, m, k, n)
-		MatMulAT(cat, ha, hc, m, k, n)
+		matMulAT(cat, ha, hc, m, k, n, false)
 		MatMul(c8, ha8, hb, few, k, n)     // half-B tile
 		MatMulBT(cbt8, c8, b, few, n, k)   // Cᵀ fold, fp32 B in place
 		MatMulBT(cbt8, hc8, hb, few, n, k) // Cᵀ fold, half B decoded on the stack

@@ -6,7 +6,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/model"
 	"repro/internal/optimizer"
-	"repro/internal/tensor"
+	"repro/internal/testutil"
 )
 
 // accumRun trains `boundaries` optimizer steps, each accumulating k
@@ -87,7 +87,7 @@ func TestAccumStagesBitIdentical(t *testing.T) {
 						}
 					}
 					for r := 0; r < n; r++ {
-						if d := tensor.MaxDiff(params[r], refParams[r]); d != 0 {
+						if d := testutil.MaxDiff(params[r], refParams[r]); d != 0 {
 							t.Errorf("%v overlap=%v prefetch=%v bucket=%d rank %d: params diverged by %g",
 								stage, overlap, prefetch, bucket, r, d)
 						}
@@ -123,7 +123,7 @@ func TestAccumTopologyStagesBitIdentical(t *testing.T) {
 				}
 			}
 			for r := 0; r < n; r++ {
-				if d := tensor.MaxDiff(params[r], refParams[r]); d != 0 {
+				if d := testutil.MaxDiff(params[r], refParams[r]); d != 0 {
 					t.Errorf("nodeSize=%d %v rank %d: params diverged by %g", nodeSize, stage, r, d)
 				}
 			}
@@ -165,7 +165,7 @@ func TestAccumK1MatchesLegacyStepBitwise(t *testing.T) {
 			if stage == StageFull {
 				continue // legacy loop did not re-gather before reporting
 			}
-			if d := tensor.MaxDiff(phasedParams[r], legacyParams[r]); d != 0 {
+			if d := testutil.MaxDiff(phasedParams[r], legacyParams[r]); d != 0 {
 				t.Errorf("%v rank %d: phased params diverged by %g", stage, r, d)
 			}
 		}
@@ -191,7 +191,7 @@ func TestAccumMatchesSingleBatch(t *testing.T) {
 		_, single := accumRun(t, cfg, n, boundaries, 1, opts, ids, targets, batch)
 		for _, k := range []int{2, 4} {
 			microLoss, accum := accumRun(t, cfg, n, boundaries, k, opts, ids, targets, batch)
-			if d := tensor.MaxDiff(accum[0], single[0]); d > 2e-4 {
+			if d := testutil.MaxDiff(accum[0], single[0]); d > 2e-4 {
 				t.Errorf("%v k=%d: accumulated params differ from single batch by %g", stage, k, d)
 			}
 			// The mean micro loss of the final boundary must descend below
@@ -313,7 +313,7 @@ func TestAccumOptimizerKindsStagesAgree(t *testing.T) {
 				}
 			}
 			for r := 0; r < n; r++ {
-				if d := tensor.MaxDiff(params[r], refParams[r]); d != 0 {
+				if d := testutil.MaxDiff(params[r], refParams[r]); d != 0 {
 					t.Errorf("%s %v rank %d: params diverged by %g", kind, stage, r, d)
 				}
 			}
@@ -361,7 +361,7 @@ func TestPrefetchDepthBitwiseInvariant(t *testing.T) {
 		}
 	}
 	for r := 0; r < n; r++ {
-		if d := tensor.MaxDiff(params[r], refParams[r]); d != 0 {
+		if d := testutil.MaxDiff(params[r], refParams[r]); d != 0 {
 			t.Errorf("rank %d: params diverged by %g", r, d)
 		}
 		got, want := w.Stats(r), refW.Stats(r)

@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/model"
-	"repro/internal/tensor"
+	"repro/internal/testutil"
 )
 
 // Gradient clipping across the *partitioned* gradient must agree bitwise
@@ -45,7 +45,7 @@ func TestClippedStagesMatchClippedDDPBitwise(t *testing.T) {
 			norms[c.Rank()] = tr.LastGradNorm
 		})
 		for r := 0; r < n; r++ {
-			if d := tensor.MaxDiff(params[r], ddpParams[0]); d != 0 {
+			if d := testutil.MaxDiff(params[r], ddpParams[0]); d != 0 {
 				t.Errorf("%v rank %d: clipped trajectory differs from DDP by %g", stage, r, d)
 			}
 			if norms[r] != ddpNorms[0] {
@@ -82,8 +82,8 @@ func TestClippingBoundsTheUpdate(t *testing.T) {
 	if norm == 0 {
 		t.Fatal("grad norm not recorded")
 	}
-	dUnclipped := tensor.MaxDiff(init, unclipped)
-	dClipped := tensor.MaxDiff(init, clipped)
+	dUnclipped := testutil.MaxDiff(init, unclipped)
+	dClipped := testutil.MaxDiff(init, clipped)
 	// Adam normalizes per-element, so the effect is damped but must exist.
 	if dClipped >= dUnclipped {
 		t.Errorf("aggressive clip did not shrink the update: %g vs %g", dClipped, dUnclipped)

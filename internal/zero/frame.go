@@ -18,12 +18,12 @@ import (
 // frameMagic terminates every sealed blob.
 var frameMagic = [4]byte{'Z', 'C', 'K', '1'}
 
-// frameTrailerLen is the byte length SealFrame appends.
+// frameTrailerLen is the byte length sealFrame appends.
 const frameTrailerLen = 16
 
-// SealFrame appends the integrity trailer to payload (in place if capacity
+// sealFrame appends the integrity trailer to payload (in place if capacity
 // allows) and returns the sealed blob.
-func SealFrame(payload []byte) []byte {
+func sealFrame(payload []byte) []byte {
 	n := len(payload)
 	out := append(payload, make([]byte, frameTrailerLen)...)
 	tr := out[n:]
@@ -33,10 +33,10 @@ func SealFrame(payload []byte) []byte {
 	return out
 }
 
-// OpenFrame verifies and strips the integrity trailer, returning the
+// openFrame verifies and strips the integrity trailer, returning the
 // payload. It fails on missing magic, truncation, padding (any length
 // mismatch) and checksum mismatch.
-func OpenFrame(data []byte) ([]byte, error) {
+func openFrame(data []byte) ([]byte, error) {
 	if len(data) < frameTrailerLen {
 		return nil, fmt.Errorf("zero: blob too short for integrity trailer (%d bytes)", len(data))
 	}

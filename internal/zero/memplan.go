@@ -11,6 +11,14 @@
 //   - ZeRO-R (zeror.go): partitioned activation checkpointing (Pa), CPU
 //     offload (Pa+cpu), and constant-size communication buffers (CB);
 //     memory defragmentation (MD) lives in internal/device.
+//
+// Surface: New builds a Trainer from Options (Forward, Backward, Update,
+// Step, Save, Load, CaptureShard and the accounting readers); Snapshot with
+// Encode, DecodeSnapshot and AssembleSnapshot is the ZELC checkpoint; Stage
+// and ParseStage name the stages; ModelStateBytes, MaxTheoreticalParams,
+// MaxMeasuredParams and ResidualBytes are the memory planner;
+// NewPartitionedStore is Pa and Pa+cpu. Imported by engine, elastic, serve,
+// experiments, cmd/zerobench, cmd/zerotrain and the examples.
 package zero
 
 import (
@@ -92,9 +100,9 @@ func ModelStateGB(psi int64, stage Stage, nd int) float64 {
 	return ModelStateBytes(psi, stage, nd) / GB
 }
 
-// MemoryReduction returns the memory reduction factor versus baseline DP
+// memoryReduction returns the memory reduction factor versus baseline DP
 // (4x for Pos at large Nd, 8x for Pos+g, Nd for Pos+g+p).
-func MemoryReduction(stage Stage, nd int) float64 {
+func memoryReduction(stage Stage, nd int) float64 {
 	const psi = 1 << 30
 	return ModelStateBytes(psi, StageDDP, nd) / ModelStateBytes(psi, stage, nd)
 }

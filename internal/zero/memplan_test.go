@@ -105,13 +105,13 @@ func TestTable2Theoretical(t *testing.T) {
 
 // Memory reduction factors: 4x (Pos), 8x (Pos+g), Nd (Pos+g+p) at large Nd.
 func TestMemoryReductionFactors(t *testing.T) {
-	if r := MemoryReduction(StageOS, 1024); !approx(r, 4, 0.01) {
+	if r := memoryReduction(StageOS, 1024); !approx(r, 4, 0.01) {
 		t.Errorf("Pos reduction %v, want ≈4", r)
 	}
-	if r := MemoryReduction(StageOSGrad, 1024); !approx(r, 8, 0.01) {
+	if r := memoryReduction(StageOSGrad, 1024); !approx(r, 8, 0.01) {
 		t.Errorf("Pos+g reduction %v, want ≈8", r)
 	}
-	if r := MemoryReduction(StageFull, 64); !approx(r, 64, 1e-9) {
+	if r := memoryReduction(StageFull, 64); !approx(r, 64, 1e-9) {
 		t.Errorf("Pos+g+p reduction %v, want exactly Nd=64", r)
 	}
 }

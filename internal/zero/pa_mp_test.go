@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/model"
-	"repro/internal/tensor"
+	"repro/internal/testutil"
 )
 
 // These tests close the loop on §8 with the real Megatron-parallel model
@@ -58,10 +58,10 @@ func TestGPTCheckpointAndPaAreNumericallyNeutral(t *testing.T) {
 	if lossV != lossC || lossV != lossP {
 		t.Fatalf("losses differ: vanilla %v ckpt %v pa %v", lossV, lossC, lossP)
 	}
-	if d := tensor.MaxDiff(vanilla, ckpt); d != 0 {
+	if d := testutil.MaxDiff(vanilla, ckpt); d != 0 {
 		t.Errorf("checkpointing changed gradients by %g", d)
 	}
-	if d := tensor.MaxDiff(vanilla, paGrads); d != 0 {
+	if d := testutil.MaxDiff(vanilla, paGrads); d != 0 {
 		t.Errorf("Pa changed gradients by %g", d)
 	}
 }

@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/model"
-	"repro/internal/tensor"
+	"repro/internal/testutil"
 )
 
 // runStage3 trains stage 3 for `steps` steps and returns rank 0's gathered
@@ -26,7 +26,7 @@ func runStage3(t *testing.T, cfg model.Config, n, steps, batch int, opts Options
 		out[c.Rank()] = append([]float32(nil), tr.Model.Params...)
 	})
 	for r := 1; r < n; r++ {
-		if d := tensor.MaxDiff(out[r], out[0]); d != 0 {
+		if d := testutil.MaxDiff(out[r], out[0]); d != 0 {
 			t.Fatalf("ranks 0 and %d disagree by %g after gather", r, d)
 		}
 	}
@@ -53,7 +53,7 @@ func TestStage3PrefetchBitIdentical(t *testing.T) {
 				opts.Prefetch = true
 				opts.Overlap = overlap
 				got, w := runStage3(t, cfg, n, steps, batch, opts, ids, targets)
-				if d := tensor.MaxDiff(got, ref); d != 0 {
+				if d := testutil.MaxDiff(got, ref); d != 0 {
 					t.Errorf("n=%d bucket=%d overlap=%v: prefetch diverged from sync gathers by %g",
 						n, bucket, overlap, d)
 				}
@@ -103,7 +103,7 @@ func TestPaComposesWithOverlapAndPrefetch(t *testing.T) {
 		w.Run(func(c *comm.Comm) {
 			sched := comm.NewScheduler(c)
 			defer sched.Close()
-			var store model.CheckpointStore = NewInlineStore()
+			var store model.CheckpointStore = newInlineStore()
 			if pa {
 				store = NewPartitionedStore(sched.Stream(StreamCheckpoint), false)
 			}
@@ -124,7 +124,7 @@ func TestPaComposesWithOverlapAndPrefetch(t *testing.T) {
 
 	ref, _ := run(false, false, false)
 	got, w := run(true, true, true)
-	if d := tensor.MaxDiff(got, ref); d != 0 {
+	if d := testutil.MaxDiff(got, ref); d != 0 {
 		t.Errorf("Pa + overlap + prefetch diverged from inline sync schedule by %g", d)
 	}
 	// All three ordering domains must actually have carried traffic.
@@ -150,7 +150,7 @@ func TestOverlapRunsWithCheckpointStore(t *testing.T) {
 		w.Run(func(c *comm.Comm) {
 			tr := MustNew(c, cfg, Options{
 				Stage: StageOSGrad, LR: testLR, Seed: testSeed, BucketElems: 100,
-				Checkpoint: true, Store: NewInlineStore(), Overlap: overlap,
+				Checkpoint: true, Store: newInlineStore(), Overlap: overlap,
 			})
 			defer tr.Close()
 			for s := 0; s < steps; s++ {

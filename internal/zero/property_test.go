@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/model"
-	"repro/internal/tensor"
+	"repro/internal/testutil"
 )
 
 // randomCase is a randomly drawn (architecture, world, stage, overlap)
@@ -82,7 +82,7 @@ func TestPropertyAnyConfigStageEqualsDDP(t *testing.T) {
 			zeroOut[c.Rank()] = tr.Model.Params
 		})
 		for r := 0; r < tc.n; r++ {
-			if tensor.MaxDiff(zeroOut[r], ddpOut[r]) != 0 {
+			if testutil.MaxDiff(zeroOut[r], ddpOut[r]) != 0 {
 				t.Logf("mismatch for %+v", tc)
 				return false
 			}

@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/model"
-	"repro/internal/tensor"
+	"repro/internal/testutil"
 )
 
 // Save/Load round trip: train k steps, checkpoint, restore into a fresh
@@ -64,7 +64,7 @@ func TestSaveLoadResumesBitwise(t *testing.T) {
 			results[c.Rank()] = append([]float32(nil), tr.Model.Params...)
 		})
 		for r := 0; r < n; r++ {
-			if d := tensor.MaxDiff(results[r], ref[r]); d != 0 {
+			if d := testutil.MaxDiff(results[r], ref[r]); d != 0 {
 				t.Errorf("%v rank %d: resumed trajectory diverged by %g", stage, r, d)
 			}
 		}
@@ -116,7 +116,7 @@ func TestElasticRestoreAcrossWorldSizes(t *testing.T) {
 		results[c.Rank()] = append([]float32(nil), tr.Model.Params...)
 	})
 	for r := 0; r < 2; r++ {
-		if d := tensor.MaxDiff(results[r], ref[r]); d > 1e-3 {
+		if d := testutil.MaxDiff(results[r], ref[r]); d > 1e-3 {
 			t.Errorf("rank %d: elastic restore diverged by %g", r, d)
 		}
 	}
@@ -164,7 +164,7 @@ func TestSaveLoadFP16PreservesMasters(t *testing.T) {
 		results[c.Rank()] = tr.GatheredParams()
 	})
 	for r := 0; r < n; r++ {
-		if d := tensor.MaxDiff(results[r], ref[r]); d != 0 {
+		if d := testutil.MaxDiff(results[r], ref[r]); d != 0 {
 			t.Errorf("rank %d: fp16 resume diverged by %g (master precision lost?)", r, d)
 		}
 	}

@@ -132,7 +132,7 @@ func TestTopologyLossTrajectoryGolden(t *testing.T) {
 // algorithm re-splits the same total volume, it never adds any: total
 // elements sent per step stay mult·(N-1)·Ψ, of which exactly mult·(M-1)·Ψ/M
 // cross nodes (per-rank: mult·(Ψ/S)·(M-1)/M, the 1/S inter-node cut that
-// perfmodel.DPBandwidth banks on) and the rest stay inside nodes.
+// the harmonic DP bandwidth in perfmodel banks on) and the rest stay inside nodes.
 func TestTopologyVolumeSplitIdentities(t *testing.T) {
 	cfg := testConfig()
 	psi := int64(cfg.ParamCount())

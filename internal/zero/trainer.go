@@ -788,9 +788,6 @@ func (t *Trainer) skipStep() {
 	t.accumMicros = 0
 }
 
-// FP16Compute reports whether the half-precision compute path is active.
-func (t *Trainer) FP16Compute() bool { return t.opts.FP16Compute }
-
 // LossScale returns the current dynamic loss scale, or 0 when the fp16
 // compute path is off.
 func (t *Trainer) LossScale() float64 {
@@ -1031,7 +1028,3 @@ func (t *Trainer) submitLayerBuckets(layer int) {
 func (t *Trainer) ModelStateBytes() int64 {
 	return int64(ModelStateBytes(int64(t.Model.NumParams()), t.stage, t.c.Size()))
 }
-
-// OptimizerShardParams returns how many parameters this rank's optimizer
-// updates (≈ Ψ/Nd; Ψ at stage 0).
-func (t *Trainer) OptimizerShardParams() int { return t.opt.Len() }

@@ -2,13 +2,12 @@ package zero
 
 import (
 	"errors"
-
 	"testing"
 
 	"repro/internal/comm"
 	"repro/internal/model"
 	"repro/internal/optimizer"
-	"repro/internal/tensor"
+	"repro/internal/testutil"
 )
 
 func testConfig() model.Config {
@@ -78,7 +77,7 @@ func TestStagesMatchDDPBitwise(t *testing.T) {
 			got := runZeRO(t, cfg, stage, n, steps,
 				Options{LR: testLR, Seed: testSeed}, ids, targets, batch)
 			for r := 0; r < n; r++ {
-				if d := tensor.MaxDiff(got[r], want); d != 0 {
+				if d := testutil.MaxDiff(got[r], want); d != 0 {
 					t.Errorf("n=%d %v rank %d: diverged from DDP by %g", n, stage, r, d)
 				}
 			}
@@ -103,7 +102,7 @@ func TestStagesMatchSingleProcess(t *testing.T) {
 	for _, stage := range AllStages {
 		got := runZeRO(t, cfg, stage, 4, steps,
 			Options{LR: testLR, Seed: testSeed}, ids, targets, batch)
-		if d := tensor.MaxDiff(got[0], ref.Params); d > 2e-4 {
+		if d := testutil.MaxDiff(got[0], ref.Params); d > 2e-4 {
 			t.Errorf("%v vs single process: max diff %g", stage, d)
 		}
 	}
@@ -118,7 +117,7 @@ func TestBucketedReduceScatterBitwise(t *testing.T) {
 	unfused := runZeRO(t, cfg, StageOSGrad, 4, 3, Options{LR: testLR, Seed: testSeed}, ids, targets, batch)
 	bucketed := runZeRO(t, cfg, StageOSGrad, 4, 3,
 		Options{LR: testLR, Seed: testSeed, BucketElems: 257}, ids, targets, batch)
-	if d := tensor.MaxDiff(unfused[0], bucketed[0]); d != 0 {
+	if d := testutil.MaxDiff(unfused[0], bucketed[0]); d != 0 {
 		t.Errorf("bucketing changed the trajectory by %g", d)
 	}
 }
@@ -175,7 +174,7 @@ func TestStage3ResidencyAndShards(t *testing.T) {
 			}
 		}
 		psi := tr.Model.NumParams()
-		if got := tr.OptimizerShardParams(); got != own.Len() || got > psi/n+1 {
+		if got := tr.opt.Len(); got != own.Len() || got > psi/n+1 {
 			t.Errorf("rank %d: optimizer shard %d params, want ≈Ψ/N = %d", c.Rank(), got, psi/n)
 		}
 	})
@@ -193,10 +192,10 @@ func TestFP16StagesAgreeAndLearn(t *testing.T) {
 	s1 := runZeRO(t, cfg, StageOS, n, steps, opts, ids, targets, batch)
 	s2 := runZeRO(t, cfg, StageOSGrad, n, steps, opts, ids, targets, batch)
 	s3 := runZeRO(t, cfg, StageFull, n, steps, opts, ids, targets, batch)
-	if d := tensor.MaxDiff(s1[0], s2[0]); d != 0 {
+	if d := testutil.MaxDiff(s1[0], s2[0]); d != 0 {
 		t.Errorf("fp16 Pos vs Pos+g differ by %g", d)
 	}
-	if d := tensor.MaxDiff(s1[0], s3[0]); d != 0 {
+	if d := testutil.MaxDiff(s1[0], s3[0]); d != 0 {
 		t.Errorf("fp16 Pos vs Pos+g+p differ by %g", d)
 	}
 
@@ -231,7 +230,7 @@ func TestZeROWithCheckpointingBitwise(t *testing.T) {
 	plain := runZeRO(t, cfg, StageOSGrad, 2, 3, Options{LR: testLR, Seed: testSeed}, ids, targets, batch)
 	ckpt := runZeRO(t, cfg, StageOSGrad, 2, 3,
 		Options{LR: testLR, Seed: testSeed, Checkpoint: true}, ids, targets, batch)
-	if d := tensor.MaxDiff(plain[0], ckpt[0]); d != 0 {
+	if d := testutil.MaxDiff(plain[0], ckpt[0]); d != 0 {
 		t.Errorf("checkpointing changed the trajectory by %g", d)
 	}
 }
@@ -275,19 +274,50 @@ func TestTrainerRejectsInvalidConfigs(t *testing.T) {
 	})
 }
 
-// ModelStateBytes must follow the planner equation for the trainer's own
-// stage and world size.
+// The model state a rank actually holds, summed from the live buffers
+// (len × element width), against the closed form of today's layout. Only
+// the optimizer state, the fp32 master and the accumulator are
+// partitioned (s = this rank's Ψ/N share); Params, ParamsH and Grads stay
+// Ψ-long at every stage. The §3.1 accounting ModelStateBytes predicts
+// (16Ψ/N at stage 3) is logged beside it: the gap is what a resident
+// partition has to close.
 func TestTrainerModelStateAccounting(t *testing.T) {
+	const n = 4
 	cfg := testConfig()
-	w := comm.NewWorld(4)
+	psi := int64(cfg.ParamCount())
+	w := comm.NewWorld(n)
 	w.Run(func(c *comm.Comm) {
-		for _, stage := range AllStages {
-			tr := MustNew(c, cfg, Options{Stage: stage, LR: testLR, Seed: 1})
-			want := int64(ModelStateBytes(int64(cfg.ParamCount()), stage, 4))
-			if got := tr.ModelStateBytes(); got != want {
-				t.Errorf("%v: ModelStateBytes = %d, want %d", stage, got, want)
+		s := int64(comm.Partition(int(psi), n)[c.Rank()].Len())
+		for _, fp16 := range []bool{false, true} {
+			for _, stage := range AllStages {
+				tr := MustNew(c, cfg, Options{Stage: stage, LR: testLR, Seed: 1, FP16Compute: fp16})
+				m := tr.Model
+				live := 4*int64(len(m.Params)) + 2*int64(len(m.ParamsH)) + 4*int64(len(m.Grads)) +
+					4*int64(len(tr.master)) + 4*int64(len(tr.accum))
+				for _, st := range tr.opt.State() {
+					live += 4 * int64(len(st))
+				}
+				dom := s // optimizer domain: the rank's shard, or all of Ψ at stage 0
+				if stage == StageDDP {
+					dom = psi
+				}
+				// Params + Grads + accum + Adam's m and v in fp32: 8Ψ + 12·dom.
+				// fp16 compute trades Params for the 2-byte ParamsH and adds
+				// the fp32 master: 6Ψ + 16·dom.
+				want := 8*psi + 12*dom
+				if fp16 {
+					want = 6*psi + 16*dom
+				}
+				if live != want {
+					t.Errorf("%v fp16=%v rank %d: live model state %d B, want %d B", stage, fp16, c.Rank(), live, want)
+				}
+				if c.Rank() == 0 {
+					t.Logf("%v fp16=%v: live %d B = %.2fΨ, ModelStateBytes %d B = %.2fΨ",
+						stage, fp16, live, float64(live)/float64(psi),
+						tr.ModelStateBytes(), float64(tr.ModelStateBytes())/float64(psi))
+				}
+				tr.Close()
 			}
-			tr.Close()
 		}
 	})
 }

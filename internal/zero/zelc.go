@@ -12,7 +12,7 @@ import (
 
 // ZELC v1, the one serialized form of a Snapshot — on disk (ckpt-*.zelc, the
 // zerotrain -save/-load files) and on the wire (the zeroserve checkpoint route).
-// Little endian, sealed with SealFrame's integrity trailer:
+// Little endian, sealed with sealFrame's integrity trailer:
 //
 //	magic "ZELC" | version u32 | headerLen u32 | header JSON
 //	| payload float32s | trailer
@@ -101,7 +101,7 @@ func (s *Snapshot) Encode() ([]byte, error) {
 			}
 		}
 	}
-	return SealFrame(buf), nil
+	return sealFrame(buf), nil
 }
 
 // DecodeSnapshot deserializes a blob written by Encode. The bytes come from
@@ -111,7 +111,7 @@ func (s *Snapshot) Encode() ([]byte, error) {
 // table to comm.Partition) and its geometry must account for the payload
 // exactly — all before anything payload-sized is allocated.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	payload, err := OpenFrame(data)
+	payload, err := openFrame(data)
 	if err != nil {
 		return nil, err
 	}

@@ -130,7 +130,7 @@ func TestZELCFormatGolden(t *testing.T) {
 // and integrity trailer recomputed), so only the header is wrong.
 func resealHeader(t testing.TB, blob []byte, edit func(hdr string) string) []byte {
 	t.Helper()
-	payload, err := OpenFrame(blob)
+	payload, err := openFrame(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func resealHeader(t testing.TB, blob []byte, edit func(hdr string) string) []byt
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(hdr)))
 	out = append(out, hdr...)
 	out = append(out, payload[12+hlen:]...)
-	return SealFrame(out)
+	return sealFrame(out)
 }
 
 // craftedHeaders are CRC-valid blobs whose headers lie about the geometry.
@@ -153,7 +153,7 @@ func craftedHeaders(t testing.TB) map[string][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	empty := SealFrame(append([]byte(nil), blob[:len(blob)-frameTrailerLen-16]...)) // header only, no floats
+	empty := sealFrame(append([]byte(nil), blob[:len(blob)-frameTrailerLen-16]...)) // header only, no floats
 	swap := func(from, to string) func(string) string {
 		return func(hdr string) string {
 			if !strings.Contains(hdr, from) {
@@ -174,7 +174,7 @@ func craftedHeaders(t testing.TB) map[string][]byte {
 		"header version disagrees": resealHeader(t, blob, swap(`"version":1`, `"version":2`)),
 		"non-canonical spelling":   resealHeader(t, blob, swap(`{"version"`, `{ "version"`)),
 		"unknown field":            resealHeader(t, blob, swap(`{"version"`, `{"extra":1,"version"`)),
-		"header length past blob":  SealFrame(append(append([]byte(nil), blob[:8]...), 0xff, 0xff, 0xff, 0x7f)),
+		"header length past blob":  sealFrame(append(append([]byte(nil), blob[:8]...), 0xff, 0xff, 0xff, 0x7f)),
 	}
 }
 
@@ -187,7 +187,7 @@ func TestDecodeSnapshotCorruptInput(t *testing.T) {
 	if _, err := DecodeSnapshot(blob); err != nil {
 		t.Fatalf("control: pristine blob failed to decode: %v", err)
 	}
-	payload, err := OpenFrame(blob)
+	payload, err := openFrame(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestDecodeSnapshotCorruptInput(t *testing.T) {
 			}
 		}
 		for cut := 0; cut < len(payload); cut += 7 {
-			if _, err := DecodeSnapshot(SealFrame(append([]byte(nil), payload[:cut]...))); err == nil {
+			if _, err := DecodeSnapshot(sealFrame(append([]byte(nil), payload[:cut]...))); err == nil {
 				t.Fatalf("re-sealed %d/%d-byte payload decoded", cut, len(payload))
 			}
 		}
@@ -211,7 +211,7 @@ func TestDecodeSnapshotCorruptInput(t *testing.T) {
 		if _, err := DecodeSnapshot(append(append([]byte(nil), blob...), 0x00)); err == nil {
 			t.Error("padded blob decoded")
 		}
-		if _, err := DecodeSnapshot(SealFrame(append(append([]byte(nil), payload...), 0, 0, 0, 0))); err == nil {
+		if _, err := DecodeSnapshot(sealFrame(append(append([]byte(nil), payload...), 0, 0, 0, 0))); err == nil {
 			t.Error("payload with one float too many decoded")
 		}
 	})
@@ -226,14 +226,14 @@ func TestDecodeSnapshotCorruptInput(t *testing.T) {
 		// Re-seal so only the magic is wrong, not the checksum.
 		bad := append([]byte(nil), payload...)
 		bad[0] = 'X'
-		if _, err := DecodeSnapshot(SealFrame(bad)); err == nil || !strings.Contains(err.Error(), "magic") {
+		if _, err := DecodeSnapshot(sealFrame(bad)); err == nil || !strings.Contains(err.Error(), "magic") {
 			t.Errorf("wrong magic decoded (err=%v)", err)
 		}
 	})
 	t.Run("bad version", func(t *testing.T) {
 		bad := append([]byte(nil), payload...)
 		bad[4] = 0xff
-		if _, err := DecodeSnapshot(SealFrame(bad)); err == nil || !strings.Contains(err.Error(), "version") {
+		if _, err := DecodeSnapshot(sealFrame(bad)); err == nil || !strings.Contains(err.Error(), "version") {
 			t.Errorf("future version decoded (err=%v)", err)
 		}
 	})
@@ -333,7 +333,7 @@ func TestSnapshotCodecAllocations(t *testing.T) {
 // writes for the snapshot it decodes to; never a panic, and the floats it
 // holds never outweigh the input. Each input is tried as it is and sealed —
 // a mutated blob almost never keeps a valid checksum, so the sealed try is
-// the one that gets mutations of the header and geometry past OpenFrame.
+// the one that gets mutations of the header and geometry past openFrame.
 func FuzzDecodeSnapshot(f *testing.F) {
 	unsealed := func(blob []byte) []byte { return blob[:len(blob)-frameTrailerLen] }
 	for _, fx := range zelcFixtures {
@@ -343,7 +343,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		f.Add(unsealed(bad))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, blob := range [][]byte{data, SealFrame(append([]byte(nil), data...))} {
+		for _, blob := range [][]byte{data, sealFrame(append([]byte(nil), data...))} {
 			s, err := DecodeSnapshot(blob)
 			if err != nil {
 				continue

@@ -16,9 +16,9 @@ import (
 // the slice to host memory, making the device-resident checkpoint footprint
 // ~zero at the cost of PCIe traffic (§8).
 //
-// InlineStore is the no-op reference store (plain activation
-// checkpointing); PartitionedStore implements Pa and Pa+cpu over a comm
-// group in which activations are replicated (the MP group).
+// PartitionedStore implements Pa and Pa+cpu over a comm group in which
+// activations are replicated (the MP group); without a store the model
+// keeps plain activation checkpoints in its own inline slot.
 //
 // PartitionedStore runs on its own comm.Stream — by convention named
 // StreamCheckpoint — so its all-gathers form an ordering domain separate
@@ -26,46 +26,6 @@ import (
 // overlapped backward schedule instead of disabling it (the pre-stream
 // API forced mutual exclusion because a second collective user on the
 // same communicator would scramble ring pairing).
-
-// InlineStore keeps checkpoints on-device, unpartitioned — baseline
-// activation checkpointing. It also serves as the memory-accounting
-// reference for Pa.
-type InlineStore struct {
-	ckpts map[int][]float32
-	bytes int64
-}
-
-// NewInlineStore returns an empty inline checkpoint store.
-func NewInlineStore() *InlineStore {
-	return &InlineStore{ckpts: make(map[int][]float32)}
-}
-
-// Put stores a copy of the checkpoint, reusing the previous step's buffer
-// when the shape is unchanged (the steady-state case).
-func (s *InlineStore) Put(layer int, x []float32) {
-	old, ok := s.ckpts[layer]
-	if ok && len(old) == len(x) {
-		copy(old, x)
-		return
-	}
-	if ok {
-		s.bytes -= int64(len(old)) * 2
-	}
-	s.ckpts[layer] = append([]float32(nil), x...)
-	s.bytes += int64(len(x)) * 2
-}
-
-// Get returns the stored checkpoint.
-func (s *InlineStore) Get(layer int) []float32 {
-	x, ok := s.ckpts[layer]
-	if !ok {
-		panic(fmt.Sprintf("zero: no checkpoint for layer %d", layer))
-	}
-	return x
-}
-
-// DeviceBytes returns the resident device memory (fp16 accounting).
-func (s *InlineStore) DeviceBytes() int64 { return s.bytes }
 
 // PartitionedStore implements Pa and Pa+cpu. The stream's world must be one
 // in which every rank Puts identical checkpoint values (in the paper: the
@@ -171,10 +131,3 @@ func (s *PartitionedStore) Get(layer int) []float32 {
 // DeviceBytes returns resident device checkpoint memory: the full footprint
 // divided by the MP degree under Pa, ~0 under Pa+cpu (§6.1).
 func (s *PartitionedStore) DeviceBytes() int64 { return s.deviceBytes }
-
-// HostBytes returns checkpoint bytes resident in host memory (Pa+cpu).
-func (s *PartitionedStore) HostBytes() int64 { return s.hostBytes }
-
-// PCIeBytes returns cumulative host-device transfer volume; per step and
-// checkpoint it is 2× the shard size, the "2x added data movement" of §8.
-func (s *PartitionedStore) PCIeBytes() int64 { return s.pcieBytes }

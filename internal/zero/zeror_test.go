@@ -1,13 +1,14 @@
 package zero
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/comm"
 	"repro/internal/model"
-	"repro/internal/tensor"
+	"repro/internal/testutil"
 )
 
 // checkpointStream builds a rank's Pa stream; defer the returned func
@@ -18,7 +19,7 @@ func checkpointStream(c *comm.Comm) (*comm.Stream, func()) {
 }
 
 func TestInlineStoreRoundTrip(t *testing.T) {
-	s := NewInlineStore()
+	s := newInlineStore()
 	x := []float32{1, 2, 3}
 	s.Put(0, x)
 	x[0] = 99 // the store must have copied
@@ -67,12 +68,12 @@ func TestPartitionedStoreRoundTrip(t *testing.T) {
 			mu.Unlock()
 		}
 		got := s.Get(3)
-		if d := tensor.MaxDiff(got, ckpt); d != 0 {
+		if d := testutil.MaxDiff(got, ckpt); d != 0 {
 			mu.Lock()
 			t.Errorf("rank %d: reconstruction differs by %g", c.Rank(), d)
 			mu.Unlock()
 		}
-		if s.HostBytes() != 0 || s.PCIeBytes() != 0 {
+		if s.hostBytes != 0 || s.pcieBytes != 0 {
 			mu.Lock()
 			t.Errorf("rank %d: Pa (non-cpu) should not touch host memory", c.Rank())
 			mu.Unlock()
@@ -98,18 +99,18 @@ func TestPartitionedStoreCPUOffload(t *testing.T) {
 		got := s.Get(0)
 		mu.Lock()
 		defer mu.Unlock()
-		if d := tensor.MaxDiff(got, ckpt); d != 0 {
+		if d := testutil.MaxDiff(got, ckpt); d != 0 {
 			t.Errorf("rank %d: reconstruction differs by %g", c.Rank(), d)
 		}
 		if s.DeviceBytes() != 0 {
 			t.Errorf("rank %d: Pa+cpu device bytes = %d, want 0", c.Rank(), s.DeviceBytes())
 		}
 		shardBytes := int64(elems / n * 2)
-		if s.HostBytes() != shardBytes {
-			t.Errorf("rank %d: host bytes = %d, want %d", c.Rank(), s.HostBytes(), shardBytes)
+		if s.hostBytes != shardBytes {
+			t.Errorf("rank %d: host bytes = %d, want %d", c.Rank(), s.hostBytes, shardBytes)
 		}
-		if s.PCIeBytes() != 2*shardBytes {
-			t.Errorf("rank %d: PCIe bytes = %d, want %d (2x shard)", c.Rank(), s.PCIeBytes(), 2*shardBytes)
+		if s.pcieBytes != 2*shardBytes {
+			t.Errorf("rank %d: PCIe bytes = %d, want %d (2x shard)", c.Rank(), s.pcieBytes, 2*shardBytes)
 		}
 	})
 }
@@ -141,7 +142,7 @@ func TestPaTrainingMatchesInline(t *testing.T) {
 	var paElems [2]int64
 	for i, fp16 := range []bool{false, true} {
 		refLoss, refGrads := step(fp16, nil)
-		if loss, grads := step(fp16, NewInlineStore()); loss != refLoss || !slices.Equal(grads, refGrads) {
+		if loss, grads := step(fp16, newInlineStore()); loss != refLoss || !slices.Equal(grads, refGrads) {
 			t.Errorf("fp16=%v inline: loss %v (want %v), gradients equal: %v",
 				fp16, loss, refLoss, slices.Equal(grads, refGrads))
 		}
@@ -190,3 +191,43 @@ func TestPaGatherVolume(t *testing.T) {
 		}
 	}
 }
+
+// inlineStore keeps checkpoints on-device, unpartitioned — baseline
+// activation checkpointing. It also serves as the memory-accounting
+// reference for Pa.
+type inlineStore struct {
+	ckpts map[int][]float32
+	bytes int64
+}
+
+// newInlineStore returns an empty inline checkpoint store.
+func newInlineStore() *inlineStore {
+	return &inlineStore{ckpts: make(map[int][]float32)}
+}
+
+// Put stores a copy of the checkpoint, reusing the previous step's buffer
+// when the shape is unchanged (the steady-state case).
+func (s *inlineStore) Put(layer int, x []float32) {
+	old, ok := s.ckpts[layer]
+	if ok && len(old) == len(x) {
+		copy(old, x)
+		return
+	}
+	if ok {
+		s.bytes -= int64(len(old)) * 2
+	}
+	s.ckpts[layer] = append([]float32(nil), x...)
+	s.bytes += int64(len(x)) * 2
+}
+
+// Get returns the stored checkpoint.
+func (s *inlineStore) Get(layer int) []float32 {
+	x, ok := s.ckpts[layer]
+	if !ok {
+		panic(fmt.Sprintf("zero: no checkpoint for layer %d", layer))
+	}
+	return x
+}
+
+// DeviceBytes returns the resident device memory (fp16 accounting).
+func (s *inlineStore) DeviceBytes() int64 { return s.bytes }
