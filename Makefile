@@ -40,9 +40,10 @@ test:
 # so the portable loops (axpy_generic.go, half_generic.go, expvec_generic.go)
 # only ever build there. 386 has no lane kernels and runs them — the
 # optimizer's scalar Adam loop (adam_generic.go) too — and every golden in
-# these packages must still hold bitwise.
+# these packages must still hold bitwise. internal/mp runs the Megatron-
+# sharded block, whose GELU saves g′ into its FFN slice, on the same tier.
 test-386:
-	GOARCH=386 $(GO) test ./internal/tensor ./internal/optimizer ./internal/model ./internal/zero
+	GOARCH=386 $(GO) test ./internal/tensor ./internal/optimizer ./internal/model ./internal/zero ./internal/mp
 
 # Race-detector gate over the whole module — the one definition, and the
 # one CI's last step runs.
@@ -65,8 +66,9 @@ api:
 # heap-driven BPE encode against the rescan-per-merge reference, the vocab
 # JSON loader (reject, or save → load to the identical vocab, with
 # allocation linear in the input), the fp32↔fp16 conversion surface (batch
-# encoders vs the scalar reference), GELU/GELUBackward/softmax on the
-# exp/tanh lane kernels and every matmul kernel on both register-tile tiers
+# encoders vs the scalar reference), GELU (y and g′, also over x),
+# GELUBackward (also in place) and softmax on the GELU/exp lane kernels and
+# every matmul kernel on both register-tile tiers
 # (8×32 ZMM and 4×16 YMM) and F16C decode (each bitwise the scalar
 # reference), the Adam lane kernel on any
 # moments, gradients and step (bitwise the scalar loop), a ring reduce-scatter then

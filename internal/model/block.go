@@ -83,7 +83,8 @@ func (m *Model) blockForward(i int, acts *blockActs, x, out []float32, batch, se
 	tensor.Add(x2, attnOut)
 	m.round(x2)
 
-	// LN2 + MLP + residual. h1 is saved before GELU reads it.
+	// LN2 + MLP + residual. h1 rounds before GELU reads it, and GELU
+	// saves its derivative for backward in slot aH1 (geluPrime).
 	mlin, xhat2 := m.buf(acts, aMlin, n), m.buf(acts, aXhat2, n)
 	acts.invStd2 = grow(acts.invStd2, mRows)
 	gamma, beta = m.lnParams(off.ln2Gamma)
@@ -91,9 +92,9 @@ func (m *Model) blockForward(i int, acts *blockActs, x, out []float32, batch, se
 	m.save(acts, aXhat2)
 	h1 := m.buf(acts, aH1, mRows*ffn)
 	m.linear(h1, m.save(acts, aMlin), off.wFC1, off.bFC1, mRows, h, ffn)
-	m.save(acts, aH1)
+	m.round(h1)
 	g := m.buf(acts, aG, mRows*ffn)
-	tensor.GELU(g, h1)
+	tensor.GELU(g, m.geluPrime(acts, mRows*ffn), h1)
 	m.rowLinear(out, m.save(acts, aG), off.wFC2, off.bFC2, mRows, ffn, h)
 	tensor.Add(out, x2)
 	m.round(out)
@@ -104,8 +105,8 @@ func (m *Model) blockForward(i int, acts *blockActs, x, out []float32, batch, se
 // writes the gradient with respect to the block input into dst (which must
 // not alias dOut; the caller double-buffers). Workspace scratch reused
 // across steps is either fully overwritten by the overwrite-kernels
-// (MatMul/MatMulBT, copies) or explicitly zeroed before an accumulating
-// kernel (GELUBackward, MatMulATAdd, SoftmaxRowsBackward) — matching the
+// (MatMul/MatMulBT, GELUBackward, copies) or explicitly zeroed before an
+// accumulating kernel (MatMulATAdd, SoftmaxRowsBackward) — matching the
 // zero state fresh allocations used to provide. In fp16 mode each d-tensor
 // is rounded (operand) before the matmuls, bias gradient and copies that
 // read it. On a Megatron shard the input gradients of the two
@@ -126,14 +127,12 @@ func (m *Model) blockBackward(i int, acts *blockActs, dOut, dst []float32, batch
 	dX2 := m.scratch(aX2, n)
 	copy(dX2, dOut)
 
-	// MLP backward.
+	// MLP backward. GELU's backward runs in place: dG becomes dH1 = dG ⊙ g′.
 	dG := m.scratch(aG, mRows*ffn)
 	m.linearBackward(dG, hdOut, acts.t[aG], off.wFC2, off.bFC2, mRows, ffn, h)
-	dH1 := m.scratch(sDH1, mRows*ffn)
-	tensor.Zero(dH1) // GELUBackward accumulates
-	tensor.GELUBackward(dH1, dG, m.load(acts, aH1))
+	tensor.GELUBackward(dG, dG, acts.t[aH1].f)
 	dMlin := m.scratch(aMlin, n)
-	m.linearBackward(dMlin, m.operand(dH1), acts.t[aMlin], off.wFC1, off.bFC1, mRows, h, ffn)
+	m.linearBackward(dMlin, m.operand(dG), acts.t[aMlin], off.wFC1, off.bFC1, mRows, h, ffn)
 	m.allReduce(dMlin)
 	tensor.LayerNormBackward(dX2, g[off.ln2Gamma:off.ln2Gamma+h], g[off.ln2Beta:off.ln2Beta+h],
 		dMlin, m.load(acts, aXhat2), acts.invStd2, m.vec(off.ln2Gamma, h), mRows, h)

@@ -12,7 +12,8 @@ import "repro/internal/tensor"
 //     the slice, and the matmuls read Params[lo:hi] and the fp32 images.
 //   - fp16 mode: every tensor that persists across the step — saved
 //     activations and the parameter copy the compute reads — is 2-byte
-//     binary16, while all arithmetic accumulates in fp32. Forward computes
+//     binary16, but for GELU's derivative (geluPrime), while all
+//     arithmetic accumulates in fp32. Forward computes
 //     into fp32 staging shared by all layers (ws.shared: one layer's working
 //     set, O(1) in depth); "save" rounds the staging in place through
 //     binary16 into the layer's HalfBuffer, so fp32 consumers always see
@@ -43,17 +44,28 @@ const (
 	aX2             // [M,h] x + attnOut
 	aXhat2          // [M,h] ln2 normalized input
 	aMlin           // [M,h] ln2 output
-	aH1             // [M,ffn] MLP pre-GELU
+	aH1             // [M,ffn] MLP pre-GELU; saved for backward: GELU's g′ (geluPrime)
 	aG              // [M,ffn] GELU output
 	numActs
 
-	// Shared-only slots: gradients whose activation is still being read
-	// (GELU backward reads h1 and writes dH1, attention backward qkv and
-	// dQKV), so they cannot take the activation's own slot.
-	sDH1      = numActs
-	sDQKV     = numActs + 1
-	numShared = numActs + 2
+	// Shared-only slot: dQKV, whose activation attention backward is still
+	// reading, so it cannot take the activation's own slot.
+	sDQKV     = numActs
+	numShared = numActs + 1
 )
+
+// geluPrime returns the fp32 buffer GELU writes its derivative g′ into,
+// which slot aH1 keeps for GELUBackward: in fp32 mode h1's own buffer,
+// which g′ overwrites (nothing else reads h1 after GELU); in fp16 mode a
+// per-block fp32 buffer beside h1's staging. It is the one fp32 saved
+// activation of fp16 mode: g′ has no exact binary16 form, and rounding it
+// would change the gradient, while recomputing it from a binary16 h1
+// would cost backward a second tanh per element.
+func (m *Model) geluPrime(acts *blockActs, n int) []float32 {
+	t := &acts.t[aH1]
+	t.f = grow(t.f, n)
+	return t.f
+}
 
 // tens is a tensor as the matmul helpers take it: the fp32 image and, in
 // fp16 mode, the binary16 copy the matmuls read instead.

@@ -184,6 +184,61 @@ func TestFP16ResidencyUnder60Percent(t *testing.T) {
 	}
 }
 
+// WorkspaceBytes after one step is the slot inventory of workspace.go and
+// fp16.go, term by term, at Layers 1 and 4 (no checkpointing). GELU's g′
+// lives in slot aH1: in fp32 mode it overwrites h1's own buffer and dH1
+// overwrites dG, so no [M,ffn] gradient slot remains; in fp16 mode it is a
+// per-block fp32 buffer in place of h1's binary16 store. Against the layout
+// that recomputed tanh in backward, fp32 is 4·M·ffn B smaller and fp16
+// (2L−4)·M·ffn B larger.
+func TestWorkspaceBytesInventory(t *testing.T) {
+	for _, layers := range []int{1, 4} {
+		cfg := Config{Layers: layers, Hidden: 32, Heads: 4, Vocab: 17, Seq: 16}
+		const batch = 2
+		ids, targets := SyntheticBatch(7, batch, cfg.Seq, cfg.Vocab)
+		h, v, seq, dh := cfg.Hidden, cfg.Vocab, cfg.Seq, cfg.Hidden/cfg.Heads
+		rows := batch * seq
+		n, ffn := rows*h, rows*4*h // [M,h] and [M,ffn]
+		probs := batch * cfg.Heads * seq * seq
+		attn := tensor.AttentionScratchLen(seq, dh)
+		idBytes := 2 * rows * 8 // ids and targets
+
+		// fp32: per block, slots aX … aMlin (8 of [M,h], aQKV 3), aProbs,
+		// aH1 (g′) and aG, and both invStd; the head's aX, aA and aXhat1 and
+		// invStd; logits, probs, dLogits; dXf and the dX pair; attention
+		// scratch; backward's scratch aX2, aMlin, aCtx, aA, sDQKV (3) and aG.
+		perBlock := 11*n + probs + 2*ffn + 2*rows
+		f32 := layers*perBlock + 3*n + rows + 3*rows*v + 3*n + attn + 7*n + ffn
+
+		// fp16: binary16 stores for aXhat1, aA, aQKV, aCtx, aXhat2, aMlin,
+		// aProbs and aG, and the fp32 g′ and invStd pair, per block; the
+		// head's aXhat1 and aA stores and invStd; the one staging buffer per
+		// slot (forward, load and backward share it: 11 of [M,h] with
+		// sDQKV's 3, aProbs, aH1, aG); logits (probs and dLogits in place);
+		// attention scratch; the parameter-vector scratch at its widest (the
+		// FC1 bias); the operand stage at its widest, dH1.
+		halves := layers*(8*n+probs+ffn) + 2*n + ffn
+		floats := layers*(ffn+2*rows) + rows + 14*n + probs + 2*ffn + rows*v + attn + 4*h
+
+		for _, c := range []struct {
+			name string
+			fp16 bool
+			want int
+		}{
+			{"fp32", false, 4*f32 + idBytes},
+			{"fp16", true, 4*floats + 2*halves + idBytes},
+		} {
+			m := New(cfg, 1)
+			m.SetFP16Compute(c.fp16)
+			m.Loss(ids, targets, batch)
+			m.Backward()
+			if got := m.WorkspaceBytes(); got != int64(c.want) {
+				t.Errorf("Layers %d %s: WorkspaceBytes %d, inventory %d", layers, c.name, got, c.want)
+			}
+		}
+	}
+}
+
 // Backward on the fp16 path requires a preceding Loss, like the f32 path.
 func TestFP16BackwardWithoutLossPanics(t *testing.T) {
 	defer func() {

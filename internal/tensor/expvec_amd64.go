@@ -2,11 +2,11 @@
 
 package tensor
 
-// Four-lane AVX2+FMA exp and tanh (expvec_amd64.s), bitwise equal to
-// math.Exp and math.Tanh lane for lane. They run only where math.Exp itself
-// takes its FMA branch: Go sets math's useFMA from AVX and FMA, and every
-// CPU that passes hasLaneISA has both. Elsewhere useLanes is false and the
-// kernels' scalar loops run.
+// Four-lane AVX2+FMA exp, tanh and GELU (expvec_amd64.s), bitwise equal
+// to math.Exp, math.Tanh and gelu4 lane for lane. They run only where
+// math.Exp itself takes its FMA branch: Go sets math's useFMA from AVX and
+// FMA, and every CPU that passes hasLaneISA has both. Elsewhere useLanes
+// is false and the kernels' scalar loops run.
 
 // expLanes sets dst[i] = math.Exp(src[i]) for every lane it can finish and
 // returns a mask with bit i set for each lane i it left to the caller:
@@ -22,6 +22,13 @@ func expLanes(dst, src []float64) uint64
 //
 //go:noescape
 func tanhLanes(dst, src []float64)
+
+// geluLanes is GELU four floats at a time, bitwise gelu4 on every lane:
+// y[i] and gp[i] from x[i], x read before gp is written, so gp may alias
+// x. len(y) must be a multiple of 4, and len(gp), len(x) >= len(y).
+//
+//go:noescape
+func geluLanes(y, gp, x []float32)
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

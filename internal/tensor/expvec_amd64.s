@@ -1,5 +1,5 @@
-// AVX2+FMA four-lane exp and tanh, bitwise equal to math.Exp and
-// math.Tanh on every lane they finish.
+// AVX2+FMA four-lane exp, tanh and GELU, bitwise equal to math.Exp,
+// math.Tanh and the scalar GELU loop on every lane they finish.
 //
 // Go's math.Exp on amd64 (src/math/exp_amd64.s) is a scalar port of
 // Shibata's SIMD exp ("Efficient evaluation methods of elementary functions
@@ -13,10 +13,13 @@
 // archExp's underflow and gives +0, and everything else (NaN, x > 709.78
 // with +Inf, the denormal results) is reported back for scalar math.Exp.
 //
-// tanhLanes evaluates all three of math.tanh's branches on every lane and
+// tanhcore evaluates all three of math.tanh's branches on every lane and
 // blends them per lane, each branch in Go's evaluation order (amd64 Go
 // never fuses a multiply and an add). Its exp argument 2|x| lies in
 // [1.25, 88.03] on the lanes that use it, always archExp's normal path.
+// tanhLanes runs it over a float64 array; geluLanes runs it between
+// widening four float32 inputs to the GELU argument and narrowing y and
+// g′, so the whole GELU forward is one pass with no staging.
 //
 // Every lane op is exact IEEE arithmetic in the scalar code's order; the
 // dispatch in expvec_amd64.go runs this only where math.Exp itself takes
@@ -72,6 +75,11 @@ bcast(tq1, $2.23548839060100448583e3)
 bcast(tq2, $4.84406305325125486048e3)
 bcast(signbit, $0x8000000000000000)
 bcast(absmask, $0x7fffffffffffffff)
+
+// GELU's constants: 0.044715, 3·0.044715 and √(2/π), spelled as gelu4's.
+bcast(gc1, $0.044715)
+bcast(gc3, $0.134145)
+bcast(s2pi, $0.7978845608028654)
 
 // expcore replaces the four lanes of Y1 with archExp's avxfma result,
 // valid on lanes with −1022 ≤ k ≤ 1023. It leaves k (int32) in X3 and
@@ -147,6 +155,46 @@ exp_done:
 	MOVQ R8, ret+48(FP)
 	RET
 
+// tanhcore sets Y10 to math.Tanh of the four lanes of Y0. It clobbers
+// Y1–Y4 and Y8–Y15; Y0 and Y5–Y7 survive.
+#define tanhcore \
+	VANDPD  absmask<>(SB), Y0, Y8   \ // z = |x|
+	VADDPD  Y8, Y8, Y1              \ // 2·z
+	expcore                         \ // Y1 = s = exp(2z)
+	\ // |x| < 0.625: s2 = x·x, P = (p0·s2 + p1)·s2 + p2,
+	\ // Q = ((s2 + q0)·s2 + q1)·s2 + q2, num = x·s2·P.
+	VMULPD  Y0, Y0, Y9              \
+	VMULPD  tp0<>(SB), Y9, Y10      \
+	VADDPD  tp1<>(SB), Y10, Y10     \
+	VMULPD  Y9, Y10, Y10            \
+	VADDPD  tp2<>(SB), Y10, Y10     \
+	VADDPD  tq0<>(SB), Y9, Y11      \
+	VMULPD  Y9, Y11, Y11            \
+	VADDPD  tq1<>(SB), Y11, Y11     \
+	VMULPD  Y9, Y11, Y11            \
+	VADDPD  tq2<>(SB), Y11, Y11     \
+	VMULPD  Y9, Y0, Y12             \
+	VMULPD  Y10, Y12, Y12           \
+	\ // |x| ≥ 0.625: num = 2, den = s + 1. One division serves both.
+	VCMPPD    $13, tanhmid<>(SB), Y8, Y13 \ // GE_OS
+	VADDPD    one<>(SB), Y1, Y1     \
+	VMOVUPD   two<>(SB), Y14        \
+	VBLENDVPD Y13, Y14, Y12, Y12    \
+	VBLENDVPD Y13, Y1, Y11, Y11     \
+	VDIVPD    Y11, Y12, Y12         \ // q = num / den
+	VADDPD  Y12, Y0, Y10            \ // small: x + q
+	VXORPD  Y15, Y15, Y15           \
+	VCMPPD  $0, Y15, Y0, Y15        \ // EQ_OQ: x == 0 returns x
+	VBLENDVPD Y15, Y0, Y10, Y10     \
+	VANDPD  signbit<>(SB), Y0, Y9   \ // sign of x
+	VMOVUPD one<>(SB), Y14          \
+	VSUBPD  Y12, Y14, Y11           \ // mid: ±(1 − 2/(s+1))
+	VXORPD  Y9, Y11, Y11            \
+	VBLENDVPD Y13, Y11, Y10, Y10    \
+	VORPD   Y9, Y14, Y11            \ // big: ±1
+	VCMPPD  $14, tanhbig<>(SB), Y8, Y13 \ // GT_OS
+	VBLENDVPD Y13, Y11, Y10, Y10
+
 // func tanhLanes(dst, src []float64)
 TEXT ·tanhLanes(SB), NOSPLIT, $0-48
 	MOVQ dst_base+0(FP), DI
@@ -157,51 +205,63 @@ TEXT ·tanhLanes(SB), NOSPLIT, $0-48
 tanh_loop:
 	CMPQ CX, DX
 	JGE  tanh_done
-	VMOVUPD (SI)(CX*8), Y0          // x
-	VANDPD  absmask<>(SB), Y0, Y8   // z = |x|
-	VADDPD  Y8, Y8, Y1              // 2·z
-	expcore                         // Y1 = s = exp(2z)
-
-	// |x| < 0.625: s2 = x·x, P = (p0·s2 + p1)·s2 + p2,
-	// Q = ((s2 + q0)·s2 + q1)·s2 + q2, num = x·s2·P.
-	VMULPD  Y0, Y0, Y9
-	VMULPD  tp0<>(SB), Y9, Y10
-	VADDPD  tp1<>(SB), Y10, Y10
-	VMULPD  Y9, Y10, Y10
-	VADDPD  tp2<>(SB), Y10, Y10
-	VADDPD  tq0<>(SB), Y9, Y11
-	VMULPD  Y9, Y11, Y11
-	VADDPD  tq1<>(SB), Y11, Y11
-	VMULPD  Y9, Y11, Y11
-	VADDPD  tq2<>(SB), Y11, Y11
-	VMULPD  Y9, Y0, Y12
-	VMULPD  Y10, Y12, Y12
-
-	// |x| ≥ 0.625: num = 2, den = s + 1. One division serves both.
-	VCMPPD    $13, tanhmid<>(SB), Y8, Y13 // GE_OS
-	VADDPD    one<>(SB), Y1, Y1
-	VMOVUPD   two<>(SB), Y14
-	VBLENDVPD Y13, Y14, Y12, Y12
-	VBLENDVPD Y13, Y1, Y11, Y11
-	VDIVPD    Y11, Y12, Y12             // q = num / den
-
-	VADDPD  Y12, Y0, Y10                // small: x + q
-	VXORPD  Y15, Y15, Y15
-	VCMPPD  $0, Y15, Y0, Y15            // EQ_OQ: x == 0 returns x
-	VBLENDVPD Y15, Y0, Y10, Y10
-	VANDPD  signbit<>(SB), Y0, Y9       // sign of x
-	VMOVUPD one<>(SB), Y14
-	VSUBPD  Y12, Y14, Y11               // mid: ±(1 − 2/(s+1))
-	VXORPD  Y9, Y11, Y11
-	VBLENDVPD Y13, Y11, Y10, Y10
-	VORPD   Y9, Y14, Y11                // big: ±1
-	VCMPPD  $14, tanhbig<>(SB), Y8, Y13 // GT_OS
-	VBLENDVPD Y13, Y11, Y10, Y10
+	VMOVUPD (SI)(CX*8), Y0
+	tanhcore
 	VMOVUPD Y10, (DI)(CX*8)
 	ADDQ    $4, CX
 	JMP     tanh_loop
 
 tanh_done:
+	VZEROUPPER
+	RET
+
+// func geluLanes(y, gp, x []float32)
+//
+// Per four floats: widen f = x, u = √(2/π)·(f + 0.044715·f·f·f), t =
+// tanh(u), then y = 0.5·f·(1 + t) and g′ = 0.5·(1 + t) + 0.5·f·(1 −
+// t·t)·du with du = √(2/π)·(1 + 0.134145·f·f), each narrowed once. The
+// ops and their order are gelu4's; only expcore fuses.
+TEXT ·geluLanes(SB), NOSPLIT, $0-72
+	MOVQ y_base+0(FP), DI
+	MOVQ y_len+8(FP), DX
+	MOVQ gp_base+24(FP), R8
+	MOVQ x_base+48(FP), SI
+	XORQ CX, CX
+
+gelu_loop:
+	CMPQ CX, DX
+	JGE  gelu_done
+	VCVTPS2PD (SI)(CX*4), Y5        // f
+	VMULPD    gc1<>(SB), Y5, Y0     // 0.044715·f·f·f
+	VMULPD    Y5, Y0, Y0
+	VMULPD    Y5, Y0, Y0
+	VADDPD    Y0, Y5, Y0            // f + …
+	VMULPD    s2pi<>(SB), Y0, Y0    // u
+	tanhcore                        // Y10 = t
+
+	VMULPD    half<>(SB), Y5, Y6    // 0.5·f
+	VADDPD    one<>(SB), Y10, Y7    // 1 + t
+	VMULPD    Y7, Y6, Y1            // y = 0.5·f·(1 + t)
+	VCVTPD2PSY Y1, X1
+	VMOVUPS   X1, (DI)(CX*4)
+
+	VMULPD    gc3<>(SB), Y5, Y1     // du = √(2/π)·(1 + 0.134145·f·f)
+	VMULPD    Y5, Y1, Y1
+	VADDPD    one<>(SB), Y1, Y1
+	VMULPD    s2pi<>(SB), Y1, Y1
+	VMULPD    Y10, Y10, Y2          // 0.5·f·(1 − t·t)·du
+	VMOVUPD   one<>(SB), Y3
+	VSUBPD    Y2, Y3, Y3
+	VMULPD    Y3, Y6, Y3
+	VMULPD    Y1, Y3, Y3
+	VMULPD    half<>(SB), Y7, Y7    // 0.5·(1 + t) + …
+	VADDPD    Y3, Y7, Y7
+	VCVTPD2PSY Y7, X7
+	VMOVUPS   X7, (R8)(CX*4)
+	ADDQ      $4, CX
+	JMP       gelu_loop
+
+gelu_done:
 	VZEROUPPER
 	RET
 

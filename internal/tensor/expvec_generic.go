@@ -22,3 +22,9 @@ func tanhLanes(dst, src []float64) {
 		dst[i] = math.Tanh(src[i])
 	}
 }
+
+func geluLanes(y, gp, x []float32) {
+	for i := 0; i < len(y); i += 4 {
+		gelu4(y[i:i+4], gp[i:i+4], x[i:i+4])
+	}
+}

@@ -113,37 +113,41 @@ func TestLaneKernelsMatchMath(t *testing.T) {
 	}
 }
 
-// checkKernelsMatchScalar runs GELU, GELUBackward into a nonzero dx and
-// softmaxRows over x split m×n, live and scalar, and fails on any bit that
-// differs.
+// checkKernelsMatchScalar runs GELU, GELUBackward and softmaxRows over x
+// split m×n, live and scalar, and fails on any bit that differs. GELU runs
+// twice, into its own g′ and in place over a copy of x, and GELUBackward
+// twice, into its own dx and in place over a copy of dy.
 func checkKernelsMatchScalar(t *testing.T, x []float32, m, n int) {
 	t.Helper()
 	dy := make([]float32, len(x))
-	dx0 := make([]float32, len(x))
 	for i := range x {
 		dy[i] = x[len(x)-1-i]
-		dx0[i] = float32(i%7) - 3.25
 	}
-	run := func() (y, dx, p []float32) {
-		y = make([]float32, len(x))
-		dx = append([]float32(nil), dx0...)
-		p = make([]float32, m*n)
-		GELU(y, x)
-		GELUBackward(dx, dy, x)
+	// Each in-place result must equal the scalar out-of-place one (ref).
+	names := [...]string{"GELU y", "GELU g′", "GELU y, g′ over x", "GELU g′ over x",
+		"GELUBackward", "GELUBackward over dy", "softmaxRows"}
+	ref := [len(names)]int{0, 1, 0, 1, 4, 4, 6}
+	run := func() (out [len(names)][]float32) {
+		y, gp := make([]float32, len(x)), make([]float32, len(x))
+		GELU(y, gp, x)
+		yIn, gpIn := make([]float32, len(x)), append([]float32(nil), x...)
+		GELU(yIn, gpIn, gpIn)
+		dx := make([]float32, len(x))
+		GELUBackward(dx, dy, gp)
+		dxIn := append([]float32(nil), dy...)
+		GELUBackward(dxIn, dxIn, gp)
+		p := make([]float32, m*n)
 		softmaxRows(p, x[:m*n], m, n)
-		return y, dx, p
+		return [...][]float32{y, gp, yIn, gpIn, dx, dxIn, p}
 	}
-	var wantY, wantDx, wantP []float32
-	scalarRef(func() { wantY, wantDx, wantP = run() })
-	y, dx, p := run()
-	for _, c := range []struct {
-		name      string
-		got, want []float32
-	}{{"GELU", y, wantY}, {"GELUBackward", dx, wantDx}, {"softmaxRows", p, wantP}} {
-		for i := range c.want {
-			if g, w := math.Float32bits(c.got[i]), math.Float32bits(c.want[i]); g != w {
+	var want [len(names)][]float32
+	scalarRef(func() { want = run() })
+	got := run()
+	for k, name := range names {
+		for i, v := range want[ref[k]] {
+			if g, w := math.Float32bits(got[k][i]), math.Float32bits(v); g != w {
 				t.Fatalf("%s [%d] (x = %#08x, len %d, %d×%d): %#08x, want %#08x",
-					c.name, i, math.Float32bits(x[i]), len(x), m, n, g, w)
+					name, i, math.Float32bits(x[i]), len(x), m, n, g, w)
 			}
 		}
 	}
@@ -183,18 +187,74 @@ func TestTranscendentalKernelsMatchScalar(t *testing.T) {
 	}
 }
 
+// geluRef is the tanh GELU and its derivative written out once more,
+// sharing no code with GELU: one math.Tanh per element, each expression in
+// Go's operand order.
+func geluRef(v float32) (y, gp float32) {
+	f := float64(v)
+	th := math.Tanh(0.7978845608028654 * (f + 0.044715*f*f*f))
+	du := 0.7978845608028654 * (1 + 3*0.044715*f*f)
+	return float32(0.5 * f * (1 + th)), float32(0.5*(1+th) + 0.5*f*(1-th*th)*du)
+}
+
+// GELU against the independent reference, bit for bit, with the lanes on
+// and off: every 251st float32 bit pattern, in calls whose lengths cycle
+// through 1–9 (the four-lane body and each tail length), every other call
+// writing g′ over x; with the lanes on, also as one call over x.
+// checkKernelsMatchScalar compares the two tiers with each other; this
+// catches both drifting together.
+func TestGELUMatchesReference(t *testing.T) {
+	logScalarOnly(t)
+	var x []float32
+	for u := uint64(0); u < 1<<32; u += 251 {
+		x = append(x, math.Float32frombits(uint32(u)))
+	}
+	wantY, wantG := make([]float32, len(x)), make([]float32, len(x))
+	for i, v := range x {
+		wantY[i], wantG[i] = geluRef(v)
+	}
+	y, gp := make([]float32, len(x)), make([]float32, len(x))
+	check := func(form string) {
+		for i := range x {
+			if math.Float32bits(y[i]) != math.Float32bits(wantY[i]) || math.Float32bits(gp[i]) != math.Float32bits(wantG[i]) {
+				t.Fatalf("%s: GELU(%#08x) = %#08x, g′ %#08x; reference %#08x, %#08x", form,
+					math.Float32bits(x[i]), math.Float32bits(y[i]), math.Float32bits(gp[i]),
+					math.Float32bits(wantY[i]), math.Float32bits(wantG[i]))
+			}
+		}
+	}
+	lengths := func() {
+		copy(gp, x)
+		for lo, n, k := 0, 1, 0; lo < len(x); lo, n, k = lo+n, n%9+1, k+1 {
+			hi := min(lo+n, len(x))
+			in := x[lo:hi]
+			if k%2 == 1 {
+				in = gp[lo:hi] // still x here
+			}
+			GELU(y[lo:hi], gp[lo:hi], in)
+		}
+	}
+	lengths()
+	check("lengths 1–9")
+	copy(gp, x)
+	GELU(y, gp, gp)
+	check("one call over x")
+	scalarRef(lengths)
+	check("scalar, lengths 1–9")
+}
+
 // The stack chunks stay on the stack: no kernel allocates, on either path.
 func TestTranscendentalKernelsAllocateNothing(t *testing.T) {
 	const batch, seq, heads, dh = 1, 70, 1, 4
 	r := rand.New(rand.NewSource(29))
 	x := randSlice(r, 300)
-	y, dx := make([]float32, len(x)), make([]float32, len(x))
+	y, gp, dx := make([]float32, len(x)), make([]float32, len(x)), make([]float32, len(x))
 	qkv := randSlice(r, batch*seq*3*heads*dh)
 	ctx, probs := make([]float32, batch*seq*heads*dh), make([]float32, batch*heads*seq*seq)
 	scratch := make([]float32, AttentionScratchLen(seq, dh))
 	kernels := func() {
-		GELU(y, x)
-		GELUBackward(dx, y, x)
+		GELU(y, gp, x)
+		GELUBackward(dx, y, gp)
 		softmaxRows(y, x, 3, 100)
 		CausalAttention(ctx, probs, qkv, nil, batch, seq, heads, dh, scratch)
 	}
@@ -211,7 +271,8 @@ func TestTranscendentalKernelsAllocateNothing(t *testing.T) {
 
 // FuzzTranscendentals reads arbitrary bytes as float32 lanes (any bit
 // pattern) and checks the live GELU, GELUBackward and softmaxRows against
-// the scalar reference bit for bit, the softmax over the lanes split m×n.
+// the scalar reference bit for bit — GELU and GELUBackward also in place —
+// the softmax over the lanes split m×n.
 func FuzzTranscendentals(f *testing.F) {
 	seed := func(vs ...float32) []byte {
 		b := make([]byte, 1+4*len(vs))

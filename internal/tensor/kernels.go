@@ -7,69 +7,80 @@ import (
 
 // Nonlinear kernels and their manual gradients. Forward signatures take
 // destination first, mirroring the matmul kernels. Backward kernels follow
-// the convention dX = backward(dY, saved-forward-state).
+// the convention dX = backward(dY, saved-forward-state); they accumulate
+// into dX, except GELUBackward, which overwrites it. GELU's saved state is
+// its derivative, which forward writes beside y, so backward evaluates no
+// tanh.
 
 const sqrt2OverPi = 0.7978845608028654 // √(2/π), for the tanh GELU approximation
 
 // The transcendental kernels stage their arguments on the stack in chunks
-// of laneChunk (the width of expLanes's mask) and fill the chunk's tanh or
-// exp with the lane kernels when useLanes is set, one math.Tanh/math.Exp
-// call per element otherwise. Everything around that fill is one piece of
-// code for both, so the two agree to the bit, NaN payloads included: which
-// NaN a commutative op returns depends on the operand order the compiler
-// picks, and shared code picks it once.
+// of laneChunk (the width of expLanes's mask) and fill the chunk's exp with
+// the lane kernels when useLanes is set, one math.Exp call per element
+// otherwise. Everything around that fill is one piece of code for both, so
+// the two agree to the bit, NaN payloads included: which NaN a commutative
+// op returns depends on the operand order the compiler picks, and shared
+// code picks it once. GELU runs whole on the lanes (geluLanes) and only its
+// len mod 4 tail goes through gelu4's staging.
 const laneChunk = 64
 
 // GELU applies the tanh-approximated Gaussian error linear unit
-// elementwise: y = 0.5x(1 + tanh(√(2/π)(x + 0.044715x³))).
-func GELU(dst, x []float32) {
-	if len(dst) != len(x) {
+// elementwise, y = 0.5x(1 + t) with t = tanh(√(2/π)(x + 0.044715x³)), and
+// writes its derivative g′(x) = 0.5(1 + t) + 0.5x(1 − t²)·√(2/π)(1 +
+// 0.134145x²) into gp in the same pass, for GELUBackward. gp may alias x.
+// Each value is computed in float64, in the order written, and rounded
+// once to float32.
+func GELU(y, gp, x []float32) {
+	if len(y) != len(x) || len(gp) != len(x) {
 		panic("tensor: GELU length mismatch")
 	}
-	var u, t [laneChunk]float64
+	if useLanes {
+		n := len(x) &^ 3
+		geluLanes(y[:n], gp[:n], x[:n])
+		y, gp, x = y[n:], gp[n:], x[n:]
+	}
 	for len(x) > 0 {
-		n := min(len(x), laneChunk)
-		geluTanh(&t, &u, x[:n])
-		for i, v := range x[:n] {
-			f := float64(v)
-			dst[i] = float32(0.5 * f * (1 + t[i]))
-		}
-		dst, x = dst[n:], x[n:]
+		n := min(len(x), 4)
+		gelu4(y[:n], gp[:n], x[:n])
+		y, gp, x = y[n:], gp[n:], x[n:]
 	}
 }
 
-// GELUBackward accumulates dx[i] += dy[i] * g'(x[i]) for the tanh GELU.
-func GELUBackward(dx, dy, x []float32) {
-	if len(dx) != len(dy) || len(dx) != len(x) {
-		panic("tensor: GELUBackward length mismatch")
-	}
-	var u, t [laneChunk]float64
-	for len(x) > 0 {
-		n := min(len(x), laneChunk)
-		geluTanh(&t, &u, x[:n])
-		for i, v := range x[:n] {
-			f := float64(v)
-			du := sqrt2OverPi * (1 + 3*0.044715*f*f) // 3*0.044715 folds to one constant
-			g := 0.5*(1+t[i]) + 0.5*f*(1-t[i]*t[i])*du
-			dx[i] += dy[i] * float32(g)
-		}
-		dx, dy, x = dx[n:], dy[n:], x[n:]
-	}
-}
-
-// geluTanh sets t[i] = tanh(√(2/π)(f + 0.044715f³)) for f = x[i], staging
-// the argument in u; 0.044715*f*f*f folds left to right.
-func geluTanh(t, u *[laneChunk]float64, x []float32) {
+// gelu4 is GELU on at most four elements, with tanh from tanhLanes on a
+// padded stack chunk or from math.Tanh. It is the reference geluLanes
+// matches lane for lane.
+func gelu4(y, gp, x []float32) {
+	var u, t [4]float64
 	for i, v := range x {
 		f := float64(v)
 		u[i] = sqrt2OverPi * (f + 0.044715*f*f*f)
 	}
 	if useLanes {
-		tanhLanes(t[:(len(x)+3)&^3], u[:])
-		return
+		tanhLanes(t[:], u[:])
+	} else {
+		for i, v := range u[:len(x)] {
+			t[i] = math.Tanh(v)
+		}
 	}
-	for i, v := range u[:len(x)] {
-		t[i] = math.Tanh(v)
+	for i, v := range x {
+		f := float64(v)
+		du := sqrt2OverPi * (1 + 3*0.044715*f*f) // 3*0.044715 folds to one constant
+		y[i] = float32(0.5 * f * (1 + t[i]))
+		gp[i] = float32(0.5*(1+t[i]) + 0.5*f*(1-t[i]*t[i])*du)
+	}
+}
+
+// GELUBackward writes dx[i] = dy[i]·gp[i], gp being the g′ GELU wrote, as
+// the sum 0 + dy[i]·gp[i]: a −0 product comes out +0 and a NaN keeps its
+// payload, the bits of accumulating into a zeroed dx. dx may alias dy.
+func GELUBackward(dx, dy, gp []float32) {
+	if len(dx) != len(dy) || len(dx) != len(gp) {
+		panic("tensor: GELUBackward length mismatch")
+	}
+	gp = gp[:len(dx)]
+	dy = dy[:len(dx)]
+	for i := range dx {
+		dx[i] = 0 + dy[i]*gp[i]
 	}
 }
 

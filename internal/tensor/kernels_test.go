@@ -33,14 +33,14 @@ func TestGELUGradient(t *testing.T) {
 	x := randSlice(r, n)
 	w := randSlice(r, n) // random linear functional to form a scalar loss
 	loss := func() float64 {
-		y := make([]float32, n)
-		GELU(y, x)
+		y, gp := make([]float32, n), make([]float32, n)
+		GELU(y, gp, x)
 		return testutil.Dot(y, w)
 	}
-	dy := make([]float32, n)
-	copy(dy, w)
+	y, gp := make([]float32, n), make([]float32, n)
+	GELU(y, gp, x)
 	dx := make([]float32, n)
-	GELUBackward(dx, dy, x)
+	GELUBackward(dx, w, gp)
 	for i := 0; i < n; i++ {
 		want := numericalGrad(x, i, loss)
 		if diff := math.Abs(float64(dx[i]) - want); diff > 1e-2 {

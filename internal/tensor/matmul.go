@@ -360,27 +360,24 @@ func transposeInto(dst, src []float32, rows, cols, lds, ldd int) {
 	}
 }
 
-// AddBiasRows adds bias[n] to every row of x[m×n].
+// AddBiasRows adds bias[n] to every row of x[m×n], one Add per row: each
+// element is bitwise x + b, and a sum of two NaNs returns x's.
 func AddBiasRows(x, bias []float32, m, n int) {
 	checkDims(len(x), m*n, "X")
 	checkDims(len(bias), n, "bias")
 	for i := 0; i < m; i++ {
-		xi := x[i*n : i*n+n]
-		for j, b := range bias {
-			xi[j] += b
-		}
+		Add(x[i*n:i*n+n], bias)
 	}
 }
 
-// BiasGradRows accumulates column sums of dY[m×n] into dBias[n].
+// BiasGradRows accumulates column sums of dY[m×n] into dBias[n], one Add
+// per row in row order: each column folds its rows left to right, and a
+// sum of two NaNs returns dBias's.
 func BiasGradRows(dBias, dy []float32, m, n int) {
 	checkDims(len(dy), m*n, "dY")
 	checkDims(len(dBias), n, "dBias")
 	for i := 0; i < m; i++ {
-		row := dy[i*n : i*n+n]
-		for j, v := range row {
-			dBias[j] += v
-		}
+		Add(dBias, dy[i*n:i*n+n])
 	}
 }
 

@@ -106,3 +106,85 @@ func TestScaleMatchesScalarLoop(t *testing.T) {
 		}
 	}
 }
+
+// AddBiasRows and BiasGradRows run Add per row; both must match the scalar
+// loops they replaced bit for bit — every pair of special classes, NaN
+// payloads on either side, at every column of rows whose width is not a
+// multiple of 8 — with a sum of two NaNs pinned, as for Add, to the
+// accumulating side's NaN, quieted.
+func TestBiasRowsMatchScalarLoops(t *testing.T) {
+	sum := func(acc, v float32) float32 {
+		if acc != acc && v != v {
+			return math.Float32frombits(math.Float32bits(acc) | 0x00400000)
+		}
+		return acc + v
+	}
+	check := func(x, bias []float32, m, n int) {
+		t.Helper()
+		want := append([]float32(nil), x...)
+		for i := 0; i < m; i++ {
+			for j, b := range bias {
+				want[i*n+j] = sum(want[i*n+j], b)
+			}
+		}
+		got := append([]float32(nil), x...)
+		AddBiasRows(got, bias, m, n)
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("AddBiasRows %d×%d elem %d: %#08x + %#08x = %#08x, scalar loop %#08x", m, n, i,
+					math.Float32bits(x[i]), math.Float32bits(bias[i%n]), math.Float32bits(got[i]), math.Float32bits(want[i]))
+			}
+		}
+		wantB := append([]float32(nil), bias...)
+		for i := 0; i < m; i++ {
+			for j := range wantB {
+				wantB[j] = sum(wantB[j], x[i*n+j])
+			}
+		}
+		gotB := append([]float32(nil), bias...)
+		BiasGradRows(gotB, x, m, n)
+		for j := range wantB {
+			if math.Float32bits(gotB[j]) != math.Float32bits(wantB[j]) {
+				t.Fatalf("BiasGradRows %d×%d column %d: %#08x, scalar loop %#08x", m, n, j,
+					math.Float32bits(gotB[j]), math.Float32bits(wantB[j]))
+			}
+		}
+	}
+
+	// Row i is the specials rotated by i, so each column meets every class
+	// on both sides; one extra column makes the width 25.
+	n := len(addSpecials) + 1
+	spec := make([]float32, n)
+	for j, v := range addSpecials {
+		spec[j] = math.Float32frombits(v)
+	}
+	spec[n-1] = 3
+	x := make([]float32, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			x[i*n+j] = spec[(i+j)%n]
+		}
+	}
+	check(x, spec, n, n)
+	// One special row at a time, so a NaN meets finite sums.
+	for i := 0; i < n; i++ {
+		check(x[i*n:i*n+n], spec, 1, n)
+	}
+
+	r := rand.New(rand.NewSource(35))
+	for _, n := range []int{1, 3, 7, 8, 13, 37} {
+		for _, m := range []int{1, 2, 5} {
+			x, bias := make([]float32, m*n), make([]float32, n)
+			for i := range x {
+				x[i] = math.Float32frombits(r.Uint32())
+				if i%2 == 1 {
+					x[i] = float32(r.NormFloat64())
+				}
+			}
+			for j := range bias {
+				bias[j] = float32(r.NormFloat64())
+			}
+			check(x, bias, m, n)
+		}
+	}
+}

@@ -11,10 +11,39 @@ import (
 
 func TestGELUKnownValues(t *testing.T) {
 	// GELU(0)=0, GELU is ≈x for large positive x, ≈0 for large negative x,
-	// and GELU(1) ≈ 0.8412.
+	// and GELU(1) ≈ 0.8412; g′(0) = 0.5, g′(1) ≈ 1.0830, g′(±6) ≈ 1 and 0.
 	xs := []float32{0, 1, 6, -6}
-	y := make([]float32, len(xs))
-	GELU(y, xs)
+	y, gp := make([]float32, len(xs)), make([]float32, len(xs))
+	GELU(y, gp, xs)
+	for i, want := range []float64{0.5, 1.0830, 1, 0} {
+		if math.Abs(float64(gp[i])-want) > 1e-3 {
+			t.Errorf("GELU′(%v) = %v, want ≈%v", xs[i], gp[i], want)
+		}
+	}
+
+	// GELUBackward is the sum 0 + dy·g′: every zero product comes out +0,
+	// a NaN in dy keeps its payload (quieted), and a finite product is the
+	// float32 product. In place over dy too.
+	const negZero, qNaN, sNaN = 0x80000000, 0x7fc12345, 0xff800001
+	for _, c := range []struct{ dy, gp, want uint32 }{
+		{negZero, 0x3f800000, 0},             // −0 · 1
+		{0x3f800000, negZero, 0},             // 1 · −0
+		{0xbf800000, 0, 0},                   // −1 · +0
+		{0x80000001, 0x3e800000, 0},          // −tiny · 0.25 underflows to −0
+		{qNaN, 0x3f000000, qNaN},             // dy's payload
+		{sNaN, 0xbf000000, sNaN | 0x400000},  // quieted
+		{0xc0000000, 0x3fc00000, 0xc0400000}, // −2 · 1.5
+	} {
+		dy, gp := []float32{math.Float32frombits(c.dy)}, []float32{math.Float32frombits(c.gp)}
+		dx := []float32{123}
+		GELUBackward(dx, dy, gp)
+		GELUBackward(dy, dy, gp)
+		for _, got := range []float32{dx[0], dy[0]} {
+			if math.Float32bits(got) != c.want {
+				t.Errorf("GELUBackward(dy %#08x, g′ %#08x) = %#08x, want %#08x", c.dy, c.gp, math.Float32bits(got), c.want)
+			}
+		}
+	}
 	if y[0] != 0 {
 		t.Errorf("GELU(0) = %v", y[0])
 	}
