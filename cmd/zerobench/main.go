@@ -10,8 +10,8 @@
 //	zerobench -stage=2 -bucket=1024 stagesweep
 //
 // Experiments: fig1 table1 table2 fig2 fig3 fig4 fig5 fig6 fig7 fig8
-// commvolume ablations stagesweep stagethroughput stagememory. Output is an
-// aligned text table per experiment.
+// commvolume ablations stagesweep stagethroughput stagememory accumsweep
+// trillion. Output is an aligned text table per experiment.
 package main
 
 import (
@@ -78,6 +78,7 @@ var drivers = map[string]func() experiments.Table{
 	"stagethroughput": experiments.StageThroughput,
 	"stagememory":     experiments.StageMemory,
 	"accumsweep":      experiments.AccumSweep,
+	"trillion":        experiments.Trillion,
 }
 
 // order fixes the "all" sequence to the paper's presentation order, with
@@ -85,7 +86,7 @@ var drivers = map[string]func() experiments.Table{
 var order = []string{
 	"fig1", "table1", "table2", "fig2", "fig3", "fig4",
 	"fig5", "fig6", "fig7", "fig8", "commvolume", "ablations",
-	"stagememory", "stagesweep", "stagethroughput", "accumsweep",
+	"stagememory", "stagesweep", "stagethroughput", "accumsweep", "trillion",
 }
 
 func main() {

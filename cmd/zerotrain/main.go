@@ -27,6 +27,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/engine"
 	"repro/internal/model"
+	"repro/internal/perfmodel"
 	"repro/internal/zero"
 )
 
@@ -167,9 +168,9 @@ func main() {
 		psi, cfg.Ranks, st, cfg.Optimizer.Type, cfg.Precision != nil && cfg.Precision.FP16Compute, cfg.Checkpoint)
 	fmt.Printf("batch: %d global = %d micro-batch × %d accumulation steps (accumulator: Ψ/N elems at stages ≥ 1)\n",
 		cfg.GlobalBatch, cfg.MicroBatch, cfg.GradAccumSteps)
-	fmt.Printf("model-state/rank: %.2f MB (baseline DP would be %.2f MB)\n\n",
-		zero.ModelStateBytes(int64(psi), st, cfg.Ranks)/1e6,
-		zero.ModelStateBytes(int64(psi), zero.StageDDP, cfg.Ranks)/1e6)
+	fmt.Printf("predicted model-state/rank (§3.1): %.2f MB (baseline DP would be %.2f MB)\n\n",
+		perfmodel.ModelStateBytes(int64(psi), int(st), cfg.Ranks)/1e6,
+		perfmodel.ModelStateBytes(int64(psi), int(zero.StageDDP), cfg.Ranks)/1e6)
 
 	seqLen := cfg.Model.Seq
 	if cfg.Data != nil {

@@ -86,7 +86,7 @@ func main() {
 	}
 
 	fmt.Printf("\nfinal loss:  ZeRO Pos+g %.4f  |  baseline DP %.4f  (same descent)\n", zeroLoss, ddpLoss)
-	fmt.Printf("model-state memory per rank: ZeRO %d bytes vs DP %d bytes (%.1fx reduction)\n",
+	fmt.Printf("predicted model-state per rank (§3.1): ZeRO %d bytes vs DP %d bytes (%.1fx reduction)\n",
 		stateBytes, int64(psi)*16, float64(psi*16)/float64(stateBytes))
 	fmt.Printf("gradient state across micro-batches: %d elems (Ψ/N — never the full Ψ=%d, §5.2)\n",
 		accumElems, psi)

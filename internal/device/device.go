@@ -20,7 +20,7 @@
 // Surface: New builds a Device (Alloc, Free, Release, NewRegion, Stats,
 // Validate); a Region is a bump-allocated block (Alloc, Close); an
 // allocation failure is an OOMError wrapping ErrOOM. Imported by
-// internal/experiments (Figure 7's replay) and examples/zeror.
+// internal/experiments (Figure 7's replay).
 package device
 
 import (

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/comm"
+	"repro/internal/perfmodel"
 	"repro/internal/zero"
 )
 
@@ -318,9 +319,14 @@ func (e *Engine) Owned() comm.Range { return e.tr.Owned() }
 // NumParams returns the model's flat parameter count Ψ.
 func (e *Engine) NumParams() int { return e.tr.Model.NumParams() }
 
-// ModelStateBytes returns this rank's resident model-state bytes under the
-// §3.1 accounting for the configured stage.
-func (e *Engine) ModelStateBytes() int64 { return e.tr.ModelStateBytes() }
+// ModelStateBytes returns the §3.1 prediction of this rank's model-state
+// bytes at the configured stage (mixed-precision Adam, 16Ψ/N at stage 3).
+// It is a closed form, not a reading of the live buffers: those hold
+// 8Ψ + 12Ψ/N at fp32 stages 1-3, since parameters and gradients stay
+// Ψ-long (zero's TestTrainerModelStateAccounting).
+func (e *Engine) ModelStateBytes() int64 {
+	return int64(perfmodel.ModelStateBytes(int64(e.NumParams()), int(e.tr.Stage()), e.c.Size()))
+}
 
 // GradAccumElems returns the element count of the persistent gradient
 // accumulator (Ψ/Nd at the partitioned stages, independent of

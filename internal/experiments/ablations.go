@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/model"
+	"repro/internal/perfmodel"
 	"repro/internal/zero"
 )
 
@@ -17,6 +18,8 @@ import (
 //   - hierarchical vs flat all-reduce: the inter-node traffic cut that
 //     makes cross-node DP viable (perfmodel's harmonic DP bandwidth assumes it);
 //   - activation checkpointing: the §3.2 memory/recompute trade;
+//   - constant-size buffers (CB): the residual states with 4Ψ fused
+//     buffers and with constant ones (§6.2);
 //   - gradient clipping: the extra collective it costs under partitioning.
 func Ablations() Table {
 	var rows [][]string
@@ -73,16 +76,28 @@ func Ablations() Table {
 	)
 
 	// 3. Activation checkpointing: memory vs recompute (analytic §3.2).
-	shape := zero.ShapeForParams(100e9)
+	shape := perfmodel.ShapeForParams(100e9)
 	full := 12 * 32 * 1024 * int64(shape.Hidden) * int64(shape.Layers) * 2
 	ckpt := 32 * 1024 * int64(shape.Hidden) * int64(shape.Layers) * 2
 	rows = append(rows,
-		[]string{"activations, no checkpointing (100B,b32)", fmtF(float64(full)/zero.GB, 0) + " GB", "-", "full activations"},
-		[]string{"activation checkpointing", fmtF(float64(ckpt)/zero.GB, 1) + " GB", "-",
+		[]string{"activations, no checkpointing (100B,b32)", fmtF(float64(full)/perfmodel.GB, 0) + " GB", "-", "full activations"},
+		[]string{"activation checkpointing", fmtF(float64(ckpt)/perfmodel.GB, 1) + " GB", "-",
 			"~sqrt reduction for +33% recompute (§3.2)"},
 	)
 
-	// 4. Clipping cost: one extra N-element all-gather per step.
+	// 4. Constant-size buffers: the same model's residual states (analytic
+	// §6.2) with fused fp32 buffers that grow as 4Ψ, then with CB.
+	resid := perfmodel.Config{Shape: shape, MP: 1, MicroBatch: 32}
+	fused := perfmodel.ResidualBytes(resid)
+	resid.ZeRO.CB = true
+	rows = append(rows,
+		[]string{"residual, 4Ψ fused buffers (100B,b32)", fmtF(fused/perfmodel.GB, 1) + " GB", "-",
+			"fp32 buffers grow with the model"},
+		[]string{"residual, CB constant buffers", fmtF(perfmodel.ResidualBytes(resid)/perfmodel.GB, 1) + " GB", "-",
+			"256 MB buffers, decoupled from Ψ (§6.2)"},
+	)
+
+	// 5. Clipping cost: one extra N-element all-gather per step.
 	e2, _ := runStage2(zero.Options{ClipNorm: 1})
 	rows = append(rows, []string{"gradient clipping (partitioned norm)",
 		fmt.Sprint(e2), "-", fmt.Sprintf("+%d elems/step total: one N-scalar all-gather", e2-e0)})

@@ -5,8 +5,8 @@
 //
 // Surface: one func per table or figure (Table1, Table2, Fig1 … Fig8,
 // StageMemory, StageSweep, StageThroughput, AccumSweep, CommVolume,
-// Ablations), each returning a Table to Render, plus
-// MeasureComputeResidency. Imported by cmd/zerobench and examples/trillion.
+// Ablations, Trillion), each returning a Table to Render. Imported by
+// cmd/zerobench.
 package experiments
 
 import (

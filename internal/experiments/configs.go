@@ -24,25 +24,24 @@ var Configs = []CConfig{
 	{"C5", zero.StageOSGrad, true, true},
 }
 
-func (c CConfig) residual(batch, mp int) zero.ResidualConfig {
-	return zero.ResidualConfig{
-		Batch: batch, Seq: 1024, MP: mp,
-		Pa: c.Pa, PaCPU: c.PaCPU, CB: true, MD: true,
-	}
+// zeroConfig is the configuration as the analytic model takes it, CB and
+// MD included.
+func (c CConfig) zeroConfig() perfmodel.ZeROConfig {
+	return perfmodel.ZeROConfig{Stage: int(c.Stage), Pa: c.Pa, PaCPU: c.PaCPU, CB: true, MD: true}
 }
 
 // Fig6 reproduces Figure 6: the largest trainable model under each
 // configuration C1-C5 at fixed batch size and MP = 16 (128 GPUs → Nd = 8).
 func Fig6() Table {
 	const (
-		budget = 32 * zero.GB
+		budget = 32 * perfmodel.GB
 		mp     = 16
 		nd     = 8
 		batch  = 16
 	)
 	var rows [][]string
 	for _, c := range Configs {
-		max := zero.MaxMeasuredParams(budget, c.Stage, nd, c.residual(batch, mp))
+		max := perfmodel.MaxMeasuredParams(budget, perfmodel.Config{MP: mp, DP: nd, MicroBatch: batch, ZeRO: c.zeroConfig()})
 		rows = append(rows, []string{
 			c.Name, c.Stage.String(), flag(c.Pa), flag(c.PaCPU), fmtB(max),
 		})
@@ -56,13 +55,13 @@ func Fig6() Table {
 	}
 }
 
-// maxBatchFor finds the largest per-replica batch (≤ cap) that fits in the
-// device budget for a config; 0 means even batch 1 OOMs.
-func maxBatchFor(c CConfig, shape zero.ShapeInfo, mp, nd int, budget float64, cap int) int {
+// maxBatchFor finds the largest per-replica batch (≤ cap) at which cfg
+// fits in the device budget; 0 means even batch 1 OOMs.
+func maxBatchFor(cfg perfmodel.Config, budget float64, cap int) int {
 	best := 0
 	for b := 1; b <= cap; b++ {
-		states := zero.ModelStateBytes(shape.Params, c.Stage, nd) / float64(mp)
-		if states+zero.ResidualBytes(shape, c.residual(b, mp)) <= budget*(1-0.03) {
+		cfg.MicroBatch = b
+		if perfmodel.DeviceBytes(cfg) <= budget*(1-0.03) {
 			best = b
 		}
 	}
@@ -75,7 +74,7 @@ func maxBatchFor(c CConfig, shape zero.ShapeInfo, mp, nd int, budget float64, ca
 // 60B but is the only configuration that runs 170B at a useful batch size.
 func Fig8() Table {
 	const (
-		budget = 32 * zero.GB
+		budget = 32 * perfmodel.GB
 		mp     = 16
 		nd     = 25 // 400 GPUs / MP 16
 	)
@@ -90,21 +89,17 @@ func Fig8() Table {
 	}
 	var rows [][]string
 	for _, m := range models {
-		pshape := perfmodel.GPT2Like(m.layers, m.hidden, m.heads)
-		shape := zero.ShapeInfo{Params: pshape.Params(), Layers: m.layers, Hidden: m.hidden}
+		shape := perfmodel.GPT2Like(m.layers, m.hidden, m.heads)
 		for _, c := range Configs {
-			batch := maxBatchFor(c, shape, mp, nd, budget, 64)
-			if batch == 0 {
+			cfg := perfmodel.Config{Shape: shape, MP: mp, DP: nd, ZeRO: c.zeroConfig()}
+			cfg.MicroBatch = maxBatchFor(cfg, budget, 64)
+			if cfg.MicroBatch == 0 {
 				rows = append(rows, []string{m.label, c.Name, "OOM", "-"})
 				continue
 			}
-			cfg := perfmodel.Config{
-				Shape: pshape, MP: mp, DP: nd, MicroBatch: batch,
-				ZeRO: perfmodel.ZeROConfig{Stage: stageNum(c.Stage), Pa: c.Pa, PaCPU: c.PaCPU},
-			}
 			b := perfmodel.Estimate(hw, cfg)
 			rows = append(rows, []string{
-				m.label, c.Name, fmt.Sprint(batch), fmtF(b.TFlopsPerGPU, 1),
+				m.label, c.Name, fmt.Sprint(cfg.MicroBatch), fmtF(b.TFlopsPerGPU, 1),
 			})
 		}
 	}
@@ -115,19 +110,6 @@ func Fig8() Table {
 			"170B trainable at a useful batch.",
 		Header: []string{"Model", "Config", "Max batch", "TF/GPU"},
 		Rows:   rows,
-	}
-}
-
-func stageNum(s zero.Stage) int {
-	switch s {
-	case zero.StageOS:
-		return 1
-	case zero.StageOSGrad:
-		return 2
-	case zero.StageFull:
-		return 3
-	default:
-		return 0
 	}
 }
 

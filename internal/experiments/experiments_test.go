@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -161,12 +163,17 @@ func TestFig6Ordering(t *testing.T) {
 }
 
 // Figure 7's shape: Pa shrinks the cached peak (C1 > C2); for 100B, the
-// small-state configs cannot even run (consistent with Figure 6).
+// small-state configs cannot even run (consistent with Figure 6). Each row
+// is priced at the Ψ of the shape it names: 40B is 50 layers × h 8192,
+// Ψ = 40,690,753,536, whose C4 states and trace peak at 7.7 GB.
 func TestFig7Shape(t *testing.T) {
 	tab := Fig7()
 	vals := map[string]string{}
 	for _, r := range tab.Rows {
 		vals[r[0]+"/"+r[1]] = r[2]
+	}
+	if vals["40B/C4"] != "7.7" {
+		t.Errorf("40B C4 cached %s GB, want 7.7 (the 50×8192 shape's own Ψ)", vals["40B/C4"])
 	}
 	c1 := parseF(t, vals["40B/C1"])
 	c2 := parseF(t, vals["40B/C2"])
@@ -228,13 +235,44 @@ func TestCommVolumeTable(t *testing.T) {
 	}
 }
 
+// Every deterministic driver — all but StageSweep, whose ms columns are
+// wall-clock — renders byte for byte what testdata/tables.golden holds, so
+// a refactor of the analytic model cannot move a printed cell unnoticed.
+// After an intended change, regenerate it with
+//
+//	go run ./cmd/zerobench fig1 table1 table2 fig2 fig3 fig4 fig5 fig6 fig7 fig8 \
+//		commvolume ablations stagememory stagethroughput accumsweep trillion \
+//		> internal/experiments/testdata/tables.golden
+//
+// and name every row that moved in the change description.
 func TestRenderDoesNotPanic(t *testing.T) {
 	var buf bytes.Buffer
-	for _, tab := range []Table{Fig1(), Table1(), Table2(), Fig2(), Fig3(), Fig4(), Fig5(), Fig6(), Fig7(), Fig8(), CommVolume()} {
+	for _, driver := range []func() Table{
+		Fig1, Table1, Table2, Fig2, Fig3, Fig4, Fig5, Fig6, Fig7, Fig8,
+		CommVolume, Ablations, StageMemory, StageThroughput, AccumSweep, Trillion,
+	} {
+		tab := driver()
 		tab.Render(&buf)
 	}
-	if buf.Len() == 0 {
-		t.Error("no output rendered")
+	want, err := os.ReadFile(filepath.Join("testdata", "tables.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(buf.Bytes(), want) {
+		return
+	}
+	got, exp := strings.Split(buf.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(got) || i < len(exp); i++ {
+		var g, e string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(exp) {
+			e = exp[i]
+		}
+		if g != e {
+			t.Fatalf("rendered tables differ from testdata/tables.golden at line %d:\n got %q\nwant %q", i+1, g, e)
+		}
 	}
 }
 
@@ -345,6 +383,30 @@ func TestStageMemorySweep(t *testing.T) {
 	}
 	if f16Res >= f32Res {
 		t.Errorf("fp16 compute residency %d B not below fp32's %d B", f16Res, f32Res)
+	}
+}
+
+// §9's rows: 1T at stage 3 fits from Nd=512, the prefetched gathers expose
+// less than the synchronous ones, and the fitted 1T run still takes longer
+// than a year on 1024 V100s.
+func TestTrillion(t *testing.T) {
+	tab := Trillion()
+	fit := map[string]string{}
+	for _, r := range tab.Rows {
+		fit[r[0]] = r[2]
+	}
+	for nd, want := range map[string]string{"256": "OOM", "512": "fits", "1024": "fits"} {
+		if got := fit["1T Pos+g+p, Nd="+nd]; got != want {
+			t.Errorf("1T stage 3 at Nd=%s: %q, want %q", nd, got, want)
+		}
+	}
+	ms := func(i int) float64 { return parseF(t, strings.TrimSuffix(tab.Rows[i][1], " ms/step")) }
+	if syncMs, preMs := ms(4), ms(5); preMs >= syncMs {
+		t.Errorf("prefetched gathers expose %v ms, want below synchronous %v ms", preMs, syncMs)
+	}
+	last := tab.Rows[len(tab.Rows)-1][1]
+	if days := parseF(t, strings.TrimSuffix(strings.TrimPrefix(last, "~"), " days")); days < 365 {
+		t.Errorf("1T for 300B tokens in %v days, want over a year (the compute gap)", days)
 	}
 }
 

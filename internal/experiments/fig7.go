@@ -4,7 +4,7 @@ import (
 	"errors"
 
 	"repro/internal/device"
-	"repro/internal/zero"
+	"repro/internal/perfmodel"
 )
 
 // Fig7 reproduces Figure 7: the maximum memory cached by the allocator
@@ -18,21 +18,19 @@ func Fig7() Table {
 		nd = 25 // 400 GPUs (Table 8)
 	)
 	models := []struct {
-		label  string
-		layers int
-		hidden int
-		batch  int
+		label                 string
+		layers, hidden, heads int
+		batch                 int
 	}{
-		{"40B", 50, 8192, 16},   // Table 8 row: 40B, 50 layers, h=8192, batch 16
-		{"100B", 125, 8192, 32}, // Table 8 row: 100B, 125 layers, h=8192, batch 32
+		{"40B", 50, 8192, 32, 16},   // Table 8 row: 40B, 50 layers, h=8192, batch 16
+		{"100B", 125, 8192, 64, 32}, // Table 8 row: 100B, 125 layers, h=8192, batch 32
 	}
 	var rows [][]string
 	for _, m := range models {
-		shape := zero.ShapeForParams(paramsFor(m.layers, m.hidden))
-		shape.Layers, shape.Hidden = m.layers, m.hidden
+		shape := perfmodel.GPT2Like(m.layers, m.hidden, m.heads)
 		for _, c := range Configs {
-			peak, err := simulateIterationPeak(shape, c, m.batch, mp, nd, int64(32*zero.GB))
-			cell := fmtF(peak/zero.GB, 1)
+			peak, err := simulateIterationPeak(shape, c, m.batch, mp, nd, int64(32*perfmodel.GB))
+			cell := fmtF(peak/perfmodel.GB, 1)
 			if err != nil {
 				cell = "OOM"
 			}
@@ -49,11 +47,6 @@ func Fig7() Table {
 	}
 }
 
-func paramsFor(layers, hidden int) int64 {
-	h := int64(hidden)
-	return int64(layers)*(12*h*h+13*h) + (50257+1024)*h
-}
-
 // simulateIterationPeak replays one training iteration's allocation
 // sequence for a configuration on a fresh simulated device and returns the
 // peak reserved ("cached") bytes. The trace follows §6.3's lifetime
@@ -63,17 +56,17 @@ func paramsFor(layers, hidden int) int64 {
 // includes MD); the backward pass re-allocates working memory and transient
 // gradient buffers; constant-size fused buffers (CB) come and go around the
 // reduction.
-func simulateIterationPeak(shape zero.ShapeInfo, c CConfig, batch, mp, nd int, capacity int64) (float64, error) {
+func simulateIterationPeak(shape perfmodel.Shape, c CConfig, batch, mp, nd int, capacity int64) (float64, error) {
 	d := device.New(capacity)
 
 	// Persistent model states.
-	states := int64(zero.ModelStateBytes(shape.Params, c.Stage, nd)) / int64(mp)
+	states := int64(perfmodel.ModelStateBytes(shape.Params(), int(c.Stage), nd)) / int64(mp)
 	if _, err := d.Alloc(states); err != nil {
 		return 0, err
 	}
 
 	// MD region sized for all checkpoints of the iteration.
-	ckptPerLayer := int64(2*batch*1024) * int64(shape.Hidden)
+	ckptPerLayer := int64(2*batch*shape.Seq) * int64(shape.Hidden)
 	if c.Pa {
 		ckptPerLayer /= int64(mp)
 	}
@@ -89,8 +82,8 @@ func simulateIterationPeak(shape zero.ShapeInfo, c CConfig, batch, mp, nd int, c
 		}
 	}
 
-	working := int64(12*batch*1024) * int64(shape.Hidden) * 2 / int64(mp)
-	gradLayer := 2 * (shape.Params / int64(shape.Layers)) / int64(mp) // fp16 per-layer grads
+	working := int64(12*batch*shape.Seq) * int64(shape.Hidden) * 2 / int64(mp)
+	gradLayer := 2 * (shape.Params() / int64(shape.Layers)) / int64(mp) // fp16 per-layer grads
 
 	// Forward.
 	for l := 0; l < shape.Layers; l++ {

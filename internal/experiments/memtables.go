@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/perfmodel"
 	"repro/internal/zero"
 )
 
@@ -25,7 +26,7 @@ func Fig1() Table {
 		rows = append(rows, []string{
 			s.stage.String(),
 			s.formula,
-			fmtF(zero.ModelStateGB(psi, s.stage, nd), 2) + " GB",
+			fmtF(perfmodel.ModelStateGB(psi, int(s.stage), nd), 2) + " GB",
 		})
 	}
 	return Table{
@@ -58,7 +59,7 @@ func Table1() Table {
 		row := []string{fmt.Sprint(nd)}
 		for _, m := range models {
 			for _, st := range []zero.Stage{zero.StageOS, zero.StageOSGrad, zero.StageFull} {
-				row = append(row, fmtF(zero.ModelStateGB(m.psi, st, nd), 2))
+				row = append(row, fmtF(perfmodel.ModelStateGB(m.psi, int(st), nd), 2))
 			}
 		}
 		rows = append(rows, row)
@@ -75,20 +76,20 @@ func Table1() Table {
 // memory analysis (left) and the measured maximum once residual states are
 // charged (right), for MP ∈ {1..16} with Nd = 64.
 func Table2() Table {
-	const budget = 32 * zero.GB
+	const budget = 32 * perfmodel.GB
 	var rows [][]string
 	for _, mp := range []int{1, 2, 4, 8, 16} {
 		theo := func(st zero.Stage) string {
-			return fmtB(zero.MaxTheoreticalParams(budget, st, 64, mp))
+			return fmtB(perfmodel.MaxTheoreticalParams(budget, int(st), 64, mp))
 		}
 		// Measured: baseline without ZeRO-R; ZeRO-OS (Pos) with CB+MD,
 		// matching the paper's ZeRO-OS implementation.
-		baseRC := zero.ResidualConfig{Batch: 8, Seq: 1024, MP: mp}
-		zeroRC := zero.ResidualConfig{Batch: 8, Seq: 1024, MP: mp, CB: true, MD: true}
 		// MaxMeasuredParams already accounts for MP: it returns the total
 		// model size whose per-device share (states/MP + residuals) fits.
-		measBase := zero.MaxMeasuredParams(budget, zero.StageDDP, 64, baseRC)
-		measZeRO := zero.MaxMeasuredParams(budget, zero.StageOS, 64, zeroRC)
+		cfg := perfmodel.Config{MP: mp, DP: 64, MicroBatch: 8}
+		measBase := perfmodel.MaxMeasuredParams(budget, cfg)
+		cfg.ZeRO = perfmodel.ZeROConfig{Stage: int(zero.StageOS), CB: true, MD: true}
+		measZeRO := perfmodel.MaxMeasuredParams(budget, cfg)
 		rows = append(rows, []string{
 			fmt.Sprint(mp), fmt.Sprint(64 * mp),
 			theo(zero.StageDDP), theo(zero.StageOS), theo(zero.StageOSGrad), theo(zero.StageFull),

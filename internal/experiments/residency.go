@@ -8,7 +8,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// The miniature world MeasureComputeResidency trains: small enough to run
+// The miniature world measureComputeResidency trains: small enough to run
 // inside an experiment render, large enough that the workspace dwarfs the
 // fixed per-trainer bookkeeping.
 const residencyRanks = 4
@@ -16,22 +16,22 @@ const residencyRanks = 4
 var residencyModel = model.Config{Layers: 4, Hidden: 64, Heads: 4, Vocab: 96, Seq: 16}
 var residencyPsi = residencyModel.ParamCount()
 
-// ComputeResidency is one precision's measured per-rank compute footprint:
+// computeResidency is one precision's measured per-rank compute footprint:
 // the activation element width, the retained forward/backward workspace,
 // and the full compute residency (workspace plus the parameter copy the
 // kernels read).
-type ComputeResidency struct {
+type computeResidency struct {
 	ActBytesPerElem int
 	WorkspaceBytes  int64
 	ResidentBytes   int64
 }
 
-// MeasureComputeResidency trains one batch on a miniature stage-2 world and
+// measureComputeResidency trains one batch on a miniature stage-2 world and
 // reads the rank-0 trainer's retained workspace and compute residency off
 // the live engine — the measured counterpart of the §6 residual-state
 // analysis. With fp16Compute the model stores activations (and the weight
 // views the fused kernels read) in 2 bytes with fp32 accumulation.
-func MeasureComputeResidency(fp16Compute bool) ComputeResidency {
+func measureComputeResidency(fp16Compute bool) computeResidency {
 	cfg := engine.DefaultConfig()
 	cfg.Model = residencyModel
 	cfg.Ranks = residencyRanks
@@ -45,7 +45,7 @@ func MeasureComputeResidency(fp16Compute bool) ComputeResidency {
 		cfg.Precision = &engine.PrecisionConfig{FP16Compute: true}
 	}
 	ids, targets := model.SyntheticBatch(5, cfg.GlobalBatch, cfg.Model.Seq, cfg.Model.Vocab)
-	out := ComputeResidency{ActBytesPerElem: tensor.BytesPerFloat32}
+	out := computeResidency{ActBytesPerElem: tensor.BytesPerFloat32}
 	if fp16Compute {
 		out.ActBytesPerElem = tensor.BytesPerHalf
 	}

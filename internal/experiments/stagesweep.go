@@ -188,18 +188,19 @@ var stageThroughputModels = []struct {
 func StageThroughput() Table {
 	const (
 		gpus   = 64
-		budget = 32 * zero.GB
+		budget = 32 * perfmodel.GB
 	)
 	var rows [][]string
 	for _, m := range stageThroughputModels {
-		shape := perfmodel.GPT2Like(m.layers, m.hidden, m.heads)
-		psi := shape.Params()
 		for _, st := range zero.AllStages {
+			cfg := perfmodel.Config{
+				Shape: perfmodel.GPT2Like(m.layers, m.hidden, m.heads), MP: 1, DP: gpus,
+				ZeRO: perfmodel.ZeROConfig{Stage: int(st), CB: true, MD: true},
+			}
 			maxBatch := 0
 			for b := 1; b <= 64; b *= 2 {
-				rc := zero.ResidualConfig{Batch: b, Seq: shape.Seq, MP: 1, CB: true, MD: true}
-				resid := zero.ResidualBytes(zero.ShapeInfo{Params: psi, Layers: m.layers, Hidden: m.hidden}, rc)
-				if zero.ModelStateBytes(psi, st, gpus)+resid <= budget {
+				cfg.MicroBatch = b
+				if perfmodel.DeviceBytes(cfg) <= budget {
 					maxBatch = b
 				}
 			}
@@ -207,14 +208,13 @@ func StageThroughput() Table {
 				rows = append(rows, []string{m.label, st.String(), "OOM", "-", "-", "-"})
 				continue
 			}
+			cfg.MicroBatch = maxBatch
 			mk := func(sync bool) float64 {
-				return perfmodel.Estimate(hw, perfmodel.Config{
-					Shape: shape, MP: 1, DP: gpus, MicroBatch: maxBatch,
-					// The streamed schedule overlaps gradient buckets and
-					// prefetches the stage-3 parameter gathers; the sync
-					// schedule exposes everything.
-					ZeRO: perfmodel.ZeROConfig{Stage: int(st), SyncComm: sync, Prefetch: !sync},
-				}).TFlopsPerGPU
+				// The streamed schedule overlaps gradient buckets and
+				// prefetches the stage-3 parameter gathers; the sync
+				// schedule exposes everything.
+				cfg.ZeRO.SyncComm, cfg.ZeRO.Prefetch = sync, !sync
+				return perfmodel.Estimate(hw, cfg).TFlopsPerGPU
 			}
 			overlapTF, syncTF := mk(false), mk(true)
 			rows = append(rows, []string{
@@ -253,12 +253,12 @@ func StageMemory() Table {
 	for _, st := range zero.AllStages {
 		row := []string{st.String()}
 		for _, nd := range dps {
-			row = append(row, fmtF(zero.ModelStateGB(psi, st, nd), 2))
+			row = append(row, fmtF(perfmodel.ModelStateGB(psi, int(st), nd), 2))
 		}
 		rows = append(rows, row)
 	}
-	f32 := MeasureComputeResidency(false)
-	f16 := MeasureComputeResidency(true)
+	f32 := measureComputeResidency(false)
+	f16 := measureComputeResidency(true)
 	rows = append(rows,
 		[]string{"-- fp16 compute, measured --"},
 		[]string{"activation storage", fmt.Sprintf("%d -> %d B/elem", f32.ActBytesPerElem, f16.ActBytesPerElem)},

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/perfmodel"
-	"repro/internal/zero"
 )
 
 // hw is the paper's testbed profile used by all throughput experiments.
@@ -81,34 +80,28 @@ func Fig3() Table {
 // on 128 GPUs at >40 TFlops/GPU, while baseline DP runs out of memory
 // beyond ~1.4B.
 func Fig4() Table {
-	const budget = 32 * zero.GB
+	const budget = 32 * perfmodel.GB
 	var rows [][]string
 	for _, r := range Fig4Models {
-		shape := perfmodel.GPT2Like(r.Layers, r.Hidden, r.Heads)
-		psi := shape.Params()
-		states := zero.ModelStateBytes(psi, zero.StageOSGrad, r.DP())
-		rc := zero.ResidualConfig{Batch: r.Batch, Seq: 1024, MP: 1, CB: true, MD: true}
-		resid := zero.ResidualBytes(zero.ShapeInfo{Params: psi, Layers: r.Layers, Hidden: r.Hidden}, rc)
-		fits := states+resid <= budget
+		cfg := specToConfig(r, perfmodel.ZeROConfig{Stage: 2, CB: true, MD: true})
 		status := "OK"
 		tf := "-"
-		if fits {
-			b := perfmodel.Estimate(hw, specToConfig(r, perfmodel.ZeROConfig{Stage: 2}))
-			tf = fmtF(b.TFlopsPerGPU, 1)
+		if perfmodel.DeviceBytes(cfg) <= budget {
+			tf = fmtF(perfmodel.Estimate(hw, cfg).TFlopsPerGPU, 1)
 		} else {
 			status = "OOM"
 		}
 		// Baseline DP replicates 16Ψ: OOM for everything past ~1.4B.
-		baseStates := zero.ModelStateBytes(psi, zero.StageDDP, r.DP())
+		base := cfg
+		base.ZeRO.Stage = 0
 		baseStatus := "OOM"
 		baseTF := "-"
-		if baseStates+resid <= budget {
+		if perfmodel.DeviceBytes(base) <= budget {
 			baseStatus = "OK"
-			bb := perfmodel.Estimate(hw, specToConfig(r, perfmodel.ZeROConfig{Stage: 0}))
-			baseTF = fmtF(bb.TFlopsPerGPU, 1)
+			baseTF = fmtF(perfmodel.Estimate(hw, base).TFlopsPerGPU, 1)
 		}
 		rows = append(rows, []string{
-			r.Label, fmtB(psi), tf, status, baseTF, baseStatus,
+			r.Label, fmtB(cfg.Shape.Params()), tf, status, baseTF, baseStatus,
 		})
 	}
 	for _, r := range Fig4Baseline {

@@ -8,7 +8,7 @@
 // segment by segment, and gradient bucketing walks the same offsets. The
 // model is exercised at laptop scale (tiny vocab/hidden sizes) for
 // correctness; the paper-scale shapes are handled analytically by
-// internal/perfmodel and the memory planner.
+// internal/perfmodel.
 //
 // Surface: Config, New and NewSharded build a Model (Loss, Backward,
 // ZeroGrads, SetFP16Compute, ReleaseParams and the workspace readers) over a

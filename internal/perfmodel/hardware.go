@@ -1,5 +1,7 @@
-// Package perfmodel is the analytic performance model standing in for the
-// paper's 400×V100 testbed (25 DGX-2 nodes, 800 Gbps inter-node).
+// Package perfmodel is the analytic model standing in for the paper's
+// 400×V100 testbed (25 DGX-2 nodes, 800 Gbps inter-node): every closed
+// form of the paper, memory (§3.1 Figure 1, §5, Tables 1-2, the §3.2
+// residual states) and time (§10), over one GPT-2-like Shape.
 //
 // The model estimates per-step time as compute + exposed communication for a
 // given (model shape, MP degree, DP degree, micro-batch, ZeRO configuration)
@@ -15,10 +17,13 @@
 //   - larger per-GPU batches raise arithmetic intensity and therefore
 //     efficiency — the superlinearity driver of Figure 3 (§10.3).
 //
-// Surface: DGX2 and Hardware (SplitDPBandwidth, HierarchicalDPBandwidth),
-// GPT2Like and Shape, Config and ZeROConfig, Estimate returning a Breakdown,
-// and HierarchicalSplit. Imported by internal/experiments and
-// examples/trillion.
+// Surface: DGX2 and Hardware; GPT2Like, Shape and ShapeForParams; Config
+// and ZeROConfig; Estimate returning a Breakdown, and HierarchicalSplit
+// (time); ModelStateBytes, ModelStateGB, MaxTheoreticalParams,
+// ResidualBytes, DeviceBytes and MaxMeasuredParams (memory, memory.go).
+// A stage is ZeROConfig.Stage's int 0-3, so the package imports nothing of
+// the trainer. Imported by internal/experiments, internal/engine
+// (Engine.ModelStateBytes) and cmd/zerotrain.
 package perfmodel
 
 // Hardware describes one cluster profile. All bandwidths are effective
@@ -98,8 +103,8 @@ func (hw Hardware) mpBandwidth(mp int) float64 {
 // 1/(1/intra + 1/(interPerGPU·gpusPerNode)) ≈ 60 GB/s on the DGX-2 profile
 // — which is why DP communication, unlike flat MP all-reduces, survives the
 // node boundary (insight §4.1a). It is the large-(S,M) limit of
-// HierarchicalDPBandwidth; the runtime's measured intra/inter split
-// validates both (see SplitDPBandwidth and the perfmodel tests).
+// hierarchicalDPBandwidth; the runtime's measured intra/inter split
+// validates both (see splitDPBandwidth and the perfmodel tests).
 func (hw Hardware) dpBandwidth(mp, dp int) float64 {
 	if mp*dp <= hw.GPUsPerNode {
 		return hw.IntraNodeBW
@@ -124,27 +129,27 @@ func HierarchicalSplit(psi int64, nodeSize, nodes int) (intra, inter float64) {
 	return intra, inter
 }
 
-// SplitDPBandwidth converts a *measured* per-rank (intra, inter) traffic
+// splitDPBandwidth converts a *measured* per-rank (intra, inter) traffic
 // split — e.g. the PerGroup byte counters of a real run — into the
 // effective collective bandwidth it implies on this hardware profile:
 // total volume over the serialized time of the intra phase (NVSwitch) and
 // the inter phase (this GPU's uplink share).
-func (hw Hardware) SplitDPBandwidth(intra, inter float64) float64 {
+func (hw Hardware) splitDPBandwidth(intra, inter float64) float64 {
 	if intra+inter == 0 {
 		return hw.IntraNodeBW
 	}
 	return (intra + inter) / (intra/hw.IntraNodeBW + inter/hw.InterNodeBWPerGPU)
 }
 
-// HierarchicalDPBandwidth is the exact-form effective DP bandwidth for M
-// nodes of S ranks: SplitDPBandwidth applied to the predicted two-level
+// hierarchicalDPBandwidth is the exact-form effective DP bandwidth for M
+// nodes of S ranks: splitDPBandwidth applied to the predicted two-level
 // split. As S and M grow it converges to dpBandwidth's harmonic limit
 // (intra share → 1, inter share → 1/S with S·interPerGPU = the node
 // uplink).
-func (hw Hardware) HierarchicalDPBandwidth(nodeSize, nodes int) float64 {
+func (hw Hardware) hierarchicalDPBandwidth(nodeSize, nodes int) float64 {
 	if nodeSize*nodes <= 1 {
 		return hw.IntraNodeBW
 	}
 	intra, inter := HierarchicalSplit(1<<30, nodeSize, nodes)
-	return hw.SplitDPBandwidth(intra, inter)
+	return hw.splitDPBandwidth(intra, inter)
 }

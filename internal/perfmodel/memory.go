@@ -1,0 +1,155 @@
+package perfmodel
+
+import "fmt"
+
+// adamK is K of §3.1: the bytes per parameter of mixed-precision Adam's
+// optimizer state (fp32 master + momentum + variance). Parameters and
+// gradients are fp16Bytes each, so baseline DP holds (2+2+K)Ψ.
+const adamK = 12
+
+// GB is the paper's gigabyte (10^9 bytes; Table 1's "7.5B model at DP=1 is
+// 120 GB" requires the decimal unit: 16 × 7.5e9 = 1.2e11).
+const GB = 1e9
+
+// ModelStateBytes returns the per-device model-state memory in bytes for a
+// Ψ-parameter model trained with mixed-precision Adam at the given ZeRO-DP
+// stage (ZeROConfig.Stage's 0-3) and DP degree — Figure 1's formulas.
+func ModelStateBytes(psi int64, stage, nd int) float64 {
+	if psi < 0 || nd < 1 {
+		panic("perfmodel: invalid ModelStateBytes arguments")
+	}
+	p := float64(psi)
+	n := float64(nd)
+	switch stage {
+	case 0: // replicated: (2+2+K)Ψ
+		return (fp16Bytes + fp16Bytes + adamK) * p
+	case 1: // Pos: 2Ψ + 2Ψ + KΨ/Nd
+		return (fp16Bytes+fp16Bytes)*p + adamK*p/n
+	case 2: // Pos+g: 2Ψ + (2+K)Ψ/Nd
+		return fp16Bytes*p + (fp16Bytes+adamK)*p/n
+	case 3: // Pos+g+p: (2+2+K)Ψ/Nd
+		return (fp16Bytes + fp16Bytes + adamK) * p / n
+	default:
+		panic(fmt.Sprintf("perfmodel: unknown stage %d", stage))
+	}
+}
+
+// ModelStateGB is ModelStateBytes in the paper's decimal gigabytes.
+func ModelStateGB(psi int64, stage, nd int) float64 {
+	return ModelStateBytes(psi, stage, nd) / GB
+}
+
+// MaxTheoreticalParams returns the largest Ψ whose model states fit in
+// budget bytes per device at the given stage, DP degree and MP degree —
+// the left half of Table 2 (budget 32 GB, Nd = 64, MP ∈ {1..16}).
+func MaxTheoreticalParams(budget float64, stage, nd, mp int) int64 {
+	if mp < 1 {
+		panic("perfmodel: MP degree must be positive")
+	}
+	perParam := ModelStateBytes(1e9, stage, nd) / 1e9 // bytes per parameter
+	return int64(float64(mp) * budget / perParam)
+}
+
+// Residual buffer constants: a fused fp32 buffer is 4 bytes/param without
+// CB (§3.2: "for a model with 1.5B parameters, a flattened fp32 buffer
+// would require 6GB"); with CB it is a fixed high-performance size. The
+// fragmentation slack fractions reflect §3.2 ("30% of memory still
+// available" in extreme cases) versus MD.
+const (
+	constantBufferBytes = 256e6
+	fragSlackBaseline   = 0.15
+	fragSlackMD         = 0.03
+	workspaceBytes      = 800e6 // cuDNN-style workspaces, kernels, CUDA context
+)
+
+// ResidualBytes estimates the per-device residual-state memory (§3.2:
+// activations, temporary buffers, workspaces) of cfg's shape at its
+// micro-batch, MP degree and ZeRO-R knobs (Pa, PaCPU, CB).
+func ResidualBytes(cfg Config) float64 {
+	mp := max(cfg.MP, 1)
+	s := cfg.Shape
+	// Activation checkpoints: one per layer, B×s×h fp16 each, divided
+	// across MP (Megatron splits activations within a block but
+	// checkpoints the replicated block input — Pa removes that
+	// replication).
+	ckpt := 2 * float64(cfg.MicroBatch) * float64(s.Seq) * float64(s.Hidden) * float64(s.Layers)
+	if cfg.ZeRO.Pa {
+		ckpt /= float64(mp)
+	}
+	if cfg.ZeRO.PaCPU {
+		ckpt = 0
+	}
+	// Working activations of the deepest live block during recompute.
+	working := 12 * float64(cfg.MicroBatch) * float64(s.Seq) * float64(s.Hidden) * 2 / float64(mp)
+	// Temporary fused buffers.
+	buffers := 4 * float64(s.Params()) / float64(mp)
+	if cfg.ZeRO.CB {
+		buffers = constantBufferBytes
+	}
+	return ckpt + working + buffers + workspaceBytes
+}
+
+// DeviceBytes is one device's share of a run: its model states (split MP
+// ways) plus its residual states.
+func DeviceBytes(cfg Config) float64 {
+	return ModelStateBytes(cfg.Shape.Params(), cfg.ZeRO.Stage, cfg.DP)/float64(max(cfg.MP, 1)) + ResidualBytes(cfg)
+}
+
+// ShapeForParams picks a representative GPT-2-like shape for a target
+// parameter count: the hidden size (and head count) of Table 4's ladder,
+// and as many layers as Ψ affords on top of the embeddings.
+func ShapeForParams(psi int64) Shape {
+	var hidden, heads int
+	switch {
+	case psi < 2e9:
+		hidden, heads = 1920, 16
+	case psi < 4e9:
+		hidden, heads = 2304, 24
+	case psi < 9e9:
+		hidden, heads = 3072, 24
+	case psi < 15e9:
+		hidden, heads = 4096, 32
+	case psi < 50e9:
+		hidden, heads = 6144, 32
+	default:
+		hidden, heads = 8192, 64
+	}
+	emb := GPT2Like(0, hidden, heads).Params()
+	perLayer := GPT2Like(1, hidden, heads).Params() - emb
+	layers := int((psi - emb) / perLayer)
+	if layers < 1 {
+		layers = 1
+	}
+	return GPT2Like(layers, hidden, heads)
+}
+
+// MaxMeasuredParams returns the largest Ψ that fits in budget bytes per
+// device once residual states and fragmentation slack are charged — the
+// right half of Table 2 and the Figure 6 bars. Each candidate Ψ runs as
+// ShapeForParams(Ψ) in place of cfg.Shape; the slack reserves a fraction
+// of the budget, lost to fragmentation without MD.
+func MaxMeasuredParams(budget float64, cfg Config) int64 {
+	slack := fragSlackBaseline
+	if cfg.ZeRO.MD {
+		slack = fragSlackMD
+	}
+	usable := budget * (1 - slack)
+	fits := func(psi int64) bool {
+		cfg.Shape = ShapeForParams(psi)
+		return DeviceBytes(cfg) <= usable
+	}
+	// Binary search over Ψ.
+	lo, hi := int64(1e8), int64(4e12)
+	if !fits(lo) {
+		return 0
+	}
+	for hi-lo > 1e7 {
+		mid := (lo + hi) / 2
+		if fits(mid) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}

@@ -8,6 +8,11 @@ type ZeROConfig struct {
 	Stage int  // 0 = baseline replicated DP, 1 = Pos, 2 = Pos+g, 3 = Pos+g+p
 	Pa    bool // partitioned activation checkpointing (needs MP > 1)
 	PaCPU bool // offload partitioned checkpoints to CPU
+	// CB (constant-size fused buffers instead of 4Ψ fp32) and MD
+	// (defragmentation: less fragmentation slack) only change the memory
+	// model, ResidualBytes and MaxMeasuredParams; Estimate ignores them.
+	CB bool
+	MD bool
 	// SyncComm disables the bucketed communication/computation overlap:
 	// every DP collective runs at a step boundary and is fully exposed —
 	// the pre-overlap synchronous schedule, kept as the comparison point

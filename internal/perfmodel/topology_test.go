@@ -12,7 +12,7 @@ import (
 // collective on an in-process world, read the PerGroup wire counters, and
 // check that (a) the predicted split matches the measurement exactly and
 // (b) the effective bandwidth implied by the measured split equals the
-// closed-form HierarchicalDPBandwidth.
+// closed-form hierarchicalDPBandwidth.
 func TestDPBandwidthAgainstMeasuredSplit(t *testing.T) {
 	const psi = 1 << 12
 	const nodeSize, nodes = 4, 2
@@ -35,8 +35,8 @@ func TestDPBandwidthAgainstMeasuredSplit(t *testing.T) {
 	}
 
 	hw := DGX2()
-	fromMeasured := hw.SplitDPBandwidth(measIntra, measInter)
-	closedForm := hw.HierarchicalDPBandwidth(nodeSize, nodes)
+	fromMeasured := hw.splitDPBandwidth(measIntra, measInter)
+	closedForm := hw.hierarchicalDPBandwidth(nodeSize, nodes)
 	if rel := math.Abs(fromMeasured-closedForm) / closedForm; rel > 1e-9 {
 		t.Errorf("bandwidth from measured split %.3g != closed form %.3g (rel %g)",
 			fromMeasured, closedForm, rel)
@@ -50,7 +50,7 @@ func TestDPBandwidthAgainstMeasuredSplit(t *testing.T) {
 // why the experiments report the exact prediction next to the measurement.
 func TestHierarchicalDPBandwidthConvergesToHarmonic(t *testing.T) {
 	hw := DGX2()
-	exact := hw.HierarchicalDPBandwidth(16, 25)
+	exact := hw.hierarchicalDPBandwidth(16, 25)
 	harmonic := hw.dpBandwidth(1, 400)
 	if rel := math.Abs(exact-harmonic) / harmonic; rel > 0.12 {
 		t.Errorf("exact %v vs harmonic %v: rel %g, want <12%% at DGX-2 scale", exact, harmonic, rel)
@@ -59,7 +59,7 @@ func TestHierarchicalDPBandwidthConvergesToHarmonic(t *testing.T) {
 		t.Errorf("exact form %v should exceed the harmonic lower bound %v", exact, harmonic)
 	}
 	// Degenerate layouts collapse to NVSwitch bandwidth.
-	if hw.HierarchicalDPBandwidth(1, 1) != hw.IntraNodeBW {
+	if hw.hierarchicalDPBandwidth(1, 1) != hw.IntraNodeBW {
 		t.Error("single-GPU layout must return intra-node bandwidth")
 	}
 }

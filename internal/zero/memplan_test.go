@@ -4,7 +4,14 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/optimizer"
+	"repro/internal/perfmodel"
+	"repro/internal/tensor"
 )
+
+// The memory planner is internal/perfmodel's; these tests drive it with
+// this package's Stage values, the ints perfmodel keys stages by.
 
 func approx(got, want, relTol float64) bool {
 	if want == 0 {
@@ -27,7 +34,7 @@ func TestFigure1Example(t *testing.T) {
 		{StageFull, 1.88},
 	}
 	for _, c := range cases {
-		got := ModelStateGB(psi, c.stage, nd)
+		got := perfmodel.ModelStateGB(psi, int(c.stage), nd)
 		if !approx(got, c.want, 0.01) {
 			t.Errorf("%v: %.2f GB, want %.2f GB", c.stage, got, c.want)
 		}
@@ -57,7 +64,7 @@ func TestTable1AllCells(t *testing.T) {
 	for _, psi := range models {
 		for _, nd := range dps {
 			for si, st := range stages {
-				got := ModelStateGB(psi, st, nd)
+				got := perfmodel.ModelStateGB(psi, int(st), nd)
 				// 1% relative, or 0.01 GB absolute for the sub-GB cells
 				// the paper rounds to two decimals.
 				if !approx(got, want[psi][nd][si], 0.01) && math.Abs(got-want[psi][nd][si]) > 0.01 {
@@ -72,7 +79,7 @@ func TestTable1AllCells(t *testing.T) {
 // Table 2, left half: max theoretical model size on a 32 GB budget with
 // Nd=64, scaling linearly with MP.
 func TestTable2Theoretical(t *testing.T) {
-	const budget = 32 * GB
+	const budget = 32 * perfmodel.GB
 	rows := []struct {
 		mp                         int
 		baseline, pos, posg, posgp float64 // billions
@@ -91,16 +98,27 @@ func TestTable2Theoretical(t *testing.T) {
 			{StageDDP, r.baseline}, {StageOS, r.pos}, {StageOSGrad, r.posg}, {StageFull, r.posgp},
 		}
 		for _, c := range checks {
-			got := float64(MaxTheoreticalParams(budget, c.stage, 64, r.mp)) / 1e9
+			got := float64(perfmodel.MaxTheoreticalParams(budget, int(c.stage), 64, r.mp)) / 1e9
 			if !approx(got, c.want, 0.01) {
 				t.Errorf("MP=%d %v: %.1fB, want %.1fB", r.mp, c.stage, got, c.want)
 			}
 		}
 	}
 	// The headline: Pos+g+p at Nd=1024 fits >1T parameters (§5.4).
-	if got := MaxTheoreticalParams(budget, StageFull, 1024, 1); got < 2_000_000_000_000 {
+	if got := perfmodel.MaxTheoreticalParams(budget, int(StageFull), 1024, 1); got < 2_000_000_000_000 {
 		t.Errorf("Pos+g+p @ Nd=1024: %.2fT, want ≥2T (32GB×1024/16B)", float64(got)/1e12)
 	}
+}
+
+// modelStateBytes is perfmodel.ModelStateBytes keyed by Stage.
+func modelStateBytes(psi int64, st Stage, nd int) float64 {
+	return perfmodel.ModelStateBytes(psi, int(st), nd)
+}
+
+// memoryReduction returns the memory reduction factor versus baseline DP.
+func memoryReduction(stage Stage, nd int) float64 {
+	const psi = 1 << 30
+	return modelStateBytes(psi, StageDDP, nd) / modelStateBytes(psi, stage, nd)
 }
 
 // Memory reduction factors: 4x (Pos), 8x (Pos+g), Nd (Pos+g+p) at large Nd.
@@ -124,7 +142,7 @@ func TestMemPlanProperties(t *testing.T) {
 		prev := math.Inf(1)
 		// Each deeper stage consumes no more memory.
 		for _, st := range []Stage{StageDDP, StageOS, StageOSGrad, StageFull} {
-			cur := ModelStateBytes(psi, st, nd)
+			cur := modelStateBytes(psi, st, nd)
 			if cur > prev+1e-6 {
 				return false
 			}
@@ -133,13 +151,15 @@ func TestMemPlanProperties(t *testing.T) {
 		// Larger Nd never increases partitioned-stage memory.
 		if nd > 1 {
 			for _, st := range []Stage{StageOS, StageOSGrad, StageFull} {
-				if ModelStateBytes(psi, st, nd) > ModelStateBytes(psi, st, nd-1)+1e-6 {
+				if modelStateBytes(psi, st, nd) > modelStateBytes(psi, st, nd-1)+1e-6 {
 					return false
 				}
 			}
 		}
-		// Baseline is exactly 16 bytes/param.
-		return ModelStateBytes(psi, StageDDP, nd) == 16*float64(psi)
+		// Baseline is exactly (2+2+K) = 16 bytes/param, in the trainer's
+		// widths: fp16 parameters and gradients, and Adam's K.
+		perParam := 2*tensor.BytesPerHalf + optimizer.AdamK
+		return perParam == 16 && modelStateBytes(psi, StageDDP, nd) == float64(perParam)*float64(psi)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -150,10 +170,11 @@ func TestMemPlanProperties(t *testing.T) {
 // and preserve the Table 2 ordering; the Pos measured value lands in the
 // paper's measured band (6.2B at MP=1 vs 7.6B theoretical).
 func TestMaxMeasuredParams(t *testing.T) {
-	const budget = 32 * GB
-	rc := ResidualConfig{Batch: 8, Seq: 1024, MP: 1, CB: true, MD: true}
-	meas := MaxMeasuredParams(budget, StageOS, 64, rc)
-	theo := MaxTheoreticalParams(budget, StageOS, 64, 1)
+	const budget = 32 * perfmodel.GB
+	cfg := perfmodel.Config{MP: 1, DP: 64, MicroBatch: 8,
+		ZeRO: perfmodel.ZeROConfig{Stage: int(StageOS), CB: true, MD: true}}
+	meas := perfmodel.MaxMeasuredParams(budget, cfg)
+	theo := perfmodel.MaxTheoreticalParams(budget, int(StageOS), 64, 1)
 	if meas >= theo {
 		t.Errorf("measured %.2fB must be below theoretical %.2fB", float64(meas)/1e9, float64(theo)/1e9)
 	}
@@ -162,8 +183,7 @@ func TestMaxMeasuredParams(t *testing.T) {
 	}
 	// Baseline without ZeRO-R: fused buffers + fragmentation push the
 	// measured size toward the paper's 1.3B (vs 2B theoretical).
-	baseRC := ResidualConfig{Batch: 8, Seq: 1024, MP: 1}
-	baseMeas := MaxMeasuredParams(budget, StageDDP, 64, baseRC)
+	baseMeas := perfmodel.MaxMeasuredParams(budget, perfmodel.Config{MP: 1, DP: 64, MicroBatch: 8})
 	if got := float64(baseMeas) / 1e9; got < 0.9 || got > 1.7 {
 		t.Errorf("baseline measured %.2fB, paper measured 1.3B (want 0.9-1.7B)", got)
 	}
@@ -171,10 +191,10 @@ func TestMaxMeasuredParams(t *testing.T) {
 
 func TestShapeForParams(t *testing.T) {
 	for _, psi := range []int64{1_500_000_000, 8_000_000_000, 60_000_000_000, 170_000_000_000} {
-		s := ShapeForParams(psi)
-		if !approx(float64(s.Params), float64(psi), 0.05) {
+		s := perfmodel.ShapeForParams(psi)
+		if !approx(float64(s.Params()), float64(psi), 0.05) {
 			t.Errorf("ShapeForParams(%d) built %d params (%.1f%% off)",
-				psi, s.Params, 100*math.Abs(float64(s.Params-psi))/float64(psi))
+				psi, s.Params(), 100*math.Abs(float64(s.Params()-psi))/float64(psi))
 		}
 		if s.Layers < 1 || s.Hidden < 1024 {
 			t.Errorf("degenerate shape %+v", s)
@@ -184,22 +204,21 @@ func TestShapeForParams(t *testing.T) {
 
 // Residual knobs must act in the right direction.
 func TestResidualBytesKnobs(t *testing.T) {
-	shape := ShapeForParams(40e9)
-	base := ResidualConfig{Batch: 16, Seq: 1024, MP: 16}
+	base := perfmodel.Config{Shape: perfmodel.ShapeForParams(40e9), MicroBatch: 16, MP: 16}
 	pa := base
-	pa.Pa = true
+	pa.ZeRO.Pa = true
 	cpu := pa
-	cpu.PaCPU = true
+	cpu.ZeRO.PaCPU = true
 	cb := base
-	cb.CB = true
-	rb := ResidualBytes(shape, base)
-	if ResidualBytes(shape, pa) >= rb {
+	cb.ZeRO.CB = true
+	rb := perfmodel.ResidualBytes(base)
+	if perfmodel.ResidualBytes(pa) >= rb {
 		t.Error("Pa must reduce residual memory")
 	}
-	if ResidualBytes(shape, cpu) >= ResidualBytes(shape, pa) {
+	if perfmodel.ResidualBytes(cpu) >= perfmodel.ResidualBytes(pa) {
 		t.Error("Pa+cpu must reduce residual memory below Pa")
 	}
-	if ResidualBytes(shape, cb) >= rb {
+	if perfmodel.ResidualBytes(cb) >= rb {
 		t.Error("CB must reduce residual memory (constant vs 4Ψ buffers)")
 	}
 }

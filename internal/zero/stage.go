@@ -1,9 +1,61 @@
+// Package zero implements the paper's contribution: the Zero Redundancy
+// Optimizer.
+//
+//   - The stages (this file): which model states ZeRO-DP partitions. Their
+//     closed-form memory — Figure 1, Table 1 and Table 2 — is
+//     internal/perfmodel's ModelStateBytes, keyed by int(Stage).
+//   - The ZeRO-DP trainer (trainer.go): working data-parallel training
+//     engines for stage 1 (Pos), stage 2 (Pos+g) and stage 3 (Pos+g+p)
+//     over the real collectives in internal/comm, numerically equivalent
+//     to baseline training.
+//   - ZeRO-R (zeror.go): partitioned activation checkpointing (Pa), CPU
+//     offload (Pa+cpu), and constant-size communication buffers (CB);
+//     memory defragmentation (MD) lives in internal/device.
+//
+// Surface: New builds a Trainer from Options (Forward, Backward, Update,
+// Step, Save, Load, CaptureShard and the accounting readers); Snapshot with
+// Encode, DecodeSnapshot and AssembleSnapshot is the ZELC checkpoint; Stage
+// and ParseStage name the stages; NewPartitionedStore is Pa and Pa+cpu.
+// Imported by engine, elastic, serve, experiments, cmd/zerobench,
+// cmd/zerotrain and the examples.
 package zero
 
 import (
 	"fmt"
 	"strings"
 )
+
+// Stage selects how much of the model state ZeRO-DP partitions. Its values
+// are the 0-3 that perfmodel.ZeROConfig.Stage takes.
+type Stage int
+
+const (
+	// StageDDP is baseline data parallelism run through the unified code
+	// path: everything replicated, gradients averaged collectively.
+	StageDDP Stage = iota
+	// StageOS partitions optimizer states (Pos): 4Ψ + KΨ/Nd.
+	StageOS
+	// StageOSGrad adds gradient partitioning (Pos+g): 2Ψ + (2+K)Ψ/Nd.
+	StageOSGrad
+	// StageFull adds parameter partitioning (Pos+g+p): (2+2+K)Ψ/Nd.
+	StageFull
+)
+
+// String returns the paper's name for the stage.
+func (s Stage) String() string {
+	switch s {
+	case StageDDP:
+		return "DP"
+	case StageOS:
+		return "Pos"
+	case StageOSGrad:
+		return "Pos+g"
+	case StageFull:
+		return "Pos+g+p"
+	default:
+		return fmt.Sprintf("Stage(%d)", int(s))
+	}
+}
 
 // AllStages lists every stage the unified trainer accepts, in order of
 // increasing partitioning.

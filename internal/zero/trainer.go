@@ -1022,9 +1022,3 @@ func (t *Trainer) submitLayerBuckets(layer int) {
 		}
 	}
 }
-
-// ModelStateBytes returns this rank's resident model-state bytes under the
-// §3.1 mixed-precision accounting for the configured stage.
-func (t *Trainer) ModelStateBytes() int64 {
-	return int64(ModelStateBytes(int64(t.Model.NumParams()), t.stage, t.c.Size()))
-}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/model"
 	"repro/internal/optimizer"
+	"repro/internal/perfmodel"
 	"repro/internal/testutil"
 )
 
@@ -278,8 +279,8 @@ func TestTrainerRejectsInvalidConfigs(t *testing.T) {
 // (len × element width), against the closed form of today's layout. Only
 // the optimizer state, the fp32 master and the accumulator are
 // partitioned (s = this rank's Ψ/N share); Params, ParamsH and Grads stay
-// Ψ-long at every stage. The §3.1 accounting ModelStateBytes predicts
-// (16Ψ/N at stage 3) is logged beside it: the gap is what a resident
+// Ψ-long at every stage. The §3.1 prediction, perfmodel.ModelStateBytes
+// (16Ψ/N at stage 3), is logged beside it: the gap is what a resident
 // partition has to close.
 func TestTrainerModelStateAccounting(t *testing.T) {
 	const n = 4
@@ -312,9 +313,9 @@ func TestTrainerModelStateAccounting(t *testing.T) {
 					t.Errorf("%v fp16=%v rank %d: live model state %d B, want %d B", stage, fp16, c.Rank(), live, want)
 				}
 				if c.Rank() == 0 {
-					t.Logf("%v fp16=%v: live %d B = %.2fΨ, ModelStateBytes %d B = %.2fΨ",
-						stage, fp16, live, float64(live)/float64(psi),
-						tr.ModelStateBytes(), float64(tr.ModelStateBytes())/float64(psi))
+					pred := perfmodel.ModelStateBytes(psi, int(stage), n)
+					t.Logf("%v fp16=%v: live %d B = %.2fΨ, perfmodel.ModelStateBytes %.0f B = %.2fΨ",
+						stage, fp16, live, float64(live)/float64(psi), pred, pred/float64(psi))
 				}
 				tr.Close()
 			}
