@@ -23,7 +23,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/comm"
 	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/serve"
@@ -38,8 +37,13 @@ const (
 	endStep  = 8
 )
 
-func opts(seed int64) zero.Options {
-	return zero.Options{Stage: zero.StageOSGrad, LR: 1e-3, Seed: seed}
+// config is the demo's stage-2 run on n ranks from init seed seed: one
+// batch-row micro-batch per optimizer step.
+func config(n int, seed int64) engine.Config {
+	return engine.Config{
+		Model: mcfg, Ranks: n, Stage: "2", Optimizer: engine.OptimizerConfig{LR: 1e-3},
+		Seed: seed, GlobalBatch: batch, MicroBatch: batch,
+	}
 }
 
 func main() {
@@ -59,22 +63,19 @@ func trainAndCapture(n, steps, capAt int) ([][]float64, *zero.Snapshot) {
 		losses[s] = make([]float64, n)
 	}
 	var snap *zero.Snapshot
-	w := comm.NewWorld(n)
-	w.Run(func(c *comm.Comm) {
-		tr, err := zero.New(c, mcfg, opts(9))
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer tr.Close()
+	_, err := engine.Run(config(n, 9), func(e *engine.Engine) {
 		for s := 1; s <= steps; s++ {
-			losses[s-1][c.Rank()] = tr.Step(ids, targets, batch)
+			losses[s-1][e.Rank()] = e.TrainBatch(ids, targets)
 			if s == capAt {
-				if sn := tr.Save(); sn != nil {
+				if sn := e.Save(); sn != nil {
 					snap = sn
 				}
 			}
 		}
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	return losses, snap
 }
 
@@ -88,20 +89,17 @@ func resume(m int, snap *zero.Snapshot) [][]float64 {
 	for s := range losses {
 		losses[s] = make([]float64, m)
 	}
-	w := comm.NewWorld(m)
-	w.Run(func(c *comm.Comm) {
-		tr, err := zero.New(c, mcfg, opts(4242))
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer tr.Close()
-		if err := tr.Load(snap); err != nil {
+	_, err := engine.Run(config(m, 4242), func(e *engine.Engine) {
+		if err := e.Load(snap); err != nil {
 			log.Fatal(err)
 		}
 		for s := snapStep + 1; s <= endStep; s++ {
-			losses[s-snapStep-1][c.Rank()] = tr.Step(ids, targets, batch)
+			losses[s-snapStep-1][e.Rank()] = e.TrainBatch(ids, targets)
 		}
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	return losses
 }
 

@@ -1,4 +1,4 @@
-// Package arena provides size-classed, reusable float32 scratch buffers —
+// Package arena provides size-classed, reusable scratch buffers —
 // the allocation discipline behind the repo's zero-allocation steady state.
 //
 // ZeRO's whole argument (§3, §5) is that the memory you do not allocate is
@@ -26,26 +26,27 @@
 // An Arena is safe for concurrent use: one instance serves all ranks of an
 // in-process world.
 //
-// Surface: New and NewInts build the float32 and int pools; each has Get,
-// Put, Release and Stats, and Arena also Resident. internal/comm draws its
-// wire copies from an Arena and internal/data its token buffers from an
-// Ints; zero's teardown test reads the wire pool's residency through
-// comm.World.WirePool.
+// Surface: the generic Arena and New, with Get, Put, Release, Resident and
+// Stats. internal/comm draws its wire copies from an Arena[float32] and
+// internal/data its token buffers from an Arena[int]; zero's teardown test
+// reads the wire pool's residency through comm.World.WirePool.
 package arena
 
 import (
 	"math/bits"
 	"sync"
+	"unsafe"
 )
 
 // numClasses covers buffer capacities up to 2^(numClasses-1) elements.
 const numClasses = 40
 
-// Arena is a size-classed free list of float32 buffers. The zero value is
-// ready to use.
-type Arena struct {
+// Arena is a size-classed free list of []T buffers: float32 for the wire
+// copies and scratch of the collectives, int for the data pipeline's token
+// slices and batch buffers. The zero value is ready to use.
+type Arena[T float32 | int] struct {
 	mu      sync.Mutex
-	classes [numClasses][][]float32
+	classes [numClasses][][]T
 
 	resident int64 // bytes currently pooled (free, reusable)
 	gets     int64 // total Get calls
@@ -53,7 +54,13 @@ type Arena struct {
 }
 
 // New returns an empty arena.
-func New() *Arena { return &Arena{} }
+func New[T float32 | int]() *Arena[T] { return &Arena[T]{} }
+
+// width is the byte size of one element.
+func (a *Arena[T]) width() int64 {
+	var zero T
+	return int64(unsafe.Sizeof(zero))
+}
 
 // class returns the size-class index for n elements: buffers are rounded up
 // to the next power of two so a handful of lists serve every request size.
@@ -67,7 +74,7 @@ func class(n int) int {
 // Get returns a buffer of length n (capacity rounded up to the size class).
 // Contents are undefined; see the package comment for ownership rules.
 // Get(0) returns nil.
-func (a *Arena) Get(n int) []float32 {
+func (a *Arena[T]) Get(n int) []T {
 	if n <= 0 {
 		return nil
 	}
@@ -78,20 +85,20 @@ func (a *Arena) Get(n int) []float32 {
 	if len(list) > 0 {
 		b := list[len(list)-1]
 		a.classes[cls] = list[:len(list)-1]
-		a.resident -= int64(cap(b)) * 4
+		a.resident -= int64(cap(b)) * a.width()
 		a.mu.Unlock()
 		return b[:n]
 	}
 	a.misses++
 	a.mu.Unlock()
-	return make([]float32, n, 1<<cls)
+	return make([]T, n, 1<<cls)
 }
 
 // Put returns a buffer to the arena for reuse. Buffers whose capacity is not
 // a size-class width (i.e. that did not come from Get) are dropped rather
 // than pooled, so a stray Put cannot poison a class with short buffers.
 // Put(nil) and Put of empty buffers are no-ops.
-func (a *Arena) Put(b []float32) {
+func (a *Arena[T]) Put(b []T) {
 	c := cap(b)
 	if c == 0 || c&(c-1) != 0 {
 		return
@@ -99,12 +106,12 @@ func (a *Arena) Put(b []float32) {
 	cls := bits.Len(uint(c)) - 1
 	a.mu.Lock()
 	a.classes[cls] = append(a.classes[cls], b[:0])
-	a.resident += int64(c) * 4
+	a.resident += int64(c) * a.width()
 	a.mu.Unlock()
 }
 
 // Release drops every pooled buffer, handing the memory back to the GC.
-func (a *Arena) Release() {
+func (a *Arena[T]) Release() {
 	a.mu.Lock()
 	for i := range a.classes {
 		a.classes[i] = nil
@@ -114,7 +121,7 @@ func (a *Arena) Release() {
 }
 
 // Resident returns the bytes currently pooled (free buffers held for reuse).
-func (a *Arena) Resident() int64 {
+func (a *Arena[T]) Resident() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.resident
@@ -123,79 +130,7 @@ func (a *Arena) Resident() int64 {
 // Stats returns cumulative Get calls and the subset that had to allocate.
 // A warmed steady state shows gets rising with misses flat — the measurable
 // form of "the hot loop no longer allocates".
-func (a *Arena) Stats() (gets, misses int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.gets, a.misses
-}
-
-// Ints is the []int counterpart of Arena: size-classed free lists of token
-// buffers. The data pipeline (internal/data) draws every per-document token
-// slice and batch buffer from an Ints pool so steady-state micro-batch
-// production allocates nothing — the same discipline, and the same
-// deterministic-allocation contract, as the float32 wire pools. The zero
-// value is ready to use; the ownership rules of the package comment apply
-// unchanged (Get contents are undefined, Put transfers ownership back).
-type Ints struct {
-	mu      sync.Mutex
-	classes [numClasses][][]int
-
-	resident int64
-	gets     int64
-	misses   int64
-}
-
-// NewInts returns an empty int-buffer arena.
-func NewInts() *Ints { return &Ints{} }
-
-// Get returns an int buffer of length n (capacity rounded up to the size
-// class). Contents are undefined. Get(0) returns nil.
-func (a *Ints) Get(n int) []int {
-	if n <= 0 {
-		return nil
-	}
-	cls := class(n)
-	a.mu.Lock()
-	a.gets++
-	list := a.classes[cls]
-	if len(list) > 0 {
-		b := list[len(list)-1]
-		a.classes[cls] = list[:len(list)-1]
-		a.resident -= int64(cap(b)) * 8
-		a.mu.Unlock()
-		return b[:n]
-	}
-	a.misses++
-	a.mu.Unlock()
-	return make([]int, n, 1<<cls)
-}
-
-// Put returns a buffer to the pool; buffers whose capacity is not a
-// size-class width are dropped, mirroring Arena.Put.
-func (a *Ints) Put(b []int) {
-	c := cap(b)
-	if c == 0 || c&(c-1) != 0 {
-		return
-	}
-	cls := bits.Len(uint(c)) - 1
-	a.mu.Lock()
-	a.classes[cls] = append(a.classes[cls], b[:0])
-	a.resident += int64(c) * 8
-	a.mu.Unlock()
-}
-
-// Release drops every pooled buffer, handing the memory back to the GC.
-func (a *Ints) Release() {
-	a.mu.Lock()
-	for i := range a.classes {
-		a.classes[i] = nil
-	}
-	a.resident = 0
-	a.mu.Unlock()
-}
-
-// Stats returns cumulative Get calls and the subset that had to allocate.
-func (a *Ints) Stats() (gets, misses int64) {
+func (a *Arena[T]) Stats() (gets, misses int64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.gets, a.misses

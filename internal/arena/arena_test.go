@@ -1,12 +1,13 @@
 package arena
 
 import (
+	"strconv"
 	"sync"
 	"testing"
 )
 
 func TestGetPutReuse(t *testing.T) {
-	a := New()
+	a := New[float32]()
 	b := a.Get(1000)
 	if len(b) != 1000 || cap(b) != 1024 {
 		t.Fatalf("Get(1000): len=%d cap=%d, want 1000/1024", len(b), cap(b))
@@ -31,7 +32,7 @@ func TestGetPutReuse(t *testing.T) {
 }
 
 func TestGetZeroAndNilPut(t *testing.T) {
-	a := New()
+	a := New[float32]()
 	if b := a.Get(0); b != nil {
 		t.Fatalf("Get(0) = %v, want nil", b)
 	}
@@ -43,7 +44,7 @@ func TestGetZeroAndNilPut(t *testing.T) {
 }
 
 func TestRelease(t *testing.T) {
-	a := New()
+	a := New[float32]()
 	for i := 0; i < 8; i++ {
 		a.Put(a.Get(512))
 	}
@@ -58,7 +59,7 @@ func TestRelease(t *testing.T) {
 
 // Steady state: once the pool is warm, Get/Put cycles never miss.
 func TestSteadyStateNoMisses(t *testing.T) {
-	a := New()
+	a := New[float32]()
 	sizes := []int{3, 64, 1000, 4096, 100000}
 	for _, n := range sizes { // warm-up
 		a.Put(a.Get(n))
@@ -77,14 +78,14 @@ func TestSteadyStateNoMisses(t *testing.T) {
 // The int pool mirrors the float32 arena's contract: size-classed reuse,
 // stray-Put rejection, Release, and a miss-free warm steady state.
 func TestIntsGetPutReuse(t *testing.T) {
-	a := NewInts()
+	a := New[int]()
 	b := a.Get(1000)
 	if len(b) != 1000 || cap(b) != 1024 {
 		t.Fatalf("Get(1000): len=%d cap=%d, want 1000/1024", len(b), cap(b))
 	}
 	a.Put(b)
-	if got := a.resident; got != 1024*8 {
-		t.Fatalf("Resident after Put = %d, want %d", got, 1024*8)
+	if got, want := a.Resident(), int64(1024*strconv.IntSize/8); got != want {
+		t.Fatalf("Resident after Put = %d, want %d", got, want)
 	}
 	c := a.Get(700)
 	if cap(c) != 1024 {
@@ -99,13 +100,13 @@ func TestIntsGetPutReuse(t *testing.T) {
 	a.Put(nil)
 	a.Put(make([]int, 0, 3)) // non-power-of-two cap: dropped
 	a.Release()
-	if got := a.resident; got != 0 {
+	if got := a.Resident(); got != 0 {
 		t.Fatalf("Resident after Release = %d, want 0", got)
 	}
 }
 
 func TestIntsSteadyStateNoMisses(t *testing.T) {
-	a := NewInts()
+	a := New[int]()
 	sizes := []int{3, 64, 1000, 4096, 100000}
 	for _, n := range sizes {
 		a.Put(a.Get(n))
@@ -123,7 +124,7 @@ func TestIntsSteadyStateNoMisses(t *testing.T) {
 
 // The arena serves every rank goroutine of a world concurrently.
 func TestConcurrentAccess(t *testing.T) {
-	a := New()
+	a := New[float32]()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -24,15 +24,17 @@
 // gradient reduction, parameter prefetch and checkpoint gathers compose
 // without a global serialization point.
 //
-// Surface: NewWorld and World (Comm, Run, RunFallible, Stats and the
-// fault-injection seams); a rank's Comm with the collectives (AllReduce,
+// Surface: NewWorld and World (Comm, Run, Stats and the fault-injection
+// seam FailRankAfterOps); a rank's Comm with the collectives (AllReduce,
 // ReduceScatter, AllGather, Broadcast, Gather, their Hierarchical forms,
-// Barrier) and the group constructors (Split, Subgroup, MPGroup, DPGroup);
-// NewScheduler, Stream and Handle for ordered asynchronous collectives over
-// F32Buf, F16Buf and HalfBuf buffers; Partition and Range for ownership;
-// Killed, RankFailure and FirstFailure for rank death. Imported by zero,
-// engine, optimizer, elastic, serve and experiments, by cmd/zerobench,
-// cmd/zerotrain and the examples, and by bench.
+// Barrier), Fail, and the group constructors (Split, Subgroup, MPGroup,
+// DPGroup); NewScheduler, Stream and Handle for ordered asynchronous
+// collectives over F32Buf, F16Buf and HalfBuf buffers; Partition and Range
+// for ownership; Killed and RankFailure for rank death, which every world
+// contains: Run returns one error per rank instead of deadlocking or
+// crashing. Imported by zero, engine, optimizer, elastic, serve and
+// experiments, by cmd/zerobench, cmd/zerotrain and the examples, and by
+// bench.
 package comm
 
 import (
@@ -57,7 +59,7 @@ type World struct {
 	n     int
 	links [][]chan wireMsg // default-domain links[src][dst], buffered
 
-	mu          sync.Mutex                  // guards the two maps below
+	mu          sync.Mutex                  // guards the two maps below and faults.dead
 	streamLinks map[streamLink]chan wireMsg // named-domain links, lazily created
 	streamNames map[streamClaim]bool        // (rank, stream) pairs claimed by live Schedulers
 
@@ -69,11 +71,11 @@ type World struct {
 	// phases, broadcast, reduce, gather) recycle the buffer after their
 	// last read — Gather clones each shard into caller-owned memory first;
 	// a buffer a caller of recv keeps simply falls back to the GC.
-	wire *arena.Arena
+	wire *arena.Arena[float32]
 
-	// faults is the rank-failure bookkeeping (nil until fault injection is
-	// enabled; see failure.go). dead/closed inside are guarded by mu.
-	faults *faultState
+	// faults is the rank-failure bookkeeping every wire operation consults
+	// (see failure.go).
+	faults faultState
 }
 
 // streamLink keys one directed channel of a named ordering domain.
@@ -182,13 +184,14 @@ func NewWorld(n int) *World {
 		streamLinks: make(map[streamLink]chan wireMsg),
 		streamNames: make(map[streamClaim]bool),
 		stats:       make([]rankStats, n),
-		wire:        arena.New(),
+		wire:        arena.New[float32](),
+		faults:      newFaultState(n),
 	}
 }
 
 // WirePool exposes the world's wire-buffer arena for instrumentation and
 // pool-hygiene tests (Resident/Stats/Release).
-func (w *World) WirePool() *arena.Arena { return w.wire }
+func (w *World) WirePool() *arena.Arena[float32] { return w.wire }
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.n }
@@ -206,18 +209,34 @@ func (w *World) Comm(rank int) *Comm {
 }
 
 // Run spawns one goroutine per rank, invokes fn with that rank's Comm, and
-// waits for all ranks to return. This is the SPMD entry point used by every
-// trainer in the repository.
-func (w *World) Run(fn func(c *Comm)) {
+// waits until every rank has returned or died. This is the SPMD entry point
+// used by every trainer in the repository. errs[r] is nil for a rank that
+// returned; a rank that died (an injected Killed, or a RankFailure observed
+// on a dead peer) is marked dead before its slot is recorded, so peers
+// blocked on it cascade into RankFailure instead of deadlocking. Any panic
+// outside the rank-failure protocol propagates (crashes) as usual.
+func (w *World) Run(fn func(c *Comm)) []error {
+	errs := make([]error, w.n)
 	var wg sync.WaitGroup
 	for r := 0; r < w.n; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
+			defer func() {
+				if rec := recover(); rec != nil {
+					err, ok := asRankDeath(rec)
+					if !ok {
+						panic(rec)
+					}
+					w.failRank(rank)
+					errs[rank] = err
+				}
+			}()
 			fn(w.Comm(rank))
 		}(r)
 	}
 	wg.Wait()
+	return errs
 }
 
 // channel resolves the directed wire between src and dst on one ordering
@@ -475,12 +494,8 @@ func sendElems[T elem](c *Comm, op string, dst int, data []T, off, total int) {
 	}
 	msg := wireMsg{words: c.w.wire.Get(wireWords[T](len(data))), elems: len(data), off: off, total: total}
 	copy(wireView[T](msg.words, msg.elems), data)
-	if c.w.faultsOn() {
-		c.w.preOp(c.rank)
-		c.sendWire(dst, msg)
-	} else {
-		c.out[dst] <- msg
-	}
+	c.w.preOp(c.rank)
+	c.sendWire(dst, msg)
 	c.w.stats[c.rank].record(c.opName(op), c.stream, c.label, c.dtype.Bytes(), int64(len(data)), 0)
 }
 
@@ -498,13 +513,8 @@ func (c *Comm) recvMsg(op string, src int) wireMsg {
 	if src == c.pos {
 		panic("comm: recv from self")
 	}
-	var msg wireMsg
-	if c.w.faultsOn() {
-		c.w.preOp(c.rank)
-		msg = c.recvWire(src)
-	} else {
-		msg = <-c.in[src]
-	}
+	c.w.preOp(c.rank)
+	msg := c.recvWire(src)
 	c.w.stats[c.rank].record(c.opName(op), c.stream, c.label, c.dtype.Bytes(), 0, int64(msg.elems))
 	return msg
 }

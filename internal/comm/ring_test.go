@@ -337,7 +337,6 @@ func TestAllReduceShortBufferMessages(t *testing.T) {
 func TestRingLengthMismatchPanics(t *testing.T) {
 	for _, lens := range [][2]int{{1, 2}, {2, 1}} {
 		w := NewWorld(2)
-		w.EnableFaultInjection()
 		outcome := make(chan string, 2)
 		for rank := 0; rank < 2; rank++ {
 			go func(rank int) {

@@ -281,7 +281,7 @@ func (st *Stream) exec(op streamOp) {
 
 // waitFor blocks until the stream has completed at least seq ops. If the
 // worker captured a rank-death error, waitFor re-panics it here — on the
-// rank's own goroutine — so the death propagates to World.RunFallible even
+// rank's own goroutine — so the death propagates to World.Run even
 // when it struck an asynchronously executing op.
 func (st *Stream) waitFor(seq int64) {
 	st.mu.Lock()

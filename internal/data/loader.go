@@ -67,7 +67,7 @@ type Loader struct {
 	cfg     Config
 	tok     *Tokenizer
 	streams []*shardStream
-	ints    *arena.Ints
+	ints    *arena.Arena[int]
 
 	rows, rowsPer int // global micro-batch rows, rows per rank
 	ids, targets  []int
@@ -100,7 +100,7 @@ func Open(cfg Config, rows, world int) (*Loader, error) {
 	l := &Loader{
 		cfg:     cfg,
 		tok:     tok,
-		ints:    arena.NewInts(),
+		ints:    arena.New[int](),
 		rows:    rows,
 		rowsPer: rows / world,
 		ids:     make([]int, rows*cfg.SeqLen),

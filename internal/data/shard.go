@@ -47,7 +47,7 @@ type shardStream struct {
 	sc          *docScanner
 	tok         *Tokenizer
 	rng         *rand.Rand
-	ints        *arena.Ints
+	ints        *arena.Arena[int]
 
 	shuffle [][]int // shuffle buffer of tokenized documents
 	ring    []int   // packed token queue
@@ -64,7 +64,7 @@ type shardStream struct {
 // nothing else — each holds private handles on every corpus file; two
 // streams with equal (rank, world, seed) over the same corpus are
 // bitwise-identical.
-func newShardStream(path string, rank, world int, tok *Tokenizer, seed int64, chunkBytes, maxDocBytes int, ints *arena.Ints) (*shardStream, error) {
+func newShardStream(path string, rank, world int, tok *Tokenizer, seed int64, chunkBytes, maxDocBytes int, ints *arena.Arena[int]) (*shardStream, error) {
 	paths, err := corpusFiles(path)
 	if err != nil {
 		return nil, err

@@ -75,7 +75,7 @@ func TestShardStreamsPartitionTheCorpus(t *testing.T) {
 	for world := 1; world <= 6; world++ {
 		claimed := make([]int, docs)
 		for r := 0; r < world; r++ {
-			ints := arena.NewInts()
+			ints := arena.New[int]()
 			s, err := newShardStream(path, r, world, tok.clone(), 1, 16, 0, ints)
 			if err != nil {
 				t.Fatal(err)
@@ -127,7 +127,7 @@ func TestShardStreamsPartitionTheCorpus(t *testing.T) {
 // ErrCorpus instead of spinning on the file forever.
 func TestShardStreamStarvedRank(t *testing.T) {
 	path, _ := writeCorpus(t, 2)
-	s, err := newShardStream(path, 3, 4, newByteTokenizer(), 1, 0, 0, arena.NewInts())
+	s, err := newShardStream(path, 3, 4, newByteTokenizer(), 1, 0, 0, arena.New[int]())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestShardStreamStarvedRank(t *testing.T) {
 func TestShardStreamEpochLoop(t *testing.T) {
 	path, _ := writeCorpus(t, 5)
 	tok := newByteTokenizer()
-	s, err := newShardStream(path, 1, 2, tok, 1, 32, 0, arena.NewInts())
+	s, err := newShardStream(path, 1, 2, tok, 1, 32, 0, arena.New[int]())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +252,11 @@ func TestMultiFileStreamsMatchConcatenated(t *testing.T) {
 	tok := newByteTokenizer()
 	for world := 1; world <= 5; world++ {
 		for r := 0; r < world; r++ {
-			a, err := newShardStream(single, r, world, tok.clone(), 1, 16, 0, arena.NewInts())
+			a, err := newShardStream(single, r, world, tok.clone(), 1, 16, 0, arena.New[int]())
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := newShardStream(dir, r, world, tok.clone(), 1, 16, 0, arena.NewInts())
+			b, err := newShardStream(dir, r, world, tok.clone(), 1, 16, 0, arena.New[int]())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -301,7 +301,7 @@ func TestMultiFileShardAssignmentProperty(t *testing.T) {
 		dir, texts := writeCorpusDir(t, docs, files)
 		claimed := make([]int, docs)
 		for r := 0; r < world; r++ {
-			s, err := newShardStream(dir, r, world, tok.clone(), 1, 16, 0, arena.NewInts())
+			s, err := newShardStream(dir, r, world, tok.clone(), 1, 16, 0, arena.New[int]())
 			if err != nil {
 				t.Log(err)
 				return false
@@ -381,7 +381,7 @@ func TestShardAssignmentBalance(t *testing.T) {
 func TestMultiFileEpochLoopAndStarvation(t *testing.T) {
 	dir, _ := writeCorpusDir(t, 5, 3)
 	tok := newByteTokenizer()
-	s, err := newShardStream(dir, 1, 2, tok, 1, 32, 0, arena.NewInts())
+	s, err := newShardStream(dir, 1, 2, tok, 1, 32, 0, arena.New[int]())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestMultiFileEpochLoopAndStarvation(t *testing.T) {
 		t.Fatalf("epochs = %d, want ≥ 3", s.epochs)
 	}
 
-	starved, err := newShardStream(dir, 5, 6, newByteTokenizer(), 1, 0, 0, arena.NewInts())
+	starved, err := newShardStream(dir, 5, 6, newByteTokenizer(), 1, 0, 0, arena.New[int]())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,10 +12,11 @@
 // of being duplicated as ad-hoc flags and hand-built option structs.
 //
 // Surface: Config with ParseConfig, LoadConfig, DefaultConfig and
-// Normalized; Run and RunOnFallible start one Engine per rank (Forward,
-// Backward, Step, TrainStream, TrainLoop, Save, Load, Observe, OnBoundary
-// and the accounting readers); OpenData compiles the data section into a
-// data.Loader; the Err* sentinels classify config errors. Imported by
+// Normalized; Run starts one Engine per rank (Forward, Backward, Step,
+// TrainStream, TrainLoop, Save, Load, Observe, OnBoundary and the
+// accounting readers) and contains rank death; OpenData compiles the data
+// section into a data.Loader; the Err* sentinels classify config errors
+// and ErrRankFailed a job in which a rank died. Imported by
 // internal/serve, internal/experiments, cmd/zerotrain, the examples and
 // bench.
 package engine
@@ -36,9 +37,10 @@ import (
 	"repro/internal/zero"
 )
 
-// Sentinel errors for the distinct ways a config can be invalid. Normalized
-// (and everything built on it) wraps one of these, so callers distinguish
-// failure classes with errors.Is instead of string matching.
+// Sentinel errors for the distinct ways a config can be invalid, and for a
+// job in which a rank died. Normalized (and everything built on it) wraps
+// one of the config sentinels and Run wraps ErrRankFailed, so callers
+// distinguish failure classes with errors.Is instead of string matching.
 var (
 	// ErrJSON marks malformed or unknown-field config JSON.
 	ErrJSON = errors.New("engine: malformed config JSON")
@@ -65,6 +67,9 @@ var (
 	// ErrPrecision marks an invalid precision section (bad loss-scale
 	// knobs, or fp16 compute combined with activation checkpointing).
 	ErrPrecision = errors.New("engine: invalid precision section")
+	// ErrRankFailed marks a job in which a rank died mid-run; the wrapped
+	// error joins every rank's comm.Killed or comm.RankFailure.
+	ErrRankFailed = errors.New("engine: rank failed")
 )
 
 // StageSpec is a ZeRO stage in config form: a JSON number 0-3 or a paper

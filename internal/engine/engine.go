@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -93,61 +94,42 @@ func initialize(c *comm.Comm, cfg Config) (*Engine, error) {
 // a world of cfg.Ranks ranks, initializes an Engine per rank and invokes
 // body on each rank's goroutine. The world is returned so callers can read
 // wire statistics after the run.
+//
+// A config error is identical on every rank and stops the job before any
+// collective starts: Run returns it and no world. A rank that dies
+// mid-collective (killed by fault injection, or failing after observing a
+// dead peer) does not crash the process: Run returns the world and an
+// error wrapping ErrRankFailed that joins every rank's comm.Killed or
+// comm.RankFailure. The supervisor loop in internal/serve restarts jobs
+// from this signal.
 func Run(cfg Config, body func(*Engine)) (*comm.World, error) {
 	norm, err := cfg.Normalized()
 	if err != nil {
 		return nil, err
 	}
 	w := comm.NewWorld(norm.Ranks)
-	var firstErr error
-	w.Run(rankBody(norm, body, &firstErr))
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return w, nil
-}
-
-// RunOnFallible is Run against a caller-built world, with rank-death
-// containment: the world runs with fault injection enabled, and a rank
-// that dies mid-collective (killed by injection, or erroring out after
-// observing a dead peer) surfaces as that rank's entry in the returned
-// slice instead of crashing the process. The supervisor loop in
-// internal/serve restarts jobs from this signal. The second return value
-// reports configuration errors (identical on all ranks), which prevent the
-// job from starting at all.
-func RunOnFallible(w *comm.World, cfg Config, body func(*Engine)) ([]error, error) {
-	norm, err := cfg.Normalized()
-	if err != nil {
-		return nil, err
-	}
-	var firstErr error
-	errs := w.RunFallible(rankBody(norm, body, &firstErr))
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return errs, nil
-}
-
-// rankBody is the per-rank start loop of Run and RunOnFallible: initialize
-// this rank's Engine, run body on it, close it. The config validated
-// before the world started, so an initialize failure is identical on every
-// rank and every rank returns before any collective starts; the first one
-// lands in *firstErr.
-func rankBody(norm Config, body func(*Engine), firstErr *error) func(*comm.Comm) {
 	var mu sync.Mutex
-	return func(c *comm.Comm) {
+	var initErr error
+	deaths := w.Run(func(c *comm.Comm) {
 		e, err := initialize(c, norm)
 		if err != nil {
 			mu.Lock()
-			if *firstErr == nil {
-				*firstErr = err
+			if initErr == nil {
+				initErr = err
 			}
 			mu.Unlock()
 			return
 		}
 		defer e.Close()
 		body(e)
+	})
+	if initErr != nil {
+		return nil, initErr
 	}
+	if err := errors.Join(deaths...); err != nil {
+		return w, fmt.Errorf("%w: %w", ErrRankFailed, err)
+	}
+	return w, nil
 }
 
 // Rank returns this engine's data-parallel rank.

@@ -312,9 +312,9 @@ func TestEngineBoundaryHooksAndLoadClock(t *testing.T) {
 	}
 }
 
-// RunOnFallible contains a mid-training rank death: the killed rank and the
+// Run contains a mid-training rank death: the killed rank and the
 // survivors all return errors instead of deadlocking or crashing the
-// process, and a healthy run reports no errors at all.
+// process, and a healthy run reports no error at all.
 func TestEngineRunOnFallible(t *testing.T) {
 	cfg := testEngineConfig()
 	norm, err := cfg.Normalized()
@@ -323,38 +323,32 @@ func TestEngineRunOnFallible(t *testing.T) {
 	}
 	ids, targets := model.SyntheticBatch(3, norm.GlobalBatch, norm.Model.Seq, norm.Model.Vocab)
 
-	w := comm.NewWorld(norm.Ranks)
-	errs, err := RunOnFallible(w, norm, func(e *Engine) {
+	if _, err := Run(norm, func(e *Engine) {
 		for s := 0; s < 3; s++ {
 			e.TrainBatch(ids, targets)
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r, e := range errs {
-		if e != nil {
-			t.Errorf("healthy run: rank %d returned %v", r, e)
-		}
+	}); err != nil {
+		t.Fatalf("healthy run: %v", err)
 	}
 
-	w2 := comm.NewWorld(norm.Ranks)
-	w2.EnableFaultInjection()
-	w2.FailRankAfterOps(1, 40)
-	errs, err = RunOnFallible(w2, norm, func(e *Engine) {
+	w, err := Run(norm, func(e *Engine) {
+		if e.Rank() == 1 {
+			e.Comm().World().FailRankAfterOps(1, 40)
+		}
 		for s := 0; s < 50; s++ {
 			e.TrainBatch(ids, targets)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, ErrRankFailed) || w == nil {
+		t.Fatalf("Run = (%v, %v), want the world and ErrRankFailed", w, err)
 	}
+	deaths := rankDeaths(err)
 	var killed comm.Killed
-	if errs[1] == nil || !errors.As(errs[1], &killed) || killed.Rank != 1 {
-		t.Errorf("rank 1 should die Killed, got %v", errs[1])
+	if !errors.As(deaths[1], &killed) || killed.Rank != 1 {
+		t.Errorf("rank 1 should die Killed, got %v", deaths[1])
 	}
-	for r, e := range errs {
-		if e == nil {
+	for r := 0; r < norm.Ranks; r++ {
+		if deaths[r] == nil {
 			t.Errorf("rank %d survived a dead world (deadlock risk): all ranks must error out", r)
 		}
 	}

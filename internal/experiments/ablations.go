@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/comm"
+	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/perfmodel"
-	"repro/internal/zero"
 )
 
 // Ablations measures the design choices DESIGN.md calls out, on the real
@@ -27,18 +27,15 @@ func Ablations() Table {
 	const n, batch = 4, 4
 	ids, targets := model.SyntheticBatch(1, batch, cfg.Seq, cfg.Vocab)
 
-	runStage2 := func(opts zero.Options) (elems, msgs int64) {
-		opts.Stage = zero.StageOSGrad
-		opts.LR = 1e-3
-		opts.Seed = 1
-		w := comm.NewWorld(n)
-		w.Run(func(c *comm.Comm) {
-			tr, err := zero.New(c, cfg, opts)
-			if err != nil {
-				panic(err)
-			}
-			tr.Step(ids, targets, batch)
-		})
+	runStage2 := func(bucketElems int, gradClip float64) (elems, msgs int64) {
+		w, err := engine.Run(engine.Config{
+			Model: cfg, Ranks: n, Stage: "2", Optimizer: engine.OptimizerConfig{LR: 1e-3},
+			GradClip: gradClip, BucketElems: bucketElems, Seed: 1,
+			GlobalBatch: batch, MicroBatch: batch,
+		}, func(e *engine.Engine) { e.TrainBatch(ids, targets) })
+		if err != nil {
+			panic(err)
+		}
 		for r := 0; r < n; r++ {
 			st := w.Stats(r)
 			elems += st.ElemsSent
@@ -48,8 +45,8 @@ func Ablations() Table {
 	}
 
 	// 1. Bucketing.
-	e0, m0 := runStage2(zero.Options{})
-	e1, m1 := runStage2(zero.Options{BucketElems: 512})
+	e0, m0 := runStage2(0, 0)
+	e1, m1 := runStage2(512, 0)
 	rows = append(rows,
 		[]string{"reduce-scatter, unfused", fmt.Sprint(e0), fmt.Sprint(m0), "baseline"},
 		[]string{"reduce-scatter, 512-elem buckets", fmt.Sprint(e1), fmt.Sprint(m1),
@@ -98,7 +95,7 @@ func Ablations() Table {
 	)
 
 	// 5. Clipping cost: one extra N-element all-gather per step.
-	e2, _ := runStage2(zero.Options{ClipNorm: 1})
+	e2, _ := runStage2(0, 1)
 	rows = append(rows, []string{"gradient clipping (partitioned norm)",
 		fmt.Sprint(e2), "-", fmt.Sprintf("+%d elems/step total: one N-scalar all-gather", e2-e0)})
 

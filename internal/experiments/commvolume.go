@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/comm"
+	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/zero"
 )
@@ -44,14 +45,14 @@ func CommVolume() Table {
 		case zero.StageFull:
 			mult = 3.0
 		}
-		w := comm.NewWorld(n)
-		w.Run(func(c *comm.Comm) {
-			tr, err := zero.New(c, cfg, zero.Options{Stage: st, LR: 1e-3, Seed: 1})
-			if err != nil {
-				panic(err)
-			}
-			tr.Step(ids, targets, batch)
-		})
+		w, err := engine.Run(engine.Config{
+			Model: cfg, Ranks: n, Stage: engine.StageSpec(fmt.Sprint(int(st))),
+			Optimizer: engine.OptimizerConfig{LR: 1e-3}, Seed: 1,
+			GlobalBatch: batch, MicroBatch: batch,
+		}, func(e *engine.Engine) { e.TrainBatch(ids, targets) })
+		if err != nil {
+			panic(err)
+		}
 		addRow(name, w.TotalElemsSent(), mult)
 	}
 

@@ -289,8 +289,7 @@ func (s *Scheduler) runAttempt(j *Job, cfg engine.Config, resume *zero.Snapshot,
 		mu.Unlock()
 	}
 
-	w := comm.NewWorld(cfg.Ranks)
-	errs, runErr := engine.RunOnFallible(w, cfg, func(e *engine.Engine) {
+	_, runErr := engine.Run(cfg, func(e *engine.Engine) {
 		var b engine.Batcher
 		if cfg.Data != nil {
 			// The pipeline is deterministic, so an unopenable corpus fails
@@ -332,6 +331,7 @@ func (s *Scheduler) runAttempt(j *Job, cfg engine.Config, resume *zero.Snapshot,
 			defer snapper.Flush(e.Rank())
 		}
 		if e.Rank() == 0 {
+			w := e.Comm().World()
 			mc := newMallocCounter()
 			lastMallocs := mc.read()
 			e.Observe(func(info engine.StepInfo) {
@@ -373,23 +373,20 @@ func (s *Scheduler) runAttempt(j *Job, cfg engine.Config, resume *zero.Snapshot,
 	})
 	res.latest = snapper.Latest()
 	snapErr := snapper.Close()
-	if runErr != nil {
-		res.fatal = runErr
+	if errors.Is(runErr, engine.ErrRankFailed) {
+		// Prefer the root cause — the rank that actually died — over the
+		// ranks that merely observed the death. Snapshot-path errors here
+		// are collateral of the death (a gather cut mid-flight); the last
+		// *completed* snapshot is still intact.
+		res.death = runErr
+		var killed comm.Killed
+		if errors.As(runErr, &killed) {
+			res.death = fmt.Errorf("rank %d: %w", killed.Rank, killed)
+		}
 		return res
 	}
-	if death, rank := comm.FirstFailure(errs); death != nil {
-		// Prefer the root cause — the rank that actually died — over the
-		// lowest-numbered rank that merely observed the death.
-		for r, e := range errs {
-			var k comm.Killed
-			if errors.As(e, &k) {
-				death, rank = e, r
-				break
-			}
-		}
-		// Snapshot-path errors here are collateral of the death (a gather
-		// cut mid-flight); the last *completed* snapshot is still intact.
-		res.death = fmt.Errorf("rank %d: %w", rank, death)
+	if runErr != nil {
+		res.fatal = runErr
 		return res
 	}
 	if snapErr != nil {

@@ -21,17 +21,16 @@ var exportAllowlist = map[string]string{
 	"device.OOMError.Unwrap":         "errors.Is(err, device.ErrOOM) unwraps through it",
 
 	// Test seams other packages' tests need.
-	"comm.World.EnableFaultInjection": "engine's TestEngineRunOnFallible kills a rank mid-job",
-	"comm.World.FailRankAfterOps":     "engine's TestEngineRunOnFallible kills a rank mid-job",
-	"comm.World.WirePool":             "zero's TestTrainerTeardownReleasesWorkspace reads the wire pool's residency",
-	"arena.Arena.Resident":            "zero's TestTrainerTeardownReleasesWorkspace reads the wire pool's residency",
-	"comm.Comm.Barrier":               "model's and zero's allocation tests line ranks up around the measured step",
-	"comm.Scheduler.Barrier":          "engine's TestEngineBoundaryHooksAndLoadClock quiesces every stream before a snapshot",
-	"comm.Comm.Subgroup":              "internal/mp's group tests carve arbitrary member lists",
-	"model.BuildLayout":               "internal/mp's tests map the serial layout's segments onto Megatron shards",
-	"zero.Trainer.GatheredParams":     "elastic's resume tests compare full parameter buffers across stages",
-	"optimizer.NewAdam":               "zero's TestStagesMatchSingleProcess steps the single-process Adam reference",
-	"losscurve.FitSlope":              "engine's and zero's training goldens assert a descending loss trend",
+	"comm.World.FailRankAfterOps": "engine's TestEngineRunOnFallible kills a rank mid-job",
+	"comm.World.WirePool":         "zero's TestTrainerTeardownReleasesWorkspace reads the wire pool's residency",
+	"arena.Arena.Resident":        "zero's TestTrainerTeardownReleasesWorkspace reads the wire pool's residency",
+	"comm.Comm.Barrier":           "model's and zero's allocation tests line ranks up around the measured step",
+	"comm.Scheduler.Barrier":      "engine's TestEngineBoundaryHooksAndLoadClock quiesces every stream before a snapshot",
+	"comm.Comm.Subgroup":          "internal/mp's group tests carve arbitrary member lists",
+	"model.BuildLayout":           "internal/mp's tests map the serial layout's segments onto Megatron shards",
+	"zero.Trainer.GatheredParams": "elastic's resume tests compare full parameter buffers across stages",
+	"optimizer.NewAdam":           "zero's TestStagesMatchSingleProcess steps the single-process Adam reference",
+	"losscurve.FitSlope":          "engine's and zero's training goldens assert a descending loss trend",
 }
 
 // TestExportedSurfaceHasImporters pins each internal/ package's public
