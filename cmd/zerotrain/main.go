@@ -246,13 +246,12 @@ func main() {
 	}
 	fmt.Printf("wire (rank 0): %d elems, %d bytes (native dtype accounting)\n",
 		st0.ElemsSent, st0.BytesSent)
-	for _, name := range []string{comm.DefaultStream, zero.StreamGrad, zero.StreamPrefetch, zero.StreamCheckpoint, zero.StreamPriority} {
+	for _, name := range []string{comm.DefaultStream, zero.StreamGrad, zero.StreamPrefetch, zero.StreamCheckpoint} {
 		if elems := st0.PerStream[name]; elems > 0 {
 			fmt.Printf("  stream %-10s %d elems\n", name, elems)
 		}
 	}
-	if (zero.Topology{NodeSize: cfg.NodeSize}).Hierarchical(cfg.Ranks) {
-		intra, inter := st0.PerGroup["hier-intra"], st0.PerGroup["hier-inter"]
+	if intra, inter := st0.PerGroup["hier-intra"], st0.PerGroup["hier-inter"]; inter.Bytes > 0 {
 		fmt.Printf("topology (nodes of %d): intra-node %d B, inter-node %d B per rank — %.1fx less crosses the uplink\n",
 			cfg.NodeSize, intra.Bytes, inter.Bytes,
 			float64(intra.Bytes+inter.Bytes)/float64(inter.Bytes))

@@ -32,15 +32,23 @@ import (
 // buffer still panic rather than pair mismatched chunks.
 
 // AllReduce sums x elementwise across the group, in place, using the
-// two-phase ring algorithm (pipelined reduce-scatter then all-gather).
+// two-phase ring algorithm (pipelined reduce-scatter then all-gather) — on
+// a laid-out view (Nodes), their two-level forms over the canonical
+// partition.
 func (c *Comm) AllReduce(x []float32) {
 	n := c.Size()
+	if c.nodes != nil {
+		parts := Partition(len(x), n)
+		c.reduceScatterNodes(x, parts)
+		c.allGatherNodes(Buffer{Data: x}, parts)
+		return
+	}
 	if n == 1 {
 		return
 	}
 	// nil parts: the ring splits x evenly without a per-call range list.
-	c.ringReduceScatter("allreduce", x, nil)
-	ringAllGather(c, "allreduce", x, nil, c.pos)
+	c.ringReduceScatter(x, nil)
+	ringAllGather(c, x, nil, c.pos)
 }
 
 // AllReduceAvg sums x across the group and divides by the group size — the
@@ -57,14 +65,17 @@ func (c *Comm) AllReduceAvg(x []float32) {
 // owning the fully reduced partition parts[r] (in place; other regions of x
 // hold partially reduced garbage afterwards). parts has one Range per
 // member — typically Partition(len(x), Size()), but any list of disjoint
-// ranges works (the hierarchical collectives pass non-tiling lists).
-// Returns this member's reduced shard as a subslice of x.
+// ranges works (the two-level phases pass non-tiling lists). On a laid-out
+// view it runs two-level (hierarchical.go). Returns this member's reduced
+// shard as a subslice of x.
 func (c *Comm) ReduceScatter(x []float32, parts []Range) []float32 {
 	if len(parts) != c.Size() {
 		panic("comm: ReduceScatter partition count != group size")
 	}
-	if c.Size() > 1 {
-		c.ringReduceScatter("reducescatter", x, parts)
+	if c.nodes != nil {
+		c.reduceScatterNodes(x, parts)
+	} else if c.Size() > 1 {
+		c.ringReduceScatter(x, parts)
 	}
 	p := parts[c.pos]
 	return x[p.Lo:p.Hi]
@@ -75,22 +86,24 @@ func (c *Comm) ReduceScatter(x []float32, parts []Range) []float32 {
 // per member (see ReduceScatter for the shape contract).
 func (c *Comm) AllGather(x []float32, parts []Range) { c.allGather(Buffer{Data: x}, parts) }
 
-// allGather runs the ring over whichever payload b holds — a half buffer's
-// 2-byte elements move as they are and land bitwise where the float gather
-// of their decoded images would — accounted at the communicator's own dtype
-// (callers pick the view: Stream ops and AllGatherHierarchical take b's).
+// allGather runs the ring — two-level on a laid-out view — over whichever
+// payload b holds: a half buffer's 2-byte elements move as they are and
+// land bitwise where the float gather of their decoded images would. It is
+// accounted at the communicator's own dtype (Stream ops pick the view
+// matching b's).
 func (c *Comm) allGather(b Buffer, parts []Range) {
 	if len(parts) != c.Size() {
 		panic("comm: AllGather partition count != group size")
 	}
-	if c.Size() == 1 {
-		return
+	switch {
+	case c.nodes != nil:
+		c.allGatherNodes(b, parts)
+	case c.Size() == 1:
+	case b.Half != nil:
+		ringAllGather(c, b.Half, parts, c.pos)
+	default:
+		ringAllGather(c, b.Data, parts, c.pos)
 	}
-	if b.Half != nil {
-		ringAllGather(c, "allgather", b.Half, parts, c.pos)
-		return
-	}
-	ringAllGather(c, "allgather", b.Data, parts, c.pos)
 }
 
 // Broadcast distributes the root member's x to every member, in place, over
@@ -110,7 +123,7 @@ func (c *Comm) Broadcast(x []float32, root int) {
 	for mask < n {
 		if vr&mask != 0 {
 			parent := ((vr - mask) + root) % n
-			data := c.recv("broadcast", parent)
+			data := c.recv(parent)
 			copy(x, data)
 			c.release(data)
 			break
@@ -121,7 +134,7 @@ func (c *Comm) Broadcast(x []float32, root int) {
 	mask >>= 1
 	for mask > 0 {
 		if child := vr + mask; child < n {
-			c.send("broadcast", (child+root)%n, x)
+			c.send((child+root)%n, x)
 		}
 		mask >>= 1
 	}
@@ -139,7 +152,7 @@ func (c *Comm) reduce(x []float32, root int) {
 	parts := Partition(len(x), n)
 	work := c.w.wire.Get(len(x))
 	copy(work, x)
-	c.ringReduceScatter("reduce", work, parts)
+	c.ringReduceScatter(work, parts)
 	mine := parts[c.pos]
 	if c.pos == root {
 		copy(x[mine.Lo:mine.Hi], work[mine.Lo:mine.Hi])
@@ -147,13 +160,13 @@ func (c *Comm) reduce(x []float32, root int) {
 			if r == root {
 				continue
 			}
-			shard := c.recv("reduce", r)
+			shard := c.recv(r)
 			p := parts[r]
 			copy(x[p.Lo:p.Hi], shard)
 			c.release(shard)
 		}
 	} else {
-		c.send("reduce", root, work[mine.Lo:mine.Hi])
+		c.send(root, work[mine.Lo:mine.Hi])
 	}
 	c.release(work)
 }
@@ -174,13 +187,13 @@ func (c *Comm) Gather(shard []float32, root int, out [][]float32) {
 			if r == root {
 				continue
 			}
-			data := c.recv("gather", r)
+			data := c.recv(r)
 			out[r] = append(out[r][:0], data...)
 			c.release(data)
 		}
 		return
 	}
-	c.send("gather", root, shard)
+	c.send(root, shard)
 }
 
 // checkRoot panics on a root outside the group — roots are group-local
@@ -196,16 +209,16 @@ func (c *Comm) checkRoot(root int) {
 // ringReduceScatter runs the N-1 step ring so that, on return, member r
 // holds the fully reduced chunk parts[r] inside x (nil parts: the even split,
 // see chunk).
-func (c *Comm) ringReduceScatter(op string, x []float32, parts []Range) {
+func (c *Comm) ringReduceScatter(x []float32, parts []Range) {
 	n := c.Size()
 	right := (c.pos + 1) % n
 	left := (c.pos - 1 + n) % n
 	for s := 0; s < n-1; s++ {
 		sendIdx := ((c.pos-s-1)%n + n) % n
 		recvIdx := ((c.pos-s-2)%n + n) % n
-		sendChunk(c, op, right, x, chunk(parts, len(x), n, sendIdx))
+		sendChunk(c, right, x, chunk(parts, len(x), n, sendIdx))
 		rp := chunk(parts, len(x), n, recvIdx)
-		if data := recvChunk(c, op, left, x, rp); data != nil {
+		if data := recvChunk(c, left, x, rp); data != nil {
 			tensor.Add(x[rp.Lo:rp.Hi], data)
 			c.release(data)
 		}
@@ -216,16 +229,16 @@ func (c *Comm) ringReduceScatter(op string, x []float32, parts []Range) {
 // holds every chunk (nil parts as in ringReduceScatter). ownIdx names the
 // chunk this member contributes. A gather only moves elements, so the one
 // ring serves float32 and half payloads.
-func ringAllGather[T elem](c *Comm, op string, x []T, parts []Range, ownIdx int) {
+func ringAllGather[T elem](c *Comm, x []T, parts []Range, ownIdx int) {
 	n := c.Size()
 	right := (c.pos + 1) % n
 	left := (c.pos - 1 + n) % n
 	for s := 0; s < n-1; s++ {
 		sendIdx := ((ownIdx-s)%n + n) % n
 		recvIdx := ((ownIdx-s-1)%n + n) % n
-		sendChunk(c, op, right, x, chunk(parts, len(x), n, sendIdx))
+		sendChunk(c, right, x, chunk(parts, len(x), n, sendIdx))
 		rp := chunk(parts, len(x), n, recvIdx)
-		if words := recvChunk(c, op, left, x, rp); words != nil {
+		if words := recvChunk(c, left, x, rp); words != nil {
 			copy(x[rp.Lo:rp.Hi], wireView[T](words, rp.Len()))
 			c.release(words)
 		}
@@ -234,9 +247,9 @@ func ringAllGather[T elem](c *Comm, op string, x []T, parts []Range, ownIdx int)
 
 // sendChunk sends chunk r of x to the group-local rank dst, stamped with
 // r's offset and x's length — or nothing at all when r is empty.
-func sendChunk[T elem](c *Comm, op string, dst int, x []T, r Range) {
+func sendChunk[T elem](c *Comm, dst int, x []T, r Range) {
 	if r.Lo != r.Hi {
-		sendElems(c, op, dst, x[r.Lo:r.Hi], r.Lo, len(x))
+		sendElems(c, dst, x[r.Lo:r.Hi], r.Lo, len(x))
 	}
 }
 
@@ -244,11 +257,11 @@ func sendChunk[T elem](c *Comm, op string, dst int, x []T, r Range) {
 // of sendChunk, and returns the message's pool words — nil, with nothing
 // received, when r is empty. A message whose stamp or length differs from
 // r and x panics.
-func recvChunk[T elem](c *Comm, op string, src int, x []T, r Range) []float32 {
+func recvChunk[T elem](c *Comm, src int, x []T, r Range) []float32 {
 	if r.Lo == r.Hi {
 		return nil
 	}
-	msg := c.recvMsg(op, src)
+	msg := c.recvMsg(src)
 	if msg.off != r.Lo || msg.elems != r.Len() || msg.total != len(x) {
 		panic(fmt.Sprintf("comm: ring chunk length mismatch (buffers must be equal-length on all ranks): "+
 			"got %d elems at offset %d of a %d-element buffer, want %d at %d of %d",

@@ -26,15 +26,16 @@
 //
 // Surface: NewWorld and World (Comm, Run, Stats and the fault-injection
 // seam FailRankAfterOps); a rank's Comm with the collectives (AllReduce,
-// ReduceScatter, AllGather, Broadcast, Gather, their Hierarchical forms,
-// Barrier), Fail, and the group constructors (Split, Subgroup, MPGroup,
-// DPGroup); NewScheduler, Stream and Handle for ordered asynchronous
-// collectives over F32Buf, F16Buf and HalfBuf buffers; Partition and Range
-// for ownership; Killed and RankFailure for rank death, which every world
-// contains: Run returns one error per rank instead of deadlocking or
-// crashing. Imported by zero, engine, optimizer, elastic, serve and
-// experiments, by cmd/zerobench, cmd/zerotrain and the examples, and by
-// bench.
+// ReduceScatter, AllGather, Broadcast, Gather, Barrier), Fail, the group
+// constructors (Split, Subgroup, MPGroup, DPGroup) and Nodes, which lays a
+// group out in nodes so its reduce-scatter, all-gather and all-reduce run
+// two-level; NewScheduler, Stream and Handle for ordered asynchronous
+// collectives over F32Buf, F16Buf and HalfBuf buffers, on the scheduler's
+// group and layout; Partition and Range for ownership; Killed and
+// RankFailure for rank death, which every world contains: Run returns one
+// error per rank instead of deadlocking or crashing. Imported by zero,
+// engine, optimizer, elastic, serve and experiments, by cmd/zerobench,
+// cmd/zerotrain and the examples, and by bench.
 package comm
 
 import (
@@ -112,9 +113,6 @@ type Stats struct {
 	// chunks that carry elements, so it records one send and one receive
 	// per non-empty chunk hop.
 	Messages int64
-	// PerCollective maps collective name (suffixed ":<label>" on labeled
-	// group communicators) to elements sent under it.
-	PerCollective map[string]int64
 	// PerStream maps ordering-domain name (DefaultStream for plain Comms)
 	// to elements sent on it.
 	PerStream map[string]int64
@@ -133,7 +131,7 @@ type rankStats struct {
 	s  Stats
 }
 
-func (rs *rankStats) record(op, stream, label string, width int, sent, recv int64) {
+func (rs *rankStats) record(stream, label string, width int, sent, recv int64) {
 	rs.mu.Lock()
 	s := &rs.s
 	s.ElemsSent += sent
@@ -141,10 +139,6 @@ func (rs *rankStats) record(op, stream, label string, width int, sent, recv int6
 	s.BytesSent += sent * int64(width)
 	s.BytesRecv += recv * int64(width)
 	s.Messages++
-	if s.PerCollective == nil {
-		s.PerCollective = make(map[string]int64)
-	}
-	s.PerCollective[op] += sent
 	if s.PerStream == nil {
 		s.PerStream = make(map[string]int64)
 	}
@@ -203,7 +197,7 @@ func (w *World) Comm(rank int) *Comm {
 	if rank < 0 || rank >= w.n {
 		panic(fmt.Sprintf("comm: rank %d out of range [0,%d)", rank, w.n))
 	}
-	c := &Comm{w: w, rank: rank, pos: rank, topos: &topoCache{}}
+	c := &Comm{w: w, rank: rank, pos: rank}
 	c.bindWires()
 	return c
 }
@@ -287,13 +281,6 @@ func (w *World) Stats(r int) Stats {
 	rs := &w.stats[r]
 	rs.mu.Lock()
 	s := rs.s
-	if s.PerCollective != nil {
-		cp := make(map[string]int64, len(s.PerCollective))
-		for k, v := range s.PerCollective {
-			cp[k] = v
-		}
-		s.PerCollective = cp
-	}
 	if s.PerStream != nil {
 		cp := make(map[string]int64, len(s.PerStream))
 		for k, v := range s.PerStream {
@@ -352,7 +339,9 @@ func (w *World) resetStats() {
 // subset carved out by Split/Subgroup) bound to one ordering domain (stream)
 // and one wire dtype for traffic accounting. World.Comm hands out the
 // world group on the default domain; Scheduler.Stream derives named domains;
-// Split, Subgroup, MPGroup, DPGroup and nodeTopology derive subgroups.
+// Split, Subgroup, MPGroup and DPGroup derive subgroups; Nodes lays the
+// group out in nodes, which routes its reduce-scatter, all-gather and
+// all-reduce through two levels (hierarchical.go).
 //
 // Every collective is group-generic: it runs over the communicator's member
 // set, with ranks, partition indices and broadcast roots all expressed in
@@ -374,16 +363,10 @@ type Comm struct {
 	// so the per-message path is a slice index.
 	out, in []chan wireMsg
 
-	// opCache maps collective names to their ":<label>"-suffixed form so
-	// labeled sends don't concatenate strings per message. Built once by
-	// named and shared (read-only) by every derived view.
-	opCache map[string]string
-	// topos caches nodeTopology results per (nodeSize, dtype, label) so
-	// hierarchical collectives don't rebuild sub-communicators per op. The
-	// pointer is shared by same-group views (named/withDType) and reset by
-	// Subgroup/Split, whose member sets differ. Comm handles are
-	// single-goroutine, so the cache is unlocked.
-	topos *topoCache
+	// nodes is the view's node layout (Nodes), nil on a flat view. Its
+	// intra- and inter-node sub-communicators are built by bindWires on the
+	// view's ordering domain, and shared by the named/withDType views.
+	nodes *nodeLayout
 }
 
 // Rank returns this communicator's group-local rank: the index of this rank
@@ -410,7 +393,7 @@ func (c *Comm) global(member int) int {
 }
 
 // bindWires resolves this communicator's links to every group member on its
-// ordering domain.
+// ordering domain, and rebuilds a node layout's sub-communicators on it.
 func (c *Comm) bindWires() {
 	n := c.Size()
 	c.out = make([]chan wireMsg, n)
@@ -421,42 +404,25 @@ func (c *Comm) bindWires() {
 			c.in[i] = c.w.channel(g, c.rank, c.stream)
 		}
 	}
+	if c.nodes != nil {
+		c.nodes = c.layOut(c.nodes.size)
+	}
 }
 
 // World returns the underlying world (for stats inspection).
 func (c *Comm) World() *World { return c.w }
 
 // named returns a view of the communicator whose traffic is additionally
-// aggregated under label in Stats.PerGroup (and whose PerCollective keys
-// carry a ":<label>" suffix), so e.g. MP and DP traffic of a 2D layout, or
-// the intra-vs-inter split of a hierarchical collective, can be separated.
+// aggregated under label in Stats.PerGroup, so e.g. MP and DP traffic of a
+// 2D layout, or the intra-vs-inter split of a hierarchical collective, can
+// be separated.
 func (c *Comm) named(label string) *Comm {
 	if label == c.label {
 		return c
 	}
 	cp := *c
 	cp.label = label
-	cp.opCache = buildOpCache(label)
 	return &cp
-}
-
-// knownOps lists every collective name a Comm records, so named can
-// precompute the labeled forms instead of allocating a concatenation per
-// message on the hot path.
-var knownOps = []string{
-	"allreduce", "reducescatter", "allgather", "broadcast", "reduce",
-	"gather", "split", "p2p", "barrier",
-}
-
-func buildOpCache(label string) map[string]string {
-	if label == "" {
-		return nil
-	}
-	m := make(map[string]string, len(knownOps))
-	for _, op := range knownOps {
-		m[op] = op + ":" + label
-	}
-	return m
 }
 
 // withDType returns a view of the communicator whose traffic is accounted
@@ -471,24 +437,12 @@ func (c *Comm) withDType(d DType) *Comm {
 	return &cp
 }
 
-// opName decorates a collective name with the group label so PerCollective
-// separates labeled group traffic from the unlabeled world traffic.
-func (c *Comm) opName(op string) string {
-	if c.label == "" {
-		return op
-	}
-	if s, ok := c.opCache[op]; ok {
-		return s
-	}
-	return op + ":" + c.label
-}
-
 // sendElems transmits a copy of data to the group-local rank dst and
-// accounts for it under op; off and total are the message's ring stamp
+// accounts for it; off and total are the message's ring stamp
 // (wireMsg). The copy draws from the world's wire pool; the receiver
 // recycles it after its last read (every collective — Gather clones
 // before recycling) or lets it escape to the GC.
-func sendElems[T elem](c *Comm, op string, dst int, data []T, off, total int) {
+func sendElems[T elem](c *Comm, dst int, data []T, off, total int) {
 	if dst == c.pos {
 		panic("comm: send to self")
 	}
@@ -496,12 +450,12 @@ func sendElems[T elem](c *Comm, op string, dst int, data []T, off, total int) {
 	copy(wireView[T](msg.words, msg.elems), data)
 	c.w.preOp(c.rank)
 	c.sendWire(dst, msg)
-	c.w.stats[c.rank].record(c.opName(op), c.stream, c.label, c.dtype.Bytes(), int64(len(data)), 0)
+	c.w.stats[c.rank].record(c.stream, c.label, c.dtype.Bytes(), int64(len(data)), 0)
 }
 
 // send is sendElems for the unstamped float32 payloads of the tree, gather
 // and point-to-point paths.
-func (c *Comm) send(op string, dst int, data []float32) { sendElems(c, op, dst, data, 0, 0) }
+func (c *Comm) send(dst int, data []float32) { sendElems(c, dst, data, 0, 0) }
 
 // release returns a received wire buffer to the pool. Call only after the
 // last read of the buffer.
@@ -509,19 +463,19 @@ func (c *Comm) release(data []float32) { c.w.wire.Put(data) }
 
 // recvMsg blocks for a message from the group-local rank src and accounts
 // for it.
-func (c *Comm) recvMsg(op string, src int) wireMsg {
+func (c *Comm) recvMsg(src int) wireMsg {
 	if src == c.pos {
 		panic("comm: recv from self")
 	}
 	c.w.preOp(c.rank)
 	msg := c.recvWire(src)
-	c.w.stats[c.rank].record(c.opName(op), c.stream, c.label, c.dtype.Bytes(), 0, int64(msg.elems))
+	c.w.stats[c.rank].record(c.stream, c.label, c.dtype.Bytes(), 0, int64(msg.elems))
 	return msg
 }
 
 // recv is recvMsg for float32 payloads, where the pool words are the
 // elements.
-func (c *Comm) recv(op string, src int) []float32 { return c.recvMsg(op, src).words }
+func (c *Comm) recv(src int) []float32 { return c.recvMsg(src).words }
 
 // Barrier blocks until every member of the group has entered it.
 // Implemented as a dissemination barrier: ⌈log2 n⌉ rounds of empty
@@ -531,7 +485,7 @@ func (c *Comm) Barrier() {
 	for dist := 1; dist < n; dist <<= 1 {
 		dst := (c.pos + dist) % n
 		src := (c.pos - dist%n + n) % n
-		c.send("barrier", dst, nil)
-		c.recv("barrier", src)
+		c.send(dst, nil)
+		c.recv(src)
 	}
 }

@@ -313,17 +313,17 @@ func TestSendRecvPointToPoint(t *testing.T) {
 	w := NewWorld(2)
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
-			c.send("p2p", 1, []float32{3, 1, 4})
-			got := c.recv("p2p", 1)
+			c.send(1, []float32{3, 1, 4})
+			got := c.recv(1)
 			if !reflect.DeepEqual(got, []float32{1, 5, 9}) {
 				t.Errorf("rank 0 received %v", got)
 			}
 		} else {
-			got := c.recv("p2p", 0)
+			got := c.recv(0)
 			if !reflect.DeepEqual(got, []float32{3, 1, 4}) {
 				t.Errorf("rank 1 received %v", got)
 			}
-			c.send("p2p", 0, []float32{1, 5, 9})
+			c.send(0, []float32{1, 5, 9})
 		}
 	})
 }
@@ -333,11 +333,11 @@ func TestSendCopiesData(t *testing.T) {
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
 			buf := []float32{42}
-			c.send("p2p", 1, buf)
+			c.send(1, buf)
 			buf[0] = -1 // mutating after send must not affect the receiver
 			c.Barrier()
 		} else {
-			got := c.recv("p2p", 0)
+			got := c.recv(0)
 			c.Barrier()
 			if got[0] != 42 {
 				t.Errorf("receiver saw mutated buffer: %v", got)
@@ -441,7 +441,7 @@ func TestWorldValidation(t *testing.T) {
 	mustPanic("zero world", func() { NewWorld(0) })
 	w := NewWorld(2)
 	mustPanic("rank range", func() { w.Comm(2) })
-	mustPanic("send self", func() { w.Comm(0).send("p2p", 0, nil) })
+	mustPanic("send self", func() { w.Comm(0).send(0, nil) })
 }
 
 // Property: all-reduce result equals the float64 reference sum on random

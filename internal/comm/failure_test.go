@@ -183,13 +183,13 @@ func TestInFlightMessagesDeliveredBeforeFailure(t *testing.T) {
 	got := make(chan []float32, 1)
 	errs := runFallibleWithTimeout(t, w, func(c *Comm) {
 		if c.Rank() == 0 {
-			c.send("p2p", 1, payload)
+			c.send(1, payload)
 			c.Fail()
 		}
-		data := c.recv("p2p", 0)
+		data := c.recv(0)
 		got <- append([]float32(nil), data...)
 		// The next receive observes the death.
-		c.recv("p2p", 0)
+		c.recv(0)
 	})
 	if errs[1] == nil {
 		t.Fatal("rank 1 should observe rank 0's death on the second recv")
@@ -239,7 +239,7 @@ func TestRankDeadAndLazyChannels(t *testing.T) {
 		}
 		s := NewScheduler(c)
 		defer s.Close()
-		h := s.Stream("late").Submit(func(sc *Comm) { sc.recv("p2p", 1) })
+		h := s.Stream("late").Submit(func(sc *Comm) { sc.recv(1) })
 		h.Wait()
 	})
 	if errs[0] == nil {

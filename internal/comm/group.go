@@ -12,8 +12,8 @@ import (
 // MPI_Comm_create_group do — the building block for 2D parallelism, where
 // the paper's deployment (§10.1) nests Megatron model parallelism inside
 // each node (an MP group of consecutive ranks) under ZeRO data parallelism
-// across nodes (a DP group of strided ranks), and for the hierarchical
-// intra/inter-node collectives of internal/comm/hierarchical.go.
+// across nodes (a DP group of strided ranks), and for the intra/inter-node
+// levels of a laid-out view (Nodes, internal/comm/hierarchical.go).
 //
 // Construction returns structured errors (ErrGroup, ErrColor, ErrTopology)
 // instead of panicking, so trainers can validate a topology at setup time
@@ -65,7 +65,7 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 	buf[2*c.pos] = math.Float32frombits(uint32(wireColor))
 	buf[2*c.pos+1] = math.Float32frombits(uint32(wireKey))
 	if n > 1 {
-		ringAllGather(c, "split", buf, Partition(len(buf), n), c.pos)
+		ringAllGather(c, buf, Partition(len(buf), n), c.pos)
 	}
 	if overflow {
 		return nil, fmt.Errorf("%w: color %d / key %d do not fit the int32 exchange", ErrColor, color, key)
@@ -132,9 +132,9 @@ func (c *Comm) Subgroup(members []int) (*Comm, error) {
 	cp := *c
 	cp.members = global
 	cp.pos = pos
-	// A subgroup's member set differs from its parent's, so it gets a fresh
-	// topology cache (the parent's cached node layouts do not apply).
-	cp.topos = &topoCache{}
+	// A subgroup's member set differs from its parent's, so the parent's
+	// node layout does not apply: subgroups route flat.
+	cp.nodes = nil
 	cp.bindWires()
 	return &cp, nil
 }

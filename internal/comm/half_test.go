@@ -26,11 +26,8 @@ func statsSince(before, after Stats) Stats {
 	d := Stats{
 		ElemsSent: after.ElemsSent - before.ElemsSent, ElemsRecv: after.ElemsRecv - before.ElemsRecv,
 		BytesSent: after.BytesSent - before.BytesSent, BytesRecv: after.BytesRecv - before.BytesRecv,
-		Messages:      after.Messages - before.Messages,
-		PerCollective: map[string]int64{}, PerStream: map[string]int64{}, PerGroup: map[string]Traffic{},
-	}
-	for k, v := range after.PerCollective {
-		d.PerCollective[k] = v - before.PerCollective[k]
+		Messages:  after.Messages - before.Messages,
+		PerStream: map[string]int64{}, PerGroup: map[string]Traffic{},
 	}
 	for k, v := range after.PerStream {
 		d.PerStream[k] = v - before.PerStream[k]
@@ -42,19 +39,25 @@ func statsSince(before, after Stats) Stats {
 	return d
 }
 
-// gatherTyped all-gathers a typed buffer on c: the flat ring at nodeSize 1,
-// the two-level composition otherwise.
-func gatherTyped(c *Comm, b Buffer, parts []Range, nodeSize int) {
-	if err := c.AllGatherHierarchical(b, parts, nodeSize); err != nil {
+// gatherTyped all-gathers a typed buffer on c, accounted at the buffer's
+// wire width: the flat ring on a flat view, two levels on a laid-out one.
+func gatherTyped(c *Comm, b Buffer, parts []Range) { c.withDType(b.DType).allGather(b, parts) }
+
+// nodesOf lays c out in nodes of size members (Nodes), panicking on a
+// layout the group does not tile into.
+func nodesOf(c *Comm, size int) *Comm {
+	lc, err := c.Nodes(size)
+	if err != nil {
 		panic(err)
 	}
+	return lc
 }
 
 // A half all-gather must land, bit for bit, where the float all-gather of the
 // decoded images lands — and cost exactly what that gather is accounted at
-// today under F16: same elements, bytes, messages, and per-collective,
-// per-stream and per-group splits on every rank. Flat and hierarchical, on
-// the world (through a stream) and on a Split subgroup (directly), over
+// today under F16: same elements, bytes, messages, and per-stream and
+// per-group splits on every rank. Flat and two-level, on the world (through
+// a stream) and on a Split subgroup (directly), over
 // partitions with ragged, empty and odd-length ranges, including windows that
 // do not tile the buffer.
 func TestHalfAllGatherMatchesFloatGather(t *testing.T) {
@@ -89,12 +92,14 @@ func TestHalfAllGatherMatchesFloatGather(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				g, submit = sub, func(fn func(*Comm)) { fn(sub) }
+				g = nodesOf(sub, nodeSize)
+				submit = func(fn func(*Comm)) { fn(g) }
 			} else {
-				s := NewScheduler(c)
+				g = nodesOf(c, nodeSize)
+				s := NewScheduler(g)
 				defer s.Close()
 				st := s.Stream("prefetch")
-				g, submit = c, func(fn func(*Comm)) { st.Submit(fn).Wait() }
+				submit = func(fn func(*Comm)) { st.Submit(fn).Wait() }
 			}
 			parts := mkParts(g.Size())
 			h := tensor.NewHalfBuffer(bufLen)
@@ -109,9 +114,9 @@ func TestHalfAllGatherMatchesFloatGather(t *testing.T) {
 			before := w.Stats(c.rank) // the Split exchange is not the gather's
 			submit(func(sc *Comm) {
 				if half {
-					gatherTyped(sc, HalfBuf(h), parts, nodeSize)
+					gatherTyped(sc, HalfBuf(h), parts)
 				} else {
-					gatherTyped(sc, F16Buf(f), parts, nodeSize)
+					gatherTyped(sc, F16Buf(f), parts)
 				}
 			})
 			stats[c.rank] = statsSince(before, w.Stats(c.rank))
@@ -153,17 +158,30 @@ func TestHalfAllGatherMatchesFloatGather(t *testing.T) {
 	}
 }
 
-// A half buffer has nothing to sum: reductions refuse it.
+// A half buffer has nothing to sum: a stream's reductions refuse it where
+// it is submitted, flat or two-level, before anything reaches the worker.
 func TestHalfBufferRefusesReduction(t *testing.T) {
-	w := NewWorld(2)
-	w.Run(func(c *Comm) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("rank %d: hierarchical reduce-scatter accepted a half buffer", c.Rank())
+	for _, nodeSize := range []int{1, 2} {
+		w := NewWorld(4)
+		w.Run(func(c *Comm) {
+			s := NewScheduler(nodesOf(c, nodeSize))
+			defer s.Close()
+			st := s.Stream("grad")
+			for name, submit := range map[string]func(Buffer){
+				"reduce-scatter": func(b Buffer) { st.ReduceScatter(b, Partition(8, 4)) },
+				"all-reduce":     func(b Buffer) { st.AllReduce(b) },
+			} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("node=%d rank %d: %s accepted a half buffer", nodeSize, c.Rank(), name)
+						}
+					}()
+					submit(HalfBuf(tensor.NewHalfBuffer(8)))
+				}()
 			}
-		}()
-		_ = c.ReduceScatterHierarchical(HalfBuf(tensor.NewHalfBuffer(8)), Partition(8, 2), 2)
-	})
+		})
+	}
 }
 
 // A rank killed in the middle of a half all-gather — on the default domain
@@ -181,7 +199,7 @@ func TestHalfAllGatherRankKilled(t *testing.T) {
 			h := tensor.NewHalfBuffer(elems)
 			if !streamed {
 				for step := 0; step < 10; step++ {
-					gatherTyped(c, HalfBuf(h), parts, 1)
+					gatherTyped(c, HalfBuf(h), parts)
 				}
 				return
 			}
@@ -212,8 +230,9 @@ func TestHalfAllGatherRankKilled(t *testing.T) {
 }
 
 // Half gathers share the wire pool and the scheduler with float traffic: a
-// hierarchical half gather, a flat half gather and a float reduction on three
-// streams, plus a default-domain half gather on a subgroup from the main
+// two-level half gather and a float reduction on two streams of a laid-out
+// scheduler, a flat half gather on a third stream of a flat one, plus a
+// default-domain half gather on the inter-node level from the main
 // goroutine, all in flight at once (run under -race).
 func TestHalfGatherWithThreeStreamsActive(t *testing.T) {
 	const n, nodeSize, elems = 8, 4, 509
@@ -236,21 +255,19 @@ func TestHalfGatherWithThreeStreamsActive(t *testing.T) {
 	w := NewWorld(n)
 	w.Run(func(c *Comm) {
 		r := c.Rank()
-		s := NewScheduler(c)
+		lc := nodesOf(c, nodeSize)
+		s, sf := NewScheduler(lc), NewScheduler(c)
 		defer s.Close()
-		h1 := s.Stream("grad").AllReduceHierarchical(F16Buf(sums[r]), nodeSize)
-		h2 := s.Stream("prefetch").AllGatherHierarchical(HalfBuf(hier[r]), parts, nodeSize)
-		h3 := s.Stream("checkpoint").AllGather(HalfBuf(flat[r]), parts)
-		topo, err := c.nodeTopology(nodeSize)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		own := interParts[topo.Inter.Rank()]
+		defer sf.Close()
+		h1 := s.Stream("grad").AllReduce(F16Buf(sums[r]))
+		h2 := s.Stream("prefetch").AllGather(HalfBuf(hier[r]), parts)
+		h3 := sf.Stream("checkpoint").AllGather(HalfBuf(flat[r]), parts)
+		interC := lc.nodes.inter[F16]
+		own := interParts[interC.Rank()]
 		for i := own.Lo; i < own.Hi; i++ {
 			inter[r][i] = halfPattern(r/nodeSize, i)
 		}
-		gatherTyped(topo.Inter, HalfBuf(inter[r]), interParts, 1)
+		gatherTyped(interC, HalfBuf(inter[r]), interParts)
 		h1.Wait()
 		h2.Wait()
 		h3.Wait()

@@ -1,221 +1,143 @@
 package comm
 
-import "fmt"
-
 // Hierarchical (two-level) collectives, the NCCL-style algorithms clusters
-// of multi-GPU nodes use: only 1/nodeSize of the buffer ever crosses the
-// node uplink, which is why DP communication survives the node boundary
-// while flat MP all-reduces do not (the effective-bandwidth model in
-// internal/perfmodel's harmonic DP bandwidth). They are compositions of the ordinary
-// group collectives over the two sub-communicators of a node Topology —
-// there is no bespoke ring code here.
+// of multi-GPU nodes use: only 1/S of the buffer ever crosses the node
+// uplink, which is why DP communication survives the node boundary while
+// flat MP all-reduces do not (the effective-bandwidth model in
+// internal/perfmodel's harmonic DP bandwidth).
+//
+// The route belongs to the communicator, not to the call: Nodes returns a
+// view laid out as nodes of S consecutive members, and on that view — and
+// on every stream of a Scheduler built over it — ReduceScatter, AllGather
+// and AllReduce run two-level. They are compositions of the ordinary ring
+// collectives over the view's two sub-communicators; there is no bespoke
+// ring code here. Every other collective (Broadcast, Gather, Barrier, the
+// Split exchange) and every Subgroup of a laid-out view stays flat.
 //
 // For Ψ elements on M nodes of S ranks, per-rank traffic of one pass:
 //
 //	intra-node: Ψ·(S-1)/S        (recorded under the "hier-intra" group)
 //	inter-node: (Ψ/S)·(M-1)/M    (recorded under the "hier-inter" group)
 //
-// and a hierarchical all-reduce is two passes, so its inter-node volume is
+// and a two-level all-reduce is two passes, so its inter-node volume is
 // 2(Ψ/S)(M-1)/M versus the flat ring's 2Ψ(N-1)/N — the cut the paper's
 // trillion-parameter analysis (§2.3, §7) rests on. The split is measured:
 // Stats.PerGroup["hier-intra"/"hier-inter"] counts elements and native
 // dtype-accurate bytes per group.
 //
-// The reduce-scatter/all-gather forms take the same []Range ownership
-// partition as the flat collectives (member i ends up owning parts[i], in
-// group-local order), so a ZeRO trainer can swap them in bucket-for-bucket:
-// the intra-node phase runs one reduce-scatter per node block with that
-// block's slice of the partition, and the inter-node phase finishes (or
-// seeds) the owned slices across same-slot ranks. Because each element's
-// accumulation order depends only on its owner's (node, slot) coordinates,
-// the result is independent of bucket framing — every schedule on the same
-// topology is bitwise identical. Across *different* topologies the
+// The reduce-scatter and all-gather take the same []Range ownership
+// partition as the flat ring (member i ends up owning parts[i], in
+// group-local order), so a ZeRO trainer's buckets run unchanged on a
+// laid-out view: the intra-node phase runs one reduce-scatter per node
+// block with that block's slice of the partition, and the inter-node phase
+// finishes (or seeds) the owned slices across same-slot ranks. Because each
+// element's accumulation order depends only on its owner's (node, slot)
+// coordinates, the result is independent of bucket framing — every schedule
+// on the same layout is bitwise identical. Across *different* layouts the
 // reduction tree differs, so sums agree only up to float reassociation.
-//
-// Like every collective, these run on whatever ordering domain their Comm
-// is bound to — synchronously on the default domain, or asynchronously via
-// the Stream.*Hierarchical methods with byte-accurate dtype accounting.
 
-// Topology is a communicator's node layout: consecutive blocks of NodeSize
-// members form one node. Intra connects the members of this rank's node;
-// Inter connects the same-slot members across nodes.
-type Topology struct {
-	NodeSize int
-	Nodes    int
-	// Intra is this rank's intra-node group (consecutive members), with
-	// traffic attributed to "hier-intra".
-	Intra *Comm
-	// Inter is this rank's inter-node group (same node-local slot across
-	// nodes, stride NodeSize), with traffic attributed to "hier-inter".
-	Inter *Comm
+// nodeLayout is a laid-out view's split into nodes of size consecutive
+// members. intra connects the members of this rank's node; inter connects
+// the same-slot members across nodes (stride size). Both are indexed by
+// DType, so an F16 view accounts 2 B/elem without deriving a view per op.
+type nodeLayout struct {
+	size, count  int // S ranks per node, M nodes
+	intra, inter [2]*Comm
 
-	// interScratch backs interParts so steady-state hierarchical ops don't
-	// allocate a partition per bucket. Safe because a Topology, like the
-	// Comm it came from, is used by one goroutine at a time and the slice
-	// is consumed synchronously by the inter-phase collective.
+	// interScratch backs interParts so steady-state ops don't allocate a
+	// partition per bucket. Safe because a view, like every Comm, is used
+	// by one goroutine at a time and the slice is consumed synchronously
+	// by the inter-node phase.
 	interScratch []Range
 }
 
-// topoKey identifies one cached topology: the node width plus the dtype and
-// label of the view that built it (sub-communicators inherit both, and the
-// byte accounting must match the buffers that flow through them).
-type topoKey struct {
-	nodeSize int
-	dtype    DType
-	label    string
+// Nodes returns a view of the communicator laid out as nodes of size
+// consecutive members, whose ReduceScatter, AllGather and AllReduce run
+// two-level. It is communication-free; every member must lay out the same
+// way before collectives on it pair up. A size that does not tile the
+// group returns ErrTopology. The flat layouts — one rank per node, or one
+// node — return a flat view (c itself when c is flat).
+func (c *Comm) Nodes(size int) (*Comm, error) {
+	if err := CheckNodeSize(c.Size(), size); err != nil {
+		return nil, err
+	}
+	cp := *c
+	if size == 1 || size == c.Size() {
+		if c.nodes == nil {
+			return c, nil
+		}
+		cp.nodes = nil
+		return &cp, nil
+	}
+	cp.nodes = cp.layOut(size)
+	return &cp, nil
 }
 
-// topoCache memoizes nodeTopology per communicator chain. Building a
-// topology means deriving two sub-communicators (member lists, label maps)
-// — cheap once, but not per collective: a bucketed hierarchical schedule
-// issues hundreds of ops per step. The cache pointer is shared by
-// same-group views (named/withDType) and dropped by Subgroup/Split, whose
-// member sets differ; Comm handles are single-goroutine, so no lock.
-type topoCache struct {
-	m map[topoKey]*Topology
+// layOut builds this rank's intra- and inter-node sub-communicators on the
+// view's ordering domain.
+func (c *Comm) layOut(size int) *nodeLayout {
+	l := &nodeLayout{size: size, count: c.Size() / size}
+	node, slot := c.pos/size, c.pos%size
+	intra := make([]int, size)
+	for i := range intra {
+		intra[i] = node*size + i
+	}
+	inter := make([]int, l.count)
+	for i := range inter {
+		inter[i] = i*size + slot
+	}
+	l.intra = c.levelViews(intra, "hier-intra")
+	l.inter = c.levelViews(inter, "hier-inter")
+	return l
 }
 
-// nodeTopology carves the communicator into nodes of nodeSize consecutive
-// members and returns this rank's intra-node and inter-node groups. It is
-// communication-free; every member must construct the same topology before
-// collectives on it pair up. The group size must be a multiple of nodeSize
-// (ErrTopology otherwise).
-func (c *Comm) nodeTopology(nodeSize int) (*Topology, error) {
-	if err := CheckNodeSize(c.Size(), nodeSize); err != nil {
-		return nil, err
-	}
-	key := topoKey{nodeSize: nodeSize, dtype: c.dtype, label: c.label}
-	if c.topos != nil {
-		if t := c.topos.m[key]; t != nil {
-			return t, nil
-		}
-	}
-	node, slot := c.pos/nodeSize, c.pos%nodeSize
-	nodes := c.Size() / nodeSize
-	intraMembers := make([]int, nodeSize)
-	for i := range intraMembers {
-		intraMembers[i] = node*nodeSize + i
-	}
-	interMembers := make([]int, nodes)
-	for i := range interMembers {
-		interMembers[i] = i*nodeSize + slot
-	}
-	intra, err := c.Subgroup(intraMembers)
+// levelViews derives one level's sub-communicator, labeled for the
+// PerGroup split, in both wire dtypes.
+func (c *Comm) levelViews(members []int, label string) [2]*Comm {
+	g, err := c.Subgroup(members)
 	if err != nil {
-		return nil, err
+		panic(err) // unreachable: Nodes validated the layout
 	}
-	inter, err := c.Subgroup(interMembers)
-	if err != nil {
-		return nil, err
-	}
-	topo := &Topology{
-		NodeSize: nodeSize,
-		Nodes:    nodes,
-		Intra:    intra.named("hier-intra"),
-		Inter:    inter.named("hier-inter"),
-	}
-	if c.topos != nil {
-		if c.topos.m == nil {
-			c.topos.m = make(map[topoKey]*Topology)
-		}
-		c.topos.m[key] = topo
-	}
-	return topo, nil
+	g = g.named(label)
+	return [2]*Comm{F32: g.withDType(F32), F16: g.withDType(F16)}
 }
 
 // interParts extracts the ownership ranges of this rank's inter-node group:
 // the slices owned by the same node-local slot in every node. The returned
-// slice aliases the topology's scratch and is valid until the next call.
-func (t *Topology) interParts(parts []Range) []Range {
-	slot := t.Intra.Rank()
-	if cap(t.interScratch) < t.Nodes {
-		t.interScratch = make([]Range, t.Nodes)
+// slice aliases the layout's scratch and is valid until the next call.
+func (l *nodeLayout) interParts(parts []Range, slot int) []Range {
+	if cap(l.interScratch) < l.count {
+		l.interScratch = make([]Range, l.count)
 	}
-	out := t.interScratch[:t.Nodes]
+	out := l.interScratch[:l.count]
 	for m := range out {
-		out[m] = parts[m*t.NodeSize+slot]
+		out[m] = parts[m*l.size+slot]
 	}
 	return out
 }
 
-// checkHierParts validates the partition/topology pair shared by the
-// hierarchical reduce-scatter and all-gather.
-func (c *Comm) checkHierParts(parts []Range, nodeSize int) error {
-	if len(parts) != c.Size() {
-		return fmt.Errorf("%w: partition count %d != group size %d", ErrGroup, len(parts), c.Size())
+// reduceScatterNodes is ReduceScatter on a laid-out view: each node block
+// runs an intra-node reduce-scatter of its slice of the partition, which
+// concentrates the node's partial sums on the member that will own them,
+// then the inter-node group finishes the owned slices across nodes. Only
+// (|x|/S)·(M-1)/M elements per rank cross nodes.
+func (c *Comm) reduceScatterNodes(x []float32, parts []Range) {
+	l := c.nodes
+	intra, inter := l.intra[c.dtype], l.inter[c.dtype]
+	for m := 0; m < l.count; m++ {
+		intra.ReduceScatter(x, parts[m*l.size:(m+1)*l.size])
 	}
-	return CheckNodeSize(c.Size(), nodeSize)
+	inter.ReduceScatter(x, l.interParts(parts, intra.pos))
 }
 
-// ReduceScatterHierarchical reduces b across the group in two levels so
-// member i ends up owning the fully reduced parts[i], like ReduceScatter:
-// each node block runs an intra-node reduce-scatter of its slice of the
-// partition, then the inter-node groups finish the owned slices across
-// nodes. Only (|b|/nodeSize)·(M-1)/M elements per rank cross nodes.
-// Degenerate layouts (one node, or one rank per node) fall back to the
-// flat ring.
-func (c *Comm) ReduceScatterHierarchical(b Buffer, parts []Range, nodeSize int) error {
-	if err := c.checkHierParts(parts, nodeSize); err != nil {
-		return err
+// allGatherNodes is the mirror of reduceScatterNodes: the inter-node group
+// exchanges the owned slices first, then each node redistributes
+// internally, block by block. It moves whichever payload b holds.
+func (c *Comm) allGatherNodes(b Buffer, parts []Range) {
+	l := c.nodes
+	intra, inter := l.intra[c.dtype], l.inter[c.dtype]
+	inter.allGather(b, l.interParts(parts, intra.pos))
+	for m := 0; m < l.count; m++ {
+		intra.allGather(b, parts[m*l.size:(m+1)*l.size])
 	}
-	v := c.withDType(b.DType)
-	n := c.Size()
-	x := b.floats()
-	if n == 1 || nodeSize == 1 || nodeSize == n {
-		v.ReduceScatter(x, parts)
-		return nil
-	}
-	topo, err := v.nodeTopology(nodeSize)
-	if err != nil {
-		return err
-	}
-	// Intra-node: concentrate each node's partial sums on the member that
-	// will own them, one node block of the partition at a time.
-	for m := 0; m < topo.Nodes; m++ {
-		topo.Intra.ReduceScatter(x, parts[m*nodeSize:(m+1)*nodeSize])
-	}
-	// Inter-node: finish the reduction of the owned slices across the
-	// same-slot ranks of every node.
-	topo.Inter.ReduceScatter(x, topo.interParts(parts))
-	return nil
-}
-
-// AllGatherHierarchical is the mirror of ReduceScatterHierarchical: member
-// i contributes parts[i] (already in place) and every member ends up with
-// every range, with only (|b|/nodeSize)·(M-1)/M elements per rank crossing
-// nodes. Inter-node groups exchange the owned slices first; each node then
-// redistributes internally, block by block. It moves whichever payload b
-// holds (see Buffer), and like the reduce-scatter falls back to the flat ring
-// on degenerate layouts — nodeSize 1 is the typed flat all-gather.
-func (c *Comm) AllGatherHierarchical(b Buffer, parts []Range, nodeSize int) error {
-	if err := c.checkHierParts(parts, nodeSize); err != nil {
-		return err
-	}
-	v := c.withDType(b.DType)
-	n := c.Size()
-	if n == 1 || nodeSize == 1 || nodeSize == n {
-		v.allGather(b, parts)
-		return nil
-	}
-	topo, err := v.nodeTopology(nodeSize)
-	if err != nil {
-		return err
-	}
-	topo.Inter.allGather(b, topo.interParts(parts))
-	for m := 0; m < topo.Nodes; m++ {
-		topo.Intra.allGather(b, parts[m*nodeSize:(m+1)*nodeSize])
-	}
-	return nil
-}
-
-// AllReduceHierarchical sums b elementwise across the group, in place,
-// using the two-level algorithm with the given node width: a hierarchical
-// reduce-scatter over the canonical partition followed by the matching
-// hierarchical all-gather. The group size must be a multiple of nodeSize.
-func (c *Comm) AllReduceHierarchical(b Buffer, nodeSize int) error {
-	parts := Partition(len(b.floats()), c.Size())
-	if err := c.ReduceScatterHierarchical(b, parts, nodeSize); err != nil {
-		return err
-	}
-	return c.AllGatherHierarchical(b, parts, nodeSize)
 }

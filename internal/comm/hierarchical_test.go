@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// Hierarchical all-reduce must compute the same sums as the flat ring for
-// every (world, nodeSize) split, including sizes that do not divide the
+// AllReduce on a laid-out view must compute the same sums as the flat ring
+// for every (world, nodeSize) split, including sizes that do not divide the
 // buffer evenly.
 func TestHierarchicalAllReduceCorrectness(t *testing.T) {
 	cases := []struct{ n, nodeSize int }{
@@ -25,9 +25,7 @@ func TestHierarchicalAllReduceCorrectness(t *testing.T) {
 			results := make([][]float32, tc.n)
 			w.Run(func(c *Comm) {
 				x := append([]float32(nil), inputs[c.Rank()]...)
-				if err := c.AllReduceHierarchical(F32Buf(x), tc.nodeSize); err != nil {
-					t.Errorf("n=%d node=%d: %v", tc.n, tc.nodeSize, err)
-				}
+				nodesOf(c, tc.nodeSize).AllReduce(x)
 				results[c.Rank()] = x
 			})
 			for rk, got := range results {
@@ -40,8 +38,8 @@ func TestHierarchicalAllReduceCorrectness(t *testing.T) {
 	}
 }
 
-// The reduce-scatter/all-gather forms must honor an arbitrary ownership
-// partition exactly like the flat collectives: after RS member i owns
+// A laid-out view's reduce-scatter and all-gather must honor an arbitrary
+// ownership partition exactly like the flat collectives: after RS member i owns
 // parts[i] fully reduced, and after AG everyone holds everything —
 // bitwise equal to the flat all-gather (gathers copy, they never reassociate).
 func TestHierarchicalReduceScatterAllGatherOwnership(t *testing.T) {
@@ -56,10 +54,8 @@ func TestHierarchicalReduceScatterAllGatherOwnership(t *testing.T) {
 	w := NewWorld(n)
 	w.Run(func(c *Comm) {
 		x := append([]float32(nil), inputs[c.Rank()]...)
-		if err := c.ReduceScatterHierarchical(F32Buf(x), parts, nodeSize); err != nil {
-			t.Error(err)
-			return
-		}
+		lc := nodesOf(c, nodeSize)
+		lc.ReduceScatter(x, parts)
 		own := parts[c.Rank()]
 		for i := own.Lo; i < own.Hi; i++ {
 			if !approxEqual(x[i:i+1], want[i:i+1], 1e-3) {
@@ -69,10 +65,7 @@ func TestHierarchicalReduceScatterAllGatherOwnership(t *testing.T) {
 		}
 		// Re-gather: x outside the owned range holds garbage; AG must
 		// overwrite everything with the owners' values.
-		if err := c.AllGatherHierarchical(F32Buf(x), parts, nodeSize); err != nil {
-			t.Error(err)
-			return
-		}
+		lc.AllGather(x, parts)
 		if !approxEqual(x, want, 1e-3) {
 			t.Errorf("rank %d: gathered buffer mismatch", c.Rank())
 		}
@@ -89,10 +82,7 @@ func TestHierarchicalInterNodeVolume(t *testing.T) {
 	const nodes = n / nodeSize
 	w := NewWorld(n)
 	w.Run(func(c *Comm) {
-		x := make([]float32, psi)
-		if err := c.AllReduceHierarchical(F16Buf(x), nodeSize); err != nil {
-			t.Error(err)
-		}
+		nodesOf(c, nodeSize).withDType(F16).AllReduce(make([]float32, psi))
 	})
 	wantInter := int64(2 * (psi / nodeSize) * (nodes - 1) / nodes)
 	wantIntra := int64(2 * psi * (nodeSize - 1) / nodeSize)
@@ -122,7 +112,9 @@ func TestHierarchicalInterNodeVolume(t *testing.T) {
 	}
 }
 
-// Topology construction returns structured errors instead of panicking.
+// Nodes validates the layout once, with structured errors instead of
+// panics; the flat layouts return the view itself, and a laid-out view's
+// collectives still refuse a partition of the wrong length.
 func TestHierarchicalValidation(t *testing.T) {
 	w := NewWorld(4)
 	w.Run(func(c *Comm) {
@@ -130,17 +122,25 @@ func TestHierarchicalValidation(t *testing.T) {
 			return
 		}
 		for _, bad := range []int{3, 0, -2, 5} {
-			if err := c.AllReduceHierarchical(F32Buf(make([]float32, 8)), bad); !errors.Is(err, ErrTopology) {
-				t.Errorf("nodeSize %d: err = %v, want ErrTopology", bad, err)
-			}
-			if _, err := c.nodeTopology(bad); !errors.Is(err, ErrTopology) {
-				t.Errorf("nodeTopology(%d): err = %v, want ErrTopology", bad, err)
+			if _, err := c.Nodes(bad); !errors.Is(err, ErrTopology) {
+				t.Errorf("Nodes(%d): err = %v, want ErrTopology", bad, err)
 			}
 		}
-		parts := Partition(8, 2) // wrong count for a 4-rank world
-		if err := c.ReduceScatterHierarchical(F32Buf(make([]float32, 8)), parts, 2); !errors.Is(err, ErrGroup) {
-			t.Error("short partition must return ErrGroup")
+		lc := nodesOf(c, 2)
+		for _, flat := range []int{1, 4} {
+			if got, err := c.Nodes(flat); err != nil || got != c {
+				t.Errorf("Nodes(%d) = %p, %v; want the flat view itself", flat, got, err)
+			}
+			if got := nodesOf(lc, flat); got.nodes != nil {
+				t.Errorf("Nodes(%d) of a laid-out view kept its layout", flat)
+			}
 		}
+		defer func() {
+			if recover() == nil {
+				t.Error("a laid-out reduce-scatter accepted a short partition")
+			}
+		}()
+		lc.ReduceScatter(make([]float32, 8), Partition(8, 2))
 	})
 }
 
@@ -148,11 +148,53 @@ func TestHierarchicalSingleRank(t *testing.T) {
 	w := NewWorld(1)
 	w.Run(func(c *Comm) {
 		x := []float32{5}
-		if err := c.AllReduceHierarchical(F32Buf(x), 1); err != nil {
-			t.Error(err)
-		}
+		nodesOf(c, 1).AllReduce(x)
 		if x[0] != 5 {
-			t.Errorf("single-rank hierarchical changed data: %v", x[0])
+			t.Errorf("single-rank all-reduce changed data: %v", x[0])
 		}
 	})
+}
+
+// A Subgroup of a laid-out view drops the layout: its collectives — and
+// those of a scheduler over it — route flat, with no "hier-*" traffic.
+func TestSubgroupOfLaidOutViewRoutesFlat(t *testing.T) {
+	const n, nodeSize, elems = 8, 2, 64
+	w := NewWorld(n)
+	sums := make([][]float32, n)
+	w.Run(func(c *Comm) {
+		base := c.Rank() / 4 * 4
+		half, err := nodesOf(c, nodeSize).Subgroup([]int{base, base + 1, base + 2, base + 3})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if half.nodes != nil {
+			t.Errorf("rank %d: subgroup kept the parent's node layout", c.Rank())
+		}
+		x := make([]float32, elems)
+		for i := range x {
+			x[i] = float32(c.Rank() + 1)
+		}
+		half.AllReduce(x)
+		parts := Partition(elems, half.Size())
+		s := NewScheduler(half)
+		defer s.Close()
+		s.Stream("grad").ReduceScatter(F32Buf(x), parts).Wait()
+		s.Stream("grad").AllGather(F32Buf(x), parts).Wait()
+		sums[c.Rank()] = x
+	})
+	for r := 0; r < n; r++ {
+		base := r / 4 * 4
+		want := float32(4 * (4*(base+1) + 6)) // the half's sum, all-reduced, then summed again over 4 members
+		if sums[r][0] != want || sums[r][elems-1] != want {
+			t.Errorf("rank %d: %v, want %v", r, sums[r][0], want)
+		}
+		st := w.Stats(r)
+		if len(st.PerGroup) != 0 {
+			t.Errorf("rank %d: group traffic %v on a flat subgroup, want none", r, st.PerGroup)
+		}
+		if want := int64(2 * 2 * elems * 3 / 4); st.ElemsSent != want { // two ring passes per collective pair
+			t.Errorf("rank %d: %d elems sent, want the flat rings' %d", r, st.ElemsSent, want)
+		}
+	}
 }

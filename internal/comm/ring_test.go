@@ -88,7 +88,7 @@ func levelHops(parts []Range, pos, nodeSize int, phase func([]Range, int) hops) 
 type ringCase struct {
 	inputs   [][]float32 // one buffer per member
 	parts    []Range
-	nodeSize int  // 1: the flat ring
+	nodeSize int  // the group's node layout (Nodes); 1: the flat ring
 	streamed bool // on a named stream rather than the default domain
 }
 
@@ -109,9 +109,10 @@ func (rc ringCase) check(t *testing.T) {
 	w := NewWorld(n)
 	w.Run(func(c *Comm) {
 		r := c.Rank()
-		run := func(fn func(*Comm)) { fn(c) }
+		lc := nodesOf(c, rc.nodeSize)
+		run := func(fn func(*Comm)) { fn(lc) }
 		if rc.streamed {
-			s := NewScheduler(c)
+			s := NewScheduler(lc)
 			defer s.Close()
 			st := s.Stream("grad")
 			run = func(fn func(*Comm)) { st.Submit(fn).Wait() }
@@ -127,22 +128,10 @@ func (rc ringCase) check(t *testing.T) {
 		for i := own.Lo; i < own.Hi; i++ {
 			h[i] = halfPattern(r, i)
 		}
-		res[r].rs = phase(func(sc *Comm) {
-			if rc.nodeSize == 1 {
-				sc.ReduceScatter(x, rc.parts)
-			} else if err := sc.ReduceScatterHierarchical(F32Buf(x), rc.parts, rc.nodeSize); err != nil {
-				panic(err)
-			}
-		})
+		res[r].rs = phase(func(sc *Comm) { sc.ReduceScatter(x, rc.parts) })
 		res[r].reduced = append([]float32(nil), x...)
-		res[r].ag = phase(func(sc *Comm) {
-			if rc.nodeSize == 1 {
-				sc.AllGather(x, rc.parts)
-			} else if err := sc.AllGatherHierarchical(F32Buf(x), rc.parts, rc.nodeSize); err != nil {
-				panic(err)
-			}
-		})
-		res[r].ag16 = phase(func(sc *Comm) { gatherTyped(sc, HalfBuf(h), rc.parts, rc.nodeSize) })
+		res[r].ag = phase(func(sc *Comm) { sc.AllGather(x, rc.parts) })
+		res[r].ag16 = phase(func(sc *Comm) { gatherTyped(sc, HalfBuf(h), rc.parts) })
 		res[r].gathered, res[r].halves = x, h
 	})
 

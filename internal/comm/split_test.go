@@ -3,6 +3,7 @@ package comm
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -227,6 +228,13 @@ func TestGroupTopology(t *testing.T) {
 		if mpGroup.Rank() != c.Rank()%mpSize || dpGroup.Rank() != c.Rank()/mpSize {
 			t.Errorf("rank %d: MP/DP ranks %d/%d", c.Rank(), mpGroup.Rank(), dpGroup.Rank())
 		}
+		// Nodes of mpSize ranks carve the same two groups as its levels.
+		l := nodesOf(c, mpSize).nodes
+		intra, inter := l.intra[F32], l.inter[F32]
+		if !slices.Equal(intra.members, mpGroup.members) || !slices.Equal(inter.members, dpGroup.members) {
+			t.Errorf("rank %d: node levels %v/%v, MP/DP groups %v/%v",
+				c.Rank(), intra.members, inter.members, mpGroup.members, dpGroup.members)
+		}
 		// Sum rank ids across the MP group: consecutive blocks.
 		x := []float32{float32(c.Rank())}
 		mpGroup.AllReduce(x)
@@ -274,9 +282,10 @@ func TestSplitNested(t *testing.T) {
 
 // Group collectives must stay race-clean and correct with three named
 // streams active on every rank at the same time (run under -race): the
-// hierarchical composition on the grad stream, a flat gather on the
-// prefetch stream, a subgroup all-reduce on the checkpoint stream, and a
-// default-domain subgroup collective from the main goroutine — four
+// two-level all-reduce on a laid-out scheduler's grad stream, a flat gather
+// on a flat scheduler's prefetch stream, a node-level all-reduce on the
+// checkpoint stream, and a default-domain node-level collective from the
+// main goroutine — four
 // ordering domains concurrently in flight.
 func TestGroupCollectivesWithThreeStreamsActive(t *testing.T) {
 	const n, nodeSize, elems = 8, 4, 512
@@ -299,27 +308,20 @@ func TestGroupCollectivesWithThreeStreamsActive(t *testing.T) {
 	parts := Partition(elems, n)
 	w := NewWorld(n)
 	w.Run(func(c *Comm) {
-		s := NewScheduler(c)
+		lc := nodesOf(c, nodeSize)
+		s, sf := NewScheduler(lc), NewScheduler(c)
 		defer s.Close()
-		h1 := s.Stream("grad").AllReduceHierarchical(F16Buf(grad[c.Rank()]), nodeSize)
-		h2 := s.Stream("prefetch").AllGather(F32Buf(gather[c.Rank()]), parts)
-		// Checkpoint stream: a node-subgroup all-reduce submitted as a raw
-		// op (subgroups are derived from the stream's comm inside the op).
+		defer sf.Close()
+		h1 := s.Stream("grad").AllReduce(F16Buf(grad[c.Rank()]))
+		h2 := sf.Stream("prefetch").AllGather(F32Buf(gather[c.Rank()]), parts)
+		// Checkpoint stream: an intra-node all-reduce submitted as a raw op
+		// on the stream's own node level.
 		h3 := s.Stream("checkpoint").Submit(func(sc *Comm) {
-			topo, err := sc.nodeTopology(nodeSize)
-			if err != nil {
-				panic(err)
-			}
-			topo.Intra.AllReduce(ckpt[sc.rank])
+			sc.nodes.intra[F32].AllReduce(ckpt[sc.rank])
 		})
-		// Default domain, main goroutine: inter-node subgroup all-reduce
-		// while all three streams are in flight.
-		topo, err := c.nodeTopology(nodeSize)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		topo.Inter.AllReduce(main[c.Rank()])
+		// Default domain, main goroutine: inter-node all-reduce while all
+		// three streams are in flight.
+		lc.nodes.inter[F32].AllReduce(main[c.Rank()])
 		h1.Wait()
 		h2.Wait()
 		h3.Wait()
@@ -354,9 +356,9 @@ func TestGroupCollectivesWithThreeStreamsActive(t *testing.T) {
 	}
 }
 
-// Uneven edge cases for the hierarchical partition forms: buffers shorter
-// than the group size (empty owned ranges) and ragged partitions must
-// reduce and gather exactly like the flat ring.
+// Uneven edge cases for the two-level partition forms: buffers shorter than
+// the group size (empty owned ranges) and ragged partitions must reduce and
+// gather exactly like the flat ring.
 func TestHierarchicalUnevenPartitions(t *testing.T) {
 	for _, size := range []int{1, 3, 7, 11} {
 		const n, nodeSize = 8, 2
@@ -370,14 +372,9 @@ func TestHierarchicalUnevenPartitions(t *testing.T) {
 		w := NewWorld(n)
 		w.Run(func(c *Comm) {
 			x := append([]float32(nil), inputs[c.Rank()]...)
-			if err := c.ReduceScatterHierarchical(F32Buf(x), parts, nodeSize); err != nil {
-				t.Error(err)
-				return
-			}
-			if err := c.AllGatherHierarchical(F32Buf(x), parts, nodeSize); err != nil {
-				t.Error(err)
-				return
-			}
+			lc := nodesOf(c, nodeSize)
+			lc.ReduceScatter(x, parts)
+			lc.AllGather(x, parts)
 			if !approxEqual(x, want, 1e-3) {
 				t.Errorf("size %d rank %d: uneven hierarchical sum mismatch", size, c.Rank())
 			}

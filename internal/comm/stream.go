@@ -35,8 +35,10 @@ type Scheduler struct {
 // of the wire, never dropping or reordering ops.
 const defaultQueueDepth = 64
 
-// NewScheduler creates a stream scheduler over one rank's communicator.
-// Creation is cheap (no goroutines until a stream is created). The
+// NewScheduler creates a stream scheduler over one rank's communicator;
+// every stream inherits its group and node layout (Nodes), so a scheduler
+// over a laid-out view runs its reduce-scatters, all-gathers and
+// all-reduces two-level. Creation is cheap (no goroutines until a stream is created). The
 // scheduler assumes it is the only issuer of named streams for this rank;
 // a second scheduler may coexist only if its stream names are disjoint
 // (enforced by panic).
@@ -65,13 +67,12 @@ func (s *Scheduler) stream(name string, depth int) *Stream {
 	s.c.w.claimStream(s.c.rank, name)
 	// Two persistent dtype views of the stream's communicator, so typed ops
 	// execute without deriving a per-op view: the worker picks the view
-	// whose dtype matches the buffer, and withDType inside the collective
-	// becomes the identity. Both views share one topology cache.
+	// whose dtype matches the buffer. Both share one node layout, whose
+	// levels carry both dtypes too.
 	view := *s.c
 	view.stream = name
 	view.dtype = F32
-	view.topos = &topoCache{}
-	view.bindWires() // the stream's private links, shared by both dtype views
+	view.bindWires() // the stream's private links and node levels
 	view16 := view
 	view16.dtype = F16
 	st := &Stream{
@@ -163,19 +164,15 @@ const (
 	opReduceScatter
 	opAllGather
 	opAllReduce
-	opReduceScatterHier
-	opAllGatherHier
-	opAllReduceHier
 )
 
 // streamOp is one queued unit of work: either a typed collective (kind +
 // buffer + partition) or an arbitrary fn.
 type streamOp struct {
-	kind     opKind
-	b        Buffer
-	parts    []Range
-	nodeSize int
-	fn       func(*Comm)
+	kind  opKind
+	b     Buffer
+	parts []Range
+	fn    func(*Comm)
 }
 
 // Stream is one named ordering domain of one rank: a FIFO of collective ops
@@ -264,18 +261,6 @@ func (st *Stream) exec(op streamOp) {
 		c.allGather(op.b, op.parts)
 	case opAllReduce:
 		c.AllReduce(op.b.floats())
-	case opReduceScatterHier:
-		if err := c.ReduceScatterHierarchical(op.b, op.parts, op.nodeSize); err != nil {
-			panic(err)
-		}
-	case opAllGatherHier:
-		if err := c.AllGatherHierarchical(op.b, op.parts, op.nodeSize); err != nil {
-			panic(err)
-		}
-	case opAllReduceHier:
-		if err := c.AllReduceHierarchical(op.b, op.nodeSize); err != nil {
-			panic(err)
-		}
 	}
 }
 
@@ -309,11 +294,11 @@ func (st *Stream) enqueue(op streamOp) Handle {
 	return Handle{st: st, seq: seq}
 }
 
-// Rank returns the rank the stream belongs to.
-func (st *Stream) Rank() int { return st.c32.rank }
+// Rank returns this rank's group-local rank in the scheduler's group.
+func (st *Stream) Rank() int { return st.c32.pos }
 
-// Size returns the world size.
-func (st *Stream) Size() int { return st.c32.w.n }
+// Size returns the scheduler's group size.
+func (st *Stream) Size() int { return st.c32.Size() }
 
 // Submit enqueues an arbitrary op; fn runs on the worker goroutine with the
 // stream's communicator (use Comm.withDType inside fn for non-F32
@@ -327,6 +312,7 @@ func (st *Stream) Submit(fn func(c *Comm)) Handle {
 // ReduceScatter enqueues a reduce-scatter of b under parts. The parts slice
 // is owned by the op until its Handle is waited.
 func (st *Stream) ReduceScatter(b Buffer, parts []Range) Handle {
+	b.floats() // a half buffer panics here, not on the worker
 	return st.enqueue(streamOp{kind: opReduceScatter, b: b, parts: parts})
 }
 
@@ -336,43 +322,13 @@ func (st *Stream) AllGather(b Buffer, parts []Range) Handle {
 	return st.enqueue(streamOp{kind: opAllGather, b: b, parts: parts})
 }
 
-// AllReduce enqueues an all-reduce (sum) of b.
+// AllReduce enqueues an all-reduce (sum) of b. Like ReduceScatter and
+// AllGather it runs two-level when the scheduler's communicator is laid
+// out (Nodes), with the intra/inter split recorded under the
+// "hier-intra"/"hier-inter" group labels at b's wire width.
 func (st *Stream) AllReduce(b Buffer) Handle {
+	b.floats() // a half buffer panics here, not on the worker
 	return st.enqueue(streamOp{kind: opAllReduce, b: b})
-}
-
-// checkNodeSize validates a hierarchical submission eagerly, before the op
-// reaches the worker: topology errors are programming errors at this layer
-// (zero.New surfaces them at construction time), so a bad nodeSize panics
-// at the submission site instead of killing the worker goroutine later.
-func (st *Stream) checkNodeSize(nodeSize int) {
-	if err := CheckNodeSize(st.Size(), nodeSize); err != nil {
-		panic(err)
-	}
-}
-
-// AllReduceHierarchical enqueues a two-level sum of b (hierarchical
-// reduce-scatter + hierarchical all-gather) for groups laid out as nodes
-// of nodeSize ranks. On a stream it composes with the other ordering
-// domains exactly like the flat collectives do, with the intra/inter split
-// recorded under the "hier-intra"/"hier-inter" group labels at b's wire
-// width.
-func (st *Stream) AllReduceHierarchical(b Buffer, nodeSize int) Handle {
-	st.checkNodeSize(nodeSize)
-	return st.enqueue(streamOp{kind: opAllReduceHier, b: b, nodeSize: nodeSize})
-}
-
-// ReduceScatterHierarchical enqueues a two-level reduce-scatter of b under
-// the ownership partition parts (member i ends up owning parts[i]).
-func (st *Stream) ReduceScatterHierarchical(b Buffer, parts []Range, nodeSize int) Handle {
-	st.checkNodeSize(nodeSize)
-	return st.enqueue(streamOp{kind: opReduceScatterHier, b: b, parts: parts, nodeSize: nodeSize})
-}
-
-// AllGatherHierarchical enqueues a two-level all-gather of b under parts.
-func (st *Stream) AllGatherHierarchical(b Buffer, parts []Range, nodeSize int) Handle {
-	st.checkNodeSize(nodeSize)
-	return st.enqueue(streamOp{kind: opAllGatherHier, b: b, parts: parts, nodeSize: nodeSize})
 }
 
 // Flush blocks until every previously submitted op has completed on this

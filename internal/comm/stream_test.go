@@ -348,8 +348,9 @@ func TestBufferDTypeByteAccounting(t *testing.T) {
 	}
 }
 
-// The hierarchical all-reduce flows through streams like the flat
-// collectives: same sums, dtype-accurate bytes, intra/inter split intact.
+// A scheduler over a laid-out view runs its streams' all-reduces two-level,
+// like the flat collectives: same sums, dtype-accurate bytes, intra/inter
+// split intact.
 func TestStreamHierarchicalAllReduce(t *testing.T) {
 	const n, nodeSize, elems = 8, 4, 300
 	bufs := make([][]float32, n)
@@ -361,9 +362,9 @@ func TestStreamHierarchicalAllReduce(t *testing.T) {
 	}
 	w := NewWorld(n)
 	w.Run(func(c *Comm) {
-		s := NewScheduler(c)
+		s := NewScheduler(nodesOf(c, nodeSize))
 		defer s.Close()
-		s.Stream("grad").AllReduceHierarchical(F16Buf(bufs[c.Rank()]), nodeSize).Wait()
+		s.Stream("grad").AllReduce(F16Buf(bufs[c.Rank()])).Wait()
 	})
 	want := float32(n * (n + 1) / 2)
 	for r := 0; r < n; r++ {

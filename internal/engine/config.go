@@ -485,7 +485,7 @@ func (c Config) compile() (zero.Options, error) {
 		BucketElems: c.BucketElems,
 		Overlap:     c.Overlap,
 		Prefetch:    c.Prefetch,
-		Topology:    zero.Topology{NodeSize: c.NodeSize},
+		NodeSize:    c.NodeSize,
 		Checkpoint:  c.Checkpoint,
 		ClipNorm:    c.GradClip,
 		Optimizer: optimizer.Spec{

@@ -59,9 +59,11 @@ func Ablations() Table {
 	flat.Run(func(c *comm.Comm) { c.AllReduce(make([]float32, psi)) })
 	hier := comm.NewWorld(8)
 	hier.Run(func(c *comm.Comm) {
-		if err := c.AllReduceHierarchical(comm.F32Buf(make([]float32, psi)), 4); err != nil {
+		nodes, err := c.Nodes(4)
+		if err != nil {
 			panic(err)
 		}
+		nodes.AllReduce(make([]float32, psi))
 	})
 	flatPer := flat.Stats(0).ElemsSent
 	inter := hier.Stats(0).PerGroup["hier-inter"].Elems

@@ -85,7 +85,9 @@ func StageSweep(sc StageSweepConfig) Table {
 	ranks := sc.Base.Ranks
 	batch := 2 * ranks
 	ids, targets := model.SyntheticBatch(1, batch, cfg.Seq, cfg.Vocab)
-	hier := zero.Topology{NodeSize: sc.Base.NodeSize}.Hierarchical(ranks)
+	// Nodes of 1 or of every rank are flat; any other size must tile the
+	// world (engine.Run rejects it otherwise).
+	hier := sc.Base.NodeSize > 1 && sc.Base.NodeSize < ranks
 
 	// run returns per-rank elements, native bytes and inter-node bytes sent
 	// per step, and the mean step time.

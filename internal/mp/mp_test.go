@@ -208,9 +208,9 @@ func TestMPCommVolume(t *testing.T) {
 					want := int64(layers * perBlock * 2 * mh * (n - 1) / n)
 					for r := 0; r < n; r++ {
 						st := w.Stats(r)
-						if st.ElemsSent != want || st.PerCollective["allreduce"] != want {
-							t.Errorf("n=%d layers=%d vocab=%d checkpoint=%v rank %d: sent %d elems (%d all-reduce), want %d",
-								n, layers, vocab, ckpt, r, st.ElemsSent, st.PerCollective["allreduce"], want)
+						if st.ElemsSent != want {
+							t.Errorf("n=%d layers=%d vocab=%d checkpoint=%v rank %d: sent %d elems, want %d",
+								n, layers, vocab, ckpt, r, st.ElemsSent, want)
 						}
 					}
 				}

@@ -19,9 +19,12 @@ func TestDPBandwidthAgainstMeasuredSplit(t *testing.T) {
 	const n = nodeSize * nodes
 	w := comm.NewWorld(n)
 	w.Run(func(c *comm.Comm) {
-		if err := c.AllReduceHierarchical(comm.F16Buf(make([]float32, psi)), nodeSize); err != nil {
+		nodes, err := c.Nodes(nodeSize)
+		if err != nil {
 			t.Error(err)
+			return
 		}
+		nodes.AllReduce(make([]float32, psi))
 	})
 	st := w.Stats(0)
 	measIntra := float64(st.PerGroup["hier-intra"].Elems)

@@ -106,7 +106,7 @@ func TestAccumTopologyStagesBitIdentical(t *testing.T) {
 	const n, boundaries, k, batch = 8, 2, 2, 16
 	ids, targets := model.SyntheticBatch(41, batch, cfg.Seq, cfg.Vocab)
 	for _, nodeSize := range []int{0, 2} {
-		base := Options{LR: testLR, Seed: testSeed, Topology: Topology{NodeSize: nodeSize}}
+		base := Options{LR: testLR, Seed: testSeed, NodeSize: nodeSize}
 		refLoss, refParams := accumRun(t, cfg, n, boundaries, k, base, ids, targets, batch)
 		for _, stage := range []Stage{StageOSGrad, StageFull} {
 			opts := base

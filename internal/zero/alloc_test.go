@@ -139,7 +139,7 @@ func TestSteadyStateStepAllocationsComposed(t *testing.T) {
 		{"fp16+clip+overlap", Options{Stage: StageOSGrad, LR: 1e-3, Seed: 1,
 			BucketElems: 512, Overlap: true, FP16Compute: true, ClipNorm: 1}},
 		{"hier+overlap", Options{Stage: StageOSGrad, LR: 1e-3, Seed: 1,
-			BucketElems: 512, Overlap: true, Topology: Topology{NodeSize: 2}}},
+			BucketElems: 512, Overlap: true, NodeSize: 2}},
 		{"lamb", Options{Stage: StageOS, LR: 1e-3, Seed: 1,
 			Optimizer: optimizer.Spec{Kind: optimizer.KindLAMB, LR: 1e-3}}},
 		{"fp16compute+s3+overlap+prefetch", Options{Stage: StageFull, LR: 1e-3, Seed: 1,
@@ -147,7 +147,7 @@ func TestSteadyStateStepAllocationsComposed(t *testing.T) {
 		{"fp16compute+s2+overlap", Options{Stage: StageOSGrad, LR: 1e-3, Seed: 1,
 			BucketElems: 512, Overlap: true, FP16Compute: true}},
 		{"fp16compute+s3+hier", Options{Stage: StageFull, LR: 1e-3, Seed: 1,
-			BucketElems: 512, FP16Compute: true, Topology: Topology{NodeSize: 2}}},
+			BucketElems: 512, FP16Compute: true, NodeSize: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got := meanAllocs(measureStepAllocs(t, 4, tc.opts))

@@ -101,18 +101,15 @@ func TestPaComposesWithOverlapAndPrefetch(t *testing.T) {
 		w := comm.NewWorld(n)
 		out := make([][]float32, n)
 		w.Run(func(c *comm.Comm) {
-			sched := comm.NewScheduler(c)
-			defer sched.Close()
-			var store model.CheckpointStore = newInlineStore()
-			if pa {
-				store = NewPartitionedStore(sched.Stream(StreamCheckpoint), false)
-			}
 			tr := MustNew(c, cfg, Options{
 				Stage: StageFull, LR: testLR, Seed: testSeed, BucketElems: 193,
-				Checkpoint: true, Store: store,
-				Overlap: overlap, Prefetch: prefetch,
-				Scheduler: sched,
+				Checkpoint: true, Overlap: overlap, Prefetch: prefetch,
 			})
+			defer tr.Close()
+			tr.Model.Store = newInlineStore()
+			if pa {
+				tr.Model.Store = NewPartitionedStore(tr.Scheduler().Stream(StreamCheckpoint), false)
+			}
 			for s := 0; s < steps; s++ {
 				tr.Step(ids, targets, batch)
 			}
@@ -150,9 +147,10 @@ func TestOverlapRunsWithCheckpointStore(t *testing.T) {
 		w.Run(func(c *comm.Comm) {
 			tr := MustNew(c, cfg, Options{
 				Stage: StageOSGrad, LR: testLR, Seed: testSeed, BucketElems: 100,
-				Checkpoint: true, Store: newInlineStore(), Overlap: overlap,
+				Checkpoint: true, Overlap: overlap,
 			})
 			defer tr.Close()
+			tr.Model.Store = newInlineStore()
 			for s := 0; s < steps; s++ {
 				l := tr.Step(ids, targets, batch)
 				if c.Rank() == 0 {
@@ -177,7 +175,7 @@ func TestOverlapRunsWithCheckpointStore(t *testing.T) {
 // fp16 wire accounting is native: an fp32 step's measured bytes are exactly
 // 4 per element, and an fp16 compute step's are 2 per element for every
 // gradient and parameter collective plus 4 for the overflow vote's N-float
-// gather on the priority lane — reported by Stats, not reconstructed from
+// gather on the default domain — reported by Stats, not reconstructed from
 // elems × convention.
 func TestNativeByteAccountingPerStep(t *testing.T) {
 	cfg := testConfig()
@@ -194,9 +192,9 @@ func TestNativeByteAccountingPerStep(t *testing.T) {
 			st := w.Stats(r)
 			want := 4 * st.ElemsSent
 			if fp16 {
-				vote := st.PerStream[StreamPriority]
+				vote := st.PerStream[comm.DefaultStream]
 				if vote != n-1 {
-					t.Errorf("rank %d: %d elems on the priority lane, want the vote's %d", r, vote, n-1)
+					t.Errorf("rank %d: %d elems on the default domain, want the vote's %d", r, vote, n-1)
 				}
 				want = 2*(st.ElemsSent-vote) + 4*vote
 			}
@@ -208,35 +206,37 @@ func TestNativeByteAccountingPerStep(t *testing.T) {
 	}
 }
 
-// A trainer on a caller-owned Scheduler runs on that scheduler's streams —
-// the same *Stream, not a second ordering domain — and its Close leaves
-// them running for the caller.
+// A trainer runs on its Scheduler's streams — the same *Stream the rank's
+// other components get from Scheduler(), not a second ordering domain — and
+// its Close shuts them down and releases their names.
 func TestQueueDepthAppliesToSharedScheduler(t *testing.T) {
 	w := comm.NewWorld(2)
 	w.Run(func(c *comm.Comm) {
-		sched := comm.NewScheduler(c)
-		defer sched.Close()
-		tr := MustNew(c, testConfig(), Options{
-			Stage: StageFull, LR: testLR, Seed: testSeed, Scheduler: sched,
-		})
+		tr := MustNew(c, testConfig(), Options{Stage: StageFull, LR: testLR, Seed: testSeed})
+		sched := tr.Scheduler()
 		if tr.gradStream() != sched.Stream(StreamGrad) {
-			t.Error("trainer's grad stream is not the shared scheduler's")
+			t.Error("trainer's grad stream is not its scheduler's")
 		}
 		if tr.prefetchStream() != sched.Stream(StreamPrefetch) {
-			t.Error("trainer's prefetch stream is not the shared scheduler's")
+			t.Error("trainer's prefetch stream is not its scheduler's")
+		}
+		x := []float32{float32(c.Rank() + 1)}
+		sched.Stream(StreamCheckpoint).AllReduce(comm.F32Buf(x)).Wait()
+		if x[0] != 3 {
+			t.Errorf("rank %d: all-reduce on the shared checkpoint stream gave %v, want 3", c.Rank(), x[0])
 		}
 		tr.Close()
-		x := []float32{float32(c.Rank() + 1)}
-		sched.Stream(StreamGrad).AllReduce(comm.F32Buf(x)).Wait()
-		if x[0] != 3 {
-			t.Errorf("rank %d: all-reduce after trainer Close gave %v, want 3", c.Rank(), x[0])
-		}
+		// A stream name a live scheduler still held would panic here.
+		next := comm.NewScheduler(c)
+		defer next.Close()
+		next.Stream(StreamGrad)
 	})
 }
 
-// A trainer that owns its scheduler and one that shares a caller's train
-// bitwise identically: the scheduler's owner changes teardown, never the
-// schedule.
+// A trainer whose scheduler another component of the rank shares — here
+// unwaited all-reduces on its checkpoint stream, in flight across steps —
+// trains bitwise identically to one that has the scheduler to itself:
+// sharing the ordering-domain set changes traffic, never the schedule.
 func TestQueueDepthOptionTrainsIdentically(t *testing.T) {
 	cfg := testConfig()
 	const n, steps, batch = 2, 3, 4
@@ -245,22 +245,22 @@ func TestQueueDepthOptionTrainsIdentically(t *testing.T) {
 		w := comm.NewWorld(n)
 		out := make([]float64, steps)
 		w.Run(func(c *comm.Comm) {
-			opts := Options{
+			tr := MustNew(c, cfg, Options{
 				Stage: StageFull, LR: testLR, Seed: testSeed,
 				BucketElems: 64, Overlap: true, Prefetch: true,
-			}
-			if shared {
-				opts.Scheduler = comm.NewScheduler(c)
-				defer opts.Scheduler.Close()
-			}
-			tr := MustNew(c, cfg, opts)
+			})
 			defer tr.Close()
+			side := make([]float32, 4096)
 			for s := 0; s < steps; s++ {
+				if shared {
+					tr.Scheduler().Stream(StreamCheckpoint).AllReduce(comm.F32Buf(side))
+				}
 				l := tr.Step(ids, targets, batch)
 				if c.Rank() == 0 {
 					out[s] = l
 				}
 			}
+			tr.Scheduler().Barrier()
 		})
 		return out
 	}

@@ -8,62 +8,78 @@ import (
 	"repro/internal/optimizer"
 )
 
-// The gradient-clip partial exchange rides the priority lane, not the grad
-// stream: its N floats must never queue behind megabyte gradient buckets.
+// The gradient-clip partial exchange runs on the default domain, not the
+// grad stream: its N floats must never queue behind megabyte gradient
+// buckets. The grad stream carries the same traffic with clipping on or off.
 func TestClipPartialsRideThePriorityStream(t *testing.T) {
 	const ranks, batch, steps = 4, 4, 3
 	cfg := model.Config{Layers: 2, Hidden: 32, Heads: 2, Vocab: 32, Seq: 16}
 	ids, targets := model.SyntheticBatch(1, batch, cfg.Seq, cfg.Vocab)
-	w := comm.NewWorld(ranks)
-	w.Run(func(c *comm.Comm) {
-		tr := MustNew(c, cfg, Options{
-			Stage: StageOSGrad, LR: 1e-3, Seed: 1,
-			BucketElems: 256, Overlap: true, ClipNorm: 1,
+	run := func(clip float64) comm.Stats {
+		w := comm.NewWorld(ranks)
+		w.Run(func(c *comm.Comm) {
+			tr := MustNew(c, cfg, Options{
+				Stage: StageOSGrad, LR: 1e-3, Seed: 1,
+				BucketElems: 256, Overlap: true, ClipNorm: clip,
+			})
+			defer tr.Close()
+			for i := 0; i < steps; i++ {
+				tr.Step(ids, targets, batch)
+			}
+			if clip > 0 && tr.LastGradNorm <= 0 {
+				t.Errorf("rank %d: clipping did not run (norm %v)", c.Rank(), tr.LastGradNorm)
+			}
 		})
-		defer tr.Close()
-		for i := 0; i < steps; i++ {
-			tr.Step(ids, targets, batch)
-		}
-		if tr.LastGradNorm <= 0 {
-			t.Errorf("rank %d: clipping did not run (norm %v)", c.Rank(), tr.LastGradNorm)
-		}
-	})
-	st := w.Stats(0)
-	// Each boundary all-gathers N floats over N ranks: N-1 elems sent per
-	// rank per step — and nothing else rides the lane at this config.
-	if want := int64(steps * (ranks - 1)); st.PerStream[StreamPriority] != want {
-		t.Errorf("priority-stream elems = %d, want %d", st.PerStream[StreamPriority], want)
+		return w.Stats(0)
 	}
-	if st.PerStream[StreamGrad] == 0 {
-		t.Error("grad stream idle — bucket traffic missing")
+	st, flat := run(1), run(0)
+	// Each boundary all-gathers N floats over N ranks: N-1 elems sent per
+	// rank per step — and nothing else runs on the default domain.
+	if want := int64(steps * (ranks - 1)); st.PerStream[comm.DefaultStream] != want {
+		t.Errorf("default-domain elems = %d, want %d", st.PerStream[comm.DefaultStream], want)
+	}
+	if st.PerStream[StreamGrad] == 0 || st.PerStream[StreamGrad] != flat.PerStream[StreamGrad] {
+		t.Errorf("grad-stream elems %d with clipping, %d without: the partials must not ride it",
+			st.PerStream[StreamGrad], flat.PerStream[StreamGrad])
 	}
 }
 
-// LAMB's 2·#tensors trust-ratio norm exchange uses the same lane.
+// LAMB's 2·#tensors trust-ratio norm exchange uses the same domain: one
+// all-gather of 2·#tensors floats per rank, and nothing on the grad stream.
 func TestLAMBNormsRideThePriorityStream(t *testing.T) {
 	const ranks, batch = 4, 4
 	cfg := model.Config{Layers: 2, Hidden: 32, Heads: 2, Vocab: 32, Seq: 16}
 	ids, targets := model.SyntheticBatch(1, batch, cfg.Seq, cfg.Vocab)
-	w := comm.NewWorld(ranks)
-	w.Run(func(c *comm.Comm) {
-		tr := MustNew(c, cfg, Options{
-			Stage: StageOS, LR: 1e-3, Seed: 1,
-			Optimizer: optimizer.Spec{Kind: optimizer.KindLAMB, LR: 1e-3},
+	run := func(kind optimizer.Kind) comm.Stats {
+		w := comm.NewWorld(ranks)
+		w.Run(func(c *comm.Comm) {
+			tr := MustNew(c, cfg, Options{
+				Stage: StageOS, LR: 1e-3, Seed: 1,
+				Optimizer: optimizer.Spec{Kind: kind, LR: 1e-3},
+			})
+			defer tr.Close()
+			tr.Step(ids, targets, batch)
 		})
-		defer tr.Close()
-		tr.Step(ids, targets, batch)
-	})
-	if got := w.Stats(0).PerStream[StreamPriority]; got == 0 {
-		t.Error("LAMB norm partials did not use the priority stream")
+		return w.Stats(0)
+	}
+	st, adam := run(optimizer.KindLAMB), run(optimizer.KindAdam)
+	tensors := len(model.New(cfg, 1).Layout.Segments)
+	if want := int64(2 * tensors * (ranks - 1)); st.PerStream[comm.DefaultStream] != want {
+		t.Errorf("LAMB norm partials: %d default-domain elems, want %d", st.PerStream[comm.DefaultStream], want)
+	}
+	if st.PerStream[StreamGrad] != adam.PerStream[StreamGrad] {
+		t.Errorf("grad-stream elems %d under LAMB, %d under Adam: the norms must not ride it",
+			st.PerStream[StreamGrad], adam.PerStream[StreamGrad])
 	}
 }
 
-// The point of the lane, under -race: small latency-bound gathers complete
-// while bucket-sized reduce-scatters are still in flight on the grad
-// stream. Every rank leaves a deep pipeline of big ops unwaited, runs the
-// clip-style gather on the priority stream, and only then drains the grad
-// stream — with a single shared FIFO this schedule would serialize the
-// small op behind ~all the big ones; with the lane it pairs independently.
+// The point of the default domain, under -race: small latency-bound
+// gathers complete while bucket-sized reduce-scatters are still in flight
+// on the grad stream. Every rank leaves a deep pipeline of big ops
+// unwaited, runs the clip-style gather on its own communicator, and only
+// then drains the grad stream — with a single shared FIFO this schedule
+// would serialize the small op behind ~all the big ones; on separate
+// ordering domains it pairs independently.
 func TestPrioritySmallOpsBypassBucketTraffic(t *testing.T) {
 	const ranks, big, rounds = 4, 1 << 15, 8
 	w := comm.NewWorld(ranks)
@@ -72,7 +88,6 @@ func TestPrioritySmallOpsBypassBucketTraffic(t *testing.T) {
 		s := comm.NewScheduler(c)
 		defer s.Close()
 		grad := s.Stream(StreamGrad)
-		prio := s.Stream(StreamPriority)
 		bigBuf := make([]float32, big)
 		for i := range bigBuf {
 			bigBuf[i] = 1
@@ -85,19 +100,19 @@ func TestPrioritySmallOpsBypassBucketTraffic(t *testing.T) {
 		// stream is saturated.
 		partials := make([]float32, ranks)
 		partials[c.Rank()] = float32(c.Rank() + 1)
-		prio.AllGather(comm.F32Buf(partials), comm.Partition(ranks, ranks)).Wait()
+		c.AllGather(partials, comm.Partition(ranks, ranks))
 		results[c.Rank()] = partials
 		grad.Flush()
 	})
 	for r := 0; r < ranks; r++ {
 		for i, v := range results[r] {
 			if v != float32(i+1) {
-				t.Fatalf("rank %d: priority gather slot %d = %v, want %v", r, i, v, float32(i+1))
+				t.Fatalf("rank %d: default-domain gather slot %d = %v, want %v", r, i, v, float32(i+1))
 			}
 		}
 	}
 	st := w.Stats(0)
-	if st.PerStream[StreamPriority] == 0 || st.PerStream[StreamGrad] == 0 {
-		t.Fatal("expected concurrent traffic on both the grad and priority streams")
+	if st.PerStream[comm.DefaultStream] == 0 || st.PerStream[StreamGrad] == 0 {
+		t.Fatal("expected concurrent traffic on both the grad stream and the default domain")
 	}
 }

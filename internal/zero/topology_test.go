@@ -12,7 +12,7 @@ import (
 // ranks and returns rank 0's per-step loss.
 func topoTrajectory(t *testing.T, n, nodeSize int, opts Options, steps, batch int, ids, targets []int) []float64 {
 	t.Helper()
-	opts.Topology = Topology{NodeSize: nodeSize}
+	opts.NodeSize = nodeSize
 	w := comm.NewWorld(n)
 	out := make([]float64, steps)
 	w.Run(func(c *comm.Comm) {
@@ -149,7 +149,7 @@ func TestTopologyVolumeSplitIdentities(t *testing.T) {
 		w.Run(func(c *comm.Comm) {
 			tr := MustNew(c, cfg, Options{
 				Stage: tc.stage, LR: testLR, Seed: testSeed,
-				Topology: Topology{NodeSize: nodeSize},
+				NodeSize: nodeSize,
 			})
 			tr.Step(ids, targets, batch)
 		})
@@ -187,7 +187,7 @@ func TestTopologyComposesWithFP16ClipCheckpoint(t *testing.T) {
 				Stage: StageFull, LR: testLR, Seed: testSeed,
 				FP16Compute: true, ClipNorm: 1, Checkpoint: true, BucketElems: 193,
 				Overlap: overlap, Prefetch: overlap,
-				Topology: Topology{NodeSize: nodeSize},
+				NodeSize: nodeSize,
 			})
 			defer tr.Close()
 			for s := 0; s < steps; s++ {

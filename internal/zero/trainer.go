@@ -15,7 +15,7 @@ import (
 // across ranks.
 const (
 	// StreamGrad carries gradient reduce-scatters/all-gathers plus the
-	// small post-step collectives (parameter all-gather, clip partials).
+	// post-step parameter all-gather.
 	StreamGrad = "grad"
 	// StreamPrefetch carries stage-3 parameter all-gathers, pipelined
 	// ahead of the layer group that needs them (§7.2.2).
@@ -24,37 +24,7 @@ const (
 	// stores (NewPartitionedStore), so activation gathers never share an
 	// ordering domain with gradient or prefetch traffic.
 	StreamCheckpoint = "checkpoint"
-	// StreamPriority is the high-priority lane for small latency-bound
-	// collectives — the N-element gradient-clip partial all-gather and
-	// LAMB's 2·#tensors trust-ratio norm all-gather. On its own ordering
-	// domain these messages never queue behind megabyte gradient buckets
-	// on the grad stream's FIFO worker, the in-process analogue of NCCL's
-	// priority streams.
-	StreamPriority = "priority"
 )
-
-// Topology describes the simulated cluster's node layout for the trainer's
-// collectives. The zero value is a flat (single-level) topology.
-type Topology struct {
-	// NodeSize is the number of ranks per node. When 1 < NodeSize < world
-	// size, every full-width gradient and parameter collective is routed
-	// through the two-level hierarchical algorithms (intra-node phase +
-	// inter-node phase, §2.3/§7's reason DP survives the node uplink), so
-	// only ~1/NodeSize of each bucket crosses nodes — measured under the
-	// "hier-intra"/"hier-inter" keys of comm.Stats.PerGroup. 0, 1 or the
-	// world size mean flat routing. The world size must be a multiple of
-	// NodeSize (zero.New returns the comm.ErrTopology error otherwise).
-	NodeSize int
-}
-
-// Hierarchical reports whether this topology actually routes two-level
-// collectives on a world of the given size: NodeSize strictly between 1
-// and the world size, dividing it. The single predicate shared by the
-// trainer, the experiments and the CLIs — degenerate layouts (one node,
-// or one rank per node) are flat everywhere by the same rule.
-func (tp Topology) Hierarchical(worldSize int) bool {
-	return tp.NodeSize > 1 && tp.NodeSize < worldSize && worldSize%tp.NodeSize == 0
-}
 
 // Options configures a ZeRO-DP trainer rank.
 type Options struct {
@@ -79,17 +49,21 @@ type Options struct {
 	// ride under the remaining backward compute; without it each handle is
 	// waited where it is submitted. The ops and their order are the same
 	// either way, so results are bitwise identical; only wall-clock
-	// changes. Composes with an activation-checkpoint Store: Pa's gathers
-	// ride their own checkpoint stream, so the two ordering domains
+	// changes. Composes with an activation-checkpoint Model.Store: Pa's
+	// gathers ride their own checkpoint stream, so the two ordering domains
 	// interleave freely on the wire.
 	Overlap bool
-	// Topology routes the trainer's collectives hierarchically for worlds
-	// laid out as nodes of Topology.NodeSize ranks (flat when zero).
-	// Composes with Overlap and Prefetch: the hierarchical buckets ride
-	// the same streams. Schedules on the same topology are bitwise
-	// identical to each other; across topologies the reduction tree (and
-	// therefore the float rounding) differs.
-	Topology Topology
+	// NodeSize lays the world out as nodes of NodeSize ranks: New builds
+	// the trainer's scheduler over c.Nodes(NodeSize), so every gradient and
+	// parameter collective on its streams runs two-level (intra-node phase
+	// + inter-node phase, §2.3/§7's reason DP survives the node uplink) and
+	// only ~1/NodeSize of each bucket crosses nodes — measured under the
+	// "hier-intra"/"hier-inter" keys of comm.Stats.PerGroup. 0, 1 or the
+	// world size mean flat routing; any other size the world does not tile
+	// into is comm.ErrTopology from New. Schedules on the same layout are
+	// bitwise identical to each other; across layouts the reduction tree
+	// (and therefore the float rounding) differs.
+	NodeSize int
 	// Prefetch sets the window of stage 3's parameter all-gathers. Forward
 	// and Backward always gather layer group by layer group on the prefetch
 	// stream, waiting each group's handle at its entry — §7.2.2's schedule,
@@ -108,12 +82,6 @@ type Options struct {
 	// extra 2·#tensors-float all-gather per boundary), so the update stays
 	// bitwise identical across stages.
 	Optimizer optimizer.Spec
-	// Scheduler, when non-nil, is the stream scheduler the trainer uses
-	// instead of creating (and owning) its own — pass one when other
-	// components of the rank (e.g. a Pa checkpoint store) must share the
-	// same set of ordering domains. The caller keeps ownership: Close is
-	// then the caller's job.
-	Scheduler *comm.Scheduler
 	// FP16Compute is mixed-precision training (§3.1): activations and the
 	// parameters the kernels read are stored in 2-byte binary16
 	// (model.SetFP16Compute) with fp32 accumulation inside the half
@@ -125,7 +93,7 @@ type Options struct {
 	// those halves; the Ψ-long fp32 Model.Params is released at
 	// construction. Gradients are rounded through binary16 before their
 	// reduce-scatter, and every collective is accounted at 2 bytes per
-	// element. Composes with Checkpoint and a Store.
+	// element. Composes with Checkpoint and a Model.Store.
 	FP16Compute bool
 	// InitialLossScale overrides the dynamic loss scaler's starting scale
 	// under FP16Compute (0 = the conventional 2^16).
@@ -139,11 +107,10 @@ type Options struct {
 	// collective pattern DeepSpeed uses for ZeRO gradient clipping.
 	ClipNorm float64
 	// Checkpoint enables activation checkpointing in the wrapped model.
+	// Setting Model.Store after New routes the checkpoints through a
+	// CheckpointStore (Pa / Pa+cpu from ZeRO-R); a PartitionedStore runs on
+	// the trainer's Scheduler().Stream(StreamCheckpoint).
 	Checkpoint bool
-	// Store, with Checkpoint, routes activation checkpoints through a
-	// CheckpointStore (Pa / Pa+cpu from ZeRO-R). A PartitionedStore should
-	// run on a StreamCheckpoint stream of the same Scheduler passed above.
-	Store model.CheckpointStore
 }
 
 // Trainer is one rank of a ZeRO-powered data-parallel job. The same type
@@ -154,10 +121,13 @@ type Options struct {
 // buffer and the gradient reduce-scatter is completed into an all-reduce by
 // a gradient all-gather.
 //
-// All of the trainer's collectives flow through comm streams: gradient
-// traffic on StreamGrad, stage-3 parameter gathers on StreamPrefetch. Every
-// configuration submits the same ops in the same order; Overlap and Prefetch
-// only decide where a Handle is waited.
+// The trainer's bulk collectives flow through the streams of one scheduler
+// over the rank's node layout: gradient traffic on StreamGrad, stage-3
+// parameter gathers on StreamPrefetch. The N-float partial gathers (clip,
+// LAMB norms, the fp16 overflow vote) run flat on the rank's own
+// communicator, the default domain, where they never queue behind a
+// bucket. Every configuration submits the same ops in the same order;
+// Overlap and Prefetch only decide where a Handle is waited.
 type Trainer struct {
 	Model *model.Model
 
@@ -174,11 +144,10 @@ type Trainer struct {
 	scaler   *optimizer.LossScaler
 	overflow bool
 
-	parts    []comm.Range        // global Ψ/Nd partition; parts[rank] is owned
-	opt      optimizer.Optimizer // optimizer over the owned partition (full buffer at stage 0)
-	master   []float32           // fp32 master copy of the optimizer's domain (FP16Compute)
-	groups   []model.Segment     // layer groups: gather and bucket granularity
-	nodeSize int                 // hierarchical node width; 0 = flat routing
+	parts  []comm.Range        // global Ψ/Nd partition; parts[rank] is owned
+	opt    optimizer.Optimizer // optimizer over the owned partition (full buffer at stage 0)
+	master []float32           // fp32 master copy of the optimizer's domain (FP16Compute)
+	groups []model.Segment     // layer groups: gather and bucket granularity
 
 	// accum is the persistent gradient accumulator over the optimizer
 	// domain: Ψ/Nd elements at the partitioned stages, Ψ at stage 0 where
@@ -189,11 +158,9 @@ type Trainer struct {
 	accum       []float32
 	accumMicros int // micro-batches folded into accum since the last Update
 
-	sched    *comm.Scheduler
-	ownSched bool         // whether Close should close sched
-	grad     *comm.Stream // lazily created gradient ordering domain
-	prefetch *comm.Stream // lazily created stage-3 gather ordering domain
-	priority *comm.Stream // lazily created small-message priority lane
+	sched    *comm.Scheduler // over the rank's node layout (Options.NodeSize)
+	grad     *comm.Stream    // lazily created gradient ordering domain
+	prefetch *comm.Stream    // lazily created stage-3 gather ordering domain
 
 	// Steady-state scratch, preallocated at construction (or on first use
 	// for the lazily sized pieces) so step k≥2 of a warmed trainer
@@ -229,37 +196,28 @@ type bucketPlan struct {
 // Options so the replicas agree on layout, initialization and stream
 // schedule. Construction performs no communication.
 //
-// Invalid configurations — an unknown stage, or a Topology.NodeSize the
-// world size does not tile into (comm.ErrTopology) — are reported here,
-// before any collective is in flight, instead of panicking mid-step.
+// Invalid configurations — an unknown stage, or a NodeSize the world size
+// does not tile into (comm.ErrTopology) — are reported here, before any
+// collective is in flight, instead of panicking mid-step.
 func New(c *comm.Comm, cfg model.Config, opts Options) (*Trainer, error) {
 	if !opts.Stage.Valid() {
 		return nil, fmt.Errorf("zero: unknown stage %v (want StageDDP..StageFull)", opts.Stage)
 	}
-	if opts.Topology.NodeSize != 0 {
-		if err := comm.CheckNodeSize(c.Size(), opts.Topology.NodeSize); err != nil {
+	laidOut := c
+	if opts.NodeSize != 0 {
+		var err error
+		if laidOut, err = c.Nodes(opts.NodeSize); err != nil {
 			return nil, fmt.Errorf("zero: topology: %w", err)
 		}
 	}
-	nodeSize := 0 // flat unless the layout is genuinely two-level
-	if opts.Topology.Hierarchical(c.Size()) {
-		nodeSize = opts.Topology.NodeSize
-	}
 	m := model.New(cfg, opts.Seed)
 	m.Checkpoint = opts.Checkpoint
-	m.Store = opts.Store
 	n := m.NumParams()
 	parts := comm.Partition(n, c.Size())
 	own := parts[c.Rank()]
 	optDomain := own
 	if opts.Stage == StageDDP {
 		optDomain = comm.Range{Lo: 0, Hi: n} // replicated optimizer state
-	}
-	sched := opts.Scheduler
-	ownSched := false
-	if sched == nil {
-		sched = comm.NewScheduler(c)
-		ownSched = true
 	}
 	spec := opts.Optimizer
 	if spec.LR == 0 {
@@ -270,17 +228,15 @@ func New(c *comm.Comm, cfg model.Config, opts Options) (*Trainer, error) {
 		return nil, fmt.Errorf("zero: %w", err)
 	}
 	t := &Trainer{
-		Model:    m,
-		c:        c,
-		opts:     opts,
-		stage:    opts.Stage,
-		parts:    parts,
-		opt:      opt,
-		accum:    make([]float32, optDomain.Len()),
-		groups:   m.Layout.LayerSegments(cfg.Layers),
-		nodeSize: nodeSize,
-		sched:    sched,
-		ownSched: ownSched,
+		Model:  m,
+		c:      c,
+		opts:   opts,
+		stage:  opts.Stage,
+		parts:  parts,
+		opt:    opt,
+		accum:  make([]float32, optDomain.Len()),
+		groups: m.Layout.LayerSegments(cfg.Layers),
+		sched:  comm.NewScheduler(laidOut),
 	}
 	if opts.FP16Compute {
 		// The round-to-nearest-even encode is the fp16 rounding; from here on
@@ -352,11 +308,12 @@ func (t *Trainer) Comm() *comm.Comm { return t.c }
 // Owned returns this rank's partition of the flat parameter space.
 func (t *Trainer) Owned() comm.Range { return t.parts[t.c.Rank()] }
 
-// Scheduler returns the trainer's stream scheduler (the one from
-// Options.Scheduler, or the internally created one). Useful for harness
-// code that wants a quiesce point (Scheduler.Barrier) before reading or
-// resetting World stats mid-run; after Step returns, the streams are
-// already drained.
+// Scheduler returns the trainer's stream scheduler, built over the rank's
+// node layout. Other components of the rank share its ordering domains
+// through it (a Pa store on StreamCheckpoint, elastic snapshots), and
+// harness code uses it as a quiesce point (Scheduler.Barrier) before
+// reading or resetting World stats mid-run; after Step returns, the
+// streams are already drained.
 func (t *Trainer) Scheduler() *comm.Scheduler { return t.sched }
 
 // optimizerDomain is the flat-buffer range the rank's optimizer updates:
@@ -368,18 +325,17 @@ func (t *Trainer) optimizerDomain() comm.Range {
 	return t.Owned()
 }
 
-// Close releases the trainer's stream workers (if the scheduler is trainer
-// owned) and its model workspace, so two sequential trainers in one process
-// never double-resident their scratch. Safe to call on trainers that never
-// communicated asynchronously, and more than once.
+// Close releases the trainer's stream workers and its model workspace, so
+// two sequential trainers in one process never double-resident their
+// scratch. Safe to call on trainers that never communicated
+// asynchronously, and more than once.
 func (t *Trainer) Close() {
-	if t.sched != nil && t.ownSched {
+	if t.sched != nil {
 		t.sched.Close()
 	}
 	t.sched = nil
 	t.grad = nil
 	t.prefetch = nil
-	t.priority = nil
 	if t.Model != nil {
 		t.Model.ReleaseWorkspace()
 	}
@@ -401,17 +357,6 @@ func (t *Trainer) prefetchStream() *comm.Stream {
 	return t.prefetch
 }
 
-// priorityStream lazily creates the small-message priority lane. Every rank
-// reaches it under the same configuration (gradient clipping or LAMB), so
-// the stream-name set stays identical across ranks — the determinism
-// contract of the scheduler.
-func (t *Trainer) priorityStream() *comm.Stream {
-	if t.priority == nil {
-		t.priority = t.sched.Stream(StreamPriority)
-	}
-	return t.priority
-}
-
 // wireDType is the dtype gradient collectives are accounted at: F16 under
 // FP16Compute (gradients move as 2-byte halves on real wires, §3.1), F32
 // otherwise.
@@ -420,31 +365,6 @@ func (t *Trainer) wireDType() comm.DType {
 		return comm.F16
 	}
 	return comm.F32
-}
-
-// NodeSize returns the effective hierarchical node width (0 when routing
-// is flat — including the degenerate one-node and one-rank-per-node
-// layouts).
-func (t *Trainer) NodeSize() int { return t.nodeSize }
-
-// reduceScatter submits one bucket's reduce-scatter to st, routed through
-// the two-level hierarchical algorithm when a topology is configured. The
-// ownership layout (parts) is identical either way.
-func (t *Trainer) reduceScatter(st *comm.Stream, b comm.Buffer, parts []comm.Range) comm.Handle {
-	if t.nodeSize > 0 {
-		return st.ReduceScatterHierarchical(b, parts, t.nodeSize)
-	}
-	return st.ReduceScatter(b, parts)
-}
-
-// allGather submits one parameter/gradient all-gather to st, routed like
-// reduceScatter. The small N-element clip-partial gather stays flat: it is
-// latency-bound, and gathers are bitwise identical however they are routed.
-func (t *Trainer) allGather(st *comm.Stream, b comm.Buffer, parts []comm.Range) comm.Handle {
-	if t.nodeSize > 0 {
-		return st.AllGatherHierarchical(b, parts, t.nodeSize)
-	}
-	return st.AllGather(b, parts)
 }
 
 // paramBuf is the buffer the parameter all-gathers move: the encoded halves
@@ -543,7 +463,7 @@ func (p *paramPrefetcher) submit(k int) {
 	if k < 0 || k >= len(p.handles) || p.handles[k].Valid() {
 		return
 	}
-	p.handles[k] = p.t.allGather(p.t.prefetchStream(), p.t.paramBuf(), p.orderParts[k])
+	p.handles[k] = p.t.prefetchStream().AllGather(p.t.paramBuf(), p.orderParts[k])
 }
 
 // arrive blocks until group k's parameters are resident and keeps the next
@@ -697,17 +617,17 @@ func (t *Trainer) Update() {
 	// Stage 0 computes every partial locally (the full accumulator is
 	// resident); the partitioned stages contribute their shard's partial
 	// and all-gather the rest — same arithmetic, same bits.
-	// The N-float partial exchange rides the priority lane: it is latency
-	// bound, and on its own ordering domain it never queues behind bucket
-	// traffic still draining on the grad stream. Gathers move bits, so the
-	// result is bitwise identical to the grad-stream schedule.
+	// The N-float partial exchange runs flat on the default domain: it is
+	// latency bound, and there it never queues behind bucket traffic on
+	// the grad stream. Gathers move bits, so the result is bitwise
+	// identical however it is routed.
 	if t.opts.ClipNorm > 0 {
 		partials := t.clipPartials
 		if t.stage == StageDDP {
 			optimizer.PartitionSquaredSumsInto(partials, t.accum, t.parts)
 		} else {
 			partials[t.c.Rank()] = optimizer.PartialSquaredSum(t.accum)
-			t.priorityStream().AllGather(comm.F32Buf(partials), t.clipParts).Wait()
+			t.c.AllGather(partials, t.clipParts)
 		}
 		norm := optimizer.GlobalGradNorm(partials)
 		t.LastGradNorm = norm
@@ -738,7 +658,7 @@ func (t *Trainer) Update() {
 	case StageFull:
 		t.dropUnowned()
 	default:
-		t.allGather(t.gradStream(), t.paramBuf(), t.parts).Wait()
+		t.gradStream().AllGather(t.paramBuf(), t.parts).Wait()
 	}
 
 	// Successful step: grow the loss scale on schedule.
@@ -755,7 +675,7 @@ func (t *Trainer) Update() {
 // overflowed during the accumulation window. Overflow is data-dependent
 // per rank (each rank backpropagates its own micro-batch slice), so even
 // stage 0 must vote: a single-rank skip would fork the replicas. The
-// N-float exchange rides the priority lane like gradient clipping does.
+// N-float exchange runs on the default domain like gradient clipping does.
 func (t *Trainer) voteOverflow() bool {
 	partials := t.clipPartials
 	var f float32
@@ -763,7 +683,7 @@ func (t *Trainer) voteOverflow() bool {
 		f = 1
 	}
 	partials[t.c.Rank()] = f
-	t.priorityStream().AllGather(comm.F32Buf(partials), t.clipParts).Wait()
+	t.c.AllGather(partials, t.clipParts)
 	t.overflow = false
 	for _, v := range partials {
 		if v != 0 {
@@ -883,9 +803,9 @@ func (t *Trainer) stepLAMB(l *optimizer.LAMB, params, grads []float32) {
 		}
 	} else {
 		// Like the clip partials, the 2·#tensors-float norm exchange is
-		// latency bound and rides the priority lane.
+		// latency bound and runs on the default domain.
 		fill(t.c.Rank(), t.parts[t.c.Rank()])
-		t.priorityStream().AllGather(comm.F32Buf(partials), t.lambParts).Wait()
+		t.c.AllGather(partials, t.lambParts)
 	}
 
 	wp := t.lambWP[:n]
@@ -985,15 +905,15 @@ func (t *Trainer) groupBuckets(g model.Segment) []comm.Range {
 // global partition, completed into an all-reduce by a gradient all-gather
 // at stage 0. The bucket's per-rank ownership comes from intersecting the
 // global partition, so the elementwise reduction order — and therefore the
-// bits — is independent of bucket framing; under a Topology both ops route
-// hierarchically with the same ownership layout.
+// bits — is independent of bucket framing; on a node layout both ops run
+// two-level with the same ownership layout.
 func (t *Trainer) reduceBucketAt(i int) comm.Handle {
 	buf := comm.Buffer{Data: t.Model.Grads, DType: t.wireDType()}
 	st := t.gradStream()
 	parts := t.plan.parts[i]
-	h := t.reduceScatter(st, buf, parts)
+	h := st.ReduceScatter(buf, parts)
 	if t.stage == StageDDP {
-		h = t.allGather(st, buf, parts) // FIFO after the reduce-scatter
+		h = st.AllGather(buf, parts) // FIFO after the reduce-scatter
 	}
 	return h
 }

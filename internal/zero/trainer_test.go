@@ -250,27 +250,29 @@ func TestTrainerRejectsInvalidConfigs(t *testing.T) {
 	w := comm.NewWorld(4)
 	w.Run(func(c *comm.Comm) {
 		for _, bad := range []int{3, -2, 5} {
-			_, err := New(c, testConfig(), Options{
-				Stage: StageOSGrad, LR: testLR, Topology: Topology{NodeSize: bad},
-			})
+			_, err := New(c, testConfig(), Options{Stage: StageOSGrad, LR: testLR, NodeSize: bad})
 			if !errors.Is(err, comm.ErrTopology) {
 				t.Errorf("NodeSize %d: err = %v, want comm.ErrTopology", bad, err)
 			}
 		}
-		// Degenerate-but-valid layouts collapse to flat routing.
-		for _, flat := range []int{0, 1, 4} {
-			tr, err := New(c, testConfig(), Options{
-				Stage: StageOSGrad, LR: testLR, Topology: Topology{NodeSize: flat},
-			})
-			if err != nil || tr.NodeSize() != 0 {
-				t.Errorf("NodeSize %d: err=%v effective=%d, want flat", flat, err, tr.NodeSize())
+		// Degenerate-but-valid layouts collapse to flat routing: the
+		// scheduler's collectives record no inter-node traffic.
+		for _, tc := range []struct {
+			nodeSize int
+			hier     bool
+		}{{0, false}, {1, false}, {4, false}, {2, true}} {
+			tr, err := New(c, testConfig(), Options{Stage: StageOSGrad, LR: testLR, NodeSize: tc.nodeSize})
+			if err != nil {
+				t.Errorf("NodeSize %d: %v", tc.nodeSize, err)
+				continue
 			}
-		}
-		tr := MustNew(c, testConfig(), Options{
-			Stage: StageOSGrad, LR: testLR, Topology: Topology{NodeSize: 2},
-		})
-		if tr.NodeSize() != 2 {
-			t.Errorf("NodeSize 2: effective %d", tr.NodeSize())
+			before := c.World().Stats(c.Rank()).PerGroup["hier-inter"].Elems
+			tr.Scheduler().Stream(StreamGrad).AllReduce(comm.F32Buf(make([]float32, 8))).Wait()
+			hier := c.World().Stats(c.Rank()).PerGroup["hier-inter"].Elems > before
+			if hier != tc.hier {
+				t.Errorf("NodeSize %d: two-level routing %v, want %v", tc.nodeSize, hier, tc.hier)
+			}
+			tr.Close()
 		}
 	})
 }

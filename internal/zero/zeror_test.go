@@ -43,6 +43,41 @@ func TestInlineStoreRoundTrip(t *testing.T) {
 	s.Get(7)
 }
 
+// A store on a scheduler over a subgroup partitions across the group, not
+// the world: the stream reports group-local rank and size. A 4-rank world
+// in MP pairs must split 8 elements into 2 parts per pair and gather them
+// back; reading the world's rank and size instead panics inside the stream
+// worker, which takes the whole process down.
+func TestPartitionedStoreOnSubgroupScheduler(t *testing.T) {
+	const n, mp, elems = 4, 2, 8
+	w := comm.NewWorld(n)
+	w.Run(func(c *comm.Comm) {
+		g, err := c.MPGroup(mp)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		st, closeSched := checkpointStream(g)
+		defer closeSched()
+		if st.Rank() != g.Rank() || st.Size() != mp {
+			t.Errorf("rank %d: stream rank/size %d/%d, want the group's %d/%d", c.Rank(), st.Rank(), st.Size(), g.Rank(), mp)
+			return
+		}
+		ckpt := make([]float32, elems)
+		for i := range ckpt {
+			ckpt[i] = float32(c.Rank()/mp*100 + i) // replicated within each pair
+		}
+		s := NewPartitionedStore(st, false)
+		s.Put(0, ckpt)
+		if got, want := s.DeviceBytes(), int64(2*elems/mp); got != want {
+			t.Errorf("rank %d: %d device bytes, want a 1/%d shard's %d", c.Rank(), got, mp, want)
+		}
+		if got := s.Get(0); !slices.Equal(got, ckpt) {
+			t.Errorf("rank %d: gathered %v, want %v", c.Rank(), got, ckpt)
+		}
+	})
+}
+
 // Pa round trip: with identical (MP-replicated) checkpoints on every rank,
 // partition-then-gather must reconstruct the original exactly, while each
 // rank holds only 1/Nm of it (§6.1).
