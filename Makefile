@@ -96,9 +96,10 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run=NONE -fuzz=FuzzParseSpec -fuzztime=3s -fuzzminimizetime=100x
 
 # Control-plane smoke: the full submit → stream → checkpoint HTTP round
-# trip against an in-process zeroserve (part of `make check`).
+# trip against an in-process zeroserve, and one bad spec per engine config
+# class answered 400 (part of `make check`).
 serve-smoke:
-	$(GO) test ./internal/serve -run TestServeSubmitStreamCheckpoint -count=1
+	$(GO) test ./internal/serve -run 'TestServeSubmitStreamCheckpoint|TestServeAdmissionErrors' -count=1
 
 # Elastic-recovery smoke: a deterministic mid-run rank kill recovered by
 # the supervisor from its last boundary snapshot, under the race detector

@@ -34,8 +34,8 @@
 // group and layout; Partition and Range for ownership; Killed and
 // RankFailure for rank death, which every world contains: Run returns one
 // error per rank instead of deadlocking or crashing. Imported by zero,
-// engine, optimizer, elastic, serve and experiments, by cmd/zerobench,
-// cmd/zerotrain and the examples, and by bench.
+// engine, elastic, serve and experiments, by cmd/zerobench, cmd/zerotrain
+// and the examples, and by bench.
 package comm
 
 import (

@@ -187,8 +187,8 @@ func TestCaptureRoundTripMatrix(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := zero.Options{Stage: tc.stage, LR: testLR, Seed: testSeed,
-				Optimizer: tc.opt, FP16Compute: tc.fp16}
+			tc.opt.LR = testLR
+			opts := zero.Options{Stage: tc.stage, Seed: testSeed, Optimizer: tc.opt, FP16Compute: tc.fp16}
 			if tc.fp16 {
 				// The loss scaler is not part of a snapshot, so the resumed
 				// run retraces the uninterrupted one only at a scale that
@@ -235,7 +235,7 @@ func TestReshardedResumeMatchesSmallWorld(t *testing.T) {
 	cfg := testConfig()
 	const batch, pre, post = 4, 3, 3
 	ids, targets := model.SyntheticBatch(5, batch, cfg.Seq, cfg.Vocab)
-	opts := zero.Options{Stage: zero.StageOSGrad, LR: testLR, Seed: testSeed}
+	opts := zero.Options{Stage: zero.StageOSGrad, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed}
 
 	ck := captureWorld(t, 4, opts, pre, 1, 0, ids, targets, batch)
 	ref := referenceWorld(t, 2, opts, pre+post, 1, ids, targets, batch)
@@ -254,7 +254,7 @@ func TestSnapshotterAsyncMatchesSyncCapture(t *testing.T) {
 	cfg := testConfig()
 	const n, batch, steps, every = 4, 4, 6, 2
 	ids, targets := model.SyntheticBatch(3, batch, cfg.Seq, cfg.Vocab)
-	opts := zero.Options{Stage: zero.StageOSGrad, LR: testLR, Seed: testSeed}
+	opts := zero.Options{Stage: zero.StageOSGrad, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed}
 	dir := t.TempDir()
 
 	snap, err := NewSnapshotter(Policy{Every: every, Dir: dir, Keep: 2}, n)
@@ -328,7 +328,7 @@ func TestSnapshotterMidAccumInMemory(t *testing.T) {
 	cfg := testConfig()
 	const n, batch = 2, 4
 	ids, targets := model.SyntheticBatch(9, batch, cfg.Seq, cfg.Vocab)
-	opts := zero.Options{Stage: zero.StageOS, LR: testLR, Seed: testSeed}
+	opts := zero.Options{Stage: zero.StageOS, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed}
 
 	snap, err := NewSnapshotter(Policy{}, n)
 	if err != nil {

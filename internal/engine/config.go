@@ -16,7 +16,7 @@
 // TrainStream, TrainLoop, Save, Load, Observe, OnBoundary and the
 // accounting readers) and contains rank death; OpenData compiles the data
 // section into a data.Loader; the Err* sentinels classify config errors
-// and ErrRankFailed a job in which a rank died. Imported by
+// (each wraps ErrConfig) and ErrRankFailed a job in which a rank died. Imported by
 // internal/serve, internal/experiments, cmd/zerotrain, the examples and
 // bench.
 package engine
@@ -41,36 +41,46 @@ import (
 // job in which a rank died. Normalized (and everything built on it) wraps
 // one of the config sentinels and Run wraps ErrRankFailed, so callers
 // distinguish failure classes with errors.Is instead of string matching.
+// Every config sentinel wraps ErrConfig, so "the config is invalid" is one
+// errors.Is check.
 var (
+	// ErrConfig is the parent of every config sentinel below.
+	ErrConfig = errors.New("engine: invalid config")
 	// ErrJSON marks malformed or unknown-field config JSON.
-	ErrJSON = errors.New("engine: malformed config JSON")
+	ErrJSON error = configError("engine: malformed config JSON")
 	// ErrModel marks an invalid model shape.
-	ErrModel = errors.New("engine: invalid model")
+	ErrModel error = configError("engine: invalid model")
 	// ErrWorld marks an invalid rank count, or a world whose size does not
 	// match the config at start-up.
-	ErrWorld = errors.New("engine: invalid world")
+	ErrWorld error = configError("engine: invalid world")
 	// ErrStage marks an unknown ZeRO stage spelling.
-	ErrStage = errors.New("engine: invalid stage")
+	ErrStage error = configError("engine: invalid stage")
 	// ErrOptimizer marks an unknown optimizer name or bad hyperparameters.
-	ErrOptimizer = errors.New("engine: invalid optimizer")
+	ErrOptimizer error = configError("engine: invalid optimizer")
 	// ErrBatch marks inconsistent batch geometry: global_batch must equal
 	// grad_accum_steps × micro_batch, and micro_batch must divide by ranks.
-	ErrBatch = errors.New("engine: invalid batch geometry")
+	ErrBatch error = configError("engine: invalid batch geometry")
 	// ErrTopology marks a node layout the world does not tile into.
-	ErrTopology = errors.New("engine: invalid topology")
+	ErrTopology error = configError("engine: invalid topology")
 	// ErrSchedule marks a bad communication-schedule knob (a negative
 	// bucket size).
-	ErrSchedule = errors.New("engine: invalid schedule")
+	ErrSchedule error = configError("engine: invalid schedule")
 	// ErrData marks an invalid data section (missing corpus path, unknown
 	// tokenizer, sequence length beyond the model, vocabulary mismatch).
-	ErrData = errors.New("engine: invalid data section")
+	ErrData error = configError("engine: invalid data section")
 	// ErrPrecision marks an invalid precision section (bad loss-scale
-	// knobs, or fp16 compute combined with activation checkpointing).
-	ErrPrecision = errors.New("engine: invalid precision section")
+	// knobs).
+	ErrPrecision error = configError("engine: invalid precision section")
 	// ErrRankFailed marks a job in which a rank died mid-run; the wrapped
 	// error joins every rank's comm.Killed or comm.RankFailure.
 	ErrRankFailed = errors.New("engine: rank failed")
 )
+
+// configError is a config sentinel: its own message, wrapping ErrConfig.
+type configError string
+
+func (e configError) Error() string { return string(e) }
+func (e configError) Unwrap() error { return ErrConfig }
 
 // StageSpec is a ZeRO stage in config form: a JSON number 0-3 or a paper
 // name ("ddp", "os", "os+g", "full", "pos+g+p", ...). The empty value means
@@ -480,7 +490,6 @@ func (c Config) compile() (zero.Options, error) {
 	}
 	opts := zero.Options{
 		Stage:       stage,
-		LR:          c.Optimizer.LR,
 		Seed:        c.Seed,
 		BucketElems: c.BucketElems,
 		Overlap:     c.Overlap,

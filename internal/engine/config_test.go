@@ -11,10 +11,11 @@ import (
 	"testing"
 )
 
-// Every failure class yields its own wrapped sentinel — and only that one —
-// so callers can dispatch on errors.Is without string matching.
+// Every failure class yields its own wrapped sentinel — and only that one,
+// besides their common parent ErrConfig — so callers can dispatch on
+// errors.Is without string matching.
 func TestValidateSentinelErrors(t *testing.T) {
-	sentinels := []error{ErrJSON, ErrModel, ErrWorld, ErrStage, ErrOptimizer, ErrBatch, ErrTopology, ErrSchedule, ErrData}
+	sentinels := []error{ErrJSON, ErrModel, ErrWorld, ErrStage, ErrOptimizer, ErrBatch, ErrTopology, ErrSchedule, ErrData, ErrPrecision}
 	mut := func(f func(*Config)) Config {
 		c := DefaultConfig()
 		// Data-section cases use relative corpus paths; anchor them so the
@@ -58,6 +59,9 @@ func TestValidateSentinelErrors(t *testing.T) {
 		{"node size not tiling ranks", mut(func(c *Config) { c.NodeSize = 3 }), ErrTopology},
 		{"negative node size", mut(func(c *Config) { c.NodeSize = -2 }), ErrTopology},
 		{"negative bucket", mut(func(c *Config) { c.BucketElems = -1 }), ErrSchedule},
+		{"negative loss scale", mut(func(c *Config) {
+			c.Precision = &PrecisionConfig{FP16Compute: true, InitialLossScale: -1}
+		}), ErrPrecision},
 		{"data without path", mut(func(c *Config) { c.Data = &DataConfig{} }), ErrData},
 		{"unknown tokenizer", mut(func(c *Config) {
 			c.Data = &DataConfig{Path: "x.txt", Tokenizer: "wordpiece"}
@@ -109,6 +113,9 @@ func TestValidateSentinelErrors(t *testing.T) {
 			if is, want := errors.Is(err, s), s == tc.want; is != want {
 				t.Errorf("%s: errors.Is(%v, %v) = %v, want %v", tc.name, err, s, is, want)
 			}
+		}
+		if !errors.Is(err, ErrConfig) {
+			t.Errorf("%s: %v does not wrap ErrConfig", tc.name, err)
 		}
 	}
 	if _, err := DefaultConfig().Normalized(); err != nil {

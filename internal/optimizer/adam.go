@@ -6,15 +6,12 @@
 // Surface: New builds the Optimizer a Spec names (ParseKind, Kind), over
 // Adam, SGD or LAMB (whose PrepareUpdate and ApplyBlock let zero aggregate
 // trust ratios across shards); NewLossScaler for dynamic loss scaling;
-// PartialSquaredSum, PartitionSquaredSumsInto, GlobalGradNorm and ClipScale
-// for partitioned clipping. Imported by zero, engine and bench.
+// PartialSquaredSum, GlobalGradNorm and ClipScale for partitioned clipping,
+// whose partials the caller computes and exchanges. Imports no comm.
+// Imported by zero, engine and bench.
 package optimizer
 
-import (
-	"math"
-
-	"repro/internal/comm"
-)
+import "math"
 
 // AdamK is the mixed-precision Adam memory multiplier: per parameter, the
 // optimizer holds an fp32 master copy (4 bytes), fp32 momentum (4) and fp32
@@ -103,11 +100,10 @@ func (a *Adam) Restore(state [][]float32, steps int) {
 }
 
 // GlobalGradNorm computes the L2 norm of a gradient vector from
-// partition-wise partial sums accumulated in a fixed order. Both the
-// replicated (DDP) and partitioned (ZeRO) engines compute the norm through
-// this exact arithmetic — float64 accumulation per partition, float32
-// partials summed in partition order — so gradient clipping stays bitwise
-// identical across them.
+// partition-wise partial sums accumulated in a fixed order. Every ZeRO
+// stage computes the norm through this exact arithmetic — float64
+// accumulation per partition, float32 partials summed in partition order —
+// so gradient clipping stays bitwise identical across them.
 func GlobalGradNorm(partials []float32) float64 {
 	var total float32
 	for _, p := range partials {
@@ -123,30 +119,6 @@ func PartialSquaredSum(g []float32) float32 {
 		s += float64(v) * float64(v)
 	}
 	return float32(s)
-}
-
-// partitionSquaredSums computes every partition's partial Σg² from a full
-// gradient buffer — the replicated (stage 0) counterpart of each
-// partitioned rank contributing PartialSquaredSum over its own shard and
-// all-gathering the rest. Both paths feed GlobalGradNorm the identical
-// partition-ordered partials, which is what keeps gradient clipping
-// bitwise-equal across every ZeRO stage.
-func partitionSquaredSums(g []float32, parts []comm.Range) []float32 {
-	partials := make([]float32, len(parts))
-	PartitionSquaredSumsInto(partials, g, parts)
-	return partials
-}
-
-// PartitionSquaredSumsInto is partitionSquaredSums into a caller-owned
-// buffer (len(parts) long) — the allocation-free form the trainer's
-// steady-state clipping path uses.
-func PartitionSquaredSumsInto(dst []float32, g []float32, parts []comm.Range) {
-	if len(dst) != len(parts) {
-		panic("optimizer: PartitionSquaredSumsInto length mismatch")
-	}
-	for i, p := range parts {
-		dst[i] = PartialSquaredSum(g[p.Lo:p.Hi])
-	}
 }
 
 // ClipScale returns the multiplier that caps the gradient norm at maxNorm

@@ -25,22 +25,6 @@ type ZeROConfig struct {
 	// synchronous gather schedule the stream API replaced. No effect at
 	// stages 0-2 (no parameter gathers) or under SyncComm.
 	Prefetch bool
-	// GatherWindow, when > 0, overrides the assumed prefetch overlap
-	// window with a measured compute fraction in (0,1] — read it off
-	// bench/'s traced zero.exposed_* figures on a stage-3 prefetch workload
-	// (gather-s3-fp16) instead of assuming gatherOverlapWindow.
-	GatherWindow float64
-}
-
-// prefetchWindow returns the compute fraction available to hide stage-3
-// parameter gathers for this config: the measured GatherWindow when set,
-// otherwise the assumed gatherOverlapWindow of the one-group-ahead
-// pipeline.
-func (z ZeROConfig) prefetchWindow() float64 {
-	if z.GatherWindow > 0 {
-		return z.GatherWindow
-	}
-	return gatherOverlapWindow
 }
 
 // Config is one training run: a model shape and its parallelization.
@@ -149,7 +133,7 @@ func Estimate(hw Hardware, cfg Config) Breakdown {
 		}
 		b.ExposedGatherSec = b.GatherSec
 		if cfg.ZeRO.Prefetch && !cfg.ZeRO.SyncComm {
-			b.ExposedGatherSec = b.GatherSec - cfg.ZeRO.prefetchWindow()*b.ComputeSec
+			b.ExposedGatherSec = b.GatherSec - gatherOverlapWindow*b.ComputeSec
 			if b.ExposedGatherSec < 0 {
 				b.ExposedGatherSec = 0
 			}

@@ -619,6 +619,44 @@ func TestSubmitPropagatesEngineSentinels(t *testing.T) {
 	}
 }
 
+// Every class of invalid engine config is the client's fault: one bad spec
+// per class comes back 400 naming its class, never 500. The config's own
+// JSON errors reach the daemon as spec errors, because the spec parser
+// reads the whole document.
+func TestServeAdmissionErrors(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxWorlds: 1})
+	good := specJSON(3, 1)
+	bad := func(old, new string) string {
+		if !strings.Contains(good, old) {
+			t.Fatalf("spec has no %q", old)
+		}
+		return strings.Replace(good, old, new, 1)
+	}
+	for _, tc := range []struct{ class, body, wantErr string }{
+		{"json", bad(`"lr": 3e-3`, `"lr": 3e-3, "bogus": 1`), "invalid job spec"},
+		{"model", bad(`"hidden": 16`, `"hidden": 15`), "invalid model"},
+		{"world", bad(`"ranks": 2`, `"ranks": -1`), "invalid world"},
+		{"stage", bad(`"stage": 2`, `"stage": 7`), "invalid stage"},
+		{"optimizer", bad(`"type": "adam"`, `"type": "adagrad"`), "invalid optimizer"},
+		{"batch", bad(`"global_batch": 8`, `"global_batch": 12`), "invalid batch geometry"},
+		{"topology", bad(`"seed": 1`, `"seed": 1, "node_size": 3`), "invalid topology"},
+		{"schedule", bad(`"seed": 1`, `"seed": 1, "bucket_elems": -1`), "invalid schedule"},
+		{"data", bad(`"seed": 1`, `"seed": 1, "data": {}`), "invalid data section"},
+		{"precision", bad(`"seed": 1`, `"seed": 1, "precision": {"fp16_compute": true, "initial_loss_scale": -1}`),
+			"invalid precision section"},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(blob), tc.wantErr) {
+			t.Errorf("%s: status %d, body %.200s; want 400 naming %q", tc.class, resp.StatusCode, blob, tc.wantErr)
+		}
+	}
+}
+
 // elasticSpecJSON is specJSON plus the elastic supervisor knobs: snapshot
 // cadence, restart budget, optional shrunk restart world, and an injected
 // deterministic rank kill.

@@ -85,12 +85,7 @@ func statusFor(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrJobTerminal), errors.Is(err, ErrNoCheckpoint):
 		return http.StatusConflict
-	case errors.Is(err, ErrSpec), errors.Is(err, ErrConfig),
-		errors.Is(err, engine.ErrJSON), errors.Is(err, engine.ErrModel),
-		errors.Is(err, engine.ErrWorld), errors.Is(err, engine.ErrStage),
-		errors.Is(err, engine.ErrOptimizer), errors.Is(err, engine.ErrBatch),
-		errors.Is(err, engine.ErrTopology), errors.Is(err, engine.ErrSchedule),
-		errors.Is(err, engine.ErrData):
+	case errors.Is(err, ErrSpec), errors.Is(err, ErrConfig), errors.Is(err, engine.ErrConfig):
 		return http.StatusBadRequest
 	default:
 		return http.StatusInternalServerError

@@ -1,6 +1,7 @@
 package zero
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/comm"
@@ -13,7 +14,7 @@ import (
 // micro-batches sliced row-major from the global batch, through the
 // three-phase Forward/Backward/Update lifecycle. It returns rank 0's
 // per-micro losses (k per boundary) and every rank's final full parameter
-// buffer (stage 3 gathers before reporting).
+// buffer as the compute reads it (stage 3 gathers before reporting).
 func accumRun(t *testing.T, cfg model.Config, n, boundaries, k int, opts Options,
 	ids, targets []int, globalBatch int) ([]float64, [][]float32) {
 	t.Helper()
@@ -46,10 +47,7 @@ func accumRunIn(t *testing.T, w *comm.World, cfg model.Config, boundaries, k int
 			}
 			tr.Update()
 		}
-		if opts.Stage == StageFull {
-			tr.gatherParams()
-		}
-		params[c.Rank()] = append([]float32(nil), tr.Model.Params...)
+		params[c.Rank()] = tr.GatheredParams()
 	})
 	return losses, params
 }
@@ -66,7 +64,7 @@ func TestAccumStagesBitIdentical(t *testing.T) {
 	const n, boundaries, k, batch = 4, 3, 2, 8
 	ids, targets := model.SyntheticBatch(31, batch, cfg.Seq, cfg.Vocab)
 
-	base := Options{LR: testLR, Seed: testSeed}
+	base := Options{Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed}
 	refLoss, refParams := accumRun(t, cfg, n, boundaries, k, base, ids, targets, batch)
 
 	for _, stage := range AllStages {
@@ -106,7 +104,7 @@ func TestAccumTopologyStagesBitIdentical(t *testing.T) {
 	const n, boundaries, k, batch = 8, 2, 2, 16
 	ids, targets := model.SyntheticBatch(41, batch, cfg.Seq, cfg.Vocab)
 	for _, nodeSize := range []int{0, 2} {
-		base := Options{LR: testLR, Seed: testSeed, NodeSize: nodeSize}
+		base := Options{Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed, NodeSize: nodeSize}
 		refLoss, refParams := accumRun(t, cfg, n, boundaries, k, base, ids, targets, batch)
 		for _, stage := range []Stage{StageOSGrad, StageFull} {
 			opts := base
@@ -138,7 +136,7 @@ func TestAccumK1MatchesLegacyStepBitwise(t *testing.T) {
 	const n, steps, batch = 4, 5, 8
 	ids, targets := model.SyntheticBatch(31, batch, cfg.Seq, cfg.Vocab)
 	for _, stage := range AllStages {
-		opts := Options{Stage: stage, LR: testLR, Seed: testSeed, BucketElems: 193, Overlap: true}
+		opts := Options{Stage: stage, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed, BucketElems: 193, Overlap: true}
 
 		legacy := make([]float64, steps)
 		legacyParams := make([][]float32, n)
@@ -187,7 +185,7 @@ func TestAccumMatchesSingleBatch(t *testing.T) {
 	ids, targets := model.SyntheticBatch(31, batch, cfg.Seq, cfg.Vocab)
 
 	for _, stage := range []Stage{StageDDP, StageOSGrad, StageFull} {
-		opts := Options{Stage: stage, LR: testLR, Seed: testSeed, BucketElems: 193, Overlap: true, Prefetch: true}
+		opts := Options{Stage: stage, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed, BucketElems: 193, Overlap: true, Prefetch: true}
 		_, single := accumRun(t, cfg, n, boundaries, 1, opts, ids, targets, batch)
 		for _, k := range []int{2, 4} {
 			microLoss, accum := accumRun(t, cfg, n, boundaries, k, opts, ids, targets, batch)
@@ -224,7 +222,7 @@ func TestAccumulatorPartitionSizedAnyDepth(t *testing.T) {
 			mt := micro * cfg.Seq
 			w := comm.NewWorld(n)
 			w.Run(func(c *comm.Comm) {
-				tr := MustNew(c, cfg, Options{Stage: stage, LR: testLR, Seed: testSeed})
+				tr := MustNew(c, cfg, Options{Stage: stage, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed})
 				defer tr.Close()
 				want := tr.Owned().Len()
 				if stage == StageDDP {
@@ -275,7 +273,7 @@ func TestAccumVolumeIdentity(t *testing.T) {
 			mt := micro * cfg.Seq
 			w := comm.NewWorld(n)
 			w.Run(func(c *comm.Comm) {
-				tr := MustNew(c, cfg, Options{Stage: tc.stage, LR: testLR, Seed: testSeed})
+				tr := MustNew(c, cfg, Options{Stage: tc.stage, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed})
 				defer tr.Close()
 				for j := 0; j < k; j++ {
 					tr.Forward(ids[j*mt:(j+1)*mt], targets[j*mt:(j+1)*mt], micro)
@@ -293,33 +291,43 @@ func TestAccumVolumeIdentity(t *testing.T) {
 }
 
 // Accumulation with a non-Adam optimizer: the config-selected SGD and LAMB
-// paths descend and keep the cross-stage bitwise contract.
+// paths descend and keep the cross-stage bitwise contract, stepping the
+// fp32 master under fp16 compute too. Clipping is on, and at N = 4 LAMB's
+// per-tensor blocks straddle shard boundaries, so its trust ratios need
+// the partition-ordered norm exchange.
 func TestAccumOptimizerKindsStagesAgree(t *testing.T) {
 	cfg := testConfig()
-	const n, boundaries, k, batch = 2, 4, 2, 8
+	const boundaries, k, batch = 4, 2, 8
 	ids, targets := model.SyntheticBatch(17, batch, cfg.Seq, cfg.Vocab)
-	for _, kind := range []optimizer.Kind{optimizer.KindSGD, optimizer.KindLAMB} {
-		base := Options{LR: 1e-2, Seed: testSeed, Optimizer: optimizer.Spec{Kind: kind}}
-		refLoss, refParams := accumRun(t, cfg, n, boundaries, k, base, ids, targets, batch)
-		for _, stage := range []Stage{StageOSGrad, StageFull} {
-			opts := base
-			opts.Stage = stage
-			opts.Overlap = true
-			loss, params := accumRun(t, cfg, n, boundaries, k, opts, ids, targets, batch)
-			for i := range refLoss {
-				if loss[i] != refLoss[i] {
-					t.Errorf("%s %v micro %d: loss %.17g != stage-0 ref %.17g", kind, stage, i, loss[i], refLoss[i])
-					break
+	for _, n := range []int{2, 4} {
+		for _, fp16 := range []bool{false, true} {
+			for _, kind := range []optimizer.Kind{optimizer.KindSGD, optimizer.KindLAMB} {
+				name := fmt.Sprintf("n=%d fp16=%v %s", n, fp16, kind)
+				base := Options{Seed: testSeed, Optimizer: optimizer.Spec{Kind: kind, LR: 1e-2},
+					ClipNorm: 0.5, FP16Compute: fp16}
+				refLoss, refParams := accumRun(t, cfg, n, boundaries, k, base, ids, targets, batch)
+				for _, stage := range []Stage{StageOS, StageOSGrad, StageFull} {
+					opts := base
+					opts.Stage = stage
+					opts.Overlap = true
+					opts.Prefetch = true
+					loss, params := accumRun(t, cfg, n, boundaries, k, opts, ids, targets, batch)
+					for i := range refLoss {
+						if loss[i] != refLoss[i] {
+							t.Errorf("%s %v micro %d: loss %.17g != stage-0 ref %.17g", name, stage, i, loss[i], refLoss[i])
+							break
+						}
+					}
+					for r := 0; r < n; r++ {
+						if d := testutil.MaxDiff(params[r], refParams[r]); d != 0 {
+							t.Errorf("%s %v rank %d: params diverged by %g", name, stage, r, d)
+						}
+					}
+				}
+				if refLoss[len(refLoss)-1] >= refLoss[0] {
+					t.Errorf("%s: loss did not fall: %v -> %v", name, refLoss[0], refLoss[len(refLoss)-1])
 				}
 			}
-			for r := 0; r < n; r++ {
-				if d := testutil.MaxDiff(params[r], refParams[r]); d != 0 {
-					t.Errorf("%s %v rank %d: params diverged by %g", kind, stage, r, d)
-				}
-			}
-		}
-		if refLoss[len(refLoss)-1] >= refLoss[0] {
-			t.Errorf("%s: loss did not fall: %v -> %v", kind, refLoss[0], refLoss[len(refLoss)-1])
 		}
 	}
 }
@@ -328,7 +336,7 @@ func TestAccumOptimizerKindsStagesAgree(t *testing.T) {
 func TestUpdateWithoutBackwardPanics(t *testing.T) {
 	w := comm.NewWorld(1)
 	w.Run(func(c *comm.Comm) {
-		tr := MustNew(c, testConfig(), Options{Stage: StageOSGrad, LR: testLR})
+		tr := MustNew(c, testConfig(), Options{Stage: StageOSGrad, Optimizer: optimizer.Spec{LR: testLR}})
 		defer tr.Close()
 		defer func() {
 			if recover() == nil {
@@ -347,7 +355,7 @@ func TestPrefetchDepthBitwiseInvariant(t *testing.T) {
 	cfg := testConfig()
 	const n, boundaries, k, batch = 4, 3, 2, 8
 	ids, targets := model.SyntheticBatch(31, batch, cfg.Seq, cfg.Vocab)
-	base := Options{Stage: StageFull, LR: testLR, Seed: testSeed, BucketElems: 193, Overlap: true}
+	base := Options{Stage: StageFull, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed, BucketElems: 193, Overlap: true}
 	refW := comm.NewWorld(n)
 	refLoss, refParams := accumRunIn(t, refW, cfg, boundaries, k, base, ids, targets, batch)
 	opts := base
@@ -388,7 +396,7 @@ func TestAccumBoundaryLossGolden(t *testing.T) {
 	const n, k, batch = 4, 2, 8
 	ids, targets := model.SyntheticBatch(31, batch, cfg.Seq, cfg.Vocab)
 	loss, _ := accumRun(t, cfg, n, len(golden), k, Options{
-		Stage: StageOSGrad, LR: testLR, Seed: testSeed, Overlap: true, BucketElems: 193,
+		Stage: StageOSGrad, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed, Overlap: true, BucketElems: 193,
 	}, ids, targets, batch)
 	for b, want := range golden {
 		got := (loss[b*k] + loss[b*k+1]) / 2

@@ -94,7 +94,7 @@ func TestSteadyStateStepAllocations(t *testing.T) {
 			name := fmt.Sprintf("stage=%d/%s", int(stage), mode.name)
 			t.Run(name, func(t *testing.T) {
 				got := meanAllocs(measureStepAllocs(t, 4, Options{
-					Stage: stage, LR: 1e-3, Seed: 1,
+					Stage: stage, Optimizer: optimizer.Spec{LR: 1e-3}, Seed: 1,
 					BucketElems: 512, Overlap: mode.overlap, Prefetch: mode.prefetch,
 				}))
 				if got > maxSteadyAllocsPerStep {
@@ -109,7 +109,7 @@ func TestSteadyStateStepAllocations(t *testing.T) {
 	for _, stage := range []Stage{StageOSGrad, StageFull} {
 		t.Run(fmt.Sprintf("stage=%d/fp16compute+checkpoint", int(stage)), func(t *testing.T) {
 			perStep := measureStepAllocs(t, 4, Options{
-				Stage: stage, LR: 1e-3, Seed: 1, BucketElems: 512,
+				Stage: stage, Optimizer: optimizer.Spec{LR: 1e-3}, Seed: 1, BucketElems: 512,
 				FP16Compute: true, Checkpoint: true,
 			})
 			if raceEnabled {
@@ -136,17 +136,17 @@ func TestSteadyStateStepAllocationsComposed(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"fp16+clip+overlap", Options{Stage: StageOSGrad, LR: 1e-3, Seed: 1,
+		{"fp16+clip+overlap", Options{Stage: StageOSGrad, Optimizer: optimizer.Spec{LR: 1e-3}, Seed: 1,
 			BucketElems: 512, Overlap: true, FP16Compute: true, ClipNorm: 1}},
-		{"hier+overlap", Options{Stage: StageOSGrad, LR: 1e-3, Seed: 1,
+		{"hier+overlap", Options{Stage: StageOSGrad, Optimizer: optimizer.Spec{LR: 1e-3}, Seed: 1,
 			BucketElems: 512, Overlap: true, NodeSize: 2}},
-		{"lamb", Options{Stage: StageOS, LR: 1e-3, Seed: 1,
+		{"lamb", Options{Stage: StageOS, Seed: 1,
 			Optimizer: optimizer.Spec{Kind: optimizer.KindLAMB, LR: 1e-3}}},
-		{"fp16compute+s3+overlap+prefetch", Options{Stage: StageFull, LR: 1e-3, Seed: 1,
+		{"fp16compute+s3+overlap+prefetch", Options{Stage: StageFull, Optimizer: optimizer.Spec{LR: 1e-3}, Seed: 1,
 			BucketElems: 512, Overlap: true, Prefetch: true, FP16Compute: true}},
-		{"fp16compute+s2+overlap", Options{Stage: StageOSGrad, LR: 1e-3, Seed: 1,
+		{"fp16compute+s2+overlap", Options{Stage: StageOSGrad, Optimizer: optimizer.Spec{LR: 1e-3}, Seed: 1,
 			BucketElems: 512, Overlap: true, FP16Compute: true}},
-		{"fp16compute+s3+hier", Options{Stage: StageFull, LR: 1e-3, Seed: 1,
+		{"fp16compute+s3+hier", Options{Stage: StageFull, Optimizer: optimizer.Spec{LR: 1e-3}, Seed: 1,
 			BucketElems: 512, FP16Compute: true, NodeSize: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -164,7 +164,7 @@ func TestTrainerTeardownReleasesWorkspace(t *testing.T) {
 	const ranks, batch, steps = 2, 4, 4
 	ids, targets := model.SyntheticBatch(1, batch, allocCfg.Seq, allocCfg.Vocab)
 	w := comm.NewWorld(ranks)
-	opts := Options{Stage: StageOSGrad, LR: 1e-3, Seed: 1, BucketElems: 512, Overlap: true}
+	opts := Options{Stage: StageOSGrad, Optimizer: optimizer.Spec{LR: 1e-3}, Seed: 1, BucketElems: 512, Overlap: true}
 
 	runTrainer := func() {
 		w.Run(func(c *comm.Comm) {

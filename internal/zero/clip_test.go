@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/model"
+	"repro/internal/optimizer"
 	"repro/internal/testutil"
 )
 
@@ -21,7 +22,7 @@ func TestClippedStagesMatchClippedDDPBitwise(t *testing.T) {
 	ddpParams := make([][]float32, n)
 	ddpNorms := make([]float64, n)
 	w.Run(func(c *comm.Comm) {
-		tr := MustNew(c, cfg, Options{Stage: StageDDP, LR: testLR, Seed: testSeed, ClipNorm: clip})
+		tr := MustNew(c, cfg, Options{Stage: StageDDP, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed, ClipNorm: clip})
 		for s := 0; s < steps; s++ {
 			tr.Step(ids, targets, batch)
 		}
@@ -34,7 +35,7 @@ func TestClippedStagesMatchClippedDDPBitwise(t *testing.T) {
 		params := make([][]float32, n)
 		norms := make([]float64, n)
 		w2.Run(func(c *comm.Comm) {
-			tr := MustNew(c, cfg, Options{Stage: stage, LR: testLR, Seed: testSeed, ClipNorm: clip})
+			tr := MustNew(c, cfg, Options{Stage: stage, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed, ClipNorm: clip})
 			for s := 0; s < steps; s++ {
 				tr.Step(ids, targets, batch)
 			}
@@ -67,7 +68,7 @@ func TestClippingBoundsTheUpdate(t *testing.T) {
 		var out []float32
 		var norm float64
 		w.Run(func(c *comm.Comm) {
-			tr := MustNew(c, cfg, Options{Stage: StageOSGrad, LR: testLR, Seed: 1, ClipNorm: clip})
+			tr := MustNew(c, cfg, Options{Stage: StageOSGrad, Optimizer: optimizer.Spec{LR: testLR}, Seed: 1, ClipNorm: clip})
 			tr.Step(ids, targets, batch)
 			if c.Rank() == 0 {
 				out = tr.Model.Params

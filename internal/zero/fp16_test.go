@@ -9,6 +9,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/losscurve"
 	"repro/internal/model"
+	"repro/internal/optimizer"
 	"repro/internal/tensor"
 )
 
@@ -22,7 +23,7 @@ func TestFP16ComputeTrajectoryTracksF32(t *testing.T) {
 	const n, steps, batch = 4, 10, 4
 	ids, targets := model.SyntheticBatch(31, batch, cfg.Seq, cfg.Vocab)
 
-	ref := lossTrajectory(cfg, n, steps, batch, Options{LR: testLR, Seed: testSeed}, ids, targets)
+	ref := lossTrajectory(cfg, n, steps, batch, Options{Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed}, ids, targets)
 
 	var first []float64
 	for _, stage := range AllStages {
@@ -32,7 +33,7 @@ func TestFP16ComputeTrajectoryTracksF32(t *testing.T) {
 					continue // prefetch rides the overlapped schedule
 				}
 				got := lossTrajectory(cfg, n, steps, batch, Options{
-					Stage: stage, LR: testLR, Seed: testSeed,
+					Stage: stage, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed,
 					Overlap: overlap, Prefetch: prefetch,
 					FP16Compute: true,
 				}, ids, targets)
@@ -81,7 +82,7 @@ func TestFP16OverflowSkipIsConsistent(t *testing.T) {
 		w := comm.NewWorld(n)
 		w.Run(func(c *comm.Comm) {
 			tr := MustNew(c, cfg, Options{
-				Stage: stage, LR: testLR, Seed: testSeed,
+				Stage: stage, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed,
 				FP16Compute: true, InitialLossScale: 1e30,
 			})
 			defer tr.Close()
@@ -123,7 +124,7 @@ func TestFP16LossScaleBackoffRecovers(t *testing.T) {
 	w := comm.NewWorld(n)
 	w.Run(func(c *comm.Comm) {
 		tr := MustNew(c, cfg, Options{
-			Stage: StageOSGrad, LR: testLR, Seed: testSeed, Overlap: true,
+			Stage: StageOSGrad, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed, Overlap: true,
 			FP16Compute: true, InitialLossScale: float64(uint64(1) << 30),
 		})
 		defer tr.Close()
@@ -193,7 +194,7 @@ func TestFP16ComputeRejectsCheckpoint(t *testing.T) {
 	for _, stage := range AllStages {
 		for _, streamed := range []bool{false, true} {
 			opts := Options{
-				Stage: stage, LR: testLR, Seed: testSeed, BucketElems: 100,
+				Stage: stage, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed, BucketElems: 100,
 				Overlap: streamed, Prefetch: streamed,
 				FP16Compute: true, InitialLossScale: 1024,
 			}
@@ -224,7 +225,7 @@ func TestFP16ComputeResidencyUnder60Percent(t *testing.T) {
 		var bytes int64
 		w := comm.NewWorld(1)
 		w.Run(func(c *comm.Comm) {
-			tr := MustNew(c, cfg, Options{LR: testLR, Seed: testSeed, FP16Compute: fp16})
+			tr := MustNew(c, cfg, Options{Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed, FP16Compute: fp16})
 			defer tr.Close()
 			tr.Step(ids, targets, batch)
 			bytes = tr.ComputeResidencyBytes()
@@ -263,7 +264,7 @@ func TestFP16ComputeTrajectoryGolden(t *testing.T) {
 	const n, batch = 4, 4
 	ids, targets := model.SyntheticBatch(31, batch, cfg.Seq, cfg.Vocab)
 	got := lossTrajectory(cfg, n, len(golden), batch, Options{
-		Stage: StageFull, LR: testLR, Seed: testSeed,
+		Stage: StageFull, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed,
 		Overlap: true, Prefetch: true, FP16Compute: true,
 	}, ids, targets)
 	for i, want := range golden {
@@ -292,7 +293,7 @@ func TestFP16ComputeParamsAreHalvesOnly(t *testing.T) {
 			w := comm.NewWorld(n)
 			w.Run(func(c *comm.Comm) {
 				tr := MustNew(c, cfg, Options{
-					Stage: stage, LR: testLR, Seed: testSeed,
+					Stage: stage, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed,
 					Overlap: prefetch, Prefetch: prefetch, FP16Compute: true,
 				})
 				defer tr.Close()
@@ -345,7 +346,7 @@ type fp16State struct {
 // resumed run only retraces an uninterrupted one while it stands still.
 func runFP16From(t *testing.T, cfg model.Config, n, steps int, opts Options, snap *Snapshot, ids, targets []int, batch int) fp16State {
 	t.Helper()
-	opts.LR, opts.FP16Compute, opts.InitialLossScale = testLR, true, 256
+	opts.Optimizer.LR, opts.FP16Compute, opts.InitialLossScale = testLR, true, 256
 	out := fp16State{gathered: make([][]float32, n)}
 	w := comm.NewWorld(n)
 	w.Run(func(c *comm.Comm) {
@@ -450,7 +451,7 @@ func TestStageThreeStepWireCounts(t *testing.T) {
 	w := comm.NewWorld(n)
 	w.Run(func(c *comm.Comm) {
 		tr := MustNew(c, cfg, Options{
-			Stage: StageFull, LR: 3e-3, Seed: 4, BucketElems: 4096,
+			Stage: StageFull, Optimizer: optimizer.Spec{LR: 3e-3}, Seed: 4, BucketElems: 4096,
 			Overlap: true, Prefetch: true, FP16Compute: true,
 			InitialLossScale: 1 << (16 + skips), // backs off to 2^16 in `skips` steps
 		})

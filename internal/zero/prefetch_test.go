@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/model"
+	"repro/internal/optimizer"
 	"repro/internal/testutil"
 )
 
@@ -46,7 +47,7 @@ func TestStage3PrefetchBitIdentical(t *testing.T) {
 		batch := 2 * n
 		ids, targets := model.SyntheticBatch(41, batch, cfg.Seq, cfg.Vocab)
 		for _, bucket := range []int{0, 193, 4096} {
-			base := Options{LR: testLR, Seed: testSeed, BucketElems: bucket}
+			base := Options{Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed, BucketElems: bucket}
 			ref, refW := runStage3(t, cfg, n, steps, batch, base, ids, targets)
 			for _, overlap := range []bool{false, true} {
 				opts := base
@@ -102,7 +103,7 @@ func TestPaComposesWithOverlapAndPrefetch(t *testing.T) {
 		out := make([][]float32, n)
 		w.Run(func(c *comm.Comm) {
 			tr := MustNew(c, cfg, Options{
-				Stage: StageFull, LR: testLR, Seed: testSeed, BucketElems: 193,
+				Stage: StageFull, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed, BucketElems: 193,
 				Checkpoint: true, Overlap: overlap, Prefetch: prefetch,
 			})
 			defer tr.Close()
@@ -146,7 +147,7 @@ func TestOverlapRunsWithCheckpointStore(t *testing.T) {
 		out := make([]float64, steps)
 		w.Run(func(c *comm.Comm) {
 			tr := MustNew(c, cfg, Options{
-				Stage: StageOSGrad, LR: testLR, Seed: testSeed, BucketElems: 100,
+				Stage: StageOSGrad, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed, BucketElems: 100,
 				Checkpoint: true, Overlap: overlap,
 			})
 			defer tr.Close()
@@ -184,7 +185,7 @@ func TestNativeByteAccountingPerStep(t *testing.T) {
 	for _, fp16 := range []bool{false, true} {
 		w := comm.NewWorld(n)
 		w.Run(func(c *comm.Comm) {
-			tr := MustNew(c, cfg, Options{Stage: StageOSGrad, LR: testLR, Seed: testSeed, FP16Compute: fp16})
+			tr := MustNew(c, cfg, Options{Stage: StageOSGrad, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed, FP16Compute: fp16})
 			defer tr.Close()
 			tr.Step(ids, targets, batch)
 		})
@@ -212,12 +213,12 @@ func TestNativeByteAccountingPerStep(t *testing.T) {
 func TestQueueDepthAppliesToSharedScheduler(t *testing.T) {
 	w := comm.NewWorld(2)
 	w.Run(func(c *comm.Comm) {
-		tr := MustNew(c, testConfig(), Options{Stage: StageFull, LR: testLR, Seed: testSeed})
+		tr := MustNew(c, testConfig(), Options{Stage: StageFull, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed})
 		sched := tr.Scheduler()
-		if tr.gradStream() != sched.Stream(StreamGrad) {
+		if tr.grad != sched.Stream(StreamGrad) {
 			t.Error("trainer's grad stream is not its scheduler's")
 		}
-		if tr.prefetchStream() != sched.Stream(StreamPrefetch) {
+		if tr.prefetch != sched.Stream(StreamPrefetch) {
 			t.Error("trainer's prefetch stream is not its scheduler's")
 		}
 		x := []float32{float32(c.Rank() + 1)}
@@ -246,7 +247,7 @@ func TestQueueDepthOptionTrainsIdentically(t *testing.T) {
 		out := make([]float64, steps)
 		w.Run(func(c *comm.Comm) {
 			tr := MustNew(c, cfg, Options{
-				Stage: StageFull, LR: testLR, Seed: testSeed,
+				Stage: StageFull, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed,
 				BucketElems: 64, Overlap: true, Prefetch: true,
 			})
 			defer tr.Close()

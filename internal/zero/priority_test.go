@@ -19,7 +19,7 @@ func TestClipPartialsRideThePriorityStream(t *testing.T) {
 		w := comm.NewWorld(ranks)
 		w.Run(func(c *comm.Comm) {
 			tr := MustNew(c, cfg, Options{
-				Stage: StageOSGrad, LR: 1e-3, Seed: 1,
+				Stage: StageOSGrad, Optimizer: optimizer.Spec{LR: 1e-3}, Seed: 1,
 				BucketElems: 256, Overlap: true, ClipNorm: clip,
 			})
 			defer tr.Close()
@@ -54,7 +54,7 @@ func TestLAMBNormsRideThePriorityStream(t *testing.T) {
 		w := comm.NewWorld(ranks)
 		w.Run(func(c *comm.Comm) {
 			tr := MustNew(c, cfg, Options{
-				Stage: StageOS, LR: 1e-3, Seed: 1,
+				Stage: StageOS, Seed: 1,
 				Optimizer: optimizer.Spec{Kind: kind, LR: 1e-3},
 			})
 			defer tr.Close()

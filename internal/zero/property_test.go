@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/model"
+	"repro/internal/optimizer"
 	"repro/internal/testutil"
 )
 
@@ -58,7 +59,7 @@ func TestPropertyAnyConfigStageEqualsDDP(t *testing.T) {
 		w := comm.NewWorld(tc.n)
 		ddpOut := make([][]float32, tc.n)
 		w.Run(func(c *comm.Comm) {
-			tr := MustNew(c, tc.cfg, Options{Stage: StageDDP, LR: 1e-3, Seed: 1})
+			tr := MustNew(c, tc.cfg, Options{Stage: StageDDP, Optimizer: optimizer.Spec{LR: 1e-3}, Seed: 1})
 			for s := 0; s < steps; s++ {
 				tr.Step(ids, targets, tc.batch)
 			}
@@ -69,7 +70,7 @@ func TestPropertyAnyConfigStageEqualsDDP(t *testing.T) {
 		zeroOut := make([][]float32, tc.n)
 		w2.Run(func(c *comm.Comm) {
 			tr := MustNew(c, tc.cfg, Options{
-				Stage: tc.stage, LR: 1e-3, Seed: 1,
+				Stage: tc.stage, Optimizer: optimizer.Spec{LR: 1e-3}, Seed: 1,
 				BucketElems: tc.bucket, Overlap: tc.overlap,
 			})
 			defer tr.Close()
@@ -116,7 +117,7 @@ func TestPropertyVolumeIdentityAnyWorld(t *testing.T) {
 		}{{StageDDP, 2}, {StageOS, 2}, {StageOSGrad, 2}, {StageFull, 3}} {
 			w := comm.NewWorld(n)
 			w.Run(func(c *comm.Comm) {
-				tr := MustNew(c, cfg, Options{Stage: tc.stage, LR: 1e-3, Seed: 1})
+				tr := MustNew(c, cfg, Options{Stage: tc.stage, Optimizer: optimizer.Spec{LR: 1e-3}, Seed: 1})
 				tr.Step(ids, targets, n)
 			})
 			want := tc.mult * int64(n-1) * psi

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/model"
+	"repro/internal/optimizer"
 )
 
 // lossTrajectory trains `steps` steps at the given options on an n-rank
@@ -37,7 +38,7 @@ func TestStageLossTrajectoriesBitIdentical(t *testing.T) {
 	const n, steps, batch = 4, 6, 4
 	ids, targets := model.SyntheticBatch(31, batch, cfg.Seq, cfg.Vocab)
 
-	base := Options{LR: testLR, Seed: testSeed}
+	base := Options{Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed}
 	ref := lossTrajectory(cfg, n, steps, batch, base, ids, targets) // StageDDP, sync, unbucketed
 
 	for _, stage := range AllStages {
@@ -80,7 +81,7 @@ func TestStageLossTrajectoryGolden(t *testing.T) {
 	ids, targets := model.SyntheticBatch(31, batch, cfg.Seq, cfg.Vocab)
 	for _, prefetch := range []bool{false, true} {
 		got := lossTrajectory(cfg, n, len(golden), batch, Options{
-			Stage: StageFull, LR: testLR, Seed: testSeed,
+			Stage: StageFull, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed,
 			Overlap: true, Prefetch: prefetch, BucketElems: 193,
 		}, ids, targets)
 		for s, want := range golden {

@@ -82,7 +82,7 @@ func (t *Trainer) Load(s *Snapshot) error {
 		return fmt.Errorf("zero: snapshot has %d optimizer state tensors, optimizer expects %d (different optimizer kind?)",
 			len(s.Opt), len(t.opt.State()))
 	}
-	dom := t.optimizerDomain()
+	dom := t.dom
 	shards := make([][]float32, len(s.Opt))
 	for i, full := range s.Opt {
 		if len(full) != s.NumParams {
@@ -91,13 +91,14 @@ func (t *Trainer) Load(s *Snapshot) error {
 		shards[i] = full[dom.Lo:dom.Hi]
 	}
 	t.opt.Restore(shards, s.OptSteps)
-	if t.opts.FP16Compute {
-		// Every rank holds the whole snapshot, so each encodes the full
-		// parameter set itself (what the owners would encode and gather).
-		copy(t.master, s.Params[dom.Lo:dom.Hi])
-		t.Model.ParamsH.FromFloats(s.Params)
+	// Every rank holds the whole snapshot, so each writes the full compute
+	// copy itself — under FP16Compute the encode the owners would have run
+	// and gathered — besides its master.
+	copy(t.master, s.Params[dom.Lo:dom.Hi])
+	if h := t.params.Half; h != nil {
+		h.FromFloats(s.Params)
 	} else {
-		tensor.Copy(t.Model.Params, s.Params)
+		tensor.Copy(t.params.Data, s.Params)
 	}
 	if t.stage == StageFull {
 		t.dropUnowned()
@@ -128,17 +129,8 @@ func (t *Trainer) Load(s *Snapshot) error {
 // slice — the replicas are bitwise identical, so the tiling reassembles the
 // exact full state.
 func (t *Trainer) CaptureShard(dst []float32) ([]float32, Snapshot) {
-	own := t.Owned()
-	dom := t.optimizerDomain()
-	lo, hi := own.Lo-dom.Lo, own.Hi-dom.Lo
-
-	// The authoritative parameters: the fp32 master under FP16Compute, the
-	// live slice otherwise.
-	if t.opts.FP16Compute {
-		dst = append(dst, t.master[lo:hi]...)
-	} else {
-		dst = append(dst, t.Model.Params[own.Lo:own.Hi]...)
-	}
+	lo, hi := t.local(t.Owned())
+	dst = append(dst, t.master[lo:hi]...)
 	for _, s := range t.opt.State() {
 		dst = append(dst, s[lo:hi]...)
 	}

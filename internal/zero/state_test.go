@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/model"
+	"repro/internal/optimizer"
 	"repro/internal/testutil"
 )
 
@@ -18,7 +19,7 @@ func TestSaveLoadResumesBitwise(t *testing.T) {
 	ids, targets := model.SyntheticBatch(3, batch, cfg.Seq, cfg.Vocab)
 
 	for _, stage := range []Stage{StageDDP, StageOS, StageOSGrad, StageFull} {
-		opts := Options{Stage: stage, LR: testLR, Seed: testSeed}
+		opts := Options{Stage: stage, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed}
 
 		// Uninterrupted reference.
 		ref := runZeRO(t, cfg, stage, n, k+j, opts, ids, targets, batch)
@@ -50,7 +51,7 @@ func TestSaveLoadResumesBitwise(t *testing.T) {
 		w2 := comm.NewWorld(n)
 		results := make([][]float32, n)
 		w2.Run(func(c *comm.Comm) {
-			tr := MustNew(c, cfg, Options{Stage: stage, LR: testLR, Seed: 999})
+			tr := MustNew(c, cfg, Options{Stage: stage, Optimizer: optimizer.Spec{LR: testLR}, Seed: 999})
 			if err := tr.Load(snap); err != nil {
 				t.Error(err)
 				return
@@ -78,7 +79,7 @@ func TestElasticRestoreAcrossWorldSizes(t *testing.T) {
 	cfg := testConfig()
 	const batch, k, j = 4, 3, 3
 	ids, targets := model.SyntheticBatch(5, batch, cfg.Seq, cfg.Vocab)
-	opts := Options{Stage: StageOSGrad, LR: testLR, Seed: testSeed}
+	opts := Options{Stage: StageOSGrad, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed}
 
 	// Save from a 4-rank world.
 	var blob []byte
@@ -105,7 +106,7 @@ func TestElasticRestoreAcrossWorldSizes(t *testing.T) {
 	w2 := comm.NewWorld(2)
 	results := make([][]float32, 2)
 	w2.Run(func(c *comm.Comm) {
-		tr := MustNew(c, cfg, Options{Stage: StageOSGrad, LR: testLR, Seed: 123})
+		tr := MustNew(c, cfg, Options{Stage: StageOSGrad, Optimizer: optimizer.Spec{LR: testLR}, Seed: 123})
 		if err := tr.Load(snap); err != nil {
 			t.Error(err)
 			return
@@ -129,7 +130,7 @@ func TestSaveLoadFP16PreservesMasters(t *testing.T) {
 	cfg := testConfig()
 	const n, batch = 2, 4
 	ids, targets := model.SyntheticBatch(7, batch, cfg.Seq, cfg.Vocab)
-	opts := Options{Stage: StageOSGrad, LR: testLR, Seed: testSeed, FP16Compute: true, InitialLossScale: 256}
+	opts := Options{Stage: StageOSGrad, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed, FP16Compute: true, InitialLossScale: 256}
 
 	ref := runZeRO(t, cfg, StageOSGrad, n, 5, opts, ids, targets, batch)
 
@@ -173,7 +174,7 @@ func TestSaveLoadFP16PreservesMasters(t *testing.T) {
 func TestLoadValidation(t *testing.T) {
 	w := comm.NewWorld(1)
 	w.Run(func(c *comm.Comm) {
-		tr := MustNew(c, testConfig(), Options{Stage: StageOSGrad, LR: testLR})
+		tr := MustNew(c, testConfig(), Options{Stage: StageOSGrad, Optimizer: optimizer.Spec{LR: testLR}})
 		if err := tr.Load(nil); err == nil {
 			t.Error("expected error for nil snapshot")
 		}

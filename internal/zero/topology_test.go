@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/model"
+	"repro/internal/optimizer"
 )
 
 // topoTrajectory trains on an n-rank world laid out as nodes of nodeSize
@@ -41,7 +42,7 @@ func topoTrajectory(t *testing.T, n, nodeSize int, opts Options, steps, batch in
 func TestTopologyStageEquivalenceBitwise(t *testing.T) {
 	const n, steps, batch = 8, 4, 8
 	ids, targets := model.SyntheticBatch(31, batch, testConfig().Seq, testConfig().Vocab)
-	base := Options{LR: testLR, Seed: testSeed}
+	base := Options{Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed}
 	for _, nodeSize := range []int{0, 2, 4} {
 		ref := topoTrajectory(t, n, nodeSize, base, steps, batch, ids, targets) // DDP, sync, unbucketed
 		for _, stage := range AllStages {
@@ -107,7 +108,7 @@ func TestTopologyLossTrajectoryGolden(t *testing.T) {
 		// as the per-topology reference above (bitwise, per the
 		// equivalence test); the goldens pin the absolute values.
 		got := topoTrajectory(t, n, nodeSize, Options{
-			Stage: StageFull, LR: testLR, Seed: testSeed,
+			Stage: StageFull, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed,
 			Overlap: true, Prefetch: true, BucketElems: 193,
 		}, steps, batch, ids, targets)
 		for s, want := range goldens[nodeSize] {
@@ -148,7 +149,7 @@ func TestTopologyVolumeSplitIdentities(t *testing.T) {
 		w := comm.NewWorld(n)
 		w.Run(func(c *comm.Comm) {
 			tr := MustNew(c, cfg, Options{
-				Stage: tc.stage, LR: testLR, Seed: testSeed,
+				Stage: tc.stage, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed,
 				NodeSize: nodeSize,
 			})
 			tr.Step(ids, targets, batch)
@@ -184,7 +185,7 @@ func TestTopologyComposesWithFP16ClipCheckpoint(t *testing.T) {
 		out := make([]float64, steps)
 		w.Run(func(c *comm.Comm) {
 			tr := MustNew(c, cfg, Options{
-				Stage: StageFull, LR: testLR, Seed: testSeed,
+				Stage: StageFull, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed,
 				FP16Compute: true, ClipNorm: 1, Checkpoint: true, BucketElems: 193,
 				Overlap: overlap, Prefetch: overlap,
 				NodeSize: nodeSize,

@@ -33,7 +33,6 @@ type Options struct {
 	// path), StageOS (1, Pos), StageOSGrad (2, Pos+g) or StageFull
 	// (3, Pos+g+p).
 	Stage Stage
-	LR    float64
 	Seed  int64
 	// BucketElems is the gradient communication bucket size in elements
 	// (the CB optimization applied to gradient collectives): each layer
@@ -76,8 +75,8 @@ type Options struct {
 	Prefetch bool
 	// Optimizer selects and parameterizes the optimizer the rank runs over
 	// its partition (Adam, momentum SGD or LAMB — §2.3's optimizer family,
-	// all of whose state partitions identically). The zero value means
-	// Adam; a zero Spec.LR falls back to Options.LR. LAMB trust ratios are
+	// all of whose state partitions identically); its LR is the run's one
+	// learning rate. The zero Kind means Adam. LAMB trust ratios are
 	// computed over full tensors from partition-ordered partial norms (one
 	// extra 2·#tensors-float all-gather per boundary), so the update stays
 	// bitwise identical across stages.
@@ -87,10 +86,10 @@ type Options struct {
 	// (model.SetFP16Compute) with fp32 accumulation inside the half
 	// kernels, and dynamic loss scaling guards the gradient stream —
 	// overflowing steps are skipped by a group-wide vote so every rank
-	// backs the scale off together. Parameters exist as halves only: each
-	// rank keeps the fp32 master of its optimizer domain, encodes it into
-	// Model.ParamsH once per step, and every parameter all-gather moves
-	// those halves; the Ψ-long fp32 Model.Params is released at
+	// backs the scale off together. The fp32 master of the optimizer domain
+	// is then a buffer of its own, which the optimizer steps and the owner
+	// encodes into Model.ParamsH once per step; every parameter all-gather
+	// moves those halves, and the Ψ-long fp32 Model.Params is released at
 	// construction. Gradients are rounded through binary16 before their
 	// reduce-scatter, and every collective is accounted at 2 bytes per
 	// element. Composes with Checkpoint and a Model.Store.
@@ -121,6 +120,13 @@ type Options struct {
 // buffer and the gradient reduce-scatter is completed into an all-reduce by
 // a gradient all-gather.
 //
+// New fixes everything a step reads, so no phase re-derives it. The
+// optimizer steps one fp32 master over its domain — the rank's own
+// partition (§5.1's Pos), or all of Ψ at stage 0 — whatever precision the
+// kernels read: in fp32 the master is a window of Model.Params, under
+// FP16Compute a buffer of its own that the owner encodes into
+// Model.ParamsH after each step.
+//
 // The trainer's bulk collectives flow through the streams of one scheduler
 // over the rank's node layout: gradient traffic on StreamGrad, stage-3
 // parameter gathers on StreamPrefetch. The N-float partial gathers (clip,
@@ -145,9 +151,14 @@ type Trainer struct {
 	overflow bool
 
 	parts  []comm.Range        // global Ψ/Nd partition; parts[rank] is owned
-	opt    optimizer.Optimizer // optimizer over the owned partition (full buffer at stage 0)
-	master []float32           // fp32 master copy of the optimizer's domain (FP16Compute)
-	groups []model.Segment     // layer groups: gather and bucket granularity
+	dom    comm.Range          // optimizer domain: parts[rank], or all of Ψ at stage 0
+	norms  comm.Range          // ranks whose norm partials this rank computes: all at stage 0, itself otherwise
+	opt    optimizer.Optimizer // optimizer over dom
+	lamb   *optimizer.LAMB     // opt when it is LAMB, whose trust ratios span shards
+	master []float32           // fp32 master over dom: a window of Model.Params, or its own buffer under FP16Compute
+	params comm.Buffer         // the compute copy: Model.Params, or Model.ParamsH under FP16Compute
+	grads  comm.Buffer         // Model.Grads at its wire width
+	groups []model.Segment     // layer groups indexed by layer+1: gather and bucket granularity
 
 	// accum is the persistent gradient accumulator over the optimizer
 	// domain: Ψ/Nd elements at the partitioned stages, Ψ at stage 0 where
@@ -159,14 +170,13 @@ type Trainer struct {
 	accumMicros int // micro-batches folded into accum since the last Update
 
 	sched    *comm.Scheduler // over the rank's node layout (Options.NodeSize)
-	grad     *comm.Stream    // lazily created gradient ordering domain
-	prefetch *comm.Stream    // lazily created stage-3 gather ordering domain
+	grad     *comm.Stream    // gradient ordering domain
+	prefetch *comm.Stream    // stage-3 gather ordering domain (nil below stage 3)
 
-	// Steady-state scratch, preallocated at construction (or on first use
-	// for the lazily sized pieces) so step k≥2 of a warmed trainer
-	// allocates nothing: the bucket plan holds the gradient schedule and
-	// its per-bucket ownership partitions; the prefetchers and hook
-	// closures persist across steps; the clip and LAMB buffers hold the
+	// Steady-state scratch, preallocated at construction so step k≥2 of a
+	// warmed trainer allocates nothing: the bucket plan holds the gradient
+	// schedule and its per-bucket ownership partitions; the prefetchers and
+	// hook closures persist across steps; the clip and LAMB buffers hold the
 	// small collective payloads.
 	plan           bucketPlan      // gradient bucket schedule
 	fwdPf          paramPrefetcher // stage-3 forward gathers
@@ -186,10 +196,10 @@ type Trainer struct {
 // bucketPlan is the gradient communication schedule, built once in New:
 // each bucket's ownership partition clipped to its window, in reduction
 // order, plus the plan indices each layer group submits when its backward
-// pass finishes.
+// pass finishes, indexed like Trainer.groups.
 type bucketPlan struct {
 	parts   [][]comm.Range
-	byLayer map[int][]int
+	byLayer [][]int
 }
 
 // New constructs a rank's trainer. Every rank must use identical cfg and
@@ -212,38 +222,46 @@ func New(c *comm.Comm, cfg model.Config, opts Options) (*Trainer, error) {
 	}
 	m := model.New(cfg, opts.Seed)
 	m.Checkpoint = opts.Checkpoint
-	n := m.NumParams()
-	parts := comm.Partition(n, c.Size())
-	own := parts[c.Rank()]
-	optDomain := own
+	n, size, rank := m.NumParams(), c.Size(), c.Rank()
+	parts := comm.Partition(n, size)
+	dom, norms := parts[rank], comm.Range{Lo: rank, Hi: rank + 1}
 	if opts.Stage == StageDDP {
-		optDomain = comm.Range{Lo: 0, Hi: n} // replicated optimizer state
+		// Replicated optimizer state, so every partition's partials are local.
+		dom, norms = comm.Range{Lo: 0, Hi: n}, comm.Range{Lo: 0, Hi: size}
 	}
-	spec := opts.Optimizer
-	if spec.LR == 0 {
-		spec.LR = opts.LR
-	}
-	opt, err := optimizer.New(spec, optDomain.Len())
+	opt, err := optimizer.New(opts.Optimizer, dom.Len())
 	if err != nil {
 		return nil, fmt.Errorf("zero: %w", err)
 	}
+	sched := comm.NewScheduler(laidOut)
 	t := &Trainer{
-		Model:  m,
-		c:      c,
-		opts:   opts,
-		stage:  opts.Stage,
-		parts:  parts,
-		opt:    opt,
-		accum:  make([]float32, optDomain.Len()),
-		groups: m.Layout.LayerSegments(cfg.Layers),
-		sched:  comm.NewScheduler(laidOut),
+		Model:        m,
+		c:            c,
+		opts:         opts,
+		stage:        opts.Stage,
+		parts:        parts,
+		dom:          dom,
+		norms:        norms,
+		opt:          opt,
+		master:       m.Params[dom.Lo:dom.Hi],
+		params:       comm.F32Buf(m.Params),
+		grads:        comm.F32Buf(m.Grads),
+		groups:       m.Layout.LayerSegments(cfg.Layers),
+		accum:        make([]float32, dom.Len()),
+		sched:        sched,
+		grad:         sched.Stream(StreamGrad),
+		clipPartials: make([]float32, size),
+		clipParts:    comm.Partition(size, size),
 	}
 	if opts.FP16Compute {
 		// The round-to-nearest-even encode is the fp16 rounding; from here on
-		// the fp32 values live only in the master shards.
-		t.master = append([]float32(nil), m.Params[optDomain.Lo:optDomain.Hi]...)
+		// the fp32 values live only in the master. Gradients move as 2-byte
+		// halves on real wires (§3.1).
+		t.master = append([]float32(nil), t.master...)
 		m.SetFP16Compute(true)
 		m.ReleaseParams()
+		t.params = comm.HalfBuf(m.ParamsH)
+		t.grads = comm.F16Buf(m.Grads)
 		t.scaler = optimizer.NewLossScaler()
 		if opts.InitialLossScale > 0 {
 			t.scaler.Scale = opts.InitialLossScale
@@ -253,30 +271,28 @@ func New(c *comm.Comm, cfg model.Config, opts Options) (*Trainer, error) {
 		}
 		m.LossScale = float32(t.scaler.Scale)
 	}
+	if l, ok := opt.(*optimizer.LAMB); ok {
+		stride := 2 * len(m.Layout.Segments)
+		t.lamb = l
+		t.lambUpdate = make([]float32, dom.Len())
+		t.lambPartials = make([]float32, stride*size)
+		t.lambParts = comm.Partition(stride*size, size)
+		t.lambWP = make([]float32, size)
+		t.lambUP = make([]float32, size)
+	}
+	t.plan = t.buildPlan()
+	t.bwdHook = t.submitLayerBuckets
 	if opts.Stage == StageFull {
 		t.dropUnowned()
-	}
-
-	// Preallocate the steady-state scratch: the bucket plan, the
-	// small-collective payloads, the stage-3 gather schedules and the
-	// persistent hook closures. After this, a warmed step allocates nothing.
-	t.plan = t.buildPlan()
-	t.clipPartials = make([]float32, c.Size())
-	t.clipParts = comm.Partition(c.Size(), c.Size())
-	if opts.Stage == StageFull {
-		layers := cfg.Layers
-		fwdOrder := make([]model.Segment, 0, layers+2)
-		fwdOrder = append(fwdOrder, t.layerGroup(-1))
-		for l := 0; l < layers; l++ {
-			fwdOrder = append(fwdOrder, t.layerGroup(l))
-		}
-		fwdOrder = append(fwdOrder, t.layerGroup(layers))
-		t.fwdPf.init(t, fwdOrder)
-		bwdOrder := make([]model.Segment, 0, layers+2)
-		bwdOrder = append(bwdOrder, t.layerGroup(-1))
-		bwdOrder = append(bwdOrder, t.layerGroup(layers))
-		for l := layers - 1; l >= 0; l-- {
-			bwdOrder = append(bwdOrder, t.layerGroup(l))
+		t.prefetch = sched.Stream(StreamPrefetch)
+		// Forward gathers in layout order: embeddings, blocks 0..L-1, ln_f.
+		// Backward gathers the head's embeddings and ln_f first, then blocks
+		// L-1..0.
+		layers, g := cfg.Layers, t.groups
+		t.fwdPf.init(t, g)
+		bwdOrder := append(make([]model.Segment, 0, layers+2), g[0], g[layers+1])
+		for l := layers; l >= 1; l-- {
+			bwdOrder = append(bwdOrder, g[l])
 		}
 		t.bwdPf.init(t, bwdOrder)
 		t.fwdHook = func(layer int) { t.fwdPf.arrive(layer + 1) }
@@ -294,7 +310,6 @@ func New(c *comm.Comm, cfg model.Config, opts Options) (*Trainer, error) {
 			t.bwdPf.arrive(layers + 1 - layer)
 		}
 	}
-	t.bwdHook = t.submitLayerBuckets
 	return t, nil
 }
 
@@ -316,65 +331,12 @@ func (t *Trainer) Owned() comm.Range { return t.parts[t.c.Rank()] }
 // streams are already drained.
 func (t *Trainer) Scheduler() *comm.Scheduler { return t.sched }
 
-// optimizerDomain is the flat-buffer range the rank's optimizer updates:
-// the owned partition, or the whole buffer at stage 0.
-func (t *Trainer) optimizerDomain() comm.Range {
-	if t.stage == StageDDP {
-		return comm.Range{Lo: 0, Hi: t.Model.NumParams()}
-	}
-	return t.Owned()
-}
-
 // Close releases the trainer's stream workers and its model workspace, so
 // two sequential trainers in one process never double-resident their
-// scratch. Safe to call on trainers that never communicated
-// asynchronously, and more than once.
+// scratch. Safe to call more than once.
 func (t *Trainer) Close() {
-	if t.sched != nil {
-		t.sched.Close()
-	}
-	t.sched = nil
-	t.grad = nil
-	t.prefetch = nil
-	if t.Model != nil {
-		t.Model.ReleaseWorkspace()
-	}
-}
-
-// gradStream lazily creates the gradient ordering domain.
-func (t *Trainer) gradStream() *comm.Stream {
-	if t.grad == nil {
-		t.grad = t.sched.Stream(StreamGrad)
-	}
-	return t.grad
-}
-
-// prefetchStream lazily creates the stage-3 gather ordering domain.
-func (t *Trainer) prefetchStream() *comm.Stream {
-	if t.prefetch == nil {
-		t.prefetch = t.sched.Stream(StreamPrefetch)
-	}
-	return t.prefetch
-}
-
-// wireDType is the dtype gradient collectives are accounted at: F16 under
-// FP16Compute (gradients move as 2-byte halves on real wires, §3.1), F32
-// otherwise.
-func (t *Trainer) wireDType() comm.DType {
-	if t.opts.FP16Compute {
-		return comm.F16
-	}
-	return comm.F32
-}
-
-// paramBuf is the buffer the parameter all-gathers move: the encoded halves
-// under FP16Compute (2 bytes per element on the wire, landing where the
-// kernels read them), the flat fp32 buffer otherwise.
-func (t *Trainer) paramBuf() comm.Buffer {
-	if t.opts.FP16Compute {
-		return comm.HalfBuf(t.Model.ParamsH)
-	}
-	return comm.F32Buf(t.Model.Params)
+	t.sched.Close()
+	t.Model.ReleaseWorkspace()
 }
 
 // dropUnowned zeroes every parameter outside the owned partition — the
@@ -382,13 +344,13 @@ func (t *Trainer) paramBuf() comm.Buffer {
 // gather workspace; accounting distinguishes resident from transient.
 func (t *Trainer) dropUnowned() {
 	own := t.Owned()
-	if t.opts.FP16Compute {
-		clear(t.Model.ParamsH[:own.Lo])
-		clear(t.Model.ParamsH[own.Hi:])
+	if h := t.params.Half; h != nil {
+		clear(h[:own.Lo])
+		clear(h[own.Hi:])
 		return
 	}
-	tensor.Zero(t.Model.Params[:own.Lo])
-	tensor.Zero(t.Model.Params[own.Hi:])
+	tensor.Zero(t.params.Data[:own.Lo])
+	tensor.Zero(t.params.Data[own.Hi:])
 }
 
 // gatherParams re-materializes the full stage-3 parameter buffer from the
@@ -410,10 +372,10 @@ func (t *Trainer) GatheredParams() []float32 {
 	if t.stage == StageFull {
 		t.gatherParams()
 	}
-	if t.opts.FP16Compute {
-		return t.Model.ParamsH.Floats()
+	if h := t.params.Half; h != nil {
+		return h.Floats()
 	}
-	return append([]float32(nil), t.Model.Params...)
+	return append([]float32(nil), t.params.Data...)
 }
 
 // paramPrefetcher runs one pass's stage-3 layer-group all-gathers on the
@@ -463,7 +425,7 @@ func (p *paramPrefetcher) submit(k int) {
 	if k < 0 || k >= len(p.handles) || p.handles[k].Valid() {
 		return
 	}
-	p.handles[k] = p.t.prefetchStream().AllGather(p.t.paramBuf(), p.orderParts[k])
+	p.handles[k] = p.t.prefetch.AllGather(p.t.params, p.orderParts[k])
 }
 
 // arrive blocks until group k's parameters are resident and keeps the next
@@ -579,8 +541,7 @@ func (t *Trainer) Backward() {
 	// Fold this micro-batch's reduced gradient into the accumulator. The
 	// first fold adds into zeros, so a single-micro-batch update sees the
 	// reduced gradient bit for bit.
-	dom := t.optimizerDomain()
-	tensor.Add(t.accum, t.Model.Grads[dom.Lo:dom.Hi])
+	tensor.Add(t.accum, t.Model.Grads[t.dom.Lo:t.dom.Hi])
 	t.accumMicros++
 }
 
@@ -595,57 +556,52 @@ func (t *Trainer) Update() {
 		panic("zero: Update without an accumulated Backward")
 	}
 
-	// Dynamic loss scaling (FP16Compute): the group votes on overflow
-	// before anything else touches the accumulator, so every rank skips —
-	// or steps — together with an identical stream schedule.
-	if t.opts.FP16Compute && t.voteOverflow() {
+	// Dynamic loss scaling (the scaler exists under FP16Compute): the group
+	// votes on overflow before anything else touches the accumulator, so
+	// every rank skips — or steps — together with an identical stream
+	// schedule.
+	if t.scaler != nil && t.voteOverflow() {
 		t.skipStep()
 		return
 	}
 
 	// Average over the group and the accumulation window. Micro-batch
 	// losses are means over 1/k of the rows, so the accumulated sum is
-	// k·N times the global-batch mean gradient. Under FP16Compute the
-	// loss-scale unscale folds into the same multiply.
+	// k·N times the global-batch mean gradient. The loss-scale unscale
+	// folds into the same multiply.
 	inv := 1 / float32(t.c.Size()*t.accumMicros)
-	if t.opts.FP16Compute {
+	if t.scaler != nil {
 		inv = float32(1 / (float64(t.c.Size()*t.accumMicros) * t.scaler.Scale))
 	}
 	tensor.Scale(t.accum, inv)
 
-	// Global gradient clipping over the partition-ordered partial Σg².
-	// Stage 0 computes every partial locally (the full accumulator is
-	// resident); the partitioned stages contribute their shard's partial
-	// and all-gather the rest — same arithmetic, same bits.
-	// The N-float partial exchange runs flat on the default domain: it is
-	// latency bound, and there it never queues behind bucket traffic on
-	// the grad stream. Gathers move bits, so the result is bitwise
-	// identical however it is routed.
+	// Global gradient clipping over the partition-ordered partial Σg²:
+	// every rank folds the same partials in the same order, so the stages
+	// agree bit for bit.
 	if t.opts.ClipNorm > 0 {
 		partials := t.clipPartials
-		if t.stage == StageDDP {
-			optimizer.PartitionSquaredSumsInto(partials, t.accum, t.parts)
-		} else {
-			partials[t.c.Rank()] = optimizer.PartialSquaredSum(t.accum)
-			t.c.AllGather(partials, t.clipParts)
+		for r := t.norms.Lo; r < t.norms.Hi; r++ {
+			lo, hi := t.local(t.parts[r])
+			partials[r] = optimizer.PartialSquaredSum(t.accum[lo:hi])
 		}
+		t.gatherPartials(partials, t.clipParts)
 		norm := optimizer.GlobalGradNorm(partials)
 		t.LastGradNorm = norm
 		tensor.Scale(t.accum, optimizer.ClipScale(norm, t.opts.ClipNorm))
 	}
 
-	// Optimizer step over this rank's domain: the owned shard (Pos, §5.1),
-	// or the full buffer at stage 0. LAMB steps with per-tensor trust
-	// ratio blocks clipped to the domain.
-	dom := t.optimizerDomain()
-	if t.opts.FP16Compute {
-		// The owner encodes its stepped master once; the round-to-nearest-
-		// even encode is the fp16 rounding, and from here to the kernels the
-		// parameter exists only as this half.
-		t.stepOptimizer(t.master, t.accum)
-		t.Model.ParamsH[dom.Lo:dom.Hi].FromFloats(t.master)
+	// Optimizer step over the fp32 master (Pos, §5.1). LAMB steps with
+	// per-tensor trust ratio blocks clipped to the domain. Under
+	// FP16Compute the owner then encodes its stepped master once; the
+	// round-to-nearest-even encode is the fp16 rounding, and from here to
+	// the kernels the parameter exists only as this half.
+	if t.lamb != nil {
+		t.stepLAMB()
 	} else {
-		t.stepOptimizer(t.Model.Params[dom.Lo:dom.Hi], t.accum)
+		t.opt.Step(t.master, t.accum)
+	}
+	if h := t.params.Half; h != nil {
+		h[t.dom.Lo:t.dom.Hi].FromFloats(t.master)
 	}
 
 	// Post-step parameter state per stage. Stage 0: every replica applied
@@ -658,11 +614,11 @@ func (t *Trainer) Update() {
 	case StageFull:
 		t.dropUnowned()
 	default:
-		t.gradStream().AllGather(t.paramBuf(), t.parts).Wait()
+		t.grad.AllGather(t.params, t.parts).Wait()
 	}
 
 	// Successful step: grow the loss scale on schedule.
-	if t.opts.FP16Compute {
+	if t.scaler != nil {
 		t.scaler.Update(false)
 		t.Model.LossScale = float32(t.scaler.Scale)
 	}
@@ -731,111 +687,70 @@ func (t *Trainer) OverflowSteps() int {
 // the 2-byte ParamsH under FP16Compute (the fp32 master shard then counts
 // as optimizer state, §3.1), the fp32 Params otherwise.
 func (t *Trainer) ComputeResidencyBytes() int64 {
-	if t.opts.FP16Compute {
-		return t.Model.WorkspaceBytes() + t.Model.ParamsH.Bytes()
-	}
-	return t.Model.WorkspaceBytes() + int64(len(t.Model.Params))*tensor.BytesPerFloat32
+	return t.Model.WorkspaceBytes() + t.params.Bytes()
 }
 
-// stepOptimizer applies one optimizer update, routing layer-wise
-// optimizers (LAMB) through the collective trust-ratio path.
-func (t *Trainer) stepOptimizer(params, grads []float32) {
-	if l, ok := t.opt.(*optimizer.LAMB); ok {
-		t.stepLAMB(l, params, grads)
-		return
+// local rebases a range of the flat parameter space onto the optimizer
+// domain's buffers (the master, the accumulator, LAMB's update).
+func (t *Trainer) local(r comm.Range) (lo, hi int) { return r.Lo - t.dom.Lo, r.Hi - t.dom.Lo }
+
+// gatherPartials exchanges the norm partials each rank computed for its
+// own partition. At stage 0 every rank computed them all. The few floats
+// are latency bound, so they run on the default domain, where they never
+// queue behind bucket traffic on the grad stream; gathers move bits, so
+// the route does not change the result.
+func (t *Trainer) gatherPartials(partials []float32, parts []comm.Range) {
+	if t.stage != StageDDP {
+		t.c.AllGather(partials, parts)
 	}
-	t.opt.Step(params, grads)
 }
 
-// stepLAMB applies a LAMB update whose per-tensor trust ratios are computed
-// over FULL tensors at every stage: each rank contributes the partial
-// Σw²/Σu² of its shard's overlap with every tensor, the partials cross the
-// wire once (an all-gather of 2·#tensors floats per rank, skipped at stage
-// 0 where everything is resident), and every rank folds them in partition
-// order — the same arithmetic gradient clipping uses, which is what keeps
-// LAMB bitwise identical across stages even though its blocks span shard
-// boundaries.
-func (t *Trainer) stepLAMB(l *optimizer.LAMB, params, grads []float32) {
-	dom := t.optimizerDomain()
+// stepLAMB applies a LAMB update to the master whose per-tensor trust
+// ratios are computed over FULL tensors at every stage: the partials Σw²/Σu²
+// of each partition's overlap with every tensor cross the wire once (an
+// all-gather of 2·#tensors floats per rank), and every rank folds them in
+// partition order — the same arithmetic gradient clipping uses, which is
+// what keeps LAMB bitwise identical across stages even though its blocks
+// span shard boundaries.
+func (t *Trainer) stepLAMB() {
+	params, update := t.master, t.lambUpdate
+	t.lamb.PrepareUpdate(params, t.accum, update)
 	segs := t.Model.Layout.Segments
-	nseg := len(segs)
-	n := t.c.Size()
-	stride := 2 * nseg
-	t.ensureLAMBScratch(len(params), stride*n, n)
-	update := t.lambUpdate[:len(params)]
-	l.PrepareUpdate(params, grads, update)
+	n, stride := t.c.Size(), 2*len(segs)
 
-	// fill only writes the segments overlapping a partition; every other
-	// slot must be zero for the partition-ordered norm folds.
-	partials := t.lambPartials[:stride*n]
-	tensor.Zero(partials)
-	// clip returns the overlap of segment s with partition p, rebased to
-	// the local buffer (which covers dom).
+	// clip returns the overlap of segment s with range p, rebased onto the
+	// master.
 	clip := func(s model.Segment, p comm.Range) (lo, hi int) {
-		lo, hi = s.Lo, s.Hi
-		if lo < p.Lo {
-			lo = p.Lo
-		}
-		if hi > p.Hi {
-			hi = p.Hi
-		}
+		lo, hi = t.local(comm.Range{Lo: max(s.Lo, p.Lo), Hi: min(s.Hi, p.Hi)})
 		if lo >= hi {
 			return 0, 0
 		}
-		return lo - dom.Lo, hi - dom.Lo
+		return lo, hi
 	}
-	fill := func(rank int, p comm.Range) {
-		base := rank * stride
+	// Only the segments overlapping a partition are written; every other
+	// slot must be zero for the partition-ordered norm folds.
+	partials := t.lambPartials
+	tensor.Zero(partials)
+	for r := t.norms.Lo; r < t.norms.Hi; r++ {
 		for s, seg := range segs {
-			lo, hi := clip(seg, p)
-			if lo == hi {
-				continue
+			if lo, hi := clip(seg, t.parts[r]); lo != hi {
+				partials[r*stride+2*s] = optimizer.PartialSquaredSum(params[lo:hi])
+				partials[r*stride+2*s+1] = optimizer.PartialSquaredSum(update[lo:hi])
 			}
-			partials[base+2*s] = optimizer.PartialSquaredSum(params[lo:hi])
-			partials[base+2*s+1] = optimizer.PartialSquaredSum(update[lo:hi])
 		}
 	}
-	if t.stage == StageDDP {
-		// Full buffers resident: every partition's partials are local, but
-		// the partition grouping must match the partitioned stages'.
-		for r, p := range t.parts {
-			fill(r, p)
-		}
-	} else {
-		// Like the clip partials, the 2·#tensors-float norm exchange is
-		// latency bound and runs on the default domain.
-		fill(t.c.Rank(), t.parts[t.c.Rank()])
-		t.c.AllGather(partials, t.lambParts)
-	}
+	t.gatherPartials(partials, t.lambParts)
 
-	wp := t.lambWP[:n]
-	up := t.lambUP[:n]
+	wp, up := t.lambWP, t.lambUP
 	for s, seg := range segs {
 		for r := 0; r < n; r++ {
 			wp[r] = partials[r*stride+2*s]
 			up[r] = partials[r*stride+2*s+1]
 		}
 		trust := optimizer.TrustRatio(optimizer.GlobalGradNorm(wp), optimizer.GlobalGradNorm(up))
-		lo, hi := clip(seg, dom)
-		if lo != hi {
-			l.ApplyBlock(params, update, lo, hi, trust)
+		if lo, hi := clip(seg, t.dom); lo != hi {
+			t.lamb.ApplyBlock(params, update, lo, hi, trust)
 		}
-	}
-}
-
-// ensureLAMBScratch sizes the LAMB update/partial buffers once (first
-// boundary); subsequent steps reuse them.
-func (t *Trainer) ensureLAMBScratch(updateLen, partialLen, n int) {
-	if cap(t.lambUpdate) < updateLen {
-		t.lambUpdate = make([]float32, updateLen)
-	}
-	if cap(t.lambPartials) < partialLen {
-		t.lambPartials = make([]float32, partialLen)
-		t.lambParts = comm.Partition(partialLen, n)
-	}
-	if cap(t.lambWP) < n {
-		t.lambWP = make([]float32, n)
-		t.lambUP = make([]float32, n)
 	}
 }
 
@@ -855,10 +770,10 @@ func (t *Trainer) GradAccumElems() int { return len(t.accum) }
 // bucket's ownership partition and the per-layer submission indices, so
 // steady-state steps replay the schedule without rebuilding it.
 func (t *Trainer) buildPlan() bucketPlan {
-	p := bucketPlan{byLayer: make(map[int][]int)}
+	p := bucketPlan{byLayer: make([][]int, len(t.groups))}
 	add := func(layer int) {
-		for _, b := range t.groupBuckets(t.layerGroup(layer)) {
-			p.byLayer[layer] = append(p.byLayer[layer], len(p.parts))
+		for _, b := range t.groupBuckets(t.groups[layer+1]) {
+			p.byLayer[layer+1] = append(p.byLayer[layer+1], len(p.parts))
 			p.parts = append(p.parts, intersect(t.parts, b.Lo, b.Hi))
 		}
 	}
@@ -869,17 +784,6 @@ func (t *Trainer) buildPlan() bucketPlan {
 	add(layers) // ln_f
 	add(-1)     // embeddings
 	return p
-}
-
-// layerGroup returns the flat-buffer segment for a block index, the final
-// norm (index Layers) or the embeddings (index -1).
-func (t *Trainer) layerGroup(layer int) model.Segment {
-	for _, g := range t.groups {
-		if g.Layer == layer {
-			return g
-		}
-	}
-	panic(fmt.Sprintf("zero: no layer group %d", layer))
 }
 
 // groupBuckets splits one layer group into bucket windows, last window
@@ -908,12 +812,10 @@ func (t *Trainer) groupBuckets(g model.Segment) []comm.Range {
 // bits — is independent of bucket framing; on a node layout both ops run
 // two-level with the same ownership layout.
 func (t *Trainer) reduceBucketAt(i int) comm.Handle {
-	buf := comm.Buffer{Data: t.Model.Grads, DType: t.wireDType()}
-	st := t.gradStream()
 	parts := t.plan.parts[i]
-	h := st.ReduceScatter(buf, parts)
+	h := t.grad.ReduceScatter(t.grads, parts)
 	if t.stage == StageDDP {
-		h = st.AllGather(buf, parts) // FIFO after the reduce-scatter
+		h = t.grad.AllGather(t.grads, parts) // FIFO after the reduce-scatter
 	}
 	return h
 }
@@ -928,12 +830,12 @@ func (t *Trainer) reduceBucketAt(i int) comm.Handle {
 // range even when every activation store stayed finite.
 func (t *Trainer) submitLayerBuckets(layer int) {
 	if t.opts.FP16Compute {
-		g := t.layerGroup(layer)
+		g := t.groups[layer+1]
 		if tensor.RoundHalfCheck(t.Model.Grads[g.Lo:g.Hi]) {
 			t.overflow = true
 		}
 	}
-	for _, i := range t.plan.byLayer[layer] {
+	for _, i := range t.plan.byLayer[layer+1] {
 		h := t.reduceBucketAt(i)
 		if t.opts.Overlap {
 			t.gradHandles = append(t.gradHandles, h)

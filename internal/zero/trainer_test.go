@@ -55,7 +55,7 @@ func runDDP(cfg model.Config, n, steps int, ids, targets []int, batch int) []flo
 	w := comm.NewWorld(n)
 	out := make([][]float32, n)
 	w.Run(func(c *comm.Comm) {
-		tr := MustNew(c, cfg, Options{Stage: StageDDP, LR: testLR, Seed: testSeed})
+		tr := MustNew(c, cfg, Options{Stage: StageDDP, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed})
 		for s := 0; s < steps; s++ {
 			tr.Step(ids, targets, batch)
 		}
@@ -76,7 +76,7 @@ func TestStagesMatchDDPBitwise(t *testing.T) {
 		want := runDDP(cfg, n, steps, ids, targets, batch)
 		for _, stage := range []Stage{StageOS, StageOSGrad, StageFull} {
 			got := runZeRO(t, cfg, stage, n, steps,
-				Options{LR: testLR, Seed: testSeed}, ids, targets, batch)
+				Options{Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed}, ids, targets, batch)
 			for r := 0; r < n; r++ {
 				if d := testutil.MaxDiff(got[r], want); d != 0 {
 					t.Errorf("n=%d %v rank %d: diverged from DDP by %g", n, stage, r, d)
@@ -102,7 +102,7 @@ func TestStagesMatchSingleProcess(t *testing.T) {
 	}
 	for _, stage := range AllStages {
 		got := runZeRO(t, cfg, stage, 4, steps,
-			Options{LR: testLR, Seed: testSeed}, ids, targets, batch)
+			Options{Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed}, ids, targets, batch)
 		if d := testutil.MaxDiff(got[0], ref.Params); d > 2e-4 {
 			t.Errorf("%v vs single process: max diff %g", stage, d)
 		}
@@ -115,9 +115,9 @@ func TestBucketedReduceScatterBitwise(t *testing.T) {
 	cfg := testConfig()
 	const batch = 4
 	ids, targets := model.SyntheticBatch(13, batch, cfg.Seq, cfg.Vocab)
-	unfused := runZeRO(t, cfg, StageOSGrad, 4, 3, Options{LR: testLR, Seed: testSeed}, ids, targets, batch)
+	unfused := runZeRO(t, cfg, StageOSGrad, 4, 3, Options{Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed}, ids, targets, batch)
 	bucketed := runZeRO(t, cfg, StageOSGrad, 4, 3,
-		Options{LR: testLR, Seed: testSeed, BucketElems: 257}, ids, targets, batch)
+		Options{Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed, BucketElems: 257}, ids, targets, batch)
 	if d := testutil.MaxDiff(unfused[0], bucketed[0]); d != 0 {
 		t.Errorf("bucketing changed the trajectory by %g", d)
 	}
@@ -144,7 +144,7 @@ func TestCommunicationVolumeIdentities(t *testing.T) {
 			w.Run(func(c *comm.Comm) {
 				// Trainer construction performs no communication, so the
 				// counters hold exactly one step's traffic.
-				tr := MustNew(c, cfg, Options{Stage: tc.stage, LR: testLR, Seed: testSeed})
+				tr := MustNew(c, cfg, Options{Stage: tc.stage, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed})
 				tr.Step(ids, targets, batch)
 			})
 			want := tc.mult * int64(n-1) * psi
@@ -165,7 +165,7 @@ func TestStage3ResidencyAndShards(t *testing.T) {
 	ids, targets := model.SyntheticBatch(5, batch, cfg.Seq, cfg.Vocab)
 	w := comm.NewWorld(n)
 	w.Run(func(c *comm.Comm) {
-		tr := MustNew(c, cfg, Options{Stage: StageFull, LR: testLR, Seed: testSeed})
+		tr := MustNew(c, cfg, Options{Stage: StageFull, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed})
 		tr.Step(ids, targets, batch)
 		own := tr.Owned()
 		for i, v := range tr.Model.Params {
@@ -188,7 +188,7 @@ func TestFP16StagesAgreeAndLearn(t *testing.T) {
 	cfg := model.Config{Layers: 2, Hidden: 32, Heads: 4, Vocab: 13, Seq: 12}
 	const n, batch, steps = 2, 4, 15
 	ids, targets := model.SyntheticBatch(17, batch, cfg.Seq, cfg.Vocab)
-	opts := Options{LR: 5e-3, Seed: 23, FP16Compute: true}
+	opts := Options{Optimizer: optimizer.Spec{LR: 5e-3}, Seed: 23, FP16Compute: true}
 
 	s1 := runZeRO(t, cfg, StageOS, n, steps, opts, ids, targets, batch)
 	s2 := runZeRO(t, cfg, StageOSGrad, n, steps, opts, ids, targets, batch)
@@ -228,9 +228,9 @@ func TestZeROWithCheckpointingBitwise(t *testing.T) {
 	cfg := testConfig()
 	const batch = 4
 	ids, targets := model.SyntheticBatch(29, batch, cfg.Seq, cfg.Vocab)
-	plain := runZeRO(t, cfg, StageOSGrad, 2, 3, Options{LR: testLR, Seed: testSeed}, ids, targets, batch)
+	plain := runZeRO(t, cfg, StageOSGrad, 2, 3, Options{Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed}, ids, targets, batch)
 	ckpt := runZeRO(t, cfg, StageOSGrad, 2, 3,
-		Options{LR: testLR, Seed: testSeed, Checkpoint: true}, ids, targets, batch)
+		Options{Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed, Checkpoint: true}, ids, targets, batch)
 	if d := testutil.MaxDiff(plain[0], ckpt[0]); d != 0 {
 		t.Errorf("checkpointing changed the trajectory by %g", d)
 	}
@@ -242,7 +242,7 @@ func TestTrainerRejectsInvalidConfigs(t *testing.T) {
 	for _, bad := range []Stage{-1, 4} {
 		w := comm.NewWorld(1)
 		w.Run(func(c *comm.Comm) {
-			if _, err := New(c, testConfig(), Options{Stage: bad, LR: testLR}); err == nil {
+			if _, err := New(c, testConfig(), Options{Stage: bad, Optimizer: optimizer.Spec{LR: testLR}}); err == nil {
 				t.Errorf("expected error for stage %d", bad)
 			}
 		})
@@ -250,7 +250,7 @@ func TestTrainerRejectsInvalidConfigs(t *testing.T) {
 	w := comm.NewWorld(4)
 	w.Run(func(c *comm.Comm) {
 		for _, bad := range []int{3, -2, 5} {
-			_, err := New(c, testConfig(), Options{Stage: StageOSGrad, LR: testLR, NodeSize: bad})
+			_, err := New(c, testConfig(), Options{Stage: StageOSGrad, Optimizer: optimizer.Spec{LR: testLR}, NodeSize: bad})
 			if !errors.Is(err, comm.ErrTopology) {
 				t.Errorf("NodeSize %d: err = %v, want comm.ErrTopology", bad, err)
 			}
@@ -261,7 +261,7 @@ func TestTrainerRejectsInvalidConfigs(t *testing.T) {
 			nodeSize int
 			hier     bool
 		}{{0, false}, {1, false}, {4, false}, {2, true}} {
-			tr, err := New(c, testConfig(), Options{Stage: StageOSGrad, LR: testLR, NodeSize: tc.nodeSize})
+			tr, err := New(c, testConfig(), Options{Stage: StageOSGrad, Optimizer: optimizer.Spec{LR: testLR}, NodeSize: tc.nodeSize})
 			if err != nil {
 				t.Errorf("NodeSize %d: %v", tc.nodeSize, err)
 				continue
@@ -280,8 +280,9 @@ func TestTrainerRejectsInvalidConfigs(t *testing.T) {
 // The model state a rank actually holds, summed from the live buffers
 // (len × element width), against the closed form of today's layout. Only
 // the optimizer state, the fp32 master and the accumulator are
-// partitioned (s = this rank's Ψ/N share); Params, ParamsH and Grads stay
-// Ψ-long at every stage. The §3.1 prediction, perfmodel.ModelStateBytes
+// partitioned (s = this rank's Ψ/N share), and the master is a buffer of
+// its own only under fp16 compute; Params, ParamsH and Grads stay Ψ-long
+// at every stage. The §3.1 prediction, perfmodel.ModelStateBytes
 // (16Ψ/N at stage 3), is logged beside it: the gap is what a resident
 // partition has to close.
 func TestTrainerModelStateAccounting(t *testing.T) {
@@ -293,10 +294,14 @@ func TestTrainerModelStateAccounting(t *testing.T) {
 		s := int64(comm.Partition(int(psi), n)[c.Rank()].Len())
 		for _, fp16 := range []bool{false, true} {
 			for _, stage := range AllStages {
-				tr := MustNew(c, cfg, Options{Stage: stage, LR: testLR, Seed: 1, FP16Compute: fp16})
+				tr := MustNew(c, cfg, Options{Stage: stage, Optimizer: optimizer.Spec{LR: testLR}, Seed: 1, FP16Compute: fp16})
 				m := tr.Model
 				live := 4*int64(len(m.Params)) + 2*int64(len(m.ParamsH)) + 4*int64(len(m.Grads)) +
-					4*int64(len(tr.master)) + 4*int64(len(tr.accum))
+					4*int64(len(tr.accum))
+				// In fp32 the master is a window of Params, already counted.
+				if len(m.Params) == 0 || &tr.master[0] != &m.Params[tr.dom.Lo] {
+					live += 4 * int64(len(tr.master))
+				}
 				for _, st := range tr.opt.State() {
 					live += 4 * int64(len(st))
 				}

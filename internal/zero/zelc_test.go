@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/model"
+	"repro/internal/optimizer"
 )
 
 // The ZELC v1 format goldens under testdata/ were written by the commit
@@ -54,7 +55,7 @@ func fixtureRun(t *testing.T, midAccum bool) *Snapshot {
 	cfg := model.Config{Layers: 1, Hidden: 10, Heads: 2, Vocab: 7, Seq: 3}
 	const n, batch = 4, 4
 	ids, targets := model.SyntheticBatch(21, batch, cfg.Seq, cfg.Vocab)
-	opts := Options{Stage: StageOSGrad, LR: testLR, Seed: testSeed}
+	opts := Options{Stage: StageOSGrad, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed}
 	micros, extra := 1, 0
 	if midAccum {
 		micros, extra = 2, 1
