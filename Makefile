@@ -67,8 +67,9 @@ api:
 # JSON loader (reject, or save → load to the identical vocab, with
 # allocation linear in the input), the fp32↔fp16 conversion surface (batch
 # encoders vs the scalar reference), GELU (y and g′, also over x),
-# GELUBackward (also in place) and softmax on the GELU/exp lane kernels and
-# every matmul kernel on both register-tile tiers
+# GELUBackward and softmax (each also in place) on both GELU/exp lane
+# tiers (eight-lane ZMM and four-lane YMM), every matmul kernel on both
+# register-tile tiers
 # (8×32 ZMM and 4×16 YMM) and F16C decode (each bitwise the scalar
 # reference), the Adam lane kernel on any
 # moments, gradients and step (bitwise the scalar loop), a ring reduce-scatter then

@@ -41,7 +41,7 @@ func CausalAttention(ctx, probs, qkv []float32, probsH HalfBuffer, batch, seq, h
 	n := seq * dh
 	qh, kh, vh, ctxh := scratch[:n], scratch[n:2*n], scratch[2*n:3*n], scratch[3*n:4*n]
 	scale := float32(1 / math.Sqrt(float64(dh)))
-	var d, e [laneChunk]float64
+	var e [laneChunk]float64
 	for b := 0; b < batch; b++ {
 		for hd := 0; hd < heads; hd++ {
 			gatherHead(qh, kh, vh, qkv, b, hd, seq, heads, dh)
@@ -53,7 +53,7 @@ func CausalAttention(ctx, probs, qkv []float32, probsH HalfBuffer, batch, seq, h
 			for t := 0; t < seq; t++ {
 				row := p[t*seq : (t+1)*seq]
 				Scale(row[:t+1], scale)
-				softmaxRow(row[:t+1], row[:t+1], &d, &e)
+				softmaxRow(row[:t+1], row[:t+1], &e)
 				Zero(row[t+1:])
 			}
 			if probsH != nil {

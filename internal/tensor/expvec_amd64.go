@@ -2,20 +2,39 @@
 
 package tensor
 
-// Four-lane AVX2+FMA exp, tanh and GELU (expvec_amd64.s), bitwise equal
-// to math.Exp, math.Tanh and gelu4 lane for lane. They run only where
-// math.Exp itself takes its FMA branch: Go sets math's useFMA from AVX and
-// FMA, and every CPU that passes hasLaneISA has both. Elsewhere useLanes
-// is false and the kernels' scalar loops run.
+// AVX2+FMA and AVX-512 exp, tanh and GELU (expvec_amd64.s), bitwise equal
+// to math.Exp, math.Tanh and gelu4 lane for lane, on every tier. They run
+// only where math.Exp itself takes its FMA branch: Go sets math's useFMA
+// from AVX and FMA, and every CPU that passes hasLaneISA has both.
+// Elsewhere useLanes is false and the kernels' scalar loops run. Each
+// kernel with a Z sibling has the same contract on both tiers; the Z one
+// runs eight lanes per step and finishes a len mod 8 remainder with the
+// four-lane step.
 
-// expLanes sets dst[i] = math.Exp(src[i]) for every lane it can finish and
-// returns a mask with bit i set for each lane i it left to the caller:
-// NaN, x > 709.78 (+Inf included), and arguments whose result archExp
-// builds on its denormal path. len(dst) must be a multiple of 4, at most
-// 64, and len(src) >= len(dst).
+// expLanes is softmax's exp pass over at most 64 lanes: e[i] =
+// math.Exp(float64(row[i] − max)), the subtraction in float32, and out[i]
+// = float32(e[i]), row[i] read before out[i] is written, so out may alias
+// row. It returns a mask with bit i set for each lane it left to the
+// caller, whose e[i] holds the argument instead: NaN, arguments above
+// 709.78 (+Inf included), and those whose result archExp builds on its
+// denormal path. len(e) must be a multiple of 4, at most 64, and len(out),
+// len(row) >= len(e).
 //
 //go:noescape
-func expLanes(dst, src []float64) uint64
+func expLanes(e []float64, out, row []float32, max float32) uint64
+
+// expLanesZ is expLanes on the 512-bit tier (useZMM).
+//
+//go:noescape
+func expLanesZ(e []float64, out, row []float32, max float32) uint64
+
+// maxLanes sets m[i] to the largest of row[i], row[i+8], … by strict >,
+// each lane seeded with row[0]: a NaN never wins unless row[0] is one,
+// and a tie keeps the earlier element. len(row) must be a positive
+// multiple of 8.
+//
+//go:noescape
+func maxLanes(m *[8]float32, row []float32)
 
 // tanhLanes sets dst[i] = math.Tanh(src[i]). len(dst) must be a multiple
 // of 4 and len(src) >= len(dst).
@@ -30,6 +49,11 @@ func tanhLanes(dst, src []float64)
 //go:noescape
 func geluLanes(y, gp, x []float32)
 
+// geluLanesZ is geluLanes on the 512-bit tier (useZMM).
+//
+//go:noescape
+func geluLanesZ(y, gp, x []float32)
+
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 // xgetbv0 returns the low word of XCR0, the state components the OS saves.
@@ -40,8 +64,10 @@ func xgetbv0() uint32
 // conversions (half_amd64.s). Tests clear it to run the scalar reference.
 var useLanes = hasLaneISA()
 
-// useZMM selects the 512-bit matmul tiles (gemmTileZ, gemmTileZH) over the
-// 4×16 YMM ones. Tests clear it to run the YMM tier.
+// useZMM selects the 512-bit tier over the YMM one: the 8×32 matmul tiles
+// (gemmTileZ, gemmTileZH) over the 4×16 ones, and the eight-lane exp and
+// GELU kernels (expLanesZ, geluLanesZ) over the four-lane ones. Tests clear
+// it to run the YMM tier.
 var useZMM = hasZMMTier()
 
 // hasZMMTier probes the 512-bit tier. The lane probe has seen CPUID leaf 7
@@ -54,7 +80,7 @@ func hasZMMTier() bool {
 	return zmmTier(true, ebx, xgetbv0())
 }
 
-// zmmTier reports whether the 512-bit tiles may run, given the lane probe,
+// zmmTier reports whether the 512-bit tier may run, given the lane probe,
 // CPUID.(7,0):EBX and XCR0: the lanes, AVX-512F (EBX bit 16), and the OS
 // saving XMM, YMM, opmask and both halves of the ZMM file (XCR0 bits 1, 2,
 // 5, 6 and 7).

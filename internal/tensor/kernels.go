@@ -14,14 +14,17 @@ import (
 
 const sqrt2OverPi = 0.7978845608028654 // √(2/π), for the tanh GELU approximation
 
-// The transcendental kernels stage their arguments on the stack in chunks
-// of laneChunk (the width of expLanes's mask) and fill the chunk's exp with
-// the lane kernels when useLanes is set, one math.Exp call per element
-// otherwise. Everything around that fill is one piece of code for both, so
-// the two agree to the bit, NaN payloads included: which NaN a commutative
-// op returns depends on the operand order the compiler picks, and shared
-// code picks it once. GELU runs whole on the lanes (geluLanes) and only its
-// len mod 4 tail goes through gelu4's staging.
+// The transcendental kernels run on the lane kernels when useLanes is set,
+// on the eight-lane ones when useZMM is too, and one math.Exp or math.Tanh
+// call per element otherwise. Each lane kernel is bitwise its scalar loop,
+// and everything around it is one piece of code for every tier, so the
+// tiers agree to the bit, NaN payloads included: which NaN a commutative op
+// returns depends on the operand order the compiler picks, and shared code
+// picks it once. GELU runs whole on the lanes and only its len mod 4 tail
+// goes through gelu4's staging; softmax's exp runs on the lanes straight
+// from the row, laneChunk (the width of expLanes's mask) elements at a time
+// into a stack chunk of float64 results, and its len mod 4 tail calls
+// math.Exp.
 const laneChunk = 64
 
 // GELU applies the tanh-approximated Gaussian error linear unit
@@ -36,7 +39,11 @@ func GELU(y, gp, x []float32) {
 	}
 	if useLanes {
 		n := len(x) &^ 3
-		geluLanes(y[:n], gp[:n], x[:n])
+		if useZMM {
+			geluLanesZ(y[:n], gp[:n], x[:n])
+		} else {
+			geluLanes(y[:n], gp[:n], x[:n])
+		}
 		y, gp, x = y[n:], gp[n:], x[n:]
 	}
 	for len(x) > 0 {
@@ -81,21 +88,6 @@ func GELUBackward(dx, dy, gp []float32) {
 	dy = dy[:len(dx)]
 	for i := range dx {
 		dx[i] = 0 + dy[i]*gp[i]
-	}
-}
-
-// expChunk sets e[i] = math.Exp(d[i]) for i < n, finishing in scalar the
-// lanes expLanes hands back.
-func expChunk(e, d *[laneChunk]float64, n int) {
-	if !useLanes {
-		for i, v := range d[:n] {
-			e[i] = math.Exp(v)
-		}
-		return
-	}
-	for m := expLanes(e[:(n+3)&^3], d[:]) & (1<<n - 1); m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		e[i] = math.Exp(d[i])
 	}
 }
 
@@ -176,37 +168,73 @@ func LayerNormBackward(dx, dGamma, dBeta, dy, xhat, invStd, gamma []float32, m, 
 func softmaxRows(y, x []float32, m, n int) {
 	checkDims(len(x), m*n, "x")
 	checkDims(len(y), m*n, "y")
-	var d, e [laneChunk]float64
+	var e [laneChunk]float64
 	for i := 0; i < m; i++ {
-		softmaxRow(y[i*n:i*n+n], x[i*n:i*n+n], &d, &e)
+		softmaxRow(y[i*n:i*n+n], x[i*n:i*n+n], &e)
 	}
 }
 
 // softmaxRow writes the softmax of row into out (which may alias it),
-// staging exp's arguments and results in d and e. The float64 sum folds in
-// j order.
-func softmaxRow(out, row []float32, d, e *[laneChunk]float64) {
-	max := row[0]
-	for _, v := range row[1:] {
+// staging exp's float64 results in e. The float64 sum folds in j order.
+func softmaxRow(out, row []float32, e *[laneChunk]float64) {
+	max := rowMax(row)
+	var sum float64
+	for lo := 0; lo < len(row); lo += laneChunk {
+		hi := min(lo+laneChunk, len(row))
+		expShifted(e, out[lo:hi], row[lo:hi], max)
+		for _, v := range e[:hi-lo] {
+			sum += v
+		}
+	}
+	Scale(out, float32(1/sum))
+}
+
+// rowMax returns row's largest element by strict >: the first of a run of
+// equal maxima, and row[0] if it is NaN, any other NaN never winning. The
+// lanes keep a maximum per lane and merge in lane order, which differs
+// only in which of −0 and +0 a zero maximum is; softmax's v − max, and so
+// its output, is the same bits either way.
+func rowMax(row []float32) float32 {
+	max, n := row[0], 0
+	if useLanes && len(row) >= 8 {
+		n = len(row) &^ 7
+		var m [8]float32
+		maxLanes(&m, row[:n])
+		for _, v := range m {
+			if v > max {
+				max = v
+			}
+		}
+	}
+	for _, v := range row[n:] {
 		if v > max {
 			max = v
 		}
 	}
-	var sum float64
-	for lo := 0; lo < len(row); lo += laneChunk {
-		c := row[lo:min(lo+laneChunk, len(row))]
-		for j, v := range c {
-			d[j] = float64(v - max)
-		}
-		expChunk(e, d, len(c))
-		for j, v := range e[:len(c)] {
-			out[lo+j] = float32(v)
-			sum += v
+	return max
+}
+
+// expShifted sets e[j] = math.Exp(float64(row[j] − max)) and out[j] =
+// float32(e[j]) for j < len(row) ≤ laneChunk, out aliasing row or not:
+// on the lanes, finishing in scalar the lanes expLanes hands back.
+func expShifted(e *[laneChunk]float64, out, row []float32, max float32) {
+	n, m := 0, uint64(0)
+	if useLanes {
+		n = len(row) &^ 3
+		if useZMM {
+			m = expLanesZ(e[:n], out, row, max)
+		} else {
+			m = expLanes(e[:n], out, row, max)
 		}
 	}
-	inv := float32(1 / sum)
-	for j := range out {
-		out[j] *= inv
+	for ; m != 0; m &= m - 1 {
+		j := bits.TrailingZeros64(m)
+		e[j] = math.Exp(e[j])
+		out[j] = float32(e[j])
+	}
+	for j := n; j < len(row); j++ {
+		e[j] = math.Exp(float64(row[j] - max))
+		out[j] = float32(e[j])
 	}
 }
 
@@ -252,18 +280,17 @@ func CrossEntropy(probs, logits []float32, targets []int, m, v int) float64 {
 	return loss / float64(m)
 }
 
-// CrossEntropyBackward writes dLogits = (probs - onehot(targets)) / m.
+// CrossEntropyBackward writes dLogits = (probs - onehot(targets)) / m as
+// probs·(1/m) − onehot·(1/m), each row scaled by the axpy sweep's overwrite
+// (ov1), lane for lane the scalar product.
 func CrossEntropyBackward(dLogits, probs []float32, targets []int, m, v int) {
 	checkDims(len(dLogits), m*v, "dLogits")
 	checkDims(len(probs), m*v, "probs")
 	checkDims(len(targets), m, "targets")
 	inv := float32(1) / float32(m)
 	for i := 0; i < m; i++ {
-		row := probs[i*v : i*v+v]
 		out := dLogits[i*v : i*v+v]
-		for j, p := range row {
-			out[j] = p * inv
-		}
+		ov1(out, probs[i*v:i*v+v], inv)
 		out[targets[i]] -= inv
 	}
 }

@@ -291,7 +291,7 @@ func FuzzMatMulLanes(f *testing.F) {
 		}
 		var want map[string][]float32
 		scalarRef(func() { want = run() })
-		for _, tier := range foldTiers[:2] {
+		for _, tier := range tiers[:2] {
 			t.Run(tier, func(t *testing.T) {
 				var got map[string][]float32
 				onTier(t, tier, func() { got = run() })

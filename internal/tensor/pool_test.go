@@ -144,7 +144,7 @@ func foldShapes() [][3]int {
 // this CPU has — so the ZMM tiles, the YMM tiles and the scalar reference
 // agree bit for bit.
 func runShapeMatrix(t *testing.T, seed int64) {
-	for _, tier := range foldTiers {
+	for _, tier := range tiers {
 		t.Run(tier, func(t *testing.T) {
 			onTier(t, tier, func() { runShapes(t, seed) })
 		})
