@@ -68,7 +68,8 @@ api:
 # allocation linear in the input), the fp32↔fp16 conversion surface (batch
 # encoders vs the scalar reference), GELU (y and g′, also over x),
 # GELUBackward and softmax (each also in place) on both GELU/exp lane
-# tiers (eight-lane ZMM and four-lane YMM), every matmul kernel on both
+# tiers (eight-lane ZMM and four-lane YMM), LayerNorm forward and backward
+# on both lane tiers against the row loops, every matmul kernel on both
 # register-tile tiers
 # (8×32 ZMM and 4×16 YMM) and F16C decode (each bitwise the scalar
 # reference), the Adam lane kernel on any
@@ -80,9 +81,9 @@ api:
 # and the job-spec parser (reject, or marshal → parse to the identical
 # spec) — a few seconds of coverage-guided input generation on every
 # `make check`.
-# (Unbounded minimisation of each new vocab, encode, matmul, Adam, ring,
-# snapshot, config or spec input would eat the 3 s, so it is capped at 100
-# executions.)
+# (Unbounded minimisation of each new vocab, encode, matmul, LayerNorm,
+# Adam, ring, snapshot, config or spec input would eat the 3 s, so it is
+# capped at 100 executions.)
 fuzz-smoke:
 	$(GO) test ./internal/data -run=NONE -fuzz=FuzzBPERoundTrip -fuzztime=3s
 	$(GO) test ./internal/data -run=NONE -fuzz=FuzzLoadTokenizerJSON -fuzztime=3s -fuzzminimizetime=100x
@@ -90,6 +91,7 @@ fuzz-smoke:
 	$(GO) test ./internal/tensor -run=NONE -fuzz=FuzzHalfRoundTrip -fuzztime=3s
 	$(GO) test ./internal/tensor -run=NONE -fuzz=FuzzTranscendentals -fuzztime=3s
 	$(GO) test ./internal/tensor -run=NONE -fuzz=FuzzMatMulLanes -fuzztime=3s -fuzzminimizetime=100x
+	$(GO) test ./internal/tensor -run=NONE -fuzz=FuzzLayerNorm -fuzztime=3s -fuzzminimizetime=100x
 	$(GO) test ./internal/optimizer -run=NONE -fuzz=FuzzAdamLanes -fuzztime=3s -fuzzminimizetime=100x
 	$(GO) test ./internal/comm -run=NONE -fuzz=FuzzRingPartitions -fuzztime=3s -fuzzminimizetime=100x
 	$(GO) test ./internal/zero -run=NONE -fuzz=FuzzDecodeSnapshot -fuzztime=3s -fuzzminimizetime=100x

@@ -2,12 +2,12 @@
 
 package tensor
 
-// SSE implementations of the axpy inner loops (axpy_amd64.s) and the AVX
-// and AVX-512 register-blocked tiles (gemm_amd64.s). The vector lanes map to distinct
-// output elements, so every element folds its products in exactly the
-// scalar order — the assembly is bitwise interchangeable with the
-// fallbacks in axpy_generic.go, and kernels built on these helpers produce
-// identical results on every architecture.
+// The SSE axpy inner loops (axpy_amd64.s); the AVX and AVX-512
+// register-blocked tiles are in gemm_amd64.s. The vector lanes map to
+// distinct output elements, so every element folds its products in
+// exactly the scalar order — the assembly is bitwise interchangeable with
+// the fallbacks in axpy_generic.go, and kernels built on these helpers
+// produce identical results on every architecture.
 //
 // Callers guarantee len(b*) >= len(c); the loops run over len(c).
 

@@ -2,9 +2,10 @@
 // elements (vectorization across output columns), so each element's fold
 // order is exactly the scalar fallback's — the SIMD path is bitwise
 // identical to axpy_generic.go. SSE only: it is part of the amd64
-// baseline, so these run on every amd64 CPU. Where useLanes holds they
-// carry only the tails of the AVX tile in gemm_amd64.s, which folds in the
-// same order and operand order (b·a, then c + product).
+// baseline, so these run on every amd64 CPU. axpy1 and ov1 also serve
+// Add, Scale and CrossEntropyBackward; in the matmul fold, where useLanes
+// holds, all four carry only the tails of the AVX tiles in gemm_amd64.s,
+// which fold in the same order and operand order (b·a, then c + product).
 
 #include "textflag.h"
 

@@ -42,6 +42,13 @@ func maxLanes(m *[8]float32, row []float32)
 //go:noescape
 func tanhLanes(dst, src []float64)
 
+// tanhLanesZ is tanhLanes on the 512-bit tier. Only the float64 edge test
+// calls it: GELU runs the same tanh inside geluLanesZ, on arguments that
+// never land on its branch points.
+//
+//go:noescape
+func tanhLanesZ(dst, src []float64)
+
 // geluLanes is GELU four floats at a time, bitwise gelu4 on every lane:
 // y[i] and gp[i] from x[i], x read before gp is written, so gp may alias
 // x. len(y) must be a multiple of 4, and len(gp), len(x) >= len(y).
@@ -60,8 +67,10 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() uint32
 
 // useLanes selects every vector kernel that needs more than SSE2: the
-// exp/tanh lanes, the AVX matmul tiles (gemm_amd64.s) and the F16C half
-// conversions (half_amd64.s). Tests clear it to run the scalar reference.
+// exp/tanh lanes, the AVX matmul tiles (gemm_amd64.s), the F16C half
+// conversions (half_amd64.s), and the 8×8 register transpose with the
+// LayerNorm kernels built on it (transpose_amd64.s). Tests clear it to run
+// the scalar reference.
 var useLanes = hasLaneISA()
 
 // useZMM selects the 512-bit tier over the YMM one: the 8×32 matmul tiles

@@ -23,10 +23,11 @@
 // blends them per lane, each branch in Go's evaluation order (amd64 Go
 // never fuses a multiply and an add). Its exp argument 2|x| lies in
 // [1.25, 88.03] on the lanes that use it, always archExp's normal path.
-// tanhcoreZ is it eight lanes wide, with opmask blends. tanhLanes runs
-// tanhcore over a float64 array; geluLanes and geluLanesZ run a tier's
-// tanh between widening float32 inputs to the GELU argument and narrowing
-// y and g′, so the whole GELU forward is one pass with no staging.
+// tanhcoreZ is it eight lanes wide, with opmask blends. tanhLanes and
+// tanhLanesZ run a tier's tanh over a float64 array; geluLanes and
+// geluLanesZ run it between widening float32 inputs to the GELU argument
+// and narrowing y and g′, so the whole GELU forward is one pass with no
+// staging.
 //
 // Each ZMM kernel runs eight-lane steps and finishes a len mod 8
 // remainder of four with its YMM sibling's step. Every lane op is exact
@@ -385,6 +386,34 @@ tanh_loop:
 	JMP     tanh_loop
 
 tanh_done:
+	VZEROUPPER
+	RET
+
+// func tanhLanesZ(dst, src []float64)
+TEXT ·tanhLanesZ(SB), NOSPLIT, $0-48
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), DX
+	MOVQ src_base+24(FP), SI
+	XORQ CX, CX
+	LEAQ -8(DX), BX // the last lane an eight-lane step may start at
+
+tanhz_loop:
+	CMPQ    CX, BX
+	JGT     tanhz_tail
+	VMOVUPD (SI)(CX*8), Z0
+	tanhcoreZ
+	VMOVUPD Z10, (DI)(CX*8)
+	ADDQ    $8, CX
+	JMP     tanhz_loop
+
+tanhz_tail:
+	CMPQ    CX, DX
+	JGE     tanhz_done
+	VMOVUPD (SI)(CX*8), Y0
+	tanhcore
+	VMOVUPD Y10, (DI)(CX*8)
+
+tanhz_done:
 	VZEROUPPER
 	RET
 

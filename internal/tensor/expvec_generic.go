@@ -39,6 +39,10 @@ func tanhLanes(dst, src []float64) {
 	}
 }
 
+func tanhLanesZ(dst, src []float64) {
+	tanhLanes(dst, src)
+}
+
 func geluLanes(y, gp, x []float32) {
 	for i := 0; i < len(y); i += 4 {
 		gelu4(y[i:i+4], gp[i:i+4], x[i:i+4])

@@ -62,6 +62,13 @@ func onLaneTiers(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
+// onEveryTier is onLaneTiers with the scalar reference as a third subtest.
+func onEveryTier(t *testing.T, f func(t *testing.T)) {
+	for _, tier := range tiers {
+		t.Run(tier, func(t *testing.T) { onTier(t, tier, func() { f(t) }) })
+	}
+}
+
 func logScalarOnly(t *testing.T) {
 	if !useLanes {
 		t.Log("CPU lacks AVX2/FMA/F16C: only the scalar path was checked")
@@ -110,9 +117,11 @@ func expCheckArgs() []float32 {
 
 // The exp pass against math.Exp of the float32 difference on each lane
 // tier, in calls of every length 1–64 and with out over the row, at max 0
-// (the argument itself) and at max 1.5; and tanhLanes, the four-lane tanh
-// on float64 edges, against math.Tanh (the eight-lane tanh runs only
-// inside GELU, which TestGELUMatchesReference checks).
+// (the argument itself) and at max 1.5; and the tier's tanh (tanhLanes,
+// or tanhLanesZ, whose eight-lane steps otherwise run only inside GELU)
+// against math.Tanh on the float64 edges — tanh's 0.625 branch point and
+// 0.5·MAXLOG with their neighbours, ±0, NaN — in calls of every length
+// 1–64, so the eight-lane body and its four-lane remainder both see them.
 func TestLaneKernelsMatchMath(t *testing.T) {
 	in := expCheckArgs()
 	onLaneTiers(t, func(t *testing.T) {
@@ -145,10 +154,14 @@ func TestLaneKernelsMatchMath(t *testing.T) {
 		for len(edges) < 1<<16 {
 			edges = append(edges, r.Float64()*200-100)
 		}
-		for lo := 0; lo < len(edges); lo += laneChunk {
-			n := copy(x[:], edges[lo:])
-			tanhLanes(th[:(n+3)&^3], x[:])
-			for i, v := range x[:n] {
+		tanh := tanhLanes
+		if useZMM {
+			tanh = tanhLanesZ
+		}
+		for lo, n := 0, 1; lo < len(edges); lo, n = lo+n, n%laneChunk+1 {
+			k := copy(x[:n], edges[lo:])
+			tanh(th[:(k+3)&^3], x[:])
+			for i, v := range x[:k] {
 				if got, want := math.Float64bits(th[i]), math.Float64bits(math.Tanh(v)); got != want {
 					t.Fatalf("tanh(%v = %#016x) = %#016x, want %#016x", v, math.Float64bits(v), got, want)
 				}
@@ -336,11 +349,14 @@ func TestGELUMatchesReference(t *testing.T) {
 	}
 }
 
-// The stack chunks stay on the stack: no kernel allocates, on any tier.
-// CrossEntropy's rows are longer than a chunk.
+// The stack chunks and row sums stay on the stack: no kernel allocates,
+// on any tier. CrossEntropy's rows are longer than a chunk; LayerNorm's
+// 19×70 has two full blocks of eight rows, a row tail and a column tail,
+// and transposeInto's 19×70 full 8×8 blocks and both edges.
 func TestTranscendentalKernelsAllocateNothing(t *testing.T) {
 	const batch, seq, heads, dh = 1, 70, 1, 4
 	const rows, vocab = 3, 150
+	const lnM, lnN = 19, 70
 	r := rand.New(rand.NewSource(29))
 	x := randSlice(r, 300)
 	y, gp, dx := make([]float32, len(x)), make([]float32, len(x)), make([]float32, len(x))
@@ -349,6 +365,9 @@ func TestTranscendentalKernelsAllocateNothing(t *testing.T) {
 	scratch := make([]float32, AttentionScratchLen(seq, dh))
 	logits, ceProbs, dLogits := randSlice(r, rows*vocab), make([]float32, rows*vocab), make([]float32, rows*vocab)
 	targets := []int{0, 77, vocab - 1}
+	lnX, gamma, beta := randSlice(r, lnM*lnN), randSlice(r, lnN), randSlice(r, lnN)
+	lnY, xhat, invStd, lnDX := make([]float32, lnM*lnN), make([]float32, lnM*lnN), make([]float32, lnM), make([]float32, lnM*lnN)
+	dGamma, dBeta, tr := make([]float32, lnN), make([]float32, lnN), make([]float32, lnM*lnN)
 	kernels := func() {
 		GELU(y, gp, x)
 		GELUBackward(dx, y, gp)
@@ -356,6 +375,11 @@ func TestTranscendentalKernelsAllocateNothing(t *testing.T) {
 		CausalAttention(ctx, probs, qkv, nil, batch, seq, heads, dh, scratch)
 		CrossEntropy(ceProbs, logits, targets, rows, vocab)
 		CrossEntropyBackward(dLogits, ceProbs, targets, rows, vocab)
+		LayerNorm(lnY, xhat, invStd, lnX, gamma, beta, lnM, lnN, 1e-5)
+		LayerNormBackward(lnDX, dGamma, dBeta, lnY, xhat, invStd, gamma, lnM, lnN)
+		transposeInto(tr, lnX, lnM, lnN, lnN, lnM)
+		Add(lnDX, lnX)
+		Scale(lnDX, 0.5)
 	}
 	for _, tier := range tiers {
 		t.Run(tier, func(t *testing.T) {

@@ -94,7 +94,12 @@ func GELUBackward(dx, dy, gp []float32) {
 // LayerNorm normalizes each row of x[m×n] to zero mean and unit variance,
 // then applies the learned affine (gamma, beta). It writes the normalized
 // pre-affine values into xhat (needed by the backward pass) and the output
-// into y. invStd receives 1/√(var+eps) per row.
+// into y. invStd receives 1/√(var+eps) per row. A row's mean and variance
+// are float64 sums folded in ascending j.
+//
+// With the lanes on, rows go eight at a time (layerNorm8); the m mod 8
+// rows left, and every row where the lanes are off, run the row loops
+// below, which the blocks match bit for bit.
 func LayerNorm(y, xhat, invStd, x, gamma, beta []float32, m, n int, eps float32) {
 	checkDims(len(x), m*n, "x")
 	checkDims(len(y), m*n, "y")
@@ -102,33 +107,52 @@ func LayerNorm(y, xhat, invStd, x, gamma, beta []float32, m, n int, eps float32)
 	checkDims(len(invStd), m, "invStd")
 	checkDims(len(gamma), n, "gamma")
 	checkDims(len(beta), n, "beta")
-	for i := 0; i < m; i++ {
-		row := x[i*n : i*n+n]
-		var mean float64
-		for _, v := range row {
-			mean += float64(v)
+	i := 0
+	if useLanes {
+		for ; i+8 <= m; i += 8 {
+			lo, hi := i*n, (i+8)*n
+			layerNorm8(y[lo:hi], xhat[lo:hi], invStd[i:i+8], x[lo:hi], gamma, beta, n, eps)
 		}
-		mean /= float64(n)
-		var variance float64
-		for _, v := range row {
-			d := float64(v) - mean
-			variance += d * d
-		}
-		variance /= float64(n)
-		is := float32(1 / math.Sqrt(variance+float64(eps)))
+	}
+	for ; i < m; i++ {
+		lo, hi := i*n, i*n+n
+		row := x[lo:hi]
+		mean := lnFold(0, row) / float64(n)
+		is := lnInvStd(lnFoldSq(0, mean, row), n, eps)
 		invStd[i] = is
-		xh := xhat[i*n : i*n+n]
-		yr := y[i*n : i*n+n]
-		for j, v := range row {
-			h := (v - float32(mean)) * is
-			xh[j] = h
-			yr[j] = gamma[j]*h + beta[j]
-		}
+		lnNormalize(y[lo:hi], xhat[lo:hi], row, gamma, beta, float32(mean), is)
+	}
+}
+
+// layerNorm8 is LayerNorm on eight rows. Each float64 sum folds one lane
+// per row over the columns below n8 = n &^ 7 (the transposed 8×8 blocks
+// of lnSum and lnVar), so every row keeps its fold order, and the row
+// loops fold the rest; the normalize pass runs lanes over j (lnAffine).
+func layerNorm8(y, xhat, invStd, x, gamma, beta []float32, n int, eps float32) {
+	var mean, variance [8]float64
+	n8 := n &^ 7
+	lnSum(&mean, x, n, n8)
+	for r := range mean {
+		mean[r] = lnFold(mean[r], x[r*n+n8:r*n+n]) / float64(n)
+	}
+	lnVar(&variance, &mean, x, n, n8)
+	var mu, is [8]float32
+	for r := range variance {
+		is[r] = lnInvStd(lnFoldSq(variance[r], mean[r], x[r*n+n8:r*n+n]), n, eps)
+		mu[r] = float32(mean[r])
+	}
+	copy(invStd, is[:])
+	lnAffine(y, xhat, x, gamma, beta, &mu, &is, n, n8)
+	for r := range is {
+		lo, hi := r*n+n8, r*n+n
+		lnNormalize(y[lo:hi], xhat[lo:hi], x[lo:hi], gamma[n8:], beta[n8:], mu[r], is[r])
 	}
 }
 
 // LayerNormBackward accumulates input gradients into dx and parameter
 // gradients into dGamma/dBeta, given upstream dy and the saved xhat/invStd.
+// Rows go as in LayerNorm: eight at a time on the lanes
+// (layerNormBackward8), the rest through the row loops.
 func LayerNormBackward(dx, dGamma, dBeta, dy, xhat, invStd, gamma []float32, m, n int) {
 	checkDims(len(dx), m*n, "dx")
 	checkDims(len(dy), m*n, "dy")
@@ -137,31 +161,147 @@ func LayerNormBackward(dx, dGamma, dBeta, dy, xhat, invStd, gamma []float32, m, 
 	checkDims(len(gamma), n, "gamma")
 	checkDims(len(dGamma), n, "dGamma")
 	checkDims(len(dBeta), n, "dBeta")
-	for i := 0; i < m; i++ {
-		dyr := dy[i*n : i*n+n]
-		xh := xhat[i*n : i*n+n]
-		dxr := dx[i*n : i*n+n]
-		// Parameter gradients.
-		for j, g := range dyr {
-			dGamma[j] += g * xh[j]
-			dBeta[j] += g
-		}
-		// Input gradient: dx = invStd*(dxhat - mean(dxhat) - xhat*mean(dxhat⊙xhat)).
-		var sumDxh, sumDxhXh float64
-		for j, g := range dyr {
-			dxh := float64(g) * float64(gamma[j])
-			sumDxh += dxh
-			sumDxhXh += dxh * float64(xh[j])
-		}
-		meanDxh := sumDxh / float64(n)
-		meanDxhXh := sumDxhXh / float64(n)
-		is := float64(invStd[i])
-		for j, g := range dyr {
-			dxh := float64(g) * float64(gamma[j])
-			dxr[j] += float32(is * (dxh - meanDxh - float64(xh[j])*meanDxhXh))
+	i := 0
+	if useLanes {
+		for ; i+8 <= m; i += 8 {
+			lo, hi := i*n, (i+8)*n
+			layerNormBackward8(dx[lo:hi], dGamma, dBeta, dy[lo:hi], xhat[lo:hi], invStd[i:i+8], gamma, n)
 		}
 	}
+	for ; i < m; i++ {
+		lo, hi := i*n, i*n+n
+		dyr, xh := dy[lo:hi], xhat[lo:hi]
+		lnParamRow(dGamma, dBeta, dyr, xh)
+		sumDxh, sumDxhXh := lnDotRow(0, 0, dyr, xh, gamma)
+		lnInputRow(dx[lo:hi], dyr, xh, gamma, float64(invStd[i]), sumDxh/float64(n), sumDxhXh/float64(n))
+	}
 }
+
+// layerNormBackward8 is LayerNormBackward on eight rows, split between
+// the kernels and the row loops as layerNorm8 splits them: lnParamGrad
+// folds the rows into dGamma and dBeta in row order, lanes over j; lnDot
+// folds the two float64 sums one lane per row; lnInputGrad runs lanes
+// over j.
+func layerNormBackward8(dx, dGamma, dBeta, dy, xhat, invStd, gamma []float32, n int) {
+	// mdx and mdxx hold each row's sums of dxh and dxh·x̂, then their means.
+	var mdx, mdxx, is [8]float64
+	n8 := n &^ 7
+	lnParamGrad(dGamma[:n8], dBeta[:n8], dy, xhat, n)
+	lnDot(&mdx, &mdxx, dy, xhat, gamma, n, n8)
+	for r := range is {
+		lo, hi := r*n+n8, r*n+n
+		lnParamRow(dGamma[n8:], dBeta[n8:], dy[lo:hi], xhat[lo:hi])
+		s, t := lnDotRow(mdx[r], mdxx[r], dy[lo:hi], xhat[lo:hi], gamma[n8:])
+		mdx[r], mdxx[r], is[r] = s/float64(n), t/float64(n), float64(invStd[r])
+	}
+	lnInputGrad(dx, dy, xhat, gamma, &is, &mdx, &mdxx, n, n8)
+	for r := range is {
+		lo, hi := r*n+n8, r*n+n
+		lnInputRow(dx[lo:hi], dy[lo:hi], xhat[lo:hi], gamma[n8:], is[r], mdx[r], mdxx[r])
+	}
+}
+
+// The LayerNorm row loops: each runs over one row, or the columns of one
+// past a block's lanes, in ascending j. Where both operands of an add or
+// a multiply are NaNs, x86 returns the first one's payload, quieted, and
+// Go leaves the operand order to the compiler, which picks it by register
+// allocation (differently on 386, or under -race). So every such op here
+// goes through add32, mul32, add64 or mul64, which fix the first operand:
+// the same one the lane kernels in transpose_amd64.s put first.
+
+// lnFold returns s + float64(v) over row, the sum first.
+func lnFold(s float64, row []float32) float64 {
+	for _, v := range row {
+		s = add64(s, float64(v))
+	}
+	return s
+}
+
+// lnFoldSq returns s + d·d over row, d = float64(v) − mean, the sum first.
+func lnFoldSq(s, mean float64, row []float32) float64 {
+	for _, v := range row {
+		d := float64(v) - mean
+		s = add64(s, d*d)
+	}
+	return s
+}
+
+// lnInvStd is 1/√(sq/n + eps) for a row's sum of squared deviations sq.
+func lnInvStd(sq float64, n int, eps float32) float32 {
+	return float32(1 / math.Sqrt(add64(sq/float64(n), float64(eps))))
+}
+
+// lnNormalize writes h = (x − mean)·is into xh and h·γ + β into y.
+func lnNormalize(y, xh, x, gamma, beta []float32, mean, is float32) {
+	for j, v := range x {
+		h := mul32(v-mean, is)
+		xh[j] = h
+		y[j] = add32(mul32(h, gamma[j]), beta[j])
+	}
+}
+
+// lnParamRow folds one row into dγ = x̂·dy + dγ and dβ = dβ + dy.
+func lnParamRow(dGamma, dBeta, dy, xh []float32) {
+	for j, g := range dy {
+		dGamma[j] = add32(mul32(xh[j], g), dGamma[j])
+		dBeta[j] = add32(dBeta[j], g)
+	}
+}
+
+// lnDotRow returns s + dxh and t + x̂·dxh over one row, dxh = γ·dy in
+// float64, the sums first.
+func lnDotRow(s, t float64, dy, xh, gamma []float32) (float64, float64) {
+	for j, g := range dy {
+		dxh := mul64(float64(gamma[j]), float64(g))
+		s = add64(s, dxh)
+		t = add64(t, mul64(float64(xh[j]), dxh))
+	}
+	return s, t
+}
+
+// lnInputRow accumulates one row's input gradient: dx = float32(((γ·dy −
+// mdx) − x̂·mdxx)·is) + dx, the products and differences in float64.
+func lnInputRow(dx, dy, xh, gamma []float32, is, mdx, mdxx float64) {
+	for j, g := range dy {
+		d := mul64(float64(gamma[j]), float64(g)) - mdx - mul64(float64(xh[j]), mdxx)
+		dx[j] = add32(float32(mul64(d, is)), dx[j])
+	}
+}
+
+// add32 is a + b, and mul32 a·b, with a the first operand: a NaN a gives
+// its own payload, quieted.
+func add32(a, b float32) float32 {
+	if a != a {
+		return quiet32(a)
+	}
+	return a + b
+}
+
+func mul32(a, b float32) float32 {
+	if a != a {
+		return quiet32(a)
+	}
+	return a * b
+}
+
+func quiet32(a float32) float32 { return math.Float32frombits(math.Float32bits(a) | 1<<22) }
+
+// add64 and mul64 are add32 and mul32 in float64.
+func add64(a, b float64) float64 {
+	if a != a {
+		return quiet64(a)
+	}
+	return a + b
+}
+
+func mul64(a, b float64) float64 {
+	if a != a {
+		return quiet64(a)
+	}
+	return a * b
+}
+
+func quiet64(a float64) float64 { return math.Float64frombits(math.Float64bits(a) | 1<<51) }
 
 // softmaxRows applies a numerically stable softmax to each row of x[m×n],
 // writing into y (y may alias x).

@@ -328,11 +328,36 @@ func foldCols(c, a []float32, as int, b []float32, k, n, lo, hi int, add bool) {
 }
 
 // transposeInto writes the transpose of src's rows×cols block into dst:
-// dst[c·ldd+r] = src[r·lds+c]. It is tiled so both sides stay within a few
-// cache lines per pass. Four source rows move per pass, so each destination
-// row takes its four values as one contiguous group: one bounds check and
-// one strided step per four elements.
+// dst[c·ldd+r] = src[r·lds+c]. With the lanes on, the full 8×8 blocks go
+// through the register transpose sixteen source rows a call (transpose16,
+// whose destination rows take a whole cache line a column block; an odd
+// last eight take transpose8), and the edges (rows past the last multiple
+// of 8, then columns past it) through transposeTiles.
 func transposeInto(dst, src []float32, rows, cols, lds, ldd int) {
+	r8, c8 := 0, 0
+	if useLanes && cols >= 8 {
+		r8, c8 = rows&^7, cols&^7
+		for r := 0; r < r8; r += 16 {
+			if r+16 <= r8 {
+				transpose16(dst[r:(c8-1)*ldd+r+16], src[r*lds:(r+15)*lds+c8], c8, lds, ldd)
+			} else {
+				transpose8(dst[r:(c8-1)*ldd+r+8], src[r*lds:(r+7)*lds+c8], c8, lds, ldd)
+			}
+		}
+	}
+	if r8 < rows {
+		transposeTiles(dst[r8:], src[r8*lds:], rows-r8, cols, lds, ldd)
+	}
+	if r8 > 0 && c8 < cols {
+		transposeTiles(dst[c8*ldd:], src[c8:], r8, cols-c8, lds, ldd)
+	}
+}
+
+// transposeTiles is transposeInto in scalar Go. It is tiled so both sides
+// stay within a few cache lines per pass. Four source rows move per pass,
+// so each destination row takes its four values as one contiguous group:
+// one bounds check and one strided step per four elements.
+func transposeTiles(dst, src []float32, rows, cols, lds, ldd int) {
 	const tile = 16
 	for r0 := 0; r0 < rows; r0 += tile {
 		rMax := min(r0+tile, rows)

@@ -128,9 +128,9 @@ func TestSteadyStateStepAllocations(t *testing.T) {
 	}
 }
 
-// Clipping (priority lane), hierarchy, LAMB and the fp16 compute path (half
-// gathers through the wire pool) compose into the same zero-allocation
-// steady state.
+// Clipping (its N-float norm-partial gather), hierarchy, LAMB and the fp16
+// compute path (half gathers through the wire pool) compose into the same
+// zero-allocation steady state.
 func TestSteadyStateStepAllocationsComposed(t *testing.T) {
 	for _, tc := range []struct {
 		name string
