@@ -55,7 +55,7 @@ func main() {
 		checkpoint = flag.Bool("checkpoint", def.Checkpoint, "activation checkpointing")
 		bucket     = flag.Int("bucket", def.BucketElems, "gradient bucket elements (0 = one bucket per layer group)")
 		overlap    = flag.Bool("overlap", def.Overlap, "overlap gradient collectives with backward compute (grad stream)")
-		prefetch   = flag.Bool("prefetch", def.Prefetch, "stage 3: pipeline parameter all-gathers on the prefetch stream")
+		prefetch   = flag.Bool("prefetch", def.Prefetch, "stages 1-3: pipeline parameter all-gathers one layer group ahead on the prefetch stream")
 		nodeSize   = flag.Int("nodesize", def.NodeSize, "ranks per simulated node: route collectives hierarchically (0 = flat)")
 		seed       = flag.Int64("seed", def.Seed, "init and data seed")
 		dataPath   = flag.String("data", "", "corpus text file: stream real data (overrides the config's data.path)")
@@ -159,7 +159,7 @@ func main() {
 		if resume, err = zero.DecodeSnapshot(blob); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("resuming from %s (opt step %d)\n", *loadPath, resume.OptSteps)
+		fmt.Printf("resuming from %s (step %d)\n", *loadPath, resume.Boundaries())
 	}
 
 	st, _ := cfg.Stage.Parse()

@@ -56,8 +56,9 @@ func main() {
 
 	// The configured run: ZeRO stage 2 with fp16 compute, bucketed
 	// overlap, and the gradient accumulated post-reduce-scatter — so each
-	// rank's cross-micro-batch state is its Ψ/N partition (§5.2), and only
-	// ONE parameter all-gather happens per boundary.
+	// rank's cross-micro-batch state is its Ψ/N partition (§5.2), and the
+	// parameters are gathered ONCE per boundary, group by group in its first
+	// Forward.
 	var zeroLoss float64
 	var stateBytes int64
 	var accumElems int
@@ -96,6 +97,6 @@ func main() {
 		zs.ElemsSent/steps, ds.ElemsSent/steps, float64(k+1)/float64(2*k), k)
 	fmt.Printf("wire bytes per optimizer step per rank: ZeRO %d (fp16, measured) vs DP %d (fp32)\n",
 		zs.BytesSent/steps, ds.BytesSent/steps)
-	fmt.Printf("ZeRO traffic by stream: %d elems on %q (gradient buckets overlapped with backward)\n",
-		zs.PerStream[zero.StreamGrad], zero.StreamGrad)
+	fmt.Printf("ZeRO traffic by stream: %d elems on %q (gradient buckets overlapped with backward), %d on %q (parameter gathers)\n",
+		zs.PerStream[zero.StreamGrad], zero.StreamGrad, zs.PerStream[zero.StreamPrefetch], zero.StreamPrefetch)
 }

@@ -188,7 +188,8 @@ type Config struct {
 	BucketElems int `json:"bucket_elems,omitempty"`
 	// Overlap rides gradient buckets on the grad stream under backward.
 	Overlap bool `json:"overlap,omitempty"`
-	// Prefetch pipelines stage-3 parameter all-gathers (§7.2.2).
+	// Prefetch pipelines the parameter all-gathers of stages 1-3 one layer
+	// group ahead on the prefetch stream (§7.2.2).
 	Prefetch bool `json:"prefetch,omitempty"`
 	// NodeSize routes collectives hierarchically for worlds laid out as
 	// nodes of NodeSize ranks (0 = flat).

@@ -155,7 +155,8 @@ func (e *Engine) Backward() { e.tr.Backward() }
 
 // Step advances the accumulation counter and, on the boundary (every
 // GradAccumSteps-th call), averages the accumulated gradient, applies
-// clipping, runs the optimizer and re-materializes parameters. It returns
+// clipping and runs the optimizer; the next Forward gathers the updated
+// parameters at stages 1-3. It returns
 // whether the optimizer fired. Panics when called without a completed
 // Forward/Backward pair since the previous Step.
 func (e *Engine) Step() bool {
@@ -320,8 +321,9 @@ func (e *Engine) GradAccumElems() int { return e.tr.GradAccumElems() }
 func (e *Engine) Save() *zero.Snapshot { return e.tr.Save() }
 
 // Load restores a snapshot into this rank (see zero.Trainer.Load) and
-// adopts its training clock: Steps continues from the snapshot's OptSteps,
-// so a supervisor can fast-forward the data stream to the right position.
+// adopts its training clock: Steps continues from the snapshot's
+// Boundaries — its optimizer steps plus its fp16 overflow skips — so a
+// supervisor can fast-forward the data stream to the right position.
 // Mid-accumulation snapshots (AccumMicros > 0) are rejected — the engine's
 // micro-step counter is part of the TrainStream schedule, and resuming a
 // half batch would desynchronize it; restore those through zero.Trainer.Load
@@ -335,7 +337,7 @@ func (e *Engine) Load(s *zero.Snapshot) error {
 	}
 	e.micro = 0
 	e.lossSum = 0
-	e.steps = s.OptSteps
+	e.steps = s.Boundaries()
 	return nil
 }
 

@@ -58,7 +58,7 @@ func runWithin(t *testing.T, d time.Duration, cfg Config, body func(*Engine)) (*
 }
 
 // killStride is the step over kill points k in the sweep: every other wire
-// op keeps the two configs within 3 s, and 15 s under the race detector.
+// op keeps the three configs within 3 s, and 15 s under the race detector.
 const killStride = 2
 
 // Kill-point sweep: for each rank and each kill point k in the first two
@@ -67,8 +67,10 @@ const killStride = 2
 // naming it — returns promptly, and leaks no goroutine (stream workers and
 // rank goroutines all exit). One config runs stage 3 in fp16 with overlap,
 // prefetch and clipping on 4 ranks, so deaths land on stream workers as
-// well as rank goroutines; the other runs synchronous fp32 stage 0 with
-// two-step accumulation.
+// well as rank goroutines; one runs testEngineConfig's stage 2 with overlap,
+// prefetch and two-step accumulation, whose parameter gathers ride the
+// prefetch stream in each boundary's first Forward; the last runs
+// synchronous fp32 stage 0 with two-step accumulation.
 func TestEngineKillPointSweep(t *testing.T) {
 	s3 := testEngineConfig()
 	s3.Stage, s3.Ranks = "3", 4
@@ -77,7 +79,7 @@ func TestEngineKillPointSweep(t *testing.T) {
 	s3.GlobalBatch, s3.MicroBatch, s3.GradAccumSteps = 4, 4, 1
 	s0 := testEngineConfig()
 	s0.Stage = "0"
-	for _, cfg := range []Config{s3, s0} {
+	for _, cfg := range []Config{s3, testEngineConfig(), s0} {
 		norm, err := cfg.Normalized()
 		if err != nil {
 			t.Fatal(err)

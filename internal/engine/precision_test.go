@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/testutil"
+	"repro/internal/zero"
 )
 
 // The precision block parses from ds_config-style JSON and validates its
@@ -120,5 +122,93 @@ func TestEngineFP16ComputeObservesLossScale(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fp16 resume: a snapshot taken after overflow skips carries the loss
+// scaler and the boundary clock, so a fresh job that loads it continues
+// the uninterrupted run bit for bit — loss per boundary, gathered
+// parameters, scale, skips and Steps. The scaler starts at 2^24, so the
+// first 8 boundaries back it off to 2^16, and a 4-step growth window puts a
+// doubling two boundaries after the save, which only a restored clean-step
+// count places right.
+func TestEngineFP16ResumeKeepsScalerAndClock(t *testing.T) {
+	cfg := testEngineConfig()
+	cfg.Precision = &PrecisionConfig{FP16Compute: true, InitialLossScale: 1 << 24, LossScaleWindow: 4}
+	norm, err := cfg.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const saveAt, total, skips = 10, 16, 8
+	type state struct {
+		losses       []float64
+		params       []float32
+		scale        float64
+		skips, steps int
+	}
+	// run trains from snap (nil: from scratch) until Steps reaches `until`,
+	// and returns rank 0's view plus its snapshot.
+	run := func(snap *zero.Snapshot, until int) (state, *zero.Snapshot) {
+		var st state
+		var saved *zero.Snapshot
+		if _, err := Run(norm, func(e *Engine) {
+			b := model.NewSyntheticStream(norm.Seed, norm.GlobalBatch, norm.MicroBatch, norm.Model.Seq, norm.Model.Vocab)
+			if snap != nil {
+				if err := e.Load(snap); err != nil {
+					t.Error(err)
+					return
+				}
+				for i := 0; i < snap.Boundaries()*norm.GradAccumSteps; i++ {
+					b.NextBatch()
+				}
+			}
+			for e.Steps() < until {
+				l := e.TrainStream(b)
+				if e.Rank() == 0 {
+					st.losses = append(st.losses, l)
+				}
+			}
+			params := e.Trainer().GatheredParams()
+			if s := e.Save(); s != nil {
+				st.params, st.scale, st.skips, st.steps = params, e.LossScale(), e.OverflowSteps(), e.Steps()
+				saved = s
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return st, saved
+	}
+
+	want, _ := run(nil, total)
+	first, snap := run(nil, saveAt)
+	if first.skips != skips || first.scale != 1<<16 {
+		t.Fatalf("precondition: %d skips at scale %g after %d boundaries, want %d at 2^16", first.skips, first.scale, saveAt, skips)
+	}
+	blob, err := snap.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap, err = zero.DecodeSnapshot(blob); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Boundaries() != saveAt || snap.OptSteps != saveAt-skips {
+		t.Fatalf("snapshot clock: %d boundaries, %d optimizer steps; want %d and %d", snap.Boundaries(), snap.OptSteps, saveAt, saveAt-skips)
+	}
+	resumed, _ := run(snap, total)
+	got := state{append(first.losses, resumed.losses...), resumed.params, resumed.scale, resumed.skips, resumed.steps}
+	if len(got.losses) != len(want.losses) {
+		t.Fatalf("resumed run trained %d boundaries, uninterrupted %d", len(got.losses), len(want.losses))
+	}
+	for i := range want.losses {
+		if got.losses[i] != want.losses[i] {
+			t.Errorf("boundary %d: resumed loss %.17g, uninterrupted %.17g", i+1, got.losses[i], want.losses[i])
+		}
+	}
+	if d := testutil.MaxDiff(got.params, want.params); d != 0 || len(got.params) != len(want.params) {
+		t.Errorf("resumed parameters differ from uninterrupted by %g", d)
+	}
+	if got.scale != want.scale || got.skips != want.skips || got.steps != want.steps {
+		t.Errorf("resumed scale %g, skips %d, Steps %d; uninterrupted %g, %d, %d",
+			got.scale, got.skips, got.steps, want.scale, want.skips, want.steps)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // engines: per optimizer step with k micro-batches,
 //
 //	stage 0 (DDP):     2k(N-1)Ψ  total elements (a full all-reduce per micro-batch)
-//	stages 1-2:        (k+1)(N-1)Ψ  (k micro reduce-scatters + ONE boundary all-gather)
+//	stages 1-2:        (k+1)(N-1)Ψ  (k micro reduce-scatters + ONE parameter gather pass, in the first Forward)
 //	stage 3:           3k(N-1)Ψ  (two parameter gather passes per micro-batch)
 //
 // while the gradient state carried across micro-batches stays at Ψ/N

@@ -43,3 +43,13 @@ func (s *LossScaler) Update(overflow bool) (skip bool) {
 
 // Skips returns the number of overflow-skipped steps so far.
 func (s *LossScaler) Skips() int { return s.skips }
+
+// CleanSteps returns the clean steps since the scale last changed: the
+// progress toward the next growth.
+func (s *LossScaler) CleanSteps() int { return s.goodSteps }
+
+// Restore sets the scale and the two counters a checkpoint carried, so a
+// resumed run backs off and grows on the uninterrupted run's schedule.
+func (s *LossScaler) Restore(scale float64, cleanSteps, skips int) {
+	s.Scale, s.goodSteps, s.skips = scale, cleanSteps, skips
+}

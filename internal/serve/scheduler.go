@@ -273,7 +273,7 @@ func (s *Scheduler) runAttempt(j *Job, cfg engine.Config, resume *zero.Snapshot,
 
 	startSteps := 0
 	if resume != nil {
-		startSteps = resume.OptSteps
+		startSteps = resume.Boundaries()
 	}
 	remaining := max(j.spec.Steps-startSteps, 0)
 

@@ -725,6 +725,64 @@ func TestElasticKillResume(t *testing.T) {
 	}
 }
 
+// An fp16 job killed after its loss scaler has backed off resumes with the
+// scaler and the boundary clock of its last snapshot: every record of the
+// restarted job — the replayed boundary included — carries the loss, scale
+// and skip count of an uninterrupted job at the same step, the final
+// checkpoint matches that job's bit for bit, and the persisted files keep
+// rising in step. The scaler starts at 2^24, so the first 8 boundaries are
+// overflow skips; the kill lands at boundary 11, after the snapshot at 10.
+func TestElasticKillResumeFP16Scaler(t *testing.T) {
+	const steps, every, skips, kill = 16, 2, 8, 11
+	fp16 := func(body string) string {
+		return strings.Replace(body, `"seed": 11`,
+			`"seed": 11, "precision": {"fp16_compute": true, "initial_loss_scale": 16777216, "loss_scale_window": 4}`, 1)
+	}
+	run := func(faultStep int) ([]Record, *zero.Snapshot, string) {
+		dir := t.TempDir()
+		_, ts := newTestServer(t, Config{MaxWorlds: 1, SnapshotDir: dir})
+		st := submit(t, ts, fp16(elasticSpecJSON(steps, every, 1, 0, 1, faultStep)))
+		final := waitState(t, ts, st.ID, func(s Status) bool { return s.State.Terminal() })
+		if final.State != StateSucceeded || final.StepsDone != steps {
+			t.Fatalf("job ended %s at step %d (err %q), want succeeded at %d", final.State, final.StepsDone, final.Error, steps)
+		}
+		return streamRecords(t, ts, st.ID), fetchCheckpoint(t, ts, st.ID), filepath.Join(dir, st.ID)
+	}
+	wantRecs, want, _ := run(0)
+	if len(wantRecs) != steps {
+		t.Fatalf("uninterrupted job streamed %d records, want %d", len(wantRecs), steps)
+	}
+	if r := wantRecs[every*(kill/every)-1]; r.OverflowSteps != skips || r.LossScale != 1<<16 {
+		t.Fatalf("precondition: %d skips at scale %g by the last snapshot, want %d at 2^16", r.OverflowSteps, r.LossScale, skips)
+	}
+	gotRecs, got, dir := run(kill)
+	if len(gotRecs) <= steps {
+		t.Errorf("restarted job streamed %d records; the kill did not replay a boundary", len(gotRecs))
+	}
+	for _, r := range gotRecs {
+		w := wantRecs[r.Step-1]
+		if r.Loss != w.Loss || r.LossScale != w.LossScale || r.OverflowSteps != w.OverflowSteps {
+			t.Errorf("step %d: restarted loss %.17g, scale %g, skips %d; uninterrupted %.17g, %g, %d",
+				r.Step, r.Loss, r.LossScale, r.OverflowSteps, w.Loss, w.LossScale, w.OverflowSteps)
+		}
+	}
+	if got.Boundaries() != steps || got.OptSteps != want.OptSteps || got.LossScale != want.LossScale ||
+		got.CleanSteps != want.CleanSteps || got.Skips != want.Skips {
+		t.Errorf("restarted checkpoint clock %+v, uninterrupted %+v",
+			[]any{got.OptSteps, got.LossScale, got.CleanSteps, got.Skips}, []any{want.OptSteps, want.LossScale, want.CleanSteps, want.Skips})
+	}
+	if d := testutil.MaxDiff(got.Params, want.Params); d != 0 {
+		t.Errorf("restarted final parameters differ from uninterrupted by %g", d)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "ckpt-*.zelc"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no persisted snapshots (%v)", err)
+	}
+	if last := filepath.Base(files[len(files)-1]); last != fmt.Sprintf("ckpt-%09d.zelc", steps) {
+		t.Errorf("newest persisted snapshot is %s, want step %d's", last, steps)
+	}
+}
+
 // fetchCheckpoint GETs and decodes a terminal job's final snapshot.
 func fetchCheckpoint(t *testing.T, ts *httptest.Server, id string) *zero.Snapshot {
 	t.Helper()

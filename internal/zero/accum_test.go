@@ -150,7 +150,7 @@ func TestAccumK1MatchesLegacyStepBitwise(t *testing.T) {
 					legacy[s] = l
 				}
 			}
-			legacyParams[c.Rank()] = append([]float32(nil), tr.Model.Params...)
+			legacyParams[c.Rank()] = tr.GatheredParams()
 		})
 
 		phased, phasedParams := accumRun(t, cfg, n, steps, 1, opts, ids, targets, batch)
@@ -160,9 +160,6 @@ func TestAccumK1MatchesLegacyStepBitwise(t *testing.T) {
 			}
 		}
 		for r := 0; r < n; r++ {
-			if stage == StageFull {
-				continue // legacy loop did not re-gather before reporting
-			}
 			if d := testutil.MaxDiff(phasedParams[r], legacyParams[r]); d != 0 {
 				t.Errorf("%v rank %d: phased params diverged by %g", stage, r, d)
 			}

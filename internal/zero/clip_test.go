@@ -39,10 +39,7 @@ func TestClippedStagesMatchClippedDDPBitwise(t *testing.T) {
 			for s := 0; s < steps; s++ {
 				tr.Step(ids, targets, batch)
 			}
-			if stage == StageFull {
-				tr.gatherParams()
-			}
-			params[c.Rank()] = tr.Model.Params
+			params[c.Rank()] = tr.GatheredParams()
 			norms[c.Rank()] = tr.LastGradNorm
 		})
 		for r := 0; r < n; r++ {
@@ -70,8 +67,9 @@ func TestClippingBoundsTheUpdate(t *testing.T) {
 		w.Run(func(c *comm.Comm) {
 			tr := MustNew(c, cfg, Options{Stage: StageOSGrad, Optimizer: optimizer.Spec{LR: testLR}, Seed: 1, ClipNorm: clip})
 			tr.Step(ids, targets, batch)
+			params := tr.GatheredParams()
 			if c.Rank() == 0 {
-				out = tr.Model.Params
+				out = params
 				norm = tr.LastGradNorm
 			}
 		})

@@ -285,9 +285,6 @@ func TestFP16ComputeParamsAreHalvesOnly(t *testing.T) {
 	ids, targets := model.SyntheticBatch(11, batch, cfg.Seq, cfg.Vocab)
 	for _, stage := range AllStages {
 		for _, prefetch := range []bool{false, true} {
-			if prefetch && stage != StageFull {
-				continue
-			}
 			name := fmt.Sprintf("%v prefetch=%v", stage, prefetch)
 			snaps := make([]*Snapshot, n)
 			w := comm.NewWorld(n)

@@ -1,6 +1,7 @@
 package zero
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/comm"
@@ -9,12 +10,11 @@ import (
 	"repro/internal/testutil"
 )
 
-// runStage3 trains stage 3 for `steps` steps and returns rank 0's gathered
-// parameters plus the world (for traffic inspection).
-func runStage3(t *testing.T, cfg model.Config, n, steps, batch int, opts Options,
+// runPartitioned trains opts.Stage for `steps` steps and returns rank 0's
+// gathered parameters plus the world (for traffic inspection).
+func runPartitioned(t *testing.T, cfg model.Config, n, steps, batch int, opts Options,
 	ids, targets []int) ([]float32, *comm.World) {
 	t.Helper()
-	opts.Stage = StageFull
 	w := comm.NewWorld(n)
 	out := make([][]float32, n)
 	w.Run(func(c *comm.Comm) {
@@ -23,8 +23,7 @@ func runStage3(t *testing.T, cfg model.Config, n, steps, batch int, opts Options
 		for s := 0; s < steps; s++ {
 			tr.Step(ids, targets, batch)
 		}
-		tr.gatherParams()
-		out[c.Rank()] = append([]float32(nil), tr.Model.Params...)
+		out[c.Rank()] = tr.GatheredParams()
 	})
 	for r := 1; r < n; r++ {
 		if d := testutil.MaxDiff(out[r], out[0]); d != 0 {
@@ -34,38 +33,37 @@ func runStage3(t *testing.T, cfg model.Config, n, steps, batch int, opts Options
 	return out[0], w
 }
 
-// The prefetch contract: stage-3 parameter gathers pipelined one group
-// ahead on the prefetch stream are bitwise identical to the window-0
-// schedule that gathers each group where it is needed, across world sizes
-// and bucket sizes, with and without gradient overlap riding the grad
-// stream at the same time. The gathers move the same elements either way —
-// only *when* they run changes.
+// The prefetch contract at every partitioned stage: parameter gathers
+// pipelined one group ahead on the prefetch stream are bitwise identical to
+// the window-0 schedule that gathers each group where it is needed, across
+// world sizes and bucket sizes, with and without gradient overlap riding
+// the grad stream at the same time. The gathers move the same elements
+// either way — only *when* they run changes — and at stages 1-2 as at stage
+// 3 they ride the prefetch stream.
 func TestStage3PrefetchBitIdentical(t *testing.T) {
 	cfg := testConfig()
 	const steps = 3
-	for _, n := range []int{1, 2, 4} {
-		batch := 2 * n
-		ids, targets := model.SyntheticBatch(41, batch, cfg.Seq, cfg.Vocab)
-		for _, bucket := range []int{0, 193, 4096} {
-			base := Options{Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed, BucketElems: bucket}
-			ref, refW := runStage3(t, cfg, n, steps, batch, base, ids, targets)
-			for _, overlap := range []bool{false, true} {
-				opts := base
-				opts.Prefetch = true
-				opts.Overlap = overlap
-				got, w := runStage3(t, cfg, n, steps, batch, opts, ids, targets)
-				if d := testutil.MaxDiff(got, ref); d != 0 {
-					t.Errorf("n=%d bucket=%d overlap=%v: prefetch diverged from sync gathers by %g",
-						n, bucket, overlap, d)
-				}
-				if got, want := w.TotalElemsSent(), refW.TotalElemsSent(); got != want {
-					t.Errorf("n=%d bucket=%d overlap=%v: prefetch moved %d elems, sync %d (same 3Ψ schedule expected)",
-						n, bucket, overlap, got, want)
-				}
-				if n > 1 {
-					pf := w.Stats(0).PerStream[StreamPrefetch]
-					if pf == 0 {
-						t.Errorf("n=%d bucket=%d overlap=%v: no traffic on the prefetch stream", n, bucket, overlap)
+	for _, stage := range []Stage{StageOS, StageOSGrad, StageFull} {
+		for _, n := range []int{1, 2, 4} {
+			batch := 2 * n
+			ids, targets := model.SyntheticBatch(41, batch, cfg.Seq, cfg.Vocab)
+			for _, bucket := range []int{0, 193, 4096} {
+				base := Options{Stage: stage, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed, BucketElems: bucket}
+				ref, refW := runPartitioned(t, cfg, n, steps, batch, base, ids, targets)
+				for _, overlap := range []bool{false, true} {
+					opts := base
+					opts.Prefetch = true
+					opts.Overlap = overlap
+					name := fmt.Sprintf("%v n=%d bucket=%d overlap=%v", stage, n, bucket, overlap)
+					got, w := runPartitioned(t, cfg, n, steps, batch, opts, ids, targets)
+					if d := testutil.MaxDiff(got, ref); d != 0 {
+						t.Errorf("%s: prefetch diverged from sync gathers by %g", name, d)
+					}
+					if got, want := w.TotalElemsSent(), refW.TotalElemsSent(); got != want {
+						t.Errorf("%s: prefetch moved %d elems, sync %d (same schedule expected)", name, got, want)
+					}
+					if n > 1 && w.Stats(0).PerStream[StreamPrefetch] == 0 {
+						t.Errorf("%s: no traffic on the prefetch stream", name)
 					}
 				}
 			}
@@ -114,8 +112,7 @@ func TestPaComposesWithOverlapAndPrefetch(t *testing.T) {
 			for s := 0; s < steps; s++ {
 				tr.Step(ids, targets, batch)
 			}
-			tr.gatherParams()
-			out[c.Rank()] = append([]float32(nil), tr.Model.Params...)
+			out[c.Rank()] = tr.GatheredParams()
 		})
 		return out[0], w
 	}

@@ -77,10 +77,7 @@ func TestPropertyAnyConfigStageEqualsDDP(t *testing.T) {
 			for s := 0; s < steps; s++ {
 				tr.Step(ids, targets, tc.batch)
 			}
-			if tc.stage == StageFull {
-				tr.gatherParams()
-			}
-			zeroOut[c.Rank()] = tr.Model.Params
+			zeroOut[c.Rank()] = tr.GatheredParams()
 		})
 		for r := 0; r < tc.n; r++ {
 			if testutil.MaxDiff(zeroOut[r], ddpOut[r]) != 0 {

@@ -20,7 +20,13 @@ type Snapshot struct {
 	Stage     Stage
 	WorldSize int // the capturing world; Load accepts any
 	NumParams int
-	OptSteps  int
+	OptSteps  int // boundaries that stepped the optimizer; Boundaries adds the skipped ones
+
+	// The FP16Compute loss scaler: its scale, the clean steps since that
+	// last changed, and the overflow skips. All zero in fp32.
+	LossScale  float64
+	CleanSteps int
+	Skips      int
 
 	Params []float32 // fp32 master parameters (full)
 	// Opt holds the optimizer's state tensors, each NumParams long, in the
@@ -37,6 +43,11 @@ type Snapshot struct {
 	Accum       []float32
 	AccumMicros int
 }
+
+// Boundaries returns the accumulation boundaries the captured run has
+// passed, stepped or overflow-skipped: the clock a resumed run continues
+// from, and the count of global batches it consumed.
+func (s *Snapshot) Boundaries() int { return s.OptSteps + s.Skips }
 
 // Save gathers this world's partitioned training state to rank 0 and
 // returns the snapshot there; other ranks return nil. Every rank must
@@ -63,9 +74,9 @@ func (t *Trainer) Save() *Snapshot {
 	return snap
 }
 
-// Load restores a snapshot into this rank: the owned shard of the master
-// parameters and optimizer state, plus the replicated (or
-// gathered-on-demand) parameter copy. Every rank must receive the same
+// Load restores a snapshot into this rank: the master parameters, the
+// optimizer state over its domain and, when both carry one, the loss
+// scaler; the next Forward gathers the rest. Every rank must receive the same
 // snapshot; Load only copies out of it, so the ranks of one process can
 // share a single read-only *Snapshot. The snapshot's world size need not
 // match: repartitioning happens naturally because the state is stored
@@ -91,17 +102,11 @@ func (t *Trainer) Load(s *Snapshot) error {
 		shards[i] = full[dom.Lo:dom.Hi]
 	}
 	t.opt.Restore(shards, s.OptSteps)
-	// Every rank holds the whole snapshot, so each writes the full compute
-	// copy itself — under FP16Compute the encode the owners would have run
-	// and gathered — besides its master.
-	copy(t.master, s.Params[dom.Lo:dom.Hi])
-	if h := t.params.Half; h != nil {
-		h.FromFloats(s.Params)
-	} else {
-		tensor.Copy(t.params.Data, s.Params)
-	}
-	if t.stage == StageFull {
-		t.dropUnowned()
+	tensor.Copy(t.master, s.Params[dom.Lo:dom.Hi])
+	t.publish()
+	if t.scaler != nil && s.LossScale > 0 {
+		t.scaler.Restore(s.LossScale, s.CleanSteps, s.Skips)
+		t.Model.LossScale = float32(s.LossScale)
 	}
 	if s.AccumMicros > 0 {
 		if len(s.Accum) != s.NumParams {
@@ -119,11 +124,11 @@ func (t *Trainer) Load(s *Snapshot) error {
 // CaptureShard appends this rank's slab — its owned partition of the
 // training state, laid out [params | optimizer tensors… | accumulator?] — to
 // dst (reusing its capacity: a warmed capture allocates nothing) and returns
-// it with the capture's header, a Snapshot carrying the clock and geometry
-// but no buffers. Unlike Save it is a pure local copy — no collectives — so
-// capturing is legal at any point, including mid-accumulation (the
-// accumulator rides along when AccumMicros > 0), and never perturbs the
-// stream schedule. The slabs of all ranks tile [0, NumParams):
+// it with the capture's header, a Snapshot carrying the clock, loss scaler
+// and geometry but no buffers. Unlike Save it is a pure local copy — no
+// collectives — so capturing is legal at any point, including
+// mid-accumulation (the accumulator rides along when AccumMicros > 0), and
+// never perturbs the stream schedule. The slabs of all ranks tile [0, NumParams):
 // AssembleSnapshot turns a world of them into the full Snapshot. At stage 0
 // the state is replicated, but each rank still captures only its partition
 // slice — the replicas are bitwise identical, so the tiling reassembles the
@@ -137,13 +142,17 @@ func (t *Trainer) CaptureShard(dst []float32) ([]float32, Snapshot) {
 	if t.accumMicros > 0 {
 		dst = append(dst, t.accum[lo:hi]...)
 	}
-	return dst, Snapshot{
+	hdr := Snapshot{
 		Stage:       t.stage,
 		WorldSize:   t.c.Size(),
 		NumParams:   t.Model.NumParams(),
 		OptSteps:    t.opt.Steps(),
 		AccumMicros: t.accumMicros,
 	}
+	if t.scaler != nil {
+		hdr.LossScale, hdr.CleanSteps, hdr.Skips = t.scaler.Scale, t.scaler.CleanSteps(), t.scaler.Skips()
+	}
+	return dst, hdr
 }
 
 // alloc gives s — so far a header — its zeroed flat buffers: Params, k

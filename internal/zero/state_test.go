@@ -59,10 +59,7 @@ func TestSaveLoadResumesBitwise(t *testing.T) {
 			for s := 0; s < j; s++ {
 				tr.Step(ids, targets, batch)
 			}
-			if stage == StageFull {
-				tr.gatherParams()
-			}
-			results[c.Rank()] = append([]float32(nil), tr.Model.Params...)
+			results[c.Rank()] = tr.GatheredParams()
 		})
 		for r := 0; r < n; r++ {
 			if d := testutil.MaxDiff(results[r], ref[r]); d != 0 {
@@ -114,7 +111,7 @@ func TestElasticRestoreAcrossWorldSizes(t *testing.T) {
 		for s := 0; s < j; s++ {
 			tr.Step(ids, targets, batch)
 		}
-		results[c.Rank()] = append([]float32(nil), tr.Model.Params...)
+		results[c.Rank()] = tr.GatheredParams()
 	})
 	for r := 0; r < 2; r++ {
 		if d := testutil.MaxDiff(results[r], ref[r]); d > 1e-3 {

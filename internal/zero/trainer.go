@@ -14,11 +14,11 @@ import (
 // order) is what makes the overlapped schedules pair deterministically
 // across ranks.
 const (
-	// StreamGrad carries gradient reduce-scatters/all-gathers plus the
-	// post-step parameter all-gather.
+	// StreamGrad carries gradient reduce-scatters, and at stage 0 the
+	// all-gathers that complete them into all-reduces.
 	StreamGrad = "grad"
-	// StreamPrefetch carries stage-3 parameter all-gathers, pipelined
-	// ahead of the layer group that needs them (§7.2.2).
+	// StreamPrefetch carries the parameter all-gathers of stages 1-3,
+	// pipelined ahead of the layer group that needs them (§7.2.2).
 	StreamPrefetch = "prefetch"
 	// StreamCheckpoint is the conventional name for ZeRO-R Pa checkpoint
 	// stores (NewPartitionedStore), so activation gathers never share an
@@ -63,15 +63,14 @@ type Options struct {
 	// bitwise identical to each other; across layouts the reduction tree
 	// (and therefore the float rounding) differs.
 	NodeSize int
-	// Prefetch sets the window of stage 3's parameter all-gathers. Forward
-	// and Backward always gather layer group by layer group on the prefetch
-	// stream, waiting each group's handle at its entry — §7.2.2's schedule,
-	// "spread across the entire forward propagation". With Prefetch the
-	// window is one group: the next group's gather is already on the wire
-	// while the current one computes. Without it the window is 0 and each
-	// group is gathered where it is needed. Gathers move bits, never sum
-	// them, so both windows are bitwise identical. No-op for stages 0-2,
-	// which keep parameters resident.
+	// Prefetch sets the window of the parameter all-gathers of stages 1-3,
+	// which run layer group by layer group on the prefetch stream, each
+	// group's handle waited at its entry — §7.2.2's schedule, "spread across
+	// the entire forward propagation". With Prefetch the window is one
+	// group: the next group's gather is already on the wire while the
+	// current one computes. Without it the window is 0 and each group is
+	// gathered where it is needed. Gathers move bits, never sum them, so
+	// both windows are bitwise identical. No-op at stage 0.
 	Prefetch bool
 	// Optimizer selects and parameterizes the optimizer the rank runs over
 	// its partition (Adam, momentum SGD or LAMB — §2.3's optimizer family,
@@ -127,9 +126,13 @@ type Options struct {
 // FP16Compute a buffer of its own that the owner encodes into
 // Model.ParamsH after each step.
 //
+// At stages 1-3 a rank trusts only its shard of the compute copy after New,
+// Load and Update (and Backward's stage-3 drop); the next Forward gathers the
+// rest. Stages 1-2 are stage 3's path without the drops and backward gathers.
+//
 // The trainer's bulk collectives flow through the streams of one scheduler
-// over the rank's node layout: gradient traffic on StreamGrad, stage-3
-// parameter gathers on StreamPrefetch. The N-float partial gathers (clip,
+// over the rank's node layout: gradient traffic on StreamGrad, parameter
+// gathers on StreamPrefetch. The N-float partial gathers (clip,
 // LAMB norms, the fp16 overflow vote) run flat on the rank's own
 // communicator, the default domain, where they never queue behind a
 // bucket. Every configuration submits the same ops in the same order;
@@ -157,6 +160,7 @@ type Trainer struct {
 	lamb   *optimizer.LAMB     // opt when it is LAMB, whose trust ratios span shards
 	master []float32           // fp32 master over dom: a window of Model.Params, or its own buffer under FP16Compute
 	params comm.Buffer         // the compute copy: Model.Params, or Model.ParamsH under FP16Compute
+	stale  bool                // only the owned shard of params is current; the next Forward gathers the rest
 	grads  comm.Buffer         // Model.Grads at its wire width
 	groups []model.Segment     // layer groups indexed by layer+1: gather and bucket granularity
 
@@ -171,7 +175,7 @@ type Trainer struct {
 
 	sched    *comm.Scheduler // over the rank's node layout (Options.NodeSize)
 	grad     *comm.Stream    // gradient ordering domain
-	prefetch *comm.Stream    // stage-3 gather ordering domain (nil below stage 3)
+	prefetch *comm.Stream    // parameter gather ordering domain (nil at stage 0)
 
 	// Steady-state scratch, preallocated at construction so step k≥2 of a
 	// warmed trainer allocates nothing: the bucket plan holds the gradient
@@ -179,9 +183,9 @@ type Trainer struct {
 	// hook closures persist across steps; the clip and LAMB buffers hold the
 	// small collective payloads.
 	plan           bucketPlan      // gradient bucket schedule
-	fwdPf          paramPrefetcher // stage-3 forward gathers
+	fwdPf          paramPrefetcher // forward gathers (stages 1-3)
 	bwdPf          paramPrefetcher // stage-3 backward gathers
-	fwdHook        func(int)       // persistent Model.ForwardHook body (stage 3)
+	fwdHook        func(int)       // persistent Model.ForwardHook body (stages 1-3)
 	bwdPreHook     func(int)       // persistent Model.BackwardPreHook body (stage 3)
 	bwdHook        func(int)       // persistent Model.BackwardHook body
 	gradHandles    []comm.Handle   // overlapped-bucket handles, reused per step
@@ -282,20 +286,22 @@ func New(c *comm.Comm, cfg model.Config, opts Options) (*Trainer, error) {
 	}
 	t.plan = t.buildPlan()
 	t.bwdHook = t.submitLayerBuckets
-	if opts.Stage == StageFull {
-		t.dropUnowned()
-		t.prefetch = sched.Stream(StreamPrefetch)
+	if opts.Stage != StageDDP {
 		// Forward gathers in layout order: embeddings, blocks 0..L-1, ln_f.
+		t.prefetch = sched.Stream(StreamPrefetch)
+		t.fwdPf.init(t, t.groups)
+		t.fwdHook = func(layer int) { t.fwdPf.arrive(layer + 1) }
+		t.dropParams()
+	}
+	if opts.Stage == StageFull {
 		// Backward gathers the head's embeddings and ln_f first, then blocks
 		// L-1..0.
 		layers, g := cfg.Layers, t.groups
-		t.fwdPf.init(t, g)
 		bwdOrder := append(make([]model.Segment, 0, layers+2), g[0], g[layers+1])
 		for l := layers; l >= 1; l-- {
 			bwdOrder = append(bwdOrder, g[l])
 		}
 		t.bwdPf.init(t, bwdOrder)
-		t.fwdHook = func(layer int) { t.fwdPf.arrive(layer + 1) }
 		t.bwdPreHook = func(layer int) {
 			if layer == layers {
 				// The head reads the embeddings and the final layernorm
@@ -339,10 +345,15 @@ func (t *Trainer) Close() {
 	t.Model.ReleaseWorkspace()
 }
 
-// dropUnowned zeroes every parameter outside the owned partition — the
-// stage-3 resident state is Ψ/Nd (§5.3). The full-size buffer remains as
-// gather workspace; accounting distinguishes resident from transient.
-func (t *Trainer) dropUnowned() {
+// dropParams leaves the rank trusting only its owned shard of the compute
+// copy (stage 0 trusts all of it). Stage 3 also zeroes the rest — its
+// resident state is Ψ/Nd (§5.3); the full-size buffer remains as gather
+// workspace, and accounting distinguishes resident from transient.
+func (t *Trainer) dropParams() {
+	t.stale = t.stage != StageDDP
+	if t.stage != StageFull {
+		return
+	}
 	own := t.Owned()
 	if h := t.params.Half; h != nil {
 		clear(h[:own.Lo])
@@ -353,24 +364,18 @@ func (t *Trainer) dropUnowned() {
 	tensor.Zero(t.params.Data[own.Hi:])
 }
 
-// gatherParams re-materializes the full stage-3 parameter buffer from the
-// owned shards outside a training pass, for GatheredParams: one forward
-// gather schedule with nothing computing in between.
-func (t *Trainer) gatherParams() {
-	t.fwdPf.reset()
-	for k := range t.fwdPf.handles {
-		t.fwdPf.arrive(k)
-	}
-}
-
 // GatheredParams returns a copy of the full parameter buffer the compute
-// reads — under FP16Compute the fp32 image of the halves — re-gathering the
-// partitioned shards first at stage 3 (a collective there — every rank must
-// call it together). Harness code (examples, elastic tests) uses it to
-// compare trajectories across stages without reaching into the model.
+// reads — under FP16Compute the fp32 image of the halves — running the
+// forward gathers first when only the owned shard is current (a collective
+// then: every rank calls it at the same point). Harness code (examples,
+// elastic tests) uses it to compare trajectories across stages.
 func (t *Trainer) GatheredParams() []float32 {
-	if t.stage == StageFull {
-		t.gatherParams()
+	if t.stale {
+		t.fwdPf.reset()
+		for k := range t.fwdPf.handles {
+			t.fwdPf.arrive(k)
+		}
+		t.stale = false
 	}
 	if h := t.params.Half; h != nil {
 		return h.Floats()
@@ -378,7 +383,7 @@ func (t *Trainer) GatheredParams() []float32 {
 	return append([]float32(nil), t.params.Data...)
 }
 
-// paramPrefetcher runs one pass's stage-3 layer-group all-gathers on the
+// paramPrefetcher runs one pass's layer-group parameter all-gathers on the
 // prefetch stream (§7.2.2). arrive(k) makes group k resident — submitting
 // its gather if it is not on the wire yet, then waiting it — and submits
 // the next window groups' gathers, which ride the wire while group k
@@ -443,16 +448,9 @@ func (p *paramPrefetcher) arrive(k int) {
 func intersect(parts []comm.Range, lo, hi int) []comm.Range {
 	out := make([]comm.Range, len(parts))
 	for i, p := range parts {
-		l, h := p.Lo, p.Hi
-		if l < lo {
-			l = lo
-		}
-		if h > hi {
-			h = hi
-		}
+		l, h := max(p.Lo, lo), min(p.Hi, hi)
 		if l > h {
-			l = lo // normalize empty
-			h = lo
+			l, h = lo, lo // normalize empty
 		}
 		out[i] = comm.Range{Lo: l, Hi: h}
 	}
@@ -473,17 +471,20 @@ func (t *Trainer) Step(ids, targets []int, globalBatch int) float64 {
 
 // Forward runs the forward pass of one micro-batch (microBatch rows across
 // the whole data-parallel group; this rank computes its 1/Nd shard) and
-// returns the local loss. Stage 3 gathers each layer group's parameters as
-// its compute begins, in the order Loss touches them: embeddings, blocks
-// 0..L-1, final layernorm. The tied head re-reads the embeddings, which
-// stay resident until Backward drops them. Each Forward starts a fresh
-// micro-gradient; the cross-micro-batch state lives in the partitioned
-// accumulator that Backward maintains.
+// returns the local loss. When only the owned shard is current, it gathers
+// each layer group's parameters as its compute begins, in the order Loss
+// touches them: embeddings, blocks 0..L-1, final layernorm (the tied head
+// re-reads the embeddings). Each Forward starts a fresh micro-gradient;
+// the cross-micro-batch state lives in the partitioned accumulator that
+// Backward maintains.
 func (t *Trainer) Forward(ids, targets []int, microBatch int) float64 {
 	shardIDs, shardTargets, per := model.ShardBatch(ids, targets, microBatch, t.c.Size(), t.c.Rank())
 	t.Model.ZeroGrads()
-	t.fwdPf.reset()
-	t.Model.ForwardHook = t.fwdHook // nil below stage 3
+	if t.stale {
+		t.fwdPf.reset()
+		t.Model.ForwardHook = t.fwdHook
+		t.stale = false
+	}
 	loss := t.Model.Loss(shardIDs, shardTargets, per)
 	t.Model.ForwardHook = nil
 	return loss
@@ -506,7 +507,7 @@ func (t *Trainer) Backward() {
 	// Stage 3: parameters were "discarded once used" after forward; the
 	// backward pass gathers them again (the second Ψ of §7.2.2).
 	if t.stage == StageFull {
-		t.dropUnowned()
+		t.dropParams()
 	}
 	t.bwdPf.reset()
 	t.gradHandles = t.gradHandles[:0]
@@ -548,9 +549,9 @@ func (t *Trainer) Backward() {
 // Update consumes the accumulated gradient — the optimizer-step phase that
 // fires on the accumulation boundary. It averages the accumulator over
 // ranks × micro-batches, applies global gradient clipping, runs the
-// configured optimizer over this rank's domain, re-materializes the
-// post-step parameter state for the next micro-batch, and re-zeroes the
-// accumulator. Panics if no Backward has run since the last Update.
+// configured optimizer over this rank's domain, and re-zeroes the
+// accumulator; §7.2.1's parameter all-gather runs in the next Forward.
+// Panics if no Backward has run since the last Update.
 func (t *Trainer) Update() {
 	if t.accumMicros == 0 {
 		panic("zero: Update without an accumulated Backward")
@@ -591,31 +592,13 @@ func (t *Trainer) Update() {
 	}
 
 	// Optimizer step over the fp32 master (Pos, §5.1). LAMB steps with
-	// per-tensor trust ratio blocks clipped to the domain. Under
-	// FP16Compute the owner then encodes its stepped master once; the
-	// round-to-nearest-even encode is the fp16 rounding, and from here to
-	// the kernels the parameter exists only as this half.
+	// per-tensor trust ratio blocks clipped to the domain.
 	if t.lamb != nil {
 		t.stepLAMB()
 	} else {
 		t.opt.Step(t.master, t.accum)
 	}
-	if h := t.params.Half; h != nil {
-		h[t.dom.Lo:t.dom.Hi].FromFloats(t.master)
-	}
-
-	// Post-step parameter state per stage. Stage 0: every replica applied
-	// the identical update, nothing to communicate. Stages 1-2: all-gather
-	// the updated parameters so every rank has the full set for the next
-	// step (the second Ψ of §7.2.1). Stage 3: parameters are gathered
-	// lazily at the next forward pass.
-	switch t.stage {
-	case StageDDP:
-	case StageFull:
-		t.dropUnowned()
-	default:
-		t.grad.AllGather(t.params, t.parts).Wait()
-	}
+	t.publish()
 
 	// Successful step: grow the loss scale on schedule.
 	if t.scaler != nil {
@@ -656,12 +639,22 @@ func (t *Trainer) voteOverflow() bool {
 // parameter shards to honor its residency contract.
 func (t *Trainer) skipStep() {
 	if t.stage == StageFull {
-		t.dropUnowned()
+		t.dropParams()
 	}
 	t.scaler.Update(true)
 	t.Model.LossScale = float32(t.scaler.Scale)
 	tensor.Zero(t.accum)
 	t.accumMicros = 0
+}
+
+// publish writes the master into the compute copy and drops the rest. In
+// fp32 the master is that window; under FP16Compute the owner's one
+// round-to-nearest-even encode is the fp16 rounding.
+func (t *Trainer) publish() {
+	if h := t.params.Half; h != nil {
+		h[t.dom.Lo:t.dom.Hi].FromFloats(t.master)
+	}
+	t.dropParams()
 }
 
 // LossScale returns the current dynamic loss scale, or 0 when the fp16
@@ -795,11 +788,7 @@ func (t *Trainer) groupBuckets(g model.Segment) []comm.Range {
 	}
 	var out []comm.Range
 	for hi := g.Hi; hi > g.Lo; hi -= bucket {
-		lo := hi - bucket
-		if lo < g.Lo {
-			lo = g.Lo
-		}
-		out = append(out, comm.Range{Lo: lo, Hi: hi})
+		out = append(out, comm.Range{Lo: max(hi-bucket, g.Lo), Hi: hi})
 	}
 	return out
 }

@@ -156,6 +156,59 @@ func TestCommunicationVolumeIdentities(t *testing.T) {
 	}
 }
 
+// A stage-2 step on the dense benchmark's shape — 2 ranks, 4096-element
+// buckets, overlap — pins rank 0's traffic: 3,255,296 bytes and 210
+// messages, every step alike, the first included (New leaves only the
+// owned shard current, as Update does). At two ranks each non-empty ring
+// chunk is one message on rank 0, a send or a receive, and empty chunks
+// send nothing, so the count is an identity over the schedule: the bucket
+// reduce-scatters' non-empty chunks plus, because the post-step all-gather
+// runs group by group in the next Forward, one ring all-gather per layer
+// group.
+func TestStageTwoStepWireCounts(t *testing.T) {
+	cfg := model.Config{Layers: 4, Hidden: 128, Heads: 4, Vocab: 128, Seq: 32}
+	const n, batch, steps = 2, 8, 3
+	const wantMsgs, wantBytes = 210, 3255296
+	ids, targets := model.SyntheticBatch(4, batch, cfg.Seq, cfg.Vocab)
+	w := comm.NewWorld(n)
+	w.Run(func(c *comm.Comm) {
+		tr := MustNew(c, cfg, Options{
+			Stage: StageOSGrad, Optimizer: optimizer.Spec{LR: 3e-3}, Seed: 4, BucketElems: 4096, Overlap: true,
+		})
+		defer tr.Close()
+		chunks := func(parts []comm.Range) (k int) {
+			for _, p := range parts {
+				if p.Len() > 0 {
+					k++
+				}
+			}
+			return k
+		}
+		identity := 0
+		for _, parts := range tr.plan.parts {
+			identity += chunks(parts)
+		}
+		for _, g := range tr.groups {
+			identity += chunks(intersect(tr.parts, g.Lo, g.Hi))
+		}
+		if c.Rank() == 0 && identity != wantMsgs {
+			t.Errorf("bucket chunks plus layer-group chunks = %d, want %d", identity, wantMsgs)
+		}
+		for i := 0; i < steps; i++ {
+			before := w.Stats(0)
+			tr.Step(ids, targets, batch)
+			if c.Rank() != 0 {
+				continue
+			}
+			after := w.Stats(0)
+			if msgs, bytes := after.Messages-before.Messages, after.BytesSent-before.BytesSent; msgs != wantMsgs || bytes != wantBytes {
+				t.Errorf("step %d: rank 0 recorded %d messages and sent %d bytes, want %d and %d",
+					i, msgs, bytes, wantMsgs, wantBytes)
+			}
+		}
+	})
+}
+
 // Stage 3 resident state: outside its partition a rank's parameters are
 // zeroed between steps (Ψ/Nd resident, §5.3), and the optimizer shard is
 // Ψ/Nd.

@@ -21,7 +21,9 @@ import (
 // read the geometry without this package. The payload is grouped by the
 // capturing world's shards — comm.Partition(num_params, world_size) — and
 // carries for each shard its params, then each optimizer tensor, then (if
-// accum_micros > 0) the accumulator. The shard table is redundant with
+// accum_micros > 0) the accumulator. Under fp16 compute the header also
+// carries the loss scaler — loss_scale, clean_steps, overflow_skips — and
+// omits all three otherwise. The shard table is redundant with
 // (num_params, world_size); Encode derives it and DecodeSnapshot insists on
 // it, so any world size reads any file by slicing the flat buffers.
 
@@ -39,7 +41,19 @@ type zelcHeader struct {
 	OptTensors  int         `json:"opt_tensors"`
 	OptSteps    int         `json:"opt_steps"`
 	AccumMicros int         `json:"accum_micros"`
+	LossScale   float64     `json:"loss_scale,omitempty"`
+	CleanSteps  int         `json:"clean_steps,omitempty"`
+	Skips       int         `json:"overflow_skips,omitempty"`
 	Shards      []zelcShard `json:"shards"`
+}
+
+// scalerValid reports whether the loss scaler fields hold a scaler — a
+// finite positive scale and non-negative counters — or none at all.
+func scalerValid(scale float64, clean, skips int) bool {
+	if scale == 0 {
+		return clean == 0 && skips == 0
+	}
+	return scale > 0 && !math.IsInf(scale, 1) && clean >= 0 && skips >= 0
 }
 
 type zelcShard struct {
@@ -60,7 +74,7 @@ func (h zelcHeader) canonical() ([]byte, []comm.Range) {
 	}
 	b, err := json.Marshal(h)
 	if err != nil {
-		panic(err) // a struct of ints cannot fail to marshal
+		panic(err) // ints and a finite scale cannot fail to marshal
 	}
 	return b, parts
 }
@@ -70,6 +84,10 @@ func (s *Snapshot) Encode() ([]byte, error) {
 	if s.WorldSize <= 0 || s.NumParams <= 0 || s.OptSteps < 0 || s.AccumMicros < 0 {
 		return nil, fmt.Errorf("zero: snapshot geometry out of range (world size %d, params %d, steps %d, micros %d)",
 			s.WorldSize, s.NumParams, s.OptSteps, s.AccumMicros)
+	}
+	if !scalerValid(s.LossScale, s.CleanSteps, s.Skips) {
+		return nil, fmt.Errorf("zero: snapshot loss scaler out of range (scale %g, clean steps %d, skips %d)",
+			s.LossScale, s.CleanSteps, s.Skips)
 	}
 	if s.AccumMicros == 0 && len(s.Accum) != 0 {
 		return nil, fmt.Errorf("zero: boundary snapshot carries %d accumulator elems", len(s.Accum))
@@ -87,6 +105,9 @@ func (s *Snapshot) Encode() ([]byte, error) {
 		OptTensors:  len(s.Opt),
 		OptSteps:    s.OptSteps,
 		AccumMicros: s.AccumMicros,
+		LossScale:   s.LossScale,
+		CleanSteps:  s.CleanSteps,
+		Skips:       s.Skips,
 	}
 	hdr, parts := h.canonical()
 	buf := make([]byte, 0, 12+len(hdr)+4*len(ts)*s.NumParams+frameTrailerLen)
@@ -138,9 +159,10 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	// division, so no product can overflow).
 	floats := len(body) / 4
 	if h.WorldSize <= 0 || h.WorldSize != len(h.Shards) || h.NumParams <= 0 ||
-		h.OptTensors < 0 || h.OptTensors > floats || h.OptSteps < 0 || h.AccumMicros < 0 {
-		return nil, fmt.Errorf("zero: snapshot header out of range (world size %d with %d shards, params %d, opt tensors %d, steps %d, micros %d)",
-			h.WorldSize, len(h.Shards), h.NumParams, h.OptTensors, h.OptSteps, h.AccumMicros)
+		h.OptTensors < 0 || h.OptTensors > floats || h.OptSteps < 0 || h.AccumMicros < 0 ||
+		!scalerValid(h.LossScale, h.CleanSteps, h.Skips) {
+		return nil, fmt.Errorf("zero: snapshot header out of range (world size %d with %d shards, params %d, opt tensors %d, steps %d, micros %d, loss scale %g, clean steps %d, skips %d)",
+			h.WorldSize, len(h.Shards), h.NumParams, h.OptTensors, h.OptSteps, h.AccumMicros, h.LossScale, h.CleanSteps, h.Skips)
 	}
 	per := 1 + h.OptTensors
 	if h.AccumMicros > 0 {
@@ -160,6 +182,9 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		NumParams:   h.NumParams,
 		OptSteps:    h.OptSteps,
 		AccumMicros: h.AccumMicros,
+		LossScale:   h.LossScale,
+		CleanSteps:  h.CleanSteps,
+		Skips:       h.Skips,
 	}
 	ts := s.alloc(h.OptTensors)
 	for _, p := range parts {

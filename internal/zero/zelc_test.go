@@ -3,6 +3,7 @@ package zero
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -127,6 +128,44 @@ func TestZELCFormatGolden(t *testing.T) {
 	}
 }
 
+// scaledFixture is the boundary fixture re-encoded as an fp16 run's
+// snapshot: the same payload with a loss scaler in the header.
+func scaledFixture(t testing.TB) []byte {
+	t.Helper()
+	snap, err := DecodeSnapshot(readFixture(t, zelcFixtures[0].file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.LossScale, snap.CleanSteps, snap.Skips = 65536, 2, 8
+	blob, err := snap.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// The loss scaler rides in three optional ZELC v1 header fields: an fp16
+// snapshot carries them through encode and decode, and a snapshot without a
+// scaler writes none of them, so the fp32 fixtures keep their bytes
+// (TestZELCFormatGolden).
+func TestZELCCarriesLossScaler(t *testing.T) {
+	blob := scaledFixture(t)
+	snap, err := DecodeSnapshot(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.LossScale != 65536 || snap.CleanSteps != 2 || snap.Skips != 8 || snap.Boundaries() != snap.OptSteps+8 {
+		t.Errorf("decoded scaler %g/%d/%d, %d boundaries; want 65536/2/8 and OptSteps+8",
+			snap.LossScale, snap.CleanSteps, snap.Skips, snap.Boundaries())
+	}
+	if !bytes.Contains(blob, []byte(`"loss_scale":65536,"clean_steps":2,"overflow_skips":8`)) {
+		t.Error("fp16 snapshot header does not carry the scaler fields")
+	}
+	if plain := readFixture(t, zelcFixtures[0].file); bytes.Contains(plain, []byte("loss_scale")) {
+		t.Error("fp32 fixture carries a loss scale")
+	}
+}
+
 // resealHeader returns blob with its JSON header replaced (header length
 // and integrity trailer recomputed), so only the header is wrong.
 func resealHeader(t testing.TB, blob []byte, edit func(hdr string) string) []byte {
@@ -172,6 +211,9 @@ func craftedHeaders(t testing.TB) map[string][]byte {
 		"missing shard table":      resealHeader(t, blob, swap(`"shards":[{"rank":0,"lo":0,"hi":4}]`, `"shards":[]`)),
 		"world without shards":     resealHeader(t, blob, swap(`"world_size":1`, `"world_size":1000000000000`)),
 		"negative steps":           resealHeader(t, blob, swap(`"opt_steps":0`, `"opt_steps":-1`)),
+		"negative loss scale":      resealHeader(t, blob, swap(`"accum_micros":0`, `"accum_micros":0,"loss_scale":-65536`)),
+		"skips without a scale":    resealHeader(t, blob, swap(`"accum_micros":0`, `"accum_micros":0,"overflow_skips":8`)),
+		"negative clean steps":     resealHeader(t, blob, swap(`"accum_micros":0`, `"accum_micros":0,"loss_scale":65536,"clean_steps":-1`)),
 		"header version disagrees": resealHeader(t, blob, swap(`"version":1`, `"version":2`)),
 		"non-canonical spelling":   resealHeader(t, blob, swap(`{"version"`, `{ "version"`)),
 		"unknown field":            resealHeader(t, blob, swap(`{"version"`, `{"extra":1,"version"`)),
@@ -272,6 +314,11 @@ func TestEncodeRejectsInconsistentSnapshot(t *testing.T) {
 		"long opt tensor":      func(s *Snapshot) { s.Opt[0] = make([]float32, 4) },
 		"micros without accum": func(s *Snapshot) { s.AccumMicros = 1 },
 		"accum without micros": func(s *Snapshot) { s.Accum = make([]float32, 3) },
+		"negative loss scale":  func(s *Snapshot) { s.LossScale = -1 },
+		"infinite loss scale":  func(s *Snapshot) { s.LossScale = math.Inf(1) },
+		"NaN loss scale":       func(s *Snapshot) { s.LossScale = math.NaN() },
+		"skips without scale":  func(s *Snapshot) { s.Skips = 8 },
+		"negative clean steps": func(s *Snapshot) { s.LossScale, s.CleanSteps = 65536, -1 },
 	} {
 		s := ok()
 		mutate(s)
@@ -343,6 +390,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	for _, bad := range craftedHeaders(f) {
 		f.Add(unsealed(bad))
 	}
+	f.Add(unsealed(scaledFixture(f)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, blob := range [][]byte{data, sealFrame(append([]byte(nil), data...))} {
 			s, err := DecodeSnapshot(blob)
