@@ -29,7 +29,7 @@ type Config struct {
 	Path string
 	// Tokenizer selects the token mapping: "byte" (the merge-free byte
 	// tokenizer), "bpe" (train a byte-level BPE vocab on the first
-	// TrainBytes of the corpus at Open), or a path ending in ".json"
+	// DefaultTrainBytes of the corpus at Open), or a path ending in ".json"
 	// holding a vocab written by SaveTokenizerFile.
 	Tokenizer string
 	// VocabSize is the BPE merge budget (ids including the 257 byte+EOT
@@ -46,8 +46,6 @@ type Config struct {
 	// (0 = DefaultChunkBytes / DefaultMaxDocBytes).
 	ChunkBytes  int
 	MaxDocBytes int
-	// TrainBytes caps the BPE training sample (0 = DefaultTrainBytes).
-	TrainBytes int
 }
 
 // ErrConfig marks an invalid data.Config.
@@ -135,7 +133,7 @@ func openTokenizer(cfg Config) (*Tokenizer, error) {
 	case cfg.Tokenizer == "" || cfg.Tokenizer == "byte":
 		return newByteTokenizer(), nil
 	case cfg.Tokenizer == "bpe":
-		sample, err := readSample(cfg.Path, cfg.TrainBytes)
+		sample, err := readSample(cfg.Path, DefaultTrainBytes)
 		if err != nil {
 			return nil, err
 		}

@@ -296,9 +296,6 @@ func (e *Engine) LossScale() float64 { return e.tr.LossScale() }
 // OverflowSteps counts optimizer steps skipped on fp16 overflow.
 func (e *Engine) OverflowSteps() int { return e.tr.OverflowSteps() }
 
-// Owned returns this rank's partition of the flat parameter space.
-func (e *Engine) Owned() comm.Range { return e.tr.Owned() }
-
 // NumParams returns the model's flat parameter count Ψ.
 func (e *Engine) NumParams() int { return e.tr.Model.NumParams() }
 

@@ -81,7 +81,7 @@ func TestEngineTrainBatchDescends(t *testing.T) {
 			}
 		}
 		// The accumulator is the owned partition, independent of k.
-		if got, want := e.GradAccumElems(), e.Owned().Len(); got != want {
+		if got, want := e.GradAccumElems(), e.Trainer().Owned().Len(); got != want {
 			t.Errorf("rank %d: GradAccumElems = %d, want %d", e.Rank(), got, want)
 		}
 	})

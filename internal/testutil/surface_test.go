@@ -29,6 +29,7 @@ var exportAllowlist = map[string]string{
 	"comm.Comm.Subgroup":          "internal/mp's group tests carve arbitrary member lists",
 	"model.BuildLayout":           "internal/mp's tests map the serial layout's segments onto Megatron shards",
 	"zero.Trainer.GatheredParams": "elastic's resume tests compare full parameter buffers across stages",
+	"zero.Trainer.Owned":          "engine's TestEngineTrainBatchDescends checks the accumulator against the rank's shard",
 	"optimizer.NewAdam":           "zero's TestStagesMatchSingleProcess steps the single-process Adam reference",
 	"losscurve.FitSlope":          "engine's and zero's training goldens assert a descending loss trend",
 }

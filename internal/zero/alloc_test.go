@@ -113,8 +113,8 @@ func TestSteadyStateStepAllocations(t *testing.T) {
 				FP16Compute: true, Checkpoint: true,
 			})
 			if raceEnabled {
-				// sync.Pool drops puts at random under -race, so exact counts
-				// are not deterministic there: hold the rows to the budget.
+				// Exact counts are not deterministic under -race, for a cause
+				// not yet found (ROADMAP item 18): hold the rows to the budget.
 				if got := meanAllocs(perStep); got > maxSteadyAllocsPerStep {
 					t.Errorf("steady-state step allocates %.1f objects (budget %d)", got, maxSteadyAllocsPerStep)
 				}

@@ -127,8 +127,9 @@ type Options struct {
 // Model.ParamsH after each step.
 //
 // At stages 1-3 a rank trusts only its shard of the compute copy after New,
-// Load and Update (and Backward's stage-3 drop); the next Forward gathers the
-// rest. Stages 1-2 are stage 3's path without the drops and backward gathers.
+// Load and Update (and, at stage 3, from the start of each Backward); the
+// next gather overwrites the rest, which nothing reads before then. Stages
+// 1-2 are stage 3's path without the per-pass re-gathers.
 //
 // The trainer's bulk collectives flow through the streams of one scheduler
 // over the rank's node layout: gradient traffic on StreamGrad, parameter
@@ -160,7 +161,7 @@ type Trainer struct {
 	lamb   *optimizer.LAMB     // opt when it is LAMB, whose trust ratios span shards
 	master []float32           // fp32 master over dom: a window of Model.Params, or its own buffer under FP16Compute
 	params comm.Buffer         // the compute copy: Model.Params, or Model.ParamsH under FP16Compute
-	stale  bool                // only the owned shard of params is current; the next Forward gathers the rest
+	stale  bool                // only the owned shard of params is current; nothing reads the rest before the next Forward gathers it
 	grads  comm.Buffer         // Model.Grads at its wire width
 	groups []model.Segment     // layer groups indexed by layer+1: gather and bucket granularity
 
@@ -291,7 +292,7 @@ func New(c *comm.Comm, cfg model.Config, opts Options) (*Trainer, error) {
 		t.prefetch = sched.Stream(StreamPrefetch)
 		t.fwdPf.init(t, t.groups)
 		t.fwdHook = func(layer int) { t.fwdPf.arrive(layer + 1) }
-		t.dropParams()
+		t.stale = true
 	}
 	if opts.Stage == StageFull {
 		// Backward gathers the head's embeddings and ln_f first, then blocks
@@ -343,25 +344,6 @@ func (t *Trainer) Scheduler() *comm.Scheduler { return t.sched }
 func (t *Trainer) Close() {
 	t.sched.Close()
 	t.Model.ReleaseWorkspace()
-}
-
-// dropParams leaves the rank trusting only its owned shard of the compute
-// copy (stage 0 trusts all of it). Stage 3 also zeroes the rest — its
-// resident state is Ψ/Nd (§5.3); the full-size buffer remains as gather
-// workspace, and accounting distinguishes resident from transient.
-func (t *Trainer) dropParams() {
-	t.stale = t.stage != StageDDP
-	if t.stage != StageFull {
-		return
-	}
-	own := t.Owned()
-	if h := t.params.Half; h != nil {
-		clear(h[:own.Lo])
-		clear(h[own.Hi:])
-		return
-	}
-	tensor.Zero(t.params.Data[:own.Lo])
-	tensor.Zero(t.params.Data[own.Hi:])
 }
 
 // GatheredParams returns a copy of the full parameter buffer the compute
@@ -497,17 +479,16 @@ func (t *Trainer) Forward(ids, targets []int, microBatch int) float64 {
 // over the optimizer domain are accumulated. At the partitioned stages that
 // domain is the owned Ψ/Nd shard, so gradient accumulation across
 // micro-batches never holds more than the partition (§5.2) — the
-// full-width micro gradient is transient workspace, re-zeroed by the next
-// Forward. Stage 3 gathers each group's parameters again as its backward
+// full-width micro gradient is transient workspace: nothing reads it outside
+// the domain after the fold, and the next Forward re-zeroes it. Stage 3 gathers each group's parameters again as its backward
 // begins: the head's embeddings and final layernorm first, then blocks
 // L-1..0.
 func (t *Trainer) Backward() {
-	own := t.Owned()
-
-	// Stage 3: parameters were "discarded once used" after forward; the
-	// backward pass gathers them again (the second Ψ of §7.2.2).
+	// Stage 3: parameters are "discarded once used" after forward (§5.3) —
+	// the rank stops trusting the unowned range, and the backward pass
+	// gathers each group again before reading it (the second Ψ of §7.2.2).
 	if t.stage == StageFull {
-		t.dropParams()
+		t.stale = true
 	}
 	t.bwdPf.reset()
 	t.gradHandles = t.gradHandles[:0]
@@ -529,14 +510,6 @@ func (t *Trainer) Backward() {
 	// votes on the accumulated flag at the next Update.
 	if t.opts.FP16Compute && t.Model.TakeOverflow() {
 		t.overflow = true
-	}
-
-	// Stage ≥ 2: micro-gradients outside the owned partition are released
-	// as soon as their bucket is reduced (§5.2); zeroing models the
-	// release.
-	if t.stage >= StageOSGrad {
-		tensor.Zero(t.Model.Grads[:own.Lo])
-		tensor.Zero(t.Model.Grads[own.Hi:])
 	}
 
 	// Fold this micro-batch's reduced gradient into the accumulator. The
@@ -635,26 +608,24 @@ func (t *Trainer) voteOverflow() bool {
 // skipStep abandons an overflowed accumulation window: no clip, no
 // optimizer step, no parameter exchange — every rank backs the loss scale
 // off by the same factor and re-zeroes its accumulator, so the replicas
-// stay bitwise identical through the skip. Stage 3 still drops unowned
-// parameter shards to honor its residency contract.
+// stay bitwise identical through the skip. The compute copy is as current
+// as Backward left it.
 func (t *Trainer) skipStep() {
-	if t.stage == StageFull {
-		t.dropParams()
-	}
 	t.scaler.Update(true)
 	t.Model.LossScale = float32(t.scaler.Scale)
 	tensor.Zero(t.accum)
 	t.accumMicros = 0
 }
 
-// publish writes the master into the compute copy and drops the rest. In
-// fp32 the master is that window; under FP16Compute the owner's one
-// round-to-nearest-even encode is the fp16 rounding.
+// publish writes the master into the compute copy, which at stages 1-3
+// leaves only the owned shard current. In fp32 the master is that window;
+// under FP16Compute the owner's one round-to-nearest-even encode is the fp16
+// rounding.
 func (t *Trainer) publish() {
 	if h := t.params.Half; h != nil {
 		h[t.dom.Lo:t.dom.Hi].FromFloats(t.master)
 	}
-	t.dropParams()
+	t.stale = t.stage != StageDDP
 }
 
 // LossScale returns the current dynamic loss scale, or 0 when the fp16

@@ -2,12 +2,16 @@ package zero
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/comm"
 	"repro/internal/model"
 	"repro/internal/optimizer"
 	"repro/internal/perfmodel"
+	"repro/internal/tensor"
 	"repro/internal/testutil"
 )
 
@@ -209,29 +213,202 @@ func TestStageTwoStepWireCounts(t *testing.T) {
 	})
 }
 
-// Stage 3 resident state: outside its partition a rank's parameters are
-// zeroed between steps (Ψ/Nd resident, §5.3), and the optimizer shard is
-// Ψ/Nd.
+// The partition is a contract (§5.1-§5.3): whenever a rank trusts only its
+// own shard of the compute copy — after New, Load and each applied Update at
+// stages 1-3, and from the top of each Backward at stage 3 — nothing reads
+// the rest before a gather overwrites it, and at stage ≥ 2 nothing reads the
+// micro gradient outside the shard once Backward returns. The poisoned run
+// fills exactly those ranges with NaN on every rank and must match an
+// unpoisoned twin bit for bit: stages 1-3 × fp32/fp16 × prefetch window 0/1
+// × k ∈ {1, 2} micro-batches, across a Save/Load and, under fp16, an
+// overflow-skip boundary. The optimizer shard is Ψ/Nd.
 func TestStage3ResidencyAndShards(t *testing.T) {
 	cfg := testConfig()
-	const n, batch = 4, 4
-	ids, targets := model.SyntheticBatch(5, batch, cfg.Seq, cfg.Vocab)
-	w := comm.NewWorld(n)
-	w.Run(func(c *comm.Comm) {
-		tr := MustNew(c, cfg, Options{Stage: StageFull, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed})
-		tr.Step(ids, targets, batch)
-		own := tr.Owned()
-		for i, v := range tr.Model.Params {
-			if (i < own.Lo || i >= own.Hi) && v != 0 {
-				t.Errorf("rank %d: non-owned param %d resident after step", c.Rank(), i)
-				return
+	for _, stage := range []Stage{StageOS, StageOSGrad, StageFull} {
+		for _, fp16 := range []bool{false, true} {
+			for _, prefetch := range []bool{false, true} {
+				for _, k := range []int{1, 2} {
+					name := fmt.Sprintf("%v fp16=%v prefetch=%v k=%d", stage, fp16, prefetch, k)
+					opts := Options{
+						Stage: stage, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed,
+						Overlap: prefetch, Prefetch: prefetch, FP16Compute: fp16,
+					}
+					if fp16 {
+						opts.InitialLossScale = poisonLossScale
+					}
+					want := runPartitionContract(t, name, cfg, opts, k, false)
+					got := runPartitionContract(t, name, cfg, opts, k, true)
+					got.diff(t, name, want)
+					if fp16 && (got.skips == 0 || got.applied == 0) {
+						t.Errorf("%s: %d skipped and %d applied updates, want an overflow-skip boundary", name, got.skips, got.applied)
+					}
+				}
 			}
 		}
-		psi := tr.Model.NumParams()
-		if got := tr.opt.Len(); got != own.Len() || got > psi/n+1 {
-			t.Errorf("rank %d: optimizer shard %d params, want ≈Ψ/N = %d", c.Rank(), got, psi/n)
+	}
+}
+
+// poisonLossScale makes the contract run's first one or two fp16 updates
+// overflow and the rest apply.
+const poisonLossScale = 1 << 17
+
+// poisonHalf is the binary16 quiet NaN the contract poisons halves with.
+const poisonHalf tensor.Half = 0x7e00
+
+// contractRun is what the poisoned run must reproduce: every rank's
+// micro-batch losses and final GatheredParams, and rank 0's final Save.
+type contractRun struct {
+	losses         [][]float64
+	gathered       [][]float32
+	snap           *Snapshot
+	skips, applied int // rank 0's skipped and applied updates
+}
+
+// runPartitionContract trains 4 steps of k micro-batches on 4 ranks,
+// reloading rank 0's snapshot after step 2. With poison, every range the
+// trainer stops trusting is filled with NaN at the point it does so; every
+// such point also checks that the trainer marked the copy (so the run
+// cannot pass vacuously), and every Forward must leave no poison behind.
+func runPartitionContract(t *testing.T, name string, cfg model.Config, opts Options, k int, poison bool) contractRun {
+	t.Helper()
+	const n, batch, steps, reload = 4, 8, 4, 2
+	ids, targets := model.SyntheticBatch(5, batch, cfg.Seq, cfg.Vocab)
+	micro := batch / k
+	mt := micro * cfg.Seq
+	out := contractRun{losses: make([][]float64, n), gathered: make([][]float32, n)}
+	mid := make([]*Snapshot, n)
+	w := comm.NewWorld(n)
+	w.Run(func(c *comm.Comm) {
+		tr := MustNew(c, cfg, opts)
+		defer tr.Close()
+		r, own := c.Rank(), tr.Owned()
+		if psi := tr.Model.NumParams(); tr.opt.Len() != own.Len() || tr.opt.Len() > psi/n+1 {
+			t.Errorf("%s rank %d: optimizer shard %d params, want ≈Ψ/N = %d", name, r, tr.opt.Len(), psi/n)
+		}
+		// marked requires the trainer to trust only its shard and poisons
+		// the rest.
+		marked := func(when string) {
+			if !tr.stale {
+				t.Errorf("%s rank %d %s: compute copy not marked stale", name, r, when)
+			}
+			if poison {
+				poisonParams(tr)
+			}
+		}
+		marked("after New")
+		leaked := false
+		for s := 0; s < steps; s++ {
+			for j := 0; j < k; j++ {
+				loss := tr.Forward(ids[j*mt:(j+1)*mt], targets[j*mt:(j+1)*mt], micro)
+				out.losses[r] = append(out.losses[r], loss)
+				if i := poisonedParam(tr); i >= 0 && !leaked {
+					leaked = true // one report per rank; the twin diff names the rest
+					t.Errorf("%s rank %d step %d micro %d: compute copy[%d] is NaN after Forward", name, r, s, j, i)
+				}
+				if opts.Stage == StageFull && poison {
+					poisonParams(tr) // Backward marks the copy stale before it reads anything
+				}
+				tr.Backward()
+				if opts.Stage == StageFull {
+					marked(fmt.Sprintf("after step %d micro %d Backward", s, j))
+				}
+				if opts.Stage >= StageOSGrad && poison {
+					fillOutside(tr.Model.Grads, own, float32(math.NaN()))
+				}
+			}
+			skips := tr.OverflowSteps()
+			tr.Update()
+			if tr.OverflowSteps() == skips {
+				marked(fmt.Sprintf("after step %d Update", s))
+			}
+			if s == reload-1 {
+				mid[r] = tr.Save()
+				c.Barrier() // rank 0's snapshot is published before anyone loads it
+				if err := tr.Load(mid[0]); err != nil {
+					t.Error(err)
+					return
+				}
+				marked("after Load")
+			}
+		}
+		out.gathered[r] = tr.GatheredParams()
+		if snap := tr.Save(); r == 0 {
+			out.snap = snap
+			out.skips = tr.OverflowSteps()
+			out.applied = steps - out.skips
 		}
 	})
+	return out
+}
+
+// diff reports every way got departs bitwise from its unpoisoned twin,
+// naming the first differing offset of each buffer.
+func (got contractRun) diff(t *testing.T, name string, want contractRun) {
+	t.Helper()
+	for r := range want.losses {
+		for i, l := range want.losses[r] {
+			if i >= len(got.losses[r]) || math.Float64bits(got.losses[r][i]) != math.Float64bits(l) {
+				t.Errorf("%s rank %d: micro-batch %d loss differs from the unpoisoned twin (%v vs %v)", name, r, i, got.losses[r], want.losses[r])
+				break
+			}
+		}
+		if d := bitDiff(got.gathered[r], want.gathered[r]); d != "" {
+			t.Errorf("%s rank %d: GatheredParams%s in the unpoisoned twin", name, r, d)
+		}
+	}
+	if got.snap == nil || want.snap == nil {
+		t.Fatalf("%s: rank 0 Save returned no snapshot", name)
+	}
+	if d := bitDiff(got.snap.Params, want.snap.Params); d != "" {
+		t.Errorf("%s: Save Params%s in the unpoisoned twin", name, d)
+	}
+	for s := range want.snap.Opt {
+		if d := bitDiff(got.snap.Opt[s], want.snap.Opt[s]); d != "" {
+			t.Errorf("%s: Save Opt[%d]%s in the unpoisoned twin", name, s, d)
+		}
+	}
+}
+
+// poisonParams fills the compute copy outside the rank's shard with NaN:
+// Params, or the halves of ParamsH under FP16Compute.
+func poisonParams(tr *Trainer) {
+	if h := tr.params.Half; h != nil {
+		fillOutside(h, tr.Owned(), poisonHalf)
+		return
+	}
+	fillOutside(tr.params.Data, tr.Owned(), float32(math.NaN()))
+}
+
+// poisonedParam returns the first offset of the compute copy holding a NaN,
+// or -1.
+func poisonedParam(tr *Trainer) int {
+	if h := tr.params.Half; h != nil {
+		return slices.IndexFunc(h, tensor.Half.IsNaN)
+	}
+	return slices.IndexFunc(tr.params.Data, func(v float32) bool { return v != v })
+}
+
+// fillOutside sets every element of s outside own to v.
+func fillOutside[T any](s []T, own comm.Range, v T) {
+	for i := range s {
+		if i < own.Lo || i >= own.Hi {
+			s[i] = v
+		}
+	}
+}
+
+// bitDiff describes the first offset at which got departs from want in
+// bits, or returns "" when they are bitwise equal.
+func bitDiff(got, want []float32) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf(" has %d elements, %d", len(got), len(want))
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			return fmt.Sprintf("[%d] = %g, %g", i, got[i], want[i])
+		}
+	}
+	return ""
 }
 
 // fp16 compute: all three stages execute the identical sequence of rounded
