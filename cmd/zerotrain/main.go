@@ -168,9 +168,7 @@ func main() {
 		psi, cfg.Ranks, st, cfg.Optimizer.Type, cfg.Precision != nil && cfg.Precision.FP16Compute, cfg.Checkpoint)
 	fmt.Printf("batch: %d global = %d micro-batch × %d accumulation steps (accumulator: Ψ/N elems at stages ≥ 1)\n",
 		cfg.GlobalBatch, cfg.MicroBatch, cfg.GradAccumSteps)
-	fmt.Printf("predicted model-state/rank (§3.1): %.2f MB (baseline DP would be %.2f MB)\n\n",
-		perfmodel.ModelStateBytes(int64(psi), int(st), cfg.Ranks)/1e6,
-		perfmodel.ModelStateBytes(int64(psi), int(zero.StageDDP), cfg.Ranks)/1e6)
+	fmt.Println()
 
 	seqLen := cfg.Model.Seq
 	if cfg.Data != nil {
@@ -182,7 +180,11 @@ func main() {
 	var snapBlob []byte
 	var corpusTokens int64
 	var corpusEpochs, corpusVocab int
+	var resident int64
 	w, err := engine.Run(cfg, func(e *engine.Engine) {
+		if e.Rank() == 0 {
+			resident = e.Trainer().ResidentBytes()
+		}
 		// Each rank drains its own batcher; the streams are deterministic,
 		// so every rank sees the same global micro-batch sequence.
 		var batcher engine.Batcher
@@ -244,6 +246,9 @@ func main() {
 		fmt.Printf("corpus: %d tokens streamed over %d epoch(s), tokenizer vocab %d\n",
 			corpusTokens, corpusEpochs, corpusVocab)
 	}
+	fmt.Printf("model state (rank 0): %.2f MB resident, %.2f MB predicted by §3.1 (baseline DP would be %.2f MB)\n",
+		float64(resident)/1e6, perfmodel.ModelStateBytes(int64(psi), int(st), cfg.Ranks)/1e6,
+		perfmodel.ModelStateBytes(int64(psi), int(zero.StageDDP), cfg.Ranks)/1e6)
 	fmt.Printf("wire (rank 0): %d elems, %d bytes (native dtype accounting)\n",
 		st0.ElemsSent, st0.BytesSent)
 	for _, name := range []string{comm.DefaultStream, zero.StreamGrad, zero.StreamPrefetch, zero.StreamCheckpoint} {

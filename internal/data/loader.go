@@ -156,9 +156,6 @@ func openTokenizer(cfg Config) (*Tokenizer, error) {
 // (the bounded BPE training sample), walking the file list in corpus
 // order with a document separator between files.
 func readSample(path string, max int) ([]byte, error) {
-	if max <= 0 {
-		max = DefaultTrainBytes
-	}
 	paths, err := corpusFiles(path)
 	if err != nil {
 		return nil, err

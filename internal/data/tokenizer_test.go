@@ -262,7 +262,7 @@ func corpusDigest(t *testing.T, tok *Tokenizer, path string) (string, int) {
 // ids must not move. The digests were computed by the rescan-per-merge
 // encoder.
 func TestEncodeCorpusGolden(t *testing.T) {
-	sample, err := readSample(exampleCorpus, 0)
+	sample, err := readSample(exampleCorpus, DefaultTrainBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func encodeReference(t *Tokenizer, text []byte) []int {
 // vocabs of TestEncodeCorpusGolden and the self-merge chain. Each encode
 // appends behind a sentinel, which must survive.
 func TestEncodeMatchesReference(t *testing.T) {
-	sample, err := readSample(exampleCorpus, 0)
+	sample, err := readSample(exampleCorpus, DefaultTrainBytes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,8 @@ import (
 	"repro/internal/perfmodel"
 )
 
-// Ablations measures the design choices DESIGN.md calls out, on the real
-// engines with deterministic counters (element volumes and message counts
+// Ablations measures the design choices listed here — the paper's and this
+// implementation's own — on the real engines with deterministic counters (element volumes and message counts
 // rather than wall-clock, so the table is stable):
 //
 //   - gradient bucketing (CB applied to the reduce-scatter): identical

@@ -11,14 +11,16 @@ import (
 // AccumSweep measures §5.2's gradient-accumulation identities on the real
 // engines: per optimizer step with k micro-batches,
 //
-//	stage 0 (DDP):     2k(N-1)Ψ  total elements (a full all-reduce per micro-batch)
+//	stage 0 (DDP):     2k(N-1)Ψ  total elements (this trainer all-reduces every micro-batch)
 //	stages 1-2:        (k+1)(N-1)Ψ  (k micro reduce-scatters + ONE parameter gather pass, in the first Forward)
 //	stage 3:           3k(N-1)Ψ  (two parameter gather passes per micro-batch)
 //
 // while the gradient state carried across micro-batches stays at Ψ/N
-// elements for every k at the partitioned stages. Accumulation is where
-// partitioned gradients beat replicated DP on the wire, not just in
-// memory: at large k, Pos+g approaches HALF of DDP's per-step volume.
+// elements for every k at the partitioned stages. The stage-0 row is this
+// trainer's DDP, not the cheapest one: a DDP that accumulates locally and
+// all-reduces once per step sends 2(N-1)Ψ whatever k is. Against that
+// baseline, stage 2's (k+1)(N-1)Ψ is the wire price of holding Ψ/N
+// gradients instead of Ψ, and it grows with k.
 func AccumSweep() Table {
 	sc := DefaultStageSweep()
 	cfg := sc.Base.Model

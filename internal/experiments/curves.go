@@ -22,7 +22,7 @@ func Fig5() Table {
 	}
 	return Table{
 		Title: "Figure 5: Turing-NLG 17B vs Megatron-LM 8.3B validation perplexity",
-		Note: "Scaling-law substitution (see DESIGN.md): the 17B curve dominates at every\n" +
+		Note: "Scaling-law substitution (see package losscurve): the 17B curve dominates at every\n" +
 			"iteration and ends near the record WebText-103 perplexity of 10.21.",
 		Header: []string{"Iteration", "17B (ZeRO) ppl", "8.3B (Megatron) ppl"},
 		Rows:   rows,

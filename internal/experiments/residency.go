@@ -21,9 +21,9 @@ var residencyPsi = residencyModel.ParamCount()
 // and the full compute residency (workspace plus the parameter copy the
 // kernels read).
 type computeResidency struct {
-	ActBytesPerElem int
-	WorkspaceBytes  int64
-	ResidentBytes   int64
+	ActBytesPerElem       int
+	WorkspaceBytes        int64
+	ComputeResidencyBytes int64
 }
 
 // measureComputeResidency trains one batch on a miniature stage-2 world and
@@ -53,7 +53,7 @@ func measureComputeResidency(fp16Compute bool) computeResidency {
 		e.TrainBatch(ids, targets) // materializes the lazily-sized workspace
 		if e.Rank() == 0 {
 			out.WorkspaceBytes = e.Trainer().Model.WorkspaceBytes()
-			out.ResidentBytes = e.Trainer().ComputeResidencyBytes()
+			out.ComputeResidencyBytes = e.Trainer().ComputeResidencyBytes()
 		}
 	})
 	if err != nil {

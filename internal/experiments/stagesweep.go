@@ -266,7 +266,7 @@ func StageMemory() Table {
 		[]string{"activation storage", fmt.Sprintf("%d -> %d B/elem", f32.ActBytesPerElem, f16.ActBytesPerElem)},
 		[]string{"workspace/rank", fmt.Sprintf("%d B -> %d B", f32.WorkspaceBytes, f16.WorkspaceBytes)},
 		[]string{"compute resident/rank", fmt.Sprintf("%d B -> %d B (%.1f%% of fp32)",
-			f32.ResidentBytes, f16.ResidentBytes, 100*float64(f16.ResidentBytes)/float64(f32.ResidentBytes))},
+			f32.ComputeResidencyBytes, f16.ComputeResidencyBytes, 100*float64(f16.ComputeResidencyBytes)/float64(f32.ComputeResidencyBytes))},
 	)
 	return Table{
 		Title: "Stage memory sweep: per-device model-state GB (Ψ=7.5B) vs DP degree",

@@ -5,9 +5,9 @@
 // lower perplexity than the previous 8.3B SOTA, ending near the record
 // WebText-103 perplexity of 10.21 — is a consequence of the
 // larger-models-reach-lower-loss scaling law, which this package encodes.
-// The substitution is documented in DESIGN.md: we have neither the corpus
-// nor 400 GPUs, but the ordering and asymptote structure are what the
-// figure communicates.
+// This comment is the substitution's record: we have neither the corpus nor
+// 400 GPUs, but the ordering and asymptote structure are what the figure
+// communicates.
 //
 // Surface: Curve (Loss, Perplexity) for Figure 5, and FitSlope, the
 // least-squares trend engine's and zero's training tests assert a descending

@@ -21,11 +21,11 @@ func (m *Model) rowLinear(y []float32, x tens, w, b, rows, k, n int) {
 }
 
 // linearBackward is linear's backward: dx = dy·Wᵀ (overwritten), and the
-// weight and bias gradients accumulated into Grads.
-func (m *Model) linearBackward(dx []float32, dy, x tens, w, b, rows, k, n int) {
+// weight and bias gradients accumulated into layer group g's window.
+func (m *Model) linearBackward(g int, dx []float32, dy, x tens, w, b, rows, k, n int) {
 	m.matMulBT(dx, dy, w, rows, n, k)
-	m.matMulATAdd(w, x, dy, rows, k, n)
-	tensor.BiasGradRows(m.Grads[b:b+n], dy.f, rows, n)
+	m.matMulATAdd(m.grad(g, w, k*n), x, dy, rows, k, n)
+	tensor.BiasGradRows(m.grad(g, b, n), dy.f, rows, n)
 }
 
 // lnParams returns the fp32 images of the layernorm gain and shift at
@@ -119,7 +119,7 @@ func (m *Model) blockBackward(i int, acts *blockActs, dOut, dst []float32, batch
 	mRows := batch * seqLen
 	n := mRows * h
 	off := m.Layout.blocks[i]
-	g := m.Grads
+	g := i + 1 // the block's layer group
 	ws := &m.ws
 
 	// Residual: out = x2 + MLP(LN2(x2)) ⇒ dx2 starts as dOut.
@@ -129,17 +129,17 @@ func (m *Model) blockBackward(i int, acts *blockActs, dOut, dst []float32, batch
 
 	// MLP backward. GELU's backward runs in place: dG becomes dH1 = dG ⊙ g′.
 	dG := m.scratch(aG, mRows*ffn)
-	m.linearBackward(dG, hdOut, acts.t[aG], off.wFC2, off.bFC2, mRows, ffn, h)
+	m.linearBackward(g, dG, hdOut, acts.t[aG], off.wFC2, off.bFC2, mRows, ffn, h)
 	tensor.GELUBackward(dG, dG, acts.t[aH1].f)
 	dMlin := m.scratch(aMlin, n)
-	m.linearBackward(dMlin, m.operand(dG), acts.t[aMlin], off.wFC1, off.bFC1, mRows, h, ffn)
+	m.linearBackward(g, dMlin, m.operand(dG), acts.t[aMlin], off.wFC1, off.bFC1, mRows, h, ffn)
 	m.allReduce(dMlin)
-	tensor.LayerNormBackward(dX2, g[off.ln2Gamma:off.ln2Gamma+h], g[off.ln2Beta:off.ln2Beta+h],
+	tensor.LayerNormBackward(dX2, m.grad(g, off.ln2Gamma, h), m.grad(g, off.ln2Beta, h),
 		dMlin, m.load(acts, aXhat2), acts.invStd2, m.vec(off.ln2Gamma, h), mRows, h)
 
 	// Attention output projection backward (dAttnOut == dX2: x2 = x + attnOut).
 	dCtx := m.scratch(aCtx, mRows*k)
-	m.linearBackward(dCtx, m.operand(dX2), acts.t[aCtx], off.wProj, off.bProj, mRows, k, h)
+	m.linearBackward(g, dCtx, m.operand(dX2), acts.t[aCtx], off.wProj, off.bProj, mRows, k, h)
 
 	// Attention core backward.
 	dQKV := m.scratch(sDQKV, 3*mRows*k)
@@ -149,12 +149,12 @@ func (m *Model) blockBackward(i int, acts *blockActs, dOut, dst []float32, batch
 
 	// QKV projection backward.
 	dA := m.scratch(aA, n)
-	m.linearBackward(dA, m.operand(dQKV), acts.t[aA], off.wQKV, off.bQKV, mRows, h, 3*k)
+	m.linearBackward(g, dA, m.operand(dQKV), acts.t[aA], off.wQKV, off.bQKV, mRows, h, 3*k)
 	m.allReduce(dA)
 
 	// LN1 + residual: dx = dx2 (residual) + LN1-backward(dA).
 	copy(dst, dX2)
-	tensor.LayerNormBackward(dst, g[off.ln1Gamma:off.ln1Gamma+h], g[off.ln1Beta:off.ln1Beta+h],
+	tensor.LayerNormBackward(dst, m.grad(g, off.ln1Gamma, h), m.grad(g, off.ln1Beta, h),
 		dA, m.load(acts, aXhat1), acts.invStd1, m.vec(off.ln1Gamma, h), mRows, h)
 	m.round(dst)
 }

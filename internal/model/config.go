@@ -10,12 +10,12 @@
 // correctness; the paper-scale shapes are handled analytically by
 // internal/perfmodel.
 //
-// Surface: Config, New and NewSharded build a Model (Loss, Backward,
-// ZeroGrads, SetFP16Compute, ReleaseParams and the workspace readers) over a
-// flat Layout of Segments; SyntheticBatch, NewSyntheticStream and ShardBatch
-// make and split batches; CheckpointStore and Reducer are the hooks zero and
-// internal/mp plug in. Imported by zero, engine, serve, experiments,
-// cmd/zerotrain, the examples and bench.
+// Surface: Config, New, NewWindowed and NewSharded build a Model (Loss,
+// Backward, ZeroGrads, BindGrad, SetFP16Compute, ReleaseParams and the
+// workspace readers) over a flat Layout of Segments; SyntheticBatch,
+// NewSyntheticStream and ShardBatch make and split batches; CheckpointStore
+// and Reducer are the hooks zero and internal/mp plug in. Imported by zero,
+// engine, serve, experiments, cmd/zerotrain, the examples and bench.
 package model
 
 import "fmt"
@@ -135,19 +135,35 @@ func (c Config) ParamCount() int {
 
 // LayerSegments groups the flat-buffer ranges by transformer block; index
 // -1 (stored first) covers the embeddings, index Layers the final norm.
-// ZeRO stage 3 uses these groups as its gather/discard granularity.
+// ZeRO uses these groups as its gather/discard granularity and as its
+// gradient windows (Model.BindGrad).
 func (l Layout) LayerSegments(layers int) []Segment {
 	out := make([]Segment, 0, layers+2)
-	// Embeddings are [0, blocks[0].ln1Gamma).
-	out = append(out, Segment{Name: "embeddings", Layer: -1, Lo: 0, Hi: l.blocks[0].ln1Gamma})
-	for i := 0; i < layers; i++ {
-		lo := l.blocks[i].ln1Gamma
-		hi := l.lnF
-		if i+1 < layers {
-			hi = l.blocks[i+1].ln1Gamma
+	for g := 0; g < layers+2; g++ {
+		name := "embeddings"
+		switch {
+		case g == layers+1:
+			name = "ln_f"
+		case g > 0:
+			name = fmt.Sprintf("block%d", g-1)
 		}
-		out = append(out, Segment{Name: fmt.Sprintf("block%d", i), Layer: i, Lo: lo, Hi: hi})
+		lo, hi := l.group(g)
+		out = append(out, Segment{Name: name, Layer: g - 1, Lo: lo, Hi: hi})
 	}
-	out = append(out, Segment{Name: "ln_f", Layer: layers, Lo: l.lnF, Hi: l.Total})
 	return out
+}
+
+// group returns the flat range [lo, hi) of layer group g, indexed as
+// LayerSegments: the embeddings, the blocks, then the final layernorm.
+func (l Layout) group(g int) (lo, hi int) {
+	switch L := len(l.blocks); {
+	case g == 0:
+		return 0, l.blocks[0].ln1Gamma
+	case g == L+1:
+		return l.lnF, l.Total
+	case g == L:
+		return l.blocks[g-1].ln1Gamma, l.lnF
+	default:
+		return l.blocks[g-1].ln1Gamma, l.blocks[g].ln1Gamma
+	}
 }

@@ -26,7 +26,8 @@ import "repro/internal/tensor"
 //     Backward's gradient scratch reuses the staging of tensors that are
 //     dead by then, each d-tensor rounds into one shared half staging buffer
 //     before it feeds a matmul (operand), dLogits is scaled by LossScale
-//     first, and weight gradients accumulate in fp32 Grads.
+//     first, and weight gradients accumulate in fp32 (Grads, or the windows
+//     bound by BindGrad).
 //
 // Elementwise kernels (layernorm, softmax, GELU) and the per-head attention
 // core always run on fp32 images; in fp16 mode those are the rounded ones.
@@ -251,12 +252,12 @@ func (m *Model) matMulBT(c []float32, a tens, w, rows, n, k int) {
 	tensor.MatMulBT(c, a.f, m.Params[w:w+k*n], rows, n, k)
 }
 
-// matMulATAdd accumulates aᵀ[k×rows] · b[rows×n] into the fp32 gradient of
-// the [k×n] parameter matrix at offset w.
-func (m *Model) matMulATAdd(w int, a, b tens, rows, k, n int) {
+// matMulATAdd accumulates aᵀ[k×rows] · b[rows×n] into dw, the fp32
+// gradient of a [k×n] parameter matrix.
+func (m *Model) matMulATAdd(dw []float32, a, b tens, rows, k, n int) {
 	if m.fp16 {
-		tensor.MatMulATAdd(m.Grads[w:w+k*n], a.h, b.h, rows, k, n)
+		tensor.MatMulATAdd(dw, a.h, b.h, rows, k, n)
 		return
 	}
-	tensor.MatMulATAdd(m.Grads[w:w+k*n], a.f, b.f, rows, k, n)
+	tensor.MatMulATAdd(dw, a.f, b.f, rows, k, n)
 }

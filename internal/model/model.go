@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -17,7 +18,10 @@ type Model struct {
 	// Params is the flat fp32 parameter buffer (the "fp32 master" copy of
 	// mixed-precision training). Nil after ReleaseParams.
 	Params []float32
-	// Grads is the flat gradient buffer, same layout as Params.
+	// Grads is a standalone model's flat gradient buffer, same layout as
+	// Params: the one window every layer group's gradients accumulate
+	// into. Nil on a NewWindowed model, whose caller binds each group's
+	// window itself (BindGrad).
 	Grads []float32
 
 	// Checkpoint enables activation checkpointing: the forward pass keeps
@@ -46,11 +50,13 @@ type Model struct {
 	ForwardHook func(layer int)
 
 	// BackwardPreHook, when non-nil, is invoked during Backward immediately
-	// before each parameter group's weights are read: layer Layers before
-	// the head/final-layernorm backward (which also reads the tied token
-	// embedding), layer i before block i's recomputation and backward.
-	// The symmetric synchronization point to ForwardHook for the second
-	// parameter gather of stage 3.
+	// before each parameter group's weights are read and its gradients
+	// written: layer Layers before the head/final-layernorm backward (which
+	// also reads the tied token embedding and writes its gradient), layer i
+	// before block i's recomputation and backward. The symmetric
+	// synchronization point to ForwardHook for the second parameter gather
+	// of stage 3, and where a NewWindowed model's caller binds the gradient
+	// windows Backward is about to write.
 	BackwardPreHook func(layer int)
 
 	// BackwardHook, when non-nil, is invoked during Backward immediately
@@ -86,6 +92,11 @@ type Model struct {
 	// on an unsharded model.
 	mp Reducer
 
+	// grads[g] is where layer group g's gradients go (groups as
+	// Layout.LayerSegments: 0 the embeddings, 1..Layers the blocks,
+	// Layers+1 the final layernorm); see grad.
+	grads []gradWindow
+
 	// ws is the persistent step workspace (activations, gradients,
 	// attention scratch), reused across steps; fwd points at it between a
 	// Loss and its Backward. See workspace.go for the ownership rules.
@@ -106,15 +117,41 @@ type blockActs struct {
 	invStd1, invStd2 []float32
 }
 
+// gradWindow is a buffer that holds the gradients of the parameters from
+// offset lo on.
+type gradWindow struct {
+	buf []float32
+	lo  int
+}
+
 // New creates a model with Gaussian-initialized weights (std 0.02, GPT-2
-// style; residual projections scaled by 1/√(2L)) and unit layernorm gains.
+// style; residual projections scaled by 1/√(2L)) and unit layernorm gains,
+// and a Ψ-long Grads that Backward accumulates into.
 func New(cfg Config, seed int64) *Model {
+	m := NewWindowed(cfg, seed)
+	m.ownGrads()
+	return m
+}
+
+// ownGrads gives a standalone model its Grads: one window, covering the
+// whole layout, that every layer group's gradients go to.
+func (m *Model) ownGrads() {
+	m.Grads = make([]float32, m.Layout.Total)
+	for g := range m.grads {
+		m.grads[g] = gradWindow{buf: m.Grads}
+	}
+}
+
+// NewWindowed is New without Grads, for a caller that keeps gradients in
+// windows of its own: before Backward writes a layer group's gradients
+// (BackwardPreHook), the caller binds that group's window with BindGrad.
+func NewWindowed(cfg Config, seed int64) *Model {
 	layout := BuildLayout(cfg)
 	m := &Model{
 		Cfg:    cfg,
 		Layout: layout,
 		Params: make([]float32, layout.Total),
-		Grads:  make([]float32, layout.Total),
+		grads:  make([]gradWindow, cfg.Layers+2),
 	}
 	r := rand.New(rand.NewSource(seed))
 	const std = 0.02
@@ -147,6 +184,25 @@ func (m *Model) NumParams() int { return m.Layout.Total }
 
 // ZeroGrads clears the gradient buffer.
 func (m *Model) ZeroGrads() { tensor.Zero(m.Grads) }
+
+// BindGrad makes buf, which must be exactly layer group g's length, the
+// window Backward accumulates that group's gradients into; groups are
+// indexed as Layout.LayerSegments. Backward adds into it, so the caller
+// zeroes it first. A nil buf unbinds the group: a later write panics.
+func (m *Model) BindGrad(g int, buf []float32) {
+	lo, hi := m.Layout.group(g)
+	if buf != nil && len(buf) != hi-lo {
+		panic(fmt.Sprintf("model: gradient window of %d elements for layer group %d, want %d", len(buf), g, hi-lo))
+	}
+	m.grads[g] = gradWindow{buf: buf, lo: lo}
+}
+
+// grad returns the gradient of the n parameters from offset off, which lie
+// in layer group g: every gradient write of Backward goes through it.
+func (m *Model) grad(g, off, n int) []float32 {
+	w := m.grads[g]
+	return w.buf[off-w.lo : off-w.lo+n]
+}
 
 // Loss runs the forward pass on ids/targets (length batch×seqLen each,
 // row-major) and returns the mean cross-entropy. State is retained for a
@@ -235,8 +291,9 @@ func (m *Model) headProbs() []float32 {
 	return m.pick(&m.ws.probs, &m.ws.logits, len(m.ws.logits))
 }
 
-// Backward accumulates gradients of the last Loss call into Grads. Call
-// after Loss; panics otherwise.
+// Backward accumulates gradients of the last Loss call into Grads, or into
+// the windows bound on a NewWindowed model. Call after Loss; panics
+// otherwise.
 func (m *Model) Backward() {
 	fs := m.fwd
 	if fs == nil {
@@ -246,16 +303,16 @@ func (m *Model) Backward() {
 	h, v := m.Cfg.Hidden, m.Cfg.Vocab
 	mRows := fs.batch * fs.seqLen
 	n := mRows * h
-	g := m.Grads
+	fin := m.Cfg.Layers + 1 // the final layernorm's group
 
 	// The head reads the tied token embedding and the final layernorm's
-	// parameters next.
+	// parameters next, and writes their gradients.
 	if m.BackwardPreHook != nil {
 		m.BackwardPreHook(m.Cfg.Layers)
 	}
 	tokEmb, lnF := m.Layout.tokEmb, m.Layout.lnF
-	dTok := g[tokEmb : tokEmb+v*h]
-	dPos := g[m.Layout.posEmb : m.Layout.posEmb+m.Cfg.Seq*h]
+	dTok := m.grad(0, tokEmb, v*h)
+	dPos := m.grad(0, m.Layout.posEmb, m.Cfg.Seq*h)
 
 	// Head: dLogits (loss-scaled in fp16 mode), then through the tied
 	// embedding.
@@ -267,7 +324,7 @@ func (m *Model) Backward() {
 	hdLogits := m.operand(dLogits)
 	dXf := m.pick(&fs.dXf, &fs.shared[aA], n)
 	m.matMul(dXf, hdLogits, tokEmb, mRows, v, h)
-	m.matMulATAdd(tokEmb, hdLogits, fs.head.t[aA], mRows, v, h)
+	m.matMulATAdd(dTok, hdLogits, fs.head.t[aA], mRows, v, h)
 
 	// Final layernorm. LayerNormBackward accumulates into dX, so the reused
 	// buffer is zeroed first (fresh allocations used to guarantee this).
@@ -282,7 +339,7 @@ func (m *Model) Backward() {
 	*pa, *pb = grow(*pa, n), grow(*pb, n)
 	dX, next := *pa, *pb
 	tensor.Zero(dX)
-	tensor.LayerNormBackward(dX, g[lnF:lnF+h], g[lnF+h:lnF+2*h], dXf,
+	tensor.LayerNormBackward(dX, m.grad(fin, lnF, h), m.grad(fin, lnF+h, h), dXf,
 		m.load(&fs.head, aXhat1), fs.head.invStd1, m.vec(lnF, h), mRows, h)
 	m.round(dX)
 

@@ -33,10 +33,10 @@ type Reducer interface {
 // New(cfg, seed) itself. Heads must divide over g; the fp16 layout has no
 // MP path (SetFP16Compute panics on a shard).
 func NewSharded(cfg Config, seed int64, g Reducer) *Model {
-	full := New(cfg, seed)
 	if g == nil || g.Size() == 1 {
-		return full
+		return New(cfg, seed)
 	}
+	full := NewWindowed(cfg, seed)
 	n := g.Size()
 	if cfg.Heads%n != 0 {
 		panic(fmt.Sprintf("model: %d heads do not split over %d model-parallel ranks", cfg.Heads, n))
@@ -46,9 +46,10 @@ func NewSharded(cfg Config, seed int64, g Reducer) *Model {
 		Cfg:    cfg,
 		Layout: l,
 		Params: make([]float32, l.Total),
-		Grads:  make([]float32, l.Total),
+		grads:  make([]gradWindow, cfg.Layers+2),
 		mp:     g,
 	}
+	m.ownGrads()
 	shardParams(m.Params, l, full.Params, full.Layout, g.Rank())
 	return m
 }

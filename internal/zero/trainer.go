@@ -44,8 +44,9 @@ type Options struct {
 	// Overlap decides where gradient bucket handles are waited. Backward
 	// always submits each layer group's buckets to the grad stream as soon
 	// as that group's backward pass finishes (§7.2). With Overlap the
-	// handles are held until the end of Backward, so the reduce-scatters
-	// ride under the remaining backward compute; without it each handle is
+	// handles are held until the group's gradient window is released (two
+	// blocks later, or at the end of Backward), so the reduce-scatters ride
+	// under the remaining backward compute; without it each handle is
 	// waited where it is submitted. The ops and their order are the same
 	// either way, so results are bitwise identical; only wall-clock
 	// changes. Composes with an activation-checkpoint Model.Store: Pa's
@@ -131,6 +132,16 @@ type Options struct {
 // next gather overwrites the rest, which nothing reads before then. Stages
 // 1-2 are stage 3's path without the per-pass re-gathers.
 //
+// No rank holds a Ψ-long gradient (§5.2, with §6.2's constant-size
+// buffers): Backward writes each layer group's gradient into a window of
+// the group's size, reduces it from there, folds the optimizer domain's
+// share into the accumulator and releases the window for a later group.
+// The windows are fixed at New — the embeddings' and the final
+// layernorm's, each bound for the whole pass, and two the blocks take
+// turns in (one when the model has a single block) — so the gradient state
+// a rank keeps is the Ψ/Nd accumulator (Ψ at stage 0) plus |embeddings| +
+// |ln_f| + min(2, L)·max|block| elements.
+//
 // The trainer's bulk collectives flow through the streams of one scheduler
 // over the rank's node layout: gradient traffic on StreamGrad, parameter
 // gathers on StreamPrefetch. The N-float partial gathers (clip,
@@ -162,8 +173,16 @@ type Trainer struct {
 	master []float32           // fp32 master over dom: a window of Model.Params, or its own buffer under FP16Compute
 	params comm.Buffer         // the compute copy: Model.Params, or Model.ParamsH under FP16Compute
 	stale  bool                // only the owned shard of params is current; nothing reads the rest before the next Forward gathers it
-	grads  comm.Buffer         // Model.Grads at its wire width
-	groups []model.Segment     // layer groups indexed by layer+1: gather and bucket granularity
+	groups []model.Segment     // layer groups indexed by layer+1: gather, bucket and gradient-window granularity
+
+	// The gradient windows: emb and lnf are bound for the whole backward
+	// pass (the head writes both first, the embedding lookup writes emb
+	// last), blocks[l%2] takes block l (see window).
+	emb, lnf gradWindow
+	blocks   []gradWindow
+	// onRelease, when set, sees each window as it is released (tests
+	// poison it there).
+	onRelease func(group int, buf []float32)
 
 	// accum is the persistent gradient accumulator over the optimizer
 	// domain: Ψ/Nd elements at the partitioned stages, Ψ at stage 0 where
@@ -187,9 +206,8 @@ type Trainer struct {
 	fwdPf          paramPrefetcher // forward gathers (stages 1-3)
 	bwdPf          paramPrefetcher // stage-3 backward gathers
 	fwdHook        func(int)       // persistent Model.ForwardHook body (stages 1-3)
-	bwdPreHook     func(int)       // persistent Model.BackwardPreHook body (stage 3)
+	bwdPreHook     func(int)       // persistent Model.BackwardPreHook body
 	bwdHook        func(int)       // persistent Model.BackwardHook body
-	gradHandles    []comm.Handle   // overlapped-bucket handles, reused per step
 	clipPartials   []float32       // N-element clip partial buffer
 	clipParts      []comm.Range    // its one-element-per-rank partition
 	lambUpdate     []float32       // LAMB raw update over the optimizer domain
@@ -199,12 +217,26 @@ type Trainer struct {
 }
 
 // bucketPlan is the gradient communication schedule, built once in New:
-// each bucket's ownership partition clipped to its window, in reduction
-// order, plus the plan indices each layer group submits when its backward
-// pass finishes, indexed like Trainer.groups.
+// each bucket's ownership partition clipped to the bucket and rebased onto
+// its layer group's gradient window, in reduction order, plus the plan
+// indices each layer group submits when its backward pass finishes,
+// indexed like Trainer.groups.
 type bucketPlan struct {
 	parts   [][]comm.Range
 	byLayer [][]int
+}
+
+// gradWindow is a gradient buffer that serves one layer group at a time.
+type gradWindow struct {
+	buf   []float32   // sized for the largest group it serves
+	group int         // the bound group (an index of Trainer.groups), or -1
+	b     comm.Buffer // the bound group's slice of buf at the wire width
+	last  comm.Handle // the group's last bucket op, when Overlap holds it
+}
+
+// newGradWindow returns a free window of n elements.
+func newGradWindow(n int) gradWindow {
+	return gradWindow{buf: make([]float32, n), group: -1}
 }
 
 // New constructs a rank's trainer. Every rank must use identical cfg and
@@ -225,7 +257,7 @@ func New(c *comm.Comm, cfg model.Config, opts Options) (*Trainer, error) {
 			return nil, fmt.Errorf("zero: topology: %w", err)
 		}
 	}
-	m := model.New(cfg, opts.Seed)
+	m := model.NewWindowed(cfg, opts.Seed)
 	m.Checkpoint = opts.Checkpoint
 	n, size, rank := m.NumParams(), c.Size(), c.Rank()
 	parts := comm.Partition(n, size)
@@ -250,7 +282,6 @@ func New(c *comm.Comm, cfg model.Config, opts Options) (*Trainer, error) {
 		opt:          opt,
 		master:       m.Params[dom.Lo:dom.Hi],
 		params:       comm.F32Buf(m.Params),
-		grads:        comm.F32Buf(m.Grads),
 		groups:       m.Layout.LayerSegments(cfg.Layers),
 		accum:        make([]float32, dom.Len()),
 		sched:        sched,
@@ -266,7 +297,6 @@ func New(c *comm.Comm, cfg model.Config, opts Options) (*Trainer, error) {
 		m.SetFP16Compute(true)
 		m.ReleaseParams()
 		t.params = comm.HalfBuf(m.ParamsH)
-		t.grads = comm.F16Buf(m.Grads)
 		t.scaler = optimizer.NewLossScaler()
 		if opts.InitialLossScale > 0 {
 			t.scaler.Scale = opts.InitialLossScale
@@ -286,6 +316,17 @@ func New(c *comm.Comm, cfg model.Config, opts Options) (*Trainer, error) {
 		t.lambUP = make([]float32, size)
 	}
 	t.plan = t.buildPlan()
+	layers, g := cfg.Layers, t.groups
+	t.emb, t.lnf = newGradWindow(g[0].Len()), newGradWindow(g[layers+1].Len())
+	block := 0
+	for _, b := range g[1 : layers+1] {
+		block = max(block, b.Len())
+	}
+	t.blocks = make([]gradWindow, min(2, layers))
+	for i := range t.blocks {
+		t.blocks[i] = newGradWindow(block)
+	}
+	t.bwdPreHook = t.backwardPre
 	t.bwdHook = t.submitLayerBuckets
 	if opts.Stage != StageDDP {
 		// Forward gathers in layout order: embeddings, blocks 0..L-1, ln_f.
@@ -297,27 +338,82 @@ func New(c *comm.Comm, cfg model.Config, opts Options) (*Trainer, error) {
 	if opts.Stage == StageFull {
 		// Backward gathers the head's embeddings and ln_f first, then blocks
 		// L-1..0.
-		layers, g := cfg.Layers, t.groups
 		bwdOrder := append(make([]model.Segment, 0, layers+2), g[0], g[layers+1])
 		for l := layers; l >= 1; l-- {
 			bwdOrder = append(bwdOrder, g[l])
 		}
 		t.bwdPf.init(t, bwdOrder)
-		t.bwdPreHook = func(layer int) {
-			if layer == layers {
-				// The head reads the embeddings and the final layernorm
-				// (positions 0 and 1) at once, so both gathers go on the
-				// wire before either is waited.
-				t.bwdPf.submit(0)
-				t.bwdPf.submit(1)
-				t.bwdPf.arrive(0)
-				t.bwdPf.arrive(1)
-				return
-			}
-			t.bwdPf.arrive(layers + 1 - layer)
-		}
 	}
 	return t, nil
+}
+
+// backwardPre is the Model.BackwardPreHook body: at stage 3 it gathers the
+// parameters the next backward segment reads, and at every stage it binds
+// the gradient windows that segment writes.
+func (t *Trainer) backwardPre(layer int) {
+	layers := t.Model.Cfg.Layers
+	if layer == layers {
+		if t.stage == StageFull {
+			// The head reads the embeddings and the final layernorm
+			// (positions 0 and 1) at once, so both gathers go on the wire
+			// before either is waited.
+			t.bwdPf.submit(0)
+			t.bwdPf.submit(1)
+			t.bwdPf.arrive(0)
+			t.bwdPf.arrive(1)
+		}
+		t.bindGrad(layers + 1)
+		t.bindGrad(0)
+		return
+	}
+	if t.stage == StageFull {
+		t.bwdPf.arrive(layers + 1 - layer)
+	}
+	t.bindGrad(layer + 1)
+}
+
+// bindGrad releases whatever group g's window holds — block l's window
+// last held block l+2, the older of the two in use — then zeroes the window
+// at g's length and binds it to g. Gradients cross the wire at the compute
+// copy's width.
+func (t *Trainer) bindGrad(g int) {
+	w := t.window(g)
+	t.releaseGrad(w)
+	buf := w.buf[:t.groups[g].Len()]
+	tensor.Zero(buf)
+	w.group, w.b = g, comm.Buffer{Data: buf, DType: t.params.DType}
+	t.Model.BindGrad(g, buf)
+}
+
+// releaseGrad waits the bound group's bucket ops, folds its reduced gradient
+// over the optimizer domain into the accumulator — elementwise, so each
+// element sees the same accum + g as a Ψ-wide fold — and frees w. A free
+// window is left as it is.
+func (t *Trainer) releaseGrad(w *gradWindow) {
+	if w.group < 0 {
+		return
+	}
+	w.last.Wait()
+	g, buf := t.groups[w.group], w.b.Data
+	if lo, hi := max(g.Lo, t.dom.Lo), min(g.Hi, t.dom.Hi); lo < hi {
+		tensor.Add(t.accum[lo-t.dom.Lo:hi-t.dom.Lo], buf[lo-g.Lo:hi-g.Lo])
+	}
+	t.Model.BindGrad(w.group, nil)
+	if t.onRelease != nil {
+		t.onRelease(w.group, buf)
+	}
+	w.group, w.b, w.last = -1, comm.Buffer{}, comm.Handle{}
+}
+
+// window returns the gradient window that serves layer group g.
+func (t *Trainer) window(g int) *gradWindow {
+	switch g {
+	case 0:
+		return &t.emb
+	case len(t.groups) - 1:
+		return &t.lnf
+	}
+	return &t.blocks[(g-1)%len(t.blocks)]
 }
 
 // Stage returns the trainer's configured ZeRO-DP stage.
@@ -456,12 +552,10 @@ func (t *Trainer) Step(ids, targets []int, globalBatch int) float64 {
 // returns the local loss. When only the owned shard is current, it gathers
 // each layer group's parameters as its compute begins, in the order Loss
 // touches them: embeddings, blocks 0..L-1, final layernorm (the tied head
-// re-reads the embeddings). Each Forward starts a fresh micro-gradient;
-// the cross-micro-batch state lives in the partitioned accumulator that
-// Backward maintains.
+// re-reads the embeddings). The cross-micro-batch state lives in the
+// partitioned accumulator that Backward maintains.
 func (t *Trainer) Forward(ids, targets []int, microBatch int) float64 {
 	shardIDs, shardTargets, per := model.ShardBatch(ids, targets, microBatch, t.c.Size(), t.c.Rank())
-	t.Model.ZeroGrads()
 	if t.stale {
 		t.fwdPf.reset()
 		t.Model.ForwardHook = t.fwdHook
@@ -473,14 +567,14 @@ func (t *Trainer) Forward(ids, targets []int, microBatch int) float64 {
 }
 
 // Backward runs the backward pass of the micro-batch last seen by Forward
-// and folds its gradient into the rank's persistent accumulator. As each
-// layer group's gradients become final, its buckets are reduce-scattered
-// across the group on the grad stream (§7.2), and only the reduced values
-// over the optimizer domain are accumulated. At the partitioned stages that
-// domain is the owned Ψ/Nd shard, so gradient accumulation across
-// micro-batches never holds more than the partition (§5.2) — the
-// full-width micro gradient is transient workspace: nothing reads it outside
-// the domain after the fold, and the next Forward re-zeroes it. Stage 3 gathers each group's parameters again as its backward
+// and folds its gradient into the rank's persistent accumulator. Each layer
+// group's gradient is written into a freshly zeroed window; as it becomes
+// final, its buckets are reduce-scattered across the group on the grad
+// stream (§7.2), and only the reduced values over the optimizer domain are
+// folded into the accumulator before the window serves another group. At
+// the partitioned stages that domain is the owned Ψ/Nd shard, so gradient
+// accumulation across micro-batches never holds more than the partition
+// (§5.2). Stage 3 gathers each group's parameters again as its backward
 // begins: the head's embeddings and final layernorm first, then blocks
 // L-1..0.
 func (t *Trainer) Backward() {
@@ -491,8 +585,7 @@ func (t *Trainer) Backward() {
 		t.stale = true
 	}
 	t.bwdPf.reset()
-	t.gradHandles = t.gradHandles[:0]
-	t.Model.BackwardPreHook = t.bwdPreHook // nil below stage 3
+	t.Model.BackwardPreHook = t.bwdPreHook
 	t.Model.BackwardHook = t.bwdHook
 	t.Model.Backward()
 	t.Model.BackwardPreHook = nil
@@ -503,19 +596,19 @@ func (t *Trainer) Backward() {
 	// last, exactly as in the plan order.
 	t.submitLayerBuckets(t.Model.Cfg.Layers)
 	t.submitLayerBuckets(-1)
-	for _, h := range t.gradHandles {
-		h.Wait()
+	// Fold the windows still bound into the accumulator. The first
+	// micro-batch adds into zeros, so a single-micro-batch update sees the
+	// reduced gradient bit for bit.
+	for i := range t.blocks {
+		t.releaseGrad(&t.blocks[i])
 	}
+	t.releaseGrad(&t.lnf)
+	t.releaseGrad(&t.emb)
 	// Latch any fp16-store overflow this micro-batch raised; the group
 	// votes on the accumulated flag at the next Update.
 	if t.opts.FP16Compute && t.Model.TakeOverflow() {
 		t.overflow = true
 	}
-
-	// Fold this micro-batch's reduced gradient into the accumulator. The
-	// first fold adds into zeros, so a single-micro-batch update sees the
-	// reduced gradient bit for bit.
-	tensor.Add(t.accum, t.Model.Grads[t.dom.Lo:t.dom.Hi])
 	t.accumMicros++
 }
 
@@ -646,6 +739,27 @@ func (t *Trainer) OverflowSteps() int {
 	return t.scaler.Skips()
 }
 
+// ResidentBytes reports the model-state bytes this rank holds, summed from
+// the live buffers (len × element width): the compute copy (Params, or the
+// 2-byte ParamsH under FP16Compute), the gradient windows, the accumulator,
+// the fp32 master unless it is a window of Params, and the optimizer's
+// state and update buffers. perfmodel.ModelStateBytes is the §3.1 closed
+// form it is compared with.
+func (t *Trainer) ResidentBytes() int64 {
+	m := t.Model
+	n := 4*int64(len(m.Params)+len(t.accum)+len(t.lambUpdate)+len(t.emb.buf)+len(t.lnf.buf)) + 2*int64(len(m.ParamsH))
+	for _, w := range t.blocks {
+		n += 4 * int64(len(w.buf))
+	}
+	if len(t.master) > 0 && (len(m.Params) == 0 || &t.master[0] != &m.Params[t.dom.Lo]) {
+		n += 4 * int64(len(t.master))
+	}
+	for _, st := range t.opt.State() {
+		n += 4 * int64(len(st))
+	}
+	return n
+}
+
 // ComputeResidencyBytes reports the bytes the step computation keeps
 // resident: the retained workspace plus the parameters the kernels read —
 // the 2-byte ParamsH under FP16Compute (the fp32 master shard then counts
@@ -736,9 +850,15 @@ func (t *Trainer) GradAccumElems() int { return len(t.accum) }
 func (t *Trainer) buildPlan() bucketPlan {
 	p := bucketPlan{byLayer: make([][]int, len(t.groups))}
 	add := func(layer int) {
-		for _, b := range t.groupBuckets(t.groups[layer+1]) {
+		g := t.groups[layer+1]
+		for _, b := range t.groupBuckets(g) {
+			parts := intersect(t.parts, b.Lo, b.Hi)
+			for r := range parts {
+				parts[r].Lo -= g.Lo
+				parts[r].Hi -= g.Lo
+			}
 			p.byLayer[layer+1] = append(p.byLayer[layer+1], len(p.parts))
-			p.parts = append(p.parts, intersect(t.parts, b.Lo, b.Hi))
+			p.parts = append(p.parts, parts)
 		}
 	}
 	layers := t.Model.Cfg.Layers
@@ -764,41 +884,41 @@ func (t *Trainer) groupBuckets(g model.Segment) []comm.Range {
 	return out
 }
 
-// reduceBucketAt submits plan bucket i's collectives to the grad stream
-// and returns the handle of the final op: a reduce-scatter across the
-// global partition, completed into an all-reduce by a gradient all-gather
-// at stage 0. The bucket's per-rank ownership comes from intersecting the
-// global partition, so the elementwise reduction order — and therefore the
-// bits — is independent of bucket framing; on a node layout both ops run
-// two-level with the same ownership layout.
-func (t *Trainer) reduceBucketAt(i int) comm.Handle {
+// reduceBucketAt submits plan bucket i's collectives on its group's window
+// b to the grad stream and returns the handle of the final op: a
+// reduce-scatter across the global partition, completed into an all-reduce
+// by a gradient all-gather at stage 0. The bucket's per-rank ownership comes
+// from intersecting the global partition, so the elementwise reduction
+// order — and therefore the bits — is independent of bucket framing and of
+// where the window sits; on a node layout both ops run two-level with the
+// same ownership layout.
+func (t *Trainer) reduceBucketAt(i int, b comm.Buffer) comm.Handle {
 	parts := t.plan.parts[i]
-	h := t.grad.ReduceScatter(t.grads, parts)
+	h := t.grad.ReduceScatter(b, parts)
 	if t.stage == StageDDP {
-		h = t.grad.AllGather(t.grads, parts) // FIFO after the reduce-scatter
+		h = t.grad.AllGather(b, parts) // FIFO after the reduce-scatter
 	}
 	return h
 }
 
-// submitLayerBuckets submits one layer group's buckets in plan order.
-// Overlap holds each handle for the wait at the end of Backward, so the
-// reduce-scatter of layer k rides under the compute of layers k-1..0
-// (§7.2's communication/computation overlap); otherwise the handle is
-// waited where it is submitted. Under FP16Compute the group's gradients
-// are rounded through binary16 for the wire first, and the rounding feeds
-// overflow detection: a loss-scaled weight gradient can exceed the fp16
-// range even when every activation store stayed finite.
+// submitLayerBuckets submits one layer group's buckets in plan order, on
+// its gradient window. Overlap holds the last handle until the window is
+// released, so the reduce-scatter of layer k rides under the compute of
+// layers k-1 and k-2 (§7.2's communication/computation overlap; the grad
+// stream completes in FIFO order); otherwise each handle is waited where it
+// is submitted. Under FP16Compute the group's gradients are rounded through
+// binary16 for the wire first, and the rounding feeds overflow detection: a
+// loss-scaled weight gradient can exceed the fp16 range even when every
+// activation store stayed finite.
 func (t *Trainer) submitLayerBuckets(layer int) {
-	if t.opts.FP16Compute {
-		g := t.groups[layer+1]
-		if tensor.RoundHalfCheck(t.Model.Grads[g.Lo:g.Hi]) {
-			t.overflow = true
-		}
+	w := t.window(layer + 1)
+	if t.opts.FP16Compute && tensor.RoundHalfCheck(w.b.Data) {
+		t.overflow = true
 	}
 	for _, i := range t.plan.byLayer[layer+1] {
-		h := t.reduceBucketAt(i)
+		h := t.reduceBucketAt(i, w.b)
 		if t.opts.Overlap {
-			t.gradHandles = append(t.gradHandles, h)
+			w.last = h
 		} else {
 			h.Wait()
 		}

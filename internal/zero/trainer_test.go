@@ -216,22 +216,28 @@ func TestStageTwoStepWireCounts(t *testing.T) {
 // The partition is a contract (§5.1-§5.3): whenever a rank trusts only its
 // own shard of the compute copy — after New, Load and each applied Update at
 // stages 1-3, and from the top of each Backward at stage 3 — nothing reads
-// the rest before a gather overwrites it, and at stage ≥ 2 nothing reads the
-// micro gradient outside the shard once Backward returns. The poisoned run
-// fills exactly those ranges with NaN on every rank and must match an
-// unpoisoned twin bit for bit: stages 1-3 × fp32/fp16 × prefetch window 0/1
-// × k ∈ {1, 2} micro-batches, across a Save/Load and, under fp16, an
-// overflow-skip boundary. The optimizer shard is Ψ/Nd.
+// the rest before a gather overwrites it, and at every stage nothing reads a
+// gradient window once it is released. The poisoned run fills exactly those
+// ranges with NaN on every rank and must match an unpoisoned twin bit for
+// bit: stages 0-3 × sync/overlap/prefetch × fp32/fp16 × k ∈ {1, 2}
+// micro-batches, across a Save/Load and, under fp16, an overflow-skip
+// boundary. Four blocks make each block window serve two groups a pass. The
+// optimizer shard is Ψ/Nd at stages 1-3.
 func TestStage3ResidencyAndShards(t *testing.T) {
 	cfg := testConfig()
-	for _, stage := range []Stage{StageOS, StageOSGrad, StageFull} {
+	cfg.Layers = 4
+	schedules := []struct {
+		name              string
+		overlap, prefetch bool
+	}{{"sync", false, false}, {"overlap", true, false}, {"prefetch", true, true}}
+	for _, stage := range AllStages {
 		for _, fp16 := range []bool{false, true} {
-			for _, prefetch := range []bool{false, true} {
+			for _, sc := range schedules {
 				for _, k := range []int{1, 2} {
-					name := fmt.Sprintf("%v fp16=%v prefetch=%v k=%d", stage, fp16, prefetch, k)
+					name := fmt.Sprintf("%v fp16=%v %s k=%d", stage, fp16, sc.name, k)
 					opts := Options{
 						Stage: stage, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed,
-						Overlap: prefetch, Prefetch: prefetch, FP16Compute: fp16,
+						Overlap: sc.overlap, Prefetch: sc.prefetch, FP16Compute: fp16,
 					}
 					if fp16 {
 						opts.InitialLossScale = poisonLossScale
@@ -267,8 +273,9 @@ type contractRun struct {
 // runPartitionContract trains 4 steps of k micro-batches on 4 ranks,
 // reloading rank 0's snapshot after step 2. With poison, every range the
 // trainer stops trusting is filled with NaN at the point it does so; every
-// such point also checks that the trainer marked the copy (so the run
-// cannot pass vacuously), and every Forward must leave no poison behind.
+// such point of the compute copy also checks that the trainer marked it (so
+// the run cannot pass vacuously), every Forward must leave no poison
+// behind, and no Backward may leave any in the accumulator.
 func runPartitionContract(t *testing.T, name string, cfg model.Config, opts Options, k int, poison bool) contractRun {
 	t.Helper()
 	const n, batch, steps, reload = 4, 8, 4, 2
@@ -282,12 +289,23 @@ func runPartitionContract(t *testing.T, name string, cfg model.Config, opts Opti
 		tr := MustNew(c, cfg, opts)
 		defer tr.Close()
 		r, own := c.Rank(), tr.Owned()
-		if psi := tr.Model.NumParams(); tr.opt.Len() != own.Len() || tr.opt.Len() > psi/n+1 {
+		partitioned := opts.Stage != StageDDP
+		if psi := tr.Model.NumParams(); partitioned && (tr.opt.Len() != own.Len() || tr.opt.Len() > psi/n+1) {
 			t.Errorf("%s rank %d: optimizer shard %d params, want ≈Ψ/N = %d", name, r, tr.opt.Len(), psi/n)
+		}
+		released := 0
+		tr.onRelease = func(_ int, buf []float32) {
+			released++
+			if poison {
+				tensor.Fill(buf, float32(math.NaN()))
+			}
 		}
 		// marked requires the trainer to trust only its shard and poisons
 		// the rest.
 		marked := func(when string) {
+			if !partitioned {
+				return
+			}
 			if !tr.stale {
 				t.Errorf("%s rank %d %s: compute copy not marked stale", name, r, when)
 			}
@@ -308,12 +326,22 @@ func runPartitionContract(t *testing.T, name string, cfg model.Config, opts Opti
 				if opts.Stage == StageFull && poison {
 					poisonParams(tr) // Backward marks the copy stale before it reads anything
 				}
+				released = 0
 				tr.Backward()
 				if opts.Stage == StageFull {
 					marked(fmt.Sprintf("after step %d micro %d Backward", s, j))
 				}
-				if opts.Stage >= StageOSGrad && poison {
-					fillOutside(tr.Model.Grads, own, float32(math.NaN()))
+				if released != len(tr.groups) {
+					t.Errorf("%s rank %d step %d micro %d: Backward released %d gradient windows, want one per layer group (%d)",
+						name, r, s, j, released, len(tr.groups))
+				}
+				// An fp16 overflow may leave NaN in the accumulator of a
+				// window the vote will skip; the twin diff covers that one.
+				if i := slices.IndexFunc(tr.accum, func(v float32) bool { return v != v }); i >= 0 && !tr.overflow && !leaked {
+					leaked = true
+					g := tr.groups[slices.IndexFunc(tr.groups, func(g model.Segment) bool { return g.Hi > tr.dom.Lo+i })]
+					t.Errorf("%s rank %d step %d micro %d: accumulator[%d] is NaN after Backward: the gradient window of %s was read after its release",
+						name, r, s, j, i, g.Name)
 				}
 			}
 			skips := tr.OverflowSteps()
@@ -508,54 +536,80 @@ func TestTrainerRejectsInvalidConfigs(t *testing.T) {
 }
 
 // The model state a rank actually holds, summed from the live buffers
-// (len × element width), against the closed form of today's layout. Only
-// the optimizer state, the fp32 master and the accumulator are
-// partitioned (s = this rank's Ψ/N share), and the master is a buffer of
-// its own only under fp16 compute; Params, ParamsH and Grads stay Ψ-long
-// at every stage. The §3.1 prediction, perfmodel.ModelStateBytes
-// (16Ψ/N at stage 3), is logged beside it: the gap is what a resident
-// partition has to close.
+// (len × element width), against the closed form of the layout, for
+// N ∈ {2, 4, 8} and L ∈ {1, 4} layers. Only the optimizer state, the fp32
+// master and the accumulator are partitioned (dom: this rank's Ψ/N share,
+// all of Ψ at stage 0), and the master is a buffer of its own only under
+// fp16 compute — in fp32 it must stay a window of Params; the compute copy
+// stays Ψ-long at every stage, and gradients live in windows of
+// W = 4·(|embeddings| + |ln_f| + min(2, L)·max|block|) bytes. The test sums
+// the buffers itself and ResidentBytes must agree. No trainer-owned model
+// holds a Ψ-long gradient buffer, before or after a step. The §3.1
+// prediction, perfmodel.ModelStateBytes (16Ψ/N at stage 3), is logged
+// beside it: the gap is what a resident partition has to close.
 func TestTrainerModelStateAccounting(t *testing.T) {
-	const n = 4
-	cfg := testConfig()
-	psi := int64(cfg.ParamCount())
-	w := comm.NewWorld(n)
-	w.Run(func(c *comm.Comm) {
-		s := int64(comm.Partition(int(psi), n)[c.Rank()].Len())
-		for _, fp16 := range []bool{false, true} {
-			for _, stage := range AllStages {
-				tr := MustNew(c, cfg, Options{Stage: stage, Optimizer: optimizer.Spec{LR: testLR}, Seed: 1, FP16Compute: fp16})
-				m := tr.Model
-				live := 4*int64(len(m.Params)) + 2*int64(len(m.ParamsH)) + 4*int64(len(m.Grads)) +
-					4*int64(len(tr.accum))
-				// In fp32 the master is a window of Params, already counted.
-				if len(m.Params) == 0 || &tr.master[0] != &m.Params[tr.dom.Lo] {
-					live += 4 * int64(len(tr.master))
+	const batch = 8
+	for _, layers := range []int{1, 4} {
+		cfg := testConfig()
+		cfg.Layers = layers
+		psi := int64(cfg.ParamCount())
+		g := model.BuildLayout(cfg).LayerSegments(cfg.Layers)
+		window := 4 * int64(g[0].Len()+g[cfg.Layers+1].Len()+min(2, layers)*g[1].Len())
+		ids, targets := model.SyntheticBatch(3, batch, cfg.Seq, cfg.Vocab)
+		for _, n := range []int{2, 4, 8} {
+			w := comm.NewWorld(n)
+			w.Run(func(c *comm.Comm) {
+				s := int64(comm.Partition(int(psi), n)[c.Rank()].Len())
+				for _, fp16 := range []bool{false, true} {
+					for _, stage := range AllStages {
+						tr := MustNew(c, cfg, Options{Stage: stage, Optimizer: optimizer.Spec{LR: testLR}, Seed: 1, FP16Compute: fp16})
+						dom := s
+						if stage == StageDDP {
+							dom = psi
+						}
+						// Params + accum + Adam's m and v in fp32: 4Ψ + 12·dom + W.
+						// fp16 compute trades Params for the 2-byte ParamsH and
+						// adds the fp32 master: 2Ψ + 16·dom + W.
+						want := 4*psi + 12*dom + window
+						if fp16 {
+							want = 2*psi + 16*dom + window
+						}
+						check := func(when string) {
+							m := tr.Model
+							live := 4*int64(len(m.Params)) + 2*int64(len(m.ParamsH)) + 4*int64(len(m.Grads)) +
+								4*int64(len(tr.accum)+len(tr.emb.buf)+len(tr.lnf.buf))
+							for _, bw := range tr.blocks {
+								live += 4 * int64(len(bw.buf))
+							}
+							// In fp32 the master is a window of Params, already counted.
+							if len(m.Params) == 0 || &tr.master[0] != &m.Params[tr.dom.Lo] {
+								live += 4 * int64(len(tr.master))
+							}
+							for _, st := range tr.opt.State() {
+								live += 4 * int64(len(st))
+							}
+							if live != want {
+								t.Errorf("L=%d N=%d %v fp16=%v rank %d %s: live model state %d B, want %d B", layers, n, stage, fp16, c.Rank(), when, live, want)
+							}
+							if got := tr.ResidentBytes(); got != live {
+								t.Errorf("L=%d N=%d %v fp16=%v rank %d %s: ResidentBytes %d B, live buffers %d B", layers, n, stage, fp16, c.Rank(), when, got, live)
+							}
+							if len(m.Grads) != 0 {
+								t.Errorf("L=%d N=%d %v fp16=%v rank %d %s: model holds a %d-element gradient buffer", layers, n, stage, fp16, c.Rank(), when, len(m.Grads))
+							}
+						}
+						check("after New")
+						tr.Step(ids, targets, batch)
+						check("after a step")
+						if c.Rank() == 0 && n == 4 {
+							pred := perfmodel.ModelStateBytes(psi, int(stage), n)
+							t.Logf("L=%d %v fp16=%v: resident %d B = %.2fΨ, perfmodel.ModelStateBytes %.0f B = %.2fΨ",
+								layers, stage, fp16, want, float64(want)/float64(psi), pred, pred/float64(psi))
+						}
+						tr.Close()
+					}
 				}
-				for _, st := range tr.opt.State() {
-					live += 4 * int64(len(st))
-				}
-				dom := s // optimizer domain: the rank's shard, or all of Ψ at stage 0
-				if stage == StageDDP {
-					dom = psi
-				}
-				// Params + Grads + accum + Adam's m and v in fp32: 8Ψ + 12·dom.
-				// fp16 compute trades Params for the 2-byte ParamsH and adds
-				// the fp32 master: 6Ψ + 16·dom.
-				want := 8*psi + 12*dom
-				if fp16 {
-					want = 6*psi + 16*dom
-				}
-				if live != want {
-					t.Errorf("%v fp16=%v rank %d: live model state %d B, want %d B", stage, fp16, c.Rank(), live, want)
-				}
-				if c.Rank() == 0 {
-					pred := perfmodel.ModelStateBytes(psi, int(stage), n)
-					t.Logf("%v fp16=%v: live %d B = %.2fΨ, perfmodel.ModelStateBytes %.0f B = %.2fΨ",
-						stage, fp16, live, float64(live)/float64(psi), pred, pred/float64(psi))
-				}
-				tr.Close()
-			}
+			})
 		}
-	})
+	}
 }
