@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet bench-vet bench-test build build-arm64 test test-386 race configcheck api fuzz-smoke serve-smoke elastic-smoke pprof sweep all
+.PHONY: check fmt vet bench-vet bench-test build build-arm64 test test-386 race configcheck api fuzz-smoke serve-smoke elastic-smoke elastic-example pprof sweep all
 
-check: fmt vet bench-vet bench-test build build-arm64 test test-386 race configcheck api fuzz-smoke serve-smoke elastic-smoke
+check: fmt vet bench-vet bench-test build build-arm64 test test-386 race configcheck api fuzz-smoke serve-smoke elastic-smoke elastic-example
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -109,6 +109,13 @@ serve-smoke:
 # (part of `make check`).
 elastic-smoke:
 	$(GO) test -race ./internal/serve -run TestElasticKillResume -count=1
+
+# The elastic walkthrough checks itself: it exits non-zero if regrouping an
+# 8-rank snapshot for 4 ranks and back does not reproduce the ZELC file, if
+# the 4-rank resume drifts past tolerance, or if the same-world resume is
+# not bitwise (part of `make check`).
+elastic-example:
+	$(GO) run ./examples/elastic
 
 # Capture CPU and heap profiles of the steady-state allocation test (every
 # stage × schedule, warm-up and measured steps) into ./profiles, with every

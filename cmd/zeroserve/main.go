@@ -13,7 +13,7 @@
 // Jobs may opt into elastic fault tolerance: "snapshot_every" takes async
 // boundary snapshots, "max_restarts" lets the supervisor restart a job that
 // lost a rank from its last snapshot, "restart_ranks" retries in a smaller
-// world (the flat snapshot loads at any size), and "fault" injects a deterministic rank
+// world (the snapshot loads at any size), and "fault" injects a deterministic rank
 // kill for drills (see README "Elastic checkpointing & recovery").
 //
 //	POST   /v1/jobs                   submit {"steps": N, "config": {...}}

@@ -177,7 +177,7 @@ func main() {
 			cfg.Data.Path, cfg.Data.Tokenizer, cfg.Data.SeqLen, cfg.Data.ShuffleBuffer, cfg.Ranks)
 	}
 	start := time.Now()
-	var snapBlob []byte
+	var saved *zero.Snapshot
 	var corpusTokens int64
 	var corpusEpochs, corpusVocab int
 	var resident int64
@@ -220,10 +220,7 @@ func main() {
 		}
 		if *savePath != "" {
 			if snap := e.Save(); snap != nil {
-				var err error
-				if snapBlob, err = snap.Encode(); err != nil {
-					log.Fatal(err)
-				}
+				saved = snap
 			}
 		}
 	})
@@ -233,10 +230,18 @@ func main() {
 	elapsed := time.Since(start)
 
 	if *savePath != "" {
-		if err := os.WriteFile(*savePath, snapBlob, 0o644); err != nil {
+		f, err := os.Create(*savePath)
+		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("\ncheckpoint written to %s (%d bytes)\n", *savePath, len(snapBlob))
+		n, err := saved.WriteTo(f)
+		if err == nil {
+			err = f.Close()
+		}
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("\ncheckpoint written to %s (%d bytes)\n", *savePath, n)
 	}
 	tokens := int64(*steps) * int64(cfg.GlobalBatch) * int64(seqLen)
 	st0 := w.Stats(0)

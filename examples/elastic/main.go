@@ -2,14 +2,14 @@
 // training state is not tied to the world size that produced it, and a
 // world that loses a rank is not lost.
 //
-//  1. One flat snapshot: the slabs captured on 8 ranks assemble into flat
-//     Ψ-long buffers, and the ZELC file regroups for 4 ranks and back
-//     byte for byte — the world size only orders the payload, no float is
-//     ever rewritten.
+//  1. One snapshot of slabs: the slabs captured on 8 ranks are the
+//     snapshot, and the ZELC file regroups for 4 ranks and back byte for
+//     byte — the world size only tiles the payload, no float is ever
+//     rewritten.
 //  2. Elastic resume: the one snapshot taken at step 4 on 8 ranks loads
-//     on 4 ranks (each slices its own partition; matching loss
-//     trajectory, tolerance-level because the reduction tree changed) and
-//     on 8 ranks (bitwise-identical to the uninterrupted run).
+//     on 4 ranks (each copies its own partition out of the slabs;
+//     matching loss trajectory, tolerance-level because the reduction tree
+//     changed) and on 8 ranks (bitwise-identical to the uninterrupted run).
 //  3. Kill & recover: a deterministic rank kill mid-run fails the world
 //     cleanly, and the zeroserve supervisor restarts the job from its
 //     last boundary snapshot — the run still reaches its step budget.
@@ -47,7 +47,7 @@ func config(n int, seed int64) engine.Config {
 }
 
 func main() {
-	demoFlatSnapshot()
+	demoSlabSnapshot()
 	demoElasticResume()
 	demoKillRecover()
 }
@@ -114,39 +114,45 @@ func globalLoss(local []float64) float64 {
 	return sum / float64(len(local))
 }
 
-func demoFlatSnapshot() {
-	fmt.Println("== 1. one flat snapshot, ZELC on disk ==")
-	_, snap := trainAndCapture(8, 3, 3)
-	blob, err := snap.Encode()
+// encode writes snap as ZELC into memory.
+func encode(snap *zero.Snapshot) []byte {
+	var b bytes.Buffer
+	if _, err := snap.WriteTo(&b); err != nil {
+		log.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// regroup decodes a ZELC blob and re-encodes it as an m-rank world would
+// have captured it.
+func regroup(blob []byte, m int) []byte {
+	snap, err := zero.DecodeSnapshot(blob)
 	if err != nil {
 		log.Fatal(err)
 	}
+	if snap, err = snap.Regroup(m); err != nil {
+		log.Fatal(err)
+	}
+	return encode(snap)
+}
+
+func demoSlabSnapshot() {
+	fmt.Println("== 1. one flat snapshot, ZELC on disk ==")
+	_, snap := trainAndCapture(8, 3, 3)
+	blob := encode(snap)
 	fmt.Printf("8-rank stage-%d snapshot: Ψ = %d params, %d opt steps → %d bytes of ZELC\n",
 		int(snap.Stage), snap.NumParams, snap.OptSteps, len(blob))
 
-	half, err := zero.DecodeSnapshot(blob)
-	if err != nil {
-		log.Fatal(err)
-	}
-	half.WorldSize = 4
-	blob4, err := half.Encode()
-	if err != nil {
-		log.Fatal(err)
-	}
-	back, err := zero.DecodeSnapshot(blob4)
-	if err != nil {
-		log.Fatal(err)
-	}
-	back.WorldSize = 8
-	blob8, err := back.Encode()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if bytes.Equal(blob4, blob) || !bytes.Equal(blob8, blob) {
+	blob4 := regroup(blob, 4)
+	if bytes.Equal(blob4, blob) || !bytes.Equal(regroup(blob4, 8), blob) {
 		log.Fatal("8 → 4 → 8 regrouping did not reproduce the file")
 	}
+	floats := 0
+	for _, slab := range snap.Slabs {
+		floats += len(slab)
+	}
 	fmt.Printf("8 → 4 → 8: payload regrouped by each world's partition, all %d params + %d opt tensors byte-identical\n\n",
-		snap.NumParams, len(snap.Opt))
+		snap.NumParams, floats/snap.NumParams-1)
 }
 
 func demoElasticResume() {

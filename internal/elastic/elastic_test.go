@@ -1,9 +1,11 @@
 package elastic
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -33,29 +35,25 @@ func newTrainer(c *comm.Comm, opts zero.Options) *zero.Trainer {
 	return tr
 }
 
+// encode is the snapshot's ZELC bytes.
+func encode(t *testing.T, s *zero.Snapshot) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if _, err := s.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
 func snapshotsEqual(t *testing.T, a, b *zero.Snapshot, label string) {
 	t.Helper()
-	if a.NumParams != b.NumParams || a.OptSteps != b.OptSteps ||
-		a.AccumMicros != b.AccumMicros || len(a.Opt) != len(b.Opt) {
-		t.Fatalf("%s: snapshot headers differ: %+v vs %+v", label, a.OptSteps, b.OptSteps)
-	}
-	if d := testutil.MaxDiff(a.Params, b.Params); d != 0 {
-		t.Errorf("%s: params differ by %g", label, d)
-	}
-	for i := range a.Opt {
-		if d := testutil.MaxDiff(a.Opt[i], b.Opt[i]); d != 0 {
-			t.Errorf("%s: opt tensor %d differs by %g", label, i, d)
-		}
-	}
-	if a.AccumMicros > 0 {
-		if d := testutil.MaxDiff(a.Accum, b.Accum); d != 0 {
-			t.Errorf("%s: accum differs by %g", label, d)
-		}
+	if !bytes.Equal(encode(t, a), encode(t, b)) {
+		t.Errorf("%s: snapshots differ", label)
 	}
 }
 
-// captureWorld trains a schedule and returns the snapshot assembled from
-// the per-rank shard captures. The schedule is fullSteps whole optimizer
+// captureWorld trains a schedule and returns the snapshot the per-rank
+// shard captures make. The schedule is fullSteps whole optimizer
 // steps followed by extraMicros forward/backward micro-batches left pending
 // in the accumulator.
 func captureWorld(t *testing.T, n int, opts zero.Options, fullSteps, microsPer, extraMicros int,
@@ -84,8 +82,7 @@ func captureWorld(t *testing.T, n int, opts zero.Options, fullSteps, microsPer, 
 }
 
 // assemble builds the snapshot from one capture per rank, checking first
-// that every rank stamped the same header (any of them may be handed to
-// AssembleSnapshot).
+// that every rank stamped the same header (any of them heads the slabs).
 func assemble(t *testing.T, hdrs []zero.Snapshot, slabs [][]float32) *zero.Snapshot {
 	t.Helper()
 	for r := range hdrs {
@@ -93,11 +90,9 @@ func assemble(t *testing.T, hdrs []zero.Snapshot, slabs [][]float32) *zero.Snaps
 			t.Fatalf("rank %d captured header %+v, rank 0 %+v", r, hdrs[r], hdrs[0])
 		}
 	}
-	snap, err := zero.AssembleSnapshot(hdrs[0], slabs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return snap
+	snap := hdrs[0]
+	snap.Slabs = slabs
+	return &snap
 }
 
 // resumeWorld loads a consolidated snapshot into a fresh n-rank world (a
@@ -157,10 +152,10 @@ func referenceWorld(t *testing.T, n int, opts zero.Options, fullSteps, microsPer
 	return out
 }
 
-// The snapshot round-trip matrix (capture → AssembleSnapshot → Load →
-// resume) is bitwise across stage × optimizer × accumulation depth,
-// including captures taken mid-accumulation. This is the elastic capture
-// path's core correctness claim: CaptureShard + reassembly is
+// The snapshot round-trip matrix (capture → Load → resume) is bitwise
+// across stage × optimizer × accumulation depth, including captures taken
+// mid-accumulation. This is the elastic capture path's core correctness
+// claim: the world's CaptureShard slabs, loaded back, are
 // indistinguishable from never having stopped.
 func TestCaptureRoundTripMatrix(t *testing.T) {
 	cfg := testConfig()
@@ -227,7 +222,7 @@ func TestCaptureRoundTripMatrix(t *testing.T) {
 }
 
 // Elastic resume across world sizes: capture at N=4, Load at M=2 — each
-// rank slices its partition of the flat snapshot, nothing is converted — and
+// rank copies its partition out of the slabs, nothing is converted — and
 // the trajectory matches a from-scratch M=2 run of the full schedule within
 // reduction-tree tolerance (the N=4 prefix grouped its reductions
 // differently, so bitwise is not on offer).
@@ -356,5 +351,77 @@ func TestSnapshotterMidAccumInMemory(t *testing.T) {
 	}
 	if ck.OptSteps != 1 {
 		t.Errorf("OptSteps = %d, want 1", ck.OptSteps)
+	}
+}
+
+// One snapshot tick at serve-snap's shape (Ψ = 110,336, Adam, stage 2, 2
+// ranks), persisted to a Dir, allocates at most 1.5× the 12Ψ-byte model
+// state, the writer's work included: rank 0's copy of its slab and the
+// slab it gathers are the snapshot (1×), every rank captures into its
+// double buffer, and the file is streamed through one small buffer. The per-tick
+// figure is the difference between a 4-tick and a 2-tick snapshotter, each
+// measured from construction to Close (so the writer has finished), so
+// what a snapshotter allocates once — the double buffers, the writer
+// goroutine, the directory — cancels out.
+func TestSnapshotterTickAllocations(t *testing.T) {
+	cfg := model.Config{Layers: 2, Hidden: 64, Heads: 4, Vocab: 128, Seq: 32}
+	const n, every = 2, 2
+	opts := zero.Options{Stage: zero.StageOSGrad, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed}
+	run := func(ticks int) uint64 {
+		dir := t.TempDir()
+		var grew uint64
+		var snap *Snapshotter
+		w := comm.NewWorld(n)
+		w.Run(func(c *comm.Comm) {
+			tr, err := zero.New(c, cfg, opts)
+			if err != nil {
+				panic(err)
+			}
+			defer tr.Close()
+			var before, after runtime.MemStats
+			c.Barrier()
+			if c.Rank() == 0 {
+				// A warm world's wire pool holds a copy for each gather in
+				// flight at once: a rank's send completes when it is posted,
+				// so all of them may be, before rank 0's stream takes one.
+				slab, _ := tr.CaptureShard(nil)
+				wire := make([][]float32, ticks)
+				for i := range wire {
+					wire[i] = w.WirePool().Get(len(slab))
+				}
+				for _, b := range wire {
+					w.WirePool().Put(b)
+				}
+				runtime.ReadMemStats(&before)
+				if snap, err = NewSnapshotter(Policy{Every: every, Dir: dir, Keep: 2}, n); err != nil {
+					panic(err)
+				}
+			}
+			c.Barrier()
+			for i := 1; i <= ticks; i++ {
+				snap.Tick(i*every, tr)
+			}
+			snap.Flush(c.Rank())
+			c.Barrier()
+			if c.Rank() == 0 {
+				if err := snap.Close(); err != nil {
+					t.Error(err)
+				}
+				runtime.ReadMemStats(&after)
+				grew = after.TotalAlloc - before.TotalAlloc
+			}
+		})
+		if got := snap.Count(); got != int64(ticks) {
+			t.Fatalf("%d ticks gathered %d snapshots", ticks, got)
+		}
+		return grew
+	}
+	short, long := run(2), run(4)
+	perTick := float64(long-short) / 2
+	state := float64(12 * cfg.ParamCount()) // fp32 master + Adam's two moments
+	t.Logf("%.0f bytes per tick, %.2f× the model state", perTick, perTick/state)
+	if perTick > 1.5*state {
+		t.Errorf("a snapshot tick allocates %.0f bytes, %.2f× the %.0f-byte model state; want ≤ 1.5×",
+			perTick, perTick/state, state)
 	}
 }

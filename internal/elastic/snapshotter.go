@@ -6,15 +6,15 @@
 // The snapshots are elastic as they are. ZeRO's state layout makes
 // elasticity mechanical (the paper's partitioning argument run
 // backwards): optimizer state, master parameters and the gradient
-// accumulator are exact Ψ/N partitions of flat buffers, so the flat
-// zero.Snapshot assembled at world size N restores at any world size M —
-// Trainer.Load slices its own partition out. The restored state is bitwise
-// at any M; at M == N the resumed trajectory is bitwise too, and across
-// N↔M it differs only within reduction-tree tolerance (the same caveat as
-// cross-topology runs).
+// accumulator are exact Ψ/N partitions of flat buffers, so the slabs a
+// zero.Snapshot gathers from world size N restore at any world size M —
+// Trainer.Load copies each range of its domain out of the slabs that hold
+// it. The restored state is bitwise at any M; at M == N the resumed
+// trajectory is bitwise too, and across N↔M it differs only within
+// reduction-tree tolerance (the same caveat as cross-topology runs).
 //
 // Surface: NewSnapshotter builds a Snapshotter from a Policy; Tick, Flush,
-// Latest, Count, StallNs, Err and Close drive and read it. Imported by
+// Latest, Count, StallNs and Close drive and read it. Imported by
 // internal/serve (the job supervisor) and bench.
 package elastic
 
@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -58,7 +59,6 @@ type Policy struct {
 type Snapshotter struct {
 	pol   Policy
 	slots []rankSlot
-	out   [][]float32 // rank 0 gather destination, stream-worker-only
 
 	latest  atomic.Pointer[zero.Snapshot]
 	count   atomic.Int64
@@ -67,15 +67,13 @@ type Snapshotter struct {
 	writeCh   chan writeReq
 	writerWG  sync.WaitGroup
 	closeOnce sync.Once
-
-	mu  sync.Mutex
-	err error // first asynchronous failure (assembly or write)
+	err       error // the writer's first failure; read after it exits
 }
 
 // rankSlot is one rank's double buffer. All fields are touched only by that
 // rank's goroutine.
 type rankSlot struct {
-	flat    [2][]float32 // CaptureShard slabs
+	slab    [2][]float32 // CaptureShard slabs
 	pending [2]comm.Handle
 	cur     int
 }
@@ -94,7 +92,6 @@ func NewSnapshotter(pol Policy, n int) (*Snapshotter, error) {
 	s := &Snapshotter{
 		pol:   pol,
 		slots: make([]rankSlot, n),
-		out:   make([][]float32, n),
 	}
 	if pol.Dir != "" {
 		if err := os.MkdirAll(pol.Dir, 0o755); err != nil {
@@ -130,28 +127,24 @@ func (s *Snapshotter) take(step int, tr *zero.Trainer) {
 		h.Wait()
 		s.stallNs.Add(time.Since(t0).Nanoseconds())
 	}
-	flat, hdr := tr.CaptureShard(sl.flat[i][:0])
-	sl.flat[i] = flat
-	st := tr.Scheduler().Stream(zero.StreamCheckpoint)
-	if r == 0 {
-		sl.pending[i] = st.Submit(func(c *comm.Comm) {
-			c.Gather(flat, 0, s.out)
-			snap, err := zero.AssembleSnapshot(hdr, s.out)
-			if err != nil {
-				s.setErr(err)
-				return
-			}
-			s.latest.Store(snap)
-			s.count.Add(1)
-			if s.writeCh != nil {
-				s.writeCh <- writeReq{step: step, snap: snap}
-			}
-		})
-	} else {
-		sl.pending[i] = st.Submit(func(c *comm.Comm) {
-			c.Gather(flat, 0, nil)
-		})
-	}
+	slab, hdr := tr.CaptureShard(sl.slab[i][:0])
+	sl.slab[i] = slab
+	sl.pending[i] = tr.Scheduler().Stream(zero.StreamCheckpoint).Submit(func(c *comm.Comm) {
+		if r == 0 {
+			// The snapshot keeps rank 0's slab, and this buffer is reused
+			// two ticks on: copy it here, off the training loop.
+			slab = slices.Clone(slab)
+		}
+		snap := zero.GatherSnapshot(c, hdr, slab)
+		if snap == nil {
+			return
+		}
+		s.latest.Store(snap)
+		s.count.Add(1)
+		if s.writeCh != nil {
+			s.writeCh <- writeReq{step: step, snap: snap}
+		}
+	})
 	sl.cur++
 }
 
@@ -168,8 +161,8 @@ func (s *Snapshotter) Flush(rank int) {
 	}
 }
 
-// Close stops the writer (flushing queued writes) and reports the first
-// asynchronous error. Call after the world has finished running.
+// Close stops the writer (flushing queued writes) and reports its first
+// error. Call after the world has finished running.
 func (s *Snapshotter) Close() error {
 	s.closeOnce.Do(func() {
 		if s.writeCh != nil {
@@ -177,55 +170,44 @@ func (s *Snapshotter) Close() error {
 			s.writerWG.Wait()
 		}
 	})
-	return s.Err()
+	return s.err
 }
 
-// Latest returns the most recently assembled snapshot (nil before the first
+// Latest returns the most recently gathered snapshot (nil before the first
 // completes). It is immutable once published; Trainer.Load only copies out
 // of it, so every rank of a restarted world can load the one pointer.
 func (s *Snapshotter) Latest() *zero.Snapshot { return s.latest.Load() }
 
-// Count returns how many snapshots have completed assembly.
+// Count returns how many snapshots have been gathered.
 func (s *Snapshotter) Count() int64 { return s.count.Load() }
 
 // StallNs returns the cumulative wall time Ticks spent blocked on in-flight
 // snapshots — the snapshotter's total exposed stall.
 func (s *Snapshotter) StallNs() int64 { return s.stallNs.Load() }
 
-// Err returns the first asynchronous assembly/write error, if any.
-func (s *Snapshotter) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
-
-func (s *Snapshotter) setErr(err error) {
-	s.mu.Lock()
-	if s.err == nil {
-		s.err = err
-	}
-	s.mu.Unlock()
-}
-
-// writer persists snapshots: encode, write a temp file, rename into place
-// (readers never observe a torn file), prune to the retention bound.
+// writer persists snapshots: stream each to a temp file, rename it into
+// place (readers never observe a torn file), prune to the retention bound.
 func (s *Snapshotter) writer() {
 	defer s.writerWG.Done()
 	for req := range s.writeCh {
-		if err := s.writeOne(req); err != nil {
-			s.setErr(err)
+		if err := s.writeOne(req); err != nil && s.err == nil {
+			s.err = err
 		}
 	}
 }
 
 func (s *Snapshotter) writeOne(req writeReq) error {
-	blob, err := req.snap.Encode()
+	final := filepath.Join(s.pol.Dir, checkpointName(req.step))
+	tmp := final + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	final := filepath.Join(s.pol.Dir, checkpointName(req.step))
-	tmp := final + ".tmp"
-	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
+	if _, err := req.snap.WriteTo(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, final); err != nil {

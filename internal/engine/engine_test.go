@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -8,6 +9,13 @@ import (
 	"repro/internal/model"
 	"repro/internal/zero"
 )
+
+// encode is the snapshot's ZELC bytes.
+func encode(s *zero.Snapshot) ([]byte, error) {
+	var b bytes.Buffer
+	_, err := s.WriteTo(&b)
+	return b.Bytes(), err
+}
 
 // testEngineConfig is a small accumulating stage-2 job used across the
 // lifecycle tests.
@@ -180,7 +188,7 @@ func TestEngineSaveLoadResume(t *testing.T) {
 			e.TrainBatch(ids, targets)
 		}
 		if snap := e.Save(); snap != nil {
-			blob, _ = snap.Encode()
+			blob, _ = encode(snap)
 		}
 	}); err != nil {
 		t.Fatal(err)

@@ -184,7 +184,7 @@ func TestEngineFP16ResumeKeepsScalerAndClock(t *testing.T) {
 	if first.skips != skips || first.scale != 1<<16 {
 		t.Fatalf("precondition: %d skips at scale %g after %d boundaries, want %d at 2^16", first.skips, first.scale, saveAt, skips)
 	}
-	blob, err := snap.Encode()
+	blob, err := encode(snap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,8 +50,8 @@ type Spec struct {
 	// before it is declared failed (0 = a rank death fails the job).
 	MaxRestarts int `json:"max_restarts,omitempty"`
 	// RestartRanks, when non-zero, is the world size restarted attempts run
-	// at — the elastic shrink/grow path: each rank of the new world slices
-	// its own partition out of the flat snapshot. Must satisfy the same
+	// at — the elastic shrink/grow path: each rank of the new world copies
+	// its own partition out of the snapshot's slabs. Must satisfy the same
 	// batch-geometry divisibility as Config.Ranks.
 	RestartRanks int `json:"restart_ranks,omitempty"`
 	// Fault, when set, deterministically kills one rank of the FIRST

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -205,8 +206,8 @@ func (s *Scheduler) worker() {
 // world with rank-death containment; when a rank dies, the survivors error
 // out collectively (no deadlock), the attempt returns, and — restart budget
 // permitting — the next attempt resumes from the last completed boundary
-// snapshot, in a world of Spec.RestartRanks ranks if that is set (the flat
-// snapshot loads at any world size). Clean attempts consolidate a final
+// snapshot, in a world of Spec.RestartRanks ranks if that is set (the
+// snapshot's slabs load at any world size). Clean attempts consolidate a final
 // checkpoint exactly as before.
 func (s *Scheduler) runJob(j *Job) {
 	if !j.transition(StateQueued, StateRunning) {
@@ -361,13 +362,17 @@ func (s *Scheduler) runAttempt(j *Job, cfg engine.Config, resume *zero.Snapshot,
 		// Checkpoint-and-stop: consolidate to rank 0 whether the loop ran
 		// to completion or was cancelled at a boundary.
 		if snap := e.Save(); snap != nil {
-			blob, encErr := snap.Encode()
-			if encErr != nil {
-				fail(encErr)
+			n := 1 << 12 // header and trailer
+			for _, slab := range snap.Slabs {
+				n += 4 * len(slab)
+			}
+			buf := bytes.NewBuffer(make([]byte, 0, n))
+			if _, err := snap.WriteTo(buf); err != nil {
+				fail(err)
 				return
 			}
 			mu.Lock()
-			snapBlob = blob
+			snapBlob = buf.Bytes()
 			mu.Unlock()
 		}
 	})

@@ -384,12 +384,9 @@ func runFP16From(t *testing.T, cfg model.Config, n, steps int, opts Options, sna
 }
 
 func (got fp16State) diff(want fp16State) string {
-	if !slices.Equal(got.snap.Params, want.snap.Params) {
-		return "fp32 masters differ"
-	}
-	for k := range want.snap.Opt {
-		if !slices.Equal(got.snap.Opt[k], want.snap.Opt[k]) {
-			return fmt.Sprintf("optimizer tensor %d differs", k)
+	for r := range want.snap.Slabs {
+		if !slices.Equal(got.snap.Slabs[r], want.snap.Slabs[r]) {
+			return fmt.Sprintf("rank %d's slab of fp32 masters and optimizer moments differs", r)
 		}
 	}
 	for r := range want.gathered {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 )
 
 // Snapshot blobs end in a fixed 16-byte integrity trailer:
@@ -18,19 +19,33 @@ import (
 // frameMagic terminates every sealed blob.
 var frameMagic = [4]byte{'Z', 'C', 'K', '1'}
 
-// frameTrailerLen is the byte length sealFrame appends.
+// frameTrailerLen is the byte length seal writes.
 const frameTrailerLen = 16
 
-// sealFrame appends the integrity trailer to payload (in place if capacity
-// allows) and returns the sealed blob.
-func sealFrame(payload []byte) []byte {
-	n := len(payload)
-	out := append(payload, make([]byte, frameTrailerLen)...)
-	tr := out[n:]
-	binary.LittleEndian.PutUint64(tr[0:8], uint64(n))
-	binary.LittleEndian.PutUint32(tr[8:12], crc32.ChecksumIEEE(payload))
+// frameWriter streams a payload to w, keeping the length and running
+// CRC-32 its trailer records.
+type frameWriter struct {
+	w   io.Writer
+	n   int64 // payload bytes written
+	crc uint32
+}
+
+func (f *frameWriter) Write(p []byte) (int, error) {
+	n, err := f.w.Write(p)
+	f.n += int64(n)
+	f.crc = crc32.Update(f.crc, crc32.IEEETable, p[:n])
+	return n, err
+}
+
+// seal writes the trailer after the payload and returns the bytes written
+// in all.
+func (f *frameWriter) seal() (int64, error) {
+	var tr [frameTrailerLen]byte
+	binary.LittleEndian.PutUint64(tr[0:8], uint64(f.n))
+	binary.LittleEndian.PutUint32(tr[8:12], f.crc)
 	copy(tr[12:16], frameMagic[:])
-	return out
+	n, err := f.w.Write(tr[:])
+	return f.n + int64(n), err
 }
 
 // openFrame verifies and strips the integrity trailer, returning the

@@ -2,20 +2,22 @@ package zero
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/comm"
 	"repro/internal/tensor"
 )
 
-// Snapshot is a full training checkpoint, and the only one: parameters plus
-// the optimizer state that ZeRO keeps partitioned across ranks, as flat
-// NumParams-long buffers. Because every piece of state is an exact Ψ/N
-// partition of a flat buffer, the consolidated form is world-size-agnostic
-// by construction: Load at any world size slices its own partition out.
-// Save gathers the shards to rank 0 (the "consolidated checkpoint"
-// operation of ZeRO systems — under partitioning no single rank holds the
-// whole optimizer state, so checkpointing is itself a collective); Encode
-// and DecodeSnapshot (zelc.go) are its one serialized form.
+// Snapshot is a training checkpoint, and the only one: the clock, loss
+// scaler and geometry of the capturing world, plus its slabs. Slab r is
+// what rank r's CaptureShard returned: its partition comm.Partition(
+// NumParams, WorldSize)[r] of the fp32 master parameters, then of each
+// optimizer state tensor (State() order), then — when AccumMicros > 0 — of
+// the gradient accumulator. The slabs in rank order are ZELC's payload
+// (zelc.go). No rank ever holds the state Ψ-wide: Save gathers the slabs to
+// rank 0 (under partitioning checkpointing is itself a collective), WriteTo
+// streams them, and Load at any world size copies its own domain out of
+// the slabs that overlap it.
 type Snapshot struct {
 	Stage     Stage
 	WorldSize int // the capturing world; Load accepts any
@@ -28,20 +30,11 @@ type Snapshot struct {
 	CleanSteps int
 	Skips      int
 
-	Params []float32 // fp32 master parameters (full)
-	// Opt holds the optimizer's state tensors, each NumParams long, in the
-	// optimizer's State() order: momentum and variance for Adam/LAMB, the
-	// single momentum buffer for SGD.
-	Opt [][]float32
-
-	// Accum carries the gradient accumulator when the snapshot was captured
-	// mid-accumulation (AccumMicros > 0): the sum of AccumMicros
-	// micro-batch gradients, full width. Boundary snapshots (Save) leave it
-	// nil. Only the CaptureShard path produces mid-accumulation snapshots;
-	// Load restores the accumulator so training resumes inside the same
-	// accumulation window.
-	Accum       []float32
+	// AccumMicros counts the micro-batch gradients in the slabs'
+	// accumulator: 0, and no accumulator, on a boundary (Save's captures).
 	AccumMicros int
+
+	Slabs [][]float32 // one per capturing rank, rank order
 }
 
 // Boundaries returns the accumulation boundaries the captured run has
@@ -51,37 +44,42 @@ func (s *Snapshot) Boundaries() int { return s.OptSteps + s.Skips }
 
 // Save gathers this world's partitioned training state to rank 0 and
 // returns the snapshot there; other ranks return nil. Every rank must
-// call Save collectively: it is CaptureShard, one Gather of the slabs and
-// AssembleSnapshot on the root. Save must be called on an accumulation
-// boundary (right after Update); it panics if micro-gradients are pending
-// in the accumulator.
+// call Save collectively: it is CaptureShard and GatherSnapshot on the
+// default domain. Save must be called on an accumulation boundary (right
+// after Update); it panics if micro-gradients are pending in the
+// accumulator.
 func (t *Trainer) Save() *Snapshot {
 	if t.accumMicros != 0 {
 		panic("zero: Save mid-accumulation (call on an Update boundary)")
 	}
-	const root = 0
 	slab, hdr := t.CaptureShard(nil)
-	if t.c.Rank() != root {
-		t.c.Gather(slab, root, nil)
+	return GatherSnapshot(t.c, hdr, slab)
+}
+
+// GatherSnapshot is the collective half of a capture: every rank of c
+// passes the slab and header its CaptureShard returned, and rank 0 gets
+// the world's slabs back as one Snapshot; the other ranks get nil. Rank
+// 0's own slab becomes the snapshot's first as it is, so rank 0 must not
+// reuse it; the others' are copied onto the wire, and they may.
+func GatherSnapshot(c *comm.Comm, hdr Snapshot, slab []float32) *Snapshot {
+	if c.Rank() != 0 {
+		c.Gather(slab, 0, nil)
 		return nil
 	}
-	slabs := make([][]float32, t.c.Size())
-	t.c.Gather(slab, root, slabs)
-	snap, err := AssembleSnapshot(hdr, slabs)
-	if err != nil {
-		panic(err) // the slabs are this world's own captures
-	}
-	return snap
+	hdr.Slabs = make([][]float32, c.Size())
+	c.Gather(nil, 0, hdr.Slabs) // the root's own slab needs no copy
+	hdr.Slabs[0] = slab
+	return &hdr
 }
 
 // Load restores a snapshot into this rank: the master parameters, the
-// optimizer state over its domain and, when both carry one, the loss
-// scaler; the next Forward gathers the rest. Every rank must receive the same
-// snapshot; Load only copies out of it, so the ranks of one process can
-// share a single read-only *Snapshot. The snapshot's world size need not
-// match: repartitioning happens naturally because the state is stored
-// unpartitioned (ZeRO elasticity). The optimizer kind must match the one
-// that wrote the snapshot (the state tensor count is checked).
+// optimizer state and the accumulator over its domain and, when both carry
+// one, the loss scaler; the next Forward gathers the rest. Every rank must
+// receive the same snapshot; Load only copies out of it, so the ranks of
+// one process can share a single read-only *Snapshot, whatever world size
+// captured it (ZeRO elasticity). The optimizer kind must match the one
+// that wrote it. Every check runs before the first write, so a rejected
+// snapshot leaves the trainer as it was.
 func (t *Trainer) Load(s *Snapshot) error {
 	if s == nil {
 		return fmt.Errorf("zero: Load of nil snapshot")
@@ -89,58 +87,78 @@ func (t *Trainer) Load(s *Snapshot) error {
 	if s.NumParams != t.Model.NumParams() {
 		return fmt.Errorf("zero: snapshot has %d params, model has %d", s.NumParams, t.Model.NumParams())
 	}
-	if len(s.Opt) != len(t.opt.State()) {
-		return fmt.Errorf("zero: snapshot has %d optimizer state tensors, optimizer expects %d (different optimizer kind?)",
-			len(s.Opt), len(t.opt.State()))
+	parts, k, err := s.layout()
+	if err != nil {
+		return err
 	}
-	dom := t.dom
-	shards := make([][]float32, len(s.Opt))
-	for i, full := range s.Opt {
-		if len(full) != s.NumParams {
-			return fmt.Errorf("zero: snapshot optimizer state %d has %d elems, want %d", i, len(full), s.NumParams)
-		}
-		shards[i] = full[dom.Lo:dom.Hi]
+	state := t.opt.State()
+	dst := append([][]float32{t.master}, state...)
+	if s.AccumMicros > 0 {
+		dst = append(dst, t.accum)
 	}
-	t.opt.Restore(shards, s.OptSteps)
-	tensor.Copy(t.master, s.Params[dom.Lo:dom.Hi])
+	if k != len(dst) {
+		return fmt.Errorf("zero: snapshot slabs carry %d tensors, this trainer restores %d (different optimizer kind?)", k, len(dst))
+	}
+	for j, d := range dst {
+		s.read(d, parts, j, t.dom.Lo)
+	}
+	t.opt.Restore(state, s.OptSteps) // the tensors are in place; this sets the clock
 	t.publish()
 	if t.scaler != nil && s.LossScale > 0 {
 		t.scaler.Restore(s.LossScale, s.CleanSteps, s.Skips)
 		t.Model.LossScale = float32(s.LossScale)
 	}
-	if s.AccumMicros > 0 {
-		if len(s.Accum) != s.NumParams {
-			return fmt.Errorf("zero: snapshot accumulator has %d elems, want %d", len(s.Accum), s.NumParams)
-		}
-		copy(t.accum, s.Accum[dom.Lo:dom.Hi])
-		t.accumMicros = s.AccumMicros
-	} else {
+	if s.AccumMicros == 0 {
 		tensor.Zero(t.accum)
-		t.accumMicros = 0
 	}
+	t.accumMicros = s.AccumMicros
 	return nil
+}
+
+// Regroup returns the snapshot as a world of m ranks would have captured
+// it: the same header and floats, re-tiled into comm.Partition(NumParams,
+// m) slabs backed by one buffer. N→M→N reproduces the slabs exactly.
+func (s *Snapshot) Regroup(m int) (*Snapshot, error) {
+	if m <= 0 {
+		return nil, fmt.Errorf("zero: regroup for %d ranks", m)
+	}
+	parts, k, err := s.layout()
+	if err != nil {
+		return nil, err
+	}
+	out := *s
+	out.WorldSize = m
+	to := comm.Partition(s.NumParams, m)
+	out.Slabs = tile(make([]float32, k*s.NumParams), to, k)
+	for q, p := range to {
+		for j := range k {
+			s.read(out.Slabs[q][j*p.Len():(j+1)*p.Len()], parts, j, p.Lo)
+		}
+	}
+	return &out, nil
 }
 
 // CaptureShard appends this rank's slab — its owned partition of the
 // training state, laid out [params | optimizer tensors… | accumulator?] — to
-// dst (reusing its capacity: a warmed capture allocates nothing) and returns
-// it with the capture's header, a Snapshot carrying the clock, loss scaler
-// and geometry but no buffers. Unlike Save it is a pure local copy — no
-// collectives — so capturing is legal at any point, including
-// mid-accumulation (the accumulator rides along when AccumMicros > 0), and
-// never perturbs the stream schedule. The slabs of all ranks tile [0, NumParams):
-// AssembleSnapshot turns a world of them into the full Snapshot. At stage 0
-// the state is replicated, but each rank still captures only its partition
-// slice — the replicas are bitwise identical, so the tiling reassembles the
-// exact full state.
+// dst, growing it at most once, to fit exactly (a warmed capture into a
+// reused dst allocates nothing), and returns it with the capture's header:
+// a Snapshot with the clock, loss scaler and geometry but no slabs. Unlike
+// Save it is a pure local copy — no collectives — so capturing is legal at
+// any point, including mid-accumulation (the accumulator rides along when
+// AccumMicros > 0), and never perturbs the stream schedule. At stage 0 the
+// state is replicated, but each rank still captures only its partition —
+// the replicas are bitwise identical, so the world's slabs tile the state.
 func (t *Trainer) CaptureShard(dst []float32) ([]float32, Snapshot) {
 	lo, hi := t.local(t.Owned())
-	dst = append(dst, t.master[lo:hi]...)
-	for _, s := range t.opt.State() {
-		dst = append(dst, s[lo:hi]...)
-	}
+	src := append([][]float32{t.master}, t.opt.State()...)
 	if t.accumMicros > 0 {
-		dst = append(dst, t.accum[lo:hi]...)
+		src = append(src, t.accum)
+	}
+	if n := len(dst) + len(src)*(hi-lo); cap(dst) < n {
+		dst = append(make([]float32, 0, n), dst...)
+	}
+	for _, x := range src {
+		dst = append(dst, x[lo:hi]...)
 	}
 	hdr := Snapshot{
 		Stage:       t.stage,
@@ -155,57 +173,43 @@ func (t *Trainer) CaptureShard(dst []float32) ([]float32, Snapshot) {
 	return dst, hdr
 }
 
-// alloc gives s — so far a header — its zeroed flat buffers: Params, k
-// optimizer tensors and, mid-accumulation, Accum. It returns them in slab
-// (and ZELC payload) order.
-func (s *Snapshot) alloc(k int) [][]float32 {
-	s.Params = make([]float32, s.NumParams)
-	s.Opt = make([][]float32, k)
-	for i := range s.Opt {
-		s.Opt[i] = make([]float32, s.NumParams)
+// layout checks the header and slabs against each other and returns the
+// partition the slabs follow and the tensors each carries: params, the
+// optimizer's, and the accumulator when AccumMicros > 0.
+func (s *Snapshot) layout() ([]comm.Range, int, error) {
+	if s.WorldSize <= 0 || s.NumParams <= 0 || s.OptSteps < 0 || s.AccumMicros < 0 ||
+		!scalerValid(s.LossScale, s.CleanSteps, s.Skips) || len(s.Slabs) != s.WorldSize {
+		return nil, 0, fmt.Errorf("zero: snapshot header out of range (world size %d with %d slabs, params %d, steps %d, micros %d, loss scale %g, clean steps %d, skips %d)",
+			s.WorldSize, len(s.Slabs), s.NumParams, s.OptSteps, s.AccumMicros, s.LossScale, s.CleanSteps, s.Skips)
 	}
-	if s.AccumMicros > 0 {
-		s.Accum = make([]float32, s.NumParams)
-	}
-	return s.tensors()
-}
-
-// tensors returns the snapshot's flat buffers in slab (and ZELC payload)
-// order.
-func (s *Snapshot) tensors() [][]float32 {
-	ts := append([][]float32{s.Params}, s.Opt...)
-	if s.AccumMicros > 0 {
-		ts = append(ts, s.Accum)
-	}
-	return ts
-}
-
-// AssembleSnapshot scatters one CaptureShard slab per rank (rank order) into
-// the flat buffers of a full Snapshot; hdr is any rank's capture header from
-// the same moment. The optimizer tensor count is read off the slab sizes.
-func AssembleSnapshot(hdr Snapshot, slabs [][]float32) (*Snapshot, error) {
-	total := 0
-	for _, slab := range slabs {
-		total += len(slab)
-	}
-	fixed := 1 // tensors every slab carries besides the optimizer's: params
-	if hdr.AccumMicros > 0 {
-		fixed = 2 // and the accumulator
-	}
-	if hdr.WorldSize != len(slabs) || hdr.NumParams <= 0 || total%hdr.NumParams != 0 || total/hdr.NumParams < fixed {
-		return nil, fmt.Errorf("zero: %d slabs of %d floats do not assemble into a %d-rank snapshot of %d params",
-			len(slabs), total, hdr.WorldSize, hdr.NumParams)
-	}
-	s := hdr
-	ts := s.alloc(total/s.NumParams - fixed)
-	for r, p := range comm.Partition(s.NumParams, len(slabs)) {
-		slab := slabs[r]
-		if len(slab) != len(ts)*p.Len() {
-			return nil, fmt.Errorf("zero: rank %d slab has %d floats, its partition needs %d", r, len(slab), len(ts)*p.Len())
-		}
-		for _, t := range ts {
-			slab = slab[copy(t[p.Lo:p.Hi], slab):]
+	parts := comm.Partition(s.NumParams, s.WorldSize)
+	k := len(s.Slabs[0]) / parts[0].Len() // rank 0's partition is never empty
+	for r, p := range parts {
+		if len(s.Slabs[r]) != k*p.Len() || k < 1+min(s.AccumMicros, 1) {
+			return nil, 0, fmt.Errorf("zero: rank %d slab has %d floats, not %d tensors of its %d params", r, len(s.Slabs[r]), k, p.Len())
 		}
 	}
-	return &s, nil
+	return parts, k, nil
+}
+
+// read copies tensor j's range [lo, lo+len(dst)) out of the slabs that
+// overlap it; parts is the partition the slabs follow (layout's).
+func (s *Snapshot) read(dst []float32, parts []comm.Range, j, lo int) {
+	hi := lo + len(dst)
+	a := sort.Search(len(parts), func(r int) bool { return parts[r].Hi > lo })
+	b := a + sort.Search(len(parts)-a, func(r int) bool { return parts[a+r].Lo >= hi })
+	for r, in := range intersect(parts[a:b], lo, hi) {
+		p := parts[a+r]
+		off := j*p.Len() - p.Lo // the slab holds tensor j's element i at off+i
+		tensor.Copy(dst[in.Lo-lo:in.Hi-lo], s.Slabs[a+r][off+in.Lo:off+in.Hi])
+	}
+}
+
+// tile cuts buf into one slab per range of parts, k tensors each, in order.
+func tile(buf []float32, parts []comm.Range, k int) [][]float32 {
+	slabs := make([][]float32, len(parts))
+	for r, p := range parts {
+		slabs[r], buf = buf[:k*p.Len():k*p.Len()], buf[k*p.Len():]
+	}
+	return slabs
 }

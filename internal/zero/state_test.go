@@ -1,6 +1,10 @@
 package zero
 
 import (
+	"io"
+	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/comm"
@@ -35,7 +39,7 @@ func TestSaveLoadResumesBitwise(t *testing.T) {
 			snap := tr.Save()
 			if c.Rank() == 0 {
 				var err error
-				blob, err = snap.Encode()
+				blob, err = encode(snap)
 				if err != nil {
 					t.Error(err)
 				}
@@ -87,7 +91,7 @@ func TestElasticRestoreAcrossWorldSizes(t *testing.T) {
 			tr.Step(ids, targets, batch)
 		}
 		if snap := tr.Save(); snap != nil {
-			blob, _ = snap.Encode()
+			blob, _ = encode(snap)
 		}
 	})
 
@@ -139,7 +143,7 @@ func TestSaveLoadFP16PreservesMasters(t *testing.T) {
 			tr.Step(ids, targets, batch)
 		}
 		if snap := tr.Save(); snap != nil {
-			blob, _ = snap.Encode()
+			blob, _ = encode(snap)
 		}
 	})
 	snap, err := DecodeSnapshot(blob)
@@ -168,26 +172,82 @@ func TestSaveLoadFP16PreservesMasters(t *testing.T) {
 	}
 }
 
+// Load checks the whole snapshot before it writes anything: every
+// malformed snapshot is refused with an error, not a panic, and leaves the
+// trainer's state — all CaptureShard sees, clock included — bit for bit as
+// it was.
 func TestLoadValidation(t *testing.T) {
+	cfg := testConfig()
+	const batch = 4
+	ids, targets := model.SyntheticBatch(3, batch, cfg.Seq, cfg.Vocab)
 	w := comm.NewWorld(1)
 	w.Run(func(c *comm.Comm) {
-		tr := MustNew(c, testConfig(), Options{Stage: StageOSGrad, Optimizer: optimizer.Spec{LR: testLR}})
-		if err := tr.Load(nil); err == nil {
-			t.Error("expected error for nil snapshot")
+		tr := MustNew(c, cfg, Options{Stage: StageOSGrad, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed})
+		defer tr.Close()
+		tr.Step(ids, targets, batch)
+		good, err := tr.Save().Regroup(2) // two slabs, so one can go missing
+		if err != nil {
+			t.Error(err)
+			return
 		}
-		if err := tr.Load(&Snapshot{NumParams: 1}); err == nil {
-			t.Error("expected error for size mismatch")
+		// The trainer moves past the snapshot and holds a pending
+		// micro-batch, so a write to the accumulator would show too.
+		tr.Step(ids, targets, batch)
+		tr.Forward(ids, targets, batch)
+		tr.Backward()
+		before, hdr := tr.CaptureShard(nil)
+
+		parts := comm.Partition(good.NumParams, good.WorldSize)
+		edit := func(f func(s *Snapshot)) *Snapshot {
+			s := *good
+			s.Slabs = slices.Clone(good.Slabs)
+			f(&s)
+			return &s
+		}
+		for _, row := range []struct {
+			name string
+			snap *Snapshot
+		}{
+			{"nil", nil},
+			{"size mismatch", &Snapshot{NumParams: 1}},
+			{"short slab", edit(func(s *Snapshot) { s.Slabs[0] = s.Slabs[0][:len(s.Slabs[0])-1] })},
+			{"missing slab", edit(func(s *Snapshot) { s.Slabs = s.Slabs[:1] })},
+			{"tensor-count mismatch", edit(func(s *Snapshot) { // momentum only: an SGD snapshot
+				for r, p := range parts {
+					s.Slabs[r] = s.Slabs[r][:2*p.Len()]
+				}
+			})},
+			{"accumulator missing", edit(func(s *Snapshot) { s.AccumMicros = 1 })},
+			{"negative steps", edit(func(s *Snapshot) { s.OptSteps = -1 })},
+			{"negative loss scale", edit(func(s *Snapshot) { s.LossScale = -1 })},
+		} {
+			if err := tr.Load(row.snap); err == nil {
+				t.Errorf("%s: loaded", row.name)
+			}
+			after, h := tr.CaptureShard(nil)
+			if bitDiff(after, before) != "" || !reflect.DeepEqual(h, hdr) {
+				t.Errorf("%s: the refused Load changed the trainer's state", row.name)
+				before, hdr = after, h // name only the rows that write
+			}
+		}
+		// Control: the intact snapshot loads and does move the state.
+		if err := tr.Load(good); err != nil {
+			t.Error(err)
+		}
+		if after, _ := tr.CaptureShard(nil); bitDiff(after, before) == "" {
+			t.Error("control: loading the snapshot left the state alone")
 		}
 	})
 }
 
 func TestSnapshotEncodeDecode(t *testing.T) {
+	// Three params over four ranks, two optimizer tensors: rank r holds
+	// param r, then its momentum and variance; rank 3's slab is empty.
 	s := &Snapshot{
 		Stage: StageOSGrad, WorldSize: 4, NumParams: 3, OptSteps: 7,
-		Params: []float32{1, 2, 3},
-		Opt:    [][]float32{{4, 5, 6}, {7, 8, 9}},
+		Slabs: [][]float32{{1, 4, 7}, {2, 5, 8}, {3, 6, 9}, {}},
 	}
-	blob, err := s.Encode()
+	blob, err := encode(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,10 +255,74 @@ func TestSnapshotEncodeDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.OptSteps != 7 || got.Params[2] != 3 || got.Opt[1][0] != 7 {
+	if got.OptSteps != 7 || !reflect.DeepEqual(got.Slabs, s.Slabs) {
 		t.Errorf("round trip mangled snapshot: %+v", got)
+	}
+	one, err := got.Regroup(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []float32{1, 2, 3, 4, 5, 6, 7, 8, 9}; !slices.Equal(one.Slabs[0], want) {
+		t.Errorf("regrouped for one rank: %v, want params then each tensor, whole: %v", one.Slabs[0], want)
 	}
 	if _, err := DecodeSnapshot([]byte("garbage")); err == nil {
 		t.Error("expected decode error")
+	}
+}
+
+// Save builds no Ψ-wide state: on the shape below (Ψ = 3,692,032, Adam,
+// stage 3, 4 ranks) a warmed Save + WriteTo(io.Discard) allocates at most
+// twice the model state's 12Ψ bytes process-wide — each slab once as
+// captured and once as gathered to rank 0, the ZELC bytes streamed through
+// one small buffer. Scattering the slabs into Ψ-wide tensors and encoding
+// them into one blob took 5.2×.
+func TestSaveAllocatesNoPsiWideState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation totals vary under -race")
+	}
+	cfg := model.Config{Layers: 4, Hidden: 256, Heads: 4, Vocab: 2048, Seq: 32}
+	const n = 4
+	var grew uint64
+	w := comm.NewWorld(n)
+	w.Run(func(c *comm.Comm) {
+		tr := MustNew(c, cfg, Options{Stage: StageFull, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed})
+		defer tr.Close()
+		save := func() {
+			if s := tr.Save(); s != nil {
+				if _, err := s.WriteTo(io.Discard); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+		save() // warm-up
+		var before, after runtime.MemStats
+		c.Barrier()
+		if c.Rank() == 0 {
+			// A warm world's wire pool holds a copy for each of the n-1
+			// slabs that can be in flight at once; one Save pools fewer
+			// when its sends do not overlap.
+			slab, _ := tr.CaptureShard(nil)
+			wire := make([][]float32, n-1)
+			for i := range wire {
+				wire[i] = w.WirePool().Get(len(slab))
+			}
+			for _, b := range wire {
+				w.WirePool().Put(b)
+			}
+			runtime.ReadMemStats(&before)
+		}
+		c.Barrier()
+		save()
+		c.Barrier()
+		if c.Rank() == 0 {
+			runtime.ReadMemStats(&after)
+			grew = after.TotalAlloc - before.TotalAlloc
+		}
+	})
+	state := uint64(12 * cfg.ParamCount()) // fp32 master + Adam's two moments
+	t.Logf("Save + WriteTo allocated %d bytes, %.2f× the model state", grew, float64(grew)/float64(state))
+	if grew > 2*state {
+		t.Errorf("Save + WriteTo allocated %d bytes, %.2f× the %d-byte model state; want ≤ 2×",
+			grew, float64(grew)/float64(state), state)
 	}
 }

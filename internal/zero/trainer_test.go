@@ -387,12 +387,9 @@ func (got contractRun) diff(t *testing.T, name string, want contractRun) {
 	if got.snap == nil || want.snap == nil {
 		t.Fatalf("%s: rank 0 Save returned no snapshot", name)
 	}
-	if d := bitDiff(got.snap.Params, want.snap.Params); d != "" {
-		t.Errorf("%s: Save Params%s in the unpoisoned twin", name, d)
-	}
-	for s := range want.snap.Opt {
-		if d := bitDiff(got.snap.Opt[s], want.snap.Opt[s]); d != "" {
-			t.Errorf("%s: Save Opt[%d]%s in the unpoisoned twin", name, s, d)
+	for r := range want.snap.Slabs {
+		if d := bitDiff(got.snap.Slabs[r], want.snap.Slabs[r]); d != "" {
+			t.Errorf("%s: Save's rank %d slab%s in the unpoisoned twin", name, r, d)
 		}
 	}
 }

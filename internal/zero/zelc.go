@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 
 	"repro/internal/comm"
@@ -12,24 +13,24 @@ import (
 
 // ZELC v1, the one serialized form of a Snapshot — on disk (ckpt-*.zelc, the
 // zerotrain -save/-load files) and on the wire (the zeroserve checkpoint route).
-// Little endian, sealed with sealFrame's integrity trailer:
+// Little endian, sealed with the frame writer's integrity trailer (frame.go):
 //
 //	magic "ZELC" | version u32 | headerLen u32 | header JSON
 //	| payload float32s | trailer
 //
 // The JSON header is the self-describing part: a human can `dd` it out and
-// read the geometry without this package. The payload is grouped by the
-// capturing world's shards — comm.Partition(num_params, world_size) — and
-// carries for each shard its params, then each optimizer tensor, then (if
+// read the geometry without this package. The payload is the capturing
+// world's slabs in rank order — for each shard of comm.Partition(num_params,
+// world_size) its params, then each optimizer tensor, then (if
 // accum_micros > 0) the accumulator. Under fp16 compute the header also
 // carries the loss scaler — loss_scale, clean_steps, overflow_skips — and
 // omits all three otherwise. The shard table is redundant with
-// (num_params, world_size); Encode derives it and DecodeSnapshot insists on
-// it, so any world size reads any file by slicing the flat buffers.
+// (num_params, world_size); WriteTo derives it and DecodeSnapshot insists
+// on it, so any world size reads any file by the same range map.
 
 var zelcMagic = [4]byte{'Z', 'E', 'L', 'C'}
 
-// zelcVersion is the format version Encode writes; DecodeSnapshot rejects
+// zelcVersion is the format version WriteTo writes; DecodeSnapshot rejects
 // any other.
 const zelcVersion = 1
 
@@ -62,11 +63,10 @@ type zelcShard struct {
 	Hi   int `json:"hi"`
 }
 
-// canonical returns the header bytes Encode writes for h's scalar fields —
-// version and shard table derived, whatever h carried — and the partition
-// the table lists.
-func (h zelcHeader) canonical() ([]byte, []comm.Range) {
-	parts := comm.Partition(h.NumParams, h.WorldSize)
+// canonical returns the header bytes WriteTo writes for h's scalar fields —
+// version derived, and the shard table listing parts, which is
+// comm.Partition(h.NumParams, h.WorldSize) — whatever h carried.
+func (h zelcHeader) canonical(parts []comm.Range) []byte {
 	h.Version = zelcVersion
 	h.Shards = make([]zelcShard, len(parts))
 	for r, p := range parts {
@@ -76,61 +76,59 @@ func (h zelcHeader) canonical() ([]byte, []comm.Range) {
 	if err != nil {
 		panic(err) // ints and a finite scale cannot fail to marshal
 	}
-	return b, parts
+	return b
 }
 
-// Encode serializes the snapshot as ZELC v1.
-func (s *Snapshot) Encode() ([]byte, error) {
-	if s.WorldSize <= 0 || s.NumParams <= 0 || s.OptSteps < 0 || s.AccumMicros < 0 {
-		return nil, fmt.Errorf("zero: snapshot geometry out of range (world size %d, params %d, steps %d, micros %d)",
-			s.WorldSize, s.NumParams, s.OptSteps, s.AccumMicros)
-	}
-	if !scalerValid(s.LossScale, s.CleanSteps, s.Skips) {
-		return nil, fmt.Errorf("zero: snapshot loss scaler out of range (scale %g, clean steps %d, skips %d)",
-			s.LossScale, s.CleanSteps, s.Skips)
-	}
-	if s.AccumMicros == 0 && len(s.Accum) != 0 {
-		return nil, fmt.Errorf("zero: boundary snapshot carries %d accumulator elems", len(s.Accum))
-	}
-	ts := s.tensors()
-	for i, t := range ts {
-		if len(t) != s.NumParams {
-			return nil, fmt.Errorf("zero: snapshot tensor %d has %d elems, want %d", i, len(t), s.NumParams)
-		}
+// WriteTo streams the snapshot to w as ZELC v1: the header, each slab in
+// rank order, then the integrity trailer, through one 64 KiB buffer. It
+// refuses a snapshot whose slabs do not match its own geometry rather than
+// write a file DecodeSnapshot would reject.
+func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
+	parts, k, err := s.layout()
+	if err != nil {
+		return 0, err
 	}
 	h := zelcHeader{
 		Stage:       int(s.Stage),
 		WorldSize:   s.WorldSize,
 		NumParams:   s.NumParams,
-		OptTensors:  len(s.Opt),
+		OptTensors:  k - 1 - min(s.AccumMicros, 1),
 		OptSteps:    s.OptSteps,
 		AccumMicros: s.AccumMicros,
 		LossScale:   s.LossScale,
 		CleanSteps:  s.CleanSteps,
 		Skips:       s.Skips,
 	}
-	hdr, parts := h.canonical()
-	buf := make([]byte, 0, 12+len(hdr)+4*len(ts)*s.NumParams+frameTrailerLen)
-	buf = append(buf, zelcMagic[:]...)
+	hdr := h.canonical(parts)
+	fw := frameWriter{w: w}
+	buf := append(make([]byte, 0, 64<<10), zelcMagic[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, zelcVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(hdr)))
 	buf = append(buf, hdr...)
-	for _, p := range parts {
-		for _, t := range ts {
-			for _, x := range t[p.Lo:p.Hi] {
-				buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(x))
+	for _, slab := range s.Slabs {
+		for _, x := range slab {
+			if len(buf)+4 > cap(buf) {
+				if _, err := fw.Write(buf); err != nil {
+					return fw.n, err
+				}
+				buf = buf[:0]
 			}
+			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(x))
 		}
 	}
-	return sealFrame(buf), nil
+	if _, err := fw.Write(buf); err != nil {
+		return fw.n, err
+	}
+	return fw.seal()
 }
 
-// DecodeSnapshot deserializes a blob written by Encode. The bytes come from
-// files and HTTP clients, so nothing in them is trusted: the integrity
+// DecodeSnapshot deserializes a blob written by WriteTo. The bytes come
+// from files and HTTP clients, so nothing in them is trusted: the integrity
 // trailer, magic and version are checked first, then the header must be
-// byte for byte what Encode writes for its own fields (which pins the shard
-// table to comm.Partition) and its geometry must account for the payload
-// exactly — all before anything payload-sized is allocated.
+// byte for byte what WriteTo writes for its own fields (which pins the
+// shard table to comm.Partition) and its geometry must account for the
+// payload exactly — all before anything payload-sized is allocated. The
+// slabs share one float buffer.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	payload, err := openFrame(data)
 	if err != nil {
@@ -164,19 +162,20 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("zero: snapshot header out of range (world size %d with %d shards, params %d, opt tensors %d, steps %d, micros %d, loss scale %g, clean steps %d, skips %d)",
 			h.WorldSize, len(h.Shards), h.NumParams, h.OptTensors, h.OptSteps, h.AccumMicros, h.LossScale, h.CleanSteps, h.Skips)
 	}
-	per := 1 + h.OptTensors
-	if h.AccumMicros > 0 {
-		per++
-	}
+	per := 1 + h.OptTensors + min(h.AccumMicros, 1) // tensors per slab
 	if len(body)%4 != 0 || floats%per != 0 || floats/per != h.NumParams {
 		return nil, fmt.Errorf("zero: payload has %d bytes, header geometry needs 4·%d·%d", len(body), per, h.NumParams)
 	}
-	canon, parts := h.canonical()
-	if !bytes.Equal(raw, canon) {
+	parts := comm.Partition(h.NumParams, h.WorldSize)
+	if !bytes.Equal(raw, h.canonical(parts)) {
 		return nil, fmt.Errorf("zero: snapshot header is not in canonical form (shard table must be comm.Partition(%d, %d))", h.NumParams, h.WorldSize)
 	}
 
-	s := &Snapshot{
+	buf := make([]float32, floats)
+	for i := range buf {
+		buf[i] = math.Float32frombits(binary.LittleEndian.Uint32(body[4*i:]))
+	}
+	return &Snapshot{
 		Stage:       Stage(h.Stage),
 		WorldSize:   h.WorldSize,
 		NumParams:   h.NumParams,
@@ -185,15 +184,6 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		LossScale:   h.LossScale,
 		CleanSteps:  h.CleanSteps,
 		Skips:       h.Skips,
-	}
-	ts := s.alloc(h.OptTensors)
-	for _, p := range parts {
-		for _, t := range ts {
-			for i := p.Lo; i < p.Hi; i++ {
-				t[i] = math.Float32frombits(binary.LittleEndian.Uint32(body))
-				body = body[4:]
-			}
-		}
-	}
-	return s, nil
+		Slabs:       tile(buf, parts, per),
+	}, nil
 }

@@ -3,10 +3,13 @@ package zero
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,11 +19,11 @@ import (
 )
 
 // The ZELC v1 format goldens under testdata/ were written by the commit
-// before the codec moved into this package (elastic.Checkpoint.Encode, the
-// sharded type this package's flat Snapshot replaced): a seeded 4-rank
-// stage-2 Adam run captured after 3 optimizer steps, once on the boundary
-// and once with one of two micro-batches pending in the accumulator. They
-// are never regenerated from this code — that is the point.
+// before the codec moved into this package (elastic.Checkpoint.Encode): a
+// seeded 4-rank stage-2 Adam run captured after 3 optimizer steps, once on
+// the boundary and once with one of two micro-batches pending in the
+// accumulator. They are never regenerated from this code — that is the
+// point.
 var zelcFixtures = []struct {
 	file     string
 	midAccum bool
@@ -38,13 +41,43 @@ func readFixture(t testing.TB, file string) []byte {
 	return blob
 }
 
-func mustEncode(t *testing.T, s *Snapshot) []byte {
+// encode is WriteTo into memory.
+func encode(s *Snapshot) ([]byte, error) {
+	var b bytes.Buffer
+	_, err := s.WriteTo(&b)
+	return b.Bytes(), err
+}
+
+func mustEncode(t testing.TB, s *Snapshot) []byte {
 	t.Helper()
-	blob, err := s.Encode()
+	blob, err := encode(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return blob
+}
+
+// sealFrame appends the integrity trailer to payload, as WriteTo's frame
+// writer does.
+func sealFrame(payload []byte) []byte {
+	var b bytes.Buffer
+	fw := frameWriter{w: &b}
+	fw.Write(payload)
+	fw.seal()
+	return b.Bytes()
+}
+
+// optTensors returns how many optimizer tensors each of s's slabs carries.
+func optTensors(t testing.TB, s *Snapshot) int {
+	t.Helper()
+	_, k, err := s.layout()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.AccumMicros > 0 {
+		k--
+	}
+	return k - 1
 }
 
 // fixtureRun replays the run the fixtures were captured from and returns
@@ -62,7 +95,7 @@ func fixtureRun(t *testing.T, midAccum bool) *Snapshot {
 		micros, extra = 2, 1
 	}
 	slabs := make([][]float32, n)
-	var hdr Snapshot
+	var snap Snapshot
 	comm.NewWorld(n).Run(func(c *comm.Comm) {
 		tr := MustNew(c, cfg, opts)
 		defer tr.Close()
@@ -73,24 +106,21 @@ func fixtureRun(t *testing.T, midAccum bool) *Snapshot {
 				tr.Update()
 			}
 		}
-		slab, h := tr.CaptureShard(nil)
+		slab, hdr := tr.CaptureShard(nil)
 		slabs[c.Rank()] = slab
 		if c.Rank() == 0 {
-			hdr = h
+			snap = hdr
 		}
 	})
-	snap, err := AssembleSnapshot(hdr, slabs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return snap
+	snap.Slabs = slabs
+	return &snap
 }
 
-// ZELC v1 is byte-compatible across the codec's move: the committed files
+// ZELC v1 is byte-compatible across the codec's moves: the committed files
 // decode and re-encode unchanged, the seeded run still captures to exactly
-// those bytes, and regrouping the payload for another world size and back
-// (N→M→N) is lossless — the flat snapshot is the same at every M, only the
-// serialized grouping follows WorldSize.
+// those bytes, and regrouping the slabs for another world size and back
+// (N→M→N) is lossless — the floats are the same at every M, only their
+// tiling follows WorldSize.
 func TestZELCFormatGolden(t *testing.T) {
 	for _, fx := range zelcFixtures {
 		want := readFixture(t, fx.file)
@@ -98,9 +128,9 @@ func TestZELCFormatGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", fx.file, err)
 		}
-		if snap.WorldSize != 4 || snap.OptSteps != 3 || len(snap.Opt) != 2 || (snap.AccumMicros > 0) != fx.midAccum {
+		if snap.WorldSize != 4 || snap.OptSteps != 3 || optTensors(t, snap) != 2 || (snap.AccumMicros > 0) != fx.midAccum {
 			t.Fatalf("%s: header mangled: world %d, steps %d, %d opt tensors, micros %d",
-				fx.file, snap.WorldSize, snap.OptSteps, len(snap.Opt), snap.AccumMicros)
+				fx.file, snap.WorldSize, snap.OptSteps, optTensors(t, snap), snap.AccumMicros)
 		}
 		if !bytes.Equal(mustEncode(t, snap), want) {
 			t.Errorf("%s: decode → encode changed the bytes", fx.file)
@@ -111,8 +141,7 @@ func TestZELCFormatGolden(t *testing.T) {
 
 		// 2000 ranks is more than there are parameters: empty shards.
 		for _, m := range []int{1, 2, 3, 5, 8, 64, 2000} {
-			snap.WorldSize = m
-			atM := mustEncode(t, snap)
+			atM := mustEncode(t, mustRegroup(t, snap, m))
 			if bytes.Equal(atM, want) {
 				t.Fatalf("%s: regrouping for %d ranks left the bytes alone", fx.file, m)
 			}
@@ -120,8 +149,7 @@ func TestZELCFormatGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s at %d ranks: %v", fx.file, m, err)
 			}
-			back.WorldSize = 4
-			if !bytes.Equal(mustEncode(t, back), want) {
+			if !bytes.Equal(mustEncode(t, mustRegroup(t, back, 4)), want) {
 				t.Errorf("%s: 4→%d→4 did not reproduce the bytes", fx.file, m)
 			}
 		}
@@ -137,11 +165,16 @@ func scaledFixture(t testing.TB) []byte {
 		t.Fatal(err)
 	}
 	snap.LossScale, snap.CleanSteps, snap.Skips = 65536, 2, 8
-	blob, err := snap.Encode()
+	return mustEncode(t, snap)
+}
+
+func mustRegroup(t testing.TB, s *Snapshot, m int) *Snapshot {
+	t.Helper()
+	at, err := s.Regroup(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return blob
+	return at
 }
 
 // The loss scaler rides in three optional ZELC v1 header fields: an fp16
@@ -188,11 +221,7 @@ func resealHeader(t testing.TB, blob []byte, edit func(hdr string) string) []byt
 // indexes past the payload, and a tensor count that passes the size check
 // on an empty payload and then sizes an allocation.
 func craftedHeaders(t testing.TB) map[string][]byte {
-	base := Snapshot{WorldSize: 1, NumParams: 4, Params: []float32{1, 2, 3, 4}}
-	blob, err := base.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := mustEncode(t, &Snapshot{WorldSize: 1, NumParams: 4, Slabs: [][]float32{{1, 2, 3, 4}}})
 	empty := sealFrame(append([]byte(nil), blob[:len(blob)-frameTrailerLen-16]...)) // header only, no floats
 	swap := func(from, to string) func(string) string {
 		return func(hdr string) string {
@@ -292,7 +321,7 @@ func TestDecodeSnapshotCorruptInput(t *testing.T) {
 			s, err := DecodeSnapshot(bad)
 			runtime.ReadMemStats(&after)
 			if err == nil {
-				t.Errorf("decoded to %d params, %d opt tensors", s.NumParams, len(s.Opt))
+				t.Errorf("decoded to %d params, %d opt tensors", s.NumParams, optTensors(t, s))
 			}
 			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 				t.Errorf("rejecting a %d-byte blob allocated %d bytes", len(bad), grew)
@@ -301,19 +330,20 @@ func TestDecodeSnapshotCorruptInput(t *testing.T) {
 	}
 }
 
-// Encode refuses snapshots whose buffers do not match their own geometry
+// WriteTo refuses snapshots whose slabs do not match their own geometry
 // rather than writing a file DecodeSnapshot would reject.
 func TestEncodeRejectsInconsistentSnapshot(t *testing.T) {
-	ok := func() *Snapshot {
-		return &Snapshot{WorldSize: 2, NumParams: 3, Params: make([]float32, 3), Opt: [][]float32{make([]float32, 3)}}
+	ok := func() *Snapshot { // 3 params over 2 ranks, one optimizer tensor
+		return &Snapshot{WorldSize: 2, NumParams: 3, Slabs: [][]float32{make([]float32, 4), make([]float32, 2)}}
 	}
 	for name, mutate := range map[string]func(*Snapshot){
 		"no world":             func(s *Snapshot) { s.WorldSize = 0 },
-		"no params":            func(s *Snapshot) { s.NumParams, s.Params, s.Opt = 0, nil, nil },
-		"short params":         func(s *Snapshot) { s.Params = s.Params[:2] },
-		"long opt tensor":      func(s *Snapshot) { s.Opt[0] = make([]float32, 4) },
-		"micros without accum": func(s *Snapshot) { s.AccumMicros = 1 },
-		"accum without micros": func(s *Snapshot) { s.Accum = make([]float32, 3) },
+		"no params":            func(s *Snapshot) { s.NumParams, s.Slabs = 0, nil },
+		"missing slab":         func(s *Snapshot) { s.Slabs = s.Slabs[:1] },
+		"short slab":           func(s *Snapshot) { s.Slabs[0] = s.Slabs[0][:3] },
+		"long slab":            func(s *Snapshot) { s.Slabs[1] = make([]float32, 3) },
+		"slabs tiled unevenly": func(s *Snapshot) { s.Slabs[0], s.Slabs[1] = s.Slabs[1], s.Slabs[0] },
+		"micros without accum": func(s *Snapshot) { s.AccumMicros, s.Slabs[0], s.Slabs[1] = 1, s.Slabs[0][:2], s.Slabs[1][:1] },
 		"negative loss scale":  func(s *Snapshot) { s.LossScale = -1 },
 		"infinite loss scale":  func(s *Snapshot) { s.LossScale = math.Inf(1) },
 		"NaN loss scale":       func(s *Snapshot) { s.LossScale = math.NaN() },
@@ -322,21 +352,21 @@ func TestEncodeRejectsInconsistentSnapshot(t *testing.T) {
 	} {
 		s := ok()
 		mutate(s)
-		if _, err := s.Encode(); err == nil {
+		if _, err := s.WriteTo(io.Discard); err == nil {
 			t.Errorf("%s: encoded", name)
 		}
 	}
-	if _, err := ok().Encode(); err != nil {
+	if _, err := ok().WriteTo(io.Discard); err != nil {
 		t.Errorf("control: %v", err)
 	}
 }
 
-// maxCodecAllocs bounds one Encode + DecodeSnapshot round trip of the
-// snapshot below. The round trip measures 29 allocations (go1.24); the 2
-// on top are slack for allocation-count drift across Go releases
-// (encoding/json), not room for a new per-tensor or per-shard allocation,
-// either of which adds at least 3.
-const maxCodecAllocs = 29 + 2
+// maxCodecAllocs bounds one WriteTo (into a reused buffer) +
+// DecodeSnapshot round trip of the snapshot below. The round trip measures
+// 25 allocations (go1.24); the 2 on top are slack for allocation-count
+// drift across Go releases (encoding/json), not room for a new per-tensor
+// or per-shard allocation, either of which adds at least 3.
+const maxCodecAllocs = 25 + 2
 
 // The ZELC codec's allocation count is a deterministic function of the
 // snapshot's geometry, so it is pinned here: a world-8 snapshot of 1<<16
@@ -346,38 +376,33 @@ func TestSnapshotCodecAllocations(t *testing.T) {
 		t.Skip("counts vary under -race: encoding/json's sync.Pool drops puts at random")
 	}
 	const n, numParams, optK = 8, 1 << 16, 2
-	snap := &Snapshot{
-		Stage:     StageOSGrad,
-		WorldSize: n,
-		NumParams: numParams,
-		OptSteps:  3,
-		Params:    make([]float32, numParams),
-		Opt:       make([][]float32, optK),
-	}
-	for i := range snap.Params {
-		snap.Params[i] = float32(i) * 0.5
-	}
-	for k := range snap.Opt {
-		snap.Opt[k] = make([]float32, numParams)
-		for i := range snap.Opt[k] {
-			snap.Opt[k][i] = float32(k*numParams + i)
+	flat := make([]float32, (1+optK)*numParams) // params, then each tensor
+	for i := range flat {
+		if i < numParams {
+			flat[i] = float32(i) * 0.5
+		} else {
+			flat[i] = float32(i - numParams)
 		}
 	}
+	whole := &Snapshot{Stage: StageOSGrad, WorldSize: 1, NumParams: numParams, OptSteps: 3, Slabs: [][]float32{flat}}
+	snap := mustRegroup(t, whole, n)
+	var b bytes.Buffer
+	b.Grow(len(mustEncode(t, snap)))
 	allocs := testing.AllocsPerRun(10, func() {
-		blob, err := snap.Encode()
-		if err != nil {
+		b.Reset()
+		if _, err := snap.WriteTo(&b); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := DecodeSnapshot(blob); err != nil {
+		if _, err := DecodeSnapshot(b.Bytes()); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > maxCodecAllocs {
-		t.Errorf("Encode + DecodeSnapshot allocates %.0f objects, want ≤ %d", allocs, maxCodecAllocs)
+		t.Errorf("WriteTo + DecodeSnapshot allocates %.0f objects, want ≤ %d", allocs, maxCodecAllocs)
 	}
 }
 
-// FuzzDecodeSnapshot: any input is rejected or is exactly what Encode
+// FuzzDecodeSnapshot: any input is rejected or is exactly what WriteTo
 // writes for the snapshot it decodes to; never a panic, and the floats it
 // holds never outweigh the input. Each input is tried as it is and sealed —
 // a mutated blob almost never keeps a valid checksum, so the sealed try is
@@ -397,16 +422,91 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			if held := 4 * len(s.tensors()) * s.NumParams; held > len(blob) {
+			held := 0
+			for _, slab := range s.Slabs {
+				held += 4 * len(slab)
+			}
+			if held > len(blob) {
 				t.Fatalf("decoded %d bytes of floats from a %d-byte blob", held, len(blob))
 			}
-			again, err := s.Encode()
+			again, err := encode(s)
 			if err != nil {
 				t.Fatalf("decoded snapshot does not re-encode: %v", err)
 			}
 			if !bytes.Equal(again, blob) {
-				t.Fatalf("accepted a blob Encode would not write:\n in  %q\n out %q", blob, again)
+				t.Fatalf("accepted a blob WriteTo would not write:\n in  %q\n out %q", blob, again)
 			}
 		}
 	})
+}
+
+// Property: regrouping is a pure range map. Seeded chains N→M₁→…→M₄→N
+// through Regroup, WriteTo and DecodeSnapshot, each Mᵢ drawn from 1..2Ψ (so
+// worlds with empty shards occur), reproduce the original bytes; and Load
+// from every intermediate gives every rank of a 2-rank stage-0 world (the
+// whole of Ψ) and of a 3-rank stage-2 world (uneven partitions straddling
+// the slabs) the same master, optimizer state and accumulator as Load from
+// the original.
+func TestPropertyRegroupChains(t *testing.T) {
+	cfg := model.Config{Layers: 1, Hidden: 10, Heads: 2, Vocab: 7, Seq: 3} // the fixtures' model
+	const seeds, hops = 8, 4
+	for _, fx := range zelcFixtures {
+		want := readFixture(t, fx.file)
+		orig, err := DecodeSnapshot(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var chain []*Snapshot
+		for seed := int64(1); seed <= seeds; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			at := orig
+			for range hops {
+				m := 1 + r.Intn(2*orig.NumParams)
+				if at, err = DecodeSnapshot(mustEncode(t, mustRegroup(t, at, m))); err != nil {
+					t.Fatalf("%s seed %d at %d ranks: %v", fx.file, seed, m, err)
+				}
+				chain = append(chain, at)
+			}
+			if !bytes.Equal(mustEncode(t, mustRegroup(t, at, orig.WorldSize)), want) {
+				t.Errorf("%s seed %d: the chain back to %d ranks did not reproduce the bytes", fx.file, seed, orig.WorldSize)
+			}
+		}
+		for _, world := range []struct {
+			n     int
+			stage Stage
+		}{{2, StageDDP}, {3, StageOSGrad}} {
+			comm.NewWorld(world.n).Run(func(c *comm.Comm) {
+				tr := MustNew(c, cfg, Options{Stage: world.stage, Optimizer: optimizer.Spec{LR: testLR}})
+				defer tr.Close()
+				if err := tr.Load(orig); err != nil {
+					t.Error(err)
+					return
+				}
+				ref := domainState(tr)
+				for i, s := range chain {
+					if err := tr.Load(s); err != nil {
+						t.Error(err)
+						return
+					}
+					for j, got := range domainState(tr) {
+						if d := bitDiff(got, ref[j]); d != "" {
+							t.Errorf("%s seed %d hop %d (%d ranks), %v rank %d of %d: domain tensor %d%s loading the original",
+								fx.file, 1+i/hops, 1+i%hops, s.WorldSize, world.stage, c.Rank(), world.n, j, d)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// domainState copies what Load writes on tr's rank: the master, each
+// optimizer tensor and the accumulator over the rank's domain, then the
+// optimizer's step count and the pending micro-batches.
+func domainState(tr *Trainer) [][]float32 {
+	out := [][]float32{slices.Clone(tr.master)}
+	for _, s := range tr.opt.State() {
+		out = append(out, slices.Clone(s))
+	}
+	return append(out, slices.Clone(tr.accum), []float32{float32(tr.opt.Steps()), float32(tr.accumMicros)})
 }
