@@ -99,10 +99,11 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run=NONE -fuzz=FuzzParseSpec -fuzztime=3s -fuzzminimizetime=100x
 
 # Control-plane smoke: the full submit → stream → checkpoint HTTP round
-# trip against an in-process zeroserve, and one bad spec per engine config
-# class answered 400 (part of `make check`).
+# trip against an in-process zeroserve, one bad spec per engine config
+# class answered 400, and the retention bound — six served jobs leave the
+# live heap less than one checkpoint above two (part of `make check`).
 serve-smoke:
-	$(GO) test ./internal/serve -run 'TestServeSubmitStreamCheckpoint|TestServeAdmissionErrors' -count=1
+	$(GO) test ./internal/serve -run 'TestServeSubmitStreamCheckpoint|TestServeAdmissionErrors|TestServeHeapIndependentOfServedJobs' -count=1
 
 # Elastic-recovery smoke: a deterministic mid-run rank kill recovered by
 # the supervisor from its last boundary snapshot, under the race detector

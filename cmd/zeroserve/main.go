@@ -21,7 +21,7 @@
 //	GET    /v1/jobs/{id}              job status
 //	GET    /v1/jobs/{id}/metrics      per-step NDJSON (SSE via Accept)
 //	DELETE /v1/jobs/{id}              cancel
-//	GET    /v1/jobs/{id}/checkpoint   final snapshot (ZELC; zerotrain -load reads it)
+//	GET    /v1/jobs/{id}/checkpoint   final snapshot's ZELC file (zerotrain -load reads it)
 //	GET    /healthz                   liveness, no auth
 //
 // SIGINT/SIGTERM drains gracefully: the listener stops, queued jobs are
@@ -55,7 +55,7 @@ func main() {
 		queueDepth = flag.Int("queue-depth", def.QueueDepth, "admitted jobs waiting behind the running ones")
 		ringSize   = flag.Int("ring", def.MetricRing, "per-job metric ring capacity in step records")
 		maxSteps   = flag.Int("max-steps", def.MaxSteps, "per-job optimizer step cap")
-		snapDir    = flag.String("snapshot-dir", "", "directory for per-job elastic snapshots (empty = in-memory only)")
+		snapDir    = flag.String("snapshot-dir", "", "directory for per-job final checkpoints and elastic snapshots (empty = snapshots in memory, final checkpoints in a temp dir removed at drain)")
 		snapKeep   = flag.Int("snapshot-keep", def.SnapshotKeep, "checkpoint files retained per job in -snapshot-dir")
 		drainWait  = flag.Duration("drain-timeout", 30*time.Second, "how long to wait for running jobs to checkpoint-and-stop")
 	)

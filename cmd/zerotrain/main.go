@@ -230,14 +230,7 @@ func main() {
 	elapsed := time.Since(start)
 
 	if *savePath != "" {
-		f, err := os.Create(*savePath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		n, err := saved.WriteTo(f)
-		if err == nil {
-			err = f.Close()
-		}
+		n, err := saved.WriteFile(*savePath)
 		if err != nil {
 			log.Fatal(err)
 		}

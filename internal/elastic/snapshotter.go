@@ -197,20 +197,7 @@ func (s *Snapshotter) writer() {
 }
 
 func (s *Snapshotter) writeOne(req writeReq) error {
-	final := filepath.Join(s.pol.Dir, checkpointName(req.step))
-	tmp := final + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := req.snap.WriteTo(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, final); err != nil {
+	if _, err := req.snap.WriteFile(filepath.Join(s.pol.Dir, checkpointName(req.step))); err != nil {
 		return err
 	}
 	return s.prune()

@@ -100,10 +100,13 @@ type Config struct {
 	// MaxSteps caps the optimizer steps a single job may request
 	// (default 100000).
 	MaxSteps int `json:"max_steps,omitempty"`
-	// SnapshotDir, when set, is where jobs that take elastic snapshots
-	// persist them (one subdirectory per job, atomic rename-into-place,
-	// pruned to SnapshotKeep files). Empty keeps snapshots in memory only —
-	// recovery still works, but nothing survives the process.
+	// SnapshotDir, when set, is where every job's final checkpoint is
+	// written (<dir>/<job-id>/final.zelc) and where jobs that take elastic
+	// snapshots persist them beside it (ckpt-<step>.zelc, atomic
+	// rename-into-place, pruned to SnapshotKeep files). Empty keeps elastic
+	// snapshots in memory only — recovery still works — and writes final
+	// checkpoints to a private temp directory that Drain removes, so nothing
+	// survives the process.
 	SnapshotDir string `json:"snapshot_dir,omitempty"`
 	// SnapshotKeep bounds the checkpoint files retained per job in
 	// SnapshotDir (default 2).

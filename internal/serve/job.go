@@ -102,7 +102,7 @@ type Job struct {
 	submitted  time.Time
 	started    time.Time
 	finished   time.Time
-	checkpoint []byte // encoded zero.Snapshot, when consolidated
+	checkpoint string // the final snapshot's ZELC file, when consolidated
 }
 
 // newJob builds a queued job around a normalized spec.
@@ -130,9 +130,10 @@ func (j *Job) State() State {
 	return j.state
 }
 
-// Checkpoint returns the encoded final snapshot, or nil if none was
-// consolidated (job still running, failed, or cancelled before starting).
-func (j *Job) Checkpoint() []byte {
+// Checkpoint returns the path of the final snapshot's ZELC file, or "" if
+// none was consolidated (job still running, failed, or cancelled before
+// starting).
+func (j *Job) Checkpoint() string {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.checkpoint
@@ -187,10 +188,10 @@ func (j *Job) noteRestart(ranks int) {
 	j.mu.Unlock()
 }
 
-// setCheckpoint stores the consolidated snapshot blob.
-func (j *Job) setCheckpoint(blob []byte) {
+// setCheckpoint records the consolidated snapshot's file.
+func (j *Job) setCheckpoint(path string) {
 	j.mu.Lock()
-	j.checkpoint = blob
+	j.checkpoint = path
 	j.mu.Unlock()
 }
 
@@ -234,7 +235,7 @@ func (j *Job) Status() Status {
 		Stage:       stage.String(),
 		Restarts:    j.restarts,
 		Error:       j.err,
-		Checkpoint:  j.checkpoint != nil,
+		Checkpoint:  j.checkpoint != "",
 		SubmittedAt: j.submitted,
 		StartedAt:   j.started,
 		FinishedAt:  j.finished,

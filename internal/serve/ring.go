@@ -38,15 +38,17 @@ type Record struct {
 // metricRing is a bounded, closeable metric buffer with follow semantics: one
 // writer appends per-step records, any number of readers replay from a
 // sequence cursor and block for more until the ring closes. Capacity
-// bounds memory per job — a reader that falls more than cap records
+// bounds memory per job — a reader that falls more than capacity records
 // behind skips forward to the oldest retained record (readers observe the
-// gap via the record's Step field jumping).
+// gap via the record's Step field jumping). The buffer grows with the
+// records, doubling up to capacity, so a short job holds what it logged.
 type metricRing struct {
-	mu     sync.Mutex
-	cond   sync.Cond
-	buf    []Record // circular; seq i lives at buf[i % cap]
-	total  int64    // records ever appended; valid seqs are [total-retained, total)
-	closed bool
+	mu       sync.Mutex
+	cond     sync.Cond
+	buf      []Record // seq i lives at buf[i % len(buf)]: buf[i] until full, circular after
+	capacity int
+	total    int64 // records ever appended; valid seqs are [total-len(buf), total)
+	closed   bool
 }
 
 // newMetricRing creates a ring retaining the most recent capacity records.
@@ -54,7 +56,7 @@ func newMetricRing(capacity int) *metricRing {
 	if capacity <= 0 {
 		capacity = DefaultMetricRing
 	}
-	r := &metricRing{buf: make([]Record, capacity)}
+	r := &metricRing{capacity: capacity}
 	r.cond.L = &r.mu
 	return r
 }
@@ -65,7 +67,16 @@ func newMetricRing(capacity int) *metricRing {
 func (r *metricRing) push(rec Record) {
 	r.mu.Lock()
 	if !r.closed {
-		r.buf[r.total%int64(len(r.buf))] = rec
+		switch n := len(r.buf); {
+		case n == r.capacity:
+			r.buf[r.total%int64(n)] = rec
+		case n == cap(r.buf):
+			grown := make([]Record, n, min(max(2*n, 8), r.capacity))
+			copy(grown, r.buf)
+			r.buf = append(grown, rec)
+		default:
+			r.buf = append(r.buf, rec)
+		}
 		r.total++
 	}
 	r.mu.Unlock()

@@ -1,10 +1,10 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"runtime/metrics"
 	"sync"
@@ -22,11 +22,18 @@ import (
 // goroutines, wire channels, traffic counters and the wire-buffer arena
 // are all per-job. Cancellation is context-based and lands at the next
 // accumulation boundary via the engine's collective stop vote; a
-// cancelled running job consolidates a checkpoint before it stops.
+// cancelled running job consolidates a checkpoint before it stops, and
+// every consolidated checkpoint is a file: <dir>/<job-id>/final.zelc.
 type Scheduler struct {
 	cfg   Config
 	queue chan *Job
 	wg    sync.WaitGroup // one entry per worker
+
+	// dir holds the final checkpoints: cfg.SnapshotDir, or — when that is
+	// empty — a private temp directory that Drain removes once the
+	// workers have exited (private is then true).
+	dir     string
+	private bool
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
@@ -36,7 +43,8 @@ type Scheduler struct {
 }
 
 // NewScheduler starts a scheduler with cfg.MaxWorlds worker goroutines.
-// Call Drain to stop it.
+// Without a SnapshotDir it creates the private directory final
+// checkpoints go to. Call Drain to stop it.
 func NewScheduler(cfg Config) (*Scheduler, error) {
 	norm, err := cfg.Normalized()
 	if err != nil {
@@ -46,6 +54,13 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 		cfg:   norm,
 		queue: make(chan *Job, norm.QueueDepth),
 		jobs:  make(map[string]*Job),
+		dir:   norm.SnapshotDir,
+	}
+	if s.dir == "" {
+		if s.dir, err = os.MkdirTemp("", "zeroserve-"); err != nil {
+			return nil, fmt.Errorf("serve: checkpoint dir: %w", err)
+		}
+		s.private = true
 	}
 	for i := 0; i < norm.MaxWorlds; i++ {
 		s.wg.Add(1)
@@ -59,22 +74,30 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 // invalid submissions; ErrQueueFull under backpressure; ErrDraining after
 // shutdown began. The returned job is already registered and observable.
 func (s *Scheduler) Submit(spec Spec) (*Job, error) {
+	j, _, err := s.submit(spec)
+	return j, err
+}
+
+// submit is Submit that also returns the job's Status at admission, taken
+// before the job is queued: a worker may pick the job up, and even finish
+// it, before the caller could read Status itself.
+func (s *Scheduler) submit(spec Spec) (*Job, Status, error) {
 	if spec.Steps < 0 {
-		return nil, fmt.Errorf("%w: steps %d (want ≥ 0)", ErrSpec, spec.Steps)
+		return nil, Status{}, fmt.Errorf("%w: steps %d (want ≥ 0)", ErrSpec, spec.Steps)
 	}
 	if spec.Steps == 0 {
 		spec.Steps = DefaultJobSteps
 	}
 	if spec.Steps > s.cfg.MaxSteps {
-		return nil, fmt.Errorf("%w: steps %d above the server cap %d", ErrSpec, spec.Steps, s.cfg.MaxSteps)
+		return nil, Status{}, fmt.Errorf("%w: steps %d above the server cap %d", ErrSpec, spec.Steps, s.cfg.MaxSteps)
 	}
 	norm, err := spec.Config.Normalized()
 	if err != nil {
-		return nil, err
+		return nil, Status{}, err
 	}
 	spec.Config = norm
 	if spec.SnapshotEvery < 0 || spec.MaxRestarts < 0 || spec.RestartRanks < 0 {
-		return nil, fmt.Errorf("%w: snapshot_every %d, max_restarts %d, restart_ranks %d (want ≥ 0)",
+		return nil, Status{}, fmt.Errorf("%w: snapshot_every %d, max_restarts %d, restart_ranks %d (want ≥ 0)",
 			ErrSpec, spec.SnapshotEvery, spec.MaxRestarts, spec.RestartRanks)
 	}
 	if spec.MaxRestarts > 0 && spec.SnapshotEvery == 0 {
@@ -86,12 +109,12 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 		shrunk := norm
 		shrunk.Ranks = spec.RestartRanks
 		if _, err := shrunk.Normalized(); err != nil {
-			return nil, fmt.Errorf("restart_ranks %d: %w", spec.RestartRanks, err)
+			return nil, Status{}, fmt.Errorf("restart_ranks %d: %w", spec.RestartRanks, err)
 		}
 	}
 	if f := spec.Fault; f != nil {
 		if f.Rank < 0 || f.Rank >= norm.Ranks || f.Step < 1 {
-			return nil, fmt.Errorf("%w: fault rank %d step %d (want rank in [0,%d), step ≥ 1)",
+			return nil, Status{}, fmt.Errorf("%w: fault rank %d step %d (want rank in [0,%d), step ≥ 1)",
 				ErrSpec, f.Rank, f.Step, norm.Ranks)
 		}
 	}
@@ -99,19 +122,20 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		return nil, ErrDraining
+		return nil, Status{}, ErrDraining
 	}
 	s.seq++
 	j := newJob(fmt.Sprintf("job-%06d", s.seq), spec, s.cfg.MetricRing)
+	st := j.Status()
 	select {
 	case s.queue <- j:
 	default:
 		s.seq--
-		return nil, fmt.Errorf("%w: %d jobs queued", ErrQueueFull, len(s.queue))
+		return nil, Status{}, fmt.Errorf("%w: %d jobs queued", ErrQueueFull, len(s.queue))
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j)
-	return j, nil
+	return j, st, nil
 }
 
 // Get returns a job by id.
@@ -163,7 +187,9 @@ func (s *Scheduler) cancel(id string) error {
 
 // Drain begins shutdown: no more submissions, queued jobs are cancelled,
 // running jobs checkpoint-and-stop at their next boundary, and Drain
-// blocks until every worker has exited or ctx expires. Idempotent.
+// blocks until every worker has exited or ctx expires. Once the workers
+// have exited, a private checkpoint directory is removed with the files in
+// it. Idempotent.
 func (s *Scheduler) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	first := !s.draining
@@ -183,6 +209,9 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
+		if s.private {
+			os.RemoveAll(s.dir) //nolint:errcheck // a temp dir; nothing reads it after drain
+		}
 		close(done)
 	}()
 	select {
@@ -225,7 +254,7 @@ func (s *Scheduler) runJob(j *Job) {
 			return
 		}
 		if res.death == nil {
-			j.setCheckpoint(res.snapBlob)
+			j.setCheckpoint(res.checkpoint)
 			if res.cancelled {
 				j.finish(StateCancelled, nil)
 			} else {
@@ -246,13 +275,13 @@ func (s *Scheduler) runJob(j *Job) {
 
 // attemptResult is one attempt's outcome, partitioned into the supervisor's
 // three cases: fatal (config/IO — never retried), death (a rank died —
-// retryable), or clean (snapBlob/cancelled are meaningful).
+// retryable), or clean (checkpoint/cancelled are meaningful).
 type attemptResult struct {
-	fatal     error
-	death     error
-	cancelled bool
-	snapBlob  []byte
-	latest    *zero.Snapshot
+	fatal      error
+	death      error
+	cancelled  bool
+	checkpoint string // the final snapshot's file
+	latest     *zero.Snapshot
 }
 
 // runAttempt trains one attempt of the job in its own world and classifies
@@ -271,6 +300,11 @@ func (s *Scheduler) runAttempt(j *Job, cfg engine.Config, resume *zero.Snapshot,
 		res.fatal = err
 		return res
 	}
+	jobDir := filepath.Join(s.dir, j.id)
+	if err := os.MkdirAll(jobDir, 0o755); err != nil {
+		res.fatal = fmt.Errorf("serve: checkpoint dir: %w", err)
+		return res
+	}
 
 	startSteps := 0
 	if resume != nil {
@@ -279,8 +313,8 @@ func (s *Scheduler) runAttempt(j *Job, cfg engine.Config, resume *zero.Snapshot,
 	remaining := max(j.spec.Steps-startSteps, 0)
 
 	var mu sync.Mutex
-	var bodyErr error // first per-rank failure (data open, encode)
-	var snapBlob []byte
+	var bodyErr error // first per-rank failure (data open, checkpoint write)
+	var checkpoint string
 	var loopErr error
 	fail := func(err error) {
 		mu.Lock()
@@ -360,19 +394,16 @@ func (s *Scheduler) runAttempt(j *Job, cfg engine.Config, resume *zero.Snapshot,
 			mu.Unlock()
 		}
 		// Checkpoint-and-stop: consolidate to rank 0 whether the loop ran
-		// to completion or was cancelled at a boundary.
+		// to completion or was cancelled at a boundary, and stream the
+		// slabs to the job's file — the daemon keeps the path, not the state.
 		if snap := e.Save(); snap != nil {
-			n := 1 << 12 // header and trailer
-			for _, slab := range snap.Slabs {
-				n += 4 * len(slab)
-			}
-			buf := bytes.NewBuffer(make([]byte, 0, n))
-			if _, err := snap.WriteTo(buf); err != nil {
+			path := filepath.Join(jobDir, "final.zelc")
+			if _, err := snap.WriteFile(path); err != nil {
 				fail(err)
 				return
 			}
 			mu.Lock()
-			snapBlob = buf.Bytes()
+			checkpoint = path
 			mu.Unlock()
 		}
 	})
@@ -403,7 +434,7 @@ func (s *Scheduler) runAttempt(j *Job, cfg engine.Config, resume *zero.Snapshot,
 		return res
 	}
 	res.cancelled = loopErr != nil
-	res.snapBlob = snapBlob
+	res.checkpoint = checkpoint
 	return res
 }
 

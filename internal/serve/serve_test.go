@@ -590,7 +590,7 @@ func TestSchedulerQueuedCancelAndList(t *testing.T) {
 	if blocker.State() != StateCancelled {
 		t.Errorf("blocker state = %s, want cancelled", blocker.State())
 	}
-	if victim.Checkpoint() != nil {
+	if victim.Checkpoint() != "" {
 		t.Error("a job cancelled while queued must not have a checkpoint")
 	}
 }

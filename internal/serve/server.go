@@ -6,10 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"log"
 	"net/http"
+	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/engine"
 )
@@ -28,7 +31,7 @@ const maxSpecBytes = 1 << 20
 //	GET    /v1/jobs/{id}              one job's Status
 //	GET    /v1/jobs/{id}/metrics      stream per-step Records (NDJSON/SSE)
 //	DELETE /v1/jobs/{id}              cancel (checkpoint-and-stop if running)
-//	GET    /v1/jobs/{id}/checkpoint   the final zero.Snapshot as ZELC (what zerotrain -load reads)
+//	GET    /v1/jobs/{id}/checkpoint   the final zero.Snapshot's ZELC file (what zerotrain -load reads)
 type Server struct {
 	cfg     Config
 	sched   *Scheduler
@@ -121,13 +124,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	j, err := s.sched.Submit(spec)
+	j, st, err := s.sched.submit(spec)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+j.ID())
-	writeJSON(w, http.StatusCreated, j.Status())
+	writeJSON(w, http.StatusCreated, st)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -218,9 +221,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleCheckpoint serves the consolidated final snapshot once the job is
-// terminal. 409 while the job is still queued/running, or when it ended
-// without state (failed, or cancelled before its world came up).
+// handleCheckpoint streams the consolidated final snapshot's file once the
+// job is terminal, through http.ServeContent (so Range requests work). 409
+// while the job is still queued/running, when it ended without state
+// (failed, or cancelled before its world came up), or when the file is gone
+// (a private checkpoint directory is removed at drain).
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	j, err := s.sched.Get(r.PathValue("id"))
 	if err != nil {
@@ -231,15 +236,23 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("%w: job %s is %s (cancel it or wait)", ErrNoCheckpoint, j.ID(), j.State()))
 		return
 	}
-	blob := j.Checkpoint()
-	if blob == nil {
+	path := j.Checkpoint()
+	if path == "" {
 		writeError(w, fmt.Errorf("%w: job %s ended %s without consolidated state", ErrNoCheckpoint, j.ID(), j.State()))
 		return
 	}
+	f, err := os.Open(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		err = fmt.Errorf("%w: job %s: %w", ErrNoCheckpoint, j.ID(), err)
+	}
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	defer f.Close()
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(blob)))
 	w.Header().Set("X-Zeroserve-Job-State", string(j.State()))
-	w.Write(blob) //nolint:errcheck // client gone; nothing to do
+	http.ServeContent(w, r, "", time.Time{}, f)
 }
 
 // readAll slurps a request body of at most limit bytes. A longer body is

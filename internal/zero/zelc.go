@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 
 	"repro/internal/comm"
 )
@@ -120,6 +121,32 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 		return fw.n, err
 	}
 	return fw.seal()
+}
+
+// WriteFile writes the snapshot to path as ZELC: WriteTo streams it into
+// path+".tmp", which is closed and then renamed over path, so neither a
+// reader nor a process dying mid-write ever leaves a torn file at path. It
+// does not fsync (the files are rewritten every few steps): a machine that
+// loses power may lose the newest write. A failed write removes the temp
+// file and leaves path as it was. It returns the bytes written.
+func (s *Snapshot) WriteFile(path string) (int64, error) {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return 0, err
+	}
+	n, err := s.WriteTo(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp) //nolint:errcheck // the write's error is the one to report
+		return n, err
+	}
+	return n, nil
 }
 
 // DecodeSnapshot deserializes a blob written by WriteTo. The bytes come

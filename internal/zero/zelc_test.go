@@ -361,6 +361,35 @@ func TestEncodeRejectsInconsistentSnapshot(t *testing.T) {
 	}
 }
 
+// WriteFile writes exactly WriteTo's bytes over the target; a write that
+// fails leaves the target as it was and no temp file beside it.
+func TestSnapshotWriteFile(t *testing.T) {
+	s := &Snapshot{WorldSize: 2, NumParams: 3, Slabs: [][]float32{{1, 2, 3, 4}, {5, 6}}}
+	want := mustEncode(t, s)
+	path := filepath.Join(t.TempDir(), "final.zelc")
+	if err := os.WriteFile(path, []byte("stale"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	n, err := s.WriteFile(path)
+	if err != nil || n != int64(len(want)) {
+		t.Fatalf("WriteFile = (%d, %v), want (%d, nil)", n, err, len(want))
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("file holds %d bytes (%v), not WriteTo's %d", len(got), err, len(want))
+	}
+
+	bad := &Snapshot{WorldSize: 2, NumParams: 3, Slabs: s.Slabs[:1]}
+	if _, err := bad.WriteFile(path); err == nil {
+		t.Fatal("WriteFile of an inconsistent snapshot succeeded")
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("a failed write changed the target (%d bytes, %v)", len(got), err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("a failed write left its temp file: %v", err)
+	}
+}
+
 // maxCodecAllocs bounds one WriteTo (into a reused buffer) +
 // DecodeSnapshot round trip of the snapshot below. The round trip measures
 // 25 allocations (go1.24); the 2 on top are slack for allocation-count
