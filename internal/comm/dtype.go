@@ -59,6 +59,16 @@ func HalfBuf(h tensor.HalfBuffer) Buffer { return Buffer{Half: h, DType: F16} }
 // Len returns the element count.
 func (b Buffer) Len() int { return len(b.Data) + len(b.Half) }
 
+// Slice returns elements [lo, hi) of b, of the same kind and dtype.
+func (b Buffer) Slice(lo, hi int) Buffer {
+	if b.Half != nil {
+		b.Half = b.Half[lo:hi]
+	} else {
+		b.Data = b.Data[lo:hi]
+	}
+	return b
+}
+
 // Bytes returns the wire size of the whole buffer.
 func (b Buffer) Bytes() int64 { return int64(b.Len()) * int64(b.DType.Bytes()) }
 

@@ -302,8 +302,9 @@ func (e *Engine) NumParams() int { return e.tr.Model.NumParams() }
 // ModelStateBytes returns the §3.1 prediction of this rank's model-state
 // bytes at the configured stage (mixed-precision Adam, 16Ψ/N at stage 3).
 // It is a closed form, not a reading of the live buffers: those hold
-// 4Ψ + 12Ψ/N + W at fp32 stages 1-3, since the parameters stay Ψ-long
-// and the gradients take W bytes of layer-group windows
+// 4Ψ + 12Ψ/N + W at fp32 stages 1-2, where the parameters stay Ψ-long,
+// and 16Ψ/N + W + Wp at fp32 stage 3, where the gradients and the
+// parameters each take a few layer-group windows
 // (zero.Trainer.ResidentBytes, pinned by TestTrainerModelStateAccounting).
 func (e *Engine) ModelStateBytes() int64 {
 	return int64(perfmodel.ModelStateBytes(int64(e.NumParams()), int(e.tr.Stage()), e.c.Size()))

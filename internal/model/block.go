@@ -3,36 +3,38 @@ package model
 import "repro/internal/tensor"
 
 // linear computes y[rows×n] = x[rows×k]·W + b for the weight matrix and
-// bias at parameter offsets w and b. On a Megatron shard this is a
-// column-parallel layer (QKV, FC1): W and b hold this rank's output columns.
-func (m *Model) linear(y []float32, x tens, w, b, rows, k, n int) {
-	m.matMul(y, x, w, rows, k, n)
-	tensor.AddBiasRows(y, m.vec(b, n), rows, n)
+// bias at parameter offsets w and b of layer group g. On a Megatron shard
+// this is a column-parallel layer (QKV, FC1): W and b hold this rank's
+// output columns.
+func (m *Model) linear(g int, y []float32, x tens, w, b, rows, k, n int) {
+	m.matMul(y, x, g, w, rows, k, n)
+	tensor.AddBiasRows(y, m.vec(g, b, n), rows, n)
 }
 
 // rowLinear is linear for a row-parallel layer (attention output projection,
 // FC2): on a Megatron shard W holds this rank's rows and x the matching
 // columns, so the partial products are summed over the MP group — the "g"
 // all-reduce — before the replicated bias is added once.
-func (m *Model) rowLinear(y []float32, x tens, w, b, rows, k, n int) {
-	m.matMul(y, x, w, rows, k, n)
+func (m *Model) rowLinear(g int, y []float32, x tens, w, b, rows, k, n int) {
+	m.matMul(y, x, g, w, rows, k, n)
 	m.allReduce(y)
-	tensor.AddBiasRows(y, m.vec(b, n), rows, n)
+	tensor.AddBiasRows(y, m.vec(g, b, n), rows, n)
 }
 
 // linearBackward is linear's backward: dx = dy·Wᵀ (overwritten), and the
 // weight and bias gradients accumulated into layer group g's window.
 func (m *Model) linearBackward(g int, dx []float32, dy, x tens, w, b, rows, k, n int) {
-	m.matMulBT(dx, dy, w, rows, n, k)
+	m.matMulBT(dx, dy, g, w, rows, n, k)
 	m.matMulATAdd(m.grad(g, w, k*n), x, dy, rows, k, n)
 	tensor.BiasGradRows(m.grad(g, b, n), dy.f, rows, n)
 }
 
 // lnParams returns the fp32 images of the layernorm gain and shift at
-// parameter offset off (adjacent in the layout, gain first).
-func (m *Model) lnParams(off int) (gamma, beta []float32) {
+// parameter offset off of layer group g (adjacent in the layout, gain
+// first).
+func (m *Model) lnParams(g, off int) (gamma, beta []float32) {
 	h := m.Cfg.Hidden
-	p := m.vec(off, 2*h)
+	p := m.vec(g, off, 2*h)
 	return p[:h], p[h:]
 }
 
@@ -54,18 +56,19 @@ func (m *Model) blockForward(i int, acts *blockActs, x, out []float32, batch, se
 	mRows := batch * seqLen
 	n := mRows * h
 	off := m.Layout.blocks[i]
+	g := i + 1 // the block's layer group
 	ws := &m.ws
 
 	// LN1.
 	a, xhat1 := m.buf(acts, aA, n), m.buf(acts, aXhat1, n)
 	acts.invStd1 = grow(acts.invStd1, mRows)
-	gamma, beta := m.lnParams(off.ln1Gamma)
+	gamma, beta := m.lnParams(g, off.ln1Gamma)
 	tensor.LayerNorm(a, xhat1, acts.invStd1, x, gamma, beta, mRows, h, lnEps)
 	m.save(acts, aXhat1)
 
 	// QKV projection.
 	qkv := m.buf(acts, aQKV, 3*mRows*k)
-	m.linear(qkv, m.save(acts, aA), off.wQKV, off.bQKV, mRows, h, 3*k)
+	m.linear(g, qkv, m.save(acts, aA), off.wQKV, off.bQKV, mRows, h, 3*k)
 	m.save(acts, aQKV)
 
 	// Multi-head causal self-attention. In fp16 mode the kernel rounds each
@@ -77,7 +80,7 @@ func (m *Model) blockForward(i int, acts *blockActs, x, out []float32, batch, se
 
 	// Output projection + residual.
 	attnOut := m.buf(acts, aAttnOut, n)
-	m.rowLinear(attnOut, m.save(acts, aCtx), off.wProj, off.bProj, mRows, k, h)
+	m.rowLinear(g, attnOut, m.save(acts, aCtx), off.wProj, off.bProj, mRows, k, h)
 	x2 := m.buf(acts, aX2, n)
 	copy(x2, x)
 	tensor.Add(x2, attnOut)
@@ -87,15 +90,15 @@ func (m *Model) blockForward(i int, acts *blockActs, x, out []float32, batch, se
 	// saves its derivative for backward in slot aH1 (geluPrime).
 	mlin, xhat2 := m.buf(acts, aMlin, n), m.buf(acts, aXhat2, n)
 	acts.invStd2 = grow(acts.invStd2, mRows)
-	gamma, beta = m.lnParams(off.ln2Gamma)
+	gamma, beta = m.lnParams(g, off.ln2Gamma)
 	tensor.LayerNorm(mlin, xhat2, acts.invStd2, x2, gamma, beta, mRows, h, lnEps)
 	m.save(acts, aXhat2)
 	h1 := m.buf(acts, aH1, mRows*ffn)
-	m.linear(h1, m.save(acts, aMlin), off.wFC1, off.bFC1, mRows, h, ffn)
+	m.linear(g, h1, m.save(acts, aMlin), off.wFC1, off.bFC1, mRows, h, ffn)
 	m.round(h1)
-	g := m.buf(acts, aG, mRows*ffn)
-	tensor.GELU(g, m.geluPrime(acts, mRows*ffn), h1)
-	m.rowLinear(out, m.save(acts, aG), off.wFC2, off.bFC2, mRows, ffn, h)
+	gelu := m.buf(acts, aG, mRows*ffn)
+	tensor.GELU(gelu, m.geluPrime(acts, mRows*ffn), h1)
+	m.rowLinear(g, out, m.save(acts, aG), off.wFC2, off.bFC2, mRows, ffn, h)
 	tensor.Add(out, x2)
 	m.round(out)
 }
@@ -135,7 +138,7 @@ func (m *Model) blockBackward(i int, acts *blockActs, dOut, dst []float32, batch
 	m.linearBackward(g, dMlin, m.operand(dG), acts.t[aMlin], off.wFC1, off.bFC1, mRows, h, ffn)
 	m.allReduce(dMlin)
 	tensor.LayerNormBackward(dX2, m.grad(g, off.ln2Gamma, h), m.grad(g, off.ln2Beta, h),
-		dMlin, m.load(acts, aXhat2), acts.invStd2, m.vec(off.ln2Gamma, h), mRows, h)
+		dMlin, m.load(acts, aXhat2), acts.invStd2, m.vec(g, off.ln2Gamma, h), mRows, h)
 
 	// Attention output projection backward (dAttnOut == dX2: x2 = x + attnOut).
 	dCtx := m.scratch(aCtx, mRows*k)
@@ -155,6 +158,6 @@ func (m *Model) blockBackward(i int, acts *blockActs, dOut, dst []float32, batch
 	// LN1 + residual: dx = dx2 (residual) + LN1-backward(dA).
 	copy(dst, dX2)
 	tensor.LayerNormBackward(dst, m.grad(g, off.ln1Gamma, h), m.grad(g, off.ln1Beta, h),
-		dA, m.load(acts, aXhat1), acts.invStd1, m.vec(off.ln1Gamma, h), mRows, h)
+		dA, m.load(acts, aXhat1), acts.invStd1, m.vec(g, off.ln1Gamma, h), mRows, h)
 	m.round(dst)
 }

@@ -10,9 +10,20 @@
 // correctness; the paper-scale shapes are handled analytically by
 // internal/perfmodel.
 //
+// Every parameter read goes through one window per layer group
+// (LayerSegments), and every gradient write through another: a standalone
+// model (New, NewSharded) points them all at its own Params (ParamsH in
+// fp16 mode) and Grads, while a NewWindowed model reads and writes only
+// what its caller binds (BindParams, BindGrad) — ZeRO binds a group's
+// gathered parameters and its gradient window just before the group's
+// compute, so at stage 3 no rank holds a Ψ-long buffer of either.
+// InitParams writes any range of the seeded initial parameters without
+// building the rest.
+//
 // Surface: Config, New, NewWindowed and NewSharded build a Model (Loss,
-// Backward, ZeroGrads, BindGrad, SetFP16Compute, ReleaseParams and the
-// workspace readers) over a flat Layout of Segments; SyntheticBatch,
+// Backward, ZeroGrads, BindParams, BindGrad, SetFP16Compute and the
+// workspace readers) over a flat Layout of Segments; InitParams;
+// SyntheticBatch,
 // NewSyntheticStream and ShardBatch make and split batches; CheckpointStore
 // and Reducer are the hooks zero and internal/mp plug in. Imported by zero,
 // engine, serve, experiments, cmd/zerotrain, the examples and bench.
@@ -136,21 +147,26 @@ func (c Config) ParamCount() int {
 // LayerSegments groups the flat-buffer ranges by transformer block; index
 // -1 (stored first) covers the embeddings, index Layers the final norm.
 // ZeRO uses these groups as its gather/discard granularity and as its
-// gradient windows (Model.BindGrad).
+// parameter and gradient windows (Model.BindParams, Model.BindGrad).
 func (l Layout) LayerSegments(layers int) []Segment {
 	out := make([]Segment, 0, layers+2)
 	for g := 0; g < layers+2; g++ {
-		name := "embeddings"
-		switch {
-		case g == layers+1:
-			name = "ln_f"
-		case g > 0:
-			name = fmt.Sprintf("block%d", g-1)
-		}
 		lo, hi := l.group(g)
-		out = append(out, Segment{Name: name, Layer: g - 1, Lo: lo, Hi: hi})
+		out = append(out, Segment{Name: l.groupName(g), Layer: g - 1, Lo: lo, Hi: hi})
 	}
 	return out
+}
+
+// groupName names layer group g, indexed as LayerSegments: "embeddings",
+// "block<i>" or "ln_f".
+func (l Layout) groupName(g int) string {
+	switch {
+	case g == 0:
+		return "embeddings"
+	case g == len(l.blocks)+1:
+		return "ln_f"
+	}
+	return fmt.Sprintf("block%d", g-1)
 }
 
 // group returns the flat range [lo, hi) of layer group g, indexed as

@@ -9,7 +9,8 @@ import "repro/internal/tensor"
 //
 //   - fp32 mode: every saved activation is its own per-layer []float32.
 //     Forward computes straight into it, "save" is a no-op, "load" returns
-//     the slice, and the matmuls read Params[lo:hi] and the fp32 images.
+//     the slice, and the matmuls read fp32 parameter windows and the fp32
+//     images.
 //   - fp16 mode: every tensor that persists across the step — saved
 //     activations and the parameter copy the compute reads — is 2-byte
 //     binary16, but for GELU's derivative (geluPrime), while all
@@ -20,9 +21,9 @@ import "repro/internal/tensor"
 //     exactly the values the store decodes to, and raises the overflow flag
 //     TakeOverflow surfaces; "load" decodes back into the staging. The
 //     same tensor matmuls take the binary16 operands instead (accumulating
-//     in fp32) and read ParamsH, the rounded image of the fp32 master
-//     (Params, or an engine's own shard of it after ReleaseParams);
-//     layernorm gains and biases decode into scratch (vec).
+//     in fp32) and read binary16 parameter windows, the rounded image of
+//     the fp32 master; layernorm gains and biases decode into scratch
+//     (vec).
 //     Backward's gradient scratch reuses the staging of tensors that are
 //     dead by then, each d-tensor rounds into one shared half staging buffer
 //     before it feeds a matmul (operand), dLogits is scaled by LossScale
@@ -31,6 +32,15 @@ import "repro/internal/tensor"
 //
 // Elementwise kernels (layernorm, softmax, GELU) and the per-head attention
 // core always run on fp32 images; in fp16 mode those are the rounded ones.
+//
+// Parameters are read through one window per layer group (vec, matMul and
+// matMulBT are the only reads), at the mode's width. A standalone model
+// binds every group to its own Params, or to ParamsH in fp16 mode; a
+// NewWindowed model reads whatever its caller bound with BindParams. ZeRO
+// binds a group's window once its gather lands, just before the group's
+// compute, and unbinds it wherever it stops trusting it (and at stage 3
+// once the window serves another group), so a read the schedule forgot to
+// gather panics, naming the group, instead of reading stale values.
 
 // Activation slots of one transformer block: the index of a tensor in
 // blockActs.t and of its shared buffer in workspace.shared.
@@ -84,15 +94,13 @@ func growH(buf tensor.HalfBuffer, n int) tensor.HalfBuffer {
 }
 
 // SetFP16Compute switches the model between the fp32 and fp16 layouts.
-// Enabling allocates the ParamsH compute copy and encodes the current
-// master into it; a caller that mutates Params afterwards re-encodes the
-// touched range into ParamsH itself. A switch in either direction drops
-// the step workspace (the layouts share no buffer list), and switching off
-// drops ParamsH too.
+// On a standalone model, enabling allocates the ParamsH compute copy and
+// encodes the current master into it; a caller that mutates Params
+// afterwards re-encodes the touched range into ParamsH itself. A
+// NewWindowed model only changes the width its windows must have, and
+// unbinds them all. A switch in either direction drops the step workspace
+// (the layouts share no buffer list), and switching off drops ParamsH too.
 func (m *Model) SetFP16Compute(on bool) {
-	if m.Params == nil {
-		panic("model: SetFP16Compute after ReleaseParams")
-	}
 	if on && m.mp != nil {
 		panic("model: fp16 compute has no model-parallel path")
 	}
@@ -100,27 +108,20 @@ func (m *Model) SetFP16Compute(on bool) {
 		m.ReleaseWorkspace()
 	}
 	m.fp16 = on
-	if !on {
-		m.ParamsH = nil
-		return
-	}
-	m.ParamsH = growH(m.ParamsH, len(m.Params))
-	m.refreshHalfParams(0, len(m.Params))
-	if m.LossScale == 0 {
+	if on && m.LossScale == 0 {
 		m.LossScale = 1
 	}
-}
-
-// ReleaseParams drops the fp32 parameter buffer. Legal only in fp16 mode,
-// where every parameter read goes through ParamsH (vec, matMul, matMulBT):
-// an engine that keeps its own fp32 master shard and writes ParamsH itself —
-// the ZeRO trainer under FP16Compute — has no use for a second, Ψ-long fp32
-// copy. Switching the layout again needs Params and is no longer possible.
-func (m *Model) ReleaseParams() {
-	if !m.fp16 {
-		panic("model: ReleaseParams outside fp16 compute mode (the fp32 kernels read Params)")
+	if m.Params == nil {
+		clear(m.params)
+		return
 	}
-	m.Params = nil
+	if on {
+		m.ParamsH = growH(m.ParamsH, len(m.Params))
+		m.refreshHalfParams(0, len(m.Params))
+	} else {
+		m.ParamsH = nil
+	}
+	m.ownParams()
 }
 
 // refreshHalfParams re-encodes Params[lo:hi] into the fp16 compute copy —
@@ -219,37 +220,41 @@ func (m *Model) round(x []float32) {
 	}
 }
 
-// vec returns the fp32 image of the parameter vector [off, off+n) —
-// layernorm gains and shifts, biases, embedding rows — valid until the next
-// vec call: Params itself, or ParamsH decoded into scratch.
-func (m *Model) vec(off, n int) []float32 {
+// vec returns the fp32 image of the parameter vector [off, off+n) of layer
+// group g — layernorm gains and shifts, biases, embedding rows — valid
+// until the next vec call: the window itself, or its halves decoded into
+// scratch.
+func (m *Model) vec(g, off, n int) []float32 {
+	p := m.param(g)
 	if !m.fp16 {
-		return m.Params[off : off+n]
+		return p.f[off-p.lo : off-p.lo+n]
 	}
 	ws := &m.ws
 	ws.pvec = grow(ws.pvec, n)
-	m.ParamsH[off : off+n].ToFloats(ws.pvec)
+	p.h[off-p.lo : off-p.lo+n].ToFloats(ws.pvec)
 	return ws.pvec
 }
 
 // matMul computes c[rows×n] = a[rows×k] · W, W the [k×n] parameter matrix
-// at offset w.
-func (m *Model) matMul(c []float32, a tens, w, rows, k, n int) {
+// at offset w of layer group g.
+func (m *Model) matMul(c []float32, a tens, g, w, rows, k, n int) {
+	p := m.param(g)
 	if m.fp16 {
-		tensor.MatMul(c, a.h, m.ParamsH[w:w+k*n], rows, k, n)
+		tensor.MatMul(c, a.h, p.h[w-p.lo:w-p.lo+k*n], rows, k, n)
 		return
 	}
-	tensor.MatMul(c, a.f, m.Params[w:w+k*n], rows, k, n)
+	tensor.MatMul(c, a.f, p.f[w-p.lo:w-p.lo+k*n], rows, k, n)
 }
 
 // matMulBT computes c[rows×k] = a[rows×n] · Wᵀ, W the [k×n] parameter
-// matrix at offset w.
-func (m *Model) matMulBT(c []float32, a tens, w, rows, n, k int) {
+// matrix at offset w of layer group g.
+func (m *Model) matMulBT(c []float32, a tens, g, w, rows, n, k int) {
+	p := m.param(g)
 	if m.fp16 {
-		tensor.MatMulBT(c, a.h, m.ParamsH[w:w+k*n], rows, n, k)
+		tensor.MatMulBT(c, a.h, p.h[w-p.lo:w-p.lo+k*n], rows, n, k)
 		return
 	}
-	tensor.MatMulBT(c, a.f, m.Params[w:w+k*n], rows, n, k)
+	tensor.MatMulBT(c, a.f, p.f[w-p.lo:w-p.lo+k*n], rows, n, k)
 }
 
 // matMulATAdd accumulates aᵀ[k×rows] · b[rows×n] into dw, the fp32

@@ -15,8 +15,10 @@ type Model struct {
 	Cfg    Config
 	Layout Layout
 
-	// Params is the flat fp32 parameter buffer (the "fp32 master" copy of
-	// mixed-precision training). Nil after ReleaseParams.
+	// Params is a standalone model's flat fp32 parameter buffer (the "fp32
+	// master" copy of mixed-precision training): the one window every layer
+	// group's parameters are read from in fp32 mode. Nil on a NewWindowed
+	// model, whose caller binds each group's window itself (BindParams).
 	Params []float32
 	// Grads is a standalone model's flat gradient buffer, same layout as
 	// Params: the one window every layer group's gradients accumulate
@@ -73,11 +75,10 @@ type Model struct {
 	// slot for simplicity — they are 2h elements.)
 	BackwardHook func(layer int)
 
-	// ParamsH holds the binary16 parameters the fp16 mode's kernels read.
-	// Non-nil only while fp16 compute is on. A standalone model keeps Params
-	// as the fp32 master and re-encodes it into ParamsH; an engine
-	// that holds the master elsewhere writes ParamsH itself and may
-	// ReleaseParams (see fp16.go).
+	// ParamsH holds a standalone model's binary16 parameters, which the
+	// fp16 mode's kernels read in place of Params. Non-nil only while fp16
+	// compute is on: the model keeps Params as the fp32 master and
+	// re-encodes it into ParamsH (see fp16.go). Nil on a NewWindowed model.
 	ParamsH tensor.HalfBuffer
 
 	// LossScale multiplies dLogits in fp16 mode (dynamic loss scaling; the
@@ -92,10 +93,12 @@ type Model struct {
 	// on an unsharded model.
 	mp Reducer
 
-	// grads[g] is where layer group g's gradients go (groups as
-	// Layout.LayerSegments: 0 the embeddings, 1..Layers the blocks,
-	// Layers+1 the final layernorm); see grad.
-	grads []gradWindow
+	// params[g] is where layer group g's parameters are read from, and
+	// grads[g] where its gradients go (groups as Layout.LayerSegments: 0
+	// the embeddings, 1..Layers the blocks, Layers+1 the final layernorm);
+	// see param and grad.
+	params []paramWindow
+	grads  []gradWindow
 
 	// ws is the persistent step workspace (activations, gradients,
 	// attention scratch), reused across steps; fwd points at it between a
@@ -124,13 +127,35 @@ type gradWindow struct {
 	lo  int
 }
 
-// New creates a model with Gaussian-initialized weights (std 0.02, GPT-2
-// style; residual projections scaled by 1/√(2L)) and unit layernorm gains,
-// and a Ψ-long Grads that Backward accumulates into.
+// paramWindow holds the parameters from offset lo on at the width the
+// kernels read: f in fp32 mode, h in fp16 mode, the other nil. Both nil is
+// an unbound window.
+type paramWindow struct {
+	f  []float32
+	h  tensor.HalfBuffer
+	lo int
+}
+
+// New creates a model with its parameters initialized by InitParams and a
+// Ψ-long Grads that Backward accumulates into.
 func New(cfg Config, seed int64) *Model {
-	m := NewWindowed(cfg, seed)
+	m := NewWindowed(cfg)
+	m.Params = make([]float32, m.Layout.Total)
+	InitParams(cfg, seed, 0, m.Params)
+	m.ownParams()
 	m.ownGrads()
 	return m
+}
+
+// ownParams points every layer group of a standalone model at its one
+// parameter buffer: Params in fp32 mode, ParamsH in fp16 mode.
+func (m *Model) ownParams() {
+	for g := range m.params {
+		m.params[g] = paramWindow{f: m.Params}
+		if m.fp16 {
+			m.params[g] = paramWindow{h: m.ParamsH}
+		}
+	}
 }
 
 // ownGrads gives a standalone model its Grads: one window, covering the
@@ -142,37 +167,67 @@ func (m *Model) ownGrads() {
 	}
 }
 
-// NewWindowed is New without Grads, for a caller that keeps gradients in
-// windows of its own: before Backward writes a layer group's gradients
-// (BackwardPreHook), the caller binds that group's window with BindGrad.
-func NewWindowed(cfg Config, seed int64) *Model {
-	layout := BuildLayout(cfg)
-	m := &Model{
+// NewWindowed is a model with neither Params nor Grads, for a caller that
+// keeps both in windows of its own: before Loss or Backward reads a layer
+// group's parameters (ForwardHook, BackwardPreHook) the caller binds that
+// group's parameter window with BindParams, and before Backward writes its
+// gradients, its gradient window with BindGrad. InitParams gives the
+// caller the initial values of whatever range it holds.
+func NewWindowed(cfg Config) *Model {
+	return newModel(cfg, BuildLayout(cfg))
+}
+
+// newModel is a model over layout with every window unbound.
+func newModel(cfg Config, layout Layout) *Model {
+	return &Model{
 		Cfg:    cfg,
 		Layout: layout,
-		Params: make([]float32, layout.Total),
+		params: make([]paramWindow, cfg.Layers+2),
 		grads:  make([]gradWindow, cfg.Layers+2),
 	}
+}
+
+// InitParams writes the initial parameters [lo, lo+len(dst)) of the model
+// New(cfg, seed) builds into dst, bit for bit: Gaussian weights (std 0.02,
+// GPT-2 style; residual projections scaled by 1/√(2L)), unit layernorm
+// gains, zero biases and shifts. The weights are one RNG stream in layout
+// order, so the draws before lo are made and discarded, and none after
+// lo+len(dst): a range costs its end offset in draws and nothing in memory.
+func InitParams(cfg Config, seed int64, lo int, dst []float32) {
+	hi := lo + len(dst)
 	r := rand.New(rand.NewSource(seed))
 	const std = 0.02
 	residStd := std / float32(math.Sqrt(2*float64(cfg.Layers)))
-	for _, seg := range layout.Segments {
-		p := m.Params[seg.Lo:seg.Hi]
+	for _, seg := range BuildLayout(cfg).Segments {
+		if seg.Lo >= hi {
+			return
+		}
+		a, b := max(seg.Lo, lo), min(seg.Hi, hi)
+		var scale float32
 		switch {
 		case hasSuffix(seg.Name, ".gamma"):
-			tensor.Fill(p, 1)
-		case hasSuffix(seg.Name, ".wproj") || hasSuffix(seg.Name, ".w2"):
-			for i := range p {
-				p[i] = float32(r.NormFloat64()) * residStd
+			if a < b {
+				tensor.Fill(dst[a-lo:b-lo], 1)
 			}
+			continue
+		case hasSuffix(seg.Name, ".wproj") || hasSuffix(seg.Name, ".w2"):
+			scale = residStd
 		case hasSuffix(seg.Name, ".wqkv") || hasSuffix(seg.Name, ".w1") ||
 			seg.Name == "tok_emb" || seg.Name == "pos_emb":
-			for i := range p {
-				p[i] = float32(r.NormFloat64()) * std
+			scale = std
+		default:
+			if a < b {
+				tensor.Zero(dst[a-lo : b-lo])
 			}
+			continue
+		}
+		for i := seg.Lo; i < min(a, seg.Hi); i++ {
+			r.NormFloat64()
+		}
+		for i := a; i < b; i++ {
+			dst[i-lo] = float32(r.NormFloat64()) * scale
 		}
 	}
-	return m
 }
 
 func hasSuffix(s, suf string) bool {
@@ -184,6 +239,33 @@ func (m *Model) NumParams() int { return m.Layout.Total }
 
 // ZeroGrads clears the gradient buffer.
 func (m *Model) ZeroGrads() { tensor.Zero(m.Grads) }
+
+// BindParams makes layer group g's parameters, indexed as LayerSegments,
+// read from the window f in fp32 mode or h in fp16 mode (the other nil);
+// the window must be exactly the group's length. Nil for both unbinds the
+// group: a later read panics, naming it.
+func (m *Model) BindParams(g int, f []float32, h tensor.HalfBuffer) {
+	lo, hi := m.Layout.group(g)
+	n := len(f)
+	if m.fp16 {
+		n = len(h)
+	}
+	if (f != nil || h != nil) && ((f == nil) != m.fp16 || (h == nil) == m.fp16 || n != hi-lo) {
+		panic(fmt.Sprintf("model: parameter window of %d fp32 and %d fp16 elements for layer group %s (fp16 mode %v), want %d at the mode's width",
+			len(f), len(h), m.Layout.groupName(g), m.fp16, hi-lo))
+	}
+	m.params[g] = paramWindow{f: f, h: h, lo: lo}
+}
+
+// param returns layer group g's parameter window; every parameter read of
+// Loss and Backward goes through it. An unbound group panics.
+func (m *Model) param(g int) *paramWindow {
+	w := &m.params[g]
+	if w.f == nil && w.h == nil {
+		panic(fmt.Sprintf("model: parameters of layer group %s read with no window bound", m.Layout.groupName(g)))
+	}
+	return w
+}
 
 // BindGrad makes buf, which must be exactly layer group g's length, the
 // window Backward accumulates that group's gradients into; groups are
@@ -238,8 +320,8 @@ func (m *Model) Loss(ids, targets []int, batch int) float64 {
 				panic("model: token id out of range")
 			}
 			row := x[(b*seqLen+t)*h : (b*seqLen+t+1)*h]
-			copy(row, m.vec(m.Layout.tokEmb+id*h, h))
-			tensor.Add(row, m.vec(m.Layout.posEmb+t*h, h))
+			copy(row, m.vec(0, m.Layout.tokEmb+id*h, h))
+			tensor.Add(row, m.vec(0, m.Layout.posEmb+t*h, h))
 		}
 	}
 	m.round(x)
@@ -272,11 +354,12 @@ func (m *Model) Loss(ids, targets []int, batch int) float64 {
 	}
 	xf, xhatF := m.buf(&fs.head, aA, n), m.buf(&fs.head, aXhat1, n)
 	fs.head.invStd1 = grow(fs.head.invStd1, mRows)
-	gammaF, betaF := m.lnParams(m.Layout.lnF)
+	fin := m.Cfg.Layers + 1 // the final layernorm's group
+	gammaF, betaF := m.lnParams(fin, m.Layout.lnF)
 	tensor.LayerNorm(xf, xhatF, fs.head.invStd1, x, gammaF, betaF, mRows, h, lnEps)
 	m.save(&fs.head, aXhat1)
 	fs.logits = grow(fs.logits, mRows*v)
-	m.matMulBT(fs.logits, m.save(&fs.head, aA), m.Layout.tokEmb, mRows, h, v)
+	m.matMulBT(fs.logits, m.save(&fs.head, aA), 0, m.Layout.tokEmb, mRows, h, v)
 	loss := tensor.CrossEntropy(m.headProbs(), fs.logits, fs.targets, mRows, v)
 
 	m.fwd = fs
@@ -323,7 +406,7 @@ func (m *Model) Backward() {
 	}
 	hdLogits := m.operand(dLogits)
 	dXf := m.pick(&fs.dXf, &fs.shared[aA], n)
-	m.matMul(dXf, hdLogits, tokEmb, mRows, v, h)
+	m.matMul(dXf, hdLogits, 0, tokEmb, mRows, v, h)
 	m.matMulATAdd(dTok, hdLogits, fs.head.t[aA], mRows, v, h)
 
 	// Final layernorm. LayerNormBackward accumulates into dX, so the reused
@@ -340,7 +423,7 @@ func (m *Model) Backward() {
 	dX, next := *pa, *pb
 	tensor.Zero(dX)
 	tensor.LayerNormBackward(dX, m.grad(fin, lnF, h), m.grad(fin, lnF+h, h), dXf,
-		m.load(&fs.head, aXhat1), fs.head.invStd1, m.vec(lnF, h), mRows, h)
+		m.load(&fs.head, aXhat1), fs.head.invStd1, m.vec(fin, lnF, h), mRows, h)
 	m.round(dX)
 
 	// Blocks in reverse. Under checkpointing, recompute each block's

@@ -2,7 +2,9 @@ package model
 
 import (
 	"math"
+	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/testutil"
 )
@@ -248,4 +250,52 @@ func TestBackwardWithoutLossPanics(t *testing.T) {
 		}
 	}()
 	New(tinyConfig(), 1).Backward()
+}
+
+// InitParams writes any range [lo, hi) of New's initial parameters bit for
+// bit, for 1- and 4-layer configs: random ranges (almost all of which
+// straddle segments), every range of one to three elements around each
+// segment boundary, and the whole layout. The destination starts as NaN,
+// so an element the init skips shows.
+func TestInitParamsMatchesNew(t *testing.T) {
+	const seed = 5
+	for _, layers := range []int{1, 4} {
+		cfg := tinyConfig()
+		cfg.Layers = layers
+		want := New(cfg, seed).Params
+		same := func(lo, hi int) bool {
+			got := make([]float32, hi-lo)
+			for i := range got {
+				got[i] = float32(math.NaN())
+			}
+			InitParams(cfg, seed, lo, got)
+			for i, v := range got {
+				if math.Float32bits(v) != math.Float32bits(want[lo+i]) {
+					t.Logf("L=%d [%d, %d): element %d = %g, New has %g", layers, lo, hi, lo+i, v, want[lo+i])
+					return false
+				}
+			}
+			return true
+		}
+		total := uint32(len(want))
+		prop := func(a, b uint32) bool {
+			lo, hi := int(a%(total+1)), int(b%(total+1))
+			return same(min(lo, hi), max(lo, hi))
+		}
+		if err := quick.Check(prop, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(int64(layers)))}); err != nil {
+			t.Errorf("L=%d: %v", layers, err)
+		}
+		for _, seg := range BuildLayout(cfg).Segments[1:] {
+			for lo := seg.Lo - 2; lo < seg.Lo+1; lo++ {
+				for hi := lo + 1; hi <= seg.Lo+2 && hi-lo <= 3; hi++ {
+					if !same(lo, hi) {
+						t.Errorf("L=%d: range [%d, %d) across the start of %s differs from New", layers, lo, hi, seg.Name)
+					}
+				}
+			}
+		}
+		if !same(0, len(want)) {
+			t.Errorf("L=%d: the whole layout differs from New", layers)
+		}
+	}
 }

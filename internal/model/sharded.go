@@ -36,21 +36,19 @@ func NewSharded(cfg Config, seed int64, g Reducer) *Model {
 	if g == nil || g.Size() == 1 {
 		return New(cfg, seed)
 	}
-	full := NewWindowed(cfg, seed)
 	n := g.Size()
 	if cfg.Heads%n != 0 {
 		panic(fmt.Sprintf("model: %d heads do not split over %d model-parallel ranks", cfg.Heads, n))
 	}
-	l := buildLayout(cfg, n)
-	m := &Model{
-		Cfg:    cfg,
-		Layout: l,
-		Params: make([]float32, l.Total),
-		grads:  make([]gradWindow, cfg.Layers+2),
-		mp:     g,
-	}
+	fullLayout := BuildLayout(cfg)
+	full := make([]float32, fullLayout.Total)
+	InitParams(cfg, seed, 0, full)
+	m := newModel(cfg, buildLayout(cfg, n))
+	m.mp = g
+	m.Params = make([]float32, m.Layout.Total)
+	shardParams(m.Params, m.Layout, full, fullLayout, g.Rank())
+	m.ownParams()
 	m.ownGrads()
-	shardParams(m.Params, l, full.Params, full.Layout, g.Rank())
 	return m
 }
 

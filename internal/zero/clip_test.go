@@ -26,7 +26,7 @@ func TestClippedStagesMatchClippedDDPBitwise(t *testing.T) {
 		for s := 0; s < steps; s++ {
 			tr.Step(ids, targets, batch)
 		}
-		ddpParams[c.Rank()] = tr.Model.Params
+		ddpParams[c.Rank()] = tr.GatheredParams()
 		ddpNorms[c.Rank()] = tr.LastGradNorm
 	})
 

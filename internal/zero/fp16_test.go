@@ -10,7 +10,6 @@ import (
 	"repro/internal/losscurve"
 	"repro/internal/model"
 	"repro/internal/optimizer"
-	"repro/internal/tensor"
 )
 
 // FP16Compute trajectory golden: over 10 steps the half-compute path must
@@ -86,12 +85,12 @@ func TestFP16OverflowSkipIsConsistent(t *testing.T) {
 				FP16Compute: true, InitialLossScale: 1e30,
 			})
 			defer tr.Close()
-			before := append(tensor.HalfBuffer(nil), tr.Model.ParamsH...)
+			before := slices.Clone(tr.shard.Half)
 			tr.Step(ids, targets, batch)
 			r := c.Rank()
 			scales[r] = tr.LossScale()
 			skips[r] = tr.OverflowSteps()
-			unchanged[r] = slices.Equal(before, tr.Model.ParamsH)
+			unchanged[r] = slices.Equal(before, tr.shard.Half)
 			if tr.AccumulatedMicros() != 0 {
 				t.Errorf("%v rank %d: skip left %d accumulated micros", stage, r, tr.AccumulatedMicros())
 			}
@@ -103,8 +102,8 @@ func TestFP16OverflowSkipIsConsistent(t *testing.T) {
 			if scales[r] != 0.5e30 {
 				t.Errorf("%v rank %d: loss scale %.3g, want backed off to 5e29", stage, r, scales[r])
 			}
-			if stage != StageFull && !unchanged[r] {
-				t.Errorf("%v rank %d: skipped step mutated parameters", stage, r)
+			if !unchanged[r] {
+				t.Errorf("%v rank %d: skipped step mutated the rank's halves", stage, r)
 			}
 		}
 	}
@@ -274,12 +273,13 @@ func TestFP16ComputeTrajectoryGolden(t *testing.T) {
 	}
 }
 
-// Under FP16Compute a parameter exists as a half only: the Ψ-long fp32
-// Model.Params is gone after New and stays gone after Load at every stage.
-// At stages 1-3 New, an applied Update (any Update at stage 3) and Load leave
-// only the owned halves current: the unowned ParamsH is filled with NaN
-// (0x7e00) there, and one more step after the Load must still land on the
-// stage-0 run's halves bit for bit.
+// Under FP16Compute a parameter exists as a half only, outside the fp32
+// master: the model holds no parameters of its own, the compute copy (stages
+// 0-2) and the stage-3 windows and shard are halves, after New and after
+// Load at every stage. At stages 1-3 New, an applied Update (any Update at
+// stage 3) and Load leave only the owned halves current: every other half
+// is filled with NaN (0x7e00) there, and one more step after the Load must
+// still land on the stage-0 run's halves bit for bit.
 func TestFP16ComputeParamsAreHalvesOnly(t *testing.T) {
 	cfg := testConfig()
 	const n, batch = 4, 4
@@ -300,11 +300,20 @@ func TestFP16ComputeParamsAreHalvesOnly(t *testing.T) {
 				// marked says the trainer must trust only its shard at this
 				// point: always, but after a skipped Update only at stage 3.
 				check := func(when string, marked bool) {
-					if tr.Model.Params != nil {
-						t.Errorf("%s rank %d %s: Model.Params holds %d fp32 values, want released", name, c.Rank(), when, len(tr.Model.Params))
+					if tr.Model.Params != nil || tr.Model.ParamsH != nil {
+						t.Errorf("%s rank %d %s: the model holds %d fp32 and %d fp16 parameters of its own", name, c.Rank(), when, len(tr.Model.Params), len(tr.Model.ParamsH))
 					}
-					if len(tr.Model.ParamsH) != tr.Model.NumParams() {
-						t.Errorf("%s rank %d %s: ParamsH has %d halves, want %d", name, c.Rank(), when, len(tr.Model.ParamsH), tr.Model.NumParams())
+					halves := tr.shard.Half != nil && tr.full.Data == nil
+					for _, w := range tr.pwins {
+						halves = halves && w.buf.Half != nil
+					}
+					wantCopy := tr.Model.NumParams() // a Ψ-long compute copy, none at stage 3
+					if stage == StageFull {
+						wantCopy = 0
+					}
+					if !halves || tr.full.Len() != wantCopy {
+						t.Errorf("%s rank %d %s: compute copy of %d halves, want %d; %d parameter windows (halves only: %v)",
+							name, c.Rank(), when, len(tr.full.Half), wantCopy, len(tr.pwins), halves)
 					}
 					if stage == StageDDP {
 						return

@@ -63,7 +63,7 @@ func TestPropertyAnyConfigStageEqualsDDP(t *testing.T) {
 			for s := 0; s < steps; s++ {
 				tr.Step(ids, targets, tc.batch)
 			}
-			ddpOut[c.Rank()] = tr.Model.Params
+			ddpOut[c.Rank()] = tr.GatheredParams()
 		})
 
 		w2 := comm.NewWorld(tc.n)

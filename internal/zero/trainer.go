@@ -88,11 +88,12 @@ type Options struct {
 	// overflowing steps are skipped by a group-wide vote so every rank
 	// backs the scale off together. The fp32 master of the optimizer domain
 	// is then a buffer of its own, which the optimizer steps and the owner
-	// encodes into Model.ParamsH once per step; every parameter all-gather
-	// moves those halves, and the Ψ-long fp32 Model.Params is released at
-	// construction. Gradients are rounded through binary16 before their
-	// reduce-scatter, and every collective is accounted at 2 bytes per
-	// element. Composes with Checkpoint and a Model.Store.
+	// encodes into its half shard once per step; every parameter
+	// all-gather moves those halves into half-width parameter windows, and
+	// no rank holds fp32 parameters outside its master. Gradients are
+	// rounded through binary16 before their reduce-scatter, and every
+	// collective is accounted at 2 bytes per element. Composes with
+	// Checkpoint and a Model.Store.
 	FP16Compute bool
 	// InitialLossScale overrides the dynamic loss scaler's starting scale
 	// under FP16Compute (0 = the conventional 2^16).
@@ -123,13 +124,25 @@ type Options struct {
 // New fixes everything a step reads, so no phase re-derives it. The
 // optimizer steps one fp32 master over its domain — the rank's own
 // partition (§5.1's Pos), or all of Ψ at stage 0 — whatever precision the
-// kernels read: in fp32 the master is a window of Model.Params, under
-// FP16Compute a buffer of its own that the owner encodes into
-// Model.ParamsH after each step.
+// kernels read. The rank's compute shard is the master in fp32, and under
+// FP16Compute a half buffer the owner encodes the master into after each
+// step. New initializes only the domain (model.InitParams) and the shard
+// encoded from it; the first Forward gathers the rest.
+//
+// The kernels read parameters through windows, one per layer group
+// (model.BindParams), at the compute width. Stages 0-2 hold one Ψ-long
+// compute copy that every group's window is a range of, and of which the
+// master (in fp32) and the shard are the domain's range. Stage 3 holds no
+// Ψ-long parameter buffer (§5.3): like the gradients, the parameters live
+// in four windows fixed at New — the embeddings' and ln_f's, each held for
+// a whole pass, and two the blocks take turns in — and each group's gather
+// fills its window from the owners' shards just before the group's compute
+// and hands it to the model, which reads nothing else.
 //
 // At stages 1-3 a rank trusts only its shard of the compute copy after New,
-// Load and Update (and, at stage 3, from the start of each Backward); the
-// next gather overwrites the rest, which nothing reads before then. Stages
+// Load and Update (and, at stage 3, from the start of each Backward): the
+// trainer then unbinds every group's window, and the next gather binds the
+// group again, so a read nothing gathered panics, naming the group. Stages
 // 1-2 are stage 3's path without the per-pass re-gathers.
 //
 // No rank holds a Ψ-long gradient (§5.2, with §6.2's constant-size
@@ -141,6 +154,18 @@ type Options struct {
 // turns in (one when the model has a single block) — so the gradient state
 // a rank keeps is the Ψ/Nd accumulator (Ψ at stage 0) plus |embeddings| +
 // |ln_f| + min(2, L)·max|block| elements.
+//
+// Model state per rank, with dom the domain's length, W the gradient
+// windows (4 bytes an element) and Wp the stage-3 parameter windows (the
+// same element count, at the compute width): stages 0-2 hold 4Ψ + 12·dom
+// + W in fp32 (compute copy with the master in it, accumulator, Adam's m
+// and v) and 2Ψ + 16·dom + W under FP16Compute; stage 3 holds 16·dom + W +
+// Wp in fp32 and 18·dom + W + Wp under FP16Compute. The fp16 widths map
+// onto §3.1's 2 + 2 + 12 bytes a parameter as follows: 2 is the half
+// shard (the fp16 parameters; Wp is the gathered part in use), 2 is the
+// fp16 gradient, which here is rounded through binary16 in fp32 windows
+// and summed into a 4-byte accumulator, and 12 is the fp32 master with
+// Adam's two moments.
 //
 // The trainer's bulk collectives flow through the streams of one scheduler
 // over the rank's node layout: gradient traffic on StreamGrad, parameter
@@ -170,19 +195,26 @@ type Trainer struct {
 	norms  comm.Range          // ranks whose norm partials this rank computes: all at stage 0, itself otherwise
 	opt    optimizer.Optimizer // optimizer over dom
 	lamb   *optimizer.LAMB     // opt when it is LAMB, whose trust ratios span shards
-	master []float32           // fp32 master over dom: a window of Model.Params, or its own buffer under FP16Compute
-	params comm.Buffer         // the compute copy: Model.Params, or Model.ParamsH under FP16Compute
-	stale  bool                // only the owned shard of params is current; nothing reads the rest before the next Forward gathers it
-	groups []model.Segment     // layer groups indexed by layer+1: gather, bucket and gradient-window granularity
+	master []float32           // fp32 master over dom: in fp32 at stages 0-2 the domain's range of full, else a buffer of its own
+	shard  comm.Buffer         // the compute copy over dom: the master in fp32, the halves publish encodes it into under FP16Compute; at stages 0-2 a range of full
+	full   comm.Buffer         // stages 0-2: the Ψ-long compute copy every group's parameter window is a range of; empty at stage 3
+	stale  bool                // only the shard is current: every parameter window is unbound until a gather fills it
+	groups []model.Segment     // layer groups indexed by layer+1: gather, bucket and window granularity
 
-	// The gradient windows: emb and lnf are bound for the whole backward
-	// pass (the head writes both first, the embedding lookup writes emb
-	// last), blocks[l%2] takes block l (see window).
-	emb, lnf gradWindow
-	blocks   []gradWindow
-	// onRelease, when set, sees each window as it is released (tests
-	// poison it there).
-	onRelease func(group int, buf []float32)
+	// The windows, indexed by slot (see slot): block l's at l mod 2, then
+	// ln_f's and the embeddings' last, each bound for a whole pass (the
+	// head reads and writes both first, the embedding lookup writes the
+	// embeddings' last). gwins hold gradients at every stage, pwins the
+	// parameters at stage 3 (nil at stages 0-2).
+	gwins []gradWindow
+	pwins []paramWindow
+	// Test seams: onRelease sees each gradient window as it is released,
+	// onHandOver the part of a parameter window outside keep that a gather
+	// is about to fill (tests poison both), and a gather dropGather
+	// reports true for never runs.
+	onRelease  func(group int, buf []float32)
+	onHandOver func(group int, buf comm.Buffer, keep comm.Range)
+	dropGather func(group int) bool
 
 	// accum is the persistent gradient accumulator over the optimizer
 	// domain: Ψ/Nd elements at the partitioned stages, Ψ at stage 0 where
@@ -239,6 +271,13 @@ func newGradWindow(n int) gradWindow {
 	return gradWindow{buf: make([]float32, n), group: -1}
 }
 
+// paramWindow is a stage-3 parameter buffer that serves one layer group at
+// a time, at the compute width.
+type paramWindow struct {
+	buf   comm.Buffer // sized for the largest group it serves
+	group int         // the group last handed it (an index of Trainer.groups), or -1
+}
+
 // New constructs a rank's trainer. Every rank must use identical cfg and
 // Options so the replicas agree on layout, initialization and stream
 // schedule. Construction performs no communication.
@@ -257,7 +296,7 @@ func New(c *comm.Comm, cfg model.Config, opts Options) (*Trainer, error) {
 			return nil, fmt.Errorf("zero: topology: %w", err)
 		}
 	}
-	m := model.NewWindowed(cfg, opts.Seed)
+	m := model.NewWindowed(cfg)
 	m.Checkpoint = opts.Checkpoint
 	n, size, rank := m.NumParams(), c.Size(), c.Rank()
 	parts := comm.Partition(n, size)
@@ -280,8 +319,6 @@ func New(c *comm.Comm, cfg model.Config, opts Options) (*Trainer, error) {
 		dom:          dom,
 		norms:        norms,
 		opt:          opt,
-		master:       m.Params[dom.Lo:dom.Hi],
-		params:       comm.F32Buf(m.Params),
 		groups:       m.Layout.LayerSegments(cfg.Layers),
 		accum:        make([]float32, dom.Len()),
 		sched:        sched,
@@ -290,13 +327,7 @@ func New(c *comm.Comm, cfg model.Config, opts Options) (*Trainer, error) {
 		clipParts:    comm.Partition(size, size),
 	}
 	if opts.FP16Compute {
-		// The round-to-nearest-even encode is the fp16 rounding; from here on
-		// the fp32 values live only in the master. Gradients move as 2-byte
-		// halves on real wires (§3.1).
-		t.master = append([]float32(nil), t.master...)
 		m.SetFP16Compute(true)
-		m.ReleaseParams()
-		t.params = comm.HalfBuf(m.ParamsH)
 		t.scaler = optimizer.NewLossScaler()
 		if opts.InitialLossScale > 0 {
 			t.scaler.Scale = opts.InitialLossScale
@@ -317,34 +348,106 @@ func New(c *comm.Comm, cfg model.Config, opts Options) (*Trainer, error) {
 	}
 	t.plan = t.buildPlan()
 	layers, g := cfg.Layers, t.groups
-	t.emb, t.lnf = newGradWindow(g[0].Len()), newGradWindow(g[layers+1].Len())
+	// Window sizes by slot: the block windows, then ln_f and the
+	// embeddings.
 	block := 0
 	for _, b := range g[1 : layers+1] {
 		block = max(block, b.Len())
 	}
-	t.blocks = make([]gradWindow, min(2, layers))
-	for i := range t.blocks {
-		t.blocks[i] = newGradWindow(block)
+	sizes := make([]int, 0, 4)
+	for range min(2, layers) {
+		sizes = append(sizes, block)
 	}
+	sizes = append(sizes, g[layers+1].Len(), g[0].Len())
+	t.gwins = make([]gradWindow, len(sizes))
+	for i, n := range sizes {
+		t.gwins[i] = newGradWindow(n)
+	}
+	t.initParams(sizes)
 	t.bwdPreHook = t.backwardPre
 	t.bwdHook = t.submitLayerBuckets
-	if opts.Stage != StageDDP {
-		// Forward gathers in layout order: embeddings, blocks 0..L-1, ln_f.
-		t.prefetch = sched.Stream(StreamPrefetch)
-		t.fwdPf.init(t, t.groups)
-		t.fwdHook = func(layer int) { t.fwdPf.arrive(layer + 1) }
-		t.stale = true
+	if opts.Stage == StageDDP {
+		for k := range g {
+			t.bindParams(k, t.full.Slice(g[k].Lo, g[k].Hi))
+		}
+		return t, nil
 	}
+	// Forward gathers in layout order: embeddings, blocks 0..L-1, ln_f.
+	t.prefetch = sched.Stream(StreamPrefetch)
+	order := make([]int, 0, layers+2)
+	for k := range g {
+		order = append(order, k)
+	}
+	t.fwdPf.init(t, order)
+	t.fwdHook = func(layer int) { t.fwdPf.arrive(layer + 1) }
 	if opts.Stage == StageFull {
 		// Backward gathers the head's embeddings and ln_f first, then blocks
 		// L-1..0.
-		bwdOrder := append(make([]model.Segment, 0, layers+2), g[0], g[layers+1])
+		order = append(order[:0], 0, layers+1)
 		for l := layers; l >= 1; l-- {
-			bwdOrder = append(bwdOrder, g[l])
+			order = append(order, l)
 		}
-		t.bwdPf.init(t, bwdOrder)
+		t.bwdPf.init(t, order)
 	}
 	return t, nil
+}
+
+// initParams allocates the fp32 master, the compute shard and the
+// parameter windows (sizes by slot, used at stage 3), writes the seeded
+// initial parameters over the optimizer domain into the master and
+// publishes them. No other parameter is written: at stages 1-3 the first
+// Forward gathers them.
+func (t *Trainer) initParams(sizes []int) {
+	n, dom := t.Model.NumParams(), t.dom
+	fp16, full := t.opts.FP16Compute, t.stage != StageFull
+	newBuf := func(n int) comm.Buffer {
+		if fp16 {
+			return comm.HalfBuf(tensor.NewHalfBuffer(n))
+		}
+		return comm.F32Buf(make([]float32, n))
+	}
+	if full {
+		t.full = newBuf(n)
+	}
+	if full && !fp16 {
+		t.master = t.full.Data[dom.Lo:dom.Hi]
+	} else {
+		t.master = make([]float32, dom.Len())
+	}
+	model.InitParams(t.Model.Cfg, t.opts.Seed, dom.Lo, t.master)
+	switch {
+	case !fp16:
+		t.shard = comm.F32Buf(t.master)
+	case full:
+		t.shard = t.full.Slice(dom.Lo, dom.Hi)
+	default:
+		t.shard = newBuf(dom.Len())
+	}
+	if !full {
+		t.pwins = make([]paramWindow, len(sizes))
+		for i, n := range sizes {
+			t.pwins[i] = paramWindow{buf: newBuf(n), group: -1}
+		}
+	}
+	t.publish()
+}
+
+// bindParams hands layer group g's parameter window b to the model.
+func (t *Trainer) bindParams(g int, b comm.Buffer) {
+	t.Model.BindParams(g, b.Data, b.Half)
+}
+
+// markStale records that only the shard is current and unbinds every
+// group's parameter window: nothing may read one before the next gather
+// fills it.
+func (t *Trainer) markStale() {
+	t.stale = true
+	for g := range t.groups {
+		t.Model.BindParams(g, nil, nil)
+	}
+	for i := range t.pwins {
+		t.pwins[i].group = -1
+	}
 }
 
 // backwardPre is the Model.BackwardPreHook body: at stage 3 it gathers the
@@ -381,7 +484,7 @@ func (t *Trainer) bindGrad(g int) {
 	t.releaseGrad(w)
 	buf := w.buf[:t.groups[g].Len()]
 	tensor.Zero(buf)
-	w.group, w.b = g, comm.Buffer{Data: buf, DType: t.params.DType}
+	w.group, w.b = g, comm.Buffer{Data: buf, DType: t.shard.DType}
 	t.Model.BindGrad(g, buf)
 }
 
@@ -406,14 +509,21 @@ func (t *Trainer) releaseGrad(w *gradWindow) {
 }
 
 // window returns the gradient window that serves layer group g.
-func (t *Trainer) window(g int) *gradWindow {
+func (t *Trainer) window(g int) *gradWindow { return &t.gwins[t.slot(g)] }
+
+// slot returns the index of the windows that serve layer group g: l mod
+// the block-window count for block l, then ln_f's and the embeddings' —
+// the order Backward releases what is still bound, the embeddings' buckets
+// last as they were submitted last.
+func (t *Trainer) slot(g int) int {
+	blocks := len(t.gwins) - 2
 	switch g {
 	case 0:
-		return &t.emb
+		return blocks + 1
 	case len(t.groups) - 1:
-		return &t.lnf
+		return blocks
 	}
-	return &t.blocks[(g-1)%len(t.blocks)]
+	return (g - 1) % blocks
 }
 
 // Stage returns the trainer's configured ZeRO-DP stage.
@@ -442,23 +552,41 @@ func (t *Trainer) Close() {
 	t.Model.ReleaseWorkspace()
 }
 
-// GatheredParams returns a copy of the full parameter buffer the compute
+// GatheredParams returns a Ψ-long copy of the parameters the compute
 // reads — under FP16Compute the fp32 image of the halves — running the
 // forward gathers first when only the owned shard is current (a collective
-// then: every rank calls it at the same point). Harness code (examples,
-// elastic tests) uses it to compare trajectories across stages.
+// then: every rank calls it at the same point). At stage 3 it always
+// gathers, group by group through the parameter windows, and the copy is
+// the one Ψ-long parameter buffer a stage-3 rank ever allocates: it is for
+// harness code (examples, elastic tests) that compares trajectories across
+// stages, not for a training loop.
 func (t *Trainer) GatheredParams() []float32 {
-	if t.stale {
-		t.fwdPf.reset()
-		for k := range t.fwdPf.handles {
-			t.fwdPf.arrive(k)
+	if t.pwins == nil {
+		if t.stale {
+			t.fwdPf.reset()
+			for k := range t.fwdPf.slots {
+				t.fwdPf.arrive(k)
+			}
+			t.stale = false
 		}
-		t.stale = false
+		if h := t.full.Half; h != nil {
+			return h.Floats()
+		}
+		return append([]float32(nil), t.full.Data...)
 	}
-	if h := t.params.Half; h != nil {
-		return h.Floats()
+	out := make([]float32, t.Model.NumParams())
+	t.fwdPf.reset()
+	for k, s := range t.fwdPf.slots {
+		t.fwdPf.arrive(k)
+		g := t.groups[s.group]
+		if h := s.buf.Half; h != nil {
+			h.ToFloats(out[g.Lo:g.Hi])
+		} else {
+			copy(out[g.Lo:g.Hi], s.buf.Data)
+		}
 	}
-	return append([]float32(nil), t.params.Data...)
+	t.markStale()
+	return out
 }
 
 // paramPrefetcher runs one pass's layer-group parameter all-gathers on the
@@ -472,22 +600,50 @@ func (t *Trainer) GatheredParams() []float32 {
 // the same bits.
 //
 // A prefetcher is constructed once per trainer (forward and backward each
-// own one) and reset per pass: the per-group ownership partitions and the
-// handle slots persist, so a steady-state pass submits its gathers without
-// allocating.
+// own one) and reset per pass: the per-group gather slots and the handles
+// persist, so a steady-state pass submits its gathers without allocating.
 type paramPrefetcher struct {
-	t          *Trainer
-	orderParts [][]comm.Range
-	handles    []comm.Handle
-	window     int
+	t       *Trainer
+	slots   []gatherSlot
+	handles []comm.Handle
+	window  int
 }
 
-// init precomputes the gather order's partitions and handle slots.
-func (p *paramPrefetcher) init(t *Trainer, order []model.Segment) {
+// gatherSlot is one layer group's parameter gather, fixed at New.
+type gatherSlot struct {
+	group int
+	win   *paramWindow // stage 3: the window the group is gathered into; nil at stages 1-2
+	buf   comm.Buffer  // the group's range of its window: what the gather fills and the model reads
+	parts []comm.Range // the group's ownership partition, rebased onto buf
+	// Stage 3: the rank's own part of the group, which the gather does not
+	// move: copied from the shard (src) into buf (dst) first.
+	src, dst comm.Buffer
+}
+
+// init precomputes the gather slots of the groups in order (indices of
+// t.groups) and the handles.
+func (p *paramPrefetcher) init(t *Trainer, order []int) {
 	p.t = t
-	p.orderParts = make([][]comm.Range, len(order))
-	for i, g := range order {
-		p.orderParts[i] = intersect(t.parts, g.Lo, g.Hi)
+	p.slots = make([]gatherSlot, len(order))
+	rank := t.c.Rank()
+	for i, k := range order {
+		g, s := t.groups[k], &p.slots[i]
+		s.group = k
+		s.parts = intersect(t.parts, g.Lo, g.Hi)
+		if own := s.parts[rank]; t.pwins == nil {
+			s.buf = t.full.Slice(g.Lo, g.Hi)
+		} else {
+			s.win = &t.pwins[t.slot(k)]
+			s.buf = s.win.buf.Slice(0, g.Len())
+			if own.Lo < own.Hi {
+				s.src = t.shard.Slice(own.Lo-t.dom.Lo, own.Hi-t.dom.Lo)
+				s.dst = s.buf.Slice(own.Lo-g.Lo, own.Hi-g.Lo)
+			}
+		}
+		for r := range s.parts {
+			s.parts[r].Lo -= g.Lo
+			s.parts[r].Hi -= g.Lo
+		}
 	}
 	p.handles = make([]comm.Handle, len(order))
 	if t.opts.Prefetch {
@@ -502,20 +658,45 @@ func (p *paramPrefetcher) reset() {
 	}
 }
 
-// submit launches the all-gather for group k if it exists and has not been
-// launched yet.
+// submit launches the all-gather for position k if it exists and has not
+// been launched yet. At stage 3 it first hands the window over: the group
+// it served is unbound, and the rank's own part is copied in from the
+// shard.
 func (p *paramPrefetcher) submit(k int) {
+	t := p.t
 	if k < 0 || k >= len(p.handles) || p.handles[k].Valid() {
 		return
 	}
-	p.handles[k] = p.t.prefetch.AllGather(p.t.params, p.orderParts[k])
+	s := &p.slots[k]
+	if t.dropGather != nil && t.dropGather(s.group) {
+		return
+	}
+	if w := s.win; w == nil {
+		if t.onHandOver != nil {
+			t.onHandOver(s.group, s.buf, s.parts[t.c.Rank()])
+		}
+	} else {
+		if w.group >= 0 {
+			t.Model.BindParams(w.group, nil, nil)
+		}
+		w.group = s.group
+		if t.onHandOver != nil {
+			t.onHandOver(s.group, w.buf, comm.Range{})
+		}
+		copy(s.dst.Data, s.src.Data)
+		copy(s.dst.Half, s.src.Half)
+	}
+	p.handles[k] = t.prefetch.AllGather(s.buf, s.parts)
 }
 
-// arrive blocks until group k's parameters are resident and keeps the next
-// window groups' gathers in flight.
+// arrive blocks until position k's parameters are resident, binds them to
+// the model, and keeps the next window groups' gathers in flight.
 func (p *paramPrefetcher) arrive(k int) {
 	p.submit(k)
-	p.handles[k].Wait()
+	if h := p.handles[k]; h.Valid() {
+		h.Wait()
+		p.t.bindParams(p.slots[k].group, p.slots[k].buf)
+	}
 	for d := 1; d <= p.window; d++ {
 		p.submit(k + d)
 	}
@@ -582,7 +763,7 @@ func (t *Trainer) Backward() {
 	// the rank stops trusting the unowned range, and the backward pass
 	// gathers each group again before reading it (the second Ψ of §7.2.2).
 	if t.stage == StageFull {
-		t.stale = true
+		t.markStale()
 	}
 	t.bwdPf.reset()
 	t.Model.BackwardPreHook = t.bwdPreHook
@@ -599,11 +780,9 @@ func (t *Trainer) Backward() {
 	// Fold the windows still bound into the accumulator. The first
 	// micro-batch adds into zeros, so a single-micro-batch update sees the
 	// reduced gradient bit for bit.
-	for i := range t.blocks {
-		t.releaseGrad(&t.blocks[i])
+	for i := range t.gwins {
+		t.releaseGrad(&t.gwins[i])
 	}
-	t.releaseGrad(&t.lnf)
-	t.releaseGrad(&t.emb)
 	// Latch any fp16-store overflow this micro-batch raised; the group
 	// votes on the accumulated flag at the next Update.
 	if t.opts.FP16Compute && t.Model.TakeOverflow() {
@@ -710,15 +889,17 @@ func (t *Trainer) skipStep() {
 	t.accumMicros = 0
 }
 
-// publish writes the master into the compute copy, which at stages 1-3
-// leaves only the owned shard current. In fp32 the master is that window;
-// under FP16Compute the owner's one round-to-nearest-even encode is the fp16
+// publish writes the master into the shard, which at stages 1-3 leaves
+// only the shard current. In fp32 the master is the shard; under
+// FP16Compute the owner's one round-to-nearest-even encode is the fp16
 // rounding.
 func (t *Trainer) publish() {
-	if h := t.params.Half; h != nil {
-		h[t.dom.Lo:t.dom.Hi].FromFloats(t.master)
+	if h := t.shard.Half; h != nil {
+		h.FromFloats(t.master)
 	}
-	t.stale = t.stage != StageDDP
+	if t.stage != StageDDP {
+		t.markStale()
+	}
 }
 
 // LossScale returns the current dynamic loss scale, or 0 when the fp16
@@ -740,19 +921,22 @@ func (t *Trainer) OverflowSteps() int {
 }
 
 // ResidentBytes reports the model-state bytes this rank holds, summed from
-// the live buffers (len × element width): the compute copy (Params, or the
-// 2-byte ParamsH under FP16Compute), the gradient windows, the accumulator,
-// the fp32 master unless it is a window of Params, and the optimizer's
+// the live buffers (len × element width): the parameter windows (the
+// Ψ-long compute copy at stages 0-2), the gradient windows, the
+// accumulator, the fp32 master and the half shard where they are buffers
+// of their own rather than ranges of the compute copy, and the optimizer's
 // state and update buffers. perfmodel.ModelStateBytes is the §3.1 closed
 // form it is compared with.
 func (t *Trainer) ResidentBytes() int64 {
-	m := t.Model
-	n := 4*int64(len(m.Params)+len(t.accum)+len(t.lambUpdate)+len(t.emb.buf)+len(t.lnf.buf)) + 2*int64(len(m.ParamsH))
-	for _, w := range t.blocks {
+	n := t.paramWindowBytes() + 4*int64(len(t.accum)+len(t.lambUpdate))
+	for _, w := range t.gwins {
 		n += 4 * int64(len(w.buf))
 	}
-	if len(t.master) > 0 && (len(m.Params) == 0 || &t.master[0] != &m.Params[t.dom.Lo]) {
+	if t.full.Data == nil { // else the master is the domain's range of the fp32 compute copy
 		n += 4 * int64(len(t.master))
+	}
+	if t.pwins != nil { // a stage-3 half shard is a buffer of its own (an fp32 one is the master)
+		n += 2 * int64(len(t.shard.Half))
 	}
 	for _, st := range t.opt.State() {
 		n += 4 * int64(len(st))
@@ -761,11 +945,21 @@ func (t *Trainer) ResidentBytes() int64 {
 }
 
 // ComputeResidencyBytes reports the bytes the step computation keeps
-// resident: the retained workspace plus the parameters the kernels read —
-// the 2-byte ParamsH under FP16Compute (the fp32 master shard then counts
-// as optimizer state, §3.1), the fp32 Params otherwise.
+// resident: the retained workspace plus the parameter windows the kernels
+// read, 2 bytes an element under FP16Compute (the fp32 master shard then
+// counts as optimizer state, §3.1).
 func (t *Trainer) ComputeResidencyBytes() int64 {
-	return t.Model.WorkspaceBytes() + t.params.Bytes()
+	return t.Model.WorkspaceBytes() + t.paramWindowBytes()
+}
+
+// paramWindowBytes sums the parameter windows: the compute copy at stages
+// 0-2, the four stage-3 windows otherwise.
+func (t *Trainer) paramWindowBytes() int64 {
+	n := t.full.Bytes()
+	for _, w := range t.pwins {
+		n += w.buf.Bytes()
+	}
+	return n
 }
 
 // local rebases a range of the flat parameter space onto the optimizer

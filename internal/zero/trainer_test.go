@@ -63,7 +63,7 @@ func runDDP(cfg model.Config, n, steps int, ids, targets []int, batch int) []flo
 		for s := 0; s < steps; s++ {
 			tr.Step(ids, targets, batch)
 		}
-		out[c.Rank()] = append([]float32(nil), tr.Model.Params...)
+		out[c.Rank()] = tr.GatheredParams()
 	})
 	return out[0]
 }
@@ -216,10 +216,14 @@ func TestStageTwoStepWireCounts(t *testing.T) {
 // The partition is a contract (§5.1-§5.3): whenever a rank trusts only its
 // own shard of the compute copy — after New, Load and each applied Update at
 // stages 1-3, and from the top of each Backward at stage 3 — nothing reads
-// the rest before a gather overwrites it, and at every stage nothing reads a
-// gradient window once it is released. The poisoned run fills exactly those
-// ranges with NaN on every rank and must match an unpoisoned twin bit for
-// bit: stages 0-3 × sync/overlap/prefetch × fp32/fp16 × k ∈ {1, 2}
+// the rest before a gather overwrites it, no parameter window is read
+// before its gather lands, and at every stage nothing reads a gradient
+// window once it is released. The poisoned run fills exactly those ranges
+// with NaN on every rank — the untrusted compute copy (every stage-3
+// window), each parameter window as a gather is handed it (outside the
+// rank's own shard, which lives there at stages 1-2), each gradient window
+// as it is released — and must match an unpoisoned twin bit for bit:
+// stages 0-3 × sync/overlap/prefetch × fp32/fp16 × k ∈ {1, 2}
 // micro-batches, across a Save/Load and, under fp16, an overflow-skip
 // boundary. Four blocks make each block window serve two groups a pass. The
 // optimizer shard is Ψ/Nd at stages 1-3.
@@ -293,12 +297,29 @@ func runPartitionContract(t *testing.T, name string, cfg model.Config, opts Opti
 		if psi := tr.Model.NumParams(); partitioned && (tr.opt.Len() != own.Len() || tr.opt.Len() > psi/n+1) {
 			t.Errorf("%s rank %d: optimizer shard %d params, want ≈Ψ/N = %d", name, r, tr.opt.Len(), psi/n)
 		}
-		released := 0
+		released, handed := 0, 0
 		tr.onRelease = func(_ int, buf []float32) {
 			released++
 			if poison {
 				tensor.Fill(buf, float32(math.NaN()))
 			}
+		}
+		// Every parameter window is poisoned as it is handed to a gather,
+		// outside the range the rank keeps its own shard in.
+		tr.onHandOver = func(_ int, buf comm.Buffer, keep comm.Range) {
+			handed++
+			if poison {
+				poisonBuf(buf, keep)
+			}
+		}
+		// handedOver checks a pass's hand-overs: one per layer group at
+		// stage 3, none or all at stages 1-2.
+		handedOver := func(pass string, s, j int) {
+			if h := handed; h != len(tr.groups) && (opts.Stage == StageFull || h != 0) {
+				t.Errorf("%s rank %d step %d micro %d: %s handed %d parameter windows to gathers, want %d",
+					name, r, s, j, pass, h, len(tr.groups))
+			}
+			handed = 0
 		}
 		// marked requires the trainer to trust only its shard and poisons
 		// the rest.
@@ -318,10 +339,13 @@ func runPartitionContract(t *testing.T, name string, cfg model.Config, opts Opti
 		for s := 0; s < steps; s++ {
 			for j := 0; j < k; j++ {
 				loss := tr.Forward(ids[j*mt:(j+1)*mt], targets[j*mt:(j+1)*mt], micro)
+				if partitioned {
+					handedOver("Forward", s, j)
+				}
 				out.losses[r] = append(out.losses[r], loss)
-				if i := poisonedParam(tr); i >= 0 && !leaked {
+				if at := poisonedParam(tr); at != "" && !leaked {
 					leaked = true // one report per rank; the twin diff names the rest
-					t.Errorf("%s rank %d step %d micro %d: compute copy[%d] is NaN after Forward", name, r, s, j, i)
+					t.Errorf("%s rank %d step %d micro %d: %s is NaN after Forward", name, r, s, j, at)
 				}
 				if opts.Stage == StageFull && poison {
 					poisonParams(tr) // Backward marks the copy stale before it reads anything
@@ -329,6 +353,7 @@ func runPartitionContract(t *testing.T, name string, cfg model.Config, opts Opti
 				released = 0
 				tr.Backward()
 				if opts.Stage == StageFull {
+					handedOver("Backward", s, j)
 					marked(fmt.Sprintf("after step %d micro %d Backward", s, j))
 				}
 				if released != len(tr.groups) {
@@ -394,23 +419,47 @@ func (got contractRun) diff(t *testing.T, name string, want contractRun) {
 	}
 }
 
-// poisonParams fills the compute copy outside the rank's shard with NaN:
-// Params, or the halves of ParamsH under FP16Compute.
+// poisonParams fills every parameter the rank holds outside its shard
+// with NaN: the Ψ-long compute copy outside the owned range at stages 0-2,
+// every parameter window at stage 3.
 func poisonParams(tr *Trainer) {
-	if h := tr.params.Half; h != nil {
-		fillOutside(h, tr.Owned(), poisonHalf)
-		return
+	if tr.pwins == nil {
+		poisonBuf(tr.full, tr.Owned())
 	}
-	fillOutside(tr.params.Data, tr.Owned(), float32(math.NaN()))
+	for _, w := range tr.pwins {
+		poisonBuf(w.buf, comm.Range{})
+	}
 }
 
-// poisonedParam returns the first offset of the compute copy holding a NaN,
-// or -1.
-func poisonedParam(tr *Trainer) int {
-	if h := tr.params.Half; h != nil {
-		return slices.IndexFunc(h, tensor.Half.IsNaN)
+// poisonedParam names the first NaN in the parameters the rank holds
+// outside its master, or returns "".
+func poisonedParam(tr *Trainer) string {
+	if i := firstNaN(tr.full); i >= 0 {
+		return fmt.Sprintf("compute copy[%d]", i)
 	}
-	return slices.IndexFunc(tr.params.Data, func(v float32) bool { return v != v })
+	for j, w := range tr.pwins {
+		if i := firstNaN(w.buf); i >= 0 {
+			return fmt.Sprintf("parameter window %d [%d]", j, i)
+		}
+	}
+	return ""
+}
+
+// poisonBuf fills b outside keep with NaN, at b's width.
+func poisonBuf(b comm.Buffer, keep comm.Range) {
+	if b.Half != nil {
+		fillOutside(b.Half, keep, poisonHalf)
+		return
+	}
+	fillOutside(b.Data, keep, float32(math.NaN()))
+}
+
+// firstNaN returns the first offset of b holding a NaN, or -1.
+func firstNaN(b comm.Buffer) int {
+	if b.Half != nil {
+		return slices.IndexFunc(b.Half, tensor.Half.IsNaN)
+	}
+	return slices.IndexFunc(b.Data, func(v float32) bool { return v != v })
 }
 
 // fillOutside sets every element of s outside own to v.
@@ -534,24 +583,26 @@ func TestTrainerRejectsInvalidConfigs(t *testing.T) {
 
 // The model state a rank actually holds, summed from the live buffers
 // (len × element width), against the closed form of the layout, for
-// N ∈ {2, 4, 8} and L ∈ {1, 4} layers. Only the optimizer state, the fp32
-// master and the accumulator are partitioned (dom: this rank's Ψ/N share,
-// all of Ψ at stage 0), and the master is a buffer of its own only under
-// fp16 compute — in fp32 it must stay a window of Params; the compute copy
-// stays Ψ-long at every stage, and gradients live in windows of
-// W = 4·(|embeddings| + |ln_f| + min(2, L)·max|block|) bytes. The test sums
-// the buffers itself and ResidentBytes must agree. No trainer-owned model
-// holds a Ψ-long gradient buffer, before or after a step. The §3.1
-// prediction, perfmodel.ModelStateBytes (16Ψ/N at stage 3), is logged
-// beside it: the gap is what a resident partition has to close.
+// N ∈ {2, 4, 8} and L ∈ {1, 4} layers. dom is this rank's Ψ/N share (all
+// of Ψ at stage 0), and gradients live in windows of W = 4·E bytes, E =
+// |embeddings| + |ln_f| + min(2, L)·max|block|. Stages 0-2 hold a Ψ-long
+// compute copy; the fp32 master must be its domain range in fp32 and is a
+// buffer of its own under fp16 compute, where the half shard is the
+// copy's range: 4Ψ + 12·dom + W and 2Ψ + 16·dom + W. Stage 3 holds no
+// Ψ-long buffer: the parameters live in windows of Wp = E elements at the
+// compute width beside the master (and, in fp16, a 2-byte half shard):
+// 16·dom + W + Wp and 18·dom + W + Wp. The test sums the buffers itself and
+// ResidentBytes must agree; before and after a step, no trainer-owned model
+// holds parameters or gradients of its own, and no stage-3 window reaches
+// Ψ elements. The §3.1 prediction, perfmodel.ModelStateBytes (16Ψ/N at
+// stage 3), is logged beside it.
 func TestTrainerModelStateAccounting(t *testing.T) {
 	const batch = 8
 	for _, layers := range []int{1, 4} {
 		cfg := testConfig()
 		cfg.Layers = layers
 		psi := int64(cfg.ParamCount())
-		g := model.BuildLayout(cfg).LayerSegments(cfg.Layers)
-		window := 4 * int64(g[0].Len()+g[cfg.Layers+1].Len()+min(2, layers)*g[1].Len())
+		elems := windowElems(cfg)
 		ids, targets := model.SyntheticBatch(3, batch, cfg.Seq, cfg.Vocab)
 		for _, n := range []int{2, 4, 8} {
 			w := comm.NewWorld(n)
@@ -564,35 +615,46 @@ func TestTrainerModelStateAccounting(t *testing.T) {
 						if stage == StageDDP {
 							dom = psi
 						}
-						// Params + accum + Adam's m and v in fp32: 4Ψ + 12·dom + W.
-						// fp16 compute trades Params for the 2-byte ParamsH and
-						// adds the fp32 master: 2Ψ + 16·dom + W.
-						want := 4*psi + 12*dom + window
-						if fp16 {
-							want = 2*psi + 16*dom + window
-						}
+						full := stage != StageFull
+						want := liveModelState(psi, dom, elems, stage, fp16)
+						name := fmt.Sprintf("L=%d N=%d %v fp16=%v rank %d", layers, n, stage, fp16, c.Rank())
 						check := func(when string) {
 							m := tr.Model
-							live := 4*int64(len(m.Params)) + 2*int64(len(m.ParamsH)) + 4*int64(len(m.Grads)) +
-								4*int64(len(tr.accum)+len(tr.emb.buf)+len(tr.lnf.buf))
-							for _, bw := range tr.blocks {
-								live += 4 * int64(len(bw.buf))
+							live := tr.full.Bytes() + 4*int64(len(tr.accum))
+							for _, gw := range tr.gwins {
+								live += 4 * int64(len(gw.buf))
 							}
-							// In fp32 the master is a window of Params, already counted.
-							if len(m.Params) == 0 || &tr.master[0] != &m.Params[tr.dom.Lo] {
+							for _, pw := range tr.pwins {
+								live += pw.buf.Bytes()
+								if pw.buf.Len() >= int(psi) {
+									t.Errorf("%s %s: a %d-element parameter window", name, when, pw.buf.Len())
+								}
+							}
+							if full && !fp16 {
+								if &tr.master[0] != &tr.full.Data[tr.dom.Lo] {
+									t.Errorf("%s %s: the fp32 master is not the domain's range of the compute copy", name, when)
+								}
+							} else {
 								live += 4 * int64(len(tr.master))
+							}
+							if fp16 && !full {
+								live += 2 * int64(len(tr.shard.Half))
 							}
 							for _, st := range tr.opt.State() {
 								live += 4 * int64(len(st))
 							}
 							if live != want {
-								t.Errorf("L=%d N=%d %v fp16=%v rank %d %s: live model state %d B, want %d B", layers, n, stage, fp16, c.Rank(), when, live, want)
+								t.Errorf("%s %s: live model state %d B, want %d B", name, when, live, want)
 							}
 							if got := tr.ResidentBytes(); got != live {
-								t.Errorf("L=%d N=%d %v fp16=%v rank %d %s: ResidentBytes %d B, live buffers %d B", layers, n, stage, fp16, c.Rank(), when, got, live)
+								t.Errorf("%s %s: ResidentBytes %d B, live buffers %d B", name, when, got, live)
 							}
-							if len(m.Grads) != 0 {
-								t.Errorf("L=%d N=%d %v fp16=%v rank %d %s: model holds a %d-element gradient buffer", layers, n, stage, fp16, c.Rank(), when, len(m.Grads))
+							if m.Params != nil || m.ParamsH != nil || m.Grads != nil {
+								t.Errorf("%s %s: model holds %d fp32 and %d fp16 parameters and %d gradients of its own",
+									name, when, len(m.Params), len(m.ParamsH), len(m.Grads))
+							}
+							if !full && tr.full.Len() != 0 {
+								t.Errorf("%s %s: a %d-element compute copy at stage 3", name, when, tr.full.Len())
 							}
 						}
 						check("after New")
@@ -608,5 +670,29 @@ func TestTrainerModelStateAccounting(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// windowElems is E, the element count of a trainer's gradient windows (and
+// of its stage-3 parameter windows): |embeddings| + |ln_f| +
+// min(2, L)·max|block|.
+func windowElems(cfg model.Config) int64 {
+	g := model.BuildLayout(cfg).LayerSegments(cfg.Layers)
+	return int64(g[0].Len() + g[cfg.Layers+1].Len() + min(2, cfg.Layers)*g[1].Len())
+}
+
+// liveModelState is the model state in bytes a rank with a dom-element
+// optimizer domain holds under Adam, E = elems: TestTrainerModelStateAccounting's
+// closed forms.
+func liveModelState(psi, dom, elems int64, stage Stage, fp16 bool) int64 {
+	switch full := stage != StageFull; {
+	case full && !fp16: // compute copy (master inside) + accum + Adam's m and v + W
+		return 4*psi + 12*dom + 4*elems
+	case full: // half copy (shard inside) + master + accum + m + v + W
+		return 2*psi + 16*dom + 4*elems
+	case !fp16: // master (the shard) + accum + m + v + W + Wp
+		return 16*dom + 4*elems + 4*elems
+	default: // half shard + master + accum + m + v + W + Wp
+		return 18*dom + 4*elems + 2*elems
 	}
 }
