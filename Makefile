@@ -106,10 +106,13 @@ serve-smoke:
 	$(GO) test ./internal/serve -run 'TestServeSubmitStreamCheckpoint|TestServeAdmissionErrors|TestServeHeapIndependentOfServedJobs' -count=1
 
 # Elastic-recovery smoke: a deterministic mid-run rank kill recovered by
-# the supervisor from its last boundary snapshot, under the race detector
+# the supervisor from its newest boundary snapshot file — in -snapshot-dir
+# and in the private directory a daemon without one uses — a persisted
+# snapshot resumed by hand, and retention that spares a job's newest file
+# beside an earlier daemon's higher-step ones, under the race detector
 # (part of `make check`).
 elastic-smoke:
-	$(GO) test -race ./internal/serve -run TestElasticKillResume -count=1
+	$(GO) test -race ./internal/serve -run 'TestElasticKillResume|TestPersistedSnapshotResumes|TestElasticPruneKeepsJobsNewest' -count=1
 
 # The elastic walkthrough checks itself: it exits non-zero if regrouping an
 # 8-rank snapshot for 4 ranks and back does not reproduce the ZELC file, if

@@ -12,7 +12,7 @@
 //
 // Jobs may opt into elastic fault tolerance: "snapshot_every" takes async
 // boundary snapshots, "max_restarts" lets the supervisor restart a job that
-// lost a rank from its last snapshot, "restart_ranks" retries in a smaller
+// lost a rank from its newest snapshot file, "restart_ranks" retries in a smaller
 // world (the snapshot loads at any size), and "fault" injects a deterministic rank
 // kill for drills (see README "Elastic checkpointing & recovery").
 //
@@ -55,8 +55,8 @@ func main() {
 		queueDepth = flag.Int("queue-depth", def.QueueDepth, "admitted jobs waiting behind the running ones")
 		ringSize   = flag.Int("ring", def.MetricRing, "per-job metric ring capacity in step records")
 		maxSteps   = flag.Int("max-steps", def.MaxSteps, "per-job optimizer step cap")
-		snapDir    = flag.String("snapshot-dir", "", "directory for per-job final checkpoints and elastic snapshots (empty = snapshots in memory, final checkpoints in a temp dir removed at drain)")
-		snapKeep   = flag.Int("snapshot-keep", def.SnapshotKeep, "checkpoint files retained per job in -snapshot-dir")
+		snapDir    = flag.String("snapshot-dir", "", "directory for per-job final checkpoints and elastic snapshots (empty = both go to a temp dir removed at drain)")
+		snapKeep   = flag.Int("snapshot-keep", def.SnapshotKeep, "elastic snapshot files retained per job")
 		drainWait  = flag.Duration("drain-timeout", 30*time.Second, "how long to wait for running jobs to checkpoint-and-stop")
 	)
 	flag.Parse()

@@ -20,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"path/filepath"
 	"time"
 
@@ -152,11 +151,7 @@ func main() {
 
 	var resume *zero.Snapshot
 	if *loadPath != "" {
-		blob, err := os.ReadFile(*loadPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if resume, err = zero.DecodeSnapshot(blob); err != nil {
+		if resume, err = zero.ReadSnapshotFile(*loadPath); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("resuming from %s (step %d)\n", *loadPath, resume.Boundaries())
@@ -204,7 +199,7 @@ func main() {
 			batcher = model.NewSyntheticStream(cfg.Seed, cfg.GlobalBatch, cfg.MicroBatch, cfg.Model.Seq, cfg.Model.Vocab)
 		}
 		if resume != nil {
-			if err := e.Load(resume); err != nil {
+			if err := e.Resume(resume, batcher); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -213,9 +208,9 @@ func main() {
 			if e.Rank() == 0 && (s == 0 || (s+1)%10 == 0) {
 				clipNote := ""
 				if cfg.GradClip > 0 {
-					clipNote = fmt.Sprintf("  |grad| %.3f", e.LastGradNorm())
+					clipNote = fmt.Sprintf("  |grad| %.3f", e.Trainer().LastGradNorm)
 				}
-				fmt.Printf("  step %3d  loss %.4f%s\n", s+1, loss, clipNote)
+				fmt.Printf("  step %3d  loss %.4f%s\n", e.Steps(), loss, clipNote)
 			}
 		}
 		if *savePath != "" {

@@ -12,7 +12,7 @@
 //     changed) and on 8 ranks (bitwise-identical to the uninterrupted run).
 //  3. Kill & recover: a deterministic rank kill mid-run fails the world
 //     cleanly, and the zeroserve supervisor restarts the job from its
-//     last boundary snapshot — the run still reaches its step budget.
+//     newest boundary snapshot file — the run still reaches its step budget.
 package main
 
 import (
@@ -224,7 +224,7 @@ func demoKillRecover() {
 	if st.State != serve.StateSucceeded {
 		log.Fatalf("job %s: state %s (%s)", st.ID, st.State, st.Error)
 	}
-	fmt.Printf("rank %d died mid-run; supervisor restarted from the last boundary snapshot\n", spec.Fault.Rank)
+	fmt.Printf("rank %d died mid-run; supervisor restarted from the newest boundary snapshot file\n", spec.Fault.Rank)
 	fmt.Printf("job %s: %s after %d restart(s), %d/%d steps, final loss %.4f\n",
 		st.ID, st.State, st.Restarts, st.StepsDone, st.Steps, st.LastLoss)
 }

@@ -242,7 +242,7 @@ func TestReshardedResumeMatchesSmallWorld(t *testing.T) {
 	}
 }
 
-// The async snapshotter's checkpoint equals a synchronous capture of the
+// The async snapshotter's newest file equals a synchronous capture of the
 // same moment, snapshots overlap training without corruption, files land
 // atomically, and retention prunes to the bound.
 func TestSnapshotterAsyncMatchesSyncCapture(t *testing.T) {
@@ -277,18 +277,8 @@ func TestSnapshotterAsyncMatchesSyncCapture(t *testing.T) {
 		t.Errorf("completed %d snapshots, want %d", got, steps/every)
 	}
 
-	latest := snap.Latest()
-	if latest == nil {
-		t.Fatal("no snapshot published")
-	}
-	sync := assemble(t, hdrs, slabs)
-	if latest.OptSteps != sync.OptSteps {
-		t.Fatalf("latest snapshot at step %d, sync capture at %d", latest.OptSteps, sync.OptSteps)
-	}
-	snapshotsEqual(t, sync, latest, "async vs sync")
-
-	// Retention kept exactly Keep files; the newest is the last Tick; no
-	// temp files leaked; the file decodes back to the published checkpoint.
+	// Retention kept exactly Keep files; the newest is the last Tick's and
+	// is the one the snapshotter reports; no temp files leaked.
 	files, err := listCheckpoints(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -297,8 +287,8 @@ func TestSnapshotterAsyncMatchesSyncCapture(t *testing.T) {
 		t.Fatalf("retention kept %d files, want 2: %v", len(files), files)
 	}
 	newest := files[len(files)-1]
-	if filepath.Base(newest) != checkpointName(steps) {
-		t.Errorf("newest file %s, want %s", newest, checkpointName(steps))
+	if filepath.Base(newest) != checkpointName(steps) || snap.Newest() != newest {
+		t.Errorf("newest file %s, reported %q; want %s", newest, snap.Newest(), checkpointName(steps))
 	}
 	ents, _ := os.ReadDir(dir)
 	for _, e := range ents {
@@ -306,26 +296,26 @@ func TestSnapshotterAsyncMatchesSyncCapture(t *testing.T) {
 			t.Errorf("leaked temp file %s", e.Name())
 		}
 	}
-	blob, err := os.ReadFile(newest)
+	fromDisk, err := zero.ReadSnapshotFile(newest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromDisk, err := zero.DecodeSnapshot(blob)
-	if err != nil {
-		t.Fatal(err)
+	sync := assemble(t, hdrs, slabs)
+	if fromDisk.OptSteps != sync.OptSteps {
+		t.Fatalf("newest file at step %d, sync capture at %d", fromDisk.OptSteps, sync.OptSteps)
 	}
-	snapshotsEqual(t, latest, fromDisk, "disk vs memory")
+	snapshotsEqual(t, sync, fromDisk, "async file vs sync")
 }
 
-// A snapshotter with no Dir keeps checkpoints in memory only; take works
-// mid-accumulation and the restored accumulator round-trips.
+// take works mid-accumulation: the file the snapshotter reports holds the
+// pending accumulator and decodes with the capture's clock.
 func TestSnapshotterMidAccumInMemory(t *testing.T) {
 	cfg := testConfig()
 	const n, batch = 2, 4
 	ids, targets := model.SyntheticBatch(9, batch, cfg.Seq, cfg.Vocab)
 	opts := zero.Options{Stage: zero.StageOS, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed}
 
-	snap, err := NewSnapshotter(Policy{}, n)
+	snap, err := NewSnapshotter(Policy{Dir: t.TempDir()}, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,15 +332,25 @@ func TestSnapshotterMidAccumInMemory(t *testing.T) {
 	if err := snap.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ck := snap.Latest()
-	if ck == nil {
-		t.Fatal("no snapshot published")
+	if snap.Newest() == "" {
+		t.Fatal("no snapshot file written")
+	}
+	ck, err := zero.ReadSnapshotFile(snap.Newest())
+	if err != nil {
+		t.Fatal(err)
 	}
 	if ck.AccumMicros != 1 {
 		t.Fatalf("AccumMicros = %d, want 1 (capture was mid-accumulation)", ck.AccumMicros)
 	}
 	if ck.OptSteps != 1 {
 		t.Errorf("OptSteps = %d, want 1", ck.OptSteps)
+	}
+}
+
+// A snapshot is a file, so a snapshotter needs a directory to write it to.
+func TestSnapshotterRequiresDir(t *testing.T) {
+	if _, err := NewSnapshotter(Policy{Every: 1}, 2); err == nil {
+		t.Error("NewSnapshotter without a Dir: no error")
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package elastic is the asynchronous boundary snapshotter: periodic
-// zero.Snapshots of a running world taken over the "checkpoint" stream,
-// kept in memory (Latest) and optionally persisted as ckpt-<step>.zelc
-// files, plus the helpers that list and read that directory.
+// zero.Snapshots of a running world taken over the "checkpoint" stream and
+// persisted as ckpt-<step>.zelc files in the policy's directory. The file
+// is the only recovery medium: the snapshotter reports the path of the
+// newest one it wrote (Newest), and a restart reads that file.
 //
 // The snapshots are elastic as they are. ZeRO's state layout makes
 // elasticity mechanical (the paper's partitioning argument run
@@ -14,7 +15,7 @@
 // reduction-tree tolerance (the same caveat as cross-topology runs).
 //
 // Surface: NewSnapshotter builds a Snapshotter from a Policy; Tick, Flush,
-// Latest, Count, StallNs and Close drive and read it. Imported by
+// Close, Newest, Count and StallNs drive and read it. Imported by
 // internal/serve (the job supervisor) and bench.
 package elastic
 
@@ -37,12 +38,12 @@ type Policy struct {
 	// Every takes a snapshot when Tick's step is a multiple of Every.
 	// Every <= 0 disables Tick (take still works).
 	Every int
-	// Dir, when non-empty, is where rank 0 persists encoded snapshots
-	// (ckpt-<step>.zelc, written via a temp file + atomic rename). Empty
-	// keeps snapshots in memory only (Latest).
+	// Dir is where rank 0 persists encoded snapshots (ckpt-<step>.zelc,
+	// written via a temp file + atomic rename). Required.
 	Dir string
-	// Keep bounds how many checkpoint files stay in Dir; older ones are
-	// pruned after each write. <= 0 keeps all.
+	// Keep bounds how many checkpoint files at or below the step just
+	// written stay in Dir; older ones are pruned after each write. <= 0
+	// keeps all.
 	Keep int
 }
 
@@ -60,14 +61,14 @@ type Snapshotter struct {
 	pol   Policy
 	slots []rankSlot
 
-	latest  atomic.Pointer[zero.Snapshot]
 	count   atomic.Int64
 	stallNs atomic.Int64
 
 	writeCh   chan writeReq
 	writerWG  sync.WaitGroup
 	closeOnce sync.Once
-	err       error // the writer's first failure; read after it exits
+	err       error  // the writer's first failure; read after it exits
+	newest    string // the last file it renamed into place; likewise
 }
 
 // rankSlot is one rank's double buffer. All fields are touched only by that
@@ -83,24 +84,25 @@ type writeReq struct {
 	snap *zero.Snapshot
 }
 
-// NewSnapshotter builds a snapshotter for an n-rank world. When pol.Dir is
-// set it is created if missing and a writer goroutine is started.
+// NewSnapshotter builds a snapshotter for an n-rank world: pol.Dir is
+// created if missing and a writer goroutine is started.
 func NewSnapshotter(pol Policy, n int) (*Snapshotter, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("elastic: snapshotter for world size %d", n)
 	}
+	if pol.Dir == "" {
+		return nil, fmt.Errorf("elastic: snapshotter without a directory")
+	}
+	if err := os.MkdirAll(pol.Dir, 0o755); err != nil {
+		return nil, fmt.Errorf("elastic: snapshot dir: %w", err)
+	}
 	s := &Snapshotter{
-		pol:   pol,
-		slots: make([]rankSlot, n),
+		pol:     pol,
+		slots:   make([]rankSlot, n),
+		writeCh: make(chan writeReq, 2),
 	}
-	if pol.Dir != "" {
-		if err := os.MkdirAll(pol.Dir, 0o755); err != nil {
-			return nil, fmt.Errorf("elastic: snapshot dir: %w", err)
-		}
-		s.writeCh = make(chan writeReq, 2)
-		s.writerWG.Add(1)
-		go s.writer()
-	}
+	s.writerWG.Add(1)
+	go s.writer()
 	return s, nil
 }
 
@@ -139,11 +141,8 @@ func (s *Snapshotter) take(step int, tr *zero.Trainer) {
 		if snap == nil {
 			return
 		}
-		s.latest.Store(snap)
 		s.count.Add(1)
-		if s.writeCh != nil {
-			s.writeCh <- writeReq{step: step, snap: snap}
-		}
+		s.writeCh <- writeReq{step: step, snap: snap}
 	})
 	sl.cur++
 }
@@ -165,18 +164,16 @@ func (s *Snapshotter) Flush(rank int) {
 // error. Call after the world has finished running.
 func (s *Snapshotter) Close() error {
 	s.closeOnce.Do(func() {
-		if s.writeCh != nil {
-			close(s.writeCh)
-			s.writerWG.Wait()
-		}
+		close(s.writeCh)
+		s.writerWG.Wait()
 	})
 	return s.err
 }
 
-// Latest returns the most recently gathered snapshot (nil before the first
-// completes). It is immutable once published; Trainer.Load only copies out
-// of it, so every rank of a restarted world can load the one pointer.
-func (s *Snapshotter) Latest() *zero.Snapshot { return s.latest.Load() }
+// Newest returns the path of the newest checkpoint file the writer renamed
+// into place ("" before the first). Call it after Close: a restart
+// resumes from this file, so it covers every snapshot that was gathered.
+func (s *Snapshotter) Newest() string { return s.newest }
 
 // Count returns how many snapshots have been gathered.
 func (s *Snapshotter) Count() int64 { return s.count.Load() }
@@ -190,20 +187,22 @@ func (s *Snapshotter) StallNs() int64 { return s.stallNs.Load() }
 func (s *Snapshotter) writer() {
 	defer s.writerWG.Done()
 	for req := range s.writeCh {
-		if err := s.writeOne(req); err != nil && s.err == nil {
+		path := filepath.Join(s.pol.Dir, checkpointName(req.step))
+		_, err := req.snap.WriteFile(path)
+		if err == nil {
+			s.newest = path
+			err = s.prune(path)
+		}
+		if err != nil && s.err == nil {
 			s.err = err
 		}
 	}
 }
 
-func (s *Snapshotter) writeOne(req writeReq) error {
-	if _, err := req.snap.WriteFile(filepath.Join(s.pol.Dir, checkpointName(req.step))); err != nil {
-		return err
-	}
-	return s.prune()
-}
-
-func (s *Snapshotter) prune() error {
+// prune removes the oldest checkpoints below newest's step until Keep
+// remain, newest included. Files at higher steps are an earlier run's in
+// the same directory, not this run's to prune.
+func (s *Snapshotter) prune(newest string) error {
 	if s.pol.Keep <= 0 {
 		return nil
 	}
@@ -211,11 +210,10 @@ func (s *Snapshotter) prune() error {
 	if err != nil {
 		return err
 	}
-	for len(files) > s.pol.Keep {
-		if err := os.Remove(files[0]); err != nil {
+	for older := files[:sort.SearchStrings(files, newest)]; len(older) >= s.pol.Keep; older = older[1:] {
+		if err := os.Remove(older[0]); err != nil {
 			return err
 		}
-		files = files[1:]
 	}
 	return nil
 }

@@ -13,7 +13,7 @@
 //
 // Surface: Config with ParseConfig, LoadConfig, DefaultConfig and
 // Normalized; Run starts one Engine per rank (Forward, Backward, Step,
-// TrainStream, TrainLoop, Save, Load, Observe, OnBoundary and the
+// TrainStream, TrainLoop, Save, Load, Resume, Observe, OnBoundary and the
 // accounting readers) and contains rank death; OpenData compiles the data
 // section into a data.Loader; the Err* sentinels classify config errors
 // (each wraps ErrConfig) and ErrRankFailed a job in which a rank died. Imported by

@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
 	"repro/internal/losscurve"
+	"repro/internal/zero"
 )
 
 // runCorpusTraining trains the checked-in examples/corpus job for `steps`
@@ -82,5 +84,58 @@ func TestCorpusTrainingDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("step %d: run A loss %.17g != run B loss %.17g", i+1, a[i], b[i])
 		}
+	}
+}
+
+// Resume fast-forwards the corpus stream: a run saved at boundary 2 and
+// resumed in a fresh world with fresh loaders trains boundaries 3 and 4 on
+// the batches an uninterrupted run sees there, and ends in its state bit
+// for bit. A resume that restarted the stream would re-train on the first
+// two global batches.
+func TestResumeFastForwardsCorpus(t *testing.T) {
+	cfg, err := LoadConfig("../../examples/corpus/config.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	norm, err := cfg.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const saveAt, steps = 2, 4
+	run := func(resume *zero.Snapshot, until int) []byte {
+		var out []byte
+		if _, err := Run(norm, func(e *Engine) {
+			ld, err := OpenData(norm)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer ld.Close()
+			if resume != nil {
+				if err := e.Resume(resume, ld); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			for e.Steps() < until {
+				e.TrainStream(ld)
+			}
+			if s := e.Save(); s != nil {
+				out, err = encode(s)
+				if err != nil {
+					t.Error(err)
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	saved, err := zero.DecodeSnapshot(run(nil, saveAt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := run(saved, steps), run(nil, steps); !bytes.Equal(got, want) {
+		t.Error("resumed at boundary 2: the state after boundary 4 differs from the uninterrupted run's")
 	}
 }

@@ -285,10 +285,6 @@ func (e *Engine) BatchLoss() float64 { return e.last }
 // Steps returns how many optimizer steps have fired.
 func (e *Engine) Steps() int { return e.steps }
 
-// LastGradNorm returns the pre-clipping global gradient norm of the most
-// recent boundary (when grad_clip is enabled).
-func (e *Engine) LastGradNorm() float64 { return e.tr.LastGradNorm }
-
 // LossScale returns the current dynamic loss scale (0 when fp16_compute
 // is off).
 func (e *Engine) LossScale() float64 { return e.tr.LossScale() }
@@ -321,8 +317,8 @@ func (e *Engine) Save() *zero.Snapshot { return e.tr.Save() }
 
 // Load restores a snapshot into this rank (see zero.Trainer.Load) and
 // adopts its training clock: Steps continues from the snapshot's
-// Boundaries — its optimizer steps plus its fp16 overflow skips — so a
-// supervisor can fast-forward the data stream to the right position.
+// Boundaries — its optimizer steps plus its fp16 overflow skips — from
+// which Resume fast-forwards the data stream.
 // Mid-accumulation snapshots (AccumMicros > 0) are rejected — the engine's
 // micro-step counter is part of the TrainStream schedule, and resuming a
 // half batch would desynchronize it; restore those through zero.Trainer.Load
@@ -337,6 +333,19 @@ func (e *Engine) Load(s *zero.Snapshot) error {
 	e.micro = 0
 	e.lossSum = 0
 	e.steps = s.Boundaries()
+	return nil
+}
+
+// Resume loads s (see Load) and fast-forwards b past the Boundaries() ×
+// GradAccumSteps micro-batches the snapshot's run consumed, so a
+// deterministic stream continues exactly where that run left it.
+func (e *Engine) Resume(s *zero.Snapshot, b Batcher) error {
+	if err := e.Load(s); err != nil {
+		return err
+	}
+	for i := 0; i < e.steps*e.cfg.GradAccumSteps; i++ {
+		b.NextBatch()
+	}
 	return nil
 }
 

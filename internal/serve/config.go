@@ -100,16 +100,15 @@ type Config struct {
 	// MaxSteps caps the optimizer steps a single job may request
 	// (default 100000).
 	MaxSteps int `json:"max_steps,omitempty"`
-	// SnapshotDir, when set, is where every job's final checkpoint is
-	// written (<dir>/<job-id>/final.zelc) and where jobs that take elastic
+	// SnapshotDir is where every job's final checkpoint is written
+	// (<dir>/<job-id>/final.zelc) and where jobs that take elastic
 	// snapshots persist them beside it (ckpt-<step>.zelc, atomic
-	// rename-into-place, pruned to SnapshotKeep files). Empty keeps elastic
-	// snapshots in memory only — recovery still works — and writes final
-	// checkpoints to a private temp directory that Drain removes, so nothing
-	// survives the process.
+	// rename-into-place, pruned to SnapshotKeep files); a restart reads the
+	// newest of those files. Empty puts both in a private temp directory
+	// that Drain removes, so nothing survives the process.
 	SnapshotDir string `json:"snapshot_dir,omitempty"`
-	// SnapshotKeep bounds the checkpoint files retained per job in
-	// SnapshotDir (default 2).
+	// SnapshotKeep bounds the elastic snapshot files retained per job
+	// (default 2).
 	SnapshotKeep int `json:"snapshot_keep,omitempty"`
 }
 

@@ -234,8 +234,8 @@ func (s *Scheduler) worker() {
 // the elastic fault-tolerance story: each attempt trains in a freshly built
 // world with rank-death containment; when a rank dies, the survivors error
 // out collectively (no deadlock), the attempt returns, and — restart budget
-// permitting — the next attempt resumes from the last completed boundary
-// snapshot, in a world of Spec.RestartRanks ranks if that is set (the
+// permitting — the next attempt resumes from the newest boundary snapshot
+// file, in a world of Spec.RestartRanks ranks if that is set (the
 // snapshot's slabs load at any world size). Clean attempts consolidate a final
 // checkpoint exactly as before.
 func (s *Scheduler) runJob(j *Job) {
@@ -243,11 +243,11 @@ func (s *Scheduler) runJob(j *Job) {
 		return // cancelled while queued
 	}
 	cfg := j.spec.Config // normalized at Submit
-	var last *zero.Snapshot
+	var from string      // the newest snapshot file; "" starts from scratch
 	for attempt := 0; ; attempt++ {
-		res := s.runAttempt(j, cfg, last, attempt)
-		if res.latest != nil {
-			last = res.latest // newest completed boundary snapshot
+		res := s.runAttempt(j, cfg, from, attempt)
+		if res.newest != "" {
+			from = res.newest
 		}
 		if res.fatal != nil {
 			j.finish(StateFailed, res.fatal)
@@ -281,36 +281,31 @@ type attemptResult struct {
 	death      error
 	cancelled  bool
 	checkpoint string // the final snapshot's file
-	latest     *zero.Snapshot
+	newest     string // the newest elastic snapshot file, "" if none
 }
 
 // runAttempt trains one attempt of the job in its own world and classifies
-// how it ended. resume, when non-nil, is the boundary snapshot the attempt
-// starts from, whatever world size captured it; the ranks share it
-// read-only (Load copies out).
-func (s *Scheduler) runAttempt(j *Job, cfg engine.Config, resume *zero.Snapshot, attempt int) attemptResult {
+// how it ended. from, when set, is the boundary snapshot file the attempt
+// starts from, whatever world size captured it: it is decoded once, and
+// the ranks share the snapshot read-only (Load copies out).
+func (s *Scheduler) runAttempt(j *Job, cfg engine.Config, from string, attempt int) attemptResult {
 	var res attemptResult
-	pol := elastic.Policy{Every: j.spec.SnapshotEvery}
-	if s.cfg.SnapshotDir != "" && pol.Every > 0 {
-		pol.Dir = filepath.Join(s.cfg.SnapshotDir, j.id)
-		pol.Keep = s.cfg.SnapshotKeep
+	var resume *zero.Snapshot
+	remaining := j.spec.Steps
+	if from != "" {
+		var err error
+		if resume, err = zero.ReadSnapshotFile(from); err != nil {
+			res.fatal = err
+			return res
+		}
+		remaining = max(remaining-resume.Boundaries(), 0)
 	}
-	snapper, err := elastic.NewSnapshotter(pol, cfg.Ranks)
+	jobDir := filepath.Join(s.dir, j.id) // its snapshots and final checkpoint
+	snapper, err := elastic.NewSnapshotter(elastic.Policy{Every: j.spec.SnapshotEvery, Dir: jobDir, Keep: s.cfg.SnapshotKeep}, cfg.Ranks)
 	if err != nil {
 		res.fatal = err
 		return res
 	}
-	jobDir := filepath.Join(s.dir, j.id)
-	if err := os.MkdirAll(jobDir, 0o755); err != nil {
-		res.fatal = fmt.Errorf("serve: checkpoint dir: %w", err)
-		return res
-	}
-
-	startSteps := 0
-	if resume != nil {
-		startSteps = resume.Boundaries()
-	}
-	remaining := max(j.spec.Steps-startSteps, 0)
 
 	var mu sync.Mutex
 	var bodyErr error // first per-rank failure (data open, checkpoint write)
@@ -340,14 +335,9 @@ func (s *Scheduler) runAttempt(j *Job, cfg engine.Config, resume *zero.Snapshot,
 			b = model.NewSyntheticStream(cfg.Seed, cfg.GlobalBatch, cfg.MicroBatch, cfg.Model.Seq, cfg.Model.Vocab)
 		}
 		if resume != nil {
-			if err := e.Load(resume); err != nil {
+			if err := e.Resume(resume, b); err != nil {
 				fail(err)
 				return
-			}
-			// The stream is deterministic: replaying the consumed prefix
-			// puts every rank at the snapshot's data position.
-			for i := 0; i < startSteps*cfg.GradAccumSteps; i++ {
-				b.NextBatch()
 			}
 		}
 		// The injected fault kills before the step's own snapshot fires
@@ -360,11 +350,9 @@ func (s *Scheduler) runAttempt(j *Job, cfg engine.Config, resume *zero.Snapshot,
 				}
 			})
 		}
-		if j.spec.SnapshotEvery > 0 {
-			tr := e.Trainer()
-			e.OnBoundary(func(step int) { snapper.Tick(step, tr) })
-			defer snapper.Flush(e.Rank())
-		}
+		tr := e.Trainer()
+		e.OnBoundary(func(step int) { snapper.Tick(step, tr) })
+		defer snapper.Flush(e.Rank())
 		if e.Rank() == 0 {
 			w := e.Comm().World()
 			mc := newMallocCounter()
@@ -407,8 +395,8 @@ func (s *Scheduler) runAttempt(j *Job, cfg engine.Config, resume *zero.Snapshot,
 			mu.Unlock()
 		}
 	})
-	res.latest = snapper.Latest()
 	snapErr := snapper.Close()
+	res.newest = snapper.Newest()
 	if errors.Is(runErr, engine.ErrRankFailed) {
 		// Prefer the root cause — the rank that actually died — over the
 		// ranks that merely observed the death. Snapshot-path errors here

@@ -926,6 +926,42 @@ func TestElasticKillResumeShrunkWorld(t *testing.T) {
 	}
 }
 
+// Job ids restart at job-000001 in every daemon, so a persistent
+// SnapshotDir may already hold that job's directory with snapshots at
+// higher steps than the new job reaches — here an earlier daemon's 10-step
+// job left ckpt-9 and ckpt-10. Retention must spare the new job's own
+// newest file, which is what its recovery reads: the job killed at step 3
+// resumes from its step-2 file, ends bitwise equal to an uninterrupted run,
+// and leaves its step-6 snapshot on disk.
+func TestElasticPruneKeepsJobsNewest(t *testing.T) {
+	const steps, stale = 6, 10
+	run := func(dir, body string) (Status, *zero.Snapshot) {
+		_, ts := newTestServer(t, Config{MaxWorlds: 1, SnapshotDir: dir})
+		st := submit(t, ts, body)
+		final := waitState(t, ts, st.ID, func(s Status) bool { return s.State.Terminal() })
+		if final.State != StateSucceeded {
+			t.Fatalf("job ended %s (err %q), want succeeded", final.State, final.Error)
+		}
+		return final, fetchCheckpoint(t, ts, st.ID)
+	}
+	dir := t.TempDir()
+	run(dir, elasticSpecJSON(stale, 1, 0, 0, 0, 0))
+	_, want := run(t.TempDir(), elasticSpecJSON(steps, 1, 0, 0, 0, 0))
+	st, got := run(dir, elasticSpecJSON(steps, 1, 1, 0, 1, 3))
+	if st.ID != "job-000001" || st.Restarts != 1 {
+		t.Fatalf("job %s restarted %d times, want job-000001 once", st.ID, st.Restarts)
+	}
+	if !bytes.Equal(encode(t, got), encode(t, want)) {
+		t.Errorf("the resumed job's final state differs from the uninterrupted job's")
+	}
+	for _, step := range []int{steps, stale - 1, stale} {
+		path := filepath.Join(dir, st.ID, fmt.Sprintf("ckpt-%09d.zelc", step))
+		if _, err := zero.ReadSnapshotFile(path); err != nil {
+			t.Errorf("snapshot at step %d: %v", step, err)
+		}
+	}
+}
+
 // Without a restart budget, a rank death fails the job — loudly, with the
 // dead rank named, not a hang.
 func TestElasticKillNoBudgetFails(t *testing.T) {

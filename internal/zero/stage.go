@@ -16,8 +16,9 @@
 // Step, Save, Load, CaptureShard and the accounting readers) with one
 // stream scheduler over the rank's node layout (Options.NodeSize), which
 // Scheduler shares with the rank's other components; Snapshot — the
-// capturing ranks' slabs — with WriteTo, Regroup, DecodeSnapshot and
-// GatherSnapshot is the ZELC checkpoint; Stage and
+// capturing ranks' slabs — with WriteTo, WriteFile, Regroup,
+// DecodeSnapshot, ReadSnapshotFile and GatherSnapshot is the ZELC
+// checkpoint; Stage and
 // ParseStage name the stages; NewPartitionedStore is Pa and Pa+cpu, set as
 // Model.Store on the scheduler's StreamCheckpoint stream.
 // Imported by engine, elastic, serve, experiments, cmd/zerobench,

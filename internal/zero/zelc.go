@@ -149,6 +149,16 @@ func (s *Snapshot) WriteFile(path string) (int64, error) {
 	return n, nil
 }
 
+// ReadSnapshotFile decodes the ZELC file at path: the one reader of the
+// files WriteFile writes, for zerotrain -load and the daemon's restarts.
+func ReadSnapshotFile(path string) (*Snapshot, error) {
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeSnapshot(blob)
+}
+
 // DecodeSnapshot deserializes a blob written by WriteTo. The bytes come
 // from files and HTTP clients, so nothing in them is trusted: the integrity
 // trailer, magic and version are checked first, then the header must be
