@@ -108,11 +108,17 @@ serve-smoke:
 # Elastic-recovery smoke: a deterministic mid-run rank kill recovered by
 # the supervisor from its newest boundary snapshot file — in -snapshot-dir
 # and in the private directory a daemon without one uses — a persisted
-# snapshot resumed by hand, and retention that spares a job's newest file
-# beside an earlier daemon's higher-step ones, under the race detector
-# (part of `make check`).
+# snapshot resumed by hand, and a second daemon over the same -snapshot-dir
+# numbering its jobs after the first's, leaving the first's files
+# untouched; the file the ranks write together, each its own slab, byte for
+# byte WriteTo's at N ∈ {1, 3, 8} × stages 0–3 × fp32/fp16; and a rank
+# killed between its slab write and its report, which leaves the previous
+# checkpoint the newest — all under the race detector (part of `make
+# check`).
 elastic-smoke:
 	$(GO) test -race ./internal/serve -run 'TestElasticKillResume|TestPersistedSnapshotResumes|TestElasticPruneKeepsJobsNewest' -count=1
+	$(GO) test -race ./internal/zero -run 'TestWriteSnapshotFileMatchesWriteTo' -count=1
+	$(GO) test -race ./internal/elastic -run 'TestSnapshotterKillDuringWrite' -count=1
 
 # The elastic walkthrough checks itself: it exits non-zero if regrouping an
 # 8-rank snapshot for 4 ranks and back does not reproduce the ZELC file, if

@@ -172,7 +172,7 @@ func main() {
 			cfg.Data.Path, cfg.Data.Tokenizer, cfg.Data.SeqLen, cfg.Data.ShuffleBuffer, cfg.Ranks)
 	}
 	start := time.Now()
-	var saved *zero.Snapshot
+	var savedBytes int64
 	var corpusTokens int64
 	var corpusEpochs, corpusVocab int
 	var resident int64
@@ -214,8 +214,13 @@ func main() {
 			}
 		}
 		if *savePath != "" {
-			if snap := e.Save(); snap != nil {
-				saved = snap
+			// Every rank writes its own slab into the file.
+			n, err := e.Trainer().SaveFile(*savePath)
+			if err != nil {
+				log.Fatal(err)
+			}
+			if e.Rank() == 0 {
+				savedBytes = n
 			}
 		}
 	})
@@ -225,11 +230,7 @@ func main() {
 	elapsed := time.Since(start)
 
 	if *savePath != "" {
-		n, err := saved.WriteFile(*savePath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("\ncheckpoint written to %s (%d bytes)\n", *savePath, n)
+		fmt.Printf("\ncheckpoint written to %s (%d bytes)\n", *savePath, savedBytes)
 	}
 	tokens := int64(*steps) * int64(cfg.GlobalBatch) * int64(seqLen)
 	st0 := w.Stats(0)

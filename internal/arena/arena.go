@@ -27,8 +27,9 @@
 // in-process world.
 //
 // Surface: the generic Arena and New, with Get, Put, Release, Resident and
-// Stats. internal/comm draws its wire copies from an Arena[float32] and
-// internal/data its token buffers from an Arena[int]; zero's teardown test
+// Stats. internal/comm draws its wire copies from an Arena[float32],
+// internal/data its token buffers from an Arena[int] and internal/zero its
+// checkpoint encode buffers from an Arena[byte]; zero's teardown test
 // reads the wire pool's residency through comm.World.WirePool.
 package arena
 
@@ -43,8 +44,9 @@ const numClasses = 40
 
 // Arena is a size-classed free list of []T buffers: float32 for the wire
 // copies and scratch of the collectives, int for the data pipeline's token
-// slices and batch buffers. The zero value is ready to use.
-type Arena[T float32 | int] struct {
+// slices and batch buffers, byte for the checkpoint writers' encode
+// buffers. The zero value is ready to use.
+type Arena[T float32 | int | byte] struct {
 	mu      sync.Mutex
 	classes [numClasses][][]T
 
@@ -54,7 +56,7 @@ type Arena[T float32 | int] struct {
 }
 
 // New returns an empty arena.
-func New[T float32 | int]() *Arena[T] { return &Arena[T]{} }
+func New[T float32 | int | byte]() *Arena[T] { return &Arena[T]{} }
 
 // width is the byte size of one element.
 func (a *Arena[T]) width() int64 {

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/comm"
 	"repro/internal/model"
@@ -355,21 +356,21 @@ func TestSnapshotterRequiresDir(t *testing.T) {
 }
 
 // One snapshot tick at serve-snap's shape (Ψ = 110,336, Adam, stage 2, 2
-// ranks), persisted to a Dir, allocates at most 1.5× the 12Ψ-byte model
-// state, the writer's work included: rank 0's copy of its slab and the
-// slab it gathers are the snapshot (1×), every rank captures into its
-// double buffer, and the file is streamed through one small buffer. The per-tick
-// figure is the difference between a 4-tick and a 2-tick snapshotter, each
-// measured from construction to Close (so the writer has finished), so
-// what a snapshotter allocates once — the double buffers, the writer
-// goroutine, the directory — cancels out.
+// ranks), persisted to a Dir, allocates at most 0.05× the 12Ψ-byte model
+// state, the write included: each rank captures into its double buffer and
+// writes that buffer into the file through a lent encode buffer, and only
+// three-float reports cross the wire, so no rank allocates or receives
+// another rank's slab. The per-tick figure is the signed difference between
+// a 4-tick and a 2-tick snapshotter, each measured from construction to
+// Close, so what a snapshotter allocates once — the double buffers, the
+// directory — cancels out.
 func TestSnapshotterTickAllocations(t *testing.T) {
 	cfg := model.Config{Layers: 2, Hidden: 64, Heads: 4, Vocab: 128, Seq: 32}
 	const n, every = 2, 2
 	opts := zero.Options{Stage: zero.StageOSGrad, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed}
-	run := func(ticks int) uint64 {
+	run := func(ticks int) int64 {
 		dir := t.TempDir()
-		var grew uint64
+		var grew int64
 		var snap *Snapshotter
 		w := comm.NewWorld(n)
 		w.Run(func(c *comm.Comm) {
@@ -381,17 +382,6 @@ func TestSnapshotterTickAllocations(t *testing.T) {
 			var before, after runtime.MemStats
 			c.Barrier()
 			if c.Rank() == 0 {
-				// A warm world's wire pool holds a copy for each gather in
-				// flight at once: a rank's send completes when it is posted,
-				// so all of them may be, before rank 0's stream takes one.
-				slab, _ := tr.CaptureShard(nil)
-				wire := make([][]float32, ticks)
-				for i := range wire {
-					wire[i] = w.WirePool().Get(len(slab))
-				}
-				for _, b := range wire {
-					w.WirePool().Put(b)
-				}
 				runtime.ReadMemStats(&before)
 				if snap, err = NewSnapshotter(Policy{Every: every, Dir: dir, Keep: 2}, n); err != nil {
 					panic(err)
@@ -408,20 +398,71 @@ func TestSnapshotterTickAllocations(t *testing.T) {
 					t.Error(err)
 				}
 				runtime.ReadMemStats(&after)
-				grew = after.TotalAlloc - before.TotalAlloc
+				grew = int64(after.TotalAlloc - before.TotalAlloc)
 			}
 		})
 		if got := snap.Count(); got != int64(ticks) {
-			t.Fatalf("%d ticks gathered %d snapshots", ticks, got)
+			t.Fatalf("%d ticks wrote %d snapshots", ticks, got)
 		}
 		return grew
 	}
+	run(1) // the encode buffers are lent process-wide: warm them first
 	short, long := run(2), run(4)
 	perTick := float64(long-short) / 2
 	state := float64(12 * cfg.ParamCount()) // fp32 master + Adam's two moments
-	t.Logf("%.0f bytes per tick, %.2f× the model state", perTick, perTick/state)
-	if perTick > 1.5*state {
-		t.Errorf("a snapshot tick allocates %.0f bytes, %.2f× the %.0f-byte model state; want ≤ 1.5×",
+	t.Logf("%.0f bytes per tick, %.4f× the model state", perTick, perTick/state)
+	if perTick > 0.05*state {
+		t.Errorf("a snapshot tick allocates %.0f bytes, %.4f× the %.0f-byte model state; want ≤ 0.05×",
 			perTick, perTick/state, state)
+	}
+}
+
+// A rank killed between writing its slab and reporting it to rank 0 leaves
+// no file at that step: the previous checkpoint stays the newest and
+// decodes, and no goroutine is left behind.
+func TestSnapshotterKillDuringWrite(t *testing.T) {
+	cfg := testConfig()
+	const n, batch, kill = 3, 3, 3
+	ids, targets := model.SyntheticBatch(3, batch, cfg.Seq, cfg.Vocab)
+	opts := zero.Options{Stage: zero.StageOSGrad, Optimizer: optimizer.Spec{LR: testLR}, Seed: testSeed}
+	dir := t.TempDir()
+	snap, err := NewSnapshotter(Policy{Every: 1, Dir: dir}, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := runtime.NumGoroutine()
+	w := comm.NewWorld(n)
+	errs := w.Run(func(c *comm.Comm) {
+		tr := newTrainer(c, opts)
+		defer tr.Close()
+		for s := 1; s <= kill; s++ {
+			tr.Step(ids, targets, batch)
+			if s == kill && c.Rank() == 1 {
+				// The step is done and the earlier snapshots are written, so
+				// rank 1's next wire op is the report of its step-3 write.
+				w.FailRankAfterOps(1, 1)
+			}
+			snap.Tick(s, tr)
+			snap.Flush(c.Rank())
+		}
+	})
+	if errs[0] == nil || errs[1] == nil {
+		t.Fatalf("world errors %v: want rank 1 killed and rank 0 failing on it", errs)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if g := runtime.NumGoroutine(); g > baseline {
+		t.Errorf("%d goroutines left running", g-baseline)
+	}
+	want := filepath.Join(dir, checkpointName(kill-1))
+	if snap.Newest() != want || snap.Count() != kill-1 {
+		t.Fatalf("newest %q after %d snapshots, want %q after %d", snap.Newest(), snap.Count(), want, kill-1)
+	}
+	if _, err := zero.ReadSnapshotFile(want); err != nil {
+		t.Errorf("the previous checkpoint does not decode: %v", err)
+	}
+	if files, err := listCheckpoints(dir); err != nil || len(files) != kill-1 {
+		t.Errorf("checkpoints %v (%v), want steps 1–%d only", files, err, kill-1)
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/metrics"
+	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/comm"
@@ -22,8 +24,9 @@ import (
 // goroutines, wire channels, traffic counters and the wire-buffer arena
 // are all per-job. Cancellation is context-based and lands at the next
 // accumulation boundary via the engine's collective stop vote; a
-// cancelled running job consolidates a checkpoint before it stops, and
-// every consolidated checkpoint is a file: <dir>/<job-id>/final.zelc.
+// cancelled running job checkpoints before it stops, and every final
+// checkpoint is a file the job's ranks write together, each its own slab:
+// <dir>/<job-id>/final.zelc.
 type Scheduler struct {
 	cfg   Config
 	queue chan *Job
@@ -61,12 +64,29 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 			return nil, fmt.Errorf("serve: checkpoint dir: %w", err)
 		}
 		s.private = true
+	} else {
+		s.seq = lastJobSeq(s.dir)
 	}
 	for i := 0; i < norm.MaxWorlds; i++ {
 		s.wg.Add(1)
 		go s.worker()
 	}
 	return s, nil
+}
+
+// lastJobSeq returns the highest n of the job-<n> entries in dir (0 when
+// there are none, or no dir yet), so a daemon over a persistent
+// SnapshotDir numbers its jobs after those of the daemons before it rather
+// than writing into their directories.
+func lastJobSeq(dir string) int {
+	names, _ := filepath.Glob(filepath.Join(dir, "job-*")) // the pattern is valid; Glob skips unreadable dirs
+	last := 0
+	for _, name := range names {
+		if n, err := strconv.Atoi(strings.TrimPrefix(filepath.Base(name), "job-")); err == nil {
+			last = max(last, n)
+		}
+	}
+	return last
 }
 
 // Submit validates the spec and admits it to the FIFO queue. The config
@@ -236,7 +256,7 @@ func (s *Scheduler) worker() {
 // out collectively (no deadlock), the attempt returns, and — restart budget
 // permitting — the next attempt resumes from the newest boundary snapshot
 // file, in a world of Spec.RestartRanks ranks if that is set (the
-// snapshot's slabs load at any world size). Clean attempts consolidate a final
+// snapshot's slabs load at any world size). Clean attempts write a final
 // checkpoint exactly as before.
 func (s *Scheduler) runJob(j *Job) {
 	if !j.transition(StateQueued, StateRunning) {
@@ -381,15 +401,15 @@ func (s *Scheduler) runAttempt(j *Job, cfg engine.Config, from string, attempt i
 			loopErr = err
 			mu.Unlock()
 		}
-		// Checkpoint-and-stop: consolidate to rank 0 whether the loop ran
-		// to completion or was cancelled at a boundary, and stream the
-		// slabs to the job's file — the daemon keeps the path, not the state.
-		if snap := e.Save(); snap != nil {
-			path := filepath.Join(jobDir, "final.zelc")
-			if _, err := snap.WriteFile(path); err != nil {
-				fail(err)
-				return
-			}
+		// Checkpoint-and-stop, whether the loop ran to completion or was
+		// cancelled at a boundary: every rank writes its slab into the
+		// job's file — the daemon keeps the path, not the state.
+		path := filepath.Join(jobDir, "final.zelc")
+		if _, err := e.Trainer().SaveFile(path); err != nil {
+			fail(err)
+			return
+		}
+		if e.Rank() == 0 {
 			mu.Lock()
 			checkpoint = path
 			mu.Unlock()
@@ -400,7 +420,7 @@ func (s *Scheduler) runAttempt(j *Job, cfg engine.Config, from string, attempt i
 	if errors.Is(runErr, engine.ErrRankFailed) {
 		// Prefer the root cause — the rank that actually died — over the
 		// ranks that merely observed the death. Snapshot-path errors here
-		// are collateral of the death (a gather cut mid-flight); the last
+		// are collateral of the death (a write cut mid-flight); the last
 		// *completed* snapshot is still intact.
 		res.death = runErr
 		var killed comm.Killed

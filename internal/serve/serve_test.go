@@ -926,13 +926,13 @@ func TestElasticKillResumeShrunkWorld(t *testing.T) {
 	}
 }
 
-// Job ids restart at job-000001 in every daemon, so a persistent
-// SnapshotDir may already hold that job's directory with snapshots at
-// higher steps than the new job reaches — here an earlier daemon's 10-step
-// job left ckpt-9 and ckpt-10. Retention must spare the new job's own
-// newest file, which is what its recovery reads: the job killed at step 3
-// resumes from its step-2 file, ends bitwise equal to an uninterrupted run,
-// and leaves its step-6 snapshot on disk.
+// A persistent SnapshotDir outlives its daemon, so a daemon over it
+// numbers its jobs after those already there rather than writing into an
+// earlier daemon's job directory: here a first daemon's 10-step job leaves
+// job-000001/ckpt-9, ckpt-10 and final.zelc, and a second daemon's job,
+// killed at step 3, is job-000002. The first daemon's files are
+// byte-identical afterwards, and the second job resumes from its own
+// step-2 file and ends bitwise equal to an uninterrupted run.
 func TestElasticPruneKeepsJobsNewest(t *testing.T) {
 	const steps, stale = 6, 10
 	run := func(dir, body string) (Status, *zero.Snapshot) {
@@ -944,20 +944,37 @@ func TestElasticPruneKeepsJobsNewest(t *testing.T) {
 		}
 		return final, fetchCheckpoint(t, ts, st.ID)
 	}
+	// files maps each file of a job directory to its bytes.
+	files := func(jobDir string) map[string][]byte {
+		ents, err := os.ReadDir(jobDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string][]byte, len(ents))
+		for _, e := range ents {
+			if out[e.Name()], err = os.ReadFile(filepath.Join(jobDir, e.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
 	dir := t.TempDir()
-	run(dir, elasticSpecJSON(stale, 1, 0, 0, 0, 0))
+	first, _ := run(dir, elasticSpecJSON(stale, 1, 0, 0, 0, 0))
+	earlier := files(filepath.Join(dir, first.ID))
 	_, want := run(t.TempDir(), elasticSpecJSON(steps, 1, 0, 0, 0, 0))
 	st, got := run(dir, elasticSpecJSON(steps, 1, 1, 0, 1, 3))
-	if st.ID != "job-000001" || st.Restarts != 1 {
-		t.Fatalf("job %s restarted %d times, want job-000001 once", st.ID, st.Restarts)
+	if first.ID != "job-000001" || st.ID != "job-000002" || st.Restarts != 1 {
+		t.Fatalf("jobs %s then %s (restarted %d times), want job-000001 then job-000002 restarted once", first.ID, st.ID, st.Restarts)
 	}
 	if !bytes.Equal(encode(t, got), encode(t, want)) {
 		t.Errorf("the resumed job's final state differs from the uninterrupted job's")
 	}
-	for _, step := range []int{steps, stale - 1, stale} {
-		path := filepath.Join(dir, st.ID, fmt.Sprintf("ckpt-%09d.zelc", step))
-		if _, err := zero.ReadSnapshotFile(path); err != nil {
-			t.Errorf("snapshot at step %d: %v", step, err)
+	if later := files(filepath.Join(dir, first.ID)); !reflect.DeepEqual(later, earlier) {
+		t.Errorf("the second daemon changed the first's job directory")
+	}
+	for _, name := range []string{fmt.Sprintf("ckpt-%09d.zelc", stale), fmt.Sprintf("ckpt-%09d.zelc", stale-1), "final.zelc"} {
+		if _, ok := earlier[name]; !ok {
+			t.Errorf("the first job left no %s", name)
 		}
 	}
 }

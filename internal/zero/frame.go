@@ -40,12 +40,72 @@ func (f *frameWriter) Write(p []byte) (int, error) {
 // seal writes the trailer after the payload and returns the bytes written
 // in all.
 func (f *frameWriter) seal() (int64, error) {
-	var tr [frameTrailerLen]byte
-	binary.LittleEndian.PutUint64(tr[0:8], uint64(f.n))
-	binary.LittleEndian.PutUint32(tr[8:12], f.crc)
-	copy(tr[12:16], frameMagic[:])
+	tr := frameTrailer(f.n, f.crc)
 	n, err := f.w.Write(tr[:])
 	return f.n + int64(n), err
+}
+
+// frameTrailer is the trailer sealing n payload bytes whose CRC-32 is crc.
+func frameTrailer(n int64, crc uint32) [frameTrailerLen]byte {
+	var tr [frameTrailerLen]byte
+	binary.LittleEndian.PutUint64(tr[0:8], uint64(n))
+	binary.LittleEndian.PutUint32(tr[8:12], crc)
+	copy(tr[12:16], frameMagic[:])
+	return tr
+}
+
+// crc32Combine returns the IEEE CRC-32 of A‖B from crc1 = CRC(A), crc2 =
+// CRC(B) and len2 = len(B), so ranks that each checksummed their own range
+// of a payload can be folded into the payload's checksum without the bytes.
+// It is zlib's crc32_combine: appending len2 zero bytes to A is a linear map
+// on the CRC register over GF(2), applied by repeated squaring of the
+// one-zero-bit operator (a 32×32 bit matrix, one uint32 per column).
+func crc32Combine(crc1, crc2 uint32, len2 int64) uint32 {
+	if len2 <= 0 {
+		return crc1
+	}
+	var even, odd [32]uint32 // operators for 2^k zero bits, k even and odd
+	odd[0] = crc32.IEEE      // one zero bit: shift right, fold in the polynomial
+	for n, row := 1, uint32(1); n < 32; n, row = n+1, row<<1 {
+		odd[n] = row
+	}
+	gf2Square(&even, &odd) // two zero bits
+	gf2Square(&odd, &even) // four zero bits
+	for {
+		gf2Square(&even, &odd) // the first pass makes it one zero byte
+		if len2&1 != 0 {
+			crc1 = gf2Times(&even, crc1)
+		}
+		if len2 >>= 1; len2 == 0 {
+			break
+		}
+		gf2Square(&odd, &even)
+		if len2&1 != 0 {
+			crc1 = gf2Times(&odd, crc1)
+		}
+		if len2 >>= 1; len2 == 0 {
+			break
+		}
+	}
+	return crc1 ^ crc2
+}
+
+// gf2Times multiplies the GF(2) matrix mat by the vector vec.
+func gf2Times(mat *[32]uint32, vec uint32) uint32 {
+	var sum uint32
+	for i := 0; vec != 0; i, vec = i+1, vec>>1 {
+		if vec&1 != 0 {
+			sum ^= mat[i]
+		}
+	}
+	return sum
+}
+
+// gf2Square sets sq to mat·mat.
+func gf2Square(sq, mat *[32]uint32) {
+	for n := range mat {
+		sq[n] = gf2Times(mat, mat[n])
+	}
 }
 
 // openFrame verifies and strips the integrity trailer, returning the

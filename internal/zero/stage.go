@@ -13,12 +13,12 @@
 //     memory defragmentation (MD) lives in internal/device.
 //
 // Surface: New builds a Trainer from Options (Forward, Backward, Update,
-// Step, Save, Load, CaptureShard and the accounting readers) with one
-// stream scheduler over the rank's node layout (Options.NodeSize), which
-// Scheduler shares with the rank's other components; Snapshot — the
-// capturing ranks' slabs — with WriteTo, WriteFile, Regroup,
-// DecodeSnapshot, ReadSnapshotFile and GatherSnapshot is the ZELC
-// checkpoint; Stage and
+// Step, Save, SaveFile, Load, CaptureShard and the accounting readers) with
+// one stream scheduler over the rank's node layout (Options.NodeSize),
+// which Scheduler shares with the rank's other components; Snapshot — the
+// capturing ranks' slabs — with WriteTo, Regroup, DecodeSnapshot and
+// ReadSnapshotFile is the ZELC checkpoint, and WriteSnapshotFile writes it
+// collectively, each rank its own slab, with no slab on the wire; Stage and
 // ParseStage name the stages; NewPartitionedStore is Pa and Pa+cpu, set as
 // Model.Store on the scheduler's StreamCheckpoint stream.
 // Imported by engine, elastic, serve, experiments, cmd/zerobench,

@@ -14,10 +14,11 @@ import (
 // NumParams, WorldSize)[r] of the fp32 master parameters, then of each
 // optimizer state tensor (State() order), then — when AccumMicros > 0 — of
 // the gradient accumulator. The slabs in rank order are ZELC's payload
-// (zelc.go). No rank ever holds the state Ψ-wide: Save gathers the slabs to
-// rank 0 (under partitioning checkpointing is itself a collective), WriteTo
-// streams them, and Load at any world size copies its own domain out of
-// the slabs that overlap it.
+// (zelc.go). No rank ever holds the state Ψ-wide: a file is written by
+// every rank at once, each its own slab at its offset (WriteSnapshotFile,
+// SaveFile), with no slab on the wire; Save gathers the slabs to rank 0 for
+// in-memory use, WriteTo streams them, and Load at any world size copies
+// its own domain out of the slabs that overlap it.
 type Snapshot struct {
 	Stage     Stage
 	WorldSize int // the capturing world; Load accepts any
@@ -43,33 +44,35 @@ type Snapshot struct {
 func (s *Snapshot) Boundaries() int { return s.OptSteps + s.Skips }
 
 // Save gathers this world's partitioned training state to rank 0 and
-// returns the snapshot there; other ranks return nil. Every rank must
-// call Save collectively: it is CaptureShard and GatherSnapshot on the
-// default domain. Save must be called on an accumulation boundary (right
-// after Update); it panics if micro-gradients are pending in the
-// accumulator.
+// returns the snapshot there, for in-memory use (a file is SaveFile's);
+// other ranks return nil. Every rank must call Save collectively: it is
+// CaptureShard and a Gather of the slabs on the default domain, rank 0's
+// own slab heading the snapshot as it is. Save must be called on an
+// accumulation boundary (right after Update); it panics if
+// micro-gradients are pending in the accumulator.
 func (t *Trainer) Save() *Snapshot {
 	if t.accumMicros != 0 {
 		panic("zero: Save mid-accumulation (call on an Update boundary)")
 	}
 	slab, hdr := t.CaptureShard(nil)
-	return GatherSnapshot(t.c, hdr, slab)
-}
-
-// GatherSnapshot is the collective half of a capture: every rank of c
-// passes the slab and header its CaptureShard returned, and rank 0 gets
-// the world's slabs back as one Snapshot; the other ranks get nil. Rank
-// 0's own slab becomes the snapshot's first as it is, so rank 0 must not
-// reuse it; the others' are copied onto the wire, and they may.
-func GatherSnapshot(c *comm.Comm, hdr Snapshot, slab []float32) *Snapshot {
-	if c.Rank() != 0 {
-		c.Gather(slab, 0, nil)
+	if t.c.Rank() != 0 {
+		t.c.Gather(slab, 0, nil)
 		return nil
 	}
-	hdr.Slabs = make([][]float32, c.Size())
-	c.Gather(nil, 0, hdr.Slabs) // the root's own slab needs no copy
+	hdr.Slabs = make([][]float32, t.c.Size())
+	t.c.Gather(nil, 0, hdr.Slabs) // the root's own slab needs no copy
 	hdr.Slabs[0] = slab
 	return &hdr
+}
+
+// SaveFile writes this world's training state to path as the ZELC file
+// WriteTo would write for it, each rank its partition straight out of its
+// live state, through WriteSnapshotFile, whose results it returns. Every
+// rank must call it collectively; like CaptureShard it is legal
+// mid-accumulation.
+func (t *Trainer) SaveFile(path string) (int64, error) {
+	src, hdr := t.ownedSlab()
+	return WriteSnapshotFile(t.c, path, hdr, src...)
 }
 
 // Load restores a snapshot into this rank: the master parameters, the
@@ -141,7 +144,7 @@ func (s *Snapshot) Regroup(m int) (*Snapshot, error) {
 // CaptureShard appends this rank's slab — its owned partition of the
 // training state, laid out [params | optimizer tensors… | accumulator?] — to
 // dst, growing it at most once, to fit exactly (a warmed capture into a
-// reused dst allocates nothing), and returns it with the capture's header:
+// reused dst allocates no floats), and returns it with the capture's header:
 // a Snapshot with the clock, loss scaler and geometry but no slabs. Unlike
 // Save it is a pure local copy — no collectives — so capturing is legal at
 // any point, including mid-accumulation (the accumulator rides along when
@@ -149,16 +152,27 @@ func (s *Snapshot) Regroup(m int) (*Snapshot, error) {
 // state is replicated, but each rank still captures only its partition —
 // the replicas are bitwise identical, so the world's slabs tile the state.
 func (t *Trainer) CaptureShard(dst []float32) ([]float32, Snapshot) {
+	src, hdr := t.ownedSlab()
+	if n := len(dst) + len(src)*len(src[0]); cap(dst) < n {
+		dst = append(make([]float32, 0, n), dst...)
+	}
+	for _, x := range src {
+		dst = append(dst, x...)
+	}
+	return dst, hdr
+}
+
+// ownedSlab returns this rank's slab in pieces — its partition of the master
+// parameters, of each optimizer tensor and, mid-accumulation, of the
+// accumulator — and the capture's header.
+func (t *Trainer) ownedSlab() ([][]float32, Snapshot) {
 	lo, hi := t.local(t.Owned())
 	src := append([][]float32{t.master}, t.opt.State()...)
 	if t.accumMicros > 0 {
 		src = append(src, t.accum)
 	}
-	if n := len(dst) + len(src)*(hi-lo); cap(dst) < n {
-		dst = append(make([]float32, 0, n), dst...)
-	}
-	for _, x := range src {
-		dst = append(dst, x[lo:hi]...)
+	for j := range src {
+		src[j] = src[j][lo:hi]
 	}
 	hdr := Snapshot{
 		Stage:       t.stage,
@@ -170,17 +184,15 @@ func (t *Trainer) CaptureShard(dst []float32) ([]float32, Snapshot) {
 	if t.scaler != nil {
 		hdr.LossScale, hdr.CleanSteps, hdr.Skips = t.scaler.Scale, t.scaler.CleanSteps(), t.scaler.Skips()
 	}
-	return dst, hdr
+	return src, hdr
 }
 
 // layout checks the header and slabs against each other and returns the
 // partition the slabs follow and the tensors each carries: params, the
 // optimizer's, and the accumulator when AccumMicros > 0.
 func (s *Snapshot) layout() ([]comm.Range, int, error) {
-	if s.WorldSize <= 0 || s.NumParams <= 0 || s.OptSteps < 0 || s.AccumMicros < 0 ||
-		!scalerValid(s.LossScale, s.CleanSteps, s.Skips) || len(s.Slabs) != s.WorldSize {
-		return nil, 0, fmt.Errorf("zero: snapshot header out of range (world size %d with %d slabs, params %d, steps %d, micros %d, loss scale %g, clean steps %d, skips %d)",
-			s.WorldSize, len(s.Slabs), s.NumParams, s.OptSteps, s.AccumMicros, s.LossScale, s.CleanSteps, s.Skips)
+	if err := s.checkHeader(len(s.Slabs)); err != nil {
+		return nil, 0, err
 	}
 	parts := comm.Partition(s.NumParams, s.WorldSize)
 	k := len(s.Slabs[0]) / parts[0].Len() // rank 0's partition is never empty
@@ -190,6 +202,17 @@ func (s *Snapshot) layout() ([]comm.Range, int, error) {
 		}
 	}
 	return parts, k, nil
+}
+
+// checkHeader checks the scalar fields, and that the world they name has
+// the slabs given.
+func (s *Snapshot) checkHeader(slabs int) error {
+	if s.WorldSize <= 0 || s.NumParams <= 0 || s.OptSteps < 0 || s.AccumMicros < 0 ||
+		!scalerValid(s.LossScale, s.CleanSteps, s.Skips) || slabs != s.WorldSize {
+		return fmt.Errorf("zero: snapshot header out of range (world size %d with %d slabs, params %d, steps %d, micros %d, loss scale %g, clean steps %d, skips %d)",
+			s.WorldSize, slabs, s.NumParams, s.OptSteps, s.AccumMicros, s.LossScale, s.CleanSteps, s.Skips)
+	}
+	return nil
 }
 
 // read copies tensor j's range [lo, lo+len(dst)) out of the slabs that

@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 
+	"repro/internal/arena"
 	"repro/internal/comm"
 )
 
@@ -80,16 +81,10 @@ func (h zelcHeader) canonical(parts []comm.Range) []byte {
 	return b
 }
 
-// WriteTo streams the snapshot to w as ZELC v1: the header, each slab in
-// rank order, then the integrity trailer, through one 64 KiB buffer. It
-// refuses a snapshot whose slabs do not match its own geometry rather than
-// write a file DecodeSnapshot would reject.
-func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
-	parts, k, err := s.layout()
-	if err != nil {
-		return 0, err
-	}
-	h := zelcHeader{
+// header returns the canonical header of a snapshot with s's scalar fields
+// whose slabs follow parts and carry k tensors each.
+func (s *Snapshot) header(parts []comm.Range, k int) []byte {
+	return zelcHeader{
 		Stage:       int(s.Stage),
 		WorldSize:   s.WorldSize,
 		NumParams:   s.NumParams,
@@ -99,58 +94,184 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 		LossScale:   s.LossScale,
 		CleanSteps:  s.CleanSteps,
 		Skips:       s.Skips,
+	}.canonical(parts)
+}
+
+// encodeBufs lends the 64 KiB buffers ZELC is encoded through, one per
+// writer at a time, so a warmed writer allocates none.
+var encodeBufs arena.Arena[byte]
+
+// encodeTo streams to w the payload's magic, version and header (when hdr
+// is non-nil), then xs, piece after piece, as little-endian float32s,
+// through one lent buffer.
+func encodeTo(w io.Writer, hdr []byte, xs [][]float32) error {
+	buf := encodeBufs.Get(64 << 10)
+	defer func() { encodeBufs.Put(buf) }()
+	buf = buf[:0]
+	if hdr != nil {
+		buf = append(buf, zelcMagic[:]...)
+		buf = binary.LittleEndian.AppendUint32(buf, zelcVersion)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(hdr)))
+		buf = append(buf, hdr...)
 	}
-	hdr := h.canonical(parts)
-	fw := frameWriter{w: w}
-	buf := append(make([]byte, 0, 64<<10), zelcMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, zelcVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(hdr)))
-	buf = append(buf, hdr...)
-	for _, slab := range s.Slabs {
-		for _, x := range slab {
-			if len(buf)+4 > cap(buf) {
-				if _, err := fw.Write(buf); err != nil {
-					return fw.n, err
+	for _, x := range xs {
+		for len(x) > 0 {
+			n := min(len(x), (cap(buf)-len(buf))/4)
+			if n == 0 {
+				if _, err := w.Write(buf); err != nil {
+					return err
 				}
 				buf = buf[:0]
+				continue
 			}
-			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(x))
+			b := buf[len(buf) : len(buf)+4*n]
+			for i, v := range x[:n] {
+				binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(v))
+			}
+			buf, x = buf[:len(buf)+4*n], x[n:]
 		}
 	}
-	if _, err := fw.Write(buf); err != nil {
+	_, err := w.Write(buf)
+	return err
+}
+
+// WriteTo streams the snapshot to w as ZELC v1: the header, each slab in
+// rank order, then the integrity trailer, through one 64 KiB buffer. It
+// refuses a snapshot whose slabs do not match its own geometry rather than
+// write a file DecodeSnapshot would reject.
+func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
+	parts, k, err := s.layout()
+	if err != nil {
+		return 0, err
+	}
+	fw := frameWriter{w: w}
+	if err := encodeTo(&fw, s.header(parts, k), s.Slabs); err != nil {
 		return fw.n, err
 	}
 	return fw.seal()
 }
 
-// WriteFile writes the snapshot to path as ZELC: WriteTo streams it into
-// path+".tmp", which is closed and then renamed over path, so neither a
-// reader nor a process dying mid-write ever leaves a torn file at path. It
-// does not fsync (the files are rewritten every few steps): a machine that
-// loses power may lose the newest write. A failed write removes the temp
-// file and leaves path as it was. It returns the bytes written.
-func (s *Snapshot) WriteFile(path string) (int64, error) {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return 0, err
-	}
-	n, err := s.WriteTo(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
+// WriteSnapshotFile writes the snapshot whose slabs the ranks of c hold to
+// path as ZELC — byte for byte what WriteTo writes for it — with no slab on
+// the wire. Every rank passes the same path and the header its capture
+// returned, with its slab, which may come in pieces written in order.
+//
+// Each rank works out the canonical header, and from it its slab's offset,
+// from the geometry alone, and writes its slab there into path+".tmp"
+// through a lent 64 KiB buffer; rank 0 writes the magic and header before
+// its own. Each rank then sends rank 0 a three-float report: its range's
+// CRC-32 and byte count, negative when its write failed. Rank 0 folds the
+// CRCs (crc32Combine), writes the trailer, truncates the file to its
+// length (so a stale, longer temp file cannot survive) and renames it over
+// path, so no reader ever sees a torn file. Nothing is fsynced.
+//
+// Rank 0 returns the file's size and the checkpoint's verdict; on failure
+// it names the rank at fault, leaves path as it was and removes the temp
+// file (a rank still writing after a peer died may leave one, which the
+// next write of path truncates). The other ranks return their own write's
+// byte count and error: rank 0 sends them nothing.
+func WriteSnapshotFile(c *comm.Comm, path string, hdr Snapshot, slab ...[]float32) (int64, error) {
+	r, tmp := c.Rank(), path+".tmp"
+	var f *os.File
+	var fw frameWriter
+	parts, k, err := slabLayout(&hdr, c.Size(), r, slab)
+	if err == nil {
+		f, err = os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE, 0o644) // no O_TRUNC: another rank may have written
 	}
 	if err == nil {
-		err = os.Rename(tmp, path)
+		prefix, off := hdr.header(parts, k), int64(0)
+		if r != 0 {
+			// Past the magic, version, header length, header and lower slabs.
+			prefix, off = nil, int64(12+len(prefix))+4*int64(k)*int64(parts[r].Lo)
+		}
+		fw = frameWriter{w: io.NewOffsetWriter(f, off)}
+		err = encodeTo(&fw, prefix, slab)
 	}
+	if r != 0 {
+		if f != nil {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		n := fw.n
+		if err != nil {
+			n = -1
+		}
+		report := [3]float32{math.Float32frombits(fw.crc), math.Float32frombits(uint32(n)), math.Float32frombits(uint32(n >> 32))}
+		c.Gather(report[:], 0, nil)
+		if err != nil {
+			return 0, fmt.Errorf("zero: rank %d writing its slab of %s: %w", r, path, err)
+		}
+		return n, nil
+	}
+
+	// Rank 0 removes the temp file unless it renamed it: after a failed
+	// write, and when a dead rank cuts the reports short (Gather panics).
+	renamed := false
+	defer func() {
+		if f != nil {
+			f.Close() //nolint:errcheck // closed already, or the write's error is the one to report
+		}
+		if !renamed {
+			os.Remove(tmp) //nolint:errcheck // likewise
+		}
+	}()
+	reports := make([][]float32, c.Size())
+	c.Gather(nil, 0, reports)
 	if err != nil {
-		os.Remove(tmp) //nolint:errcheck // the write's error is the one to report
-		return n, err
+		return 0, fmt.Errorf("zero: rank 0 writing its slab of %s: %w", path, err)
 	}
-	return n, nil
+	size, crc := fw.n, fw.crc
+	for q, rep := range reports[1:] {
+		q++
+		n := int64(math.Float32bits(rep[1])) | int64(math.Float32bits(rep[2]))<<32
+		if n < 0 {
+			return 0, fmt.Errorf("zero: rank %d failed to write its slab of %s", q, path)
+		}
+		if want := 4 * int64(k) * int64(parts[q].Len()); n != want {
+			return 0, fmt.Errorf("zero: rank %d wrote %d bytes of %s, where the header places %d", q, n, path, want)
+		}
+		size, crc = size+n, crc32Combine(crc, math.Float32bits(rep[0]), n)
+	}
+	tr := frameTrailer(size, crc)
+	if _, err := f.WriteAt(tr[:], size); err != nil {
+		return 0, err
+	}
+	size += frameTrailerLen
+	if err := f.Truncate(size); err != nil {
+		return 0, err
+	}
+	if err := f.Close(); err != nil {
+		return 0, err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return 0, err
+	}
+	renamed = true
+	return size, nil
+}
+
+// slabLayout checks one rank's header and slab against a world of size
+// ranks, the way layout checks a whole snapshot, and returns the partition
+// and the tensors the slab carries (0 when the rank's partition is empty).
+func slabLayout(hdr *Snapshot, size, r int, slab [][]float32) ([]comm.Range, int, error) {
+	if err := hdr.checkHeader(size); err != nil {
+		return nil, 0, err
+	}
+	floats := 0
+	for _, x := range slab {
+		floats += len(x)
+	}
+	parts := comm.Partition(hdr.NumParams, size)
+	p := parts[r].Len()
+	if k := floats / max(p, 1); floats == k*p && (p == 0 || k >= 1+min(hdr.AccumMicros, 1)) {
+		return parts, k, nil
+	}
+	return nil, 0, fmt.Errorf("zero: rank %d slab has %d floats, not a whole number of tensors of its %d params", r, floats, p)
 }
 
 // ReadSnapshotFile decodes the ZELC file at path: the one reader of the
-// files WriteFile writes, for zerotrain -load and the daemon's restarts.
+// files WriteSnapshotFile writes, for zerotrain -load and the daemon's restarts.
 func ReadSnapshotFile(path string) (*Snapshot, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {

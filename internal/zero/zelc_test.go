@@ -361,8 +361,9 @@ func TestEncodeRejectsInconsistentSnapshot(t *testing.T) {
 	}
 }
 
-// WriteFile writes exactly WriteTo's bytes over the target; a write that
-// fails leaves the target as it was and no temp file beside it.
+// WriteSnapshotFile, each rank writing its own slab, writes exactly
+// WriteTo's bytes over the target; a write that fails on one rank leaves the
+// target as it was and no temp file beside it.
 func TestSnapshotWriteFile(t *testing.T) {
 	s := &Snapshot{WorldSize: 2, NumParams: 3, Slabs: [][]float32{{1, 2, 3, 4}, {5, 6}}}
 	want := mustEncode(t, s)
@@ -370,17 +371,17 @@ func TestSnapshotWriteFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte("stale"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	n, err := s.WriteFile(path)
-	if err != nil || n != int64(len(want)) {
-		t.Fatalf("WriteFile = (%d, %v), want (%d, nil)", n, err, len(want))
+	ns, errs := writeWorld(s, path, s.Slabs)
+	if errs[0] != nil || errs[1] != nil || ns[0] != int64(len(want)) {
+		t.Fatalf("WriteSnapshotFile = (%d, %v), (%d, %v); want rank 0's (%d, nil)", ns[0], errs[0], ns[1], errs[1], len(want))
 	}
 	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("file holds %d bytes (%v), not WriteTo's %d", len(got), err, len(want))
 	}
 
-	bad := &Snapshot{WorldSize: 2, NumParams: 3, Slabs: s.Slabs[:1]}
-	if _, err := bad.WriteFile(path); err == nil {
-		t.Fatal("WriteFile of an inconsistent snapshot succeeded")
+	// Rank 1's slab is empty, so rank 1 refuses it and rank 0 the file.
+	if _, errs := writeWorld(s, path, [][]float32{s.Slabs[0], nil}); errs[0] == nil || errs[1] == nil {
+		t.Fatalf("WriteSnapshotFile of an inconsistent slab succeeded: %v", errs)
 	}
 	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
 		t.Errorf("a failed write changed the target (%d bytes, %v)", len(got), err)
