@@ -75,14 +75,16 @@ api:
 # reference), the Adam lane kernel on any
 # moments, gradients and step (bitwise the scalar loop), a ring reduce-scatter then
 # all-gather over random partitions with empty ranges (bitwise the
-# ring-order sum, one message per non-empty chunk hop), the ZELC snapshot
+# ring-order sum, one message per non-empty chunk hop), the gradient units
+# of random model shapes (tiling Ψ with whole tensors, their windows
+# exactly perfmodel's W bytes), the ZELC snapshot
 # decoder (reject, or re-encode to the identical bytes), the engine config
 # parser (reject, or normalize → marshal → parse to the identical config)
 # and the job-spec parser (reject, or marshal → parse to the identical
 # spec) — a few seconds of coverage-guided input generation on every
 # `make check`.
 # (Unbounded minimisation of each new vocab, encode, matmul, LayerNorm,
-# Adam, ring, snapshot, config or spec input would eat the 3 s, so it is
+# Adam, ring, unit, snapshot, config or spec input would eat the 3 s, so it is
 # capped at 100 executions.)
 fuzz-smoke:
 	$(GO) test ./internal/data -run=NONE -fuzz=FuzzBPERoundTrip -fuzztime=3s
@@ -94,6 +96,7 @@ fuzz-smoke:
 	$(GO) test ./internal/tensor -run=NONE -fuzz=FuzzLayerNorm -fuzztime=3s -fuzzminimizetime=100x
 	$(GO) test ./internal/optimizer -run=NONE -fuzz=FuzzAdamLanes -fuzztime=3s -fuzzminimizetime=100x
 	$(GO) test ./internal/comm -run=NONE -fuzz=FuzzRingPartitions -fuzztime=3s -fuzzminimizetime=100x
+	$(GO) test ./internal/zero -run=NONE -fuzz=FuzzGradUnits -fuzztime=3s -fuzzminimizetime=100x
 	$(GO) test ./internal/zero -run=NONE -fuzz=FuzzDecodeSnapshot -fuzztime=3s -fuzzminimizetime=100x
 	$(GO) test ./internal/engine -run=NONE -fuzz=FuzzParseConfig -fuzztime=3s -fuzzminimizetime=100x
 	$(GO) test ./internal/serve -run=NONE -fuzz=FuzzParseSpec -fuzztime=3s -fuzzminimizetime=100x

@@ -52,7 +52,7 @@ func main() {
 		clip       = flag.Float64("clip", def.GradClip, "gradient clipping norm (0 = off)")
 		fp16       = flag.Bool("fp16", false, "mixed-precision training: fp16 compute with dynamic loss scaling (precision.fp16_compute)")
 		checkpoint = flag.Bool("checkpoint", def.Checkpoint, "activation checkpointing")
-		bucket     = flag.Int("bucket", def.BucketElems, "gradient bucket elements (0 = one bucket per layer group)")
+		bucket     = flag.Int("bucket", def.BucketElems, "gradient bucket elements (0 = one bucket per gradient unit)")
 		overlap    = flag.Bool("overlap", def.Overlap, "overlap gradient collectives with backward compute (grad stream)")
 		prefetch   = flag.Bool("prefetch", def.Prefetch, "stages 1-3: pipeline parameter all-gathers one layer group ahead on the prefetch stream")
 		nodeSize   = flag.Int("nodesize", def.NodeSize, "ranks per simulated node: route collectives hierarchically (0 = flat)")
@@ -159,8 +159,9 @@ func main() {
 
 	st, _ := cfg.Stage.Parse()
 	psi := cfg.Model.ParamCount()
+	half := cfg.Precision != nil && cfg.Precision.FP16Compute
 	fmt.Printf("model: Ψ=%d params | ranks: %d | stage: %v | opt: %s | fp16: %v | ckpt: %v\n",
-		psi, cfg.Ranks, st, cfg.Optimizer.Type, cfg.Precision != nil && cfg.Precision.FP16Compute, cfg.Checkpoint)
+		psi, cfg.Ranks, st, cfg.Optimizer.Type, half, cfg.Checkpoint)
 	fmt.Printf("batch: %d global = %d micro-batch × %d accumulation steps (accumulator: Ψ/N elems at stages ≥ 1)\n",
 		cfg.GlobalBatch, cfg.MicroBatch, cfg.GradAccumSteps)
 	fmt.Println()
@@ -240,8 +241,13 @@ func main() {
 		fmt.Printf("corpus: %d tokens streamed over %d epoch(s), tokenizer vocab %d\n",
 			corpusTokens, corpusEpochs, corpusVocab)
 	}
-	fmt.Printf("model state (rank 0): %.2f MB resident, %.2f MB predicted by §3.1 (baseline DP would be %.2f MB)\n",
-		float64(resident)/1e6, perfmodel.ModelStateBytes(int64(psi), int(st), cfg.Ranks)/1e6,
+	dom := int64(comm.Partition(psi, cfg.Ranks)[0].Len()) // rank 0's optimizer domain
+	if st == zero.StageDDP {
+		dom = int64(psi)
+	}
+	live := perfmodel.LiveModelState(perfmodel.Shape(cfg.Model), int(st), dom, half)
+	fmt.Printf("model state (rank 0): %.2f MB resident, %.2f MB by the live-sum form under Adam, %.2f MB predicted by §3.1 (baseline DP would be %.2f MB)\n",
+		float64(resident)/1e6, float64(live.Total())/1e6, perfmodel.ModelStateBytes(int64(psi), int(st), cfg.Ranks)/1e6,
 		perfmodel.ModelStateBytes(int64(psi), int(zero.StageDDP), cfg.Ranks)/1e6)
 	fmt.Printf("wire (rank 0): %d elems, %d bytes (native dtype accounting)\n",
 		st0.ElemsSent, st0.BytesSent)

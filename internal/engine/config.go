@@ -184,7 +184,7 @@ type Config struct {
 	// Checkpoint enables activation checkpointing.
 	Checkpoint bool `json:"activation_checkpoint,omitempty"`
 	// BucketElems is the gradient bucket size in elements (0 = one bucket
-	// per layer group).
+	// per gradient unit, a third of a block).
 	BucketElems int `json:"bucket_elems,omitempty"`
 	// Overlap rides gradient buckets on the grad stream under backward.
 	Overlap bool `json:"overlap,omitempty"`

@@ -21,12 +21,13 @@ func (m *Model) rowLinear(g int, y []float32, x tens, w, b, rows, k, n int) {
 	tensor.AddBiasRows(y, m.vec(g, b, n), rows, n)
 }
 
-// linearBackward is linear's backward: dx = dy·Wᵀ (overwritten), and the
-// weight and bias gradients accumulated into layer group g's window.
-func (m *Model) linearBackward(g int, dx []float32, dy, x tens, w, b, rows, k, n int) {
+// linearBackward is linear's backward: dx = dy·Wᵀ (overwritten) from
+// layer group g's weights, and the weight and bias gradients accumulated
+// into gradient unit u's window.
+func (m *Model) linearBackward(g, u int, dx []float32, dy, x tens, w, b, rows, k, n int) {
 	m.matMulBT(dx, dy, g, w, rows, n, k)
-	m.matMulATAdd(m.grad(g, w, k*n), x, dy, rows, k, n)
-	tensor.BiasGradRows(m.grad(g, b, n), dy.f, rows, n)
+	m.matMulATAdd(m.grad(u, w, k*n), x, dy, rows, k, n)
+	tensor.BiasGradRows(m.grad(u, b, n), dy.f, rows, n)
 }
 
 // lnParams returns the fp32 images of the layernorm gain and shift at
@@ -114,7 +115,9 @@ func (m *Model) blockForward(i int, acts *blockActs, x, out []float32, batch, se
 // is rounded (operand) before the matmuls, bias gradient and copies that
 // read it. On a Megatron shard the input gradients of the two
 // column-parallel layers are partial sums over this rank's columns and are
-// all-reduced before the layernorms read them (the "f" operator).
+// all-reduced before the layernorms read them (the "f" operator). The
+// block's gradient units close in the order mlp.out, mlp.in, attn, each
+// bracketed by the unit hooks.
 func (m *Model) blockBackward(i int, acts *blockActs, dOut, dst []float32, batch, seqLen int) {
 	h := m.Cfg.Hidden
 	heads, dh, ffn := m.Layout.heads, m.Layout.dh, m.Layout.ffn
@@ -122,7 +125,8 @@ func (m *Model) blockBackward(i int, acts *blockActs, dOut, dst []float32, batch
 	mRows := batch * seqLen
 	n := mRows * h
 	off := m.Layout.blocks[i]
-	g := i + 1 // the block's layer group
+	g := i + 1      // the block's layer group
+	attn := 3*i + 1 // its first gradient unit; mlp.in and mlp.out follow
 	ws := &m.ws
 
 	// Residual: out = x2 + MLP(LN2(x2)) ⇒ dx2 starts as dOut.
@@ -132,17 +136,22 @@ func (m *Model) blockBackward(i int, acts *blockActs, dOut, dst []float32, batch
 
 	// MLP backward. GELU's backward runs in place: dG becomes dH1 = dG ⊙ g′.
 	dG := m.scratch(aG, mRows*ffn)
-	m.linearBackward(g, dG, hdOut, acts.t[aG], off.wFC2, off.bFC2, mRows, ffn, h)
+	call(m.UnitPreHook, attn+2)
+	m.linearBackward(g, attn+2, dG, hdOut, acts.t[aG], off.wFC2, off.bFC2, mRows, ffn, h)
+	call(m.UnitHook, attn+2)
 	tensor.GELUBackward(dG, dG, acts.t[aH1].f)
 	dMlin := m.scratch(aMlin, n)
-	m.linearBackward(g, dMlin, m.operand(dG), acts.t[aMlin], off.wFC1, off.bFC1, mRows, h, ffn)
+	call(m.UnitPreHook, attn+1)
+	m.linearBackward(g, attn+1, dMlin, m.operand(dG), acts.t[aMlin], off.wFC1, off.bFC1, mRows, h, ffn)
 	m.allReduce(dMlin)
-	tensor.LayerNormBackward(dX2, m.grad(g, off.ln2Gamma, h), m.grad(g, off.ln2Beta, h),
+	tensor.LayerNormBackward(dX2, m.grad(attn+1, off.ln2Gamma, h), m.grad(attn+1, off.ln2Beta, h),
 		dMlin, m.load(acts, aXhat2), acts.invStd2, m.vec(g, off.ln2Gamma, h), mRows, h)
+	call(m.UnitHook, attn+1)
 
 	// Attention output projection backward (dAttnOut == dX2: x2 = x + attnOut).
 	dCtx := m.scratch(aCtx, mRows*k)
-	m.linearBackward(g, dCtx, m.operand(dX2), acts.t[aCtx], off.wProj, off.bProj, mRows, k, h)
+	call(m.UnitPreHook, attn)
+	m.linearBackward(g, attn, dCtx, m.operand(dX2), acts.t[aCtx], off.wProj, off.bProj, mRows, k, h)
 
 	// Attention core backward.
 	dQKV := m.scratch(sDQKV, 3*mRows*k)
@@ -152,12 +161,13 @@ func (m *Model) blockBackward(i int, acts *blockActs, dOut, dst []float32, batch
 
 	// QKV projection backward.
 	dA := m.scratch(aA, n)
-	m.linearBackward(g, dA, m.operand(dQKV), acts.t[aA], off.wQKV, off.bQKV, mRows, h, 3*k)
+	m.linearBackward(g, attn, dA, m.operand(dQKV), acts.t[aA], off.wQKV, off.bQKV, mRows, h, 3*k)
 	m.allReduce(dA)
 
 	// LN1 + residual: dx = dx2 (residual) + LN1-backward(dA).
 	copy(dst, dX2)
-	tensor.LayerNormBackward(dst, m.grad(g, off.ln1Gamma, h), m.grad(g, off.ln1Beta, h),
+	tensor.LayerNormBackward(dst, m.grad(attn, off.ln1Gamma, h), m.grad(attn, off.ln1Beta, h),
 		dA, m.load(acts, aXhat1), acts.invStd1, m.vec(g, off.ln1Gamma, h), mRows, h)
+	call(m.UnitHook, attn)
 	m.round(dst)
 }

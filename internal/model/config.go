@@ -11,12 +11,13 @@
 // internal/perfmodel.
 //
 // Every parameter read goes through one window per layer group
-// (LayerSegments), and every gradient write through another: a standalone
-// model (New, NewSharded) points them all at its own Params (ParamsH in
-// fp16 mode) and Grads, while a NewWindowed model reads and writes only
-// what its caller binds (BindParams, BindGrad) — ZeRO binds a group's
-// gathered parameters and its gradient window just before the group's
-// compute, so at stage 3 no rank holds a Ψ-long buffer of either.
+// (LayerSegments), and every gradient write through one per gradient unit
+// (Layout.Units, a third of a block): a standalone model (New, NewSharded)
+// points them all at its own Params (ParamsH in fp16 mode) and Grads, while
+// a NewWindowed model reads and writes only what its caller binds
+// (BindParams, BindGrad) — ZeRO binds a group's gathered parameters just
+// before the group's compute and a unit's gradient window just before its
+// first write, so at stage 3 no rank holds a Ψ-long buffer of either.
 // InitParams writes any range of the seeded initial parameters without
 // building the rest.
 //
@@ -67,7 +68,14 @@ func (s Segment) Len() int { return s.Hi - s.Lo }
 // Layout is the flat-buffer address map of every parameter tensor.
 type Layout struct {
 	Segments []Segment
-	Total    int
+	// Units are the gradient units, in layout order: the embeddings, each
+	// block's [ln1, qkv, proj], [ln2, fc1] and [fc2] (named attn, mlp.in and
+	// mlp.out; Backward finishes them last first), then the final
+	// layernorm. Each is a run of whole tensors. Backward writes gradients
+	// unit by unit (Model.BindGrad, UnitPreHook, UnitHook), and ZeRO binds,
+	// buckets and reduces them the same way.
+	Units []Segment
+	Total int
 
 	// Offsets used by the forward/backward passes.
 	tokEmb, posEmb int
@@ -134,6 +142,14 @@ func buildLayout(c Config, n int) Layout {
 	l.lnF = add("ln_f.gamma", -1, h)
 	add("ln_f.beta", -1, h)
 	l.Total = off
+	l.Units = []Segment{{Name: "embeddings", Layer: -1, Hi: l.blocks[0].ln1Gamma}}
+	for i, b := range l.blocks {
+		ends := [4]int{b.ln1Gamma, b.ln2Gamma, b.wFC2, b.bFC2 + h}
+		for j, name := range [3]string{"attn", "mlp.in", "mlp.out"} {
+			l.Units = append(l.Units, Segment{Name: fmt.Sprintf("block%d.%s", i, name), Layer: i, Lo: ends[j], Hi: ends[j+1]})
+		}
+	}
+	l.Units = append(l.Units, Segment{Name: "ln_f", Layer: -1, Lo: l.lnF, Hi: l.Total})
 	return l
 }
 
@@ -147,7 +163,7 @@ func (c Config) ParamCount() int {
 // LayerSegments groups the flat-buffer ranges by transformer block; index
 // -1 (stored first) covers the embeddings, index Layers the final norm.
 // ZeRO uses these groups as its gather/discard granularity and as its
-// parameter and gradient windows (Model.BindParams, Model.BindGrad).
+// parameter windows (Model.BindParams).
 func (l Layout) LayerSegments(layers int) []Segment {
 	out := make([]Segment, 0, layers+2)
 	for g := 0; g < layers+2; g++ {

@@ -28,7 +28,7 @@ import "repro/internal/tensor"
 //     dead by then, each d-tensor rounds into one shared half staging buffer
 //     before it feeds a matmul (operand), dLogits is scaled by LossScale
 //     first, and weight gradients accumulate in fp32 (Grads, or the windows
-//     bound by BindGrad).
+//     bound by BindGrad, one per gradient unit).
 //
 // Elementwise kernels (layernorm, softmax, GELU) and the per-head attention
 // core always run on fp32 images; in fp16 mode those are the rounded ones.

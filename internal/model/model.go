@@ -21,9 +21,9 @@ type Model struct {
 	// model, whose caller binds each group's window itself (BindParams).
 	Params []float32
 	// Grads is a standalone model's flat gradient buffer, same layout as
-	// Params: the one window every layer group's gradients accumulate
-	// into. Nil on a NewWindowed model, whose caller binds each group's
-	// window itself (BindGrad).
+	// Params: the one window every gradient unit accumulates into. Nil on a
+	// NewWindowed model, whose caller binds each unit's window itself
+	// (BindGrad).
 	Grads []float32
 
 	// Checkpoint enables activation checkpointing: the forward pass keeps
@@ -57,23 +57,20 @@ type Model struct {
 	// also reads the tied token embedding and writes its gradient), layer i
 	// before block i's recomputation and backward. The symmetric
 	// synchronization point to ForwardHook for the second parameter gather
-	// of stage 3, and where a NewWindowed model's caller binds the gradient
-	// windows Backward is about to write.
+	// of stage 3.
 	BackwardPreHook func(layer int)
 
-	// BackwardHook, when non-nil, is invoked during Backward immediately
-	// after block `layer`'s parameter gradients are final (blocks are
-	// visited in reverse order, so layer L-1 fires first). Data-parallel
-	// engines use it to launch per-layer gradient collectives while the
-	// remaining blocks are still computing — the ZeRO bucketed
-	// communication/computation overlap. The hook is not called for the
-	// embeddings or final layernorm: the token-embedding gradient keeps
-	// accumulating until Backward returns (tied head at the start plus
-	// the embedding lookup at the very end), so that segment is only
-	// final afterwards. (The final layernorm's own gradients are written
-	// once, before the block loop, but share the post-Backward schedule
-	// slot for simplicity — they are 2h elements.)
-	BackwardHook func(layer int)
+	// UnitPreHook and UnitHook, when non-nil, bracket each gradient unit's
+	// writes during Backward (u indexes Layout.Units): UnitPreHook(u) runs
+	// immediately before the unit's first gradient write — where a
+	// NewWindowed model's caller binds its window — and UnitHook(u) once its
+	// gradients are final. The embeddings open first (the tied head) and
+	// close last (the lookup); ln_f closes before the blocks, and each
+	// block's units close mlp.out, mlp.in, attn, from block L-1 down.
+	// Data-parallel engines reduce each unit as it closes, while the rest
+	// of Backward computes — the ZeRO bucketed communication/computation
+	// overlap.
+	UnitPreHook, UnitHook func(u int)
 
 	// ParamsH holds a standalone model's binary16 parameters, which the
 	// fp16 mode's kernels read in place of Params. Non-nil only while fp16
@@ -93,10 +90,10 @@ type Model struct {
 	// on an unsharded model.
 	mp Reducer
 
-	// params[g] is where layer group g's parameters are read from, and
-	// grads[g] where its gradients go (groups as Layout.LayerSegments: 0
-	// the embeddings, 1..Layers the blocks, Layers+1 the final layernorm);
-	// see param and grad.
+	// params[g] is where layer group g's parameters are read from (groups
+	// as Layout.LayerSegments: 0 the embeddings, 1..Layers the blocks,
+	// Layers+1 the final layernorm), and grads[u] where gradient unit u's
+	// gradients go (Layout.Units); see param and grad.
 	params []paramWindow
 	grads  []gradWindow
 
@@ -159,7 +156,7 @@ func (m *Model) ownParams() {
 }
 
 // ownGrads gives a standalone model its Grads: one window, covering the
-// whole layout, that every layer group's gradients go to.
+// whole layout, that every gradient unit goes to.
 func (m *Model) ownGrads() {
 	m.Grads = make([]float32, m.Layout.Total)
 	for g := range m.grads {
@@ -170,9 +167,10 @@ func (m *Model) ownGrads() {
 // NewWindowed is a model with neither Params nor Grads, for a caller that
 // keeps both in windows of its own: before Loss or Backward reads a layer
 // group's parameters (ForwardHook, BackwardPreHook) the caller binds that
-// group's parameter window with BindParams, and before Backward writes its
-// gradients, its gradient window with BindGrad. InitParams gives the
-// caller the initial values of whatever range it holds.
+// group's parameter window with BindParams, and before Backward writes a
+// gradient unit (UnitPreHook), its gradient window with BindGrad.
+// InitParams gives the caller the initial values of whatever range it
+// holds.
 func NewWindowed(cfg Config) *Model {
 	return newModel(cfg, BuildLayout(cfg))
 }
@@ -183,7 +181,7 @@ func newModel(cfg Config, layout Layout) *Model {
 		Cfg:    cfg,
 		Layout: layout,
 		params: make([]paramWindow, cfg.Layers+2),
-		grads:  make([]gradWindow, cfg.Layers+2),
+		grads:  make([]gradWindow, len(layout.Units)),
 	}
 }
 
@@ -267,23 +265,35 @@ func (m *Model) param(g int) *paramWindow {
 	return w
 }
 
-// BindGrad makes buf, which must be exactly layer group g's length, the
-// window Backward accumulates that group's gradients into; groups are
-// indexed as Layout.LayerSegments. Backward adds into it, so the caller
-// zeroes it first. A nil buf unbinds the group: a later write panics.
-func (m *Model) BindGrad(g int, buf []float32) {
-	lo, hi := m.Layout.group(g)
-	if buf != nil && len(buf) != hi-lo {
-		panic(fmt.Sprintf("model: gradient window of %d elements for layer group %d, want %d", len(buf), g, hi-lo))
+// BindGrad makes buf, which must be exactly gradient unit u's length
+// (Layout.Units), the window Backward accumulates that unit's gradients
+// into. Backward adds into it, so the caller zeroes it first. A nil buf
+// unbinds the unit: a later write panics, naming it.
+func (m *Model) BindGrad(u int, buf []float32) {
+	unit := m.Layout.Units[u]
+	if buf != nil && len(buf) != unit.Len() {
+		panic(fmt.Sprintf("model: gradient window of %d elements for unit %s, want %d", len(buf), unit.Name, unit.Len()))
 	}
-	m.grads[g] = gradWindow{buf: buf, lo: lo}
+	m.grads[u] = gradWindow{buf: buf, lo: unit.Lo}
 }
 
 // grad returns the gradient of the n parameters from offset off, which lie
-// in layer group g: every gradient write of Backward goes through it.
-func (m *Model) grad(g, off, n int) []float32 {
-	w := m.grads[g]
+// in gradient unit u: every gradient write of Backward goes through it,
+// between the unit's two hooks. A write outside the unit's bound window
+// (all of them, when none is bound) panics, naming the unit.
+func (m *Model) grad(u, off, n int) []float32 {
+	w := m.grads[u]
+	if off < w.lo || off+n > w.lo+len(w.buf) {
+		panic(fmt.Sprintf("model: gradients [%d, %d) written outside the window bound for unit %s", off, off+n, m.Layout.Units[u].Name))
+	}
 	return w.buf[off-w.lo : off-w.lo+n]
+}
+
+// call runs hook(i) if the hook is set.
+func call(hook func(int), i int) {
+	if hook != nil {
+		hook(i)
+	}
 }
 
 // Loss runs the forward pass on ids/targets (length batch×seqLen each,
@@ -309,9 +319,7 @@ func (m *Model) Loss(ids, targets []int, batch int) float64 {
 	}
 
 	// Embedding: token + position, into block 0's input slot.
-	if m.ForwardHook != nil {
-		m.ForwardHook(-1)
-	}
+	call(m.ForwardHook, -1)
 	x := m.buf(fs.in(0), aX, n)
 	for b := 0; b < batch; b++ {
 		for t := 0; t < seqLen; t++ {
@@ -331,9 +339,7 @@ func (m *Model) Loss(ids, targets []int, batch int) float64 {
 	// staging buffer in fp16 mode. The checkpoint is taken before the
 	// block runs, because in fp16 mode the output overwrites the input.
 	for i := 0; i < m.Cfg.Layers; i++ {
-		if m.ForwardHook != nil {
-			m.ForwardHook(i)
-		}
+		call(m.ForwardHook, i)
 		acts := &fs.blocks[i]
 		if m.Checkpoint {
 			if m.Store != nil {
@@ -349,9 +355,7 @@ func (m *Model) Loss(ids, targets []int, batch int) float64 {
 
 	// Final layernorm + tied-embedding head. The layernorm saves what a
 	// block's ln1 does, in the same slots of fs.head.
-	if m.ForwardHook != nil {
-		m.ForwardHook(m.Cfg.Layers)
-	}
+	call(m.ForwardHook, m.Cfg.Layers)
 	xf, xhatF := m.buf(&fs.head, aA, n), m.buf(&fs.head, aXhat1, n)
 	fs.head.invStd1 = grow(fs.head.invStd1, mRows)
 	fin := m.Cfg.Layers + 1 // the final layernorm's group
@@ -387,13 +391,13 @@ func (m *Model) Backward() {
 	mRows := fs.batch * fs.seqLen
 	n := mRows * h
 	fin := m.Cfg.Layers + 1 // the final layernorm's group
+	lastU := len(m.Layout.Units) - 1
 
 	// The head reads the tied token embedding and the final layernorm's
 	// parameters next, and writes their gradients.
-	if m.BackwardPreHook != nil {
-		m.BackwardPreHook(m.Cfg.Layers)
-	}
+	call(m.BackwardPreHook, m.Cfg.Layers)
 	tokEmb, lnF := m.Layout.tokEmb, m.Layout.lnF
+	call(m.UnitPreHook, 0)
 	dTok := m.grad(0, tokEmb, v*h)
 	dPos := m.grad(0, m.Layout.posEmb, m.Cfg.Seq*h)
 
@@ -422,8 +426,10 @@ func (m *Model) Backward() {
 	*pa, *pb = grow(*pa, n), grow(*pb, n)
 	dX, next := *pa, *pb
 	tensor.Zero(dX)
-	tensor.LayerNormBackward(dX, m.grad(fin, lnF, h), m.grad(fin, lnF+h, h), dXf,
+	call(m.UnitPreHook, lastU)
+	tensor.LayerNormBackward(dX, m.grad(lastU, lnF, h), m.grad(lastU, lnF+h, h), dXf,
 		m.load(&fs.head, aXhat1), fs.head.invStd1, m.vec(fin, lnF, h), mRows, h)
+	call(m.UnitHook, lastU)
 	m.round(dX)
 
 	// Blocks in reverse. Under checkpointing, recompute each block's
@@ -431,9 +437,7 @@ func (m *Model) Backward() {
 	// into the residual-stream staging, which the recompute's output
 	// overwrites as in forward.
 	for i := m.Cfg.Layers - 1; i >= 0; i-- {
-		if m.BackwardPreHook != nil {
-			m.BackwardPreHook(i)
-		}
+		call(m.BackwardPreHook, i)
 		acts := &fs.blocks[i]
 		if m.Checkpoint {
 			var x []float32
@@ -446,9 +450,6 @@ func (m *Model) Backward() {
 		}
 		m.blockBackward(i, acts, dX, next, fs.batch, fs.seqLen)
 		dX, next = next, dX
-		if m.BackwardHook != nil {
-			m.BackwardHook(i)
-		}
 	}
 
 	// Embedding gradients.
@@ -460,6 +461,7 @@ func (m *Model) Backward() {
 			tensor.Add(dPos[t*h:(t+1)*h], row)
 		}
 	}
+	call(m.UnitHook, 0)
 }
 
 const lnEps = 1e-5

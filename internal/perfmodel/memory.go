@@ -34,6 +34,59 @@ func ModelStateBytes(psi int64, stage, nd int) float64 {
 	}
 }
 
+// LiveState is the model state one zero.Trainer rank holds under Adam, by
+// kind of buffer, in bytes: the live sums Trainer.ResidentBytes reads, where
+// ModelStateBytes is §3.1's closed form. Beyond §3.1 a rank holds its
+// gradient windows, the parameter copy (Ψ-long at stages 0-2, a few
+// windows at stage 3) at the compute width, and under fp16 a 4-byte
+// accumulator where §3.1 counts a 2-byte gradient.
+type LiveState struct {
+	// Params is the parameter copy the kernels read, 4 bytes an element in
+	// fp32 and 2 under fp16: Ψ elements at stages 0-2, and at stage 3 the
+	// windows Wp = |emb| + |ln_f| + min(2, L)·|block| elements.
+	Params int64
+	// Grads is W, the fp32 gradient windows: 4·(|emb| + |ln_f| +
+	// 2·max|unit|), where a unit is a third of a block and the largest is
+	// [ln1, qkv, proj] (or [ln2, fc1], as long), 4h² + 6h elements.
+	Grads int64
+	// Domain is what spans the rank's dom-element optimizer domain: the
+	// accumulator and Adam's two moments, the fp32 master unless it lies
+	// in the fp32 compute copy, and the stage-3 half shard.
+	Domain int64
+}
+
+// Total is the rank's model state in bytes.
+func (l LiveState) Total() int64 { return l.Params + l.Grads + l.Domain }
+
+// LiveModelState returns the model state a zero.Trainer rank of shape s
+// holds at the given stage with a dom-element optimizer domain (its Ψ/N
+// partition, all of Ψ at stage 0), under Adam, in fp32 or with fp16
+// compute: 4Ψ + 12·dom + W and 2Ψ + 16·dom + W at stages 0-2, 16·dom + W +
+// 4·Wp and 18·dom + W + 2·Wp at stage 3.
+func LiveModelState(s Shape, stage int, dom int64, fp16 bool) LiveState {
+	if stage < 0 || stage > 3 || dom < 0 {
+		panic(fmt.Sprintf("perfmodel: invalid LiveModelState arguments: stage %d, dom %d", stage, dom))
+	}
+	h := int64(s.Hidden)
+	emb, lnF := int64(s.Vocab+s.Seq)*h, 2*h
+	unit, block := 4*h*h+6*h, 12*h*h+13*h
+	width := int64(4)
+	if fp16 {
+		width = 2
+	}
+	l := LiveState{Params: width * s.Params(), Grads: 4 * (emb + lnF + 2*unit), Domain: 12 * dom}
+	if stage == 3 {
+		l.Params = width * (emb + lnF + int64(min(2, s.Layers))*block)
+	}
+	if fp16 || stage == 3 { // a master of its own
+		l.Domain += 4 * dom
+	}
+	if fp16 && stage == 3 { // the half shard
+		l.Domain += 2 * dom
+	}
+	return l
+}
+
 // ModelStateGB is ModelStateBytes in the paper's decimal gigabytes.
 func ModelStateGB(psi int64, stage, nd int) float64 {
 	return ModelStateBytes(psi, stage, nd) / GB

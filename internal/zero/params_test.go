@@ -9,13 +9,14 @@ import (
 	"repro/internal/comm"
 	"repro/internal/model"
 	"repro/internal/optimizer"
+	"repro/internal/perfmodel"
 )
 
 // New allocates what the rank keeps and little more: at stage 3 no rank
 // allocates a Ψ-long parameter buffer, and under FP16Compute no rank
 // allocates fp32 parameters outside its master. Four ranks build a trainer
 // each, and the bytes the process allocates meanwhile must stay within the
-// four ranks' live model state (liveModelState, the sums
+// four ranks' live model state (perfmodel.LiveModelState, the sums
 // TestTrainerModelStateAccounting pins) plus 1/8 of it for the layout,
 // bucket plan, gather slots and streams. Eight narrow blocks keep the
 // windows small beside Ψ, so a Ψ-long buffer shows: 4Ψ bytes is over 60%
@@ -34,7 +35,7 @@ func TestNewAllocatesItsLiveStateOnly(t *testing.T) {
 	}{{StageFull, false}, {StageFull, true}, {StageOS, true}, {StageOSGrad, true}} {
 		var live int64
 		for _, p := range parts {
-			live += liveModelState(psi, int64(p.Len()), windowElems(cfg), tc.stage, tc.fp16)
+			live += perfmodel.LiveModelState(perfmodel.Shape(cfg), int(tc.stage), int64(p.Len()), tc.fp16).Total()
 		}
 		var before, after runtime.MemStats
 		w := comm.NewWorld(n)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -244,5 +245,77 @@ func TestSaveFileAllocations(t *testing.T) {
 	if perSave > 0.05*state {
 		t.Errorf("a final checkpoint allocates %.0f bytes, %.4f× the %.0f-byte model state; want ≤ 0.05×",
 			perSave, perSave/state, state)
+	}
+}
+
+// The header length a non-root rank places its slab by is the canonical
+// header's, over random clock fields — step and skip counters from 0 to
+// nine digits, loss scales from 2^-80 to 2^80 (both of encoding/json's
+// float forms) or none — at N ∈ 1..64.
+func TestHeaderLenMatchesHeader(t *testing.T) {
+	r := rand.New(rand.NewSource(58))
+	count := func() int { return r.Intn(int(math.Pow10(r.Intn(10)))) }
+	for i := 0; i < 3000; i++ {
+		n, accum := 1+r.Intn(64), count()%3
+		s := Snapshot{
+			Stage: Stage(r.Intn(4)), WorldSize: n, NumParams: r.Intn(1 << 30),
+			OptSteps: count(), AccumMicros: accum, CleanSteps: count(), Skips: count(),
+		}
+		if r.Intn(2) == 0 {
+			s.LossScale = math.Ldexp(1+r.Float64()*float64(r.Intn(2)), r.Intn(161)-80)
+		}
+		parts, k := comm.Partition(s.NumParams, n), 1+min(accum, 1)+r.Intn(3)
+		if got, want := s.headerLen(parts, k), len(s.header(parts, k)); got != want {
+			t.Fatalf("%+v, %d tensors: headerLen %d, header %d bytes: %s", s, k, got, want, s.header(parts, k))
+		}
+	}
+}
+
+// One checkpoint write on 64 ranks allocates less per rank than its 2.3 KB
+// header: a rank other than 0 derives the header's length rather than
+// marshalling it, so what it allocates is the partition (16 B a rank), its
+// file handle and its three-float report. The per-write figure is the
+// difference between worlds that write 8 and 4 times, so what the first
+// write allocates once — the lent encode buffers — cancels out; the least
+// of three tries drops what goroutines other tests left behind allocate
+// meanwhile.
+func TestNonRootWriteAllocatesLessThanItsHeader(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation totals vary under -race")
+	}
+	const n = 64
+	s := Snapshot{Stage: StageOSGrad, WorldSize: n, NumParams: 64 * 1000, OptSteps: 123456, LossScale: 65536, CleanSteps: 17}
+	parts := comm.Partition(s.NumParams, n)
+	run := func(writes int) int64 {
+		path := filepath.Join(t.TempDir(), "ckpt.zelc")
+		var before, after runtime.MemStats
+		comm.NewWorld(n).Run(func(c *comm.Comm) {
+			slab := make([]float32, 3*parts[c.Rank()].Len())
+			c.Barrier()
+			if c.Rank() == 0 {
+				runtime.ReadMemStats(&before)
+			}
+			c.Barrier()
+			for i := 0; i < writes; i++ {
+				if _, err := WriteSnapshotFile(c, path, s, slab); err != nil {
+					t.Error(err)
+				}
+			}
+			c.Barrier()
+			if c.Rank() == 0 {
+				runtime.ReadMemStats(&after)
+			}
+		})
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	run(1) // the encode buffers are lent process-wide: warm them first
+	perRank := math.Inf(1)
+	for range 3 {
+		perRank = min(perRank, float64(run(8)-run(4))/4/n)
+	}
+	hdr := len(s.header(parts, 3))
+	t.Logf("%.0f bytes per rank per write, header %d bytes", perRank, hdr)
+	if perRank >= float64(hdr) {
+		t.Errorf("a write allocates %.0f bytes per rank, not less than its %d-byte header", perRank, hdr)
 	}
 }

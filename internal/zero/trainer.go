@@ -35,23 +35,24 @@ type Options struct {
 	Stage Stage
 	Seed  int64
 	// BucketElems is the gradient communication bucket size in elements
-	// (the CB optimization applied to gradient collectives): each layer
-	// group's gradients are reduced in fixed-size partition-aligned
-	// buckets, mimicking how ZeRO buckets gradients as they become
-	// available during backward (§5.2). 0 reduces each layer group in one
-	// bucket.
+	// (the CB optimization applied to gradient collectives): each gradient
+	// unit's (model.Layout.Units) gradients are reduced in fixed-size
+	// partition-aligned buckets, mimicking how ZeRO buckets gradients as
+	// they become available during backward (§5.2). 0 reduces each unit in
+	// one bucket.
 	BucketElems int
 	// Overlap decides where gradient bucket handles are waited. Backward
-	// always submits each layer group's buckets to the grad stream as soon
-	// as that group's backward pass finishes (§7.2). With Overlap the
-	// handles are held until the group's gradient window is released (two
-	// blocks later, or at the end of Backward), so the reduce-scatters ride
-	// under the remaining backward compute; without it each handle is
-	// waited where it is submitted. The ops and their order are the same
-	// either way, so results are bitwise identical; only wall-clock
-	// changes. Composes with an activation-checkpoint Model.Store: Pa's
-	// gathers ride their own checkpoint stream, so the two ordering domains
-	// interleave freely on the wire.
+	// always submits each gradient unit's buckets to the grad stream as
+	// soon as the unit's gradients are final (§7.2). With Overlap the
+	// handles are held until the unit's gradient window is released (when
+	// the unit two later in Backward's order binds it, or at the end of
+	// Backward), so the reduce-scatters ride under the remaining backward
+	// compute; without it each handle is waited where it is submitted. The
+	// ops and their order are the same either way, so results are bitwise
+	// identical; only wall-clock changes. Composes with an
+	// activation-checkpoint Model.Store: Pa's gathers ride their own
+	// checkpoint stream, so the two ordering domains interleave freely on
+	// the wire.
 	Overlap bool
 	// NodeSize lays the world out as nodes of NodeSize ranks: New builds
 	// the trainer's scheduler over c.Nodes(NodeSize), so every gradient and
@@ -146,19 +147,19 @@ type Options struct {
 // 1-2 are stage 3's path without the per-pass re-gathers.
 //
 // No rank holds a Ψ-long gradient (§5.2, with §6.2's constant-size
-// buffers): Backward writes each layer group's gradient into a window of
-// the group's size, reduces it from there, folds the optimizer domain's
-// share into the accumulator and releases the window for a later group.
-// The windows are fixed at New — the embeddings' and the final
-// layernorm's, each bound for the whole pass, and two the blocks take
-// turns in (one when the model has a single block) — so the gradient state
-// a rank keeps is the Ψ/Nd accumulator (Ψ at stage 0) plus |embeddings| +
-// |ln_f| + min(2, L)·max|block| elements.
+// buffers): Backward writes each gradient unit (model.Layout.Units, a third
+// of a block) into a window of the unit's size, reduces it from there,
+// folds the optimizer domain's share into the accumulator and releases the
+// window for a later unit. The windows are fixed at New — the embeddings'
+// and the final layernorm's, each bound for the whole pass, and two the
+// block units take turns in — so the gradient state a rank keeps is the
+// Ψ/Nd accumulator (Ψ at stage 0) plus W = 4·(|embeddings| + |ln_f| +
+// 2·max|unit|) bytes (perfmodel.LiveModelState).
 //
-// Model state per rank, with dom the domain's length, W the gradient
-// windows (4 bytes an element) and Wp the stage-3 parameter windows (the
-// same element count, at the compute width): stages 0-2 hold 4Ψ + 12·dom
-// + W in fp32 (compute copy with the master in it, accumulator, Adam's m
+// Model state per rank, with dom the domain's length and Wp the bytes of
+// the stage-3 parameter windows (|embeddings| + |ln_f| + min(2, L)·
+// max|block| elements at the compute width): stages 0-2 hold 4Ψ + 12·dom +
+// W in fp32 (compute copy with the master in it, accumulator, Adam's m
 // and v) and 2Ψ + 16·dom + W under FP16Compute; stage 3 holds 16·dom + W +
 // Wp in fp32 and 18·dom + W + Wp under FP16Compute. The fp16 widths map
 // onto §3.1's 2 + 2 + 12 bytes a parameter as follows: 2 is the half
@@ -199,20 +200,22 @@ type Trainer struct {
 	shard  comm.Buffer         // the compute copy over dom: the master in fp32, the halves publish encodes it into under FP16Compute; at stages 0-2 a range of full
 	full   comm.Buffer         // stages 0-2: the Ψ-long compute copy every group's parameter window is a range of; empty at stage 3
 	stale  bool                // only the shard is current: every parameter window is unbound until a gather fills it
-	groups []model.Segment     // layer groups indexed by layer+1: gather, bucket and window granularity
+	groups []model.Segment     // layer groups indexed by layer+1: gather and parameter window granularity
+	units  []model.Segment     // gradient units (model.Layout.Units): bucket and gradient window granularity
 
-	// The windows, indexed by slot (see slot): block l's at l mod 2, then
-	// ln_f's and the embeddings' last, each bound for a whole pass (the
-	// head reads and writes both first, the embedding lookup writes the
-	// embeddings' last). gwins hold gradients at every stage, pwins the
-	// parameters at stage 3 (nil at stages 0-2).
+	// The windows: gwins hold gradients at every stage, two the block units
+	// take turns in, then ln_f's and the embeddings' (see window); pwins
+	// hold the parameters at stage 3 (nil at stages 0-2), indexed by slot:
+	// block l's at l mod 2, then ln_f's and the embeddings'. ln_f's and the
+	// embeddings' are each bound for a whole pass (the head reads and
+	// writes both first, the embedding lookup writes the embeddings' last).
 	gwins []gradWindow
 	pwins []paramWindow
 	// Test seams: onRelease sees each gradient window as it is released,
 	// onHandOver the part of a parameter window outside keep that a gather
 	// is about to fill (tests poison both), and a gather dropGather
 	// reports true for never runs.
-	onRelease  func(group int, buf []float32)
+	onRelease  func(unit int, buf []float32)
 	onHandOver func(group int, buf comm.Buffer, keep comm.Range)
 	dropGather func(group int) bool
 
@@ -238,8 +241,6 @@ type Trainer struct {
 	fwdPf          paramPrefetcher // forward gathers (stages 1-3)
 	bwdPf          paramPrefetcher // stage-3 backward gathers
 	fwdHook        func(int)       // persistent Model.ForwardHook body (stages 1-3)
-	bwdPreHook     func(int)       // persistent Model.BackwardPreHook body
-	bwdHook        func(int)       // persistent Model.BackwardHook body
 	clipPartials   []float32       // N-element clip partial buffer
 	clipParts      []comm.Range    // its one-element-per-rank partition
 	lambUpdate     []float32       // LAMB raw update over the optimizer domain
@@ -250,25 +251,19 @@ type Trainer struct {
 
 // bucketPlan is the gradient communication schedule, built once in New:
 // each bucket's ownership partition clipped to the bucket and rebased onto
-// its layer group's gradient window, in reduction order, plus the plan
-// indices each layer group submits when its backward pass finishes,
-// indexed like Trainer.groups.
+// its gradient unit's window, plus the plan indices each unit submits when
+// it closes, in reduction order, indexed like Trainer.units.
 type bucketPlan struct {
-	parts   [][]comm.Range
-	byLayer [][]int
+	parts  [][]comm.Range
+	byUnit [][]int
 }
 
-// gradWindow is a gradient buffer that serves one layer group at a time.
+// gradWindow is a gradient buffer that serves one gradient unit at a time.
 type gradWindow struct {
-	buf   []float32   // sized for the largest group it serves
-	group int         // the bound group (an index of Trainer.groups), or -1
-	b     comm.Buffer // the bound group's slice of buf at the wire width
-	last  comm.Handle // the group's last bucket op, when Overlap holds it
-}
-
-// newGradWindow returns a free window of n elements.
-func newGradWindow(n int) gradWindow {
-	return gradWindow{buf: make([]float32, n), group: -1}
+	buf  []float32   // sized for the largest unit it serves
+	unit int         // the bound unit (an index of Trainer.units), or -1
+	b    comm.Buffer // the bound unit's slice of buf at the wire width
+	last comm.Handle // the unit's last bucket op, when Overlap holds it
 }
 
 // paramWindow is a stage-3 parameter buffer that serves one layer group at
@@ -276,6 +271,7 @@ func newGradWindow(n int) gradWindow {
 type paramWindow struct {
 	buf   comm.Buffer // sized for the largest group it serves
 	group int         // the group last handed it (an index of Trainer.groups), or -1
+	kept  int         // the group whose own part buf holds since the last publish, or -1
 }
 
 // New constructs a rank's trainer. Every rank must use identical cfg and
@@ -320,6 +316,7 @@ func New(c *comm.Comm, cfg model.Config, opts Options) (*Trainer, error) {
 		norms:        norms,
 		opt:          opt,
 		groups:       m.Layout.LayerSegments(cfg.Layers),
+		units:        m.Layout.Units,
 		accum:        make([]float32, dom.Len()),
 		sched:        sched,
 		grad:         sched.Stream(StreamGrad),
@@ -348,24 +345,16 @@ func New(c *comm.Comm, cfg model.Config, opts Options) (*Trainer, error) {
 	}
 	t.plan = t.buildPlan()
 	layers, g := cfg.Layers, t.groups
-	// Window sizes by slot: the block windows, then ln_f and the
-	// embeddings.
-	block := 0
-	for _, b := range g[1 : layers+1] {
-		block = max(block, b.Len())
+	// Window sizes (every block is laid out alike): for the gradients the
+	// two the block units share, sized for block 0's largest unit, then
+	// ln_f's and the embeddings'; for the parameters, by slot.
+	unit, block := max(t.units[1].Len(), t.units[2].Len(), t.units[3].Len()), g[1].Len()
+	t.gwins = make([]gradWindow, 4)
+	for i, n := range []int{unit, unit, g[layers+1].Len(), g[0].Len()} {
+		t.gwins[i] = gradWindow{buf: make([]float32, n), unit: -1}
 	}
-	sizes := make([]int, 0, 4)
-	for range min(2, layers) {
-		sizes = append(sizes, block)
-	}
-	sizes = append(sizes, g[layers+1].Len(), g[0].Len())
-	t.gwins = make([]gradWindow, len(sizes))
-	for i, n := range sizes {
-		t.gwins[i] = newGradWindow(n)
-	}
-	t.initParams(sizes)
-	t.bwdPreHook = t.backwardPre
-	t.bwdHook = t.submitLayerBuckets
+	t.initParams(append([]int{block, block}[:min(2, layers)], g[layers+1].Len(), g[0].Len()))
+	m.UnitPreHook, m.UnitHook = t.bindGrad, t.submitUnit
 	if opts.Stage == StageDDP {
 		for k := range g {
 			t.bindParams(k, t.full.Slice(g[k].Lo, g[k].Hi))
@@ -388,6 +377,7 @@ func New(c *comm.Comm, cfg model.Config, opts Options) (*Trainer, error) {
 			order = append(order, l)
 		}
 		t.bwdPf.init(t, order)
+		m.BackwardPreHook = t.backwardPre
 	}
 	return t, nil
 }
@@ -450,73 +440,75 @@ func (t *Trainer) markStale() {
 	}
 }
 
-// backwardPre is the Model.BackwardPreHook body: at stage 3 it gathers the
-// parameters the next backward segment reads, and at every stage it binds
-// the gradient windows that segment writes.
+// backwardPre is the stage-3 Model.BackwardPreHook body: it gathers the
+// parameters the next backward segment reads.
 func (t *Trainer) backwardPre(layer int) {
 	layers := t.Model.Cfg.Layers
-	if layer == layers {
-		if t.stage == StageFull {
-			// The head reads the embeddings and the final layernorm
-			// (positions 0 and 1) at once, so both gathers go on the wire
-			// before either is waited.
-			t.bwdPf.submit(0)
-			t.bwdPf.submit(1)
-			t.bwdPf.arrive(0)
-			t.bwdPf.arrive(1)
-		}
-		t.bindGrad(layers + 1)
-		t.bindGrad(0)
+	if layer < layers {
+		t.bwdPf.arrive(layers + 1 - layer)
 		return
 	}
-	if t.stage == StageFull {
-		t.bwdPf.arrive(layers + 1 - layer)
-	}
-	t.bindGrad(layer + 1)
+	// The head reads the embeddings and the final layernorm (positions 0
+	// and 1) at once, so both gathers go on the wire before either is
+	// waited.
+	t.bwdPf.submit(0)
+	t.bwdPf.submit(1)
+	t.bwdPf.arrive(0)
+	t.bwdPf.arrive(1)
 }
 
-// bindGrad releases whatever group g's window holds — block l's window
-// last held block l+2, the older of the two in use — then zeroes the window
-// at g's length and binds it to g. Gradients cross the wire at the compute
-// copy's width.
-func (t *Trainer) bindGrad(g int) {
-	w := t.window(g)
+// bindGrad is the Model.UnitPreHook body: it releases whatever unit u's
+// window holds — a block unit's window last held unit u+2, the older of
+// the two in use — then zeroes the window at u's length and binds it to u.
+// Gradients cross the wire at the compute copy's width.
+func (t *Trainer) bindGrad(u int) {
+	w := t.window(u)
 	t.releaseGrad(w)
-	buf := w.buf[:t.groups[g].Len()]
+	buf := w.buf[:t.units[u].Len()]
 	tensor.Zero(buf)
-	w.group, w.b = g, comm.Buffer{Data: buf, DType: t.shard.DType}
-	t.Model.BindGrad(g, buf)
+	w.unit, w.b = u, comm.Buffer{Data: buf, DType: t.shard.DType}
+	t.Model.BindGrad(u, buf)
 }
 
-// releaseGrad waits the bound group's bucket ops, folds its reduced gradient
+// releaseGrad waits the bound unit's bucket ops, folds its reduced gradient
 // over the optimizer domain into the accumulator — elementwise, so each
 // element sees the same accum + g as a Ψ-wide fold — and frees w. A free
 // window is left as it is.
 func (t *Trainer) releaseGrad(w *gradWindow) {
-	if w.group < 0 {
+	if w.unit < 0 {
 		return
 	}
 	w.last.Wait()
-	g, buf := t.groups[w.group], w.b.Data
+	g, buf := t.units[w.unit], w.b.Data
 	if lo, hi := max(g.Lo, t.dom.Lo), min(g.Hi, t.dom.Hi); lo < hi {
 		tensor.Add(t.accum[lo-t.dom.Lo:hi-t.dom.Lo], buf[lo-g.Lo:hi-g.Lo])
 	}
-	t.Model.BindGrad(w.group, nil)
+	t.Model.BindGrad(w.unit, nil)
 	if t.onRelease != nil {
-		t.onRelease(w.group, buf)
+		t.onRelease(w.unit, buf)
 	}
-	w.group, w.b, w.last = -1, comm.Buffer{}, comm.Handle{}
+	w.unit, w.b, w.last = -1, comm.Buffer{}, comm.Handle{}
 }
 
-// window returns the gradient window that serves layer group g.
-func (t *Trainer) window(g int) *gradWindow { return &t.gwins[t.slot(g)] }
+// window returns the gradient window that serves unit u: the block units
+// alternate between the first two by index parity, then come ln_f's and
+// the embeddings' — the order Backward releases what is still bound, the
+// embeddings' buckets last as they were submitted last.
+func (t *Trainer) window(u int) *gradWindow {
+	switch u {
+	case 0:
+		return &t.gwins[3]
+	case len(t.units) - 1:
+		return &t.gwins[2]
+	}
+	return &t.gwins[u%2]
+}
 
-// slot returns the index of the windows that serve layer group g: l mod
-// the block-window count for block l, then ln_f's and the embeddings' —
-// the order Backward releases what is still bound, the embeddings' buckets
-// last as they were submitted last.
+// slot returns the index of the parameter window that serves layer group
+// g: l mod the block-window count for block l, then ln_f's and the
+// embeddings'.
 func (t *Trainer) slot(g int) int {
-	blocks := len(t.gwins) - 2
+	blocks := len(t.pwins) - 2
 	switch g {
 	case 0:
 		return blocks + 1
@@ -661,7 +653,8 @@ func (p *paramPrefetcher) reset() {
 // submit launches the all-gather for position k if it exists and has not
 // been launched yet. At stage 3 it first hands the window over: the group
 // it served is unbound, and the rank's own part is copied in from the
-// shard.
+// shard unless the window still holds it — it last held this group and no
+// publish has run since.
 func (p *paramPrefetcher) submit(k int) {
 	t := p.t
 	if k < 0 || k >= len(p.handles) || p.handles[k].Valid() {
@@ -680,11 +673,18 @@ func (p *paramPrefetcher) submit(k int) {
 			t.Model.BindParams(w.group, nil, nil)
 		}
 		w.group = s.group
-		if t.onHandOver != nil {
-			t.onHandOver(s.group, w.buf, comm.Range{})
+		var keep comm.Range
+		if w.kept == s.group {
+			keep = s.parts[t.c.Rank()]
 		}
-		copy(s.dst.Data, s.src.Data)
-		copy(s.dst.Half, s.src.Half)
+		if t.onHandOver != nil {
+			t.onHandOver(s.group, w.buf, keep)
+		}
+		if w.kept != s.group {
+			copy(s.dst.Data, s.src.Data)
+			copy(s.dst.Half, s.src.Half)
+			w.kept = s.group
+		}
 	}
 	p.handles[k] = t.prefetch.AllGather(s.buf, s.parts)
 }
@@ -748,11 +748,11 @@ func (t *Trainer) Forward(ids, targets []int, microBatch int) float64 {
 }
 
 // Backward runs the backward pass of the micro-batch last seen by Forward
-// and folds its gradient into the rank's persistent accumulator. Each layer
-// group's gradient is written into a freshly zeroed window; as it becomes
+// and folds its gradient into the rank's persistent accumulator. Each
+// gradient unit is written into a freshly zeroed window; as it becomes
 // final, its buckets are reduce-scattered across the group on the grad
 // stream (§7.2), and only the reduced values over the optimizer domain are
-// folded into the accumulator before the window serves another group. At
+// folded into the accumulator before the window serves another unit. At
 // the partitioned stages that domain is the owned Ψ/Nd shard, so gradient
 // accumulation across micro-batches never holds more than the partition
 // (§5.2). Stage 3 gathers each group's parameters again as its backward
@@ -766,17 +766,7 @@ func (t *Trainer) Backward() {
 		t.markStale()
 	}
 	t.bwdPf.reset()
-	t.Model.BackwardPreHook = t.bwdPreHook
-	t.Model.BackwardHook = t.bwdHook
-	t.Model.Backward()
-	t.Model.BackwardPreHook = nil
-	t.Model.BackwardHook = nil
-	// The embedding gradients keep accumulating until Model.Backward
-	// returns (tied head at the start + embedding lookup at the end), so
-	// their buckets — and the small ln_f group that shares this slot — go
-	// last, exactly as in the plan order.
-	t.submitLayerBuckets(t.Model.Cfg.Layers)
-	t.submitLayerBuckets(-1)
+	t.Model.Backward() // through the hooks New set: backwardPre, bindGrad, submitUnit
 	// Fold the windows still bound into the accumulator. The first
 	// micro-batch adds into zeros, so a single-micro-batch update sees the
 	// reduced gradient bit for bit.
@@ -896,6 +886,9 @@ func (t *Trainer) skipStep() {
 func (t *Trainer) publish() {
 	if h := t.shard.Half; h != nil {
 		h.FromFloats(t.master)
+	}
+	for i := range t.pwins {
+		t.pwins[i].kept = -1
 	}
 	if t.stage != StageDDP {
 		t.markStale()
@@ -1036,37 +1029,29 @@ func (t *Trainer) AccumulatedMicros() int { return t.accumMicros }
 // only at stage 0 where every state is replicated anyway.
 func (t *Trainer) GradAccumElems() int { return len(t.accum) }
 
-// buildPlan builds the gradient bucket plan: transformer blocks in backward
-// order (block L-1 first), then the final layernorm, then the embeddings,
-// each group split into BucketElems-sized windows in reverse, plus each
-// bucket's ownership partition and the per-layer submission indices, so
-// steady-state steps replay the schedule without rebuilding it.
+// buildPlan builds the gradient bucket plan: each gradient unit split into
+// BucketElems-sized windows in reverse, plus each bucket's ownership
+// partition and the per-unit submission indices, so steady-state steps
+// replay the schedule without rebuilding it.
 func (t *Trainer) buildPlan() bucketPlan {
-	p := bucketPlan{byLayer: make([][]int, len(t.groups))}
-	add := func(layer int) {
-		g := t.groups[layer+1]
-		for _, b := range t.groupBuckets(g) {
+	p := bucketPlan{byUnit: make([][]int, len(t.units))}
+	for u, g := range t.units {
+		for _, b := range t.unitBuckets(g) {
 			parts := intersect(t.parts, b.Lo, b.Hi)
 			for r := range parts {
 				parts[r].Lo -= g.Lo
 				parts[r].Hi -= g.Lo
 			}
-			p.byLayer[layer+1] = append(p.byLayer[layer+1], len(p.parts))
+			p.byUnit[u] = append(p.byUnit[u], len(p.parts))
 			p.parts = append(p.parts, parts)
 		}
 	}
-	layers := t.Model.Cfg.Layers
-	for l := layers - 1; l >= 0; l-- {
-		add(l)
-	}
-	add(layers) // ln_f
-	add(-1)     // embeddings
 	return p
 }
 
-// groupBuckets splits one layer group into bucket windows, last window
-// first (mirroring backward-order bucket fills inside a layer).
-func (t *Trainer) groupBuckets(g model.Segment) []comm.Range {
+// unitBuckets splits one gradient unit into bucket windows, last window
+// first (mirroring backward-order bucket fills inside a unit).
+func (t *Trainer) unitBuckets(g model.Segment) []comm.Range {
 	bucket := t.opts.BucketElems
 	if bucket <= 0 || bucket >= g.Len() {
 		return []comm.Range{{Lo: g.Lo, Hi: g.Hi}}
@@ -1078,7 +1063,7 @@ func (t *Trainer) groupBuckets(g model.Segment) []comm.Range {
 	return out
 }
 
-// reduceBucketAt submits plan bucket i's collectives on its group's window
+// reduceBucketAt submits plan bucket i's collectives on its unit's window
 // b to the grad stream and returns the handle of the final op: a
 // reduce-scatter across the global partition, completed into an all-reduce
 // by a gradient all-gather at stage 0. The bucket's per-rank ownership comes
@@ -1095,21 +1080,21 @@ func (t *Trainer) reduceBucketAt(i int, b comm.Buffer) comm.Handle {
 	return h
 }
 
-// submitLayerBuckets submits one layer group's buckets in plan order, on
-// its gradient window. Overlap holds the last handle until the window is
-// released, so the reduce-scatter of layer k rides under the compute of
-// layers k-1 and k-2 (§7.2's communication/computation overlap; the grad
-// stream completes in FIFO order); otherwise each handle is waited where it
-// is submitted. Under FP16Compute the group's gradients are rounded through
-// binary16 for the wire first, and the rounding feeds overflow detection: a
-// loss-scaled weight gradient can exceed the fp16 range even when every
-// activation store stayed finite.
-func (t *Trainer) submitLayerBuckets(layer int) {
-	w := t.window(layer + 1)
+// submitUnit is the Model.UnitHook body: it submits unit u's buckets in
+// plan order, on its gradient window. Overlap holds the last handle until
+// the window is released, so the reduce-scatter of unit u rides under the
+// compute of the next two units (§7.2's communication/computation overlap;
+// the grad stream completes in FIFO order); otherwise each handle is
+// waited where it is submitted. Under FP16Compute the unit's gradients are
+// rounded through binary16 for the wire first, and the rounding feeds
+// overflow detection: a loss-scaled weight gradient can exceed the fp16
+// range even when every activation store stayed finite.
+func (t *Trainer) submitUnit(u int) {
+	w := t.window(u)
 	if t.opts.FP16Compute && tensor.RoundHalfCheck(w.b.Data) {
 		t.overflow = true
 	}
-	for _, i := range t.plan.byLayer[layer+1] {
+	for _, i := range t.plan.byUnit[u] {
 		h := t.reduceBucketAt(i, w.b)
 		if t.opts.Overlap {
 			w.last = h

@@ -161,18 +161,19 @@ func TestCommunicationVolumeIdentities(t *testing.T) {
 }
 
 // A stage-2 step on the dense benchmark's shape — 2 ranks, 4096-element
-// buckets, overlap — pins rank 0's traffic: 3,255,296 bytes and 210
+// buckets, overlap — pins rank 0's traffic: 3,255,296 bytes and 218
 // messages, every step alike, the first included (New leaves only the
 // owned shard current, as Update does). At two ranks each non-empty ring
 // chunk is one message on rank 0, a send or a receive, and empty chunks
 // send nothing, so the count is an identity over the schedule: the bucket
 // reduce-scatters' non-empty chunks plus, because the post-step all-gather
 // runs group by group in the next Forward, one ring all-gather per layer
-// group.
+// group. Buckets are framed per gradient unit, 17 to each of a block's
+// three units where one frame over the whole block needed 49.
 func TestStageTwoStepWireCounts(t *testing.T) {
 	cfg := model.Config{Layers: 4, Hidden: 128, Heads: 4, Vocab: 128, Seq: 32}
 	const n, batch, steps = 2, 8, 3
-	const wantMsgs, wantBytes = 210, 3255296
+	const wantMsgs, wantBytes = 218, 3255296
 	ids, targets := model.SyntheticBatch(4, batch, cfg.Seq, cfg.Vocab)
 	w := comm.NewWorld(n)
 	w.Run(func(c *comm.Comm) {
@@ -356,9 +357,9 @@ func runPartitionContract(t *testing.T, name string, cfg model.Config, opts Opti
 					handedOver("Backward", s, j)
 					marked(fmt.Sprintf("after step %d micro %d Backward", s, j))
 				}
-				if released != len(tr.groups) {
-					t.Errorf("%s rank %d step %d micro %d: Backward released %d gradient windows, want one per layer group (%d)",
-						name, r, s, j, released, len(tr.groups))
+				if released != len(tr.units) {
+					t.Errorf("%s rank %d step %d micro %d: Backward released %d gradient windows, want one per gradient unit (%d)",
+						name, r, s, j, released, len(tr.units))
 				}
 				// An fp16 overflow may leave NaN in the accumulator of a
 				// window the vote will skip; the twin diff covers that one.
@@ -421,13 +422,20 @@ func (got contractRun) diff(t *testing.T, name string, want contractRun) {
 
 // poisonParams fills every parameter the rank holds outside its shard
 // with NaN: the Ψ-long compute copy outside the owned range at stages 0-2,
-// every parameter window at stage 3.
+// every parameter window at stage 3 but the own part of the group it still
+// holds since the last publish.
 func poisonParams(tr *Trainer) {
 	if tr.pwins == nil {
 		poisonBuf(tr.full, tr.Owned())
 	}
 	for _, w := range tr.pwins {
-		poisonBuf(w.buf, comm.Range{})
+		var keep comm.Range
+		if w.kept >= 0 {
+			g := tr.groups[w.kept]
+			keep = intersect([]comm.Range{tr.Owned()}, g.Lo, g.Hi)[0]
+			keep.Lo, keep.Hi = keep.Lo-g.Lo, keep.Hi-g.Lo
+		}
+		poisonBuf(w.buf, keep)
 	}
 }
 
@@ -582,19 +590,21 @@ func TestTrainerRejectsInvalidConfigs(t *testing.T) {
 }
 
 // The model state a rank actually holds, summed from the live buffers
-// (len × element width), against the closed form of the layout, for
-// N ∈ {2, 4, 8} and L ∈ {1, 4} layers. dom is this rank's Ψ/N share (all
-// of Ψ at stage 0), and gradients live in windows of W = 4·E bytes, E =
-// |embeddings| + |ln_f| + min(2, L)·max|block|. Stages 0-2 hold a Ψ-long
-// compute copy; the fp32 master must be its domain range in fp32 and is a
-// buffer of its own under fp16 compute, where the half shard is the
-// copy's range: 4Ψ + 12·dom + W and 2Ψ + 16·dom + W. Stage 3 holds no
-// Ψ-long buffer: the parameters live in windows of Wp = E elements at the
-// compute width beside the master (and, in fp16, a 2-byte half shard):
-// 16·dom + W + Wp and 18·dom + W + Wp. The test sums the buffers itself and
-// ResidentBytes must agree; before and after a step, no trainer-owned model
-// holds parameters or gradients of its own, and no stage-3 window reaches
-// Ψ elements. The §3.1 prediction, perfmodel.ModelStateBytes (16Ψ/N at
+// (len × element width), against perfmodel.LiveModelState, the closed form
+// of the layout, for N ∈ {2, 4, 8} and L ∈ {1, 4} layers. dom is this
+// rank's Ψ/N share (all of Ψ at stage 0), and gradients live in windows of
+// W = 4·(|embeddings| + |ln_f| + 2·max|unit|) bytes, a unit being a third
+// of a block. Stages 0-2 hold a Ψ-long compute copy; the fp32 master must
+// be its domain range in fp32 and is a buffer of its own under fp16
+// compute, where the half shard is the copy's range: 4Ψ + 12·dom + W and
+// 2Ψ + 16·dom + W. Stage 3 holds no Ψ-long buffer: the parameters live in
+// windows of Wp = |embeddings| + |ln_f| + min(2, L)·max|block| elements at
+// the compute width beside the master (and, in fp16, a 2-byte half shard):
+// 16·dom + W + 4·Wp and 18·dom + W + 2·Wp. The test sums the buffers itself,
+// the gradient windows apart, and both sums and ResidentBytes must equal
+// the closed form's; before and after a step, no trainer-owned model holds
+// parameters or gradients of its own, and no stage-3 window reaches Ψ
+// elements. The §3.1 prediction, perfmodel.ModelStateBytes (16Ψ/N at
 // stage 3), is logged beside it.
 func TestTrainerModelStateAccounting(t *testing.T) {
 	const batch = 8
@@ -602,7 +612,6 @@ func TestTrainerModelStateAccounting(t *testing.T) {
 		cfg := testConfig()
 		cfg.Layers = layers
 		psi := int64(cfg.ParamCount())
-		elems := windowElems(cfg)
 		ids, targets := model.SyntheticBatch(3, batch, cfg.Seq, cfg.Vocab)
 		for _, n := range []int{2, 4, 8} {
 			w := comm.NewWorld(n)
@@ -616,14 +625,19 @@ func TestTrainerModelStateAccounting(t *testing.T) {
 							dom = psi
 						}
 						full := stage != StageFull
-						want := liveModelState(psi, dom, elems, stage, fp16)
+						pred := perfmodel.LiveModelState(perfmodel.Shape(cfg), int(stage), dom, fp16)
+						want := pred.Total()
 						name := fmt.Sprintf("L=%d N=%d %v fp16=%v rank %d", layers, n, stage, fp16, c.Rank())
 						check := func(when string) {
 							m := tr.Model
-							live := tr.full.Bytes() + 4*int64(len(tr.accum))
+							live, grads := tr.full.Bytes()+4*int64(len(tr.accum)), int64(0)
 							for _, gw := range tr.gwins {
-								live += 4 * int64(len(gw.buf))
+								grads += 4 * int64(len(gw.buf))
 							}
+							if grads != pred.Grads {
+								t.Errorf("%s %s: gradient windows %d B, want W = %d B", name, when, grads, pred.Grads)
+							}
+							live += grads
 							for _, pw := range tr.pwins {
 								live += pw.buf.Bytes()
 								if pw.buf.Len() >= int(psi) {
@@ -670,29 +684,5 @@ func TestTrainerModelStateAccounting(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// windowElems is E, the element count of a trainer's gradient windows (and
-// of its stage-3 parameter windows): |embeddings| + |ln_f| +
-// min(2, L)·max|block|.
-func windowElems(cfg model.Config) int64 {
-	g := model.BuildLayout(cfg).LayerSegments(cfg.Layers)
-	return int64(g[0].Len() + g[cfg.Layers+1].Len() + min(2, cfg.Layers)*g[1].Len())
-}
-
-// liveModelState is the model state in bytes a rank with a dom-element
-// optimizer domain holds under Adam, E = elems: TestTrainerModelStateAccounting's
-// closed forms.
-func liveModelState(psi, dom, elems int64, stage Stage, fp16 bool) int64 {
-	switch full := stage != StageFull; {
-	case full && !fp16: // compute copy (master inside) + accum + Adam's m and v + W
-		return 4*psi + 12*dom + 4*elems
-	case full: // half copy (shard inside) + master + accum + m + v + W
-		return 2*psi + 16*dom + 4*elems
-	case !fp16: // master (the shard) + accum + m + v + W + Wp
-		return 16*dom + 4*elems + 4*elems
-	default: // half shard + master + accum + m + v + W + Wp
-		return 18*dom + 4*elems + 2*elems
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"strconv"
 
 	"repro/internal/arena"
 	"repro/internal/comm"
@@ -97,6 +98,46 @@ func (s *Snapshot) header(parts []comm.Range, k int) []byte {
 	}.canonical(parts)
 }
 
+// headerLen returns len(s.header(parts, k)) without marshalling it, for a
+// rank that needs only where its slab starts: the header's fixed text
+// plus each number as encoding/json writes it, optional fields when set.
+func (s *Snapshot) headerLen(parts []comm.Range, k int) int {
+	n := len(`{"version":,"stage":,"world_size":,"num_params":,"opt_tensors":,"opt_steps":,"accum_micros":,"shards":[]}`) + len(parts) - 1
+	for _, v := range [...]int{zelcVersion, int(s.Stage), s.WorldSize, s.NumParams, k - 1 - min(s.AccumMicros, 1), s.OptSteps, s.AccumMicros} {
+		n += intLen(v)
+	}
+	if s.LossScale != 0 {
+		n += len(`,"loss_scale":`) + floatLen(s.LossScale)
+	}
+	if s.CleanSteps != 0 {
+		n += len(`,"clean_steps":`) + intLen(s.CleanSteps)
+	}
+	if s.Skips != 0 {
+		n += len(`,"overflow_skips":`) + intLen(s.Skips)
+	}
+	for r, p := range parts {
+		n += len(`{"rank":,"lo":,"hi":}`) + intLen(r) + intLen(p.Lo) + intLen(p.Hi)
+	}
+	return n
+}
+
+// intLen is the length of v in decimal.
+func intLen(v int) int {
+	var b [20]byte
+	return len(strconv.AppendInt(b[:0], int64(v), 10))
+}
+
+// floatLen is the length of f as encoding/json writes a float64: the
+// shortest form, with an exponent (e-7, not e-07) outside [1e-6, 1e21).
+func floatLen(f float64) int {
+	var b [32]byte
+	if a := math.Abs(f); a >= 1e-6 && a < 1e21 {
+		return len(strconv.AppendFloat(b[:0], f, 'f', -1, 64))
+	}
+	e := strconv.AppendFloat(b[:0], f, 'e', -1, 64)
+	return len(e) - bytes.Count(e, []byte("e-0"))
+}
+
 // encodeBufs lends the 64 KiB buffers ZELC is encoded through, one per
 // writer at a time, so a warmed writer allocates none.
 var encodeBufs arena.Arena[byte]
@@ -179,10 +220,10 @@ func WriteSnapshotFile(c *comm.Comm, path string, hdr Snapshot, slab ...[]float3
 		f, err = os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE, 0o644) // no O_TRUNC: another rank may have written
 	}
 	if err == nil {
-		prefix, off := hdr.header(parts, k), int64(0)
-		if r != 0 {
-			// Past the magic, version, header length, header and lower slabs.
-			prefix, off = nil, int64(12+len(prefix))+4*int64(k)*int64(parts[r].Lo)
+		var prefix []byte
+		off := int64(12+hdr.headerLen(parts, k)) + 4*int64(k)*int64(parts[r].Lo) // past the magic, version, header length, header and lower slabs
+		if r == 0 {
+			prefix, off = hdr.header(parts, k), 0
 		}
 		fw = frameWriter{w: io.NewOffsetWriter(f, off)}
 		err = encodeTo(&fw, prefix, slab)
